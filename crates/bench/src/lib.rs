@@ -286,13 +286,7 @@ pub fn build_or_load_methods(
     if flags.shards > 1 {
         return build_or_load_methods_sharded(dataset_name, data, in_memory, seed, flags);
     }
-    let configs = hydra::standard_configs_io(
-        in_memory,
-        seed,
-        flags.pool_pages,
-        flags.page_codec,
-        flags.backing_io,
-    );
+    let configs = hydra::standard_configs(flags.storage(in_memory), seed);
     if let Some(dir) = &flags.save_index {
         let path = dataset_snapshot_file(dir, dataset_name);
         hydra::persist::dataset::save_dataset(data, &path).unwrap_or_else(|e| {
@@ -532,6 +526,23 @@ impl Default for BenchFlags {
             page_codec: hydra::PageCodec::F32,
             backing_io: hydra::FileIoMode::Pread,
         }
+    }
+}
+
+impl BenchFlags {
+    /// The storage configuration of the disk-capable methods: the
+    /// scenario's default with the serving knobs (`--pool-pages`,
+    /// `--page-codec`, `--backing`) applied.
+    pub fn storage(&self, in_memory: bool) -> hydra::StorageConfig {
+        let storage = if in_memory {
+            hydra::StorageConfig::in_memory()
+        } else {
+            hydra::StorageConfig::on_disk()
+        };
+        self.pool_pages
+            .map_or(storage, |pages| storage.with_pool_pages(pages))
+            .with_page_codec(self.page_codec)
+            .with_io_mode(self.backing_io)
     }
 }
 

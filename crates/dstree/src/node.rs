@@ -3,13 +3,13 @@
 use std::path::Path;
 
 use hydra_core::{
-    knn_search, predict_first_leaf, AnnIndex, Capabilities, Dataset, DistanceHistogram, Error,
-    HierarchicalIndex, QueryStats, Representation, Result, SearchParams, SearchResult,
+    knn_search, AnnIndex, Capabilities, Dataset, DistanceHistogram, Error, HierarchicalIndex,
+    QueryStats, Representation, Result, SearchParams, SearchResult,
 };
 use hydra_core::search::SearchSpec;
 use hydra_persist::{
-    codec, fingerprint_dataset, DataSource, Fingerprint, PersistError, PersistentIndex, Section,
-    SeriesFingerprinter, SnapshotReader, SnapshotWriter, StoreBacking,
+    codec, Collection, DataSource, Fingerprint, Leaf, PersistError, PersistentIndex, Section,
+    SnapshotReader, SnapshotWriter, StoreBacking,
 };
 use hydra_storage::{SeriesStore, StorageConfig};
 use hydra_summarize::apca::{segment_stats, uniform_segments, Segment};
@@ -83,12 +83,9 @@ struct Node {
     synopsis: Vec<Synopsis>,
     children: Vec<usize>,
     rule: Option<SplitRule>,
-    /// Series ids (dataset positions) stored here while building.
-    members: Vec<usize>,
-    /// After materialization: the contiguous range of this leaf in the
-    /// leaf-ordered series store.
-    store_start: usize,
-    store_len: usize,
+    /// The node's series (dataset positions) and their place in the
+    /// collection; empty once the node has split.
+    leaf: Leaf,
     size: usize,
 }
 
@@ -100,9 +97,7 @@ impl Node {
             synopsis,
             children: Vec::new(),
             rule: None,
-            members: Vec::new(),
-            store_start: 0,
-            store_len: 0,
+            leaf: Leaf::default(),
             size: 0,
         }
     }
@@ -118,23 +113,8 @@ pub struct DsTree {
     series_len: usize,
     nodes: Vec<Node>,
     /// Leaf-ordered raw series (the simulated on-disk layout).
-    store: SeriesStore,
-    /// Maps positions in the store back to dataset positions.
-    store_to_dataset: Vec<usize>,
-    /// Inverse of `store_to_dataset`, maintained only once the tree has
-    /// grown (see [`DsTree::activate_growth`]); empty while pristine.
-    dataset_to_store: Vec<usize>,
+    collection: Collection,
     histogram: DistanceHistogram,
-    num_series: usize,
-    /// Content fingerprint of the dataset the tree was built over, captured
-    /// at build/load time so snapshotting never has to re-read the
-    /// (possibly file-backed) store.
-    data_fingerprint: u64,
-    /// Whether series were ingested after the build/load. A grown tree's
-    /// leaf extents and store order are interleaved by arrival, so leaf
-    /// visits switch to member-row gathering and [`PersistentIndex::save`]
-    /// compacts back to the canonical leaf-order layout.
-    grown: bool,
 }
 
 /// Where [`DsTree::split_leaf`] re-reads the series of an overflowing leaf:
@@ -143,8 +123,13 @@ pub struct DsTree {
 enum FetchSource<'a> {
     /// The collection being built (members are dataset positions).
     Dataset(&'a Dataset),
-    /// The tree's own store, via `dataset_to_store` (ingest path).
+    /// The tree's own collection (ingest path).
     Store,
+}
+
+/// The leaves of the tree, in node order.
+fn leaves_mut(nodes: &mut [Node]) -> impl Iterator<Item = &mut Leaf> {
+    nodes.iter_mut().filter(|n| n.is_leaf()).map(|n| &mut n.leaf)
 }
 
 impl DsTree {
@@ -166,23 +151,18 @@ impl DsTree {
             config,
             series_len,
             nodes: vec![Node::new_leaf(uniform_segments(series_len, initial))],
-            store: SeriesStore::new(series_len, config.storage)?,
-            store_to_dataset: Vec::with_capacity(dataset.len()),
+            collection: Collection::leaf_order(series_len, config.storage)?,
             histogram: DistanceHistogram::from_dataset(
                 dataset,
                 config.histogram_samples,
                 256,
                 config.seed,
             ),
-            num_series: dataset.len(),
-            data_fingerprint: fingerprint_dataset(dataset),
-            dataset_to_store: Vec::new(),
-            grown: false,
         };
         for id in 0..dataset.len() {
             tree.insert(dataset, id);
         }
-        tree.materialize(dataset)?;
+        tree.collection.materialize(dataset, leaves_mut(&mut tree.nodes))?;
         Ok(tree)
     }
 
@@ -198,7 +178,7 @@ impl DsTree {
                 out.clear();
                 out.extend_from_slice(dataset.series(id));
             }
-            FetchSource::Store => self.store.read_uncharged(self.dataset_to_store[id], out),
+            FetchSource::Store => self.collection.read_by_id(id, out),
         }
     }
 
@@ -220,16 +200,21 @@ impl DsTree {
             let children = &self.nodes[node_id].children;
             node_id = if left { children[0] } else { children[1] };
         }
-        self.nodes[node_id].members.push(id);
-        if self.nodes[node_id].members.len() > self.config.leaf_capacity {
+        self.nodes[node_id].leaf.members.push(id);
+        if self.nodes[node_id].leaf.members.len() > self.config.leaf_capacity {
             self.split_leaf(node_id, src);
         }
     }
 
     fn absorb(&mut self, node_id: usize, series: &[f32]) {
-        let node = &mut self.nodes[node_id];
-        node.size += 1;
-        for (seg, syn) in node.segments.clone().iter().zip(node.synopsis.iter_mut()) {
+        let Node {
+            segments,
+            synopsis,
+            size,
+            ..
+        } = &mut self.nodes[node_id];
+        *size += 1;
+        for (seg, syn) in segments.iter().zip(synopsis.iter_mut()) {
             let st = segment_stats(series, *seg);
             syn.absorb(st.mean, st.std);
         }
@@ -238,7 +223,7 @@ impl DsTree {
     /// Splits an overflowing leaf using the best-scoring candidate
     /// (horizontal or vertical).
     fn split_leaf(&mut self, node_id: usize, src: &FetchSource<'_>) {
-        let members = self.nodes[node_id].members.clone();
+        let members = self.nodes[node_id].leaf.members.clone();
         let owned: Vec<Vec<f32>> = members
             .iter()
             .map(|&id| {
@@ -271,7 +256,7 @@ impl DsTree {
             } else {
                 &mut right
             };
-            target.members.push(id);
+            target.leaf.members.push(id);
             target.size += 1;
             for (seg, syn) in child_segments.iter().zip(target.synopsis.iter_mut()) {
                 let st = segment_stats(s, *seg);
@@ -280,16 +265,16 @@ impl DsTree {
         }
         // Degenerate partitions can happen when the threshold equals the
         // extreme value; fall back to a balanced split on the same ordering.
-        if left.members.is_empty() || right.members.is_empty() {
-            left.members.clear();
-            right.members.clear();
+        if left.leaf.members.is_empty() || right.leaf.members.is_empty() {
+            left.leaf.members.clear();
+            right.leaf.members.clear();
             left.synopsis = vec![Synopsis::empty(); child_segments.len()];
             right.synopsis = vec![Synopsis::empty(); child_segments.len()];
             left.size = 0;
             right.size = 0;
             for (i, (&id, s)) in members.iter().zip(series.iter()).enumerate() {
                 let target = if i % 2 == 0 { &mut left } else { &mut right };
-                target.members.push(id);
+                target.leaf.members.push(id);
                 target.size += 1;
                 for (seg, syn) in child_segments.iter().zip(target.synopsis.iter_mut()) {
                     let st = segment_stats(s, *seg);
@@ -303,7 +288,7 @@ impl DsTree {
         let right_id = self.nodes.len();
         self.nodes.push(right);
         let parent = &mut self.nodes[node_id];
-        parent.members.clear();
+        parent.leaf.members.clear();
         parent.children = vec![left_id, right_id];
         parent.rule = Some(best.rule);
         parent.segments = child_segments;
@@ -321,100 +306,6 @@ impl DsTree {
         self.nodes[node_id].synopsis = synopsis;
     }
 
-    /// Writes leaf contents contiguously into the simulated store (the
-    /// on-disk layout of the original implementation, where each leaf owns a
-    /// contiguous region).
-    fn materialize(&mut self, dataset: &Dataset) -> Result<()> {
-        let leaf_ids: Vec<usize> = (0..self.nodes.len())
-            .filter(|&i| self.nodes[i].is_leaf())
-            .collect();
-        for leaf_id in leaf_ids {
-            let members = self.nodes[leaf_id].members.clone();
-            let start = self.store.len();
-            for &id in &members {
-                self.store.append(dataset.series(id))?;
-                self.store_to_dataset.push(id);
-            }
-            let node = &mut self.nodes[leaf_id];
-            node.store_start = start;
-            node.store_len = members.len();
-        }
-        self.store.reset_io();
-        Ok(())
-    }
-
-    /// Switches the tree into growth mode: repopulates leaf membership from
-    /// the leaf extents (a loaded tree carries none — a freshly built one
-    /// still does) and builds the store-row inverse mapping. Idempotent.
-    fn activate_growth(&mut self) {
-        if self.grown {
-            return;
-        }
-        for i in 0..self.nodes.len() {
-            let (start, len) = (self.nodes[i].store_start, self.nodes[i].store_len);
-            if self.nodes[i].is_leaf() && self.nodes[i].members.len() != len {
-                self.nodes[i].members = self.store_to_dataset[start..start + len].to_vec();
-            }
-        }
-        let mut inverse = vec![usize::MAX; self.store_to_dataset.len()];
-        for (row, &id) in self.store_to_dataset.iter().enumerate() {
-            inverse[id] = row;
-        }
-        self.dataset_to_store = inverse;
-        self.grown = true;
-    }
-
-    /// Number of series in a leaf, valid in both pristine and grown trees
-    /// (a grown leaf's extent is stale; its membership is authoritative).
-    fn leaf_count(&self, node: usize) -> usize {
-        if self.grown {
-            self.nodes[node].members.len()
-        } else {
-            self.nodes[node].store_len
-        }
-    }
-
-    /// The store record ranges holding a leaf's series: the contiguous
-    /// extent of a pristine tree, or the maximal contiguous runs of a grown
-    /// leaf's member rows (the same run structure `visit_leaf` walks). Lets
-    /// the batch scheduler declare a working set without reading anything.
-    fn leaf_store_ranges(&self, node: usize, out: &mut Vec<(usize, usize)>) {
-        let n = &self.nodes[node];
-        if !self.grown {
-            if n.store_len > 0 {
-                out.push((n.store_start, n.store_len));
-            }
-            return;
-        }
-        let mut rows: Vec<usize> = n.members.iter().map(|&id| self.dataset_to_store[id]).collect();
-        rows.sort_unstable();
-        let mut i = 0;
-        while i < rows.len() {
-            let mut j = i + 1;
-            while j < rows.len() && rows[j] == rows[j - 1] + 1 {
-                j += 1;
-            }
-            out.push((rows[i], j - i));
-            i = j;
-        }
-    }
-
-    /// The content fingerprint of the collection as currently held: the
-    /// build/load-time cache while pristine, or a dataset-order scan of the
-    /// (permuted, grown) store once series were ingested.
-    fn current_data_fingerprint(&self) -> u64 {
-        if !self.grown {
-            return self.data_fingerprint;
-        }
-        let mut f = SeriesFingerprinter::new(self.series_len, self.num_series);
-        let mut buf = Vec::new();
-        for &row in &self.dataset_to_store {
-            self.store.read_uncharged(row, &mut buf);
-            f.push_series(&buf);
-        }
-        f.finish()
-    }
-
     /// Number of leaves in the tree.
     pub fn num_leaves(&self) -> usize {
         self.nodes.iter().filter(|n| n.is_leaf()).count()
@@ -428,13 +319,13 @@ impl DsTree {
         if leaves.is_empty() {
             return 0.0;
         }
-        let total: usize = leaves.iter().map(|&i| self.leaf_count(i)).sum();
+        let total: usize = leaves.iter().map(|&i| self.leaf_size(i)).sum();
         total as f64 / (leaves.len() * self.config.leaf_capacity) as f64
     }
 
     /// The simulated storage layer holding the raw series.
     pub fn store(&self) -> &SeriesStore {
-        &self.store
+        self.collection.store()
     }
 
     /// The distance histogram used for δ-ε-approximate search.
@@ -503,39 +394,23 @@ impl PersistentIndex for DsTree {
     /// Snapshots the tree (per-node segmentation, EAPCA synopsis, split
     /// rule, leaf extents), the leaf-order-to-dataset mapping and the δ-ε
     /// histogram; the raw series are re-attached from the dataset at load
-    /// time (resident or file-backed). A pristine tree saves its cached
-    /// dataset fingerprint and extents verbatim; a *grown* tree (see
-    /// [`AnnIndex::insert_batch`]) recomputes the fingerprint from a store
-    /// scan and **compacts** its arrival-interleaved layout to the
-    /// canonical leaf order a fresh build would have materialized — node
-    /// creation order is identical for the same insert sequence, so the
-    /// snapshot bytes are identical too.
+    /// time (resident or file-backed). A tree grown by
+    /// [`AnnIndex::insert_batch`] snapshots byte-identically to a fresh
+    /// build over the grown collection (see
+    /// [`Collection::snapshot_layout`]).
     fn save(&self, path: &Path) -> hydra_persist::Result<()> {
         let mut w = SnapshotWriter::new(
             Self::KIND,
-            snapshot_fingerprint(&self.config, self.current_data_fingerprint()),
+            snapshot_fingerprint(&self.config, self.collection.fingerprint()),
         );
 
-        let (extents, mapping): (Vec<(usize, usize)>, Vec<usize>) = if self.grown {
-            let mut extents = vec![(0usize, 0usize); self.nodes.len()];
-            let mut mapping = Vec::with_capacity(self.num_series);
-            for (i, node) in self.nodes.iter().enumerate() {
-                if node.is_leaf() {
-                    extents[i] = (mapping.len(), node.members.len());
-                    mapping.extend_from_slice(&node.members);
-                }
-            }
-            (extents, mapping)
-        } else {
-            (
-                self.nodes.iter().map(|n| (n.store_start, n.store_len)).collect(),
-                self.store_to_dataset.clone(),
-            )
-        };
+        let (extents, mapping) = self
+            .collection
+            .snapshot_layout(self.nodes.iter().map(|n| n.is_leaf().then_some(&n.leaf)));
 
         let mut meta = Section::new();
         meta.put_usize(self.series_len);
-        meta.put_usize(self.num_series);
+        meta.put_usize(self.collection.len());
         meta.put_usize(self.nodes.len());
         w.push(meta);
 
@@ -668,25 +543,14 @@ impl PersistentIndex for DsTree {
             } else {
                 None
             };
-            let store_start = sec.get_usize()?;
-            let store_len = sec.get_usize()?;
-            if store_start
-                .checked_add(store_len)
-                .map_or(true, |end| end > num_series)
-            {
-                return Err(PersistError::Corrupt(
-                    "leaf extent exceeds the series store".into(),
-                ));
-            }
+            let leaf = Leaf::from_extent(sec.get_usize()?, sec.get_usize()?, num_series)?;
             let size = sec.get_usize()?;
             nodes.push(Node {
                 segments,
                 synopsis,
                 children,
                 rule,
-                members: Vec::new(),
-                store_start,
-                store_len,
+                leaf,
                 size,
             });
         }
@@ -698,20 +562,16 @@ impl PersistentIndex for DsTree {
         }
 
         let mut sec = r.next_section()?;
-        let store_to_dataset = sec.get_usizes()?;
-        if store_to_dataset.len() != num_series {
-            return Err(PersistError::Corrupt(
-                "leaf-order mapping does not cover the dataset".into(),
-            ));
-        }
+        let mapping = sec.get_usizes()?;
 
         let mut sec = r.next_section()?;
         let histogram = codec::get_histogram(&mut sec)?;
 
-        let store = hydra_persist::backing::attach_permuted_store_from(
+        let collection = Collection::attach(
             path,
             source,
-            &store_to_dataset,
+            data_fingerprint,
+            Some(mapping),
             config.storage,
             backing,
         )?;
@@ -720,13 +580,8 @@ impl PersistentIndex for DsTree {
             config: *config,
             series_len,
             nodes,
-            store,
-            store_to_dataset,
-            dataset_to_store: Vec::new(),
+            collection,
             histogram,
-            num_series,
-            data_fingerprint,
-            grown: false,
         })
     }
 }
@@ -754,45 +609,14 @@ impl HierarchicalIndex for DsTree {
         stats: &mut QueryStats,
         visit: &mut dyn FnMut(usize, &[f32]),
     ) {
-        let n = &self.nodes[node];
-        if !self.grown {
-            if n.store_len == 0 {
-                return;
-            }
-            self.store
-                .read_range(n.store_start, n.store_len, stats, &mut |pos, series| {
-                    visit(self.store_to_dataset[pos], series);
-                });
-            return;
-        }
-        // Grown tree: the leaf's series live at its members' store rows —
-        // the original (ascending) leaf block plus appended arrivals. The
-        // rows are gathered and walked as maximal contiguous runs so
-        // sequential leaf I/O stays sequential where the layout permits.
-        let mut rows: Vec<usize> = n.members.iter().map(|&id| self.dataset_to_store[id]).collect();
-        rows.sort_unstable();
-        let mut i = 0;
-        while i < rows.len() {
-            let mut j = i + 1;
-            while j < rows.len() && rows[j] == rows[j - 1] + 1 {
-                j += 1;
-            }
-            self.store
-                .read_range(rows[i], j - i, stats, &mut |pos, series| {
-                    visit(self.store_to_dataset[pos], series);
-                });
-            i = j;
-        }
+        self.collection
+            .visit_leaf(&self.nodes[node].leaf, stats, visit);
     }
 
     fn leaf_size(&self, node: usize) -> usize {
-        self.leaf_count(node)
+        self.collection.leaf_len(&self.nodes[node].leaf)
     }
 
-    /// Mirrors `visit_leaf`'s run structure through the store's
-    /// `scan_refine`, so on a coded store the leaf scan prunes on
-    /// compressed pages (and only survivors read exact f32), while on a
-    /// raw store the I/O charges are exactly `visit_leaf`'s.
     fn refine_leaf(
         &self,
         node: usize,
@@ -801,34 +625,8 @@ impl HierarchicalIndex for DsTree {
         stats: &mut QueryStats,
         accept: &mut dyn FnMut(usize, f32) -> f32,
     ) -> u64 {
-        let n = &self.nodes[node];
-        let mut bound = best_so_far;
-        if !self.grown {
-            if n.store_len == 0 {
-                return 0;
-            }
-            self.store
-                .scan_refine(n.store_start, n.store_len, query, bound, stats, &mut |pos, d| {
-                    accept(self.store_to_dataset[pos], d)
-                });
-            return n.store_len as u64;
-        }
-        let mut rows: Vec<usize> = n.members.iter().map(|&id| self.dataset_to_store[id]).collect();
-        rows.sort_unstable();
-        let mut i = 0;
-        while i < rows.len() {
-            let mut j = i + 1;
-            while j < rows.len() && rows[j] == rows[j - 1] + 1 {
-                j += 1;
-            }
-            bound = self
-                .store
-                .scan_refine(rows[i], j - i, query, bound, stats, &mut |pos, d| {
-                    accept(self.store_to_dataset[pos], d)
-                });
-            i = j;
-        }
-        rows.len() as u64
+        self.collection
+            .refine_leaf(&self.nodes[node].leaf, query, best_so_far, stats, accept)
     }
 }
 
@@ -850,7 +648,7 @@ impl AnnIndex for DsTree {
     }
 
     fn num_series(&self) -> usize {
-        self.num_series
+        self.collection.len()
     }
 
     fn series_len(&self) -> usize {
@@ -869,58 +667,32 @@ impl AnnIndex for DsTree {
                     + n.synopsis.len() * std::mem::size_of::<Synopsis>()
             })
             .sum::<usize>()
-            + self.store_to_dataset.len() * std::mem::size_of::<usize>()
+            + self.collection.mapping_bytes()
     }
 
     fn store_counters(&self) -> Option<hydra_core::StoreCounters> {
-        Some(self.store.counters())
+        Some(self.collection.counters())
     }
 
     fn search(&self, query: &[f32], params: &SearchParams) -> Result<SearchResult> {
-        if query.len() != self.series_len {
-            return Err(Error::DimensionMismatch {
-                expected: self.series_len,
-                found: query.len(),
-            });
-        }
+        self.collection.check_lengths(&[query])?;
         let spec = SearchSpec::from_params(params, Some(&self.histogram));
         Ok(knn_search(self, query, &spec))
     }
 
-    /// Batched search with batch-aware storage scheduling: each query's
-    /// likeliest first leaf is predicted I/O-free ([`predict_first_leaf`]'s
-    /// greedy min-dist descent — the same heuristic best-first search uses
-    /// to seed its bound), the union of those leaves' store ranges is
-    /// pinned in the buffer pool and prefetched as one ascending page
-    /// sweep, and only then do the queries run, each exactly as
-    /// [`Self::search`] would. Answers and per-query logical counters are
-    /// bit-identical to per-query `search`; what improves is the pool
-    /// economics (hits, misses, I/O operations) — the batch's shared hot
-    /// leaves stay resident instead of thrashing, and their faults are
-    /// charged as one sequential sweep. A resident store has no I/O to
-    /// schedule and skips the ceremony.
+    /// Batched search inside one storage working-set scope: the batch's
+    /// predicted first leaves are pinned and prefetched
+    /// ([`Collection::with_first_leaves`]), then every query runs exactly
+    /// as [`Self::search`] would.
     fn search_batch(
         &self,
         queries: &[&[f32]],
         params: &SearchParams,
     ) -> Vec<Result<SearchResult>> {
-        let pinned = if self.store.is_file_backed() && queries.len() > 1 {
-            let mut ranges = Vec::new();
-            for query in queries {
-                if query.len() != self.series_len {
-                    continue;
-                }
-                if let Some(leaf) = predict_first_leaf(self, query) {
-                    self.leaf_store_ranges(leaf, &mut ranges);
-                }
-            }
-            self.store.pin_working_set(&ranges, true)
-        } else {
-            Vec::new()
-        };
-        let results = queries.iter().map(|q| self.search(q, params)).collect();
-        self.store.release_working_set(&pinned);
-        results
+        self.collection
+            .with_first_leaves(self, |node| &self.nodes[node].leaf, queries, |query| {
+                self.search(query, params)
+            })
     }
 
     /// Streaming ingest by continuing the build's insert sequence: each new
@@ -931,43 +703,23 @@ impl AnnIndex for DsTree {
     /// the full collection. The δ-ε histogram is re-sampled over the grown
     /// collection after the batch.
     fn insert_batch(&mut self, batch: &[&[f32]]) -> Result<()> {
-        for series in batch {
-            if series.len() != self.series_len {
-                return Err(Error::DimensionMismatch {
-                    expected: self.series_len,
-                    found: series.len(),
-                });
-            }
-        }
+        self.collection.check_lengths(batch)?;
         if batch.is_empty() {
             return Ok(());
         }
-        self.activate_growth();
+        self.collection.activate_growth(leaves_mut(&mut self.nodes));
         for series in batch {
-            let id = self.num_series;
-            let row = self.store.append(series)?;
-            self.store_to_dataset.push(id);
-            self.dataset_to_store.push(row);
-            self.num_series += 1;
+            let id = self.collection.append(series)?;
             self.insert_series(id, series, &FetchSource::Store);
         }
-        let store = &self.store;
-        let dataset_to_store = &self.dataset_to_store;
-        let (mut a, mut b) = (Vec::new(), Vec::new());
-        self.histogram = DistanceHistogram::from_pairwise(
-            self.num_series,
+        self.histogram = self.collection.pairwise_histogram(
             self.config.histogram_samples,
             256,
             self.config.seed,
-            |i, j| {
-                store.read_uncharged(dataset_to_store[i], &mut a);
-                store.read_uncharged(dataset_to_store[j], &mut b);
-                hydra_core::euclidean(&a, &b)
-            },
         );
         // A fresh build hands out a store with clean I/O counters; ingest
         // restores the same post-build state.
-        self.store.reset_io();
+        self.collection.store().reset_io();
         Ok(())
     }
 }

@@ -129,61 +129,17 @@ pub struct StandardConfigs {
     pub flann: FlannConfig,
 }
 
-/// The standard zoo configuration for one scenario: `in_memory` selects the
-/// storage configuration of the disk-capable methods (buffer pool larger
-/// than the dataset vs. a small pool), `seed` the shared build seed.
-pub fn standard_configs(in_memory: bool, seed: u64) -> StandardConfigs {
-    standard_configs_pooled(in_memory, seed, None)
-}
-
-/// [`standard_configs`] with the buffer-pool capacity of the disk-capable
-/// methods overridden (`--pool-pages N`). Pool capacity shapes only I/O
-/// economics — it is not part of any snapshot fingerprint — so a serving
-/// process may pick any pool for snapshots saved under the defaults.
-pub fn standard_configs_pooled(
-    in_memory: bool,
-    seed: u64,
-    pool_pages: Option<usize>,
-) -> StandardConfigs {
-    standard_configs_tiered(in_memory, seed, pool_pages, PageCodec::F32)
-}
-
-/// [`standard_configs_pooled`] with the page codec of the disk-capable
-/// methods' stores selected too (`--page-codec u8|f16|f32`). Like the pool
-/// capacity, the codec is a pure serving knob: it is not part of any
-/// snapshot fingerprint, shapes only I/O economics, and never changes
-/// answers — coded stores prune on compressed pages but recompute every
-/// returned distance from exact f32 series.
-pub fn standard_configs_tiered(
-    in_memory: bool,
-    seed: u64,
-    pool_pages: Option<usize>,
-    codec: PageCodec,
-) -> StandardConfigs {
-    standard_configs_io(in_memory, seed, pool_pages, codec, FileIoMode::Pread)
-}
-
-/// [`standard_configs_tiered`] with the file I/O mode of the disk-capable
-/// methods' stores selected too (`--backing pread|mmap`). The last of the
-/// serving knobs: like the pool capacity and the codec it is not part of
-/// any snapshot fingerprint and never changes answers — both modes move
-/// the same page bytes through the same accounting path.
-pub fn standard_configs_io(
-    in_memory: bool,
-    seed: u64,
-    pool_pages: Option<usize>,
-    codec: PageCodec,
-    io: FileIoMode,
-) -> StandardConfigs {
-    let mut storage = if in_memory {
-        StorageConfig::in_memory()
-    } else {
-        StorageConfig::on_disk()
-    };
-    if let Some(pages) = pool_pages {
-        storage = storage.with_pool_pages(pages);
-    }
-    storage = storage.with_page_codec(codec).with_io_mode(io);
+/// The standard zoo configuration under one storage configuration and
+/// build seed. `storage` is shared by the disk-capable methods — build it
+/// with [`StorageConfig::in_memory`] (buffer pool larger than the dataset)
+/// or [`StorageConfig::on_disk`] (a small pool) plus the `with_pool_pages`
+/// / `with_page_codec` / `with_io_mode` serving knobs. The knobs shape only
+/// I/O economics: they are not part of any snapshot fingerprint and never
+/// change answers (coded stores prune on compressed pages but recompute
+/// every returned distance from exact f32 series; both I/O modes move the
+/// same page bytes through the same accounting path), so a serving process
+/// may pick any of them for snapshots saved under the defaults.
+pub fn standard_configs(storage: StorageConfig, seed: u64) -> StandardConfigs {
     StandardConfigs {
         dstree: DsTreeConfig {
             storage,
@@ -222,53 +178,17 @@ pub fn standard_configs_io(
     }
 }
 
-/// A snapshot-loading registry covering the whole zoo under the standard
-/// configuration of the given scenario (see [`standard_configs`]): every
-/// kind is registered — including the memory-only methods, whose snapshots
-/// simply never occur in on-disk scenario directories — so
+/// A snapshot-loading registry covering the whole zoo under
+/// [`standard_configs`]`(storage, seed)`: every kind is registered —
+/// including the memory-only methods, whose snapshots simply never occur
+/// in on-disk scenario directories — so
 /// [`persist::LoaderRegistry::load_any`] can restore any snapshot a
 /// `fig* --save-index` run (or [`PersistentIndex::save`] under the same
-/// configs) produced.
-pub fn standard_registry(in_memory: bool, seed: u64) -> persist::LoaderRegistry {
-    standard_registry_pooled(in_memory, seed, None)
-}
-
-/// [`standard_registry`] with the buffer-pool capacity of the disk-capable
-/// methods overridden (see [`standard_configs_pooled`]) — the registry a
-/// `hydra-serve --pool-pages N` boot uses. Whether the loaded stores are
-/// resident or file-backed is chosen per load via
+/// configs) produced. Whether the loaded stores are resident or
+/// file-backed is chosen per load via
 /// [`persist::LoaderRegistry::load_any_backed`], not here.
-pub fn standard_registry_pooled(
-    in_memory: bool,
-    seed: u64,
-    pool_pages: Option<usize>,
-) -> persist::LoaderRegistry {
-    standard_registry_tiered(in_memory, seed, pool_pages, PageCodec::F32)
-}
-
-/// [`standard_registry_pooled`] with the page codec selected too — the
-/// registry a `hydra-serve --page-codec u8` boot uses (see
-/// [`standard_configs_tiered`]).
-pub fn standard_registry_tiered(
-    in_memory: bool,
-    seed: u64,
-    pool_pages: Option<usize>,
-    codec: PageCodec,
-) -> persist::LoaderRegistry {
-    standard_registry_io(in_memory, seed, pool_pages, codec, FileIoMode::Pread)
-}
-
-/// [`standard_registry_tiered`] with the file I/O mode selected too — the
-/// registry a `hydra-serve --backing mmap` boot uses (see
-/// [`standard_configs_io`]).
-pub fn standard_registry_io(
-    in_memory: bool,
-    seed: u64,
-    pool_pages: Option<usize>,
-    codec: PageCodec,
-    io: FileIoMode,
-) -> persist::LoaderRegistry {
-    let configs = standard_configs_io(in_memory, seed, pool_pages, codec, io);
+pub fn standard_registry(storage: StorageConfig, seed: u64) -> persist::LoaderRegistry {
+    let configs = standard_configs(storage, seed);
     let mut registry = persist::LoaderRegistry::new();
     registry.register::<DsTree>(configs.dstree);
     registry.register::<Isax2Plus>(configs.isax);
@@ -286,14 +206,20 @@ pub fn standard_registry_io(
 /// interface. Used by the examples and the benchmark harness.
 ///
 /// `in_memory` selects the storage configuration of the disk-capable
-/// methods (buffer pool larger than the dataset vs. a small pool). The
+/// methods ([`StorageConfig::in_memory`] vs. [`StorageConfig::on_disk`])
+/// and whether the memory-only methods are built at all. The
 /// configurations are exactly [`standard_configs`].
 pub fn build_all_methods(
     dataset: &Dataset,
     in_memory: bool,
     seed: u64,
 ) -> Vec<Box<dyn AnnIndex>> {
-    let configs = standard_configs(in_memory, seed);
+    let storage = if in_memory {
+        StorageConfig::in_memory()
+    } else {
+        StorageConfig::on_disk()
+    };
+    let configs = standard_configs(storage, seed);
     let mut methods: Vec<Box<dyn AnnIndex>> = Vec::new();
     methods.push(Box::new(
         DsTree::build(dataset, configs.dstree).expect("DSTree build"),
@@ -307,7 +233,7 @@ pub fn build_all_methods(
     methods.push(Box::new(
         Srs::build(dataset, configs.srs).expect("SRS build"),
     ));
-    if dataset.series_len() % 2 == 0 && dataset.series_len() % 8 == 0 {
+    if dataset.series_len() % 8 == 0 {
         methods.push(Box::new(
             InvertedMultiIndex::build(dataset, configs.imi).expect("IMI build"),
         ));
@@ -346,16 +272,16 @@ mod tests {
     }
 
     #[test]
-    fn standard_registry_loads_what_standard_configs_built() {
+    fn the_standard_registry_loads_what_the_standard_configs_built() {
         let data = data::random_walk(200, 32, 11);
-        let configs = standard_configs(true, 3);
+        let configs = standard_configs(StorageConfig::in_memory(), 3);
         let index = Isax2Plus::build(&data, configs.isax).unwrap();
         let path = std::env::temp_dir().join(format!(
             "hydra-facade-registry-{}.snap",
             std::process::id()
         ));
         index.save(&path).unwrap();
-        let registry = standard_registry(true, 3);
+        let registry = standard_registry(StorageConfig::in_memory(), 3);
         assert_eq!(registry.kinds().len(), 8);
         assert!(registry.contains("isax2+") && registry.contains("flann"));
         let loaded = registry.load_any(&path, &data).unwrap();
@@ -365,7 +291,7 @@ mod tests {
         let b = loaded.search(q, &SearchParams::ng(5, 8)).unwrap();
         assert_eq!(a.neighbors, b.neighbors);
         // A different seed is a different fingerprint: loading must refuse.
-        let other = standard_registry(true, 4);
+        let other = standard_registry(StorageConfig::in_memory(), 4);
         assert!(matches!(
             other.load_any(&path, &data),
             Err(PersistError::FingerprintMismatch { .. })
@@ -386,12 +312,14 @@ mod tests {
         ));
         std::fs::remove_dir_all(&dir).ok();
         std::fs::create_dir_all(&dir).unwrap();
-        let index = DsTree::build(&data, standard_configs(false, 5).dstree).unwrap();
+        let on_disk = StorageConfig::on_disk();
+        let index = DsTree::build(&data, standard_configs(on_disk, 5).dstree).unwrap();
         let path = dir.join("walk-dstree.snap");
         index.save(&path).unwrap();
         let baseline = index.search(data.series(3), &SearchParams::exact(5)).unwrap();
         for pool_pages in [Some(1), Some(4), None] {
-            let registry = standard_registry_pooled(false, 5, pool_pages);
+            let storage = pool_pages.map_or(on_disk, |pages| on_disk.with_pool_pages(pages));
+            let registry = standard_registry(storage, 5);
             for backing in [
                 StoreBacking::Resident,
                 StoreBacking::FileBacked {
@@ -421,12 +349,14 @@ mod tests {
         ));
         std::fs::remove_dir_all(&dir).ok();
         std::fs::create_dir_all(&dir).unwrap();
-        let index = DsTree::build(&data, standard_configs(false, 9).dstree).unwrap();
+        let on_disk = StorageConfig::on_disk();
+        let index = DsTree::build(&data, standard_configs(on_disk, 9).dstree).unwrap();
         let path = dir.join("walk-dstree.snap");
         index.save(&path).unwrap();
         let baseline = index.search(data.series(7), &SearchParams::exact(5)).unwrap();
         for codec in [PageCodec::U8, PageCodec::F16] {
-            let registry = standard_registry_tiered(false, 9, Some(2), codec);
+            let registry =
+                standard_registry(on_disk.with_pool_pages(2).with_page_codec(codec), 9);
             for backing in [
                 StoreBacking::Resident,
                 StoreBacking::FileBacked {

@@ -7,8 +7,8 @@ use hydra_core::{
     SearchMode, SearchParams, SearchResult, TopK,
 };
 use hydra_persist::{
-    fingerprint_dataset, DataSource, Fingerprint, PersistError, PersistentIndex, Section,
-    SeriesFingerprinter, SnapshotReader, SnapshotWriter, StoreBacking,
+    Collection, DataSource, Fingerprint, PersistError, PersistentIndex, Section, SnapshotReader,
+    SnapshotWriter, StoreBacking,
 };
 use hydra_storage::{SeriesStore, StorageConfig};
 use hydra_summarize::GaussianProjection;
@@ -45,19 +45,11 @@ impl Default for SrsConfig {
 /// disk.
 pub struct Srs {
     config: SrsConfig,
-    series_len: usize,
     projection: GaussianProjection,
     /// Projected points, flattened (`n × m`).
     projected: Vec<f32>,
-    store: SeriesStore,
-    num_series: usize,
-    /// Content fingerprint of the dataset, captured at build/load time so
-    /// snapshotting never has to re-read the (possibly file-backed) store.
-    data_fingerprint: u64,
-    /// Whether series were ingested after the build/load: the cached
-    /// `data_fingerprint` then covers only the base collection, so a save
-    /// recomputes it from an unaccounted store scan.
-    grown: bool,
+    /// Dataset-ordered raw series (the simulated on-disk layout).
+    collection: Collection,
 }
 
 impl Srs {
@@ -81,31 +73,12 @@ impl Srs {
         for s in dataset.iter() {
             projected.extend_from_slice(&projection.project(s));
         }
-        let store = SeriesStore::from_dataset(dataset, config.storage)?;
-        store.reset_io();
         Ok(Self {
             config,
-            series_len: dataset.series_len(),
             projection,
             projected,
-            store,
-            num_series: dataset.len(),
-            data_fingerprint: fingerprint_dataset(dataset),
-            grown: false,
+            collection: Collection::dataset_order(dataset, config.storage)?,
         })
-    }
-
-    /// The content fingerprint of the indexed collection, recomputed from
-    /// the store when the index has grown past its build/load baseline.
-    fn current_data_fingerprint(&self) -> u64 {
-        if !self.grown {
-            return self.data_fingerprint;
-        }
-        let mut f = SeriesFingerprinter::new(self.series_len, self.num_series);
-        self.store.for_each_series(&mut |_, s| {
-            f.push_series(s);
-        });
-        f.finish()
     }
 
     fn projected_point(&self, id: usize) -> &[f32] {
@@ -120,19 +93,14 @@ impl Srs {
 
     /// The simulated storage layer holding the raw series.
     pub fn store(&self) -> &SeriesStore {
-        &self.store
+        self.collection.store()
     }
 
     /// Shared precondition check of [`AnnIndex::search`] and
     /// [`AnnIndex::search_batch`] (dimension first, then mode — one code
     /// path so the two entry points cannot drift apart).
     fn validate(&self, query: &[f32], params: &SearchParams) -> Result<()> {
-        if query.len() != self.series_len {
-            return Err(Error::DimensionMismatch {
-                expected: self.series_len,
-                found: query.len(),
-            });
-        }
+        self.collection.check_lengths(&[query])?;
         if matches!(params.mode, SearchMode::Exact) {
             return Err(Error::UnsupportedMode(
                 "SRS does not guarantee exact answers".into(),
@@ -161,19 +129,20 @@ impl Srs {
     ) -> SearchResult {
         let mut stats = QueryStats::new();
         let k = params.k.max(1);
+        let num_series = self.collection.len();
         let (epsilon, delta, budget) = match params.mode {
             SearchMode::Ng { nprobe } => (0.0f32, 1.0f32, nprobe.max(1)),
             SearchMode::Epsilon { epsilon } => (
                 epsilon,
                 1.0,
-                (self.num_series as f64 * self.config.max_examined_fraction).ceil() as usize,
+                (num_series as f64 * self.config.max_examined_fraction).ceil() as usize,
             ),
             SearchMode::DeltaEpsilon { epsilon, delta } => (
                 epsilon,
                 delta,
-                (self.num_series as f64 * self.config.max_examined_fraction).ceil() as usize,
+                (num_series as f64 * self.config.max_examined_fraction).ceil() as usize,
             ),
-            SearchMode::Exact => (0.0, 1.0, self.num_series),
+            SearchMode::Exact => (0.0, 1.0, num_series),
         };
         let one_plus_eps = 1.0 + epsilon.max(0.0);
         let m = self.config.projected_dims;
@@ -182,8 +151,8 @@ impl Srs {
         // and lives in memory — this is SRS's linear-size index).
         let qp = self.projection.project(query);
         order.clear();
-        order.reserve(self.num_series);
-        order.extend((0..self.num_series).map(|id| {
+        order.reserve(num_series);
+        order.extend((0..num_series).map(|id| {
             stats.lower_bound_computations += 1;
             (
                 hydra_core::squared_euclidean(&qp, self.projected_point(id)),
@@ -213,7 +182,8 @@ impl Srs {
             }
             stats.series_scanned += 1;
             stats.distance_computations += 1;
-            if let Some(d) = self.store.refine(id, query, top.kth_distance(), &mut stats) {
+            let store = self.collection.store();
+            if let Some(d) = store.refine(id, query, top.kth_distance(), &mut stats) {
                 top.push(Neighbor::new(id, d));
             }
             examined += 1;
@@ -229,7 +199,7 @@ impl Srs {
     /// candidate.
     fn predicted_candidates(&self, query: &[f32], prefix: usize, out: &mut Vec<(usize, usize)>) {
         let qp = self.projection.project(query);
-        let mut order: Vec<(f32, usize)> = (0..self.num_series)
+        let mut order: Vec<(f32, usize)> = (0..self.collection.len())
             .map(|id| {
                 (
                     hydra_core::squared_euclidean(&qp, self.projected_point(id)),
@@ -275,12 +245,12 @@ impl PersistentIndex for Srs {
     fn save(&self, path: &Path) -> hydra_persist::Result<()> {
         let mut w = SnapshotWriter::new(
             Self::KIND,
-            snapshot_fingerprint(&self.config, self.current_data_fingerprint()),
+            snapshot_fingerprint(&self.config, self.collection.fingerprint()),
         );
 
         let mut meta = Section::new();
-        meta.put_usize(self.series_len);
-        meta.put_usize(self.num_series);
+        meta.put_usize(self.collection.series_len());
+        meta.put_usize(self.collection.len());
         meta.put_usize(self.config.projected_dims);
         w.push(meta);
 
@@ -337,22 +307,14 @@ impl PersistentIndex for Srs {
             ));
         }
 
-        let store = hydra_persist::backing::attach_dataset_order_store_from(
-            path,
-            source,
-            config.storage,
-            backing,
-        )?;
+        let collection =
+            Collection::attach(path, source, data_fingerprint, None, config.storage, backing)?;
 
         Ok(Self {
             config: *config,
-            series_len,
             projection: GaussianProjection::new(series_len, m, config.seed),
             projected,
-            store,
-            num_series,
-            data_fingerprint,
-            grown: false,
+            collection,
         })
     }
 }
@@ -375,11 +337,11 @@ impl AnnIndex for Srs {
     }
 
     fn num_series(&self) -> usize {
-        self.num_series
+        self.collection.len()
     }
 
     fn series_len(&self) -> usize {
-        self.series_len
+        self.collection.series_len()
     }
 
     fn memory_footprint(&self) -> usize {
@@ -387,7 +349,7 @@ impl AnnIndex for Srs {
     }
 
     fn store_counters(&self) -> Option<hydra_core::StoreCounters> {
-        Some(self.store.counters())
+        Some(self.collection.counters())
     }
 
     fn search(&self, query: &[f32], params: &SearchParams) -> Result<SearchResult> {
@@ -402,43 +364,31 @@ impl AnnIndex for Srs {
     /// as for every disk-backed method, the I/O-operation counters depend
     /// on the shared buffer pool's warm-up order.
     ///
-    /// On a file-backed store the batch also declares its working set: each
+    /// The batch runs inside one storage working-set scope
+    /// ([`Collection::with_working_set`]) to which SRS contributes each
     /// query's ranked top-candidate prefix — the records its incremental
-    /// scan examines first — is pinned in the buffer pool for the duration
-    /// of the batch, so candidates shared across queries stay resident
-    /// instead of being evicted between queries. No prefetch: the
-    /// candidates are scattered single records, and the early-termination
-    /// test may prune them before they are ever read.
+    /// scan examines first. No prefetch: the candidates are scattered
+    /// single records, and the early-termination test may prune them
+    /// before they are ever read.
     fn search_batch(
         &self,
         queries: &[&[f32]],
         params: &SearchParams,
     ) -> Vec<Result<SearchResult>> {
-        let pinned = if self.store.is_file_backed() && queries.len() > 1 {
-            let prefix = match params.mode {
-                SearchMode::Ng { nprobe } => nprobe.max(1),
-                _ => 4 * params.k.max(1),
-            };
-            let mut ranges = Vec::new();
-            for query in queries {
-                if query.len() == self.series_len {
-                    self.predicted_candidates(query, prefix, &mut ranges);
-                }
-            }
-            self.store.pin_working_set(&ranges, false)
-        } else {
-            Vec::new()
+        let prefix = match params.mode {
+            SearchMode::Ng { nprobe } => nprobe.max(1),
+            _ => 4 * params.k.max(1),
         };
-        let mut order = Vec::with_capacity(self.num_series);
-        let results = queries
-            .iter()
-            .map(|query| {
+        let mut order = Vec::with_capacity(self.collection.len());
+        self.collection.with_working_set(
+            queries,
+            false,
+            |query, ranges| self.predicted_candidates(query, prefix, ranges),
+            |query| {
                 self.validate(query, params)?;
                 Ok(self.search_impl(query, params, &mut order))
-            })
-            .collect();
-        self.store.release_working_set(&pinned);
-        results
+            },
+        )
     }
 
     /// Streaming ingest: each new series is projected with the (build-time,
@@ -447,21 +397,10 @@ impl AnnIndex for Srs {
     /// [`Srs::build`] does, so a grown index is structurally identical to a
     /// fresh build over the same collection.
     fn insert_batch(&mut self, batch: &[&[f32]]) -> Result<()> {
-        for series in batch {
-            if series.len() != self.series_len {
-                return Err(Error::DimensionMismatch {
-                    expected: self.series_len,
-                    found: series.len(),
-                });
-            }
-        }
+        self.collection.check_lengths(batch)?;
         for series in batch {
             self.projected.extend_from_slice(&self.projection.project(series));
-            self.store.append(series)?;
-            self.num_series += 1;
-        }
-        if !batch.is_empty() {
-            self.grown = true;
+            self.collection.append(series)?;
         }
         Ok(())
     }

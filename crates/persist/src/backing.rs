@@ -1,39 +1,47 @@
-//! Re-attaching raw-series stores at snapshot load time.
+//! The raw-series tier of a disk-resident index.
 //!
-//! Every disk-capable index ends its `load` the same way: the snapshot
-//! described the *structure*, and the raw series must now be put behind a
-//! [`SeriesStore`] in the layout the structure expects. This module is the
-//! single implementation of that step for both layouts and both backings
-//! (see [`StoreBacking`]), so the zoo cannot drift:
+//! The paper's data-series indexes win on disk because they keep the raw
+//! series in a layout the index can sweep. [`Collection`] is the single
+//! owner of that idea for the whole zoo — the [`SeriesStore`], the record
+//! order, the content fingerprint and the growth state — so each index
+//! keeps only what is its own (nodes, words, approximations, projections):
 //!
-//! * [`attach_permuted_store`] — tree indexes, whose store holds the
-//!   series in **leaf order** (`store_to_dataset[pos]` = dataset position
-//!   of record `pos`). File-backed, the leaf-ordered payload lives in a
-//!   verified `<snapshot>.series` flat-file sidecar
+//! * **Dataset order** (VA+file, SRS): record `i` is series `i`.
+//!   File-backed, the dataset snapshot itself is the backing file when its
+//!   path is known ([`crate::dataset::dataset_flat_region`]); otherwise a
+//!   flat-file sidecar next to the index snapshot is used.
+//! * **Leaf order** (DSTree, iSAX2+): every [`Leaf`] owns one contiguous
+//!   extent of the store. File-backed, the leaf-ordered payload lives in a
+//!   verified `<snapshot>.series` sidecar
 //!   ([`crate::dataset::ensure_flat_series`]).
-//! * [`attach_dataset_order_store`] — skip-sequential indexes, whose store
-//!   keeps **dataset order**. File-backed, the dataset snapshot itself is
-//!   the backing file when its path is known
-//!   ([`crate::dataset::dataset_flat_region`]); otherwise a sidecar is
-//!   used, exactly as for the trees.
 //!
-//! The backing never changes answers: the store serves bit-identical
-//! series either way, and the shared accounting in `hydra-storage` keeps
-//! the per-query I/O counters identical too.
+//! A collection is *pristine* as built or loaded, and *grown* once series
+//! were appended: a grown leaf-ordered store is interleaved by arrival, so
+//! leaf access walks the maximal contiguous runs of the leaf's member rows
+//! instead of one extent, and a save compacts back to the canonical leaf
+//! order a fresh build would have materialized. Callers never see which.
+//!
+//! The backing (see [`StoreBacking`]) never changes answers: the store
+//! serves bit-identical series either way, and the shared accounting in
+//! `hydra-storage` keeps the per-query I/O counters identical too.
 
+use std::borrow::Cow;
 use std::path::Path;
 
-use hydra_core::Dataset;
-use hydra_storage::{FileSpan, SeriesStore, StorageConfig};
+use hydra_core::{
+    predict_first_leaf, Dataset, DistanceHistogram, Error, HierarchicalIndex, QueryStats,
+    StoreCounters,
+};
+use hydra_storage::{FileSpan, PageCodec, SeriesStore, StorageConfig};
 
 use crate::dataset::{
     coded_sidecar_path, dataset_flat_region, ensure_coded_series_from, ensure_flat_series_from,
     sidecar_series_path, FlatSpan,
 };
 use crate::error::{PersistError, Result};
+use crate::fingerprint::{fingerprint_dataset, SeriesFingerprinter};
 use crate::stream::{open_dataset_streaming, DataSource};
 use crate::StoreBacking;
-use hydra_storage::PageCodec;
 
 fn file_backed(path: &Path, span: FlatSpan, storage: StorageConfig) -> Result<SeriesStore> {
     SeriesStore::file_backed(
@@ -98,152 +106,563 @@ fn dataset_flat_region_from(data_path: &Path, source: DataSource<'_>) -> Result<
     }
 }
 
-/// Re-attaches a permuted (leaf-ordered) raw-series store under the
-/// requested backing: resident (re-appended from the dataset, as every
-/// load did historically) or file-backed (a verified flat-file sidecar
-/// next to `snapshot`, served through the real page cache).
-///
-/// # Errors
-/// [`PersistError::Corrupt`] if the mapping references series outside the
-/// dataset; [`PersistError::Io`] on filesystem failures.
-pub fn attach_permuted_store(
-    snapshot: &Path,
-    dataset: &Dataset,
-    store_to_dataset: &[usize],
-    storage: StorageConfig,
-    backing: StoreBacking<'_>,
-) -> Result<SeriesStore> {
-    attach_permuted_store_from(
-        snapshot,
-        DataSource::InMemory(dataset),
-        store_to_dataset,
-        storage,
-        backing,
-    )
-}
-
-/// [`attach_permuted_store`] over a [`DataSource`] — the lazy boot path.
-/// A streamed source feeds a resident rebuild one series at a time and a
-/// file-backed sidecar rebuild straight from the validated snapshot, so
-/// neither ever materializes the dataset.
-///
-/// # Errors
-/// Everything [`attach_permuted_store`] reports, plus [`PersistError::Io`]
-/// if a streamed source cannot be read.
-pub fn attach_permuted_store_from(
+/// Re-attaches the raw series under the requested backing, in dataset
+/// order (`order = None`) or permuted by `order[record] = dataset id`
+/// (`order` must cover the source): resident (re-appended from the source,
+/// one series at a time when it is streamed) or file-backed through the
+/// real page cache — onto the dataset snapshot itself for a dataset-order
+/// store whose snapshot path is known (no extra bytes on disk), onto a
+/// verified flat-file sidecar next to `snapshot` otherwise. Neither ever
+/// materializes a streamed dataset.
+fn attach_store(
     snapshot: &Path,
     source: DataSource<'_>,
-    store_to_dataset: &[usize],
+    order: Option<&[usize]>,
     storage: StorageConfig,
     backing: StoreBacking<'_>,
 ) -> Result<SeriesStore> {
-    match backing {
-        StoreBacking::Resident => {
-            let mut store = SeriesStore::new(source.series_len(), storage)
-                .map_err(|e| PersistError::Corrupt(format!("cannot rebuild series store: {e}")))?;
-            let fetch = source.series_fetch()?;
-            let mut series = Vec::new();
-            for &ds in store_to_dataset {
-                if ds >= source.len() {
-                    return Err(PersistError::Corrupt(format!(
-                        "store mapping {ds} out of range"
-                    )));
-                }
-                fetch.get(ds, &mut series)?;
-                store.append(&series).map_err(|e| {
-                    PersistError::Corrupt(format!("cannot rebuild series store: {e}"))
-                })?;
+    let StoreBacking::FileBacked { dataset_snapshot } = backing else {
+        let rebuild = |e| PersistError::Corrupt(format!("cannot rebuild series store: {e}"));
+        let mut store = match (order, source) {
+            (None, DataSource::InMemory(dataset)) => {
+                SeriesStore::from_dataset(dataset, storage).map_err(rebuild)?
             }
-            store.seal_coded();
-            store.reset_io();
-            Ok(store)
-        }
-        StoreBacking::FileBacked { .. } => {
+            _ => {
+                let mut store =
+                    SeriesStore::new(source.series_len(), storage).map_err(rebuild)?;
+                let fetch = source.series_fetch()?;
+                let mut series = Vec::new();
+                for record in 0..source.len() {
+                    let ds = order.map_or(record, |order| order[record]);
+                    if ds >= source.len() {
+                        return Err(PersistError::Corrupt(format!(
+                            "store mapping {ds} out of range"
+                        )));
+                    }
+                    fetch.get(ds, &mut series)?;
+                    store.append(&series).map_err(rebuild)?;
+                }
+                store
+            }
+        };
+        store.seal_coded();
+        store.reset_io();
+        return Ok(store);
+    };
+    let (file, span) = match (dataset_snapshot, order) {
+        (Some(data_path), None) => (
+            data_path.to_path_buf(),
+            dataset_flat_region_from(data_path, source)?,
+        ),
+        _ => {
             let sidecar = sidecar_series_path(snapshot);
             // `ensure_flat_series_from` validates the mapping range itself.
-            let span = ensure_flat_series_from(&sidecar, source, Some(store_to_dataset))?;
-            let mut store = file_backed(&sidecar, span, storage)?;
-            attach_coded_tier(&mut store, &sidecar, source, Some(store_to_dataset))?;
-            Ok(store)
+            let span = ensure_flat_series_from(&sidecar, source, order)?;
+            (sidecar, span)
         }
+    };
+    let mut store = file_backed(&file, span, storage)?;
+    attach_coded_tier(&mut store, &file, source, order)?;
+    Ok(store)
+}
+
+/// One leaf's share of a leaf-ordered [`Collection`].
+///
+/// The index owns *which* series a leaf holds — it pushes dataset ids onto
+/// `members` while building and ingesting — and the collection owns *where*
+/// they live: the contiguous extent [`Collection::materialize`] (or a
+/// snapshot load) assigned, stale once the collection has grown.
+#[derive(Debug, Default)]
+pub struct Leaf {
+    /// Dataset ids of the leaf's series. Authoritative while building and
+    /// once the collection has grown; empty on a loaded pristine tree,
+    /// whose extent says everything.
+    pub members: Vec<usize>,
+    start: usize,
+    len: usize,
+}
+
+impl Leaf {
+    /// A loaded leaf occupying records `start..start + len` of a store
+    /// holding `num_series` records.
+    ///
+    /// # Errors
+    /// [`PersistError::Corrupt`] if the extent exceeds the store.
+    pub fn from_extent(start: usize, len: usize, num_series: usize) -> Result<Self> {
+        if start.checked_add(len).is_none_or(|end| end > num_series) {
+            return Err(PersistError::Corrupt(
+                "leaf extent exceeds the series store".into(),
+            ));
+        }
+        Ok(Self {
+            members: Vec::new(),
+            start,
+            len,
+        })
     }
 }
 
-/// Re-attaches a dataset-ordered raw-series store under the requested
-/// backing. File-backed, the dataset snapshot named by the backing doubles
-/// as the backing file (no extra bytes on disk); without one, a flat-file
-/// sidecar next to `snapshot` is used.
-///
-/// # Errors
-/// [`PersistError`] on filesystem failures, a damaged dataset snapshot, or
-/// a dataset snapshot whose content is not `dataset`.
-pub fn attach_dataset_order_store(
-    snapshot: &Path,
-    dataset: &Dataset,
-    storage: StorageConfig,
-    backing: StoreBacking<'_>,
-) -> Result<SeriesStore> {
-    attach_dataset_order_store_from(snapshot, DataSource::InMemory(dataset), storage, backing)
+/// The leaf-order permutation of a [`Collection`].
+#[derive(Debug)]
+struct Permutation {
+    /// Dataset id of every store record.
+    to_dataset: Vec<usize>,
+    /// Store record of every dataset id — maintained only once the
+    /// collection has grown (see [`Collection::activate_growth`]); empty
+    /// while pristine.
+    to_store: Vec<usize>,
 }
 
-/// [`attach_dataset_order_store`] over a [`DataSource`] — the lazy boot
-/// path. File-backed against the dataset snapshot a streamed source was
-/// opened from, nothing is read at all: the validated handle already
-/// carries the payload span.
-///
-/// # Errors
-/// Everything [`attach_dataset_order_store`] reports, plus
-/// [`PersistError::Io`] if a streamed source cannot be read.
-pub fn attach_dataset_order_store_from(
-    snapshot: &Path,
-    source: DataSource<'_>,
-    storage: StorageConfig,
-    backing: StoreBacking<'_>,
-) -> Result<SeriesStore> {
-    match backing {
-        StoreBacking::Resident => {
-            let mut store = match source {
-                DataSource::InMemory(dataset) => SeriesStore::from_dataset(dataset, storage)
-                    .map_err(|e| {
-                        PersistError::Corrupt(format!("cannot rebuild series store: {e}"))
-                    })?,
-                DataSource::Streamed(_) => {
-                    let mut store =
-                        SeriesStore::new(source.series_len(), storage).map_err(|e| {
-                            PersistError::Corrupt(format!("cannot rebuild series store: {e}"))
-                        })?;
-                    let fetch = source.series_fetch()?;
-                    let mut series = Vec::new();
-                    for record in 0..source.len() {
-                        fetch.get(record, &mut series)?;
-                        store.append(&series).map_err(|e| {
-                            PersistError::Corrupt(format!("cannot rebuild series store: {e}"))
-                        })?;
-                    }
-                    store
+/// The raw-series tier of a disk-resident index (see the module docs).
+#[derive(Debug)]
+pub struct Collection {
+    store: SeriesStore,
+    /// `None` in dataset order.
+    permutation: Option<Permutation>,
+    /// Content fingerprint of the dataset the collection was built over or
+    /// loaded against, captured then so snapshotting a pristine collection
+    /// never has to re-read the (possibly file-backed) store.
+    fingerprint: u64,
+    /// Whether series were appended after the build/load.
+    grown: bool,
+}
+
+/// The bug a leaf-order call on a dataset-order collection is.
+const NOT_LEAF_ORDERED: &str = "leaf access needs a leaf-ordered collection";
+
+/// Unpins a batch's working set when dropped, so the pool is released on
+/// every exit path of [`Collection::with_working_set`] — a panicking query
+/// body included.
+struct Pinned<'a> {
+    store: &'a SeriesStore,
+    pages: Vec<u64>,
+}
+
+impl Drop for Pinned<'_> {
+    fn drop(&mut self) {
+        self.store.release_working_set(&self.pages);
+    }
+}
+
+impl Collection {
+    /// A collection holding `dataset` in dataset order.
+    ///
+    /// # Errors
+    /// Whatever [`SeriesStore::from_dataset`] rejects in `storage`.
+    pub fn dataset_order(dataset: &Dataset, storage: StorageConfig) -> hydra_core::Result<Self> {
+        let store = SeriesStore::from_dataset(dataset, storage)?;
+        store.reset_io();
+        Ok(Self {
+            store,
+            permutation: None,
+            fingerprint: fingerprint_dataset(dataset),
+            grown: false,
+        })
+    }
+
+    /// An empty leaf-ordered collection, to be filled by
+    /// [`Collection::materialize`] once the tree knows its leaves.
+    ///
+    /// # Errors
+    /// Whatever [`SeriesStore::new`] rejects in `storage`.
+    pub fn leaf_order(series_len: usize, storage: StorageConfig) -> hydra_core::Result<Self> {
+        Ok(Self {
+            store: SeriesStore::new(series_len, storage)?,
+            permutation: Some(Permutation {
+                to_dataset: Vec::new(),
+                to_store: Vec::new(),
+            }),
+            fingerprint: 0,
+            grown: false,
+        })
+    }
+
+    /// Writes the members of every leaf contiguously into the store, in
+    /// iteration order (the on-disk layout of the original implementations,
+    /// where each leaf owns a contiguous region), and records each leaf's
+    /// extent.
+    ///
+    /// # Errors
+    /// [`Error::DimensionMismatch`] if `dataset` has another series length.
+    pub fn materialize<'a>(
+        &mut self,
+        dataset: &Dataset,
+        leaves: impl Iterator<Item = &'a mut Leaf>,
+    ) -> hydra_core::Result<()> {
+        let permutation = self.permutation.as_mut().expect(NOT_LEAF_ORDERED);
+        let to_dataset = &mut permutation.to_dataset;
+        to_dataset.reserve(dataset.len());
+        for leaf in leaves {
+            leaf.start = self.store.len();
+            leaf.len = leaf.members.len();
+            for &id in &leaf.members {
+                self.store.append(dataset.series(id))?;
+                to_dataset.push(id);
+            }
+        }
+        self.fingerprint = fingerprint_dataset(dataset);
+        self.store.reset_io();
+        Ok(())
+    }
+
+    /// Re-attaches the collection of a snapshot being loaded: in dataset
+    /// order, or — given the snapshot's leaf-order `mapping`
+    /// (`mapping[record]` = dataset id) — permuted. `fingerprint` is the
+    /// source's content fingerprint, which every loader has already
+    /// computed to check the snapshot header.
+    ///
+    /// # Errors
+    /// [`PersistError::Corrupt`] if the mapping does not cover the source
+    /// or references series outside it; [`PersistError::Io`] on filesystem
+    /// failures; [`PersistError::FingerprintMismatch`] if the backing names
+    /// a dataset snapshot whose content is not the source's.
+    pub fn attach(
+        snapshot: &Path,
+        source: DataSource<'_>,
+        fingerprint: u64,
+        mapping: Option<Vec<usize>>,
+        storage: StorageConfig,
+        backing: StoreBacking<'_>,
+    ) -> Result<Self> {
+        if mapping.as_ref().is_some_and(|m| m.len() != source.len()) {
+            return Err(PersistError::Corrupt(
+                "leaf-order mapping does not cover the dataset".into(),
+            ));
+        }
+        Ok(Self {
+            store: attach_store(snapshot, source, mapping.as_deref(), storage, backing)?,
+            permutation: mapping.map(|to_dataset| Permutation {
+                to_dataset,
+                to_store: Vec::new(),
+            }),
+            fingerprint,
+            grown: false,
+        })
+    }
+
+    /// The storage layer holding the raw series.
+    pub fn store(&self) -> &SeriesStore {
+        &self.store
+    }
+
+    /// Cumulative I/O counters of the store.
+    pub fn counters(&self) -> StoreCounters {
+        self.store.counters()
+    }
+
+    /// Number of series held.
+    pub fn len(&self) -> usize {
+        self.store.len()
+    }
+
+    /// Whether the collection holds no series.
+    pub fn is_empty(&self) -> bool {
+        self.store.is_empty()
+    }
+
+    /// Length of every series.
+    pub fn series_len(&self) -> usize {
+        self.store.series_len()
+    }
+
+    /// Heap bytes of the record-order mappings (zero in dataset order).
+    pub fn mapping_bytes(&self) -> usize {
+        self.permutation.as_ref().map_or(0, |p| {
+            (p.to_dataset.len() + p.to_store.len()) * std::mem::size_of::<usize>()
+        })
+    }
+
+    fn permutation(&self) -> &Permutation {
+        self.permutation.as_ref().expect(NOT_LEAF_ORDERED)
+    }
+
+    /// Rejects a query, or an ingest batch, containing a series of the
+    /// wrong length — a batch before anything is appended, so a bad one
+    /// never half-grows an index.
+    ///
+    /// # Errors
+    /// [`Error::DimensionMismatch`] naming the first offending length.
+    pub fn check_lengths(&self, series: &[&[f32]]) -> hydra_core::Result<()> {
+        match series.iter().find(|s| s.len() != self.series_len()) {
+            Some(series) => Err(Error::DimensionMismatch {
+                expected: self.series_len(),
+                found: series.len(),
+            }),
+            None => Ok(()),
+        }
+    }
+
+    /// Switches a leaf-ordered collection into growth mode: repopulates the
+    /// membership of `leaves` from their extents (a loaded tree carries
+    /// none — a freshly built one still does) and builds the store-row
+    /// inverse mapping. Idempotent.
+    pub fn activate_growth<'a>(&mut self, leaves: impl Iterator<Item = &'a mut Leaf>) {
+        if self.grown {
+            return;
+        }
+        let p = self.permutation.as_mut().expect(NOT_LEAF_ORDERED);
+        for leaf in leaves {
+            if leaf.members.len() != leaf.len {
+                leaf.members = p.to_dataset[leaf.start..leaf.start + leaf.len].to_vec();
+            }
+        }
+        let mut inverse = vec![usize::MAX; p.to_dataset.len()];
+        for (row, &id) in p.to_dataset.iter().enumerate() {
+            inverse[id] = row;
+        }
+        p.to_store = inverse;
+        self.grown = true;
+    }
+
+    /// Appends one series in arrival order and returns its dataset id.
+    ///
+    /// # Errors
+    /// [`Error::DimensionMismatch`] if the series has the wrong length.
+    ///
+    /// # Panics
+    /// Panics on a leaf-ordered collection that was not switched into
+    /// growth mode first ([`Collection::activate_growth`]).
+    pub fn append(&mut self, series: &[f32]) -> hydra_core::Result<usize> {
+        assert!(
+            self.grown || self.permutation.is_none(),
+            "activate_growth must precede the first append"
+        );
+        let id = self.len();
+        let row = self.store.append(series)?;
+        if let Some(p) = &mut self.permutation {
+            p.to_dataset.push(id);
+            p.to_store.push(row);
+        }
+        self.grown = true;
+        Ok(id)
+    }
+
+    /// Reads the series with dataset id `id` without touching the buffer
+    /// pool or any I/O counter (see [`SeriesStore::read_uncharged`]) — for
+    /// the maintenance reads growth requires, never for a query path. A
+    /// leaf-ordered collection serves it only once grown (the inverse
+    /// mapping does not exist before).
+    pub fn read_by_id(&self, id: usize, out: &mut Vec<f32>) {
+        let row = self.permutation.as_ref().map_or(id, |p| p.to_store[id]);
+        self.store.read_uncharged(row, out);
+    }
+
+    /// The leaf extents and leaf-order mapping a snapshot stores, given
+    /// every node of the tree in id order (`None` for an internal node,
+    /// which owns no extent). Pristine, they are saved verbatim; a grown
+    /// collection **compacts** its arrival-interleaved layout to the
+    /// canonical leaf order a fresh build would have materialized — node
+    /// creation order is identical for the same insert sequence, so the
+    /// snapshot bytes are identical too.
+    pub fn snapshot_layout<'a>(
+        &self,
+        nodes: impl Iterator<Item = Option<&'a Leaf>>,
+    ) -> (Vec<(usize, usize)>, Cow<'_, [usize]>) {
+        let mut compacted = Vec::with_capacity(if self.grown { self.len() } else { 0 });
+        let extents = nodes
+            .map(|node| match node {
+                None => (0, 0),
+                Some(leaf) if self.grown => {
+                    let extent = (compacted.len(), leaf.members.len());
+                    compacted.extend_from_slice(&leaf.members);
+                    extent
                 }
-            };
-            store.seal_coded();
-            store.reset_io();
-            Ok(store)
+                Some(leaf) => (leaf.start, leaf.len),
+            })
+            .collect();
+        let mapping = if self.grown {
+            Cow::Owned(compacted)
+        } else {
+            Cow::Borrowed(self.permutation().to_dataset.as_slice())
+        };
+        (extents, mapping)
+    }
+
+    /// Number of series in `leaf`, valid in both states (a grown leaf's
+    /// extent is stale; its membership is authoritative).
+    pub fn leaf_len(&self, leaf: &Leaf) -> usize {
+        if self.grown {
+            leaf.members.len()
+        } else {
+            leaf.len
         }
-        StoreBacking::FileBacked {
-            dataset_snapshot: Some(data_path),
-        } => {
-            let span = dataset_flat_region_from(data_path, source)?;
-            let mut store = file_backed(data_path, span, storage)?;
-            attach_coded_tier(&mut store, data_path, source, None)?;
-            Ok(store)
+    }
+
+    /// The one run walker: calls `run(start, count)` for each maximal
+    /// contiguous run of store records holding `leaf`'s series, ascending.
+    /// A pristine leaf is its extent; a grown leaf's series live at its
+    /// members' rows — the original (ascending) leaf block plus appended
+    /// arrivals — which are gathered and walked as maximal runs so
+    /// sequential leaf I/O stays sequential where the layout permits.
+    fn for_each_run(&self, leaf: &Leaf, mut run: impl FnMut(usize, usize)) {
+        if !self.grown {
+            if leaf.len > 0 {
+                run(leaf.start, leaf.len);
+            }
+            return;
         }
-        StoreBacking::FileBacked {
-            dataset_snapshot: None,
-        } => {
-            let sidecar = sidecar_series_path(snapshot);
-            let span = ensure_flat_series_from(&sidecar, source, None)?;
-            let mut store = file_backed(&sidecar, span, storage)?;
-            attach_coded_tier(&mut store, &sidecar, source, None)?;
-            Ok(store)
+        let to_store = &self.permutation().to_store;
+        let mut rows: Vec<usize> = leaf.members.iter().map(|&id| to_store[id]).collect();
+        rows.sort_unstable();
+        let mut i = 0;
+        while i < rows.len() {
+            let mut j = i + 1;
+            while j < rows.len() && rows[j] == rows[j - 1] + 1 {
+                j += 1;
+            }
+            run(rows[i], j - i);
+            i = j;
         }
+    }
+
+    /// The store record ranges holding `leaf`'s series, appended to `out` —
+    /// lets a batch scheduler declare a working set without reading
+    /// anything.
+    pub fn leaf_ranges(&self, leaf: &Leaf, out: &mut Vec<(usize, usize)>) {
+        self.for_each_run(leaf, |start, count| out.push((start, count)));
+    }
+
+    /// Visits every series of `leaf` with its dataset id and raw values —
+    /// the body of [`HierarchicalIndex::visit_leaf`] — charging `stats` one
+    /// [`SeriesStore::read_range`] per run.
+    pub fn visit_leaf(
+        &self,
+        leaf: &Leaf,
+        stats: &mut QueryStats,
+        visit: &mut dyn FnMut(usize, &[f32]),
+    ) {
+        let to_dataset = &self.permutation().to_dataset;
+        self.for_each_run(leaf, |start, count| {
+            self.store
+                .read_range(start, count, stats, &mut |pos, series| {
+                    visit(to_dataset[pos], series)
+                });
+        });
+    }
+
+    /// Refines every series of `leaf` against `query` — the body of
+    /// [`HierarchicalIndex::refine_leaf`]. Mirrors
+    /// [`Collection::visit_leaf`]'s run structure through the store's
+    /// `scan_refine`, threading the tightening bound from run to run, so on
+    /// a coded store the leaf scan prunes on compressed pages (and only
+    /// survivors read exact f32), while on a raw store the I/O charges are
+    /// exactly `visit_leaf`'s.
+    pub fn refine_leaf(
+        &self,
+        leaf: &Leaf,
+        query: &[f32],
+        best_so_far: f32,
+        stats: &mut QueryStats,
+        accept: &mut dyn FnMut(usize, f32) -> f32,
+    ) -> u64 {
+        let to_dataset = &self.permutation().to_dataset;
+        let mut bound = best_so_far;
+        self.for_each_run(leaf, |start, count| {
+            bound = self
+                .store
+                .scan_refine(start, count, query, bound, stats, &mut |pos, d| {
+                    accept(to_dataset[pos], d)
+                });
+        });
+        self.leaf_len(leaf) as u64
+    }
+
+    /// The content fingerprint ([`fingerprint_dataset`]) of the collection
+    /// as currently held: the build/load-time cache while pristine, or an
+    /// unaccounted dataset-order rescan of the store once grown.
+    pub fn fingerprint(&self) -> u64 {
+        if !self.grown {
+            return self.fingerprint;
+        }
+        let mut f = SeriesFingerprinter::new(self.series_len(), self.len());
+        match &self.permutation {
+            None => self.store.for_each_series(&mut |_, series| {
+                f.push_series(series);
+            }),
+            Some(p) => {
+                let mut buf = Vec::new();
+                for &row in &p.to_store {
+                    self.store.read_uncharged(row, &mut buf);
+                    f.push_series(&buf);
+                }
+            }
+        }
+        f.finish()
+    }
+
+    /// The δ-ε distance histogram of the collection as currently held,
+    /// sampled over unaccounted by-id reads. The sampling sequence depends
+    /// only on `(len, samples, seed)`, so after an ingest this is
+    /// bit-identical to [`DistanceHistogram::from_dataset`] of a fresh
+    /// build over the grown collection.
+    pub fn pairwise_histogram(&self, samples: usize, bins: usize, seed: u64) -> DistanceHistogram {
+        let (mut a, mut b) = (Vec::new(), Vec::new());
+        DistanceHistogram::from_pairwise(self.len(), samples, bins, seed, |i, j| {
+            self.read_by_id(i, &mut a);
+            self.read_by_id(j, &mut b);
+            hydra_core::euclidean(&a, &b)
+        })
+    }
+
+    /// Runs `body` over every query of a batch inside one storage
+    /// working-set scope. On a file-backed store (a resident one has no
+    /// I/O to schedule) and a batch of more than one query, `predict`
+    /// first appends — I/O-free — the record ranges each well-formed query
+    /// is expected to read; their pages are pinned in the buffer pool for
+    /// the duration of the batch, so ranges shared across queries stay
+    /// resident instead of being evicted between queries, and with
+    /// `prefetch` they are also faulted in as one ascending page sweep.
+    /// The pins are released on every exit path.
+    ///
+    /// `body` sees every query, wrong-length ones included (it owns the
+    /// error they produce), exactly as a per-query call would: answers and
+    /// per-query logical counters are bit-identical to running `body` one
+    /// query at a time; what improves is the pool economics.
+    pub fn with_working_set<R>(
+        &self,
+        queries: &[&[f32]],
+        prefetch: bool,
+        mut predict: impl FnMut(&[f32], &mut Vec<(usize, usize)>),
+        body: impl FnMut(&[f32]) -> R,
+    ) -> Vec<R> {
+        let _pinned = (self.store.is_file_backed() && queries.len() > 1).then(|| {
+            let mut ranges = Vec::new();
+            for query in queries.iter().filter(|q| q.len() == self.series_len()) {
+                predict(query, &mut ranges);
+            }
+            Pinned {
+                store: &self.store,
+                pages: self.store.pin_working_set(&ranges, prefetch),
+            }
+        });
+        queries.iter().copied().map(body).collect()
+    }
+
+    /// [`Collection::with_working_set`] for a tree whose leaves live in
+    /// this collection: each query's likeliest first leaf is predicted by
+    /// [`predict_first_leaf`]'s greedy min-dist descent — the same
+    /// heuristic best-first search uses to seed its bound — and the union
+    /// of those leaves' store ranges is pinned and prefetched before
+    /// `search` answers each query. The batch's shared hot leaves stay
+    /// resident instead of thrashing, and their faults are charged as one
+    /// sequential sweep.
+    pub fn with_first_leaves<'a, T: HierarchicalIndex, R>(
+        &self,
+        tree: &T,
+        leaf_of: impl Fn(usize) -> &'a Leaf,
+        queries: &[&[f32]],
+        search: impl FnMut(&[f32]) -> R,
+    ) -> Vec<R> {
+        self.with_working_set(
+            queries,
+            true,
+            |query, ranges| {
+                if let Some(node) = predict_first_leaf(tree, query) {
+                    self.leaf_ranges(leaf_of(node), ranges);
+                }
+            },
+            search,
+        )
     }
 }
 
@@ -252,7 +671,6 @@ mod tests {
     use super::*;
     use crate::dataset::save_dataset;
     use hydra_storage::FileIoMode;
-    use hydra_core::QueryStats;
 
     fn temp_path(name: &str) -> std::path::PathBuf {
         std::env::temp_dir().join(format!("hydra-backing-{}-{name}", std::process::id()))
@@ -267,11 +685,29 @@ mod tests {
         d
     }
 
-    fn read_all(store: &SeriesStore) -> Vec<Vec<f32>> {
+    fn read_all(collection: &Collection) -> Vec<Vec<f32>> {
+        let store = collection.store();
         let mut stats = QueryStats::new();
         (0..store.len())
             .map(|r| store.read(r, &mut stats).to_vec())
             .collect()
+    }
+
+    fn attach(
+        snapshot: &Path,
+        d: &Dataset,
+        mapping: Option<&[usize]>,
+        storage: StorageConfig,
+        backing: StoreBacking<'_>,
+    ) -> Result<Collection> {
+        Collection::attach(
+            snapshot,
+            DataSource::InMemory(d),
+            fingerprint_dataset(d),
+            mapping.map(<[usize]>::to_vec),
+            storage,
+            backing,
+        )
     }
 
     #[test]
@@ -286,34 +722,30 @@ mod tests {
             codec: PageCodec::F32,
             io: FileIoMode::Pread,
         };
+        let filed_backing = StoreBacking::FileBacked {
+            dataset_snapshot: None,
+        };
         let resident =
-            attach_permuted_store(&snapshot, &d, &mapping, storage, StoreBacking::Resident)
-                .unwrap();
-        let filed = attach_permuted_store(
-            &snapshot,
-            &d,
-            &mapping,
-            storage,
-            StoreBacking::FileBacked {
-                dataset_snapshot: None,
-            },
-        )
-        .unwrap();
-        assert!(!resident.is_file_backed());
-        assert!(filed.is_file_backed());
+            attach(&snapshot, &d, Some(&mapping), storage, StoreBacking::Resident).unwrap();
+        let filed = attach(&snapshot, &d, Some(&mapping), storage, filed_backing).unwrap();
+        assert!(!resident.store().is_file_backed());
+        assert!(filed.store().is_file_backed());
         assert_eq!(read_all(&resident), read_all(&filed));
-        assert!(filed.io_snapshot().pool_evictions > 0, "capacity 1 must thrash");
-        // A mapping outside the dataset is corrupt under either backing.
-        for backing in [
-            StoreBacking::Resident,
-            StoreBacking::FileBacked {
-                dataset_snapshot: None,
-            },
-        ] {
-            assert!(matches!(
-                attach_permuted_store(&snapshot, &d, &[99], storage, backing),
-                Err(PersistError::Corrupt(_))
-            ));
+        assert!(
+            filed.store().io_snapshot().pool_evictions > 0,
+            "capacity 1 must thrash"
+        );
+        // A mapping outside the dataset, or not covering it, is corrupt
+        // under either backing.
+        let mut outside = mapping.clone();
+        outside[3] = 99;
+        for backing in [StoreBacking::Resident, filed_backing] {
+            for bad in [&outside[..], &[99]] {
+                assert!(matches!(
+                    attach(&snapshot, &d, Some(bad), storage, backing),
+                    Err(PersistError::Corrupt(_))
+                ));
+            }
         }
         std::fs::remove_file(crate::dataset::sidecar_series_path(&snapshot)).ok();
     }
@@ -325,20 +757,21 @@ mod tests {
         let data_snap = temp_path("order.data.snap");
         save_dataset(&d, &data_snap).unwrap();
         let storage = StorageConfig::on_disk();
-        let resident =
-            attach_dataset_order_store(&snapshot, &d, storage, StoreBacking::Resident).unwrap();
-        let from_snap = attach_dataset_order_store(
+        let resident = attach(&snapshot, &d, None, storage, StoreBacking::Resident).unwrap();
+        let from_snap = attach(
             &snapshot,
             &d,
+            None,
             storage,
             StoreBacking::FileBacked {
                 dataset_snapshot: Some(&data_snap),
             },
         )
         .unwrap();
-        let from_sidecar = attach_dataset_order_store(
+        let from_sidecar = attach(
             &snapshot,
             &d,
+            None,
             storage,
             StoreBacking::FileBacked {
                 dataset_snapshot: None,
@@ -349,13 +782,14 @@ mod tests {
         assert_eq!(read_all(&resident), read_all(&from_sidecar));
         // The dataset snapshot was NOT copied: no sidecar appears when the
         // snapshot itself is the backing file.
-        assert!(from_snap.is_file_backed());
+        assert!(from_snap.store().is_file_backed());
         // A wrong dataset snapshot is refused, never silently served.
         let other = Dataset::from_flat(4, vec![0.0; 40]).unwrap();
         assert!(matches!(
-            attach_dataset_order_store(
+            attach(
                 &snapshot,
                 &other,
+                None,
                 storage,
                 StoreBacking::FileBacked {
                     dataset_snapshot: Some(&data_snap),
@@ -384,7 +818,8 @@ mod tests {
         }
         let snapshot = temp_path("coded.snap");
         let mapping: Vec<usize> = (0..64).rev().collect();
-        let scan = |store: &SeriesStore| {
+        let scan = |collection: &Collection| {
+            let store = collection.store();
             let query = vec![0.5f32; 4];
             let mut stats = QueryStats::new();
             let mut accepted = Vec::new();
@@ -396,14 +831,14 @@ mod tests {
             });
             (accepted, stats)
         };
-        let attach = |codec: PageCodec, backing: StoreBacking<'_>| {
+        let attach_coded = |codec: PageCodec, backing: StoreBacking<'_>| {
             let storage = StorageConfig {
                 page_bytes: 32,
                 buffer_pool_pages: 2,
                 codec,
                 io: FileIoMode::Pread,
             };
-            attach_permuted_store(&snapshot, &d, &mapping, storage, backing).unwrap()
+            attach(&snapshot, &d, Some(&mapping), storage, backing).unwrap()
         };
         let cleanup = || {
             let sidecar = sidecar_series_path(&snapshot);
@@ -414,25 +849,224 @@ mod tests {
         };
         cleanup();
 
-        let (want, raw_stats) = scan(&attach(PageCodec::F32, StoreBacking::Resident));
+        let (want, raw_stats) = scan(&attach_coded(PageCodec::F32, StoreBacking::Resident));
         for codec in [PageCodec::U8, PageCodec::F16] {
-            let resident = attach(codec, StoreBacking::Resident);
-            let filed = attach(
+            let resident = attach_coded(codec, StoreBacking::Resident);
+            let filed = attach_coded(
                 codec,
                 StoreBacking::FileBacked {
                     dataset_snapshot: None,
                 },
             );
-            assert_eq!(resident.sealed(), 64, "resident attach seals in RAM");
-            assert_eq!(filed.sealed(), 64, "file attach seals via the sidecar");
+            assert_eq!(resident.store().sealed(), 64, "resident attach seals in RAM");
+            assert_eq!(filed.store().sealed(), 64, "file attach seals via the sidecar");
             let (res_acc, res_stats) = scan(&resident);
             let (file_acc, file_stats) = scan(&filed);
             assert_eq!(res_acc, want, "{}: resident answers drifted", codec.name());
             assert_eq!(file_acc, want, "{}: file answers drifted", codec.name());
             assert_eq!(res_stats, file_stats, "{}: backings must agree", codec.name());
             assert!(res_stats.bytes_read < raw_stats.bytes_read);
-            assert!(filed.io_snapshot().compressed_bytes_read > 0);
+            assert!(filed.store().io_snapshot().compressed_bytes_read > 0);
         }
         cleanup();
+    }
+
+    /// A pool-thrashing scan of the whole store. Under plain LRU every page
+    /// of a cyclic scan misses once the store exceeds the pool, so pool
+    /// hits during a repeat scan can only come from pages still pinned.
+    fn hits_of_a_repeat_scan(store: &SeriesStore) -> u64 {
+        let mut stats = QueryStats::new();
+        store.read_range(0, store.len(), &mut stats, &mut |_, _| {});
+        let before = store.io_snapshot().pool_hits;
+        store.read_range(0, store.len(), &mut stats, &mut |_, _| {});
+        store.io_snapshot().pool_hits - before
+    }
+
+    #[test]
+    fn working_set_scope_releases_its_pins_on_every_exit_path() {
+        let d = sample();
+        let snapshot = temp_path("scope.snap");
+        let storage = StorageConfig {
+            page_bytes: 32, // 2 series per page: 5 pages against a pool of 3
+            buffer_pool_pages: 3,
+            codec: PageCodec::F32,
+            io: FileIoMode::Pread,
+        };
+        let backing = StoreBacking::FileBacked {
+            dataset_snapshot: None,
+        };
+        let collection = attach(&snapshot, &d, None, storage, backing).unwrap();
+        let good = [0.0f32; 4];
+        let bad = [0.0f32; 3];
+        let hot = |_: &[f32], ranges: &mut Vec<(usize, usize)>| ranges.push((0, 4));
+
+        // Inside the scope the declared pages are pinned (a thrashing scan
+        // cannot evict them) and a wrong-length query is never predicted
+        // for, yet the body still sees it in its position.
+        let mut predicted = 0;
+        let seen = collection.with_working_set(
+            &[&good, &bad, &good],
+            true,
+            |query, ranges| {
+                predicted += 1;
+                hot(query, ranges);
+            },
+            |query| {
+                assert_eq!(hits_of_a_repeat_scan(collection.store()), 2);
+                query.len()
+            },
+        );
+        assert_eq!(seen, vec![4, 3, 4]);
+        assert_eq!(predicted, 2);
+        assert_eq!(hits_of_a_repeat_scan(collection.store()), 0, "normal exit");
+
+        // A panicking body unwinds through the scope; the pins still go.
+        let unwound = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+            collection.with_working_set(&[&good, &good], false, hot, |_| panic!("query body"))
+        }));
+        assert!(unwound.is_err());
+        assert_eq!(hits_of_a_repeat_scan(collection.store()), 0, "unwinding exit");
+
+        // A single query is not a batch: nothing is predicted or pinned.
+        collection.with_working_set(&[&good], true, |_, _| unreachable!(), |_| ());
+        std::fs::remove_file(sidecar_series_path(&snapshot)).ok();
+    }
+
+    #[test]
+    fn a_grown_collection_fingerprints_and_samples_as_the_concatenated_dataset() {
+        let full = sample();
+        let head = Dataset::from_flat(4, full.as_flat()[..4 * 4].to_vec()).unwrap();
+        let mut leaf = Leaf {
+            members: (0..4).rev().collect(),
+            ..Leaf::default()
+        };
+        let mut leaf_ordered = Collection::leaf_order(4, StorageConfig::in_memory()).unwrap();
+        leaf_ordered
+            .materialize(&head, std::iter::once(&mut leaf))
+            .unwrap();
+        leaf_ordered.activate_growth(std::iter::once(&mut leaf));
+        let dataset_ordered = Collection::dataset_order(&head, StorageConfig::in_memory()).unwrap();
+        for mut collection in [leaf_ordered, dataset_ordered] {
+            assert_eq!(collection.fingerprint(), fingerprint_dataset(&head));
+            // Ids continue the dataset order.
+            for (id, series) in full.iter().enumerate().skip(4) {
+                assert_eq!(collection.append(series).unwrap(), id);
+            }
+            assert_eq!(collection.len(), full.len());
+            assert_eq!(collection.fingerprint(), fingerprint_dataset(&full));
+            let sampled = collection.pairwise_histogram(500, 16, 7);
+            let fresh = DistanceHistogram::from_dataset(&full, 500, 16, 7);
+            assert_eq!(sampled.bin_edges(), fresh.bin_edges());
+            assert_eq!(sampled.cumulative_counts(), fresh.cumulative_counts());
+            assert!(collection.check_lengths(&[&[0.0; 4], &[0.0; 3]]).is_err());
+        }
+    }
+
+    /// A grown leaf-ordered collection over `n` series whose store order
+    /// is the permutation sorting `keys`, plus that permutation.
+    fn grown_permuted(n: usize, keys: &[usize]) -> (Collection, Vec<usize>) {
+        let mut d = Dataset::new(1).unwrap();
+        for i in 0..n {
+            d.push(&[i as f32]).unwrap();
+        }
+        let mut order: Vec<usize> = (0..n).collect();
+        order.sort_by_key(|&id| (keys[id], id));
+        let mut all = Leaf {
+            members: order.clone(),
+            ..Leaf::default()
+        };
+        let mut collection = Collection::leaf_order(1, StorageConfig::in_memory()).unwrap();
+        collection.materialize(&d, std::iter::once(&mut all)).unwrap();
+        collection.activate_growth(std::iter::once(&mut all));
+        (collection, order)
+    }
+
+    proptest::proptest! {
+        #![proptest_config(proptest::ProptestConfig::with_cases(128))]
+
+        /// The one run walker: for an arbitrary store order and member
+        /// subset, the runs are ascending, disjoint, maximal, and cover
+        /// exactly the members' rows — and both leaf reads visit exactly
+        /// the members, in row order.
+        #[test]
+        fn leaf_runs_are_ascending_maximal_and_cover_exactly_the_members(
+            n in 1usize..48,
+            keys in proptest::collection::vec(0usize..1000, 48),
+            picks in proptest::collection::vec(0usize..2, 48),
+        ) {
+            let (collection, order) = grown_permuted(n, &keys);
+            let leaf = Leaf {
+                members: (0..n).filter(|&id| picks[id] == 1).collect(),
+                ..Leaf::default()
+            };
+            let mut runs = Vec::new();
+            collection.leaf_ranges(&leaf, &mut runs);
+
+            let mut rows: Vec<usize> = leaf
+                .members
+                .iter()
+                .map(|id| order.iter().position(|o| o == id).unwrap())
+                .collect();
+            rows.sort_unstable();
+            let covered: Vec<usize> = runs.iter().flat_map(|&(s, c)| s..s + c).collect();
+            proptest::prop_assert_eq!(&covered, &rows);
+            proptest::prop_assert!(runs.iter().all(|&(_, count)| count > 0));
+            // Ascending with a gap between neighbours: disjoint and maximal.
+            proptest::prop_assert!(runs.windows(2).all(|w| w[0].0 + w[0].1 < w[1].0));
+
+            let by_row: Vec<usize> = rows.iter().map(|&row| order[row]).collect();
+            let mut stats = QueryStats::new();
+            let mut visited = Vec::new();
+            collection.visit_leaf(&leaf, &mut stats, &mut |id, series| {
+                visited.push(id);
+                assert_eq!(series, [id as f32]);
+            });
+            proptest::prop_assert_eq!(&visited, &by_row);
+            let mut refined = Vec::new();
+            let scanned = collection.refine_leaf(
+                &leaf,
+                &[0.0],
+                f32::INFINITY,
+                &mut stats,
+                &mut |id, _| {
+                    refined.push(id);
+                    f32::INFINITY
+                },
+            );
+            proptest::prop_assert_eq!(scanned as usize, leaf.members.len());
+            proptest::prop_assert_eq!(&refined, &by_row);
+
+            runs.clear();
+            collection.leaf_ranges(&Leaf::default(), &mut runs);
+            proptest::prop_assert!(runs.is_empty(), "an empty leaf yields nothing");
+        }
+
+        /// A pristine leaf is exactly its extent, whatever its membership;
+        /// an empty one is nothing.
+        #[test]
+        fn a_pristine_leaf_is_exactly_its_extent(
+            n in 1usize..48,
+            start in 0usize..48,
+            len in 0usize..48,
+        ) {
+            let d = Dataset::from_flat(1, (0..n).map(|i| i as f32).collect()).unwrap();
+            let mapping: Vec<usize> = (0..n).rev().collect();
+            let collection = attach(
+                Path::new("unused"),
+                &d,
+                Some(&mapping),
+                StorageConfig::in_memory(),
+                StoreBacking::Resident,
+            )
+            .unwrap();
+            let (start, len) = (start % n, len % (n - start % n + 1));
+            let leaf = Leaf::from_extent(start, len, n).unwrap();
+            let mut runs = Vec::new();
+            collection.leaf_ranges(&leaf, &mut runs);
+            let want: Vec<(usize, usize)> = if len == 0 { vec![] } else { vec![(start, len)] };
+            proptest::prop_assert_eq!(runs, want);
+            proptest::prop_assert_eq!(collection.leaf_len(&leaf), len);
+            proptest::prop_assert!(Leaf::from_extent(start, n - start + 1, n).is_err());
+        }
     }
 }

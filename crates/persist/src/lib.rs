@@ -40,7 +40,9 @@
 //! ## Implementing persistence for an index
 //!
 //! Index crates implement [`PersistentIndex`] next to their private fields
-//! and serialize with [`snapshot::Section`] putters plus the shared
+//! — a disk-resident one keeps its raw series in a [`Collection`], which
+//! owns their layout, growth and re-attachment at load time — and
+//! serialize with [`snapshot::Section`] putters plus the shared
 //! [`codec`] helpers (histograms, k-means codebooks, product quantizers,
 //! rotation matrices), which guarantees one canonical layout for each
 //! shared structure across the zoo.
@@ -62,6 +64,7 @@ use std::path::Path;
 
 use hydra_core::Dataset;
 
+pub use backing::{Collection, Leaf};
 pub use error::{PersistError, Result};
 pub use fingerprint::{
     fingerprint_dataset, fingerprint_series_flat, fingerprint_series_permuted, Fingerprint,

@@ -336,7 +336,7 @@ mod tests {
     fn boots_saved_indexes_and_skips_foreign_files() {
         let dir = temp_dir("ok");
         let data = hydra::data::random_walk(150, 32, 1);
-        let configs = hydra::standard_configs(true, 2);
+        let configs = hydra::standard_configs(hydra::StorageConfig::in_memory(), 2);
         save_dataset(&data, &dir.join("walk.data.snap")).unwrap();
         Hnsw::build(&data, configs.hnsw)
             .unwrap()
@@ -352,7 +352,7 @@ mod tests {
             .unwrap();
         std::fs::write(dir.join("notes.txt"), b"hello").unwrap();
 
-        let registry = hydra::standard_registry(true, 2);
+        let registry = hydra::standard_registry(hydra::StorageConfig::in_memory(), 2);
         let report = boot_from_dir(&dir, &registry).unwrap();
         let names: Vec<&str> = report.indexes.iter().map(|s| s.name.as_str()).collect();
         assert_eq!(names, vec!["walk-hnsw", "walk-isax2"]);
@@ -392,7 +392,7 @@ mod tests {
     #[test]
     fn missing_datasets_and_bad_snapshots_fail_loudly() {
         let dir = temp_dir("empty");
-        let registry = hydra::standard_registry(true, 2);
+        let registry = hydra::standard_registry(hydra::StorageConfig::in_memory(), 2);
         assert!(matches!(
             boot_from_dir(&dir, &registry),
             Err(BootError::NoDatasets(_))
@@ -405,7 +405,7 @@ mod tests {
             Err(BootError::NoIndexes(_))
         ));
         // A damaged index snapshot aborts the whole boot, naming the file.
-        let configs = hydra::standard_configs(true, 2);
+        let configs = hydra::standard_configs(hydra::StorageConfig::in_memory(), 2);
         let hnsw = Hnsw::build(&data, configs.hnsw).unwrap();
         let path = dir.join("lonely-hnsw.snap");
         hnsw.save(&path).unwrap();
@@ -425,7 +425,7 @@ mod tests {
         assert_eq!(boot_from_dir(&dir, &registry).unwrap().indexes.len(), 1);
         // ...and a registry built with the wrong seed is a fingerprint
         // mismatch, never a silently different index.
-        let wrong = hydra::standard_registry(true, 4);
+        let wrong = hydra::standard_registry(hydra::StorageConfig::in_memory(), 4);
         match boot_from_dir(&dir, &wrong) {
             Err(BootError::Snapshot { source, .. }) => {
                 assert!(matches!(source, PersistError::FingerprintMismatch { .. }));

@@ -377,13 +377,17 @@ fn set_boot_gauges(metrics: &hydra_serve::MetricsRegistry, loads: &[hydra_serve:
 
 /// Runs the worker (= plain server) role: boot snapshots, serve.
 fn run_worker(args: &Args) {
-    let registry = hydra::standard_registry_io(
-        args.in_memory,
-        args.seed,
-        args.pool_pages,
-        args.page_codec,
-        args.backing_io,
-    );
+    let storage = if args.in_memory {
+        hydra::StorageConfig::in_memory()
+    } else {
+        hydra::StorageConfig::on_disk()
+    };
+    let storage = args
+        .pool_pages
+        .map_or(storage, |pages| storage.with_pool_pages(pages))
+        .with_page_codec(args.page_codec)
+        .with_io_mode(args.backing_io);
+    let registry = hydra::standard_registry(storage, args.seed);
     let options = hydra_serve::BootOptions {
         file_backed: args.out_of_core,
     };

@@ -7,8 +7,8 @@ use hydra_core::{
     Representation, Result, SearchMode, SearchParams, SearchResult, TopK,
 };
 use hydra_persist::{
-    codec, fingerprint_dataset, DataSource, Fingerprint, PersistError, PersistentIndex, Section,
-    SeriesFingerprinter, SnapshotReader, SnapshotWriter, StoreBacking,
+    codec, Collection, DataSource, Fingerprint, PersistError, PersistentIndex, Section,
+    SnapshotReader, SnapshotWriter, StoreBacking,
 };
 use hydra_storage::{SeriesStore, StorageConfig};
 use hydra_summarize::quantization::ScalarQuantizer;
@@ -45,24 +45,14 @@ impl Default for VaPlusFileConfig {
 /// The VA+file index.
 pub struct VaPlusFile {
     config: VaPlusFileConfig,
-    series_len: usize,
     dft: DftSummarizer,
     quantizer: ScalarQuantizer,
     /// Quantized approximation of every series (the approximation file),
     /// kept in memory as in the paper's setup.
     approximations: Vec<Vec<u16>>,
-    /// Exact DFT summaries (used to bound from below slightly more tightly
-    /// when the cell is degenerate); not strictly required but cheap.
-    store: SeriesStore,
+    /// Dataset-ordered raw series (the simulated on-disk layout).
+    collection: Collection,
     histogram: DistanceHistogram,
-    num_series: usize,
-    /// Content fingerprint of the dataset, captured at build/load time so
-    /// snapshotting never has to re-read the (possibly file-backed) store.
-    data_fingerprint: u64,
-    /// Whether series were ingested after the build/load; a grown index's
-    /// cached `data_fingerprint` is stale, so [`PersistentIndex::save`]
-    /// recomputes it from a store scan instead.
-    grown: bool,
 }
 
 impl VaPlusFile {
@@ -84,40 +74,19 @@ impl VaPlusFile {
         let quantizer = ScalarQuantizer::train(&refs, config.bits_per_dim);
         let approximations: Vec<Vec<u16>> = summaries.iter().map(|s| quantizer.encode(s)).collect();
 
-        let store = SeriesStore::from_dataset(dataset, config.storage)?;
-        store.reset_io();
         Ok(Self {
             config,
-            series_len,
             dft,
             quantizer,
             approximations,
-            store,
+            collection: Collection::dataset_order(dataset, config.storage)?,
             histogram: DistanceHistogram::from_dataset(
                 dataset,
                 config.histogram_samples,
                 256,
                 config.seed,
             ),
-            num_series: dataset.len(),
-            data_fingerprint: fingerprint_dataset(dataset),
-            grown: false,
         })
-    }
-
-    /// The content fingerprint of the collection as currently held: the
-    /// build/load-time cache while pristine, or a fresh dataset-order store
-    /// scan once the index has grown (the store keeps dataset order, so the
-    /// scan reproduces [`fingerprint_dataset`] of the grown collection).
-    fn current_data_fingerprint(&self) -> u64 {
-        if !self.grown {
-            return self.data_fingerprint;
-        }
-        let mut f = SeriesFingerprinter::new(self.series_len, self.num_series);
-        self.store.for_each_series(&mut |_, series| {
-            f.push_series(series);
-        });
-        f.finish()
     }
 
     /// Re-derives everything a fresh build computes — DFT summaries, the
@@ -128,25 +97,17 @@ impl VaPlusFile {
     /// summaries in the same order, so every derived byte matches.
     fn requantize_all(&mut self) {
         let dft = &self.dft;
-        let mut summaries: Vec<Vec<f32>> = Vec::with_capacity(self.num_series);
-        self.store.for_each_series(&mut |_, series| {
+        let mut summaries: Vec<Vec<f32>> = Vec::with_capacity(self.collection.len());
+        self.collection.store().for_each_series(&mut |_, series| {
             summaries.push(dft.transform(series));
         });
         let refs: Vec<&[f32]> = summaries.iter().map(|v| v.as_slice()).collect();
         self.quantizer = ScalarQuantizer::train(&refs, self.config.bits_per_dim);
         self.approximations = summaries.iter().map(|s| self.quantizer.encode(s)).collect();
-        let store = &self.store;
-        let (mut a, mut b) = (Vec::new(), Vec::new());
-        self.histogram = DistanceHistogram::from_pairwise(
-            self.num_series,
+        self.histogram = self.collection.pairwise_histogram(
             self.config.histogram_samples,
             256,
             self.config.seed,
-            |i, j| {
-                store.read_uncharged(i, &mut a);
-                store.read_uncharged(j, &mut b);
-                hydra_core::euclidean(&a, &b)
-            },
         );
     }
 
@@ -162,26 +123,12 @@ impl VaPlusFile {
 
     /// The simulated storage layer holding the raw series.
     pub fn store(&self) -> &SeriesStore {
-        &self.store
+        self.collection.store()
     }
 
     /// Number of quantization cells per reduced dimension.
     pub fn cells_per_dim(&self) -> usize {
         self.quantizer.cells()
-    }
-
-    /// Shared precondition check of [`AnnIndex::search`] and
-    /// [`AnnIndex::search_batch`] (one code path so the two entry points
-    /// cannot drift apart). VA+file supports every mode, so only the
-    /// dimension is checked.
-    fn validate(&self, query: &[f32]) -> Result<()> {
-        if query.len() != self.series_len {
-            return Err(Error::DimensionMismatch {
-                expected: self.series_len,
-                found: query.len(),
-            });
-        }
-        Ok(())
     }
 
     /// Skip-sequential search shared by every mode.
@@ -217,7 +164,7 @@ impl VaPlusFile {
         // Phase 1: sequential scan of the in-memory approximation file.
         let query_summary = self.dft.transform(query);
         candidates.clear();
-        candidates.reserve(self.num_series);
+        candidates.reserve(self.collection.len());
         let mut upper_topk = TopK::new(k);
         for (id, code) in self.approximations.iter().enumerate() {
             stats.lower_bound_computations += 1;
@@ -250,7 +197,7 @@ impl VaPlusFile {
             }
             stats.series_scanned += 1;
             stats.distance_computations += 1;
-            if let Some(d) = self.store.refine(id, query, bsf, &mut stats) {
+            if let Some(d) = self.collection.store().refine(id, query, bsf, &mut stats) {
                 top.push(Neighbor::new(id, d));
             }
             refined += 1;
@@ -315,12 +262,12 @@ impl PersistentIndex for VaPlusFile {
     fn save(&self, path: &Path) -> hydra_persist::Result<()> {
         let mut w = SnapshotWriter::new(
             Self::KIND,
-            snapshot_fingerprint(&self.config, self.current_data_fingerprint()),
+            snapshot_fingerprint(&self.config, self.collection.fingerprint()),
         );
 
         let mut meta = Section::new();
-        meta.put_usize(self.series_len);
-        meta.put_usize(self.num_series);
+        meta.put_usize(self.collection.series_len());
+        meta.put_usize(self.collection.len());
         w.push(meta);
 
         let mut quant = Section::new();
@@ -409,24 +356,16 @@ impl PersistentIndex for VaPlusFile {
                 "DFT summary length disagrees with the stored quantizer".into(),
             ));
         }
-        let store = hydra_persist::backing::attach_dataset_order_store_from(
-            path,
-            source,
-            config.storage,
-            backing,
-        )?;
+        let collection =
+            Collection::attach(path, source, data_fingerprint, None, config.storage, backing)?;
 
         Ok(Self {
             config: *config,
-            series_len,
             dft,
             quantizer,
             approximations,
-            store,
+            collection,
             histogram,
-            num_series,
-            data_fingerprint,
-            grown: false,
         })
     }
 }
@@ -449,11 +388,11 @@ impl AnnIndex for VaPlusFile {
     }
 
     fn num_series(&self) -> usize {
-        self.num_series
+        self.collection.len()
     }
 
     fn series_len(&self) -> usize {
-        self.series_len
+        self.collection.series_len()
     }
 
     fn memory_footprint(&self) -> usize {
@@ -466,11 +405,11 @@ impl AnnIndex for VaPlusFile {
     }
 
     fn store_counters(&self) -> Option<hydra_core::StoreCounters> {
-        Some(self.store.counters())
+        Some(self.collection.counters())
     }
 
     fn search(&self, query: &[f32], params: &SearchParams) -> Result<SearchResult> {
-        self.validate(query)?;
+        self.collection.check_lengths(&[query])?;
         let mut candidates = Vec::new();
         Ok(self.skip_sequential(query, params, &mut candidates))
     }
@@ -481,26 +420,17 @@ impl AnnIndex for VaPlusFile {
     /// collection exactly as a fresh build would derive them — so answers
     /// are bit-identical to building over the full collection at once.
     fn insert_batch(&mut self, batch: &[&[f32]]) -> Result<()> {
-        for series in batch {
-            if series.len() != self.series_len {
-                return Err(Error::DimensionMismatch {
-                    expected: self.series_len,
-                    found: series.len(),
-                });
-            }
-        }
+        self.collection.check_lengths(batch)?;
         if batch.is_empty() {
             return Ok(());
         }
         for series in batch {
-            self.store.append(series)?;
-            self.num_series += 1;
+            self.collection.append(series)?;
         }
         self.requantize_all();
-        self.grown = true;
         // A fresh build hands out a store with clean I/O counters; ingest
         // restores the same post-build state.
-        self.store.reset_io();
+        self.collection.store().reset_io();
         Ok(())
     }
 
@@ -512,43 +442,31 @@ impl AnnIndex for VaPlusFile {
     /// operation at all, and hits depend on how the shared, order-sensitive
     /// buffer pool was warmed, exactly as between two sequential runs.
     ///
-    /// On a file-backed store the batch also declares its working set: each
+    /// The batch runs inside one storage working-set scope
+    /// ([`Collection::with_working_set`]) to which VA+file contributes each
     /// query's most promising phase-2 candidates — the smallest phase-1
-    /// lower bounds, which refinement reads first — are pinned in the
-    /// buffer pool for the duration of the batch, so candidates shared
-    /// across queries stay resident instead of being evicted between
-    /// queries. No prefetch: the candidates are scattered single records,
-    /// and the closing bound may prune them before they are ever read.
+    /// lower bounds, which refinement reads first. No prefetch: the
+    /// candidates are scattered single records, and the closing bound may
+    /// prune them before they are ever read.
     fn search_batch(
         &self,
         queries: &[&[f32]],
         params: &SearchParams,
     ) -> Vec<Result<SearchResult>> {
-        let pinned = if self.store.is_file_backed() && queries.len() > 1 {
-            let prefix = match params.mode {
-                SearchMode::Ng { nprobe } => nprobe.max(1),
-                _ => 4 * params.k.max(1),
-            };
-            let mut ranges = Vec::new();
-            for query in queries {
-                if query.len() == self.series_len {
-                    self.predicted_candidates(query, prefix, &mut ranges);
-                }
-            }
-            self.store.pin_working_set(&ranges, false)
-        } else {
-            Vec::new()
+        let prefix = match params.mode {
+            SearchMode::Ng { nprobe } => nprobe.max(1),
+            _ => 4 * params.k.max(1),
         };
-        let mut candidates = Vec::with_capacity(self.num_series);
-        let results = queries
-            .iter()
-            .map(|query| {
-                self.validate(query)?;
+        let mut candidates = Vec::with_capacity(self.collection.len());
+        self.collection.with_working_set(
+            queries,
+            false,
+            |query, ranges| self.predicted_candidates(query, prefix, ranges),
+            |query| {
+                self.collection.check_lengths(&[query])?;
                 Ok(self.skip_sequential(query, params, &mut candidates))
-            })
-            .collect();
-        self.store.release_working_set(&pinned);
-        results
+            },
+        )
     }
 }
 

@@ -122,7 +122,12 @@ pub fn ooc_dataset() -> hydra::Dataset {
 /// `<prefix>.data.snap`, `<prefix>-dstree.snap`, ... — the 5 disk-capable
 /// methods always, plus HNSW/QALSH/FLANN when `in_memory`.
 pub fn save_zoo(dir: &Path, prefix: &str, data: &hydra::Dataset, in_memory: bool, seed: u64) {
-    let configs = hydra::standard_configs(in_memory, seed);
+    let storage = if in_memory {
+        hydra::StorageConfig::in_memory()
+    } else {
+        hydra::StorageConfig::on_disk()
+    };
+    let configs = hydra::standard_configs(storage, seed);
     hydra::persist::dataset::save_dataset(data, &dir.join(format!("{prefix}.data.snap")))
         .unwrap();
     let snap = |kind: &str| dir.join(format!("{prefix}-{kind}.snap"));
@@ -168,14 +173,15 @@ fn shared_zoo(
 }
 
 /// The in-memory serving zoo (PR 4's fixture): 400 × 32 random walks,
-/// `hydra::standard_configs(true, 9)`, all 8 methods, prefix `zoo`.
+/// `standard_configs(StorageConfig::in_memory(), 9)`, all 8 methods,
+/// prefix `zoo`.
 pub fn in_memory_zoo() -> ZooFixture {
     shared_zoo("zoo-inmemory", || hydra::data::random_walk(400, 32, 2024), "zoo", true, 9)
 }
 
 /// The on-disk out-of-core zoo (PR 5's fixture): [`ooc_dataset`],
-/// `hydra::standard_configs(false, 5)`, the 5 disk-capable methods,
-/// prefix `walk`.
+/// `standard_configs(StorageConfig::on_disk(), 5)`, the 5 disk-capable
+/// methods, prefix `walk`.
 pub fn on_disk_zoo() -> ZooFixture {
     shared_zoo("zoo-ondisk", ooc_dataset, "walk", false, 5)
 }

@@ -156,7 +156,7 @@ where
 #[test]
 fn every_ingest_capable_method_grows_equivalently_under_any_chunking() {
     let data = hydra::data::random_walk(240, 32, 6161);
-    let configs = hydra::standard_configs(true, 9);
+    let configs = hydra::standard_configs(hydra::StorageConfig::in_memory(), 9);
     check_method(&data, configs.dstree, DsTree::build);
     check_method(&data, configs.isax, Isax2Plus::build);
     check_method(&data, configs.vafile, VaPlusFile::build);
@@ -164,10 +164,49 @@ fn every_ingest_capable_method_grows_equivalently_under_any_chunking() {
     check_method(&data, configs.hnsw, Hnsw::build);
 }
 
+/// One disk index grown in two uneven chunks: the content fingerprint of
+/// its collection must be `fingerprint_dataset` of the concatenated
+/// dataset — which is what a load recomputes from its `dataset` argument
+/// and checks the snapshot header against.
+fn check_grown_fingerprint<T, F>(data: &Dataset, config: T::Config, build: F)
+where
+    T: AnnIndex + hydra::PersistentIndex,
+    T::Config: Copy,
+    F: Fn(&Dataset, T::Config) -> hydra::Result<T>,
+{
+    let h = data.len() / 3;
+    let base = head(data, h);
+    let grown = grow(build(&base, config).unwrap(), data, h, &[37, data.len()]);
+    let name = grown.name().replace(['+', '/'], "");
+    let dir = common::temp_dir(&format!("ingest-fingerprint-{name}"));
+    let path = dir.join("grown.snap");
+    grown.save(&path).unwrap();
+    let reloaded = T::load(&path, data, &config)
+        .unwrap_or_else(|e| panic!("{name}: grown fingerprint is not the full dataset's: {e}"));
+    assert_eq!(reloaded.num_series(), data.len());
+    assert!(
+        matches!(
+            T::load(&path, &base, &config),
+            Err(PersistError::FingerprintMismatch { .. })
+        ),
+        "{name}: a grown snapshot must not load against the base it grew from"
+    );
+}
+
+#[test]
+fn a_grown_collection_fingerprints_as_the_concatenated_dataset() {
+    let data = hydra::data::random_walk(240, 32, 6262);
+    let configs = hydra::standard_configs(hydra::StorageConfig::in_memory(), 9);
+    check_grown_fingerprint(&data, configs.dstree, DsTree::build);
+    check_grown_fingerprint(&data, configs.isax, Isax2Plus::build);
+    check_grown_fingerprint(&data, configs.vafile, VaPlusFile::build);
+    check_grown_fingerprint(&data, configs.srs, Srs::build);
+}
+
 #[test]
 fn a_bad_batch_is_rejected_atomically_without_growing() {
     let data = hydra::data::random_walk(120, 32, 7272);
-    let configs = hydra::standard_configs(true, 9);
+    let configs = hydra::standard_configs(hydra::StorageConfig::in_memory(), 9);
     let queries = hydra::data::noisy_queries(&data, 4, &[0.1], 11);
     fn check<T: AnnIndex>(mut index: T, data: &Dataset, queries: &hydra::data::QueryWorkload) {
         let method = index.name();
@@ -206,7 +245,7 @@ fn file_backed_ingest_answers_like_the_resident_full_build() {
     // A 1-page pool far smaller than the raw data: growth must keep the
     // buffer pool coherent while the backing file gains a tail.
     let data = hydra::data::random_walk(300, 64, 8484);
-    let configs = hydra::standard_configs_pooled(false, 5, Some(1));
+    let configs = hydra::standard_configs(hydra::StorageConfig::on_disk().with_pool_pages(1), 5);
     let queries = hydra::data::noisy_queries(&data, 5, &[0.0, 0.2], 21);
     let dir = common::temp_dir("ingest-ooc");
     let h = 200;
@@ -257,7 +296,7 @@ fn queries_racing_ingest_see_a_consistent_chunk_prefix() {
     const BASE: usize = 200;
     const CHUNK: usize = 20;
     let data = hydra::data::random_walk(400, 32, 9393);
-    let configs = hydra::standard_configs_pooled(false, 5, Some(1));
+    let configs = hydra::standard_configs(hydra::StorageConfig::on_disk().with_pool_pages(1), 5);
     let query: Vec<f32> = data.series(3).to_vec();
     // Expected exact top-5 for every reachable prefix, keyed by size —
     // computed by a fresh build over each prefix, so the comparison is the
@@ -350,8 +389,8 @@ fn base_plus_journal_loads_back_to_the_grown_index_bit_for_bit() {
     let h = 180;
     let head_data = head(&data, h);
     let seed = 9;
-    let configs = hydra::standard_configs(true, seed);
-    let registry = hydra::standard_registry(true, seed);
+    let configs = hydra::standard_configs(hydra::StorageConfig::in_memory(), seed);
+    let registry = hydra::standard_registry(hydra::StorageConfig::in_memory(), seed);
     let queries = hydra::data::noisy_queries(&data, 5, &[0.0, 0.2], 33);
     let dir = common::temp_dir("ingest-journal");
 
@@ -407,8 +446,8 @@ fn a_damaged_journal_is_a_typed_error_and_never_partial_state() {
     let h = 150;
     let head_data = head(&data, h);
     let seed = 9;
-    let configs = hydra::standard_configs(true, seed);
-    let registry = hydra::standard_registry(true, seed);
+    let configs = hydra::standard_configs(hydra::StorageConfig::in_memory(), seed);
+    let registry = hydra::standard_registry(hydra::StorageConfig::in_memory(), seed);
     let dir = common::temp_dir("ingest-journal-damage");
     let snap = dir.join("walk-vafile.snap");
     VaPlusFile::build(&head_data, configs.vafile).unwrap().save(&snap).unwrap();

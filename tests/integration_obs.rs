@@ -107,7 +107,7 @@ fn ask(
 #[test]
 fn scraped_metrics_reconcile_exactly_and_answers_stay_byte_identical() {
     let zoo = common::in_memory_zoo();
-    let registry = hydra::standard_registry(true, 9);
+    let registry = hydra::standard_registry(hydra::StorageConfig::in_memory(), 9);
     let booted = boot_from_dir(&zoo.dir, &registry).unwrap();
     assert_eq!(booted.indexes.len(), 8, "the whole zoo must boot");
     let offline = boot_from_dir(&zoo.dir, &registry).unwrap();

@@ -140,8 +140,8 @@ fn hydra_serve_over_a_file_backed_boot_answers_byte_identically() {
     // Offline twin: resident boot under the default pool. Server: the same
     // snapshots booted file-backed behind a single-page pool — the raw
     // series are ~5× the cache.
-    let resident = boot_from_dir(dir, &hydra::standard_registry(false, seed)).unwrap();
-    let ooc_registry = hydra::standard_registry_pooled(false, seed, Some(1));
+    let resident = boot_from_dir(dir, &hydra::standard_registry(hydra::StorageConfig::on_disk(), seed)).unwrap();
+    let ooc_registry = hydra::standard_registry(hydra::StorageConfig::on_disk().with_pool_pages(1), seed);
     let booted = boot_from_dir_with(
         dir,
         &ooc_registry,
@@ -351,7 +351,7 @@ fn backing_matrix_is_bit_identical_to_resident_across_pools_and_threads() {
     let dir = common::temp_dir("ooc-backing-matrix");
     let (data, data_snapshot) = ooc_scenario(&dir);
     let seed = 5;
-    let build = hydra::standard_configs(false, seed);
+    let build = hydra::standard_configs(hydra::StorageConfig::on_disk(), seed);
     let dstree_snap = dir.join("walk-dstree.snap");
     DsTree::build(&data, build.dstree).unwrap().save(&dstree_snap).unwrap();
     let isax_snap = dir.join("walk-isax2.snap");
@@ -400,7 +400,7 @@ fn backing_matrix_is_bit_identical_to_resident_across_pools_and_threads() {
     let pools = [1usize, (total_pages / 2).max(1), total_pages * 4];
 
     for (name, load) in &loaders {
-        let resident = load(&hydra::standard_configs(false, seed), StoreBacking::Resident);
+        let resident = load(&hydra::standard_configs(hydra::StorageConfig::on_disk(), seed), StoreBacking::Resident);
         let caps = resident.capabilities();
         let mut settings = vec![SearchParams::ng(10, 8)];
         if caps.exact {
@@ -432,12 +432,11 @@ fn backing_matrix_is_bit_identical_to_resident_across_pools_and_threads() {
         for io in [hydra::FileIoMode::Pread, hydra::FileIoMode::Mmap] {
             for &pool in &pools {
                 let cell = format!("{name} ({} backing, pool {pool})", io.name());
-                let configs = hydra::standard_configs_io(
-                    false,
+                let configs = hydra::standard_configs(
+                    hydra::StorageConfig::on_disk()
+                        .with_pool_pages(pool)
+                        .with_io_mode(io),
                     seed,
-                    Some(pool),
-                    hydra::PageCodec::F32,
-                    io,
                 );
                 let filed = load(
                     &configs,
@@ -486,6 +485,49 @@ fn backing_matrix_is_bit_identical_to_resident_across_pools_and_threads() {
         }
     }
     std::fs::remove_dir_all(&dir).ok();
+}
+
+/// The exit contract of the shared batch working-set scope, on any disk
+/// index over a store larger than its pool: a batch whose middle query has
+/// the wrong length errs at that position only, the other answers equal
+/// per-query `search`, and afterwards no page is left pinned.
+fn assert_batch_scope_releases(
+    name: &str,
+    index: &dyn hydra::AnnIndex,
+    store: &hydra::storage::SeriesStore,
+    data: &hydra::Dataset,
+    params: &SearchParams,
+) {
+    // Under plain LRU every page of a cyclic whole-store scan misses, so
+    // pool hits during a repeat scan can only come from pinned pages.
+    let hits_of_a_repeat_scan = || {
+        let mut stats = hydra::QueryStats::new();
+        store.read_range(0, store.len(), &mut stats, &mut |_, _| {});
+        let before = store.io_snapshot().pool_hits;
+        store.read_range(0, store.len(), &mut stats, &mut |_, _| {});
+        store.io_snapshot().pool_hits - before
+    };
+    assert!(store.is_file_backed(), "{name}: the scope only engages on files");
+    let held = store.pin_working_set(&[(0, 1)], false);
+    assert!(hits_of_a_repeat_scan() > 0, "{name}: the probe must see a pin");
+    store.release_working_set(&held);
+
+    let bad = vec![0.0f32; data.series_len() - 1];
+    let batch: Vec<&[f32]> = vec![data.series(3), data.series(200), &bad, data.series(3)];
+    let results = index.search_batch(&batch, params);
+    assert_eq!(results.len(), batch.len());
+    for (q, (query, got)) in batch.iter().zip(&results).enumerate() {
+        match index.search(query, params) {
+            Ok(want) => {
+                let got = got.as_ref().unwrap_or_else(|e| panic!("{name} query {q}: {e}"));
+                assert_eq!(got.neighbors, want.neighbors, "{name} query {q}");
+                assert_eq!(got.stats.bytes_read, want.stats.bytes_read, "{name} query {q}");
+            }
+            Err(_) => assert!(q == 2 && got.is_err(), "{name}: only query 2 may fail"),
+        }
+    }
+    assert!(results[2].is_err(), "{name}: the malformed query fails in place");
+    assert_eq!(hits_of_a_repeat_scan(), 0, "{name}: the batch left pages pinned");
 }
 
 #[test]
@@ -562,6 +604,27 @@ fn batch_search_pins_its_working_set_and_cuts_pool_misses() {
         batch_io.pool_hits,
         loop_io.pool_hits
     );
+
+    // Every disk index runs its batches through the same scope; each must
+    // leave the pool unpinned, malformed queries included.
+    assert_batch_scope_releases("dstree", &filed, filed.store(), &data, &params);
+    let configs = hydra::standard_configs(config.storage, 3);
+    let backing = StoreBacking::FileBacked {
+        dataset_snapshot: Some(&data_snapshot),
+    };
+    let snapshot = dir.join("walk-isax2.snap");
+    Isax2Plus::build(&data, configs.isax).unwrap().save(&snapshot).unwrap();
+    let isax = Isax2Plus::load_backed(&snapshot, &data, &configs.isax, backing).unwrap();
+    assert_batch_scope_releases("isax2", &isax, isax.store(), &data, &params);
+    let snapshot = dir.join("walk-vafile.snap");
+    VaPlusFile::build(&data, configs.vafile).unwrap().save(&snapshot).unwrap();
+    let vafile = VaPlusFile::load_backed(&snapshot, &data, &configs.vafile, backing).unwrap();
+    assert_batch_scope_releases("vafile", &vafile, vafile.store(), &data, &params);
+    let snapshot = dir.join("walk-srs.snap");
+    Srs::build(&data, configs.srs).unwrap().save(&snapshot).unwrap();
+    let srs = Srs::load_backed(&snapshot, &data, &configs.srs, backing).unwrap();
+    let ng = SearchParams::ng(10, 16);
+    assert_batch_scope_releases("srs", &srs, srs.store(), &data, &ng);
     std::fs::remove_dir_all(&dir).ok();
 }
 
@@ -571,12 +634,12 @@ fn out_of_core_boot_writes_reusable_sidecars_for_tree_indexes() {
     // start, so it must not share a directory other boots already warmed.
     let dir = common::temp_dir("ooc-sidecars");
     let (data, _) = ooc_scenario(&dir);
-    let configs = hydra::standard_configs(false, 5);
+    let configs = hydra::standard_configs(hydra::StorageConfig::on_disk(), 5);
     Isax2Plus::build(&data, configs.isax)
         .unwrap()
         .save(&dir.join("walk-isax2.snap"))
         .unwrap();
-    let registry = hydra::standard_registry_pooled(false, 5, Some(1));
+    let registry = hydra::standard_registry(hydra::StorageConfig::on_disk().with_pool_pages(1), 5);
     let options = BootOptions { file_backed: true };
     boot_from_dir_with(&dir, &registry, options).unwrap();
     let sidecar = dir.join("walk-isax2.snap.series");

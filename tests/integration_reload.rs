@@ -43,8 +43,8 @@ fn hot_reload_under_live_pipelined_connections_drops_nothing_and_never_mixes_epo
     let seed = 5;
     let data = hydra::data::random_walk(260, 32, 3131);
     let head_data = head(&data, 200);
-    let config = hydra::standard_configs(false, seed).vafile;
-    let registry = hydra::standard_registry(false, seed);
+    let config = hydra::standard_configs(hydra::StorageConfig::on_disk(), seed).vafile;
+    let registry = hydra::standard_registry(hydra::StorageConfig::on_disk(), seed);
     let dir = common::temp_dir("reload-live");
     save_dir(&dir, &head_data, config);
 
@@ -192,8 +192,8 @@ fn hot_reload_under_live_pipelined_connections_drops_nothing_and_never_mixes_epo
 fn shutdown_mid_swap_drains_cleanly_and_still_acks_the_reload() {
     let seed = 5;
     let data = hydra::data::random_walk(120, 32, 4242);
-    let config = hydra::standard_configs(false, seed).vafile;
-    let registry = hydra::standard_registry(false, seed);
+    let config = hydra::standard_configs(hydra::StorageConfig::on_disk(), seed).vafile;
+    let registry = hydra::standard_registry(hydra::StorageConfig::on_disk(), seed);
     let dir = common::temp_dir("reload-shutdown");
     save_dir(&dir, &data, config);
     let booted = boot_from_dir(&dir, &registry).unwrap();
@@ -235,8 +235,8 @@ fn shutdown_mid_swap_drains_cleanly_and_still_acks_the_reload() {
 fn a_failed_reload_keeps_serving_the_current_epoch() {
     let seed = 5;
     let data = hydra::data::random_walk(100, 32, 5353);
-    let config = hydra::standard_configs(false, seed).vafile;
-    let registry = hydra::standard_registry(false, seed);
+    let config = hydra::standard_configs(hydra::StorageConfig::on_disk(), seed).vafile;
+    let registry = hydra::standard_registry(hydra::StorageConfig::on_disk(), seed);
     let dir = common::temp_dir("reload-fail");
     save_dir(&dir, &data, config);
     let booted = boot_from_dir(&dir, &registry).unwrap();

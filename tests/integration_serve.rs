@@ -29,7 +29,7 @@ fn every_index_in_the_zoo_serves_byte_identical_answers() {
     // Boot the server from the directory; keep an offline twin loaded from
     // the *same* snapshots (the persist contract makes it bit-identical to
     // what the server serves).
-    let registry = hydra::standard_registry(true, seed);
+    let registry = hydra::standard_registry(hydra::StorageConfig::in_memory(), seed);
     let booted = boot_from_dir(dir, &registry).unwrap();
     assert_eq!(booted.indexes.len(), 8, "the whole zoo must boot");
     let offline = boot_from_dir(dir, &registry).unwrap();

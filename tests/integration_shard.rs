@@ -131,11 +131,11 @@ fn sharded_zoo_guaranteed_searches_are_bit_identical_to_unsharded() {
     // standard configs per shard.
     let zoo = common::in_memory_zoo();
     let data = &zoo.data;
-    let registry = hydra::standard_registry(true, 9);
+    let registry = hydra::standard_registry(hydra::StorageConfig::in_memory(), 9);
     let booted = hydra_serve::boot_from_dir(&zoo.dir, &registry).unwrap();
     let k = 10;
     let workload = hydra::data::noisy_queries(data, 10, &[0.0, 0.2], 123);
-    let configs = hydra::standard_configs(true, 9);
+    let configs = hydra::standard_configs(hydra::StorageConfig::in_memory(), 9);
 
     let mut checked = 0;
     for served in &booted.indexes {
@@ -181,7 +181,7 @@ fn sharded_zoo_ng_accuracy_stays_within_documented_bounds() {
     // MAP on this workload.
     let zoo = common::in_memory_zoo();
     let data = &zoo.data;
-    let registry = hydra::standard_registry(true, 9);
+    let registry = hydra::standard_registry(hydra::StorageConfig::in_memory(), 9);
     let booted = hydra_serve::boot_from_dir(&zoo.dir, &registry).unwrap();
     assert_eq!(booted.indexes.len(), 8, "the ng sweep must cover the whole zoo");
     let k = 10;
@@ -223,7 +223,7 @@ fn sharded_zoo_ng_accuracy_stays_within_documented_bounds() {
 fn merged_query_stats_equal_the_field_wise_sum_of_per_shard_searches() {
     let zoo = common::in_memory_zoo();
     let data = &zoo.data;
-    let configs = hydra::standard_configs(true, 9);
+    let configs = hydra::standard_configs(hydra::StorageConfig::in_memory(), 9);
     let k = 10;
     let workload = hydra::data::noisy_queries(data, 6, &[0.0, 0.2], 55);
 
@@ -282,7 +282,7 @@ fn file_backed_sharded_search_matches_the_resident_unsharded_index() {
     // still answer bit-identically to the resident unsharded index.
     let dir = common::temp_dir("shard-filebacked");
     let data = common::ooc_dataset();
-    let configs = hydra::standard_configs(false, 5);
+    let configs = hydra::standard_configs(hydra::StorageConfig::on_disk(), 5);
     let unsharded = DsTree::build(&data, configs.dstree).unwrap();
     let k = 10;
     let workload = hydra::data::noisy_queries(&data, 8, &[0.0, 0.2], 66);

@@ -35,7 +35,7 @@ fn streamed_boot_peak_heap_stays_below_the_dataset_payload() {
     let data = hydra::data::random_walk(2_000, 512, 777);
     let payload = data.len() * data.series_len() * 4;
     hydra::persist::dataset::save_dataset(&data, &dir.join("walk.data.snap")).unwrap();
-    let configs = hydra::standard_configs(false, seed);
+    let configs = hydra::standard_configs(hydra::StorageConfig::on_disk(), seed);
     DsTree::build(&data, configs.dstree)
         .unwrap()
         .save(&dir.join("walk-dstree.snap"))
@@ -45,7 +45,7 @@ fn streamed_boot_peak_heap_stays_below_the_dataset_payload() {
         .save(&dir.join("walk-vafile.snap"))
         .unwrap();
     drop(data);
-    let registry = hydra::standard_registry_pooled(false, seed, Some(1));
+    let registry = hydra::standard_registry(hydra::StorageConfig::on_disk().with_pool_pages(1), seed);
 
     // Warm-up boot: the first file-backed boot of a directory materializes
     // the flat-series sidecars. Sidecar writing is O(page) too, but it is
