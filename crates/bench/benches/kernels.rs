@@ -1,11 +1,14 @@
 //! Criterion micro-benchmarks of the computational kernels every index is
-//! built on: distance computation, summarization and quantization.
+//! built on: distance computation, summarization and quantization — and of
+//! the two per-page costs of the storage layer (a pool touch, a page miss).
 
 use criterion::{criterion_group, criterion_main, BatchSize, Criterion};
+use hydra::storage::{BufferPool, FileSpan, SeriesStore};
 use hydra::summarize::apca::{segment_stats, uniform_segments, Segment};
 use hydra::summarize::quantization::{KMeans, ProductQuantizer, ScalarQuantizer};
 use hydra::summarize::sax::{normal_breakpoints, sax_word, SaxParams};
 use hydra::summarize::{paa, DftSummarizer, GaussianProjection};
+use hydra::{FileIoMode, StorageConfig};
 
 fn series(seed: u64, n: usize) -> Vec<f32> {
     let d = hydra::data::random_walk(1, n, seed);
@@ -162,11 +165,75 @@ fn bench_quantization(c: &mut Criterion) {
     group.finish();
 }
 
+/// The buffer pool's bookkeeping alone, at the benchmark's shape (512
+/// pages behind a 32-page pool): what one page touch costs when it hits,
+/// and when it misses and evicts. No frames, no I/O.
+fn bench_pool_touch(c: &mut Criterion) {
+    let mut group = c.benchmark_group("pool_touch");
+    group.sample_size(30);
+    let mut pool = BufferPool::new(32);
+    for page in 0..32 {
+        pool.access(page);
+    }
+    let mut page = 0u64;
+    group.bench_function("hit-32-resident", |bench| {
+        bench.iter(|| {
+            page = (page + 7) % 32;
+            std::hint::black_box(pool.access(page))
+        })
+    });
+    group.bench_function("miss-evict-512-over-32", |bench| {
+        bench.iter(|| {
+            page = (page + 37) % 512;
+            std::hint::black_box(pool.access(page))
+        })
+    });
+    group.finish();
+}
+
+/// The whole miss path of a file-backed store — allocate the frame, move
+/// one 64 KiB page off the file into it, install it — isolated by a pool
+/// of capacity 0 (every read misses, nothing is ever evicted), under both
+/// transfer modes. The file sits in the OS page cache, so this is the
+/// cost of the path, not of a device.
+fn bench_page_miss(c: &mut Criterion) {
+    let data = hydra::data::random_walk(512, 256, 9); // 8 pages of 64 series
+    let path = std::env::temp_dir().join(format!("hydra-kernels-{}.flat", std::process::id()));
+    let bytes: Vec<u8> = data
+        .as_flat()
+        .iter()
+        .flat_map(|v| v.to_bits().to_le_bytes())
+        .collect();
+    std::fs::write(&path, bytes).expect("temp dir is writable");
+    let span = FileSpan {
+        offset: 0,
+        records: data.len(),
+    };
+    let mut group = c.benchmark_group("page_miss");
+    group.sample_size(30);
+    for io in [FileIoMode::Pread, FileIoMode::Mmap] {
+        let config = StorageConfig::on_disk().with_pool_pages(0).with_io_mode(io);
+        let store = SeriesStore::file_backed(&path, span, 256, config).expect("span fits the file");
+        let mut stats = hydra::QueryStats::new();
+        let mut record = 0usize;
+        group.bench_function(format!("{}-64KiB", io.name()), |bench| {
+            bench.iter(|| {
+                record = (record + 64 * 3) % 512;
+                std::hint::black_box(store.read(record, &mut stats)[0])
+            })
+        });
+    }
+    group.finish();
+    std::fs::remove_file(&path).ok();
+}
+
 criterion_group!(
     benches,
     bench_distances,
     bench_fused_quantized,
     bench_summarizations,
-    bench_quantization
+    bench_quantization,
+    bench_pool_touch,
+    bench_page_miss
 );
 criterion_main!(benches);

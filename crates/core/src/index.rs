@@ -201,20 +201,41 @@ pub type NodeId = usize;
 /// "Conservative" means that the lower-bound distance of a node never
 /// exceeds the true distance of any series stored beneath it; this is what
 /// makes Algorithm 1 exact and Algorithm 2's ε bound valid.
+///
+/// ## The `prepare` → `min_dist` contract
+///
+/// A search computes hundreds to thousands of lower bounds against *one*
+/// query, and the part of a bound that depends only on the query (iSAX2+:
+/// its PAA) is the same every time. [`Self::prepare`] computes that part
+/// once; [`Self::min_dist`] takes it by reference, next to the query
+/// itself. The drivers in [`crate::search`] call `prepare` exactly once per
+/// query and hand the same value to every `min_dist` of that query. An
+/// index with nothing worth hoisting uses `()`. A prepared value belongs
+/// to the query and the index it was prepared for: passing it to another
+/// index, or alongside another query, is a caller bug (the bound is then
+/// meaningless, though no memory-safety hazard).
 pub trait HierarchicalIndex {
+    /// Whatever [`Self::min_dist`] needs of a query that does not depend
+    /// on the node — computed once per search by [`Self::prepare`].
+    type Prepared;
+
     /// Root node(s) of the index. Most trees have one root; iSAX-style
     /// indexes have one root child per initial SAX word.
-    fn roots(&self) -> Vec<NodeId>;
+    fn roots(&self) -> &[NodeId];
 
     /// Whether `node` is a leaf.
     fn is_leaf(&self, node: NodeId) -> bool;
 
     /// Children of an internal node (empty for leaves).
-    fn children(&self, node: NodeId) -> Vec<NodeId>;
+    fn children(&self, node: NodeId) -> &[NodeId];
+
+    /// Computes the query-only part of the lower bound, once per search.
+    fn prepare(&self, query: &[f32]) -> Self::Prepared;
 
     /// Lower bound on the distance between `query` and any series stored in
-    /// the subtree rooted at `node`.
-    fn min_dist(&self, query: &[f32], node: NodeId) -> f32;
+    /// the subtree rooted at `node`; `prepared` is what [`Self::prepare`]
+    /// returned for this very `query`.
+    fn min_dist(&self, query: &[f32], prepared: &Self::Prepared, node: NodeId) -> f32;
 
     /// Visits every series stored in leaf `node`, invoking `visit` with the
     /// series' dataset position and raw values. The implementation must

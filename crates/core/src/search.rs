@@ -136,9 +136,12 @@ impl<'a, I: HierarchicalIndex + ?Sized> KnnSearcher<'a, I> {
         let mut top = TopK::new(spec.k.max(1));
         self.queue.clear();
 
+        // The query-only half of every lower bound below, computed once.
+        let prepared = self.index.prepare(query);
+
         // Lines 2-5 / 4-7: seed the queue with the root node(s).
-        for root in self.index.roots() {
-            let lb = self.index.min_dist(query, root);
+        for &root in self.index.roots() {
+            let lb = self.index.min_dist(query, &prepared, root);
             stats.lower_bound_computations += 1;
             self.queue.push(Reverse(QueueEntry { lb, node: root }));
         }
@@ -183,8 +186,8 @@ impl<'a, I: HierarchicalIndex + ?Sized> KnnSearcher<'a, I> {
                 }
             } else {
                 let bsf = top.kth_distance();
-                for child in self.index.children(entry.node) {
-                    let lb = self.index.min_dist(query, child);
+                for &child in self.index.children(entry.node) {
+                    let lb = self.index.min_dist(query, &prepared, child);
                     stats.lower_bound_computations += 1;
                     if lb < bsf / one_plus_eps || !top.is_full() {
                         self.queue.push(Reverse(QueueEntry { lb, node: child }));
@@ -199,18 +202,24 @@ impl<'a, I: HierarchicalIndex + ?Sized> KnnSearcher<'a, I> {
 
 /// Predicts the leaf a best-first search would refine first: a greedy
 /// descent from the closest root, following the child with the smallest
-/// lower bound at every level. Entirely I/O-free — only `min_dist` is
-/// consulted — so batch schedulers can declare a storage working set
-/// before any query runs. `None` on an empty hierarchy (no roots, or an
-/// internal node without children).
+/// lower bound at every level (the first of several equally close ones).
+/// Entirely I/O-free — only `min_dist` is consulted, once per candidate
+/// among two or more — so batch schedulers can declare a storage working
+/// set before any query runs. `None` on an empty hierarchy (no roots, or
+/// an internal node without children).
 pub fn predict_first_leaf<I: HierarchicalIndex + ?Sized>(
     index: &I,
     query: &[f32],
 ) -> Option<usize> {
-    let closest = |nodes: Vec<usize>| {
-        nodes
-            .into_iter()
-            .min_by(|&a, &b| index.min_dist(query, a).total_cmp(&index.min_dist(query, b)))
+    let prepared = index.prepare(query);
+    let closest = |nodes: &[NodeId]| match nodes {
+        // A lone candidate (the usual single root) wins without a bound.
+        [only] => Some(*only),
+        _ => nodes
+            .iter()
+            .map(|&node| (index.min_dist(query, &prepared, node), node))
+            .min_by(|a, b| a.0.total_cmp(&b.0))
+            .map(|(_, node)| node),
     };
     let mut node = closest(index.roots())?;
     while !index.is_leaf(node) {
@@ -242,6 +251,8 @@ mod tests {
         // Nodes: (lo, hi) ranges over the sorted order; leaves hold <= cap.
         nodes: Vec<ToyNode>,
         order: Vec<usize>,
+        /// How many lower bounds have been computed against this tree.
+        min_dist_calls: std::cell::Cell<u64>,
     }
 
     struct ToyNode {
@@ -254,6 +265,11 @@ mod tests {
 
     impl ToyTree {
         fn build(values: &[f32], leaf_cap: usize) -> Self {
+            Self::build_wide(values, leaf_cap, 2)
+        }
+
+        /// A tree whose internal nodes have up to `fanout` children.
+        fn build_wide(values: &[f32], leaf_cap: usize, fanout: usize) -> Self {
             let mut order: Vec<usize> = (0..values.len()).collect();
             order.sort_by(|&a, &b| values[a].total_cmp(&values[b]));
             let mut dataset = Dataset::new(1).unwrap();
@@ -264,12 +280,20 @@ mod tests {
                 dataset,
                 nodes: Vec::new(),
                 order,
+                min_dist_calls: std::cell::Cell::new(0),
             };
-            tree.split(0, values.len(), leaf_cap, values);
+            tree.split(0, values.len(), leaf_cap, fanout, values);
             tree
         }
 
-        fn split(&mut self, lo: usize, hi: usize, cap: usize, values: &[f32]) -> NodeId {
+        fn split(
+            &mut self,
+            lo: usize,
+            hi: usize,
+            cap: usize,
+            fanout: usize,
+            values: &[f32],
+        ) -> NodeId {
             let id = self.nodes.len();
             let slice = &self.order[lo..hi];
             let min = slice.iter().map(|&i| values[i]).fold(f32::INFINITY, f32::min);
@@ -285,26 +309,31 @@ mod tests {
                 children: Vec::new(),
             });
             if hi - lo > cap {
-                let mid = (lo + hi) / 2;
-                let l = self.split(lo, mid, cap, values);
-                let r = self.split(mid, hi, cap, values);
-                self.nodes[id].children = vec![l, r];
+                let step = (hi - lo).div_ceil(fanout);
+                for start in (lo..hi).step_by(step) {
+                    let child = self.split(start, (start + step).min(hi), cap, fanout, values);
+                    self.nodes[id].children.push(child);
+                }
             }
             id
         }
     }
 
     impl HierarchicalIndex for ToyTree {
-        fn roots(&self) -> Vec<NodeId> {
-            vec![0]
+        type Prepared = ();
+
+        fn roots(&self) -> &[NodeId] {
+            &[0]
         }
         fn is_leaf(&self, node: NodeId) -> bool {
             self.nodes[node].children.is_empty()
         }
-        fn children(&self, node: NodeId) -> Vec<NodeId> {
-            self.nodes[node].children.clone()
+        fn children(&self, node: NodeId) -> &[NodeId] {
+            &self.nodes[node].children
         }
-        fn min_dist(&self, query: &[f32], node: NodeId) -> f32 {
+        fn prepare(&self, _query: &[f32]) {}
+        fn min_dist(&self, query: &[f32], _prepared: &(), node: NodeId) -> f32 {
+            self.min_dist_calls.set(self.min_dist_calls.get() + 1);
             let q = query[0];
             let n = &self.nodes[node];
             if q < n.min {
@@ -448,6 +477,41 @@ mod tests {
         let res = knn_search(&tree, &[10.0], &spec);
         assert!(res.stats.delta_stop_triggered);
         assert_eq!(res.stats.leaves_visited, 1);
+    }
+
+    #[test]
+    fn predict_first_leaf_bounds_each_candidate_once_and_keeps_the_first_minimum() {
+        // 64 points, leaves of 2, fan-out 8: two internal levels, so the
+        // greedy descent bounds eight children twice (the lone root needs
+        // no bound). Comparing pairs the old way took 2 * 7 per level.
+        let values = sample_values(64);
+        let tree = ToyTree::build_wide(&values, 2, 8);
+        for q in [0.0f32, 9.1, 17.2, 40.0] {
+            tree.min_dist_calls.set(0);
+            let leaf = predict_first_leaf(&tree, &[q]).unwrap();
+            assert!(tree.is_leaf(leaf));
+            assert_eq!(tree.min_dist_calls.get(), 8 + 8, "q={q}");
+            // The prediction is the leaf a one-leaf search refines, and the
+            // search counts exactly the bounds it computed.
+            tree.min_dist_calls.set(0);
+            let one_leaf = SearchSpec {
+                max_leaves: Some(1),
+                ..SearchSpec::exact(1)
+            };
+            let res = knn_search(&tree, &[q], &one_leaf);
+            assert_eq!(
+                res.stats.lower_bound_computations,
+                tree.min_dist_calls.get()
+            );
+            let mut members = Vec::new();
+            tree.visit_leaf(leaf, &mut QueryStats::new(), &mut |id, _| members.push(id));
+            assert!(members.contains(&res.neighbors[0].index), "q={q}");
+        }
+        // Two children exactly as close as each other: the first one wins,
+        // as `Iterator::min_by` has always resolved it.
+        let tree = ToyTree::build(&[0.0, 1.0, 2.0, 3.0], 2);
+        assert_eq!(tree.children(0), &[1, 2]);
+        assert_eq!(predict_first_leaf(&tree, &[1.5]), Some(1));
     }
 
     #[test]

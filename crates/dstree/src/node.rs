@@ -587,19 +587,25 @@ impl PersistentIndex for DsTree {
 }
 
 impl HierarchicalIndex for DsTree {
-    fn roots(&self) -> Vec<usize> {
-        vec![0]
+    /// Nothing to hoist: segmentations differ from node to node, so the
+    /// query's segment statistics are per node too.
+    type Prepared = ();
+
+    fn roots(&self) -> &[usize] {
+        &[0]
     }
 
     fn is_leaf(&self, node: usize) -> bool {
         self.nodes[node].is_leaf()
     }
 
-    fn children(&self, node: usize) -> Vec<usize> {
-        self.nodes[node].children.clone()
+    fn children(&self, node: usize) -> &[usize] {
+        &self.nodes[node].children
     }
 
-    fn min_dist(&self, query: &[f32], node: usize) -> f32 {
+    fn prepare(&self, _query: &[f32]) {}
+
+    fn min_dist(&self, query: &[f32], _prepared: &(), node: usize) -> f32 {
         self.node_min_dist(query, node)
     }
 

@@ -501,25 +501,31 @@ impl PersistentIndex for Isax2Plus {
 }
 
 impl HierarchicalIndex for Isax2Plus {
-    fn roots(&self) -> Vec<usize> {
-        vec![0]
+    /// The query's PAA: the only thing `MINDIST_PAA_iSAX` needs of it.
+    type Prepared = Vec<f32>;
+
+    fn roots(&self) -> &[usize] {
+        &[0]
     }
 
     fn is_leaf(&self, node: usize) -> bool {
         node != 0 && self.nodes[node].is_leaf()
     }
 
-    fn children(&self, node: usize) -> Vec<usize> {
-        self.nodes[node].children.clone()
+    fn children(&self, node: usize) -> &[usize] {
+        &self.nodes[node].children
     }
 
-    fn min_dist(&self, query: &[f32], node: usize) -> f32 {
+    fn prepare(&self, query: &[f32]) -> Vec<f32> {
+        paa(query, self.config.sax.segments)
+    }
+
+    fn min_dist(&self, _query: &[f32], query_paa: &Vec<f32>, node: usize) -> f32 {
         if node == 0 {
             return 0.0;
         }
-        let query_paa = paa(query, self.config.sax.segments);
         mindist_paa_isax(
-            &query_paa,
+            query_paa,
             &self.nodes[node].word,
             &self.breakpoints,
             self.series_len,
@@ -862,6 +868,43 @@ mod tests {
             let before = grown.num_series();
             assert!(grown.insert_batch(&[&[0.0f32; 3]]).is_err());
             assert_eq!(grown.num_series(), before);
+        }
+    }
+
+    #[test]
+    fn prepared_min_dist_equals_the_paa_mindist_on_every_node() {
+        let data = random_walk(500, 64, 17);
+        let (_, built) = build_small(500, 64);
+        // The same collection, the last 200 series ingested in uneven chunks.
+        let head = Dataset::from_flat(64, data.as_flat()[..300 * 64].to_vec()).unwrap();
+        let mut grown = Isax2Plus::build(&head, *built.config()).unwrap();
+        let tail: Vec<&[f32]> = (300..500).map(|i| data.series(i)).collect();
+        for chunk in tail.chunks(37) {
+            grown.insert_batch(chunk).unwrap();
+        }
+        assert_eq!(grown.nodes.len(), built.nodes.len());
+
+        let queries = random_walk(6, 64, 99);
+        for index in [&built, &grown] {
+            for q in queries.iter().chain([data.series(3)]) {
+                let prepared = index.prepare(q);
+                assert_eq!(prepared, paa(q, index.config.sax.segments));
+                assert_eq!(index.min_dist(q, &prepared, 0), 0.0, "the virtual root");
+                for node in 1..index.nodes.len() {
+                    let want = mindist_paa_isax(
+                        &paa(q, index.config.sax.segments),
+                        &index.nodes[node].word,
+                        &index.breakpoints,
+                        index.series_len,
+                        index.config.sax.max_bits,
+                    );
+                    assert_eq!(
+                        index.min_dist(q, &prepared, node).to_bits(),
+                        want.to_bits(),
+                        "node {node}"
+                    );
+                }
+            }
         }
     }
 

@@ -15,7 +15,6 @@
 //! cached or not, which is what lets a file-backed store reproduce the
 //! simulated store's I/O accounting exactly.
 
-use std::collections::{BTreeMap, HashMap};
 use std::sync::Arc;
 
 use crate::coded::CodedPage;
@@ -59,12 +58,32 @@ impl Frame {
     }
 }
 
-/// One resident page: its recency timestamp and, for file-backed stores,
-/// the cached frame contents.
+/// "No neighbour" in the intrusive recency list.
+const NIL: usize = usize::MAX;
+
+/// Everything the pool knows about one page id: its place in the recency
+/// list while resident, its pin count (independent of residency) and, for
+/// file-backed stores, the cached frame contents.
 #[derive(Debug)]
 struct Slot {
-    ts: u64,
+    /// Neighbour towards the least recently used end ([`NIL`] at the
+    /// end); like `next`, meaningful only while the page is resident.
+    prev: usize,
+    /// Neighbour towards the most recently used end.
+    next: usize,
+    pins: u32,
+    resident: bool,
     frame: Option<Frame>,
+}
+
+impl Slot {
+    const VACANT: Slot = Slot {
+        prev: NIL,
+        next: NIL,
+        pins: 0,
+        resident: false,
+        frame: None,
+    };
 }
 
 /// LRU set of pages with a fixed capacity, optionally caching page bytes.
@@ -77,16 +96,26 @@ struct Slot {
 /// every resident page is pinned the pool degrades to read-through (the
 /// new page is served but not cached). Pins are reference-counted so
 /// concurrent batches compose.
+///
+/// Page ids are expected to be **dense** — a store numbers its pages
+/// `0..num_pages` — because the pool is one slab indexed by page id: a
+/// hit, a miss, a pin and an invalidation are each an array index plus a
+/// few link updates, with no hashing and no ordered map. The slab grows to
+/// the largest id ever cached or pinned and costs a few words per page.
 #[derive(Debug)]
 pub struct BufferPool {
     capacity: usize,
-    /// page -> slot (timestamp + optional cached frame)
-    pages: HashMap<u64, Slot>,
-    /// last-use timestamp -> page (for O(log n) eviction)
-    lru: BTreeMap<u64, u64>,
-    /// page -> pin count (pages a running batch declared as working set)
-    pins: HashMap<u64, u32>,
-    clock: u64,
+    /// One slot per page id; resident slots are threaded into a doubly
+    /// linked recency list through their `prev`/`next` fields.
+    slots: Vec<Slot>,
+    /// Least recently used resident page ([`NIL`] when empty).
+    head: usize,
+    /// Most recently used resident page.
+    tail: usize,
+    /// Number of resident pages.
+    len: usize,
+    /// Number of distinct pages holding at least one pin.
+    pinned: usize,
     evictions: u64,
     /// Total `f32` values held by cached frames (0 in id-only mode).
     resident_values: usize,
@@ -98,10 +127,11 @@ impl BufferPool {
     pub fn new(capacity: usize) -> Self {
         Self {
             capacity,
-            pages: HashMap::new(),
-            lru: BTreeMap::new(),
-            pins: HashMap::new(),
-            clock: 0,
+            slots: Vec::new(),
+            head: NIL,
+            tail: NIL,
+            len: 0,
+            pinned: 0,
             evictions: 0,
             resident_values: 0,
         }
@@ -114,12 +144,12 @@ impl BufferPool {
 
     /// Number of resident pages.
     pub fn len(&self) -> usize {
-        self.pages.len()
+        self.len
     }
 
     /// Whether the pool is empty.
     pub fn is_empty(&self) -> bool {
-        self.pages.is_empty()
+        self.len == 0
     }
 
     /// Pages evicted since creation (or the last [`BufferPool::clear`]).
@@ -133,18 +163,67 @@ impl BufferPool {
         self.resident_values
     }
 
-    /// Marks `page` as most recently used. Returns `true` if it was
-    /// resident.
-    fn touch(&mut self, page: u64) -> bool {
-        self.clock += 1;
-        if let Some(slot) = self.pages.get_mut(&page) {
-            self.lru.remove(&slot.ts);
-            slot.ts = self.clock;
-            self.lru.insert(self.clock, page);
-            true
-        } else {
-            false
+    /// The slot of `page`, if the slab ever grew to cover it.
+    fn slot(&self, page: u64) -> Option<&Slot> {
+        self.slots.get(usize::try_from(page).ok()?)
+    }
+
+    /// The slab index of `page`, growing the slab to cover it.
+    fn slot_index(&mut self, page: u64) -> usize {
+        let idx = usize::try_from(page).expect("page ids are dense and fit the address space");
+        if idx >= self.slots.len() {
+            self.slots.resize_with(idx + 1, || Slot::VACANT);
         }
+        idx
+    }
+
+    /// Takes slot `idx` out of the recency list.
+    fn unlink(&mut self, idx: usize) {
+        let Slot { prev, next, .. } = self.slots[idx];
+        match prev {
+            NIL => self.head = next,
+            p => self.slots[p].next = next,
+        }
+        match next {
+            NIL => self.tail = prev,
+            n => self.slots[n].prev = prev,
+        }
+    }
+
+    /// Appends slot `idx` at the most recently used end.
+    fn link_most_recent(&mut self, idx: usize) {
+        self.slots[idx].prev = self.tail;
+        self.slots[idx].next = NIL;
+        match self.tail {
+            NIL => self.head = idx,
+            t => self.slots[t].next = idx,
+        }
+        self.tail = idx;
+    }
+
+    /// Drops the resident page in slot `idx` (its pins stay).
+    fn vacate(&mut self, idx: usize) {
+        self.unlink(idx);
+        let slot = &mut self.slots[idx];
+        slot.resident = false;
+        if let Some(frame) = slot.frame.take() {
+            self.resident_values -= frame.values();
+        }
+        self.len -= 1;
+    }
+
+    /// Marks `page` as most recently used. Returns its slab index if it
+    /// was resident.
+    fn touch(&mut self, page: u64) -> Option<usize> {
+        let idx = usize::try_from(page).ok()?;
+        if !self.slots.get(idx)?.resident {
+            return None;
+        }
+        if self.tail != idx {
+            self.unlink(idx);
+            self.link_most_recent(idx);
+        }
+        Some(idx)
     }
 
     /// Makes a slot available, evicting the least recently used *unpinned*
@@ -152,56 +231,41 @@ impl BufferPool {
     /// freed because every resident page is pinned — the caller then skips
     /// caching (read-through).
     fn make_room(&mut self) -> bool {
-        if self.pages.len() < self.capacity {
+        if self.len < self.capacity {
             return true;
         }
-        let victim = self
-            .lru
-            .iter()
-            .find(|(_, page)| !self.pins.contains_key(page))
-            .map(|(&ts, &page)| (ts, page));
-        let Some((oldest_ts, victim)) = victim else {
-            return false;
-        };
-        self.lru.remove(&oldest_ts);
-        if let Some(slot) = self.pages.remove(&victim) {
-            if let Some(frame) = slot.frame {
-                self.resident_values -= frame.values();
-            }
+        let mut victim = self.head;
+        while victim != NIL && self.slots[victim].pins > 0 {
+            victim = self.slots[victim].next;
         }
+        if victim == NIL {
+            return false;
+        }
+        self.vacate(victim);
         self.evictions += 1;
         true
     }
 
     fn insert_slot(&mut self, page: u64, frame: Option<Frame>) {
-        if self.capacity == 0 {
-            return;
-        }
-        // A fresh timestamp of its own: an install is not required to be
-        // paired with a fetch, so it must never reuse the clock value of an
-        // earlier touch (two LRU entries would collide).
-        self.clock += 1;
-        if !self.make_room() {
+        if self.capacity == 0 || !self.make_room() {
             return;
         }
         if let Some(frame) = &frame {
             self.resident_values += frame.values();
         }
-        self.pages.insert(
-            page,
-            Slot {
-                ts: self.clock,
-                frame,
-            },
-        );
-        self.lru.insert(self.clock, page);
+        let idx = self.slot_index(page);
+        let slot = &mut self.slots[idx];
+        slot.resident = true;
+        slot.frame = frame;
+        self.link_most_recent(idx);
+        self.len += 1;
     }
 
     /// Records an id-only access to `page` (resident/simulated stores).
     /// Returns `true` if the page was already resident (hit), `false` if it
     /// had to be "read from disk" (miss, now cached).
     pub fn access(&mut self, page: u64) -> bool {
-        if self.touch(page) {
+        if self.touch(page).is_some() {
             return true;
         }
         self.insert_slot(page, None);
@@ -213,11 +277,8 @@ impl BufferPool {
     /// returns `None` — the caller reads the page from disk and
     /// [`BufferPool::install`]s it.
     pub fn fetch(&mut self, page: u64) -> Option<Frame> {
-        if self.touch(page) {
-            self.pages.get(&page).and_then(|slot| slot.frame.clone())
-        } else {
-            None
-        }
+        let idx = self.touch(page)?;
+        self.slots[idx].frame.clone()
     }
 
     /// Caches the frame a [`BufferPool::fetch`] miss loaded from disk,
@@ -225,7 +286,7 @@ impl BufferPool {
     /// zero-capacity pool caches nothing.
     pub fn install(&mut self, page: u64, frame: Frame) {
         debug_assert!(
-            !self.pages.contains_key(&page),
+            !self.contains(page),
             "install after a fetch hit would duplicate page {page}"
         );
         self.insert_slot(page, Some(frame));
@@ -233,7 +294,7 @@ impl BufferPool {
 
     /// Whether `page` is currently resident (without touching recency).
     pub fn contains(&self, page: u64) -> bool {
-        self.pages.contains_key(&page)
+        self.slot(page).is_some_and(|slot| slot.resident)
     }
 
     /// Pins `page`: while pinned it is never chosen as an eviction victim.
@@ -242,29 +303,39 @@ impl BufferPool {
     /// protects it from the moment it is cached. Pins never change
     /// hit/miss accounting, only victim choice.
     pub fn pin(&mut self, page: u64) {
-        *self.pins.entry(page).or_insert(0) += 1;
+        let idx = self.slot_index(page);
+        if self.slots[idx].pins == 0 {
+            self.pinned += 1;
+        }
+        self.slots[idx].pins += 1;
     }
 
     /// Releases one pin count of `page`; at zero the page rejoins the
     /// plain LRU victim order at its current recency. Unpinning a page
     /// that was never pinned is a no-op.
     pub fn unpin(&mut self, page: u64) {
-        if let Some(count) = self.pins.get_mut(&page) {
-            *count -= 1;
-            if *count == 0 {
-                self.pins.remove(&page);
+        let Some(slot) = usize::try_from(page)
+            .ok()
+            .and_then(|idx| self.slots.get_mut(idx))
+        else {
+            return;
+        };
+        if slot.pins > 0 {
+            slot.pins -= 1;
+            if slot.pins == 0 {
+                self.pinned -= 1;
             }
         }
     }
 
     /// Whether `page` currently holds at least one pin.
     pub fn is_pinned(&self, page: u64) -> bool {
-        self.pins.contains_key(&page)
+        self.slot(page).is_some_and(|slot| slot.pins > 0)
     }
 
     /// Number of distinct currently pinned pages.
     pub fn pinned_pages(&self) -> usize {
-        self.pins.len()
+        self.pinned
     }
 
     /// Drops `page` from the pool if resident, without counting an
@@ -272,11 +343,8 @@ impl BufferPool {
     /// reflects the store, e.g. because an append extended the page), not a
     /// capacity decision. The next access misses and reloads fresh bytes.
     pub fn remove(&mut self, page: u64) {
-        if let Some(slot) = self.pages.remove(&page) {
-            self.lru.remove(&slot.ts);
-            if let Some(frame) = slot.frame {
-                self.resident_values -= frame.values();
-            }
+        if self.contains(page) {
+            self.vacate(page as usize);
         }
     }
 
@@ -285,10 +353,10 @@ impl BufferPool {
     /// steps). Pins are left in place: they belong to an in-flight batch,
     /// not to the cache contents.
     pub fn clear(&mut self) {
-        self.pages.clear();
-        self.lru.clear();
+        while self.head != NIL {
+            self.vacate(self.head);
+        }
         self.evictions = 0;
-        self.resident_values = 0;
     }
 }
 
@@ -664,6 +732,254 @@ mod tests {
                 prop_assert_eq!(id_only.len(), framed.len());
             }
         }
+    }
+
+    /// The map-based pool this slab replaced (a `HashMap` of slots, a
+    /// `BTreeMap` from last-use timestamp to page, a `HashMap` of pin
+    /// counts), kept verbatim as the behavioural reference: the slab must
+    /// reproduce its hit/miss/eviction/victim-choice sequence move for
+    /// move, because every I/O counter the stores report derives from it.
+    mod map_pool {
+        use super::Frame;
+        use std::collections::{BTreeMap, HashMap};
+
+        struct Slot {
+            ts: u64,
+            frame: Option<Frame>,
+        }
+
+        pub struct MapPool {
+            capacity: usize,
+            pages: HashMap<u64, Slot>,
+            lru: BTreeMap<u64, u64>,
+            pins: HashMap<u64, u32>,
+            clock: u64,
+            evictions: u64,
+        }
+
+        impl MapPool {
+            pub fn new(capacity: usize) -> Self {
+                Self {
+                    capacity,
+                    pages: HashMap::new(),
+                    lru: BTreeMap::new(),
+                    pins: HashMap::new(),
+                    clock: 0,
+                    evictions: 0,
+                }
+            }
+
+            pub fn len(&self) -> usize {
+                self.pages.len()
+            }
+
+            pub fn evictions(&self) -> u64 {
+                self.evictions
+            }
+
+            fn touch(&mut self, page: u64) -> bool {
+                self.clock += 1;
+                if let Some(slot) = self.pages.get_mut(&page) {
+                    self.lru.remove(&slot.ts);
+                    slot.ts = self.clock;
+                    self.lru.insert(self.clock, page);
+                    true
+                } else {
+                    false
+                }
+            }
+
+            fn make_room(&mut self) -> bool {
+                if self.pages.len() < self.capacity {
+                    return true;
+                }
+                let victim = self
+                    .lru
+                    .iter()
+                    .find(|(_, page)| !self.pins.contains_key(page))
+                    .map(|(&ts, &page)| (ts, page));
+                let Some((oldest_ts, victim)) = victim else {
+                    return false;
+                };
+                self.lru.remove(&oldest_ts);
+                self.pages.remove(&victim);
+                self.evictions += 1;
+                true
+            }
+
+            fn insert_slot(&mut self, page: u64, frame: Option<Frame>) {
+                if self.capacity == 0 {
+                    return;
+                }
+                self.clock += 1;
+                if !self.make_room() {
+                    return;
+                }
+                self.pages.insert(
+                    page,
+                    Slot {
+                        ts: self.clock,
+                        frame,
+                    },
+                );
+                self.lru.insert(self.clock, page);
+            }
+
+            pub fn access(&mut self, page: u64) -> bool {
+                if self.touch(page) {
+                    return true;
+                }
+                self.insert_slot(page, None);
+                false
+            }
+
+            pub fn fetch(&mut self, page: u64) -> Option<Frame> {
+                if self.touch(page) {
+                    self.pages.get(&page).and_then(|slot| slot.frame.clone())
+                } else {
+                    None
+                }
+            }
+
+            pub fn install(&mut self, page: u64, frame: Frame) {
+                assert!(!self.pages.contains_key(&page));
+                self.insert_slot(page, Some(frame));
+            }
+
+            pub fn contains(&self, page: u64) -> bool {
+                self.pages.contains_key(&page)
+            }
+
+            pub fn pin(&mut self, page: u64) {
+                *self.pins.entry(page).or_insert(0) += 1;
+            }
+
+            pub fn unpin(&mut self, page: u64) {
+                if let Some(count) = self.pins.get_mut(&page) {
+                    *count -= 1;
+                    if *count == 0 {
+                        self.pins.remove(&page);
+                    }
+                }
+            }
+
+            pub fn is_pinned(&self, page: u64) -> bool {
+                self.pins.contains_key(&page)
+            }
+
+            pub fn pinned_pages(&self) -> usize {
+                self.pins.len()
+            }
+
+            pub fn remove(&mut self, page: u64) {
+                if let Some(slot) = self.pages.remove(&page) {
+                    self.lru.remove(&slot.ts);
+                }
+            }
+
+            pub fn clear(&mut self) {
+                self.pages.clear();
+                self.lru.clear();
+                self.evictions = 0;
+            }
+        }
+    }
+
+    /// Page ids the lock-step script draws from: more than the largest
+    /// capacity under test, so even the 32-page pool evicts.
+    const PAGES: usize = 48;
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(192))]
+
+        /// The slab and the map-based pool it replaced, driven by one
+        /// random script over every public mutator, agree on every return
+        /// value and on `len`, `evictions`, `contains`, `is_pinned` and
+        /// `pinned_pages` after every single step — at a capacity that
+        /// caches nothing, one that thrashes, a small one and the
+        /// benchmark's 32.
+        #[test]
+        fn the_slab_replays_the_map_based_pool_move_for_move(
+            ops in collection::vec(0usize..(PAGES * 16), 1..400),
+            cap in 0usize..4,
+        ) {
+            let cap = [0usize, 1, 3, 32][cap];
+            let mut slab = BufferPool::new(cap);
+            let mut maps = map_pool::MapPool::new(cap);
+            let values = |frame: Option<Frame>| frame.and_then(|f| f.as_raw()).map(|f| f.to_vec());
+            for (step, op) in ops.into_iter().enumerate() {
+                let page = (op % PAGES) as u64;
+                match op / PAGES {
+                    0..=3 => prop_assert_eq!(slab.access(page), maps.access(page)),
+                    4..=7 => {
+                        // The store's miss path: fetch, and install on a miss.
+                        let (a, b) = (slab.fetch(page), maps.fetch(page));
+                        prop_assert_eq!(a.is_some(), b.is_some());
+                        prop_assert_eq!(values(a), values(b));
+                        if !maps.contains(page) {
+                            let loaded = [page as f32, step as f32];
+                            slab.install(page, frame(&loaded));
+                            maps.install(page, frame(&loaded));
+                        }
+                    }
+                    8 | 9 => {
+                        // A bare fetch (touches recency, installs nothing).
+                        let (a, b) = (slab.fetch(page), maps.fetch(page));
+                        prop_assert_eq!(values(a), values(b));
+                    }
+                    10 | 11 => {
+                        slab.pin(page);
+                        maps.pin(page);
+                    }
+                    12 | 13 => {
+                        slab.unpin(page);
+                        maps.unpin(page);
+                    }
+                    14 => {
+                        slab.remove(page);
+                        maps.remove(page);
+                    }
+                    _ => {
+                        // `clear` is rare in real runs; keep it rare here so
+                        // scripts still fill the larger capacities.
+                        if page == 0 {
+                            slab.clear();
+                            maps.clear();
+                        }
+                    }
+                }
+                prop_assert_eq!(slab.len(), maps.len());
+                prop_assert_eq!(slab.is_empty(), maps.len() == 0);
+                prop_assert_eq!(slab.evictions(), maps.evictions());
+                prop_assert_eq!(slab.pinned_pages(), maps.pinned_pages());
+                for probe in 0..PAGES as u64 {
+                    prop_assert_eq!(slab.contains(probe), maps.contains(probe), "page {}", probe);
+                    prop_assert_eq!(slab.is_pinned(probe), maps.is_pinned(probe), "page {}", probe);
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn resident_values_balance_across_eviction_invalidation_and_clear() {
+        let mut p = BufferPool::new(2);
+        p.install(0, frame(&[1.0, 2.0]));
+        p.install(5, frame(&[3.0]));
+        p.install(9, frame(&[4.0, 5.0, 6.0])); // evicts 0
+        assert_eq!(p.resident_values(), 4);
+        p.pin(9);
+        p.clear();
+        assert_eq!(p.resident_values(), 0);
+        assert!(p.is_empty());
+        assert_eq!(p.evictions(), 0);
+        assert!(p.is_pinned(9), "clear leaves pins in place");
+        // The cleared pool is fully usable again.
+        assert!(p.fetch(9).is_none());
+        p.install(9, frame(&[7.0]));
+        assert_eq!(
+            p.fetch(9).and_then(|f| f.as_raw()).as_deref(),
+            Some(&[7.0f32][..])
+        );
     }
 
     #[test]

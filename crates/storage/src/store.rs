@@ -302,7 +302,53 @@ struct FileBacked {
     tail: Vec<f32>,
 }
 
+/// The bytes of `values`, writable in place: a file read lands directly in
+/// its final `[f32]` with no staging buffer and no per-value conversion.
+/// Little-endian targets only — there, and only there, the on-disk payload
+/// (little-endian IEEE-754 bit patterns) *is* the in-memory representation;
+/// every other target decodes through `decode_le_f32s`.
+#[cfg(target_endian = "little")]
+fn f32_bytes_mut(values: &mut [f32]) -> &mut [u8] {
+    // SAFETY: the view covers exactly the `size_of_val(values)` bytes of
+    // the exclusively borrowed slice, and that borrow is held for as long
+    // as the view lives, so nothing else can observe or alias the memory.
+    // `u8` has alignment 1 and no invalid bit patterns, so viewing f32s as
+    // bytes is always valid; every bit pattern is also a valid `f32`, so
+    // no sequence of byte writes through the view can leave `values`
+    // holding an invalid value.
+    unsafe {
+        std::slice::from_raw_parts_mut(
+            values.as_mut_ptr().cast::<u8>(),
+            std::mem::size_of_val(values),
+        )
+    }
+}
+
+/// Decodes a little-endian f32 payload value by value — the portable path
+/// ([`FileBacked::read_f32s`] on big-endian targets) and the reference the
+/// tests hold the in-place read to, bit for bit.
+#[cfg(any(test, not(target_endian = "little")))]
+fn decode_le_f32s(bytes: &[u8], out: &mut [f32]) {
+    for (value, chunk) in out.iter_mut().zip(bytes.chunks_exact(4)) {
+        *value = f32::from_bits(u32::from_le_bytes(chunk.try_into().unwrap()));
+    }
+}
+
 impl FileBacked {
+    /// Fills `out` with the f32 payload starting at file offset `offset`
+    /// (byte-granular: span offsets are not f32-aligned). On little-endian
+    /// targets the bytes are read straight into `out`'s own storage.
+    fn read_f32s(&self, out: &mut [f32], offset: u64, context: &dyn std::fmt::Display) {
+        #[cfg(target_endian = "little")]
+        self.read_payload(f32_bytes_mut(out), offset, context);
+        #[cfg(not(target_endian = "little"))]
+        {
+            let mut buf = vec![0u8; std::mem::size_of_val(out)];
+            self.read_payload(&mut buf, offset, context);
+            decode_le_f32s(&buf, out);
+        }
+    }
+
     /// Copies the `len` payload bytes at file offset `offset` into `buf` —
     /// through the mapping when one exists, via `pread` otherwise. The one
     /// place the two I/O modes differ.
@@ -649,26 +695,23 @@ impl SeriesStore {
         let total = (fb.span.records + fb.tail.len() / self.series_len) as u64;
         let count = spp.min(total - first) as usize;
         let from_file = (fb.span.records as u64).saturating_sub(first).min(count as u64) as usize;
-        let mut values: Vec<f32> = Vec::with_capacity(count * self.series_len);
+        // The frame is allocated once, at its final address, and filled in
+        // place: the pool hands out this very allocation on every later hit.
+        let mut frame: Arc<[f32]> = std::iter::repeat_n(0.0, count * self.series_len).collect();
+        let values = Arc::get_mut(&mut frame).expect("a fresh frame has one owner");
+        let (file_values, tail_values) = values.split_at_mut(from_file * self.series_len);
         if from_file > 0 {
-            let bytes = from_file * self.series_bytes() as usize;
-            let mut buf = vec![0u8; bytes];
-            fb.read_payload(
-                &mut buf,
+            fb.read_f32s(
+                file_values,
                 fb.span.offset + first * self.series_bytes(),
                 &format_args!("page {page}"),
-            );
-            values.extend(
-                buf.chunks_exact(4)
-                    .map(|c| f32::from_bits(u32::from_le_bytes(c.try_into().unwrap()))),
             );
         }
         if from_file < count {
             let lo = (first as usize + from_file - fb.span.records) * self.series_len;
-            let hi = (first as usize + count - fb.span.records) * self.series_len;
-            values.extend_from_slice(&fb.tail[lo..hi]);
+            tail_values.copy_from_slice(&fb.tail[lo..lo + tail_values.len()]);
         }
-        Arc::from(values)
+        frame
     }
 
     /// Returns the (cached or freshly read) frame of `page`, charging the
@@ -786,15 +829,11 @@ impl SeriesStore {
             }
             Backing::File(fb) => {
                 if record < fb.span.records {
-                    let mut buf = vec![0u8; self.series_bytes() as usize];
-                    fb.read_payload(
-                        &mut buf,
+                    out.resize(self.series_len, 0.0);
+                    fb.read_f32s(
+                        out,
                         fb.span.offset + record as u64 * self.series_bytes(),
                         &format_args!("record {record}"),
-                    );
-                    out.extend(
-                        buf.chunks_exact(4)
-                            .map(|c| f32::from_bits(u32::from_le_bytes(c.try_into().unwrap()))),
                     );
                 } else {
                     let start = (record - fb.span.records) * self.series_len;
@@ -1317,25 +1356,36 @@ mod tests {
     /// Writes the dataset's payload to a flat file behind a garbage header
     /// of `offset` bytes (proving the span offset is respected) and
     /// attaches a file-backed store over it.
-    fn file_store(n: usize, len: usize, config: StorageConfig, name: &str) -> (SeriesStore, PathBuf) {
-        let d = dataset(n, len);
+    fn file_store(
+        n: usize,
+        len: usize,
+        config: StorageConfig,
+        name: &str,
+    ) -> (SeriesStore, PathBuf) {
+        file_store_of(&dataset(n, len), 32, config, name)
+    }
+
+    /// [`file_store`] over an arbitrary dataset and header length.
+    fn file_store_of(
+        d: &Dataset,
+        offset: u64,
+        config: StorageConfig,
+        name: &str,
+    ) -> (SeriesStore, PathBuf) {
         let path = std::env::temp_dir().join(format!(
             "hydra-storage-filestore-{}-{name}.flat",
             std::process::id()
         ));
-        let offset = 32u64;
         let mut bytes = vec![0xAAu8; offset as usize];
         for &v in d.as_flat() {
             bytes.extend_from_slice(&v.to_bits().to_le_bytes());
         }
         std::fs::write(&path, &bytes).unwrap();
-        let store = SeriesStore::file_backed(
-            &path,
-            FileSpan { offset, records: n },
-            len,
-            config,
-        )
-        .unwrap();
+        let span = FileSpan {
+            offset,
+            records: d.len(),
+        };
+        let store = SeriesStore::file_backed(&path, span, d.series_len(), config).unwrap();
         (store, path)
     }
 
@@ -1616,6 +1666,116 @@ mod tests {
         assert_eq!(seen, vec![(20, 80.0), (21, 90.0)]);
         std::fs::remove_file(&path_a).ok();
         std::fs::remove_file(&path_b).ok();
+    }
+
+    fn bits(values: &[f32]) -> Vec<u32> {
+        values.iter().map(|v| v.to_bits()).collect()
+    }
+
+    /// Written so `cargo miri test -p hydra-storage byte_view` accepts it:
+    /// no file, no mapping, only the helper and the frame allocation the
+    /// miss path pairs it with.
+    #[cfg(target_endian = "little")]
+    #[test]
+    fn byte_view_writes_land_in_the_f32s_bit_for_bit() {
+        // Zeroes, a subnormal, a NaN with a payload, -inf, -0.0, 1.0, all ones.
+        let patterns = [
+            0u32,
+            1,
+            0x7fc0_0001,
+            0xff80_0000,
+            0x8000_0000,
+            0x3f80_0000,
+            u32::MAX,
+        ];
+        let bytes: Vec<u8> = patterns.iter().flat_map(|p| p.to_le_bytes()).collect();
+        let mut reference = vec![0.0f32; patterns.len()];
+        decode_le_f32s(&bytes, &mut reference);
+        assert_eq!(bits(&reference), patterns);
+
+        let mut frame: Arc<[f32]> = std::iter::repeat_n(0.0, patterns.len()).collect();
+        let values = Arc::get_mut(&mut frame).unwrap();
+        assert_eq!(f32_bytes_mut(values).len(), bytes.len());
+        f32_bytes_mut(values).copy_from_slice(&bytes);
+        assert_eq!(bits(&frame), patterns);
+
+        // A view of a sub-slice covers exactly that sub-slice.
+        let mut values = reference.clone();
+        f32_bytes_mut(&mut values[2..4]).fill(0);
+        assert_eq!(
+            bits(&values),
+            [0, 1, 0, 0, 0x8000_0000, 0x3f80_0000, u32::MAX]
+        );
+        assert!(f32_bytes_mut(&mut []).is_empty());
+    }
+
+    #[test]
+    fn frames_read_in_place_equal_the_decoded_reference_bit_for_bit() {
+        // 4 series of length 4 per page; 10 records = two full pages and a
+        // short last one, behind a 7-byte header so that no payload byte
+        // offset is f32-aligned.
+        let d = varied_dataset(10, 4);
+        let grown: Vec<Vec<f32>> = (0..3)
+            .map(|i| (0..4).map(|j| -0.5 - (i * 4 + j) as f32).collect())
+            .collect();
+        for io in [FileIoMode::Pread, FileIoMode::Mmap] {
+            let config = StorageConfig {
+                page_bytes: 64,
+                buffer_pool_pages: 3,
+                codec: PageCodec::F32,
+                io,
+            };
+            let offset = 7u64;
+            let (mut store, path) =
+                file_store_of(&d, offset, config, &format!("inplace-{}", io.name()));
+            let file = std::fs::read(&path).unwrap();
+            // Records `lo..hi` decoded value by value from the file's bytes,
+            // then from the appended tail — no code shared with the store.
+            let reference = |lo: usize, hi: usize, tail: &[Vec<f32>]| {
+                let (file_lo, file_hi) = (lo.min(10), hi.min(10));
+                let mut want = vec![0.0f32; (file_hi - file_lo) * 4];
+                let payload = &file[offset as usize..];
+                decode_le_f32s(&payload[file_lo * 16..file_hi * 16], &mut want);
+                for series in &tail[lo.max(10) - 10..hi.max(10) - 10] {
+                    want.extend_from_slice(series);
+                }
+                bits(&want)
+            };
+            let check =
+                |store: &SeriesStore, page: u64, lo: usize, hi: usize, tail: &[Vec<f32>]| {
+                    let Backing::File(fb) = &store.backing else {
+                        unreachable!("file_store_of attaches a file backing")
+                    };
+                    let frame = store.load_frame(fb, page);
+                    assert_eq!(
+                        bits(&frame),
+                        reference(lo, hi, tail),
+                        "{} page {page}",
+                        io.name()
+                    );
+                    // The uncharged single-series read takes the same path.
+                    let mut series = Vec::new();
+                    for record in lo..hi {
+                        store.read_uncharged(record, &mut series);
+                        assert_eq!(bits(&series), reference(record, record + 1, tail));
+                    }
+                };
+            check(&store, 0, 0, 4, &[]); // a full page
+            check(&store, 2, 8, 10, &[]); // the short last page
+            for series in &grown {
+                store.append(series).unwrap();
+            }
+            check(&store, 1, 4, 8, &grown); // untouched by the append
+            check(&store, 2, 8, 12, &grown); // straddles the span/tail boundary
+            check(&store, 3, 12, 13, &grown); // tail only, and short
+
+            // The charged paths serve those same frames.
+            let mut stats = QueryStats::new();
+            let mut seen = Vec::new();
+            store.read_range(0, 13, &mut stats, &mut |_, s| seen.extend_from_slice(s));
+            assert_eq!(bits(&seen), reference(0, 13, &grown));
+            std::fs::remove_file(&path).ok();
+        }
     }
 
     #[test]

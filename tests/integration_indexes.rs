@@ -143,3 +143,48 @@ fn methods_reject_unsupported_modes_consistently() {
         }
     }
 }
+
+/// The traversal of both trees is pinned to the counters the commit before
+/// the `prepare` → `min_dist` split produced: hoisting the query-only part
+/// of a lower bound (and handing out child lists by reference) may change
+/// how long a bound takes, never how many are computed, which leaves are
+/// visited or how many candidates are refined.
+#[test]
+fn tree_traversal_counters_are_pinned_across_the_prepare_split() {
+    let data = hydra::data::random_walk(1_500, 64, 211);
+    let queries = hydra::data::noisy_queries(&data, 12, &[0.0, 0.1, 0.25], 212);
+    let dstree = DsTree::build(&data, DsTreeConfig::default()).unwrap();
+    let isax = Isax2Plus::build(&data, IsaxConfig::default()).unwrap();
+    // (lower_bound_computations, leaves_visited, distance_computations),
+    // summed over the twelve queries — captured at commit 16451cd.
+    let pinned: [(&dyn AnnIndex, [(SearchParams, [u64; 3]); 3]); 2] = [
+        (
+            &dstree,
+            [
+                (SearchParams::exact(10), [276, 109, 10394]),
+                (SearchParams::epsilon(10, 1.0), [202, 60, 5739]),
+                (SearchParams::ng(10, 1), [120, 12, 1139]),
+            ],
+        ),
+        (
+            &isax,
+            [
+                (SearchParams::exact(10), [8808, 3780, 8507]),
+                (SearchParams::epsilon(10, 1.0), [8808, 790, 2987]),
+                (SearchParams::ng(10, 1), [8808, 12, 176]),
+            ],
+        ),
+    ];
+    for (index, settings) in pinned {
+        for (params, want) in settings {
+            let mut got = [0u64; 3];
+            for query in queries.iter() {
+                let stats = index.search(query, &params).unwrap().stats;
+                got[0] += stats.lower_bound_computations;
+                got[1] += stats.leaves_visited;
+                got[2] += stats.distance_computations;
+            }
+            assert_eq!(got, want, "{} {:?}", index.name(), params.mode);
+        }
+    }
+}
