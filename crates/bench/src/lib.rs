@@ -22,6 +22,7 @@ use std::time::Instant;
 
 use hydra::prelude::*;
 use hydra::{AnnIndex, Dataset};
+use hydra_serve::cli::StorageFlags;
 
 /// Scale factor applied to all dataset sizes (override with the
 /// `HYDRA_SCALE` environment variable, e.g. `HYDRA_SCALE=4` for a longer,
@@ -150,7 +151,7 @@ fn sanitize(s: &str) -> String {
 /// snapshot is missing, damaged, or fingerprint-mismatched — a serving run
 /// must never silently fall back to a rebuild), or builds it and, with
 /// `flags.save_index`, snapshots it for later runs. With
-/// `flags.out_of_core`, disk-capable indexes re-attach their raw series
+/// `flags.storage.out_of_core`, disk-capable indexes re-attach their raw series
 /// file-backed: dataset-ordered stores onto the directory's
 /// `<dataset>.data.snap` itself, leaf-ordered ones onto a verified
 /// `<snapshot>.series` sidecar.
@@ -169,7 +170,7 @@ where
     if let Some(dir) = &flags.load_index {
         let path = snapshot_file(dir, dataset_name, T::KIND);
         let data_snap = dataset_snapshot_file(dir, dataset_name);
-        let backing = if flags.out_of_core {
+        let backing = if flags.storage.out_of_core {
             hydra::StoreBacking::FileBacked {
                 // Directories saved by `--save-index` always hold the
                 // dataset snapshot; tolerate hand-built ones without it
@@ -286,7 +287,7 @@ pub fn build_or_load_methods(
     if flags.shards > 1 {
         return build_or_load_methods_sharded(dataset_name, data, in_memory, seed, flags);
     }
-    let configs = hydra::standard_configs(flags.storage(in_memory), seed);
+    let configs = hydra::standard_configs(flags.storage.storage(in_memory), seed);
     if let Some(dir) = &flags.save_index {
         let path = dataset_snapshot_file(dir, dataset_name);
         hydra::persist::dataset::save_dataset(data, &path).unwrap_or_else(|e| {
@@ -467,13 +468,16 @@ pub struct BenchFlags {
     /// Directory to restore every index from instead of building
     /// (`--load-index DIR`).
     pub load_index: Option<PathBuf>,
-    /// Buffer-pool capacity override for the disk-capable methods, in
-    /// pages (`--pool-pages N`). `None` keeps the scenario's default.
-    pub pool_pages: Option<usize>,
-    /// Serve raw series out-of-core (`--out-of-core`): loaded indexes
-    /// attach their stores file-backed instead of resident. Requires
-    /// `--load-index` — a fresh build is always resident.
-    pub out_of_core: bool,
+    /// The storage flags shared with `hydra-serve` (`--pool-pages N`,
+    /// `--out-of-core`, `--page-codec`, `--backing`), applied to the
+    /// disk-capable methods. `--out-of-core` makes loaded indexes attach
+    /// their stores file-backed instead of resident and requires
+    /// `--load-index` — a fresh build is always resident; the codec and
+    /// the I/O mode are pure serving knobs of such a store (accuracy,
+    /// distance and every per-query counter column stay bit-identical
+    /// while `bytes_read` drops ~4× under u8, ~2× under f16), so they in
+    /// turn require `--out-of-core`.
+    pub storage: StorageFlags,
     /// Shard count (`--shards S`, default 1 = unsharded). With `S > 1`
     /// every method is built as a [`hydra::ShardedIndex`] over `S`
     /// contiguous shards of the dataset; snapshot directories gain one
@@ -495,20 +499,6 @@ pub struct BenchFlags {
     /// went (fan-out vs. per-shard search) and what I/O each stage did.
     /// `None` (the default) records nothing and costs nothing.
     pub trace_out: Option<PathBuf>,
-    /// Page codec for the disk-capable methods' raw-series tier
-    /// (`--page-codec u8|f16|f32`, default `f32`). A non-`f32` codec keeps
-    /// the sealed pages quantized (u8: ~4× fewer bytes per page read, f16:
-    /// ~2×) and refines every candidate against the exact `f32` series, so
-    /// accuracy and distance columns stay bit-identical while `bytes_read`
-    /// drops. Requires `--load-index`: a fresh build serves its raw tier
-    /// unsealed, so the codec would silently measure nothing.
-    pub page_codec: hydra::PageCodec,
-    /// How a file-backed store transfers page bytes (`--backing
-    /// pread|mmap`, default `pread`). A pure serving knob: answers,
-    /// accuracy and every per-query counter are identical under either
-    /// mode. Requires `--out-of-core` — a resident store does no file
-    /// I/O to transfer differently.
-    pub backing_io: hydra::FileIoMode,
 }
 
 impl Default for BenchFlags {
@@ -518,31 +508,11 @@ impl Default for BenchFlags {
             threads: 1,
             save_index: None,
             load_index: None,
-            pool_pages: None,
-            out_of_core: false,
+            storage: StorageFlags::default(),
             shards: 1,
             ingest_split: None,
             trace_out: None,
-            page_codec: hydra::PageCodec::F32,
-            backing_io: hydra::FileIoMode::Pread,
         }
-    }
-}
-
-impl BenchFlags {
-    /// The storage configuration of the disk-capable methods: the
-    /// scenario's default with the serving knobs (`--pool-pages`,
-    /// `--page-codec`, `--backing`) applied.
-    pub fn storage(&self, in_memory: bool) -> hydra::StorageConfig {
-        let storage = if in_memory {
-            hydra::StorageConfig::in_memory()
-        } else {
-            hydra::StorageConfig::on_disk()
-        };
-        self.pool_pages
-            .map_or(storage, |pages| storage.with_pool_pages(pages))
-            .with_page_codec(self.page_codec)
-            .with_io_mode(self.backing_io)
     }
 }
 
@@ -557,78 +527,41 @@ pub fn parse_bench_flags(
     args: &[String],
     threads_allowed: bool,
 ) -> std::result::Result<BenchFlags, String> {
+    use hydra_serve::cli::{once, value_of as cli_value_of};
     let mut flags = BenchFlags::default();
-    let mut threads_seen = false;
-    let mut shards_seen = false;
-    let mut codec_seen = false;
-    let mut backing_seen = false;
+    let mut seen: Vec<&'static str> = Vec::new();
     let mut it = args.iter();
     while let Some(arg) = it.next() {
-        let mut value_of = |name: &str| -> Option<std::result::Result<String, String>> {
-            if arg == name {
-                Some(
-                    it.next()
-                        .map(|v| v.clone())
-                        .ok_or_else(|| format!("{name} requires a value")),
-                )
-            } else {
-                arg.strip_prefix(&format!("{name}=")).map(|v| Ok(v.to_string()))
-            }
+        if let Some(accepted) = flags.storage.accept(arg, &mut it, &mut seen) {
+            accepted?;
+            continue;
+        }
+        let mut value_of = |name: &'static str| {
+            cli_value_of(arg, name, &mut it).map(|value| once(name, &mut seen).and(value))
         };
         if let Some(value) = value_of("--threads") {
             let value = value?;
             if !threads_allowed {
                 return Err("this binary has no query phase and does not take --threads".into());
             }
-            if threads_seen {
-                return Err("--threads given more than once".into());
-            }
-            threads_seen = true;
             flags.threads = match value.parse::<usize>() {
                 Ok(t) if t > 0 => t,
                 _ => return Err(format!("--threads expects a positive integer, got {value:?}")),
             };
         } else if let Some(value) = value_of("--save-index") {
             let value = value?;
-            if flags.save_index.is_some() {
-                return Err("--save-index given more than once".into());
-            }
             if value.is_empty() {
                 return Err("--save-index expects a directory path".into());
             }
             flags.save_index = Some(PathBuf::from(value));
         } else if let Some(value) = value_of("--load-index") {
             let value = value?;
-            if flags.load_index.is_some() {
-                return Err("--load-index given more than once".into());
-            }
             if value.is_empty() {
                 return Err("--load-index expects a directory path".into());
             }
             flags.load_index = Some(PathBuf::from(value));
-        } else if let Some(value) = value_of("--pool-pages") {
-            let value = value?;
-            if flags.pool_pages.is_some() {
-                return Err("--pool-pages given more than once".into());
-            }
-            flags.pool_pages = match value.parse::<usize>() {
-                Ok(n) => Some(n),
-                _ => {
-                    return Err(format!(
-                        "--pool-pages expects a non-negative integer, got {value:?}"
-                    ))
-                }
-            };
-        } else if arg == "--out-of-core" {
-            if flags.out_of_core {
-                return Err("--out-of-core given more than once".into());
-            }
-            flags.out_of_core = true;
         } else if let Some(value) = value_of("--ingest-split") {
             let value = value?;
-            if flags.ingest_split.is_some() {
-                return Err("--ingest-split given more than once".into());
-            }
             flags.ingest_split = match value.parse::<f64>() {
                 Ok(f) if f > 0.0 && f < 1.0 => Some(f),
                 _ => {
@@ -639,43 +572,12 @@ pub fn parse_bench_flags(
             };
         } else if let Some(value) = value_of("--trace-out") {
             let value = value?;
-            if flags.trace_out.is_some() {
-                return Err("--trace-out given more than once".into());
-            }
             if value.is_empty() {
                 return Err("--trace-out expects a file path".into());
             }
             flags.trace_out = Some(PathBuf::from(value));
-        } else if let Some(value) = value_of("--page-codec") {
-            let value = value?;
-            if codec_seen {
-                return Err("--page-codec given more than once".into());
-            }
-            codec_seen = true;
-            flags.page_codec = match hydra::PageCodec::parse(&value) {
-                Ok(codec) => codec,
-                Err(_) => {
-                    return Err(format!(
-                        "--page-codec expects u8, f16 or f32, got {value:?}"
-                    ))
-                }
-            };
-        } else if let Some(value) = value_of("--backing") {
-            let value = value?;
-            if backing_seen {
-                return Err("--backing given more than once".into());
-            }
-            backing_seen = true;
-            flags.backing_io = match hydra::FileIoMode::parse(&value) {
-                Some(io) => io,
-                None => return Err(format!("--backing expects pread or mmap, got {value:?}")),
-            };
         } else if let Some(value) = value_of("--shards") {
             let value = value?;
-            if shards_seen {
-                return Err("--shards given more than once".into());
-            }
-            shards_seen = true;
             flags.shards = match value.parse::<usize>() {
                 Ok(s) if s > 0 => s,
                 _ => return Err(format!("--shards expects a positive integer, got {value:?}")),
@@ -683,9 +585,9 @@ pub fn parse_bench_flags(
         } else {
             return Err(format!(
                 "unrecognized argument {arg:?} (accepted: {}--save-index DIR, --load-index DIR, \
-                 --pool-pages N, --out-of-core, --page-codec u8|f16|f32, --backing pread|mmap, \
-                 --shards S, --ingest-split F, --trace-out FILE)",
-                if threads_allowed { "--threads N, " } else { "" }
+                 {}, --shards S, --ingest-split F, --trace-out FILE)",
+                if threads_allowed { "--threads N, " } else { "" },
+                StorageFlags::USAGE
             ));
         }
     }
@@ -695,7 +597,7 @@ pub fn parse_bench_flags(
                 .into(),
         );
     }
-    if flags.out_of_core && flags.load_index.is_none() {
+    if flags.storage.out_of_core && flags.load_index.is_none() {
         return Err(
             "--out-of-core requires --load-index DIR (a fresh build is always resident; save \
              snapshots first, then re-run out-of-core)"
@@ -709,20 +611,7 @@ pub fn parse_bench_flags(
                 .into(),
         );
     }
-    if flags.page_codec != hydra::PageCodec::F32 && flags.load_index.is_none() {
-        return Err(
-            "--page-codec u8/f16 requires --load-index DIR (a fresh build serves its raw tier \
-             unsealed, so the codec would measure nothing; save snapshots first)"
-                .into(),
-        );
-    }
-    if flags.backing_io != hydra::FileIoMode::Pread && !flags.out_of_core {
-        return Err(
-            "--backing mmap requires --out-of-core (a resident store does no file I/O to \
-             transfer differently)"
-                .into(),
-        );
-    }
+    flags.storage.validate()?;
     Ok(flags)
 }
 
@@ -922,10 +811,10 @@ mod tests {
             true,
         )
         .unwrap();
-        assert!(f.out_of_core);
-        assert_eq!(f.pool_pages, Some(2));
+        assert!(f.storage.out_of_core);
+        assert_eq!(f.storage.pool_pages, Some(2));
         assert_eq!(
-            parse_bench_flags(&args(&["--pool-pages=0"]), true).unwrap().pool_pages,
+            parse_bench_flags(&args(&["--pool-pages=0"]), true).unwrap().storage.pool_pages,
             Some(0),
             "a zero-page pool (pure cold-cache) is a legal measurement setup"
         );
@@ -984,82 +873,41 @@ mod tests {
         )
         .unwrap();
         assert_eq!(f.ingest_split, Some(0.5), "--ingest-split composes with --save-index");
-        // Page-codec flag: both spellings, strict values, duplicate
-        // rejection, and a non-f32 codec demands snapshots to load (a
-        // fresh build never seals its raw tier).
-        assert_eq!(
-            parse_bench_flags(&args(&[]), true).unwrap().page_codec,
-            hydra::PageCodec::F32
-        );
+        // Page-codec and backing flags: the shared group's values and
+        // duplicate rejection, and both knobs demand the file-backed store
+        // they shape — with exactly `hydra-serve`'s error, because it is
+        // one rule (`--out-of-core` in turn demands `--load-index`).
         let f = parse_bench_flags(
-            &args(&["--load-index", "/s", "--page-codec", "u8"]),
+            &args(&["--load-index", "/s", "--out-of-core", "--page-codec", "u8", "--backing=mmap"]),
             true,
         )
         .unwrap();
-        assert_eq!(f.page_codec, hydra::PageCodec::U8);
-        let f = parse_bench_flags(&args(&["--load-index=/s", "--page-codec=f16"]), false).unwrap();
-        assert_eq!(f.page_codec, hydra::PageCodec::F16);
-        assert_eq!(
-            parse_bench_flags(&args(&["--page-codec", "f32"]), true).unwrap().page_codec,
-            hydra::PageCodec::F32,
-            "an explicit f32 codec is the default and needs no snapshots"
-        );
+        assert_eq!(f.storage.page_codec, hydra::PageCodec::U8);
+        assert_eq!(f.storage.backing_io, hydra::FileIoMode::Mmap);
+        let f = parse_bench_flags(&args(&["--page-codec", "f32", "--backing", "pread"]), true);
+        assert_eq!(f, Ok(BenchFlags::default()), "the defaults need no store file");
         assert!(parse_bench_flags(&args(&["--page-codec", "u4"]), true).is_err());
-        assert!(parse_bench_flags(&args(&["--page-codec"]), true).is_err());
-        assert!(parse_bench_flags(
-            &args(&["--load-index=/s", "--page-codec=u8", "--page-codec=u8"]),
-            true
-        )
-        .is_err());
-        assert!(
-            parse_bench_flags(&args(&["--page-codec", "u8"]), true).is_err(),
-            "a coded tier without --load-index would silently measure nothing"
-        );
-        assert!(parse_bench_flags(
-            &args(&["--save-index", "/s", "--page-codec", "u8"]),
-            true
-        )
-        .is_err());
-        // Backing flag: both spellings, strict values, duplicate
-        // rejection, and mmap demands an out-of-core store to transfer
-        // from (a resident store does no file I/O).
-        assert_eq!(
-            parse_bench_flags(&args(&[]), true).unwrap().backing_io,
-            hydra::FileIoMode::Pread
-        );
-        let f = parse_bench_flags(
-            &args(&["--load-index", "/s", "--out-of-core", "--backing", "mmap"]),
-            true,
-        )
-        .unwrap();
-        assert_eq!(f.backing_io, hydra::FileIoMode::Mmap);
-        let f = parse_bench_flags(
-            &args(&["--load-index=/s", "--out-of-core", "--backing=mmap"]),
-            false,
-        )
-        .unwrap();
-        assert_eq!(f.backing_io, hydra::FileIoMode::Mmap);
-        assert_eq!(
-            parse_bench_flags(&args(&["--backing", "pread"]), true).unwrap().backing_io,
-            hydra::FileIoMode::Pread,
-            "an explicit pread backing is the default and needs no store file"
-        );
-        assert!(parse_bench_flags(&args(&["--backing", "aio"]), true).is_err());
         assert!(parse_bench_flags(&args(&["--backing"]), true).is_err());
         assert!(parse_bench_flags(
             &args(&["--load-index=/s", "--out-of-core", "--backing=mmap", "--backing=mmap"]),
             true
         )
         .is_err());
-        assert!(
-            parse_bench_flags(&args(&["--backing", "mmap"]), true).is_err(),
-            "mmap without --out-of-core has no file to map"
-        );
-        assert!(parse_bench_flags(
-            &args(&["--load-index", "/s", "--backing", "mmap"]),
-            true
-        )
-        .is_err());
+        for (flag, value) in [("--page-codec", "u8"), ("--page-codec", "f16"), ("--backing", "mmap")] {
+            let lone = StorageFlags {
+                page_codec: hydra::PageCodec::parse(value).unwrap_or_default(),
+                backing_io: hydra::FileIoMode::parse(value).unwrap_or_default(),
+                ..StorageFlags::default()
+            };
+            for prefix in [&[][..], &["--load-index", "/s"], &["--save-index", "/s"]] {
+                let argv: Vec<&str> = prefix.iter().copied().chain([flag, value]).collect();
+                assert_eq!(
+                    parse_bench_flags(&args(&argv), true),
+                    Err(lone.validate().unwrap_err()),
+                    "{argv:?} names a file-backed knob without --out-of-core"
+                );
+            }
+        }
         // Trace-out flag: both spellings, strict about garbage.
         assert_eq!(parse_bench_flags(&args(&[]), true).unwrap().trace_out, None);
         let f = parse_bench_flags(&args(&["--trace-out", "/tmp/t.csv"]), true).unwrap();
@@ -1174,8 +1022,11 @@ mod tests {
         // A pool of 1 page is far smaller than 400×32×4 bytes of raw data.
         let ooc = BenchFlags {
             load_index: Some(dir.clone()),
-            out_of_core: true,
-            pool_pages: Some(1),
+            storage: StorageFlags {
+                out_of_core: true,
+                pool_pages: Some(1),
+                ..StorageFlags::default()
+            },
             ..BenchFlags::default()
         };
         let ooc = build_or_load_methods(d.name, &d.data, false, 5, &ooc);
@@ -1211,9 +1062,12 @@ mod tests {
         build_or_load_methods(d.name, &d.data, false, 5, &save);
         let load = |codec| BenchFlags {
             load_index: Some(dir.clone()),
-            out_of_core: true,
-            pool_pages: Some(1),
-            page_codec: codec,
+            storage: StorageFlags {
+                out_of_core: true,
+                pool_pages: Some(1),
+                page_codec: codec,
+                ..StorageFlags::default()
+            },
             ..BenchFlags::default()
         };
         let raw = build_or_load_methods(d.name, &d.data, false, 5, &load(hydra::PageCodec::F32));

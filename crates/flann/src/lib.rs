@@ -25,8 +25,8 @@ use hydra_core::{
     AnnIndex, Capabilities, Dataset, Error, Representation, Result, SearchParams, SearchResult,
 };
 use hydra_persist::{
-    fingerprint_dataset, Fingerprint, PersistError, PersistentIndex, Section, SnapshotReader,
-    SnapshotWriter,
+    fingerprint_dataset, DataSource, Fingerprint, PersistError, PersistentIndex, Section,
+    SnapshotReader, SnapshotWriter, StoreBacking,
 };
 
 /// Which algorithm a [`Flann`] instance selected.
@@ -168,7 +168,13 @@ impl PersistentIndex for Flann {
         w.write_to(path)
     }
 
-    fn load(path: &Path, dataset: &Dataset, config: &FlannConfig) -> hydra_persist::Result<Self> {
+    fn load_from(
+        path: &Path,
+        source: DataSource<'_>,
+        config: &FlannConfig,
+        _backing: StoreBacking<'_>,
+    ) -> hydra_persist::Result<Self> {
+        let dataset = &*source.materialized()?;
         let mut r = SnapshotReader::open(path)?;
         r.expect_kind(Self::KIND)?;
         r.expect_fingerprint(snapshot_fingerprint(config, fingerprint_dataset(dataset)))?;

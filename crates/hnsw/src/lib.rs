@@ -25,8 +25,8 @@ use hydra_core::{
     SearchMode, SearchParams, SearchResult, TopK,
 };
 use hydra_persist::{
-    fingerprint_dataset, Fingerprint, PersistError, PersistentIndex, Section, SnapshotReader,
-    SnapshotWriter,
+    fingerprint_dataset, DataSource, Fingerprint, PersistError, PersistentIndex, Section,
+    SnapshotReader, SnapshotWriter, StoreBacking,
 };
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
@@ -385,7 +385,13 @@ impl PersistentIndex for Hnsw {
         w.write_to(path)
     }
 
-    fn load(path: &Path, dataset: &Dataset, config: &HnswConfig) -> hydra_persist::Result<Self> {
+    fn load_from(
+        path: &Path,
+        source: DataSource<'_>,
+        config: &HnswConfig,
+        _backing: StoreBacking<'_>,
+    ) -> hydra_persist::Result<Self> {
+        let dataset = &*source.materialized()?;
         let mut r = SnapshotReader::open(path)?;
         r.expect_kind(Self::KIND)?;
         r.expect_fingerprint(snapshot_fingerprint(config, fingerprint_dataset(dataset)))?;

@@ -415,15 +415,6 @@ impl PersistentIndex for InvertedMultiIndex {
         w.write_to(path)
     }
 
-    fn load(path: &Path, dataset: &Dataset, config: &ImiConfig) -> hydra_persist::Result<Self> {
-        Self::load_from(
-            path,
-            DataSource::InMemory(dataset),
-            config,
-            StoreBacking::Resident,
-        )
-    }
-
     /// IMI holds no raw-series store — everything it needs from the data
     /// is the fingerprint and the shape, both free on a streamed source,
     /// so the lazy path costs nothing extra here.

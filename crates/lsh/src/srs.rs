@@ -261,19 +261,6 @@ impl PersistentIndex for Srs {
         w.write_to(path)
     }
 
-    fn load(path: &Path, dataset: &Dataset, config: &SrsConfig) -> hydra_persist::Result<Self> {
-        Self::load_backed(path, dataset, config, StoreBacking::Resident)
-    }
-
-    fn load_backed(
-        path: &Path,
-        dataset: &Dataset,
-        config: &SrsConfig,
-        backing: StoreBacking<'_>,
-    ) -> hydra_persist::Result<Self> {
-        Self::load_from(path, DataSource::InMemory(dataset), config, backing)
-    }
-
     /// Loads without ever materializing a streamed dataset: shape and
     /// fingerprint come from the source's header facts, and the raw series
     /// re-attach straight from the validated snapshot file.

@@ -47,7 +47,7 @@ use hydra_storage::StorageConfig;
 use crate::error::{PersistError, Result};
 use crate::fingerprint::{fingerprint_dataset, Fingerprint};
 use crate::snapshot::{fnv1a64_continue, Section, SnapshotReader, SnapshotWriter, FNV_OFFSET_BASIS, MAGIC};
-use crate::stream::DataSource;
+use crate::stream::{DataSource, STREAM_CHUNK_BYTES};
 
 /// Kind tag of dataset snapshots.
 pub const DATASET_KIND: &str = "dataset";
@@ -170,52 +170,30 @@ pub fn sidecar_series_path(snapshot: &Path) -> PathBuf {
 /// Content fingerprint of a flat series file: shape, then every value's
 /// bit pattern in *file* order (`order[pos]` names the dataset series
 /// stored at record `pos`; `None` is dataset order). With `None` this
-/// equals [`fingerprint_dataset`].
-pub fn flat_series_fingerprint(dataset: &Dataset, order: Option<&[usize]>) -> u64 {
-    let records = order.map_or(dataset.len(), <[usize]>::len);
-    let mut f = Fingerprint::new();
-    f.push_usize(dataset.series_len());
-    f.push_usize(records);
-    match order {
-        None => {
-            f.push_f32s(dataset.as_flat());
-        }
-        Some(order) => {
-            for &ds in order {
-                f.push_f32s(dataset.series(ds));
-            }
-        }
-    }
-    f.finish()
-}
-
-/// [`flat_series_fingerprint`] over a [`DataSource`]: free for an
-/// in-memory dataset or a streamed source in dataset order (the handle
-/// already holds it), one bounded-memory pass of per-series reads for a
-/// streamed source with a permuted order.
+/// equals [`fingerprint_dataset`] — free for a streamed source, whose
+/// handle already holds it; a streamed source with a permuted order costs
+/// one bounded-memory pass of per-series reads.
 ///
 /// # Errors
 /// [`PersistError::Io`] if a streamed source cannot be read.
-pub fn flat_series_fingerprint_from(
-    source: DataSource<'_>,
+pub fn flat_series_fingerprint<'a>(
+    source: impl Into<DataSource<'a>>,
     order: Option<&[usize]>,
 ) -> Result<u64> {
-    match (source, order) {
-        (DataSource::InMemory(dataset), _) => Ok(flat_series_fingerprint(dataset, order)),
-        (DataSource::Streamed(handle), None) => Ok(handle.fingerprint()),
-        (DataSource::Streamed(_), Some(order)) => {
-            let fetch = source.series_fetch()?;
-            let mut f = Fingerprint::new();
-            f.push_usize(source.series_len());
-            f.push_usize(order.len());
-            let mut series = Vec::new();
-            for &ds in order {
-                fetch.get(ds, &mut series)?;
-                f.push_f32s(&series);
-            }
-            Ok(f.finish())
-        }
+    let source = source.into();
+    let Some(order) = order else {
+        return Ok(source.fingerprint());
+    };
+    let fetch = source.series_fetch()?;
+    let mut f = Fingerprint::new();
+    f.push_usize(source.series_len());
+    f.push_usize(order.len());
+    let mut series = Vec::new();
+    for &ds in order {
+        fetch.get(ds, &mut series)?;
+        f.push_f32s(&series);
     }
+    Ok(f.finish())
 }
 
 fn flat_header(series_len: usize, records: usize, fingerprint: u64) -> [u8; FLAT_PAYLOAD_OFFSET as usize] {
@@ -226,6 +204,47 @@ fn flat_header(series_len: usize, records: usize, fingerprint: u64) -> [u8; FLAT
     header[24..32].copy_from_slice(&(records as u64).to_le_bytes());
     header[32..40].copy_from_slice(&fingerprint.to_le_bytes());
     header
+}
+
+/// Opens the sidecar at `path` and reads its `N`-byte header; `None` when
+/// the file is absent or too short to hold one (the caller rewrites).
+fn open_sidecar<const N: usize>(path: &Path) -> Result<Option<(std::fs::File, [u8; N])>> {
+    let mut file = match std::fs::File::open(path) {
+        Ok(f) => f,
+        Err(e) if e.kind() == std::io::ErrorKind::NotFound => return Ok(None),
+        Err(e) => return Err(e.into()),
+    };
+    let mut header = [0u8; N];
+    Ok(file.read_exact(&mut header).is_ok().then_some((file, header)))
+}
+
+/// Feeds the rest of `file` to `visit` in chunks of at most
+/// [`STREAM_CHUNK_BYTES`], each — but for the last — a whole number of
+/// f32s. Bounded chunks: sidecar verification happens during lazy boot,
+/// whose whole promise is an O(pool)-memory start — never buffer the
+/// payload. Returns the bytes seen, or `None` on a read error (a damaged
+/// cache is rewritten, not reported).
+fn stream_payload(mut file: std::fs::File, mut visit: impl FnMut(&[u8])) -> Option<u64> {
+    let mut buf = vec![0u8; STREAM_CHUNK_BYTES];
+    let mut total = 0u64;
+    loop {
+        // Fill the chunk completely (short reads are legal mid-file), so
+        // only end-of-file ever splits a value.
+        let mut filled = 0;
+        while filled < buf.len() {
+            match file.read(&mut buf[filled..]) {
+                Ok(0) => break,
+                Ok(n) => filled += n,
+                Err(e) if e.kind() == std::io::ErrorKind::Interrupted => {}
+                Err(_) => return None,
+            }
+        }
+        if filled == 0 {
+            return Some(total);
+        }
+        visit(&buf[..filled]);
+        total += filled as u64;
+    }
 }
 
 /// Checks whether the flat series file at `path` exists and holds exactly
@@ -239,15 +258,9 @@ fn flat_series_is_valid(
     records: usize,
     fingerprint: u64,
 ) -> Result<bool> {
-    let mut file = match std::fs::File::open(path) {
-        Ok(f) => f,
-        Err(e) if e.kind() == std::io::ErrorKind::NotFound => return Ok(false),
-        Err(e) => return Err(e.into()),
-    };
-    let mut header = [0u8; FLAT_PAYLOAD_OFFSET as usize];
-    if file.read_exact(&mut header).is_err() {
+    let Some((file, header)) = open_sidecar::<{ FLAT_PAYLOAD_OFFSET as usize }>(path)? else {
         return Ok(false);
-    }
+    };
     if header != flat_header(series_len, records, fingerprint) {
         return Ok(false);
     }
@@ -256,76 +269,21 @@ fn flat_series_is_valid(
     let mut f = Fingerprint::new();
     f.push_usize(series_len);
     f.push_usize(records);
-    let mut remaining = records * series_len * 4;
-    // Bounded chunks: sidecar verification happens during lazy boot, whose
-    // whole promise is an O(pool)-memory start — never buffer the payload.
-    let mut buf = vec![0u8; crate::stream::STREAM_CHUNK_BYTES.min(remaining.max(4))];
-    while remaining > 0 {
-        let take = buf.len().min(remaining);
-        if file.read_exact(&mut buf[..take]).is_err() {
-            return Ok(false);
+    let seen = stream_payload(file, |chunk| {
+        for value in chunk.chunks_exact(4) {
+            f.push_f32(f32::from_bits(u32::from_le_bytes(value.try_into().unwrap())));
         }
-        for chunk in buf[..take].chunks_exact(4) {
-            f.push_f32(f32::from_bits(u32::from_le_bytes(chunk.try_into().unwrap())));
-        }
-        remaining -= take;
-    }
-    Ok(f.finish() == fingerprint)
+    });
+    Ok(seen == Some((records * series_len * 4) as u64) && f.finish() == fingerprint)
 }
 
-/// Ensures the flat series file at `path` holds `dataset`'s series in the
-/// given order (`order[pos]` = dataset position of record `pos`; `None` is
-/// dataset order), returning the payload span to back a store with.
-///
-/// The file is a derived cache: if it already exists with the expected
-/// header and verified payload it is reused untouched; otherwise it is
-/// (re)written from the in-RAM dataset via a temporary file and an atomic
-/// rename, so a concurrent boot never observes a half-written payload.
-///
-/// # Errors
-/// [`PersistError::Corrupt`] if `order` references a series outside the
-/// dataset; [`PersistError::Io`] on filesystem failures.
-pub fn ensure_flat_series(
+/// Writes a sidecar through a temporary file and an atomic rename, so a
+/// concurrent boot never observes a half-written payload. `fill` writes
+/// the whole content.
+fn write_atomically(
     path: &Path,
-    dataset: &Dataset,
-    order: Option<&[usize]>,
-) -> Result<FlatSpan> {
-    ensure_flat_series_from(path, DataSource::InMemory(dataset), order)
-}
-
-/// [`ensure_flat_series`] over a [`DataSource`]: a streamed source is read
-/// one series at a time (bounded-memory `pread`s against its validated
-/// snapshot), so rebuilding a sidecar during lazy boot never materializes
-/// the dataset.
-///
-/// # Errors
-/// Everything [`ensure_flat_series`] reports, plus [`PersistError::Io`] if
-/// a streamed source cannot be read.
-pub fn ensure_flat_series_from(
-    path: &Path,
-    source: DataSource<'_>,
-    order: Option<&[usize]>,
-) -> Result<FlatSpan> {
-    if let Some(order) = order {
-        if let Some(&bad) = order.iter().find(|&&ds| ds >= source.len()) {
-            return Err(PersistError::Corrupt(format!(
-                "flat series order references series {bad} of a {}-series dataset",
-                source.len()
-            )));
-        }
-    }
-    let series_len = source.series_len();
-    let records = order.map_or(source.len(), <[usize]>::len);
-    let fingerprint = flat_series_fingerprint_from(source, order)?;
-    let span = FlatSpan {
-        payload_offset: FLAT_PAYLOAD_OFFSET,
-        records,
-        series_len,
-    };
-    if flat_series_is_valid(path, series_len, records, fingerprint)? {
-        return Ok(span);
-    }
-
+    fill: impl FnOnce(&mut std::io::BufWriter<std::fs::File>) -> Result<()>,
+) -> Result<()> {
     let tmp = {
         let mut os = path.as_os_str().to_os_string();
         os.push(format!(".tmp.{}", std::process::id()));
@@ -336,9 +294,54 @@ pub fn ensure_flat_series_from(
             std::fs::create_dir_all(parent)?;
         }
     }
-    {
-        let file = std::fs::File::create(&tmp)?;
-        let mut w = std::io::BufWriter::new(file);
+    let mut w = std::io::BufWriter::new(std::fs::File::create(&tmp)?);
+    fill(&mut w)?;
+    w.flush()?;
+    drop(w);
+    std::fs::rename(&tmp, path)?;
+    Ok(())
+}
+
+/// Ensures the flat series file at `path` holds the source's series in the
+/// given order (`order[pos]` = dataset position of record `pos`; `None` is
+/// dataset order), returning the payload span to back a store with.
+///
+/// The file is a derived cache: if it already exists with the expected
+/// header and verified payload it is reused untouched; otherwise it is
+/// (re)written atomically. A streamed source is read one series at a time
+/// (bounded-memory `pread`s against its validated snapshot), so rebuilding
+/// a sidecar during lazy boot never materializes the dataset.
+///
+/// # Errors
+/// [`PersistError::Corrupt`] if `order` references a series outside the
+/// dataset; [`PersistError::Io`] on filesystem failures, a streamed source
+/// that cannot be read included.
+pub fn ensure_flat_series<'a>(
+    path: &Path,
+    source: impl Into<DataSource<'a>>,
+    order: Option<&[usize]>,
+) -> Result<FlatSpan> {
+    let source = source.into();
+    if let Some(order) = order {
+        if let Some(&bad) = order.iter().find(|&&ds| ds >= source.len()) {
+            return Err(PersistError::Corrupt(format!(
+                "flat series order references series {bad} of a {}-series dataset",
+                source.len()
+            )));
+        }
+    }
+    let series_len = source.series_len();
+    let records = order.map_or(source.len(), <[usize]>::len);
+    let fingerprint = flat_series_fingerprint(source, order)?;
+    let span = FlatSpan {
+        payload_offset: FLAT_PAYLOAD_OFFSET,
+        records,
+        series_len,
+    };
+    if flat_series_is_valid(path, series_len, records, fingerprint)? {
+        return Ok(span);
+    }
+    write_atomically(path, |w| {
         w.write_all(&flat_header(series_len, records, fingerprint))?;
         let fetch = source.series_fetch()?;
         let mut series = Vec::new();
@@ -349,9 +352,8 @@ pub fn ensure_flat_series_from(
                 w.write_all(&v.to_bits().to_le_bytes())?;
             }
         }
-        w.flush()?;
-    }
-    std::fs::rename(&tmp, path)?;
+        Ok(())
+    })?;
     Ok(span)
 }
 
@@ -376,15 +378,9 @@ fn coded_series_is_valid(
     series_per_page: usize,
     source_fingerprint: u64,
 ) -> Result<bool> {
-    let mut file = match std::fs::File::open(path) {
-        Ok(f) => f,
-        Err(e) if e.kind() == std::io::ErrorKind::NotFound => return Ok(false),
-        Err(e) => return Err(e.into()),
-    };
-    let mut header = [0u8; CODED_HEADER_BYTES as usize];
-    if file.read_exact(&mut header).is_err() {
+    let Some((file, header)) = open_sidecar::<{ CODED_HEADER_BYTES as usize }>(path)? else {
         return Ok(false);
-    }
+    };
     let header = match CodedHeader::decode(&header) {
         Ok(h) => h,
         Err(_) => return Ok(false),
@@ -400,24 +396,11 @@ fn coded_series_is_valid(
     // Verify the coded payload really hashes to the header fingerprint, so
     // a flipped bit in the cache is repaired instead of served.
     let mut state = FNV_OFFSET_BASIS;
-    let mut total = 0u64;
-    let mut buf = vec![0u8; 1 << 20];
-    loop {
-        match file.read(&mut buf) {
-            Ok(0) => break,
-            Ok(n) => {
-                state = fnv1a64_continue(state, &buf[..n]);
-                total += n as u64;
-            }
-            Err(e) if e.kind() == std::io::ErrorKind::Interrupted => continue,
-            Err(_) => return Ok(false),
-        }
-    }
-    let _ = total;
-    Ok(state == header.payload_fingerprint)
+    let seen = stream_payload(file, |chunk| state = fnv1a64_continue(state, chunk));
+    Ok(seen.is_some() && state == header.payload_fingerprint)
 }
 
-/// Ensures the `HYDRCODE` coded-page sidecar at `path` holds `dataset`'s
+/// Ensures the `HYDRCODE` coded-page sidecar at `path` holds the source's
 /// series (in the given order, `None` = dataset order) quantized under
 /// `storage.codec` and grouped exactly as a [`hydra_storage::SeriesStore`]
 /// with `storage` groups its raw pages — the file a file-backed store
@@ -425,38 +408,26 @@ fn coded_series_is_valid(
 ///
 /// Like [`ensure_flat_series`], the sidecar is a derived cache: reused when
 /// its header names the same source payload (by fingerprint) and its coded
-/// payload verifies, and atomically (re)written from the in-RAM dataset
-/// otherwise. The codec never enters *snapshot* fingerprints — it shapes
-/// only I/O economics, never answers — so the same snapshot serves any
-/// codec.
+/// payload verifies, and atomically (re)written otherwise. The codec never
+/// enters *snapshot* fingerprints — it shapes only I/O economics, never
+/// answers — so the same snapshot serves any codec.
+///
+/// A rewrite encodes in two bounded-memory passes — one to fingerprint the
+/// coded payload for the header, one to write it — reading the source a
+/// page's worth of series at a time, so even a coded-tier rebuild during
+/// lazy boot stays O(page) in memory.
 ///
 /// # Errors
 /// [`PersistError::Corrupt`] on an f32 codec (there is nothing to encode)
-/// or an out-of-range `order`; [`PersistError::Io`] on filesystem failures.
-pub fn ensure_coded_series(
+/// or an out-of-range `order`; [`PersistError::Io`] on filesystem failures,
+/// a streamed source that cannot be read included.
+pub fn ensure_coded_series<'a>(
     path: &Path,
-    dataset: &Dataset,
+    source: impl Into<DataSource<'a>>,
     order: Option<&[usize]>,
     storage: &StorageConfig,
 ) -> Result<()> {
-    ensure_coded_series_from(path, DataSource::InMemory(dataset), order, storage)
-}
-
-/// [`ensure_coded_series`] over a [`DataSource`]. A rewrite encodes in two
-/// bounded-memory passes — one to fingerprint the coded payload for the
-/// header, one to write it — reading the source a page's worth of series
-/// at a time, so even a coded-tier rebuild during lazy boot stays O(page)
-/// in memory.
-///
-/// # Errors
-/// Everything [`ensure_coded_series`] reports, plus [`PersistError::Io`]
-/// if a streamed source cannot be read.
-pub fn ensure_coded_series_from(
-    path: &Path,
-    source: DataSource<'_>,
-    order: Option<&[usize]>,
-    storage: &StorageConfig,
-) -> Result<()> {
+    let source = source.into();
     let codec = storage.codec;
     if codec == PageCodec::F32 {
         return Err(PersistError::Corrupt(
@@ -474,7 +445,7 @@ pub fn ensure_coded_series_from(
     let series_len = source.series_len();
     let records = order.map_or(source.len(), <[usize]>::len);
     let series_per_page = (storage.page_bytes as usize / (series_len * 4)).max(1);
-    let source_fingerprint = flat_series_fingerprint_from(source, order)?;
+    let source_fingerprint = flat_series_fingerprint(source, order)?;
     if coded_series_is_valid(
         path,
         codec,
@@ -518,28 +489,10 @@ pub fn ensure_coded_series_from(
     }
     .encode();
 
-    let tmp = {
-        let mut os = path.as_os_str().to_os_string();
-        os.push(format!(".tmp.{}", std::process::id()));
-        PathBuf::from(os)
-    };
-    if let Some(parent) = path.parent() {
-        if !parent.as_os_str().is_empty() {
-            std::fs::create_dir_all(parent)?;
-        }
-    }
-    {
-        let file = std::fs::File::create(&tmp)?;
-        let mut w = std::io::BufWriter::new(file);
+    write_atomically(path, |w| {
         w.write_all(&header)?;
-        encode_pages(&mut |page| {
-            w.write_all(page)?;
-            Ok(())
-        })?;
-        w.flush()?;
-    }
-    std::fs::rename(&tmp, path)?;
-    Ok(())
+        encode_pages(&mut |page| Ok(w.write_all(page)?))
+    })
 }
 
 #[cfg(test)]
@@ -645,7 +598,7 @@ mod tests {
         }
         // Identity order equals the dataset fingerprint.
         assert_eq!(
-            flat_series_fingerprint(&d, None),
+            flat_series_fingerprint(&d, None).unwrap(),
             fingerprint_dataset(&d)
         );
         // Out-of-range order entries are corrupt, not a panic.
@@ -735,7 +688,7 @@ mod tests {
         assert_eq!(header.series_len, 4);
         assert_eq!(header.records, 5);
         assert_eq!(header.series_per_page, 2);
-        assert_eq!(header.source_fingerprint, flat_series_fingerprint(&d, None));
+        assert_eq!(header.source_fingerprint, flat_series_fingerprint(&d, None).unwrap());
 
         // Reuse does not rewrite.
         ensure_coded_series(&path, &d, None, &storage).unwrap();

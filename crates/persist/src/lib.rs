@@ -152,57 +152,49 @@ pub trait PersistentIndex: Sized {
     fn save(&self, path: &Path) -> Result<()>;
 
     /// Restores an index from `path`, re-attaching the raw series of
-    /// `dataset` and validating the snapshot against `config`.
+    /// `source` under `backing` and validating the snapshot against
+    /// `config` — the one loader an index implements.
+    ///
+    /// A disk-capable index takes shape and fingerprint from the source's
+    /// header facts and re-attaches series straight from it (see
+    /// [`Collection::attach`]), so with a streamed source a whole serve
+    /// boot touches O(pool) memory instead of O(dataset). A memory-only
+    /// index holds no series store: it ignores `backing`, and if it needs
+    /// every value it opens with [`DataSource::materialized`]. The loaded
+    /// index must answer byte-identically under every combination of
+    /// source and backing.
     ///
     /// # Errors
-    /// Any [`PersistError`]: I/O failures, a non-snapshot or truncated
-    /// file, a future format version, a different index kind, a damaged
-    /// section, or a fingerprint mismatch against `config`/`dataset`.
-    fn load(path: &Path, dataset: &Dataset, config: &Self::Config) -> Result<Self>;
+    /// Any [`PersistError`]: I/O failures (creating or validating a
+    /// backing file and reading a streamed source included), a
+    /// non-snapshot or truncated file, a future format version, a
+    /// different index kind, a damaged section, or a fingerprint mismatch
+    /// against `config`/`source`.
+    fn load_from(
+        path: &Path,
+        source: DataSource<'_>,
+        config: &Self::Config,
+        backing: StoreBacking<'_>,
+    ) -> Result<Self>;
 
-    /// [`PersistentIndex::load`] with an explicit raw-series backing.
-    ///
-    /// The default implementation ignores `backing` and loads resident —
-    /// correct for memory-only indexes, which hold no series store.
-    /// Disk-capable indexes override it to attach their store file-backed
-    /// (see [`StoreBacking`]); the loaded index must answer byte-identically
-    /// either way.
+    /// [`PersistentIndex::load_from`] over an in-RAM dataset, resident.
     ///
     /// # Errors
-    /// Everything [`PersistentIndex::load`] reports, plus I/O failures
-    /// while creating or validating the backing file.
+    /// Exactly [`PersistentIndex::load_from`]'s.
+    fn load(path: &Path, dataset: &Dataset, config: &Self::Config) -> Result<Self> {
+        Self::load_from(path, dataset.into(), config, StoreBacking::Resident)
+    }
+
+    /// [`PersistentIndex::load_from`] over an in-RAM dataset.
+    ///
+    /// # Errors
+    /// Exactly [`PersistentIndex::load_from`]'s.
     fn load_backed(
         path: &Path,
         dataset: &Dataset,
         config: &Self::Config,
         backing: StoreBacking<'_>,
     ) -> Result<Self> {
-        let _ = backing;
-        Self::load(path, dataset, config)
-    }
-
-    /// [`PersistentIndex::load_backed`] from a [`DataSource`] — the lazy
-    /// boot entry point.
-    ///
-    /// The default implementation materializes the source (loading the
-    /// dataset snapshot into RAM if it was streamed) and delegates to
-    /// [`PersistentIndex::load_backed`] — always correct, never lazy.
-    /// Disk-capable indexes override it to take shape and fingerprint from
-    /// the source's header facts and re-attach series straight from the
-    /// validated snapshot file, so a whole serve boot touches O(pool)
-    /// memory instead of O(dataset). The loaded index must answer
-    /// byte-identically under every combination of source and backing.
-    ///
-    /// # Errors
-    /// Everything [`PersistentIndex::load_backed`] reports, plus I/O
-    /// failures while reading a streamed source.
-    fn load_from(
-        path: &Path,
-        source: DataSource<'_>,
-        config: &Self::Config,
-        backing: StoreBacking<'_>,
-    ) -> Result<Self> {
-        let dataset = source.materialized()?;
-        Self::load_backed(path, &dataset, config, backing)
+        Self::load_from(path, dataset.into(), config, backing)
     }
 }

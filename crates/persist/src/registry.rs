@@ -18,7 +18,7 @@
 use std::collections::BTreeMap;
 use std::path::Path;
 
-use hydra_core::{AnnIndex, Dataset};
+use hydra_core::AnnIndex;
 
 use crate::error::{PersistError, Result};
 use crate::snapshot::peek_kind;
@@ -27,7 +27,7 @@ use crate::{PersistentIndex, StoreBacking};
 
 /// A type-erased snapshot loader: `(path, source, backing) -> boxed index`.
 /// The [`DataSource`] keeps the dispatch lazy-capable — a loader whose
-/// index overrides [`PersistentIndex::load_from`] never materializes a
+/// index does not ask for [`DataSource::materialized`] never materializes a
 /// streamed dataset.
 pub type BoxedLoader = Box<
     dyn for<'a> Fn(&Path, DataSource<'a>, StoreBacking<'a>) -> Result<Box<dyn AnnIndex>>
@@ -86,50 +86,41 @@ impl LoaderRegistry {
         self.loaders.contains_key(kind)
     }
 
+    /// [`LoaderRegistry::load_any_backed`] with the raw series resident.
+    ///
+    /// # Errors
+    /// Exactly [`LoaderRegistry::load_any_backed`]'s.
+    pub fn load_any<'a>(
+        &self,
+        path: &Path,
+        source: impl Into<DataSource<'a>>,
+    ) -> Result<Box<dyn AnnIndex>> {
+        self.load_any_backed(path, source, StoreBacking::Resident)
+    }
+
     /// Reads the kind tag out of the snapshot's header
     /// ([`peek_kind`] — cheap, no section is loaded or checksummed) and
     /// loads the file with the registered loader, re-attaching the raw
-    /// series of `dataset`. Full container validation happens exactly
-    /// once, inside the dispatched loader.
+    /// series of `source` — a `&Dataset`, or a streamed [`DataSource`],
+    /// with which a disk-capable index boots without the dataset ever being
+    /// materialized (the lazy boot entry point; memory-only indexes load it
+    /// through [`DataSource::materialized`]). Full container validation
+    /// happens exactly once, inside the dispatched loader.
     ///
-    /// # Errors
-    /// [`PersistError::UnknownKind`] if no loader was registered for the
-    /// file's kind; otherwise whatever the dispatched
-    /// [`PersistentIndex::load`] reports (I/O, damage, fingerprint or kind
-    /// mismatches).
-    pub fn load_any(&self, path: &Path, dataset: &Dataset) -> Result<Box<dyn AnnIndex>> {
-        self.load_any_backed(path, dataset, StoreBacking::Resident)
-    }
-
-    /// [`LoaderRegistry::load_any`] with an explicit raw-series backing:
     /// [`StoreBacking::FileBacked`] makes every disk-capable index serve
     /// its raw series out-of-core through a real page cache (memory-only
     /// indexes ignore the choice — they hold no series store).
     ///
     /// # Errors
-    /// Exactly [`LoaderRegistry::load_any`]'s, plus I/O failures creating
-    /// or validating the backing files.
-    pub fn load_any_backed(
+    /// [`PersistError::UnknownKind`] if no loader was registered for the
+    /// file's kind; otherwise whatever the dispatched
+    /// [`PersistentIndex::load_from`] reports (I/O, damage, fingerprint or
+    /// kind mismatches, failures creating or validating the backing files
+    /// or reading a streamed source).
+    pub fn load_any_backed<'a>(
         &self,
         path: &Path,
-        dataset: &Dataset,
-        backing: StoreBacking<'_>,
-    ) -> Result<Box<dyn AnnIndex>> {
-        self.load_any_from(path, DataSource::InMemory(dataset), backing)
-    }
-
-    /// [`LoaderRegistry::load_any_backed`] over a [`DataSource`] — the
-    /// lazy boot entry point. With a streamed source, a disk-capable index
-    /// boots without the dataset ever being materialized; memory-only
-    /// indexes load it through [`DataSource::materialized`].
-    ///
-    /// # Errors
-    /// Exactly [`LoaderRegistry::load_any_backed`]'s, plus I/O failures
-    /// reading a streamed source.
-    pub fn load_any_from(
-        &self,
-        path: &Path,
-        source: DataSource<'_>,
+        source: impl Into<DataSource<'a>>,
         backing: StoreBacking<'_>,
     ) -> Result<Box<dyn AnnIndex>> {
         let kind = peek_kind(path)?;
@@ -137,7 +128,7 @@ impl LoaderRegistry {
             found: kind,
             registered: self.loaders.keys().cloned().collect(),
         })?;
-        loader(path, source, backing)
+        loader(path, source.into(), backing)
     }
 
     /// [`LoaderRegistry::load_any_backed`], then replays the ingest
@@ -150,32 +141,18 @@ impl LoaderRegistry {
     /// # Errors
     /// Everything [`LoaderRegistry::load_any_backed`] reports, plus the
     /// journal's own typed errors (see [`crate::JournalReader`]).
-    pub fn load_any_journaled(
+    pub fn load_any_journaled<'a>(
         &self,
         path: &Path,
-        dataset: &Dataset,
-        backing: StoreBacking<'_>,
-    ) -> Result<Box<dyn AnnIndex>> {
-        self.load_any_journaled_from(path, DataSource::InMemory(dataset), backing)
-    }
-
-    /// [`LoaderRegistry::load_any_journaled`] over a [`DataSource`].
-    ///
-    /// # Errors
-    /// Everything [`LoaderRegistry::load_any_from`] reports, plus the
-    /// journal's own typed errors (see [`crate::JournalReader`]).
-    pub fn load_any_journaled_from(
-        &self,
-        path: &Path,
-        source: DataSource<'_>,
+        source: impl Into<DataSource<'a>>,
         backing: StoreBacking<'_>,
     ) -> Result<Box<dyn AnnIndex>> {
         let journal = crate::journal_path(path);
         if !journal.exists() {
-            return self.load_any_from(path, source, backing);
+            return self.load_any_backed(path, source, backing);
         }
         let reader = crate::JournalReader::open(&journal)?;
-        let mut index = self.load_any_from(path, source, backing)?;
+        let mut index = self.load_any_backed(path, source, backing)?;
         reader.replay(index.as_mut(), crate::peek_fingerprint(path)?)?;
         Ok(index)
     }
@@ -185,6 +162,7 @@ impl LoaderRegistry {
 mod tests {
     use super::*;
     use crate::snapshot::SnapshotWriter;
+    use hydra_core::Dataset;
 
     fn temp_path(name: &str) -> std::path::PathBuf {
         std::env::temp_dir().join(format!("hydra-registry-{}-{name}", std::process::id()))

@@ -273,6 +273,12 @@ pub enum DataSource<'a> {
     Streamed(&'a DatasetHandle),
 }
 
+impl<'a> From<&'a Dataset> for DataSource<'a> {
+    fn from(dataset: &'a Dataset) -> Self {
+        DataSource::InMemory(dataset)
+    }
+}
+
 impl<'a> DataSource<'a> {
     /// Length of each series.
     pub fn series_len(&self) -> usize {

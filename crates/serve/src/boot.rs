@@ -245,7 +245,7 @@ pub fn boot_from_dir_with(
         let journaled = journal_path(file).exists();
         let t0 = std::time::Instant::now();
         let index = registry
-            .load_any_journaled_from(file, data.source(), backing)
+            .load_any_journaled(file, data.source(), backing)
             .map_err(|source| BootError::Snapshot {
                 file: file.clone(),
                 source,

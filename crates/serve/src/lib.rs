@@ -48,6 +48,7 @@
 pub mod boot;
 pub mod cli;
 pub mod client;
+mod listener;
 pub mod protocol;
 pub mod router;
 pub mod server;

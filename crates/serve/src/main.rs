@@ -9,7 +9,8 @@
 //! hydra-serve --snapshots DIR [--addr 127.0.0.1:7878]
 //!             [--shard-role worker]
 //!             [--storage on-disk|in-memory] [--seed N]
-//!             [--pool-pages N] [--out-of-core] [--page-codec u8|f16|f32]
+//!             [--pool-pages N] [--out-of-core [--page-codec u8|f16|f32]
+//!                                               [--backing pread|mmap]]
 //!             [--batch-window-ms N] [--max-batch N]
 //!             [--slow-query-ms N]
 //!
@@ -35,8 +36,10 @@
 //! collections whose raw series far exceed the configured pool. Answers
 //! are byte-identical to a resident boot.
 //!
-//! `--page-codec u8|f16|f32` (default `f32`) serves the booted indexes'
-//! raw-series tier quantized: pages hold u8 or f16 codes with per-page
+//! `--page-codec u8|f16|f32` (default `f32`; u8/f16 require
+//! `--out-of-core` — a resident store holds the exact values and has no
+//! coded pages) serves the booted indexes' file-backed raw-series tier
+//! quantized: pages hold u8 or f16 codes with per-page
 //! min/scale headers, candidate pruning runs fused decode+distance
 //! kernels, and every returned distance is refined against the exact f32
 //! series — answers stay byte-identical while each page read moves ~4×
@@ -64,6 +67,7 @@
 use std::time::Duration;
 
 use hydra::PartitionScheme;
+use hydra_serve::cli::StorageFlags;
 use hydra_serve::{boot_from_dir_with, Router, RouterConfig, Server, ServerConfig};
 
 /// Heap-tracking allocator: the price is two relaxed atomics per
@@ -90,10 +94,7 @@ struct Args {
     addr: String,
     in_memory: bool,
     seed: u64,
-    pool_pages: Option<usize>,
-    out_of_core: bool,
-    page_codec: hydra::PageCodec,
-    backing_io: hydra::FileIoMode,
+    storage: StorageFlags,
     batch_window: Duration,
     max_batch: usize,
     slow_query: Option<Duration>,
@@ -111,10 +112,7 @@ impl Default for Args {
             addr: "127.0.0.1:7878".into(),
             in_memory: false,
             seed: 5,
-            pool_pages: None,
-            out_of_core: false,
-            page_codec: hydra::PageCodec::F32,
-            backing_io: hydra::FileIoMode::Pread,
+            storage: StorageFlags::default(),
             batch_window: Duration::from_millis(1),
             max_batch: 64,
             slow_query: None,
@@ -137,6 +135,10 @@ fn parse_args(args: &[String]) -> Result<Args, String> {
     let mut seen: Vec<&'static str> = Vec::new();
     let mut it = args.iter();
     while let Some(arg) = it.next() {
+        if let Some(accepted) = out.storage.accept(arg, &mut it, &mut seen) {
+            accepted?;
+            continue;
+        }
         let mut value_of = |name: &'static str| cli_value_of(arg, name, &mut it);
         if let Some(value) = value_of("--snapshots") {
             once("--snapshots", &mut seen)?;
@@ -216,25 +218,6 @@ fn parse_args(args: &[String]) -> Result<Args, String> {
             out.seed = value
                 .parse()
                 .map_err(|_| format!("--seed expects an integer, got {value:?}"))?;
-        } else if let Some(value) = value_of("--pool-pages") {
-            once("--pool-pages", &mut seen)?;
-            let value = value?;
-            out.pool_pages = Some(value.parse::<usize>().map_err(|_| {
-                format!("--pool-pages expects a non-negative integer, got {value:?}")
-            })?);
-        } else if arg == "--out-of-core" {
-            once("--out-of-core", &mut seen)?;
-            out.out_of_core = true;
-        } else if let Some(value) = value_of("--page-codec") {
-            once("--page-codec", &mut seen)?;
-            let value = value?;
-            out.page_codec = hydra::PageCodec::parse(&value)
-                .map_err(|_| format!("--page-codec expects u8, f16 or f32, got {value:?}"))?;
-        } else if let Some(value) = value_of("--backing") {
-            once("--backing", &mut seen)?;
-            let value = value?;
-            out.backing_io = hydra::FileIoMode::parse(&value)
-                .ok_or_else(|| format!("--backing expects pread or mmap, got {value:?}"))?;
         } else if let Some(value) = value_of("--batch-window-ms") {
             once("--batch-window-ms", &mut seen)?;
             let value = value?;
@@ -265,9 +248,9 @@ fn parse_args(args: &[String]) -> Result<Args, String> {
                 "unrecognized argument {arg:?} (accepted: --snapshots DIR, --addr HOST:PORT, \
                  --shard-role worker|router, --workers HOST:PORT,..., --worker-timeout-ms N, \
                  --worker-connect-timeout-ms N, --shard-scheme contiguous|strided, \
-                 --storage on-disk|in-memory, --seed N, --pool-pages N, --out-of-core, \
-                 --page-codec u8|f16|f32, --backing pread|mmap, --batch-window-ms N, \
-                 --max-batch N, --slow-query-ms N)"
+                 --storage on-disk|in-memory, --seed N, {}, --batch-window-ms N, \
+                 --max-batch N, --slow-query-ms N)",
+                StorageFlags::USAGE
             ));
         }
     }
@@ -279,18 +262,15 @@ fn parse_args(args: &[String]) -> Result<Args, String> {
             if !seen.contains(&"--workers") {
                 return Err("--shard-role router requires --workers HOST:PORT,...".into());
             }
-            for flag in [
+            let worker_only = [
                 "--snapshots",
                 "--storage",
                 "--seed",
-                "--pool-pages",
-                "--out-of-core",
-                "--page-codec",
-                "--backing",
                 "--batch-window-ms",
                 "--max-batch",
                 "--slow-query-ms",
-            ] {
+            ];
+            for flag in worker_only.into_iter().chain(StorageFlags::names()) {
                 if seen.contains(&flag) {
                     return Err(format!(
                         "{flag} belongs to the worker role (the router holds no snapshots \
@@ -313,6 +293,7 @@ fn parse_args(args: &[String]) -> Result<Args, String> {
                     return Err(format!("{flag} requires --shard-role router"));
                 }
             }
+            out.storage.validate()?;
         }
     }
     Ok(out)
@@ -377,19 +358,10 @@ fn set_boot_gauges(metrics: &hydra_serve::MetricsRegistry, loads: &[hydra_serve:
 
 /// Runs the worker (= plain server) role: boot snapshots, serve.
 fn run_worker(args: &Args) {
-    let storage = if args.in_memory {
-        hydra::StorageConfig::in_memory()
-    } else {
-        hydra::StorageConfig::on_disk()
-    };
-    let storage = args
-        .pool_pages
-        .map_or(storage, |pages| storage.with_pool_pages(pages))
-        .with_page_codec(args.page_codec)
-        .with_io_mode(args.backing_io);
-    let registry = hydra::standard_registry(storage, args.seed);
+    let flags = args.storage;
+    let registry = hydra::standard_registry(flags.storage(args.in_memory), args.seed);
     let options = hydra_serve::BootOptions {
-        file_backed: args.out_of_core,
+        file_backed: flags.out_of_core,
     };
     hydra_obs::reset_heap_peak();
     let report = match boot_from_dir_with(&args.snapshots, &registry, options) {
@@ -400,21 +372,21 @@ fn run_worker(args: &Args) {
         }
     };
     let boot_peak_heap = hydra_obs::heap_peak_bytes();
-    if args.out_of_core {
+    if flags.out_of_core {
         eprintln!(
             "hydra-serve: serving out-of-core (raw series file-backed via {}{})",
-            args.backing_io.name(),
-            match args.pool_pages {
+            flags.backing_io.name(),
+            match flags.pool_pages {
                 Some(p) => format!(", pool {p} pages"),
                 None => String::new(),
             }
         );
         eprintln!("hydra-serve: boot peak heap {boot_peak_heap} bytes");
     }
-    if args.page_codec != hydra::PageCodec::F32 {
+    if flags.page_codec != hydra::PageCodec::F32 {
         eprintln!(
             "hydra-serve: raw-series tier quantized ({} pages, exact-refined answers)",
-            args.page_codec.name()
+            flags.page_codec.name()
         );
     }
     for (name, n, len) in &report.datasets {
@@ -547,11 +519,10 @@ mod tests {
             "--pool-pages=4",
         ]))
         .unwrap();
-        assert!(a.out_of_core);
-        assert_eq!(a.pool_pages, Some(4));
+        assert!(a.storage.out_of_core);
+        assert_eq!(a.storage.pool_pages, Some(4));
         let a = parse_args(&args(&["--snapshots", "/s"])).unwrap();
-        assert!(!a.out_of_core);
-        assert_eq!(a.pool_pages, None);
+        assert_eq!(a.storage, StorageFlags::default());
         assert!(parse_args(&args(&["--snapshots", "/s", "--pool-pages", "lots"])).is_err());
         assert!(parse_args(&args(&["--snapshots", "/s", "--pool-pages"])).is_err());
         assert!(parse_args(&args(&[
@@ -562,13 +533,24 @@ mod tests {
         ]))
         .is_err());
         assert!(parse_args(&args(&["--snapshots", "/s", "--out-of-core=yes"])).is_err());
-        // Page-codec flag: f32 by default, strict values, worker-only.
-        let a = parse_args(&args(&["--snapshots", "/s"])).unwrap();
-        assert_eq!(a.page_codec, hydra::PageCodec::F32);
-        let a = parse_args(&args(&["--snapshots=/s", "--page-codec=u8"])).unwrap();
-        assert_eq!(a.page_codec, hydra::PageCodec::U8);
-        let a = parse_args(&args(&["--snapshots", "/s", "--page-codec", "f16"])).unwrap();
-        assert_eq!(a.page_codec, hydra::PageCodec::F16);
+        // Page-codec flag: strict values, worker-only, file-backed only —
+        // the same error the figure binaries give (one shared rule).
+        let a = parse_args(&args(&["--snapshots=/s", "--out-of-core", "--page-codec=u8"])).unwrap();
+        assert_eq!(a.storage.page_codec, hydra::PageCodec::U8);
+        let a = parse_args(&args(&["--snapshots", "/s", "--page-codec", "f32"])).unwrap();
+        assert_eq!(a.storage.page_codec, hydra::PageCodec::F32);
+        for (flag, value) in [("--page-codec", "u8"), ("--page-codec", "f16"), ("--backing", "mmap")] {
+            let lone = StorageFlags {
+                page_codec: hydra::PageCodec::parse(value).unwrap_or_default(),
+                backing_io: hydra::FileIoMode::parse(value).unwrap_or_default(),
+                ..StorageFlags::default()
+            };
+            assert_eq!(
+                parse_args(&args(&["--snapshots", "/s", flag, value])),
+                Err(lone.validate().unwrap_err()),
+                "{flag} {value} without --out-of-core"
+            );
+        }
         assert!(parse_args(&args(&["--snapshots", "/s", "--page-codec", "mp3"])).is_err());
         assert!(parse_args(&args(&["--snapshots", "/s", "--page-codec"])).is_err());
         assert!(parse_args(&args(&[

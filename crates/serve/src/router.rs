@@ -38,10 +38,8 @@
 //! storm), and a worker restart is picked up on the next attempt.
 
 use std::io::{BufReader, Write};
-use std::net::{
-    IpAddr, Ipv4Addr, Ipv6Addr, Shutdown, SocketAddr, TcpListener, TcpStream, ToSocketAddrs,
-};
-use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
+use std::net::{Shutdown, SocketAddr, TcpListener, TcpStream, ToSocketAddrs};
+use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
 use std::time::{Duration, Instant};
 
@@ -49,6 +47,7 @@ use hydra::{merge_top_k, Neighbor, PartitionScheme, ShardMap};
 use hydra_obs::{Counter, Gauge, Histogram, MetricsRegistry};
 
 use crate::client::ServeClient;
+use crate::listener::Listener;
 use crate::protocol::{read_request, ErrorCode, IndexInfo, Request, Response, ResponseBody};
 
 /// Tuning knobs of the router's worker links and client side.
@@ -278,55 +277,14 @@ struct Inner {
     workers: Vec<WorkerLink>,
     indexes: Vec<RouterIndex>,
     config: RouterConfig,
-    addr: SocketAddr,
-    shutdown: AtomicBool,
-    conns: Mutex<std::collections::HashMap<u64, TcpStream>>,
-    next_conn_id: AtomicU64,
+    listener: Listener,
     queries: AtomicU64,
     worker_errors: AtomicU64,
-    connections: AtomicU64,
     registry: MetricsRegistry,
     queries_total: Counter,
-    connections_total: Counter,
 }
 
 impl Inner {
-    fn register(&self, stream: &TcpStream) -> u64 {
-        let id = self.next_conn_id.fetch_add(1, Ordering::Relaxed);
-        match stream.try_clone() {
-            Ok(clone) => {
-                self.conns.lock().expect("conns lock").insert(id, clone);
-            }
-            Err(_) => {
-                let _ = stream.shutdown(Shutdown::Both);
-            }
-        }
-        if self.shutdown.load(Ordering::SeqCst) {
-            let _ = stream.shutdown(Shutdown::Read);
-        }
-        id
-    }
-
-    fn deregister(&self, id: u64) {
-        self.conns.lock().expect("conns lock").remove(&id);
-    }
-
-    fn begin_shutdown(&self) {
-        if !self.shutdown.swap(true, Ordering::SeqCst) {
-            let mut target = self.addr;
-            if target.ip().is_unspecified() {
-                target.set_ip(match target {
-                    SocketAddr::V4(_) => IpAddr::V4(Ipv4Addr::LOCALHOST),
-                    SocketAddr::V6(_) => IpAddr::V6(Ipv6Addr::LOCALHOST),
-                });
-            }
-            let _ = TcpStream::connect(target);
-            for conn in self.conns.lock().expect("conns lock").values() {
-                let _ = conn.shutdown(Shutdown::Read);
-            }
-        }
-    }
-
     /// Fans one query out to every worker and merges, or explains why not.
     /// Worker order is shard order: worker `w`'s local id `i` is global id
     /// `map.to_global(w, i)`.
@@ -439,7 +397,7 @@ impl RouterHandle {
     /// client's shutdown frame is forwarded to them (that is the whole-
     /// deployment shutdown path the CI smoke uses).
     pub fn shutdown(&self) {
-        self.inner.begin_shutdown();
+        self.inner.listener.begin_shutdown();
     }
 
     /// Waits for the acceptor and every client connection to finish, then
@@ -452,7 +410,7 @@ impl RouterHandle {
         RouterStats {
             queries: self.inner.queries.load(Ordering::Relaxed),
             worker_errors: self.inner.worker_errors.load(Ordering::Relaxed),
-            connections: self.inner.connections.load(Ordering::Relaxed),
+            connections: self.inner.listener.connections(),
         }
     }
 }
@@ -559,70 +517,31 @@ impl Router {
         }
         let listener = TcpListener::bind(addr)?;
         let addr = listener.local_addr()?;
+        let connections_total = registry.counter("hydra_router_connections_total", &[]);
         let inner = Arc::new(Inner {
             workers: links,
             indexes,
             config,
-            addr,
-            shutdown: AtomicBool::new(false),
-            conns: Mutex::new(std::collections::HashMap::new()),
-            next_conn_id: AtomicU64::new(0),
+            listener: Listener::new(addr, config.write_timeout, connections_total),
             queries: AtomicU64::new(0),
             worker_errors: AtomicU64::new(0),
-            connections: AtomicU64::new(0),
             queries_total: registry.counter("hydra_router_queries_total", &[]),
-            connections_total: registry.counter("hydra_router_connections_total", &[]),
             registry,
         });
         let acceptor = {
-            let inner = Arc::clone(&inner);
-            std::thread::spawn(move || accept_loop(&inner, &listener))
+            let (accepting, inner) = (Arc::clone(&inner), Arc::clone(&inner));
+            std::thread::spawn(move || {
+                accepting.listener.accept_loop(&listener, move |stream, conn_id| {
+                    let inner = Arc::clone(&inner);
+                    std::thread::spawn(move || connection_loop(&inner, stream, conn_id))
+                })
+            })
         };
         Ok(RouterHandle {
             addr,
             inner,
             acceptor,
         })
-    }
-}
-
-fn accept_loop(inner: &Arc<Inner>, listener: &TcpListener) {
-    let mut conns: Vec<std::thread::JoinHandle<()>> = Vec::new();
-    for stream in listener.incoming() {
-        if inner.shutdown.load(Ordering::SeqCst) {
-            break;
-        }
-        conns = conns
-            .into_iter()
-            .filter_map(|handle| {
-                if handle.is_finished() {
-                    let _ = handle.join();
-                    None
-                } else {
-                    Some(handle)
-                }
-            })
-            .collect();
-        let stream = match stream {
-            Ok(s) => s,
-            Err(_) => {
-                std::thread::sleep(Duration::from_millis(20));
-                continue;
-            }
-        };
-        inner.connections.fetch_add(1, Ordering::Relaxed);
-        inner.connections_total.inc();
-        if let Some(timeout) = inner.config.write_timeout.filter(|t| !t.is_zero()) {
-            let _ = stream.set_write_timeout(Some(timeout));
-        }
-        let conn_id = inner.register(&stream);
-        let inner = Arc::clone(inner);
-        conns.push(std::thread::spawn(move || {
-            connection_loop(&inner, stream, conn_id)
-        }));
-    }
-    for conn in conns {
-        let _ = conn.join();
     }
 }
 
@@ -634,7 +553,7 @@ fn connection_loop(inner: &Arc<Inner>, stream: TcpStream, conn_id: u64) {
     let mut write_half = match stream.try_clone() {
         Ok(s) => s,
         Err(_) => {
-            inner.deregister(conn_id);
+            inner.listener.deregister(conn_id);
             let _ = stream.shutdown(Shutdown::Both);
             return;
         }
@@ -740,7 +659,7 @@ fn connection_loop(inner: &Arc<Inner>, stream: TcpStream, conn_id: u64) {
                         request_id,
                     });
                 }
-                inner.begin_shutdown();
+                inner.listener.begin_shutdown();
                 break;
             }
             Err(e) => {
@@ -757,7 +676,7 @@ fn connection_loop(inner: &Arc<Inner>, stream: TcpStream, conn_id: u64) {
             }
         }
     }
-    inner.deregister(conn_id);
+    inner.listener.deregister(conn_id);
     let _ = reader.into_inner().shutdown(Shutdown::Both);
 }
 

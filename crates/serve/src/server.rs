@@ -50,14 +50,15 @@
 
 use std::collections::BTreeMap;
 use std::io::{BufReader, Read, Write};
-use std::net::{IpAddr, Ipv4Addr, Ipv6Addr, Shutdown, SocketAddr, TcpListener, TcpStream, ToSocketAddrs};
-use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
-use std::sync::{mpsc, Arc, Mutex, RwLock};
+use std::net::{Shutdown, SocketAddr, TcpListener, TcpStream, ToSocketAddrs};
+use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::{mpsc, Arc, RwLock};
 use std::time::{Duration, Instant};
 
 use hydra::{AnnIndex, QueryStats, SearchKey, SearchParams};
 use hydra_obs::{Counter, Gauge, Histogram, MetricsRegistry, QueryTrace, Stage};
 
+use crate::listener::Listener;
 use crate::protocol::{
     read_request, ErrorCode, IndexInfo, Request, Response, ResponseBody,
 };
@@ -194,7 +195,6 @@ struct Metrics {
     queries_total: Counter,
     ticks_total: Counter,
     batch_calls_total: Counter,
-    connections_total: Counter,
     /// Jobs enqueued but not yet drained (std's mpsc has no len(); the
     /// reader increments on enqueue, the batcher decrements per drained
     /// job, so the gauge is exact between ticks).
@@ -251,7 +251,6 @@ impl Metrics {
             queries_total: registry.counter("hydra_queries_total", &[]),
             ticks_total: registry.counter("hydra_ticks_total", &[]),
             batch_calls_total: registry.counter("hydra_batch_calls_total", &[]),
-            connections_total: registry.counter("hydra_connections_total", &[]),
             queue_depth: registry.gauge("hydra_batch_queue_depth", &[]),
             batch_occupancy: registry.histogram("hydra_batch_occupancy", &[]),
             groups_per_tick: registry.histogram("hydra_batch_groups", &[]),
@@ -335,19 +334,10 @@ struct Inner {
     /// with a typed error.
     reloader: Option<Reloader>,
     config: ServerConfig,
-    addr: SocketAddr,
-    shutdown: AtomicBool,
-    /// Handles of every *live* connection, keyed by connection id, so
-    /// shutdown can unblock readers that would otherwise sit in
-    /// `read_request` forever. Entries are removed when their connection
-    /// thread retires — a lingering clone would hold the socket open (the
-    /// peer would never see EOF) and leak one fd per connection.
-    conns: Mutex<std::collections::HashMap<u64, TcpStream>>,
-    next_conn_id: AtomicU64,
+    listener: Listener,
     queries: AtomicU64,
     ticks: AtomicU64,
     batch_calls: AtomicU64,
-    connections: AtomicU64,
     reloads: AtomicU64,
     metrics: Metrics,
 }
@@ -401,58 +391,6 @@ impl Inner {
         self.metrics.epoch.set(id.min(i64::MAX as u64) as i64);
         Ok(id)
     }
-
-    /// Tracks a live connection for shutdown. Closing the *read* half on
-    /// shutdown turns a blocked reader's next `read` into EOF (a clean
-    /// hangup) while letting its writer flush responses already queued —
-    /// including the shutdown ack itself.
-    ///
-    /// If the tracking clone cannot be made (fd exhaustion), the
-    /// connection is refused outright — an untracked reader would be one
-    /// that shutdown can never unblock.
-    fn register(&self, stream: &TcpStream) -> u64 {
-        let id = self.next_conn_id.fetch_add(1, Ordering::Relaxed);
-        match stream.try_clone() {
-            Ok(clone) => {
-                self.conns.lock().expect("conns lock").insert(id, clone);
-            }
-            Err(_) => {
-                let _ = stream.shutdown(Shutdown::Both);
-            }
-        }
-        // A connection accepted while begin_shutdown was sweeping would
-        // miss the sweep; re-checking after registration closes the race.
-        if self.shutdown.load(Ordering::SeqCst) {
-            let _ = stream.shutdown(Shutdown::Read);
-        }
-        id
-    }
-
-    fn deregister(&self, id: u64) {
-        self.conns.lock().expect("conns lock").remove(&id);
-    }
-
-    fn begin_shutdown(&self) {
-        if !self.shutdown.swap(true, Ordering::SeqCst) {
-            // Unblock the acceptor with a throwaway connection; the accept
-            // loop re-checks the flag before serving it. A wildcard bind
-            // (0.0.0.0 / ::) is not connectable on every platform, so aim
-            // the wake-up at loopback on the bound port instead.
-            let mut target = self.addr;
-            if target.ip().is_unspecified() {
-                target.set_ip(match target {
-                    SocketAddr::V4(_) => IpAddr::V4(Ipv4Addr::LOCALHOST),
-                    SocketAddr::V6(_) => IpAddr::V6(Ipv6Addr::LOCALHOST),
-                });
-            }
-            let _ = TcpStream::connect(target);
-            // Unblock every idle reader: without this, one lingering
-            // connection would park `ServerHandle::join` forever.
-            for conn in self.conns.lock().expect("conns lock").values() {
-                let _ = conn.shutdown(Shutdown::Read);
-            }
-        }
-    }
 }
 
 /// A running server. Obtained from [`Server::spawn`]; dropping the handle
@@ -480,7 +418,7 @@ impl ServerHandle {
     /// Asks the server to stop accepting and drain, as a shutdown frame
     /// would.
     pub fn shutdown(&self) {
-        self.inner.begin_shutdown();
+        self.inner.listener.begin_shutdown();
     }
 
     /// Waits for the acceptor, every connection and the batcher to finish,
@@ -497,7 +435,7 @@ impl ServerHandle {
             queries: self.inner.queries.load(Ordering::Relaxed),
             ticks: self.inner.ticks.load(Ordering::Relaxed),
             batch_calls: self.inner.batch_calls.load(Ordering::Relaxed),
-            connections: self.inner.connections.load(Ordering::Relaxed),
+            connections: self.inner.listener.connections(),
             reloads: self.inner.reloads.load(Ordering::Relaxed),
         }
     }
@@ -557,18 +495,15 @@ impl Server {
             .map_err(|msg| std::io::Error::new(std::io::ErrorKind::InvalidInput, msg))?;
         let listener = TcpListener::bind(addr)?;
         let addr = listener.local_addr()?;
+        let connections_total = registry.counter("hydra_connections_total", &[]);
         let inner = Arc::new(Inner {
             epoch: RwLock::new(Arc::new(Epoch { id: 0, indexes })),
             reloader,
             config,
-            addr,
-            shutdown: AtomicBool::new(false),
-            conns: Mutex::new(std::collections::HashMap::new()),
-            next_conn_id: AtomicU64::new(0),
+            listener: Listener::new(addr, config.write_timeout, connections_total),
             queries: AtomicU64::new(0),
             ticks: AtomicU64::new(0),
             batch_calls: AtomicU64::new(0),
-            connections: AtomicU64::new(0),
             reloads: AtomicU64::new(0),
             metrics: Metrics::new(registry),
         });
@@ -578,8 +513,16 @@ impl Server {
             std::thread::spawn(move || batcher_loop(&inner, &job_rx))
         };
         let acceptor = {
-            let inner = Arc::clone(&inner);
-            std::thread::spawn(move || accept_loop(&inner, &listener, job_tx))
+            let (accepting, inner) = (Arc::clone(&inner), Arc::clone(&inner));
+            // The batcher exits once every Job sender is gone: the one the
+            // per-connection closure owns (dropped when accepting ends), its
+            // clones when their readers return.
+            std::thread::spawn(move || {
+                accepting.listener.accept_loop(&listener, move |stream, conn_id| {
+                    let (inner, job_tx) = (Arc::clone(&inner), job_tx.clone());
+                    std::thread::spawn(move || connection_loop(&inner, stream, conn_id, &job_tx))
+                })
+            })
         };
         Ok(ServerHandle {
             addr,
@@ -590,63 +533,13 @@ impl Server {
     }
 }
 
-fn accept_loop(inner: &Arc<Inner>, listener: &TcpListener, job_tx: mpsc::Sender<Job>) {
-    let mut readers: Vec<std::thread::JoinHandle<()>> = Vec::new();
-    for stream in listener.incoming() {
-        if inner.shutdown.load(Ordering::SeqCst) {
-            break;
-        }
-        // Reap retired connection threads as we go: a forever-running
-        // server must not accumulate one joinable-thread carcass per
-        // connection it ever served.
-        readers = readers
-            .into_iter()
-            .filter_map(|handle| {
-                if handle.is_finished() {
-                    let _ = handle.join();
-                    None
-                } else {
-                    Some(handle)
-                }
-            })
-            .collect();
-        let stream = match stream {
-            Ok(s) => s,
-            Err(_) => {
-                // Persistent accept failures (fd exhaustion, EMFILE) would
-                // otherwise busy-spin this loop at 100% CPU on the one
-                // binary designed to run forever; back off briefly.
-                std::thread::sleep(Duration::from_millis(20));
-                continue;
-            }
-        };
-        inner.connections.fetch_add(1, Ordering::Relaxed);
-        inner.metrics.connections_total.inc();
-        if let Some(timeout) = inner.config.write_timeout.filter(|t| !t.is_zero()) {
-            let _ = stream.set_write_timeout(Some(timeout));
-        }
-        let conn_id = inner.register(&stream);
-        let inner = Arc::clone(inner);
-        let job_tx = job_tx.clone();
-        readers.push(std::thread::spawn(move || {
-            connection_loop(&inner, stream, conn_id, &job_tx)
-        }));
-    }
-    // The batcher exits once every Job sender is gone: ours here, the
-    // per-connection clones when their readers return.
-    drop(job_tx);
-    for reader in readers {
-        let _ = reader.join();
-    }
-}
-
 fn connection_loop(inner: &Arc<Inner>, stream: TcpStream, conn_id: u64, job_tx: &mpsc::Sender<Job>) {
     let write_half = match stream.try_clone() {
         Ok(s) => s,
         Err(_) => {
             // No write half, no service — release the tracking clone (the
-            // invariant at `Inner::conns`) and hang up.
-            inner.deregister(conn_id);
+            // invariant at `Listener::conns`) and hang up.
+            inner.listener.deregister(conn_id);
             let _ = stream.shutdown(Shutdown::Both);
             return;
         }
@@ -695,7 +588,7 @@ fn connection_loop(inner: &Arc<Inner>, stream: TcpStream, conn_id: u64, job_tx: 
     let _ = writer.join();
     // Release the shutdown-sweep handle (it would otherwise hold the
     // socket open past this thread's life) and hang up explicitly.
-    inner.deregister(conn_id);
+    inner.listener.deregister(conn_id);
     let _ = reader.into_inner().inner.shutdown(Shutdown::Both);
 }
 
@@ -812,7 +705,7 @@ fn handle_request(
                 }
                 .encode(),
             );
-            inner.begin_shutdown();
+            inner.listener.begin_shutdown();
         }
     }
 }

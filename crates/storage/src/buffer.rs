@@ -1,19 +1,13 @@
 //! A capacity-bounded LRU buffer pool of disk pages.
 //!
-//! The pool serves two backings of [`crate::SeriesStore`]:
-//!
-//! * **Resident** (simulated) stores keep every value in one flat vector,
-//!   so the pool only tracks page *identifiers* ([`BufferPool::access`]) —
-//!   enough to decide whether an access would have cost an I/O.
-//! * **File-backed** stores have no resident copy: the pool caches the
-//!   actual page *contents* as shared frames ([`BufferPool::fetch`] /
-//!   [`BufferPool::install`]), and an eviction really drops bytes that the
-//!   next access must `pread` back from disk.
-//!
-//! Both entry points share one LRU: the hit/miss/eviction sequence for a
-//! given access pattern and capacity is identical whether frames are
-//! cached or not, which is what lets a file-backed store reproduce the
-//! simulated store's I/O accounting exactly.
+//! A resident [`crate::SeriesStore`] tracks page *identifiers* only
+//! ([`BufferPool::access`]) — enough to decide whether an access would
+//! have cost an I/O; a file-backed one caches the page *contents* as shared
+//! frames ([`BufferPool::fetch`] / [`BufferPool::install`]), and an
+//! eviction really drops bytes the next access must read back. Both entry
+//! points share one LRU, so the hit/miss/eviction sequence for a given
+//! access pattern and capacity is identical whether frames are cached or
+//! not.
 
 use std::sync::Arc;
 

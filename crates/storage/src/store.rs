@@ -1,11 +1,14 @@
-//! The series store: resident (simulated-disk) or genuinely file-backed.
+//! The series store: its configuration, the one page path every tier is
+//! served through (with the I/O accounting written once on it), and the
+//! public API. Where the values live is `backing.rs`'s business.
 
 use std::path::{Path, PathBuf};
 use std::sync::Arc;
 
-use hydra_core::{Dataset, Error, QueryStats, Result, StoreCounters};
+use hydra_core::{Dataset, Error, QueryStats, Result};
 use parking_lot::Mutex;
 
+use crate::backing::{Backing, FileBacked};
 use crate::buffer::{BufferPool, Frame};
 use crate::coded::{
     coded_series_bytes, conservative_threshold, page_disk_bytes, CodedHeader, CodedPage,
@@ -60,10 +63,12 @@ pub struct StorageConfig {
     /// Capacity of the buffer pool in pages. Use a large value (or
     /// [`StorageConfig::in_memory`]) to model a dataset that fits in RAM.
     pub buffer_pool_pages: usize,
-    /// How sealed pages are encoded — the compressed page tier. Like the
-    /// pool capacity, the codec shapes only I/O economics, never answers
-    /// (the refinement contract recomputes every returned distance from
-    /// exact f32 values), so it is a pure serving knob.
+    /// How sealed pages are encoded — the compressed page tier of a
+    /// file-backed store. Ignored by resident stores, which hold the exact
+    /// values already. Like the pool capacity, the codec shapes only I/O
+    /// economics, never answers (the refinement contract recomputes every
+    /// returned distance from exact f32 values), so it is a pure serving
+    /// knob.
     pub codec: PageCodec,
     /// How a file-backed store transfers page bytes (`pread` or `mmap`).
     /// Ignored by resident stores; a pure serving knob like the others.
@@ -127,32 +132,14 @@ impl Default for StorageConfig {
     }
 }
 
-/// Cumulative I/O counters of a store since creation (or the last reset).
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct IoSnapshot {
-    /// Pages read that required a seek (non-adjacent to the previous read).
-    pub random_ios: u64,
-    /// Pages read contiguously after the previous one.
-    pub sequential_ios: u64,
-    /// Total bytes charged to reads. On a resident store this is the
-    /// simulated `page_bytes` per miss; on a file-backed store it is the
-    /// bytes actually transferred from the backing file (whole frames,
-    /// truncated at the tail), so the two backings legitimately differ
-    /// here — this is the counter that became a *measurement*.
-    pub bytes_read: u64,
-    /// Buffer-pool hits (no I/O charged).
-    pub pool_hits: u64,
-    /// Buffer-pool misses (each one charged as a random or sequential I/O).
-    pub pool_misses: u64,
-    /// Pages evicted from the pool to make room — real eviction traffic on
-    /// a file-backed store (the dropped bytes must be re-read), bookkeeping
-    /// on a resident one.
-    pub pool_evictions: u64,
-    /// The subset of [`IoSnapshot::bytes_read`] served from compressed
-    /// (u8/f16) pages. Zero on raw-f32 stores; the remainder is exact-f32
-    /// refinement traffic.
-    pub compressed_bytes_read: u64,
-}
+/// Cumulative I/O counters of a store since creation (or the last reset):
+/// the core [`hydra_core::StoreCounters`] the observability layer scrapes through
+/// [`hydra_core::AnnIndex::store_counters`]. `bytes_read` is the one field
+/// the tiers legitimately differ in — the simulated `page_bytes` per miss
+/// on a resident store, the bytes actually transferred (whole frames,
+/// truncated at the tail; coded page records) on a file-backed one, where
+/// the counter became a *measurement*.
+pub use hydra_core::StoreCounters as IoSnapshot;
 
 #[derive(Debug)]
 struct AccessState {
@@ -162,24 +149,36 @@ struct AccessState {
 }
 
 impl AccessState {
-    /// Records the outcome of one page access — the single accounting path
-    /// shared by both backings, so a file-backed store charges exactly the
-    /// hit/miss/random/sequential sequence the simulated store would.
-    fn charge(&mut self, page: u64, hit: bool, miss_bytes: u64, stats: &mut QueryStats) {
-        if hit {
-            self.totals.pool_hits += 1;
-        } else {
-            self.totals.pool_misses += 1;
-            let sequential =
-                self.last_page == Some(page.wrapping_sub(1)) || self.last_page == Some(page);
-            if sequential {
-                self.totals.sequential_ios += 1;
-                stats.sequential_ios += 1;
-            } else {
-                self.totals.random_ios += 1;
-                stats.random_ios += 1;
+    /// Records the outcome of one page access: a pool hit (`miss_bytes` is
+    /// `None`), or a miss that transferred `miss_bytes` — from a coded page
+    /// when `compressed`. The single accounting path of every tier, so a
+    /// file-backed store charges exactly the hit/miss/random/sequential
+    /// sequence the simulated store would.
+    fn charge(
+        &mut self,
+        page: u64,
+        miss_bytes: Option<u64>,
+        compressed: bool,
+        stats: &mut QueryStats,
+    ) {
+        match miss_bytes {
+            None => self.totals.pool_hits += 1,
+            Some(bytes) => {
+                self.totals.pool_misses += 1;
+                let sequential = self.last_page == Some(page.wrapping_sub(1))
+                    || self.last_page == Some(page);
+                if sequential {
+                    self.totals.sequential_ios += 1;
+                    stats.sequential_ios += 1;
+                } else {
+                    self.totals.random_ios += 1;
+                    stats.random_ios += 1;
+                }
+                self.totals.bytes_read += bytes;
+                if compressed {
+                    self.totals.compressed_bytes_read += bytes;
+                }
             }
-            self.totals.bytes_read += miss_bytes;
         }
         self.last_page = Some(page);
     }
@@ -198,217 +197,41 @@ pub struct FileSpan {
     pub records: usize,
 }
 
-/// A read-only `mmap(2)` of the head of a backing file, torn down on drop.
-///
-/// Only bytes `0..len` are ever dereferenced, and `len` is validated
-/// against the file's length *before* mapping — so the mapping can never
-/// fault (SIGBUS) on a short file; a file that is short fails the attach
-/// with a typed error instead. The payload offset inside the mapping is
-/// byte-granular (snapshot payloads are not f32-aligned), which is why
-/// frames are memcpy'd out of the mapping rather than reinterpreted in
-/// place.
-struct MmapRegion {
-    ptr: std::ptr::NonNull<u8>,
-    len: usize,
-}
-
-// The mapping is immutable for its whole lifetime (PROT_READ over a
-// read-only file), so shared references from any thread are sound.
-unsafe impl Send for MmapRegion {}
-unsafe impl Sync for MmapRegion {}
-
-impl std::fmt::Debug for MmapRegion {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_struct("MmapRegion").field("len", &self.len).finish()
-    }
-}
-
-// The platform mmap entry points. The workspace vendors no libc crate, but
-// every std binary on a unix target already links these symbols; the repo
-// is unix-only throughout (`std::os::unix::fs::FileExt` on every pread).
-extern "C" {
-    fn mmap(
-        addr: *mut std::ffi::c_void,
-        len: usize,
-        prot: i32,
-        flags: i32,
-        fd: i32,
-        offset: i64,
-    ) -> *mut std::ffi::c_void;
-    fn munmap(addr: *mut std::ffi::c_void, len: usize) -> i32;
-}
-
-const PROT_READ: i32 = 1;
-const MAP_SHARED: i32 = 1;
-
-impl MmapRegion {
-    /// Maps the first `len` bytes of `file` read-only. The caller must
-    /// have verified the file is at least `len` bytes long.
-    fn map(file: &std::fs::File, len: usize, path: &Path) -> Result<Self> {
-        use std::os::unix::io::AsRawFd;
-        debug_assert!(len > 0, "mapping an empty span is a caller bug");
-        let ptr = unsafe {
-            mmap(
-                std::ptr::null_mut(),
-                len,
-                PROT_READ,
-                MAP_SHARED,
-                file.as_raw_fd(),
-                0,
-            )
-        };
-        if ptr as isize == -1 {
-            return Err(Error::Storage(format!(
-                "cannot mmap {} ({len} bytes): {}",
-                path.display(),
-                std::io::Error::last_os_error()
-            )));
-        }
-        Ok(Self {
-            ptr: std::ptr::NonNull::new(ptr.cast::<u8>())
-                .ok_or_else(|| Error::Storage(format!("mmap of {} returned null", path.display())))?,
-            len,
-        })
-    }
-
-    /// The mapped bytes.
-    fn bytes(&self) -> &[u8] {
-        unsafe { std::slice::from_raw_parts(self.ptr.as_ptr(), self.len) }
-    }
-}
-
-impl Drop for MmapRegion {
-    fn drop(&mut self) {
-        unsafe {
-            munmap(self.ptr.as_ptr().cast(), self.len);
-        }
-    }
-}
-
-#[derive(Debug)]
-struct FileBacked {
-    file: std::fs::File,
-    path: PathBuf,
-    span: FileSpan,
-    /// Under [`FileIoMode::Mmap`], the validated head of the file
-    /// (`0..span.offset + payload`) mapped read-only; misses copy frames
-    /// from here instead of issuing a `pread`. `None` under
-    /// [`FileIoMode::Pread`] or for an empty span.
-    map: Option<MmapRegion>,
-    /// Series appended *after* the store was attached (streaming ingest).
-    /// The backing file stays immutable; the tail is the resident overflow
-    /// holding records `span.records..`, flat in append order. Page frames
-    /// that straddle the file/tail boundary are assembled from both.
-    tail: Vec<f32>,
-}
-
-/// The bytes of `values`, writable in place: a file read lands directly in
-/// its final `[f32]` with no staging buffer and no per-value conversion.
-/// Little-endian targets only — there, and only there, the on-disk payload
-/// (little-endian IEEE-754 bit patterns) *is* the in-memory representation;
-/// every other target decodes through `decode_le_f32s`.
-#[cfg(target_endian = "little")]
-fn f32_bytes_mut(values: &mut [f32]) -> &mut [u8] {
-    // SAFETY: the view covers exactly the `size_of_val(values)` bytes of
-    // the exclusively borrowed slice, and that borrow is held for as long
-    // as the view lives, so nothing else can observe or alias the memory.
-    // `u8` has alignment 1 and no invalid bit patterns, so viewing f32s as
-    // bytes is always valid; every bit pattern is also a valid `f32`, so
-    // no sequence of byte writes through the view can leave `values`
-    // holding an invalid value.
-    unsafe {
-        std::slice::from_raw_parts_mut(
-            values.as_mut_ptr().cast::<u8>(),
-            std::mem::size_of_val(values),
-        )
-    }
-}
-
-/// Decodes a little-endian f32 payload value by value — the portable path
-/// ([`FileBacked::read_f32s`] on big-endian targets) and the reference the
-/// tests hold the in-place read to, bit for bit.
-#[cfg(any(test, not(target_endian = "little")))]
-fn decode_le_f32s(bytes: &[u8], out: &mut [f32]) {
-    for (value, chunk) in out.iter_mut().zip(bytes.chunks_exact(4)) {
-        *value = f32::from_bits(u32::from_le_bytes(chunk.try_into().unwrap()));
-    }
-}
-
-impl FileBacked {
-    /// Fills `out` with the f32 payload starting at file offset `offset`
-    /// (byte-granular: span offsets are not f32-aligned). On little-endian
-    /// targets the bytes are read straight into `out`'s own storage.
-    fn read_f32s(&self, out: &mut [f32], offset: u64, context: &dyn std::fmt::Display) {
-        #[cfg(target_endian = "little")]
-        self.read_payload(f32_bytes_mut(out), offset, context);
-        #[cfg(not(target_endian = "little"))]
-        {
-            let mut buf = vec![0u8; std::mem::size_of_val(out)];
-            self.read_payload(&mut buf, offset, context);
-            decode_le_f32s(&buf, out);
-        }
-    }
-
-    /// Copies the `len` payload bytes at file offset `offset` into `buf` —
-    /// through the mapping when one exists, via `pread` otherwise. The one
-    /// place the two I/O modes differ.
-    fn read_payload(&self, buf: &mut [u8], offset: u64, context: &dyn std::fmt::Display) {
-        match &self.map {
-            Some(map) => {
-                let lo = offset as usize;
-                buf.copy_from_slice(&map.bytes()[lo..lo + buf.len()]);
-            }
-            None => {
-                use std::os::unix::fs::FileExt;
-                self.file.read_exact_at(buf, offset).unwrap_or_else(|e| {
-                    panic!(
-                        "file-backed series store: reading {context} of {} failed: {e}",
-                        self.path.display()
-                    )
-                });
-            }
-        }
-    }
-}
-
-#[derive(Debug)]
-enum Backing {
-    /// Every value resident in one flat vector; paged I/O is simulated.
-    Resident(Vec<f32>),
-    /// Values live in a file; the buffer pool caches real page bytes.
-    File(FileBacked),
-}
-
-/// The compressed page tier of a store (codec ≠ f32): where the encoded
-/// pages of the *sealed* region (records `0..sealed`) live. Records at or
-/// beyond `sealed` — streaming-ingest tail growth — always go through the
-/// raw path.
+/// The compressed page tier of a file-backed store (codec ≠ f32): where
+/// the encoded pages of the *sealed* region (records `0..sealed`) live.
+/// Records at or beyond `sealed` — streaming-ingest tail growth — always
+/// go through the raw path.
 #[derive(Debug)]
 enum CodedTier {
-    /// No coded tier: every access is raw (the f32 codec, or a store that
-    /// was never sealed — fresh builds run raw even under a coded config).
+    /// No coded tier: every access is raw (the f32 codec, a resident store
+    /// — it already holds the exact values a coded copy would only
+    /// shadow — or a file-backed store no sidecar was attached to).
     None,
-    /// Encoded pages held in RAM, mirroring the resident raw payload; the
-    /// pool tracks page ids and the byte charges *simulate* the coded
-    /// transfers, exactly as the resident raw path simulates raw ones.
-    Resident { pages: Vec<Arc<CodedPage>>, sealed: usize },
     /// Encoded pages live in a `HYDRCODE` sidecar file; a pool miss is a
     /// genuine `pread` of the coded record, so the compressed byte counts
     /// are real transfers.
-    File {
-        file: std::fs::File,
-        path: PathBuf,
-        sealed: usize,
-    },
+    File(CodedFile),
 }
 
-impl CodedTier {
-    fn sealed(&self) -> usize {
-        match self {
-            CodedTier::None => 0,
-            CodedTier::Resident { sealed, .. } | CodedTier::File { sealed, .. } => *sealed,
-        }
+#[derive(Debug)]
+struct CodedFile {
+    file: std::fs::File,
+    path: PathBuf,
+    sealed: usize,
+}
+
+/// The cached frame of `page` in the representation `view` selects.
+fn cached_frame<T>(pool: &mut BufferPool, page: u64, view: fn(&Frame) -> Option<T>) -> Option<T> {
+    let hit = view(&pool.fetch(page)?);
+    if hit.is_none() {
+        // The slot holds this page's *other* representation (possible only
+        // for the one page straddling the seal boundary, when raw tail
+        // reads and coded scans interleave). A raw read cannot be served
+        // from codes, nor a coded probe from raw values, so invalidate and
+        // let the caller fault the wanted bytes in.
+        pool.remove(page);
     }
+    hit
 }
 
 /// A guard over one series read from a [`SeriesStore`], dereferencing to
@@ -448,27 +271,16 @@ impl AsRef<[f32]> for SeriesRead<'_> {
     }
 }
 
-/// A flat, append-only store of fixed-length series with paged access.
+/// A flat, append-only store of fixed-length series with paged access, in
+/// one of the three tiers the crate docs describe: resident
+/// ([`SeriesStore::new`] / [`SeriesStore::from_dataset`]), file-backed raw
+/// ([`SeriesStore::file_backed`]), or file-backed coded (plus
+/// [`SeriesStore::attach_coded_file`]).
 ///
 /// Record ids are assigned in append order; indexes lay out their leaves by
 /// appending leaf contents contiguously, so a leaf scan is a sequential read
 /// and a jump between leaves is a random read — matching the layout of the
 /// original on-disk implementations.
-///
-/// ## Backings
-///
-/// * [`SeriesStore::new`] / [`SeriesStore::from_dataset`] create a
-///   **resident** store: all values in RAM, the buffer pool tracks page ids
-///   only, and the I/O counters are a *simulation* of what a disk would
-///   have done.
-/// * [`SeriesStore::file_backed`] attaches a **file-backed** store: reads
-///   go through the same buffer pool, but a miss is a genuine
-///   page-granular `pread` ([`std::os::unix::fs::FileExt::read_exact_at`])
-///   and an eviction genuinely drops bytes. The hit/miss/random/sequential
-///   accounting is shared with the resident path, so for the same access
-///   sequence and [`StorageConfig`] the two backings report identical
-///   [`QueryStats`] — only [`IoSnapshot::bytes_read`] differs, because on
-///   a file it measures real transfers.
 ///
 /// Pages hold a whole number of series (`page_bytes / series_bytes`,
 /// minimum one), so a record never straddles a page; a series larger than
@@ -476,6 +288,8 @@ impl AsRef<[f32]> for SeriesRead<'_> {
 #[derive(Debug)]
 pub struct SeriesStore {
     series_len: usize,
+    /// Series per page: `page_bytes / series_bytes`, minimum one.
+    spp: usize,
     config: StorageConfig,
     backing: Backing,
     coded: CodedTier,
@@ -496,6 +310,7 @@ impl SeriesStore {
         }
         Ok(Self {
             series_len,
+            spp: (config.page_bytes / (series_len * std::mem::size_of::<f32>())).max(1),
             config,
             backing,
             coded: CodedTier::None,
@@ -515,18 +330,14 @@ impl SeriesStore {
     /// Creates a resident store populated with the contents of a dataset,
     /// preserving record ids = dataset positions.
     pub fn from_dataset(dataset: &Dataset, config: StorageConfig) -> Result<Self> {
-        let mut store = Self::new(dataset.series_len(), config)?;
-        match &mut store.backing {
-            Backing::Resident(data) => data.extend_from_slice(dataset.as_flat()),
-            Backing::File(_) => unreachable!("new() builds resident stores"),
-        }
-        Ok(store)
+        let values = dataset.as_flat().to_vec();
+        Self::validated(dataset.series_len(), config, Backing::Resident(values))
     }
 
     /// Attaches a store to the series payload at `span` inside the file at
     /// `path` — the out-of-core backing. The file is opened read-only and
     /// must stay immutable while the store lives; every cold read is a real
-    /// page-granular `pread`.
+    /// page-granular transfer.
     ///
     /// # Errors
     /// [`Error::Storage`] if the file cannot be opened or is shorter than
@@ -538,52 +349,13 @@ impl SeriesStore {
         series_len: usize,
         config: StorageConfig,
     ) -> Result<Self> {
-        let file = std::fs::File::open(path)
-            .map_err(|e| Error::Storage(format!("cannot open {}: {e}", path.display())))?;
-        let mut store = Self::validated(
-            series_len,
-            config,
-            Backing::File(FileBacked {
-                file,
-                path: path.to_path_buf(),
-                span,
-                map: None,
-                tail: Vec::new(),
-            }),
-        )?;
-        let needed = (span.records as u64)
-            .checked_mul(store.series_bytes())
-            .and_then(|payload| span.offset.checked_add(payload))
-            .ok_or_else(|| Error::Storage("file span overflows".into()))?;
-        let actual = match &store.backing {
-            Backing::File(fb) => fb
-                .file
-                .metadata()
-                .map_err(|e| Error::Storage(format!("cannot stat {}: {e}", path.display())))?
-                .len(),
-            Backing::Resident(_) => unreachable!(),
-        };
-        if actual < needed {
-            return Err(Error::Storage(format!(
-                "{} holds {actual} bytes but the span needs {needed}",
-                path.display()
-            )));
-        }
-        // Only after the span has been validated against the real file
-        // length is the mapping created — a short file fails above with a
-        // typed error, so dereferencing `0..needed` can never SIGBUS.
-        if config.io == FileIoMode::Mmap && needed > 0 {
-            match &mut store.backing {
-                Backing::File(fb) => fb.map = Some(MmapRegion::map(&fb.file, needed as usize, path)?),
-                Backing::Resident(_) => unreachable!(),
-            }
-        }
-        Ok(store)
+        let file = FileBacked::open(path, span, series_len, config.io)?;
+        Self::validated(series_len, config, Backing::File(file))
     }
 
     /// Whether this store reads from a backing file (vs. resident RAM).
     pub fn is_file_backed(&self) -> bool {
-        matches!(self.backing, Backing::File(_))
+        self.backing.resident().is_err()
     }
 
     /// Appends one series, returning its record id.
@@ -605,26 +377,20 @@ impl SeriesStore {
             });
         }
         let id = self.len();
-        let page = self.page_of(id);
-        match &mut self.backing {
-            Backing::Resident(data) => data.extend_from_slice(series),
-            Backing::File(fb) => {
-                fb.tail.extend_from_slice(series);
-                // The page now holding `id` may be cached from before the
-                // append (shorter, or missing the record entirely); drop it
-                // so the next access reloads the assembled frame.
-                self.state.lock().pool.remove(page);
-            }
+        self.backing.append(series);
+        if self.is_file_backed() {
+            // The page now holding `id` may be cached from before the
+            // append (shorter, or missing the record entirely); drop it so
+            // the next access reloads the assembled frame. A resident
+            // store's id-only entry describes no contents and stays.
+            self.state.lock().pool.remove(self.page_of(id));
         }
         Ok(id)
     }
 
     /// Number of series stored.
     pub fn len(&self) -> usize {
-        match &self.backing {
-            Backing::Resident(data) => data.len() / self.series_len,
-            Backing::File(fb) => fb.span.records + fb.tail.len() / self.series_len,
-        }
+        self.backing.len(self.series_len)
     }
 
     /// Whether the store holds no series.
@@ -659,13 +425,12 @@ impl SeriesStore {
     /// out-of-core contract. Callers that need content identity use the
     /// fingerprint captured when the store was built or attached.
     pub fn as_flat(&self) -> Result<&[f32]> {
-        match &self.backing {
-            Backing::Resident(data) => Ok(data),
-            Backing::File(fb) => Err(Error::Storage(format!(
+        self.backing.resident().map_err(|file| {
+            Error::Storage(format!(
                 "as_flat is resident-only: the payload of this store lives in {}",
-                fb.path.display()
-            ))),
-        }
+                file.path().display()
+            ))
+        })
     }
 
     /// Bytes occupied by one series.
@@ -673,68 +438,90 @@ impl SeriesStore {
         (self.series_len * std::mem::size_of::<f32>()) as u64
     }
 
-    fn series_per_page(&self) -> u64 {
-        (self.config.page_bytes as u64 / self.series_bytes()).max(1)
-    }
-
     fn page_of(&self, record: usize) -> u64 {
-        record as u64 / self.series_per_page()
+        (record / self.spp) as u64
     }
 
-    /// Reads the whole frame of `page`: file bytes for records inside the
-    /// immutable span, resident tail values for records appended after the
-    /// store was attached (a frame freely straddles the boundary).
+    /// The records of `page` among the first `total`: `(first, count)`.
+    fn page_records(&self, page: u64, total: usize) -> (usize, usize) {
+        let first = page as usize * self.spp;
+        (first, self.spp.min(total - first))
+    }
+
+    /// The one page access: every page any tier serves — for `read`,
+    /// `read_range`, `refine`, `scan_refine` or the working-set prefetch —
+    /// comes through here, so the protocol is written once. Takes the
+    /// state lock and probes the pool with `cached` (`Some` is a hit); on
+    /// a miss runs `load` — which returns what the tier hands its caller,
+    /// the frame to cache (`None`: the page id alone, which the probe
+    /// already claimed) and the bytes the transfer moved — then charges
+    /// the access and installs the frame.
     ///
-    /// # Panics
-    /// Panics if the read fails: the span was validated when the store was
-    /// attached, so a failure here is a genuine I/O fault (or the file was
-    /// mutated behind the store's back), not a recoverable query error.
-    fn load_frame(&self, fb: &FileBacked, page: u64) -> Arc<[f32]> {
-        let spp = self.series_per_page();
-        let first = page * spp;
-        let total = (fb.span.records + fb.tail.len() / self.series_len) as u64;
-        let count = spp.min(total - first) as usize;
-        let from_file = (fb.span.records as u64).saturating_sub(first).min(count as u64) as usize;
-        // The frame is allocated once, at its final address, and filled in
-        // place: the pool hands out this very allocation on every later hit.
-        let mut frame: Arc<[f32]> = std::iter::repeat_n(0.0, count * self.series_len).collect();
-        let values = Arc::get_mut(&mut frame).expect("a fresh frame has one owner");
-        let (file_values, tail_values) = values.split_at_mut(from_file * self.series_len);
-        if from_file > 0 {
-            fb.read_f32s(
-                file_values,
-                fb.span.offset + first * self.series_bytes(),
-                &format_args!("page {page}"),
-            );
+    /// The lock is held across the load, so concurrent readers of one page
+    /// pay a single disk read — and the hit/miss sequence of a file-backed
+    /// store stays identical to the resident simulation.
+    fn access<T>(
+        &self,
+        page: u64,
+        stats: &mut QueryStats,
+        cached: impl FnOnce(&mut BufferPool) -> Option<T>,
+        load: impl FnOnce() -> (T, Option<Frame>, u64),
+    ) -> T {
+        let mut state = self.state.lock();
+        let (entry, frame, miss_bytes) = match cached(&mut state.pool) {
+            Some(entry) => (entry, None, None),
+            None => {
+                let (entry, frame, bytes) = load();
+                (entry, frame, Some(bytes))
+            }
+        };
+        let compressed = matches!(frame, Some(Frame::Coded(_)));
+        state.charge(page, miss_bytes, compressed, stats);
+        if let Some(frame) = frame {
+            state.pool.install(page, frame);
         }
-        if from_file < count {
-            let lo = (first as usize + from_file - fb.span.records) * self.series_len;
-            tail_values.copy_from_slice(&fb.tail[lo..lo + tail_values.len()]);
-        }
-        frame
+        entry
     }
 
-    /// Returns the (cached or freshly read) frame of `page`, charging the
-    /// access. The pool lock is held across the `pread`, so concurrent
-    /// readers of one page pay a single disk read — and the hit/miss
-    /// sequence stays identical to the resident simulation.
-    fn fetch_frame(&self, fb: &FileBacked, page: u64, stats: &mut QueryStats) -> Arc<[f32]> {
-        let mut state = self.state.lock();
-        if let Some(frame) = state.pool.fetch(page) {
-            if let Some(raw) = frame.as_raw() {
-                state.charge(page, true, 0, stats);
-                return raw;
+    /// Records `records` (all of one page) of the raw values of `page`,
+    /// charged as one access. A resident page is a zero-copy borrow with
+    /// nothing to load — the pool tracks its *id* only, enough to decide
+    /// whether the access would have cost an I/O — and its miss is charged
+    /// the simulated `page_bytes`; a file-backed page is the cached or
+    /// freshly read frame, its miss charged the bytes actually transferred
+    /// (whole frames, truncated at the tail).
+    fn raw_page(
+        &self,
+        page: u64,
+        records: std::ops::Range<usize>,
+        stats: &mut QueryStats,
+    ) -> SeriesRead<'_> {
+        let len = records.len() * self.series_len;
+        SeriesRead(match self.backing.resident() {
+            Ok(values) => {
+                let page_bytes = self.config.page_bytes as u64;
+                self.access(
+                    page,
+                    stats,
+                    |pool| pool.access(page).then_some(()),
+                    || ((), None, page_bytes),
+                );
+                let start = records.start * self.series_len;
+                ReadRepr::Resident(&values[start..start + len])
             }
-            // The slot holds this page's *coded* representation (possible
-            // only for the one page straddling the seal boundary, when raw
-            // tail reads and coded scans interleave). A raw read cannot be
-            // served from codes, so invalidate and fault the raw bytes in.
-            state.pool.remove(page);
-        }
-        let frame = self.load_frame(fb, page);
-        state.charge(page, false, (frame.len() * std::mem::size_of::<f32>()) as u64, stats);
-        state.pool.install(page, Frame::Raw(Arc::clone(&frame)));
-        frame
+            Err(file) => {
+                let first = page as usize * self.spp;
+                let cached = |pool: &mut BufferPool| cached_frame(pool, page, Frame::as_raw);
+                let frame = self.access(page, stats, cached, || {
+                    let count = self.spp.min(self.len() - first);
+                    let frame = file.load_records(first, count, self.series_len);
+                    let bytes = std::mem::size_of_val(&*frame) as u64;
+                    (Arc::clone(&frame), Some(Frame::Raw(frame)), bytes)
+                });
+                let start = (records.start - first) * self.series_len;
+                ReadRepr::Cached { frame, start, len }
+            }
+        })
     }
 
     /// Reads one series, charging I/O to both the per-query `stats` and the
@@ -747,24 +534,8 @@ impl SeriesStore {
     /// recoverable query error.
     pub fn read(&self, record: usize, stats: &mut QueryStats) -> SeriesRead<'_> {
         assert!(record < self.len(), "record {record} out of bounds");
-        let page = self.page_of(record);
         stats.bytes_read += self.series_bytes();
-        match &self.backing {
-            Backing::Resident(data) => {
-                self.charge_resident_pages(page, page, stats);
-                let start = record * self.series_len;
-                SeriesRead(ReadRepr::Resident(&data[start..start + self.series_len]))
-            }
-            Backing::File(fb) => {
-                let frame = self.fetch_frame(fb, page, stats);
-                let first = (page * self.series_per_page()) as usize;
-                SeriesRead(ReadRepr::Cached {
-                    frame,
-                    start: (record - first) * self.series_len,
-                    len: self.series_len,
-                })
-            }
-        }
+        self.raw_page(self.page_of(record), record..record + 1, stats)
     }
 
     /// Reads `count` consecutive series starting at `start`, invoking
@@ -784,27 +555,12 @@ impl SeriesStore {
         let end = (start + count).min(self.len());
         assert!(start < self.len(), "start {start} out of bounds");
         stats.bytes_read += self.series_bytes() * (end - start) as u64;
-        let (first_page, last_page) = (self.page_of(start), self.page_of(end - 1));
-        match &self.backing {
-            Backing::Resident(data) => {
-                self.charge_resident_pages(first_page, last_page, stats);
-                for record in start..end {
-                    let off = record * self.series_len;
-                    visit(record, &data[off..off + self.series_len]);
-                }
-            }
-            Backing::File(fb) => {
-                let spp = self.series_per_page() as usize;
-                for page in first_page..=last_page {
-                    let frame = self.fetch_frame(fb, page, stats);
-                    let page_first = page as usize * spp;
-                    let lo = start.max(page_first);
-                    let hi = end.min(page_first + frame.len() / self.series_len);
-                    for record in lo..hi {
-                        let off = (record - page_first) * self.series_len;
-                        visit(record, &frame[off..off + self.series_len]);
-                    }
-                }
+        for page in self.page_of(start)..=self.page_of(end - 1) {
+            let page_first = page as usize * self.spp;
+            let records = start.max(page_first)..end.min(page_first + self.spp);
+            let values = self.raw_page(page, records.clone(), stats);
+            for (record, series) in records.zip(values.chunks_exact(self.series_len)) {
+                visit(record, series);
             }
         }
     }
@@ -821,26 +577,7 @@ impl SeriesStore {
     /// Panics if `record` is out of bounds, or on a genuine disk fault.
     pub fn read_uncharged(&self, record: usize, out: &mut Vec<f32>) {
         assert!(record < self.len(), "record {record} out of bounds");
-        out.clear();
-        match &self.backing {
-            Backing::Resident(data) => {
-                let start = record * self.series_len;
-                out.extend_from_slice(&data[start..start + self.series_len]);
-            }
-            Backing::File(fb) => {
-                if record < fb.span.records {
-                    out.resize(self.series_len, 0.0);
-                    fb.read_f32s(
-                        out,
-                        fb.span.offset + record as u64 * self.series_bytes(),
-                        &format_args!("record {record}"),
-                    );
-                } else {
-                    let start = (record - fb.span.records) * self.series_len;
-                    out.extend_from_slice(&fb.tail[start..start + self.series_len]);
-                }
-            }
-        }
+        self.backing.copy_series(record, self.series_len, out);
     }
 
     /// Visits every stored series in record order without touching the
@@ -848,40 +585,25 @@ impl SeriesStore {
     /// [`SeriesStore::read_uncharged`], used by save-time fingerprinting
     /// and ingest-time retraining. Never use it on a query path.
     pub fn for_each_series(&self, visit: &mut dyn FnMut(usize, &[f32])) {
-        match &self.backing {
-            Backing::Resident(data) => {
-                for (record, series) in data.chunks_exact(self.series_len).enumerate() {
-                    visit(record, series);
-                }
+        let mut visit_run = |first: usize, values: &[f32]| {
+            for (i, series) in values.chunks_exact(self.series_len).enumerate() {
+                visit(first + i, series);
             }
-            Backing::File(fb) => {
-                let spp = self.series_per_page() as usize;
+        };
+        match self.backing.resident() {
+            Ok(values) => visit_run(0, values),
+            Err(file) => {
                 let len = self.len();
-                let mut record = 0usize;
-                for page in 0..self.len().div_ceil(spp) {
-                    let frame = self.load_frame(fb, page as u64);
-                    for series in frame.chunks_exact(self.series_len) {
-                        visit(record, series);
-                        record += 1;
-                    }
+                for first in (0..len).step_by(self.spp) {
+                    let count = self.spp.min(len - first);
+                    visit_run(first, &file.load_records(first, count, self.series_len));
                 }
-                debug_assert_eq!(record, len);
             }
-        }
-    }
-
-    /// Charges simulated page accesses for the inclusive page range
-    /// `[first, last]` (resident backing).
-    fn charge_resident_pages(&self, first: u64, last: u64, stats: &mut QueryStats) {
-        let mut state = self.state.lock();
-        for page in first..=last {
-            let hit = state.pool.access(page);
-            state.charge(page, hit, self.config.page_bytes as u64, stats);
         }
     }
 
     // ------------------------------------------------------------------
-    // The compressed page tier (codec != f32)
+    // The compressed page tier (file-backed, codec != f32)
     // ------------------------------------------------------------------
 
     /// Number of records covered by the coded tier (0 when there is
@@ -889,42 +611,10 @@ impl SeriesStore {
     /// [`SeriesStore::refine`] / [`SeriesStore::scan_refine`]; records at
     /// or beyond it (streaming-ingest tail growth) always go raw.
     pub fn sealed(&self) -> usize {
-        self.coded.sealed()
-    }
-
-    /// Encodes the current contents of a **resident** store into the
-    /// compressed page tier, sealing records `0..len()`. A no-op for the
-    /// f32 codec. The attach helpers in `hydra-persist` call this after
-    /// populating a resident store; fresh builds never seal, so build-time
-    /// I/O stays raw.
-    ///
-    /// # Panics
-    /// Panics on a file-backed store — those attach a `HYDRCODE` sidecar
-    /// with [`SeriesStore::attach_coded_file`] instead, so the compressed
-    /// byte counts stay real transfers.
-    pub fn seal_coded(&mut self) {
-        if self.config.codec == PageCodec::F32 {
-            return;
+        match &self.coded {
+            CodedTier::None => 0,
+            CodedTier::File(tier) => tier.sealed,
         }
-        let data = match &self.backing {
-            Backing::Resident(data) => data,
-            Backing::File(_) => {
-                panic!("file-backed stores attach a HYDRCODE sidecar instead of sealing in RAM")
-            }
-        };
-        let spp = self.series_per_page() as usize;
-        let len = data.len() / self.series_len;
-        let mut pages = Vec::with_capacity(len.div_ceil(spp));
-        for page in 0..len.div_ceil(spp) {
-            let lo = page * spp * self.series_len;
-            let hi = ((page + 1) * spp).min(len) * self.series_len;
-            pages.push(Arc::new(CodedPage::encode(
-                &data[lo..hi],
-                self.series_len,
-                self.config.codec,
-            )));
-        }
-        self.coded = CodedTier::Resident { pages, sealed: len };
     }
 
     /// Attaches the `HYDRCODE` sidecar at `path` as the compressed page
@@ -934,23 +624,23 @@ impl SeriesStore {
     /// layout; `hydra-persist` rebuilds it otherwise).
     ///
     /// # Errors
-    /// [`Error::InvalidParameter`] on a resident store or under the f32
-    /// codec; [`Error::Storage`] if the sidecar cannot be opened, has a
-    /// foreign header, or is shorter than its page records require.
+    /// [`Error::InvalidParameter`] on a resident store (it holds the exact
+    /// values already; a coded copy could only simulate byte counts) or
+    /// under the f32 codec; [`Error::Storage`] if the sidecar cannot be
+    /// opened, has a foreign header, or is shorter than its page records
+    /// require.
     pub fn attach_coded_file(&mut self, path: &Path) -> Result<()> {
         if self.config.codec == PageCodec::F32 {
             return Err(Error::InvalidParameter(
                 "the f32 codec has no coded tier to attach".into(),
             ));
         }
-        let span_records = match &self.backing {
-            Backing::File(fb) => fb.span.records,
-            Backing::Resident(_) => {
-                return Err(Error::InvalidParameter(
-                    "resident stores seal their coded tier in RAM".into(),
-                ))
-            }
+        let Err(backing) = self.backing.resident() else {
+            return Err(Error::InvalidParameter(
+                "resident stores have no coded tier".into(),
+            ));
         };
+        let span_records = backing.span_records();
         use std::os::unix::fs::FileExt;
         let file = std::fs::File::open(path)
             .map_err(|e| Error::Storage(format!("cannot open {}: {e}", path.display())))?;
@@ -958,7 +648,7 @@ impl SeriesStore {
         file.read_exact_at(&mut header, 0)
             .map_err(|e| Error::Storage(format!("cannot read {}: {e}", path.display())))?;
         let header = CodedHeader::decode(&header)?;
-        let spp = self.series_per_page();
+        let spp = self.spp as u64;
         if header.codec != self.config.codec
             || header.series_len != self.series_len as u64
             || header.records != span_records as u64
@@ -992,11 +682,11 @@ impl SeriesStore {
                 path.display()
             )));
         }
-        self.coded = CodedTier::File {
+        self.coded = CodedTier::File(CodedFile {
             file,
             path: path.to_path_buf(),
             sealed: span_records,
-        };
+        });
         Ok(())
     }
 
@@ -1005,61 +695,32 @@ impl SeriesStore {
         coded_series_bytes(self.series_len, self.config.codec)
     }
 
-    /// Returns the coded page `page` of the sealed region, charging the
-    /// page access (hit, or miss with the coded record's real byte size —
-    /// also counted into `compressed_bytes_read`).
-    fn fetch_coded_page(&self, page: u64, stats: &mut QueryStats) -> Arc<CodedPage> {
-        match &self.coded {
-            CodedTier::None => unreachable!("coded access without a coded tier"),
-            CodedTier::Resident { pages, .. } => {
-                let frame = Arc::clone(&pages[page as usize]);
-                let miss_bytes =
-                    page_disk_bytes(frame.count(), self.series_len, self.config.codec);
-                let mut state = self.state.lock();
-                let hit = state.pool.access(page);
-                state.charge(page, hit, miss_bytes, stats);
-                if !hit {
-                    state.totals.compressed_bytes_read += miss_bytes;
-                }
-                frame
-            }
-            CodedTier::File { file, path, sealed } => {
-                let mut state = self.state.lock();
-                if let Some(frame) = state.pool.fetch(page) {
-                    if let Some(coded) = frame.as_coded() {
-                        state.charge(page, true, 0, stats);
-                        return coded;
-                    }
-                    // Mirror image of the raw path: the seal-boundary page
-                    // may be cached raw by a tail read; refetch its codes.
-                    state.pool.remove(page);
-                }
-                use std::os::unix::fs::FileExt;
-                let spp = self.series_per_page();
-                let first = page * spp;
-                let count = spp.min(*sealed as u64 - first) as usize;
-                let stride = page_disk_bytes(spp as usize, self.series_len, self.config.codec);
-                let bytes = page_disk_bytes(count, self.series_len, self.config.codec);
-                let mut buf = vec![0u8; bytes as usize];
-                file.read_exact_at(&mut buf, CODED_HEADER_BYTES + page * stride)
-                    .unwrap_or_else(|e| {
-                        panic!(
-                            "coded series store: reading page {page} of {} failed: {e}",
-                            path.display()
-                        )
-                    });
-                let frame = Arc::new(
-                    CodedPage::from_disk_bytes(&buf, count, self.series_len, self.config.codec)
-                        .unwrap_or_else(|e| {
-                            panic!("coded page {page} of {} is corrupt: {e}", path.display())
-                        }),
-                );
-                state.charge(page, false, bytes, stats);
-                state.totals.compressed_bytes_read += bytes;
-                state.pool.install(page, Frame::Coded(Arc::clone(&frame)));
-                frame
-            }
-        }
+    /// The coded page `page` of the sealed region, charged as one access:
+    /// a miss `pread`s the coded record and is charged its real byte size.
+    fn coded_page(&self, tier: &CodedFile, page: u64, stats: &mut QueryStats) -> Arc<CodedPage> {
+        let cached = |pool: &mut BufferPool| cached_frame(pool, page, Frame::as_coded);
+        self.access(page, stats, cached, || {
+            use std::os::unix::fs::FileExt;
+            let (_, count) = self.page_records(page, tier.sealed);
+            let codec = self.config.codec;
+            let stride = page_disk_bytes(self.spp, self.series_len, codec);
+            let bytes = page_disk_bytes(count, self.series_len, codec);
+            let mut buf = vec![0u8; bytes as usize];
+            tier.file
+                .read_exact_at(&mut buf, CODED_HEADER_BYTES + page * stride)
+                .unwrap_or_else(|e| {
+                    panic!(
+                        "coded series store: reading page {page} of {} failed: {e}",
+                        tier.path.display()
+                    )
+                });
+            let coded = CodedPage::from_disk_bytes(&buf, count, self.series_len, codec)
+                .unwrap_or_else(|e| {
+                    panic!("coded page {page} of {} is corrupt: {e}", tier.path.display())
+                });
+            let coded = Arc::new(coded);
+            (Arc::clone(&coded), Some(Frame::Coded(coded)), bytes)
+        })
     }
 
     /// Charges the exact-f32 read that refines one surviving candidate: a
@@ -1122,19 +783,12 @@ impl SeriesStore {
         stats: &mut QueryStats,
     ) -> Option<f32> {
         assert!(record < self.len(), "record {record} out of bounds");
-        if record >= self.coded.sealed() {
-            let series = self.read(record, stats);
-            return hydra_core::euclidean_early_abandon(query, &series, best_so_far);
-        }
-        stats.bytes_read += self.coded_record_bytes();
-        let page = self.page_of(record);
-        let frame = self.fetch_coded_page(page, stats);
-        let idx = record - (page * self.series_per_page()) as usize;
-        self.coded_probe(&frame, idx, query, best_so_far)?;
-        self.charge_exact_refinement(stats);
-        let mut exact = Vec::new();
-        self.read_uncharged(record, &mut exact);
-        hydra_core::euclidean_early_abandon(query, &exact, best_so_far)
+        let mut refined = None;
+        self.scan_refine(record, 1, query, best_so_far, stats, &mut |_, d| {
+            refined = Some(d);
+            d
+        });
+        refined
     }
 
     /// Refines `count` consecutive candidates starting at `start` — the
@@ -1165,34 +819,35 @@ impl SeriesStore {
         }
         let end = (start + count).min(self.len());
         assert!(start < self.len(), "start {start} out of bounds");
-        let sealed = self.coded.sealed();
-        let coded_end = end.min(sealed);
-        if coded_end > start {
-            let spp = self.series_per_page();
-            let mut exact = Vec::new();
-            for page in self.page_of(start)..=self.page_of(coded_end - 1) {
-                let frame = self.fetch_coded_page(page, stats);
-                let page_first = (page * spp) as usize;
-                let lo = start.max(page_first);
-                let hi = coded_end.min(page_first + frame.count());
-                for record in lo..hi {
-                    stats.bytes_read += self.coded_record_bytes();
-                    if self
-                        .coded_probe(&frame, record - page_first, query, bound)
-                        .is_some()
-                    {
-                        self.charge_exact_refinement(stats);
-                        self.read_uncharged(record, &mut exact);
-                        if let Some(d) =
-                            hydra_core::euclidean_early_abandon(query, &exact, bound)
+        let mut raw_start = start;
+        if let CodedTier::File(tier) = &self.coded {
+            let coded_end = end.min(tier.sealed);
+            raw_start = start.max(tier.sealed);
+            if coded_end > start {
+                let mut exact = Vec::new();
+                for page in self.page_of(start)..=self.page_of(coded_end - 1) {
+                    let frame = self.coded_page(tier, page, stats);
+                    let page_first = page as usize * self.spp;
+                    let lo = start.max(page_first);
+                    let hi = coded_end.min(page_first + frame.count());
+                    for record in lo..hi {
+                        stats.bytes_read += self.coded_record_bytes();
+                        if self
+                            .coded_probe(&frame, record - page_first, query, bound)
+                            .is_some()
                         {
-                            bound = accept(record, d);
+                            self.charge_exact_refinement(stats);
+                            self.read_uncharged(record, &mut exact);
+                            if let Some(d) =
+                                hydra_core::euclidean_early_abandon(query, &exact, bound)
+                            {
+                                bound = accept(record, d);
+                            }
                         }
                     }
                 }
             }
         }
-        let raw_start = start.max(sealed);
         if end > raw_start {
             self.read_range(raw_start, end - raw_start, stats, &mut |record, series| {
                 if let Some(d) = hydra_core::euclidean_early_abandon(query, series, bound) {
@@ -1209,23 +864,6 @@ impl SeriesStore {
         IoSnapshot {
             pool_evictions: state.pool.evictions(),
             ..state.totals
-        }
-    }
-
-    /// The same cumulative totals as [`SeriesStore::io_snapshot`], in
-    /// the core [`StoreCounters`] shape the observability layer scrapes
-    /// through [`hydra_core::AnnIndex::store_counters`]. Reading is a
-    /// pure snapshot — it charges nothing and touches no pool state.
-    pub fn counters(&self) -> StoreCounters {
-        let snap = self.io_snapshot();
-        StoreCounters {
-            random_ios: snap.random_ios,
-            sequential_ios: snap.sequential_ios,
-            bytes_read: snap.bytes_read,
-            pool_hits: snap.pool_hits,
-            pool_misses: snap.pool_misses,
-            pool_evictions: snap.pool_evictions,
-            compressed_bytes_read: snap.compressed_bytes_read,
         }
     }
 
@@ -1260,8 +898,9 @@ impl SeriesStore {
     ///   demand paging always keeps at least one evictable slot; ranges
     ///   whose union exceeds the budget are truncated (those pages fall
     ///   back to plain LRU) rather than pinned into a read-through pool.
-    /// - Prefetch charges land on the store totals through the same
-    ///   `AccessState::charge` path as any other access; the per-page
+    /// - Prefetch goes through the same page access as any demand read —
+    ///   the coded tier for sealed pages, the raw one otherwise — so its
+    ///   charges land on the store totals identically; the per-page
     ///   scratch stats are discarded because prefetch belongs to the
     ///   batch, not to any one query.
     pub fn pin_working_set(&self, ranges: &[(usize, usize)], prefetch: bool) -> Vec<u64> {
@@ -1294,7 +933,15 @@ impl SeriesStore {
             // useful frames and then miss again on demand.
             let mut scratch = QueryStats::new();
             for &page in &pages {
-                self.prefetch_page(page, &mut scratch);
+                match &self.coded {
+                    CodedTier::File(tier) if (page as usize * self.spp) < tier.sealed => {
+                        self.coded_page(tier, page, &mut scratch);
+                    }
+                    _ => {
+                        let (first, count) = self.page_records(page, len);
+                        self.raw_page(page, first..first + count, &mut scratch);
+                    }
+                }
             }
         }
         pages
@@ -1306,32 +953,6 @@ impl SeriesStore {
         let mut state = self.state.lock();
         for &page in pages {
             state.pool.unpin(page);
-        }
-    }
-
-    /// Faults one page into the pool through whichever representation the
-    /// store would serve it from: the coded tier for sealed records, the
-    /// raw frame path for a file backing, a plain id-access for a resident
-    /// one. Must not be called with the state lock held —
-    /// [`SeriesStore::fetch_coded_page`] locks internally.
-    fn prefetch_page(&self, page: u64, stats: &mut QueryStats) {
-        let first = (page * self.series_per_page()) as usize;
-        if first >= self.len() {
-            return;
-        }
-        if first < self.coded.sealed() {
-            let _ = self.fetch_coded_page(page, stats);
-            return;
-        }
-        match &self.backing {
-            Backing::Resident(_) => {
-                let mut state = self.state.lock();
-                let hit = state.pool.access(page);
-                state.charge(page, hit, self.config.page_bytes as u64, stats);
-            }
-            Backing::File(fb) => {
-                let _ = self.fetch_frame(fb, page, stats);
-            }
         }
     }
 }
@@ -1350,7 +971,11 @@ mod tests {
     }
 
     fn small_store(n: usize, len: usize, config: StorageConfig) -> SeriesStore {
-        SeriesStore::from_dataset(&dataset(n, len), config).unwrap()
+        small_store_of(&dataset(n, len), config)
+    }
+
+    fn small_store_of(d: &Dataset, config: StorageConfig) -> SeriesStore {
+        SeriesStore::from_dataset(d, config).unwrap()
     }
 
     /// Writes the dataset's payload to a flat file behind a garbage header
@@ -1672,43 +1297,6 @@ mod tests {
         values.iter().map(|v| v.to_bits()).collect()
     }
 
-    /// Written so `cargo miri test -p hydra-storage byte_view` accepts it:
-    /// no file, no mapping, only the helper and the frame allocation the
-    /// miss path pairs it with.
-    #[cfg(target_endian = "little")]
-    #[test]
-    fn byte_view_writes_land_in_the_f32s_bit_for_bit() {
-        // Zeroes, a subnormal, a NaN with a payload, -inf, -0.0, 1.0, all ones.
-        let patterns = [
-            0u32,
-            1,
-            0x7fc0_0001,
-            0xff80_0000,
-            0x8000_0000,
-            0x3f80_0000,
-            u32::MAX,
-        ];
-        let bytes: Vec<u8> = patterns.iter().flat_map(|p| p.to_le_bytes()).collect();
-        let mut reference = vec![0.0f32; patterns.len()];
-        decode_le_f32s(&bytes, &mut reference);
-        assert_eq!(bits(&reference), patterns);
-
-        let mut frame: Arc<[f32]> = std::iter::repeat_n(0.0, patterns.len()).collect();
-        let values = Arc::get_mut(&mut frame).unwrap();
-        assert_eq!(f32_bytes_mut(values).len(), bytes.len());
-        f32_bytes_mut(values).copy_from_slice(&bytes);
-        assert_eq!(bits(&frame), patterns);
-
-        // A view of a sub-slice covers exactly that sub-slice.
-        let mut values = reference.clone();
-        f32_bytes_mut(&mut values[2..4]).fill(0);
-        assert_eq!(
-            bits(&values),
-            [0, 1, 0, 0, 0x8000_0000, 0x3f80_0000, u32::MAX]
-        );
-        assert!(f32_bytes_mut(&mut []).is_empty());
-    }
-
     #[test]
     fn frames_read_in_place_equal_the_decoded_reference_bit_for_bit() {
         // 4 series of length 4 per page; 10 records = two full pages and a
@@ -1735,7 +1323,7 @@ mod tests {
                 let (file_lo, file_hi) = (lo.min(10), hi.min(10));
                 let mut want = vec![0.0f32; (file_hi - file_lo) * 4];
                 let payload = &file[offset as usize..];
-                decode_le_f32s(&payload[file_lo * 16..file_hi * 16], &mut want);
+                crate::backing::decode_le_f32s(&payload[file_lo * 16..file_hi * 16], &mut want);
                 for series in &tail[lo.max(10) - 10..hi.max(10) - 10] {
                     want.extend_from_slice(series);
                 }
@@ -1743,10 +1331,9 @@ mod tests {
             };
             let check =
                 |store: &SeriesStore, page: u64, lo: usize, hi: usize, tail: &[Vec<f32>]| {
-                    let Backing::File(fb) = &store.backing else {
-                        unreachable!("file_store_of attaches a file backing")
-                    };
-                    let frame = store.load_frame(fb, page);
+                    assert_eq!(store.page_records(page, store.len()), (lo, hi - lo));
+                    let file = store.backing.resident().expect_err("a file backing");
+                    let frame = file.load_records(lo, hi - lo, 4);
                     assert_eq!(
                         bits(&frame),
                         reference(lo, hi, tail),
@@ -2038,7 +1625,6 @@ mod tests {
     // Compressed page tier
     // ------------------------------------------------------------------
 
-    use crate::coded::{page_disk_bytes, CodedHeader, CodedPage, CODED_HEADER_BYTES};
 
     /// A dataset whose values genuinely stress u8 quantization (spread,
     /// sign changes, non-grid values) — unlike the linear ramp above,
@@ -2106,6 +1692,21 @@ mod tests {
         std::fs::write(path, &bytes).unwrap();
     }
 
+    /// A file-backed store over `d` with its `HYDRCODE` sidecar attached
+    /// (sealing every record), plus both paths for cleanup.
+    fn coded_file_store(
+        d: &Dataset,
+        config: StorageConfig,
+        name: &str,
+    ) -> (SeriesStore, [PathBuf; 2]) {
+        let (mut store, flat) = file_store_of(d, 0, config, name);
+        let sidecar = flat.with_extension(config.codec.name());
+        write_coded_sidecar(d, &config, &sidecar);
+        store.attach_coded_file(&sidecar).unwrap();
+        assert_eq!(store.sealed(), d.len());
+        (store, [flat, sidecar])
+    }
+
     #[test]
     fn sealed_refine_answers_match_raw_store_bit_for_bit() {
         let d = varied_dataset(100, 16);
@@ -2116,10 +1717,14 @@ mod tests {
         let (want, raw_stats) = one_nn_scan(&raw, &query);
         assert!(!want.is_empty());
         for codec in [PageCodec::U8, PageCodec::F16] {
-            let mut coded = SeriesStore::from_dataset(&d, tiered_config(codec)).unwrap();
-            assert_eq!(coded.sealed(), 0, "fresh builds are raw even under a coded config");
-            coded.seal_coded();
-            assert_eq!(coded.sealed(), 100);
+            // A codec is a file-backed serving knob: a resident store under
+            // the same config holds the exact values and stays raw.
+            let resident = SeriesStore::from_dataset(&d, tiered_config(codec)).unwrap();
+            assert_eq!(resident.sealed(), 0);
+            assert_eq!(one_nn_scan(&resident, &query), (want.clone(), raw_stats));
+
+            let (coded, paths) =
+                coded_file_store(&d, tiered_config(codec), &format!("refine-{}", codec.name()));
             let (got, coded_stats) = one_nn_scan(&coded, &query);
             assert_eq!(got, want, "{} accept sequence diverged", codec.name());
             assert!(
@@ -2154,80 +1759,70 @@ mod tests {
                     assert_eq!(coded_d, None, "{} record {r}", codec.name());
                 }
             }
+            for path in paths {
+                std::fs::remove_file(path).ok();
+            }
         }
     }
 
     #[test]
-    fn coded_file_tier_matches_coded_resident_tier_exactly() {
+    fn coded_scan_charges_exactly_its_coded_pages_plus_its_survivors() {
+        // 100 records of length 16, 4 per page: 25 coded pages behind a
+        // 4-page pool, scanned once front to back.
         let d = varied_dataset(100, 16);
         let mut query: Vec<f32> = d.get(11).unwrap().to_vec();
         query[3] += 4.0;
-
         for codec in [PageCodec::U8, PageCodec::F16] {
-            let config = tiered_config(codec);
-            let mut resident = SeriesStore::from_dataset(&d, config.clone()).unwrap();
-            resident.seal_coded();
-            resident.reset_io();
-
-            let dir = std::env::temp_dir();
-            let flat = dir.join(format!(
-                "hydra-storage-coded-{}-{}.flat",
-                std::process::id(),
-                codec.name()
-            ));
-            let sidecar = dir.join(format!(
-                "hydra-storage-coded-{}-{}.coded",
-                std::process::id(),
-                codec.name()
-            ));
-            let mut bytes = Vec::new();
-            for &v in d.as_flat() {
-                bytes.extend_from_slice(&v.to_bits().to_le_bytes());
-            }
-            std::fs::write(&flat, &bytes).unwrap();
-            write_coded_sidecar(&d, &config, &sidecar);
-            let mut file = SeriesStore::file_backed(
-                &flat,
-                FileSpan { offset: 0, records: 100 },
-                16,
-                config.clone(),
-            )
-            .unwrap();
-            file.attach_coded_file(&sidecar).unwrap();
-            assert_eq!(file.sealed(), 100);
-
-            let (res_acc, res_stats) = one_nn_scan(&resident, &query);
-            let (file_acc, file_stats) = one_nn_scan(&file, &query);
-            assert_eq!(file_acc, res_acc, "{} answers diverged", codec.name());
+            let (store, paths) =
+                coded_file_store(&d, tiered_config(codec), &format!("bytes-{}", codec.name()));
+            let (accepted, stats) = one_nn_scan(&store, &query);
+            // Every survivor of the coded probe pays one exact read: a
+            // random I/O of one raw series (64 bytes), outside the pool.
+            let survivors = stats.random_ios - 1;
+            assert!(survivors >= accepted.len() as u64 && survivors < 100);
+            assert_eq!(stats.sequential_ios, 24, "one positioning, then a sweep");
             assert_eq!(
-                file_stats, res_stats,
-                "{}: the resident tier must simulate exactly what the file tier measures",
+                stats.bytes_read,
+                100 * coded_series_bytes(16, codec) + survivors * 64,
+                "{}: logical bytes = every coded record + the exact survivors",
                 codec.name()
             );
-            assert_eq!(file.io_snapshot(), resident.io_snapshot());
-            let snap = file.io_snapshot();
-            assert!(snap.compressed_bytes_read > 0);
-            assert!(
-                snap.compressed_bytes_read <= snap.bytes_read,
-                "compressed bytes are a subset of all bytes"
+            let snap = store.io_snapshot();
+            let coded_bytes = 25 * page_disk_bytes(4, 16, codec);
+            assert_eq!(
+                snap,
+                IoSnapshot {
+                    random_ios: 1 + survivors,
+                    sequential_ios: 24,
+                    bytes_read: coded_bytes + survivors * 64,
+                    pool_hits: 0,
+                    pool_misses: 25,
+                    pool_evictions: 21,
+                    compressed_bytes_read: coded_bytes,
+                },
+                "{}: the file tier measures exactly its coded page records",
+                codec.name()
             );
-            std::fs::remove_file(&flat).ok();
-            std::fs::remove_file(&sidecar).ok();
+            for path in paths {
+                std::fs::remove_file(path).ok();
+            }
         }
     }
 
     #[test]
     fn coded_scan_reads_fewer_bytes_at_equal_pool_size() {
         let d = varied_dataset(256, 16);
+        let query: Vec<f32> = d.get(0).unwrap().to_vec();
+        let raw = one_nn_scan(&small_store_of(&d, tiered_config(PageCodec::F32)), &query).1;
         let scan = |codec: PageCodec| {
-            let mut store = SeriesStore::from_dataset(&d, tiered_config(codec)).unwrap();
-            store.seal_coded();
-            store.reset_io();
-            let query: Vec<f32> = d.get(0).unwrap().to_vec();
+            let (store, paths) =
+                coded_file_store(&d, tiered_config(codec), &format!("fewer-{}", codec.name()));
             let (_, stats) = one_nn_scan(&store, &query);
+            for path in paths {
+                std::fs::remove_file(path).ok();
+            }
             stats
         };
-        let raw = scan(PageCodec::F32);
         let u8s = scan(PageCodec::U8);
         let f16s = scan(PageCodec::F16);
         // Per-series logical charges: 64 raw, 4+16=20 for u8, 4+32=36 for
@@ -2246,18 +1841,13 @@ mod tests {
     #[test]
     fn appended_tail_records_stay_raw_after_sealing() {
         let d = varied_dataset(20, 8);
-        let mut store = SeriesStore::from_dataset(
-            &d,
-            StorageConfig {
-                page_bytes: 128,
-                buffer_pool_pages: 4,
-                codec: PageCodec::U8,
-                io: FileIoMode::Pread,
-            },
-        )
-        .unwrap();
-        store.seal_coded();
-        assert_eq!(store.sealed(), 20);
+        let config = StorageConfig {
+            page_bytes: 128,
+            buffer_pool_pages: 4,
+            codec: PageCodec::U8,
+            io: FileIoMode::Pread,
+        };
+        let (mut store, paths) = coded_file_store(&d, config, "tail");
         let fresh: Vec<f32> = (0..8).map(|j| j as f32 * 0.5 - 2.0).collect();
         store.append(&fresh).unwrap();
         assert_eq!(store.sealed(), 20, "appends never silently join the coded tier");
@@ -2280,6 +1870,146 @@ mod tests {
             f32::INFINITY
         });
         assert_eq!(seen, vec![18, 19, 20]);
+        for path in paths {
+            std::fs::remove_file(path).ok();
+        }
+    }
+
+    /// What one script step observed: the values, ids and distance bits
+    /// it returned, the per-query stats it charged, and the store totals
+    /// after it.
+    type Step = (Vec<u64>, QueryStats, IoSnapshot);
+
+    /// Replays `script` against `store`. Each word is one step: its low
+    /// digit picks the operation, the rest its two operands; everything
+    /// else derives from the store's length at that step, which is the
+    /// same on every tier.
+    fn replay(store: &mut SeriesStore, d: &Dataset, script: &[usize]) -> Vec<Step> {
+        let series_len = store.series_len();
+        let mut pinned: Option<Vec<u64>> = None;
+        let mut steps = Vec::with_capacity(script.len());
+        for &word in script {
+            let (op, a, b) = (word % 7, word / 7 % 64, word / (7 * 64));
+            let len = store.len();
+            let mut query = d.get(a % d.len()).unwrap().to_vec();
+            query[0] += 0.5;
+            let bound = if b % 2 == 0 { f32::INFINITY } else { 40.0 * (1 + b % 5) as f32 };
+            let mut stats = QueryStats::new();
+            let mut out: Vec<u64> = Vec::new();
+            match op {
+                0 => out.extend(store.read(a % len, &mut stats).iter().map(|v| v.to_bits() as u64)),
+                1 => store.read_range(a % len, b % 7, &mut stats, &mut |id, series| {
+                    out.push(id as u64);
+                    out.extend(series.iter().map(|v| v.to_bits() as u64));
+                }),
+                2 => out.extend(
+                    store
+                        .refine(a % len, &query, bound, &mut stats)
+                        .map(|dist| dist.to_bits() as u64),
+                ),
+                3 => {
+                    let mut best = bound;
+                    let last =
+                        store.scan_refine(a % len, b % 7, &query, bound, &mut stats, &mut |id, dist| {
+                            out.extend([id as u64, dist.to_bits() as u64]);
+                            best = best.min(dist);
+                            best
+                        });
+                    out.push(last.to_bits() as u64);
+                }
+                4 => {
+                    let series: Vec<f32> =
+                        (0..series_len).map(|j| (a * 7 + b * 3 + j) as f32 * 0.37 - 9.0).collect();
+                    out.push(store.append(&series).unwrap() as u64);
+                }
+                5 => match pinned.take() {
+                    Some(pages) => store.release_working_set(&pages),
+                    None => {
+                        let pages = store.pin_working_set(&[(a % len, b % 7), (b % len, 2)], b % 2 == 1);
+                        out.extend(&pages);
+                        pinned = Some(pages);
+                    }
+                },
+                _ => store.reset_io(),
+            }
+            steps.push((out, stats, store.io_snapshot()));
+        }
+        steps
+    }
+
+    proptest::proptest! {
+        #![proptest_config(proptest::ProptestConfig::with_cases(16))]
+
+        /// One random script against the resident store and the six
+        /// file-backed tiers, at a thrashing, a small and an unbounded
+        /// pool: every tier returns the same values and distance bits; the
+        /// raw file-backed store charges each query exactly what the
+        /// resident simulation does; and the I/O mode moves no counter.
+        #[test]
+        fn every_tier_replays_one_script_identically(
+            n in 1usize..40,
+            script in proptest::collection::vec(0usize..7 * 64 * 64, 1..48),
+        ) {
+            // 2 series of length 8 per page; an odd `n` leaves the seal
+            // boundary mid-page.
+            let d = varied_dataset(n, 8);
+            for pool in [1usize, 3, usize::MAX / 2] {
+                let config = |codec, io| StorageConfig {
+                    page_bytes: 64,
+                    buffer_pool_pages: pool,
+                    codec,
+                    io,
+                };
+                let mut resident = small_store_of(&d, config(PageCodec::F32, FileIoMode::Pread));
+                let want = replay(&mut resident, &d, &script);
+                for codec in [PageCodec::F32, PageCodec::U8, PageCodec::F16] {
+                    let by_io = [FileIoMode::Pread, FileIoMode::Mmap].map(|io| {
+                        let name = format!("script-{}-{}", codec.name(), io.name());
+                        let (mut store, paths) = if codec == PageCodec::F32 {
+                            let (store, flat) = file_store_of(&d, 7, config(codec, io), &name);
+                            (store, vec![flat])
+                        } else {
+                            let (store, paths) = coded_file_store(&d, config(codec, io), &name);
+                            (store, paths.to_vec())
+                        };
+                        let got = replay(&mut store, &d, &script);
+                        for path in paths {
+                            std::fs::remove_file(path).ok();
+                        }
+                        got
+                    });
+                    proptest::prop_assert_eq!(
+                        &by_io[0], &by_io[1],
+                        "{} pool {}: pread and mmap must agree on everything", codec.name(), pool
+                    );
+                    // An append invalidates a file-backed store's cached
+                    // frame where the resident id-only entry stays, so from
+                    // there to the next `reset_io` the two pools hold
+                    // different pages and only the I/O-operation split of a
+                    // query's charge may differ.
+                    let mut aligned = true;
+                    for (i, ((got, stats, _), (want, want_stats, _))) in
+                        by_io[0].iter().zip(&want).enumerate()
+                    {
+                        proptest::prop_assert_eq!(got, want, "{} pool {} step {}", codec.name(), pool, i);
+                        match script[i] % 7 {
+                            4 => aligned = false,
+                            6 => aligned = true,
+                            _ => {}
+                        }
+                        if codec == PageCodec::F32 {
+                            let (mut stats, mut want_stats) = (*stats, *want_stats);
+                            if !aligned {
+                                for s in [&mut stats, &mut want_stats] {
+                                    (s.random_ios, s.sequential_ios) = (0, 0);
+                                }
+                            }
+                            proptest::prop_assert_eq!(stats, want_stats, "pool {} step {}", pool, i);
+                        }
+                    }
+                }
+            }
+        }
     }
 
     #[test]

@@ -1,6 +1,6 @@
 //! Shared fixtures for the root integration tests: per-test temp
-//! directories, build-once-per-process snapshot zoos, and the pipelined
-//! TCP replay helper — so the serving, out-of-core, shard and router tests
+//! directories, build-once-per-process snapshot zoos, the one answer
+//! comparator, and the pipelined TCP replay helper — so the serving, out-of-core, shard and router tests
 //! stop each rebuilding the same snapshot directories from scratch.
 //!
 //! Each `tests/*.rs` file is its own test binary; `mod common;` compiles
@@ -80,6 +80,56 @@ pub fn brute_force_top_k(data: &hydra::Dataset, query: &[f32], k: usize) -> Vec<
         top.push(Neighbor::new(i, euclidean(query, series)));
     }
     top.into_sorted()
+}
+
+/// How much of their [`QueryStats`] two answers must share.
+#[derive(Debug, Clone, Copy)]
+pub enum StatsMatch {
+    /// Every counter.
+    Full,
+    /// Everything but the I/O-*operation* counters, which depend on the
+    /// shared buffer pool's page-residency history (a pool hit charges no
+    /// operation) and so legitimately differ between a fresh build and a
+    /// grown one and between reader interleavings.
+    ExceptIoOperations,
+    /// Nothing: the two sides do different work for the same answer.
+    Ignored,
+}
+
+/// The one answer comparator of the integration suites: `got` must hold
+/// `want`'s neighbours — as many, the same ids in the same order, the same
+/// distances bit for bit — and match its cost counters as far as `stats`
+/// demands.
+pub fn assert_same_answer(
+    context: &str,
+    got: &SearchResult,
+    want: &SearchResult,
+    stats: StatsMatch,
+) {
+    assert_eq!(
+        got.neighbors.len(),
+        want.neighbors.len(),
+        "{context}: answer set size drifted"
+    );
+    for (a, b) in got.neighbors.iter().zip(want.neighbors.iter()) {
+        assert_eq!(a.index, b.index, "{context}: neighbor drifted");
+        assert_eq!(
+            a.distance.to_bits(),
+            b.distance.to_bits(),
+            "{context}: distance bits drifted"
+        );
+    }
+    let (mut got_stats, mut want_stats) = (got.stats, want.stats);
+    match stats {
+        StatsMatch::Full => {}
+        StatsMatch::ExceptIoOperations => {
+            for s in [&mut got_stats, &mut want_stats] {
+                (s.random_ios, s.sequential_ios) = (0, 0);
+            }
+        }
+        StatsMatch::Ignored => return,
+    }
+    assert_eq!(got_stats, want_stats, "{context}: QueryStats drifted");
 }
 
 /// A fresh, empty temp directory owned by one test. The name carries the

@@ -71,36 +71,17 @@ fn assert_indistinguishable(
             .iter()
             .map(|q| fresh.search(q, &params).unwrap())
             .collect();
-        // The I/O-*operation* counters depend on the shared buffer pool's
-        // page-residency history (a pool hit charges no operation), which
-        // legitimately differs between a fresh build and a grown one and
-        // between reader interleavings; everything else — answers, CPU
+        // Everything but the I/O-operation counters — answers, CPU
         // counters, bytes_read — must never move.
         let check = |label: &str| {
             for (q, query) in queries.iter().enumerate() {
                 let got = grown.search(query, &params).unwrap();
-                let want = &expected[q];
-                assert_eq!(
-                    got.neighbors.len(),
-                    want.neighbors.len(),
-                    "{method} {label} {params:?} query {q}: answer set size drifted"
-                );
-                for (a, b) in got.neighbors.iter().zip(want.neighbors.iter()) {
-                    assert_eq!(a.index, b.index, "{method} {label} {params:?} query {q}");
-                    assert_eq!(
-                        a.distance.to_bits(),
-                        b.distance.to_bits(),
-                        "{method} {label} {params:?} query {q}: distance bits drifted"
-                    );
-                }
-                let (mut got_stats, mut want_stats) = (got.stats, want.stats.clone());
-                got_stats.random_ios = 0;
-                got_stats.sequential_ios = 0;
-                want_stats.random_ios = 0;
-                want_stats.sequential_ios = 0;
-                assert_eq!(
-                    got_stats, want_stats,
-                    "{method} {label} {params:?} query {q}: QueryStats drifted"
+                let context = format!("{method} {label} {params:?} query {q}");
+                common::assert_same_answer(
+                    &context,
+                    &got,
+                    &expected[q],
+                    common::StatsMatch::ExceptIoOperations,
                 );
             }
         };

@@ -6,20 +6,13 @@
 //! booting from snapshots is indistinguishable from one that paid the
 //! build.
 
-use std::path::{Path, PathBuf};
+mod common;
 
+use std::path::Path;
+
+use common::temp_dir;
 use hydra::prelude::*;
 use hydra::{AnnIndex, Dataset, PersistentIndex, StoreBacking};
-
-fn temp_dir(name: &str) -> PathBuf {
-    let dir = std::env::temp_dir().join(format!(
-        "hydra-integration-persist-{}-{name}",
-        std::process::id()
-    ));
-    std::fs::remove_dir_all(&dir).ok();
-    std::fs::create_dir_all(&dir).unwrap();
-    dir
-}
 
 /// Saves, reloads and interrogates one index: every query of the workload
 /// must produce identical neighbors, distances and cost counters, and the
@@ -47,22 +40,7 @@ where
         for query in workload.iter() {
             let a = index.search(query, p).unwrap();
             let b = loaded.search(query, p).unwrap();
-            assert_eq!(
-                a.neighbors.len(),
-                b.neighbors.len(),
-                "{}: answer set size drifted",
-                index.name()
-            );
-            for (x, y) in a.neighbors.iter().zip(b.neighbors.iter()) {
-                assert_eq!(x.index, y.index, "{}: neighbor drifted", index.name());
-                assert_eq!(
-                    x.distance.to_bits(),
-                    y.distance.to_bits(),
-                    "{}: distance drifted",
-                    index.name()
-                );
-            }
-            assert_eq!(a.stats, b.stats, "{}: cost counters drifted", index.name());
+            common::assert_same_answer(index.name(), &b, &a, common::StatsMatch::Full);
         }
         // The evaluation harness sees identical accuracy too (both runs
         // start from the same post-build / post-load storage state and
@@ -205,21 +183,8 @@ fn assert_file_backed_load_identical<T>(
         for query in workload.iter() {
             let a = resident.search(query, p).unwrap();
             let b = filed.search(query, p).unwrap();
-            assert_eq!(a.neighbors.len(), b.neighbors.len(), "{}: answer size", T::KIND);
-            for (x, y) in a.neighbors.iter().zip(b.neighbors.iter()) {
-                assert_eq!(x.index, y.index, "{}: neighbor drifted", T::KIND);
-                assert_eq!(
-                    x.distance.to_bits(),
-                    y.distance.to_bits(),
-                    "{}: distance drifted",
-                    T::KIND
-                );
-            }
-            assert_eq!(
-                a.stats, b.stats,
-                "{}: QueryStats must be identical across backings",
-                T::KIND
-            );
+            // The shared accounting contract: identical across backings.
+            common::assert_same_answer(T::KIND, &b, &a, common::StatsMatch::Full);
         }
         let truth = hydra::data::ground_truth(data, &workload, k);
         let ra = hydra::eval::run_workload(&resident, &workload, &truth, p);

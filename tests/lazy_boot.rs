@@ -9,9 +9,9 @@
 //! `hydra-serve` does) and pins the high-water mark of both boot paths.
 //! A resident boot must allocate at least the payload (the meter works);
 //! a streamed boot must stay under half of it (no Dataset-sized
-//! allocation anywhere in the chain). One test only — the allocator's
-//! counters are process-global, and a sibling test's allocations would
-//! pollute the peak.
+//! allocation anywhere in the chain). The allocator's counters are
+//! process-global, and a sibling test's allocations would pollute the
+//! peak, so every test here holds [`METER`] for its whole run.
 
 mod common;
 
@@ -21,8 +21,12 @@ use hydra_serve::{boot_from_dir, boot_from_dir_with, BootOptions};
 #[global_allocator]
 static ALLOC: hydra_obs::TrackingAllocator = hydra_obs::TrackingAllocator;
 
+/// Serializes the tests of this binary around the process-global meter.
+static METER: std::sync::Mutex<()> = std::sync::Mutex::new(());
+
 #[test]
 fn streamed_boot_peak_heap_stays_below_the_dataset_payload() {
+    let _meter = METER.lock().unwrap_or_else(|e| e.into_inner());
     let dir = common::temp_dir("lazy-boot");
     let seed = 5;
     // 2000 × 512 f32 = 4 MiB of raw payload. Long series, few of them, on
@@ -78,6 +82,47 @@ fn streamed_boot_peak_heap_stays_below_the_dataset_payload() {
         streamed_delta < payload / 2,
         "streamed boot peaked at {streamed_delta} heap bytes — a Dataset-sized allocation \
          ({payload} bytes of payload) crept back into the out-of-core boot path"
+    );
+    std::fs::remove_dir_all(&dir).ok();
+}
+
+/// Re-validating the sidecars an earlier boot left behind is part of every
+/// lazy boot, so it must stream them in bounded chunks like the dataset
+/// snapshot itself — never through a buffer sized by anything else.
+#[test]
+fn sidecar_revalidation_allocates_a_small_multiple_of_the_stream_chunk() {
+    use hydra::persist::dataset::{
+        coded_sidecar_path, ensure_coded_series, ensure_flat_series, save_dataset,
+    };
+    use hydra::persist::{open_dataset_streaming, DataSource, STREAM_CHUNK_BYTES};
+    let _meter = METER.lock().unwrap_or_else(|e| e.into_inner());
+    let dir = common::temp_dir("sidecar-revalidation");
+    // 600 × 512 f32 = 1.2 MiB raw, ~300 KiB as u8 codes: both payloads
+    // dwarf the chunk.
+    let data = hydra::data::random_walk(600, 512, 778);
+    let snapshot = dir.join("walk.data.snap");
+    save_dataset(&data, &snapshot).unwrap();
+    drop(data);
+    let handle = open_dataset_streaming(&snapshot).unwrap();
+    let source = DataSource::Streamed(&handle);
+    let flat = dir.join("walk.series");
+    let storage = hydra::StorageConfig::on_disk().with_page_codec(hydra::PageCodec::U8);
+    let coded = coded_sidecar_path(&flat, storage.codec);
+    let ensure = || {
+        ensure_flat_series(&flat, source, None).unwrap();
+        ensure_coded_series(&coded, source, None, &storage).unwrap();
+    };
+    ensure(); // the write
+    assert!(std::fs::metadata(&coded).unwrap().len() > 4 * STREAM_CHUNK_BYTES as u64);
+
+    hydra_obs::reset_heap_peak();
+    let live = hydra_obs::heap_live_bytes();
+    ensure(); // the re-validation
+    let delta = hydra_obs::heap_peak_bytes() - live;
+    assert!(
+        delta <= 2 * STREAM_CHUNK_BYTES,
+        "re-validating the sidecars peaked at {delta} heap bytes; the promise is one \
+         {STREAM_CHUNK_BYTES}-byte chunk"
     );
     std::fs::remove_dir_all(&dir).ok();
 }
