@@ -22,6 +22,16 @@
 //! * the final value is that same reduction, followed by the scalar tail
 //!   (`len % 4` trailing positions) added in index order.
 //!
+//! The helper walks its inputs as 8-wide `chunks_exact` blocks — one block
+//! per abandonment check — rather than indexing position by position. That
+//! is the same order, not a new one: every addition happens to the same
+//! accumulator in the same sequence. What the blocks buy is that the hot
+//! loop indexes slices of a length the compiler knows, so the per-element
+//! bounds check an `a[j] - b[j]` closure kept (and which blocked packed
+//! loads) is gone. The gain comes from removing bounds checks, never from
+//! reassociating the sum; the unit tests pin every entry point against a
+//! naive scalar transcription of the order above, bit for bit.
+//!
 //! This is a repo-wide correctness contract, not a style choice:
 //! [`squared_euclidean`], [`euclidean_early_abandon`] and the fused
 //! quantized-decode kernels ([`euclidean_early_abandon_u8`],
@@ -40,54 +50,64 @@
 //! still abandon candidates whose squared sum overflows, not silently
 //! disable abandonment.
 
-/// The canonical accumulation order (see the module docs): 4-way lanes,
-/// abandonment check on the horizontal sum every 8 positions, reduction
-/// `(acc0 + acc1) + (acc2 + acc3)`, scalar tail in index order.
+/// The canonical accumulation order (see the module docs) over the
+/// differences `x[j] - decode(y[j])`: 4-way lanes, abandonment check on the
+/// horizontal sum every 8 positions, reduction `(acc0 + acc1) + (acc2 +
+/// acc3)`, scalar tail in index order.
+///
+/// The slices are walked as `chunks_exact(8)` blocks, so the hot loop
+/// indexes arrays of a known length — no per-element bounds check — and
+/// only the remainder (shorter than 8) is indexed position by position.
 ///
 /// Returns `None` as soon as a checked partial sum exceeds `threshold`
 /// (a squared bound; pass `f32::INFINITY` to never abandon), otherwise
-/// `Some(total squared sum)`.
+/// `Some(total squared sum)`. The callers have checked `x.len() == y.len()`.
 #[inline(always)]
-fn sum_squares_abandoning<D>(len: usize, diff: D, threshold: f32) -> Option<f32>
-where
-    D: Fn(usize) -> f32,
-{
-    let mut acc0 = 0.0f32;
-    let mut acc1 = 0.0f32;
-    let mut acc2 = 0.0f32;
-    let mut acc3 = 0.0f32;
-    let quads = len / 4;
-    let mut q = 0usize;
-    while q < quads {
-        // Check the abandonment condition every 8 positions: frequent
-        // enough to save work, rare enough not to dominate the loop with
-        // branches.
-        let stop = (q + 2).min(quads);
-        while q < stop {
-            let j = q * 4;
-            let d0 = diff(j);
-            let d1 = diff(j + 1);
-            let d2 = diff(j + 2);
-            let d3 = diff(j + 3);
-            acc0 += d0 * d0;
-            acc1 += d1 * d1;
-            acc2 += d2 * d2;
-            acc3 += d3 * d3;
-            q += 1;
+fn sum_squares_abandoning<Y: Copy>(
+    x: &[f32],
+    y: &[Y],
+    decode: impl Fn(Y) -> f32,
+    threshold: f32,
+) -> Option<f32> {
+    let reduce = |acc: &[f32; 4]| (acc[0] + acc[1]) + (acc[2] + acc[3]);
+    let mut acc = [0.0f32; 4];
+    let (xs, ys) = (x.chunks_exact(8), y.chunks_exact(8));
+    let (xr, yr) = (xs.remainder(), ys.remainder());
+    // Check the abandonment condition every 8 positions: frequent enough
+    // to save work, rare enough not to dominate the loop with branches.
+    for (xb, yb) in xs.zip(ys) {
+        let d: [f32; 8] = std::array::from_fn(|k| xb[k] - decode(yb[k]));
+        for k in 0..4 {
+            acc[k] += d[k] * d[k];
         }
-        if (acc0 + acc1) + (acc2 + acc3) > threshold {
+        for k in 0..4 {
+            acc[k] += d[4 + k] * d[4 + k];
+        }
+        if reduce(&acc) > threshold {
             return None;
         }
     }
-    let mut acc = (acc0 + acc1) + (acc2 + acc3);
-    for j in quads * 4..len {
-        let d = diff(j);
-        acc += d * d;
+    let rest = |j: usize| xr[j] - decode(yr[j]);
+    // A last lone 4-lane is checked like a full block.
+    let lanes = xr.len() & !3;
+    if lanes == 4 {
+        for (k, a) in acc.iter_mut().enumerate() {
+            let d = rest(k);
+            *a += d * d;
+        }
+        if reduce(&acc) > threshold {
+            return None;
+        }
     }
-    if acc > threshold {
+    let mut total = reduce(&acc);
+    for j in lanes..xr.len() {
+        let d = rest(j);
+        total += d * d;
+    }
+    if total > threshold {
         return None;
     }
-    Some(acc)
+    Some(total)
 }
 
 /// The squared-space abandonment threshold for an un-squared bound,
@@ -122,7 +142,7 @@ fn squared_threshold(best_so_far: f32) -> f32 {
 #[inline]
 pub fn squared_euclidean(a: &[f32], b: &[f32]) -> f32 {
     assert_eq!(a.len(), b.len(), "squared_euclidean: slice lengths differ");
-    sum_squares_abandoning(a.len(), |j| a[j] - b[j], f32::INFINITY)
+    sum_squares_abandoning(a, b, |v| v, f32::INFINITY)
         .expect("an infinite threshold never abandons")
 }
 
@@ -163,8 +183,7 @@ pub fn euclidean_early_abandon(a: &[f32], b: &[f32], best_so_far: f32) -> Option
         b.len(),
         "euclidean_early_abandon: slice lengths differ"
     );
-    sum_squares_abandoning(a.len(), |j| a[j] - b[j], squared_threshold(best_so_far))
-        .map(f32::sqrt)
+    sum_squares_abandoning(a, b, |v| v, squared_threshold(best_so_far)).map(f32::sqrt)
 }
 
 /// Fused u8-decode + early-abandoning Euclidean distance — the compressed
@@ -197,8 +216,9 @@ pub fn euclidean_early_abandon_u8(
         "euclidean_early_abandon_u8: query and code lengths differ"
     );
     sum_squares_abandoning(
-        query.len(),
-        |j| query[j] - (min + codes[j] as f32 * scale),
+        query,
+        codes,
+        |c| min + c as f32 * scale,
         squared_threshold(threshold),
     )
     .map(f32::sqrt)
@@ -218,8 +238,9 @@ pub fn euclidean_early_abandon_f16(query: &[f32], codes: &[u16], threshold: f32)
         "euclidean_early_abandon_f16: query and code lengths differ"
     );
     sum_squares_abandoning(
-        query.len(),
-        |j| query[j] - crate::half::f32_from_f16_bits(codes[j]),
+        query,
+        codes,
+        crate::half::f32_from_f16_bits,
         squared_threshold(threshold),
     )
     .map(f32::sqrt)
@@ -287,6 +308,75 @@ mod tests {
             // the rounded sqrt can land just below the accumulated sum.)
             if let Some(kept) = euclidean_early_abandon(&a, &b, exact) {
                 assert_eq!(exact.to_bits(), kept.to_bits(), "len={len}");
+            }
+        }
+    }
+
+    /// The canonical order of the module docs, transcribed naively over
+    /// precomputed differences: the reference the block kernel must equal.
+    fn canonical_reference(diffs: &[f32], threshold: f32) -> Option<f32> {
+        let mut acc = [0.0f32; 4];
+        let quads = diffs.len() / 4;
+        for q in 0..quads {
+            for k in 0..4 {
+                acc[k] += diffs[4 * q + k] * diffs[4 * q + k];
+            }
+            // Checked after every second 4-lane, and after the last one.
+            let checked = q % 2 == 1 || q + 1 == quads;
+            if checked && (acc[0] + acc[1]) + (acc[2] + acc[3]) > threshold {
+                return None;
+            }
+        }
+        let mut total = (acc[0] + acc[1]) + (acc[2] + acc[3]);
+        for d in &diffs[quads * 4..] {
+            total += d * d;
+        }
+        if total > threshold {
+            return None;
+        }
+        Some(total)
+    }
+
+    #[test]
+    fn every_entry_point_equals_the_scalar_reference_bit_for_bit() {
+        use crate::half::{f16_bits_from_f32, f32_from_f16_bits};
+        let bits = |d: Option<f32>| d.map(f32::to_bits);
+        let (min, scale) = (-3.25f32, 0.031f32);
+        for len in (0usize..=40).chain(248..=264) {
+            let q: Vec<f32> = (0..len).map(|i| (i as f32 * 0.7).cos() * 3.0).collect();
+            let raw: Vec<f32> = (0..len).map(|i| (i as f32 * 1.3).sin() * 2.0).collect();
+            let u8s: Vec<u8> = (0..len).map(|i| (i * 37 % 256) as u8).collect();
+            let f16s: Vec<u16> = raw.iter().map(|&v| f16_bits_from_f32(v)).collect();
+            let diffs = |decoded: Vec<f32>| -> Vec<f32> {
+                q.iter().zip(&decoded).map(|(x, y)| x - y).collect()
+            };
+            let raw_diffs = diffs(raw.clone());
+            let u8_diffs = diffs(u8s.iter().map(|&c| min + c as f32 * scale).collect());
+            let f16_diffs = diffs(f16s.iter().map(|&c| f32_from_f16_bits(c)).collect());
+
+            let whole = canonical_reference(&raw_diffs, f32::INFINITY).unwrap();
+            assert_eq!(squared_euclidean(&q, &raw).to_bits(), whole.to_bits());
+            let exact = whole.sqrt();
+            let tight = exact * 0.5;
+            for bound in [0.0, tight, exact, exact * 2.0, f32::MAX, f32::INFINITY] {
+                let want = |d: &[f32]| {
+                    bits(canonical_reference(d, squared_threshold(bound)).map(f32::sqrt))
+                };
+                assert_eq!(
+                    bits(euclidean_early_abandon(&q, &raw, bound)),
+                    want(&raw_diffs),
+                    "f32 len={len} bound={bound}"
+                );
+                assert_eq!(
+                    bits(euclidean_early_abandon_u8(&q, &u8s, min, scale, bound)),
+                    want(&u8_diffs),
+                    "u8 len={len} bound={bound}"
+                );
+                assert_eq!(
+                    bits(euclidean_early_abandon_f16(&q, &f16s, bound)),
+                    want(&f16_diffs),
+                    "f16 len={len} bound={bound}"
+                );
             }
         }
     }

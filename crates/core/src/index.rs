@@ -206,7 +206,8 @@ pub type NodeId = usize;
 ///
 /// A search computes hundreds to thousands of lower bounds against *one*
 /// query, and the part of a bound that depends only on the query (iSAX2+:
-/// its PAA) is the same every time. [`Self::prepare`] computes that part
+/// the squared distance from its PAA to every SAX region a node can name)
+/// is the same every time. [`Self::prepare`] computes that part
 /// once; [`Self::min_dist`] takes it by reference, next to the query
 /// itself. The drivers in [`crate::search`] call `prepare` exactly once per
 /// query and hand the same value to every `min_dist` of that query. An

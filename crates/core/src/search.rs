@@ -185,14 +185,21 @@ impl<'a, I: HierarchicalIndex + ?Sized> KnnSearcher<'a, I> {
                     }
                 }
             } else {
+                // The surviving children enter the queue in one `extend`,
+                // which restores the heap once for the lot (O(n) for a wide
+                // fan-out) instead of sifting each one up. `QueueEntry`'s
+                // order is total and node ids are unique, so the pop
+                // sequence is the one n pushes would give.
                 let bsf = top.kth_distance();
-                for &child in self.index.children(entry.node) {
-                    let lb = self.index.min_dist(query, &prepared, child);
-                    stats.lower_bound_computations += 1;
-                    if lb < bsf / one_plus_eps || !top.is_full() {
-                        self.queue.push(Reverse(QueueEntry { lb, node: child }));
-                    }
-                }
+                let keep_all = !top.is_full();
+                let index = self.index;
+                let children = index.children(entry.node);
+                stats.lower_bound_computations += children.len() as u64;
+                self.queue.extend(children.iter().filter_map(|&child| {
+                    let lb = index.min_dist(query, &prepared, child);
+                    (lb < bsf / one_plus_eps || keep_all)
+                        .then_some(Reverse(QueueEntry { lb, node: child }))
+                }));
             }
         }
 
@@ -253,6 +260,9 @@ mod tests {
         order: Vec<usize>,
         /// How many lower bounds have been computed against this tree.
         min_dist_calls: std::cell::Cell<u64>,
+        /// Every node expanded (`children`) or refined (`visit_leaf`), in
+        /// call order.
+        visited: std::cell::RefCell<Vec<NodeId>>,
     }
 
     struct ToyNode {
@@ -281,6 +291,7 @@ mod tests {
                 nodes: Vec::new(),
                 order,
                 min_dist_calls: std::cell::Cell::new(0),
+                visited: Default::default(),
             };
             tree.split(0, values.len(), leaf_cap, fanout, values);
             tree
@@ -329,6 +340,7 @@ mod tests {
             self.nodes[node].children.is_empty()
         }
         fn children(&self, node: NodeId) -> &[NodeId] {
+            self.visited.borrow_mut().push(node);
             &self.nodes[node].children
         }
         fn prepare(&self, _query: &[f32]) {}
@@ -350,6 +362,7 @@ mod tests {
             _stats: &mut QueryStats,
             visit: &mut dyn FnMut(usize, &[f32]),
         ) {
+            self.visited.borrow_mut().push(node);
             let n = &self.nodes[node];
             for &idx in &self.order[n.lo..n.hi] {
                 visit(idx, self.dataset.series(idx));
@@ -512,6 +525,59 @@ mod tests {
         let tree = ToyTree::build(&[0.0, 1.0, 2.0, 3.0], 2);
         assert_eq!(tree.children(0), &[1, 2]);
         assert_eq!(predict_first_leaf(&tree, &[1.5]), Some(1));
+    }
+
+    /// Exact best-first search pushing one child at a time — what the
+    /// driver did before it loaded the queue in bulk. Returns the nodes in
+    /// the order they were visited.
+    fn visit_order_pushing_one_by_one(tree: &ToyTree, q: f32, k: usize) -> Vec<NodeId> {
+        let mut order = Vec::new();
+        let mut top = TopK::new(k);
+        let mut queue = BinaryHeap::new();
+        let lb = tree.min_dist(&[q], &(), 0);
+        queue.push(Reverse(QueueEntry { lb, node: 0 }));
+        while let Some(Reverse(entry)) = queue.pop() {
+            if entry.lb > top.kth_distance() {
+                break;
+            }
+            order.push(entry.node);
+            if tree.is_leaf(entry.node) {
+                tree.visit_leaf(entry.node, &mut QueryStats::new(), &mut |id, series| {
+                    top.push(Neighbor::new(id, euclidean(&[q], series)));
+                });
+            } else {
+                let bsf = top.kth_distance();
+                for &child in tree.children(entry.node) {
+                    let lb = tree.min_dist(&[q], &(), child);
+                    if lb < bsf || !top.is_full() {
+                        queue.push(Reverse(QueueEntry { lb, node: child }));
+                    }
+                }
+            }
+        }
+        order
+    }
+
+    #[test]
+    fn bulk_loading_the_queue_visits_nodes_in_the_one_push_per_child_order() {
+        // Eight distinct values, eight copies each, fan-out 8: the eight
+        // leaves under a child all tie, and children at equal distance
+        // either side of the query tie with each other.
+        let values: Vec<f32> = (0..64).map(|i| (i / 8) as f32).collect();
+        let tree = ToyTree::build_wide(&values, 2, 8);
+        for q in [-1.0f32, 0.0, 3.5, 4.0, 6.5, 9.0] {
+            for k in [1usize, 3, 9, 20] {
+                tree.visited.borrow_mut().clear();
+                let res = knn_search(&tree, &[q], &SearchSpec::exact(k));
+                let bulk = std::mem::take(&mut *tree.visited.borrow_mut());
+                assert_eq!(bulk.len() as u64, res.stats.nodes_visited);
+                assert_eq!(
+                    bulk,
+                    visit_order_pushing_one_by_one(&tree, q, k),
+                    "q={q} k={k}"
+                );
+            }
+        }
     }
 
     #[test]

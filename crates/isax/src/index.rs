@@ -1,5 +1,6 @@
 //! The iSAX2+ tree.
 
+use std::collections::HashMap;
 use std::path::Path;
 
 use hydra_core::search::SearchSpec;
@@ -13,9 +14,7 @@ use hydra_persist::{
 };
 use hydra_storage::{SeriesStore, StorageConfig};
 use hydra_summarize::paa::paa;
-use hydra_summarize::sax::{
-    mindist_paa_isax, normal_breakpoints, sax_word, IsaxWord, SaxParams,
-};
+use hydra_summarize::sax::{normal_breakpoints, sax_word, IsaxWord, SaxParams};
 
 /// Configuration of an [`Isax2Plus`] index.
 #[derive(Debug, Clone, Copy)]
@@ -66,14 +65,75 @@ impl Node {
 }
 
 /// The iSAX2+ index.
+///
+/// # Lower bounds by table lookup
+///
+/// A node's [`IsaxWord`] stays the source of truth for insertion, splitting
+/// and persistence. For search, every `(bits, prefix)` a segment can take is
+/// numbered as a *cell*: `cell = (1 << bits) - 2 + prefix`, so the two 1-bit
+/// regions are cells 0 and 1, the four 2-bit regions cells 2..=5, and so on
+/// up to `2^(max_bits + 1) - 2` cells. The cells of all nodes live in one
+/// flat `u16` array (`word_len` per node, in node order, the virtual root
+/// having none), written whenever a node is pushed and rebuilt from the
+/// words when a snapshot loads — derived data, never persisted.
+/// [`HierarchicalIndex::prepare`] fills a per-query table with the squared
+/// distance from the query's PAA to every cell of every segment, and
+/// [`HierarchicalIndex::min_dist`] is then `word_len` lookups summed in
+/// segment order: the same additions as
+/// [`hydra_summarize::sax::mindist_paa_isax`] over the word, bit for bit.
 pub struct Isax2Plus {
     config: IsaxConfig,
     series_len: usize,
     breakpoints: Vec<f32>,
     nodes: Vec<Node>,
+    /// Segments per word: `config.sax.segments`, clamped to the series
+    /// length as [`sax_word`] clamps it.
+    word_len: usize,
+    /// The `(lower, upper)` breakpoint edges of every cell, by cell id.
+    cell_edges: Vec<(f32, f32)>,
+    /// Cell ids of node `n >= 1` at `(n - 1) * word_len ..`.
+    cells: Vec<u16>,
+    /// Root children by the 1-bit prefixes of their word: build/ingest-time
+    /// scratch like `Node::member_words`, rebuilt from the root's children
+    /// when stale.
+    root_children: HashMap<Vec<u16>, usize>,
     /// Leaf-ordered raw series (the simulated on-disk layout).
     collection: Collection,
     histogram: DistanceHistogram,
+}
+
+/// The 1-bit prefix of every segment: what decides the root child of a
+/// full-cardinality word.
+fn root_key(word: &IsaxWord, max_bits: u8) -> Vec<u16> {
+    word.symbols.iter().map(|s| s >> (max_bits - 1)).collect()
+}
+
+/// The cell id of every segment of `word` (see [`Isax2Plus`]).
+fn cell_ids(word: &IsaxWord, max_bits: u8) -> impl Iterator<Item = u16> + '_ {
+    (0..word.len()).map(move |i| (1 << word.bits[i]) - 2 + word.truncated_symbol(i, max_bits))
+}
+
+/// The breakpoint edges of every cell in cell-id order, exactly as
+/// `mindist_paa_isax` derives them from a word: the region of `prefix` at
+/// `bits` bits spans the full-cardinality symbols
+/// `prefix << shift ..= ((prefix + 1) << shift) - 1`.
+fn cell_edges(breakpoints: &[f32], max_bits: u8) -> Vec<(f32, f32)> {
+    let mut edges = Vec::with_capacity((2usize << max_bits) - 2);
+    for bits in 1..=max_bits {
+        let shift = max_bits - bits;
+        for prefix in 0..1usize << bits {
+            let lo_sym = prefix << shift;
+            let hi_sym = ((prefix + 1) << shift) - 1;
+            let lower = if lo_sym == 0 {
+                f32::NEG_INFINITY
+            } else {
+                breakpoints[lo_sym - 1]
+            };
+            let upper = breakpoints.get(hi_sym).copied().unwrap_or(f32::INFINITY);
+            edges.push((lower, upper));
+        }
+    }
+    edges
 }
 
 /// Where [`Isax2Plus::insert_series`] re-reads member series when a leaf's
@@ -108,21 +168,11 @@ impl Isax2Plus {
         if config.leaf_capacity == 0 {
             return Err(Error::InvalidParameter("leaf capacity must be positive".into()));
         }
-        let series_len = dataset.series_len();
-        let breakpoints = normal_breakpoints(config.sax.max_cardinality());
-        let mut index = Self {
-            config,
-            series_len,
-            breakpoints,
-            nodes: Vec::new(),
-            collection: Collection::leaf_order(series_len, config.storage)?,
-            histogram: DistanceHistogram::from_dataset(
-                dataset,
-                config.histogram_samples,
-                256,
-                config.seed,
-            ),
-        };
+        config.sax.validate().map_err(Error::InvalidParameter)?;
+        let collection = Collection::leaf_order(dataset.series_len(), config.storage)?;
+        let histogram =
+            DistanceHistogram::from_dataset(dataset, config.histogram_samples, 256, config.seed);
+        let mut index = Self::without_nodes(config, dataset.series_len(), collection, histogram);
         index.push_node(IsaxWord {
             symbols: Vec::new(),
             bits: Vec::new(),
@@ -133,11 +183,35 @@ impl Isax2Plus {
         index
             .collection
             .materialize(dataset, leaves_mut(&mut index.nodes))?;
-        // The cached words were build-time scratch.
+        // The cached words and the root fan-out map were build-time scratch.
         for node in &mut index.nodes {
             node.member_words = Vec::new();
         }
+        index.root_children = HashMap::new();
         Ok(index)
+    }
+
+    /// An index with its query-independent geometry in place and no nodes
+    /// yet. The caller has validated `config.sax`.
+    fn without_nodes(
+        config: IsaxConfig,
+        series_len: usize,
+        collection: Collection,
+        histogram: DistanceHistogram,
+    ) -> Self {
+        let breakpoints = normal_breakpoints(config.sax.max_cardinality());
+        Self {
+            config,
+            series_len,
+            cell_edges: cell_edges(&breakpoints, config.sax.max_bits),
+            breakpoints,
+            nodes: Vec::new(),
+            word_len: config.sax.segments.min(series_len),
+            cells: Vec::new(),
+            root_children: HashMap::new(),
+            collection,
+            histogram,
+        }
     }
 
     fn full_word(&self, series: &[f32]) -> IsaxWord {
@@ -185,14 +259,19 @@ impl Isax2Plus {
     fn insert_series(&mut self, id: usize, word: IsaxWord, src: &FetchSource<'_>) {
         let max_bits = self.config.sax.max_bits;
 
-        // Find (or create) the root child whose 1-bit word covers this series.
-        let mut current = match self.nodes[0]
-            .children
-            .iter()
-            .copied()
-            .find(|&c| self.nodes[c].word.contains(&word, max_bits))
-        {
-            Some(c) => c,
+        // Find (or create) the root child whose 1-bit word covers this
+        // series — at most one does, so a lookup by those bits finds the
+        // child a scan of the root's children would.
+        if self.root_children.len() != self.nodes[0].children.len() {
+            self.root_children = self.nodes[0]
+                .children
+                .iter()
+                .map(|&c| (root_key(&self.nodes[c].word, max_bits), c))
+                .collect();
+        }
+        let key = root_key(&word, max_bits);
+        let mut current = match self.root_children.get(&key) {
+            Some(&c) => c,
             None => {
                 let child_word = IsaxWord {
                     symbols: word.symbols.clone(),
@@ -200,6 +279,7 @@ impl Isax2Plus {
                 };
                 let child = self.push_node(child_word);
                 self.nodes[0].children.push(child);
+                self.root_children.insert(key, child);
                 child
             }
         };
@@ -298,6 +378,7 @@ impl Isax2Plus {
 
     fn push_node(&mut self, word: IsaxWord) -> usize {
         let id = self.nodes.len();
+        self.cells.extend(cell_ids(&word, self.config.sax.max_bits));
         self.nodes.push(Node {
             word,
             children: Vec::new(),
@@ -421,6 +502,11 @@ impl PersistentIndex for Isax2Plus {
         config: &IsaxConfig,
         backing: StoreBacking<'_>,
     ) -> hydra_persist::Result<Self> {
+        config
+            .sax
+            .validate()
+            .map_err(|e| PersistError::Corrupt(format!("cannot rebuild the iSAX2+ tree: {e}")))?;
+        let max_bits = config.sax.max_bits;
         let data_fingerprint = source.fingerprint();
         let mut r = SnapshotReader::open(path)?;
         r.expect_kind(Self::KIND)?;
@@ -438,12 +524,21 @@ impl PersistentIndex for Isax2Plus {
 
         let mut sec = r.next_section()?;
         let mut nodes = Vec::with_capacity(node_count);
+        let full_word_len = config.sax.segments.min(series_len);
         for _ in 0..node_count {
             let symbols = sec.get_u16s()?;
             let bits = sec.get_u8s()?;
-            if symbols.len() != bits.len() {
+            // The virtual root has the empty word; every other word has
+            // one in-range symbol per segment, which is what keeps its
+            // cell ids inside the per-query table.
+            let word_len = if nodes.is_empty() { 0 } else { full_word_len };
+            if symbols.len() != word_len
+                || bits.len() != word_len
+                || bits.iter().any(|b| !(1..=max_bits).contains(b))
+                || symbols.iter().any(|s| s >> max_bits != 0)
+            {
                 return Err(PersistError::Corrupt(
-                    "iSAX word symbols and bits differ in length".into(),
+                    "iSAX word does not fit the SAX parameters".into(),
                 ));
             }
             let children = sec.get_usizes()?;
@@ -476,19 +571,19 @@ impl PersistentIndex for Isax2Plus {
             backing,
         )?;
 
-        Ok(Self {
-            config: *config,
-            series_len,
-            breakpoints: normal_breakpoints(config.sax.max_cardinality()),
-            nodes,
-            collection,
-            histogram,
-        })
+        let mut index = Self::without_nodes(*config, series_len, collection, histogram);
+        index.cells = nodes
+            .iter()
+            .flat_map(|n| cell_ids(&n.word, max_bits))
+            .collect();
+        index.nodes = nodes;
+        Ok(index)
     }
 }
 
 impl HierarchicalIndex for Isax2Plus {
-    /// The query's PAA: the only thing `MINDIST_PAA_iSAX` needs of it.
+    /// The squared distance from the query's PAA to every cell of every
+    /// segment: row `i` holds segment `i`'s `cell_edges.len()` cells.
     type Prepared = Vec<f32>;
 
     fn roots(&self) -> &[usize] {
@@ -504,20 +599,35 @@ impl HierarchicalIndex for Isax2Plus {
     }
 
     fn prepare(&self, query: &[f32]) -> Vec<f32> {
-        paa(query, self.config.sax.segments)
+        let query_paa = paa(query, self.config.sax.segments);
+        let mut table = Vec::with_capacity(query_paa.len() * self.cell_edges.len());
+        for &q in &query_paa {
+            table.extend(self.cell_edges.iter().map(|&(lower, upper)| {
+                let d = if q < lower {
+                    lower - q
+                } else if q > upper {
+                    q - upper
+                } else {
+                    0.0
+                };
+                d * d
+            }));
+        }
+        table
     }
 
-    fn min_dist(&self, _query: &[f32], query_paa: &Vec<f32>, node: usize) -> f32 {
+    fn min_dist(&self, _query: &[f32], table: &Vec<f32>, node: usize) -> f32 {
         if node == 0 {
             return 0.0;
         }
-        mindist_paa_isax(
-            query_paa,
-            &self.nodes[node].word,
-            &self.breakpoints,
-            self.series_len,
-            self.config.sax.max_bits,
-        )
+        let cells = &self.cells[(node - 1) * self.word_len..][..self.word_len];
+        let row_len = self.cell_edges.len();
+        let mut acc = 0.0f32;
+        for (i, &cell) in cells.iter().enumerate() {
+            acc += table[i * row_len + cell as usize];
+        }
+        let scale = self.series_len as f32 / self.word_len as f32;
+        (scale * acc).sqrt()
     }
 
     fn visit_leaf(
@@ -583,6 +693,8 @@ impl AnnIndex for Isax2Plus {
             .sum::<usize>()
             + self.collection.mapping_bytes()
             + self.breakpoints.len() * std::mem::size_of::<f32>()
+            + self.cell_edges.len() * std::mem::size_of::<(f32, f32)>()
+            + self.cells.len() * std::mem::size_of::<u16>()
     }
 
     fn store_counters(&self) -> Option<hydra_core::StoreCounters> {
@@ -643,6 +755,7 @@ impl AnnIndex for Isax2Plus {
 mod tests {
     use super::*;
     use hydra_data::{exact_knn, random_walk};
+    use hydra_summarize::sax::{mindist_paa_isax, MAX_CARD_BITS};
 
     fn build_small(n: usize, len: usize) -> (Dataset, Isax2Plus) {
         let data = random_walk(n, len, 17);
@@ -667,6 +780,27 @@ mod tests {
             ..IsaxConfig::default()
         };
         assert!(Isax2Plus::build(&one, bad).is_err());
+        // `SaxParams`' fields are public: values its constructor would have
+        // clamped are refused with a typed error, by build and by load.
+        let (data, index) = build_small(40, 16);
+        let path =
+            std::env::temp_dir().join(format!("hydra-isax-bad-sax-{}.snap", std::process::id()));
+        index.save(&path).unwrap();
+        for (segments, max_bits) in [(0, 8), (8, 0), (8, MAX_CARD_BITS + 1)] {
+            let bad = IsaxConfig {
+                sax: SaxParams { segments, max_bits },
+                ..*index.config()
+            };
+            assert!(matches!(
+                Isax2Plus::build(&data, bad),
+                Err(Error::InvalidParameter(_))
+            ));
+            assert!(matches!(
+                Isax2Plus::load(&path, &data, &bad),
+                Err(PersistError::Corrupt(_))
+            ));
+        }
+        std::fs::remove_file(&path).ok();
     }
 
     #[test]
@@ -860,36 +994,56 @@ mod tests {
 
     #[test]
     fn prepared_min_dist_equals_the_paa_mindist_on_every_node() {
-        let data = random_walk(500, 64, 17);
-        let (_, built) = build_small(500, 64);
-        // The same collection, the last 200 series ingested in uneven chunks.
-        let head = Dataset::from_flat(64, data.as_flat()[..300 * 64].to_vec()).unwrap();
-        let mut grown = Isax2Plus::build(&head, *built.config()).unwrap();
-        let tail: Vec<&[f32]> = (300..500).map(|i| data.series(i)).collect();
-        for chunk in tail.chunks(37) {
-            grown.insert_batch(chunk).unwrap();
-        }
-        assert_eq!(grown.nodes.len(), built.nodes.len());
+        // (series length, segments, max_bits); the last series is shorter
+        // than its word, so the word is clamped to the series.
+        for (len, segments, max_bits) in [(64, 8, 8), (64, 16, 8), (64, 8, 3), (6, 8, 8)] {
+            let data = random_walk(500, len, 17);
+            let config = IsaxConfig {
+                sax: SaxParams::new(segments, max_bits),
+                leaf_capacity: 16,
+                storage: StorageConfig::in_memory(),
+                histogram_samples: 2_000,
+                seed: 5,
+            };
+            let built = Isax2Plus::build(&data, config).unwrap();
+            // The same collection, the last 200 series ingested in uneven
+            // chunks, and the built tree round-tripped through a snapshot.
+            let head = Dataset::from_flat(len, data.as_flat()[..300 * len].to_vec()).unwrap();
+            let mut grown = Isax2Plus::build(&head, config).unwrap();
+            let tail: Vec<&[f32]> = (300..500).map(|i| data.series(i)).collect();
+            for chunk in tail.chunks(37) {
+                grown.insert_batch(chunk).unwrap();
+            }
+            let path = std::env::temp_dir().join(format!(
+                "hydra-isax-cells-{}-{len}-{segments}-{max_bits}.snap",
+                std::process::id()
+            ));
+            built.save(&path).unwrap();
+            let loaded = Isax2Plus::load(&path, &data, &config).unwrap();
+            std::fs::remove_file(&path).ok();
+            assert_eq!(grown.nodes.len(), built.nodes.len());
+            assert_eq!(grown.cells, built.cells);
+            assert_eq!(loaded.cells, built.cells);
 
-        let queries = random_walk(6, 64, 99);
-        for index in [&built, &grown] {
-            for q in queries.iter().chain([data.series(3)]) {
-                let prepared = index.prepare(q);
-                assert_eq!(prepared, paa(q, index.config.sax.segments));
-                assert_eq!(index.min_dist(q, &prepared, 0), 0.0, "the virtual root");
-                for node in 1..index.nodes.len() {
-                    let want = mindist_paa_isax(
-                        &paa(q, index.config.sax.segments),
-                        &index.nodes[node].word,
-                        &index.breakpoints,
-                        index.series_len,
-                        index.config.sax.max_bits,
-                    );
-                    assert_eq!(
-                        index.min_dist(q, &prepared, node).to_bits(),
-                        want.to_bits(),
-                        "node {node}"
-                    );
+            let queries = random_walk(6, len, 99);
+            for index in [&built, &grown, &loaded] {
+                for q in queries.iter().chain([data.series(3)]) {
+                    let prepared = index.prepare(q);
+                    assert_eq!(index.min_dist(q, &prepared, 0), 0.0, "the virtual root");
+                    for node in 1..index.nodes.len() {
+                        let want = mindist_paa_isax(
+                            &paa(q, segments),
+                            &index.nodes[node].word,
+                            &index.breakpoints,
+                            len,
+                            max_bits,
+                        );
+                        assert_eq!(
+                            index.min_dist(q, &prepared, node).to_bits(),
+                            want.to_bits(),
+                            "len {len} segments {segments} max_bits {max_bits} node {node}"
+                        );
+                    }
                 }
             }
         }

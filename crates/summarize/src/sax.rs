@@ -38,6 +38,26 @@ impl SaxParams {
     pub fn max_cardinality(&self) -> u16 {
         1u16 << self.max_bits
     }
+
+    /// Whether these are values [`SaxParams::new`] could have produced. The
+    /// fields are public, so parameters assembled field by field bypass its
+    /// clamps; zero segments has no PAA, and a zero or oversized `max_bits`
+    /// wraps the `max_bits - bits` shifts every word comparison uses.
+    ///
+    /// # Errors
+    /// The reason the parameters are unusable.
+    pub fn validate(&self) -> Result<(), String> {
+        if self.segments == 0 {
+            return Err("SAX needs at least one segment".into());
+        }
+        if !(1..=MAX_CARD_BITS).contains(&self.max_bits) {
+            return Err(format!(
+                "SAX max_bits must be in 1..={MAX_CARD_BITS}, got {}",
+                self.max_bits
+            ));
+        }
+        Ok(())
+    }
 }
 
 impl Default for SaxParams {
@@ -49,6 +69,15 @@ impl Default for SaxParams {
 
 /// An iSAX word: per-segment symbols stored at maximum cardinality together
 /// with the number of valid (most-significant) bits per segment.
+///
+/// The word is what an index inserts by, splits on and persists. An index
+/// that bounds many words against one query may number each segment's
+/// `(bits, prefix)` region as a cell, `(1 << bits) - 2 + prefix` (the
+/// `2^(max_bits + 1) - 2` regions of all cardinalities, coarsest first),
+/// and look bounds up in a per-query table over those cells, as
+/// `hydra-isax` does; such ids are derived from the word, never stored in
+/// place of it, and [`mindist_paa_isax`] over the word is the reference
+/// they are tested against.
 #[derive(Debug, Clone, PartialEq, Eq, Hash)]
 pub struct IsaxWord {
     /// Symbols at maximum cardinality (only the top `bits[i]` bits are
@@ -334,5 +363,14 @@ mod tests {
         let p = SaxParams::default();
         assert_eq!(p.segments, 16);
         assert_eq!(p.max_cardinality(), 256);
+    }
+
+    #[test]
+    fn validate_rejects_what_new_would_have_clamped() {
+        assert!(SaxParams::new(0, 0).validate().is_ok());
+        assert!(SaxParams::new(3, 200).validate().is_ok());
+        for (segments, max_bits) in [(0, 8), (8, 0), (8, MAX_CARD_BITS + 1)] {
+            assert!(SaxParams { segments, max_bits }.validate().is_err());
+        }
     }
 }
