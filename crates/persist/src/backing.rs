@@ -40,7 +40,7 @@ use crate::dataset::{
 };
 use crate::error::{PersistError, Result};
 use crate::fingerprint::{fingerprint_dataset, SeriesFingerprinter};
-use crate::stream::{open_dataset_streaming, DataSource};
+use crate::stream::DataSource;
 use crate::StoreBacking;
 
 fn file_backed(path: &Path, span: FlatSpan, storage: StorageConfig) -> Result<SeriesStore> {
@@ -84,28 +84,6 @@ fn attach_coded_tier(
     })
 }
 
-/// The payload span of the dataset snapshot at `data_path`, validated
-/// against `source` — [`dataset_flat_region`] without requiring the
-/// dataset in RAM. A streamed source that *is* this snapshot already
-/// carries the answer; anything else (re)validates the file and checks
-/// its content fingerprint against the source's.
-fn dataset_flat_region_from(data_path: &Path, source: DataSource<'_>) -> Result<FlatSpan> {
-    match source {
-        DataSource::InMemory(dataset) => dataset_flat_region(data_path, dataset),
-        DataSource::Streamed(handle) if handle.path() == data_path => Ok(handle.flat_span()),
-        DataSource::Streamed(handle) => {
-            let other = open_dataset_streaming(data_path)?;
-            if other.fingerprint() != handle.fingerprint() {
-                return Err(PersistError::FingerprintMismatch {
-                    expected: handle.fingerprint(),
-                    found: other.fingerprint(),
-                });
-            }
-            Ok(other.flat_span())
-        }
-    }
-}
-
 /// Re-attaches the raw series under the requested backing, in dataset
 /// order (`order = None`) or permuted by `order[record] = dataset id`
 /// (`order` must cover the source): resident (re-appended from the source,
@@ -129,18 +107,13 @@ fn attach_store(
                 SeriesStore::from_dataset(dataset, storage).map_err(rebuild)?
             }
             _ => {
+                let records = source.records_in(order)?;
                 let mut store =
                     SeriesStore::new(source.series_len(), storage).map_err(rebuild)?;
                 let fetch = source.series_fetch()?;
                 let mut series = Vec::new();
-                for record in 0..source.len() {
-                    let ds = order.map_or(record, |order| order[record]);
-                    if ds >= source.len() {
-                        return Err(PersistError::Corrupt(format!(
-                            "store mapping {ds} out of range"
-                        )));
-                    }
-                    fetch.get(ds, &mut series)?;
+                for record in 0..records {
+                    fetch.get(order.map_or(record, |order| order[record]), &mut series)?;
                     store.append(&series).map_err(rebuild)?;
                 }
                 store
@@ -152,11 +125,10 @@ fn attach_store(
     let (file, span) = match (dataset_snapshot, order) {
         (Some(data_path), None) => (
             data_path.to_path_buf(),
-            dataset_flat_region_from(data_path, source)?,
+            dataset_flat_region(data_path, source)?,
         ),
         _ => {
             let sidecar = sidecar_series_path(snapshot);
-            // `ensure_flat_series` validates the mapping range itself.
             let span = ensure_flat_series(&sidecar, source, order)?;
             (sidecar, span)
         }

@@ -14,8 +14,9 @@
 //! * A **dataset snapshot** ([`save_dataset`]) stores its values as
 //!   contiguous little-endian `f32` bit patterns, so the snapshot *doubles
 //!   as the backing file* for any store that keeps series in dataset order
-//!   (VA+file, SRS) — [`dataset_flat_region`] validates the container and
-//!   returns the payload's byte region.
+//!   (VA+file, SRS) — [`dataset_flat_region`] returns the payload's byte
+//!   region. Every read of one — [`load_dataset`] included — is the single
+//!   streaming pass of [`crate::stream`].
 //! * A **flat series file** (`HYDRFLAT`, [`ensure_flat_series`]) holds
 //!   series in an arbitrary caller-chosen order — the leaf-ordered layout
 //!   of the tree indexes. It is a derived cache: written (atomically) from
@@ -46,8 +47,8 @@ use hydra_storage::StorageConfig;
 
 use crate::error::{PersistError, Result};
 use crate::fingerprint::{fingerprint_dataset, Fingerprint};
-use crate::snapshot::{fnv1a64_continue, Section, SnapshotReader, SnapshotWriter, FNV_OFFSET_BASIS, MAGIC};
-use crate::stream::{DataSource, STREAM_CHUNK_BYTES};
+use crate::snapshot::{f32s_from_le, fnv1a64_continue, Section, SnapshotWriter, FNV_OFFSET_BASIS};
+use crate::stream::{open_dataset_streaming, scan_dataset, DataSource, STREAM_CHUNK_BYTES};
 
 /// Kind tag of dataset snapshots.
 pub const DATASET_KIND: &str = "dataset";
@@ -86,77 +87,40 @@ pub fn save_dataset(dataset: &Dataset, path: &Path) -> Result<()> {
     w.write_to(path)
 }
 
-/// Reads a dataset snapshot written by [`save_dataset`].
+/// Reads a dataset snapshot written by [`save_dataset`] — the streamed
+/// validation of [`open_dataset_streaming`] (same checks, same typed
+/// errors) with the values kept, in the one buffer the [`Dataset`] owns.
 pub fn load_dataset(path: &Path) -> Result<Dataset> {
-    let mut r = SnapshotReader::open(path)?;
-    r.expect_kind(DATASET_KIND)?;
-    let mut s = r.next_section()?;
-    let series_len = s.get_usize()?;
-    let n = s.get_usize()?;
-    let flat = s.get_f32s()?;
-    if series_len == 0 || flat.len() != n * series_len {
-        return Err(PersistError::Corrupt(format!(
-            "dataset shape mismatch: {n} series of length {series_len} with {} values",
-            flat.len()
-        )));
-    }
-    let dataset = Dataset::from_flat(series_len, flat)
-        .map_err(|e| PersistError::Corrupt(e.to_string()))?;
-    // The header fingerprint doubles as an end-to-end content check.
-    r.expect_fingerprint(fingerprint_dataset(&dataset))?;
-    Ok(dataset)
+    let mut values = Vec::new();
+    let handle = scan_dataset(path, Some(&mut values))?;
+    Dataset::from_flat(handle.series_len(), values).map_err(|e| PersistError::Corrupt(e.to_string()))
 }
 
-/// The byte region of `dataset`'s values inside its snapshot at `path` —
-/// the span that lets the snapshot double as a store's backing file.
+/// The byte region of `source`'s values inside the dataset snapshot at
+/// `path` — the span that lets the snapshot double as a store's backing
+/// file.
 ///
-/// The container is fully validated (checksums included) and must hold
-/// exactly `dataset`: a snapshot of different content fails with
-/// [`PersistError::FingerprintMismatch`], so a store can never be silently
-/// backed by the wrong bytes.
-pub fn dataset_flat_region(path: &Path, dataset: &Dataset) -> Result<FlatSpan> {
-    let mut r = SnapshotReader::open(path)?;
-    r.expect_kind(DATASET_KIND)?;
-    r.expect_fingerprint(fingerprint_dataset(dataset))?;
-    let mut s = r.next_section()?;
-    let series_len = s.get_usize()?;
-    let n = s.get_usize()?;
-    let values = s.get_usize()?; // count prefix of the f32 slice
-    if series_len != dataset.series_len() || n != dataset.len() || values != n * series_len {
-        return Err(PersistError::Corrupt(
-            "dataset snapshot shape disagrees with the dataset".into(),
-        ));
-    }
-    // The fixed container layout (see `snapshot` module docs): header,
-    // then section 0's length+checksum, then the three u64s decoded above.
-    let header = MAGIC.len() + 4 + 8 + 2 + DATASET_KIND.len() + 4;
-    let payload_offset = (header + 16 + 24) as u64;
-    // Probe the computed offset against the in-RAM dataset: if the
-    // container layout ever drifts from this arithmetic, the mismatch must
-    // surface here as a typed error, never as a store preading garbage
-    // while every checksum reports success.
-    if n > 0 {
-        use std::os::unix::fs::FileExt;
-        let file = std::fs::File::open(path)?;
-        let mut probe = vec![0u8; series_len * 4];
-        file.read_exact_at(&mut probe, payload_offset)?;
-        let matches = probe
-            .chunks_exact(4)
-            .map(|c| u32::from_le_bytes(c.try_into().unwrap()))
-            .eq(dataset.series(0).iter().map(|v| v.to_bits()));
-        if !matches {
-            return Err(PersistError::Corrupt(
-                "dataset snapshot payload is not at the expected offset \
-                 (container layout drifted from dataset_flat_region?)"
-                    .into(),
-            ));
+/// A streamed source validated from this very path answers from its
+/// handle. For anything else the container is fully validated (checksums
+/// included) and must hold exactly `source`: a snapshot of different
+/// content fails with [`PersistError::FingerprintMismatch`], so a store can
+/// never be silently backed by the wrong bytes.
+pub fn dataset_flat_region<'a>(path: &Path, source: impl Into<DataSource<'a>>) -> Result<FlatSpan> {
+    let source = source.into();
+    if let DataSource::Streamed(handle) = source {
+        if handle.path() == path {
+            return Ok(handle.flat_span());
         }
     }
-    Ok(FlatSpan {
-        payload_offset,
-        records: n,
-        series_len,
-    })
+    let handle = open_dataset_streaming(path)?;
+    let expected = source.fingerprint();
+    if handle.fingerprint() != expected {
+        return Err(PersistError::FingerprintMismatch {
+            expected,
+            found: handle.fingerprint(),
+        });
+    }
+    Ok(handle.flat_span())
 }
 
 /// The flat series file that caches an index snapshot's store-ordered raw
@@ -270,8 +234,8 @@ fn flat_series_is_valid(
     f.push_usize(series_len);
     f.push_usize(records);
     let seen = stream_payload(file, |chunk| {
-        for value in chunk.chunks_exact(4) {
-            f.push_f32(f32::from_bits(u32::from_le_bytes(value.try_into().unwrap())));
+        for value in f32s_from_le(chunk) {
+            f.push_f32(value);
         }
     });
     Ok(seen == Some((records * series_len * 4) as u64) && f.finish() == fingerprint)
@@ -322,16 +286,8 @@ pub fn ensure_flat_series<'a>(
     order: Option<&[usize]>,
 ) -> Result<FlatSpan> {
     let source = source.into();
-    if let Some(order) = order {
-        if let Some(&bad) = order.iter().find(|&&ds| ds >= source.len()) {
-            return Err(PersistError::Corrupt(format!(
-                "flat series order references series {bad} of a {}-series dataset",
-                source.len()
-            )));
-        }
-    }
+    let records = source.records_in(order)?;
     let series_len = source.series_len();
-    let records = order.map_or(source.len(), <[usize]>::len);
     let fingerprint = flat_series_fingerprint(source, order)?;
     let span = FlatSpan {
         payload_offset: FLAT_PAYLOAD_OFFSET,
@@ -434,16 +390,8 @@ pub fn ensure_coded_series<'a>(
             "the f32 codec has no coded sidecar".into(),
         ));
     }
-    if let Some(order) = order {
-        if let Some(&bad) = order.iter().find(|&&ds| ds >= source.len()) {
-            return Err(PersistError::Corrupt(format!(
-                "coded series order references series {bad} of a {}-series dataset",
-                source.len()
-            )));
-        }
-    }
+    let records = source.records_in(order)?;
     let series_len = source.series_len();
-    let records = order.map_or(source.len(), <[usize]>::len);
     let series_per_page = (storage.page_bytes as usize / (series_len * 4)).max(1);
     let source_fingerprint = flat_series_fingerprint(source, order)?;
     if coded_series_is_valid(
@@ -512,9 +460,7 @@ mod tests {
             span.payload_offset + (record * span.series_len * 4) as u64,
         )
         .unwrap();
-        buf.chunks_exact(4)
-            .map(|c| f32::from_bits(u32::from_le_bytes(c.try_into().unwrap())))
-            .collect()
+        f32s_from_le(&buf).collect()
     }
 
     #[test]
@@ -546,38 +492,53 @@ mod tests {
 
     #[test]
     fn dataset_snapshot_doubles_as_a_backing_file() {
-        let d = Dataset::from_series(
-            4,
-            &[
-                [1.0f32, 2.0, 3.0, 4.0],
-                [-1.5, 0.0, f32::INFINITY, 8.25],
-                [9.0, 10.0, 11.0, 12.0],
-            ],
-        )
-        .unwrap();
-        let path = temp_path("region.snap");
-        save_dataset(&d, &path).unwrap();
-        let span = dataset_flat_region(&path, &d).unwrap();
-        assert_eq!(span.records, 3);
-        assert_eq!(span.series_len, 4);
-        // pread at the advertised offset yields exactly the stored series.
-        for r in 0..3 {
+        let rows = [
+            [1.0f32, 2.0, 3.0, 4.0],
+            [-1.5, 0.0, f32::INFINITY, 8.25],
+            [9.0, -0.0, 11.0, f32::MIN_POSITIVE],
+        ];
+        let bits = |series: &[f32]| series.iter().map(|v| v.to_bits()).collect::<Vec<_>>();
+        let foreign_path = temp_path("region-foreign.snap");
+        save_dataset(&Dataset::from_series(4, &[[0.5f32; 4]]).unwrap(), &foreign_path).unwrap();
+        let foreign = open_dataset_streaming(&foreign_path).unwrap();
+        for n in [0, 1, rows.len()] {
+            let d = Dataset::from_series(4, &rows[..n]).unwrap();
+            let path = temp_path(&format!("region-{n}.snap"));
+            save_dataset(&d, &path).unwrap();
+            let handle = open_dataset_streaming(&path).unwrap();
+            // An in-memory source, the streamed handle of this very path
+            // and a streamed handle of a byte-identical copy all name the
+            // same span.
+            let copy_path = temp_path(&format!("region-{n}-copy.snap"));
+            std::fs::copy(&path, &copy_path).unwrap();
+            let copy = open_dataset_streaming(&copy_path).unwrap();
+            let span = dataset_flat_region(&path, &d).unwrap();
+            assert_eq!(span, dataset_flat_region(&path, DataSource::Streamed(&handle)).unwrap());
+            assert_eq!(span, dataset_flat_region(&path, DataSource::Streamed(&copy)).unwrap());
+            assert_eq!((span.records, span.series_len), (n, 4));
+            // pread at the advertised offset yields exactly the stored
+            // series, bit for bit, up to the last record — which ends
+            // where the file does.
+            for r in 0..n {
+                assert_eq!(bits(&read_record(&path, span, r)), bits(d.series(r)), "record {r}");
+            }
             assert_eq!(
-                read_record(&path, span, r)
-                    .iter()
-                    .map(|v| v.to_bits())
-                    .collect::<Vec<_>>(),
-                d.series(r).iter().map(|v| v.to_bits()).collect::<Vec<_>>(),
-                "record {r} drifted"
+                span.payload_offset + (n * 4 * 4) as u64,
+                std::fs::metadata(&path).unwrap().len()
             );
+            // A snapshot of other content is refused from either source.
+            let other = Dataset::from_flat(4, vec![0.0; (n + 1) * 4]).unwrap();
+            for source in [DataSource::InMemory(&other), DataSource::Streamed(&foreign)] {
+                assert!(matches!(
+                    dataset_flat_region(&path, source),
+                    Err(PersistError::FingerprintMismatch { expected, found })
+                        if expected == source.fingerprint() && found == handle.fingerprint()
+                ));
+            }
+            std::fs::remove_file(&path).ok();
+            std::fs::remove_file(&copy_path).ok();
         }
-        // A different dataset of the same shape is refused.
-        let other = Dataset::from_series(4, &[[0.0f32; 4], [0.0; 4], [0.0; 4]]).unwrap();
-        assert!(matches!(
-            dataset_flat_region(&path, &other),
-            Err(PersistError::FingerprintMismatch { .. })
-        ));
-        std::fs::remove_file(&path).ok();
+        std::fs::remove_file(&foreign_path).ok();
     }
 
     #[test]

@@ -100,16 +100,10 @@ impl Fingerprint {
 /// Content fingerprint of a dataset: its shape followed by every value's bit
 /// pattern, in dataset order.
 pub fn fingerprint_dataset(dataset: &Dataset) -> u64 {
-    fingerprint_series_flat(dataset.series_len(), dataset.as_flat())
-}
-
-/// [`fingerprint_dataset`] over a raw flat buffer already laid out in
-/// dataset order (used by indexes whose store keeps the original order).
-pub fn fingerprint_series_flat(series_len: usize, flat: &[f32]) -> u64 {
     let mut f = Fingerprint::new();
-    f.push_usize(series_len);
-    f.push_usize(if series_len == 0 { 0 } else { flat.len() / series_len });
-    f.push_f32s(flat);
+    f.push_usize(dataset.series_len());
+    f.push_usize(dataset.len());
+    f.push_f32s(dataset.as_flat());
     f.finish()
 }
 
@@ -165,35 +159,6 @@ impl SeriesFingerprinter {
     }
 }
 
-/// [`fingerprint_dataset`] over a *permuted* flat buffer: `flat` stores the
-/// series in store order and `store_to_dataset[pos]` gives the dataset
-/// position of store record `pos`. Used by the tree indexes, which lay their
-/// leaves out contiguously — the fingerprint is still computed in dataset
-/// order, so it matches [`fingerprint_dataset`] of the original collection.
-///
-/// # Panics
-/// Panics if `store_to_dataset` is not a permutation of `0..n`.
-pub fn fingerprint_series_permuted(
-    series_len: usize,
-    flat: &[f32],
-    store_to_dataset: &[usize],
-) -> u64 {
-    let n = store_to_dataset.len();
-    assert_eq!(flat.len(), n * series_len, "flat buffer shape mismatch");
-    let mut inverse = vec![usize::MAX; n];
-    for (pos, &ds) in store_to_dataset.iter().enumerate() {
-        assert!(ds < n && inverse[ds] == usize::MAX, "not a permutation");
-        inverse[ds] = pos;
-    }
-    let mut f = Fingerprint::new();
-    f.push_usize(series_len);
-    f.push_usize(n);
-    for &pos in &inverse {
-        f.push_f32s(&flat[pos * series_len..(pos + 1) * series_len]);
-    }
-    f.finish()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -232,18 +197,6 @@ mod tests {
     }
 
     #[test]
-    fn permuted_fingerprint_matches_dataset_order() {
-        let data = Dataset::from_series(2, &[[0.0f32, 1.0], [2.0, 3.0], [4.0, 5.0]]).unwrap();
-        // Store order: series 2, 0, 1.
-        let flat = [4.0f32, 5.0, 0.0, 1.0, 2.0, 3.0];
-        let store_to_dataset = [2usize, 0, 1];
-        assert_eq!(
-            fingerprint_series_permuted(2, &flat, &store_to_dataset),
-            fingerprint_dataset(&data)
-        );
-    }
-
-    #[test]
     fn streamed_fingerprint_matches_dataset_fingerprint() {
         let data =
             Dataset::from_series(2, &[[0.0f32, 1.0], [2.0, 3.0], [4.0, 5.0]]).unwrap();
@@ -258,12 +211,5 @@ mod tests {
     #[should_panic(expected = "fewer series than announced")]
     fn streamed_fingerprint_rejects_short_feeds() {
         SeriesFingerprinter::new(2, 3).finish();
-    }
-
-    #[test]
-    #[should_panic(expected = "not a permutation")]
-    fn permuted_fingerprint_rejects_non_permutations() {
-        let flat = [0.0f32; 4];
-        fingerprint_series_permuted(2, &flat, &[0, 0]);
     }
 }

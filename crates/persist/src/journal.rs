@@ -44,11 +44,11 @@
 //! [`PersistError::FingerprintMismatch`]. All typed, never partial state,
 //! never a panic.
 
-use std::io::{Read, Write};
+use std::io::Write;
 use std::path::{Path, PathBuf};
 
 use crate::error::{PersistError, Result};
-use crate::snapshot::fnv1a64;
+use crate::snapshot::{f32s_from_le, fnv1a64, SectionReader};
 
 /// Magic bytes identifying a Hydra ingest journal.
 pub const JOURNAL_MAGIC: [u8; 8] = *b"HYDRJRNL";
@@ -164,72 +164,50 @@ impl JournalReader {
     /// [`PersistError::Corrupt`] for impossible counts, and
     /// [`PersistError::Io`] if the file cannot be read.
     pub fn open(path: &Path) -> Result<Self> {
-        let mut bytes = Vec::new();
-        std::fs::File::open(path)?.read_to_end(&mut bytes)?;
-        if bytes.len() < 28 {
-            return Err(PersistError::Truncated);
-        }
-        if bytes[..8] != JOURNAL_MAGIC {
+        let bytes = std::fs::read(path)?;
+        let mut r = SectionReader::new(&bytes);
+        if r.take(JOURNAL_MAGIC.len())? != JOURNAL_MAGIC {
             return Err(PersistError::BadMagic);
         }
-        let version = u32::from_le_bytes(bytes[8..12].try_into().unwrap());
+        let version = r.get_u32()?;
         if version != JOURNAL_VERSION {
             return Err(PersistError::VersionMismatch {
                 found: version,
                 supported: JOURNAL_VERSION,
             });
         }
-        let base_fingerprint = u64::from_le_bytes(bytes[12..20].try_into().unwrap());
-        let series_len_u64 = u64::from_le_bytes(bytes[20..28].try_into().unwrap());
-        let series_len = usize::try_from(series_len_u64)
-            .ok()
-            .filter(|&l| l > 0)
-            .ok_or_else(|| {
-                PersistError::Corrupt(format!("impossible journal series length {series_len_u64}"))
-            })?;
-        let mut batches = Vec::new();
-        let mut pos = 28;
-        while pos < bytes.len() {
-            if bytes.len() - pos < 8 {
-                return Err(PersistError::Truncated);
-            }
-            let count = u64::from_le_bytes(bytes[pos..pos + 8].try_into().unwrap());
-            pos += 8;
-            let count = usize::try_from(count).ok().filter(|&c| c > 0).ok_or_else(|| {
-                PersistError::Corrupt(format!(
-                    "impossible series count {count} in journal record {}",
+        let base_fingerprint = r.get_u64()?;
+        let series_len = r.get_usize()?;
+        if series_len == 0 {
+            return Err(PersistError::Corrupt(
+                "impossible journal series length 0".into(),
+            ));
+        }
+        let mut batches: Vec<Vec<Vec<f32>>> = Vec::new();
+        while r.remaining() > 0 {
+            let count = r.get_usize()?;
+            if count == 0 {
+                return Err(PersistError::Corrupt(format!(
+                    "impossible series count 0 in journal record {}",
                     batches.len()
-                ))
-            })?;
+                )));
+            }
             let value_bytes = count
                 .checked_mul(series_len)
-                .and_then(|n| n.checked_mul(4))
-                .filter(|&n| n <= bytes.len() - pos)
+                .and_then(|values| values.checked_mul(4))
                 .ok_or(PersistError::Truncated)?;
-            if bytes.len() - pos < value_bytes + 8 {
-                return Err(PersistError::Truncated);
-            }
-            let values = &bytes[pos..pos + value_bytes];
-            pos += value_bytes;
-            let checksum = u64::from_le_bytes(bytes[pos..pos + 8].try_into().unwrap());
-            pos += 8;
-            if fnv1a64(values) != checksum {
+            let values = r.take(value_bytes)?;
+            if fnv1a64(values) != r.get_u64()? {
                 return Err(PersistError::ChecksumMismatch {
                     section: batches.len(),
                 });
             }
-            let mut batch = Vec::with_capacity(count);
-            for s in 0..count {
-                let mut series = Vec::with_capacity(series_len);
-                for v in 0..series_len {
-                    let at = (s * series_len + v) * 4;
-                    series.push(f32::from_bits(u32::from_le_bytes(
-                        values[at..at + 4].try_into().unwrap(),
-                    )));
-                }
-                batch.push(series);
-            }
-            batches.push(batch);
+            batches.push(
+                values
+                    .chunks_exact(series_len * 4)
+                    .map(|series| f32s_from_le(series).collect())
+                    .collect(),
+            );
         }
         Ok(Self {
             base_fingerprint,
@@ -359,15 +337,24 @@ mod tests {
         drop(w);
         let pristine = std::fs::read(&path).unwrap();
 
-        // Truncation anywhere — mid-header, mid-count, mid-values,
-        // mid-checksum — is Truncated, and open() fails before any batch
-        // is handed out.
-        for cut in [4, 20, 30, pristine.len() - 3] {
+        // A cut at every byte offset: on a record boundary the journal
+        // opens as exactly the whole batches before it; anywhere else —
+        // mid-header, mid-count, mid-values, mid-checksum — it is
+        // Truncated, and open() fails before any batch is handed out.
+        let record = 8 + 16 + 8;
+        for cut in 0..=pristine.len() {
             std::fs::write(&path, &pristine[..cut]).unwrap();
-            assert!(
-                matches!(JournalReader::open(&path), Err(PersistError::Truncated)),
-                "cut at {cut} must be Truncated"
-            );
+            let opened = JournalReader::open(&path);
+            if cut >= 28 && (cut - 28) % record == 0 {
+                let batches = opened.unwrap().batches().to_vec();
+                assert_eq!(batches.len(), (cut - 28) / record, "cut at {cut}");
+                assert!(batches.iter().all(|batch| batch == &[[1.0, 2.0], [3.0, 4.0]]));
+            } else {
+                assert!(
+                    matches!(opened, Err(PersistError::Truncated)),
+                    "cut at {cut} must be Truncated"
+                );
+            }
         }
         // A flipped value byte in the SECOND record names record 1.
         let mut flipped = pristine.clone();

@@ -15,6 +15,19 @@
 //! format version, a wrong index kind, a flipped bit, or a truncated file
 //! are each distinguishable, and none of them panics or yields garbage.
 //!
+//! ## One parser per format
+//!
+//! Five byte layouts reach the disk. Each is parsed in exactly one place,
+//! and every little-endian decode among them is a [`SectionReader`] getter:
+//!
+//! | Format | Written by | Its one parser |
+//! |---|---|---|
+//! | `HYDRSNAP` container header | [`SnapshotWriter`] | `snapshot::read_header`, behind [`peek_kind`], [`peek_fingerprint`], [`SnapshotReader`] and the dataset reader |
+//! | dataset payload (`.data.snap`) | [`dataset::save_dataset`] | `stream::scan_dataset`, behind [`dataset::load_dataset`], [`open_dataset_streaming`] and [`dataset::dataset_flat_region`] |
+//! | `HYDRFLAT` series sidecar (`.series`) | [`dataset::ensure_flat_series`] | the same function's validity check (header compared whole, payload streamed) |
+//! | `HYDRCODE` coded sidecar (`.u8`, `.f16`) | [`dataset::ensure_coded_series`] | `hydra_storage::coded::CodedHeader::decode` |
+//! | `HYDRJRNL` ingest journal | [`JournalWriter`] | [`JournalReader::open`] |
+//!
 //! ## What is (and is not) stored
 //!
 //! A snapshot stores the *derived* structure an index spent its build time
@@ -66,10 +79,7 @@ use hydra_core::Dataset;
 
 pub use backing::{Collection, Leaf};
 pub use error::{PersistError, Result};
-pub use fingerprint::{
-    fingerprint_dataset, fingerprint_series_flat, fingerprint_series_permuted, Fingerprint,
-    SeriesFingerprinter,
-};
+pub use fingerprint::{fingerprint_dataset, Fingerprint, SeriesFingerprinter};
 pub use dataset::FlatSpan;
 pub use journal::{journal_path, remove_journal, JournalReader, JournalWriter};
 pub use registry::{BoxedLoader, LoaderRegistry};
@@ -77,9 +87,7 @@ pub use snapshot::{
     peek_fingerprint, peek_kind, Section, SectionReader, SnapshotReader, SnapshotWriter,
     FORMAT_VERSION, MAGIC,
 };
-pub use stream::{
-    open_dataset_streaming, DataSource, DatasetHandle, MaterializedDataset, STREAM_CHUNK_BYTES,
-};
+pub use stream::{open_dataset_streaming, DataSource, DatasetHandle, STREAM_CHUNK_BYTES};
 
 /// How a loaded index should re-attach its raw series — the out-of-core
 /// switch of the whole persistence layer.

@@ -24,7 +24,15 @@
 //! accesses can only fail with [`PersistError::Truncated`] (asking for more
 //! values than the section holds) or [`PersistError::Corrupt`] (impossible
 //! decoded values).
+//!
+//! The header has one parser, `read_header`, behind [`peek_kind`],
+//! [`peek_fingerprint`], [`SnapshotReader`] and the streamed dataset reader
+//! ([`crate::stream`]) alike — the same damaged header is the same typed
+//! error whichever of them meets it. Every little-endian decode of the
+//! crate goes through [`SectionReader`].
 
+use std::io::Read;
+use std::ops::Range;
 use std::path::Path;
 
 use crate::error::{PersistError, Result};
@@ -228,7 +236,8 @@ impl<'a> SectionReader<'a> {
         self.buf.len() - self.pos
     }
 
-    fn take(&mut self, n: usize) -> Result<&'a [u8]> {
+    /// The next `n` bytes, undecoded.
+    pub(crate) fn take(&mut self, n: usize) -> Result<&'a [u8]> {
         if self.remaining() < n {
             return Err(PersistError::Truncated);
         }
@@ -335,7 +344,7 @@ impl<'a> SectionReader<'a> {
     /// Reads a count-prefixed slice of `f32`s.
     pub fn get_f32s(&mut self) -> Result<Vec<f32>> {
         let n = self.get_count(4)?;
-        (0..n).map(|_| self.get_f32()).collect()
+        Ok(f32s_from_le(self.take(n * 4)?).collect())
     }
 
     /// Reads a count-prefixed slice of `f64`s.
@@ -343,6 +352,15 @@ impl<'a> SectionReader<'a> {
         let n = self.get_count(8)?;
         (0..n).map(|_| self.get_f64()).collect()
     }
+}
+
+/// Decodes a run of little-endian `f32` bit patterns — the payload encoding
+/// shared by dataset snapshots, flat series files and journals. Trailing
+/// bytes short of a whole value are ignored.
+pub(crate) fn f32s_from_le(bytes: &[u8]) -> impl Iterator<Item = f32> + '_ {
+    bytes.chunks_exact(4).map(|value| {
+        f32::from_bits(u32::from_le_bytes(value.try_into().expect("chunks of 4")))
+    })
 }
 
 // ---------------------------------------------------------------------------
@@ -410,48 +428,81 @@ impl SnapshotWriter {
     }
 }
 
-/// Reads only the header of the snapshot at `path` — magic, format
-/// version, and kind tag — without loading or checksum-validating any
-/// section.
-///
-/// This is the cheap dispatch primitive behind
-/// [`crate::LoaderRegistry::load_any`]: a multi-gigabyte snapshot costs a
-/// few dozen bytes of I/O to identify, and the dispatched loader then
-/// performs the full validation exactly once. The header fields read here
-/// ARE validated (wrong magic, future version, truncation and a non-UTF-8
-/// kind each fail typed); damage beyond the header is the loader's to
-/// find.
-pub fn peek_kind(path: &Path) -> Result<String> {
-    use std::io::Read;
-    fn read_exactly(f: &mut std::fs::File, buf: &mut [u8]) -> Result<()> {
-        f.read_exact(buf).map_err(|e| {
-            if e.kind() == std::io::ErrorKind::UnexpectedEof {
-                PersistError::Truncated
-            } else {
-                PersistError::from(e)
-            }
-        })
-    }
-    let mut f = std::fs::File::open(path)?;
-    let mut magic = [0u8; 8];
-    read_exactly(&mut f, &mut magic)?;
-    if magic != MAGIC {
+/// `read_exact` with a short read reported as [`PersistError::Truncated`].
+pub(crate) fn read_exactly(r: &mut impl Read, buf: &mut [u8]) -> Result<()> {
+    r.read_exact(buf).map_err(|e| {
+        if e.kind() == std::io::ErrorKind::UnexpectedEof {
+            PersistError::Truncated
+        } else {
+            PersistError::from(e)
+        }
+    })
+}
+
+/// Reads the next `N` bytes, for a [`SectionReader`] to decode.
+pub(crate) fn read_array<const N: usize>(r: &mut impl Read) -> Result<[u8; N]> {
+    let mut bytes = [0u8; N];
+    read_exactly(r, &mut bytes)?;
+    Ok(bytes)
+}
+
+/// A container header, up to and including the section count.
+pub(crate) struct Header {
+    pub(crate) fingerprint: u64,
+    pub(crate) kind: String,
+    pub(crate) sections: usize,
+}
+
+/// Reads and validates a container header — the one parser of the layout in
+/// the module docs, and the only place [`MAGIC`] and [`FORMAT_VERSION`] are
+/// compared. Leaves `r` at the first section.
+pub(crate) fn read_header(r: &mut impl Read) -> Result<Header> {
+    if read_array::<8>(r)? != MAGIC {
         return Err(PersistError::BadMagic);
     }
-    // Version (u32), fingerprint (u64, skipped), kind length (u16).
-    let mut head = [0u8; 14];
-    read_exactly(&mut f, &mut head)?;
-    let version = u32::from_le_bytes(head[0..4].try_into().unwrap());
+    let fixed = read_array::<14>(r)?;
+    let mut fixed = SectionReader::new(&fixed);
+    let version = fixed.get_u32()?;
     if version != FORMAT_VERSION {
         return Err(PersistError::VersionMismatch {
             found: version,
             supported: FORMAT_VERSION,
         });
     }
-    let kind_len = u16::from_le_bytes(head[12..14].try_into().unwrap()) as usize;
-    let mut kind = vec![0u8; kind_len];
-    read_exactly(&mut f, &mut kind)?;
-    String::from_utf8(kind).map_err(|_| PersistError::Corrupt("invalid UTF-8 kind tag".into()))
+    let fingerprint = fixed.get_u64()?;
+    let mut kind = vec![0u8; fixed.get_u16()? as usize];
+    read_exactly(r, &mut kind)?;
+    let kind = String::from_utf8(kind)
+        .map_err(|_| PersistError::Corrupt("invalid UTF-8 kind tag".into()))?;
+    let sections = SectionReader::new(&read_array::<4>(r)?).get_u32()? as usize;
+    Ok(Header {
+        fingerprint,
+        kind,
+        sections,
+    })
+}
+
+/// Reads one section's payload length and checksum, leaving `r` at the
+/// payload.
+pub(crate) fn read_section_head(r: &mut impl Read) -> Result<(u64, u64)> {
+    let head = read_array::<16>(r)?;
+    let mut head = SectionReader::new(&head);
+    Ok((head.get_u64()?, head.get_u64()?))
+}
+
+/// Reads only the header of the snapshot at `path` — magic, format version,
+/// fingerprint, kind tag and section count — and returns the kind, without
+/// loading or checksum-validating any section.
+///
+/// This is the cheap dispatch primitive behind
+/// [`crate::LoaderRegistry::load_any`]: a multi-gigabyte snapshot costs a
+/// few dozen bytes of I/O to identify, and the dispatched loader then
+/// performs the full validation exactly once. The header IS validated, by
+/// the parser the full reader uses (wrong magic, future version, truncation
+/// and a non-UTF-8 kind each fail typed); damage beyond the header is the
+/// loader's to find.
+pub fn peek_kind(path: &Path) -> Result<String> {
+    Ok(read_header(&mut std::fs::File::open(path)?)?.kind)
 }
 
 /// Reads only the build-parameter fingerprint out of the snapshot header
@@ -461,27 +512,7 @@ pub fn peek_kind(path: &Path) -> Result<String> {
 /// snapshot: the journal header records this fingerprint, and replay
 /// refuses a journal whose base was rebuilt or swapped underneath it.
 pub fn peek_fingerprint(path: &Path) -> Result<u64> {
-    use std::io::Read;
-    let mut f = std::fs::File::open(path)?;
-    let mut head = [0u8; 20];
-    f.read_exact(&mut head).map_err(|e| {
-        if e.kind() == std::io::ErrorKind::UnexpectedEof {
-            PersistError::Truncated
-        } else {
-            PersistError::from(e)
-        }
-    })?;
-    if head[..8] != MAGIC {
-        return Err(PersistError::BadMagic);
-    }
-    let version = u32::from_le_bytes(head[8..12].try_into().unwrap());
-    if version != FORMAT_VERSION {
-        return Err(PersistError::VersionMismatch {
-            found: version,
-            supported: FORMAT_VERSION,
-        });
-    }
-    Ok(u64::from_le_bytes(head[12..20].try_into().unwrap()))
+    Ok(read_header(&mut std::fs::File::open(path)?)?.fingerprint)
 }
 
 // ---------------------------------------------------------------------------
@@ -494,8 +525,11 @@ pub fn peek_fingerprint(path: &Path) -> Result<u64> {
 pub struct SnapshotReader {
     kind: String,
     fingerprint: u64,
-    /// Section payloads, already checksum-validated.
-    sections: Vec<Vec<u8>>,
+    /// The file image, held once.
+    bytes: Vec<u8>,
+    /// Where each section's payload lies in `bytes`, already
+    /// checksum-validated.
+    sections: Vec<Range<usize>>,
     next: usize,
 }
 
@@ -510,47 +544,39 @@ impl SnapshotReader {
     /// malformed container, and [`PersistError::ChecksumMismatch`] for a
     /// damaged section.
     pub fn open(path: &Path) -> Result<Self> {
-        Self::from_bytes(&std::fs::read(path)?)
+        Self::from_bytes(std::fs::read(path)?)
     }
 
-    /// Validates a snapshot already held in memory (see [`Self::open`]).
-    pub fn from_bytes(bytes: &[u8]) -> Result<Self> {
-        if bytes.len() < MAGIC.len() {
-            return Err(PersistError::Truncated);
-        }
-        if bytes[..MAGIC.len()] != MAGIC {
-            return Err(PersistError::BadMagic);
-        }
-        let mut cur = SectionReader::new(&bytes[MAGIC.len()..]);
-        let version = cur.get_u32()?;
-        if version != FORMAT_VERSION {
-            return Err(PersistError::VersionMismatch {
-                found: version,
-                supported: FORMAT_VERSION,
-            });
-        }
-        let fingerprint = cur.get_u64()?;
-        let kind = cur.get_str()?;
-        let count = cur.get_u32()? as usize;
-        let mut sections = Vec::with_capacity(count.min(1024));
-        for section in 0..count {
-            let len = cur.get_usize()?;
-            let checksum = cur.get_u64()?;
-            let payload = cur.take(len)?;
+    /// Validates a snapshot already held in memory (see [`Self::open`]),
+    /// keeping `bytes` as the one copy its sections are read from.
+    pub fn from_bytes(bytes: Vec<u8>) -> Result<Self> {
+        let mut rest = &bytes[..];
+        let header = read_header(&mut rest)?;
+        let mut sections = Vec::with_capacity(header.sections.min(1024));
+        for section in 0..header.sections {
+            let (len, checksum) = read_section_head(&mut rest)?;
+            let len = usize::try_from(len)
+                .ok()
+                .filter(|&len| len <= rest.len())
+                .ok_or(PersistError::Truncated)?;
+            let start = bytes.len() - rest.len();
+            let (payload, after) = rest.split_at(len);
             if fnv1a64(payload) != checksum {
                 return Err(PersistError::ChecksumMismatch { section });
             }
-            sections.push(payload.to_vec());
+            sections.push(start..start + len);
+            rest = after;
         }
-        if cur.remaining() != 0 {
+        if !rest.is_empty() {
             return Err(PersistError::Corrupt(format!(
                 "{} trailing bytes after the last section",
-                cur.remaining()
+                rest.len()
             )));
         }
         Ok(Self {
-            kind,
-            fingerprint,
+            kind: header.kind,
+            fingerprint: header.fingerprint,
+            bytes,
             sections,
             next: 0,
         })
@@ -601,12 +627,9 @@ impl SnapshotReader {
     /// [`PersistError::Truncated`] if every section has been consumed (the
     /// file holds fewer sections than the reader expects).
     pub fn next_section(&mut self) -> Result<SectionReader<'_>> {
-        let idx = self.next;
-        if idx >= self.sections.len() {
-            return Err(PersistError::Truncated);
-        }
+        let range = self.sections.get(self.next).ok_or(PersistError::Truncated)?;
         self.next += 1;
-        Ok(SectionReader::new(&self.sections[idx]))
+        Ok(SectionReader::new(&self.bytes[range.clone()]))
     }
 }
 
@@ -635,7 +658,7 @@ mod tests {
     #[test]
     fn roundtrip_preserves_every_value() {
         let bytes = sample_snapshot().to_bytes();
-        let mut r = SnapshotReader::from_bytes(&bytes).unwrap();
+        let mut r = SnapshotReader::from_bytes(bytes).unwrap();
         assert_eq!(r.kind(), "unit-test");
         assert_eq!(r.fingerprint(), 0xDEAD_BEEF);
         assert_eq!(r.num_sections(), 2);
@@ -679,16 +702,16 @@ mod tests {
         // Cut in the middle of the last section's payload.
         let cut = &bytes[..bytes.len() - 10];
         assert!(matches!(
-            SnapshotReader::from_bytes(cut),
+            SnapshotReader::from_bytes(cut.to_vec()),
             Err(PersistError::Truncated)
         ));
         // Cut inside the header too.
         assert!(matches!(
-            SnapshotReader::from_bytes(&bytes[..10]),
+            SnapshotReader::from_bytes(bytes[..10].to_vec()),
             Err(PersistError::Truncated)
         ));
         assert!(matches!(
-            SnapshotReader::from_bytes(&bytes[..3]),
+            SnapshotReader::from_bytes(bytes[..3].to_vec()),
             Err(PersistError::Truncated)
         ));
     }
@@ -700,7 +723,7 @@ mod tests {
         let last = bytes.len() - 1;
         bytes[last] ^= 0xFF;
         assert!(matches!(
-            SnapshotReader::from_bytes(&bytes),
+            SnapshotReader::from_bytes(bytes),
             Err(PersistError::ChecksumMismatch { section: 1 })
         ));
     }
@@ -714,7 +737,7 @@ mod tests {
         let header_len = 8 + 4 + 8 + 2 + "unit-test".len() + 4;
         bytes[header_len + 8] ^= 0x01;
         assert!(matches!(
-            SnapshotReader::from_bytes(&bytes),
+            SnapshotReader::from_bytes(bytes),
             Err(PersistError::ChecksumMismatch { section: 0 })
         ));
     }
@@ -724,7 +747,7 @@ mod tests {
         let mut bytes = sample_snapshot().to_bytes();
         bytes[0] = b'X';
         assert!(matches!(
-            SnapshotReader::from_bytes(&bytes),
+            SnapshotReader::from_bytes(bytes),
             Err(PersistError::BadMagic)
         ));
     }
@@ -735,7 +758,7 @@ mod tests {
         // The version field lives at offset 8..12.
         bytes[8..12].copy_from_slice(&(FORMAT_VERSION + 1).to_le_bytes());
         assert!(matches!(
-            SnapshotReader::from_bytes(&bytes),
+            SnapshotReader::from_bytes(bytes),
             Err(PersistError::VersionMismatch { found, supported: FORMAT_VERSION })
                 if found == FORMAT_VERSION + 1
         ));
@@ -744,7 +767,7 @@ mod tests {
     #[test]
     fn wrong_kind_and_fingerprint_are_typed() {
         let bytes = sample_snapshot().to_bytes();
-        let r = SnapshotReader::from_bytes(&bytes).unwrap();
+        let r = SnapshotReader::from_bytes(bytes).unwrap();
         assert!(matches!(
             r.expect_kind("something-else"),
             Err(PersistError::KindMismatch { .. })
@@ -760,7 +783,7 @@ mod tests {
         let mut bytes = sample_snapshot().to_bytes();
         bytes.extend_from_slice(b"junk");
         assert!(matches!(
-            SnapshotReader::from_bytes(&bytes),
+            SnapshotReader::from_bytes(bytes),
             Err(PersistError::Corrupt(_))
         ));
     }
@@ -828,6 +851,51 @@ mod tests {
             peek_kind(Path::new("/nonexistent/peek.snap")),
             Err(PersistError::Io(_))
         ));
+        std::fs::remove_file(&path).ok();
+    }
+
+    #[test]
+    fn every_reader_reports_the_same_header_damage() {
+        use std::mem::discriminant;
+        let path = temp_path("header-damage.snap");
+        let pristine = sample_snapshot().to_bytes();
+        let header_len = 8 + 4 + 8 + 2 + "unit-test".len() + 4;
+        let mut damaged: Vec<(String, Vec<u8>, PersistError)> = (0..header_len)
+            .map(|cut| (format!("cut at {cut}"), pristine[..cut].to_vec(), PersistError::Truncated))
+            .collect();
+        let mut wrong_magic = pristine.clone();
+        wrong_magic[7] ^= 0x01;
+        damaged.push(("wrong magic".into(), wrong_magic, PersistError::BadMagic));
+        let mut future = pristine.clone();
+        future[8..12].copy_from_slice(&(FORMAT_VERSION + 1).to_le_bytes());
+        let version = PersistError::VersionMismatch {
+            found: FORMAT_VERSION + 1,
+            supported: FORMAT_VERSION,
+        };
+        damaged.push(("version + 1".into(), future, version));
+        let mut not_utf8 = pristine.clone();
+        not_utf8[22] = 0xFF;
+        damaged.push(("non-UTF-8 kind".into(), not_utf8, PersistError::Corrupt(String::new())));
+
+        for (what, bytes, want) in damaged {
+            std::fs::write(&path, &bytes).unwrap();
+            let reported = [
+                peek_kind(&path).err(),
+                peek_fingerprint(&path).err(),
+                SnapshotReader::open(&path).err(),
+                crate::stream::open_dataset_streaming(&path).err(),
+            ];
+            for (reader, got) in reported.iter().enumerate() {
+                assert_eq!(
+                    got.as_ref().map(discriminant),
+                    Some(discriminant(&want)),
+                    "{what}: reader {reader} reported {got:?}"
+                );
+            }
+            if !matches!(want, PersistError::Corrupt(_)) {
+                assert!(reported.iter().all(|got| got.as_ref() == Some(&want)), "{what}");
+            }
+        }
         std::fs::remove_file(&path).ok();
     }
 

@@ -1,22 +1,28 @@
-//! Streamed dataset-snapshot validation — the lazy boot path.
+//! The one reader of a dataset snapshot.
 //!
-//! [`crate::dataset::load_dataset`] materializes every value of a `.data.snap` into
-//! an in-RAM [`Dataset`] before anything can be served, so peak memory at
-//! boot is dataset-sized even when every index afterwards reads through an
-//! out-of-core [`hydra_storage::SeriesStore`]. This module provides the
-//! alternative: [`open_dataset_streaming`] validates the *entire* container
-//! — magic, version, kind, section checksum, shape, and the end-to-end
-//! content fingerprint — by scanning the file once in bounded chunks, and
-//! returns a [`DatasetHandle`] holding only the header facts (shape,
-//! fingerprint, payload offset). Loaders that need raw series read them
-//! from the snapshot by offset; nothing dataset-sized is ever allocated.
+//! A `.data.snap` is read by a single streaming pass (`scan_dataset`) that
+//! validates the *entire* container — magic, version, kind, section
+//! checksum, shape, and the end-to-end content fingerprint — in chunks of
+//! at most [`STREAM_CHUNK_BYTES`], and learns the byte offset of the values
+//! as a by-product of parsing. What differs between its callers is only
+//! where the values go:
+//!
+//! * [`open_dataset_streaming`] keeps none of them and returns a
+//!   [`DatasetHandle`] holding the header facts (shape, fingerprint,
+//!   payload offset). Loaders that need raw series read them from the
+//!   snapshot by offset; nothing dataset-sized is ever allocated, which is
+//!   what lets an out-of-core boot start in O(pool) memory.
+//! * [`crate::dataset::load_dataset`] collects them into the one buffer an
+//!   in-RAM [`Dataset`] owns — peak memory is the payload plus a chunk.
+//! * [`crate::dataset::dataset_flat_region`] asks only for the span.
 //!
 //! [`DataSource`] is the common currency: "a dataset, either in RAM or
 //! validated-on-disk". Loaders take a `DataSource` and stay agnostic;
 //! only the few that genuinely need every value call
 //! [`DataSource::materialized`].
 
-use std::io::Read;
+use std::borrow::Cow;
+use std::io::{Read, Seek};
 use std::path::{Path, PathBuf};
 
 use hydra_core::Dataset;
@@ -24,14 +30,17 @@ use hydra_core::Dataset;
 use crate::dataset::{load_dataset, FlatSpan, DATASET_KIND};
 use crate::error::{PersistError, Result};
 use crate::fingerprint::{fingerprint_dataset, Fingerprint};
-use crate::snapshot::{fnv1a64_continue, FNV_OFFSET_BASIS, FORMAT_VERSION, MAGIC};
+use crate::snapshot::{
+    f32s_from_le, fnv1a64_continue, read_array, read_exactly, read_header, read_section_head,
+    SectionReader, FNV_OFFSET_BASIS,
+};
 
 /// Upper bound on any single read issued while streaming a snapshot.
 ///
-/// This is the boot-time memory ceiling the lazy path promises: validation
-/// allocates one buffer of at most this size regardless of dataset size.
+/// This is the memory ceiling of reading a dataset snapshot: validation
+/// allocates one buffer of this size regardless of dataset size.
 /// Deliberately much smaller than any interesting dataset (the boot-memory
-/// regression test asserts no allocation beyond it).
+/// regression tests assert no allocation beyond it).
 pub const STREAM_CHUNK_BYTES: usize = 64 * 1024;
 
 /// A fully validated dataset snapshot that was **not** materialized: shape,
@@ -46,10 +55,8 @@ pub const STREAM_CHUNK_BYTES: usize = 64 * 1024;
 #[derive(Debug, Clone)]
 pub struct DatasetHandle {
     path: PathBuf,
-    series_len: usize,
-    len: usize,
     fingerprint: u64,
-    payload_offset: u64,
+    span: FlatSpan,
 }
 
 impl DatasetHandle {
@@ -60,17 +67,17 @@ impl DatasetHandle {
 
     /// Length of each series.
     pub fn series_len(&self) -> usize {
-        self.series_len
+        self.span.series_len
     }
 
     /// Number of series.
     pub fn len(&self) -> usize {
-        self.len
+        self.span.records
     }
 
     /// Whether the snapshot holds no series.
     pub fn is_empty(&self) -> bool {
-        self.len == 0
+        self.len() == 0
     }
 
     /// The content fingerprint recorded in (and verified against) the file
@@ -82,22 +89,8 @@ impl DatasetHandle {
     /// The byte region of the values inside the snapshot — the span that
     /// lets the snapshot back a [`hydra_storage::SeriesStore`] directly.
     pub fn flat_span(&self) -> FlatSpan {
-        FlatSpan {
-            payload_offset: self.payload_offset,
-            records: self.len,
-            series_len: self.series_len,
-        }
+        self.span
     }
-}
-
-fn read_exactly(file: &mut std::fs::File, buf: &mut [u8]) -> Result<()> {
-    file.read_exact(buf).map_err(|e| {
-        if e.kind() == std::io::ErrorKind::UnexpectedEof {
-            PersistError::Truncated
-        } else {
-            PersistError::from(e)
-        }
-    })
 }
 
 /// Opens and validates the dataset snapshot at `path` in one streaming
@@ -105,11 +98,6 @@ fn read_exactly(file: &mut std::fs::File, buf: &mut [u8]) -> Result<()> {
 /// section checksum, the recorded shape, and the end-to-end content
 /// fingerprint are all verified in chunks of at most
 /// [`STREAM_CHUNK_BYTES`], so peak memory is O(1) in the dataset size.
-///
-/// The validation is exactly as strict as [`crate::dataset::load_dataset`] — every
-/// failure maps to the same typed [`PersistError`] a materializing load
-/// would report (see the error table in the crate docs), so the lazy boot
-/// path can never accept a snapshot the eager path would refuse.
 ///
 /// # Errors
 /// [`PersistError::BadMagic`] / [`PersistError::VersionMismatch`] /
@@ -120,119 +108,94 @@ fn read_exactly(file: &mut std::fs::File, buf: &mut [u8]) -> Result<()> {
 /// and [`PersistError::FingerprintMismatch`] if the values do not hash to
 /// the recorded content fingerprint.
 pub fn open_dataset_streaming(path: &Path) -> Result<DatasetHandle> {
-    let mut file = std::fs::File::open(path)?;
-    let mut pos: u64 = 0;
+    scan_dataset(path, None)
+}
 
-    // Container header: magic, version, fingerprint, kind, section count.
-    let mut head = [0u8; 22];
-    read_exactly(&mut file, &mut head)?;
-    pos += head.len() as u64;
-    if head[..8] != MAGIC {
-        return Err(PersistError::BadMagic);
+/// Feeds the next `len` bytes of `file` to `visit` in chunks of at most
+/// `buf.len()`, folding them into the FNV-1a `state`.
+fn stream_bytes(
+    file: &mut std::fs::File,
+    buf: &mut [u8],
+    mut state: u64,
+    mut len: u64,
+    mut visit: impl FnMut(&[u8]),
+) -> Result<u64> {
+    while len > 0 {
+        let take = (buf.len() as u64).min(len) as usize;
+        let chunk = &mut buf[..take];
+        read_exactly(file, chunk)?;
+        state = fnv1a64_continue(state, chunk);
+        visit(chunk);
+        len -= chunk.len() as u64;
     }
-    let version = u32::from_le_bytes(head[8..12].try_into().unwrap());
-    if version != FORMAT_VERSION {
-        return Err(PersistError::VersionMismatch {
-            found: version,
-            supported: FORMAT_VERSION,
-        });
-    }
-    let header_fingerprint = u64::from_le_bytes(head[12..20].try_into().unwrap());
-    let kind_len = u16::from_le_bytes(head[20..22].try_into().unwrap()) as usize;
-    let mut kind = vec![0u8; kind_len];
-    read_exactly(&mut file, &mut kind)?;
-    pos += kind_len as u64;
-    let kind = String::from_utf8(kind)
-        .map_err(|_| PersistError::Corrupt("invalid UTF-8 kind tag".into()))?;
-    if kind != DATASET_KIND {
+    Ok(state)
+}
+
+/// The single reader of a dataset snapshot (see the module docs): one pass
+/// over the file at `path`, validating everything [`open_dataset_streaming`]
+/// documents, with the values appended to `values` when the caller wants
+/// them. The first 24 payload bytes of section 0 are the shape (series
+/// length, series count, value count); the values after them are folded
+/// simultaneously into the section checksum and the content fingerprint.
+pub(crate) fn scan_dataset(path: &Path, mut values: Option<&mut Vec<f32>>) -> Result<DatasetHandle> {
+    let mut file = std::fs::File::open(path)?;
+    let file_len = file.metadata()?.len();
+    let header = read_header(&mut file)?;
+    if header.kind != DATASET_KIND {
         return Err(PersistError::KindMismatch {
             expected: DATASET_KIND.to_string(),
-            found: kind,
+            found: header.kind,
         });
     }
-    let mut count = [0u8; 4];
-    read_exactly(&mut file, &mut count)?;
-    pos += 4;
-    let sections = u32::from_le_bytes(count) as usize;
-    if sections == 0 {
+    if header.sections == 0 {
         // A dataset snapshot always holds its one payload section.
         return Err(PersistError::Truncated);
     }
 
-    // Section 0: length + checksum, then the payload streamed in chunks.
-    // The first 24 payload bytes are the shape (series_len, n, value
-    // count); everything after them is values, folded simultaneously into
-    // the section checksum and the content fingerprint.
-    let mut sec_head = [0u8; 16];
-    read_exactly(&mut file, &mut sec_head)?;
-    pos += 16;
-    let sec_len = u64::from_le_bytes(sec_head[0..8].try_into().unwrap());
-    let checksum = u64::from_le_bytes(sec_head[8..16].try_into().unwrap());
-    if sec_len < 24 {
-        return Err(PersistError::Truncated);
-    }
-    let mut shape = [0u8; 24];
-    read_exactly(&mut file, &mut shape)?;
-    pos += 24;
-    let as_usize = |bytes: &[u8]| -> Result<usize> {
-        let v = u64::from_le_bytes(bytes.try_into().unwrap());
-        usize::try_from(v).map_err(|_| PersistError::Corrupt(format!("usize overflow: {v}")))
-    };
-    let series_len = as_usize(&shape[0..8])?;
-    let n = as_usize(&shape[8..16])?;
-    let values = as_usize(&shape[16..24])?;
-    if series_len == 0 || values != n.checked_mul(series_len).ok_or_else(|| {
-        PersistError::Corrupt(format!("dataset shape overflows: {n} × {series_len}"))
-    })? {
+    let (section_len, checksum) = read_section_head(&mut file)?;
+    let shape = read_array::<24>(&mut file)?;
+    let payload_offset = file.stream_position()?;
+    let mut fields = SectionReader::new(&shape);
+    let (series_len, n, count) = (fields.get_usize()?, fields.get_usize()?, fields.get_usize()?);
+    if series_len == 0 || n.checked_mul(series_len) != Some(count) {
         return Err(PersistError::Corrupt(format!(
-            "dataset shape mismatch: {n} series of length {series_len} with {values} values"
+            "dataset shape mismatch: {n} series of length {series_len} with {count} values"
         )));
     }
-    let payload_offset = pos;
-    let value_bytes = (values as u64) * 4;
-    if sec_len - 24 < value_bytes {
-        // The count prefix promises more values than the section holds.
+    // The values must fit the section and the section the file: every
+    // length the file claims is bounded before anything is sized by it.
+    let value_bytes = (count as u64).checked_mul(4).ok_or(PersistError::Truncated)?;
+    let after_shape = section_len.checked_sub(24).ok_or(PersistError::Truncated)?;
+    if value_bytes > after_shape || after_shape > file_len.saturating_sub(payload_offset) {
         return Err(PersistError::Truncated);
     }
+    if let Some(values) = values.as_deref_mut() {
+        values.reserve_exact(count);
+    }
 
-    let mut state = fnv1a64_continue(FNV_OFFSET_BASIS, &shape);
     let mut content = Fingerprint::new();
     content.push_usize(series_len);
     content.push_usize(n);
-    let mut remaining_values = value_bytes;
-    let mut remaining_section = sec_len - 24;
-    let mut buf = vec![0u8; STREAM_CHUNK_BYTES.min((remaining_section as usize).max(4))];
-    while remaining_section > 0 {
-        let take = (buf.len() as u64).min(remaining_section) as usize;
-        read_exactly(&mut file, &mut buf[..take])?;
-        state = fnv1a64_continue(state, &buf[..take]);
-        let value_take = (remaining_values.min(take as u64)) as usize;
-        for chunk in buf[..value_take].chunks_exact(4) {
-            content.push_f32(f32::from_bits(u32::from_le_bytes(chunk.try_into().unwrap())));
+    let mut buf = vec![0u8; STREAM_CHUNK_BYTES];
+    let state = fnv1a64_continue(FNV_OFFSET_BASIS, &shape);
+    let state = stream_bytes(&mut file, &mut buf, state, value_bytes, |chunk| {
+        for value in f32s_from_le(chunk) {
+            content.push_f32(value);
         }
-        remaining_values -= value_take as u64;
-        remaining_section -= take as u64;
-    }
-    if state != checksum {
+        if let Some(values) = values.as_deref_mut() {
+            values.extend(f32s_from_le(chunk));
+        }
+    })?;
+    let rest = after_shape - value_bytes;
+    if stream_bytes(&mut file, &mut buf, state, rest, |_| {})? != checksum {
         return Err(PersistError::ChecksumMismatch { section: 0 });
     }
 
     // Remaining sections (a dataset snapshot has none, but the container
     // allows them): checksum-validate each in the same bounded chunks.
-    for section in 1..sections {
-        let mut sec_head = [0u8; 16];
-        read_exactly(&mut file, &mut sec_head)?;
-        let sec_len = u64::from_le_bytes(sec_head[0..8].try_into().unwrap());
-        let checksum = u64::from_le_bytes(sec_head[8..16].try_into().unwrap());
-        let mut state = FNV_OFFSET_BASIS;
-        let mut remaining = sec_len;
-        while remaining > 0 {
-            let take = (buf.len() as u64).min(remaining) as usize;
-            read_exactly(&mut file, &mut buf[..take])?;
-            state = fnv1a64_continue(state, &buf[..take]);
-            remaining -= take as u64;
-        }
-        if state != checksum {
+    for section in 1..header.sections {
+        let (len, checksum) = read_section_head(&mut file)?;
+        if stream_bytes(&mut file, &mut buf, FNV_OFFSET_BASIS, len, |_| {})? != checksum {
             return Err(PersistError::ChecksumMismatch { section });
         }
     }
@@ -243,18 +206,20 @@ pub fn open_dataset_streaming(path: &Path) -> Result<DatasetHandle> {
     }
 
     let computed = content.finish();
-    if computed != header_fingerprint {
+    if computed != header.fingerprint {
         return Err(PersistError::FingerprintMismatch {
             expected: computed,
-            found: header_fingerprint,
+            found: header.fingerprint,
         });
     }
     Ok(DatasetHandle {
         path: path.to_path_buf(),
-        series_len,
-        len: n,
-        fingerprint: header_fingerprint,
-        payload_offset,
+        fingerprint: header.fingerprint,
+        span: FlatSpan {
+            payload_offset,
+            records: n,
+            series_len,
+        },
     })
 }
 
@@ -309,27 +274,36 @@ impl<'a> DataSource<'a> {
         }
     }
 
-    /// The dataset snapshot backing a streamed source, if any — the file a
-    /// dataset-order store attaches directly ([`StoreBacking::FileBacked`]
-    /// with `dataset_snapshot`).
-    ///
-    /// [`StoreBacking::FileBacked`]: crate::StoreBacking::FileBacked
-    pub fn snapshot_path(&self) -> Option<&'a Path> {
-        match self {
-            DataSource::InMemory(_) => None,
-            DataSource::Streamed(h) => Some(h.path()),
-        }
-    }
-
     /// The full dataset — borrowed when already in RAM, loaded (and
     /// re-validated) from the snapshot otherwise. Calling this on a
     /// streamed source materializes dataset-sized memory: it is the one
     /// escape hatch for loaders that genuinely need every value, and the
     /// thing every disk-capable loader avoids.
-    pub fn materialized(&self) -> Result<MaterializedDataset<'a>> {
+    pub fn materialized(&self) -> Result<Cow<'a, Dataset>> {
         match self {
-            DataSource::InMemory(d) => Ok(MaterializedDataset::Borrowed(d)),
-            DataSource::Streamed(h) => Ok(MaterializedDataset::Owned(load_dataset(h.path())?)),
+            DataSource::InMemory(d) => Ok(Cow::Borrowed(d)),
+            DataSource::Streamed(h) => Ok(Cow::Owned(load_dataset(h.path())?)),
+        }
+    }
+
+    /// The number of records a file or store holding this source in `order`
+    /// has (`order[pos]` = dataset position of record `pos`; `None` is
+    /// dataset order) — the one place an order is checked against the
+    /// source before anything indexes by it.
+    ///
+    /// # Errors
+    /// [`PersistError::Corrupt`] if `order` names a series outside the
+    /// source.
+    pub(crate) fn records_in(&self, order: Option<&[usize]>) -> Result<usize> {
+        let Some(order) = order else {
+            return Ok(self.len());
+        };
+        match order.iter().find(|&&ds| ds >= self.len()) {
+            Some(bad) => Err(PersistError::Corrupt(format!(
+                "record order references series {bad} of a {}-series dataset",
+                self.len()
+            ))),
+            None => Ok(order.len()),
         }
     }
 
@@ -340,32 +314,8 @@ impl<'a> DataSource<'a> {
             DataSource::InMemory(d) => Ok(SeriesFetch::Mem(d)),
             DataSource::Streamed(h) => Ok(SeriesFetch::File {
                 file: std::fs::File::open(h.path())?,
-                series_len: h.series_len(),
-                len: h.len(),
-                payload_offset: h.payload_offset,
+                span: h.flat_span(),
             }),
-        }
-    }
-}
-
-/// The result of [`DataSource::materialized`]: a dataset that is either
-/// borrowed from the caller or was just loaded from disk. Dereferences to
-/// [`Dataset`].
-#[derive(Debug)]
-pub enum MaterializedDataset<'a> {
-    /// Borrowed from an in-memory source.
-    Borrowed(&'a Dataset),
-    /// Loaded from a streamed source's snapshot.
-    Owned(Dataset),
-}
-
-impl std::ops::Deref for MaterializedDataset<'_> {
-    type Target = Dataset;
-
-    fn deref(&self) -> &Dataset {
-        match self {
-            MaterializedDataset::Borrowed(d) => d,
-            MaterializedDataset::Owned(d) => d,
         }
     }
 }
@@ -375,12 +325,7 @@ impl std::ops::Deref for MaterializedDataset<'_> {
 /// a streamed one.
 pub(crate) enum SeriesFetch<'a> {
     Mem(&'a Dataset),
-    File {
-        file: std::fs::File,
-        series_len: usize,
-        len: usize,
-        payload_offset: u64,
-    },
+    File { file: std::fs::File, span: FlatSpan },
 }
 
 impl SeriesFetch<'_> {
@@ -388,7 +333,7 @@ impl SeriesFetch<'_> {
     ///
     /// # Panics
     /// Panics if `record` is out of bounds — callers validate order
-    /// vectors against [`DataSource::len`] first, exactly as the
+    /// vectors with [`DataSource::records_in`] first, exactly as the
     /// dataset-based path panics on `Dataset::series`.
     pub(crate) fn get(&self, record: usize, out: &mut Vec<f32>) -> Result<()> {
         out.clear();
@@ -396,23 +341,13 @@ impl SeriesFetch<'_> {
             SeriesFetch::Mem(d) => {
                 out.extend_from_slice(d.series(record));
             }
-            SeriesFetch::File {
-                file,
-                series_len,
-                len,
-                payload_offset,
-            } => {
+            SeriesFetch::File { file, span } => {
                 use std::os::unix::fs::FileExt;
-                assert!(record < *len, "record {record} out of bounds");
-                let mut buf = vec![0u8; series_len * 4];
-                file.read_exact_at(
-                    &mut buf,
-                    payload_offset + (record * series_len * 4) as u64,
-                )?;
-                out.extend(
-                    buf.chunks_exact(4)
-                        .map(|c| f32::from_bits(u32::from_le_bytes(c.try_into().unwrap()))),
-                );
+                assert!(record < span.records, "record {record} out of bounds");
+                let mut buf = vec![0u8; span.series_len * 4];
+                let at = span.payload_offset + (record * buf.len()) as u64;
+                file.read_exact_at(&mut buf, at)?;
+                out.extend(f32s_from_le(&buf));
             }
         }
         Ok(())
@@ -423,7 +358,7 @@ impl SeriesFetch<'_> {
 mod tests {
     use super::*;
     use crate::dataset::{dataset_flat_region, save_dataset};
-    use crate::snapshot::{Section, SnapshotWriter};
+    use crate::snapshot::{Section, SnapshotWriter, FORMAT_VERSION};
 
     fn temp_path(name: &str) -> PathBuf {
         std::env::temp_dir().join(format!("hydra-stream-{}-{name}", std::process::id()))
@@ -521,20 +456,12 @@ mod tests {
         let mut s = Section::new();
         s.put_usize(3); // series_len
         s.put_usize(5); // n
-        s.put_f32s(&[1.0; 15]); // count prefix says 15...
-        let mut bytes = {
-            w.push(s);
-            w.to_bytes()
-        };
-        bytes.truncate(bytes.len() - 8); // ...but drop the last two values
-        // Fix up the section length so only the *value count* disagrees.
-        let header = 8 + 4 + 8 + 2 + DATASET_KIND.len() + 4;
-        let sec_len = u64::from_le_bytes(bytes[header..header + 8].try_into().unwrap()) - 8;
-        bytes[header..header + 8].copy_from_slice(&sec_len.to_le_bytes());
-        let payload = &bytes[header + 16..];
-        let fixed = crate::snapshot::fnv1a64(payload);
-        bytes[header + 8..header + 16].copy_from_slice(&fixed.to_le_bytes());
-        std::fs::write(&path, &bytes).unwrap();
+        s.put_usize(15); // the count prefix says 15...
+        for _ in 0..13 {
+            s.put_f32(1.0); // ...but only 13 values follow
+        }
+        w.push(s);
+        w.write_to(&path).unwrap();
         assert!(matches!(
             open_dataset_streaming(&path),
             Err(PersistError::Truncated)

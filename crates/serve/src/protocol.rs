@@ -728,12 +728,6 @@ pub fn write_request<W: Write>(w: &mut W, request: &Request) -> Result<()> {
     Ok(())
 }
 
-/// Writes one response frame to `w` (flushing is the caller's concern).
-pub fn write_response<W: Write>(w: &mut W, response: &Response) -> Result<()> {
-    w.write_all(&response.encode())?;
-    Ok(())
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;

@@ -126,3 +126,29 @@ fn sidecar_revalidation_allocates_a_small_multiple_of_the_stream_chunk() {
     );
     std::fs::remove_dir_all(&dir).ok();
 }
+
+/// A materializing load is the streamed validation with the values kept:
+/// the payload is allocated once, in the buffer the `Dataset` ends up
+/// owning, never next to a file image or a section copy of the same size.
+#[test]
+fn load_dataset_peaks_at_one_payload_plus_the_stream_chunk() {
+    use hydra::persist::dataset::{load_dataset, save_dataset};
+    use hydra::persist::STREAM_CHUNK_BYTES;
+    let _meter = METER.lock().unwrap_or_else(|e| e.into_inner());
+    let dir = common::temp_dir("load-dataset-peak");
+    let data = hydra::data::random_walk(2_000, 512, 779);
+    let payload = data.len() * data.series_len() * 4;
+    let snapshot = dir.join("walk.data.snap");
+    save_dataset(&data, &snapshot).unwrap();
+
+    hydra_obs::reset_heap_peak();
+    let live = hydra_obs::heap_live_bytes();
+    let loaded = load_dataset(&snapshot).unwrap();
+    let delta = hydra_obs::heap_peak_bytes() - live;
+    assert_eq!(loaded, data);
+    assert!(
+        delta <= payload + 4 * STREAM_CHUNK_BYTES,
+        "loading a {payload}-byte payload peaked at {delta} heap bytes"
+    );
+    std::fs::remove_dir_all(&dir).ok();
+}
