@@ -18,6 +18,7 @@
 
 use std::time::Duration;
 
+use hydra_serve::cli::{fail, non_empty, parse, positive, Flag};
 use hydra_serve::ServeClient;
 
 struct Args {
@@ -26,95 +27,46 @@ struct Args {
     interval: Duration,
 }
 
+const FLAGS: [Flag<Args>; 3] = [
+    Flag::new("--addr", Some("HOST:PORT"), |a, v| {
+        non_empty(v, "--addr expects HOST:PORT").map(|addr| a.addr = addr)
+    }),
+    Flag::new("--once", None, |a, _| {
+        a.once = true;
+        Ok(())
+    }),
+    Flag::new("--interval-ms", Some("N"), |a, v| {
+        positive("--interval-ms", v).map(|ms| a.interval = Duration::from_millis(ms))
+    }),
+];
+
 fn parse_args(args: &[String]) -> Result<Args, String> {
-    let mut addr: Option<String> = None;
-    let mut once = false;
-    let mut interval = Duration::from_secs(2);
-    let mut interval_seen = false;
-    let mut it = args.iter();
-    while let Some(arg) = it.next() {
-        let mut value_of = |name: &str| -> Option<Result<String, String>> {
-            if arg == name {
-                Some(
-                    it.next()
-                        .cloned()
-                        .ok_or_else(|| format!("{name} requires a value")),
-                )
-            } else {
-                arg.strip_prefix(&format!("{name}=")).map(|v| Ok(v.to_string()))
-            }
-        };
-        if let Some(value) = value_of("--addr") {
-            if addr.is_some() {
-                return Err("--addr given more than once".into());
-            }
-            let value = value?;
-            if value.is_empty() {
-                return Err("--addr expects HOST:PORT".into());
-            }
-            addr = Some(value);
-        } else if arg == "--once" {
-            if once {
-                return Err("--once given more than once".into());
-            }
-            once = true;
-        } else if let Some(value) = value_of("--interval-ms") {
-            if interval_seen {
-                return Err("--interval-ms given more than once".into());
-            }
-            interval_seen = true;
-            let value = value?;
-            interval = match value.parse::<u64>() {
-                Ok(ms) if ms > 0 => Duration::from_millis(ms),
-                _ => {
-                    return Err(format!(
-                        "--interval-ms expects a positive integer, got {value:?}"
-                    ))
-                }
-            };
-        } else {
-            return Err(format!(
-                "unrecognized argument {arg:?} (accepted: --addr HOST:PORT, --once, \
-                 --interval-ms N)"
-            ));
-        }
+    let mut out = Args {
+        addr: String::new(),
+        once: false,
+        interval: Duration::from_secs(2),
+    };
+    let seen = parse(args, &FLAGS, &mut out)?;
+    if !seen.contains(&"--addr") {
+        return Err("--addr HOST:PORT is required".into());
     }
-    let addr = addr.ok_or("--addr HOST:PORT is required")?;
-    if once && interval_seen {
+    if out.once && seen.contains(&"--interval-ms") {
         return Err("--interval-ms is meaningless with --once".into());
     }
-    Ok(Args {
-        addr,
-        once,
-        interval,
-    })
+    Ok(out)
 }
 
 fn main() {
     let raw: Vec<String> = std::env::args().skip(1).collect();
-    let args = match parse_args(&raw) {
-        Ok(args) => args,
-        Err(msg) => {
-            eprintln!("error: {msg}");
-            std::process::exit(2);
-        }
-    };
-    let mut client = match ServeClient::connect(args.addr.as_str()) {
-        Ok(client) => client,
-        Err(e) => {
-            eprintln!("error: cannot connect to {}: {e}", args.addr);
-            std::process::exit(2);
-        }
-    };
+    let args = parse_args(&raw).unwrap_or_else(|msg| fail(&msg));
+    let addr = args.addr.as_str();
+    let mut client = ServeClient::connect(addr)
+        .unwrap_or_else(|e| fail(&format!("cannot connect to {addr}: {e}")));
     let mut scrapes: u64 = 0;
     loop {
-        let text = match client.stats() {
-            Ok(text) => text,
-            Err(e) => {
-                eprintln!("error: stats scrape of {} failed: {e}", args.addr);
-                std::process::exit(2);
-            }
-        };
+        let text = client
+            .stats()
+            .unwrap_or_else(|e| fail(&format!("stats scrape of {addr} failed: {e}")));
         scrapes += 1;
         if args.once {
             print!("{text}");

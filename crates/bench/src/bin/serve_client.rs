@@ -45,6 +45,7 @@ use hydra_bench::{
     in_memory_datasets, on_disk_datasets, print_header, print_row, sweep_settings_for,
     BenchDataset,
 };
+use hydra_serve::cli::{fail, non_empty, parse, positive, Flag};
 use hydra_serve::{dataset_for_index, IndexInfo, Request, ResponseBody, ServeClient};
 
 #[derive(Debug, Clone, PartialEq)]
@@ -70,72 +71,47 @@ impl Default for Args {
     }
 }
 
-/// Strict flag parsing in the house style (scaffolding shared with the
-/// `hydra-serve` binary via `hydra_serve::cli`).
+const FLAGS: [Flag<Args>; 6] = [
+    Flag::new("--addr", Some("HOST:PORT"), |a, v| {
+        non_empty(v, "--addr expects HOST:PORT").map(|addr| a.addr = addr)
+    }),
+    Flag::new("--scenario", Some("fig3|fig4"), |a, v| {
+        a.fig3 = match v {
+            "fig3" => true,
+            "fig4" => false,
+            other => return Err(format!("--scenario expects fig3 or fig4, got {other:?}")),
+        };
+        Ok(())
+    }),
+    Flag::new("--connections", Some("N"), |a, v| {
+        positive("--connections", v).map(|n| a.connections = n)
+    }),
+    Flag::new("--connect-timeout-ms", Some("N"), |a, v| {
+        let ms = v
+            .parse()
+            .map_err(|_| format!("--connect-timeout-ms expects an integer, got {v:?}"))?;
+        a.connect_timeout = Duration::from_millis(ms);
+        Ok(())
+    }),
+    Flag::new("--reload", None, |a, _| {
+        a.reload = true;
+        Ok(())
+    }),
+    Flag::new("--shutdown", None, |a, _| {
+        a.shutdown = true;
+        Ok(())
+    }),
+];
+
+/// Strict flag parsing in the house style (`hydra_serve::cli`, shared
+/// with the `hydra-serve` binary).
 fn parse_args(args: &[String]) -> Result<Args, String> {
-    use hydra_serve::cli::{once, value_of as cli_value_of};
     let mut out = Args::default();
-    let mut seen: Vec<&'static str> = Vec::new();
-    let mut addr_given = false;
-    let mut it = args.iter();
-    while let Some(arg) = it.next() {
-        let mut value_of = |name: &'static str| cli_value_of(arg, name, &mut it);
-        if let Some(value) = value_of("--addr") {
-            once("--addr", &mut seen)?;
-            let value = value?;
-            if value.is_empty() {
-                return Err("--addr expects HOST:PORT".into());
-            }
-            out.addr = value;
-            addr_given = true;
-        } else if let Some(value) = value_of("--scenario") {
-            once("--scenario", &mut seen)?;
-            out.fig3 = match value?.as_str() {
-                "fig3" => true,
-                "fig4" => false,
-                other => return Err(format!("--scenario expects fig3 or fig4, got {other:?}")),
-            };
-        } else if let Some(value) = value_of("--connections") {
-            once("--connections", &mut seen)?;
-            let value = value?;
-            out.connections = match value.parse::<usize>() {
-                Ok(n) if n > 0 => n,
-                _ => {
-                    return Err(format!(
-                        "--connections expects a positive integer, got {value:?}"
-                    ))
-                }
-            };
-        } else if let Some(value) = value_of("--connect-timeout-ms") {
-            once("--connect-timeout-ms", &mut seen)?;
-            let value = value?;
-            let ms: u64 = value
-                .parse()
-                .map_err(|_| format!("--connect-timeout-ms expects an integer, got {value:?}"))?;
-            out.connect_timeout = Duration::from_millis(ms);
-        } else if arg == "--reload" {
-            once("--reload", &mut seen)?;
-            out.reload = true;
-        } else if arg == "--shutdown" {
-            once("--shutdown", &mut seen)?;
-            out.shutdown = true;
-        } else {
-            return Err(format!(
-                "unrecognized argument {arg:?} (accepted: --addr HOST:PORT, \
-                 --scenario fig3|fig4, --connections N, --connect-timeout-ms N, --reload, \
-                 --shutdown)"
-            ));
-        }
-    }
-    if !addr_given {
+    let seen = parse(args, &FLAGS, &mut out)?;
+    if !seen.contains(&"--addr") {
         return Err("--addr HOST:PORT is required".into());
     }
     Ok(out)
-}
-
-fn fail(msg: &str) -> ! {
-    eprintln!("error: {msg}");
-    std::process::exit(2);
 }
 
 /// Replays every query of `dataset`'s workload against `index_name`

@@ -22,7 +22,7 @@ use std::time::Instant;
 
 use hydra::prelude::*;
 use hydra::{AnnIndex, Dataset};
-use hydra_serve::cli::StorageFlags;
+use hydra_serve::cli::{fail, non_empty, parse, positive, Flag, StorageFlags};
 
 /// Scale factor applied to all dataset sizes (override with the
 /// `HYDRA_SCALE` environment variable, e.g. `HYDRA_SCALE=4` for a longer,
@@ -182,12 +182,11 @@ where
         };
         let t = Instant::now();
         let index = T::load_backed(&path, data, &config, backing).unwrap_or_else(|e| {
-            eprintln!(
-                "error: cannot load {} snapshot from {}: {e}",
+            fail(&format!(
+                "cannot load {} snapshot from {}: {e}",
                 T::KIND,
                 path.display()
-            );
-            std::process::exit(2);
+            ))
         });
         return BuiltMethod {
             index: Box::new(index),
@@ -204,12 +203,11 @@ where
     if let Some(dir) = &flags.save_index {
         let path = snapshot_file(dir, dataset_name, T::KIND);
         index.save(&path).unwrap_or_else(|e| {
-            eprintln!(
-                "error: cannot save {} snapshot to {}: {e}",
+            fail(&format!(
+                "cannot save {} snapshot to {}: {e}",
                 T::KIND,
                 path.display()
-            );
-            std::process::exit(2);
+            ))
         });
     }
     BuiltMethod {
@@ -291,11 +289,10 @@ pub fn build_or_load_methods(
     if let Some(dir) = &flags.save_index {
         let path = dataset_snapshot_file(dir, dataset_name);
         hydra::persist::dataset::save_dataset(data, &path).unwrap_or_else(|e| {
-            eprintln!(
-                "error: cannot save the {dataset_name} dataset snapshot to {}: {e}",
-                path.display()
-            );
-            std::process::exit(2);
+            let path = path.display();
+            fail(&format!(
+                "cannot save the {dataset_name} dataset snapshot to {path}: {e}"
+            ))
         });
     }
     let mut out: Vec<BuiltMethod> = Vec::new();
@@ -339,12 +336,8 @@ fn build_or_load_methods_sharded(
     let (map, shard_data) =
         hydra::partition(data, hydra::PartitionScheme::Contiguous, flags.shards)
             .unwrap_or_else(|e| {
-                eprintln!(
-                    "error: cannot split {dataset_name} ({} series) into {} shards: {e}",
-                    data.len(),
-                    flags.shards
-                );
-                std::process::exit(2);
+                let (n, shards) = (data.len(), flags.shards);
+                fail(&format!("cannot split {dataset_name} ({n} series) into {shards} shards: {e}"))
             });
     let shard_dir = |dir: &PathBuf, s: usize| dir.join(format!("shard-{s}"));
     let mut per_shard: Vec<Vec<BuiltMethod>> = Vec::with_capacity(flags.shards);
@@ -357,8 +350,10 @@ fn build_or_load_methods_sharded(
         };
         if let Some(dir) = &sub.save_index {
             std::fs::create_dir_all(dir).unwrap_or_else(|e| {
-                eprintln!("error: cannot create shard directory {}: {e}", dir.display());
-                std::process::exit(2);
+                fail(&format!(
+                    "cannot create shard directory {}: {e}",
+                    dir.display()
+                ))
             });
         }
         per_shard.push(build_or_load_methods(dataset_name, shard, in_memory, seed, &sub));
@@ -516,6 +511,52 @@ impl Default for BenchFlags {
     }
 }
 
+impl AsMut<StorageFlags> for BenchFlags {
+    fn as_mut(&mut self) -> &mut StorageFlags {
+        &mut self.storage
+    }
+}
+
+/// `--threads` on a binary that has a query phase to parallelize…
+const THREADS: Flag<BenchFlags> = Flag::new("--threads", Some("N"), |f, v| {
+    positive("--threads", v).map(|n| f.threads = n)
+});
+
+/// …and on one that has not.
+const NO_THREADS: Flag<BenchFlags> = Flag::new("--threads", Some("N"), |_, _| {
+    Err("this binary has no query phase and does not take --threads".into())
+});
+
+/// The other figure-binary flags; `--threads` and [`StorageFlags::flags`]
+/// join them in [`parse_bench_flags`].
+const BENCH_FLAGS: [Flag<BenchFlags>; 5] = [
+    Flag::new("--save-index", Some("DIR"), |f, v| {
+        non_empty(v, "--save-index expects a directory path")
+            .map(|dir| f.save_index = Some(dir.into()))
+    }),
+    Flag::new("--load-index", Some("DIR"), |f, v| {
+        non_empty(v, "--load-index expects a directory path")
+            .map(|dir| f.load_index = Some(dir.into()))
+    }),
+    Flag::new("--shards", Some("S"), |f, v| {
+        positive("--shards", v).map(|n| f.shards = n)
+    }),
+    Flag::new("--ingest-split", Some("F"), |f, v| {
+        f.ingest_split = match v.parse::<f64>() {
+            Ok(split) if split > 0.0 && split < 1.0 => Some(split),
+            _ => {
+                return Err(format!(
+                    "--ingest-split expects a fraction strictly between 0 and 1, got {v:?}"
+                ))
+            }
+        };
+        Ok(())
+    }),
+    Flag::new("--trace-out", Some("FILE"), |f, v| {
+        non_empty(v, "--trace-out expects a file path").map(|file| f.trace_out = Some(file.into()))
+    }),
+];
+
 /// Parses the figure-binary flags strictly: both `--flag VALUE` and
 /// `--flag=VALUE` spellings are accepted, and anything unusable — a bad
 /// value, a repeated flag, an unknown argument, `--save-index` together
@@ -527,70 +568,13 @@ pub fn parse_bench_flags(
     args: &[String],
     threads_allowed: bool,
 ) -> std::result::Result<BenchFlags, String> {
-    use hydra_serve::cli::{once, value_of as cli_value_of};
     let mut flags = BenchFlags::default();
-    let mut seen: Vec<&'static str> = Vec::new();
-    let mut it = args.iter();
-    while let Some(arg) = it.next() {
-        if let Some(accepted) = flags.storage.accept(arg, &mut it, &mut seen) {
-            accepted?;
-            continue;
-        }
-        let mut value_of = |name: &'static str| {
-            cli_value_of(arg, name, &mut it).map(|value| once(name, &mut seen).and(value))
-        };
-        if let Some(value) = value_of("--threads") {
-            let value = value?;
-            if !threads_allowed {
-                return Err("this binary has no query phase and does not take --threads".into());
-            }
-            flags.threads = match value.parse::<usize>() {
-                Ok(t) if t > 0 => t,
-                _ => return Err(format!("--threads expects a positive integer, got {value:?}")),
-            };
-        } else if let Some(value) = value_of("--save-index") {
-            let value = value?;
-            if value.is_empty() {
-                return Err("--save-index expects a directory path".into());
-            }
-            flags.save_index = Some(PathBuf::from(value));
-        } else if let Some(value) = value_of("--load-index") {
-            let value = value?;
-            if value.is_empty() {
-                return Err("--load-index expects a directory path".into());
-            }
-            flags.load_index = Some(PathBuf::from(value));
-        } else if let Some(value) = value_of("--ingest-split") {
-            let value = value?;
-            flags.ingest_split = match value.parse::<f64>() {
-                Ok(f) if f > 0.0 && f < 1.0 => Some(f),
-                _ => {
-                    return Err(format!(
-                        "--ingest-split expects a fraction strictly between 0 and 1, got {value:?}"
-                    ))
-                }
-            };
-        } else if let Some(value) = value_of("--trace-out") {
-            let value = value?;
-            if value.is_empty() {
-                return Err("--trace-out expects a file path".into());
-            }
-            flags.trace_out = Some(PathBuf::from(value));
-        } else if let Some(value) = value_of("--shards") {
-            let value = value?;
-            flags.shards = match value.parse::<usize>() {
-                Ok(s) if s > 0 => s,
-                _ => return Err(format!("--shards expects a positive integer, got {value:?}")),
-            };
-        } else {
-            return Err(format!(
-                "unrecognized argument {arg:?} (accepted: {}--save-index DIR, --load-index DIR, \
-                 {}, --shards S, --ingest-split F, --trace-out FILE)",
-                if threads_allowed { "--threads N, " } else { "" },
-                StorageFlags::USAGE
-            ));
-        }
-    }
+    let table: Vec<Flag<BenchFlags>> = [if threads_allowed { THREADS } else { NO_THREADS }]
+        .into_iter()
+        .chain(BENCH_FLAGS)
+        .chain(StorageFlags::flags())
+        .collect();
+    parse(args, &table, &mut flags)?;
     if flags.save_index.is_some() && flags.load_index.is_some() {
         return Err(
             "--save-index and --load-index are mutually exclusive (a loaded index is already saved)"
@@ -619,13 +603,7 @@ pub fn parse_bench_flags(
 /// message on a malformed invocation.
 pub fn bench_flags(threads_allowed: bool) -> BenchFlags {
     let args: Vec<String> = std::env::args().skip(1).collect();
-    match parse_bench_flags(&args, threads_allowed) {
-        Ok(flags) => flags,
-        Err(msg) => {
-            eprintln!("error: {msg}");
-            std::process::exit(2);
-        }
-    }
+    parse_bench_flags(&args, threads_allowed).unwrap_or_else(|msg| fail(&msg))
 }
 
 /// Writes the `--trace-out FILE` stage-breakdown CSV: one row per
@@ -661,13 +639,9 @@ impl TraceWriter {
     /// one), `None` otherwise.
     pub fn from_flags(flags: &BenchFlags) -> Option<Self> {
         let path = flags.trace_out.as_deref()?;
-        match Self::create(path) {
-            Ok(writer) => Some(writer),
-            Err(e) => {
-                eprintln!("error: cannot create --trace-out {}: {e}", path.display());
-                std::process::exit(2);
-            }
-        }
+        Some(Self::create(path).unwrap_or_else(|e| {
+            fail(&format!("cannot create --trace-out {}: {e}", path.display()))
+        }))
     }
 
     /// Appends the recorded stages of one sweep point's trace.

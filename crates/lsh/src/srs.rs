@@ -192,29 +192,20 @@ impl Srs {
         SearchResult::new(top.into_sorted(), stats)
     }
 
-    /// The first `prefix` records [`Srs::search_impl`] would examine for
-    /// `query`: the smallest projected distances, computed uncharged (no
+    /// The projected distance of every stored point to `query` — the order
+    /// [`Srs::search_impl`] examines records in — computed uncharged (no
     /// stats, no store reads) so the batch scheduler can declare a working
-    /// set before any query runs. Appends one single-record range per
-    /// candidate.
-    fn predicted_candidates(&self, query: &[f32], prefix: usize, out: &mut Vec<(usize, usize)>) {
+    /// set before any query runs.
+    fn candidate_scores(&self, query: &[f32]) -> Vec<(f32, usize)> {
         let qp = self.projection.project(query);
-        let mut order: Vec<(f32, usize)> = (0..self.collection.len())
+        (0..self.collection.len())
             .map(|id| {
                 (
                     hydra_core::squared_euclidean(&qp, self.projected_point(id)),
                     id,
                 )
             })
-            .collect();
-        let cut = prefix.min(order.len());
-        if cut == 0 {
-            return;
-        }
-        if cut < order.len() {
-            order.select_nth_unstable_by(cut - 1, |a, b| a.0.total_cmp(&b.0));
-        }
-        out.extend(order[..cut].iter().map(|&(_, id)| (id, 1)));
+            .collect()
     }
 }
 
@@ -352,25 +343,19 @@ impl AnnIndex for Srs {
     /// on the shared buffer pool's warm-up order.
     ///
     /// The batch runs inside one storage working-set scope
-    /// ([`Collection::with_working_set`]) to which SRS contributes each
+    /// ([`Collection::with_best_scored`]) to which SRS contributes each
     /// query's ranked top-candidate prefix — the records its incremental
-    /// scan examines first. No prefetch: the candidates are scattered
-    /// single records, and the early-termination test may prune them
-    /// before they are ever read.
+    /// scan examines first.
     fn search_batch(
         &self,
         queries: &[&[f32]],
         params: &SearchParams,
     ) -> Vec<Result<SearchResult>> {
-        let prefix = match params.mode {
-            SearchMode::Ng { nprobe } => nprobe.max(1),
-            _ => 4 * params.k.max(1),
-        };
         let mut order = Vec::with_capacity(self.collection.len());
-        self.collection.with_working_set(
+        self.collection.with_best_scored(
             queries,
-            false,
-            |query, ranges| self.predicted_candidates(query, prefix, ranges),
+            params,
+            |query| self.candidate_scores(query),
             |query| {
                 self.validate(query, params)?;
                 Ok(self.search_impl(query, params, &mut order))

@@ -30,7 +30,7 @@ use std::path::Path;
 
 use hydra_core::{
     predict_first_leaf, Dataset, DistanceHistogram, Error, HierarchicalIndex, QueryStats,
-    StoreCounters,
+    SearchMode, SearchParams, StoreCounters,
 };
 use hydra_storage::{FileSpan, PageCodec, SeriesStore, StorageConfig};
 
@@ -608,6 +608,43 @@ impl Collection {
             }
         });
         queries.iter().copied().map(body).collect()
+    }
+
+    /// [`Collection::with_working_set`] for a method that scores every
+    /// record cheaply and refines the best-scored first (VA+file's phase-1
+    /// lower bounds, SRS's projected distances). `scores` computes one
+    /// query's `(score, record)` table uncharged — no stats, no store
+    /// reads — and the working set is its lowest-scored prefix, the records
+    /// refinement reads first: `nprobe` of them under ng search, `4k`
+    /// otherwise. No prefetch: the candidates are scattered single
+    /// records, and the closing bound may prune them before they are read.
+    pub fn with_best_scored<R>(
+        &self,
+        queries: &[&[f32]],
+        params: &SearchParams,
+        scores: impl Fn(&[f32]) -> Vec<(f32, usize)>,
+        body: impl FnMut(&[f32]) -> R,
+    ) -> Vec<R> {
+        let prefix = match params.mode {
+            SearchMode::Ng { nprobe } => nprobe.max(1),
+            _ => 4 * params.k.max(1),
+        };
+        self.with_working_set(
+            queries,
+            false,
+            |query, ranges| {
+                let mut scored = scores(query);
+                let cut = prefix.min(scored.len());
+                if cut == 0 {
+                    return;
+                }
+                if cut < scored.len() {
+                    scored.select_nth_unstable_by(cut - 1, |a, b| a.0.total_cmp(&b.0));
+                }
+                ranges.extend(scored[..cut].iter().map(|&(_, id)| (id, 1)));
+            },
+            body,
+        )
     }
 
     /// [`Collection::with_working_set`] for a tree whose leaves live in

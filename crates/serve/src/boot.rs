@@ -32,9 +32,9 @@ use hydra::Dataset;
 use crate::server::ServedIndex;
 
 /// Suffix of dataset snapshots inside a serving directory.
-pub const DATASET_SUFFIX: &str = ".data.snap";
+const DATASET_SUFFIX: &str = ".data.snap";
 /// Suffix of every snapshot file.
-pub const SNAPSHOT_SUFFIX: &str = ".snap";
+const SNAPSHOT_SUFFIX: &str = ".snap";
 
 /// Why a serving directory could not be booted.
 #[derive(Debug)]
@@ -270,7 +270,7 @@ pub fn boot_from_dir_with(
     let (indexes, loads): (Vec<ServedIndex>, Vec<IndexLoad>) = indexes.into_iter().unzip();
     let mut dataset_summaries: Vec<(String, usize, usize)> = datasets
         .iter()
-        .map(|(name, d, _)| (name.clone(), d.len(), d.series_len()))
+        .map(|(name, d, _)| (name.clone(), d.source().len(), d.source().series_len()))
         .collect();
     dataset_summaries.sort();
     Ok(BootReport {
@@ -296,20 +296,6 @@ enum BootData {
 }
 
 impl BootData {
-    fn len(&self) -> usize {
-        match self {
-            BootData::Mem(d) => d.len(),
-            BootData::Streamed(h) => h.len(),
-        }
-    }
-
-    fn series_len(&self) -> usize {
-        match self {
-            BootData::Mem(d) => d.series_len(),
-            BootData::Streamed(h) => h.series_len(),
-        }
-    }
-
     fn source(&self) -> DataSource<'_> {
         match self {
             BootData::Mem(d) => DataSource::InMemory(d),

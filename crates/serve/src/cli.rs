@@ -1,17 +1,85 @@
-//! Scaffolding for the house CLI style, shared by the `hydra-serve`
-//! binary and `hydra-bench`'s figure binaries and `serve_client`: both
+//! The house CLI style, written once for the `hydra-serve` binary and
+//! `hydra-bench`'s figure binaries, `serve_client` and `hydra_stat`: a
+//! command line is a table of [`Flag`] rows run through [`parse`]. Both
 //! `--flag VALUE` and `--flag=VALUE` spellings are accepted, and anything
 //! unusable — a typo, a missing value, a duplicate flag — is an error,
-//! never a silent fallback. Keeping the parsers on one scaffold — and the
-//! storage flags they share in one group, [`StorageFlags`] — means a
-//! future fix cannot drift between them.
+//! never a silent fallback. The "accepted: …" line of the unknown-flag
+//! error is generated from the rows, so a flag cannot be parsed but
+//! undocumented; the storage flags the binaries share are four rows
+//! ([`StorageFlags::flags`]) spliced into the caller's table.
+
+/// One row of a flag table: how one flag of a command line lands in `T`.
+pub struct Flag<T> {
+    /// The flag as typed, dashes included.
+    pub name: &'static str,
+    value: Option<&'static str>,
+    set: fn(&mut T, &str) -> Result<(), String>,
+}
+
+impl<T> Flag<T> {
+    /// A row: the flag as typed, the placeholder of its value in the
+    /// "accepted: …" line (`N`, `DIR`, `u8|f16|f32`; `None` for a switch
+    /// that takes no value), and how one occurrence is applied (a switch
+    /// is handed the empty string).
+    pub const fn new(
+        name: &'static str,
+        value: Option<&'static str>,
+        set: fn(&mut T, &str) -> Result<(), String>,
+    ) -> Self {
+        Self { name, value, set }
+    }
+}
+
+/// Parses `args` against `table` into `out`; returns the flags seen, for
+/// the caller's cross-flag rules.
+///
+/// # Errors
+/// A flag given twice, a value flag at the end of the line, whatever a
+/// row's `set` rejects, or an argument no row matches — that message
+/// lists every row of the table.
+pub fn parse<T>(
+    args: &[String],
+    table: &[Flag<T>],
+    out: &mut T,
+) -> Result<Vec<&'static str>, String> {
+    let mut seen = Vec::new();
+    let mut rest = args.iter();
+    while let Some(arg) = rest.next() {
+        let matched = table.iter().find_map(|flag| {
+            let value = if flag.value.is_some() {
+                value_of(arg, flag.name, &mut rest)?
+            } else if arg == flag.name {
+                Ok(String::new())
+            } else {
+                return None;
+            };
+            Some((flag, value))
+        });
+        let Some((flag, value)) = matched else {
+            let accepted: Vec<String> = table
+                .iter()
+                .map(|flag| match flag.value {
+                    Some(value) => format!("{} {value}", flag.name),
+                    None => flag.name.to_string(),
+                })
+                .collect();
+            return Err(format!(
+                "unrecognized argument {arg:?} (accepted: {})",
+                accepted.join(", ")
+            ));
+        };
+        once(flag.name, &mut seen)?;
+        (flag.set)(out, &value?)?;
+    }
+    Ok(seen)
+}
 
 /// Matches the current argument against `--name VALUE` / `--name=VALUE`.
 ///
 /// Returns `None` if `arg` is not this flag at all; `Some(Ok(value))` on a
 /// match; `Some(Err(message))` when the space-separated spelling has no
 /// value left in `rest`.
-pub fn value_of(
+fn value_of(
     arg: &str,
     name: &str,
     rest: &mut std::slice::Iter<'_, String>,
@@ -30,12 +98,39 @@ pub fn value_of(
 }
 
 /// Records one occurrence of `name`, erroring on a duplicate.
-pub fn once(name: &'static str, seen: &mut Vec<&'static str>) -> Result<(), String> {
+fn once(name: &'static str, seen: &mut Vec<&'static str>) -> Result<(), String> {
     if seen.contains(&name) {
         return Err(format!("{name} given more than once"));
     }
     seen.push(name);
     Ok(())
+}
+
+/// How a command line ends when it cannot go on: `error: <msg>` on stderr,
+/// exit status 2.
+pub fn fail(msg: &str) -> ! {
+    eprintln!("error: {msg}");
+    std::process::exit(2);
+}
+
+/// The value of a flag that counts something: an integer above zero.
+pub fn positive<N>(name: &str, value: &str) -> Result<N, String>
+where
+    N: std::str::FromStr + PartialOrd + Default,
+{
+    match value.parse::<N>() {
+        Ok(n) if n > N::default() => Ok(n),
+        _ => Err(format!("{name} expects a positive integer, got {value:?}")),
+    }
+}
+
+/// The value of a flag naming a place (a path, an address): anything but
+/// the empty string, which fails with `expects`.
+pub fn non_empty(value: &str, expects: &str) -> Result<String, String> {
+    if value.is_empty() {
+        return Err(expects.into());
+    }
+    Ok(value.to_string())
 }
 
 /// The storage flags the figure binaries and `hydra-serve` share —
@@ -59,62 +154,39 @@ pub struct StorageFlags {
     pub backing_io: hydra::FileIoMode,
 }
 
-/// One row of the storage-flag table: the flag, whether it takes a value,
-/// and how a (validated) occurrence lands in [`StorageFlags`].
-type StorageFlag = (&'static str, bool, fn(&mut StorageFlags, &str) -> Result<(), String>);
-
-const STORAGE_FLAGS: [StorageFlag; 4] = [
-    ("--pool-pages", true, |flags, value| {
-        flags.pool_pages = Some(value.parse().map_err(|_| {
-            format!("--pool-pages expects a non-negative integer, got {value:?}")
-        })?);
-        Ok(())
-    }),
-    ("--out-of-core", false, |flags, _| {
-        flags.out_of_core = true;
-        Ok(())
-    }),
-    ("--page-codec", true, |flags, value| {
-        flags.page_codec = hydra::PageCodec::parse(value)
-            .map_err(|_| format!("--page-codec expects u8, f16 or f32, got {value:?}"))?;
-        Ok(())
-    }),
-    ("--backing", true, |flags, value| {
-        flags.backing_io = hydra::FileIoMode::parse(value)
-            .ok_or_else(|| format!("--backing expects pread or mmap, got {value:?}"))?;
-        Ok(())
-    }),
-];
+impl AsMut<StorageFlags> for StorageFlags {
+    fn as_mut(&mut self) -> &mut StorageFlags {
+        self
+    }
+}
 
 impl StorageFlags {
-    /// The group's flag names, for role checks.
-    pub fn names() -> impl Iterator<Item = &'static str> {
-        STORAGE_FLAGS.iter().map(|&(name, ..)| name)
-    }
-
-    /// The group's share of an "accepted flags" usage line.
-    pub const USAGE: &'static str =
-        "--pool-pages N, --out-of-core, --page-codec u8|f16|f32, --backing pread|mmap";
-
-    /// Offers `arg` to the group. `None` if it is not a storage flag;
-    /// otherwise the flag is consumed (with its value, from `rest` for the
-    /// space-separated spelling), recorded in `seen`, and applied.
-    pub fn accept(
-        &mut self,
-        arg: &str,
-        rest: &mut std::slice::Iter<'_, String>,
-        seen: &mut Vec<&'static str>,
-    ) -> Option<Result<(), String>> {
-        STORAGE_FLAGS.iter().find_map(|&(name, takes_value, set)| {
-            let value = if takes_value {
-                value_of(arg, name, rest)?
-            } else if arg == name {
-                Ok(String::new())
-            } else {
-                return None;
-            };
-            Some(once(name, seen).and_then(|()| set(self, &value?)))
-        })
+    /// The group's four rows, for any command line that holds a
+    /// [`StorageFlags`].
+    pub fn flags<T: AsMut<StorageFlags>>() -> [Flag<T>; 4] {
+        [
+            Flag::new("--pool-pages", Some("N"), |t: &mut T, v| {
+                let pages = v.parse().map_err(|_| {
+                    format!("--pool-pages expects a non-negative integer, got {v:?}")
+                })?;
+                t.as_mut().pool_pages = Some(pages);
+                Ok(())
+            }),
+            Flag::new("--out-of-core", None, |t: &mut T, _| {
+                t.as_mut().out_of_core = true;
+                Ok(())
+            }),
+            Flag::new("--page-codec", Some("u8|f16|f32"), |t: &mut T, v| {
+                t.as_mut().page_codec = hydra::PageCodec::parse(v)
+                    .map_err(|_| format!("--page-codec expects u8, f16 or f32, got {v:?}"))?;
+                Ok(())
+            }),
+            Flag::new("--backing", Some("pread|mmap"), |t: &mut T, v| {
+                t.as_mut().backing_io = hydra::FileIoMode::parse(v)
+                    .ok_or_else(|| format!("--backing expects pread or mmap, got {v:?}"))?;
+                Ok(())
+            }),
+        ]
     }
 
     /// The cross-flag rules: the codec and the I/O mode shape only how a
@@ -184,16 +256,90 @@ mod tests {
         assert!(once("--x", &mut seen).is_err());
     }
 
+    #[test]
+    fn a_table_parses_both_spellings_once_each_and_documents_every_row() {
+        #[derive(Debug, Default, PartialEq)]
+        struct Out {
+            dir: String,
+            n: u32,
+            dry: bool,
+        }
+        let table = [
+            Flag::new("--dir", Some("DIR"), |o: &mut Out, v| {
+                non_empty(v, "--dir expects a path").map(|dir| o.dir = dir)
+            }),
+            Flag::new("--n", Some("N"), |o: &mut Out, v| {
+                positive("--n", v).map(|n| o.n = n)
+            }),
+            Flag::new("--dry-run", None, |o: &mut Out, _| {
+                o.dry = true;
+                Ok(())
+            }),
+        ];
+        let run = |v: &[&str]| {
+            let mut out = Out::default();
+            parse(&args(v), &table, &mut out).map(|seen| (out, seen))
+        };
+        let (out, seen) = run(&["--n=3", "--dry-run", "--dir", "/d"]).unwrap();
+        assert_eq!(
+            out,
+            Out {
+                dir: "/d".into(),
+                n: 3,
+                dry: true
+            }
+        );
+        assert_eq!(
+            seen,
+            ["--n", "--dry-run", "--dir"],
+            "seen is command-line order"
+        );
+        assert_eq!(run(&["--n", "3"]).unwrap().0.n, 3);
+        assert_eq!(run(&[]).unwrap(), (Out::default(), vec![]));
+        // Duplicates in either spelling, a missing value, a rejected value,
+        // a value handed to a switch.
+        assert_eq!(
+            run(&["--n=1", "--n", "2"]).unwrap_err(),
+            "--n given more than once"
+        );
+        assert_eq!(
+            run(&["--dry-run", "--dry-run"]).unwrap_err(),
+            "--dry-run given more than once"
+        );
+        assert_eq!(run(&["--dir"]).unwrap_err(), "--dir requires a value");
+        assert_eq!(run(&["--dir="]).unwrap_err(), "--dir expects a path");
+        assert_eq!(
+            run(&["--n", "0"]).unwrap_err(),
+            "--n expects a positive integer, got \"0\""
+        );
+        assert!(run(&["--dry-run=yes"])
+            .unwrap_err()
+            .starts_with("unrecognized argument"));
+        // A duplicate is reported before the second occurrence's own fault.
+        assert_eq!(
+            run(&["--n=1", "--n"]).unwrap_err(),
+            "--n given more than once"
+        );
+        // The unknown-flag line is generated from the rows: all of them.
+        assert_eq!(
+            run(&["--nn", "3"]).unwrap_err(),
+            "unrecognized argument \"--nn\" (accepted: --dir DIR, --n N, --dry-run)"
+        );
+        let mut flags = StorageFlags::default();
+        let unknown = parse(&args(&["-x"]), &StorageFlags::flags(), &mut flags).unwrap_err();
+        for row in StorageFlags::flags::<StorageFlags>() {
+            assert!(
+                unknown.contains(row.name),
+                "{} is parsed but undocumented",
+                row.name
+            );
+        }
+    }
+
     /// Parses `v` as storage flags only, then applies the cross-flag rules.
     fn storage_flags(v: &[&str]) -> Result<StorageFlags, String> {
-        let (mut flags, mut seen) = (StorageFlags::default(), Vec::new());
-        let argv = args(v);
-        let mut rest = argv.iter();
-        while let Some(arg) = rest.next() {
-            flags
-                .accept(arg, &mut rest, &mut seen)
-                .unwrap_or_else(|| Err(format!("unrecognized argument {arg:?}")))?;
-        }
+        let mut flags = StorageFlags::default();
+        parse(&args(v), &StorageFlags::flags(), &mut flags)?;
         flags.validate().map(|()| flags)
     }
 

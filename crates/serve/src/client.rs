@@ -25,9 +25,8 @@ pub struct ServeClient {
 }
 
 impl ServeClient {
-    /// Connects to `addr`.
-    pub fn connect<A: ToSocketAddrs>(addr: A) -> std::io::Result<Self> {
-        let stream = TcpStream::connect(addr)?;
+    /// The client end of a freshly connected stream.
+    fn over(stream: TcpStream) -> std::io::Result<Self> {
         stream.set_nodelay(true).ok();
         let writer = stream.try_clone()?;
         Ok(Self {
@@ -35,6 +34,11 @@ impl ServeClient {
             writer,
             next_id: 1,
         })
+    }
+
+    /// Connects to `addr`.
+    pub fn connect<A: ToSocketAddrs>(addr: A) -> std::io::Result<Self> {
+        Self::over(TcpStream::connect(addr)?)
     }
 
     /// Connects to `addr`, retrying until `timeout` elapses — for racing a
@@ -54,15 +58,8 @@ impl ServeClient {
     /// one `connect(2)` that fails after at most `timeout`, no retries.
     /// The router uses this toward its workers so a dead worker costs a
     /// bounded wait, not a TCP-stack-default hang.
-    pub fn connect_within(addr: SocketAddr, timeout: Duration) -> std::io::Result<Self> {
-        let stream = TcpStream::connect_timeout(&addr, timeout)?;
-        stream.set_nodelay(true).ok();
-        let writer = stream.try_clone()?;
-        Ok(Self {
-            reader: BufReader::new(stream),
-            writer,
-            next_id: 1,
-        })
+    pub(crate) fn connect_within(addr: SocketAddr, timeout: Duration) -> std::io::Result<Self> {
+        Self::over(TcpStream::connect_timeout(&addr, timeout)?)
     }
 
     /// Bounds every subsequent read: a [`recv`](Self::recv) that waits
@@ -110,19 +107,37 @@ impl ServeClient {
         Ok(response)
     }
 
+    /// Calls with a fresh id for one kind of body: `expect` picks it out of
+    /// the response (handing anything else back), and any other answer —
+    /// a server-side error included — is [`ProtocolError::Corrupt`] naming
+    /// `what` was asked.
+    fn ask<T>(
+        &mut self,
+        what: &str,
+        make: impl FnOnce(u64) -> Request,
+        expect: impl FnOnce(ResponseBody) -> Result<T, ResponseBody>,
+    ) -> Result<T, ProtocolError> {
+        let request = make(self.fresh_id());
+        expect(self.call(&request)?.body).map_err(|body| {
+            ProtocolError::Corrupt(match body {
+                ResponseBody::Error { code, message } => {
+                    format!("server answered {what} with {code:?}: {message}")
+                }
+                other => format!("unexpected response body {other:?} to {what}"),
+            })
+        })
+    }
+
     /// Lists the served indexes.
     pub fn list_indexes(&mut self) -> Result<Vec<IndexInfo>, ProtocolError> {
-        let request_id = self.fresh_id();
-        let response = self.call(&Request::ListIndexes { request_id })?;
-        match response.body {
-            ResponseBody::Indexes { indexes } => Ok(indexes),
-            ResponseBody::Error { code, message } => Err(ProtocolError::Corrupt(format!(
-                "server answered list-indexes with {code:?}: {message}"
-            ))),
-            other => Err(ProtocolError::Corrupt(format!(
-                "unexpected response body {other:?} to list-indexes"
-            ))),
-        }
+        self.ask(
+            "list-indexes",
+            |request_id| Request::ListIndexes { request_id },
+            |body| match body {
+                ResponseBody::Indexes { indexes } => Ok(indexes),
+                other => Err(other),
+            },
+        )
     }
 
     /// Asks the server to reload its snapshots and swap to a fresh epoch;
@@ -133,17 +148,14 @@ impl ServeClient {
     /// a reload refused (no reload source) or failed (damaged snapshot
     /// directory) — with the server's message included.
     pub fn reload(&mut self) -> Result<u64, ProtocolError> {
-        let request_id = self.fresh_id();
-        let response = self.call(&Request::Reload { request_id })?;
-        match response.body {
-            ResponseBody::ReloadAck { epoch } => Ok(epoch),
-            ResponseBody::Error { code, message } => Err(ProtocolError::Corrupt(format!(
-                "server answered reload with {code:?}: {message}"
-            ))),
-            other => Err(ProtocolError::Corrupt(format!(
-                "unexpected response body {other:?} to reload"
-            ))),
-        }
+        self.ask(
+            "reload",
+            |request_id| Request::Reload { request_id },
+            |body| match body {
+                ResponseBody::ReloadAck { epoch } => Ok(epoch),
+                other => Err(other),
+            },
+        )
     }
 
     /// Scrapes the server's (or router's) metrics registry: one
@@ -153,28 +165,25 @@ impl ServeClient {
     /// [`ProtocolError::Corrupt`] when the server answers with an error
     /// or an unexpected body.
     pub fn stats(&mut self) -> Result<String, ProtocolError> {
-        let request_id = self.fresh_id();
-        let response = self.call(&Request::Stats { request_id })?;
-        match response.body {
-            ResponseBody::Stats { text } => Ok(text),
-            ResponseBody::Error { code, message } => Err(ProtocolError::Corrupt(format!(
-                "server answered stats with {code:?}: {message}"
-            ))),
-            other => Err(ProtocolError::Corrupt(format!(
-                "unexpected response body {other:?} to stats"
-            ))),
-        }
+        self.ask(
+            "stats",
+            |request_id| Request::Stats { request_id },
+            |body| match body {
+                ResponseBody::Stats { text } => Ok(text),
+                other => Err(other),
+            },
+        )
     }
 
     /// Asks the server to shut down cleanly; returns once acknowledged.
     pub fn shutdown(&mut self) -> Result<(), ProtocolError> {
-        let request_id = self.fresh_id();
-        let response = self.call(&Request::Shutdown { request_id })?;
-        match response.body {
-            ResponseBody::ShutdownAck => Ok(()),
-            other => Err(ProtocolError::Corrupt(format!(
-                "unexpected response body {other:?} to shutdown"
-            ))),
-        }
+        self.ask(
+            "shutdown",
+            |request_id| Request::Shutdown { request_id },
+            |body| match body {
+                ResponseBody::ShutdownAck => Ok(()),
+                other => Err(other),
+            },
+        )
     }
 }

@@ -37,6 +37,11 @@
 //! within the per-worker timeout, never a hang and never a silently
 //! partial answer.
 //!
+//! Both roles are one connection engine (`listener.rs`: accept, read
+//! frames, meter the wire, the protocol-error contract, write responses,
+//! tear down) with a different request handler plugged in; the threading
+//! diagram for both is in [`server`].
+//!
 //! The `hydra-serve` binary (`src/main.rs`) wires these together behind a
 //! small CLI; `hydra-bench`'s `serve_client` binary replays figure
 //! workloads against it and emits the same CSV schema as `fig3`/`fig4`,

@@ -1,16 +1,81 @@
-//! The accepting half the server and the router share: the accept loop,
-//! the registry of live connections, and the shutdown sweep over it.
+//! The connection engine the server and the router share: the accept
+//! loop, the registry of live connections with the shutdown sweep over
+//! it, and the reader/writer thread pair that serves one connection. A
+//! role plugs in as a [`Handler`] — what to do with one decoded
+//! [`Request`] — and answers through the [`Reply`] it is handed; framing,
+//! the protocol-error contract, wire metering and teardown live here once
+//! (the threading diagram is in [`crate::server`]).
 
 use std::collections::HashMap;
-use std::net::{IpAddr, Ipv4Addr, Ipv6Addr, Shutdown, SocketAddr, TcpListener, TcpStream};
+use std::io::{BufReader, Read, Write};
+use std::net::{
+    IpAddr, Ipv4Addr, Ipv6Addr, Shutdown, SocketAddr, TcpListener, TcpStream, ToSocketAddrs,
+};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
-use std::sync::Mutex;
+use std::sync::{mpsc, Arc, Mutex};
 use std::thread::JoinHandle;
-use std::time::Duration;
+use std::time::{Duration, Instant};
 
-use hydra_obs::Counter;
+use hydra_obs::{Counter, MetricsRegistry};
+
+use crate::protocol::{read_request, ErrorCode, Request, Response, ResponseBody};
+
+/// What a role does with the requests of one connection. One handler is
+/// made per connection, lives on its reader thread, and is dropped when
+/// the connection retires — so it may own per-connection state.
+pub(crate) trait Handler: Send + 'static {
+    /// Handles one request, answering — now or later, from any thread —
+    /// through (a clone of) `reply`.
+    fn handle(&mut self, request: Request, reply: &Reply);
+}
+
+/// The sending side of one connection's response queue, drained by its
+/// writer thread. The connection stays open until every clone is gone, so
+/// a request handed to another thread with a `Reply` is always answered
+/// before the connection retires.
+#[derive(Clone)]
+pub(crate) struct Reply(mpsc::Sender<Vec<u8>>);
+
+impl Reply {
+    /// Queues one response — the only place a [`Response`] is encoded.
+    pub(crate) fn send(&self, request_id: u64, body: ResponseBody) {
+        self.send_observed(request_id, body, |_| ());
+    }
+
+    /// [`send`](Self::send), telling `observe` how long the encoding took
+    /// *before* the frame is queued: whatever `observe` records is visible
+    /// to any scrape the client issues after reading this response.
+    pub(crate) fn send_observed(
+        &self,
+        request_id: u64,
+        body: ResponseBody,
+        observe: impl FnOnce(Duration),
+    ) {
+        let t0 = Instant::now();
+        let frame = Response { request_id, body }.encode();
+        observe(t0.elapsed());
+        // A failed send means the writer (and so the peer) is gone.
+        let _ = self.0.send(frame);
+    }
+}
+
+/// A [`Read`] pass-through that counts bytes into a [`Counter`], metering
+/// a connection's receive side.
+struct CountingReader {
+    inner: TcpStream,
+    bytes: Counter,
+}
+
+impl Read for CountingReader {
+    fn read(&mut self, buf: &mut [u8]) -> std::io::Result<usize> {
+        let n = self.inner.read(buf)?;
+        self.bytes.add(n as u64);
+        Ok(n)
+    }
+}
 
 pub(crate) struct Listener {
+    socket: TcpListener,
     addr: SocketAddr,
     /// Applied to every accepted stream (`None`/zero: writes never time out).
     write_timeout: Option<Duration>,
@@ -22,32 +87,51 @@ pub(crate) struct Listener {
     /// peer would never see EOF) and leak one fd per connection.
     conns: Mutex<HashMap<u64, TcpStream>>,
     next_conn_id: AtomicU64,
-    connections: AtomicU64,
+    /// Wire-level counters, all connections summed.
     connections_total: Counter,
+    protocol_errors: Counter,
+    rx_bytes: Counter,
+    rx_frames: Counter,
+    tx_bytes: Counter,
+    tx_frames: Counter,
 }
 
 impl Listener {
-    /// The accepting state of a listener bound to `addr`; `connections_total`
-    /// is the owner's scrapeable accepted-connections counter.
-    pub(crate) fn new(
-        addr: SocketAddr,
+    /// Binds `addr` (port 0 for an ephemeral port), metering the wire into
+    /// `registry` as `<family>_{connections,protocol_errors,rx_bytes,
+    /// rx_frames,tx_bytes,tx_frames}_total`.
+    pub(crate) fn bind(
+        addr: impl ToSocketAddrs,
         write_timeout: Option<Duration>,
-        connections_total: Counter,
-    ) -> Self {
-        Self {
-            addr,
+        registry: &MetricsRegistry,
+        family: &str,
+    ) -> std::io::Result<Arc<Self>> {
+        let socket = TcpListener::bind(addr)?;
+        let counter = |what: &str| registry.counter(&format!("{family}_{what}_total"), &[]);
+        Ok(Arc::new(Self {
+            addr: socket.local_addr()?,
+            socket,
             write_timeout,
             shutdown: AtomicBool::new(false),
             conns: Mutex::new(HashMap::new()),
             next_conn_id: AtomicU64::new(0),
-            connections: AtomicU64::new(0),
-            connections_total,
-        }
+            connections_total: counter("connections"),
+            protocol_errors: counter("protocol_errors"),
+            rx_bytes: counter("rx_bytes"),
+            rx_frames: counter("rx_frames"),
+            tx_bytes: counter("tx_bytes"),
+            tx_frames: counter("tx_frames"),
+        }))
+    }
+
+    /// The address actually bound (resolves port 0).
+    pub(crate) fn local_addr(&self) -> SocketAddr {
+        self.addr
     }
 
     /// Connections accepted so far.
     pub(crate) fn connections(&self) -> u64 {
-        self.connections.load(Ordering::Relaxed)
+        self.connections_total.get()
     }
 
     /// Tracks a live connection for shutdown. Closing the *read* half on
@@ -77,7 +161,7 @@ impl Listener {
     }
 
     /// Releases the shutdown-sweep handle of a retiring connection.
-    pub(crate) fn deregister(&self, id: u64) {
+    fn deregister(&self, id: u64) {
         self.conns.lock().expect("conns lock").remove(&id);
     }
 
@@ -104,18 +188,22 @@ impl Listener {
         }
     }
 
-    /// Accepts until shutdown, handing each registered stream and its
-    /// connection id to `serve`, which spawns the connection's thread (and
-    /// must [`Listener::deregister`] the id when it retires). Returns once
-    /// every connection thread has been joined; `serve` — and whatever it
-    /// captured — is dropped before that wait.
-    pub(crate) fn accept_loop(
-        &self,
-        listener: &TcpListener,
-        mut serve: impl FnMut(TcpStream, u64) -> JoinHandle<()>,
-    ) {
+    /// Starts the acceptor thread: it accepts until shutdown, serving each
+    /// connection on a thread of its own with a fresh handler from
+    /// `new_handler`, and ends once every connection thread has been
+    /// joined; `new_handler` — and whatever it captured — is dropped
+    /// before that wait.
+    pub(crate) fn spawn<H: Handler>(
+        self: &Arc<Self>,
+        new_handler: impl FnMut() -> H + Send + 'static,
+    ) -> JoinHandle<()> {
+        let engine = Arc::clone(self);
+        std::thread::spawn(move || engine.accept_loop(new_handler))
+    }
+
+    fn accept_loop<H: Handler>(self: &Arc<Self>, mut new_handler: impl FnMut() -> H) {
         let mut readers: Vec<JoinHandle<()>> = Vec::new();
-        for stream in listener.incoming() {
+        for stream in self.socket.incoming() {
             if self.shutdown.load(Ordering::SeqCst) {
                 break;
             }
@@ -143,17 +231,95 @@ impl Listener {
                     continue;
                 }
             };
-            self.connections.fetch_add(1, Ordering::Relaxed);
             self.connections_total.inc();
             if let Some(timeout) = self.write_timeout.filter(|t| !t.is_zero()) {
                 let _ = stream.set_write_timeout(Some(timeout));
             }
             let conn_id = self.register(&stream);
-            readers.push(serve(stream, conn_id));
+            let (engine, handler) = (Arc::clone(self), new_handler());
+            readers.push(std::thread::spawn(move || {
+                engine.connection_loop(stream, conn_id, handler);
+            }));
         }
-        drop(serve);
+        drop(new_handler);
         for reader in readers {
             let _ = reader.join();
         }
+    }
+
+    /// One connection's reader: decodes requests and hands them to
+    /// `handler` in order, each handled before the next is read. A
+    /// malformed frame gets one typed protocol-error response on id 0 and a
+    /// hangup — after a framing error the stream position is unknowable,
+    /// so continuing could misparse every later byte.
+    fn connection_loop<H: Handler>(&self, stream: TcpStream, conn_id: u64, mut handler: H) {
+        let write_half = match stream.try_clone() {
+            Ok(s) => s,
+            Err(_) => {
+                // No write half, no service — release the tracking clone (the
+                // invariant at `Listener::conns`) and hang up.
+                self.deregister(conn_id);
+                let _ = stream.shutdown(Shutdown::Both);
+                return;
+            }
+        };
+        let (reply_tx, reply_rx) = mpsc::channel::<Vec<u8>>();
+        let reply = Reply(reply_tx);
+        let writer = {
+            let (tx_bytes, tx_frames) = (self.tx_bytes.clone(), self.tx_frames.clone());
+            std::thread::spawn(move || writer_loop(write_half, &reply_rx, &tx_bytes, &tx_frames))
+        };
+        let mut reader = BufReader::new(CountingReader {
+            inner: stream,
+            bytes: self.rx_bytes.clone(),
+        });
+        loop {
+            match read_request(&mut reader) {
+                Ok(None) => break,
+                Ok(Some(request)) => {
+                    self.rx_frames.inc();
+                    handler.handle(request, &reply);
+                }
+                Err(e) => {
+                    self.protocol_errors.inc();
+                    let (code, message) = (ErrorCode::Protocol, e.to_string());
+                    reply.send(0, ResponseBody::Error { code, message });
+                    break;
+                }
+            }
+        }
+        // Requests handed to other threads still hold `Reply` clones; the
+        // writer drains them and exits once the last one is answered, so
+        // joining here guarantees every accepted request was answered
+        // before the connection thread retires.
+        drop(reply);
+        let _ = writer.join();
+        // Release the shutdown-sweep handle (it would otherwise hold the
+        // socket open past this thread's life) and hang up explicitly.
+        self.deregister(conn_id);
+        let _ = reader.into_inner().inner.shutdown(Shutdown::Both);
+    }
+}
+
+/// One connection's writer: puts queued response frames on the wire until
+/// every [`Reply`] clone is gone.
+fn writer_loop(
+    mut stream: TcpStream,
+    replies: &mpsc::Receiver<Vec<u8>>,
+    tx_bytes: &Counter,
+    tx_frames: &Counter,
+) {
+    while let Ok(frame) = replies.recv() {
+        if stream
+            .write_all(&frame)
+            .and_then(|()| stream.flush())
+            .is_err()
+        {
+            // The peer is gone; sends to the dropped receiver fail from
+            // here on and are ignored.
+            break;
+        }
+        tx_bytes.add(frame.len() as u64);
+        tx_frames.inc();
     }
 }

@@ -67,7 +67,7 @@
 use std::time::Duration;
 
 use hydra::PartitionScheme;
-use hydra_serve::cli::StorageFlags;
+use hydra_serve::cli::{fail, non_empty, parse, positive, Flag, StorageFlags};
 use hydra_serve::{boot_from_dir_with, Router, RouterConfig, Server, ServerConfig};
 
 /// Heap-tracking allocator: the price is two relaxed atomics per
@@ -124,174 +124,143 @@ impl Default for Args {
     }
 }
 
-/// Strict flag parsing in the house style (scaffolding shared with
-/// `serve_client` via [`hydra_serve::cli`]): both `--flag VALUE` and
-/// `--flag=VALUE` spellings, and anything unusable — a typo, a bad value,
-/// a duplicate, a flag that does not belong to the chosen role — is an
-/// error, never a silent fallback.
-fn parse_args(args: &[String]) -> Result<Args, String> {
-    use hydra_serve::cli::{once, value_of as cli_value_of};
-    let mut out = Args::default();
-    let mut seen: Vec<&'static str> = Vec::new();
-    let mut it = args.iter();
-    while let Some(arg) = it.next() {
-        if let Some(accepted) = out.storage.accept(arg, &mut it, &mut seen) {
-            accepted?;
-            continue;
-        }
-        let mut value_of = |name: &'static str| cli_value_of(arg, name, &mut it);
-        if let Some(value) = value_of("--snapshots") {
-            once("--snapshots", &mut seen)?;
-            let value = value?;
-            if value.is_empty() {
-                return Err("--snapshots expects a directory path".into());
-            }
-            out.snapshots = value.into();
-        } else if let Some(value) = value_of("--addr") {
-            once("--addr", &mut seen)?;
-            out.addr = value?;
-        } else if let Some(value) = value_of("--shard-role") {
-            once("--shard-role", &mut seen)?;
-            out.role = match value?.as_str() {
-                "worker" => Role::Worker,
-                "router" => Role::Router,
-                other => {
-                    return Err(format!(
-                        "--shard-role expects worker or router, got {other:?}"
-                    ))
-                }
-            };
-        } else if let Some(value) = value_of("--workers") {
-            once("--workers", &mut seen)?;
-            let value = value?;
-            out.workers = value
-                .split(',')
-                .map(str::trim)
-                .filter(|s| !s.is_empty())
-                .map(str::to_string)
-                .collect();
-            if out.workers.is_empty() {
-                return Err("--workers expects a comma-separated list of HOST:PORT".into());
-            }
-        } else if let Some(value) = value_of("--worker-timeout-ms") {
-            once("--worker-timeout-ms", &mut seen)?;
-            let value = value?;
-            out.worker_timeout = match value.parse::<u64>() {
-                Ok(ms) if ms > 0 => Duration::from_millis(ms),
-                _ => {
-                    return Err(format!(
-                        "--worker-timeout-ms expects a positive integer, got {value:?}"
-                    ))
-                }
-            };
-        } else if let Some(value) = value_of("--worker-connect-timeout-ms") {
-            once("--worker-connect-timeout-ms", &mut seen)?;
-            let value = value?;
-            out.worker_connect_timeout = match value.parse::<u64>() {
-                Ok(ms) if ms > 0 => Duration::from_millis(ms),
-                _ => {
-                    return Err(format!(
-                        "--worker-connect-timeout-ms expects a positive integer, got {value:?}"
-                    ))
-                }
-            };
-        } else if let Some(value) = value_of("--shard-scheme") {
-            once("--shard-scheme", &mut seen)?;
-            let value = value?;
-            out.scheme = PartitionScheme::parse(&value).ok_or_else(|| {
-                format!("--shard-scheme expects contiguous or strided, got {value:?}")
-            })?;
-        } else if let Some(value) = value_of("--storage") {
-            once("--storage", &mut seen)?;
-            out.in_memory = match value?.as_str() {
-                "in-memory" => true,
-                "on-disk" => false,
-                other => {
-                    return Err(format!(
-                        "--storage expects in-memory or on-disk, got {other:?}"
-                    ))
-                }
-            };
-        } else if let Some(value) = value_of("--seed") {
-            once("--seed", &mut seen)?;
-            let value = value?;
-            out.seed = value
-                .parse()
-                .map_err(|_| format!("--seed expects an integer, got {value:?}"))?;
-        } else if let Some(value) = value_of("--batch-window-ms") {
-            once("--batch-window-ms", &mut seen)?;
-            let value = value?;
-            let ms: u64 = value
-                .parse()
-                .map_err(|_| format!("--batch-window-ms expects an integer, got {value:?}"))?;
-            out.batch_window = Duration::from_millis(ms);
-        } else if let Some(value) = value_of("--max-batch") {
-            once("--max-batch", &mut seen)?;
-            let value = value?;
-            out.max_batch = match value.parse::<usize>() {
-                Ok(n) if n > 0 => n,
-                _ => return Err(format!("--max-batch expects a positive integer, got {value:?}")),
-            };
-        } else if let Some(value) = value_of("--slow-query-ms") {
-            once("--slow-query-ms", &mut seen)?;
-            let value = value?;
-            out.slow_query = match value.parse::<u64>() {
-                Ok(ms) if ms > 0 => Some(Duration::from_millis(ms)),
-                _ => {
-                    return Err(format!(
-                        "--slow-query-ms expects a positive integer, got {value:?}"
-                    ))
-                }
-            };
-        } else {
-            return Err(format!(
-                "unrecognized argument {arg:?} (accepted: --snapshots DIR, --addr HOST:PORT, \
-                 --shard-role worker|router, --workers HOST:PORT,..., --worker-timeout-ms N, \
-                 --worker-connect-timeout-ms N, --shard-scheme contiguous|strided, \
-                 --storage on-disk|in-memory, --seed N, {}, --batch-window-ms N, \
-                 --max-batch N, --slow-query-ms N)",
-                StorageFlags::USAGE
-            ));
-        }
+impl AsMut<StorageFlags> for Args {
+    fn as_mut(&mut self) -> &mut StorageFlags {
+        &mut self.storage
     }
+}
+
+/// A flag whose value is a positive number of milliseconds.
+fn millis(name: &str, value: &str) -> Result<Duration, String> {
+    positive(name, value).map(Duration::from_millis)
+}
+
+/// The flags either role takes.
+const FLAGS: [Flag<Args>; 2] = [
+    Flag::new("--addr", Some("HOST:PORT"), |a, v| {
+        a.addr = v.to_string();
+        Ok(())
+    }),
+    Flag::new("--shard-role", Some("worker|router"), |a, v| {
+        a.role = match v {
+            "worker" => Role::Worker,
+            "router" => Role::Router,
+            other => {
+                return Err(format!(
+                    "--shard-role expects worker or router, got {other:?}"
+                ))
+            }
+        };
+        Ok(())
+    }),
+];
+
+/// The flags only a router takes: it alone routes to anyone.
+const ROUTER_FLAGS: [Flag<Args>; 4] = [
+    Flag::new("--workers", Some("HOST:PORT,..."), |a, v| {
+        a.workers = v
+            .split(',')
+            .map(str::trim)
+            .filter(|s| !s.is_empty())
+            .map(str::to_string)
+            .collect();
+        if a.workers.is_empty() {
+            return Err("--workers expects a comma-separated list of HOST:PORT".into());
+        }
+        Ok(())
+    }),
+    Flag::new("--worker-timeout-ms", Some("N"), |a, v| {
+        millis("--worker-timeout-ms", v).map(|timeout| a.worker_timeout = timeout)
+    }),
+    Flag::new("--worker-connect-timeout-ms", Some("N"), |a, v| {
+        millis("--worker-connect-timeout-ms", v).map(|timeout| a.worker_connect_timeout = timeout)
+    }),
+    Flag::new("--shard-scheme", Some("contiguous|strided"), |a, v| {
+        a.scheme = PartitionScheme::parse(v)
+            .ok_or_else(|| format!("--shard-scheme expects contiguous or strided, got {v:?}"))?;
+        Ok(())
+    }),
+];
+
+/// The flags only a worker takes (with [`StorageFlags::flags`]): it alone
+/// holds snapshots and batches.
+const WORKER_FLAGS: [Flag<Args>; 6] = [
+    Flag::new("--snapshots", Some("DIR"), |a, v| {
+        non_empty(v, "--snapshots expects a directory path").map(|dir| a.snapshots = dir.into())
+    }),
+    Flag::new("--storage", Some("on-disk|in-memory"), |a, v| {
+        a.in_memory = match v {
+            "in-memory" => true,
+            "on-disk" => false,
+            other => {
+                return Err(format!(
+                    "--storage expects in-memory or on-disk, got {other:?}"
+                ))
+            }
+        };
+        Ok(())
+    }),
+    Flag::new("--seed", Some("N"), |a, v| {
+        a.seed = v
+            .parse()
+            .map_err(|_| format!("--seed expects an integer, got {v:?}"))?;
+        Ok(())
+    }),
+    Flag::new("--batch-window-ms", Some("N"), |a, v| {
+        let ms = v
+            .parse()
+            .map_err(|_| format!("--batch-window-ms expects an integer, got {v:?}"))?;
+        a.batch_window = Duration::from_millis(ms);
+        Ok(())
+    }),
+    Flag::new("--max-batch", Some("N"), |a, v| {
+        positive("--max-batch", v).map(|n| a.max_batch = n)
+    }),
+    Flag::new("--slow-query-ms", Some("N"), |a, v| {
+        millis("--slow-query-ms", v).map(|threshold| a.slow_query = Some(threshold))
+    }),
+];
+
+/// Strict flag parsing in the house style ([`hydra_serve::cli`], shared
+/// with `hydra-bench`): both `--flag VALUE` and `--flag=VALUE` spellings,
+/// and anything unusable — a typo, a bad value, a duplicate, a flag that
+/// does not belong to the chosen role — is an error, never a silent
+/// fallback.
+fn parse_args(args: &[String]) -> Result<Args, String> {
+    let mut out = Args::default();
+    let table: Vec<Flag<Args>> = FLAGS
+        .into_iter()
+        .chain(ROUTER_FLAGS)
+        .chain(WORKER_FLAGS)
+        .chain(StorageFlags::flags())
+        .collect();
+    let seen = parse(args, &table, &mut out)?;
     // Role/flag agreement: a router serves no snapshots of its own, a
     // worker routes to no one. A flag for the other role is a
     // misunderstanding of the topology, so it is an error, not ignored.
+    let first_seen = |flags: &[Flag<Args>]| {
+        let mut names = flags.iter().map(|flag| flag.name);
+        names.find(|name| seen.contains(name))
+    };
     match out.role {
         Role::Router => {
             if !seen.contains(&"--workers") {
                 return Err("--shard-role router requires --workers HOST:PORT,...".into());
             }
-            let worker_only = [
-                "--snapshots",
-                "--storage",
-                "--seed",
-                "--batch-window-ms",
-                "--max-batch",
-                "--slow-query-ms",
-            ];
-            for flag in worker_only.into_iter().chain(StorageFlags::names()) {
-                if seen.contains(&flag) {
-                    return Err(format!(
-                        "{flag} belongs to the worker role (the router holds no snapshots \
-                         and does no batching of its own)"
-                    ));
-                }
+            let storage = StorageFlags::flags();
+            if let Some(flag) = first_seen(&WORKER_FLAGS).or_else(|| first_seen(&storage)) {
+                return Err(format!(
+                    "{flag} belongs to the worker role (the router holds no snapshots and does \
+                     no batching of its own)"
+                ));
             }
         }
         Role::Worker => {
             if !seen.contains(&"--snapshots") {
                 return Err("--snapshots DIR is required".into());
             }
-            for flag in [
-                "--workers",
-                "--worker-timeout-ms",
-                "--worker-connect-timeout-ms",
-                "--shard-scheme",
-            ] {
-                if seen.contains(&flag) {
-                    return Err(format!("{flag} requires --shard-role router"));
-                }
+            if let Some(flag) = first_seen(&ROUTER_FLAGS) {
+                return Err(format!("{flag} requires --shard-role router"));
             }
             out.storage.validate()?;
         }
@@ -303,29 +272,19 @@ fn parse_args(args: &[String]) -> Result<Args, String> {
 /// workers' listings, serve until shutdown.
 fn run_router(args: &Args) {
     use std::net::ToSocketAddrs;
-    let mut workers = Vec::with_capacity(args.workers.len());
-    for spec in &args.workers {
-        match spec.to_socket_addrs().ok().and_then(|mut it| it.next()) {
-            Some(addr) => workers.push(addr),
-            None => {
-                eprintln!("error: cannot resolve worker address {spec:?}");
-                std::process::exit(2);
-            }
-        }
-    }
+    let resolve = |spec: &String| {
+        let addr = spec.to_socket_addrs().ok().and_then(|mut it| it.next());
+        addr.unwrap_or_else(|| fail(&format!("cannot resolve worker address {spec:?}")))
+    };
+    let workers: Vec<_> = args.workers.iter().map(resolve).collect();
     let config = RouterConfig {
         worker_timeout: args.worker_timeout,
         boot_timeout: args.worker_connect_timeout,
         scheme: args.scheme,
         ..RouterConfig::default()
     };
-    let handle = match Router::spawn(&workers, args.addr.as_str(), config) {
-        Ok(handle) => handle,
-        Err(e) => {
-            eprintln!("error: router boot failed: {e}");
-            std::process::exit(2);
-        }
-    };
+    let handle = Router::spawn(&workers, args.addr.as_str(), config)
+        .unwrap_or_else(|e| fail(&format!("router boot failed: {e}")));
     eprintln!(
         "hydra-serve: routing on {} to {} workers ({:?} shards, {:?} worker timeout)",
         handle.local_addr(),
@@ -364,13 +323,8 @@ fn run_worker(args: &Args) {
         file_backed: flags.out_of_core,
     };
     hydra_obs::reset_heap_peak();
-    let report = match boot_from_dir_with(&args.snapshots, &registry, options) {
-        Ok(report) => report,
-        Err(e) => {
-            eprintln!("error: boot failed: {e}");
-            std::process::exit(2);
-        }
-    };
+    let report = boot_from_dir_with(&args.snapshots, &registry, options)
+        .unwrap_or_else(|e| fail(&format!("boot failed: {e}")));
     let boot_peak_heap = hydra_obs::heap_peak_bytes();
     if flags.out_of_core {
         eprintln!(
@@ -431,19 +385,9 @@ fn run_worker(args: &Args) {
             })
             .map_err(|e| e.to_string())
     });
-    let handle = match Server::spawn_with_metrics(
-        report.indexes,
-        args.addr.as_str(),
-        config,
-        Some(reloader),
-        metrics,
-    ) {
-        Ok(handle) => handle,
-        Err(e) => {
-            eprintln!("error: cannot bind {}: {e}", args.addr);
-            std::process::exit(2);
-        }
-    };
+    let addr = args.addr.as_str();
+    let handle = Server::spawn_with_metrics(report.indexes, addr, config, Some(reloader), metrics)
+        .unwrap_or_else(|e| fail(&format!("cannot bind {addr}: {e}")));
     eprintln!(
         "hydra-serve: listening on {} (batch window {:?}, max batch {})",
         handle.local_addr(),
@@ -459,13 +403,7 @@ fn run_worker(args: &Args) {
 
 fn main() {
     let raw: Vec<String> = std::env::args().skip(1).collect();
-    let args = match parse_args(&raw) {
-        Ok(args) => args,
-        Err(msg) => {
-            eprintln!("error: {msg}");
-            std::process::exit(2);
-        }
-    };
+    let args = parse_args(&raw).unwrap_or_else(|msg| fail(&msg));
     match args.role {
         Role::Router => run_router(&args),
         Role::Worker => run_worker(&args),

@@ -16,12 +16,13 @@
 //! ```
 //!
 //! The router is the multi-process twin of the in-process
-//! `hydra_shard::ShardedIndex`: worker order is shard order, worker-local
-//! ids are translated through the same [`ShardMap`], and per-worker
-//! answers are merged by the same (distance, global id) rule
-//! ([`hydra::merge_top_k`]) — so for exact search a routed answer is
-//! bit-identical to the in-process sharded answer, which is bit-identical
-//! to the unsharded one (`tests/integration_router.rs`).
+//! `hydra_shard::ShardedIndex`: worker order is shard order, calls fan out
+//! through the same [`fan_out`], worker-local ids are translated through
+//! the same [`ShardMap`], and per-worker answers are merged by the same
+//! (distance, global id) rule ([`hydra::merge_top_k`]) — so for exact
+//! search a routed answer is bit-identical to the in-process sharded
+//! answer, which is bit-identical to the unsharded one
+//! (`tests/integration_router.rs`).
 //!
 //! ## Failure semantics
 //!
@@ -37,18 +38,17 @@
 //! backoff (so a flapping worker cannot turn every query into a connect
 //! storm), and a worker restart is picked up on the next attempt.
 
-use std::io::{BufReader, Write};
-use std::net::{Shutdown, SocketAddr, TcpListener, TcpStream, ToSocketAddrs};
-use std::sync::atomic::{AtomicU64, Ordering};
+use std::net::{SocketAddr, ToSocketAddrs};
 use std::sync::{Arc, Mutex};
 use std::time::{Duration, Instant};
 
+use hydra::shard::fan_out;
 use hydra::{merge_top_k, Neighbor, PartitionScheme, ShardMap};
 use hydra_obs::{Counter, Gauge, Histogram, MetricsRegistry};
 
 use crate::client::ServeClient;
-use crate::listener::Listener;
-use crate::protocol::{read_request, ErrorCode, IndexInfo, Request, Response, ResponseBody};
+use crate::listener::{Handler, Listener, Reply};
+use crate::protocol::{ErrorCode, IndexInfo, Request, ResponseBody};
 
 /// Tuning knobs of the router's worker links and client side.
 #[derive(Debug, Clone, Copy)]
@@ -103,7 +103,8 @@ pub struct RouterStats {
     pub queries: u64,
     /// Individual worker-call failures (timeouts, refused connects,
     /// malformed responses, worker-side errors) — each one also produced
-    /// an [`ErrorCode::Unavailable`] or propagated error answer.
+    /// an [`ErrorCode::Unavailable`] or propagated error answer. The sum
+    /// of the links' `hydra_router_worker_errors_total`.
     pub worker_errors: u64,
     /// Client connections accepted.
     pub connections: u64,
@@ -134,6 +135,9 @@ struct WorkerMetrics {
     /// of concurrently routed queries touching that worker.
     in_flight: Gauge,
     calls_total: Counter,
+    /// Calls that did not produce the body they were made for: the worker
+    /// was unreachable, backing off, timed out, babbled, or answered with
+    /// an error of its own.
     errors_total: Counter,
     /// Subset of `errors_total` where the call ran into the configured
     /// worker timeout (classified by elapsed wall-clock, since the
@@ -171,33 +175,61 @@ struct WorkerLink {
     metrics: WorkerMetrics,
 }
 
+/// What a failed worker call turns into: the code and message of the
+/// error response the client gets.
+type CallError = (ErrorCode, String);
+
 impl WorkerLink {
-    /// Drops the connection and arms the backoff clock — used when a
-    /// response decoded fine but was semantically wrong (stream state is
-    /// no longer trustworthy).
-    fn poison(&self, config: &RouterConfig) {
-        let mut state = self.state.lock().expect("link lock");
+    /// Drops the connection and arms the backoff clock: after a failure
+    /// the stream position is unknowable, so a fresh connection — no
+    /// sooner than the doubled backoff allows — is the only safe
+    /// continuation.
+    fn back_off(&self, state: &mut LinkState, config: &RouterConfig) {
         state.client = None;
         state.next_attempt = Instant::now() + state.backoff;
         state.backoff = (state.backoff * 2).min(config.backoff_max);
-        self.metrics.errors_total.inc();
+        self.publish_backoff(state);
+    }
+
+    fn publish_backoff(&self, state: &LinkState) {
         self.metrics
             .backoff_micros
             .set(state.backoff.as_micros() as i64);
     }
 
-    /// One request/response exchange with this worker: reconnect if needed
-    /// (respecting the backoff clock), send, await. Any failure drops the
-    /// connection — after an error the stream position is unknowable, so a
-    /// fresh connection is the only safe continuation.
-    fn call(
+    /// Fails the link over an answer that was the expected body but
+    /// cannot be true (stream state is no longer trustworthy).
+    fn poison(&self, config: &RouterConfig) {
+        self.back_off(&mut self.state.lock().expect("link lock"), config);
+        self.metrics.errors_total.inc();
+    }
+
+    /// One call to this worker, made for one kind of body: `expect` picks
+    /// it out of the response (handing anything else back). A worker-side
+    /// error passes through under the worker's name; any other body
+    /// poisons the link. `what` names the call in that message.
+    fn call<T>(
         &self,
         config: &RouterConfig,
+        what: &str,
         make: impl FnOnce(u64) -> Request,
-    ) -> Result<ResponseBody, (ErrorCode, String)> {
+        expect: impl FnOnce(ResponseBody) -> Result<T, ResponseBody>,
+    ) -> Result<T, CallError> {
         self.metrics.in_flight.add(1);
         self.metrics.calls_total.inc();
-        let result = self.call_locked(config, make);
+        let result = self
+            .exchange(config, make)
+            .and_then(|body| match expect(body) {
+                Ok(expected) => Ok(expected),
+                Err(ResponseBody::Error { code, message }) => {
+                    Err((code, format!("worker {}: {message}", self.addr)))
+                }
+                Err(other) => {
+                    self.back_off(&mut self.state.lock().expect("link lock"), config);
+                    let message = format!("worker {} answered a {what} with {other:?}", self.addr);
+                    Err((ErrorCode::Unavailable, message))
+                }
+            });
         if result.is_err() {
             self.metrics.errors_total.inc();
         }
@@ -205,17 +237,17 @@ impl WorkerLink {
         result
     }
 
-    /// The body of [`call`](Self::call), split out so the in-flight gauge
-    /// and error counter are maintained on every exit path.
-    fn call_locked(
+    /// One request/response exchange with this worker: reconnect if needed
+    /// (respecting the backoff clock), send, await. The link lock
+    /// serializes exchanges per worker.
+    fn exchange(
         &self,
         config: &RouterConfig,
         make: impl FnOnce(u64) -> Request,
-    ) -> Result<ResponseBody, (ErrorCode, String)> {
+    ) -> Result<ResponseBody, CallError> {
         let mut state = self.state.lock().expect("link lock");
         if state.client.is_none() {
-            let now = Instant::now();
-            if now < state.next_attempt {
+            if Instant::now() < state.next_attempt {
                 return Err((
                     ErrorCode::Unavailable,
                     format!("worker {} is backing off after a failure", self.addr),
@@ -228,11 +260,7 @@ impl WorkerLink {
                     self.metrics.reconnects_total.inc();
                 }
                 Err(e) => {
-                    state.next_attempt = now + state.backoff;
-                    state.backoff = (state.backoff * 2).min(config.backoff_max);
-                    self.metrics
-                        .backoff_micros
-                        .set(state.backoff.as_micros() as i64);
+                    self.back_off(&mut state, config);
                     return Err((
                         ErrorCode::Unavailable,
                         format!("worker {} is unreachable: {e}", self.addr),
@@ -249,21 +277,14 @@ impl WorkerLink {
         match result {
             Ok(response) => {
                 state.backoff = config.backoff_initial;
-                self.metrics
-                    .backoff_micros
-                    .set(state.backoff.as_micros() as i64);
+                self.publish_backoff(&state);
                 Ok(response.body)
             }
             Err(e) => {
                 if elapsed >= config.worker_timeout {
                     self.metrics.timeouts_total.inc();
                 }
-                state.client = None;
-                state.next_attempt = Instant::now() + state.backoff;
-                state.backoff = (state.backoff * 2).min(config.backoff_max);
-                self.metrics
-                    .backoff_micros
-                    .set(state.backoff.as_micros() as i64);
+                self.back_off(&mut state, config);
                 Err((
                     ErrorCode::Unavailable,
                     format!("worker {} failed mid-call: {e}", self.addr),
@@ -277,9 +298,7 @@ struct Inner {
     workers: Vec<WorkerLink>,
     indexes: Vec<RouterIndex>,
     config: RouterConfig,
-    listener: Listener,
-    queries: AtomicU64,
-    worker_errors: AtomicU64,
+    listener: Arc<Listener>,
     registry: MetricsRegistry,
     queries_total: Counter,
 }
@@ -300,74 +319,123 @@ impl Inner {
                 message: format!("no index named {index:?} is served"),
             };
         };
-        let call_worker = |w: usize| -> Result<Vec<Neighbor>, (ErrorCode, String)> {
+        let call_worker = |w: usize| -> Result<Vec<Neighbor>, CallError> {
             let link = &self.workers[w];
-            let body = link.call(&self.config, |request_id| Request::Query {
-                request_id,
-                index: index.to_string(),
-                params: *params,
-                query: query.to_vec(),
-            })?;
-            match body {
-                ResponseBody::Answer { mut neighbors } => {
-                    // A decodable answer can still carry garbage ids (a
-                    // buggy or corrupted worker); remapping one would
-                    // fabricate a neighbor some *other* worker owns.
-                    if neighbors.iter().any(|n| n.index >= rix.map.shard_len(w)) {
-                        self.workers[w].poison(&self.config);
-                        return Err((
-                            ErrorCode::Unavailable,
-                            format!(
-                                "worker {} answered an out-of-range series id",
-                                link.addr
-                            ),
-                        ));
-                    }
-                    for n in &mut neighbors {
-                        n.index = rix.map.to_global(w, n.index);
-                    }
-                    Ok(neighbors)
-                }
-                ResponseBody::Error { code, message } => {
-                    Err((code, format!("worker {}: {message}", link.addr)))
-                }
-                other => {
-                    self.workers[w].poison(&self.config);
-                    Err((
-                        ErrorCode::Unavailable,
-                        format!("worker {} answered a query with {other:?}", link.addr),
-                    ))
-                }
+            let mut neighbors = link.call(
+                &self.config,
+                "query",
+                |request_id| Request::Query {
+                    request_id,
+                    index: index.to_string(),
+                    params: *params,
+                    query: query.to_vec(),
+                },
+                |body| match body {
+                    ResponseBody::Answer { neighbors } => Ok(neighbors),
+                    other => Err(other),
+                },
+            )?;
+            // A decodable answer can still carry garbage ids (a buggy or
+            // corrupted worker); remapping one would fabricate a neighbor
+            // some *other* worker owns.
+            if neighbors.iter().any(|n| n.index >= rix.map.shard_len(w)) {
+                link.poison(&self.config);
+                let message = format!("worker {} answered an out-of-range series id", link.addr);
+                return Err((ErrorCode::Unavailable, message));
             }
+            for n in &mut neighbors {
+                n.index = rix.map.to_global(w, n.index);
+            }
+            Ok(neighbors)
         };
-        let results: Vec<_> = if self.workers.len() == 1 {
-            vec![call_worker(0)]
-        } else {
-            std::thread::scope(|scope| {
-                let handles: Vec<_> = (0..self.workers.len())
-                    .map(|w| {
-                        let call_worker = &call_worker;
-                        scope.spawn(move || call_worker(w))
+        let answers: Result<Vec<_>, _> = fan_out(self.workers.len(), call_worker)
+            .into_iter()
+            .collect();
+        match answers {
+            Ok(answers) => ResponseBody::Answer {
+                neighbors: merge_top_k(params.k, &answers),
+            },
+            Err((code, message)) => ResponseBody::Error { code, message },
+        }
+    }
+}
+
+/// The router's side of a connection. Requests are handled in order, each
+/// fanning out to all workers before the next is read (the engine's
+/// contract): cross-*connection* queries still overlap — each connection
+/// has its own reader thread — and the workers run their own
+/// micro-batchers.
+impl Handler for Arc<Inner> {
+    fn handle(&mut self, request: Request, reply: &Reply) {
+        match request {
+            Request::Query {
+                request_id,
+                index,
+                params,
+                query,
+            } => {
+                self.queries_total.inc();
+                reply.send(request_id, self.route_query(&index, &params, &query));
+            }
+            Request::ListIndexes { request_id } => {
+                let indexes = self.indexes.iter().map(|rix| rix.info.clone()).collect();
+                reply.send(request_id, ResponseBody::Indexes { indexes });
+            }
+            Request::Reload { request_id } => {
+                // Fan the reload out to every worker, all-or-nothing like a
+                // query: a zoo where only some shards reloaded would merge
+                // answers across snapshot generations. The first failure
+                // ends it; the acked epoch is the minimum across workers —
+                // the number of reloads every worker has completed at least.
+                let epochs: Result<Vec<u64>, CallError> = self
+                    .workers
+                    .iter()
+                    .map(|link| {
+                        link.call(
+                            &self.config,
+                            "reload",
+                            |request_id| Request::Reload { request_id },
+                            |body| match body {
+                                ResponseBody::ReloadAck { epoch } => Ok(epoch),
+                                other => Err(other),
+                            },
+                        )
                     })
                     .collect();
-                handles
-                    .into_iter()
-                    .map(|h| h.join().unwrap_or_else(|p| std::panic::resume_unwind(p)))
-                    .collect()
-            })
-        };
-        let mut answers = Vec::with_capacity(results.len());
-        for result in results {
-            match result {
-                Ok(neighbors) => answers.push(neighbors),
-                Err((code, message)) => {
-                    self.worker_errors.fetch_add(1, Ordering::Relaxed);
-                    return ResponseBody::Error { code, message };
-                }
+                let body = match epochs {
+                    Ok(epochs) => ResponseBody::ReloadAck {
+                        epoch: epochs.into_iter().min().unwrap_or(0),
+                    },
+                    Err((code, message)) => ResponseBody::Error { code, message },
+                };
+                reply.send(request_id, body);
             }
-        }
-        ResponseBody::Answer {
-            neighbors: merge_top_k(params.k, &answers),
+            Request::Stats { request_id } => {
+                // The router answers with its *own* registry — per-worker
+                // link health, fan-out and wire counters. Scraping a worker's
+                // query/stage metrics means scraping that worker directly;
+                // merging texts here would conflate two processes' clocks.
+                let text = self.registry.render();
+                reply.send(request_id, ResponseBody::Stats { text });
+            }
+            Request::Shutdown { request_id } => {
+                // Whole-deployment shutdown: acknowledge, pass the frame on
+                // to every reachable worker (best effort — a dead worker
+                // has nothing to stop), then stop routing.
+                reply.send(request_id, ResponseBody::ShutdownAck);
+                for link in &self.workers {
+                    let _ = link.call(
+                        &self.config,
+                        "shutdown",
+                        |request_id| Request::Shutdown { request_id },
+                        |body| match body {
+                            ResponseBody::ShutdownAck => Ok(()),
+                            other => Err(other),
+                        },
+                    );
+                }
+                self.listener.begin_shutdown();
+            }
         }
     }
 }
@@ -376,7 +444,6 @@ impl Inner {
 /// does **not** stop it — call [`RouterHandle::shutdown`] (or send a
 /// shutdown frame) and then [`RouterHandle::join`].
 pub struct RouterHandle {
-    addr: SocketAddr,
     inner: Arc<Inner>,
     acceptor: std::thread::JoinHandle<()>,
 }
@@ -384,7 +451,7 @@ pub struct RouterHandle {
 impl RouterHandle {
     /// The address the router actually listens on (resolves port 0).
     pub fn local_addr(&self) -> SocketAddr {
-        self.addr
+        self.inner.listener.local_addr()
     }
 
     /// The router's metrics registry — the same one a stats frame scrapes
@@ -407,9 +474,10 @@ impl RouterHandle {
     /// Propagates a panic of the acceptor thread (not expected).
     pub fn join(self) -> RouterStats {
         self.acceptor.join().expect("acceptor panicked");
+        let links = self.inner.workers.iter();
         RouterStats {
-            queries: self.inner.queries.load(Ordering::Relaxed),
-            worker_errors: self.inner.worker_errors.load(Ordering::Relaxed),
+            queries: self.inner.queries_total.get(),
+            worker_errors: links.map(|link| link.metrics.errors_total.get()).sum(),
             connections: self.inner.listener.connections(),
         }
     }
@@ -515,169 +583,18 @@ impl Router {
             info.num_series = map.total() as u64;
             indexes.push(RouterIndex { info, map });
         }
-        let listener = TcpListener::bind(addr)?;
-        let addr = listener.local_addr()?;
-        let connections_total = registry.counter("hydra_router_connections_total", &[]);
         let inner = Arc::new(Inner {
             workers: links,
             indexes,
             config,
-            listener: Listener::new(addr, config.write_timeout, connections_total),
-            queries: AtomicU64::new(0),
-            worker_errors: AtomicU64::new(0),
+            listener: Listener::bind(addr, config.write_timeout, &registry, "hydra_router")?,
             queries_total: registry.counter("hydra_router_queries_total", &[]),
             registry,
         });
-        let acceptor = {
-            let (accepting, inner) = (Arc::clone(&inner), Arc::clone(&inner));
-            std::thread::spawn(move || {
-                accepting.listener.accept_loop(&listener, move |stream, conn_id| {
-                    let inner = Arc::clone(&inner);
-                    std::thread::spawn(move || connection_loop(&inner, stream, conn_id))
-                })
-            })
-        };
-        Ok(RouterHandle {
-            addr,
-            inner,
-            acceptor,
-        })
+        let shared = Arc::clone(&inner);
+        let acceptor = inner.listener.spawn(move || Arc::clone(&shared));
+        Ok(RouterHandle { inner, acceptor })
     }
-}
-
-/// One client connection: requests are handled in order, each fanning out
-/// to all workers before the next is read. (Cross-*connection* queries
-/// still overlap — each connection has its own thread — and the workers
-/// run their own micro-batchers.)
-fn connection_loop(inner: &Arc<Inner>, stream: TcpStream, conn_id: u64) {
-    let mut write_half = match stream.try_clone() {
-        Ok(s) => s,
-        Err(_) => {
-            inner.listener.deregister(conn_id);
-            let _ = stream.shutdown(Shutdown::Both);
-            return;
-        }
-    };
-    let mut reader = BufReader::new(stream);
-    let mut respond = |response: Response| {
-        let frame = response.encode();
-        write_half
-            .write_all(&frame)
-            .and_then(|()| write_half.flush())
-            .is_ok()
-    };
-    loop {
-        match read_request(&mut reader) {
-            Ok(None) => break,
-            Ok(Some(Request::Query {
-                request_id,
-                index,
-                params,
-                query,
-            })) => {
-                inner.queries.fetch_add(1, Ordering::Relaxed);
-                inner.queries_total.inc();
-                let body = inner.route_query(&index, &params, &query);
-                if !respond(Response { request_id, body }) {
-                    break;
-                }
-            }
-            Ok(Some(Request::ListIndexes { request_id })) => {
-                let indexes = inner.indexes.iter().map(|rix| rix.info.clone()).collect();
-                if !respond(Response {
-                    request_id,
-                    body: ResponseBody::Indexes { indexes },
-                }) {
-                    break;
-                }
-            }
-            Ok(Some(Request::Reload { request_id })) => {
-                // Fan the reload out to every worker, all-or-nothing like a
-                // query: a zoo where only some shards reloaded would merge
-                // answers across snapshot generations. The acked epoch is
-                // the minimum across workers — the number of reloads every
-                // worker has completed at least.
-                let mut epochs = Vec::with_capacity(inner.workers.len());
-                let mut failure = None;
-                for link in &inner.workers {
-                    match link.call(&inner.config, |request_id| Request::Reload { request_id }) {
-                        Ok(ResponseBody::ReloadAck { epoch }) => epochs.push(epoch),
-                        Ok(ResponseBody::Error { code, message }) => {
-                            failure = Some((code, format!("worker {}: {message}", link.addr)));
-                            break;
-                        }
-                        Ok(other) => {
-                            link.poison(&inner.config);
-                            failure = Some((
-                                ErrorCode::Unavailable,
-                                format!("worker {} answered a reload with {other:?}", link.addr),
-                            ));
-                            break;
-                        }
-                        Err(err) => {
-                            failure = Some(err);
-                            break;
-                        }
-                    }
-                }
-                let body = match failure {
-                    None => ResponseBody::ReloadAck {
-                        epoch: epochs.iter().copied().min().unwrap_or(0),
-                    },
-                    Some((code, message)) => {
-                        inner.worker_errors.fetch_add(1, Ordering::Relaxed);
-                        ResponseBody::Error { code, message }
-                    }
-                };
-                if !respond(Response { request_id, body }) {
-                    break;
-                }
-            }
-            Ok(Some(Request::Stats { request_id })) => {
-                // The router answers with its *own* registry — per-worker
-                // link health and fan-out counters. Scraping a worker's
-                // query/stage metrics means scraping that worker directly;
-                // merging texts here would conflate two processes' clocks.
-                let text = inner.registry.render();
-                if !respond(Response {
-                    request_id,
-                    body: ResponseBody::Stats { text },
-                }) {
-                    break;
-                }
-            }
-            Ok(Some(Request::Shutdown { request_id })) => {
-                // Whole-deployment shutdown: acknowledge, pass the frame on
-                // to every reachable worker (best effort — a dead worker
-                // has nothing to stop), then stop routing.
-                let _ = respond(Response {
-                    request_id,
-                    body: ResponseBody::ShutdownAck,
-                });
-                for link in &inner.workers {
-                    let _ = link.call(&inner.config, |request_id| Request::Shutdown {
-                        request_id,
-                    });
-                }
-                inner.listener.begin_shutdown();
-                break;
-            }
-            Err(e) => {
-                // Same contract as the server: one typed error on id 0,
-                // then hang up this connection only.
-                let _ = respond(Response {
-                    request_id: 0,
-                    body: ResponseBody::Error {
-                        code: ErrorCode::Protocol,
-                        message: e.to_string(),
-                    },
-                });
-                break;
-            }
-        }
-    }
-    inner.listener.deregister(conn_id);
-    let _ = reader.into_inner().shutdown(Shutdown::Both);
 }
 
 #[cfg(test)]
@@ -686,6 +603,8 @@ mod tests {
     use crate::server::{ServedIndex, Server, ServerConfig, ServerHandle};
     use hydra::core::{Capabilities, Representation};
     use hydra::{AnnIndex, QueryStats, Result, SearchParams, SearchResult};
+    use std::io::{BufReader, Write};
+    use std::net::TcpStream;
 
     /// A worker-side stand-in: `num_series` ids, neighbor distance is
     /// `base + local id`, so merged global answers are fully predictable.

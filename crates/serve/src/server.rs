@@ -3,20 +3,27 @@
 //!
 //! ## Threading model
 //!
+//! Drawn once for both roles — the connection engine
+//! (`listener.rs`) is the top two lines, a role is what its handler does
+//! with a request:
+//!
 //! ```text
-//! acceptor ──spawns──▶ per-connection reader ──Job──▶ micro-batch queue
+//! acceptor ──spawns──▶ per-connection reader ──Request──▶ handler
 //!                      per-connection writer ◀─encoded response frames─┐
 //!                                                                      │
-//!                      batcher: recv first job, gather until the batch │
-//!                      window closes or the batch is full, group by    │
-//!                      (index, SearchKey), ONE search_batch call per   │
-//!                      group per tick ─────────────────────────────────┘
+//!  server  list/stats/reload/shutdown: answered inline ────────────────┤
+//!          query ──Job──▶ micro-batch queue ──▶ batcher: recv first    │
+//!          job, gather until the batch window closes or the batch is   │
+//!          full, group by (index, SearchKey), ONE search_batch call    │
+//!          per group per tick ─────────────────────────────────────────┤
+//!  router  everything inline, in order: a query fans out to every      │
+//!          worker, merges, and answers before the next is read ────────┘
 //! ```
 //!
-//! Each connection gets one reader thread (parsing frames, answering
-//! list/shutdown inline, forwarding queries to the queue) and one writer
-//! thread (serializing response frames back), so slow clients never block
-//! the batcher. The single batcher thread makes batching *deterministic
+//! Each connection gets one reader thread (parsing frames and handing
+//! them to the role's handler) and one writer thread (putting response
+//! frames on the wire), so a slow client never blocks the batcher. The
+//! single batcher thread makes batching *deterministic
 //! work amortization*: every tick turns all compatible pending queries
 //! into one [`AnnIndex::search_batch`] call — the same entry point the
 //! offline parallel runner uses — whose contract guarantees answers
@@ -49,19 +56,15 @@
 //! current epoch serving untouched.
 
 use std::collections::BTreeMap;
-use std::io::{BufReader, Read, Write};
-use std::net::{Shutdown, SocketAddr, TcpListener, TcpStream, ToSocketAddrs};
-use std::sync::atomic::{AtomicU64, Ordering};
+use std::net::{SocketAddr, ToSocketAddrs};
 use std::sync::{mpsc, Arc, RwLock};
 use std::time::{Duration, Instant};
 
 use hydra::{AnnIndex, QueryStats, SearchKey, SearchParams};
 use hydra_obs::{Counter, Gauge, Histogram, MetricsRegistry, QueryTrace, Stage};
 
-use crate::listener::Listener;
-use crate::protocol::{
-    read_request, ErrorCode, IndexInfo, Request, Response, ResponseBody,
-};
+use crate::listener::{Handler, Listener, Reply};
+use crate::protocol::{ErrorCode, IndexInfo, Request, ResponseBody};
 
 /// One index behind the server, addressable by name.
 pub struct ServedIndex {
@@ -179,17 +182,18 @@ struct Job {
     index: String,
     params: SearchParams,
     query: Vec<f32>,
-    reply: mpsc::Sender<Vec<u8>>,
+    reply: Reply,
     /// When the reader enqueued this job — the start of its enqueue
     /// stage span (queue wait is drain time minus this).
     enqueued_at: Instant,
 }
 
-/// Every pre-resolved metric handle the serving loop touches. Resolved
-/// once at spawn so the hot path (drain_tick, connection readers and
-/// writers) never takes the registry mutex — each update is one relaxed
-/// atomic RMW, which is what keeps the instrumented path answer- and
-/// stats-identical to the uninstrumented one.
+/// Every pre-resolved metric handle the serving loop touches (the wire
+/// counters are the [`Listener`]'s). Resolved once at spawn so the hot
+/// path never takes the registry mutex — each update is one relaxed atomic
+/// RMW, which is what keeps the instrumented path answer- and
+/// stats-identical to the uninstrumented one. These handles are the
+/// server's only books: [`ServerStats`] is read off them at `join`.
 struct Metrics {
     registry: MetricsRegistry,
     queries_total: Counter,
@@ -221,12 +225,6 @@ struct Metrics {
     errors_unknown_index: Counter,
     errors_search: Counter,
     errors_shutdown: Counter,
-    protocol_errors: Counter,
-    /// Wire-level connection counters (all connections summed).
-    rx_bytes: Counter,
-    rx_frames: Counter,
-    tx_bytes: Counter,
-    tx_frames: Counter,
     /// The epoch currently being served.
     epoch: Gauge,
     reloads_success: Counter,
@@ -266,11 +264,6 @@ impl Metrics {
                 .counter("hydra_query_errors_total", &[("kind", "unknown_index")]),
             errors_search: registry.counter("hydra_query_errors_total", &[("kind", "search")]),
             errors_shutdown: registry.counter("hydra_query_errors_total", &[("kind", "shutdown")]),
-            protocol_errors: registry.counter("hydra_protocol_errors_total", &[]),
-            rx_bytes: registry.counter("hydra_rx_bytes_total", &[]),
-            rx_frames: registry.counter("hydra_rx_frames_total", &[]),
-            tx_bytes: registry.counter("hydra_tx_bytes_total", &[]),
-            tx_frames: registry.counter("hydra_tx_frames_total", &[]),
             epoch: registry.gauge("hydra_epoch", &[]),
             reloads_success: registry.counter("hydra_reloads_total", &[("outcome", "success")]),
             reloads_failed: registry.counter("hydra_reloads_total", &[("outcome", "failed")]),
@@ -309,22 +302,6 @@ fn render_stats(registry: &MetricsRegistry, epoch: &Epoch) -> String {
     registry.render()
 }
 
-/// A [`Read`] pass-through that counts bytes into a [`Counter`], used to
-/// meter each connection's receive side. Exposes the wrapped stream so
-/// the connection teardown can still `shutdown()` the socket.
-struct CountingReader {
-    inner: TcpStream,
-    bytes: Counter,
-}
-
-impl Read for CountingReader {
-    fn read(&mut self, buf: &mut [u8]) -> std::io::Result<usize> {
-        let n = self.inner.read(buf)?;
-        self.bytes.add(n as u64);
-        Ok(n)
-    }
-}
-
 struct Inner {
     /// The current generation of the served zoo. Readers clone the `Arc`
     /// (queries, listings); a reload swaps the pointer under the brief
@@ -334,11 +311,7 @@ struct Inner {
     /// with a typed error.
     reloader: Option<Reloader>,
     config: ServerConfig,
-    listener: Listener,
-    queries: AtomicU64,
-    ticks: AtomicU64,
-    batch_calls: AtomicU64,
-    reloads: AtomicU64,
+    listener: Arc<Listener>,
     metrics: Metrics,
 }
 
@@ -357,10 +330,8 @@ impl Inner {
         let Some(reloader) = &self.reloader else {
             return Err("this server was started without a reload source".into());
         };
-        // Both outcomes are observable through the registry (the
-        // ServerStats.reloads counter only ever counted successes, so a
-        // failed hot reload used to be invisible to everything but the
-        // requesting connection).
+        // Both outcomes are observable through the registry
+        // (ServerStats.reloads reports the successes).
         let t0 = Instant::now();
         let rebuilt = reloader().and_then(|indexes| {
             validate_zoo(&indexes)?;
@@ -385,7 +356,6 @@ impl Inner {
         });
         let id = next.id;
         *slot = next;
-        self.reloads.fetch_add(1, Ordering::Relaxed);
         self.metrics.reloads_success.inc();
         self.metrics.reload_last_ok.set(1);
         self.metrics.epoch.set(id.min(i64::MAX as u64) as i64);
@@ -397,7 +367,6 @@ impl Inner {
 /// does **not** stop the server — call [`ServerHandle::shutdown`] (or send
 /// a shutdown frame) and then [`ServerHandle::join`].
 pub struct ServerHandle {
-    addr: SocketAddr,
     inner: Arc<Inner>,
     acceptor: std::thread::JoinHandle<()>,
     batcher: std::thread::JoinHandle<()>,
@@ -406,7 +375,7 @@ pub struct ServerHandle {
 impl ServerHandle {
     /// The address the server actually listens on (resolves port 0).
     pub fn local_addr(&self) -> SocketAddr {
-        self.addr
+        self.inner.listener.local_addr()
     }
 
     /// The metrics registry this server records into — the same one a
@@ -431,12 +400,13 @@ impl ServerHandle {
     pub fn join(self) -> ServerStats {
         self.acceptor.join().expect("acceptor panicked");
         self.batcher.join().expect("batcher panicked");
+        let m = &self.inner.metrics;
         ServerStats {
-            queries: self.inner.queries.load(Ordering::Relaxed),
-            ticks: self.inner.ticks.load(Ordering::Relaxed),
-            batch_calls: self.inner.batch_calls.load(Ordering::Relaxed),
+            queries: m.queries_total.get(),
+            ticks: m.ticks_total.get(),
+            batch_calls: m.batch_calls_total.get(),
             connections: self.inner.listener.connections(),
-            reloads: self.inner.reloads.load(Ordering::Relaxed),
+            reloads: m.reloads_success.get(),
         }
     }
 }
@@ -458,26 +428,13 @@ impl Server {
         addr: A,
         config: ServerConfig,
     ) -> std::io::Result<ServerHandle> {
-        Self::spawn_reloadable(indexes, addr, config, None)
+        Self::spawn_with_metrics(indexes, addr, config, None, MetricsRegistry::new())
     }
 
-    /// [`Server::spawn`] with a [`Reloader`]: reload frames rebuild the
-    /// zoo through it and atomically swap the served epoch. Without one
-    /// (`None`), reload frames are answered with a typed error.
-    ///
-    /// # Errors
-    /// Exactly the [`Server::spawn`] errors.
-    pub fn spawn_reloadable<A: ToSocketAddrs>(
-        indexes: Vec<ServedIndex>,
-        addr: A,
-        config: ServerConfig,
-        reloader: Option<Reloader>,
-    ) -> std::io::Result<ServerHandle> {
-        Self::spawn_with_metrics(indexes, addr, config, reloader, MetricsRegistry::new())
-    }
-
-    /// [`Server::spawn_reloadable`] recording into a caller-supplied
-    /// [`MetricsRegistry`] instead of a fresh one — so boot-time gauges
+    /// [`Server::spawn`] in full. With a [`Reloader`], reload frames
+    /// rebuild the zoo through it and atomically swap the served epoch
+    /// (without one they are answered with a typed error). The server
+    /// records into the caller's [`MetricsRegistry`], so boot-time gauges
     /// (per-index load times, journal replays) registered before the
     /// server exists appear in the same `Stats` scrape as the serving
     /// counters.
@@ -493,18 +450,11 @@ impl Server {
     ) -> std::io::Result<ServerHandle> {
         validate_zoo(&indexes)
             .map_err(|msg| std::io::Error::new(std::io::ErrorKind::InvalidInput, msg))?;
-        let listener = TcpListener::bind(addr)?;
-        let addr = listener.local_addr()?;
-        let connections_total = registry.counter("hydra_connections_total", &[]);
         let inner = Arc::new(Inner {
             epoch: RwLock::new(Arc::new(Epoch { id: 0, indexes })),
             reloader,
             config,
-            listener: Listener::new(addr, config.write_timeout, connections_total),
-            queries: AtomicU64::new(0),
-            ticks: AtomicU64::new(0),
-            batch_calls: AtomicU64::new(0),
-            reloads: AtomicU64::new(0),
+            listener: Listener::bind(addr, config.write_timeout, &registry, "hydra")?,
             metrics: Metrics::new(registry),
         });
         let (job_tx, job_rx) = mpsc::channel::<Job>();
@@ -512,20 +462,15 @@ impl Server {
             let inner = Arc::clone(&inner);
             std::thread::spawn(move || batcher_loop(&inner, &job_rx))
         };
-        let acceptor = {
-            let (accepting, inner) = (Arc::clone(&inner), Arc::clone(&inner));
-            // The batcher exits once every Job sender is gone: the one the
-            // per-connection closure owns (dropped when accepting ends), its
-            // clones when their readers return.
-            std::thread::spawn(move || {
-                accepting.listener.accept_loop(&listener, move |stream, conn_id| {
-                    let (inner, job_tx) = (Arc::clone(&inner), job_tx.clone());
-                    std::thread::spawn(move || connection_loop(&inner, stream, conn_id, &job_tx))
-                })
-            })
-        };
+        // The batcher exits once every Job sender is gone: the one the
+        // per-connection closure owns (dropped when accepting ends), its
+        // clones when their connections retire.
+        let shared = Arc::clone(&inner);
+        let acceptor = inner.listener.spawn(move || Connection {
+            inner: Arc::clone(&shared),
+            jobs: job_tx.clone(),
+        });
         Ok(ServerHandle {
-            addr,
             inner,
             acceptor,
             batcher,
@@ -533,179 +478,81 @@ impl Server {
     }
 }
 
-fn connection_loop(inner: &Arc<Inner>, stream: TcpStream, conn_id: u64, job_tx: &mpsc::Sender<Job>) {
-    let write_half = match stream.try_clone() {
-        Ok(s) => s,
-        Err(_) => {
-            // No write half, no service — release the tracking clone (the
-            // invariant at `Listener::conns`) and hang up.
-            inner.listener.deregister(conn_id);
-            let _ = stream.shutdown(Shutdown::Both);
-            return;
-        }
-    };
-    let (reply_tx, reply_rx) = mpsc::channel::<Vec<u8>>();
-    let writer = {
-        let tx_bytes = inner.metrics.tx_bytes.clone();
-        let tx_frames = inner.metrics.tx_frames.clone();
-        std::thread::spawn(move || writer_loop(write_half, &reply_rx, &tx_bytes, &tx_frames))
-    };
-    let mut reader = BufReader::new(CountingReader {
-        inner: stream,
-        bytes: inner.metrics.rx_bytes.clone(),
-    });
-    loop {
-        match read_request(&mut reader) {
-            Ok(None) => break,
-            Ok(Some(request)) => {
-                inner.metrics.rx_frames.inc();
-                handle_request(inner, request, job_tx, &reply_tx);
-            }
-            Err(e) => {
-                inner.metrics.protocol_errors.inc();
-                // One typed protocol-error response (id 0), then hang up:
-                // after a framing error the stream position is unknowable,
-                // so continuing could misparse every later byte.
-                let _ = reply_tx.send(
-                    Response {
-                        request_id: 0,
-                        body: ResponseBody::Error {
-                            code: ErrorCode::Protocol,
-                            message: e.to_string(),
-                        },
-                    }
-                    .encode(),
-                );
-                break;
-            }
-        }
-    }
-    // In-flight jobs still hold reply senders; the writer drains them and
-    // exits once the batcher has answered the last one, so joining here
-    // guarantees every accepted request was answered before the connection
-    // thread retires.
-    drop(reply_tx);
-    let _ = writer.join();
-    // Release the shutdown-sweep handle (it would otherwise hold the
-    // socket open past this thread's life) and hang up explicitly.
-    inner.listener.deregister(conn_id);
-    let _ = reader.into_inner().inner.shutdown(Shutdown::Both);
+/// The server's side of one connection: listings, scrapes, reloads and the
+/// shutdown ack are answered inline on the reader thread; queries travel
+/// to the batcher with a clone of the connection's [`Reply`].
+struct Connection {
+    inner: Arc<Inner>,
+    jobs: mpsc::Sender<Job>,
 }
 
-fn writer_loop(
-    mut stream: TcpStream,
-    replies: &mpsc::Receiver<Vec<u8>>,
-    tx_bytes: &Counter,
-    tx_frames: &Counter,
-) {
-    while let Ok(frame) = replies.recv() {
-        if stream.write_all(&frame).and_then(|()| stream.flush()).is_err() {
-            // The peer is gone; keep draining so queued senders never
-            // block (mpsc sends are non-blocking anyway) and exit when
-            // they hang up.
-            break;
-        }
-        tx_bytes.add(frame.len() as u64);
-        tx_frames.inc();
-    }
-}
-
-fn handle_request(
-    inner: &Arc<Inner>,
-    request: Request,
-    job_tx: &mpsc::Sender<Job>,
-    reply_tx: &mpsc::Sender<Vec<u8>>,
-) {
-    match request {
-        Request::Query {
-            request_id,
-            index,
-            params,
-            query,
-        } => {
-            // Name resolution is deferred to the batcher tick: the epoch
-            // answering this query is whichever one is current when its
-            // tick drains, never a slot index captured before a reload.
-            let job = Job {
+impl Handler for Connection {
+    fn handle(&mut self, request: Request, reply: &Reply) {
+        let inner = &self.inner;
+        match request {
+            Request::Query {
                 request_id,
                 index,
                 params,
                 query,
-                reply: reply_tx.clone(),
-                enqueued_at: Instant::now(),
-            };
-            inner.metrics.queue_depth.add(1);
-            if job_tx.send(job).is_err() {
-                // The batcher is gone (shutdown raced the request). Still
-                // an answered query for the stats, like every other error.
-                inner.queries.fetch_add(1, Ordering::Relaxed);
-                inner.metrics.queue_depth.add(-1);
-                inner.metrics.queries_total.inc();
-                inner.metrics.errors_shutdown.inc();
-                let _ = reply_tx.send(
-                    Response {
-                        request_id,
-                        body: ResponseBody::Error {
-                            code: ErrorCode::Search,
-                            message: "server is shutting down".into(),
-                        },
-                    }
-                    .encode(),
-                );
+            } => {
+                // Name resolution is deferred to the batcher tick: the epoch
+                // answering this query is whichever one is current when its
+                // tick drains, never a slot index captured before a reload.
+                let job = Job {
+                    request_id,
+                    index,
+                    params,
+                    query,
+                    reply: reply.clone(),
+                    enqueued_at: Instant::now(),
+                };
+                inner.metrics.queue_depth.add(1);
+                if self.jobs.send(job).is_err() {
+                    // The batcher is gone (shutdown raced the request). Still
+                    // an answered query for the stats, like every other error.
+                    inner.metrics.queue_depth.add(-1);
+                    inner.metrics.queries_total.inc();
+                    inner.metrics.errors_shutdown.inc();
+                    let (code, message) = (ErrorCode::Search, "server is shutting down".into());
+                    reply.send(request_id, ResponseBody::Error { code, message });
+                }
             }
-        }
-        Request::ListIndexes { request_id } => {
-            let epoch = inner.current_epoch();
-            let indexes = epoch
-                .indexes
-                .iter()
-                .map(|s| IndexInfo::describe(&s.name, s.index.as_ref()))
-                .collect();
-            let _ = reply_tx.send(
-                Response {
-                    request_id,
-                    body: ResponseBody::Indexes { indexes },
-                }
-                .encode(),
-            );
-        }
-        Request::Reload { request_id } => {
-            // Synchronous on this connection's reader thread: the rebuild
-            // stalls only this connection's own pipeline; queries from
-            // other connections keep draining against the old epoch until
-            // the swap.
-            let body = match inner.reload() {
-                Ok(epoch) => ResponseBody::ReloadAck { epoch },
-                Err(message) => ResponseBody::Error {
-                    code: ErrorCode::Unavailable,
-                    message,
-                },
-            };
-            let _ = reply_tx.send(Response { request_id, body }.encode());
-        }
-        Request::Stats { request_id } => {
-            // Answered inline on the reader thread, like listings: a
-            // scrape reads atomics and polls store counters but runs no
-            // search, so it cannot perturb answers or per-query stats.
-            let epoch = inner.current_epoch();
-            let text = render_stats(&inner.metrics.registry, &epoch);
-            let _ = reply_tx.send(
-                Response {
-                    request_id,
-                    body: ResponseBody::Stats { text },
-                }
-                .encode(),
-            );
-        }
-        Request::Shutdown { request_id } => {
-            let _ = reply_tx.send(
-                Response {
-                    request_id,
-                    body: ResponseBody::ShutdownAck,
-                }
-                .encode(),
-            );
-            inner.listener.begin_shutdown();
+            Request::ListIndexes { request_id } => {
+                let epoch = inner.current_epoch();
+                let indexes = epoch
+                    .indexes
+                    .iter()
+                    .map(|s| IndexInfo::describe(&s.name, s.index.as_ref()))
+                    .collect();
+                reply.send(request_id, ResponseBody::Indexes { indexes });
+            }
+            Request::Reload { request_id } => {
+                // Synchronous on this connection's reader thread: the rebuild
+                // stalls only this connection's own pipeline; queries from
+                // other connections keep draining against the old epoch until
+                // the swap.
+                let body = match inner.reload() {
+                    Ok(epoch) => ResponseBody::ReloadAck { epoch },
+                    Err(message) => ResponseBody::Error {
+                        code: ErrorCode::Unavailable,
+                        message,
+                    },
+                };
+                reply.send(request_id, body);
+            }
+            Request::Stats { request_id } => {
+                // Answered inline on the reader thread, like listings: a
+                // scrape reads atomics and polls store counters but runs no
+                // search, so it cannot perturb answers or per-query stats.
+                let epoch = inner.current_epoch();
+                let text = render_stats(&inner.metrics.registry, &epoch);
+                reply.send(request_id, ResponseBody::Stats { text });
+            }
+            Request::Shutdown { request_id } => {
+                reply.send(request_id, ResponseBody::ShutdownAck);
+                inner.listener.begin_shutdown();
+            }
         }
     }
 }
@@ -745,8 +592,6 @@ fn batcher_loop(inner: &Arc<Inner>, jobs: &mpsc::Receiver<Job>) {
 /// generation, so a concurrent reload can never mix epochs within one
 /// response batch.
 fn drain_tick(inner: &Arc<Inner>, batch: Vec<Job>) {
-    inner.ticks.fetch_add(1, Ordering::Relaxed);
-    inner.queries.fetch_add(batch.len() as u64, Ordering::Relaxed);
     let m = &inner.metrics;
     m.ticks_total.inc();
     m.queries_total.add(batch.len() as u64);
@@ -780,7 +625,6 @@ fn drain_tick(inner: &Arc<Inner>, batch: Vec<Job>) {
     }
     m.groups_per_tick.observe(groups.len() as u64);
     for ((slot, _), group) in groups {
-        inner.batch_calls.fetch_add(1, Ordering::Relaxed);
         m.batch_calls_total.inc();
         let params = group[0].params;
         let queries: Vec<&[f32]> = group.iter().map(|j| j.query.as_slice()).collect();
@@ -842,18 +686,11 @@ fn finish_job(
     let m = &inner.metrics;
     let queue_wait = drained_at.saturating_duration_since(job.enqueued_at);
     m.stage_enqueue_micros.observe_micros(queue_wait);
-    let t0 = Instant::now();
-    let frame = Response {
-        request_id: job.request_id,
-        body,
-    }
-    .encode();
-    let encode_elapsed = t0.elapsed();
-    m.stage_write_micros.observe_micros(encode_elapsed);
-    let total = queue_wait + search_share + encode_elapsed;
-    m.query_micros.observe_micros(total);
-    if let Some(threshold) = inner.config.slow_query {
-        if total >= threshold {
+    job.reply.send_observed(job.request_id, body, |encode_elapsed| {
+        m.stage_write_micros.observe_micros(encode_elapsed);
+        let total = queue_wait + search_share + encode_elapsed;
+        m.query_micros.observe_micros(total);
+        if inner.config.slow_query.is_some_and(|threshold| total >= threshold) {
             m.slow_queries_total.inc();
             let mut trace = QueryTrace::new();
             trace.record(Stage::Enqueue, queue_wait);
@@ -870,8 +707,7 @@ fn finish_job(
                 trace.breakdown(),
             );
         }
-    }
-    let _ = job.reply.send(frame);
+    });
 }
 
 #[cfg(test)]
@@ -879,6 +715,9 @@ mod tests {
     use super::*;
     use hydra::core::{Capabilities, Representation};
     use hydra::{Error, Neighbor, QueryStats, Result, SearchResult};
+    use std::io::{BufReader, Write};
+    use std::net::TcpStream;
+    use std::sync::atomic::{AtomicU64, Ordering};
 
     /// Answers with the query's first value as the neighbor id; counts
     /// batched entry-point calls so micro-batching is observable.
@@ -1105,11 +944,12 @@ mod tests {
                 Ok(vec![make_gen(n)])
             })
         };
-        let handle = Server::spawn_reloadable(
+        let handle = Server::spawn_with_metrics(
             vec![make_gen(0)],
             "127.0.0.1:0",
             ServerConfig::default(),
             Some(reloader),
+            MetricsRegistry::new(),
         )
         .unwrap();
         let mut client = crate::client::ServeClient::connect(handle.local_addr()).unwrap();

@@ -44,6 +44,29 @@ use hydra_core::{
 };
 use hydra_data::{partition, PartitionScheme, ShardMap};
 
+/// Runs `f(0) .. f(n - 1)` — one call inline, more concurrently on scoped
+/// threads — and returns the results in call order. A panicking call
+/// propagates to the caller (same policy as the workload runner's worker
+/// threads). The fan-out of [`ShardedIndex`] over its shards, and of the
+/// `hydra-serve` router over its workers.
+pub fn fan_out<T: Send>(n: usize, f: impl Fn(usize) -> T + Sync) -> Vec<T> {
+    if n == 1 {
+        return vec![f(0)];
+    }
+    std::thread::scope(|scope| {
+        let handles: Vec<_> = (0..n)
+            .map(|i| {
+                let f = &f;
+                scope.spawn(move || f(i))
+            })
+            .collect();
+        handles
+            .into_iter()
+            .map(|h| h.join().unwrap_or_else(|p| std::panic::resume_unwind(p)))
+            .collect()
+    })
+}
+
 /// An [`AnnIndex`] that fans every query out to `S` per-shard inner
 /// indexes and merges their answers (see the crate docs).
 pub struct ShardedIndex {
@@ -144,34 +167,6 @@ impl ShardedIndex {
         &self.shards
     }
 
-    /// Runs `f` once per shard — concurrently on scoped threads when there
-    /// is more than one — and returns the results in shard order. A shard
-    /// panic propagates to the caller (same policy as the workload
-    /// runner's worker threads).
-    fn fan_out<'s, T, F>(&'s self, f: F) -> Vec<T>
-    where
-        T: Send,
-        F: Fn(&'s dyn AnnIndex) -> T + Sync,
-    {
-        if self.shards.len() == 1 {
-            return vec![f(self.shards[0].as_ref())];
-        }
-        std::thread::scope(|scope| {
-            let handles: Vec<_> = self
-                .shards
-                .iter()
-                .map(|shard| {
-                    let f = &f;
-                    scope.spawn(move || f(shard.as_ref()))
-                })
-                .collect();
-            handles
-                .into_iter()
-                .map(|h| h.join().unwrap_or_else(|p| std::panic::resume_unwind(p)))
-                .collect()
-        })
-    }
-
     /// Translates one shard's answer to global ids in place.
     fn globalize(&self, shard: usize, neighbors: &mut [Neighbor]) {
         for n in neighbors {
@@ -239,7 +234,7 @@ impl AnnIndex for ShardedIndex {
     }
 
     fn search(&self, query: &[f32], params: &SearchParams) -> Result<SearchResult> {
-        let per_shard = self.fan_out(|shard| shard.search(query, params));
+        let per_shard = fan_out(self.shards.len(), |s| self.shards[s].search(query, params));
         self.merge_query(params.k, per_shard)
     }
 
@@ -247,8 +242,10 @@ impl AnnIndex for ShardedIndex {
         // One search_batch call per shard, so the inner indexes keep their
         // per-batch amortizations (ADC tables, scratch buffers); then a
         // per-query merge across shards.
-        let mut per_shard: Vec<Vec<Option<Result<SearchResult>>>> = self
-            .fan_out(|shard| shard.search_batch(queries, params))
+        let mut per_shard: Vec<Vec<Option<Result<SearchResult>>>> =
+            fan_out(self.shards.len(), |s| {
+                self.shards[s].search_batch(queries, params)
+            })
             .into_iter()
             .map(|results| results.into_iter().map(Some).collect())
             .collect();

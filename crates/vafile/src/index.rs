@@ -210,27 +210,17 @@ impl VaPlusFile {
         SearchResult::new(top.into_sorted(), stats)
     }
 
-    /// The first `prefix` records phase 2 would refine for `query`: the
-    /// smallest phase-1 lower bounds, computed uncharged (no stats, no
-    /// store reads) so the batch scheduler can declare a working set before
-    /// any query runs. Appends one single-record range per candidate (the
-    /// store is dataset-ordered, so the id is the record).
-    fn predicted_candidates(&self, query: &[f32], prefix: usize, out: &mut Vec<(usize, usize)>) {
+    /// The phase-1 lower bound of every stored series for `query`, computed
+    /// uncharged (no stats, no store reads) so the batch scheduler can
+    /// declare a working set before any query runs (the store is
+    /// dataset-ordered, so the id is the record).
+    fn candidate_scores(&self, query: &[f32]) -> Vec<(f32, usize)> {
         let query_summary = self.dft.transform(query);
-        let mut lbs: Vec<(f32, usize)> = self
-            .approximations
+        self.approximations
             .iter()
             .enumerate()
             .map(|(id, code)| (self.quantizer.lower_bound(&query_summary, code), id))
-            .collect();
-        let cut = prefix.min(lbs.len());
-        if cut == 0 {
-            return;
-        }
-        if cut < lbs.len() {
-            lbs.select_nth_unstable_by(cut - 1, |a, b| a.0.total_cmp(&b.0));
-        }
-        out.extend(lbs[..cut].iter().map(|&(_, id)| (id, 1)));
+            .collect()
     }
 }
 
@@ -426,25 +416,19 @@ impl AnnIndex for VaPlusFile {
     /// buffer pool was warmed, exactly as between two sequential runs.
     ///
     /// The batch runs inside one storage working-set scope
-    /// ([`Collection::with_working_set`]) to which VA+file contributes each
+    /// ([`Collection::with_best_scored`]) to which VA+file contributes each
     /// query's most promising phase-2 candidates — the smallest phase-1
-    /// lower bounds, which refinement reads first. No prefetch: the
-    /// candidates are scattered single records, and the closing bound may
-    /// prune them before they are ever read.
+    /// lower bounds, which refinement reads first.
     fn search_batch(
         &self,
         queries: &[&[f32]],
         params: &SearchParams,
     ) -> Vec<Result<SearchResult>> {
-        let prefix = match params.mode {
-            SearchMode::Ng { nprobe } => nprobe.max(1),
-            _ => 4 * params.k.max(1),
-        };
         let mut candidates = Vec::with_capacity(self.collection.len());
-        self.collection.with_working_set(
+        self.collection.with_best_scored(
             queries,
-            false,
-            |query, ranges| self.predicted_candidates(query, prefix, ranges),
+            params,
+            |query| self.candidate_scores(query),
             |query| {
                 self.collection.check_lengths(&[query])?;
                 Ok(self.skip_sequential(query, params, &mut candidates))

@@ -17,6 +17,11 @@
 //!    from its own registry, and its per-worker call counters reconcile
 //!    with the worker's own served-query count.
 //!
+//! 3. **`join()` is the scrape.** The registry is each role's only set of
+//!    books: every `ServerStats`/`RouterStats` field equals the registry
+//!    sample taken just before shutdown, and the router meters its own
+//!    wire (`hydra_router_{rx,tx}_*`) like the server does.
+//!
 //! Queries replay sequentially through [`ServeClient::call`] (one query
 //! per batch tick), so the batcher's `search_batch` degenerates to the
 //! offline per-query path and the per-query counters must match exactly.
@@ -337,4 +342,246 @@ fn the_router_answers_stats_from_its_own_registry_and_reconciles_with_its_worker
     assert_eq!(stats.queries, queries);
     assert_eq!(stats.worker_errors, 0);
     worker.join();
+}
+
+/// Two `Scan` workers over a contiguous split of one random walk, and a
+/// router in front of them.
+fn two_worker_deployment() -> (Vec<hydra_serve::ServerHandle>, hydra_serve::RouterHandle) {
+    let data = hydra::data::random_walk(120, 16, 99);
+    let (_, shards) = hydra::partition(&data, hydra::PartitionScheme::Contiguous, 2).unwrap();
+    let workers: Vec<_> = shards
+        .into_iter()
+        .map(|data| {
+            let served = ServedIndex {
+                name: "walk-scan".into(),
+                index: Box::new(Scan { data }),
+            };
+            Server::spawn(vec![served], "127.0.0.1:0", ServerConfig::default()).unwrap()
+        })
+        .collect();
+    let addrs: Vec<_> = workers.iter().map(|w| w.local_addr()).collect();
+    let config = RouterConfig {
+        worker_timeout: Duration::from_millis(800),
+        connect_timeout: Duration::from_millis(400),
+        boot_timeout: Duration::from_secs(5),
+        ..RouterConfig::default()
+    };
+    let router = Router::spawn(&addrs, "127.0.0.1:0", config).unwrap();
+    (workers, router)
+}
+
+#[test]
+fn a_servers_join_equals_its_last_scrape() {
+    let data = hydra::data::random_walk(60, 16, 5);
+    let scan = move || ServedIndex {
+        name: "walk-scan".into(),
+        index: Box::new(Scan { data: data.clone() }) as Box<dyn AnnIndex>,
+    };
+    // Reloads succeed once, then fail: both outcomes are on the books.
+    let generations = std::sync::atomic::AtomicU64::new(0);
+    let reloader: hydra_serve::Reloader = {
+        let scan = scan.clone();
+        Box::new(
+            move || match generations.fetch_add(1, std::sync::atomic::Ordering::SeqCst) {
+                0 => Ok(vec![scan()]),
+                _ => Err("no more generations".into()),
+            },
+        )
+    };
+    let handle = Server::spawn_with_metrics(
+        vec![scan()],
+        "127.0.0.1:0",
+        ServerConfig::default(),
+        Some(reloader),
+        hydra_serve::MetricsRegistry::new(),
+    )
+    .unwrap();
+    let params = SearchParams::exact(3);
+    let query = vec![0.25f32; 16];
+    for connection in 0..2u64 {
+        let mut client = ServeClient::connect(handle.local_addr()).unwrap();
+        for q in 1..=4 {
+            ask(
+                &mut client,
+                connection * 10 + q,
+                "walk-scan",
+                &params,
+                &query,
+            );
+        }
+        let unknown = client.call(&Request::Query {
+            request_id: 99,
+            index: "no-such-index".into(),
+            params,
+            query: query.clone(),
+        });
+        assert!(matches!(unknown.unwrap().body, ResponseBody::Error { .. }));
+        if connection == 0 {
+            assert_eq!(client.reload().unwrap(), 1);
+            assert!(client.reload().is_err());
+        }
+    }
+    let scrape = parse_exposition(&handle.metrics().render());
+    handle.shutdown();
+    let stats = handle.join();
+    assert_eq!(stats.queries, 10);
+    assert_eq!(stats.reloads, 1);
+    assert_eq!(stats.connections, 2);
+    assert_eq!(stats.queries, counter(&scrape, "hydra_queries_total"));
+    assert_eq!(stats.ticks, counter(&scrape, "hydra_ticks_total"));
+    assert_eq!(
+        stats.batch_calls,
+        counter(&scrape, "hydra_batch_calls_total")
+    );
+    assert_eq!(
+        stats.connections,
+        counter(&scrape, "hydra_connections_total")
+    );
+    assert_eq!(
+        stats.reloads,
+        counter(&scrape, "hydra_reloads_total{outcome=\"success\"}")
+    );
+    assert_eq!(
+        counter(&scrape, "hydra_reloads_total{outcome=\"failed\"}"),
+        1
+    );
+}
+
+#[test]
+fn a_routers_join_equals_its_last_scrape_and_counts_every_failed_worker_call() {
+    let (workers, router) = two_worker_deployment();
+    let params = SearchParams::exact(3);
+    let query = vec![0.25f32; 16];
+    let mut client = ServeClient::connect(router.local_addr()).unwrap();
+    for q in 1..=3 {
+        ask(&mut client, q, "walk-scan", &params, &query);
+    }
+    // Both workers die; the next query fails on *two* links. It is one
+    // failed request but two failed worker calls — and worker calls are
+    // what `worker_errors` has always documented.
+    for worker in workers {
+        worker.shutdown();
+        worker.join();
+    }
+    let dead = client.call(&Request::Query {
+        request_id: 4,
+        index: "walk-scan".into(),
+        params,
+        query,
+    });
+    assert!(
+        matches!(
+            dead.unwrap().body,
+            ResponseBody::Error {
+                code: hydra_serve::ErrorCode::Unavailable,
+                ..
+            }
+        ),
+        "a query over dead workers is one typed error"
+    );
+    drop(client);
+    let scrape = parse_exposition(&router.metrics().render());
+    router.shutdown();
+    let stats = router.join();
+    assert_eq!(stats.queries, 4);
+    assert_eq!(stats.worker_errors, 2, "one failed call per dead worker");
+    assert_eq!(stats.connections, 1);
+    assert_eq!(
+        stats.queries,
+        counter(&scrape, "hydra_router_queries_total")
+    );
+    assert_eq!(
+        stats.connections,
+        counter(&scrape, "hydra_router_connections_total")
+    );
+    let link_errors: u64 = scrape
+        .keys()
+        .filter(|key| key.starts_with("hydra_router_worker_errors_total{"))
+        .map(|key| counter(&scrape, key))
+        .sum();
+    assert_eq!(stats.worker_errors, link_errors);
+}
+
+#[test]
+fn the_router_meters_its_own_wire() {
+    use hydra_serve::protocol::read_frame;
+    use std::io::Write;
+
+    let (workers, router) = two_worker_deployment();
+    let stream = std::net::TcpStream::connect(router.local_addr()).unwrap();
+    stream
+        .set_read_timeout(Some(Duration::from_secs(20)))
+        .unwrap();
+    let mut reader = std::io::BufReader::new(stream.try_clone().unwrap());
+    let mut writer = stream;
+    let requests = [
+        Request::ListIndexes { request_id: 1 },
+        Request::Query {
+            request_id: 2,
+            index: "walk-scan".into(),
+            params: SearchParams::exact(5),
+            query: vec![0.5; 16],
+        },
+        Request::Query {
+            request_id: 3,
+            index: "no-such-index".into(),
+            params: SearchParams::exact(5),
+            query: vec![0.5; 16],
+        },
+        Request::Stats { request_id: 4 },
+    ];
+    let (mut sent_bytes, mut received_bytes) = (0u64, 0u64);
+    for request in &requests {
+        let frame = request.encode();
+        writer.write_all(&frame).unwrap();
+        sent_bytes += frame.len() as u64;
+        let payload = read_frame(&mut reader, hydra_serve::RESPONSE_MAGIC)
+            .unwrap()
+            .unwrap();
+        received_bytes += 10 + payload.len() as u64; // magic + version + length, then the payload
+    }
+    // The writer thread books a frame just after putting it on the wire, so
+    // the last response may be a moment ahead of its own count.
+    let wire = |key: &str| counter(&parse_exposition(&router.metrics().render()), key);
+    let deadline = std::time::Instant::now() + Duration::from_secs(5);
+    while wire("hydra_router_tx_frames_total") < requests.len() as u64 {
+        assert!(
+            std::time::Instant::now() < deadline,
+            "the last response was never booked"
+        );
+        std::thread::sleep(Duration::from_millis(5));
+    }
+    let scrape = parse_exposition(&router.metrics().render());
+    assert_eq!(
+        counter(&scrape, "hydra_router_rx_frames_total"),
+        requests.len() as u64
+    );
+    assert_eq!(counter(&scrape, "hydra_router_rx_bytes_total"), sent_bytes);
+    assert_eq!(
+        counter(&scrape, "hydra_router_tx_frames_total"),
+        requests.len() as u64
+    );
+    assert_eq!(
+        counter(&scrape, "hydra_router_tx_bytes_total"),
+        received_bytes
+    );
+    assert_eq!(counter(&scrape, "hydra_router_protocol_errors_total"), 0);
+    // Its own families only — never a worker's.
+    for family in [
+        "hydra_queries_total",
+        "hydra_rx_frames_total",
+        "hydra_tx_bytes_total",
+    ] {
+        assert!(
+            !scrape.contains_key(family),
+            "{family} leaked into the router's scrape"
+        );
+    }
+    drop((reader, writer));
+    router.shutdown();
+    router.join();
+    for worker in workers {
+        worker.shutdown();
+        worker.join();
+    }
 }

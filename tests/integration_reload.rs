@@ -76,7 +76,7 @@ fn hot_reload_under_live_pipelined_connections_drops_nothing_and_never_mixes_epo
             .map(|report| report.indexes)
             .map_err(|e| e.to_string())
     });
-    let handle = Server::spawn_reloadable(
+    let handle = Server::spawn_with_metrics(
         booted.indexes,
         "127.0.0.1:0",
         ServerConfig {
@@ -85,6 +85,7 @@ fn hot_reload_under_live_pipelined_connections_drops_nothing_and_never_mixes_epo
             ..ServerConfig::default()
         },
         Some(reloader),
+        hydra_serve::MetricsRegistry::new(),
     )
     .unwrap();
     let addr = handle.local_addr();
@@ -206,11 +207,12 @@ fn shutdown_mid_swap_drains_cleanly_and_still_acks_the_reload() {
             .map(|report| report.indexes)
             .map_err(|e| e.to_string())
     });
-    let handle = Server::spawn_reloadable(
+    let handle = Server::spawn_with_metrics(
         booted.indexes,
         "127.0.0.1:0",
         ServerConfig::default(),
         Some(reloader),
+        hydra_serve::MetricsRegistry::new(),
     )
     .unwrap();
     let addr = handle.local_addr();
@@ -246,11 +248,12 @@ fn a_failed_reload_keeps_serving_the_current_epoch() {
             .map(|report| report.indexes)
             .map_err(|e| e.to_string())
     });
-    let handle = Server::spawn_reloadable(
+    let handle = Server::spawn_with_metrics(
         booted.indexes,
         "127.0.0.1:0",
         ServerConfig::default(),
         Some(reloader),
+        hydra_serve::MetricsRegistry::new(),
     )
     .unwrap();
     let addr = handle.local_addr();

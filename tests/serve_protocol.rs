@@ -10,6 +10,12 @@
 //! frames must degrade each poisoned query into a typed `Unavailable`
 //! error (never a panic, a hang, or a garbage answer passed through) and
 //! recover fully once the worker behaves again.
+//!
+//! The third part sends one table of damaged *request* frames to both
+//! roles — a `Server`, and a `Router` over one worker — and demands the
+//! same bytes back: they are one connection engine.
+
+mod common;
 
 use std::io::{Cursor, Read};
 
@@ -761,5 +767,127 @@ mod router_path {
             };
             router_survives(Arc::new(corrupt), false);
         }
+    }
+}
+
+// ---------------------------------------------------------------------------
+// Both roles: one table of damaged request frames, one contract.
+// ---------------------------------------------------------------------------
+
+mod both_roles {
+    use std::io::{Read, Write};
+    use std::net::{Shutdown, SocketAddr, TcpStream};
+    use std::time::Duration;
+
+    use hydra_serve::protocol::{read_response, MAX_FRAME_LEN, PROTOCOL_VERSION};
+    use hydra_serve::{
+        ErrorCode, Request, ResponseBody, Router, RouterConfig, ServeClient, ServedIndex, Server,
+        ServerConfig,
+    };
+
+    use crate::common::Scan;
+
+    /// Offset of the payload in a frame: magic (4) + version (2) + length (4).
+    const PAYLOAD: usize = 10;
+
+    /// Every way the table damages a good list-indexes frame, by name.
+    fn damaged_frames() -> Vec<(&'static str, Vec<u8>)> {
+        let good = Request::ListIndexes { request_id: 5 }.encode();
+        let mut table = Vec::new();
+        let mut damage = |name: &'static str, edit: &dyn Fn(&mut Vec<u8>)| {
+            let mut frame = good.clone();
+            edit(&mut frame);
+            table.push((name, frame));
+        };
+        damage("bad magic", &|f| f[0] ^= 0xFF);
+        damage("version + 1", &|f| {
+            f[4..6].copy_from_slice(&(PROTOCOL_VERSION + 1).to_le_bytes())
+        });
+        damage("declared length > MAX_FRAME_LEN", &|f| {
+            f[6..PAYLOAD].copy_from_slice(&(MAX_FRAME_LEN + 1).to_le_bytes())
+        });
+        damage("unknown op tag", &|f| f[PAYLOAD + 8] = 99);
+        damage("request id 0", &|f| f[PAYLOAD..PAYLOAD + 8].fill(0));
+        damage("cut mid-payload", &|f| f.truncate(f.len() - 3));
+        damage("trailing bytes", &|f| {
+            f.push(0xAB);
+            let declared = (f.len() - PAYLOAD) as u32;
+            f[6..PAYLOAD].copy_from_slice(&declared.to_le_bytes());
+        });
+        table
+    }
+
+    /// Sends `frame`, half-closes, and returns every byte that comes back
+    /// before the peer hangs up.
+    fn exchange(addr: SocketAddr, frame: &[u8]) -> Vec<u8> {
+        let mut stream = TcpStream::connect(addr).unwrap();
+        // A role that never hangs up must fail the test, not wedge it.
+        stream
+            .set_read_timeout(Some(Duration::from_secs(20)))
+            .unwrap();
+        stream.write_all(frame).unwrap();
+        stream.shutdown(Shutdown::Write).unwrap();
+        let mut received = Vec::new();
+        stream
+            .read_to_end(&mut received)
+            .expect("a hangup, not a timeout");
+        received
+    }
+
+    #[test]
+    fn damaged_frames_get_the_same_bytes_back_from_a_server_and_a_router() {
+        let scan = || ServedIndex {
+            name: "walk-scan".into(),
+            index: Box::new(Scan {
+                data: hydra::data::random_walk(32, 8, 19),
+            }),
+        };
+        let spawn = || Server::spawn(vec![scan()], "127.0.0.1:0", ServerConfig::default()).unwrap();
+        let (server, worker) = (spawn(), spawn());
+        let config = RouterConfig {
+            boot_timeout: Duration::from_secs(5),
+            ..RouterConfig::default()
+        };
+        let router = Router::spawn(&[worker.local_addr()], "127.0.0.1:0", config).unwrap();
+
+        for (name, frame) in damaged_frames() {
+            let from_server = exchange(server.local_addr(), &frame);
+            let from_router = exchange(router.local_addr(), &frame);
+            assert_eq!(
+                from_server, from_router,
+                "{name}: the two roles answered differently"
+            );
+            // One typed protocol error on id 0, then EOF — nothing after it.
+            let mut bytes = from_server.as_slice();
+            let response = read_response(&mut bytes)
+                .unwrap()
+                .expect("no response at all");
+            assert_eq!(response.request_id, 0, "{name}");
+            assert!(
+                matches!(
+                    response.body,
+                    ResponseBody::Error {
+                        code: ErrorCode::Protocol,
+                        ..
+                    }
+                ),
+                "{name}: {:?}",
+                response.body
+            );
+            assert!(bytes.is_empty(), "{name}: bytes after the protocol error");
+            // The damage stayed on its own connection.
+            for addr in [server.local_addr(), router.local_addr()] {
+                let mut fresh = ServeClient::connect(addr).unwrap();
+                assert_eq!(fresh.list_indexes().unwrap().len(), 1, "{name}");
+            }
+        }
+
+        // The router's shutdown frame reaches its worker; the server gets its own.
+        for addr in [router.local_addr(), server.local_addr()] {
+            ServeClient::connect(addr).unwrap().shutdown().unwrap();
+        }
+        router.join();
+        worker.join();
+        server.join();
     }
 }
