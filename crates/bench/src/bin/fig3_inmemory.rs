@@ -35,67 +35,6 @@
 //! CSV (one row per sweep point per recorded pipeline stage: call count,
 //! seconds, and I/O) — where each point's query time actually went.
 
-use hydra_bench::{
-    bench_flags, build_or_load_methods, in_memory_datasets, print_header, print_row,
-    run_point_threaded, sweep_settings, TraceWriter,
-};
-
 fn main() {
-    let flags = bench_flags(true);
-    let threads = flags.threads;
-    let mut tracer = TraceWriter::from_flags(&flags);
-    print_header();
-    let k = 100;
-    for dataset in in_memory_datasets(k) {
-        let methods = build_or_load_methods(dataset.name, &dataset.data, true, 3, &flags);
-        for built in &methods {
-            for guarantees in [false, true] {
-                let mode = if guarantees { "delta-eps" } else { "ng" };
-                for (setting, params) in sweep_settings(built.index.as_ref(), k, guarantees) {
-                    let (map, report) =
-                        run_point_threaded(built.index.as_ref(), &dataset, &params, threads);
-                    if let Some(w) = tracer.as_mut() {
-                        w.record(
-                            &format!("fig3-{mode}"),
-                            dataset.name,
-                            built.index.name(),
-                            &setting,
-                            &report.trace,
-                        )
-                        .unwrap_or_else(|e| {
-                            eprintln!("error: cannot write --trace-out row: {e}");
-                            std::process::exit(2);
-                        });
-                    }
-                    print_row(
-                        &format!("fig3-throughput-{mode}"),
-                        dataset.name,
-                        built.index.name(),
-                        &setting,
-                        map,
-                        report.queries_per_minute,
-                    );
-                    let idx_plus_100 = built.build_seconds
-                        + report.total_seconds / report.num_queries as f64 * 100.0;
-                    print_row(
-                        &format!("fig3-idx-plus-100q-{mode}"),
-                        dataset.name,
-                        built.index.name(),
-                        &setting,
-                        map,
-                        idx_plus_100 / 60.0,
-                    );
-                    let idx_plus_10k = built.build_seconds + report.extrapolated_10k_seconds;
-                    print_row(
-                        &format!("fig3-idx-plus-10kq-{mode}"),
-                        dataset.name,
-                        built.index.name(),
-                        &setting,
-                        map,
-                        idx_plus_10k / 60.0,
-                    );
-                }
-            }
-        }
-    }
+    hydra_bench::efficiency_accuracy_figure("fig3", hydra_bench::in_memory_datasets, true, 3);
 }

@@ -155,20 +155,15 @@ fn sanitize(s: &str) -> String {
 /// file-backed: dataset-ordered stores onto the directory's
 /// `<dataset>.data.snap` itself, leaf-ordered ones onto a verified
 /// `<snapshot>.series` sidecar.
-fn obtain<T, F>(
+fn obtain(
     dataset_name: &str,
     data: &Dataset,
-    config: T::Config,
+    method: &hydra::Method,
     flags: &BenchFlags,
-    build: F,
-) -> BuiltMethod
-where
-    T: AnnIndex + hydra::PersistentIndex + 'static,
-    T::Config: Copy,
-    F: Fn(&Dataset, T::Config) -> hydra::Result<T>,
-{
+) -> BuiltMethod {
+    let kind = method.kind();
     if let Some(dir) = &flags.load_index {
-        let path = snapshot_file(dir, dataset_name, T::KIND);
+        let path = snapshot_file(dir, dataset_name, kind);
         let data_snap = dataset_snapshot_file(dir, dataset_name);
         let backing = if flags.storage.out_of_core {
             hydra::StoreBacking::FileBacked {
@@ -180,38 +175,40 @@ where
         } else {
             hydra::StoreBacking::Resident
         };
+        // A registry of this row alone: a file of another kind under this
+        // row's name is an error, not another method's index.
+        let mut registry = hydra::persist::LoaderRegistry::new();
+        method.register(&mut registry);
         let t = Instant::now();
-        let index = T::load_backed(&path, data, &config, backing).unwrap_or_else(|e| {
+        let index = registry.load_any_backed(&path, data, backing).unwrap_or_else(|e| {
             fail(&format!(
-                "cannot load {} snapshot from {}: {e}",
-                T::KIND,
+                "cannot load {kind} snapshot from {}: {e}",
                 path.display()
             ))
         });
         return BuiltMethod {
-            index: Box::new(index),
+            index,
             build_seconds: t.elapsed().as_secs_f64(),
             loaded: true,
         };
     }
     let t = Instant::now();
     let index = match flags.ingest_split {
-        Some(split) => build_with_ingest(data, config, split, &build),
-        None => build(data, config).expect("index build"),
+        Some(split) => build_with_ingest(data, method, split),
+        None => method.build(data).expect("index build"),
     };
     let build_seconds = t.elapsed().as_secs_f64();
     if let Some(dir) = &flags.save_index {
-        let path = snapshot_file(dir, dataset_name, T::KIND);
+        let path = snapshot_file(dir, dataset_name, kind);
         index.save(&path).unwrap_or_else(|e| {
             fail(&format!(
-                "cannot save {} snapshot to {}: {e}",
-                T::KIND,
+                "cannot save {kind} snapshot to {}: {e}",
                 path.display()
             ))
         });
     }
     BuiltMethod {
-        index: Box::new(index),
+        index,
         build_seconds,
         loaded: false,
     }
@@ -225,12 +222,7 @@ where
 /// series. Either way the resulting index answers — and, under
 /// `--save-index`, snapshots — identically to an unsplit build, which is
 /// the ingest-equivalence contract the CI smoke diffs.
-fn build_with_ingest<T, C, F>(data: &Dataset, config: C, split: f64, build: &F) -> T
-where
-    T: AnnIndex,
-    C: Copy,
-    F: Fn(&Dataset, C) -> hydra::Result<T>,
-{
+fn build_with_ingest(data: &Dataset, method: &hydra::Method, split: f64) -> Box<dyn hydra::ZooIndex> {
     /// Chunk size for the streamed tail. Any chunking yields the same
     /// index (proven by the ingest-equivalence suites); a modest fixed
     /// size keeps the batches realistic without a tuning knob.
@@ -241,12 +233,12 @@ where
     let head_len = head_len.min(n);
     let head = Dataset::from_flat(len, data.as_flat()[..head_len * len].to_vec())
         .expect("ingest-split head dataset");
-    let mut index = build(&head, config).expect("index build");
+    let mut index = method.build(&head).expect("index build");
     if head_len == n {
         return index;
     }
     if !index.capabilities().streaming_insert {
-        return build(data, config).expect("index build");
+        return method.build(data).expect("index build");
     }
     let mut at = head_len;
     while at < n {
@@ -271,10 +263,10 @@ pub fn build_methods(data: &Dataset, in_memory: bool, seed: u64) -> Vec<BuiltMet
 /// is written there for later runs, together with one
 /// `DIR/<dataset>.data.snap` dataset snapshot so a `hydra-serve` process
 /// can boot the directory self-sufficiently. The method set and
-/// configurations are identical to [`build_methods`] — and, crucially, to
-/// [`hydra::standard_configs`], which is what lets
-/// `hydra::standard_registry` restore these snapshots with matching
-/// fingerprints.
+/// configurations are the rows of [`hydra::zoo`] that are
+/// [`hydra::Method::in_scenario`] — the same table
+/// `hydra::standard_registry` is filled from, which is what lets it
+/// restore these snapshots with matching fingerprints.
 pub fn build_or_load_methods(
     dataset_name: &str,
     data: &Dataset,
@@ -285,7 +277,6 @@ pub fn build_or_load_methods(
     if flags.shards > 1 {
         return build_or_load_methods_sharded(dataset_name, data, in_memory, seed, flags);
     }
-    let configs = hydra::standard_configs(flags.storage.storage(in_memory), seed);
     if let Some(dir) = &flags.save_index {
         let path = dataset_snapshot_file(dir, dataset_name);
         hydra::persist::dataset::save_dataset(data, &path).unwrap_or_else(|e| {
@@ -295,26 +286,11 @@ pub fn build_or_load_methods(
             ))
         });
     }
-    let mut out: Vec<BuiltMethod> = Vec::new();
-    out.push(obtain(dataset_name, data, configs.dstree, flags, DsTree::build));
-    out.push(obtain(dataset_name, data, configs.isax, flags, Isax2Plus::build));
-    out.push(obtain(dataset_name, data, configs.vafile, flags, VaPlusFile::build));
-    out.push(obtain(dataset_name, data, configs.srs, flags, Srs::build));
-    if data.series_len() % 8 == 0 {
-        out.push(obtain(
-            dataset_name,
-            data,
-            configs.imi,
-            flags,
-            InvertedMultiIndex::build,
-        ));
-    }
-    if in_memory {
-        out.push(obtain(dataset_name, data, configs.hnsw, flags, Hnsw::build));
-        out.push(obtain(dataset_name, data, configs.qalsh, flags, Qalsh::build));
-        out.push(obtain(dataset_name, data, configs.flann, flags, Flann::build));
-    }
-    out
+    hydra::zoo(flags.storage.storage(in_memory), seed)
+        .iter()
+        .filter(|method| method.in_scenario(in_memory, data.series_len()))
+        .map(|method| obtain(dataset_name, data, method, flags))
+        .collect()
 }
 
 /// The `--shards S` path of [`build_or_load_methods`]: partition the
@@ -685,6 +661,51 @@ pub fn print_header() {
 /// Prints one CSV row of the common schema.
 pub fn print_row(figure: &str, dataset: &str, method: &str, setting: &str, x: f64, y: f64) {
     println!("{figure},{dataset},{method},{setting},{x:.4},{y:.4}");
+}
+
+/// The body of the two efficiency–accuracy figures (`fig3`: in memory,
+/// `fig4`: on disk): for every dataset × scenario method × {ng, δ-ε} ×
+/// sweep setting, one point of 100-NN queries, printed as three rows —
+/// throughput, index + 100 queries, index + 10K queries (extrapolated),
+/// each against MAP — and, under `--trace-out`, traced stage by stage.
+pub fn efficiency_accuracy_figure(
+    figure: &str,
+    datasets: fn(usize) -> Vec<BenchDataset>,
+    in_memory: bool,
+    seed: u64,
+) {
+    let flags = bench_flags(true);
+    let mut tracer = TraceWriter::from_flags(&flags);
+    print_header();
+    let k = 100;
+    for dataset in datasets(k) {
+        for built in build_or_load_methods(dataset.name, &dataset.data, in_memory, seed, &flags) {
+            let (index, method) = (built.index.as_ref(), built.index.name());
+            for guarantees in [false, true] {
+                let mode = if guarantees { "delta-eps" } else { "ng" };
+                for (setting, params) in sweep_settings(index, k, guarantees) {
+                    let (map, report) = run_point_threaded(index, &dataset, &params, flags.threads);
+                    if let Some(w) = tracer.as_mut() {
+                        let label = format!("{figure}-{mode}");
+                        w.record(&label, dataset.name, method, &setting, &report.trace)
+                            .unwrap_or_else(|e| fail(&format!("cannot write --trace-out row: {e}")));
+                    }
+                    let per_query = report.total_seconds / report.num_queries as f64;
+                    for (panel, y) in [
+                        ("throughput", report.queries_per_minute),
+                        ("idx-plus-100q", (built.build_seconds + per_query * 100.0) / 60.0),
+                        (
+                            "idx-plus-10kq",
+                            (built.build_seconds + report.extrapolated_10k_seconds) / 60.0,
+                        ),
+                    ] {
+                        let label = format!("{figure}-{panel}-{mode}");
+                        print_row(&label, dataset.name, method, &setting, map, y);
+                    }
+                }
+            }
+        }
+    }
 }
 
 #[cfg(test)]

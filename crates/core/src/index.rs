@@ -238,16 +238,6 @@ pub trait HierarchicalIndex {
     /// returned for this very `query`.
     fn min_dist(&self, query: &[f32], prepared: &Self::Prepared, node: NodeId) -> f32;
 
-    /// Visits every series stored in leaf `node`, invoking `visit` with the
-    /// series' dataset position and raw values. The implementation must
-    /// account for storage-layer costs in `stats`.
-    fn visit_leaf(
-        &self,
-        node: NodeId,
-        stats: &mut QueryStats,
-        visit: &mut dyn FnMut(usize, &[f32]),
-    );
-
     /// Number of series stored in leaf `node` (0 for internal nodes).
     fn leaf_size(&self, node: NodeId) -> usize;
 
@@ -256,17 +246,15 @@ pub trait HierarchicalIndex {
     /// and exact distance of each candidate that survives; `accept` returns
     /// the (possibly tightened) bound for subsequent candidates. Returns the
     /// number of candidates examined (each counts as one distance
-    /// computation, abandoned or not).
+    /// computation, abandoned or not). The implementation must account
+    /// for storage-layer costs in `stats`.
     ///
-    /// The default implementation walks [`Self::visit_leaf`] and runs
-    /// [`crate::distance::euclidean_early_abandon`] on each raw series —
-    /// exactly what the generic search driver used to inline. Indexes whose
-    /// leaves live in a `SeriesStore` override this to route contiguous
-    /// leaf runs through the store's codec-aware refinement scan, which
-    /// prunes on compressed pages and recomputes surviving distances from
-    /// exact f32 series; the accumulation-order contract of
-    /// [`crate::distance`] makes the two paths report bit-identical
-    /// distances.
+    /// Indexes whose leaves live in a `SeriesStore` route contiguous leaf
+    /// runs through the store's codec-aware refinement scan, which prunes
+    /// on compressed pages and recomputes surviving distances from exact
+    /// f32 series; the accumulation-order contract of [`crate::distance`]
+    /// keeps those distances bit-identical to
+    /// [`crate::distance::euclidean_early_abandon`] over the raw series.
     fn refine_leaf(
         &self,
         node: NodeId,
@@ -274,17 +262,7 @@ pub trait HierarchicalIndex {
         best_so_far: f32,
         stats: &mut QueryStats,
         accept: &mut dyn FnMut(usize, f32) -> f32,
-    ) -> u64 {
-        let mut scanned = 0u64;
-        let mut bound = best_so_far;
-        self.visit_leaf(node, stats, &mut |id, series| {
-            scanned += 1;
-            if let Some(d) = crate::distance::euclidean_early_abandon(query, series, bound) {
-                bound = accept(id, d);
-            }
-        });
-        scanned
-    }
+    ) -> u64;
 }
 
 #[cfg(test)]

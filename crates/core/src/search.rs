@@ -260,7 +260,7 @@ mod tests {
         order: Vec<usize>,
         /// How many lower bounds have been computed against this tree.
         min_dist_calls: std::cell::Cell<u64>,
-        /// Every node expanded (`children`) or refined (`visit_leaf`), in
+        /// Every node expanded (`children`) or refined (`refine_leaf`), in
         /// call order.
         visited: std::cell::RefCell<Vec<NodeId>>,
     }
@@ -295,6 +295,15 @@ mod tests {
             };
             tree.split(0, values.len(), leaf_cap, fanout, values);
             tree
+        }
+
+        /// Visits every series of leaf `node` with its id and raw values.
+        fn visit_leaf(&self, node: NodeId, visit: &mut dyn FnMut(usize, &[f32])) {
+            self.visited.borrow_mut().push(node);
+            let n = &self.nodes[node];
+            for &idx in &self.order[n.lo..n.hi] {
+                visit(idx, self.dataset.series(idx));
+            }
         }
 
         fn split(
@@ -356,17 +365,23 @@ mod tests {
                 0.0
             }
         }
-        fn visit_leaf(
+        fn refine_leaf(
             &self,
             node: NodeId,
+            query: &[f32],
+            best_so_far: f32,
             _stats: &mut QueryStats,
-            visit: &mut dyn FnMut(usize, &[f32]),
-        ) {
-            self.visited.borrow_mut().push(node);
-            let n = &self.nodes[node];
-            for &idx in &self.order[n.lo..n.hi] {
-                visit(idx, self.dataset.series(idx));
-            }
+            accept: &mut dyn FnMut(usize, f32) -> f32,
+        ) -> u64 {
+            let mut scanned = 0u64;
+            let mut bound = best_so_far;
+            self.visit_leaf(node, &mut |id, series| {
+                scanned += 1;
+                if let Some(d) = crate::distance::euclidean_early_abandon(query, series, bound) {
+                    bound = accept(id, d);
+                }
+            });
+            scanned
         }
         fn leaf_size(&self, node: NodeId) -> usize {
             let n = &self.nodes[node];
@@ -517,7 +532,7 @@ mod tests {
                 tree.min_dist_calls.get()
             );
             let mut members = Vec::new();
-            tree.visit_leaf(leaf, &mut QueryStats::new(), &mut |id, _| members.push(id));
+            tree.visit_leaf(leaf, &mut |id, _| members.push(id));
             assert!(members.contains(&res.neighbors[0].index), "q={q}");
         }
         // Two children exactly as close as each other: the first one wins,
@@ -542,7 +557,7 @@ mod tests {
             }
             order.push(entry.node);
             if tree.is_leaf(entry.node) {
-                tree.visit_leaf(entry.node, &mut QueryStats::new(), &mut |id, series| {
+                tree.visit_leaf(entry.node, &mut |id, series| {
                     top.push(Neighbor::new(id, euclidean(&[q], series)));
                 });
             } else {

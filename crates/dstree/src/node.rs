@@ -596,16 +596,6 @@ impl HierarchicalIndex for DsTree {
         self.node_min_dist(query, node)
     }
 
-    fn visit_leaf(
-        &self,
-        node: usize,
-        stats: &mut QueryStats,
-        visit: &mut dyn FnMut(usize, &[f32]),
-    ) {
-        self.collection
-            .visit_leaf(&self.nodes[node].leaf, stats, visit);
-    }
-
     fn leaf_size(&self, node: usize) -> usize {
         self.collection.leaf_len(&self.nodes[node].leaf)
     }

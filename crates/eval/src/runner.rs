@@ -77,7 +77,7 @@
 
 use std::time::{Duration, Instant};
 
-use hydra_core::{AnnIndex, QueryStats, SearchParams};
+use hydra_core::{AnnIndex, Neighbor, QueryStats, SearchParams};
 use hydra_data::{GroundTruth, QueryWorkload};
 use hydra_obs::{QueryTrace, Stage, StageIo};
 
@@ -227,50 +227,72 @@ pub fn run_workload(
     let mut trace = QueryTrace::new();
     for (q, query) in workload.iter().enumerate() {
         let t0 = Instant::now();
-        let result = index
-            .search(query, params)
-            .unwrap_or_default_result();
+        // A failed query (unsupported mode mid-sweep) counts as an empty
+        // answer instead of aborting a whole experiment.
+        let result = index.search(query, params).unwrap_or_default();
         let elapsed = t0.elapsed();
         trace.record(Stage::ShardSearch, elapsed);
         per_query_seconds.push(elapsed.as_secs_f64());
         stats.merge(&result.stats);
-        let truth = &ground_truth.answers[q];
-        per_query.push((
-            recall(&result.neighbors, truth),
-            average_precision(&result.neighbors, truth),
-            mean_relative_error(&result.neighbors, truth),
-        ));
+        per_query.push(accuracy_of(&result.neighbors, &ground_truth.answers[q]));
     }
     let total_seconds = started.elapsed().as_secs_f64();
-    trace.record_io(Stage::ShardSearch, stage_io(&stats));
+    finish(index, params, &per_query, per_query_seconds, stats, total_seconds, 1, trace)
+}
+
+/// One query's (recall, average precision, mean relative error) against
+/// its exact answer — a row of [`AccuracySummary::from_queries`].
+fn accuracy_of(neighbors: &[Neighbor], truth: &[Neighbor]) -> (f64, f64, f64) {
+    (
+        recall(neighbors, truth),
+        average_precision(neighbors, truth),
+        mean_relative_error(neighbors, truth),
+    )
+}
+
+/// Assembles the report both runners return from what each measured its
+/// own way: per-query accuracy rows and times in workload order, the
+/// summed counters, the wall-clock of the whole run, the threads that ran
+/// and a trace holding the time spans (the summed I/O is attributed to
+/// the search stage here).
+#[allow(clippy::too_many_arguments)] // private; each argument is one measured thing
+fn finish(
+    index: &dyn AnnIndex,
+    params: &SearchParams,
+    per_query: &[(f64, f64, f64)],
+    per_query_seconds: Vec<f64>,
+    stats: QueryStats,
+    total_seconds: f64,
+    threads: usize,
+    mut trace: QueryTrace,
+) -> WorkloadReport {
+    let num_queries = per_query_seconds.len();
+    trace.record_io(
+        Stage::ShardSearch,
+        StageIo {
+            bytes_read: stats.bytes_read,
+            random_ios: stats.random_ios,
+            sequential_ios: stats.sequential_ios,
+        },
+    );
     let queries_per_minute = if total_seconds > 0.0 {
-        workload.len() as f64 / total_seconds * 60.0
+        num_queries as f64 / total_seconds * 60.0
     } else {
         f64::INFINITY
     };
     WorkloadReport {
         method: index.name().to_string(),
         params: *params,
-        accuracy: AccuracySummary::from_queries(&per_query),
+        accuracy: AccuracySummary::from_queries(per_query),
         total_seconds,
         queries_per_minute,
         extrapolated_10k_seconds: extrapolate_seconds(&per_query_seconds, 10_000),
         stats,
         latency: LatencyPercentiles::from_times(&per_query_seconds),
         per_query_seconds,
-        num_queries: workload.len(),
-        threads: 1,
+        num_queries,
+        threads,
         trace,
-    }
-}
-
-/// The I/O slice of a summed [`QueryStats`], in the shape stage traces
-/// attribute per stage.
-fn stage_io(stats: &QueryStats) -> StageIo {
-    StageIo {
-        bytes_read: stats.bytes_read,
-        random_ios: stats.random_ios,
-        sequential_ios: stats.sequential_ios,
     }
 }
 
@@ -317,12 +339,7 @@ pub fn run_workload_parallel(
                     for (i, res) in results.into_iter().enumerate() {
                         let result = res.unwrap_or_default();
                         let truth = &ground_truth.answers[offset + i];
-                        rows.push((
-                            recall(&result.neighbors, truth),
-                            average_precision(&result.neighbors, truth),
-                            mean_relative_error(&result.neighbors, truth),
-                            result.stats,
-                        ));
+                        rows.push((accuracy_of(&result.neighbors, truth), result.stats));
                     }
                     (t, amortized, rows)
                 });
@@ -339,9 +356,9 @@ pub fn run_workload_parallel(
                         panic_message(&payload)
                     )
                 });
-                for (i, (r, ap, mre, qstats)) in rows.into_iter().enumerate() {
+                for (i, (accuracy, qstats)) in rows.into_iter().enumerate() {
                     let g = t * chunk + i;
-                    per_query[g] = (r, ap, mre);
+                    per_query[g] = accuracy;
                     per_query_seconds[g] = amortized;
                     per_query_stats[g] = qstats;
                 }
@@ -361,29 +378,10 @@ pub fn run_workload_parallel(
     for &s in &per_query_seconds {
         trace.record(Stage::ShardSearch, Duration::from_secs_f64(s));
     }
-    trace.record_io(Stage::ShardSearch, stage_io(&stats));
     if n > 0 {
         trace.record(Stage::FanOut, fan_out_wall);
     }
-    let queries_per_minute = if total_seconds > 0.0 {
-        n as f64 / total_seconds * 60.0
-    } else {
-        f64::INFINITY
-    };
-    WorkloadReport {
-        method: index.name().to_string(),
-        params: *params,
-        accuracy: AccuracySummary::from_queries(&per_query),
-        total_seconds,
-        queries_per_minute,
-        extrapolated_10k_seconds: extrapolate_seconds(&per_query_seconds, 10_000),
-        stats,
-        latency: LatencyPercentiles::from_times(&per_query_seconds),
-        per_query_seconds,
-        num_queries: n,
-        threads: spawned,
-        trace,
-    }
+    finish(index, params, &per_query, per_query_seconds, stats, total_seconds, spawned, trace)
 }
 
 /// Renders a worker's panic payload: `panic!` with a message produces a
@@ -396,18 +394,6 @@ fn panic_message(payload: &(dyn std::any::Any + Send)) -> &str {
         s
     } else {
         "(non-string panic payload)"
-    }
-}
-
-/// Small extension so a failed query (unsupported mode mid-sweep) counts as
-/// an empty answer instead of aborting a whole experiment.
-trait UnwrapResult {
-    fn unwrap_or_default_result(self) -> hydra_core::SearchResult;
-}
-
-impl UnwrapResult for hydra_core::Result<hydra_core::SearchResult> {
-    fn unwrap_or_default_result(self) -> hydra_core::SearchResult {
-        self.unwrap_or_default()
     }
 }
 

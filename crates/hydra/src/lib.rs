@@ -14,7 +14,11 @@
 //!   ([`hydra_storage`]), the dataset/query generators ([`hydra_data`]) and
 //!   the metrics/benchmark runner ([`hydra_eval`]),
 //! * every method of the study: [`DsTree`], [`Isax2Plus`], [`VaPlusFile`],
-//!   [`Hnsw`], [`InvertedMultiIndex`], [`Srs`], [`Qalsh`] and [`Flann`],
+//!   [`Hnsw`], [`InvertedMultiIndex`], [`Srs`], [`Qalsh`] and [`Flann`] —
+//!   and the one table that enumerates them, [`zoo()`]: a row per method
+//!   under its standard configuration, which [`build_all_methods`],
+//!   [`standard_registry`], the figure harness and the test matrices all
+//!   iterate instead of spelling the eight out again,
 //! * sharded scale-out ([`hydra_shard`]): [`partition()`] a dataset,
 //!   wrap per-shard indexes in a [`ShardedIndex`], and every consumer of
 //!   [`AnnIndex`] — the figure binaries, the workload runners, serving —
@@ -59,6 +63,8 @@
 #![warn(missing_docs)]
 #![warn(rust_2018_idioms)]
 
+use std::path::Path;
+
 pub use hydra_core as core;
 pub use hydra_data as data;
 pub use hydra_eval as eval;
@@ -98,106 +104,138 @@ pub mod prelude {
     pub use hydra_vafile::{VaPlusFile, VaPlusFileConfig};
 }
 
-/// The standard laptop-scale build configuration of every method in the
-/// zoo — the **single source of truth** shared by [`build_all_methods`],
-/// the figure harness (`hydra-bench`) and the snapshot-boot registry
-/// ([`standard_registry`]).
-///
-/// Snapshot fingerprints hash the full build configuration, so a saver and
-/// a loader must construct configurations from the same place or loading
-/// fails with [`PersistError::FingerprintMismatch`]; centralizing them here
-/// is what lets `fig* --save-index` runs and a later `hydra-serve` boot
-/// agree by construction.
-#[derive(Debug, Clone, Copy)]
-pub struct StandardConfigs {
-    /// DSTree build parameters.
-    pub dstree: DsTreeConfig,
-    /// iSAX2+ build parameters.
-    pub isax: IsaxConfig,
-    /// VA+file build parameters.
-    pub vafile: VaPlusFileConfig,
-    /// SRS build parameters.
-    pub srs: SrsConfig,
-    /// IMI build parameters (only applicable when the series length is a
-    /// multiple of 8).
-    pub imi: ImiConfig,
-    /// HNSW build parameters (in-memory scenarios only).
-    pub hnsw: HnswConfig,
-    /// QALSH build parameters (in-memory scenarios only).
-    pub qalsh: QalshConfig,
-    /// FLANN auto-tuning parameters (in-memory scenarios only).
-    pub flann: FlannConfig,
+/// What [`Method::build`] returns: an index behind the uniform
+/// [`AnnIndex`] interface (it coerces to `Box<dyn AnnIndex>`) that can
+/// also snapshot itself — [`PersistentIndex::save`] without the type.
+pub trait ZooIndex: AnnIndex {
+    /// [`PersistentIndex::save`].
+    ///
+    /// # Errors
+    /// [`PersistError::Io`] if the file cannot be written.
+    fn save(&self, path: &Path) -> persist::Result<()>;
 }
 
-/// The standard zoo configuration under one storage configuration and
-/// build seed. `storage` is shared by the disk-capable methods — build it
-/// with [`StorageConfig::in_memory`] (buffer pool larger than the dataset)
-/// or [`StorageConfig::on_disk`] (a small pool) plus the `with_pool_pages`
-/// / `with_page_codec` / `with_io_mode` serving knobs. The knobs shape only
+impl<T: AnnIndex + PersistentIndex> ZooIndex for T {
+    fn save(&self, path: &Path) -> persist::Result<()> {
+        PersistentIndex::save(self, path)
+    }
+}
+
+/// One row of [`zoo`]: a method of the study under its standard
+/// laptop-scale build configuration. The row *is* that configuration —
+/// the only things to do with one are to build it, to teach a
+/// [`persist::LoaderRegistry`] to load what it built, and to ask whether
+/// it takes part in a scenario.
+pub struct Method {
+    kind: &'static str,
+    scenarios: Scenarios,
+    build: Box<BuildFn>,
+    register: Box<dyn Fn(&mut persist::LoaderRegistry)>,
+}
+
+type BuildFn = dyn Fn(&Dataset) -> Result<Box<dyn ZooIndex>>;
+
+/// The scenarios a row takes part in, as a predicate over `(in_memory,
+/// series_len)`.
+type Scenarios = fn(bool, usize) -> bool;
+const EVERY_SCENARIO: Scenarios = |_, _| true;
+const MEMORY_ONLY: Scenarios = |in_memory, _| in_memory;
+/// IMI's default product quantizer cuts a series into 8 equal sub-vectors.
+const LENGTH_MULTIPLE_OF_8: Scenarios = |_, series_len| series_len % 8 == 0;
+
+impl Method {
+    /// The snapshot kind tag of the method ([`PersistentIndex::KIND`]).
+    pub fn kind(&self) -> &'static str {
+        self.kind
+    }
+
+    /// Whether the method takes part in a scenario: memory-only methods
+    /// only in memory, and IMI only when its product quantizer divides
+    /// the series evenly.
+    pub fn in_scenario(&self, in_memory: bool, series_len: usize) -> bool {
+        (self.scenarios)(in_memory, series_len)
+    }
+
+    /// Builds the method over `dataset`.
+    ///
+    /// # Errors
+    /// Whatever the method's own `build` reports.
+    pub fn build(&self, dataset: &Dataset) -> Result<Box<dyn ZooIndex>> {
+        (self.build)(dataset)
+    }
+
+    /// Registers the loader of the snapshots [`Method::build`] saves.
+    pub fn register(&self, registry: &mut persist::LoaderRegistry) {
+        (self.register)(registry)
+    }
+}
+
+/// The one place a row's index type appears.
+fn method<T>(
+    build: fn(&Dataset, T::Config) -> Result<T>,
+    config: T::Config,
+    scenarios: Scenarios,
+) -> Method
+where
+    T: AnnIndex + PersistentIndex + 'static,
+    T::Config: Copy + Send + Sync + 'static,
+{
+    Method {
+        kind: T::KIND,
+        scenarios,
+        build: Box::new(move |dataset| Ok(Box::new(build(dataset, config)?))),
+        register: Box::new(move |registry| registry.register::<T>(config)),
+    }
+}
+
+/// The zoo: every method of the study (the paper's Table 1), one row
+/// each, under its standard laptop-scale build configuration — the
+/// **single source of truth** behind [`build_all_methods`],
+/// [`standard_registry`], the figure harness (`hydra-bench`) and the test
+/// matrices. Adding a ninth method is adding one row.
+///
+/// Snapshot fingerprints hash the full build configuration, so a saver and
+/// a loader must take it from the same place or loading fails with
+/// [`PersistError::FingerprintMismatch`]; both taking it from this table
+/// is what lets `fig* --save-index` runs and a later `hydra-serve` boot
+/// agree by construction.
+///
+/// `storage` is shared by the disk-capable methods — build it with
+/// [`StorageConfig::in_memory`] (buffer pool larger than the dataset) or
+/// [`StorageConfig::on_disk`] (a small pool) plus the `with_pool_pages` /
+/// `with_page_codec` / `with_io_mode` serving knobs. The knobs shape only
 /// I/O economics: they are not part of any snapshot fingerprint and never
 /// change answers (coded stores prune on compressed pages but recompute
 /// every returned distance from exact f32 series; both I/O modes move the
 /// same page bytes through the same accounting path), so a serving process
 /// may pick any of them for snapshots saved under the defaults.
-pub fn standard_configs(storage: StorageConfig, seed: u64) -> StandardConfigs {
-    StandardConfigs {
-        dstree: DsTreeConfig {
-            storage,
-            seed,
-            ..DsTreeConfig::default()
-        },
-        isax: IsaxConfig {
-            storage,
-            seed,
-            ..IsaxConfig::default()
-        },
-        vafile: VaPlusFileConfig {
-            storage,
-            seed,
-            ..VaPlusFileConfig::default()
-        },
-        srs: SrsConfig {
-            storage,
-            seed,
-            ..SrsConfig::default()
-        },
-        imi: ImiConfig {
-            seed,
-            ..ImiConfig::default()
-        },
-        hnsw: HnswConfig {
-            m: 8,
-            ef_construction: 128,
-            seed,
-        },
-        qalsh: QalshConfig {
-            seed,
-            ..QalshConfig::default()
-        },
-        flann: FlannConfig::default(),
-    }
+#[rustfmt::skip] // one row, one line
+pub fn zoo(storage: StorageConfig, seed: u64) -> Vec<Method> {
+    vec![
+        method(DsTree::build, DsTreeConfig { storage, seed, ..Default::default() }, EVERY_SCENARIO),
+        method(Isax2Plus::build, IsaxConfig { storage, seed, ..Default::default() }, EVERY_SCENARIO),
+        method(VaPlusFile::build, VaPlusFileConfig { storage, seed, ..Default::default() }, EVERY_SCENARIO),
+        method(Srs::build, SrsConfig { storage, seed, ..Default::default() }, EVERY_SCENARIO),
+        method(InvertedMultiIndex::build, ImiConfig { seed, ..Default::default() }, LENGTH_MULTIPLE_OF_8),
+        method(Hnsw::build, HnswConfig { m: 8, ef_construction: 128, seed }, MEMORY_ONLY),
+        method(Qalsh::build, QalshConfig { seed, ..Default::default() }, MEMORY_ONLY),
+        method(Flann::build, FlannConfig::default(), MEMORY_ONLY),
+    ]
 }
 
-/// A snapshot-loading registry covering the whole zoo under
-/// [`standard_configs`]`(storage, seed)`: every kind is registered —
-/// including the memory-only methods, whose snapshots simply never occur
-/// in on-disk scenario directories — so
+/// A snapshot-loading registry covering the whole [`zoo`]`(storage,
+/// seed)`: every kind is registered — including the memory-only methods,
+/// whose snapshots simply never occur in on-disk scenario directories — so
 /// [`persist::LoaderRegistry::load_any`] can restore any snapshot a
-/// `fig* --save-index` run (or [`PersistentIndex::save`] under the same
-/// configs) produced. Whether the loaded stores are resident or
-/// file-backed is chosen per load via
-/// [`persist::LoaderRegistry::load_any_backed`], not here.
+/// `fig* --save-index` run (or a [`Method::build`] of the same table)
+/// produced. Whether the loaded stores are resident or file-backed is
+/// chosen per load via [`persist::LoaderRegistry::load_any_backed`], not
+/// here.
 pub fn standard_registry(storage: StorageConfig, seed: u64) -> persist::LoaderRegistry {
-    let configs = standard_configs(storage, seed);
     let mut registry = persist::LoaderRegistry::new();
-    registry.register::<DsTree>(configs.dstree);
-    registry.register::<Isax2Plus>(configs.isax);
-    registry.register::<VaPlusFile>(configs.vafile);
-    registry.register::<Srs>(configs.srs);
-    registry.register::<InvertedMultiIndex>(configs.imi);
-    registry.register::<Hnsw>(configs.hnsw);
-    registry.register::<Qalsh>(configs.qalsh);
-    registry.register::<Flann>(configs.flann);
+    for method in zoo(storage, seed) {
+        method.register(&mut registry);
+    }
     registry
 }
 
@@ -207,8 +245,8 @@ pub fn standard_registry(storage: StorageConfig, seed: u64) -> persist::LoaderRe
 ///
 /// `in_memory` selects the storage configuration of the disk-capable
 /// methods ([`StorageConfig::in_memory`] vs. [`StorageConfig::on_disk`])
-/// and whether the memory-only methods are built at all. The
-/// configurations are exactly [`standard_configs`].
+/// and, with the series length, which rows of the [`zoo`] are built
+/// ([`Method::in_scenario`]).
 pub fn build_all_methods(
     dataset: &Dataset,
     in_memory: bool,
@@ -219,42 +257,76 @@ pub fn build_all_methods(
     } else {
         StorageConfig::on_disk()
     };
-    let configs = standard_configs(storage, seed);
-    let mut methods: Vec<Box<dyn AnnIndex>> = Vec::new();
-    methods.push(Box::new(
-        DsTree::build(dataset, configs.dstree).expect("DSTree build"),
-    ));
-    methods.push(Box::new(
-        Isax2Plus::build(dataset, configs.isax).expect("iSAX2+ build"),
-    ));
-    methods.push(Box::new(
-        VaPlusFile::build(dataset, configs.vafile).expect("VA+file build"),
-    ));
-    methods.push(Box::new(
-        Srs::build(dataset, configs.srs).expect("SRS build"),
-    ));
-    if dataset.series_len() % 8 == 0 {
-        methods.push(Box::new(
-            InvertedMultiIndex::build(dataset, configs.imi).expect("IMI build"),
-        ));
-    }
-    if in_memory {
-        methods.push(Box::new(
-            Hnsw::build(dataset, configs.hnsw).expect("HNSW build"),
-        ));
-        methods.push(Box::new(
-            Qalsh::build(dataset, configs.qalsh).expect("QALSH build"),
-        ));
-        methods.push(Box::new(
-            Flann::build(dataset, configs.flann).expect("FLANN build"),
-        ));
-    }
-    methods
+    zoo(storage, seed)
+        .iter()
+        .filter(|method| method.in_scenario(in_memory, dataset.series_len()))
+        .map(|method| -> Box<dyn AnnIndex> {
+            method
+                .build(dataset)
+                .unwrap_or_else(|e| panic!("{} build: {e}", method.kind()))
+        })
+        .collect()
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    /// Builds the `kind` row of `zoo(storage, seed)` over `data`.
+    fn build_row(kind: &str, storage: StorageConfig, seed: u64, data: &Dataset) -> Box<dyn ZooIndex> {
+        let zoo = zoo(storage, seed);
+        let row = zoo.iter().find(|m| m.kind() == kind).expect("no such row");
+        row.build(data).unwrap()
+    }
+
+    #[test]
+    fn the_table_is_the_zoo() {
+        let table = zoo(StorageConfig::in_memory(), 1);
+        let mut kinds: Vec<&str> = table.iter().map(Method::kind).collect();
+        kinds.sort_unstable();
+        assert!(kinds.windows(2).all(|w| w[0] != w[1]), "duplicate kind in {kinds:?}");
+        assert_eq!(standard_registry(StorageConfig::in_memory(), 1).kinds(), kinds);
+
+        let names = |series_len: usize, in_memory: bool| -> Vec<&'static str> {
+            let data = data::random_walk(120, series_len, 5);
+            build_all_methods(&data, in_memory, 1).iter().map(|m| m.name()).collect()
+        };
+        let all = ["DSTree", "iSAX2+", "VA+file", "SRS", "IMI", "HNSW", "QALSH", "FLANN"];
+        assert_eq!(names(32, true), all);
+        let without_imi: Vec<&str> = all.iter().copied().filter(|n| *n != "IMI").collect();
+        assert_eq!(names(60, true), without_imi, "60 is not a multiple of 8");
+        assert_eq!(names(32, false), all[..5], "the last three rows are memory-only");
+    }
+
+    #[test]
+    fn the_rows_fingerprint_as_they_did_before_there_was_a_table() {
+        // Recorded at the commit before the table existed (PR 19), from the
+        // hand-written configurations it replaced: a row whose configuration
+        // drifts by one value stops loading every snapshot saved before it.
+        let recorded: [(&str, u64); 8] = [
+            ("dstree", 0x340ae1425a471209),
+            ("isax2+", 0x77c987e1b3bf1bf4),
+            ("va+file", 0x07e472c7aaed5e64),
+            ("srs", 0x5da5a9aca92f5b55),
+            ("imi", 0x2dec423bd118f3f2),
+            ("hnsw", 0x834be295b95e3794),
+            ("qalsh", 0x61675014768ffda8),
+            ("flann", 0x42f5143b1ca5296d),
+        ];
+        let data = data::random_walk(200, 32, 11);
+        let path = std::env::temp_dir().join(format!(
+            "hydra-facade-fingerprints-{}.snap",
+            std::process::id()
+        ));
+        let table = zoo(StorageConfig::in_memory(), 3);
+        assert_eq!(table.len(), recorded.len());
+        for (row, (kind, fingerprint)) in table.iter().zip(recorded) {
+            assert_eq!(row.kind(), kind);
+            row.build(&data).unwrap().save(&path).unwrap();
+            assert_eq!(persist::peek_fingerprint(&path).unwrap(), fingerprint, "{kind}");
+        }
+        std::fs::remove_file(&path).ok();
+    }
 
     #[test]
     fn build_all_methods_in_memory_includes_memory_only_methods() {
@@ -274,8 +346,7 @@ mod tests {
     #[test]
     fn the_standard_registry_loads_what_the_standard_configs_built() {
         let data = data::random_walk(200, 32, 11);
-        let configs = standard_configs(StorageConfig::in_memory(), 3);
-        let index = Isax2Plus::build(&data, configs.isax).unwrap();
+        let index = build_row("isax2+", StorageConfig::in_memory(), 3, &data);
         let path = std::env::temp_dir().join(format!(
             "hydra-facade-registry-{}.snap",
             std::process::id()
@@ -313,7 +384,7 @@ mod tests {
         std::fs::remove_dir_all(&dir).ok();
         std::fs::create_dir_all(&dir).unwrap();
         let on_disk = StorageConfig::on_disk();
-        let index = DsTree::build(&data, standard_configs(on_disk, 5).dstree).unwrap();
+        let index = build_row("dstree", on_disk, 5, &data);
         let path = dir.join("walk-dstree.snap");
         index.save(&path).unwrap();
         let baseline = index.search(data.series(3), &SearchParams::exact(5)).unwrap();
@@ -350,7 +421,7 @@ mod tests {
         std::fs::remove_dir_all(&dir).ok();
         std::fs::create_dir_all(&dir).unwrap();
         let on_disk = StorageConfig::on_disk();
-        let index = DsTree::build(&data, standard_configs(on_disk, 9).dstree).unwrap();
+        let index = build_row("dstree", on_disk, 9, &data);
         let path = dir.join("walk-dstree.snap");
         index.save(&path).unwrap();
         let baseline = index.search(data.series(7), &SearchParams::exact(5)).unwrap();

@@ -494,9 +494,9 @@ impl Collection {
         self.for_each_run(leaf, |start, count| out.push((start, count)));
     }
 
-    /// Visits every series of `leaf` with its dataset id and raw values —
-    /// the body of [`HierarchicalIndex::visit_leaf`] — charging `stats` one
-    /// [`SeriesStore::read_range`] per run.
+    /// Visits every series of `leaf` with its dataset id and raw values,
+    /// charging `stats` one [`SeriesStore::read_range`] per run — the raw
+    /// reference [`Collection::refine_leaf`] is tested against.
     pub fn visit_leaf(
         &self,
         leaf: &Leaf,

@@ -308,7 +308,6 @@ impl BootData {
 mod tests {
     use super::*;
     use hydra::persist::dataset::save_dataset;
-    use hydra::persist::PersistentIndex;
     use hydra::prelude::*;
 
     fn temp_dir(name: &str) -> PathBuf {
@@ -318,20 +317,27 @@ mod tests {
         dir
     }
 
+    /// Builds the `kinds` rows of the in-memory zoo at seed 2 over `data`,
+    /// one per kind, in table order.
+    fn build_rows(kinds: &[&str], data: &Dataset) -> Vec<Box<dyn hydra::ZooIndex>> {
+        let built: Vec<_> = hydra::zoo(hydra::StorageConfig::in_memory(), 2)
+            .iter()
+            .filter(|method| kinds.contains(&method.kind()))
+            .map(|method| method.build(data).unwrap())
+            .collect();
+        assert_eq!(built.len(), kinds.len(), "a kind of {kinds:?} is not in the zoo");
+        built
+    }
+
     #[test]
     fn boots_saved_indexes_and_skips_foreign_files() {
         let dir = temp_dir("ok");
         let data = hydra::data::random_walk(150, 32, 1);
-        let configs = hydra::standard_configs(hydra::StorageConfig::in_memory(), 2);
         save_dataset(&data, &dir.join("walk.data.snap")).unwrap();
-        Hnsw::build(&data, configs.hnsw)
-            .unwrap()
-            .save(&dir.join("walk-hnsw.snap"))
-            .unwrap();
-        Isax2Plus::build(&data, configs.isax)
-            .unwrap()
-            .save(&dir.join("walk-isax2.snap"))
-            .unwrap();
+        let built = build_rows(&["isax2+", "hnsw"], &data);
+        let fresh = &built[0];
+        fresh.save(&dir.join("walk-isax2.snap")).unwrap();
+        built[1].save(&dir.join("walk-hnsw.snap")).unwrap();
         // A ground-truth cache and a stray file must be skipped, not fatal.
         hydra::persist::SnapshotWriter::new("ground-truth", 1)
             .write_to(&dir.join("gt-00ff.snap"))
@@ -354,7 +360,6 @@ mod tests {
         // The loaded index answers like a fresh build.
         let q = data.series(3);
         let served = &report.indexes[1];
-        let fresh = Isax2Plus::build(&data, configs.isax).unwrap();
         let a = fresh.search(q, &SearchParams::ng(5, 8)).unwrap();
         let b = served.index.search(q, &SearchParams::ng(5, 8)).unwrap();
         assert_eq!(a.neighbors, b.neighbors);
@@ -391,8 +396,7 @@ mod tests {
             Err(BootError::NoIndexes(_))
         ));
         // A damaged index snapshot aborts the whole boot, naming the file.
-        let configs = hydra::standard_configs(hydra::StorageConfig::in_memory(), 2);
-        let hnsw = Hnsw::build(&data, configs.hnsw).unwrap();
+        let hnsw = build_rows(&["hnsw"], &data).remove(0);
         let path = dir.join("lonely-hnsw.snap");
         hnsw.save(&path).unwrap();
         let mut bytes = std::fs::read(&path).unwrap();

@@ -167,30 +167,56 @@ pub fn ooc_dataset() -> hydra::Dataset {
     data
 }
 
+/// Where a `fig* --save-index` directory keeps the `kind` snapshot of the
+/// dataset saved under `prefix`: `<prefix>-dstree.snap`,
+/// `<prefix>-isax2.snap`, `<prefix>-vafile.snap`, ...
+pub fn snapshot_path(dir: &Path, prefix: &str, kind: &str) -> PathBuf {
+    dir.join(format!("{prefix}-{}.snap", kind.replace('+', "")))
+}
+
+/// The one method-matrix driver of the integration suites: visits every
+/// row of `zoo` that `filter` keeps and returns how many it visited.
+/// Callers assert the count, so a filter that silently keeps nothing
+/// fails the test instead of passing it.
+pub fn for_each_method(
+    zoo: &[hydra::Method],
+    filter: impl Fn(&hydra::Method) -> bool,
+    mut visit: impl FnMut(&hydra::Method),
+) -> usize {
+    let mut visited = 0;
+    for method in zoo.iter().filter(|method| filter(method)) {
+        visit(method);
+        visited += 1;
+    }
+    visited
+}
+
 /// Saves `data`'s snapshot plus every method of the scenario under
 /// `prefix` in `dir`, exactly as `fig* --save-index` lays a directory out:
-/// `<prefix>.data.snap`, `<prefix>-dstree.snap`, ... — the 5 disk-capable
-/// methods always, plus HNSW/QALSH/FLANN when `in_memory`.
-pub fn save_zoo(dir: &Path, prefix: &str, data: &hydra::Dataset, in_memory: bool, seed: u64) {
+/// `<prefix>.data.snap` and one [`snapshot_path`] per row of the zoo that
+/// is in the scenario. Returns how many methods it saved.
+pub fn save_zoo(
+    dir: &Path,
+    prefix: &str,
+    data: &hydra::Dataset,
+    in_memory: bool,
+    seed: u64,
+) -> usize {
     let storage = if in_memory {
         hydra::StorageConfig::in_memory()
     } else {
         hydra::StorageConfig::on_disk()
     };
-    let configs = hydra::standard_configs(storage, seed);
     hydra::persist::dataset::save_dataset(data, &dir.join(format!("{prefix}.data.snap")))
         .unwrap();
-    let snap = |kind: &str| dir.join(format!("{prefix}-{kind}.snap"));
-    DsTree::build(data, configs.dstree).unwrap().save(&snap("dstree")).unwrap();
-    Isax2Plus::build(data, configs.isax).unwrap().save(&snap("isax2")).unwrap();
-    VaPlusFile::build(data, configs.vafile).unwrap().save(&snap("vafile")).unwrap();
-    Srs::build(data, configs.srs).unwrap().save(&snap("srs")).unwrap();
-    InvertedMultiIndex::build(data, configs.imi).unwrap().save(&snap("imi")).unwrap();
-    if in_memory {
-        Hnsw::build(data, configs.hnsw).unwrap().save(&snap("hnsw")).unwrap();
-        Qalsh::build(data, configs.qalsh).unwrap().save(&snap("qalsh")).unwrap();
-        Flann::build(data, configs.flann).unwrap().save(&snap("flann")).unwrap();
-    }
+    for_each_method(
+        &hydra::zoo(storage, seed),
+        |method| method.in_scenario(in_memory, data.series_len()),
+        |method| {
+            let built = method.build(data).unwrap();
+            built.save(&snapshot_path(dir, prefix, method.kind())).unwrap();
+        },
+    )
 }
 
 /// Build-once-per-process registry of shared fixture directories, keyed by
@@ -214,7 +240,8 @@ fn shared_zoo(
         };
     }
     let dir = temp_dir(key);
-    save_zoo(&dir, prefix, &data_now, in_memory, seed);
+    let methods = save_zoo(&dir, prefix, &data_now, in_memory, seed);
+    assert_eq!(methods, if in_memory { 8 } else { 5 }, "{key}: the scenario's zoo changed");
     saved.insert(key, dir.clone());
     ZooFixture {
         dir,
@@ -223,14 +250,14 @@ fn shared_zoo(
 }
 
 /// The in-memory serving zoo (PR 4's fixture): 400 × 32 random walks,
-/// `standard_configs(StorageConfig::in_memory(), 9)`, all 8 methods,
+/// `zoo(StorageConfig::in_memory(), 9)`, all 8 methods,
 /// prefix `zoo`.
 pub fn in_memory_zoo() -> ZooFixture {
     shared_zoo("zoo-inmemory", || hydra::data::random_walk(400, 32, 2024), "zoo", true, 9)
 }
 
 /// The on-disk out-of-core zoo (PR 5's fixture): [`ooc_dataset`],
-/// `standard_configs(StorageConfig::on_disk(), 5)`, the 5 disk-capable
+/// `zoo(StorageConfig::on_disk(), 5)`, the 5 disk-capable
 /// methods, prefix `walk`.
 pub fn on_disk_zoo() -> ZooFixture {
     shared_zoo("zoo-ondisk", ooc_dataset, "walk", false, 5)

@@ -351,56 +351,28 @@ fn backing_matrix_is_bit_identical_to_resident_across_pools_and_threads() {
     let dir = common::temp_dir("ooc-backing-matrix");
     let (data, data_snapshot) = ooc_scenario(&dir);
     let seed = 5;
-    let build = hydra::standard_configs(hydra::StorageConfig::on_disk(), seed);
-    let dstree_snap = dir.join("walk-dstree.snap");
-    DsTree::build(&data, build.dstree).unwrap().save(&dstree_snap).unwrap();
-    let isax_snap = dir.join("walk-isax2.snap");
-    Isax2Plus::build(&data, build.isax).unwrap().save(&isax_snap).unwrap();
-    let vafile_snap = dir.join("walk-vafile.snap");
-    VaPlusFile::build(&data, build.vafile).unwrap().save(&vafile_snap).unwrap();
-    let srs_snap = dir.join("walk-srs.snap");
-    Srs::build(&data, build.srs).unwrap().save(&srs_snap).unwrap();
-
+    let on_disk = hydra::StorageConfig::on_disk();
     let workload = hydra::data::noisy_queries(&data, 8, &[0.0, 0.2], 21);
     let truth = hydra::data::ground_truth(&data, &workload, 10);
 
-    // One loader per disk method, generic over the serving knobs (pool,
-    // backing transfer mode) that must never leak into answers.
-    type Loader<'a> =
-        Box<dyn Fn(&hydra::StandardConfigs, StoreBacking<'_>) -> Box<dyn hydra::AnnIndex> + 'a>;
-    let loaders: Vec<(&str, Loader<'_>)> = vec![
-        (
-            "dstree",
-            Box::new(|c, b| {
-                Box::new(DsTree::load_backed(&dstree_snap, &data, &c.dstree, b).unwrap())
-            }),
-        ),
-        (
-            "isax2",
-            Box::new(|c, b| {
-                Box::new(Isax2Plus::load_backed(&isax_snap, &data, &c.isax, b).unwrap())
-            }),
-        ),
-        (
-            "vafile",
-            Box::new(|c, b| {
-                Box::new(VaPlusFile::load_backed(&vafile_snap, &data, &c.vafile, b).unwrap())
-            }),
-        ),
-        (
-            "srs",
-            Box::new(|c, b| Box::new(Srs::load_backed(&srs_snap, &data, &c.srs, b).unwrap())),
-        ),
-    ];
-
     // Pool axis: a thrashing single page, half the dataset's pages, and a
     // pool the dataset fits in entirely.
-    let page_bytes = StorageConfig::on_disk().page_bytes;
-    let total_pages = (data.len() * data.series_len() * 4).div_ceil(page_bytes);
+    let total_pages = (data.len() * data.series_len() * 4).div_ceil(on_disk.page_bytes);
     let pools = [1usize, (total_pages / 2).max(1), total_pages * 4];
 
-    for (name, load) in &loaders {
-        let resident = load(&hydra::standard_configs(hydra::StorageConfig::on_disk(), seed), StoreBacking::Resident);
+    let on_disk_rows = |method: &hydra::Method| method.in_scenario(false, data.series_len());
+    let visited = common::for_each_method(&hydra::zoo(on_disk, seed), on_disk_rows, |method| {
+        let name = method.kind();
+        let snapshot = common::snapshot_path(&dir, "walk", name);
+        method.build(&data).unwrap().save(&snapshot).unwrap();
+        // One loader, generic over the serving knobs (pool, backing
+        // transfer mode) that must never leak into answers.
+        let load = |storage, backing| {
+            hydra::standard_registry(storage, seed)
+                .load_any_backed(&snapshot, &data, backing)
+                .unwrap()
+        };
+        let resident = load(on_disk, StoreBacking::Resident);
         let caps = resident.capabilities();
         let mut settings = vec![SearchParams::ng(10, 8)];
         if caps.exact {
@@ -432,14 +404,8 @@ fn backing_matrix_is_bit_identical_to_resident_across_pools_and_threads() {
         for io in [hydra::FileIoMode::Pread, hydra::FileIoMode::Mmap] {
             for &pool in &pools {
                 let cell = format!("{name} ({} backing, pool {pool})", io.name());
-                let configs = hydra::standard_configs(
-                    hydra::StorageConfig::on_disk()
-                        .with_pool_pages(pool)
-                        .with_io_mode(io),
-                    seed,
-                );
                 let filed = load(
-                    &configs,
+                    on_disk.with_pool_pages(pool).with_io_mode(io),
                     StoreBacking::FileBacked {
                         dataset_snapshot: Some(&data_snapshot),
                     },
@@ -483,7 +449,8 @@ fn backing_matrix_is_bit_identical_to_resident_across_pools_and_threads() {
                 }
             }
         }
-    }
+    });
+    assert_eq!(visited, 5, "the whole on-disk scenario");
     std::fs::remove_dir_all(&dir).ok();
 }
 
@@ -608,21 +575,25 @@ fn batch_search_pins_its_working_set_and_cuts_pool_misses() {
     // Every disk index runs its batches through the same scope; each must
     // leave the pool unpinned, malformed queries included.
     assert_batch_scope_releases("dstree", &filed, filed.store(), &data, &params);
-    let configs = hydra::standard_configs(config.storage, 3);
+    // (Typed, for `store()`: the zoo's rows under this test's pool.)
+    let (storage, seed) = (config.storage, 3);
     let backing = StoreBacking::FileBacked {
         dataset_snapshot: Some(&data_snapshot),
     };
     let snapshot = dir.join("walk-isax2.snap");
-    Isax2Plus::build(&data, configs.isax).unwrap().save(&snapshot).unwrap();
-    let isax = Isax2Plus::load_backed(&snapshot, &data, &configs.isax, backing).unwrap();
+    let isax_config = IsaxConfig { storage, seed, ..IsaxConfig::default() };
+    Isax2Plus::build(&data, isax_config).unwrap().save(&snapshot).unwrap();
+    let isax = Isax2Plus::load_backed(&snapshot, &data, &isax_config, backing).unwrap();
     assert_batch_scope_releases("isax2", &isax, isax.store(), &data, &params);
     let snapshot = dir.join("walk-vafile.snap");
-    VaPlusFile::build(&data, configs.vafile).unwrap().save(&snapshot).unwrap();
-    let vafile = VaPlusFile::load_backed(&snapshot, &data, &configs.vafile, backing).unwrap();
+    let vafile_config = VaPlusFileConfig { storage, seed, ..VaPlusFileConfig::default() };
+    VaPlusFile::build(&data, vafile_config).unwrap().save(&snapshot).unwrap();
+    let vafile = VaPlusFile::load_backed(&snapshot, &data, &vafile_config, backing).unwrap();
     assert_batch_scope_releases("vafile", &vafile, vafile.store(), &data, &params);
     let snapshot = dir.join("walk-srs.snap");
-    Srs::build(&data, configs.srs).unwrap().save(&snapshot).unwrap();
-    let srs = Srs::load_backed(&snapshot, &data, &configs.srs, backing).unwrap();
+    let srs_config = SrsConfig { storage, seed, ..SrsConfig::default() };
+    Srs::build(&data, srs_config).unwrap().save(&snapshot).unwrap();
+    let srs = Srs::load_backed(&snapshot, &data, &srs_config, backing).unwrap();
     let ng = SearchParams::ng(10, 16);
     assert_batch_scope_releases("srs", &srs, srs.store(), &data, &ng);
     std::fs::remove_dir_all(&dir).ok();
@@ -634,11 +605,12 @@ fn out_of_core_boot_writes_reusable_sidecars_for_tree_indexes() {
     // start, so it must not share a directory other boots already warmed.
     let dir = common::temp_dir("ooc-sidecars");
     let (data, _) = ooc_scenario(&dir);
-    let configs = hydra::standard_configs(hydra::StorageConfig::on_disk(), 5);
-    Isax2Plus::build(&data, configs.isax)
-        .unwrap()
-        .save(&dir.join("walk-isax2.snap"))
-        .unwrap();
+    let zoo = hydra::zoo(hydra::StorageConfig::on_disk(), 5);
+    let saved = common::for_each_method(&zoo, |method| method.kind() == "isax2+", |method| {
+        let snapshot = common::snapshot_path(&dir, "walk", method.kind());
+        method.build(&data).unwrap().save(&snapshot).unwrap();
+    });
+    assert_eq!(saved, 1);
     let registry = hydra::standard_registry(hydra::StorageConfig::on_disk().with_pool_pages(1), 5);
     let options = BootOptions { file_backed: true };
     boot_from_dir_with(&dir, &registry, options).unwrap();

@@ -8,27 +8,20 @@
 
 mod common;
 
-use std::path::Path;
-
 use common::temp_dir;
 use hydra::prelude::*;
 use hydra::{AnnIndex, Dataset, PersistentIndex, StoreBacking};
 
-/// Saves, reloads and interrogates one index: every query of the workload
+/// Interrogates two indexes that must be indistinguishable — a fresh build
+/// and its reload, or two loads of one snapshot: every query of a workload
 /// must produce identical neighbors, distances and cost counters, and the
 /// evaluation harness must report identical accuracy.
-fn assert_roundtrip_identical<T>(index: &T, data: &Dataset, config: &T::Config, dir: &Path)
-where
-    T: AnnIndex + PersistentIndex,
-{
-    let path = dir.join(format!("{}.snap", T::KIND.replace('+', "plus")));
-    index.save(&path).unwrap();
-    let loaded = T::load(&path, data, config)
-        .unwrap_or_else(|e| panic!("{} snapshot failed to load: {e}", T::KIND));
-
+fn assert_indistinguishable(want: &dyn AnnIndex, got: &dyn AnnIndex, data: &Dataset) {
+    let name = want.name();
     let workload = hydra::data::noisy_queries(data, 10, &[0.0, 0.2], 1234);
     let k = 10;
-    let caps = index.capabilities();
+    let truth = hydra::data::ground_truth(data, &workload, k);
+    let caps = want.capabilities();
     let mut params = vec![SearchParams::ng(k, 16)];
     if caps.exact {
         params.push(SearchParams::exact(k));
@@ -38,22 +31,18 @@ where
     }
     for p in &params {
         for query in workload.iter() {
-            let a = index.search(query, p).unwrap();
-            let b = loaded.search(query, p).unwrap();
-            common::assert_same_answer(index.name(), &b, &a, common::StatsMatch::Full);
+            let a = want.search(query, p).unwrap();
+            let b = got.search(query, p).unwrap();
+            // The shared accounting contract: identical across reloads and
+            // backings alike.
+            common::assert_same_answer(name, &b, &a, common::StatsMatch::Full);
         }
         // The evaluation harness sees identical accuracy too (both runs
         // start from the same post-build / post-load storage state and
         // replay the same access sequence).
-        let truth = hydra::data::ground_truth(data, &workload, k);
-        let ra = hydra::eval::run_workload(index, &workload, &truth, p);
-        let rb = hydra::eval::run_workload(&loaded, &workload, &truth, p);
-        assert_eq!(
-            ra.accuracy,
-            rb.accuracy,
-            "{}: workload accuracy drifted after reload",
-            index.name()
-        );
+        let ra = hydra::eval::run_workload(want, &workload, &truth, p);
+        let rb = hydra::eval::run_workload(got, &workload, &truth, p);
+        assert_eq!(ra.accuracy, rb.accuracy, "{name}: workload accuracy drifted");
     }
 }
 
@@ -62,73 +51,19 @@ fn every_index_in_the_zoo_roundtrips_identically() {
     let dir = temp_dir("zoo");
     let data = hydra::data::random_walk(500, 32, 4242);
     let storage = StorageConfig::in_memory();
+    let registry = hydra::standard_registry(storage, 1);
+    let visited = common::for_each_method(&hydra::zoo(storage, 1), |_| true, |method| {
+        let path = common::snapshot_path(&dir, "zoo", method.kind());
+        let built = method.build(&data).unwrap();
+        built.save(&path).unwrap();
+        let loaded = registry
+            .load_any(&path, &data)
+            .unwrap_or_else(|e| panic!("{} snapshot failed to load: {e}", method.kind()));
+        assert_indistinguishable(built.as_ref(), loaded.as_ref(), &data);
+    });
+    assert_eq!(visited, 8);
 
-    let cfg = DsTreeConfig {
-        leaf_capacity: 32,
-        storage,
-        histogram_samples: 2_000,
-        seed: 1,
-        ..DsTreeConfig::default()
-    };
-    assert_roundtrip_identical(&DsTree::build(&data, cfg).unwrap(), &data, &cfg, &dir);
-
-    let cfg = IsaxConfig {
-        leaf_capacity: 32,
-        storage,
-        histogram_samples: 2_000,
-        seed: 2,
-        ..IsaxConfig::default()
-    };
-    assert_roundtrip_identical(&Isax2Plus::build(&data, cfg).unwrap(), &data, &cfg, &dir);
-
-    let cfg = VaPlusFileConfig {
-        storage,
-        histogram_samples: 2_000,
-        seed: 3,
-        ..VaPlusFileConfig::default()
-    };
-    assert_roundtrip_identical(&VaPlusFile::build(&data, cfg).unwrap(), &data, &cfg, &dir);
-
-    let cfg = SrsConfig {
-        projected_dims: 8,
-        storage,
-        seed: 4,
-        ..SrsConfig::default()
-    };
-    assert_roundtrip_identical(&Srs::build(&data, cfg).unwrap(), &data, &cfg, &dir);
-
-    let cfg = ImiConfig {
-        coarse_k: 8,
-        pq_m: 8,
-        pq_k: 16,
-        training_size: 400,
-        kmeans_iters: 6,
-        seed: 5,
-        ..ImiConfig::default()
-    };
-    assert_roundtrip_identical(
-        &InvertedMultiIndex::build(&data, cfg).unwrap(),
-        &data,
-        &cfg,
-        &dir,
-    );
-
-    let cfg = HnswConfig {
-        m: 6,
-        ef_construction: 48,
-        seed: 6,
-    };
-    assert_roundtrip_identical(&Hnsw::build(&data, cfg).unwrap(), &data, &cfg, &dir);
-
-    let cfg = QalshConfig {
-        num_hashes: 16,
-        collision_threshold: 4,
-        seed: 7,
-        ..QalshConfig::default()
-    };
-    assert_roundtrip_identical(&Qalsh::build(&data, cfg).unwrap(), &data, &cfg, &dir);
-
-    // FLANN, both inner algorithms.
+    // FLANN's row auto-tunes; pin both inner algorithms too.
     for force in [
         hydra::FlannAlgorithm::RandomizedKdTrees,
         hydra::FlannAlgorithm::HierarchicalKMeans,
@@ -137,66 +72,19 @@ fn every_index_in_the_zoo_roundtrips_identically() {
             force: Some(force),
             ..FlannConfig::default()
         };
-        let dir = temp_dir(&format!("flann-{force:?}"));
-        assert_roundtrip_identical(&Flann::build(&data, cfg).unwrap(), &data, &cfg, &dir);
-        std::fs::remove_dir_all(&dir).ok();
+        let path = dir.join(format!("flann-{force:?}.snap"));
+        let built = Flann::build(&data, cfg).unwrap();
+        built.save(&path).unwrap();
+        assert_indistinguishable(&built, &Flann::load(&path, &data, &cfg).unwrap(), &data);
     }
-
     std::fs::remove_dir_all(&dir).ok();
-}
-
-/// Loads one snapshot twice — resident and file-backed — at the given
-/// buffer-pool geometry and proves the two indistinguishable over a whole
-/// workload: same neighbors (bit-for-bit distances), same per-query
-/// `QueryStats` (the shared accounting contract), same accuracy.
-fn assert_file_backed_load_identical<T>(
-    snapshot: &Path,
-    data_snapshot: &Path,
-    data: &Dataset,
-    config: &T::Config,
-) where
-    T: AnnIndex + PersistentIndex,
-{
-    let resident = T::load_backed(snapshot, data, config, StoreBacking::Resident)
-        .unwrap_or_else(|e| panic!("{}: resident load failed: {e}", T::KIND));
-    let filed = T::load_backed(
-        snapshot,
-        data,
-        config,
-        StoreBacking::FileBacked {
-            dataset_snapshot: Some(data_snapshot),
-        },
-    )
-    .unwrap_or_else(|e| panic!("{}: file-backed load failed: {e}", T::KIND));
-
-    let workload = hydra::data::noisy_queries(data, 8, &[0.0, 0.2], 777);
-    let k = 10;
-    let caps = resident.capabilities();
-    let mut params = vec![SearchParams::ng(k, 16)];
-    if caps.exact {
-        params.push(SearchParams::exact(k));
-    }
-    if caps.delta_epsilon_approximate {
-        params.push(SearchParams::delta_epsilon(k, 0.9, 1.0));
-    }
-    for p in &params {
-        for query in workload.iter() {
-            let a = resident.search(query, p).unwrap();
-            let b = filed.search(query, p).unwrap();
-            // The shared accounting contract: identical across backings.
-            common::assert_same_answer(T::KIND, &b, &a, common::StatsMatch::Full);
-        }
-        let truth = hydra::data::ground_truth(data, &workload, k);
-        let ra = hydra::eval::run_workload(&resident, &workload, &truth, p);
-        let rb = hydra::eval::run_workload(&filed, &workload, &truth, p);
-        assert_eq!(ra.accuracy, rb.accuracy, "{}: accuracy drifted", T::KIND);
-    }
 }
 
 /// Every disk-capable method of the zoo, loaded file-backed and proven
 /// byte-identical to the resident load of the same snapshot, at pool sizes
-/// {1 page, ~dataset/2, effectively-infinite}. Small pages force real
-/// multi-page traffic and eviction at the small pools.
+/// {1 page, ~dataset/2, effectively-infinite} — through the type-erased
+/// registry path a server boots with. Small pages force real multi-page
+/// traffic and eviction at the small pools.
 #[test]
 fn disk_capable_zoo_loads_file_backed_identically_at_every_pool_size() {
     let dir = temp_dir("file-backed-zoo");
@@ -204,118 +92,31 @@ fn disk_capable_zoo_loads_file_backed_identically_at_every_pool_size() {
     let data_snapshot = dir.join("walk.data.snap");
     hydra::persist::dataset::save_dataset(&data, &data_snapshot).unwrap();
     // 500 series × 32 × 4 B = 64 000 B of raw data; 4 KiB pages → ~16 pages.
-    let pools = [1usize, 8, usize::MAX / 2];
-    let page_bytes = 4096;
-
-    let base = StorageConfig {
-        page_bytes,
-        buffer_pool_pages: 1,
+    let pooled = |buffer_pool_pages| StorageConfig {
+        page_bytes: 4096,
+        buffer_pool_pages,
         codec: hydra::PageCodec::F32,
         io: hydra::FileIoMode::Pread,
     };
-    let dstree_cfg = DsTreeConfig {
-        leaf_capacity: 32,
-        storage: base,
-        histogram_samples: 2_000,
-        seed: 1,
-        ..DsTreeConfig::default()
-    };
-    let isax_cfg = IsaxConfig {
-        leaf_capacity: 32,
-        storage: base,
-        histogram_samples: 2_000,
-        seed: 2,
-        ..IsaxConfig::default()
-    };
-    let va_cfg = VaPlusFileConfig {
-        storage: base,
-        histogram_samples: 2_000,
-        seed: 3,
-        ..VaPlusFileConfig::default()
-    };
-    let srs_cfg = SrsConfig {
-        projected_dims: 8,
-        storage: base,
-        seed: 4,
-        ..SrsConfig::default()
-    };
-    DsTree::build(&data, dstree_cfg)
-        .unwrap()
-        .save(&dir.join("walk-dstree.snap"))
-        .unwrap();
-    Isax2Plus::build(&data, isax_cfg)
-        .unwrap()
-        .save(&dir.join("walk-isax2.snap"))
-        .unwrap();
-    VaPlusFile::build(&data, va_cfg)
-        .unwrap()
-        .save(&dir.join("walk-vafile.snap"))
-        .unwrap();
-    Srs::build(&data, srs_cfg)
-        .unwrap()
-        .save(&dir.join("walk-srs.snap"))
-        .unwrap();
-
-    for pool in pools {
-        let storage = StorageConfig {
-            page_bytes,
-            buffer_pool_pages: pool,
-            codec: hydra::PageCodec::F32,
-            io: hydra::FileIoMode::Pread,
-        };
-        assert_file_backed_load_identical::<DsTree>(
-            &dir.join("walk-dstree.snap"),
-            &data_snapshot,
-            &data,
-            &DsTreeConfig { storage, ..dstree_cfg },
-        );
-        assert_file_backed_load_identical::<Isax2Plus>(
-            &dir.join("walk-isax2.snap"),
-            &data_snapshot,
-            &data,
-            &IsaxConfig { storage, ..isax_cfg },
-        );
-        assert_file_backed_load_identical::<VaPlusFile>(
-            &dir.join("walk-vafile.snap"),
-            &data_snapshot,
-            &data,
-            &VaPlusFileConfig { storage, ..va_cfg },
-        );
-        assert_file_backed_load_identical::<Srs>(
-            &dir.join("walk-srs.snap"),
-            &data_snapshot,
-            &data,
-            &SrsConfig { storage, ..srs_cfg },
-        );
-    }
-
-    // The same snapshots also travel through the type-erased registry path
-    // a server boots with: answers at pool size 1 equal answers at ∞.
-    let mut registry = hydra::persist::LoaderRegistry::new();
-    registry.register::<DsTree>(DsTreeConfig {
-        storage: StorageConfig {
-            page_bytes,
-            buffer_pool_pages: 1,
-            codec: hydra::PageCodec::F32,
-            io: hydra::FileIoMode::Pread,
-        },
-        ..dstree_cfg
-    });
-    let tiny = registry
-        .load_any_backed(
-            &dir.join("walk-dstree.snap"),
-            &data,
-            StoreBacking::FileBacked {
+    let on_disk = |method: &hydra::Method| method.in_scenario(false, data.series_len());
+    let visited = common::for_each_method(&hydra::zoo(pooled(1), 1), on_disk, |method| {
+        let snapshot = common::snapshot_path(&dir, "walk", method.kind());
+        method.build(&data).unwrap().save(&snapshot).unwrap();
+        for pool in [1usize, 8, usize::MAX / 2] {
+            let registry = hydra::standard_registry(pooled(pool), 1);
+            let load = |backing| {
+                registry
+                    .load_any_backed(&snapshot, &data, backing)
+                    .unwrap_or_else(|e| panic!("{} at pool {pool}: {e}", method.kind()))
+            };
+            let resident = load(StoreBacking::Resident);
+            let filed = load(StoreBacking::FileBacked {
                 dataset_snapshot: Some(&data_snapshot),
-            },
-        )
-        .unwrap();
-    let resident = DsTree::load(&dir.join("walk-dstree.snap"), &data, &dstree_cfg).unwrap();
-    let q = data.series(17);
-    assert_eq!(
-        tiny.search(q, &SearchParams::exact(5)).unwrap().neighbors,
-        resident.search(q, &SearchParams::exact(5)).unwrap().neighbors,
-    );
+            });
+            assert_indistinguishable(resident.as_ref(), filed.as_ref(), &data);
+        }
+    });
+    assert_eq!(visited, 5);
     std::fs::remove_dir_all(&dir).ok();
 }
 

@@ -31,6 +31,15 @@ fn head(data: &Dataset, h: usize) -> Dataset {
         .unwrap()
 }
 
+/// The zoo's on-disk VA+file row, typed: what `standard_registry` loads.
+fn vafile_config(seed: u64) -> hydra::VaPlusFileConfig {
+    hydra::VaPlusFileConfig {
+        storage: hydra::StorageConfig::on_disk(),
+        seed,
+        ..Default::default()
+    }
+}
+
 /// Saves the one-method snapshot directory the tests boot and reload:
 /// `walk.data.snap` + `walk-vafile.snap` over `data`.
 fn save_dir(dir: &std::path::Path, data: &Dataset, config: hydra::VaPlusFileConfig) {
@@ -43,7 +52,7 @@ fn hot_reload_under_live_pipelined_connections_drops_nothing_and_never_mixes_epo
     let seed = 5;
     let data = hydra::data::random_walk(260, 32, 3131);
     let head_data = head(&data, 200);
-    let config = hydra::standard_configs(hydra::StorageConfig::on_disk(), seed).vafile;
+    let config = vafile_config(seed);
     let registry = hydra::standard_registry(hydra::StorageConfig::on_disk(), seed);
     let dir = common::temp_dir("reload-live");
     save_dir(&dir, &head_data, config);
@@ -193,7 +202,7 @@ fn hot_reload_under_live_pipelined_connections_drops_nothing_and_never_mixes_epo
 fn shutdown_mid_swap_drains_cleanly_and_still_acks_the_reload() {
     let seed = 5;
     let data = hydra::data::random_walk(120, 32, 4242);
-    let config = hydra::standard_configs(hydra::StorageConfig::on_disk(), seed).vafile;
+    let config = vafile_config(seed);
     let registry = hydra::standard_registry(hydra::StorageConfig::on_disk(), seed);
     let dir = common::temp_dir("reload-shutdown");
     save_dir(&dir, &data, config);
@@ -237,7 +246,7 @@ fn shutdown_mid_swap_drains_cleanly_and_still_acks_the_reload() {
 fn a_failed_reload_keeps_serving_the_current_epoch() {
     let seed = 5;
     let data = hydra::data::random_walk(100, 32, 5353);
-    let config = hydra::standard_configs(hydra::StorageConfig::on_disk(), seed).vafile;
+    let config = vafile_config(seed);
     let registry = hydra::standard_registry(hydra::StorageConfig::on_disk(), seed);
     let dir = common::temp_dir("reload-fail");
     save_dir(&dir, &data, config);

@@ -117,46 +117,40 @@ fn sharded_scan_is_bit_identical_across_schemes_shard_counts_and_threads() {
 #[test]
 fn sharded_zoo_guaranteed_searches_are_bit_identical_to_unsharded() {
     // The unsharded twins come from the shared snapshot fixture (the same
-    // directory the serving test boots); the sharded builds use the same
-    // standard configs per shard.
-    let zoo = common::in_memory_zoo();
-    let data = &zoo.data;
-    let registry = hydra::standard_registry(hydra::StorageConfig::in_memory(), 9);
-    let booted = hydra_serve::boot_from_dir(&zoo.dir, &registry).unwrap();
+    // directory the serving test boots); the sharded builds are the same
+    // rows of the zoo, built per shard.
+    let fixture = common::in_memory_zoo();
+    let data = &fixture.data;
+    let storage = hydra::StorageConfig::in_memory();
+    let registry = hydra::standard_registry(storage, 9);
     let k = 10;
     let workload = hydra::data::noisy_queries(data, 10, &[0.0, 0.2], 123);
-    let configs = hydra::standard_configs(hydra::StorageConfig::in_memory(), 9);
 
     let mut checked = 0;
-    for served in &booted.indexes {
-        let settings = guaranteed_settings(&served.index.capabilities(), k);
+    let in_memory = |method: &hydra::Method| method.in_scenario(true, data.series_len());
+    let visited = common::for_each_method(&hydra::zoo(storage, 9), in_memory, |method| {
+        let snapshot = common::snapshot_path(&fixture.dir, "zoo", method.kind());
+        let unsharded = registry.load_any(&snapshot, data).unwrap();
+        let settings = guaranteed_settings(&unsharded.capabilities(), k);
         if settings.is_empty() {
-            continue; // no guarantee class to hold the method to
+            return; // no guarantee class to hold the method to
         }
         for num_shards in [1usize, 2, 5] {
             let sharded = ShardedIndex::from_partition(
                 data,
                 PartitionScheme::Contiguous,
                 num_shards,
-                |shard, _| {
-                    Ok(match served.index.name() {
-                        "DSTree" => {
-                            Box::new(DsTree::build(shard, configs.dstree)?) as Box<dyn AnnIndex>
-                        }
-                        "iSAX2+" => Box::new(Isax2Plus::build(shard, configs.isax)?),
-                        "VA+file" => Box::new(VaPlusFile::build(shard, configs.vafile)?),
-                        other => panic!("unexpected exact-capable method {other}"),
-                    })
-                },
+                |shard, _| Ok(method.build(shard)?),
             )
             .unwrap();
             for params in &settings {
-                let label = format!("{}/S={num_shards}", served.name);
-                assert_bit_identical(&label, params, &sharded, served.index.as_ref(), &workload);
+                let label = format!("{}/S={num_shards}", method.kind());
+                assert_bit_identical(&label, params, &sharded, unsharded.as_ref(), &workload);
                 checked += 1;
             }
         }
-    }
+    });
+    assert_eq!(visited, 8, "the guarantee sweep must consider the whole zoo");
     // DSTree, iSAX2+ and VA+file are the exact+ε methods of the zoo:
     // 3 methods × 2 settings × 3 shard counts.
     assert_eq!(checked, 18, "the exact-capable zoo shrank unexpectedly");
@@ -169,36 +163,32 @@ fn sharded_zoo_ng_accuracy_stays_within_documented_bounds() {
     // least as much work and in practice lands at equal-or-better
     // accuracy. The documented bound: sharding may not cost more than 0.05
     // MAP on this workload.
-    let zoo = common::in_memory_zoo();
-    let data = &zoo.data;
-    let registry = hydra::standard_registry(hydra::StorageConfig::in_memory(), 9);
-    let booted = hydra_serve::boot_from_dir(&zoo.dir, &registry).unwrap();
-    assert_eq!(booted.indexes.len(), 8, "the ng sweep must cover the whole zoo");
+    let fixture = common::in_memory_zoo();
+    let data = &fixture.data;
+    let storage = hydra::StorageConfig::in_memory();
+    let registry = hydra::standard_registry(storage, 9);
     let k = 10;
     let workload = hydra::data::noisy_queries(data, 10, &[0.0, 0.2], 321);
     let truth = hydra::data::ground_truth(data, &workload, k);
     let params = SearchParams::ng(k, 16);
 
-    for served in &booted.indexes {
+    let in_memory = |method: &hydra::Method| method.in_scenario(true, data.series_len());
+    let visited = common::for_each_method(&hydra::zoo(storage, 9), in_memory, |method| {
+        let snapshot = common::snapshot_path(&fixture.dir, "zoo", method.kind());
+        let served = registry.load_any(&snapshot, data).unwrap();
         let sharded = ShardedIndex::from_partition(
             data,
             PartitionScheme::Contiguous,
             2,
-            |shard, _| {
-                Ok(hydra::build_all_methods(shard, true, 9)
-                    .into_iter()
-                    .find(|m| m.name() == served.index.name())
-                    .expect("method missing from build_all_methods"))
-            },
+            |shard, _| Ok(method.build(shard)?),
         )
         .unwrap();
-        let unsharded =
-            hydra::eval::run_workload(served.index.as_ref(), &workload, &truth, &params);
+        let unsharded = hydra::eval::run_workload(served.as_ref(), &workload, &truth, &params);
         let shard_run = hydra::eval::run_workload(&sharded, &workload, &truth, &params);
         assert!(
             shard_run.accuracy.map + 0.05 >= unsharded.accuracy.map,
             "{}: sharded ng accuracy fell out of bounds (sharded MAP {} vs unsharded {})",
-            served.name,
+            method.kind(),
             shard_run.accuracy.map,
             unsharded.accuracy.map
         );
@@ -206,61 +196,55 @@ fn sharded_zoo_ng_accuracy_stays_within_documented_bounds() {
         let answer = sharded.search(workload.iter().next().unwrap(), &params).unwrap();
         assert!(answer.neighbors.len() <= k);
         assert!(answer.neighbors.iter().all(|n| n.index < data.len()));
-    }
+    });
+    assert_eq!(visited, 8, "the ng sweep must cover the whole zoo");
 }
 
 #[test]
 fn merged_query_stats_equal_the_field_wise_sum_of_per_shard_searches() {
-    let zoo = common::in_memory_zoo();
-    let data = &zoo.data;
-    let configs = hydra::standard_configs(hydra::StorageConfig::in_memory(), 9);
+    let data = &common::in_memory_zoo().data;
     let k = 10;
     let workload = hydra::data::noisy_queries(data, 6, &[0.0, 0.2], 55);
 
     // Two identical sharded builds: one searched through the fan-out, the
     // twin searched shard by shard and merged by hand. Using a fresh twin
     // matters — some stores warm per-instance caches, so re-searching the
-    // *same* shards would under-count I/O.
-    type Build = fn(&hydra::Dataset, &hydra::StandardConfigs) -> Box<dyn AnnIndex>;
-    let builders: [(Build, SearchParams); 2] = [
-        (
-            |d, c| Box::new(DsTree::build(d, c.dstree).unwrap()),
-            SearchParams::exact(k),
-        ),
-        (
-            |d, c| Box::new(VaPlusFile::build(d, c.vafile).unwrap()),
-            SearchParams::ng(k, 16),
-        ),
-    ];
-    for (build, params) in builders {
-        let sharded = ShardedIndex::from_partition(data, PartitionScheme::Contiguous, 2, |s, _| {
-            Ok(build(s, &configs))
-        })
-        .unwrap();
-        let twin = ShardedIndex::from_partition(data, PartitionScheme::Contiguous, 2, |s, _| {
-            Ok(build(s, &configs))
-        })
-        .unwrap();
-        for query in workload.iter() {
-            let merged = sharded.search(query, &params).unwrap();
-            let mut stats = QueryStats::new();
-            let mut per_shard = Vec::new();
-            for (s, shard) in twin.shards().iter().enumerate() {
-                let result = shard.search(query, &params).unwrap();
-                stats.merge(&result.stats);
-                per_shard.push(
-                    result
-                        .neighbors
-                        .iter()
-                        .map(|n| Neighbor::new(twin.map().to_global(s, n.index), n.distance))
-                        .collect::<Vec<_>>(),
-                );
+    // *same* shards would under-count I/O. A tree and a scan-shaped filter,
+    // exact and ng, cover the ways a shard charges its counters.
+    let zoo = hydra::zoo(hydra::StorageConfig::in_memory(), 9);
+    let tree_and_filter = |method: &hydra::Method| ["dstree", "va+file"].contains(&method.kind());
+    let visited = common::for_each_method(&zoo, tree_and_filter, |method| {
+        let build = || {
+            ShardedIndex::from_partition(data, PartitionScheme::Contiguous, 2, |shard, _| {
+                Ok(method.build(shard)?)
+            })
+            .unwrap()
+        };
+        for params in [SearchParams::exact(k), SearchParams::ng(k, 16)] {
+            let (sharded, twin) = (build(), build());
+            for query in workload.iter() {
+                let merged = sharded.search(query, &params).unwrap();
+                let mut stats = QueryStats::new();
+                let mut per_shard = Vec::new();
+                for (s, shard) in twin.shards().iter().enumerate() {
+                    let result = shard.search(query, &params).unwrap();
+                    stats.merge(&result.stats);
+                    per_shard.push(
+                        result
+                            .neighbors
+                            .iter()
+                            .map(|n| Neighbor::new(twin.map().to_global(s, n.index), n.distance))
+                            .collect::<Vec<_>>(),
+                    );
+                }
+                let expected = merge_top_k(params.k, &per_shard);
+                let cell = format!("{} {params:?}", method.kind());
+                assert_eq!(merged.neighbors, expected, "{cell}: merge drifted");
+                assert_eq!(merged.stats, stats, "{cell}: stats are not the per-shard sum");
             }
-            let expected = merge_top_k(params.k, &per_shard);
-            assert_eq!(merged.neighbors, expected, "{params:?}: merge drifted");
-            assert_eq!(merged.stats, stats, "{params:?}: stats are not the per-shard sum");
         }
-    }
+    });
+    assert_eq!(visited, 2);
 }
 
 #[test]
@@ -272,8 +256,13 @@ fn file_backed_sharded_search_matches_the_resident_unsharded_index() {
     // still answer bit-identically to the resident unsharded index.
     let dir = common::temp_dir("shard-filebacked");
     let data = common::ooc_dataset();
-    let configs = hydra::standard_configs(hydra::StorageConfig::on_disk(), 5);
-    let unsharded = DsTree::build(&data, configs.dstree).unwrap();
+    // Typed, for `store()`: the zoo's DSTree row under on-disk storage.
+    let config = DsTreeConfig {
+        storage: hydra::StorageConfig::on_disk(),
+        seed: 5,
+        ..DsTreeConfig::default()
+    };
+    let unsharded = DsTree::build(&data, config).unwrap();
     let k = 10;
     let workload = hydra::data::noisy_queries(&data, 8, &[0.0, 0.2], 66);
     let truth = hydra::data::ground_truth(&data, &workload, k);
@@ -289,14 +278,14 @@ fn file_backed_sharded_search_matches_the_resident_unsharded_index() {
             let data_snapshot = shard_dir.join("walk.data.snap");
             hydra::persist::dataset::save_dataset(shard_data, &data_snapshot).unwrap();
             let snapshot = shard_dir.join("walk-dstree.snap");
-            DsTree::build(shard_data, configs.dstree)
+            DsTree::build(shard_data, config)
                 .unwrap()
                 .save(&snapshot)
                 .unwrap();
             let filed = DsTree::load_backed(
                 &snapshot,
                 shard_data,
-                &configs.dstree,
+                &config,
                 StoreBacking::FileBacked {
                     dataset_snapshot: Some(&data_snapshot),
                 },

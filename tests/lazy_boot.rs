@@ -15,7 +15,6 @@
 
 mod common;
 
-use hydra::prelude::*;
 use hydra_serve::{boot_from_dir, boot_from_dir_with, BootOptions};
 
 #[global_allocator]
@@ -39,15 +38,14 @@ fn streamed_boot_peak_heap_stays_below_the_dataset_payload() {
     let data = hydra::data::random_walk(2_000, 512, 777);
     let payload = data.len() * data.series_len() * 4;
     hydra::persist::dataset::save_dataset(&data, &dir.join("walk.data.snap")).unwrap();
-    let configs = hydra::standard_configs(hydra::StorageConfig::on_disk(), seed);
-    DsTree::build(&data, configs.dstree)
-        .unwrap()
-        .save(&dir.join("walk-dstree.snap"))
-        .unwrap();
-    VaPlusFile::build(&data, configs.vafile)
-        .unwrap()
-        .save(&dir.join("walk-vafile.snap"))
-        .unwrap();
+    // One leaf-ordered store (sidecar-backed) and one dataset-ordered one.
+    let zoo = hydra::zoo(hydra::StorageConfig::on_disk(), seed);
+    let tree_and_filter = |method: &hydra::Method| ["dstree", "va+file"].contains(&method.kind());
+    let saved = common::for_each_method(&zoo, tree_and_filter, |method| {
+        let snapshot = common::snapshot_path(&dir, "walk", method.kind());
+        method.build(&data).unwrap().save(&snapshot).unwrap();
+    });
+    assert_eq!(saved, 2);
     drop(data);
     let registry = hydra::standard_registry(hydra::StorageConfig::on_disk().with_pool_pages(1), seed);
 
