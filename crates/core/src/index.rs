@@ -241,13 +241,24 @@ pub trait HierarchicalIndex {
     /// Number of series stored in leaf `node` (0 for internal nodes).
     fn leaf_size(&self, node: NodeId) -> usize;
 
-    /// Refines every series stored in leaf `node` against `query` under an
+    /// Refines the series stored in leaf `node` against `query` under an
     /// early-abandonment bound, invoking `accept` with the dataset position
     /// and exact distance of each candidate that survives; `accept` returns
-    /// the (possibly tightened) bound for subsequent candidates. Returns the
-    /// number of candidates examined (each counts as one distance
-    /// computation, abandoned or not). The implementation must account
-    /// for storage-layer costs in `stats`.
+    /// the (possibly tightened) bound for subsequent candidates. `prepared`
+    /// is what [`Self::prepare`] returned for this very `query`.
+    ///
+    /// Returns the number of *raw series compared* — each one distance
+    /// computation, abandoned or not, which the driver adds to
+    /// [`QueryStats::distance_computations`] and
+    /// [`QueryStats::series_scanned`]. An index that keeps a summary of
+    /// every series may first bound each member from `prepared` and skip
+    /// the ones whose bound strictly exceeds the live best-so-far — exactly
+    /// the candidates the early-abandoning kernel would have returned
+    /// `None` for, so `accept` sees the same sequence. A skipped member is
+    /// not read and not counted in the return value; the implementation
+    /// adds each such per-member check to
+    /// [`QueryStats::lower_bound_computations`] itself. It must also
+    /// account for storage-layer costs in `stats`.
     ///
     /// Indexes whose leaves live in a `SeriesStore` route contiguous leaf
     /// runs through the store's codec-aware refinement scan, which prunes
@@ -259,6 +270,7 @@ pub trait HierarchicalIndex {
         &self,
         node: NodeId,
         query: &[f32],
+        prepared: &Self::Prepared,
         best_so_far: f32,
         stats: &mut QueryStats,
         accept: &mut dyn FnMut(usize, f32) -> f32,

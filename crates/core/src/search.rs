@@ -164,6 +164,7 @@ impl<'a, I: HierarchicalIndex + ?Sized> KnnSearcher<'a, I> {
                 let scanned = self.index.refine_leaf(
                     entry.node,
                     query,
+                    &prepared,
                     top.kth_distance(),
                     &mut stats,
                     &mut |id, d| {
@@ -369,6 +370,7 @@ mod tests {
             &self,
             node: NodeId,
             query: &[f32],
+            _prepared: &(),
             best_so_far: f32,
             _stats: &mut QueryStats,
             accept: &mut dyn FnMut(usize, f32) -> f32,

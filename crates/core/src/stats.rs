@@ -12,11 +12,15 @@
 pub struct QueryStats {
     /// Number of full (or early-abandoned) raw-data distance computations.
     pub distance_computations: u64,
-    /// Number of lower-bound distance computations on summarizations.
+    /// Number of lower-bound distance computations on summarizations: one
+    /// per node bounded, and one per leaf member bounded from its own
+    /// summary before its raw series is read (iSAX2+).
     pub lower_bound_computations: u64,
     /// Number of leaf nodes (or inverted lists / buckets) visited.
     pub leaves_visited: u64,
-    /// Number of internal nodes popped from the search priority queue.
+    /// Number of nodes popped from the search priority queue and not pruned
+    /// — internal nodes and leaves alike, so never less than
+    /// `leaves_visited`.
     pub nodes_visited: u64,
     /// Number of raw series fetched from storage and compared to the query.
     pub series_scanned: u64,

@@ -604,12 +604,15 @@ impl HierarchicalIndex for DsTree {
         &self,
         node: usize,
         query: &[f32],
+        _prepared: &(),
         best_so_far: f32,
         stats: &mut QueryStats,
         accept: &mut dyn FnMut(usize, f32) -> f32,
     ) -> u64 {
+        // EAPCA summarizes nodes, not series: every member is compared.
+        let keep_all = &mut |_, _| true;
         self.collection
-            .refine_leaf(&self.nodes[node].leaf, query, best_so_far, stats, accept)
+            .refine_leaf(&self.nodes[node].leaf, query, best_so_far, stats, keep_all, accept)
     }
 }
 

@@ -53,9 +53,6 @@ struct Node {
     /// The node's series (dataset positions) and their place in the
     /// collection; empty once the node has split.
     leaf: Leaf,
-    /// Cached full-cardinality words of the members (parallel to
-    /// `leaf.members`; build-time scratch, rehydrated on ingest).
-    member_words: Vec<IsaxWord>,
 }
 
 impl Node {
@@ -81,6 +78,18 @@ impl Node {
 /// [`HierarchicalIndex::min_dist`] is then `word_len` lookups summed in
 /// segment order: the same additions as
 /// [`hydra_summarize::sax::mindist_paa_isax`] over the word, bit for bit.
+///
+/// The full-cardinality symbols the insert path computes for every series
+/// are kept too: one flat `u8` array, `word_len` per series, in store-row
+/// (leaf) order, extended by [`AnnIndex::insert_batch`] and — like the
+/// cells — rebuilt by one uncharged pass over the store when a snapshot
+/// loads, never persisted. A full-cardinality symbol is a cell of the same
+/// per-query table, so [`HierarchicalIndex::refine_leaf`] bounds each
+/// member of a popped leaf with `word_len` more lookups and hands the store
+/// a *gate*: a member whose bound strictly exceeds the live best-so-far is
+/// skipped before its raw series is read — it is one the early-abandoning
+/// kernel would have refused, so answers and distance bits do not depend
+/// on the gate; only the series read and compared do.
 pub struct Isax2Plus {
     config: IsaxConfig,
     series_len: usize,
@@ -93,9 +102,12 @@ pub struct Isax2Plus {
     cell_edges: Vec<(f32, f32)>,
     /// Cell ids of node `n >= 1` at `(n - 1) * word_len ..`.
     cells: Vec<u16>,
+    /// The full-cardinality symbols of every series, `word_len` per store
+    /// row in store-row order (arrival order while [`Isax2Plus::build`] is
+    /// still inserting: nothing is laid out yet).
+    words: Vec<u8>,
     /// Root children by the 1-bit prefixes of their word: build/ingest-time
-    /// scratch like `Node::member_words`, rebuilt from the root's children
-    /// when stale.
+    /// scratch, rebuilt from the root's children when stale.
     root_children: HashMap<Vec<u16>, usize>,
     /// Leaf-ordered raw series (the simulated on-disk layout).
     collection: Collection,
@@ -136,16 +148,6 @@ fn cell_edges(breakpoints: &[f32], max_bits: u8) -> Vec<(f32, f32)> {
     edges
 }
 
-/// Where [`Isax2Plus::insert_series`] re-reads member series when a leaf's
-/// cached SAX words need rehydrating: the build-time dataset, or (during
-/// streaming ingest) the tree's own series store.
-enum FetchSource<'a> {
-    /// The collection being built (members are dataset positions).
-    Dataset(&'a Dataset),
-    /// The index's own collection (ingest path).
-    Store,
-}
-
 /// The leaves of the tree, in node order (the virtual root is never one).
 fn leaves_mut(nodes: &mut [Node]) -> impl Iterator<Item = &mut Leaf> {
     nodes
@@ -178,15 +180,23 @@ impl Isax2Plus {
             bits: Vec::new(),
         });
         for id in 0..dataset.len() {
-            index.insert(dataset, id);
+            let word = index.full_word(dataset.series(id));
+            index.insert_series(id, word);
         }
         index
             .collection
             .materialize(dataset, leaves_mut(&mut index.nodes))?;
-        // The cached words and the root fan-out map were build-time scratch.
-        for node in &mut index.nodes {
-            node.member_words = Vec::new();
-        }
+        // The words follow the series into leaf order: rows were handed out
+        // leaf by leaf in node order, members in membership order.
+        let arrival = std::mem::take(&mut index.words);
+        let word_len = index.word_len;
+        index.words = index.nodes[1..]
+            .iter()
+            .flat_map(|n| &n.leaf.members)
+            .flat_map(|&id| &arrival[id * word_len..][..word_len])
+            .copied()
+            .collect();
+        // The root fan-out map was build-time scratch.
         index.root_children = HashMap::new();
         Ok(index)
     }
@@ -208,6 +218,7 @@ impl Isax2Plus {
             nodes: Vec::new(),
             word_len: config.sax.segments.min(series_len),
             cells: Vec::new(),
+            words: Vec::new(),
             root_children: HashMap::new(),
             collection,
             histogram,
@@ -218,45 +229,22 @@ impl Isax2Plus {
         sax_word(series, &self.config.sax, &self.breakpoints)
     }
 
-    fn insert(&mut self, dataset: &Dataset, id: usize) {
-        let word = self.full_word(dataset.series(id));
-        self.insert_series(id, word, &FetchSource::Dataset(dataset));
-    }
-
-    /// Reads the raw series of dataset position `id` into `out`.
-    fn fetch_series(&self, id: usize, src: &FetchSource<'_>, out: &mut Vec<f32>) {
-        match src {
-            FetchSource::Dataset(dataset) => {
-                out.clear();
-                out.extend_from_slice(dataset.series(id));
-            }
-            FetchSource::Store => self.collection.read_by_id(id, out),
-        }
-    }
-
-    /// Recomputes the cached full-cardinality SAX words of a leaf whose
-    /// `member_words` were dropped at the end of [`Isax2Plus::build`] (or
-    /// never loaded from a snapshot). `sax_word` is deterministic, so the
-    /// rehydrated words are exactly what the build computed.
-    fn hydrate_member_words(&mut self, leaf: usize, src: &FetchSource<'_>) {
-        if self.nodes[leaf].member_words.len() == self.nodes[leaf].leaf.members.len() {
-            return;
-        }
-        let members = self.nodes[leaf].leaf.members.clone();
-        let mut buf = Vec::new();
-        let mut words = Vec::with_capacity(members.len());
-        for &id in &members {
-            self.fetch_series(id, src, &mut buf);
-            words.push(self.full_word(&buf));
-        }
-        self.nodes[leaf].member_words = words;
+    /// The kept symbols of the series with dataset id `id`.
+    fn word_of(&self, id: usize) -> &[u8] {
+        let row = if self.collection.is_empty() {
+            id
+        } else {
+            self.collection.row_of(id)
+        };
+        &self.words[row * self.word_len..][..self.word_len]
     }
 
     /// Routes one series (its dataset position and full-cardinality word)
-    /// to its leaf, splitting on overflow — the single insertion path shared
-    /// by [`Isax2Plus::build`] and streaming ingest, which is what makes the
+    /// to its leaf, splitting on overflow, and keeps the word's symbols as
+    /// the next row of `words` — the single insertion path shared by
+    /// [`Isax2Plus::build`] and streaming ingest, which is what makes the
     /// two produce identical trees for the same insert sequence.
-    fn insert_series(&mut self, id: usize, word: IsaxWord, src: &FetchSource<'_>) {
+    fn insert_series(&mut self, id: usize, word: IsaxWord) {
         let max_bits = self.config.sax.max_bits;
 
         // Find (or create) the root child whose 1-bit word covers this
@@ -298,9 +286,8 @@ impl Isax2Plus {
             current = next;
         }
 
-        self.hydrate_member_words(current, src);
+        self.words.extend(word.symbols.iter().map(|&s| s as u8));
         self.nodes[current].leaf.members.push(id);
-        self.nodes[current].member_words.push(word);
         if self.nodes[current].leaf.members.len() > self.config.leaf_capacity {
             self.split_leaf(current);
         }
@@ -315,7 +302,6 @@ impl Isax2Plus {
         let max_bits = self.config.sax.max_bits;
         let word = self.nodes[node_id].word.clone();
         let members = std::mem::take(&mut self.nodes[node_id].leaf.members);
-        let member_words = std::mem::take(&mut self.nodes[node_id].member_words);
 
         // Choose the most balanced split among promotable segments.
         let mut best: Option<(usize, usize)> = None; // (segment, imbalance)
@@ -325,11 +311,11 @@ impl Isax2Plus {
             }
             let new_bits = word.bits[seg] + 1;
             let shift = max_bits - new_bits;
-            let left_count = member_words
+            let left_count = members
                 .iter()
-                .filter(|w| (w.symbols[seg] >> shift) & 1 == 0)
+                .filter(|&&id| (self.word_of(id)[seg] >> shift) & 1 == 0)
                 .count();
-            let imbalance = (2 * left_count).abs_diff(member_words.len());
+            let imbalance = (2 * left_count).abs_diff(members.len());
             if best.map(|(_, b)| imbalance < b).unwrap_or(true) {
                 best = Some((seg, imbalance));
             }
@@ -338,7 +324,6 @@ impl Isax2Plus {
             // Every segment is at maximum cardinality: the node cannot be
             // refined further and keeps its oversized membership.
             self.nodes[node_id].leaf.members = members;
-            self.nodes[node_id].member_words = member_words;
             return;
         };
 
@@ -356,14 +341,13 @@ impl Isax2Plus {
 
         let left_id = self.push_node(left_word);
         let right_id = self.push_node(right_word);
-        for (id, w) in members.into_iter().zip(member_words.into_iter()) {
-            let target = if (w.symbols[seg] >> shift) & 1 == 0 {
+        for id in members {
+            let target = if (self.word_of(id)[seg] >> shift) & 1 == 0 {
                 left_id
             } else {
                 right_id
             };
             self.nodes[target].leaf.members.push(id);
-            self.nodes[target].member_words.push(w);
         }
         self.nodes[node_id].children = vec![left_id, right_id];
 
@@ -383,9 +367,28 @@ impl Isax2Plus {
             word,
             children: Vec::new(),
             leaf: Leaf::default(),
-            member_words: Vec::new(),
         });
         id
+    }
+
+    /// The squared lower bound of one word: its per-segment `cells` looked
+    /// up in the query's `table` and summed in segment order.
+    fn bound_squared(&self, table: &[f32], cells: impl Iterator<Item = usize>) -> f32 {
+        let row_len = self.cell_edges.len();
+        let mut acc = 0.0f32;
+        for (i, cell) in cells.enumerate() {
+            acc += table[i * row_len + cell];
+        }
+        self.series_len as f32 / self.word_len as f32 * acc
+    }
+
+    /// The squared lower bound on the distance from the query `table` was
+    /// prepared for to the series in store row `row`, from its kept word.
+    fn member_bound_squared(&self, table: &[f32], row: usize) -> f32 {
+        // A full-cardinality symbol `s` is cell `2^max_bits - 2 + s`.
+        let full = (1usize << self.config.sax.max_bits) - 2;
+        let symbols = &self.words[row * self.word_len..][..self.word_len];
+        self.bound_squared(table, symbols.iter().map(|&s| full + s as usize))
     }
 
     /// Number of leaves.
@@ -546,7 +549,6 @@ impl PersistentIndex for Isax2Plus {
                 word: IsaxWord { symbols, bits },
                 children,
                 leaf: Leaf::from_extent(sec.get_usize()?, sec.get_usize()?, num_series)?,
-                member_words: Vec::new(),
             });
         }
         if nodes
@@ -577,6 +579,12 @@ impl PersistentIndex for Isax2Plus {
             .flat_map(|n| cell_ids(&n.word, max_bits))
             .collect();
         index.nodes = nodes;
+        // One uncharged pass in store-row order, a page of series at a time.
+        let mut words = Vec::with_capacity(num_series * index.word_len);
+        index.collection.store().for_each_series(&mut |_, series| {
+            words.extend(index.full_word(series).symbols.iter().map(|&s| s as u8));
+        });
+        index.words = words;
         Ok(index)
     }
 }
@@ -621,13 +629,7 @@ impl HierarchicalIndex for Isax2Plus {
             return 0.0;
         }
         let cells = &self.cells[(node - 1) * self.word_len..][..self.word_len];
-        let row_len = self.cell_edges.len();
-        let mut acc = 0.0f32;
-        for (i, &cell) in cells.iter().enumerate() {
-            acc += table[i * row_len + cell as usize];
-        }
-        let scale = self.series_len as f32 / self.word_len as f32;
-        (scale * acc).sqrt()
+        self.bound_squared(table, cells.iter().map(|&cell| cell as usize)).sqrt()
     }
 
     fn leaf_size(&self, node: usize) -> usize {
@@ -638,12 +640,23 @@ impl HierarchicalIndex for Isax2Plus {
         &self,
         node: usize,
         query: &[f32],
+        table: &Vec<f32>,
         best_so_far: f32,
         stats: &mut QueryStats,
         accept: &mut dyn FnMut(usize, f32) -> f32,
     ) -> u64 {
-        self.collection
-            .refine_leaf(&self.nodes[node].leaf, query, best_so_far, stats, accept)
+        let leaf = &self.nodes[node].leaf;
+        stats.lower_bound_computations += self.collection.leaf_len(leaf) as u64;
+        self.collection.refine_leaf(
+            leaf,
+            query,
+            best_so_far,
+            stats,
+            // Strictly beyond the bound is what the early-abandoning kernel
+            // refuses; a member at the bound is still compared.
+            &mut |row, bound| self.member_bound_squared(table, row) <= bound * bound,
+            accept,
+        )
     }
 }
 
@@ -685,6 +698,7 @@ impl AnnIndex for Isax2Plus {
             + self.breakpoints.len() * std::mem::size_of::<f32>()
             + self.cell_edges.len() * std::mem::size_of::<(f32, f32)>()
             + self.cells.len() * std::mem::size_of::<u16>()
+            + self.words.len()
     }
 
     fn store_counters(&self) -> Option<hydra_core::StoreCounters> {
@@ -727,7 +741,7 @@ impl AnnIndex for Isax2Plus {
         for series in batch {
             let id = self.collection.append(series)?;
             let word = self.full_word(series);
-            self.insert_series(id, word, &FetchSource::Store);
+            self.insert_series(id, word);
         }
         self.histogram = self.collection.pairwise_histogram(
             self.config.histogram_samples,
@@ -744,7 +758,9 @@ impl AnnIndex for Isax2Plus {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use hydra_data::{exact_knn, random_walk};
+    use hydra_core::{euclidean, euclidean_early_abandon};
+    use hydra_data::{exact_knn, noisy_queries, random_walk};
+    use hydra_storage::PageCodec;
     use hydra_summarize::sax::{mindist_paa_isax, MAX_CARD_BITS};
 
     fn build_small(n: usize, len: usize) -> (Dataset, Isax2Plus) {
@@ -1036,6 +1052,266 @@ mod tests {
                     }
                 }
             }
+        }
+    }
+
+    /// The configurations `prepared_min_dist_equals_the_paa_mindist_on_every_node`
+    /// sweeps: (series length, segments, max_bits).
+    const SHAPES: [(usize, usize, u8); 4] = [(64, 8, 8), (64, 16, 8), (64, 8, 3), (6, 8, 8)];
+
+    fn config_of(segments: usize, max_bits: u8) -> IsaxConfig {
+        IsaxConfig {
+            sax: SaxParams::new(segments, max_bits),
+            leaf_capacity: 16,
+            storage: StorageConfig::in_memory(),
+            histogram_samples: 2_000,
+            seed: 5,
+        }
+    }
+
+    /// Every leaf member as `(node, store row, dataset id)`, whatever state
+    /// the collection is in.
+    fn members_by_row(index: &Isax2Plus) -> Vec<(usize, usize, usize)> {
+        let mut out = Vec::new();
+        for node in (1..index.nodes.len()).filter(|&n| index.is_leaf(n)) {
+            let leaf = &index.nodes[node].leaf;
+            let mut runs = Vec::new();
+            index.collection.leaf_ranges(leaf, &mut runs);
+            let mut rows = runs.iter().flat_map(|&(start, count)| start..start + count);
+            index
+                .collection
+                .visit_leaf(leaf, &mut QueryStats::new(), &mut |id, _| {
+                    out.push((node, rows.next().unwrap(), id));
+                });
+        }
+        index.store().reset_io();
+        out
+    }
+
+    #[test]
+    fn member_bounds_never_exceed_the_true_distance() {
+        for (len, segments, max_bits) in SHAPES {
+            for seed in [17u64, 23, 99] {
+                let data = random_walk(400, len, seed);
+                let index = Isax2Plus::build(&data, config_of(segments, max_bits)).unwrap();
+                let members = members_by_row(&index);
+                assert_eq!(members.len(), data.len());
+                let noisy = noisy_queries(&data, 9, &[0.0, 0.1, 0.5], seed + 1);
+                let walks = random_walk(3, len, seed + 2);
+                for q in noisy.iter().chain(walks.iter()) {
+                    let table = index.prepare(q);
+                    for &(_, row, id) in &members {
+                        let bound = index.member_bound_squared(&table, row).sqrt();
+                        let distance = euclidean(q, data.series(id));
+                        assert!(
+                            bound <= distance,
+                            "len {len} segments {segments} max_bits {max_bits}: \
+                             series {id} bounded at {bound}, is at {distance}"
+                        );
+                    }
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn a_member_whose_bound_equals_the_best_so_far_is_still_compared() {
+        // One and two points per segment, so a piecewise-constant series
+        // summarizes without rounding. The query is zero; the series sits on
+        // a positive breakpoint over its first segment (the lower edge of its
+        // cell, which is therefore exactly as far from the query as the
+        // series) and on zero elsewhere: bound and distance are one number.
+        for (len, segments) in [(8usize, 8usize), (32, 16)] {
+            let config = config_of(segments, 8);
+            let breakpoints = normal_breakpoints(config.sax.max_cardinality());
+            for edge in [130usize, 200, 254] {
+                let mut series = vec![0.0f32; len];
+                series[..len / segments].fill(breakpoints[edge]);
+                let mut data = random_walk(40, len, 3);
+                data.push(&series).unwrap();
+                let index = Isax2Plus::build(&data, config).unwrap();
+                let &(node, row, _) = members_by_row(&index)
+                    .iter()
+                    .find(|&&(_, _, id)| id == 40)
+                    .unwrap();
+                let query = vec![0.0f32; len];
+                let table = index.prepare(&query);
+                let bound = index.member_bound_squared(&table, row).sqrt();
+                assert_eq!(bound.to_bits(), euclidean(&query, &series).to_bits());
+
+                // Around the tie the gate lets through exactly what the
+                // kernel accepts; at it (one point per segment: the square
+                // root is exact) that is the series itself.
+                for best_so_far in [bound.next_down(), bound, bound.next_up()] {
+                    let mut accepted = Vec::new();
+                    let mut stats = QueryStats::new();
+                    index.refine_leaf(node, &query, &table, best_so_far, &mut stats, &mut |id, _| {
+                        accepted.push(id);
+                        best_so_far
+                    });
+                    assert_eq!(
+                        accepted.contains(&40),
+                        euclidean_early_abandon(&query, &series, best_so_far).is_some(),
+                        "len {len} edge {edge} best-so-far {best_so_far}"
+                    );
+                    if len == segments {
+                        assert_eq!(accepted.contains(&40), best_so_far >= bound);
+                    }
+                }
+            }
+        }
+    }
+
+    /// The tree with every leaf member read and compared — no gate — through
+    /// [`Collection::visit_leaf`]: the reference the gated search is held to.
+    struct Ungated<'a>(&'a Isax2Plus);
+
+    impl HierarchicalIndex for Ungated<'_> {
+        type Prepared = Vec<f32>;
+
+        fn roots(&self) -> &[usize] {
+            self.0.roots()
+        }
+        fn is_leaf(&self, node: usize) -> bool {
+            self.0.is_leaf(node)
+        }
+        fn children(&self, node: usize) -> &[usize] {
+            self.0.children(node)
+        }
+        fn prepare(&self, query: &[f32]) -> Vec<f32> {
+            self.0.prepare(query)
+        }
+        fn min_dist(&self, query: &[f32], table: &Vec<f32>, node: usize) -> f32 {
+            self.0.min_dist(query, table, node)
+        }
+        fn leaf_size(&self, node: usize) -> usize {
+            self.0.leaf_size(node)
+        }
+        fn refine_leaf(
+            &self,
+            node: usize,
+            query: &[f32],
+            _table: &Vec<f32>,
+            best_so_far: f32,
+            stats: &mut QueryStats,
+            accept: &mut dyn FnMut(usize, f32) -> f32,
+        ) -> u64 {
+            let mut bound = best_so_far;
+            let mut compared = 0;
+            let leaf = &self.0.nodes[node].leaf;
+            self.0.collection.visit_leaf(leaf, stats, &mut |id, series| {
+                compared += 1;
+                if let Some(d) = euclidean_early_abandon(query, series, bound) {
+                    bound = accept(id, d);
+                }
+            });
+            compared
+        }
+    }
+
+    #[test]
+    fn gated_search_answers_exactly_as_the_ungated_reference_and_reads_less() {
+        let data = random_walk(600, 64, 17);
+        let config = config_of(8, 8);
+        let dir = std::env::temp_dir().join(format!("hydra-isax-gate-{}", std::process::id()));
+        std::fs::create_dir_all(&dir).unwrap();
+        let path = dir.join("isax.snap");
+        let built = Isax2Plus::build(&data, config).unwrap();
+        built.save(&path).unwrap();
+        let file_backed = |codec| {
+            let storage = StorageConfig::on_disk().with_pool_pages(8).with_page_codec(codec);
+            let backing = StoreBacking::FileBacked {
+                dataset_snapshot: None,
+            };
+            Isax2Plus::load_backed(&path, &data, &IsaxConfig { storage, ..config }, backing).unwrap()
+        };
+        let stores = [
+            ("resident", built),
+            ("file f32", file_backed(PageCodec::F32)),
+            ("file u8", file_backed(PageCodec::U8)),
+        ];
+        let queries = noisy_queries(&data, 12, &[0.0, 0.1, 0.25], 212);
+        for (store, index) in &stores {
+            for params in [
+                SearchParams::exact(5),
+                SearchParams::epsilon(5, 1.0),
+                SearchParams::delta_epsilon(5, 0.9, 1.0),
+                SearchParams::ng(5, 3),
+            ] {
+                let spec = SearchSpec::from_params(&params, Some(&index.histogram));
+                let (mut gated_bytes, mut ungated_bytes) = (0, 0);
+                for q in queries.iter() {
+                    let gated = knn_search(index, q, &spec);
+                    let ungated = knn_search(&Ungated(index), q, &spec);
+                    let bits = |r: &SearchResult| -> Vec<(usize, u32)> {
+                        r.neighbors.iter().map(|n| (n.index, n.distance.to_bits())).collect()
+                    };
+                    assert_eq!(bits(&gated), bits(&ungated), "{store} {:?}", params.mode);
+                    assert_eq!(gated.stats.leaves_visited, ungated.stats.leaves_visited);
+                    assert!(gated.stats.distance_computations <= ungated.stats.distance_computations);
+                    gated_bytes += gated.stats.bytes_read;
+                    ungated_bytes += ungated.stats.bytes_read;
+                }
+                assert!(
+                    gated_bytes < ungated_bytes,
+                    "{store} {:?}: {gated_bytes} bytes gated, {ungated_bytes} ungated",
+                    params.mode
+                );
+            }
+        }
+        std::fs::remove_dir_all(&dir).ok();
+    }
+
+    #[test]
+    fn kept_words_agree_between_built_loaded_and_grown() {
+        for (len, segments, max_bits) in SHAPES {
+            let data = random_walk(500, len, 17);
+            let config = config_of(segments, max_bits);
+            let built = Isax2Plus::build(&data, config).unwrap();
+            let head = Dataset::from_flat(len, data.as_flat()[..300 * len].to_vec()).unwrap();
+            let mut grown = Isax2Plus::build(&head, config).unwrap();
+            let tail: Vec<&[f32]> = (300..500).map(|i| data.series(i)).collect();
+            for chunk in tail.chunks(37) {
+                grown.insert_batch(chunk).unwrap();
+            }
+            let path = std::env::temp_dir().join(format!(
+                "hydra-isax-words-{}-{len}-{segments}-{max_bits}.snap",
+                std::process::id()
+            ));
+            built.save(&path).unwrap();
+            let loaded = Isax2Plus::load(&path, &data, &config).unwrap();
+            // A grown tree saves compacted: loaded back, its rows are the
+            // fresh build's.
+            grown.save(&path).unwrap();
+            let regrown = Isax2Plus::load(&path, &data, &config).unwrap();
+            std::fs::remove_file(&path).ok();
+
+            assert_eq!(loaded.words, built.words);
+            assert_eq!(regrown.words, built.words);
+            // The grown store is arrival-interleaved, so its rows are
+            // compared series by series.
+            let words_by_id = |index: &Isax2Plus| {
+                let mut by_id = vec![Vec::new(); data.len()];
+                for (_, row, id) in members_by_row(index) {
+                    by_id[id] = index.words[row * index.word_len..][..index.word_len].to_vec();
+                }
+                by_id
+            };
+            let want = words_by_id(&built);
+            assert_eq!(words_by_id(&grown), want);
+            for (id, word) in want.iter().enumerate() {
+                let full = built.full_word(data.series(id));
+                assert!(word.iter().zip(&full.symbols).all(|(&kept, &s)| kept as u16 == s));
+            }
+
+            // The footprint counts the kept words, and differs only by the
+            // inverse row mapping a grown collection holds.
+            assert!(built.memory_footprint() >= data.len() * built.word_len);
+            assert_eq!(loaded.memory_footprint(), built.memory_footprint());
+            assert_eq!(
+                grown.memory_footprint(),
+                built.memory_footprint() + data.len() * std::mem::size_of::<usize>()
+            );
         }
     }
 

@@ -519,24 +519,51 @@ impl Collection {
     /// a coded store the leaf scan prunes on compressed pages (and only
     /// survivors read exact f32), while on a raw store the I/O charges are
     /// exactly `visit_leaf`'s.
+    ///
+    /// `gate(row, bound)` sees every member's store row with the bound live
+    /// at that member and decides, before the store reads anything of it,
+    /// whether it is compared at all (see [`SeriesStore::scan_refine`]); a
+    /// tree with no per-series summary passes `&mut |_, _| true`. Returns
+    /// the number of members the gate kept.
     pub fn refine_leaf(
         &self,
         leaf: &Leaf,
         query: &[f32],
         best_so_far: f32,
         stats: &mut QueryStats,
+        gate: &mut dyn FnMut(usize, f32) -> bool,
         accept: &mut dyn FnMut(usize, f32) -> f32,
     ) -> u64 {
         let to_dataset = &self.permutation().to_dataset;
         let mut bound = best_so_far;
+        let mut kept = 0;
         self.for_each_run(leaf, |start, count| {
-            bound = self
-                .store
-                .scan_refine(start, count, query, bound, stats, &mut |pos, d| {
-                    accept(to_dataset[pos], d)
-                });
+            bound = self.store.scan_refine(
+                start,
+                count,
+                query,
+                bound,
+                stats,
+                &mut |row, bound| {
+                    let keep = gate(row, bound);
+                    kept += u64::from(keep);
+                    keep
+                },
+                &mut |row, d| accept(to_dataset[row], d),
+            );
         });
-        self.leaf_len(leaf) as u64
+        kept
+    }
+
+    /// The store row holding the series with dataset id `id` of a grown
+    /// leaf-ordered collection — where an index keeping per-row data finds
+    /// the entry of a leaf member.
+    ///
+    /// # Panics
+    /// Panics before [`Collection::activate_growth`]: a pristine
+    /// collection keeps no inverse mapping.
+    pub fn row_of(&self, id: usize) -> usize {
+        self.permutation().to_store[id]
     }
 
     /// The content fingerprint ([`fingerprint_dataset`]) of the collection
@@ -833,7 +860,8 @@ mod tests {
             let mut stats = QueryStats::new();
             let mut accepted = Vec::new();
             let mut best = f32::INFINITY;
-            store.scan_refine(0, store.len(), &query, best, &mut stats, &mut |id, dist| {
+            let keep_all = &mut |_, _| true;
+            store.scan_refine(0, store.len(), &query, best, &mut stats, keep_all, &mut |id, dist| {
                 accepted.push((id, dist.to_bits()));
                 best = best.min(dist);
                 best
@@ -1037,6 +1065,7 @@ mod tests {
                 &[0.0],
                 f32::INFINITY,
                 &mut stats,
+                &mut |_, _| true,
                 &mut |id, _| {
                     refined.push(id);
                     f32::INFINITY

@@ -554,13 +554,36 @@ impl SeriesStore {
         }
         let end = (start + count).min(self.len());
         assert!(start < self.len(), "start {start} out of bounds");
-        stats.bytes_read += self.series_bytes() * (end - start) as u64;
-        for page in self.page_of(start)..=self.page_of(end - 1) {
+        self.read_kept(start..end, stats, &mut |_| true, visit);
+    }
+
+    /// The one raw range walk: visits the records of `range` that `keep`
+    /// lets through, in order. A page is fetched (and charged its access)
+    /// when its first kept record is met, and `bytes_read` is charged per
+    /// kept record — so with everything kept this is a whole-range read,
+    /// and a page with no kept record costs nothing.
+    fn read_kept(
+        &self,
+        range: std::ops::Range<usize>,
+        stats: &mut QueryStats,
+        keep: &mut dyn FnMut(usize) -> bool,
+        visit: &mut dyn FnMut(usize, &[f32]),
+    ) {
+        for page in self.page_of(range.start)..=self.page_of(range.end - 1) {
             let page_first = page as usize * self.spp;
-            let records = start.max(page_first)..end.min(page_first + self.spp);
-            let values = self.raw_page(page, records.clone(), stats);
-            for (record, series) in records.zip(values.chunks_exact(self.series_len)) {
-                visit(record, series);
+            let records = range.start.max(page_first)..range.end.min(page_first + self.spp);
+            let mut fetched = None;
+            for record in records.clone() {
+                if !keep(record) {
+                    continue;
+                }
+                let values =
+                    fetched.get_or_insert_with(|| self.raw_page(page, records.clone(), stats));
+                stats.bytes_read += self.series_bytes();
+                visit(
+                    record,
+                    &values[(record - records.start) * self.series_len..][..self.series_len],
+                );
             }
         }
     }
@@ -784,7 +807,8 @@ impl SeriesStore {
     ) -> Option<f32> {
         assert!(record < self.len(), "record {record} out of bounds");
         let mut refined = None;
-        self.scan_refine(record, 1, query, best_so_far, stats, &mut |_, d| {
+        let keep_all = &mut |_, _| true;
+        self.scan_refine(record, 1, query, best_so_far, stats, keep_all, &mut |_, d| {
             refined = Some(d);
             d
         });
@@ -798,12 +822,18 @@ impl SeriesStore {
     /// tightened) bound for the rest of the scan; the final bound is
     /// returned.
     ///
-    /// On a raw (f32) store this charges exactly what
-    /// [`SeriesStore::read_range`] plus the kernel would (it *is* that
-    /// call); on a coded store the sealed prefix of the range scans
-    /// compressed pages and only survivors read exact f32 bytes, while
-    /// any tail records (appended after sealing) fall through to the raw
-    /// path.
+    /// `gate(record, bound)` is asked about every record, in order, against
+    /// the bound live at that record, before anything of the record is
+    /// read: `false` skips it — no bytes charged, and a page none of whose
+    /// records pass is never fetched. A caller with nothing cheaper than
+    /// the series to decide on passes `&mut |_, _| true`.
+    ///
+    /// With every record kept, a raw (f32) store charges exactly what
+    /// [`SeriesStore::read_range`] plus the kernel would; on a coded store
+    /// the sealed prefix of the range scans compressed pages and only
+    /// survivors read exact f32 bytes, while any tail records (appended
+    /// after sealing) fall through to the raw path.
+    #[allow(clippy::too_many_arguments)]
     pub fn scan_refine(
         &self,
         start: usize,
@@ -811,12 +841,14 @@ impl SeriesStore {
         query: &[f32],
         best_so_far: f32,
         stats: &mut QueryStats,
+        gate: &mut dyn FnMut(usize, f32) -> bool,
         accept: &mut dyn FnMut(usize, f32) -> f32,
     ) -> f32 {
-        let mut bound = best_so_far;
         if count == 0 {
-            return bound;
+            return best_so_far;
         }
+        // Shared by the walk's keep and visit callbacks.
+        let bound = std::cell::Cell::new(best_so_far);
         let end = (start + count).min(self.len());
         assert!(start < self.len(), "start {start} out of bounds");
         let mut raw_start = start;
@@ -826,22 +858,25 @@ impl SeriesStore {
             if coded_end > start {
                 let mut exact = Vec::new();
                 for page in self.page_of(start)..=self.page_of(coded_end - 1) {
-                    let frame = self.coded_page(tier, page, stats);
-                    let page_first = page as usize * self.spp;
-                    let lo = start.max(page_first);
-                    let hi = coded_end.min(page_first + frame.count());
-                    for record in lo..hi {
+                    let (page_first, in_page) = self.page_records(page, tier.sealed);
+                    let mut fetched = None;
+                    for record in start.max(page_first)..coded_end.min(page_first + in_page) {
+                        if !gate(record, bound.get()) {
+                            continue;
+                        }
+                        let frame =
+                            fetched.get_or_insert_with(|| self.coded_page(tier, page, stats));
                         stats.bytes_read += self.coded_record_bytes();
                         if self
-                            .coded_probe(&frame, record - page_first, query, bound)
+                            .coded_probe(frame, record - page_first, query, bound.get())
                             .is_some()
                         {
                             self.charge_exact_refinement(stats);
                             self.read_uncharged(record, &mut exact);
                             if let Some(d) =
-                                hydra_core::euclidean_early_abandon(query, &exact, bound)
+                                hydra_core::euclidean_early_abandon(query, &exact, bound.get())
                             {
-                                bound = accept(record, d);
+                                bound.set(accept(record, d));
                             }
                         }
                     }
@@ -849,13 +884,19 @@ impl SeriesStore {
             }
         }
         if end > raw_start {
-            self.read_range(raw_start, end - raw_start, stats, &mut |record, series| {
-                if let Some(d) = hydra_core::euclidean_early_abandon(query, series, bound) {
-                    bound = accept(record, d);
-                }
-            });
+            self.read_kept(
+                raw_start..end,
+                stats,
+                &mut |record| gate(record, bound.get()),
+                &mut |record, series| {
+                    if let Some(d) = hydra_core::euclidean_early_abandon(query, series, bound.get())
+                    {
+                        bound.set(accept(record, d));
+                    }
+                },
+            );
         }
-        bound
+        bound.get()
     }
 
     /// Snapshot of cumulative I/O counters.
@@ -1659,7 +1700,8 @@ mod tests {
         let mut stats = QueryStats::new();
         let mut accepted = Vec::new();
         let mut best = f32::INFINITY;
-        store.scan_refine(0, store.len(), query, best, &mut stats, &mut |id, dist| {
+        let keep_all = &mut |_, _| true;
+        store.scan_refine(0, store.len(), query, best, &mut stats, keep_all, &mut |id, dist| {
             accepted.push((id, dist.to_bits()));
             best = best.min(dist);
             best
@@ -1865,7 +1907,8 @@ mod tests {
         // A scan straddling the seal boundary covers both tiers.
         let mut seen = Vec::new();
         let mut stats = QueryStats::new();
-        store.scan_refine(18, 3, &query, f32::INFINITY, &mut stats, &mut |id, _| {
+        let keep_all = &mut |_, _| true;
+        store.scan_refine(18, 3, &query, f32::INFINITY, &mut stats, keep_all, &mut |id, _| {
             seen.push(id);
             f32::INFINITY
         });
@@ -1896,6 +1939,7 @@ mod tests {
             let bound = if b % 2 == 0 { f32::INFINITY } else { 40.0 * (1 + b % 5) as f32 };
             let mut stats = QueryStats::new();
             let mut out: Vec<u64> = Vec::new();
+            let mut out_gate: Vec<u64> = Vec::new();
             match op {
                 0 => out.extend(store.read(a % len, &mut stats).iter().map(|v| v.to_bits() as u64)),
                 1 => store.read_range(a % len, b % 7, &mut stats, &mut |id, series| {
@@ -1909,13 +1953,27 @@ mod tests {
                 ),
                 3 => {
                     let mut best = bound;
-                    let last =
-                        store.scan_refine(a % len, b % 7, &query, bound, &mut stats, &mut |id, dist| {
+                    // The gate axis: keep everything, or drop records by a
+                    // rule that reads both the record and the live bound.
+                    let mut gate = |record: usize, live: f32| {
+                        out_gate.push(live.to_bits() as u64);
+                        b % 3 == 0 || ((record + b) % 3 != 0 && live > 20.0)
+                    };
+                    let last = store.scan_refine(
+                        a % len,
+                        b % 7,
+                        &query,
+                        bound,
+                        &mut stats,
+                        &mut gate,
+                        &mut |id, dist| {
                             out.extend([id as u64, dist.to_bits() as u64]);
                             best = best.min(dist);
                             best
-                        });
+                        },
+                    );
                     out.push(last.to_bits() as u64);
+                    out.append(&mut out_gate);
                 }
                 4 => {
                     let series: Vec<f32> =
