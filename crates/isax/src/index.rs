@@ -66,30 +66,51 @@ impl Node {
 /// # Lower bounds by table lookup
 ///
 /// A node's [`IsaxWord`] stays the source of truth for insertion, splitting
-/// and persistence. For search, every `(bits, prefix)` a segment can take is
-/// numbered as a *cell*: `cell = (1 << bits) - 2 + prefix`, so the two 1-bit
-/// regions are cells 0 and 1, the four 2-bit regions cells 2..=5, and so on
-/// up to `2^(max_bits + 1) - 2` cells. The cells of all nodes live in one
-/// flat `u16` array (`word_len` per node, in node order, the virtual root
-/// having none), written whenever a node is pushed and rebuilt from the
-/// words when a snapshot loads — derived data, never persisted.
-/// [`HierarchicalIndex::prepare`] fills a per-query table with the squared
-/// distance from the query's PAA to every cell of every segment, and
-/// [`HierarchicalIndex::min_dist`] is then `word_len` lookups summed in
-/// segment order: the same additions as
-/// [`hydra_summarize::sax::mindist_paa_isax`] over the word, bit for bit.
+/// and persistence. For search, every node `n >= 1` also has an *envelope*:
+/// per segment, the interval `[lo, hi]` of full-cardinality symbols a
+/// series beneath it can take. An internal node's envelope is the region
+/// its word names (segment `i` at `bits` bits spans the symbols
+/// `prefix << shift ..= ((prefix + 1) << shift) - 1`); a leaf's is the
+/// envelope of what it holds — the per-segment minimum and maximum of its
+/// members' symbols, widened on insert, recomputed for both children on a
+/// split. The envelopes of all nodes live in one flat `u8` array
+/// (`2 * word_len` per node, in node order, the virtual root having none).
+///
+/// [`HierarchicalIndex::prepare`] fills a per-query table with, for every
+/// segment and every symbol `s`, the squared distance from the query's PAA
+/// to `s`'s cell when the PAA lies *below* the cell's lower breakpoint, and
+/// when it lies *above* its upper one (zero otherwise; at most one of the
+/// pair is not). [`HierarchicalIndex::min_dist`] is then `below[lo] +
+/// above[hi]` per segment, summed in segment order. On an internal node
+/// those are the additions of [`hydra_summarize::sax::mindist_paa_isax`]
+/// over its word, bit for bit.
 ///
 /// The full-cardinality symbols the insert path computes for every series
 /// are kept too: one flat `u8` array, `word_len` per series, in store-row
-/// (leaf) order, extended by [`AnnIndex::insert_batch`] and — like the
-/// cells — rebuilt by one uncharged pass over the store when a snapshot
-/// loads, never persisted. A full-cardinality symbol is a cell of the same
-/// per-query table, so [`HierarchicalIndex::refine_leaf`] bounds each
-/// member of a popped leaf with `word_len` more lookups and hands the store
-/// a *gate*: a member whose bound strictly exceeds the live best-so-far is
+/// (leaf) order, extended by [`AnnIndex::insert_batch`]. A series is the
+/// envelope `[s, s]`, so [`HierarchicalIndex::refine_leaf`] bounds each
+/// member of a popped leaf from the same table and hands the store a
+/// *gate*: a member whose bound strictly exceeds the live best-so-far is
 /// skipped before its raw series is read — it is one the early-abandoning
 /// kernel would have refused, so answers and distance bits do not depend
 /// on the gate; only the series read and compared do.
+///
+/// Words and envelopes are derived data, never persisted: a snapshot load
+/// rebuilds the words with one uncharged pass over the store and the
+/// envelopes from them.
+///
+/// **How this differs from the paper's iSAX2+.** There a leaf is bounded by
+/// its node word alone and every series of a visited leaf is read; the
+/// per-series summaries serve the build only. Bounding a leaf by its
+/// members' envelope and gating members on their own words is the step
+/// ADS+'s SIMS and its successors take. Both bounds are at least the word's
+/// (the envelope lies inside the word's region), so exact answers are the
+/// paper's, while fewer leaves are visited and fewer series read: the
+/// pruning ratio of fig 5 and the iSAX2+ timings of figs 3–4 are this
+/// variant's, not the original's. Leaves are also *ordered* by the tighter
+/// bound, so ng answers (which stop after `nprobe` leaves) can differ from
+/// a word-ordered traversal's; ε and δ-ε answers stay inside their
+/// guarantee.
 pub struct Isax2Plus {
     config: IsaxConfig,
     series_len: usize,
@@ -98,10 +119,9 @@ pub struct Isax2Plus {
     /// Segments per word: `config.sax.segments`, clamped to the series
     /// length as [`sax_word`] clamps it.
     word_len: usize,
-    /// The `(lower, upper)` breakpoint edges of every cell, by cell id.
-    cell_edges: Vec<(f32, f32)>,
-    /// Cell ids of node `n >= 1` at `(n - 1) * word_len ..`.
-    cells: Vec<u16>,
+    /// The envelope of node `n >= 1` at `(n - 1) * 2 * word_len ..`: the
+    /// `word_len` lows, then the `word_len` highs.
+    envelopes: Vec<u8>,
     /// The full-cardinality symbols of every series, `word_len` per store
     /// row in store-row order (arrival order while [`Isax2Plus::build`] is
     /// still inserting: nothing is laid out yet).
@@ -120,32 +140,13 @@ fn root_key(word: &IsaxWord, max_bits: u8) -> Vec<u16> {
     word.symbols.iter().map(|s| s >> (max_bits - 1)).collect()
 }
 
-/// The cell id of every segment of `word` (see [`Isax2Plus`]).
-fn cell_ids(word: &IsaxWord, max_bits: u8) -> impl Iterator<Item = u16> + '_ {
-    (0..word.len()).map(move |i| (1 << word.bits[i]) - 2 + word.truncated_symbol(i, max_bits))
-}
-
-/// The breakpoint edges of every cell in cell-id order, exactly as
-/// `mindist_paa_isax` derives them from a word: the region of `prefix` at
-/// `bits` bits spans the full-cardinality symbols
-/// `prefix << shift ..= ((prefix + 1) << shift) - 1`.
-fn cell_edges(breakpoints: &[f32], max_bits: u8) -> Vec<(f32, f32)> {
-    let mut edges = Vec::with_capacity((2usize << max_bits) - 2);
-    for bits in 1..=max_bits {
-        let shift = max_bits - bits;
-        for prefix in 0..1usize << bits {
-            let lo_sym = prefix << shift;
-            let hi_sym = ((prefix + 1) << shift) - 1;
-            let lower = if lo_sym == 0 {
-                f32::NEG_INFINITY
-            } else {
-                breakpoints[lo_sym - 1]
-            };
-            let upper = breakpoints.get(hi_sym).copied().unwrap_or(f32::INFINITY);
-            edges.push((lower, upper));
-        }
+/// Widens `envelope` (lows, then highs) to cover `symbols`.
+fn widen(envelope: &mut [u8], symbols: &[u8]) {
+    let (lows, highs) = envelope.split_at_mut(symbols.len());
+    for ((lo, hi), &s) in lows.iter_mut().zip(highs).zip(symbols) {
+        *lo = (*lo).min(s);
+        *hi = (*hi).max(s);
     }
-    edges
 }
 
 /// The leaves of the tree, in node order (the virtual root is never one).
@@ -213,11 +214,10 @@ impl Isax2Plus {
         Self {
             config,
             series_len,
-            cell_edges: cell_edges(&breakpoints, config.sax.max_bits),
             breakpoints,
             nodes: Vec::new(),
             word_len: config.sax.segments.min(series_len),
-            cells: Vec::new(),
+            envelopes: Vec::new(),
             words: Vec::new(),
             root_children: HashMap::new(),
             collection,
@@ -229,14 +229,25 @@ impl Isax2Plus {
         sax_word(series, &self.config.sax, &self.breakpoints)
     }
 
-    /// The kept symbols of the series with dataset id `id`.
-    fn word_of(&self, id: usize) -> &[u8] {
+    /// Where `words` keeps the series with dataset id `id`.
+    fn word_range(&self, id: usize) -> std::ops::Range<usize> {
         let row = if self.collection.is_empty() {
             id
         } else {
             self.collection.row_of(id)
         };
-        &self.words[row * self.word_len..][..self.word_len]
+        row * self.word_len..(row + 1) * self.word_len
+    }
+
+    /// Where `envelopes` keeps node `node >= 1`.
+    fn envelope_range(&self, node: usize) -> std::ops::Range<usize> {
+        (node - 1) * 2 * self.word_len..node * 2 * self.word_len
+    }
+
+    /// Widens leaf `node`'s envelope to cover the series with id `id`.
+    fn cover(&mut self, node: usize, id: usize) {
+        let (envelope, word) = (self.envelope_range(node), self.word_range(id));
+        widen(&mut self.envelopes[envelope], &self.words[word]);
     }
 
     /// Routes one series (its dataset position and full-cardinality word)
@@ -288,6 +299,7 @@ impl Isax2Plus {
 
         self.words.extend(word.symbols.iter().map(|&s| s as u8));
         self.nodes[current].leaf.members.push(id);
+        self.cover(current, id);
         if self.nodes[current].leaf.members.len() > self.config.leaf_capacity {
             self.split_leaf(current);
         }
@@ -313,7 +325,7 @@ impl Isax2Plus {
             let shift = max_bits - new_bits;
             let left_count = members
                 .iter()
-                .filter(|&&id| (self.word_of(id)[seg] >> shift) & 1 == 0)
+                .filter(|&&id| (self.words[self.word_range(id)][seg] >> shift) & 1 == 0)
                 .count();
             let imbalance = (2 * left_count).abs_diff(members.len());
             if best.map(|(_, b)| imbalance < b).unwrap_or(true) {
@@ -342,14 +354,18 @@ impl Isax2Plus {
         let left_id = self.push_node(left_word);
         let right_id = self.push_node(right_word);
         for id in members {
-            let target = if (self.word_of(id)[seg] >> shift) & 1 == 0 {
+            let target = if (self.words[self.word_range(id)][seg] >> shift) & 1 == 0 {
                 left_id
             } else {
                 right_id
             };
             self.nodes[target].leaf.members.push(id);
+            self.cover(target, id);
         }
         self.nodes[node_id].children = vec![left_id, right_id];
+        // No longer a leaf: bounded by its word from here on.
+        let (envelope, region) = (self.envelope_range(node_id), self.region(&word));
+        self.envelopes[envelope].copy_from_slice(&region);
 
         // A pathological distribution can leave one child overflowing (all
         // members share the promoted bit); recurse on it.
@@ -360,9 +376,25 @@ impl Isax2Plus {
         }
     }
 
+    /// The envelope of everything `word` covers: its region.
+    fn region(&self, word: &IsaxWord) -> Vec<u8> {
+        let max_bits = self.config.sax.max_bits;
+        let lows = (0..word.len()).map(|i| word.truncated_symbol(i, max_bits) << (max_bits - word.bits[i]));
+        let highs = lows.clone().zip(&word.bits).map(|(lo, bits)| lo | ((1 << (max_bits - bits)) - 1));
+        lows.chain(highs).map(|s| s as u8).collect()
+    }
+
+    /// Appends the envelope of a leaf holding nothing yet: the empty one,
+    /// which the first member widens to itself.
+    fn push_empty_envelope(&mut self, word_len: usize) {
+        let top = (self.config.sax.max_cardinality() - 1) as u8;
+        self.envelopes.extend(std::iter::repeat_n(top, word_len));
+        self.envelopes.extend(std::iter::repeat_n(0, word_len));
+    }
+
     fn push_node(&mut self, word: IsaxWord) -> usize {
         let id = self.nodes.len();
-        self.cells.extend(cell_ids(&word, self.config.sax.max_bits));
+        self.push_empty_envelope(word.len());
         self.nodes.push(Node {
             word,
             children: Vec::new(),
@@ -371,24 +403,22 @@ impl Isax2Plus {
         id
     }
 
-    /// The squared lower bound of one word: its per-segment `cells` looked
-    /// up in the query's `table` and summed in segment order.
-    fn bound_squared(&self, table: &[f32], cells: impl Iterator<Item = usize>) -> f32 {
-        let row_len = self.cell_edges.len();
+    /// The squared lower bound of an envelope (lows, then highs): its
+    /// per-segment `below[lo] + above[hi]` looked up in the query's `table`
+    /// and summed in segment order.
+    fn bound_squared(&self, table: &[[f32; 2]], lows: &[u8], highs: &[u8]) -> f32 {
         let mut acc = 0.0f32;
-        for (i, cell) in cells.enumerate() {
-            acc += table[i * row_len + cell];
+        for ((row, &lo), &hi) in table.chunks_exact(self.breakpoints.len() + 1).zip(lows).zip(highs) {
+            acc += row[lo as usize][0] + row[hi as usize][1];
         }
         self.series_len as f32 / self.word_len as f32 * acc
     }
 
     /// The squared lower bound on the distance from the query `table` was
     /// prepared for to the series in store row `row`, from its kept word.
-    fn member_bound_squared(&self, table: &[f32], row: usize) -> f32 {
-        // A full-cardinality symbol `s` is cell `2^max_bits - 2 + s`.
-        let full = (1usize << self.config.sax.max_bits) - 2;
+    fn member_bound_squared(&self, table: &[[f32; 2]], row: usize) -> f32 {
         let symbols = &self.words[row * self.word_len..][..self.word_len];
-        self.bound_squared(table, symbols.iter().map(|&s| full + s as usize))
+        self.bound_squared(table, symbols, symbols)
     }
 
     /// Number of leaves.
@@ -574,25 +604,37 @@ impl PersistentIndex for Isax2Plus {
         )?;
 
         let mut index = Self::without_nodes(*config, series_len, collection, histogram);
-        index.cells = nodes
-            .iter()
-            .flat_map(|n| cell_ids(&n.word, max_bits))
-            .collect();
-        index.nodes = nodes;
         // One uncharged pass in store-row order, a page of series at a time.
         let mut words = Vec::with_capacity(num_series * index.word_len);
         index.collection.store().for_each_series(&mut |_, series| {
             words.extend(index.full_word(series).symbols.iter().map(|&s| s as u8));
         });
         index.words = words;
+        let mut runs = Vec::new();
+        for (id, node) in nodes.iter().enumerate().skip(1) {
+            if !node.is_leaf() {
+                let region = index.region(&node.word);
+                index.envelopes.extend(region);
+                continue;
+            }
+            index.push_empty_envelope(index.word_len);
+            runs.clear();
+            index.collection.leaf_ranges(&node.leaf, &mut runs);
+            let envelope = &mut index.envelopes[(id - 1) * 2 * index.word_len..];
+            for row in runs.iter().flat_map(|&(start, count)| start..start + count) {
+                widen(envelope, &index.words[row * index.word_len..][..index.word_len]);
+            }
+        }
+        index.nodes = nodes;
         Ok(index)
     }
 }
 
 impl HierarchicalIndex for Isax2Plus {
-    /// The squared distance from the query's PAA to every cell of every
-    /// segment: row `i` holds segment `i`'s `cell_edges.len()` cells.
-    type Prepared = Vec<f32>;
+    /// Per segment (row) and symbol, the squared distance from the query's
+    /// PAA to the symbol's cell as `[below, above]`: the PAA under the cell's
+    /// lower breakpoint, or over its upper one; zero otherwise.
+    type Prepared = Vec<[f32; 2]>;
 
     fn roots(&self) -> &[usize] {
         &[0]
@@ -606,30 +648,28 @@ impl HierarchicalIndex for Isax2Plus {
         &self.nodes[node].children
     }
 
-    fn prepare(&self, query: &[f32]) -> Vec<f32> {
+    fn prepare(&self, query: &[f32]) -> Vec<[f32; 2]> {
         let query_paa = paa(query, self.config.sax.segments);
-        let mut table = Vec::with_capacity(query_paa.len() * self.cell_edges.len());
+        let edges = &self.breakpoints;
+        let mut table = Vec::with_capacity(query_paa.len() * (edges.len() + 1));
         for &q in &query_paa {
-            table.extend(self.cell_edges.iter().map(|&(lower, upper)| {
-                let d = if q < lower {
-                    lower - q
-                } else if q > upper {
-                    q - upper
-                } else {
-                    0.0
-                };
-                d * d
+            // Symbol `s` spans `edges[s - 1] .. edges[s]`, open-ended at
+            // either end of the alphabet.
+            table.extend((0..=edges.len()).map(|s| {
+                let below = if s > 0 && q < edges[s - 1] { edges[s - 1] - q } else { 0.0 };
+                let above = if s < edges.len() && q > edges[s] { q - edges[s] } else { 0.0 };
+                [below * below, above * above]
             }));
         }
         table
     }
 
-    fn min_dist(&self, _query: &[f32], table: &Vec<f32>, node: usize) -> f32 {
+    fn min_dist(&self, _query: &[f32], table: &Vec<[f32; 2]>, node: usize) -> f32 {
         if node == 0 {
             return 0.0;
         }
-        let cells = &self.cells[(node - 1) * self.word_len..][..self.word_len];
-        self.bound_squared(table, cells.iter().map(|&cell| cell as usize)).sqrt()
+        let (lows, highs) = self.envelopes[self.envelope_range(node)].split_at(self.word_len);
+        self.bound_squared(table, lows, highs).sqrt()
     }
 
     fn leaf_size(&self, node: usize) -> usize {
@@ -640,7 +680,7 @@ impl HierarchicalIndex for Isax2Plus {
         &self,
         node: usize,
         query: &[f32],
-        table: &Vec<f32>,
+        table: &Vec<[f32; 2]>,
         best_so_far: f32,
         stats: &mut QueryStats,
         accept: &mut dyn FnMut(usize, f32) -> f32,
@@ -696,8 +736,7 @@ impl AnnIndex for Isax2Plus {
             .sum::<usize>()
             + self.collection.mapping_bytes()
             + self.breakpoints.len() * std::mem::size_of::<f32>()
-            + self.cell_edges.len() * std::mem::size_of::<(f32, f32)>()
-            + self.cells.len() * std::mem::size_of::<u16>()
+            + self.envelopes.len()
             + self.words.len()
     }
 
@@ -1028,8 +1067,8 @@ mod tests {
             let loaded = Isax2Plus::load(&path, &data, &config).unwrap();
             std::fs::remove_file(&path).ok();
             assert_eq!(grown.nodes.len(), built.nodes.len());
-            assert_eq!(grown.cells, built.cells);
-            assert_eq!(loaded.cells, built.cells);
+            assert_eq!(grown.envelopes, built.envelopes);
+            assert_eq!(loaded.envelopes, built.envelopes);
 
             let queries = random_walk(6, len, 99);
             for index in [&built, &grown, &loaded] {
@@ -1044,11 +1083,23 @@ mod tests {
                             len,
                             max_bits,
                         );
+                        // The table lookup over a word's region is the PAA
+                        // mindist of the word, on every node; it is what
+                        // bounds an internal node, and a leaf's envelope
+                        // can only bound tighter.
+                        let region = index.region(&index.nodes[node].word);
+                        let (lows, highs) = region.split_at(index.word_len);
                         assert_eq!(
-                            index.min_dist(q, &prepared, node).to_bits(),
+                            index.bound_squared(&prepared, lows, highs).sqrt().to_bits(),
                             want.to_bits(),
                             "len {len} segments {segments} max_bits {max_bits} node {node}"
                         );
+                        let got = index.min_dist(q, &prepared, node);
+                        if index.is_leaf(node) {
+                            assert!(got >= want);
+                        } else {
+                            assert_eq!(got.to_bits(), want.to_bits());
+                        }
                     }
                 }
             }
@@ -1089,7 +1140,7 @@ mod tests {
     }
 
     #[test]
-    fn member_bounds_never_exceed_the_true_distance() {
+    fn member_and_leaf_bounds_never_exceed_what_they_bound() {
         for (len, segments, max_bits) in SHAPES {
             for seed in [17u64, 23, 99] {
                 let data = random_walk(400, len, seed);
@@ -1100,7 +1151,8 @@ mod tests {
                 let walks = random_walk(3, len, seed + 2);
                 for q in noisy.iter().chain(walks.iter()) {
                     let table = index.prepare(q);
-                    for &(_, row, id) in &members {
+                    let mut closest_member = vec![f32::INFINITY; index.nodes.len()];
+                    for &(node, row, id) in &members {
                         let bound = index.member_bound_squared(&table, row).sqrt();
                         let distance = euclidean(q, data.series(id));
                         assert!(
@@ -1108,6 +1160,10 @@ mod tests {
                             "len {len} segments {segments} max_bits {max_bits}: \
                              series {id} bounded at {bound}, is at {distance}"
                         );
+                        closest_member[node] = closest_member[node].min(bound);
+                    }
+                    for node in (1..index.nodes.len()).filter(|&n| index.is_leaf(n)) {
+                        assert!(index.min_dist(q, &table, node) <= closest_member[node]);
                     }
                 }
             }
@@ -1167,7 +1223,7 @@ mod tests {
     struct Ungated<'a>(&'a Isax2Plus);
 
     impl HierarchicalIndex for Ungated<'_> {
-        type Prepared = Vec<f32>;
+        type Prepared = Vec<[f32; 2]>;
 
         fn roots(&self) -> &[usize] {
             self.0.roots()
@@ -1178,10 +1234,10 @@ mod tests {
         fn children(&self, node: usize) -> &[usize] {
             self.0.children(node)
         }
-        fn prepare(&self, query: &[f32]) -> Vec<f32> {
+        fn prepare(&self, query: &[f32]) -> Vec<[f32; 2]> {
             self.0.prepare(query)
         }
-        fn min_dist(&self, query: &[f32], table: &Vec<f32>, node: usize) -> f32 {
+        fn min_dist(&self, query: &[f32], table: &Vec<[f32; 2]>, node: usize) -> f32 {
             self.0.min_dist(query, table, node)
         }
         fn leaf_size(&self, node: usize) -> usize {
@@ -1191,7 +1247,7 @@ mod tests {
             &self,
             node: usize,
             query: &[f32],
-            _table: &Vec<f32>,
+            _table: &Vec<[f32; 2]>,
             best_so_far: f32,
             stats: &mut QueryStats,
             accept: &mut dyn FnMut(usize, f32) -> f32,
@@ -1263,7 +1319,7 @@ mod tests {
     }
 
     #[test]
-    fn kept_words_agree_between_built_loaded_and_grown() {
+    fn kept_words_and_envelopes_agree_between_built_loaded_and_grown() {
         for (len, segments, max_bits) in SHAPES {
             let data = random_walk(500, len, 17);
             let config = config_of(segments, max_bits);
@@ -1288,6 +1344,9 @@ mod tests {
 
             assert_eq!(loaded.words, built.words);
             assert_eq!(regrown.words, built.words);
+            for index in [&loaded, &grown, &regrown] {
+                assert_eq!(index.envelopes, built.envelopes);
+            }
             // The grown store is arrival-interleaved, so its rows are
             // compared series by series.
             let words_by_id = |index: &Isax2Plus| {
@@ -1304,9 +1363,13 @@ mod tests {
                 assert!(word.iter().zip(&full.symbols).all(|(&kept, &s)| kept as u16 == s));
             }
 
-            // The footprint counts the kept words, and differs only by the
-            // inverse row mapping a grown collection holds.
-            assert!(built.memory_footprint() >= data.len() * built.word_len);
+            // The footprint counts the kept words and the envelopes, and
+            // differs only by the inverse row mapping a grown collection
+            // holds.
+            assert!(
+                built.memory_footprint()
+                    >= (data.len() + 2 * (built.nodes.len() - 1)) * built.word_len
+            );
             assert_eq!(loaded.memory_footprint(), built.memory_footprint());
             assert_eq!(
                 grown.memory_footprint(),

@@ -71,13 +71,13 @@ impl Default for SaxParams {
 /// with the number of valid (most-significant) bits per segment.
 ///
 /// The word is what an index inserts by, splits on and persists. An index
-/// that bounds many words against one query may number each segment's
-/// `(bits, prefix)` region as a cell, `(1 << bits) - 2 + prefix` (the
-/// `2^(max_bits + 1) - 2` regions of all cardinalities, coarsest first),
-/// and look bounds up in a per-query table over those cells, as
-/// `hydra-isax` does; such ids are derived from the word, never stored in
-/// place of it, and [`mindist_paa_isax`] over the word is the reference
-/// they are tested against.
+/// that bounds many words against one query may turn each segment's
+/// `(bits, prefix)` region into the interval of full-cardinality symbols it
+/// spans, `prefix << shift ..= ((prefix + 1) << shift) - 1`, and look
+/// bounds up in a per-query table over the symbols, as `hydra-isax` does;
+/// such intervals are derived from the word, never stored in place of it,
+/// and [`mindist_paa_isax`] over the word is the reference they are tested
+/// against.
 #[derive(Debug, Clone, PartialEq, Eq, Hash)]
 pub struct IsaxWord {
     /// Symbols at maximum cardinality (only the top `bits[i]` bits are

@@ -169,9 +169,9 @@ fn tree_traversal_counters_are_pinned_across_the_prepare_split() {
         (
             &isax,
             [
-                (SearchParams::exact(10), [17315, 3780, 1166]),
-                (SearchParams::epsilon(10, 1.0), [11795, 790, 1123]),
-                (SearchParams::ng(10, 1), [8984, 12, 142]),
+                (SearchParams::exact(10), [12649, 602, 1241]),
+                (SearchParams::epsilon(10, 1.0), [10521, 79, 883]),
+                (SearchParams::ng(10, 1), [9066, 12, 201]),
             ],
         ),
     ];
