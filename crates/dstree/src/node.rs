@@ -610,9 +610,14 @@ impl HierarchicalIndex for DsTree {
         accept: &mut dyn FnMut(usize, f32) -> f32,
     ) -> u64 {
         // EAPCA summarizes nodes, not series: every member is compared.
-        let keep_all = &mut |_, _| true;
-        self.collection
-            .refine_leaf(&self.nodes[node].leaf, query, best_so_far, stats, keep_all, accept)
+        self.collection.refine_leaf(
+            &self.nodes[node].leaf,
+            query,
+            best_so_far,
+            stats,
+            |_, _| true,
+            accept,
+        )
     }
 }
 

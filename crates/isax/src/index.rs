@@ -229,7 +229,9 @@ impl Isax2Plus {
         sax_word(series, &self.config.sax, &self.breakpoints)
     }
 
-    /// Where `words` keeps the series with dataset id `id`.
+    /// Where `words` keeps the series with dataset id `id`: at its store
+    /// row — or, while [`Isax2Plus::build`] is still inserting and the store
+    /// is empty, at its arrival position.
     fn word_range(&self, id: usize) -> std::ops::Range<usize> {
         let row = if self.collection.is_empty() {
             id
@@ -379,8 +381,12 @@ impl Isax2Plus {
     /// The envelope of everything `word` covers: its region.
     fn region(&self, word: &IsaxWord) -> Vec<u8> {
         let max_bits = self.config.sax.max_bits;
-        let lows = (0..word.len()).map(|i| word.truncated_symbol(i, max_bits) << (max_bits - word.bits[i]));
-        let highs = lows.clone().zip(&word.bits).map(|(lo, bits)| lo | ((1 << (max_bits - bits)) - 1));
+        let lows = (0..word.len())
+            .map(|i| word.truncated_symbol(i, max_bits) << (max_bits - word.bits[i]));
+        let highs = lows
+            .clone()
+            .zip(&word.bits)
+            .map(|(lo, bits)| lo | ((1 << (max_bits - bits)) - 1));
         lows.chain(highs).map(|s| s as u8).collect()
     }
 
@@ -408,7 +414,11 @@ impl Isax2Plus {
     /// and summed in segment order.
     fn bound_squared(&self, table: &[[f32; 2]], lows: &[u8], highs: &[u8]) -> f32 {
         let mut acc = 0.0f32;
-        for ((row, &lo), &hi) in table.chunks_exact(self.breakpoints.len() + 1).zip(lows).zip(highs) {
+        for ((row, &lo), &hi) in table
+            .chunks_exact(self.breakpoints.len() + 1)
+            .zip(lows)
+            .zip(highs)
+        {
             acc += row[lo as usize][0] + row[hi as usize][1];
         }
         self.series_len as f32 / self.word_len as f32 * acc
@@ -620,9 +630,12 @@ impl PersistentIndex for Isax2Plus {
             index.push_empty_envelope(index.word_len);
             runs.clear();
             index.collection.leaf_ranges(&node.leaf, &mut runs);
-            let envelope = &mut index.envelopes[(id - 1) * 2 * index.word_len..];
+            let envelope = index.envelope_range(id);
             for row in runs.iter().flat_map(|&(start, count)| start..start + count) {
-                widen(envelope, &index.words[row * index.word_len..][..index.word_len]);
+                widen(
+                    &mut index.envelopes[envelope.clone()],
+                    &index.words[row * index.word_len..][..index.word_len],
+                );
             }
         }
         index.nodes = nodes;
@@ -656,8 +669,16 @@ impl HierarchicalIndex for Isax2Plus {
             // Symbol `s` spans `edges[s - 1] .. edges[s]`, open-ended at
             // either end of the alphabet.
             table.extend((0..=edges.len()).map(|s| {
-                let below = if s > 0 && q < edges[s - 1] { edges[s - 1] - q } else { 0.0 };
-                let above = if s < edges.len() && q > edges[s] { q - edges[s] } else { 0.0 };
+                let below = if s > 0 && q < edges[s - 1] {
+                    edges[s - 1] - q
+                } else {
+                    0.0
+                };
+                let above = if s < edges.len() && q > edges[s] {
+                    q - edges[s]
+                } else {
+                    0.0
+                };
                 [below * below, above * above]
             }));
         }
@@ -694,7 +715,7 @@ impl HierarchicalIndex for Isax2Plus {
             stats,
             // Strictly beyond the bound is what the early-abandoning kernel
             // refuses; a member at the bound is still compared.
-            &mut |row, bound| self.member_bound_squared(table, row) <= bound * bound,
+            |row, bound| self.member_bound_squared(table, row) <= bound * bound,
             accept,
         )
     }
@@ -802,16 +823,23 @@ mod tests {
     use hydra_storage::PageCodec;
     use hydra_summarize::sax::{mindist_paa_isax, MAX_CARD_BITS};
 
-    fn build_small(n: usize, len: usize) -> (Dataset, Isax2Plus) {
-        let data = random_walk(n, len, 17);
-        let config = IsaxConfig {
-            sax: SaxParams::new(8, 8),
+    /// (series length, segments, max_bits); the last series is shorter than
+    /// its word, so the word is clamped to the series.
+    const SHAPES: [(usize, usize, u8); 4] = [(64, 8, 8), (64, 16, 8), (64, 8, 3), (6, 8, 8)];
+
+    fn config_of(segments: usize, max_bits: u8) -> IsaxConfig {
+        IsaxConfig {
+            sax: SaxParams::new(segments, max_bits),
             leaf_capacity: 16,
             storage: StorageConfig::in_memory(),
             histogram_samples: 2_000,
             seed: 5,
-        };
-        let index = Isax2Plus::build(&data, config).unwrap();
+        }
+    }
+
+    fn build_small(n: usize, len: usize) -> (Dataset, Isax2Plus) {
+        let data = random_walk(n, len, 17);
+        let index = Isax2Plus::build(&data, config_of(8, 8)).unwrap();
         (data, index)
     }
 
@@ -1039,17 +1067,9 @@ mod tests {
 
     #[test]
     fn prepared_min_dist_equals_the_paa_mindist_on_every_node() {
-        // (series length, segments, max_bits); the last series is shorter
-        // than its word, so the word is clamped to the series.
-        for (len, segments, max_bits) in [(64, 8, 8), (64, 16, 8), (64, 8, 3), (6, 8, 8)] {
+        for (len, segments, max_bits) in SHAPES {
             let data = random_walk(500, len, 17);
-            let config = IsaxConfig {
-                sax: SaxParams::new(segments, max_bits),
-                leaf_capacity: 16,
-                storage: StorageConfig::in_memory(),
-                histogram_samples: 2_000,
-                seed: 5,
-            };
+            let config = config_of(segments, max_bits);
             let built = Isax2Plus::build(&data, config).unwrap();
             // The same collection, the last 200 series ingested in uneven
             // chunks, and the built tree round-tripped through a snapshot.
@@ -1103,20 +1123,6 @@ mod tests {
                     }
                 }
             }
-        }
-    }
-
-    /// The configurations `prepared_min_dist_equals_the_paa_mindist_on_every_node`
-    /// sweeps: (series length, segments, max_bits).
-    const SHAPES: [(usize, usize, u8); 4] = [(64, 8, 8), (64, 16, 8), (64, 8, 3), (6, 8, 8)];
-
-    fn config_of(segments: usize, max_bits: u8) -> IsaxConfig {
-        IsaxConfig {
-            sax: SaxParams::new(segments, max_bits),
-            leaf_capacity: 16,
-            storage: StorageConfig::in_memory(),
-            histogram_samples: 2_000,
-            seed: 5,
         }
     }
 
@@ -1201,10 +1207,17 @@ mod tests {
                 for best_so_far in [bound.next_down(), bound, bound.next_up()] {
                     let mut accepted = Vec::new();
                     let mut stats = QueryStats::new();
-                    index.refine_leaf(node, &query, &table, best_so_far, &mut stats, &mut |id, _| {
-                        accepted.push(id);
-                        best_so_far
-                    });
+                    index.refine_leaf(
+                        node,
+                        &query,
+                        &table,
+                        best_so_far,
+                        &mut stats,
+                        &mut |id, _| {
+                            accepted.push(id);
+                            best_so_far
+                        },
+                    );
                     assert_eq!(
                         accepted.contains(&40),
                         euclidean_early_abandon(&query, &series, best_so_far).is_some(),
@@ -1255,12 +1268,14 @@ mod tests {
             let mut bound = best_so_far;
             let mut compared = 0;
             let leaf = &self.0.nodes[node].leaf;
-            self.0.collection.visit_leaf(leaf, stats, &mut |id, series| {
-                compared += 1;
-                if let Some(d) = euclidean_early_abandon(query, series, bound) {
-                    bound = accept(id, d);
-                }
-            });
+            self.0
+                .collection
+                .visit_leaf(leaf, stats, &mut |id, series| {
+                    compared += 1;
+                    if let Some(d) = euclidean_early_abandon(query, series, bound) {
+                        bound = accept(id, d);
+                    }
+                });
             compared
         }
     }
@@ -1275,11 +1290,14 @@ mod tests {
         let built = Isax2Plus::build(&data, config).unwrap();
         built.save(&path).unwrap();
         let file_backed = |codec| {
-            let storage = StorageConfig::on_disk().with_pool_pages(8).with_page_codec(codec);
+            let storage = StorageConfig::on_disk()
+                .with_pool_pages(8)
+                .with_page_codec(codec);
             let backing = StoreBacking::FileBacked {
                 dataset_snapshot: None,
             };
-            Isax2Plus::load_backed(&path, &data, &IsaxConfig { storage, ..config }, backing).unwrap()
+            Isax2Plus::load_backed(&path, &data, &IsaxConfig { storage, ..config }, backing)
+                .unwrap()
         };
         let stores = [
             ("resident", built),
@@ -1300,11 +1318,16 @@ mod tests {
                     let gated = knn_search(index, q, &spec);
                     let ungated = knn_search(&Ungated(index), q, &spec);
                     let bits = |r: &SearchResult| -> Vec<(usize, u32)> {
-                        r.neighbors.iter().map(|n| (n.index, n.distance.to_bits())).collect()
+                        r.neighbors
+                            .iter()
+                            .map(|n| (n.index, n.distance.to_bits()))
+                            .collect()
                     };
                     assert_eq!(bits(&gated), bits(&ungated), "{store} {:?}", params.mode);
                     assert_eq!(gated.stats.leaves_visited, ungated.stats.leaves_visited);
-                    assert!(gated.stats.distance_computations <= ungated.stats.distance_computations);
+                    assert!(
+                        gated.stats.distance_computations <= ungated.stats.distance_computations
+                    );
                     gated_bytes += gated.stats.bytes_read;
                     ungated_bytes += ungated.stats.bytes_read;
                 }
@@ -1360,7 +1383,10 @@ mod tests {
             assert_eq!(words_by_id(&grown), want);
             for (id, word) in want.iter().enumerate() {
                 let full = built.full_word(data.series(id));
-                assert!(word.iter().zip(&full.symbols).all(|(&kept, &s)| kept as u16 == s));
+                assert!(word
+                    .iter()
+                    .zip(&full.symbols)
+                    .all(|(&kept, &s)| kept as u16 == s));
             }
 
             // The footprint counts the kept words and the envelopes, and

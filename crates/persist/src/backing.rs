@@ -523,15 +523,15 @@ impl Collection {
     /// `gate(row, bound)` sees every member's store row with the bound live
     /// at that member and decides, before the store reads anything of it,
     /// whether it is compared at all (see [`SeriesStore::scan_refine`]); a
-    /// tree with no per-series summary passes `&mut |_, _| true`. Returns
-    /// the number of members the gate kept.
+    /// tree with no per-series summary passes `|_, _| true`. Returns the
+    /// number of members the gate kept.
     pub fn refine_leaf(
         &self,
         leaf: &Leaf,
         query: &[f32],
         best_so_far: f32,
         stats: &mut QueryStats,
-        gate: &mut dyn FnMut(usize, f32) -> bool,
+        mut gate: impl FnMut(usize, f32) -> bool,
         accept: &mut dyn FnMut(usize, f32) -> f32,
     ) -> u64 {
         let to_dataset = &self.permutation().to_dataset;
@@ -544,7 +544,7 @@ impl Collection {
                 query,
                 bound,
                 stats,
-                &mut |row, bound| {
+                |row, bound| {
                     let keep = gate(row, bound);
                     kept += u64::from(keep);
                     keep
@@ -860,12 +860,19 @@ mod tests {
             let mut stats = QueryStats::new();
             let mut accepted = Vec::new();
             let mut best = f32::INFINITY;
-            let keep_all = &mut |_, _| true;
-            store.scan_refine(0, store.len(), &query, best, &mut stats, keep_all, &mut |id, dist| {
-                accepted.push((id, dist.to_bits()));
-                best = best.min(dist);
-                best
-            });
+            store.scan_refine(
+                0,
+                store.len(),
+                &query,
+                best,
+                &mut stats,
+                |_, _| true,
+                &mut |id, dist| {
+                    accepted.push((id, dist.to_bits()));
+                    best = best.min(dist);
+                    best
+                },
+            );
             (accepted, stats)
         };
         let attach_coded = |codec: PageCodec, backing: StoreBacking<'_>| {
@@ -1065,7 +1072,7 @@ mod tests {
                 &[0.0],
                 f32::INFINITY,
                 &mut stats,
-                &mut |_, _| true,
+                |_, _| true,
                 &mut |id, _| {
                     refined.push(id);
                     f32::INFINITY

@@ -554,7 +554,7 @@ impl SeriesStore {
         }
         let end = (start + count).min(self.len());
         assert!(start < self.len(), "start {start} out of bounds");
-        self.read_kept(start..end, stats, &mut |_| true, visit);
+        self.read_kept(start..end, stats, |_| true, visit);
     }
 
     /// The one raw range walk: visits the records of `range` that `keep`
@@ -566,7 +566,7 @@ impl SeriesStore {
         &self,
         range: std::ops::Range<usize>,
         stats: &mut QueryStats,
-        keep: &mut dyn FnMut(usize) -> bool,
+        mut keep: impl FnMut(usize) -> bool,
         visit: &mut dyn FnMut(usize, &[f32]),
     ) {
         for page in self.page_of(range.start)..=self.page_of(range.end - 1) {
@@ -807,11 +807,18 @@ impl SeriesStore {
     ) -> Option<f32> {
         assert!(record < self.len(), "record {record} out of bounds");
         let mut refined = None;
-        let keep_all = &mut |_, _| true;
-        self.scan_refine(record, 1, query, best_so_far, stats, keep_all, &mut |_, d| {
-            refined = Some(d);
-            d
-        });
+        self.scan_refine(
+            record,
+            1,
+            query,
+            best_so_far,
+            stats,
+            |_, _| true,
+            &mut |_, d| {
+                refined = Some(d);
+                d
+            },
+        );
         refined
     }
 
@@ -826,7 +833,7 @@ impl SeriesStore {
     /// the bound live at that record, before anything of the record is
     /// read: `false` skips it — no bytes charged, and a page none of whose
     /// records pass is never fetched. A caller with nothing cheaper than
-    /// the series to decide on passes `&mut |_, _| true`.
+    /// the series to decide on passes `|_, _| true`, which compiles away.
     ///
     /// With every record kept, a raw (f32) store charges exactly what
     /// [`SeriesStore::read_range`] plus the kernel would; on a coded store
@@ -841,7 +848,7 @@ impl SeriesStore {
         query: &[f32],
         best_so_far: f32,
         stats: &mut QueryStats,
-        gate: &mut dyn FnMut(usize, f32) -> bool,
+        mut gate: impl FnMut(usize, f32) -> bool,
         accept: &mut dyn FnMut(usize, f32) -> f32,
     ) -> f32 {
         if count == 0 {
@@ -887,7 +894,7 @@ impl SeriesStore {
             self.read_kept(
                 raw_start..end,
                 stats,
-                &mut |record| gate(record, bound.get()),
+                |record| gate(record, bound.get()),
                 &mut |record, series| {
                     if let Some(d) = hydra_core::euclidean_early_abandon(query, series, bound.get())
                     {
@@ -1700,12 +1707,19 @@ mod tests {
         let mut stats = QueryStats::new();
         let mut accepted = Vec::new();
         let mut best = f32::INFINITY;
-        let keep_all = &mut |_, _| true;
-        store.scan_refine(0, store.len(), query, best, &mut stats, keep_all, &mut |id, dist| {
-            accepted.push((id, dist.to_bits()));
-            best = best.min(dist);
-            best
-        });
+        store.scan_refine(
+            0,
+            store.len(),
+            query,
+            best,
+            &mut stats,
+            |_, _| true,
+            &mut |id, dist| {
+                accepted.push((id, dist.to_bits()));
+                best = best.min(dist);
+                best
+            },
+        );
         (accepted, stats)
     }
 
@@ -1907,11 +1921,18 @@ mod tests {
         // A scan straddling the seal boundary covers both tiers.
         let mut seen = Vec::new();
         let mut stats = QueryStats::new();
-        let keep_all = &mut |_, _| true;
-        store.scan_refine(18, 3, &query, f32::INFINITY, &mut stats, keep_all, &mut |id, _| {
-            seen.push(id);
-            f32::INFINITY
-        });
+        store.scan_refine(
+            18,
+            3,
+            &query,
+            f32::INFINITY,
+            &mut stats,
+            |_, _| true,
+            &mut |id, _| {
+                seen.push(id);
+                f32::INFINITY
+            },
+        );
         assert_eq!(seen, vec![18, 19, 20]);
         for path in paths {
             std::fs::remove_file(path).ok();
@@ -1955,7 +1976,7 @@ mod tests {
                     let mut best = bound;
                     // The gate axis: keep everything, or drop records by a
                     // rule that reads both the record and the live bound.
-                    let mut gate = |record: usize, live: f32| {
+                    let gate = |record: usize, live: f32| {
                         out_gate.push(live.to_bits() as u64);
                         b % 3 == 0 || ((record + b) % 3 != 0 && live > 20.0)
                     };
@@ -1965,7 +1986,7 @@ mod tests {
                         &query,
                         bound,
                         &mut stats,
-                        &mut gate,
+                        gate,
                         &mut |id, dist| {
                             out.extend([id as u64, dist.to_bits() as u64]);
                             best = best.min(dist);
