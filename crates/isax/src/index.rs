@@ -110,7 +110,8 @@ impl Node {
 /// variant's, not the original's. Leaves are also *ordered* by the tighter
 /// bound, so ng answers (which stop after `nprobe` leaves) can differ from
 /// a word-ordered traversal's; ε and δ-ε answers stay inside their
-/// guarantee.
+/// guarantee, but at the same ε a search stops sooner — nearer the
+/// guarantee's edge, and faster.
 pub struct Isax2Plus {
     config: IsaxConfig,
     series_len: usize,
