@@ -62,6 +62,13 @@ impl ServeClient {
         Self::over(TcpStream::connect_timeout(&addr, timeout)?)
     }
 
+    /// Splits the connection into its buffered read half and its write
+    /// half — the router gives the first to a link's reader thread and
+    /// writes requests on the second.
+    pub(crate) fn into_halves(self) -> (BufReader<TcpStream>, TcpStream) {
+        (self.reader, self.writer)
+    }
+
     /// Bounds every subsequent read: a [`recv`](Self::recv) that waits
     /// longer than `timeout` for the next frame fails with
     /// [`ProtocolError::Io`] instead of blocking forever. `None` restores
@@ -83,7 +90,10 @@ impl ServeClient {
         write_request(&mut self.writer, request)
     }
 
-    /// Receives the next response, in server order.
+    /// Receives the next response the server wrote. Match it to its
+    /// request by `request_id`, not by position: a server answers one
+    /// connection's queries in order, but through a router pipelined
+    /// answers complete in any order.
     ///
     /// # Errors
     /// [`ProtocolError::Truncated`] if the server closed the stream — once

@@ -232,6 +232,12 @@ impl Listener {
                 }
             };
             self.connections_total.inc();
+            // Responses are small frames written one by one, and a peer
+            // with several requests in flight (a router link, a pipelining
+            // client) gets several back to back: Nagle would hold each
+            // behind its predecessor's ACK, which a peer that has nothing
+            // to send delays by tens of milliseconds.
+            let _ = stream.set_nodelay(true);
             if let Some(timeout) = self.write_timeout.filter(|t| !t.is_zero()) {
                 let _ = stream.set_write_timeout(Some(timeout));
             }

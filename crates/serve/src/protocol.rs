@@ -274,6 +274,15 @@ impl Request {
         frame(REQUEST_MAGIC, s.as_bytes())
     }
 
+    /// Overwrites the request id of an encoded request `frame` (what
+    /// [`encode`](Self::encode) returned) in place. The id is the payload's
+    /// first field, so a request encoded once can go out under many ids —
+    /// the router sends one query to every worker, each link numbering its
+    /// own calls.
+    pub(crate) fn set_frame_id(frame: &mut [u8], request_id: u64) {
+        frame[FRAME_HEADER_LEN..FRAME_HEADER_LEN + 8].copy_from_slice(&request_id.to_le_bytes());
+    }
+
     /// Decodes a request payload (the bytes after the frame header).
     pub fn decode(payload: &[u8]) -> Result<Request> {
         let mut s = SectionReader::new(payload);
@@ -631,6 +640,9 @@ impl Response {
 // Frame I/O
 // ---------------------------------------------------------------------------
 
+/// Magic (4) + version (2) + payload length (4).
+const FRAME_HEADER_LEN: usize = 10;
+
 fn frame(magic: [u8; 4], payload: &[u8]) -> Vec<u8> {
     // A hard assert, not a debug one: an oversized encode is a caller bug
     // best surfaced at its source — shipped in release it would be
@@ -641,7 +653,7 @@ fn frame(magic: [u8; 4], payload: &[u8]) -> Vec<u8> {
         "frame payload of {} bytes exceeds MAX_FRAME_LEN ({MAX_FRAME_LEN})",
         payload.len()
     );
-    let mut out = Vec::with_capacity(10 + payload.len());
+    let mut out = Vec::with_capacity(FRAME_HEADER_LEN + payload.len());
     out.extend_from_slice(&magic);
     out.extend_from_slice(&PROTOCOL_VERSION.to_le_bytes());
     out.extend_from_slice(&(payload.len() as u32).to_le_bytes());
@@ -765,6 +777,20 @@ mod tests {
                 query: vec![1.0, -2.5, f32::INFINITY, 0.0],
             };
             assert_eq!(roundtrip_request(&req), req);
+            // Re-numbering an encoded frame is the same as encoding under
+            // the new id.
+            let mut frame = req.encode();
+            Request::set_frame_id(&mut frame, 7_000_000_007);
+            let Request::Query { index, query, .. } = req else {
+                unreachable!()
+            };
+            let renumbered = Request::Query {
+                request_id: 7_000_000_007,
+                index,
+                params,
+                query,
+            };
+            assert_eq!(frame, renumbered.encode());
         }
         assert_eq!(
             roundtrip_request(&Request::ListIndexes { request_id: 7 }),

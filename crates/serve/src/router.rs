@@ -7,48 +7,73 @@
 //! ## Topology
 //!
 //! ```text
-//! client ──HSRQ──▶ router ──HSRQ──▶ worker 0 (shard 0 snapshots)
-//!                    │  fan-out
-//!                    ├─────HSRQ──▶ worker 1 (shard 1 snapshots)
-//!                    └─────HSRQ──▶ worker S-1
-//!        ◀──HSRP── merge: local ids → global via ShardMap,
-//!                  top-k by (distance, global id)
+//! client ──HSRQ──▶ router ══HSRQ══▶ worker 0 (shard 0 snapshots)
+//! client ──HSRQ──▶   │  every query written to every link, many in
+//!                    │  flight per link under link-local ids
+//!                    ╠═════HSRQ══▶ worker 1 (shard 1 snapshots)
+//!                    ╚═════HSRQ══▶ worker S-1
+//!        ◀──HSRP── gather: local ids → global via ShardMap, top-k by
+//!                  (distance, global id), merged by whichever link's
+//!                  reader thread delivers the last worker's answer
 //! ```
 //!
 //! The router is the multi-process twin of the in-process
-//! `hydra_shard::ShardedIndex`: worker order is shard order, calls fan out
-//! through the same [`fan_out`], worker-local ids are translated through
-//! the same [`ShardMap`], and per-worker answers are merged by the same
-//! (distance, global id) rule ([`hydra::merge_top_k`]) — so for exact
-//! search a routed answer is bit-identical to the in-process sharded
-//! answer, which is bit-identical to the unsharded one
-//! (`tests/integration_router.rs`).
+//! `hydra_shard::ShardedIndex`: worker order is shard order, worker-local
+//! ids are translated through the same [`ShardMap`], and per-worker
+//! answers are merged by the same (distance, global id) rule
+//! ([`hydra::merge_top_k`]) — so for exact search a routed answer is
+//! bit-identical to the in-process sharded answer, which is bit-identical
+//! to the unsharded one (`tests/integration_router.rs`).
+//!
+//! ## Links
+//!
+//! Each worker link is one protocol connection carrying up to 64 calls
+//! at once (the workers' default `max_batch`; beyond it the router stops
+//! reading the client connection that wants to send more). A client connection's reader thread
+//! writes a query to every link and goes back to reading; it never waits
+//! for a worker. One reader thread per live worker connection decodes the
+//! responses, matches each to its call by the link-local request id, and
+//! completes it — for a query, by filling that worker's slot of the
+//! query's gather. So queries of different clients, and pipelined
+//! queries of one client, overlap on every worker (whose micro-batcher
+//! sees them together), and their answers go back in completion order,
+//! each on its own request id.
 //!
 //! ## Failure semantics
 //!
 //! A query is answered *completely or not at all* — a partial top-k
 //! silently missing one shard's neighbors would be a wrong answer wearing
 //! a right answer's clothes. Any worker failure (connect refused, call
-//! timeout, malformed or mismatched response, worker-side error) turns
+//! timeout, malformed or unmatched response, worker-side error) turns
 //! the whole query into one typed error response
 //! ([`ErrorCode::Unavailable`], naming the worker and the failure) on the
 //! query's own request id, within the per-worker timeout — the router
 //! never hangs a client on a dead worker, and other connections are
-//! unaffected. Failed workers are reconnected lazily with exponential
+//! unaffected. After a failure the stream position of a worker connection
+//! is unknowable, so *every* call in flight on it fails with it, each
+//! exactly once. Failed workers are reconnected lazily with exponential
 //! backoff (so a flapping worker cannot turn every query into a connect
 //! storm), and a worker restart is picked up on the next attempt.
 
-use std::net::{SocketAddr, ToSocketAddrs};
-use std::sync::{Arc, Mutex};
+use std::collections::BTreeMap;
+use std::convert::Infallible;
+use std::fmt::Display;
+use std::io::ErrorKind::{Interrupted, TimedOut, WouldBlock};
+use std::io::{BufRead, BufReader, Write};
+use std::net::{Shutdown, SocketAddr, TcpStream, ToSocketAddrs};
+use std::sync::{mpsc, Arc, Condvar, Mutex, MutexGuard};
+use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
-use hydra::shard::fan_out;
-use hydra::{merge_top_k, Neighbor, PartitionScheme, ShardMap};
+use hydra::core::Answer;
+use hydra::{merge_top_k, PartitionScheme, ShardMap};
 use hydra_obs::{Counter, Gauge, Histogram, MetricsRegistry};
 
 use crate::client::ServeClient;
 use crate::listener::{Handler, Listener, Reply};
-use crate::protocol::{ErrorCode, IndexInfo, Request, ResponseBody};
+use crate::protocol::{
+    read_response, ErrorCode, IndexInfo, ProtocolError, Request, Response, ResponseBody,
+};
 
 /// Tuning knobs of the router's worker links and client side.
 #[derive(Debug, Clone, Copy)]
@@ -111,28 +136,70 @@ pub struct RouterStats {
 }
 
 /// One index as the router serves it: the merged advertisement plus the
-/// map translating each worker's local ids to global ids.
+/// map translating each worker's local ids to global ids (shared with the
+/// calls in flight, which outlive the request that made them).
 struct RouterIndex {
     info: IndexInfo,
-    map: ShardMap,
+    map: Arc<ShardMap>,
+}
+
+/// Calls in flight on one link at most: the workers' default `max_batch`,
+/// so one link can fill a worker's tick. At the cap [`WorkerLink::start`]
+/// blocks the client connection's reader thread that called it — which is
+/// TCP back-pressure toward that client.
+const MAX_IN_FLIGHT: usize = 64;
+
+/// The id a request to a worker is built under; the link that sends it
+/// overwrites it with its own next id ([`WorkerLink::start`]). Client ids
+/// cannot number a link's calls — every client counts from 1.
+const UNNUMBERED: u64 = u64::MAX;
+
+/// What a failed worker call turns into: the code and message of the
+/// error response the client gets.
+type CallError = (ErrorCode, String);
+
+/// How a call in flight ends: handed its link and either the response
+/// body, with the generation of the connection it arrived on, or why there
+/// will be none. Runs exactly once, outside the link lock, on the thread
+/// that ended the call — the connection's reader, or a caller that took
+/// the connection down.
+type Completion = Box<dyn FnOnce(&WorkerLink, Result<(u64, ResponseBody), CallError>) + Send>;
+
+/// One call written to a worker and not yet completed.
+struct Pending {
+    sent: Instant,
+    complete: Completion,
 }
 
 /// The link state of one worker: a connection when healthy, a backoff
-/// clock when not. The mutex serializes calls per worker (each link is one
-/// protocol connection, and `ServeClient::call` is one-in-one-out).
+/// clock when not, and the calls in flight on the connection.
 struct LinkState {
-    client: Option<ServeClient>,
+    /// Write half of the live connection; its read half belongs to the
+    /// reader thread spawned with it.
+    writer: Option<TcpStream>,
+    /// Connections dropped so far. A reader thread remembers the value it
+    /// was spawned under and touches nothing once it has moved on, so a
+    /// late reader of a dropped connection can never complete, fail or
+    /// time out a call made on its successor.
+    generation: u64,
+    /// Calls in flight on `writer`, by link-local request id. Ids ascend,
+    /// so the first entry is the oldest call. Emptied — every call failed
+    /// — whenever the connection is dropped.
+    pending: BTreeMap<u64, Pending>,
+    next_id: u64,
     backoff: Duration,
     next_attempt: Instant,
+    /// Reader threads not yet joined: the live connection's, plus those
+    /// of dropped connections that have not been reaped since.
+    readers: Vec<JoinHandle<()>>,
 }
 
 /// Live health metrics of one worker link, all under a
 /// `worker="host:port"` label so a scrape of the router shows exactly
 /// which shard is slow, flapping, or backing off.
 struct WorkerMetrics {
-    /// Calls currently inside [`WorkerLink::call`] — queued on the link
-    /// lock or on the wire. Per link this hovers between 0 and the number
-    /// of concurrently routed queries touching that worker.
+    /// Calls written to the worker and not yet completed — between 0 and
+    /// [`MAX_IN_FLIGHT`].
     in_flight: Gauge,
     calls_total: Counter,
     /// Calls that did not produce the body they were made for: the worker
@@ -150,6 +217,7 @@ struct WorkerMetrics {
     /// The link's *current* backoff delay in microseconds; resets to the
     /// configured initial on the first success.
     backoff_micros: Gauge,
+    /// Per call, from its frame being written to its completion.
     call_micros: Histogram,
 }
 
@@ -171,202 +239,453 @@ impl WorkerMetrics {
 
 struct WorkerLink {
     addr: SocketAddr,
+    config: RouterConfig,
     state: Mutex<LinkState>,
+    /// Signalled whenever `pending` shrinks: wakes callers parked at
+    /// [`MAX_IN_FLIGHT`].
+    room: Condvar,
     metrics: WorkerMetrics,
 }
 
-/// What a failed worker call turns into: the code and message of the
-/// error response the client gets.
-type CallError = (ErrorCode, String);
-
 impl WorkerLink {
-    /// Drops the connection and arms the backoff clock: after a failure
-    /// the stream position is unknowable, so a fresh connection — no
-    /// sooner than the doubled backoff allows — is the only safe
-    /// continuation.
-    fn back_off(&self, state: &mut LinkState, config: &RouterConfig) {
-        state.client = None;
-        state.next_attempt = Instant::now() + state.backoff;
-        state.backoff = (state.backoff * 2).min(config.backoff_max);
-        self.publish_backoff(state);
+    /// A link with no connection yet, free to connect at once.
+    fn new(addr: SocketAddr, config: RouterConfig, registry: &MetricsRegistry) -> Self {
+        let link = Self {
+            addr,
+            config,
+            state: Mutex::new(LinkState {
+                writer: None,
+                generation: 0,
+                pending: BTreeMap::new(),
+                next_id: 1,
+                backoff: config.backoff_initial,
+                next_attempt: Instant::now(),
+                readers: Vec::new(),
+            }),
+            room: Condvar::new(),
+            metrics: WorkerMetrics::new(registry, addr),
+        };
+        link.publish_backoff(config.backoff_initial);
+        link
     }
 
-    fn publish_backoff(&self, state: &LinkState) {
-        self.metrics
-            .backoff_micros
-            .set(state.backoff.as_micros() as i64);
+    fn lock(&self) -> MutexGuard<'_, LinkState> {
+        self.state.lock().expect("link lock")
     }
 
-    /// Fails the link over an answer that was the expected body but
-    /// cannot be true (stream state is no longer trustworthy).
-    fn poison(&self, config: &RouterConfig) {
-        self.back_off(&mut self.state.lock().expect("link lock"), config);
-        self.metrics.errors_total.inc();
+    fn publish_backoff(&self, backoff: Duration) {
+        self.metrics.backoff_micros.set(backoff.as_micros() as i64);
     }
 
-    /// One call to this worker, made for one kind of body: `expect` picks
-    /// it out of the response (handing anything else back). A worker-side
-    /// error passes through under the worker's name; any other body
-    /// poisons the link. `what` names the call in that message.
-    fn call<T>(
-        &self,
-        config: &RouterConfig,
-        what: &str,
-        make: impl FnOnce(u64) -> Request,
-        expect: impl FnOnce(ResponseBody) -> Result<T, ResponseBody>,
-    ) -> Result<T, CallError> {
-        self.metrics.in_flight.add(1);
-        self.metrics.calls_total.inc();
-        let result = self
-            .exchange(config, make)
-            .and_then(|body| match expect(body) {
-                Ok(expected) => Ok(expected),
-                Err(ResponseBody::Error { code, message }) => {
-                    Err((code, format!("worker {}: {message}", self.addr)))
-                }
-                Err(other) => {
-                    self.back_off(&mut self.state.lock().expect("link lock"), config);
-                    let message = format!("worker {} answered a {what} with {other:?}", self.addr);
-                    Err((ErrorCode::Unavailable, message))
-                }
-            });
-        if result.is_err() {
-            self.metrics.errors_total.inc();
+    /// Makes `client` the link's connection and spawns its reader thread,
+    /// reaping the readers of earlier connections that have exited.
+    fn install(self: &Arc<Self>, state: &mut LinkState, client: ServeClient) {
+        let (reader, writer) = client.into_halves();
+        // A worker that stops reading must fail the calls behind it, not
+        // park a writer that holds the link lock.
+        writer
+            .set_write_timeout(Some(self.config.worker_timeout))
+            .ok();
+        state.writer = Some(writer);
+        let (exited, live): (Vec<_>, Vec<_>) = std::mem::take(&mut state.readers)
+            .into_iter()
+            .partition(JoinHandle::is_finished);
+        for reader in exited {
+            reader.join().expect("link reader panicked");
         }
-        self.metrics.in_flight.add(-1);
-        result
+        state.readers = live;
+        let (link, generation) = (Arc::clone(self), state.generation);
+        state.readers.push(std::thread::spawn(move || {
+            link.read_responses(generation, reader);
+        }));
     }
 
-    /// One request/response exchange with this worker: reconnect if needed
-    /// (respecting the backoff clock), send, await. The link lock
-    /// serializes exchanges per worker.
-    fn exchange(
-        &self,
-        config: &RouterConfig,
-        make: impl FnOnce(u64) -> Request,
-    ) -> Result<ResponseBody, CallError> {
-        let mut state = self.state.lock().expect("link lock");
-        if state.client.is_none() {
-            if Instant::now() < state.next_attempt {
-                return Err((
-                    ErrorCode::Unavailable,
-                    format!("worker {} is backing off after a failure", self.addr),
-                ));
+    /// Arms the backoff clock: no connection attempt sooner than the
+    /// current backoff allows, and twice as long after the next failure.
+    fn back_off(&self, state: &mut LinkState) {
+        state.next_attempt = Instant::now() + state.backoff;
+        state.backoff = (state.backoff * 2).min(self.config.backoff_max);
+        self.publish_backoff(state.backoff);
+    }
+
+    /// Drops the connection and backs off: after a failure the stream
+    /// position is unknowable, so a fresh connection is the only safe
+    /// continuation, and no call in flight on the old one can still be
+    /// answered. Returns those calls for [`fail_calls`](Self::fail_calls),
+    /// which must run after the lock is released.
+    fn drop_connection(&self, state: &mut LinkState) -> BTreeMap<u64, Pending> {
+        if let Some(writer) = state.writer.take() {
+            // Wakes the connection's reader, which finds the generation
+            // moved on and exits.
+            let _ = writer.shutdown(Shutdown::Both);
+        }
+        state.generation += 1;
+        self.back_off(state);
+        self.metrics.in_flight.set(0);
+        self.room.notify_all();
+        std::mem::take(&mut state.pending)
+    }
+
+    /// Completes every call of a dropped connection with the one typed
+    /// error, naming `reason`.
+    fn fail_calls(&self, calls: BTreeMap<u64, Pending>, reason: &dyn Display) {
+        for call in calls.into_values() {
+            let elapsed = call.sent.elapsed();
+            self.metrics.call_micros.observe_micros(elapsed);
+            if elapsed >= self.config.worker_timeout {
+                self.metrics.timeouts_total.inc();
             }
-            match ServeClient::connect_within(self.addr, config.connect_timeout) {
+            let message = format!("worker {} failed mid-call: {reason}", self.addr);
+            (call.complete)(self, Err((ErrorCode::Unavailable, message)));
+        }
+    }
+
+    /// Fails connection `generation` — if it is still the link's — and
+    /// every call in flight on it.
+    fn fail(&self, generation: u64, reason: &dyn Display) {
+        let calls = {
+            let mut state = self.lock();
+            if state.generation != generation {
+                return;
+            }
+            self.drop_connection(&mut state)
+        };
+        self.fail_calls(calls, reason);
+    }
+
+    /// Shuts the link for good: fails what is in flight and joins every
+    /// reader thread. Only once nothing can call [`start`](Self::start)
+    /// any more.
+    fn close(&self) {
+        let (calls, readers) = {
+            let mut state = self.lock();
+            let calls = self.drop_connection(&mut state);
+            (calls, std::mem::take(&mut state.readers))
+        };
+        self.fail_calls(calls, &"the router is shutting down");
+        for reader in readers {
+            reader.join().expect("link reader panicked");
+        }
+    }
+
+    /// Starts one call to this worker and returns without waiting for its
+    /// answer. Under the link lock: waits for room below
+    /// [`MAX_IN_FLIGHT`], reconnects if the link is down and its backoff
+    /// allows, numbers `frame` — an encoded request, whose id is
+    /// overwritten — with the link's next id, registers the call and
+    /// writes the frame.
+    ///
+    /// `done` runs exactly once, on another thread or — when the request
+    /// never reaches the wire — on this one before `start` returns. It
+    /// gets what `expect` made of the response body; an `Err` from
+    /// `expect` says what was wrong with a body that decoded but cannot be
+    /// true (completing "worker … answered …"), which takes the connection
+    /// down like any other failure. A worker-side error passes through
+    /// under the worker's name and leaves the connection up.
+    fn start<T>(
+        self: &Arc<Self>,
+        frame: &mut [u8],
+        expect: impl FnOnce(ResponseBody) -> Result<T, String> + Send + 'static,
+        done: impl FnOnce(Result<T, CallError>) + Send + 'static,
+    ) {
+        self.metrics.calls_total.inc();
+        let complete: Completion = Box::new(move |link, result| {
+            let result = result.and_then(|(generation, body)| match body {
+                ResponseBody::Error { code, message } => {
+                    Err((code, format!("worker {}: {message}", link.addr)))
+                }
+                body => expect(body).map_err(|wrong| {
+                    link.fail(generation, &"another call's answer could not be trusted");
+                    let message = format!("worker {} answered {wrong}", link.addr);
+                    (ErrorCode::Unavailable, message)
+                }),
+            });
+            if result.is_err() {
+                link.metrics.errors_total.inc();
+            }
+            done(result);
+        });
+        let mut state = self.lock();
+        while state.pending.len() >= MAX_IN_FLIGHT {
+            state = self.room.wait(state).expect("link lock");
+        }
+        let refused = if state.writer.is_some() {
+            None
+        } else if Instant::now() < state.next_attempt {
+            Some("is backing off after a failure".to_string())
+        } else {
+            match ServeClient::connect_within(self.addr, self.config.connect_timeout) {
                 Ok(client) => {
-                    client.set_read_timeout(Some(config.worker_timeout)).ok();
-                    state.client = Some(client);
+                    self.install(&mut state, client);
                     self.metrics.reconnects_total.inc();
+                    None
                 }
                 Err(e) => {
-                    self.back_off(&mut state, config);
-                    return Err((
-                        ErrorCode::Unavailable,
-                        format!("worker {} is unreachable: {e}", self.addr),
-                    ));
+                    self.back_off(&mut state);
+                    Some(format!("is unreachable: {e}"))
                 }
             }
+        };
+        if let Some(refused) = refused {
+            drop(state);
+            let message = format!("worker {} {refused}", self.addr);
+            return complete(self, Err((ErrorCode::Unavailable, message)));
         }
-        let client = state.client.as_mut().expect("client just ensured");
-        let request = make(client.fresh_id());
-        let t0 = Instant::now();
-        let result = client.call(&request);
-        let elapsed = t0.elapsed();
-        self.metrics.call_micros.observe_micros(elapsed);
-        match result {
-            Ok(response) => {
-                state.backoff = config.backoff_initial;
-                self.publish_backoff(&state);
-                Ok(response.body)
+        let id = state.next_id;
+        state.next_id += 1;
+        Request::set_frame_id(frame, id);
+        let sent = Instant::now();
+        state.pending.insert(id, Pending { sent, complete });
+        self.metrics.in_flight.set(state.pending.len() as i64);
+        let writer = state.writer.as_mut().expect("connection just ensured");
+        if let Err(e) = writer.write_all(frame) {
+            let calls = self.drop_connection(&mut state);
+            drop(state);
+            self.fail_calls(calls, &e);
+        }
+    }
+
+    /// [`start`](Self::start), then waits for the call's completion — how
+    /// the boot listing, reloads and the forwarded shutdown are made.
+    fn call<T: Send + 'static>(
+        self: &Arc<Self>,
+        request: &Request,
+        expect: impl FnOnce(ResponseBody) -> Result<T, String> + Send + 'static,
+    ) -> Result<T, CallError> {
+        let (done, completion) = mpsc::channel();
+        self.start(&mut request.encode(), expect, move |result| {
+            let _ = done.send(result);
+        });
+        completion
+            .recv()
+            .expect("a started call is completed exactly once")
+    }
+
+    /// Completes the call `response` answers. An id no call in flight
+    /// carries means the stream cannot be trusted any further.
+    fn answer(&self, generation: u64, response: Response) -> Result<(), ProtocolError> {
+        let call = {
+            let mut state = self.lock();
+            if state.generation != generation {
+                return Ok(());
             }
-            Err(e) => {
-                if elapsed >= config.worker_timeout {
-                    self.metrics.timeouts_total.inc();
+            let Some(call) = state.pending.remove(&response.request_id) else {
+                return Err(ProtocolError::Corrupt(format!(
+                    "response id {} matches no call in flight",
+                    response.request_id
+                )));
+            };
+            self.metrics.in_flight.set(state.pending.len() as i64);
+            self.room.notify_all();
+            if state.backoff != self.config.backoff_initial {
+                state.backoff = self.config.backoff_initial;
+                self.publish_backoff(state.backoff);
+            }
+            call
+        };
+        self.metrics.call_micros.observe_micros(call.sent.elapsed());
+        (call.complete)(self, Ok((generation, response.body)));
+        Ok(())
+    }
+
+    /// The reader thread of connection `generation`: decodes responses and
+    /// completes their calls until the connection fails or is dropped.
+    ///
+    /// It only ever waits at a frame boundary, and no longer than the
+    /// oldest call in flight has left of `worker_timeout` — so the timeout
+    /// strikes between frames, where giving up loses no bytes, or as a
+    /// read error *inside* a frame, which ends the connection like any
+    /// other. Either way every call in flight fails with it.
+    fn read_responses(&self, generation: u64, mut reader: BufReader<TcpStream>) {
+        let timeout = self.config.worker_timeout;
+        let failure = loop {
+            let wait = {
+                let state = self.lock();
+                if state.generation != generation {
+                    return;
                 }
-                self.back_off(&mut state, config);
-                Err((
-                    ErrorCode::Unavailable,
-                    format!("worker {} failed mid-call: {e}", self.addr),
-                ))
+                match state.pending.first_key_value() {
+                    Some((_, oldest)) => {
+                        (oldest.sent + timeout).saturating_duration_since(Instant::now())
+                    }
+                    None => timeout,
+                }
+            };
+            if wait.is_zero() {
+                break ProtocolError::Io(format!("no response within {timeout:?}"));
             }
-        }
+            reader.get_ref().set_read_timeout(Some(wait)).ok();
+            match reader.fill_buf() {
+                Ok([]) => break ProtocolError::Truncated,
+                Ok(_) => {}
+                // Only the read timeout (or a signal): nothing consumed,
+                // nothing wrong with the stream.
+                Err(e) if matches!(e.kind(), WouldBlock | TimedOut | Interrupted) => continue,
+                Err(e) => break e.into(),
+            }
+            match read_response(&mut reader) {
+                Ok(Some(response)) => {
+                    if let Err(e) = self.answer(generation, response) {
+                        break e;
+                    }
+                }
+                Ok(None) => break ProtocolError::Truncated,
+                Err(e) => break e,
+            }
+        };
+        self.fail(generation, &failure);
+    }
+}
+
+/// One routed query: a slot per worker, filled by the link readers as the
+/// workers answer. Whichever fills the last slot merges and replies;
+/// whichever brings the first error replies with it instead, and the rest
+/// is discarded.
+struct Gather {
+    reply: Reply,
+    request_id: u64,
+    k: usize,
+    /// One slot per worker, in shard order, holding its neighbors under
+    /// global ids; `None` once the reply has been sent.
+    slots: Mutex<Option<Vec<Option<Answer>>>>,
+    /// Held for [`ClientConn::wait_for_own_queries`] until the last
+    /// worker's call has completed.
+    _in_flight: mpsc::Sender<Infallible>,
+}
+
+impl Gather {
+    fn fill(&self, w: usize, result: Result<Answer, CallError>) {
+        let mut slots = self.slots.lock().expect("gather lock");
+        let Some(answers) = slots.as_mut() else {
+            return;
+        };
+        let body = match result {
+            Ok(neighbors) => {
+                answers[w] = Some(neighbors);
+                if answers.iter().any(Option::is_none) {
+                    return;
+                }
+                // Every slot is filled: unwrap them, in shard order.
+                let answers: Vec<Answer> = slots.take().into_iter().flatten().flatten().collect();
+                ResponseBody::Answer {
+                    neighbors: merge_top_k(self.k, &answers),
+                }
+            }
+            Err((code, message)) => {
+                *slots = None;
+                ResponseBody::Error { code, message }
+            }
+        };
+        self.reply.send(self.request_id, body);
     }
 }
 
 struct Inner {
-    workers: Vec<WorkerLink>,
+    workers: Vec<Arc<WorkerLink>>,
     indexes: Vec<RouterIndex>,
-    config: RouterConfig,
     listener: Arc<Listener>,
     registry: MetricsRegistry,
     queries_total: Counter,
 }
 
-impl Inner {
-    /// Fans one query out to every worker and merges, or explains why not.
-    /// Worker order is shard order: worker `w`'s local id `i` is global id
+/// The router's side of one client connection. A query is written to every
+/// worker link and left there — the handler returns to reading the next
+/// request at once, so pipelined queries overlap on the workers and are
+/// answered in completion order. Every other request is a barrier: it is
+/// handled only after this connection's own queries have completed, so a
+/// scrape counts them and "query, then shutdown" still answers the query.
+struct ClientConn {
+    inner: Arc<Inner>,
+    /// Cloned into every [`Gather`] this connection starts; never sent on.
+    in_flight: mpsc::Sender<Infallible>,
+    /// Disconnects once every clone of `in_flight` has been dropped.
+    drained: mpsc::Receiver<Infallible>,
+}
+
+impl ClientConn {
+    fn new(inner: Arc<Inner>) -> Self {
+        let (in_flight, drained) = mpsc::channel();
+        Self {
+            inner,
+            in_flight,
+            drained,
+        }
+    }
+
+    /// Blocks until every query this connection has routed so far is off
+    /// every link: swaps in a fresh channel and waits for the old one's
+    /// senders — one per gather still alive — to be dropped.
+    fn wait_for_own_queries(&mut self) {
+        let (in_flight, drained) = mpsc::channel();
+        drop(std::mem::replace(&mut self.in_flight, in_flight));
+        let _ = std::mem::replace(&mut self.drained, drained).recv();
+    }
+
+    /// Writes one query to every worker, or explains why not. Worker order
+    /// is shard order: worker `w`'s local id `i` is global id
     /// `map.to_global(w, i)`.
     fn route_query(
         &self,
-        index: &str,
-        params: &hydra::SearchParams,
-        query: &[f32],
-    ) -> ResponseBody {
-        let Some(rix) = self.indexes.iter().find(|rix| rix.info.name == index) else {
-            return ResponseBody::Error {
-                code: ErrorCode::UnknownIndex,
-                message: format!("no index named {index:?} is served"),
-            };
+        request_id: u64,
+        index: String,
+        params: hydra::SearchParams,
+        query: Vec<f32>,
+        reply: &Reply,
+    ) {
+        let workers = &self.inner.workers;
+        let Some(rix) = self.inner.indexes.iter().find(|rix| rix.info.name == index) else {
+            let (code, message) = (
+                ErrorCode::UnknownIndex,
+                format!("no index named {index:?} is served"),
+            );
+            return reply.send(request_id, ResponseBody::Error { code, message });
         };
-        let call_worker = |w: usize| -> Result<Vec<Neighbor>, CallError> {
-            let link = &self.workers[w];
-            let mut neighbors = link.call(
-                &self.config,
-                "query",
-                |request_id| Request::Query {
-                    request_id,
-                    index: index.to_string(),
-                    params: *params,
-                    query: query.to_vec(),
+        let gather = Arc::new(Gather {
+            reply: reply.clone(),
+            request_id,
+            k: params.k,
+            slots: Mutex::new(Some(vec![None; workers.len()])),
+            _in_flight: self.in_flight.clone(),
+        });
+        // Encoded once: each link only overwrites the id.
+        let mut frame = Request::Query {
+            request_id: UNNUMBERED,
+            index,
+            params,
+            query,
+        }
+        .encode();
+        for (w, link) in workers.iter().enumerate() {
+            let (gather, map) = (Arc::clone(&gather), Arc::clone(&rix.map));
+            link.start(
+                &mut frame,
+                move |body| match body {
+                    ResponseBody::Answer { mut neighbors } => {
+                        // A decodable answer can still carry garbage ids (a
+                        // buggy or corrupted worker); remapping one would
+                        // fabricate a neighbor some *other* worker owns.
+                        if neighbors.iter().any(|n| n.index >= map.shard_len(w)) {
+                            return Err("an out-of-range series id".into());
+                        }
+                        for n in &mut neighbors {
+                            n.index = map.to_global(w, n.index);
+                        }
+                        Ok(neighbors)
+                    }
+                    other => Err(format!("a query with {other:?}")),
                 },
-                |body| match body {
-                    ResponseBody::Answer { neighbors } => Ok(neighbors),
-                    other => Err(other),
-                },
-            )?;
-            // A decodable answer can still carry garbage ids (a buggy or
-            // corrupted worker); remapping one would fabricate a neighbor
-            // some *other* worker owns.
-            if neighbors.iter().any(|n| n.index >= rix.map.shard_len(w)) {
-                link.poison(&self.config);
-                let message = format!("worker {} answered an out-of-range series id", link.addr);
-                return Err((ErrorCode::Unavailable, message));
-            }
-            for n in &mut neighbors {
-                n.index = rix.map.to_global(w, n.index);
-            }
-            Ok(neighbors)
-        };
-        let answers: Result<Vec<_>, _> = fan_out(self.workers.len(), call_worker)
-            .into_iter()
-            .collect();
-        match answers {
-            Ok(answers) => ResponseBody::Answer {
-                neighbors: merge_top_k(params.k, &answers),
-            },
-            Err((code, message)) => ResponseBody::Error { code, message },
+                move |result| gather.fill(w, result),
+            );
         }
     }
 }
 
-/// The router's side of a connection. Requests are handled in order, each
-/// fanning out to all workers before the next is read (the engine's
-/// contract): cross-*connection* queries still overlap — each connection
-/// has its own reader thread — and the workers run their own
-/// micro-batchers.
-impl Handler for Arc<Inner> {
+impl Handler for ClientConn {
     fn handle(&mut self, request: Request, reply: &Reply) {
+        if !matches!(request, Request::Query { .. }) {
+            self.wait_for_own_queries();
+        }
+        let inner = &self.inner;
         match request {
             Request::Query {
                 request_id,
@@ -374,32 +693,28 @@ impl Handler for Arc<Inner> {
                 params,
                 query,
             } => {
-                self.queries_total.inc();
-                reply.send(request_id, self.route_query(&index, &params, &query));
+                inner.queries_total.inc();
+                self.route_query(request_id, index, params, query, reply);
             }
             Request::ListIndexes { request_id } => {
-                let indexes = self.indexes.iter().map(|rix| rix.info.clone()).collect();
+                let indexes = inner.indexes.iter().map(|rix| rix.info.clone()).collect();
                 reply.send(request_id, ResponseBody::Indexes { indexes });
             }
             Request::Reload { request_id } => {
-                // Fan the reload out to every worker, all-or-nothing like a
-                // query: a zoo where only some shards reloaded would merge
-                // answers across snapshot generations. The first failure
-                // ends it; the acked epoch is the minimum across workers —
-                // the number of reloads every worker has completed at least.
-                let epochs: Result<Vec<u64>, CallError> = self
+                // Reload worker by worker, all-or-nothing like a query: a
+                // zoo where only some shards reloaded would merge answers
+                // across snapshot generations. The first failure ends it;
+                // the acked epoch is the minimum across workers — the
+                // number of reloads every worker has completed at least.
+                let epochs: Result<Vec<u64>, CallError> = inner
                     .workers
                     .iter()
                     .map(|link| {
-                        link.call(
-                            &self.config,
-                            "reload",
-                            |request_id| Request::Reload { request_id },
-                            |body| match body {
-                                ResponseBody::ReloadAck { epoch } => Ok(epoch),
-                                other => Err(other),
-                            },
-                        )
+                        let request_id = UNNUMBERED;
+                        link.call(&Request::Reload { request_id }, |body| match body {
+                            ResponseBody::ReloadAck { epoch } => Ok(epoch),
+                            other => Err(format!("a reload with {other:?}")),
+                        })
                     })
                     .collect();
                 let body = match epochs {
@@ -415,7 +730,7 @@ impl Handler for Arc<Inner> {
                 // link health, fan-out and wire counters. Scraping a worker's
                 // query/stage metrics means scraping that worker directly;
                 // merging texts here would conflate two processes' clocks.
-                let text = self.registry.render();
+                let text = inner.registry.render();
                 reply.send(request_id, ResponseBody::Stats { text });
             }
             Request::Shutdown { request_id } => {
@@ -423,18 +738,14 @@ impl Handler for Arc<Inner> {
                 // to every reachable worker (best effort — a dead worker
                 // has nothing to stop), then stop routing.
                 reply.send(request_id, ResponseBody::ShutdownAck);
-                for link in &self.workers {
-                    let _ = link.call(
-                        &self.config,
-                        "shutdown",
-                        |request_id| Request::Shutdown { request_id },
-                        |body| match body {
-                            ResponseBody::ShutdownAck => Ok(()),
-                            other => Err(other),
-                        },
-                    );
+                for link in &inner.workers {
+                    let request_id = UNNUMBERED;
+                    let _ = link.call(&Request::Shutdown { request_id }, |body| match body {
+                        ResponseBody::ShutdownAck => Ok(()),
+                        other => Err(format!("a shutdown with {other:?}")),
+                    });
                 }
-                self.listener.begin_shutdown();
+                inner.listener.begin_shutdown();
             }
         }
     }
@@ -467,13 +778,19 @@ impl RouterHandle {
         self.inner.listener.begin_shutdown();
     }
 
-    /// Waits for the acceptor and every client connection to finish, then
-    /// reports the run's counters.
+    /// Waits for the acceptor and every client connection to finish —
+    /// each stays up until its last routed query is answered — then closes
+    /// the worker links, joining their reader threads, and reports the
+    /// run's counters.
     ///
     /// # Panics
-    /// Propagates a panic of the acceptor thread (not expected).
+    /// Propagates a panic of the acceptor thread or of a link's reader
+    /// thread (not expected).
     pub fn join(self) -> RouterStats {
         self.acceptor.join().expect("acceptor panicked");
+        for link in &self.inner.workers {
+            link.close();
+        }
         let links = self.inner.workers.iter();
         RouterStats {
             queries: self.inner.queries_total.get(),
@@ -505,40 +822,48 @@ impl Router {
         addr: A,
         config: RouterConfig,
     ) -> std::io::Result<RouterHandle> {
-        let invalid = |msg: String| std::io::Error::new(std::io::ErrorKind::InvalidInput, msg);
         if workers.is_empty() {
             return Err(invalid("refusing to route to zero workers".into()));
         }
-        // Boot: list every worker's zoo, with the boot clients kept as the
-        // initial link connections.
         let registry = MetricsRegistry::new();
-        let mut links = Vec::with_capacity(workers.len());
-        let mut listings: Vec<Vec<IndexInfo>> = Vec::with_capacity(workers.len());
-        for &worker in workers {
-            let mut client = ServeClient::connect_with_retry(worker, config.boot_timeout)?;
-            client.set_read_timeout(Some(config.worker_timeout)).ok();
-            let mut listing = client
-                .list_indexes()
-                .map_err(|e| invalid(format!("worker {worker} listing failed: {e}")))?;
+        let links: Vec<Arc<WorkerLink>> = workers
+            .iter()
+            .map(|&worker| Arc::new(WorkerLink::new(worker, config, &registry)))
+            .collect();
+        Self::boot(&links, addr, config, registry).inspect_err(|_| {
+            // A refused boot leaves no reader thread behind.
+            for link in &links {
+                link.close();
+            }
+        })
+    }
+
+    /// Boot proper: connects every link, lists every worker's zoo over it,
+    /// validates agreement and starts serving the merged view.
+    fn boot<A: ToSocketAddrs>(
+        links: &[Arc<WorkerLink>],
+        addr: A,
+        config: RouterConfig,
+        registry: MetricsRegistry,
+    ) -> std::io::Result<RouterHandle> {
+        let workers: Vec<SocketAddr> = links.iter().map(|link| link.addr).collect();
+        let mut listings: Vec<Vec<IndexInfo>> = Vec::with_capacity(links.len());
+        for link in links {
+            let client = ServeClient::connect_with_retry(link.addr, config.boot_timeout)?;
+            link.install(&mut link.lock(), client);
+            let request_id = UNNUMBERED;
+            let mut listing = link
+                .call(&Request::ListIndexes { request_id }, |body| match body {
+                    ResponseBody::Indexes { indexes } => Ok(indexes),
+                    other => Err(format!("a listing with {other:?}")),
+                })
+                .map_err(|(_, message)| invalid(format!("boot listing failed: {message}")))?;
             listing.sort_by(|a, b| a.name.cmp(&b.name));
             listings.push(listing);
-            let metrics = WorkerMetrics::new(&registry, worker);
-            metrics
-                .backoff_micros
-                .set(config.backoff_initial.as_micros() as i64);
-            links.push(WorkerLink {
-                addr: worker,
-                state: Mutex::new(LinkState {
-                    client: Some(client),
-                    backoff: config.backoff_initial,
-                    next_attempt: Instant::now(),
-                }),
-                metrics,
-            });
         }
         // Validate agreement and build the merged view.
         let mut indexes = Vec::with_capacity(listings[0].len());
-        for (listing, &worker) in listings.iter().zip(workers).skip(1) {
+        for (listing, &worker) in listings.iter().zip(&workers).skip(1) {
             if listing.len() != listings[0].len() {
                 return Err(invalid(format!(
                     "worker {worker} serves {} indexes but worker {} serves {} — every \
@@ -551,7 +876,7 @@ impl Router {
         }
         for (i, first) in listings[0].iter().enumerate() {
             let mut lens = Vec::with_capacity(workers.len());
-            for (listing, &worker) in listings.iter().zip(workers) {
+            for (listing, &worker) in listings.iter().zip(&workers) {
                 let info = &listing[i];
                 if info.name != first.name
                     || info.method != first.method
@@ -581,20 +906,26 @@ impl Router {
             })?;
             let mut info = first.clone();
             info.num_series = map.total() as u64;
+            let map = Arc::new(map);
             indexes.push(RouterIndex { info, map });
         }
         let inner = Arc::new(Inner {
-            workers: links,
+            workers: links.to_vec(),
             indexes,
-            config,
             listener: Listener::bind(addr, config.write_timeout, &registry, "hydra_router")?,
             queries_total: registry.counter("hydra_router_queries_total", &[]),
             registry,
         });
         let shared = Arc::clone(&inner);
-        let acceptor = inner.listener.spawn(move || Arc::clone(&shared));
+        let acceptor = inner
+            .listener
+            .spawn(move || ClientConn::new(Arc::clone(&shared)));
         Ok(RouterHandle { inner, acceptor })
     }
+}
+
+fn invalid(msg: String) -> std::io::Error {
+    std::io::Error::new(std::io::ErrorKind::InvalidInput, msg)
 }
 
 #[cfg(test)]
@@ -602,7 +933,7 @@ mod tests {
     use super::*;
     use crate::server::{ServedIndex, Server, ServerConfig, ServerHandle};
     use hydra::core::{Capabilities, Representation};
-    use hydra::{AnnIndex, QueryStats, Result, SearchParams, SearchResult};
+    use hydra::{AnnIndex, Neighbor, QueryStats, Result, SearchParams, SearchResult};
     use std::io::{BufReader, Write};
     use std::net::TcpStream;
 

@@ -16,8 +16,11 @@
 //!          job, gather until the batch window closes or the batch is   │
 //!          full, group by (index, SearchKey), ONE search_batch call    │
 //!          per group per tick ─────────────────────────────────────────┤
-//!  router  everything inline, in order: a query fans out to every      │
-//!          worker, merges, and answers before the next is read ────────┘
+//!  router  query: written to every worker link (many in flight per     │
+//!          link), then the next request is read; the link reader       │
+//!          thread that delivers the last worker's answer merges ───────┤
+//!          anything else: waits for the connection's own queries,      │
+//!          then answered inline ───────────────────────────────────────┘
 //! ```
 //!
 //! Each connection gets one reader thread (parsing frames and handing

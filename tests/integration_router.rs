@@ -10,7 +10,12 @@
 //! * a worker that accepts a query and stalls forever costs at most the
 //!   configured worker timeout;
 //! * a worker that comes back is picked up through the reconnection
-//!   backoff without restarting the router.
+//!   backoff without restarting the router;
+//! * many calls share one worker link: answers come back matched by id
+//!   in whatever order the worker gives them, never crossed between
+//!   clients that number their requests alike; at most 64 are in flight
+//!   per link; and a worker dying with N in flight fails exactly those N,
+//!   each once.
 //!
 //! The misbehaving workers are scripted directly on the wire protocol
 //! (raw [`TcpListener`] + `hydra_serve::protocol`), because a real
@@ -27,10 +32,10 @@ use std::time::{Duration, Instant};
 use common::Scan;
 use hydra::prelude::*;
 use hydra::{partition, PartitionScheme};
-use hydra_serve::protocol::read_request;
+use hydra_serve::protocol::{read_request, read_response};
 use hydra_serve::{
-    ErrorCode, IndexInfo, Request, Response, ResponseBody, Router, RouterConfig, ServeClient,
-    ServedIndex, Server, ServerConfig, ServerHandle,
+    ErrorCode, IndexInfo, Request, Response, ResponseBody, Router, RouterConfig, RouterHandle,
+    ServeClient, ServedIndex, Server, ServerConfig, ServerHandle,
 };
 
 const INDEX: &str = "walk-scan";
@@ -72,6 +77,17 @@ enum Mode {
     CloseOnQuery,
     /// Read the request and never answer — a wedged worker.
     Stall,
+    /// Hold this many queries, then answer them all, last received first.
+    Reverse(usize),
+    /// Answer every query correctly, this long after it arrived, without
+    /// making the queries behind it wait.
+    Delay(Duration),
+    /// Read queries without answering for as long as this mode is set,
+    /// then answer correctly.
+    Hold,
+    /// Hold this many queries, then write half of the first one's answer
+    /// and hang up — a worker dying with calls in flight.
+    HangUpMidResponse(usize),
 }
 
 /// A scripted shard worker speaking the real wire protocol on a real
@@ -128,25 +144,29 @@ impl Drop for ScriptedWorker {
     }
 }
 
+/// Puts one frame on a connection whose write half delayed answers share.
+fn put(write_half: &Mutex<TcpStream>, frame: &[u8]) -> bool {
+    let mut stream = write_half.lock().unwrap();
+    stream.write_all(frame).and_then(|()| stream.flush()).is_ok()
+}
+
 /// One connection to the scripted worker: real protocol frames in,
 /// scripted behavior out. Returning drops the stream — the "crash".
 fn serve_scripted(stream: TcpStream, shard: &hydra::Dataset, mode: &Mutex<Mode>, stop: &AtomicBool) {
-    let mut write_half = match stream.try_clone() {
-        Ok(s) => s,
+    let write_half = match stream.try_clone() {
+        Ok(s) => Arc::new(Mutex::new(s)),
         Err(_) => return,
     };
     let mut reader = BufReader::new(stream);
-    let mut respond = |response: Response| {
-        let frame = response.encode();
-        write_half
-            .write_all(&frame)
-            .and_then(|()| write_half.flush())
-            .is_ok()
-    };
+    let respond = |response: Response| put(&write_half, &response.encode());
+    // Answers being held back (`Reverse`, `HangUpMidResponse`) and the
+    // threads sleeping on delayed ones (`Delay`).
+    let mut held: Vec<Response> = Vec::new();
+    let mut delayed: Vec<std::thread::JoinHandle<()>> = Vec::new();
     loop {
         let request = match read_request(&mut reader) {
             Ok(Some(request)) => request,
-            _ => return,
+            _ => break,
         };
         match request {
             Request::ListIndexes { request_id } => {
@@ -168,7 +188,7 @@ fn serve_scripted(stream: TcpStream, shard: &hydra::Dataset, mode: &Mutex<Mode>,
                     },
                 });
                 if !ok {
-                    return;
+                    break;
                 }
             }
             Request::Query {
@@ -178,22 +198,53 @@ fn serve_scripted(stream: TcpStream, shard: &hydra::Dataset, mode: &Mutex<Mode>,
                 ..
             } => {
                 let mode_now = *mode.lock().unwrap();
+                let answer = Response {
+                    request_id,
+                    body: ResponseBody::Answer {
+                        neighbors: common::brute_force_top_k(shard, &query, params.k),
+                    },
+                };
                 match mode_now {
                     Mode::Healthy => {
-                        let neighbors = common::brute_force_top_k(shard, &query, params.k);
-                        if !respond(Response {
-                            request_id,
-                            body: ResponseBody::Answer { neighbors },
-                        }) {
-                            return;
+                        if !respond(answer) {
+                            break;
                         }
                     }
-                    Mode::CloseOnQuery => return,
+                    Mode::CloseOnQuery => break,
                     Mode::Stall => {
                         while !stop.load(Ordering::SeqCst) {
                             std::thread::sleep(Duration::from_millis(10));
                         }
-                        return;
+                        break;
+                    }
+                    Mode::Reverse(count) => {
+                        held.push(answer);
+                        if held.len() >= count && !held.drain(..).rev().all(&respond) {
+                            break;
+                        }
+                    }
+                    Mode::Delay(delay) => {
+                        let write_half = Arc::clone(&write_half);
+                        delayed.push(std::thread::spawn(move || {
+                            std::thread::sleep(delay);
+                            put(&write_half, &answer.encode());
+                        }));
+                    }
+                    Mode::Hold => {
+                        while *mode.lock().unwrap() == Mode::Hold && !stop.load(Ordering::SeqCst) {
+                            std::thread::sleep(Duration::from_millis(5));
+                        }
+                        if !respond(answer) {
+                            break;
+                        }
+                    }
+                    Mode::HangUpMidResponse(count) => {
+                        held.push(answer);
+                        if held.len() >= count {
+                            let frame = held[0].encode();
+                            put(&write_half, &frame[..frame.len() / 2]);
+                            break;
+                        }
                     }
                 }
             }
@@ -208,7 +259,7 @@ fn serve_scripted(stream: TcpStream, shard: &hydra::Dataset, mode: &Mutex<Mode>,
                     },
                 });
                 if !ok {
-                    return;
+                    break;
                 }
             }
             Request::Stats { request_id } => {
@@ -223,7 +274,7 @@ fn serve_scripted(stream: TcpStream, shard: &hydra::Dataset, mode: &Mutex<Mode>,
                     },
                 });
                 if !ok {
-                    return;
+                    break;
                 }
             }
             Request::Shutdown { request_id } => {
@@ -231,9 +282,12 @@ fn serve_scripted(stream: TcpStream, shard: &hydra::Dataset, mode: &Mutex<Mode>,
                     request_id,
                     body: ResponseBody::ShutdownAck,
                 });
-                return;
+                break;
             }
         }
+    }
+    for thread in delayed {
+        thread.join().unwrap();
     }
 }
 
@@ -475,4 +529,283 @@ fn the_router_reconnects_through_backoff_when_a_worker_restarts() {
     router.join();
     real.shutdown();
     real.join();
+}
+
+// ---------------------------------------------------------------------------
+// Many calls in flight per worker link.
+// ---------------------------------------------------------------------------
+
+/// What the link tests share: a real worker on shard 0, a scripted one on
+/// shard 1, a router in front of both, and the unsharded oracle.
+struct Deployment {
+    unsharded: Scan,
+    real: ServerHandle,
+    scripted: ScriptedWorker,
+    router: RouterHandle,
+}
+
+impl Deployment {
+    fn spawn(seed: u64, initial: Mode, config: RouterConfig) -> Self {
+        let data = hydra::data::random_walk(200, 12, seed);
+        let (_, shards) = partition(&data, PartitionScheme::Contiguous, 2).unwrap();
+        let real = scan_worker(&shards[0]);
+        let scripted = ScriptedWorker::spawn(shards[1].clone(), initial);
+        let router =
+            Router::spawn(&[real.local_addr(), scripted.addr], "127.0.0.1:0", config).unwrap();
+        Self {
+            unsharded: Scan { data },
+            real,
+            scripted,
+            router,
+        }
+    }
+
+    /// Series `i` of the dataset, as a query.
+    fn series(&self, i: usize) -> Vec<f32> {
+        self.unsharded.data.series(i).to_vec()
+    }
+
+    /// `body` must be the unsharded scan's answer to `series`, bit for bit.
+    fn assert_exact(&self, context: &str, body: ResponseBody, series: &[f32], k: usize) {
+        let ResponseBody::Answer { neighbors } = body else {
+            panic!("{context}: expected an answer, got {body:?}");
+        };
+        let offline = self.unsharded.search(series, &SearchParams::exact(k)).unwrap();
+        let routed = hydra::SearchResult::new(neighbors, hydra::QueryStats::new());
+        common::assert_same_answer(context, &routed, &offline, common::StatsMatch::Ignored);
+    }
+
+    /// `hydra_router_worker_in_flight` of the scripted worker's link.
+    fn in_flight(&self) -> i64 {
+        let worker = self.scripted.addr.to_string();
+        self.router
+            .metrics()
+            .gauge("hydra_router_worker_in_flight", &[("worker", &worker)])
+            .get()
+    }
+
+    /// A counter of the scripted worker's link.
+    fn link_counter(&self, name: &str) -> u64 {
+        let worker = self.scripted.addr.to_string();
+        self.router
+            .metrics()
+            .counter(name, &[("worker", &worker)])
+            .get()
+    }
+
+    fn stop(self) -> hydra_serve::RouterStats {
+        self.router.shutdown();
+        let stats = self.router.join();
+        self.real.shutdown();
+        self.real.join();
+        stats
+    }
+}
+
+fn send_query(client: &mut ServeClient, request_id: u64, series: &[f32], k: usize) {
+    client
+        .send(&Request::Query {
+            request_id,
+            index: INDEX.into(),
+            params: SearchParams::exact(k),
+            query: series.to_vec(),
+        })
+        .unwrap();
+}
+
+#[test]
+fn answers_a_worker_gives_out_of_order_reach_the_clients_that_asked() {
+    // The worker sits on the first call until the second has arrived —
+    // which a one-call-at-a-time link never delivers — then answers the
+    // second first.
+    let d = Deployment::spawn(4242, Mode::Reverse(2), fast_config());
+    let mut first = ServeClient::connect(d.router.local_addr()).unwrap();
+    let mut second = ServeClient::connect(d.router.local_addr()).unwrap();
+    let (a, b) = (d.series(3), d.series(150));
+    send_query(&mut first, 11, &a, 7);
+    send_query(&mut second, 22, &b, 7);
+    let (got_a, got_b) = (first.recv().unwrap(), second.recv().unwrap());
+    assert_eq!((got_a.request_id, got_b.request_id), (11, 22));
+    d.assert_exact("first client", got_a.body, &a, 7);
+    d.assert_exact("second client", got_b.body, &b, 7);
+    drop((first, second));
+    let stats = d.stop();
+    assert_eq!((stats.queries, stats.worker_errors), (2, 0));
+}
+
+#[test]
+fn two_connections_numbering_their_requests_alike_never_cross_answers() {
+    // Both clients count from 1, and every round has both queries in
+    // flight on the same link at once (the worker answers only pairs).
+    let d = Deployment::spawn(5151, Mode::Reverse(2), fast_config());
+    let mut first = ServeClient::connect(d.router.local_addr()).unwrap();
+    let mut second = ServeClient::connect(d.router.local_addr()).unwrap();
+    for round in 0..12usize {
+        let (a, b) = (d.series(round), d.series(199 - round));
+        let id = (round + 1) as u64;
+        send_query(&mut first, id, &a, 5);
+        send_query(&mut second, id, &b, 5);
+        for (client, series, who) in [(&mut first, &a, "first"), (&mut second, &b, "second")] {
+            let response = client.recv().unwrap();
+            assert_eq!(response.request_id, id);
+            d.assert_exact(&format!("round {round}, {who} client"), response.body, series, 5);
+        }
+    }
+    drop((first, second));
+    assert_eq!(d.stop().worker_errors, 0);
+}
+
+#[test]
+fn queries_pipelined_on_one_connection_overlap_on_the_worker() {
+    let delay = Duration::from_millis(250);
+    let config = RouterConfig {
+        worker_timeout: Duration::from_secs(5),
+        ..fast_config()
+    };
+    let d = Deployment::spawn(6262, Mode::Delay(delay), config);
+    let mut client = ServeClient::connect(d.router.local_addr()).unwrap();
+    let started = Instant::now();
+    for request_id in 1..=8u64 {
+        send_query(&mut client, request_id, &d.series(request_id as usize * 20), 6);
+    }
+    let mut answered = Vec::new();
+    for _ in 0..8 {
+        let response = client.recv().unwrap();
+        let series = d.series(response.request_id as usize * 20);
+        d.assert_exact("pipelined query", response.body, &series, 6);
+        answered.push(response.request_id);
+    }
+    let elapsed = started.elapsed();
+    answered.sort_unstable();
+    assert_eq!(answered, (1..=8).collect::<Vec<u64>>());
+    // One at a time they would take eight delays.
+    assert!(
+        elapsed < 3 * delay,
+        "8 pipelined queries took {elapsed:?} against a worker answering each after {delay:?}"
+    );
+    drop(client);
+    assert_eq!(d.stop().worker_errors, 0);
+}
+
+#[test]
+fn a_worker_dying_with_calls_in_flight_fails_exactly_those_calls_once_each() {
+    const IN_FLIGHT: u64 = 5;
+    // A timeout far beyond the test's patience: the errors below can only
+    // come from the hangup, never from a timeout that happened to fire.
+    let config = RouterConfig {
+        worker_timeout: Duration::from_secs(30),
+        ..fast_config()
+    };
+    let d = Deployment::spawn(7373, Mode::HangUpMidResponse(IN_FLIGHT as usize), config);
+    let mut client = ServeClient::connect(d.router.local_addr()).unwrap();
+    client
+        .set_read_timeout(Some(Duration::from_secs(10)))
+        .unwrap();
+    let series = d.series(9);
+    let errors_before = d.link_counter("hydra_router_worker_errors_total");
+    for request_id in 1..=IN_FLIGHT {
+        send_query(&mut client, request_id, &series, 4);
+    }
+    let mut failed = Vec::new();
+    for _ in 0..IN_FLIGHT {
+        let response = client.recv().expect("a call in flight was left hanging");
+        assert!(
+            is_unavailable(&response.body),
+            "expected Unavailable, got {:?}",
+            response.body
+        );
+        failed.push(response.request_id);
+    }
+    failed.sort_unstable();
+    assert_eq!(failed, (1..=IN_FLIGHT).collect::<Vec<u64>>());
+    assert_eq!(d.in_flight(), 0);
+    assert_eq!(
+        d.link_counter("hydra_router_worker_errors_total") - errors_before,
+        IN_FLIGHT
+    );
+    assert_eq!(d.link_counter("hydra_router_worker_timeouts_total"), 0);
+
+    // The worker comes back: the link reconnects through its backoff, and
+    // nothing of the failed calls is left on the client connection (`call`
+    // rejects a response on any id but the one it just sent).
+    d.scripted.set_mode(Mode::Healthy);
+    let deadline = Instant::now() + Duration::from_secs(10);
+    let mut request_id = IN_FLIGHT + 1;
+    loop {
+        match query(&mut client, request_id, &series, 4) {
+            body @ ResponseBody::Answer { .. } => {
+                d.assert_exact("after the restart", body, &series, 4);
+                break;
+            }
+            body if is_unavailable(&body) => {
+                assert!(Instant::now() < deadline, "the link never reconnected");
+                request_id += 1;
+                std::thread::sleep(Duration::from_millis(20));
+            }
+            other => panic!("unexpected response during recovery: {other:?}"),
+        }
+    }
+    assert!(d.link_counter("hydra_router_worker_reconnects_total") >= 1);
+    drop(client);
+    d.stop();
+}
+
+#[test]
+fn a_link_carries_at_most_64_calls_and_a_flooding_client_is_still_fully_answered() {
+    const FLOOD: u64 = 1_000;
+    let config = RouterConfig {
+        worker_timeout: Duration::from_secs(60),
+        ..fast_config()
+    };
+    let d = Deployment::spawn(8484, Mode::Hold, config);
+    let stream = TcpStream::connect(d.router.local_addr()).unwrap();
+    stream
+        .set_read_timeout(Some(Duration::from_secs(30)))
+        .unwrap();
+    let mut reader = BufReader::new(stream.try_clone().unwrap());
+    let queries: Vec<Vec<f32>> = (0..10).map(|i| d.series(i * 17)).collect();
+    // The flood is written from its own thread: once the link is full the
+    // router stops reading this connection, and the writes may block.
+    let writer = {
+        let (mut stream, queries) = (stream, queries.clone());
+        std::thread::spawn(move || {
+            for request_id in 1..=FLOOD {
+                let frame = Request::Query {
+                    request_id,
+                    index: INDEX.into(),
+                    params: SearchParams::exact(3),
+                    query: queries[request_id as usize % queries.len()].clone(),
+                }
+                .encode();
+                stream.write_all(&frame).unwrap();
+            }
+        })
+    };
+    // While the worker holds its answers back, the link fills to the cap
+    // and stays there.
+    let deadline = Instant::now() + Duration::from_secs(20);
+    while d.in_flight() < 64 {
+        assert!(Instant::now() < deadline, "the link never filled: {}", d.in_flight());
+        std::thread::sleep(Duration::from_millis(2));
+    }
+    for _ in 0..50 {
+        assert!(d.in_flight() <= 64, "{} calls in flight on one link", d.in_flight());
+        std::thread::sleep(Duration::from_millis(2));
+    }
+    // Released, every query is answered, each once.
+    d.scripted.set_mode(Mode::Healthy);
+    let mut answered = Vec::new();
+    for _ in 0..FLOOD {
+        let response = read_response(&mut reader).unwrap().expect("the router hung up");
+        let series = &queries[response.request_id as usize % queries.len()];
+        d.assert_exact("flooded query", response.body, series, 3);
+        answered.push(response.request_id);
+        assert!(d.in_flight() <= 64);
+    }
+    answered.sort_unstable();
+    assert_eq!(answered, (1..=FLOOD).collect::<Vec<u64>>());
+    writer.join().unwrap();
+    drop(reader);
+    let stats = d.stop();
+    assert_eq!((stats.queries, stats.worker_errors), (FLOOD, 0));
 }
