@@ -28,5 +28,5 @@
 mod node;
 mod split;
 
-pub use node::{DsTree, DsTreeConfig};
+pub use node::{DsTree, DsTreeConfig, PreparedQuery};
 pub use split::{enumerate_candidates, SplitCandidate, SplitKind, SplitRule};

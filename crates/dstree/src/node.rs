@@ -9,10 +9,11 @@ use hydra_core::{
 use hydra_core::search::SearchSpec;
 use hydra_persist::{
     codec, Collection, DataSource, Fingerprint, Leaf, PersistError, PersistentIndex, Section,
-    SnapshotReader, SnapshotWriter, StoreBacking,
+    SnapshotReader, SnapshotWriter, StoreBacking, Ungated, WordColumn,
 };
 use hydra_storage::{SeriesStore, StorageConfig};
-use hydra_summarize::apca::{segment_stats, uniform_segments, Segment};
+use hydra_summarize::apca::{segment_stats, uniform_segments, Segment, SegmentStats};
+use hydra_summarize::sax::SaxParams;
 
 use crate::split::{enumerate_candidates, SplitKind, SplitRule};
 
@@ -80,6 +81,9 @@ impl Synopsis {
 #[derive(Debug)]
 struct Node {
     segments: Vec<Segment>,
+    /// Where [`DsTree::segments`] keeps each of `segments`, in the same
+    /// order (see [`DsTree::index_segments`]).
+    segment_ids: Vec<u32>,
     synopsis: Vec<Synopsis>,
     children: Vec<usize>,
     rule: Option<SplitRule>,
@@ -94,6 +98,7 @@ impl Node {
         let synopsis = vec![Synopsis::empty(); segments.len()];
         Self {
             segments,
+            segment_ids: Vec::new(),
             synopsis,
             children: Vec::new(),
             rule: None,
@@ -108,14 +113,71 @@ impl Node {
 }
 
 /// The DSTree index.
+///
+/// # Lower bounds
+///
+/// A node is bounded by its EAPCA synopsis:
+/// per segment of its own segmentation, the query's segment mean and
+/// standard deviation against the node's ranges. Segmentations differ from
+/// node to node, but they are all refinements of one uniform segmentation
+/// by halving, so few distinct segments exist — 24 among 5,262
+/// node-segments at n = 32,000 (704 points), and never more than
+/// `series_len` points per level of halving. The tree interns them,
+/// [`HierarchicalIndex::prepare`] computes
+/// the query's statistics once per distinct segment, and every node bound
+/// reads them by id: the same function over the same slice as computing
+/// them per node, so every bound is bit-identical.
+///
+/// Each series' SAX word (16 segments at cardinality 256, whatever the
+/// configuration) is kept in a store-row-ordered [`WordColumn`] — the
+/// column iSAX2+ keeps the same way — and [`HierarchicalIndex::refine_leaf`]
+/// hands the store a *gate*: a member whose word bounds it strictly beyond
+/// the live best-so-far is skipped before its raw series is read. It is one
+/// the early-abandoning kernel would have refused, so answers, distance
+/// bits and the leaves visited do not depend on the gate; only the series
+/// read and compared do. The bound reads the word against the symbol cell
+/// edges directly — no per-query table, which a one-leaf ng search could
+/// not pay for. Words and segment ids are derived data, never persisted: a
+/// load rebuilds both.
+///
+/// **How this differs from the paper's DSTree.** There every series of a
+/// visited leaf is read and compared: EAPCA summarizes nodes, not series.
+/// Gating members on a per-series summary is the step iSAX2+'s successors
+/// take (and this repository's iSAX2+ too). The answers are the paper's —
+/// in every mode, bit for bit — while fewer series are read: the pruning
+/// ratio of fig 5 and the DSTree timings of figs 3–4 are this variant's,
+/// not the original's.
 pub struct DsTree {
     config: DsTreeConfig,
     series_len: usize,
     nodes: Vec<Node>,
+    /// Every distinct segment of every node, sorted by `(start, end)`.
+    segments: Vec<Segment>,
     /// Leaf-ordered raw series (the simulated on-disk layout).
     collection: Collection,
+    /// The SAX word of every series, in store-row order (arrival order
+    /// while [`DsTree::build`] is still inserting).
+    words: WordColumn,
     histogram: DistanceHistogram,
 }
+
+/// What a DSTree search computes of a query once
+/// ([`HierarchicalIndex::prepare`]).
+#[derive(Debug, Clone)]
+pub struct PreparedQuery {
+    /// The query's mean and standard deviation over every distinct segment
+    /// of the tree, by segment id.
+    stats: Vec<SegmentStats>,
+    /// The query's PAA at the kept words' segmentation.
+    paa: Vec<f32>,
+}
+
+/// The shape of the kept words: 16 segments at cardinality 256 (the SAX
+/// default), whatever the tree's configuration.
+const MEMBER_WORDS: SaxParams = SaxParams {
+    segments: 16,
+    max_bits: 8,
+};
 
 /// Where [`DsTree::split_leaf`] re-reads the series of an overflowing leaf:
 /// the build-time dataset, or (during streaming ingest) the tree's own
@@ -151,7 +213,9 @@ impl DsTree {
             config,
             series_len,
             nodes: vec![Node::new_leaf(uniform_segments(series_len, initial))],
+            segments: Vec::new(),
             collection: Collection::leaf_order(series_len, config.storage)?,
+            words: WordColumn::new(series_len, MEMBER_WORDS),
             histogram: DistanceHistogram::from_dataset(
                 dataset,
                 config.histogram_samples,
@@ -163,7 +227,34 @@ impl DsTree {
             tree.insert(dataset, id);
         }
         tree.collection.materialize(dataset, leaves_mut(&mut tree.nodes))?;
+        tree.words.materialize(&tree.collection);
+        tree.index_segments();
         Ok(tree)
+    }
+
+    /// Interns the distinct segments of every node, sorted, and points each
+    /// node's `segment_ids` at them. A function of the finished tree alone,
+    /// so a built, a loaded and a grown tree of the same shape agree on
+    /// every id: it runs wherever the shape settles — at the end of a
+    /// build, a load and an ingest batch — never on a query path.
+    fn index_segments(&mut self) {
+        let key = |s: &Segment| (s.start, s.end);
+        let mut distinct: Vec<Segment> = self
+            .nodes
+            .iter()
+            .flat_map(|n| n.segments.iter().copied())
+            .collect();
+        distinct.sort_unstable_by_key(key);
+        distinct.dedup();
+        distinct.shrink_to_fit();
+        for node in &mut self.nodes {
+            node.segment_ids.clear();
+            node.segment_ids.extend(node.segments.iter().map(|seg| {
+                let id = distinct.binary_search_by_key(&key(seg), key);
+                id.expect("every node segment was interned") as u32
+            }));
+        }
+        self.segments = distinct;
     }
 
     /// Inserts one series (by dataset position) into the tree.
@@ -183,11 +274,12 @@ impl DsTree {
     }
 
     /// Routes one series (its dataset position and raw values) to its leaf,
-    /// updating synopses along the descent and splitting on overflow — the
-    /// single insertion path shared by [`DsTree::build`] and streaming
-    /// ingest, which is what makes the two produce identical trees for the
-    /// same insert sequence.
+    /// updating synopses along the descent and splitting on overflow, and
+    /// keeps its word as the next row of `words` — the single insertion
+    /// path shared by [`DsTree::build`] and streaming ingest, which is what
+    /// makes the two produce identical trees for the same insert sequence.
     fn insert_series(&mut self, id: usize, series: &[f32], src: &FetchSource<'_>) {
+        self.words.push(series);
         // Descend to the leaf, updating synopses along the way.
         let mut node_id = 0usize;
         loop {
@@ -338,18 +430,29 @@ impl DsTree {
         &self.config
     }
 
-    /// Lower bound between `query` and node `node_id` using the EAPCA
-    /// synopsis: for every segment, the query's segment mean/std are clamped
-    /// into the node's ranges, and the per-segment contribution is
-    /// `len · ((μ_q - μ̂)² + (σ_q - σ̂)²)`.
-    fn node_min_dist(&self, query: &[f32], node_id: usize) -> f32 {
+    /// This tree with every member of a visited leaf read and compared — no
+    /// gate: the reference its gated search is held to.
+    pub fn ungated(&self) -> Ungated<'_, Self> {
+        self.collection.ungated(self, |node| &self.nodes[node].leaf)
+    }
+
+    /// Lower bound between the query `prepared` was computed for and node
+    /// `node_id` using the EAPCA synopsis: for every segment, the query's
+    /// segment mean/std are clamped into the node's ranges, and the
+    /// per-segment contribution is `len · ((μ_q - μ̂)² + (σ_q - σ̂)²)`.
+    fn node_min_dist(&self, prepared: &PreparedQuery, node_id: usize) -> f32 {
         let node = &self.nodes[node_id];
         if node.size == 0 {
             return f32::INFINITY;
         }
         let mut acc = 0.0f32;
-        for (seg, syn) in node.segments.iter().zip(node.synopsis.iter()) {
-            let st = segment_stats(query, *seg);
+        for ((seg, &id), syn) in node
+            .segments
+            .iter()
+            .zip(&node.segment_ids)
+            .zip(&node.synopsis)
+        {
+            let st = prepared.stats[id as usize];
             let mean_gap = if st.mean < syn.min_mean {
                 syn.min_mean - st.mean
             } else if st.mean > syn.max_mean {
@@ -534,6 +637,7 @@ impl PersistentIndex for DsTree {
             let size = sec.get_usize()?;
             nodes.push(Node {
                 segments,
+                segment_ids: Vec::new(),
                 synopsis,
                 children,
                 rule,
@@ -563,20 +667,24 @@ impl PersistentIndex for DsTree {
             backing,
         )?;
 
-        Ok(Self {
+        let mut tree = Self {
             config: *config,
             series_len,
             nodes,
+            segments: Vec::new(),
+            words: WordColumn::rebuild(&collection, MEMBER_WORDS),
             collection,
             histogram,
-        })
+        };
+        tree.index_segments();
+        Ok(tree)
     }
 }
 
 impl HierarchicalIndex for DsTree {
-    /// Nothing to hoist: segmentations differ from node to node, so the
-    /// query's segment statistics are per node too.
-    type Prepared = ();
+    /// The query's statistics over every distinct segment, which every node
+    /// bound reads, and its PAA, which the member gate reads.
+    type Prepared = PreparedQuery;
 
     fn roots(&self) -> &[usize] {
         &[0]
@@ -590,10 +698,19 @@ impl HierarchicalIndex for DsTree {
         &self.nodes[node].children
     }
 
-    fn prepare(&self, _query: &[f32]) {}
+    fn prepare(&self, query: &[f32]) -> PreparedQuery {
+        PreparedQuery {
+            stats: self
+                .segments
+                .iter()
+                .map(|&seg| segment_stats(query, seg))
+                .collect(),
+            paa: self.words.query_paa(query),
+        }
+    }
 
-    fn min_dist(&self, query: &[f32], _prepared: &(), node: usize) -> f32 {
-        self.node_min_dist(query, node)
+    fn min_dist(&self, _query: &[f32], prepared: &PreparedQuery, node: usize) -> f32 {
+        self.node_min_dist(prepared, node)
     }
 
     fn leaf_size(&self, node: usize) -> usize {
@@ -604,18 +721,23 @@ impl HierarchicalIndex for DsTree {
         &self,
         node: usize,
         query: &[f32],
-        _prepared: &(),
+        prepared: &PreparedQuery,
         best_so_far: f32,
         stats: &mut QueryStats,
         accept: &mut dyn FnMut(usize, f32) -> f32,
     ) -> u64 {
-        // EAPCA summarizes nodes, not series: every member is compared.
+        // EAPCA summarizes nodes, not series: each member is gated on its
+        // kept word instead.
+        let leaf = &self.nodes[node].leaf;
+        stats.lower_bound_computations += self.collection.leaf_len(leaf) as u64;
         self.collection.refine_leaf(
-            &self.nodes[node].leaf,
+            leaf,
             query,
             best_so_far,
             stats,
-            |_, _| true,
+            // Strictly beyond the bound is what the early-abandoning kernel
+            // refuses; a member at the bound is still compared.
+            |row, bound| self.words.bound_squared(&prepared.paa, row) <= bound * bound,
             accept,
         )
     }
@@ -647,18 +769,23 @@ impl AnnIndex for DsTree {
     }
 
     fn memory_footprint(&self) -> usize {
-        // The index structure itself: nodes with segmentation + synopsis.
-        // Raw series live on (simulated) disk and are not counted, matching
-        // how the paper reports DSTree's small footprint.
+        // The index structure itself: nodes with segmentation, segment ids
+        // and synopsis, the distinct segments, and the kept word of every
+        // series (16 bytes each, what the member gate reads). Raw series
+        // live on (simulated) disk and are not counted, matching how the
+        // paper reports DSTree's small footprint.
         self.nodes
             .iter()
             .map(|n| {
                 std::mem::size_of::<Node>()
-                    + n.segments.len() * std::mem::size_of::<Segment>()
+                    + n.segments.len()
+                        * (std::mem::size_of::<Segment>() + std::mem::size_of::<u32>())
                     + n.synopsis.len() * std::mem::size_of::<Synopsis>()
             })
             .sum::<usize>()
+            + self.segments.len() * std::mem::size_of::<Segment>()
             + self.collection.mapping_bytes()
+            + self.words.heap_bytes()
     }
 
     fn store_counters(&self) -> Option<hydra_core::StoreCounters> {
@@ -703,6 +830,7 @@ impl AnnIndex for DsTree {
             let id = self.collection.append(series)?;
             self.insert_series(id, series, &FetchSource::Store);
         }
+        self.index_segments();
         self.histogram = self.collection.pairwise_histogram(
             self.config.histogram_samples,
             256,
@@ -718,19 +846,24 @@ impl AnnIndex for DsTree {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use hydra_core::{euclidean, euclidean_early_abandon};
     use hydra_data::{exact_knn, random_walk};
+    use hydra_summarize::sax::sax_word;
 
-    fn build_small(n: usize, len: usize) -> (Dataset, DsTree) {
-        let data = random_walk(n, len, 42);
-        let config = DsTreeConfig {
+    fn small_config() -> DsTreeConfig {
+        DsTreeConfig {
             leaf_capacity: 16,
             initial_segments: 4,
             max_segments: 8,
             storage: StorageConfig::in_memory(),
             histogram_samples: 2_000,
             seed: 1,
-        };
-        let tree = DsTree::build(&data, config).unwrap();
+        }
+    }
+
+    fn build_small(n: usize, len: usize) -> (Dataset, DsTree) {
+        let data = random_walk(n, len, 42);
+        let tree = DsTree::build(&data, small_config()).unwrap();
         (data, tree)
     }
 
@@ -944,6 +1077,190 @@ mod tests {
             let before = grown.num_series();
             assert!(grown.insert_batch(&[&[0.0f32; 3]]).is_err());
             assert_eq!(grown.num_series(), before);
+        }
+    }
+
+    /// Every leaf member as `(node, store row, dataset id)`, whatever state
+    /// the collection is in.
+    fn members_by_row(tree: &DsTree) -> Vec<(usize, usize, usize)> {
+        let mut out = Vec::new();
+        for node in (0..tree.nodes.len()).filter(|&n| tree.is_leaf(n)) {
+            let leaf = &tree.nodes[node].leaf;
+            let mut runs = Vec::new();
+            tree.collection.leaf_ranges(leaf, &mut runs);
+            let mut rows = runs.iter().flat_map(|&(start, count)| start..start + count);
+            tree.collection
+                .visit_leaf(leaf, &mut QueryStats::new(), &mut |id, _| {
+                    out.push((node, rows.next().unwrap(), id));
+                });
+        }
+        tree.store().reset_io();
+        out
+    }
+
+    #[test]
+    fn a_member_whose_bound_equals_the_best_so_far_is_still_compared() {
+        // One and two points per word segment, so a piecewise-constant
+        // series summarizes without rounding. The query is zero; the series
+        // sits on a positive breakpoint over its first segment (the lower
+        // edge of its cell, which is therefore exactly as far from the
+        // query as the series) and on zero elsewhere: bound and distance
+        // are one number.
+        for len in [8usize, 32] {
+            let segments = MEMBER_WORDS.segments.min(len);
+            let breakpoints = WordColumn::new(len, MEMBER_WORDS).breakpoints().to_vec();
+            for edge in [130usize, 200, 254] {
+                let mut series = vec![0.0f32; len];
+                series[..len / segments].fill(breakpoints[edge]);
+                let mut data = random_walk(40, len, 3);
+                data.push(&series).unwrap();
+                let tree = DsTree::build(&data, small_config()).unwrap();
+                let &(node, row, _) = members_by_row(&tree)
+                    .iter()
+                    .find(|&&(_, _, id)| id == 40)
+                    .unwrap();
+                let query = vec![0.0f32; len];
+                let prepared = tree.prepare(&query);
+                let bound = tree.words.bound_squared(&prepared.paa, row).sqrt();
+                assert_eq!(bound.to_bits(), euclidean(&query, &series).to_bits());
+
+                // Around the tie the gate lets through exactly what the
+                // kernel accepts; at it (one point per segment: the square
+                // root is exact) that is the series itself.
+                for best_so_far in [bound.next_down(), bound, bound.next_up()] {
+                    let mut accepted = Vec::new();
+                    let mut stats = QueryStats::new();
+                    tree.refine_leaf(
+                        node,
+                        &query,
+                        &prepared,
+                        best_so_far,
+                        &mut stats,
+                        &mut |id, _| {
+                            accepted.push(id);
+                            best_so_far
+                        },
+                    );
+                    assert_eq!(
+                        accepted.contains(&40),
+                        euclidean_early_abandon(&query, &series, best_so_far).is_some(),
+                        "len {len} edge {edge} best-so-far {best_so_far}"
+                    );
+                    if len == segments {
+                        assert_eq!(accepted.contains(&40), best_so_far >= bound);
+                    }
+                }
+            }
+        }
+    }
+
+    /// Node `node`'s bound with the query's statistics computed per node
+    /// segment, as every bound was before the memo.
+    fn per_node_min_dist(tree: &DsTree, query: &[f32], node: usize) -> f32 {
+        let node = &tree.nodes[node];
+        if node.size == 0 {
+            return f32::INFINITY;
+        }
+        let gap = |x: f32, lo: f32, hi: f32| {
+            if x < lo {
+                lo - x
+            } else if x > hi {
+                x - hi
+            } else {
+                0.0
+            }
+        };
+        let mut acc = 0.0f32;
+        for (seg, syn) in node.segments.iter().zip(&node.synopsis) {
+            let st = segment_stats(query, *seg);
+            let mean_gap = gap(st.mean, syn.min_mean, syn.max_mean);
+            let std_gap = gap(st.std, syn.min_std, syn.max_std);
+            acc += seg.len() as f32 * (mean_gap * mean_gap + std_gap * std_gap);
+        }
+        acc.sqrt()
+    }
+
+    #[test]
+    fn kept_words_and_segment_ids_agree_between_built_loaded_and_grown() {
+        assert_eq!(MEMBER_WORDS, SaxParams::default());
+        // The last series is shorter than a word: the word is clamped.
+        for len in [64usize, 6] {
+            let data = random_walk(500, len, 17);
+            let config = small_config();
+            let built = DsTree::build(&data, config).unwrap();
+            let head = Dataset::from_flat(len, data.as_flat()[..300 * len].to_vec()).unwrap();
+            let mut grown = DsTree::build(&head, config).unwrap();
+            let tail: Vec<&[f32]> = (300..500).map(|i| data.series(i)).collect();
+            for chunk in tail.chunks(37) {
+                grown.insert_batch(chunk).unwrap();
+            }
+            let path = std::env::temp_dir().join(format!(
+                "hydra-dstree-words-{}-{len}.snap",
+                std::process::id()
+            ));
+            built.save(&path).unwrap();
+            let loaded = DsTree::load(&path, &data, &config).unwrap();
+            // A grown tree saves compacted: loaded back, its rows are the
+            // fresh build's.
+            grown.save(&path).unwrap();
+            let regrown = DsTree::load(&path, &data, &config).unwrap();
+            std::fs::remove_file(&path).ok();
+
+            assert_eq!(loaded.words, built.words);
+            assert_eq!(regrown.words, built.words);
+            let ids = |tree: &DsTree| -> Vec<Vec<u32>> {
+                tree.nodes.iter().map(|n| n.segment_ids.clone()).collect()
+            };
+            for tree in [&loaded, &grown, &regrown] {
+                assert_eq!(tree.segments, built.segments);
+                assert_eq!(ids(tree), ids(&built));
+            }
+            // The grown store is arrival-interleaved, so its rows are
+            // compared series by series.
+            let words_by_id = |tree: &DsTree| {
+                let mut by_id = vec![Vec::new(); data.len()];
+                for (_, row, id) in members_by_row(tree) {
+                    by_id[id] = tree.words.row(row).to_vec();
+                }
+                by_id
+            };
+            let want = words_by_id(&built);
+            assert_eq!(words_by_id(&grown), want);
+            let breakpoints = built.words.breakpoints();
+            for (id, word) in want.iter().enumerate() {
+                let full = sax_word(data.series(id), &MEMBER_WORDS, breakpoints);
+                assert_eq!(word.len(), MEMBER_WORDS.segments.min(len));
+                assert!(word
+                    .iter()
+                    .zip(&full.symbols)
+                    .all(|(&kept, &s)| kept as u16 == s));
+            }
+
+            // Every node bound read from the per-query memo is the bound
+            // computed per node, bit for bit.
+            let queries = random_walk(6, len, 99);
+            for tree in [&built, &loaded, &grown, &regrown] {
+                for q in queries.iter().chain([data.series(3)]) {
+                    let prepared = tree.prepare(q);
+                    assert_eq!(prepared.stats.len(), tree.segments.len());
+                    for node in 0..tree.nodes.len() {
+                        assert_eq!(
+                            tree.min_dist(q, &prepared, node).to_bits(),
+                            per_node_min_dist(tree, q, node).to_bits(),
+                            "len {len} node {node}"
+                        );
+                    }
+                }
+            }
+
+            // The footprint counts the kept words, and differs only by the
+            // inverse row mapping a grown collection holds.
+            assert!(built.memory_footprint() >= data.len() * built.words.word_len());
+            assert_eq!(loaded.memory_footprint(), built.memory_footprint());
+            assert_eq!(
+                grown.memory_footprint(),
+                built.memory_footprint() + data.len() * std::mem::size_of::<usize>()
+            );
         }
     }
 

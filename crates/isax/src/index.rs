@@ -10,11 +10,10 @@ use hydra_core::{
 };
 use hydra_persist::{
     codec, Collection, DataSource, Fingerprint, Leaf, PersistError, PersistentIndex, Section,
-    SnapshotReader, SnapshotWriter, StoreBacking,
+    SnapshotReader, SnapshotWriter, StoreBacking, Ungated, WordColumn,
 };
 use hydra_storage::{SeriesStore, StorageConfig};
-use hydra_summarize::paa::paa;
-use hydra_summarize::sax::{normal_breakpoints, sax_word, IsaxWord, SaxParams};
+use hydra_summarize::sax::{IsaxWord, SaxParams};
 
 /// Configuration of an [`Isax2Plus`] index.
 #[derive(Debug, Clone, Copy)]
@@ -85,19 +84,19 @@ impl Node {
 /// those are the additions of [`hydra_summarize::sax::mindist_paa_isax`]
 /// over its word, bit for bit.
 ///
-/// The full-cardinality symbols the insert path computes for every series
-/// are kept too: one flat `u8` array, `word_len` per series, in store-row
-/// (leaf) order, extended by [`AnnIndex::insert_batch`]. A series is the
-/// envelope `[s, s]`, so [`HierarchicalIndex::refine_leaf`] bounds each
-/// member of a popped leaf from the same table and hands the store a
-/// *gate*: a member whose bound strictly exceeds the live best-so-far is
-/// skipped before its raw series is read — it is one the early-abandoning
-/// kernel would have refused, so answers and distance bits do not depend
-/// on the gate; only the series read and compared do.
+/// The full-cardinality word the insert path computes for every series is
+/// kept too, in the store-row-ordered [`WordColumn`] DSTree keeps the same
+/// way. A series is the envelope `[s, s]`, so
+/// [`HierarchicalIndex::refine_leaf`] bounds each member of a popped leaf
+/// from the same table and hands the store a *gate*: a member whose bound
+/// strictly exceeds the live best-so-far is skipped before its raw series
+/// is read — it is one the early-abandoning kernel would have refused, so
+/// answers and distance bits do not depend on the gate; only the series
+/// read and compared do.
 ///
 /// Words and envelopes are derived data, never persisted: a snapshot load
-/// rebuilds the words with one uncharged pass over the store and the
-/// envelopes from them.
+/// rebuilds the words ([`WordColumn::rebuild`]) and the envelopes from
+/// them.
 ///
 /// **How this differs from the paper's iSAX2+.** There a leaf is bounded by
 /// its node word alone and every series of a visited leaf is read; the
@@ -115,18 +114,17 @@ impl Node {
 pub struct Isax2Plus {
     config: IsaxConfig,
     series_len: usize,
-    breakpoints: Vec<f32>,
     nodes: Vec<Node>,
     /// Segments per word: `config.sax.segments`, clamped to the series
-    /// length as [`sax_word`] clamps it.
+    /// length as the words are.
     word_len: usize,
     /// The envelope of node `n >= 1` at `(n - 1) * 2 * word_len ..`: the
     /// `word_len` lows, then the `word_len` highs.
     envelopes: Vec<u8>,
-    /// The full-cardinality symbols of every series, `word_len` per store
-    /// row in store-row order (arrival order while [`Isax2Plus::build`] is
-    /// still inserting: nothing is laid out yet).
-    words: Vec<u8>,
+    /// The full-cardinality word of every series, in store-row order
+    /// (arrival order while [`Isax2Plus::build`] is still inserting:
+    /// nothing is laid out yet).
+    words: WordColumn,
     /// Root children by the 1-bit prefixes of their word: build/ingest-time
     /// scratch, rebuilt from the root's children when stale.
     root_children: HashMap<Vec<u16>, usize>,
@@ -182,22 +180,13 @@ impl Isax2Plus {
             bits: Vec::new(),
         });
         for id in 0..dataset.len() {
-            let word = index.full_word(dataset.series(id));
+            let word = index.words.push(dataset.series(id));
             index.insert_series(id, word);
         }
         index
             .collection
             .materialize(dataset, leaves_mut(&mut index.nodes))?;
-        // The words follow the series into leaf order: rows were handed out
-        // leaf by leaf in node order, members in membership order.
-        let arrival = std::mem::take(&mut index.words);
-        let word_len = index.word_len;
-        index.words = index.nodes[1..]
-            .iter()
-            .flat_map(|n| &n.leaf.members)
-            .flat_map(|&id| &arrival[id * word_len..][..word_len])
-            .copied()
-            .collect();
+        index.words.materialize(&index.collection);
         // The root fan-out map was build-time scratch.
         index.root_children = HashMap::new();
         Ok(index)
@@ -211,35 +200,23 @@ impl Isax2Plus {
         collection: Collection,
         histogram: DistanceHistogram,
     ) -> Self {
-        let breakpoints = normal_breakpoints(config.sax.max_cardinality());
+        let words = WordColumn::new(series_len, config.sax);
         Self {
             config,
             series_len,
-            breakpoints,
             nodes: Vec::new(),
-            word_len: config.sax.segments.min(series_len),
+            word_len: words.word_len(),
             envelopes: Vec::new(),
-            words: Vec::new(),
+            words,
             root_children: HashMap::new(),
             collection,
             histogram,
         }
     }
 
-    fn full_word(&self, series: &[f32]) -> IsaxWord {
-        sax_word(series, &self.config.sax, &self.breakpoints)
-    }
-
-    /// Where `words` keeps the series with dataset id `id`: at its store
-    /// row — or, while [`Isax2Plus::build`] is still inserting and the store
-    /// is empty, at its arrival position.
-    fn word_range(&self, id: usize) -> std::ops::Range<usize> {
-        let row = if self.collection.is_empty() {
-            id
-        } else {
-            self.collection.row_of(id)
-        };
-        row * self.word_len..(row + 1) * self.word_len
+    /// The kept word of the series with dataset id `id`.
+    fn word_of(&self, id: usize) -> &[u8] {
+        self.words.of_id(&self.collection, id)
     }
 
     /// Where `envelopes` keeps node `node >= 1`.
@@ -249,15 +226,18 @@ impl Isax2Plus {
 
     /// Widens leaf `node`'s envelope to cover the series with id `id`.
     fn cover(&mut self, node: usize, id: usize) {
-        let (envelope, word) = (self.envelope_range(node), self.word_range(id));
-        widen(&mut self.envelopes[envelope], &self.words[word]);
+        let envelope = self.envelope_range(node);
+        widen(
+            &mut self.envelopes[envelope],
+            self.words.of_id(&self.collection, id),
+        );
     }
 
-    /// Routes one series (its dataset position and full-cardinality word)
-    /// to its leaf, splitting on overflow, and keeps the word's symbols as
-    /// the next row of `words` — the single insertion path shared by
-    /// [`Isax2Plus::build`] and streaming ingest, which is what makes the
-    /// two produce identical trees for the same insert sequence.
+    /// Routes one series (its dataset position and full-cardinality word,
+    /// already kept as the next row of `words`) to its leaf, splitting on
+    /// overflow — the single insertion path shared by [`Isax2Plus::build`]
+    /// and streaming ingest, which is what makes the two produce identical
+    /// trees for the same insert sequence.
     fn insert_series(&mut self, id: usize, word: IsaxWord) {
         let max_bits = self.config.sax.max_bits;
 
@@ -300,7 +280,6 @@ impl Isax2Plus {
             current = next;
         }
 
-        self.words.extend(word.symbols.iter().map(|&s| s as u8));
         self.nodes[current].leaf.members.push(id);
         self.cover(current, id);
         if self.nodes[current].leaf.members.len() > self.config.leaf_capacity {
@@ -328,7 +307,7 @@ impl Isax2Plus {
             let shift = max_bits - new_bits;
             let left_count = members
                 .iter()
-                .filter(|&&id| (self.words[self.word_range(id)][seg] >> shift) & 1 == 0)
+                .filter(|&&id| (self.word_of(id)[seg] >> shift) & 1 == 0)
                 .count();
             let imbalance = (2 * left_count).abs_diff(members.len());
             if best.map(|(_, b)| imbalance < b).unwrap_or(true) {
@@ -357,7 +336,7 @@ impl Isax2Plus {
         let left_id = self.push_node(left_word);
         let right_id = self.push_node(right_word);
         for id in members {
-            let target = if (self.words[self.word_range(id)][seg] >> shift) & 1 == 0 {
+            let target = if (self.word_of(id)[seg] >> shift) & 1 == 0 {
                 left_id
             } else {
                 right_id
@@ -416,7 +395,7 @@ impl Isax2Plus {
     fn bound_squared(&self, table: &[[f32; 2]], lows: &[u8], highs: &[u8]) -> f32 {
         let mut acc = 0.0f32;
         for ((row, &lo), &hi) in table
-            .chunks_exact(self.breakpoints.len() + 1)
+            .chunks_exact(self.words.breakpoints().len() + 1)
             .zip(lows)
             .zip(highs)
         {
@@ -428,7 +407,7 @@ impl Isax2Plus {
     /// The squared lower bound on the distance from the query `table` was
     /// prepared for to the series in store row `row`, from its kept word.
     fn member_bound_squared(&self, table: &[[f32; 2]], row: usize) -> f32 {
-        let symbols = &self.words[row * self.word_len..][..self.word_len];
+        let symbols = self.words.row(row);
         self.bound_squared(table, symbols, symbols)
     }
 
@@ -468,6 +447,12 @@ impl Isax2Plus {
     /// The configuration the index was built with.
     pub fn config(&self) -> &IsaxConfig {
         &self.config
+    }
+
+    /// This tree with every member of a visited leaf read and compared — no
+    /// gate: the reference its gated search is held to.
+    pub fn ungated(&self) -> Ungated<'_, Self> {
+        self.collection.ungated(self, |node| &self.nodes[node].leaf)
     }
 }
 
@@ -615,12 +600,7 @@ impl PersistentIndex for Isax2Plus {
         )?;
 
         let mut index = Self::without_nodes(*config, series_len, collection, histogram);
-        // One uncharged pass in store-row order, a page of series at a time.
-        let mut words = Vec::with_capacity(num_series * index.word_len);
-        index.collection.store().for_each_series(&mut |_, series| {
-            words.extend(index.full_word(series).symbols.iter().map(|&s| s as u8));
-        });
-        index.words = words;
+        index.words = WordColumn::rebuild(&index.collection, config.sax);
         let mut runs = Vec::new();
         for (id, node) in nodes.iter().enumerate().skip(1) {
             if !node.is_leaf() {
@@ -633,10 +613,7 @@ impl PersistentIndex for Isax2Plus {
             index.collection.leaf_ranges(&node.leaf, &mut runs);
             let envelope = index.envelope_range(id);
             for row in runs.iter().flat_map(|&(start, count)| start..start + count) {
-                widen(
-                    &mut index.envelopes[envelope.clone()],
-                    &index.words[row * index.word_len..][..index.word_len],
-                );
+                widen(&mut index.envelopes[envelope.clone()], index.words.row(row));
             }
         }
         index.nodes = nodes;
@@ -663,8 +640,8 @@ impl HierarchicalIndex for Isax2Plus {
     }
 
     fn prepare(&self, query: &[f32]) -> Vec<[f32; 2]> {
-        let query_paa = paa(query, self.config.sax.segments);
-        let edges = &self.breakpoints;
+        let query_paa = self.words.query_paa(query);
+        let edges = self.words.breakpoints();
         let mut table = Vec::with_capacity(query_paa.len() * (edges.len() + 1));
         for &q in &query_paa {
             // Symbol `s` spans `edges[s - 1] .. edges[s]`, open-ended at
@@ -757,9 +734,8 @@ impl AnnIndex for Isax2Plus {
             })
             .sum::<usize>()
             + self.collection.mapping_bytes()
-            + self.breakpoints.len() * std::mem::size_of::<f32>()
             + self.envelopes.len()
-            + self.words.len()
+            + self.words.heap_bytes()
     }
 
     fn store_counters(&self) -> Option<hydra_core::StoreCounters> {
@@ -801,7 +777,7 @@ impl AnnIndex for Isax2Plus {
         self.collection.activate_growth(leaves_mut(&mut self.nodes));
         for series in batch {
             let id = self.collection.append(series)?;
-            let word = self.full_word(series);
+            let word = self.words.push(series);
             self.insert_series(id, word);
         }
         self.histogram = self.collection.pairwise_histogram(
@@ -821,8 +797,8 @@ mod tests {
     use super::*;
     use hydra_core::{euclidean, euclidean_early_abandon};
     use hydra_data::{exact_knn, noisy_queries, random_walk};
-    use hydra_storage::PageCodec;
-    use hydra_summarize::sax::{mindist_paa_isax, MAX_CARD_BITS};
+    use hydra_summarize::paa::paa;
+    use hydra_summarize::sax::{mindist_paa_isax, normal_breakpoints, sax_word, MAX_CARD_BITS};
 
     /// (series length, segments, max_bits); the last series is shorter than
     /// its word, so the word is clamped to the series.
@@ -1100,7 +1076,7 @@ mod tests {
                         let want = mindist_paa_isax(
                             &paa(q, segments),
                             &index.nodes[node].word,
-                            &index.breakpoints,
+                            index.words.breakpoints(),
                             len,
                             max_bits,
                         );
@@ -1232,116 +1208,6 @@ mod tests {
         }
     }
 
-    /// The tree with every leaf member read and compared — no gate — through
-    /// [`Collection::visit_leaf`]: the reference the gated search is held to.
-    struct Ungated<'a>(&'a Isax2Plus);
-
-    impl HierarchicalIndex for Ungated<'_> {
-        type Prepared = Vec<[f32; 2]>;
-
-        fn roots(&self) -> &[usize] {
-            self.0.roots()
-        }
-        fn is_leaf(&self, node: usize) -> bool {
-            self.0.is_leaf(node)
-        }
-        fn children(&self, node: usize) -> &[usize] {
-            self.0.children(node)
-        }
-        fn prepare(&self, query: &[f32]) -> Vec<[f32; 2]> {
-            self.0.prepare(query)
-        }
-        fn min_dist(&self, query: &[f32], table: &Vec<[f32; 2]>, node: usize) -> f32 {
-            self.0.min_dist(query, table, node)
-        }
-        fn leaf_size(&self, node: usize) -> usize {
-            self.0.leaf_size(node)
-        }
-        fn refine_leaf(
-            &self,
-            node: usize,
-            query: &[f32],
-            _table: &Vec<[f32; 2]>,
-            best_so_far: f32,
-            stats: &mut QueryStats,
-            accept: &mut dyn FnMut(usize, f32) -> f32,
-        ) -> u64 {
-            let mut bound = best_so_far;
-            let mut compared = 0;
-            let leaf = &self.0.nodes[node].leaf;
-            self.0
-                .collection
-                .visit_leaf(leaf, stats, &mut |id, series| {
-                    compared += 1;
-                    if let Some(d) = euclidean_early_abandon(query, series, bound) {
-                        bound = accept(id, d);
-                    }
-                });
-            compared
-        }
-    }
-
-    #[test]
-    fn gated_search_answers_exactly_as_the_ungated_reference_and_reads_less() {
-        let data = random_walk(600, 64, 17);
-        let config = config_of(8, 8);
-        let dir = std::env::temp_dir().join(format!("hydra-isax-gate-{}", std::process::id()));
-        std::fs::create_dir_all(&dir).unwrap();
-        let path = dir.join("isax.snap");
-        let built = Isax2Plus::build(&data, config).unwrap();
-        built.save(&path).unwrap();
-        let file_backed = |codec| {
-            let storage = StorageConfig::on_disk()
-                .with_pool_pages(8)
-                .with_page_codec(codec);
-            let backing = StoreBacking::FileBacked {
-                dataset_snapshot: None,
-            };
-            Isax2Plus::load_backed(&path, &data, &IsaxConfig { storage, ..config }, backing)
-                .unwrap()
-        };
-        let stores = [
-            ("resident", built),
-            ("file f32", file_backed(PageCodec::F32)),
-            ("file u8", file_backed(PageCodec::U8)),
-        ];
-        let queries = noisy_queries(&data, 12, &[0.0, 0.1, 0.25], 212);
-        for (store, index) in &stores {
-            for params in [
-                SearchParams::exact(5),
-                SearchParams::epsilon(5, 1.0),
-                SearchParams::delta_epsilon(5, 0.9, 1.0),
-                SearchParams::ng(5, 3),
-            ] {
-                let spec = SearchSpec::from_params(&params, Some(&index.histogram));
-                let (mut gated_bytes, mut ungated_bytes) = (0, 0);
-                for q in queries.iter() {
-                    let gated = knn_search(index, q, &spec);
-                    let ungated = knn_search(&Ungated(index), q, &spec);
-                    let bits = |r: &SearchResult| -> Vec<(usize, u32)> {
-                        r.neighbors
-                            .iter()
-                            .map(|n| (n.index, n.distance.to_bits()))
-                            .collect()
-                    };
-                    assert_eq!(bits(&gated), bits(&ungated), "{store} {:?}", params.mode);
-                    assert_eq!(gated.stats.leaves_visited, ungated.stats.leaves_visited);
-                    assert!(
-                        gated.stats.distance_computations <= ungated.stats.distance_computations
-                    );
-                    gated_bytes += gated.stats.bytes_read;
-                    ungated_bytes += ungated.stats.bytes_read;
-                }
-                assert!(
-                    gated_bytes < ungated_bytes,
-                    "{store} {:?}: {gated_bytes} bytes gated, {ungated_bytes} ungated",
-                    params.mode
-                );
-            }
-        }
-        std::fs::remove_dir_all(&dir).ok();
-    }
-
     #[test]
     fn kept_words_and_envelopes_agree_between_built_loaded_and_grown() {
         for (len, segments, max_bits) in SHAPES {
@@ -1376,14 +1242,14 @@ mod tests {
             let words_by_id = |index: &Isax2Plus| {
                 let mut by_id = vec![Vec::new(); data.len()];
                 for (_, row, id) in members_by_row(index) {
-                    by_id[id] = index.words[row * index.word_len..][..index.word_len].to_vec();
+                    by_id[id] = index.words.row(row).to_vec();
                 }
                 by_id
             };
             let want = words_by_id(&built);
             assert_eq!(words_by_id(&grown), want);
             for (id, word) in want.iter().enumerate() {
-                let full = built.full_word(data.series(id));
+                let full = sax_word(data.series(id), &config.sax, built.words.breakpoints());
                 assert!(word
                     .iter()
                     .zip(&full.symbols)

@@ -54,7 +54,9 @@
 //!
 //! Index crates implement [`PersistentIndex`] next to their private fields
 //! — a disk-resident one keeps its raw series in a [`Collection`], which
-//! owns their layout, growth and re-attachment at load time — and
+//! owns their layout, growth and re-attachment at load time, and a tree
+//! gating leaf members keeps their SAX words in a [`WordColumn`] beside
+//! it — and
 //! serialize with [`snapshot::Section`] putters plus the shared
 //! [`codec`] helpers (histograms, k-means codebooks, product quantizers,
 //! rotation matrices), which guarantees one canonical layout for each
@@ -72,12 +74,13 @@ pub mod journal;
 pub mod registry;
 pub mod snapshot;
 pub mod stream;
+pub mod words;
 
 use std::path::Path;
 
 use hydra_core::Dataset;
 
-pub use backing::{Collection, Leaf};
+pub use backing::{Collection, Leaf, Ungated};
 pub use error::{PersistError, Result};
 pub use fingerprint::{fingerprint_dataset, Fingerprint, SeriesFingerprinter};
 pub use dataset::FlatSpan;
@@ -88,6 +91,7 @@ pub use snapshot::{
     FORMAT_VERSION, MAGIC,
 };
 pub use stream::{open_dataset_streaming, DataSource, DatasetHandle, STREAM_CHUNK_BYTES};
+pub use words::WordColumn;
 
 /// How a loaded index should re-attach its raw series — the out-of-core
 /// switch of the whole persistence layer.
