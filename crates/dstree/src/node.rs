@@ -805,8 +805,8 @@ impl AnnIndex for DsTree {
 
     /// Batched search inside one storage working-set scope: the batch's
     /// predicted first leaves are pinned and prefetched
-    /// ([`Collection::with_first_leaves`]), then every query runs exactly
-    /// as [`Self::search`] would.
+    /// ([`Collection::with_first_leaves`]), then the batch's workers answer
+    /// the queries, each exactly as [`Self::search`] would, in query order.
     fn search_batch(
         &self,
         queries: &[&[f32]],

@@ -336,11 +336,13 @@ impl AnnIndex for Srs {
         Ok(self.search_impl(query, params, &mut order))
     }
 
-    /// Batched search: the ranked-projection buffer (one entry per stored
-    /// point) is allocated once and reused across the batch. Answers,
-    /// per-query CPU counters and errors are identical to [`Self::search`];
-    /// as for every disk-backed method, the I/O-operation counters depend
-    /// on the shared buffer pool's warm-up order.
+    /// Batched search, answered on the batch's workers: each worker
+    /// allocates the ranked-projection buffer (one entry per stored point)
+    /// once and reuses it for every query it answers. Answers, per-query
+    /// CPU counters and errors are identical to [`Self::search`]; as for
+    /// every disk-backed method, the I/O-operation counters depend on the
+    /// shared buffer pool's warm-up order and on how the workers
+    /// interleave on it.
     ///
     /// The batch runs inside one storage working-set scope
     /// ([`Collection::with_best_scored`]) to which SRS contributes each
@@ -351,14 +353,14 @@ impl AnnIndex for Srs {
         queries: &[&[f32]],
         params: &SearchParams,
     ) -> Vec<Result<SearchResult>> {
-        let mut order = Vec::with_capacity(self.collection.len());
         self.collection.with_best_scored(
             queries,
             params,
             |query| self.candidate_scores(query),
-            |query| {
+            || Vec::with_capacity(self.collection.len()),
+            |order, query| {
                 self.validate(query, params)?;
-                Ok(self.search_impl(query, params, &mut order))
+                Ok(self.search_impl(query, params, order))
             },
         )
     }

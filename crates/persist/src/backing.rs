@@ -636,18 +636,38 @@ impl Collection {
     /// `prefetch` they are also faulted in as one ascending page sweep.
     /// The pins are released on every exit path.
     ///
+    /// On a file-backed store the queries are then answered by
+    /// `min(available_parallelism, batch)` workers — the calling thread
+    /// and scoped threads — each taking the next query from a shared
+    /// cursor, so one worker's page transfers overlap another's compute.
+    /// A resident store has no transfers to overlap: there a batch runs on
+    /// the calling thread alone, as does a batch of one query or one on a
+    /// one-core host. (Fanned out on a resident store, the benchmark's
+    /// `route_exact` workload — two shard servers on a 2-core host — lost
+    /// 6.5 % of its throughput: the helpers contend with the serving
+    /// threads for the same cores.)
+    ///
+    /// Each worker calls `scratch` once and hands the value to `body` for
+    /// every query it answers (a buffer with one entry per stored series
+    /// is allocated per worker, not per query). A panicking `body` unwinds
+    /// out of the call once every worker has stopped.
+    ///
     /// `body` sees every query, wrong-length ones included (it owns the
-    /// error they produce), exactly as a per-query call would: answers and
-    /// per-query logical counters are bit-identical to running `body` one
-    /// query at a time; what improves is the pool economics.
-    pub fn with_working_set<R>(
+    /// error they produce), exactly as a per-query call would: results
+    /// come back in query order, and answers and per-query logical
+    /// counters are bit-identical to running `body` one query at a time.
+    /// What changes is the pool economics — and, with several workers,
+    /// how their accesses interleave on the shared pool.
+    pub fn with_working_set<R: Send, S>(
         &self,
         queries: &[&[f32]],
         prefetch: bool,
         mut predict: impl FnMut(&[f32], &mut Vec<(usize, usize)>),
-        body: impl FnMut(&[f32]) -> R,
+        scratch: impl Fn() -> S + Sync,
+        body: impl Fn(&mut S, &[f32]) -> R + Sync,
     ) -> Vec<R> {
-        let _pinned = (self.store.is_file_backed() && queries.len() > 1).then(|| {
+        let file_backed = self.store.is_file_backed();
+        let _pinned = (file_backed && queries.len() > 1).then(|| {
             let mut ranges = Vec::new();
             for query in queries.iter().filter(|q| q.len() == self.series_len()) {
                 predict(query, &mut ranges);
@@ -657,7 +677,8 @@ impl Collection {
                 pages: self.store.pin_working_set(&ranges, prefetch),
             }
         });
-        queries.iter().copied().map(body).collect()
+        let workers = if file_backed { batch_workers() } else { 1 };
+        answer_on_workers(queries, workers, scratch, body)
     }
 
     /// [`Collection::with_working_set`] for a method that scores every
@@ -668,12 +689,14 @@ impl Collection {
     /// refinement reads first: `nprobe` of them under ng search, `4k`
     /// otherwise. No prefetch: the candidates are scattered single
     /// records, and the closing bound may prune them before they are read.
-    pub fn with_best_scored<R>(
+    /// `scratch` and `body` are [`Collection::with_working_set`]'s.
+    pub fn with_best_scored<R: Send, S>(
         &self,
         queries: &[&[f32]],
         params: &SearchParams,
         scores: impl Fn(&[f32]) -> Vec<(f32, usize)>,
-        body: impl FnMut(&[f32]) -> R,
+        scratch: impl Fn() -> S + Sync,
+        body: impl Fn(&mut S, &[f32]) -> R + Sync,
     ) -> Vec<R> {
         let prefix = match params.mode {
             SearchMode::Ng { nprobe } => nprobe.max(1),
@@ -693,6 +716,7 @@ impl Collection {
                 }
                 ranges.extend(scored[..cut].iter().map(|&(_, id)| (id, 1)));
             },
+            scratch,
             body,
         )
     }
@@ -701,16 +725,16 @@ impl Collection {
     /// this collection: each query's likeliest first leaf is predicted by
     /// [`predict_first_leaf`]'s greedy min-dist descent — the same
     /// heuristic best-first search uses to seed its bound — and the union
-    /// of those leaves' store ranges is pinned and prefetched before
-    /// `search` answers each query. The batch's shared hot leaves stay
-    /// resident instead of thrashing, and their faults are charged as one
-    /// sequential sweep.
-    pub fn with_first_leaves<'a, T: HierarchicalIndex, R>(
+    /// of those leaves' store ranges is pinned and prefetched before the
+    /// batch's workers answer the queries with `search`. The batch's shared
+    /// hot leaves stay resident instead of thrashing, and their faults are
+    /// charged as one sequential sweep.
+    pub fn with_first_leaves<'a, T: HierarchicalIndex, R: Send>(
         &self,
         tree: &T,
         leaf_of: impl Fn(usize) -> &'a Leaf,
         queries: &[&[f32]],
-        search: impl FnMut(&[f32]) -> R,
+        search: impl Fn(&[f32]) -> R + Sync,
     ) -> Vec<R> {
         self.with_working_set(
             queries,
@@ -720,9 +744,77 @@ impl Collection {
                     self.leaf_ranges(leaf_of(node), ranges);
                 }
             },
-            search,
+            || (),
+            |_, query| search(query),
         )
     }
+}
+
+thread_local! {
+    /// The worker count [`with_batch_workers`] imposes on batches started
+    /// from this thread (`None`: the host's parallelism).
+    static BATCH_WORKERS: std::cell::Cell<Option<usize>> = const { std::cell::Cell::new(None) };
+}
+
+/// Runs `f` with every file-backed batch it starts on this thread answered
+/// by `workers` workers (at most one per query) instead of the host's
+/// parallelism — a test seam, so that the parallel batch path is exercised
+/// at 1, 2 and 4 workers on any machine. Nested calls restore the outer
+/// count on every exit path.
+#[doc(hidden)]
+pub fn with_batch_workers<T>(workers: usize, f: impl FnOnce() -> T) -> T {
+    struct Restore(Option<usize>);
+    impl Drop for Restore {
+        fn drop(&mut self) {
+            BATCH_WORKERS.with(|w| w.set(self.0));
+        }
+    }
+    let _restore = Restore(BATCH_WORKERS.with(|w| w.replace(Some(workers.max(1)))));
+    f()
+}
+
+/// The workers a file-backed batch may use: one per available core, or
+/// what [`with_batch_workers`] imposes.
+fn batch_workers() -> usize {
+    BATCH_WORKERS
+        .with(std::cell::Cell::get)
+        .unwrap_or_else(|| std::thread::available_parallelism().map_or(1, |n| n.get()))
+}
+
+/// Answers `queries` in order on up to `workers` workers, at most one per
+/// query (see [`Collection::with_working_set`]): the calling thread plus
+/// scoped threads, each drawing the next query index from an atomic
+/// cursor. With one worker nothing is spawned.
+fn answer_on_workers<R: Send, S>(
+    queries: &[&[f32]],
+    workers: usize,
+    scratch: impl Fn() -> S + Sync,
+    body: impl Fn(&mut S, &[f32]) -> R + Sync,
+) -> Vec<R> {
+    let workers = workers.min(queries.len());
+    let cursor = std::sync::atomic::AtomicUsize::new(0);
+    let work = || {
+        let mut scratch = scratch();
+        let mut answered = Vec::new();
+        loop {
+            // Relaxed: the cursor only hands out indices; the answers reach
+            // the caller through `join`.
+            let i = cursor.fetch_add(1, std::sync::atomic::Ordering::Relaxed);
+            let Some(query) = queries.get(i) else {
+                return answered;
+            };
+            answered.push((i, body(&mut scratch, query)));
+        }
+    };
+    std::thread::scope(|scope| {
+        let helpers: Vec<_> = (1..workers).map(|_| scope.spawn(work)).collect();
+        let mut answered = work();
+        for helper in helpers {
+            answered.extend(helper.join().unwrap_or_else(|panic| std::panic::resume_unwind(panic)));
+        }
+        answered.sort_unstable_by_key(|&(i, _)| i);
+        answered.into_iter().map(|(_, result)| result).collect()
+    })
 }
 
 /// A tree whose leaves are refined without its member gate (see
@@ -1026,36 +1118,79 @@ mod tests {
         let bad = [0.0f32; 3];
         let hot = |_: &[f32], ranges: &mut Vec<(usize, usize)>| ranges.push((0, 4));
 
-        // Inside the scope the declared pages are pinned (a thrashing scan
-        // cannot evict them) and a wrong-length query is never predicted
-        // for, yet the body still sees it in its position.
-        let mut predicted = 0;
-        let seen = collection.with_working_set(
-            &[&good, &bad, &good],
-            true,
-            |query, ranges| {
-                predicted += 1;
-                hot(query, ranges);
-            },
-            |query| {
-                assert_eq!(hits_of_a_repeat_scan(collection.store()), 2);
-                query.len()
-            },
-        );
-        assert_eq!(seen, vec![4, 3, 4]);
-        assert_eq!(predicted, 2);
-        assert_eq!(hits_of_a_repeat_scan(collection.store()), 0, "normal exit");
+        for workers in [1usize, 4] {
+            with_batch_workers(workers, || {
+                // Inside the scope the declared pages are pinned (a
+                // thrashing scan cannot evict them) and a wrong-length
+                // query is never predicted for, yet the body still sees it
+                // in its position. The probes run one at a time: two
+                // concurrent scans would count each other's hits.
+                let probe = std::sync::Mutex::new(());
+                let mut predicted = 0;
+                let seen = collection.with_working_set(
+                    &[&good, &bad, &good],
+                    true,
+                    |query, ranges| {
+                        predicted += 1;
+                        hot(query, ranges);
+                    },
+                    || (),
+                    |_, query| {
+                        let _one_probe_at_a_time = probe.lock().unwrap();
+                        assert_eq!(hits_of_a_repeat_scan(collection.store()), 2);
+                        query.len()
+                    },
+                );
+                assert_eq!(seen, vec![4, 3, 4]);
+                assert_eq!(predicted, 2);
+                assert_eq!(hits_of_a_repeat_scan(collection.store()), 0, "normal exit");
 
-        // A panicking body unwinds through the scope; the pins still go.
-        let unwound = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-            collection.with_working_set(&[&good, &good], false, hot, |_| panic!("query body"))
-        }));
-        assert!(unwound.is_err());
-        assert_eq!(hits_of_a_repeat_scan(collection.store()), 0, "unwinding exit");
+                // A panicking body unwinds through the scope with its own
+                // payload; the pins still go.
+                let unwound = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+                    collection.with_working_set(&[&good, &good], false, hot, || (), |_, _| {
+                        panic!("query body")
+                    })
+                }));
+                let payload = unwound.expect_err("the body's panic propagates");
+                assert_eq!(payload.downcast_ref::<&str>(), Some(&"query body"));
+                assert_eq!(hits_of_a_repeat_scan(collection.store()), 0, "unwinding exit");
 
-        // A single query is not a batch: nothing is predicted or pinned.
-        collection.with_working_set(&[&good], true, |_, _| unreachable!(), |_| ());
+                // A single query is not a batch: nothing is predicted or pinned.
+                let not_a_batch = |_: &[f32], _: &mut Vec<_>| unreachable!();
+                collection.with_working_set(&[&good], true, not_a_batch, || (), |_, _| ());
+            });
+        }
         std::fs::remove_file(sidecar_series_path(&snapshot)).ok();
+    }
+
+    #[test]
+    fn a_batch_comes_back_in_query_order_with_one_scratch_per_worker() {
+        let queries: Vec<Vec<f32>> = (0..9).map(|i| vec![i as f32]).collect();
+        let refs: Vec<&[f32]> = queries.iter().map(Vec::as_slice).collect();
+        for workers in [1usize, 2, 4, 16] {
+            let scratches = std::sync::atomic::AtomicUsize::new(0);
+            let got = answer_on_workers(
+                &refs,
+                workers,
+                || scratches.fetch_add(1, std::sync::atomic::Ordering::Relaxed),
+                |_, query| query[0] as usize,
+            );
+            assert_eq!(got, (0..9).collect::<Vec<_>>(), "{workers} workers");
+            assert_eq!(scratches.into_inner(), workers.min(9), "{workers} workers");
+        }
+        let none: Vec<usize> = answer_on_workers(&[], 4, || (), |_, _| unreachable!());
+        assert!(none.is_empty());
+
+        // Only a file-backed batch fans out: a resident one stays on the
+        // calling thread whatever the worker count.
+        let resident = Collection::dataset_order(&sample(), StorageConfig::in_memory()).unwrap();
+        let caller = std::thread::current().id();
+        let thread = |_: &mut (), _: &[f32]| std::thread::current().id();
+        let threads = with_batch_workers(4, || {
+            resident.with_working_set(&refs, false, |_, _| {}, || (), thread)
+        });
+        assert!(threads.iter().all(|&t| t == caller));
     }
 
     #[test]

@@ -277,13 +277,13 @@ impl BufferPool {
 
     /// Caches the frame a [`BufferPool::fetch`] miss loaded from disk,
     /// evicting the least recently used page if the pool is full. A
-    /// zero-capacity pool caches nothing.
+    /// zero-capacity pool caches nothing. If `page` became resident while
+    /// the frame was being read (another reader missed it too and
+    /// installed first), the resident frame stays and `frame` is dropped.
     pub fn install(&mut self, page: u64, frame: Frame) {
-        debug_assert!(
-            !self.contains(page),
-            "install after a fetch hit would duplicate page {page}"
-        );
-        self.insert_slot(page, Some(frame));
+        if !self.contains(page) {
+            self.insert_slot(page, Some(frame));
+        }
     }
 
     /// Whether `page` is currently resident (without touching recency).
@@ -465,6 +465,21 @@ mod tests {
         assert!(p.fetch(3).is_none());
         assert_eq!(p.resident_values(), 0);
         assert_eq!(p.len(), 0);
+    }
+
+    #[test]
+    fn install_over_a_resident_page_keeps_the_first_frame() {
+        // Two readers missed page 0 at once; the second to finish finds it
+        // installed and its frame is dropped, with no eviction and no
+        // change to the footprint.
+        let mut p = BufferPool::new(2);
+        p.install(0, frame(&[1.0, 2.0]));
+        p.install(0, frame(&[9.0]));
+        assert_eq!(
+            p.fetch(0).and_then(|f| f.as_raw()).as_deref(),
+            Some(&[1.0f32, 2.0][..])
+        );
+        assert_eq!((p.len(), p.evictions(), p.resident_values()), (1, 0, 2));
     }
 
     #[test]

@@ -18,8 +18,12 @@ use crate::coded::{
 /// How a file-backed store moves page bytes off disk. Like the pool
 /// capacity and the page codec, the I/O mode shapes only how transfers
 /// happen, never answers — both modes feed the identical frame bytes
-/// through the identical pool/accounting path, so hit/miss/eviction
-/// sequences and every [`QueryStats`] field are the same under either.
+/// through the identical pool/accounting path, so on one thread the
+/// hit/miss/eviction sequence and every [`QueryStats`] field are the same
+/// under either. (Readers on several threads transfer outside the pool
+/// lock, so how their accesses interleave — and with it the split of
+/// hits, misses and I/O operations — varies from run to run in either
+/// mode.)
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub enum FileIoMode {
     /// Positional reads ([`std::os::unix::fs::FileExt::read_exact_at`]) —
@@ -451,15 +455,19 @@ impl SeriesStore {
     /// The one page access: every page any tier serves — for `read`,
     /// `read_range`, `refine`, `scan_refine` or the working-set prefetch —
     /// comes through here, so the protocol is written once. Takes the
-    /// state lock and probes the pool with `cached` (`Some` is a hit); on
-    /// a miss runs `load` — which returns what the tier hands its caller,
-    /// the frame to cache (`None`: the page id alone, which the probe
-    /// already claimed) and the bytes the transfer moved — then charges
-    /// the access and installs the frame.
+    /// state lock and probes the pool with `cached` (`Some` is a hit,
+    /// charged under the same lock); on a miss drops the lock and runs
+    /// `load` — which returns what the tier hands its caller, the frame to
+    /// cache (`None`: the page id alone, which the probe already claimed)
+    /// and the bytes the transfer moved — then takes the lock again to
+    /// charge the miss and install the frame.
     ///
-    /// The lock is held across the load, so concurrent readers of one page
-    /// pay a single disk read — and the hit/miss sequence of a file-backed
-    /// store stays identical to the resident simulation.
+    /// The transfer runs unlocked, so one reader's `pread` or mmap copy
+    /// never stalls another reader's hits or transfers. Two readers
+    /// missing the same page at once both transfer it and both are charged
+    /// a miss (their bytes really moved); the first frame installed stays
+    /// and the late one is dropped. On one thread the hit/miss sequence of
+    /// a file-backed store stays identical to the resident simulation.
     fn access<T>(
         &self,
         page: u64,
@@ -467,16 +475,17 @@ impl SeriesStore {
         cached: impl FnOnce(&mut BufferPool) -> Option<T>,
         load: impl FnOnce() -> (T, Option<Frame>, u64),
     ) -> T {
-        let mut state = self.state.lock();
-        let (entry, frame, miss_bytes) = match cached(&mut state.pool) {
-            Some(entry) => (entry, None, None),
-            None => {
-                let (entry, frame, bytes) = load();
-                (entry, frame, Some(bytes))
+        {
+            let mut state = self.state.lock();
+            if let Some(entry) = cached(&mut state.pool) {
+                state.charge(page, None, false, stats);
+                return entry;
             }
-        };
+        }
+        let (entry, frame, bytes) = load();
         let compressed = matches!(frame, Some(Frame::Coded(_)));
-        state.charge(page, miss_bytes, compressed, stats);
+        let mut state = self.state.lock();
+        state.charge(page, Some(bytes), compressed, stats);
         if let Some(frame) = frame {
             state.pool.install(page, frame);
         }
@@ -1640,33 +1649,123 @@ mod tests {
         std::fs::remove_file(&path).ok();
     }
 
+    /// The bits of page `page` as the store serves it, charged as one
+    /// access: the raw frame, or the coded page decoded series by series.
+    fn served_page_bits(store: &SeriesStore, page: u64, stats: &mut QueryStats) -> Vec<u32> {
+        let (first, count) = store.page_records(page, store.len());
+        match &store.coded {
+            CodedTier::File(tier) => {
+                let coded = store.coded_page(tier, page, stats);
+                let mut series = Vec::new();
+                (0..count)
+                    .flat_map(|i| {
+                        coded.decode_series(i, store.series_len, &mut series);
+                        bits(&series)
+                    })
+                    .collect()
+            }
+            CodedTier::None => bits(&store.raw_page(page, first..first + count, stats)),
+        }
+    }
+
+    /// Rounds each thread of the concurrent-miss table plays.
+    const ROUNDS: u64 = 100;
+
+    /// One thread of the concurrent-miss table: every round it meets the
+    /// other threads at `barrier`, then reads the round's page, which all
+    /// of them read at once. Returns what it saw go wrong — a torn page, a
+    /// pool holding more pages than its capacity or counting pages it does
+    /// not hold, an evicted pinned page — instead of panicking, which would
+    /// leave the others waiting at the barrier forever.
+    fn read_one_page_per_round(
+        store: &SeriesStore,
+        barrier: &std::sync::Barrier,
+        want: &[Vec<u32>],
+        pinned: &[u64],
+    ) -> Vec<String> {
+        let pages = want.len() as u64;
+        let mut stats = QueryStats::new();
+        let mut violations = Vec::new();
+        for round in 0..ROUNDS {
+            let page = round * 5 % pages;
+            barrier.wait();
+            if served_page_bits(store, page, &mut stats) != want[page as usize] {
+                violations.push(format!("torn page {page}"));
+            }
+            let state = store.state.lock();
+            let held = (0..pages).filter(|&p| state.pool.contains(p)).count();
+            if state.pool.len() > state.pool.capacity() || state.pool.len() != held {
+                violations.push(format!("{} pages counted, {held} held", state.pool.len()));
+            }
+            for &p in pinned.iter().filter(|&&p| !state.pool.contains(p)) {
+                violations.push(format!("pinned page {p} evicted"));
+            }
+        }
+        violations
+    }
+
     #[test]
     fn concurrent_file_backed_readers_see_consistent_data() {
-        let config = StorageConfig {
-            page_bytes: 64,
-            buffer_pool_pages: 1, // maximum thrash
-            codec: PageCodec::F32,
-            io: FileIoMode::Pread,
-        };
-        let (store, path) = file_store(64, 4, config, "threads");
-        std::thread::scope(|scope| {
-            for t in 0..4 {
-                let store = &store;
-                scope.spawn(move || {
-                    let mut stats = QueryStats::new();
-                    for i in 0..200 {
-                        let r = (i * 7 + t * 13) % 64;
-                        let s = store.read(r, &mut stats);
-                        assert_eq!(s[0], (r * 4) as f32, "torn read of record {r}");
-                        assert_eq!(s[3], (r * 4 + 3) as f32);
-                    }
-                });
-            }
+        // Every round, the threads all access the same page, so most
+        // rounds are simultaneous misses of one page: several unlocked
+        // transfers, one install, the late frames dropped. A late frame
+        // installed anyway would link its page twice — unless the page
+        // itself were the eviction victim, as it always is on a 1-page
+        // pool — and the pool's count would then disagree with the pages
+        // it holds.
+        const THREADS: u64 = 4;
+        let d = varied_dataset(64, 4);
+        let cells = [FileIoMode::Pread, FileIoMode::Mmap].into_iter().flat_map(|io| {
+            [PageCodec::F32, PageCodec::U8]
+                .into_iter()
+                .flat_map(move |codec| [1usize, 2, 4].map(move |pool| (io, codec, pool)))
         });
-        let snap = store.io_snapshot();
-        assert_eq!(snap.pool_hits + snap.pool_misses, 4 * 200);
-        assert!(snap.pool_evictions > 0);
-        std::fs::remove_file(&path).ok();
+        for (io, codec, pool) in cells {
+            let config = StorageConfig {
+                page_bytes: 64, // 4 series of length 4: 16 pages
+                buffer_pool_pages: pool,
+                codec,
+                io,
+            };
+            let cell = format!("{} {} pool {pool}", io.name(), codec.name());
+            let name = format!("threads-{}-{}-{pool}", io.name(), codec.name());
+            let (store, paths) = if codec == PageCodec::F32 {
+                let (store, flat) = file_store_of(&d, 32, config, &name);
+                (store, vec![flat])
+            } else {
+                let (store, paths) = coded_file_store(&d, config, &name);
+                (store, paths.to_vec())
+            };
+            let mut stats = QueryStats::new();
+            let want: Vec<Vec<u32>> = (0..=store.page_of(store.len() - 1))
+                .map(|page| served_page_bits(&store, page, &mut stats))
+                .collect();
+            store.reset_io();
+            // Page 0 is pinned wherever the budget (one slot short of the
+            // pool) allows it: not on a 1-page pool.
+            let pinned = store.pin_working_set(&[(0, 1)], true);
+            assert_eq!(pinned.len(), usize::from(pool > 1), "{cell}");
+            let before = store.io_snapshot();
+            let barrier = std::sync::Barrier::new(THREADS as usize);
+            let play = || read_one_page_per_round(&store, &barrier, &want, &pinned);
+            let violations: Vec<String> = std::thread::scope(|scope| {
+                let threads: Vec<_> = (0..THREADS).map(|_| scope.spawn(play)).collect();
+                threads.into_iter().flat_map(|t| t.join().unwrap()).collect()
+            });
+            assert!(violations.is_empty(), "{cell}: {violations:?}");
+            let snap = store.io_snapshot();
+            assert_eq!(
+                snap.pool_hits + snap.pool_misses - before.pool_hits - before.pool_misses,
+                THREADS * ROUNDS,
+                "{cell}: every access is one hit or one miss"
+            );
+            assert!(snap.pool_evictions > 0, "{cell}");
+            assert!(snap.pool_evictions <= snap.pool_misses, "{cell}");
+            store.release_working_set(&pinned);
+            for path in paths {
+                std::fs::remove_file(path).ok();
+            }
+        }
     }
 
     // ------------------------------------------------------------------

@@ -407,13 +407,14 @@ impl AnnIndex for VaPlusFile {
         Ok(())
     }
 
-    /// Batched search: the phase-1 candidate buffer (one `(lower bound, id)`
-    /// entry per stored series) is allocated once and reused across the
-    /// whole batch. Answers, per-query CPU counters and `bytes_read` are
+    /// Batched search, answered on the batch's workers: each worker
+    /// allocates the phase-1 candidate buffer (one `(lower bound, id)`
+    /// entry per stored series) once and reuses it for every query it
+    /// answers. Answers, per-query CPU counters and `bytes_read` are
     /// identical to [`Self::search`]; the I/O-*operation* counters
     /// (`random_ios`/`sequential_ios`) can differ — a pool hit charges no
     /// operation at all, and hits depend on how the shared, order-sensitive
-    /// buffer pool was warmed, exactly as between two sequential runs.
+    /// buffer pool was warmed and how the workers interleave on it.
     ///
     /// The batch runs inside one storage working-set scope
     /// ([`Collection::with_best_scored`]) to which VA+file contributes each
@@ -424,14 +425,14 @@ impl AnnIndex for VaPlusFile {
         queries: &[&[f32]],
         params: &SearchParams,
     ) -> Vec<Result<SearchResult>> {
-        let mut candidates = Vec::with_capacity(self.collection.len());
         self.collection.with_best_scored(
             queries,
             params,
             |query| self.candidate_scores(query),
-            |query| {
+            || Vec::with_capacity(self.collection.len()),
+            |candidates, query| {
                 self.collection.check_lengths(&[query])?;
-                Ok(self.skip_sequential(query, params, &mut candidates))
+                Ok(self.skip_sequential(query, params, candidates))
             },
         )
     }

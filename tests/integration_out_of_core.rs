@@ -14,6 +14,7 @@ mod common;
 use std::path::Path;
 use std::time::Duration;
 
+use hydra::persist::backing::with_batch_workers;
 use hydra::prelude::*;
 use hydra::StoreBacking;
 use hydra_serve::{boot_from_dir, boot_from_dir_with, BootOptions, ServeClient, Server, ServerConfig};
@@ -454,10 +455,29 @@ fn backing_matrix_is_bit_identical_to_resident_across_pools_and_threads() {
     std::fs::remove_dir_all(&dir).ok();
 }
 
+/// Worker counts every batch test runs at, whatever the host's core count.
+const BATCH_WORKERS: [usize; 3] = [1, 2, 4];
+
+/// A batched answer against the per-query `search` answer: neighbor ids
+/// and distance bits, and the logical counters — everything but the
+/// I/O-operation split, which depends on the shared pool's state.
+fn assert_same_answer(cell: &str, got: &hydra::SearchResult, want: &hydra::SearchResult) {
+    let bits = |r: &hydra::SearchResult| -> Vec<(usize, u32)> {
+        r.neighbors.iter().map(|n| (n.index, n.distance.to_bits())).collect()
+    };
+    assert_eq!(bits(got), bits(want), "{cell}: neighbors/distances drifted");
+    let logical = |r: &hydra::SearchResult| {
+        let s = &r.stats;
+        (s.bytes_read, s.distance_computations, s.lower_bound_computations, s.leaves_visited)
+    };
+    assert_eq!(logical(got), logical(want), "{cell}: logical counters drifted");
+}
+
 /// The exit contract of the shared batch working-set scope, on any disk
-/// index over a store larger than its pool: a batch whose middle query has
-/// the wrong length errs at that position only, the other answers equal
-/// per-query `search`, and afterwards no page is left pinned.
+/// index over a store larger than its pool, at every worker count: a batch
+/// whose middle query has the wrong length errs at that position only, the
+/// other answers equal per-query `search`, and afterwards no page is left
+/// pinned.
 fn assert_batch_scope_releases(
     name: &str,
     index: &dyn hydra::AnnIndex,
@@ -481,20 +501,26 @@ fn assert_batch_scope_releases(
 
     let bad = vec![0.0f32; data.series_len() - 1];
     let batch: Vec<&[f32]> = vec![data.series(3), data.series(200), &bad, data.series(3)];
-    let results = index.search_batch(&batch, params);
-    assert_eq!(results.len(), batch.len());
-    for (q, (query, got)) in batch.iter().zip(&results).enumerate() {
-        match index.search(query, params) {
-            Ok(want) => {
-                let got = got.as_ref().unwrap_or_else(|e| panic!("{name} query {q}: {e}"));
-                assert_eq!(got.neighbors, want.neighbors, "{name} query {q}");
-                assert_eq!(got.stats.bytes_read, want.stats.bytes_read, "{name} query {q}");
+    for workers in BATCH_WORKERS {
+        let results = with_batch_workers(workers, || index.search_batch(&batch, params));
+        assert_eq!(results.len(), batch.len());
+        for (q, (query, got)) in batch.iter().zip(&results).enumerate() {
+            let cell = format!("{name} query {q} at {workers} workers");
+            match index.search(query, params) {
+                Ok(want) => {
+                    let got = got.as_ref().unwrap_or_else(|e| panic!("{cell}: {e}"));
+                    assert_same_answer(&cell, got, &want);
+                }
+                Err(_) => assert!(q == 2 && got.is_err(), "{cell}: only query 2 may fail"),
             }
-            Err(_) => assert!(q == 2 && got.is_err(), "{name}: only query 2 may fail"),
         }
+        assert!(results[2].is_err(), "{name}: the malformed query fails in place");
+        assert_eq!(
+            hits_of_a_repeat_scan(),
+            0,
+            "{name}: the batch left pages pinned at {workers} workers"
+        );
     }
-    assert!(results[2].is_err(), "{name}: the malformed query fails in place");
-    assert_eq!(hits_of_a_repeat_scan(), 0, "{name}: the batch left pages pinned");
 }
 
 #[test]
@@ -535,42 +561,37 @@ fn batch_search_pins_its_working_set_and_cuts_pool_misses() {
         queries.iter().map(|q| filed.search(q, &params).unwrap()).collect();
     let loop_io = filed.store().io_snapshot();
 
-    filed.store().reset_io();
-    let batched = filed.search_batch(&queries, &params);
-    let batch_io = filed.store().io_snapshot();
+    for workers in BATCH_WORKERS {
+        filed.store().reset_io();
+        let batched = with_batch_workers(workers, || filed.search_batch(&queries, &params));
+        let batch_io = filed.store().io_snapshot();
 
-    // The batch contract first: answers and logical charges bit-identical.
-    for (a, b) in individual.iter().zip(batched.iter()) {
-        let b = b.as_ref().unwrap();
-        assert_eq!(a.neighbors.len(), b.neighbors.len());
-        for (x, y) in a.neighbors.iter().zip(b.neighbors.iter()) {
-            assert_eq!(x.index, y.index, "batching changed a neighbor");
-            assert_eq!(
-                x.distance.to_bits(),
-                y.distance.to_bits(),
-                "batching changed a distance"
-            );
+        // The batch contract first: answers and logical charges
+        // bit-identical at every worker count.
+        for (q, (a, b)) in individual.iter().zip(batched.iter()).enumerate() {
+            let cell = format!("query {q} at {workers} workers");
+            assert_same_answer(&cell, b.as_ref().unwrap(), a);
         }
-        assert_eq!(
-            a.stats.bytes_read, b.stats.bytes_read,
-            "logical bytes are batch-invariant"
+        // The economics second, on one worker, where the pool's
+        // hit/miss sequence is deterministic: the pinned working set turns
+        // repeat visits into pool hits, so the batch faults strictly fewer
+        // pages than the loop (even counting its own prefetch sweep).
+        if workers > 1 {
+            continue;
+        }
+        assert!(
+            batch_io.pool_misses < loop_io.pool_misses,
+            "batch-aware pinning did not cut pool misses: batch {} vs loop {}",
+            batch_io.pool_misses,
+            loop_io.pool_misses
+        );
+        assert!(
+            batch_io.pool_hits > loop_io.pool_hits,
+            "pinned pages should be re-read as hits: batch {} vs loop {}",
+            batch_io.pool_hits,
+            loop_io.pool_hits
         );
     }
-    // The economics second: the pinned working set turns repeat visits
-    // into pool hits, so the batch faults strictly fewer pages than the
-    // loop (even counting its own prefetch sweep).
-    assert!(
-        batch_io.pool_misses < loop_io.pool_misses,
-        "batch-aware pinning did not cut pool misses: batch {} vs loop {}",
-        batch_io.pool_misses,
-        loop_io.pool_misses
-    );
-    assert!(
-        batch_io.pool_hits > loop_io.pool_hits,
-        "pinned pages should be re-read as hits: batch {} vs loop {}",
-        batch_io.pool_hits,
-        loop_io.pool_hits
-    );
 
     // Every disk index runs its batches through the same scope; each must
     // leave the pool unpinned, malformed queries included.
