@@ -3,8 +3,9 @@
 //! Shared harness utilities for the figure-reproduction binaries
 //! (`src/bin/fig*.rs`, `src/bin/table1_taxonomy.rs`), the serving-mode
 //! load generator (`src/bin/serve_client.rs`, which replays these same
-//! workloads against a `hydra-serve` server) and the Criterion
-//! micro/ablation benchmarks (`benches/`).
+//! workloads against a `hydra-serve` server) and the live stats viewer
+//! (`src/bin/hydra_stat.rs`). Per-layer costs (kernels, summarizations,
+//! page reads) are probes of the benchmark package under `benchmark/`.
 //!
 //! Every binary prints CSV to stdout with the schema
 //! `figure,dataset,method,setting,x,y` where `x` is usually the accuracy

@@ -49,7 +49,7 @@ pub fn exact_knn(dataset: &Dataset, query: &[f32], k: usize) -> Vec<Neighbor> {
 }
 
 /// Exact k-NN answers for a batch of queries, computed with one scan thread
-/// per available core (scoped threads, no unsafe).
+/// per available core (safe scoped threads).
 ///
 /// This is the shared brute-force scan behind [`ground_truth`] and behind
 /// any `AnnIndex::search_batch` implementation that answers a batch by

@@ -47,9 +47,8 @@ use hydra_data::{partition, PartitionScheme, ShardMap};
 /// Runs `f(0) .. f(n - 1)` — one call inline, more concurrently on scoped
 /// threads — and returns the results in call order. A panicking call
 /// propagates to the caller (same policy as the workload runner's worker
-/// threads). The fan-out of [`ShardedIndex`] over its shards, and of the
-/// `hydra-serve` router over its workers.
-pub fn fan_out<T: Send>(n: usize, f: impl Fn(usize) -> T + Sync) -> Vec<T> {
+/// threads). The fan-out of [`ShardedIndex`] over its shards.
+fn fan_out<T: Send>(n: usize, f: impl Fn(usize) -> T + Sync) -> Vec<T> {
     if n == 1 {
         return vec![f(0)];
     }

@@ -132,16 +132,19 @@ impl BufferPool {
     }
 
     /// Capacity in pages.
+    #[cfg(test)]
     pub fn capacity(&self) -> usize {
         self.capacity
     }
 
     /// Number of resident pages.
+    #[cfg(test)]
     pub fn len(&self) -> usize {
         self.len
     }
 
     /// Whether the pool is empty.
+    #[cfg(test)]
     pub fn is_empty(&self) -> bool {
         self.len == 0
     }
@@ -153,6 +156,7 @@ impl BufferPool {
 
     /// Total `f32` values held by cached frames — the pool's real memory
     /// footprint in file-backed mode (always 0 in id-only mode).
+    #[cfg(test)]
     pub fn resident_values(&self) -> usize {
         self.resident_values
     }
@@ -323,11 +327,13 @@ impl BufferPool {
     }
 
     /// Whether `page` currently holds at least one pin.
+    #[cfg(test)]
     pub fn is_pinned(&self, page: u64) -> bool {
         self.slot(page).is_some_and(|slot| slot.pins > 0)
     }
 
     /// Number of distinct currently pinned pages.
+    #[cfg(test)]
     pub fn pinned_pages(&self) -> usize {
         self.pinned
     }

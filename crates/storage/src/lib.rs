@@ -9,7 +9,7 @@
 //! a [`SeriesStore`], in one of three tiers behind one API:
 //!
 //! * **Resident**: every value in one flat vector; reads are zero-copy
-//!   borrows, the [`BufferPool`] tracks page *ids* only, and the counters
+//!   borrows, the buffer pool tracks page *ids* only, and the counters
 //!   *simulate* what a spinning disk would have charged (`page_bytes` per
 //!   miss). This is the build-time mode. The codec and the I/O mode of a
 //!   [`StorageConfig`] do not apply to it.
@@ -45,12 +45,11 @@
 #![deny(unsafe_code)]
 
 mod backing;
-pub mod buffer;
+mod buffer;
 pub mod coded;
 #[allow(unsafe_code)]
 mod mmap;
 pub mod store;
 
-pub use buffer::BufferPool;
 pub use coded::{CodedHeader, CodedPage, PageCodec, CODED_HEADER_BYTES};
 pub use store::{FileIoMode, FileSpan, IoSnapshot, SeriesRead, SeriesStore, StorageConfig};

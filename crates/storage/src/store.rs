@@ -201,22 +201,12 @@ pub struct FileSpan {
     pub records: usize,
 }
 
-/// The compressed page tier of a file-backed store (codec ≠ f32): where
-/// the encoded pages of the *sealed* region (records `0..sealed`) live.
-/// Records at or beyond `sealed` — streaming-ingest tail growth — always
-/// go through the raw path.
-#[derive(Debug)]
-enum CodedTier {
-    /// No coded tier: every access is raw (the f32 codec, a resident store
-    /// — it already holds the exact values a coded copy would only
-    /// shadow — or a file-backed store no sidecar was attached to).
-    None,
-    /// Encoded pages live in a `HYDRCODE` sidecar file; a pool miss is a
-    /// genuine `pread` of the coded record, so the compressed byte counts
-    /// are real transfers.
-    File(CodedFile),
-}
-
+/// The compressed page tier of a file-backed store (codec ≠ f32): the
+/// `HYDRCODE` sidecar holding the encoded pages of the *sealed* region
+/// (records `0..sealed`). A pool miss is a genuine `pread` of the coded
+/// record, so the compressed byte counts are real transfers. Records at or
+/// beyond `sealed` — streaming-ingest tail growth — always go through the
+/// raw path.
 #[derive(Debug)]
 struct CodedFile {
     file: std::fs::File,
@@ -296,7 +286,11 @@ pub struct SeriesStore {
     spp: usize,
     config: StorageConfig,
     backing: Backing,
-    coded: CodedTier,
+    /// The coded tier; `None` means every access is raw (the f32 codec, a
+    /// resident store — it already holds the exact values a coded copy
+    /// would only shadow — or a file-backed store no sidecar was attached
+    /// to).
+    coded: Option<CodedFile>,
     state: Mutex<AccessState>,
 }
 
@@ -317,7 +311,7 @@ impl SeriesStore {
             spp: (config.page_bytes / (series_len * std::mem::size_of::<f32>())).max(1),
             config,
             backing,
-            coded: CodedTier::None,
+            coded: None,
             state: Mutex::new(AccessState {
                 pool: BufferPool::new(config.buffer_pool_pages),
                 last_page: None,
@@ -643,10 +637,7 @@ impl SeriesStore {
     /// [`SeriesStore::refine`] / [`SeriesStore::scan_refine`]; records at
     /// or beyond it (streaming-ingest tail growth) always go raw.
     pub fn sealed(&self) -> usize {
-        match &self.coded {
-            CodedTier::None => 0,
-            CodedTier::File(tier) => tier.sealed,
-        }
+        self.coded.as_ref().map_or(0, |tier| tier.sealed)
     }
 
     /// Attaches the `HYDRCODE` sidecar at `path` as the compressed page
@@ -714,7 +705,7 @@ impl SeriesStore {
                 path.display()
             )));
         }
-        self.coded = CodedTier::File(CodedFile {
+        self.coded = Some(CodedFile {
             file,
             path: path.to_path_buf(),
             sealed: span_records,
@@ -868,7 +859,7 @@ impl SeriesStore {
         let end = (start + count).min(self.len());
         assert!(start < self.len(), "start {start} out of bounds");
         let mut raw_start = start;
-        if let CodedTier::File(tier) = &self.coded {
+        if let Some(tier) = &self.coded {
             let coded_end = end.min(tier.sealed);
             raw_start = start.max(tier.sealed);
             if coded_end > start {
@@ -991,7 +982,7 @@ impl SeriesStore {
             let mut scratch = QueryStats::new();
             for &page in &pages {
                 match &self.coded {
-                    CodedTier::File(tier) if (page as usize * self.spp) < tier.sealed => {
+                    Some(tier) if (page as usize * self.spp) < tier.sealed => {
                         self.coded_page(tier, page, &mut scratch);
                     }
                     _ => {
@@ -1654,7 +1645,7 @@ mod tests {
     fn served_page_bits(store: &SeriesStore, page: u64, stats: &mut QueryStats) -> Vec<u32> {
         let (first, count) = store.page_records(page, store.len());
         match &store.coded {
-            CodedTier::File(tier) => {
+            Some(tier) => {
                 let coded = store.coded_page(tier, page, stats);
                 let mut series = Vec::new();
                 (0..count)
@@ -1664,7 +1655,7 @@ mod tests {
                     })
                     .collect()
             }
-            CodedTier::None => bits(&store.raw_page(page, first..first + count, stats)),
+            None => bits(&store.raw_page(page, first..first + count, stats)),
         }
     }
 

@@ -125,7 +125,9 @@ impl ScalarQuantizer {
     }
 
     /// Upper bound on the Euclidean distance between `query` and any vector
-    /// whose code is `code`.
+    /// whose code is `code`, in the quantized space only: on a truncated
+    /// transform it does not bound the distance between the original
+    /// vectors.
     pub fn upper_bound(&self, query: &[f32], code: &[u16]) -> f32 {
         let mut acc = 0.0f32;
         for d in 0..self.dims() {

@@ -134,8 +134,7 @@ impl VaPlusFile {
     /// Skip-sequential search shared by every mode.
     ///
     /// Phase 1 scans the approximation file, computing a lower bound per
-    /// candidate (and, for exact/ε modes, maintaining the k-th smallest
-    /// upper bound to pre-prune). Phase 2 refines candidates in increasing
+    /// candidate. Phase 2 refines candidates in increasing
     /// lower-bound order, reading raw series from disk, until the lower
     /// bound exceeds `bsf / (1 + ε)` (or the candidate budget is exhausted
     /// in ng mode, or the δ stop condition fires).
@@ -165,20 +164,14 @@ impl VaPlusFile {
         let query_summary = self.dft.transform(query);
         candidates.clear();
         candidates.reserve(self.collection.len());
-        let mut upper_topk = TopK::new(k);
         for (id, code) in self.approximations.iter().enumerate() {
             stats.lower_bound_computations += 1;
-            let lb = self.quantizer.lower_bound(&query_summary, code);
-            let ub = self.quantizer.upper_bound(&query_summary, code);
-            upper_topk.push(Neighbor::new(id, ub));
-            candidates.push((lb, id));
+            candidates.push((self.quantizer.lower_bound(&query_summary, code), id));
         }
-        // Pre-prune: candidates whose lower bound exceeds the k-th smallest
-        // upper bound can never be in the answer (classic VA-file phase-1
-        // filter). The filter keeps a superset of the exact answer, so it is
-        // valid for every guarantee level.
-        let ub_threshold = upper_topk.kth_distance();
-        candidates.retain(|(lb, _)| *lb <= ub_threshold);
+        // No upper-bound pre-prune (the classic VA-file phase-1 filter): a
+        // cell's upper bound covers only the kept DFT coefficients, not the
+        // energy the truncation drops, so it is no upper bound on the true
+        // distance and the filter could discard a true neighbour.
         candidates.sort_by(|a, b| a.0.total_cmp(&b.0));
 
         // Phase 2: refine in increasing lower-bound order.

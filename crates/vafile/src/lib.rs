@@ -11,8 +11,8 @@
 //! each transformed dimension is quantized with an adaptive (equi-depth)
 //! scalar quantizer. The resulting *approximation file* is small enough to
 //! scan sequentially for every query. Search is skip-sequential: the scan
-//! computes a lower bound (and an upper bound) per candidate from the cell
-//! bounds; only candidates whose lower bound beats the current best-so-far
+//! computes a lower bound per candidate from the cell bounds; only
+//! candidates whose lower bound beats the current best-so-far
 //! are refined by reading the raw series from the (simulated) disk — a
 //! random I/O per refined candidate.
 //!

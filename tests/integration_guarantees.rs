@@ -2,10 +2,11 @@
 //! (Definitions 5–7) for the extended data-series methods.
 
 use hydra::prelude::*;
+use hydra::summarize::SaxParams;
 use hydra::AnnIndex;
 
 /// Checks Definition 5: every returned distance is within (1 + ε) of the
-/// exact k-th-NN distance.
+/// exact k-th-NN distance; at ε = 0 the answer is the exact one.
 fn assert_epsilon_guarantee(
     index: &dyn AnnIndex,
     data: &hydra::Dataset,
@@ -27,20 +28,58 @@ fn assert_epsilon_guarantee(
                 exact[k - 1].distance
             );
         }
+        if epsilon == 0.0 {
+            assert_eq!(res.neighbors.len(), k, "{}", index.name());
+            for (n, e) in res.neighbors.iter().zip(&exact) {
+                assert!(
+                    (n.distance - e.distance).abs() <= 1e-4,
+                    "{}: exact answer {} != scan {}",
+                    index.name(),
+                    n.distance,
+                    e.distance
+                );
+            }
+        }
     }
 }
 
+/// Every method at its default parameters and at the extremes of its main
+/// knob: DSTree leaf capacity, iSAX2+ segment count, VA+file bits per
+/// dimension.
 #[test]
 fn epsilon_guarantee_holds_for_all_extended_methods() {
     let data = hydra::data::random_walk(1_000, 64, 11);
     let queries = hydra::data::noisy_queries(&data, 6, &[0.2, 0.5], 12);
-    let dstree = DsTree::build(&data, DsTreeConfig::default()).unwrap();
-    let isax = Isax2Plus::build(&data, IsaxConfig::default()).unwrap();
-    let va = VaPlusFile::build(&data, VaPlusFileConfig::default()).unwrap();
+    let mut indexes: Vec<Box<dyn AnnIndex>> = Vec::new();
+    for leaf_capacity in [DsTreeConfig::default().leaf_capacity, 32, 512] {
+        let config = DsTreeConfig {
+            leaf_capacity,
+            ..DsTreeConfig::default()
+        };
+        indexes.push(Box::new(DsTree::build(&data, config).unwrap()));
+    }
+    for sax in [
+        IsaxConfig::default().sax,
+        SaxParams::new(8, 8),
+        SaxParams::new(32, 8),
+    ] {
+        let config = IsaxConfig {
+            sax,
+            ..IsaxConfig::default()
+        };
+        indexes.push(Box::new(Isax2Plus::build(&data, config).unwrap()));
+    }
+    for bits_per_dim in [VaPlusFileConfig::default().bits_per_dim, 2, 6] {
+        let config = VaPlusFileConfig {
+            bits_per_dim,
+            ..VaPlusFileConfig::default()
+        };
+        indexes.push(Box::new(VaPlusFile::build(&data, config).unwrap()));
+    }
     for eps in [0.0f32, 1.0, 3.0] {
-        assert_epsilon_guarantee(&dstree, &data, &queries, 5, eps);
-        assert_epsilon_guarantee(&isax, &data, &queries, 5, eps);
-        assert_epsilon_guarantee(&va, &data, &queries, 5, eps);
+        for index in &indexes {
+            assert_epsilon_guarantee(index.as_ref(), &data, &queries, 5, eps);
+        }
     }
 }
 
