@@ -212,9 +212,11 @@ impl<'a, I: HierarchicalIndex + ?Sized> KnnSearcher<'a, I> {
 /// descent from the closest root, following the child with the smallest
 /// lower bound at every level (the first of several equally close ones).
 /// Entirely I/O-free — only `min_dist` is consulted, once per candidate
-/// among two or more — so batch schedulers can declare a storage working
-/// set before any query runs. `None` on an empty hierarchy (no roots, or
-/// an internal node without children).
+/// among two or more. `None` on an empty hierarchy (no roots, or an
+/// internal node without children).
+///
+/// No search path calls this: a batch predicts no working set. It stays
+/// only because the benchmark's `core.predict_first_leaf_*` probes time it.
 pub fn predict_first_leaf<I: HierarchicalIndex + ?Sized>(
     index: &I,
     query: &[f32],

@@ -748,19 +748,15 @@ impl AnnIndex for Isax2Plus {
         Ok(knn_search(self, query, &spec))
     }
 
-    /// Batched search inside one storage working-set scope: the batch's
-    /// predicted first leaves are pinned and prefetched
-    /// ([`Collection::with_first_leaves`]), then the batch's workers answer
-    /// the queries, each exactly as [`Self::search`] would, in query order.
+    /// Batched search: the batch's workers ([`Collection::answer_batch`])
+    /// answer the queries, each exactly as [`Self::search`] would, in query
+    /// order. Nothing is shared across queries.
     fn search_batch(
         &self,
         queries: &[&[f32]],
         params: &SearchParams,
     ) -> Vec<Result<SearchResult>> {
-        self.collection
-            .with_first_leaves(self, |node| &self.nodes[node].leaf, queries, |query| {
-                self.search(query, params)
-            })
+        self.collection.answer_batch(queries, || (), |_, query| self.search(query, params))
     }
 
     /// Streaming ingest by continuing the build's insert sequence: each new

@@ -191,22 +191,6 @@ impl Srs {
         stats.leaves_visited = examined as u64;
         SearchResult::new(top.into_sorted(), stats)
     }
-
-    /// The projected distance of every stored point to `query` — the order
-    /// [`Srs::search_impl`] examines records in — computed uncharged (no
-    /// stats, no store reads) so the batch scheduler can declare a working
-    /// set before any query runs.
-    fn candidate_scores(&self, query: &[f32]) -> Vec<(f32, usize)> {
-        let qp = self.projection.project(query);
-        (0..self.collection.len())
-            .map(|id| {
-                (
-                    hydra_core::squared_euclidean(&qp, self.projected_point(id)),
-                    id,
-                )
-            })
-            .collect()
-    }
 }
 
 /// Everything that shapes an SRS build, hashed together with the dataset
@@ -336,27 +320,21 @@ impl AnnIndex for Srs {
         Ok(self.search_impl(query, params, &mut order))
     }
 
-    /// Batched search, answered on the batch's workers: each worker
-    /// allocates the ranked-projection buffer (one entry per stored point)
-    /// once and reuses it for every query it answers. Answers, per-query
-    /// CPU counters and errors are identical to [`Self::search`]; as for
-    /// every disk-backed method, the I/O-operation counters depend on the
-    /// shared buffer pool's warm-up order and on how the workers
-    /// interleave on it.
-    ///
-    /// The batch runs inside one storage working-set scope
-    /// ([`Collection::with_best_scored`]) to which SRS contributes each
-    /// query's ranked top-candidate prefix — the records its incremental
-    /// scan examines first.
+    /// Batched search, answered on the batch's workers
+    /// ([`Collection::answer_batch`]): each worker allocates the
+    /// ranked-projection buffer (one entry per stored point) once and
+    /// reuses it for every query it answers. Answers, per-query CPU
+    /// counters and errors are identical to [`Self::search`]; on one worker
+    /// so is every store counter. With several workers, as for every
+    /// disk-backed method, the I/O-operation counters depend on how the
+    /// workers interleave on the shared buffer pool.
     fn search_batch(
         &self,
         queries: &[&[f32]],
         params: &SearchParams,
     ) -> Vec<Result<SearchResult>> {
-        self.collection.with_best_scored(
+        self.collection.answer_batch(
             queries,
-            params,
-            |query| self.candidate_scores(query),
             || Vec::with_capacity(self.collection.len()),
             |order, query| {
                 self.validate(query, params)?;

@@ -28,10 +28,7 @@
 use std::borrow::Cow;
 use std::path::Path;
 
-use hydra_core::{
-    predict_first_leaf, Dataset, DistanceHistogram, Error, HierarchicalIndex, QueryStats,
-    SearchMode, SearchParams, StoreCounters,
-};
+use hydra_core::{Dataset, DistanceHistogram, Error, HierarchicalIndex, QueryStats, StoreCounters};
 use hydra_storage::{FileSpan, PageCodec, SeriesStore, StorageConfig};
 
 use crate::dataset::{
@@ -201,20 +198,6 @@ pub struct Collection {
 
 /// The bug a leaf-order call on a dataset-order collection is.
 const NOT_LEAF_ORDERED: &str = "leaf access needs a leaf-ordered collection";
-
-/// Unpins a batch's working set when dropped, so the pool is released on
-/// every exit path of [`Collection::with_working_set`] — a panicking query
-/// body included.
-struct Pinned<'a> {
-    store: &'a SeriesStore,
-    pages: Vec<u64>,
-}
-
-impl Drop for Pinned<'_> {
-    fn drop(&mut self) {
-        self.store.release_working_set(&self.pages);
-    }
-}
 
 impl Collection {
     /// A collection holding `dataset` in dataset order.
@@ -488,8 +471,7 @@ impl Collection {
     }
 
     /// The store record ranges holding `leaf`'s series, appended to `out` —
-    /// lets a batch scheduler declare a working set without reading
-    /// anything.
+    /// the rows of a leaf, found without reading anything.
     pub fn leaf_ranges(&self, leaf: &Leaf, out: &mut Vec<(usize, usize)>) {
         self.for_each_run(leaf, |start, count| out.push((start, count)));
     }
@@ -626,17 +608,10 @@ impl Collection {
         })
     }
 
-    /// Runs `body` over every query of a batch inside one storage
-    /// working-set scope. On a file-backed store (a resident one has no
-    /// I/O to schedule) and a batch of more than one query, `predict`
-    /// first appends — I/O-free — the record ranges each well-formed query
-    /// is expected to read; their pages are pinned in the buffer pool for
-    /// the duration of the batch, so ranges shared across queries stay
-    /// resident instead of being evicted between queries, and with
-    /// `prefetch` they are also faulted in as one ascending page sweep.
-    /// The pins are released on every exit path.
+    /// Runs `body` over every query of a batch and returns the results in
+    /// query order.
     ///
-    /// On a file-backed store the queries are then answered by
+    /// On a file-backed store the queries are answered by
     /// `min(available_parallelism, batch)` workers — the calling thread
     /// and scoped threads — each taking the next query from a shared
     /// cursor, so one worker's page transfers overlap another's compute.
@@ -650,103 +625,23 @@ impl Collection {
     /// Each worker calls `scratch` once and hands the value to `body` for
     /// every query it answers (a buffer with one entry per stored series
     /// is allocated per worker, not per query). A panicking `body` unwinds
-    /// out of the call once every worker has stopped.
+    /// out of the call with its own payload once every worker has stopped.
     ///
     /// `body` sees every query, wrong-length ones included (it owns the
-    /// error they produce), exactly as a per-query call would: results
-    /// come back in query order, and answers and per-query logical
-    /// counters are bit-identical to running `body` one query at a time.
-    /// What changes is the pool economics — and, with several workers,
-    /// how their accesses interleave on the shared pool.
-    pub fn with_working_set<R: Send, S>(
+    /// error they produce), exactly as a per-query call would: answers and
+    /// per-query logical counters are bit-identical to running `body` one
+    /// query at a time, and on one worker so is every store counter. The
+    /// batch schedules no I/O of its own — its queries do not share a
+    /// working set — so with several workers only the interleaving of
+    /// their accesses on the shared pool differs.
+    pub fn answer_batch<R: Send, S>(
         &self,
         queries: &[&[f32]],
-        prefetch: bool,
-        mut predict: impl FnMut(&[f32], &mut Vec<(usize, usize)>),
         scratch: impl Fn() -> S + Sync,
         body: impl Fn(&mut S, &[f32]) -> R + Sync,
     ) -> Vec<R> {
-        let file_backed = self.store.is_file_backed();
-        let _pinned = (file_backed && queries.len() > 1).then(|| {
-            let mut ranges = Vec::new();
-            for query in queries.iter().filter(|q| q.len() == self.series_len()) {
-                predict(query, &mut ranges);
-            }
-            Pinned {
-                store: &self.store,
-                pages: self.store.pin_working_set(&ranges, prefetch),
-            }
-        });
-        let workers = if file_backed { batch_workers() } else { 1 };
+        let workers = if self.store.is_file_backed() { batch_workers() } else { 1 };
         answer_on_workers(queries, workers, scratch, body)
-    }
-
-    /// [`Collection::with_working_set`] for a method that scores every
-    /// record cheaply and refines the best-scored first (VA+file's phase-1
-    /// lower bounds, SRS's projected distances). `scores` computes one
-    /// query's `(score, record)` table uncharged — no stats, no store
-    /// reads — and the working set is its lowest-scored prefix, the records
-    /// refinement reads first: `nprobe` of them under ng search, `4k`
-    /// otherwise. No prefetch: the candidates are scattered single
-    /// records, and the closing bound may prune them before they are read.
-    /// `scratch` and `body` are [`Collection::with_working_set`]'s.
-    pub fn with_best_scored<R: Send, S>(
-        &self,
-        queries: &[&[f32]],
-        params: &SearchParams,
-        scores: impl Fn(&[f32]) -> Vec<(f32, usize)>,
-        scratch: impl Fn() -> S + Sync,
-        body: impl Fn(&mut S, &[f32]) -> R + Sync,
-    ) -> Vec<R> {
-        let prefix = match params.mode {
-            SearchMode::Ng { nprobe } => nprobe.max(1),
-            _ => 4 * params.k.max(1),
-        };
-        self.with_working_set(
-            queries,
-            false,
-            |query, ranges| {
-                let mut scored = scores(query);
-                let cut = prefix.min(scored.len());
-                if cut == 0 {
-                    return;
-                }
-                if cut < scored.len() {
-                    scored.select_nth_unstable_by(cut - 1, |a, b| a.0.total_cmp(&b.0));
-                }
-                ranges.extend(scored[..cut].iter().map(|&(_, id)| (id, 1)));
-            },
-            scratch,
-            body,
-        )
-    }
-
-    /// [`Collection::with_working_set`] for a tree whose leaves live in
-    /// this collection: each query's likeliest first leaf is predicted by
-    /// [`predict_first_leaf`]'s greedy min-dist descent — the same
-    /// heuristic best-first search uses to seed its bound — and the union
-    /// of those leaves' store ranges is pinned and prefetched before the
-    /// batch's workers answer the queries with `search`. The batch's shared
-    /// hot leaves stay resident instead of thrashing, and their faults are
-    /// charged as one sequential sweep.
-    pub fn with_first_leaves<'a, T: HierarchicalIndex, R: Send>(
-        &self,
-        tree: &T,
-        leaf_of: impl Fn(usize) -> &'a Leaf,
-        queries: &[&[f32]],
-        search: impl Fn(&[f32]) -> R + Sync,
-    ) -> Vec<R> {
-        self.with_working_set(
-            queries,
-            true,
-            |query, ranges| {
-                if let Some(node) = predict_first_leaf(tree, query) {
-                    self.leaf_ranges(leaf_of(node), ranges);
-                }
-            },
-            || (),
-            |_, query| search(query),
-        )
     }
 }
 
@@ -782,7 +677,7 @@ fn batch_workers() -> usize {
 }
 
 /// Answers `queries` in order on up to `workers` workers, at most one per
-/// query (see [`Collection::with_working_set`]): the calling thread plus
+/// query (see [`Collection::answer_batch`]): the calling thread plus
 /// scoped threads, each drawing the next query index from an atomic
 /// cursor. With one worker nothing is spawned.
 fn answer_on_workers<R: Send, S>(
@@ -1089,81 +984,6 @@ mod tests {
         cleanup();
     }
 
-    /// A pool-thrashing scan of the whole store. Under plain LRU every page
-    /// of a cyclic scan misses once the store exceeds the pool, so pool
-    /// hits during a repeat scan can only come from pages still pinned.
-    fn hits_of_a_repeat_scan(store: &SeriesStore) -> u64 {
-        let mut stats = QueryStats::new();
-        store.read_range(0, store.len(), &mut stats, &mut |_, _| {});
-        let before = store.io_snapshot().pool_hits;
-        store.read_range(0, store.len(), &mut stats, &mut |_, _| {});
-        store.io_snapshot().pool_hits - before
-    }
-
-    #[test]
-    fn working_set_scope_releases_its_pins_on_every_exit_path() {
-        let d = sample();
-        let snapshot = temp_path("scope.snap");
-        let storage = StorageConfig {
-            page_bytes: 32, // 2 series per page: 5 pages against a pool of 3
-            buffer_pool_pages: 3,
-            codec: PageCodec::F32,
-            io: FileIoMode::Pread,
-        };
-        let backing = StoreBacking::FileBacked {
-            dataset_snapshot: None,
-        };
-        let collection = attach(&snapshot, &d, None, storage, backing).unwrap();
-        let good = [0.0f32; 4];
-        let bad = [0.0f32; 3];
-        let hot = |_: &[f32], ranges: &mut Vec<(usize, usize)>| ranges.push((0, 4));
-
-        for workers in [1usize, 4] {
-            with_batch_workers(workers, || {
-                // Inside the scope the declared pages are pinned (a
-                // thrashing scan cannot evict them) and a wrong-length
-                // query is never predicted for, yet the body still sees it
-                // in its position. The probes run one at a time: two
-                // concurrent scans would count each other's hits.
-                let probe = std::sync::Mutex::new(());
-                let mut predicted = 0;
-                let seen = collection.with_working_set(
-                    &[&good, &bad, &good],
-                    true,
-                    |query, ranges| {
-                        predicted += 1;
-                        hot(query, ranges);
-                    },
-                    || (),
-                    |_, query| {
-                        let _one_probe_at_a_time = probe.lock().unwrap();
-                        assert_eq!(hits_of_a_repeat_scan(collection.store()), 2);
-                        query.len()
-                    },
-                );
-                assert_eq!(seen, vec![4, 3, 4]);
-                assert_eq!(predicted, 2);
-                assert_eq!(hits_of_a_repeat_scan(collection.store()), 0, "normal exit");
-
-                // A panicking body unwinds through the scope with its own
-                // payload; the pins still go.
-                let unwound = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-                    collection.with_working_set(&[&good, &good], false, hot, || (), |_, _| {
-                        panic!("query body")
-                    })
-                }));
-                let payload = unwound.expect_err("the body's panic propagates");
-                assert_eq!(payload.downcast_ref::<&str>(), Some(&"query body"));
-                assert_eq!(hits_of_a_repeat_scan(collection.store()), 0, "unwinding exit");
-
-                // A single query is not a batch: nothing is predicted or pinned.
-                let not_a_batch = |_: &[f32], _: &mut Vec<_>| unreachable!();
-                collection.with_working_set(&[&good], true, not_a_batch, || (), |_, _| ());
-            });
-        }
-        std::fs::remove_file(sidecar_series_path(&snapshot)).ok();
-    }
-
     #[test]
     fn a_batch_comes_back_in_query_order_with_one_scratch_per_worker() {
         let queries: Vec<Vec<f32>> = (0..9).map(|i| vec![i as f32]).collect();
@@ -1178,6 +998,18 @@ mod tests {
             );
             assert_eq!(got, (0..9).collect::<Vec<_>>(), "{workers} workers");
             assert_eq!(scratches.into_inner(), workers.min(9), "{workers} workers");
+
+            // A panicking body unwinds out of the batch with its own
+            // payload, whichever worker answered the query.
+            let unwound = std::panic::catch_unwind(|| {
+                answer_on_workers(&refs, workers, || (), |_, query| {
+                    if query[0] == 5.0 {
+                        panic!("query body");
+                    }
+                })
+            });
+            let payload = unwound.expect_err("the body's panic propagates");
+            assert_eq!(payload.downcast_ref::<&str>(), Some(&"query body"));
         }
         let none: Vec<usize> = answer_on_workers(&[], 4, || (), |_, _| unreachable!());
         assert!(none.is_empty());
@@ -1187,9 +1019,7 @@ mod tests {
         let resident = Collection::dataset_order(&sample(), StorageConfig::in_memory()).unwrap();
         let caller = std::thread::current().id();
         let thread = |_: &mut (), _: &[f32]| std::thread::current().id();
-        let threads = with_batch_workers(4, || {
-            resident.with_working_set(&refs, false, |_, _| {}, || (), thread)
-        });
+        let threads = with_batch_workers(4, || resident.answer_batch(&refs, || (), thread));
         assert!(threads.iter().all(|&t| t == caller));
     }
 

@@ -82,14 +82,14 @@ impl Slot {
 
 /// LRU set of pages with a fixed capacity, optionally caching page bytes.
 ///
-/// Pages can additionally be **pinned** ([`BufferPool::pin`]): a batch that
-/// knows its working set up front pins those pages so that its own
-/// scattered accesses cannot evict them mid-batch. Pinning never changes
-/// the hit/miss accounting of an access — it only constrains the *victim
-/// choice*: eviction takes the least recently used unpinned page, and if
-/// every resident page is pinned the pool degrades to read-through (the
-/// new page is served but not cached). Pins are reference-counted so
-/// concurrent batches compose.
+/// Pages can additionally be **pinned** ([`BufferPool::pin`]), which only
+/// [`crate::SeriesStore::pin_working_set`] does — and that only for the
+/// benchmark probe that still calls it; no query path pins. Pinning never
+/// changes the hit/miss accounting of an access — it only constrains the
+/// *victim choice*: eviction takes the least recently used unpinned page,
+/// and if every resident page is pinned the pool degrades to read-through
+/// (the new page is served but not cached). Pins are reference-counted so
+/// concurrent working sets compose.
 ///
 /// Page ids are expected to be **dense** — a store numbers its pages
 /// `0..num_pages` — because the pool is one slab indexed by page id: a
@@ -350,8 +350,8 @@ impl BufferPool {
 
     /// Drops every resident page and zeroes the eviction counter (the paper
     /// clears OS caches between the index-building and query-answering
-    /// steps). Pins are left in place: they belong to an in-flight batch,
-    /// not to the cache contents.
+    /// steps). Pins are left in place: they belong to an in-flight working
+    /// set, not to the cache contents.
     pub fn clear(&mut self) {
         while self.head != NIL {
             self.vacate(self.head);

@@ -926,14 +926,21 @@ impl SeriesStore {
     }
 
     // ------------------------------------------------------------------
-    // Batch-aware pinning and prefetch
+    // Working-set pinning and prefetch
     // ------------------------------------------------------------------
 
-    /// Declares the page working set of an in-flight batch: the pages
-    /// covering each `(start, count)` record range are pinned in the
-    /// buffer pool (never chosen as eviction victims) and, when `prefetch`
-    /// is set, faulted in ascending page order so the misses are charged
-    /// as one sequential sweep instead of the batch's own access pattern.
+    /// Declares a page working set: the pages covering each
+    /// `(start, count)` record range are pinned in the buffer pool (never
+    /// chosen as eviction victims) and, when `prefetch` is set, faulted in
+    /// ascending page order so the misses are charged as one sequential
+    /// sweep.
+    ///
+    /// No query path calls this: a batch's queries do not share the pages
+    /// they read, and on the benchmark's traffic pinning a predicted
+    /// working set cost more pool misses than it saved. It stays, with
+    /// [`SeriesStore::release_working_set`] and the pool's pins, only
+    /// because the benchmark's `storage.pin_working_set_us` probe calls it;
+    /// it goes once that probe is retired.
     ///
     /// Returns the pages actually pinned — hand them back to
     /// [`SeriesStore::release_working_set`] when the batch completes.
@@ -996,7 +1003,8 @@ impl SeriesStore {
     }
 
     /// Unpins pages previously returned by
-    /// [`SeriesStore::pin_working_set`], restoring plain LRU eviction.
+    /// [`SeriesStore::pin_working_set`], restoring plain LRU eviction. Kept
+    /// only for the benchmark probe that pairs it with that call.
     pub fn release_working_set(&self, pages: &[u64]) {
         let mut state = self.state.lock();
         for &page in pages {

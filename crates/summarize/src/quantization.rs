@@ -124,24 +124,6 @@ impl ScalarQuantizer {
         acc.sqrt()
     }
 
-    /// Upper bound on the Euclidean distance between `query` and any vector
-    /// whose code is `code`, in the quantized space only: on a truncated
-    /// transform it does not bound the distance between the original
-    /// vectors.
-    pub fn upper_bound(&self, query: &[f32], code: &[u16]) -> f32 {
-        let mut acc = 0.0f32;
-        for d in 0..self.dims() {
-            let e = &self.edges[d];
-            let c = code[d] as usize;
-            let lo = e[c];
-            let hi = e[c + 1];
-            let q = query[d];
-            let diff = (q - lo).abs().max((q - hi).abs());
-            acc += diff * diff;
-        }
-        acc.sqrt()
-    }
-
     /// Approximate reconstruction: the center of each cell.
     pub fn decode(&self, code: &[u16]) -> Vec<f32> {
         (0..self.dims())
@@ -669,12 +651,7 @@ mod tests {
             let code = sq.encode(v);
             let d = euclidean(query, v);
             let lb = sq.lower_bound(query, &code);
-            let ub = sq.upper_bound(query, &code);
             assert!(lb <= d + 1e-4, "lb {lb} > d {d}");
-            // Upper bound only holds for vectors inside the training range;
-            // all are, since we encode training vectors themselves.
-            assert!(ub + 1e-4 >= d, "ub {ub} < d {d}");
-            assert!(lb <= ub + 1e-4);
         }
     }
 

@@ -202,19 +202,6 @@ impl VaPlusFile {
         stats.leaves_visited = refined as u64;
         SearchResult::new(top.into_sorted(), stats)
     }
-
-    /// The phase-1 lower bound of every stored series for `query`, computed
-    /// uncharged (no stats, no store reads) so the batch scheduler can
-    /// declare a working set before any query runs (the store is
-    /// dataset-ordered, so the id is the record).
-    fn candidate_scores(&self, query: &[f32]) -> Vec<(f32, usize)> {
-        let query_summary = self.dft.transform(query);
-        self.approximations
-            .iter()
-            .enumerate()
-            .map(|(id, code)| (self.quantizer.lower_bound(&query_summary, code), id))
-            .collect()
-    }
 }
 
 /// Everything that shapes a VA+file build, hashed together with the dataset
@@ -400,28 +387,23 @@ impl AnnIndex for VaPlusFile {
         Ok(())
     }
 
-    /// Batched search, answered on the batch's workers: each worker
-    /// allocates the phase-1 candidate buffer (one `(lower bound, id)`
-    /// entry per stored series) once and reuses it for every query it
-    /// answers. Answers, per-query CPU counters and `bytes_read` are
-    /// identical to [`Self::search`]; the I/O-*operation* counters
+    /// Batched search, answered on the batch's workers
+    /// ([`Collection::answer_batch`]): each worker allocates the phase-1
+    /// candidate buffer (one `(lower bound, id)` entry per stored series)
+    /// once and reuses it for every query it answers, and each query's
+    /// phase 1 runs once. Answers, per-query CPU counters and `bytes_read`
+    /// are identical to [`Self::search`]; on one worker so is every store
+    /// counter. With several workers the I/O-*operation* counters
     /// (`random_ios`/`sequential_ios`) can differ — a pool hit charges no
-    /// operation at all, and hits depend on how the shared, order-sensitive
-    /// buffer pool was warmed and how the workers interleave on it.
-    ///
-    /// The batch runs inside one storage working-set scope
-    /// ([`Collection::with_best_scored`]) to which VA+file contributes each
-    /// query's most promising phase-2 candidates — the smallest phase-1
-    /// lower bounds, which refinement reads first.
+    /// operation at all, and hits depend on how the workers interleave on
+    /// the shared, order-sensitive buffer pool.
     fn search_batch(
         &self,
         queries: &[&[f32]],
         params: &SearchParams,
     ) -> Vec<Result<SearchResult>> {
-        self.collection.with_best_scored(
+        self.collection.answer_batch(
             queries,
-            params,
-            |query| self.candidate_scores(query),
             || Vec::with_capacity(self.collection.len()),
             |candidates, query| {
                 self.collection.check_lengths(&[query])?;

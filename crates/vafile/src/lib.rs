@@ -11,10 +11,12 @@
 //! each transformed dimension is quantized with an adaptive (equi-depth)
 //! scalar quantizer. The resulting *approximation file* is small enough to
 //! scan sequentially for every query. Search is skip-sequential: the scan
-//! computes a lower bound per candidate from the cell bounds; only
+//! computes a lower bound per candidate from its cells' edges; only
 //! candidates whose lower bound beats the current best-so-far
 //! are refined by reading the raw series from the (simulated) disk — a
-//! random I/O per refined candidate.
+//! random I/O per refined candidate. There is no upper-bound filter, as
+//! the classic VA-file has: a cell's upper bound covers only the kept DFT
+//! coefficients, so it bounds no true distance.
 //!
 //! The ε / δ-ε extensions shrink the pruning threshold to `bsf / (1 + ε)`
 //! and stop the refinement pass once the best-so-far is below

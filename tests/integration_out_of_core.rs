@@ -473,150 +473,91 @@ fn assert_same_answer(cell: &str, got: &hydra::SearchResult, want: &hydra::Searc
     assert_eq!(logical(got), logical(want), "{cell}: logical counters drifted");
 }
 
-/// The exit contract of the shared batch working-set scope, on any disk
-/// index over a store larger than its pool, at every worker count: a batch
-/// whose middle query has the wrong length errs at that position only, the
-/// other answers equal per-query `search`, and afterwards no page is left
-/// pinned.
-fn assert_batch_scope_releases(
+/// The batch contract of a disk index over a store larger than its pool,
+/// at every worker count: a batch whose middle query has the wrong length
+/// errs at that position only, and the other answers equal per-query
+/// `search`. On one worker the batch *is* the per-query loop, I/O
+/// included: the store's counters after it equal the loop's on every
+/// field.
+fn assert_batch_is_the_query_loop(
     name: &str,
     index: &dyn hydra::AnnIndex,
     store: &hydra::storage::SeriesStore,
     data: &hydra::Dataset,
     params: &SearchParams,
 ) {
-    // Under plain LRU every page of a cyclic whole-store scan misses, so
-    // pool hits during a repeat scan can only come from pinned pages.
-    let hits_of_a_repeat_scan = || {
-        let mut stats = hydra::QueryStats::new();
-        store.read_range(0, store.len(), &mut stats, &mut |_, _| {});
-        let before = store.io_snapshot().pool_hits;
-        store.read_range(0, store.len(), &mut stats, &mut |_, _| {});
-        store.io_snapshot().pool_hits - before
-    };
-    assert!(store.is_file_backed(), "{name}: the scope only engages on files");
-    let held = store.pin_working_set(&[(0, 1)], false);
-    assert!(hits_of_a_repeat_scan() > 0, "{name}: the probe must see a pin");
-    store.release_working_set(&held);
-
+    assert!(store.is_file_backed(), "{name}: only a file-backed batch fans out");
+    // A far-away query defeats pruning (every leaf looks equally
+    // promising), so its search genuinely sweeps the collection.
+    let far = vec![100.0f32; data.series_len()];
     let bad = vec![0.0f32; data.series_len() - 1];
-    let batch: Vec<&[f32]> = vec![data.series(3), data.series(200), &bad, data.series(3)];
+    let batch: Vec<&[f32]> = vec![data.series(3), &far, &bad, data.series(3), &far];
+
+    store.reset_io();
+    let individual: Vec<_> = batch.iter().map(|q| index.search(q, params)).collect();
+    let loop_io = store.io_snapshot();
+    assert!(loop_io.pool_evictions > 0, "{name}: the pool must thrash");
+
     for workers in BATCH_WORKERS {
+        store.reset_io();
         let results = with_batch_workers(workers, || index.search_batch(&batch, params));
+        let batch_io = store.io_snapshot();
         assert_eq!(results.len(), batch.len());
-        for (q, (query, got)) in batch.iter().zip(&results).enumerate() {
+        for (q, (got, want)) in results.iter().zip(&individual).enumerate() {
             let cell = format!("{name} query {q} at {workers} workers");
-            match index.search(query, params) {
+            match want {
                 Ok(want) => {
                     let got = got.as_ref().unwrap_or_else(|e| panic!("{cell}: {e}"));
-                    assert_same_answer(&cell, got, &want);
+                    assert_same_answer(&cell, got, want);
                 }
                 Err(_) => assert!(q == 2 && got.is_err(), "{cell}: only query 2 may fail"),
             }
         }
         assert!(results[2].is_err(), "{name}: the malformed query fails in place");
-        assert_eq!(
-            hits_of_a_repeat_scan(),
-            0,
-            "{name}: the batch left pages pinned at {workers} workers"
-        );
+        if workers == 1 {
+            assert_eq!(batch_io, loop_io, "{name}: a one-worker batch moved the store counters");
+        }
     }
 }
 
 #[test]
-fn batch_search_pins_its_working_set_and_cuts_pool_misses() {
-    let dir = common::temp_dir("ooc-batch-pinning");
+fn batch_search_on_one_worker_is_the_query_loop_io_included() {
+    let dir = common::temp_dir("ooc-batch");
     let (data, data_snapshot) = ooc_scenario(&dir);
-    // A 2-page pool against ~5 pages of raw series: per-query exact search
-    // sweeps more pages than the pool holds, so a plain query loop is a
-    // cyclic LRU worst case (zero hits), while the batch path's pinned
-    // working set survives from query to query.
-    let config = DsTreeConfig {
-        storage: StorageConfig::on_disk().with_pool_pages(2),
-        histogram_samples: 2_000,
-        seed: 3,
-        ..DsTreeConfig::default()
-    };
-    let snapshot = dir.join("walk-dstree.snap");
-    DsTree::build(&data, config).unwrap().save(&snapshot).unwrap();
-    let filed = DsTree::load_backed(
-        &snapshot,
-        &data,
-        &config,
-        StoreBacking::FileBacked {
-            dataset_snapshot: Some(&data_snapshot),
-        },
-    )
-    .unwrap();
-    assert!(filed.store().is_file_backed());
-
-    // A far-away query defeats pruning (every leaf looks equally
-    // promising), so each search genuinely sweeps the collection.
-    let query = vec![100.0f32; data.series_len()];
-    let queries: Vec<&[f32]> = (0..8).map(|_| query.as_slice()).collect();
-    let params = SearchParams::exact(10);
-
-    filed.store().reset_io();
-    let individual: Vec<_> =
-        queries.iter().map(|q| filed.search(q, &params).unwrap()).collect();
-    let loop_io = filed.store().io_snapshot();
-
-    for workers in BATCH_WORKERS {
-        filed.store().reset_io();
-        let batched = with_batch_workers(workers, || filed.search_batch(&queries, &params));
-        let batch_io = filed.store().io_snapshot();
-
-        // The batch contract first: answers and logical charges
-        // bit-identical at every worker count.
-        for (q, (a, b)) in individual.iter().zip(batched.iter()).enumerate() {
-            let cell = format!("query {q} at {workers} workers");
-            assert_same_answer(&cell, b.as_ref().unwrap(), a);
-        }
-        // The economics second, on one worker, where the pool's
-        // hit/miss sequence is deterministic: the pinned working set turns
-        // repeat visits into pool hits, so the batch faults strictly fewer
-        // pages than the loop (even counting its own prefetch sweep).
-        if workers > 1 {
-            continue;
-        }
-        assert!(
-            batch_io.pool_misses < loop_io.pool_misses,
-            "batch-aware pinning did not cut pool misses: batch {} vs loop {}",
-            batch_io.pool_misses,
-            loop_io.pool_misses
-        );
-        assert!(
-            batch_io.pool_hits > loop_io.pool_hits,
-            "pinned pages should be re-read as hits: batch {} vs loop {}",
-            batch_io.pool_hits,
-            loop_io.pool_hits
-        );
-    }
-
-    // Every disk index runs its batches through the same scope; each must
-    // leave the pool unpinned, malformed queries included.
-    assert_batch_scope_releases("dstree", &filed, filed.store(), &data, &params);
-    // (Typed, for `store()`: the zoo's rows under this test's pool.)
-    let (storage, seed) = (config.storage, 3);
+    // A 2-page pool against ~5 pages of raw series: an exact search sweeps
+    // more pages than the pool holds, so every batch runs under eviction.
+    let (storage, seed) = (StorageConfig::on_disk().with_pool_pages(2), 3);
     let backing = StoreBacking::FileBacked {
         dataset_snapshot: Some(&data_snapshot),
     };
+    let params = SearchParams::exact(10);
+    // (Typed, for `store()`: the zoo's rows under this test's pool.)
+    let snapshot = dir.join("walk-dstree.snap");
+    let dstree_config = DsTreeConfig {
+        storage,
+        histogram_samples: 2_000,
+        seed,
+        ..DsTreeConfig::default()
+    };
+    DsTree::build(&data, dstree_config).unwrap().save(&snapshot).unwrap();
+    let dstree = DsTree::load_backed(&snapshot, &data, &dstree_config, backing).unwrap();
+    assert_batch_is_the_query_loop("dstree", &dstree, dstree.store(), &data, &params);
     let snapshot = dir.join("walk-isax2.snap");
     let isax_config = IsaxConfig { storage, seed, ..IsaxConfig::default() };
     Isax2Plus::build(&data, isax_config).unwrap().save(&snapshot).unwrap();
     let isax = Isax2Plus::load_backed(&snapshot, &data, &isax_config, backing).unwrap();
-    assert_batch_scope_releases("isax2", &isax, isax.store(), &data, &params);
+    assert_batch_is_the_query_loop("isax2", &isax, isax.store(), &data, &params);
     let snapshot = dir.join("walk-vafile.snap");
     let vafile_config = VaPlusFileConfig { storage, seed, ..VaPlusFileConfig::default() };
     VaPlusFile::build(&data, vafile_config).unwrap().save(&snapshot).unwrap();
     let vafile = VaPlusFile::load_backed(&snapshot, &data, &vafile_config, backing).unwrap();
-    assert_batch_scope_releases("vafile", &vafile, vafile.store(), &data, &params);
+    assert_batch_is_the_query_loop("vafile", &vafile, vafile.store(), &data, &params);
     let snapshot = dir.join("walk-srs.snap");
     let srs_config = SrsConfig { storage, seed, ..SrsConfig::default() };
     Srs::build(&data, srs_config).unwrap().save(&snapshot).unwrap();
     let srs = Srs::load_backed(&snapshot, &data, &srs_config, backing).unwrap();
     let ng = SearchParams::ng(10, 16);
-    assert_batch_scope_releases("srs", &srs, srs.store(), &data, &ng);
+    assert_batch_is_the_query_loop("srs", &srs, srs.store(), &data, &ng);
     std::fs::remove_dir_all(&dir).ok();
 }
 
