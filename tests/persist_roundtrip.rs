@@ -1,9 +1,14 @@
 //! Property tests (vendored `proptest`): across randomized build
 //! parameters, `save → load → save` produces **byte-identical** snapshot
-//! files for iSAX2+, IMI and VA+file. Byte identity is a stronger claim
-//! than answer identity — it proves the loader reconstructs *exactly* the
-//! state the saver serialized, leaving no field to drift silently across
-//! generations of snapshots.
+//! files for DSTree, iSAX2+, IMI and VA+file. Byte identity is a stronger
+//! claim than answer identity — it proves the loader reconstructs *exactly*
+//! the state the saver serialized, leaving no field to drift silently
+//! across generations of snapshots.
+//!
+//! One fixed build of every zoo row pins the bytes themselves: a change to
+//! a snapshot writer, or to the identity it hashes, fails
+//! `zoo_snapshots_hash_to_pinned_digests` unless it moves the digest on
+//! purpose.
 
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicUsize, Ordering};
@@ -44,8 +49,58 @@ where
     assert_eq!(a, b, "{tag}: save→load→save must be byte-identical");
 }
 
+#[test]
+fn zoo_snapshots_hash_to_pinned_digests() {
+    // `fnv1a64` of each row's snapshot file, captured before the tree frame
+    // and the shared snapshot identity existed.
+    let pinned: [(&str, u64); 8] = [
+        ("dstree", 0x4876725617c0d669),
+        ("isax2+", 0xf1a2d7b9b30fcf67),
+        ("va+file", 0x2544806f67b5d4a7),
+        ("srs", 0x3306c0d5fd811adb),
+        ("imi", 0xab31abb6a76529b1),
+        ("hnsw", 0xc1272bb7a5c11d16),
+        ("qalsh", 0xdd448e022a3a39d3),
+        ("flann", 0xcdb83fb7077684f8),
+    ];
+    let data = hydra::data::random_walk(300, 32, 21);
+    let (path, _) = temp_pair("zoo-digest");
+    let table = hydra::zoo(StorageConfig::in_memory(), 4);
+    assert_eq!(table.len(), pinned.len());
+    let mut got = Vec::new();
+    for (row, (kind, _)) in table.iter().zip(pinned) {
+        assert_eq!(row.kind(), kind);
+        row.build(&data).unwrap().save(&path).unwrap();
+        let bytes = std::fs::read(&path).unwrap();
+        got.push((kind, hydra::persist::snapshot::fnv1a64(&bytes)));
+    }
+    std::fs::remove_file(&path).ok();
+    assert_eq!(got, pinned);
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(5))]
+
+    #[test]
+    fn dstree_snapshots_are_byte_stable(
+        n in 60usize..160,
+        leaf_capacity in 8usize..40,
+        initial_segments in 1usize..6,
+        max_segments in 4usize..16,
+        seed in 0usize..1_000,
+    ) {
+        let data = hydra::data::random_walk(n, 32, seed as u64);
+        let config = DsTreeConfig {
+            leaf_capacity,
+            initial_segments,
+            max_segments,
+            storage: StorageConfig::in_memory(),
+            histogram_samples: 500,
+            seed: seed as u64 ^ 0xD5,
+        };
+        let index = DsTree::build(&data, config).unwrap();
+        assert_save_load_save_identical("dstree", &index, &data, &config);
+    }
 
     #[test]
     fn isax_snapshots_are_byte_stable(
