@@ -3,13 +3,12 @@
 use std::path::Path;
 
 use hydra_core::{
-    knn_search, AnnIndex, Capabilities, Dataset, DistanceHistogram, Error, HierarchicalIndex,
-    QueryStats, Representation, Result, SearchParams, SearchResult,
+    AnnIndex, Capabilities, Dataset, DistanceHistogram, HierarchicalIndex, QueryStats,
+    Representation, Result, SearchParams, SearchResult,
 };
-use hydra_core::search::SearchSpec;
 use hydra_persist::{
-    codec, Collection, DataSource, Fingerprint, Leaf, PersistError, PersistentIndex, Section,
-    SnapshotReader, SnapshotWriter, StoreBacking, Ungated, WordColumn,
+    DataSource, Fingerprint, Leaf, LeafTree, LeafTreeConfig, PersistError, PersistentIndex,
+    StoreBacking, TreeNode, Ungated,
 };
 use hydra_storage::{SeriesStore, StorageConfig};
 use hydra_summarize::apca::{segment_stats, uniform_segments, Segment, SegmentStats};
@@ -33,6 +32,19 @@ pub struct DsTreeConfig {
     pub histogram_samples: usize,
     /// Seed for the histogram sampling.
     pub seed: u64,
+}
+
+impl DsTreeConfig {
+    /// What the leaf-ordered frame reads of the configuration.
+    fn frame(&self) -> LeafTreeConfig {
+        LeafTreeConfig {
+            leaf_capacity: self.leaf_capacity,
+            storage: self.storage,
+            histogram_samples: self.histogram_samples,
+            seed: self.seed,
+            words: MEMBER_WORDS,
+        }
+    }
 }
 
 impl Default for DsTreeConfig {
@@ -106,9 +118,19 @@ impl Node {
             size: 0,
         }
     }
+}
 
-    fn is_leaf(&self) -> bool {
-        self.children.is_empty()
+impl TreeNode for Node {
+    fn children(&self) -> &[usize] {
+        &self.children
+    }
+
+    fn leaf(&self) -> &Leaf {
+        &self.leaf
+    }
+
+    fn leaf_mut(&mut self) -> &mut Leaf {
+        &mut self.leaf
     }
 }
 
@@ -128,9 +150,15 @@ impl Node {
 /// reads them by id: the same function over the same slice as computing
 /// them per node, so every bound is bit-identical.
 ///
+/// The leaves, their raw series, the kept words and the δ-ε histogram live
+/// in a [`LeafTree`] frame — the one iSAX2+ keeps the same way, which also
+/// writes the snapshot and runs the ingest protocol — so this type holds
+/// only the DSTree's own: the EAPCA nodes, their split rules and the
+/// segment memo.
+///
 /// Each series' SAX word (16 segments at cardinality 256, whatever the
-/// configuration) is kept in a store-row-ordered [`WordColumn`] — the
-/// column iSAX2+ keeps the same way — and [`HierarchicalIndex::refine_leaf`]
+/// configuration) is kept in the frame's store-row-ordered
+/// [`hydra_persist::WordColumn`], and [`HierarchicalIndex::refine_leaf`]
 /// hands the store a *gate*: a member whose word bounds it strictly beyond
 /// the live best-so-far is skipped before its raw series is read. It is one
 /// the early-abandoning kernel would have refused, so answers, distance
@@ -154,16 +182,9 @@ impl Node {
 /// runs up to a quarter slower than it did without the gate.
 pub struct DsTree {
     config: DsTreeConfig,
-    series_len: usize,
-    nodes: Vec<Node>,
+    frame: LeafTree<Node>,
     /// Every distinct segment of every node, sorted by `(start, end)`.
     segments: Vec<Segment>,
-    /// Leaf-ordered raw series (the simulated on-disk layout).
-    collection: Collection,
-    /// The SAX word of every series, in store-row order (arrival order
-    /// while [`DsTree::build`] is still inserting).
-    words: WordColumn,
-    histogram: DistanceHistogram,
 }
 
 /// What a DSTree search computes of a query once
@@ -194,11 +215,6 @@ enum FetchSource<'a> {
     Store,
 }
 
-/// The leaves of the tree, in node order.
-fn leaves_mut(nodes: &mut [Node]) -> impl Iterator<Item = &mut Leaf> {
-    nodes.iter_mut().filter(|n| n.is_leaf()).map(|n| &mut n.leaf)
-}
-
 impl DsTree {
     /// Builds a DSTree over `dataset`.
     ///
@@ -206,33 +222,19 @@ impl DsTree {
     /// Returns an error if the dataset is empty or the configuration is
     /// invalid.
     pub fn build(dataset: &Dataset, config: DsTreeConfig) -> Result<Self> {
-        if dataset.is_empty() {
-            return Err(Error::EmptyDataset);
-        }
-        if config.leaf_capacity == 0 {
-            return Err(Error::InvalidParameter("leaf capacity must be positive".into()));
-        }
+        let mut frame = LeafTree::new(dataset, config.frame())?;
         let series_len = dataset.series_len();
         let initial = config.initial_segments.clamp(1, series_len);
+        frame.nodes.push(Node::new_leaf(uniform_segments(series_len, initial)));
         let mut tree = Self {
             config,
-            series_len,
-            nodes: vec![Node::new_leaf(uniform_segments(series_len, initial))],
+            frame,
             segments: Vec::new(),
-            collection: Collection::leaf_order(series_len, config.storage)?,
-            words: WordColumn::new(series_len, MEMBER_WORDS),
-            histogram: DistanceHistogram::from_dataset(
-                dataset,
-                config.histogram_samples,
-                256,
-                config.seed,
-            ),
         };
         for id in 0..dataset.len() {
             tree.insert(dataset, id);
         }
-        tree.collection.materialize(dataset, leaves_mut(&mut tree.nodes))?;
-        tree.words.materialize(&tree.collection);
+        tree.frame.lay_out(dataset)?;
         tree.index_segments();
         Ok(tree)
     }
@@ -245,6 +247,7 @@ impl DsTree {
     fn index_segments(&mut self) {
         let key = |s: &Segment| (s.start, s.end);
         let mut distinct: Vec<Segment> = self
+            .frame
             .nodes
             .iter()
             .flat_map(|n| n.segments.iter().copied())
@@ -252,7 +255,7 @@ impl DsTree {
         distinct.sort_unstable_by_key(key);
         distinct.dedup();
         distinct.shrink_to_fit();
-        for node in &mut self.nodes {
+        for node in &mut self.frame.nodes {
             node.segment_ids.clear();
             node.segment_ids.extend(node.segments.iter().map(|seg| {
                 let id = distinct.binary_search_by_key(&key(seg), key);
@@ -274,7 +277,7 @@ impl DsTree {
                 out.clear();
                 out.extend_from_slice(dataset.series(id));
             }
-            FetchSource::Store => self.collection.read_by_id(id, out),
+            FetchSource::Store => self.frame.collection.read_by_id(id, out),
         }
     }
 
@@ -284,21 +287,21 @@ impl DsTree {
     /// path shared by [`DsTree::build`] and streaming ingest, which is what
     /// makes the two produce identical trees for the same insert sequence.
     fn insert_series(&mut self, id: usize, series: &[f32], src: &FetchSource<'_>) {
-        self.words.push(series);
+        self.frame.words.push(series);
         // Descend to the leaf, updating synopses along the way.
         let mut node_id = 0usize;
         loop {
             self.absorb(node_id, series);
-            if self.nodes[node_id].is_leaf() {
+            if self.frame.is_leaf(node_id) {
                 break;
             }
-            let rule = self.nodes[node_id].rule.expect("internal node has a rule");
-            let left = rule.goes_left(series, &self.nodes[node_id].segments);
-            let children = &self.nodes[node_id].children;
+            let rule = self.frame.nodes[node_id].rule.expect("internal node has a rule");
+            let left = rule.goes_left(series, &self.frame.nodes[node_id].segments);
+            let children = &self.frame.nodes[node_id].children;
             node_id = if left { children[0] } else { children[1] };
         }
-        self.nodes[node_id].leaf.members.push(id);
-        if self.nodes[node_id].leaf.members.len() > self.config.leaf_capacity {
+        self.frame.nodes[node_id].leaf.members.push(id);
+        if self.frame.nodes[node_id].leaf.members.len() > self.config.leaf_capacity {
             self.split_leaf(node_id, src);
         }
     }
@@ -309,7 +312,7 @@ impl DsTree {
             synopsis,
             size,
             ..
-        } = &mut self.nodes[node_id];
+        } = &mut self.frame.nodes[node_id];
         *size += 1;
         for (seg, syn) in segments.iter().zip(synopsis.iter_mut()) {
             let st = segment_stats(series, *seg);
@@ -320,7 +323,7 @@ impl DsTree {
     /// Splits an overflowing leaf using the best-scoring candidate
     /// (horizontal or vertical).
     fn split_leaf(&mut self, node_id: usize, src: &FetchSource<'_>) {
-        let members = self.nodes[node_id].leaf.members.clone();
+        let members = self.frame.nodes[node_id].leaf.members.clone();
         let owned: Vec<Vec<f32>> = members
             .iter()
             .map(|&id| {
@@ -332,7 +335,7 @@ impl DsTree {
         let series: Vec<&[f32]> = owned.iter().map(|v| v.as_slice()).collect();
         let candidates = enumerate_candidates(
             &series,
-            &self.nodes[node_id].segments,
+            &self.frame.nodes[node_id].segments,
             self.config.max_segments,
         );
         let Some(best) = candidates
@@ -380,54 +383,47 @@ impl DsTree {
             }
         }
 
-        let left_id = self.nodes.len();
-        self.nodes.push(left);
-        let right_id = self.nodes.len();
-        self.nodes.push(right);
-        let parent = &mut self.nodes[node_id];
+        let left_id = self.frame.nodes.len();
+        self.frame.nodes.push(left);
+        let right_id = self.frame.nodes.len();
+        self.frame.nodes.push(right);
+        let parent = &mut self.frame.nodes[node_id];
         parent.leaf.members.clear();
         parent.children = vec![left_id, right_id];
         parent.rule = Some(best.rule);
         parent.segments = child_segments;
         // The parent synopsis must be recomputed for the refined
         // segmentation: take the union of the children's synopses.
-        let mut synopsis = vec![Synopsis::empty(); self.nodes[node_id].segments.len()];
+        let mut synopsis = vec![Synopsis::empty(); self.frame.nodes[node_id].segments.len()];
         for &child in &[left_id, right_id] {
-            for (i, syn) in self.nodes[child].synopsis.iter().enumerate() {
+            for (i, syn) in self.frame.nodes[child].synopsis.iter().enumerate() {
                 synopsis[i].min_mean = synopsis[i].min_mean.min(syn.min_mean);
                 synopsis[i].max_mean = synopsis[i].max_mean.max(syn.max_mean);
                 synopsis[i].min_std = synopsis[i].min_std.min(syn.min_std);
                 synopsis[i].max_std = synopsis[i].max_std.max(syn.max_std);
             }
         }
-        self.nodes[node_id].synopsis = synopsis;
+        self.frame.nodes[node_id].synopsis = synopsis;
     }
 
     /// Number of leaves in the tree.
     pub fn num_leaves(&self) -> usize {
-        self.nodes.iter().filter(|n| n.is_leaf()).count()
+        self.frame.num_leaves()
     }
 
     /// Average leaf fill factor (stored series / leaf capacity).
     pub fn avg_leaf_fill(&self) -> f64 {
-        let leaves: Vec<usize> = (0..self.nodes.len())
-            .filter(|&i| self.nodes[i].is_leaf())
-            .collect();
-        if leaves.is_empty() {
-            return 0.0;
-        }
-        let total: usize = leaves.iter().map(|&i| self.leaf_size(i)).sum();
-        total as f64 / (leaves.len() * self.config.leaf_capacity) as f64
+        self.frame.avg_leaf_fill()
     }
 
     /// The simulated storage layer holding the raw series.
     pub fn store(&self) -> &SeriesStore {
-        self.collection.store()
+        self.frame.collection.store()
     }
 
     /// The distance histogram used for δ-ε-approximate search.
     pub fn histogram(&self) -> &DistanceHistogram {
-        &self.histogram
+        &self.frame.histogram
     }
 
     /// The configuration the tree was built with.
@@ -438,7 +434,7 @@ impl DsTree {
     /// This tree with every member of a visited leaf read and compared — no
     /// gate: the reference its gated search is held to.
     pub fn ungated(&self) -> Ungated<'_, Self> {
-        self.collection.ungated(self, |node| &self.nodes[node].leaf)
+        self.frame.ungated(self)
     }
 
     /// Lower bound between the query `prepared` was computed for and node
@@ -446,7 +442,7 @@ impl DsTree {
     /// segment mean/std are clamped into the node's ranges, and the
     /// per-segment contribution is `len · ((μ_q - μ̂)² + (σ_q - σ̂)²)`.
     fn node_min_dist(&self, prepared: &PreparedQuery, node_id: usize) -> f32 {
-        let node = &self.nodes[node_id];
+        let node = &self.frame.nodes[node_id];
         if node.size == 0 {
             return f32::INFINITY;
         }
@@ -478,126 +474,67 @@ impl DsTree {
     }
 }
 
-/// Everything that shapes a DSTree build, hashed together with the dataset
-/// content (see [`PersistentIndex`]). The storage configuration is
-/// deliberately **not** hashed — page size, pool capacity and backing shape
-/// only I/O economics, never the tree or its answers, so a snapshot may be
-/// served with any pool (`--pool-pages`) and either backing.
-fn snapshot_fingerprint(config: &DsTreeConfig, data_fingerprint: u64) -> u64 {
-    let mut f = Fingerprint::new();
-    f.push_str(DsTree::KIND);
-    f.push_usize(config.leaf_capacity);
-    f.push_usize(config.initial_segments);
-    f.push_usize(config.max_segments);
-    f.push_usize(config.histogram_samples);
-    f.push_u64(config.seed);
-    f.push_u64(data_fingerprint);
-    f.finish()
-}
-
 impl PersistentIndex for DsTree {
     type Config = DsTreeConfig;
     const KIND: &'static str = "dstree";
 
+    fn hash_config(config: &DsTreeConfig, f: &mut Fingerprint) {
+        f.push_usize(config.leaf_capacity);
+        f.push_usize(config.initial_segments);
+        f.push_usize(config.max_segments);
+        f.push_usize(config.histogram_samples);
+        f.push_u64(config.seed);
+    }
+
     /// Snapshots the tree (per-node segmentation, EAPCA synopsis, split
-    /// rule, leaf extents), the leaf-order-to-dataset mapping and the δ-ε
-    /// histogram; the raw series are re-attached from the dataset at load
-    /// time (resident or file-backed). A tree grown by
-    /// [`AnnIndex::insert_batch`] snapshots byte-identically to a fresh
-    /// build over the grown collection (see
-    /// [`Collection::snapshot_layout`]).
+    /// rule, leaf extent and size) in the frame's layout
+    /// ([`LeafTree::save`]); the raw series are re-attached from the
+    /// dataset at load time (resident or file-backed).
     fn save(&self, path: &Path) -> hydra_persist::Result<()> {
-        let mut w = SnapshotWriter::new(
-            Self::KIND,
-            snapshot_fingerprint(&self.config, self.collection.fingerprint()),
-        );
-
-        let (extents, mapping) = self
-            .collection
-            .snapshot_layout(self.nodes.iter().map(|n| n.is_leaf().then_some(&n.leaf)));
-
-        let mut meta = Section::new();
-        meta.put_usize(self.series_len);
-        meta.put_usize(self.collection.len());
-        meta.put_usize(self.nodes.len());
-        w.push(meta);
-
-        let mut nodes = Section::new();
-        for (node, &(store_start, store_len)) in self.nodes.iter().zip(extents.iter()) {
-            nodes.put_usize(node.segments.len());
+        self.frame.save::<Self>(path, &self.config, |node, sec, extent| {
+            sec.put_usize(node.segments.len());
             for seg in &node.segments {
-                nodes.put_usize(seg.start);
-                nodes.put_usize(seg.end);
+                sec.put_usize(seg.start);
+                sec.put_usize(seg.end);
             }
             for syn in &node.synopsis {
-                nodes.put_f32(syn.min_mean);
-                nodes.put_f32(syn.max_mean);
-                nodes.put_f32(syn.min_std);
-                nodes.put_f32(syn.max_std);
+                sec.put_f32(syn.min_mean);
+                sec.put_f32(syn.max_mean);
+                sec.put_f32(syn.min_std);
+                sec.put_f32(syn.max_std);
             }
-            nodes.put_usizes(&node.children);
+            sec.put_usizes(&node.children);
             match node.rule {
-                None => nodes.put_bool(false),
+                None => sec.put_bool(false),
                 Some(rule) => {
-                    nodes.put_bool(true);
-                    nodes.put_usize(rule.segment);
-                    nodes.put_u8(match rule.kind {
+                    sec.put_bool(true);
+                    sec.put_usize(rule.segment);
+                    sec.put_u8(match rule.kind {
                         SplitKind::Mean => 0,
                         SplitKind::Std => 1,
                     });
-                    nodes.put_f32(rule.threshold);
+                    sec.put_f32(rule.threshold);
                 }
             }
-            nodes.put_usize(store_start);
-            nodes.put_usize(store_len);
-            nodes.put_usize(node.size);
-        }
-        w.push(nodes);
-
-        let mut mapping_sec = Section::new();
-        mapping_sec.put_usizes(&mapping);
-        w.push(mapping_sec);
-
-        let mut hist = Section::new();
-        codec::put_histogram(&mut hist, &self.histogram);
-        w.push(hist);
-
-        w.write_to(path)
+            extent.put(sec);
+            sec.put_usize(node.size);
+        })
     }
 
-    /// Loads without ever materializing a streamed dataset: shape and
-    /// fingerprint come from the source's header facts, and the raw series
-    /// re-attach straight from the validated snapshot file.
     fn load_from(
         path: &Path,
         source: DataSource<'_>,
         config: &DsTreeConfig,
         backing: StoreBacking<'_>,
     ) -> hydra_persist::Result<Self> {
-        let data_fingerprint = source.fingerprint();
-        let mut r = SnapshotReader::open(path)?;
-        r.expect_kind(Self::KIND)?;
-        r.expect_fingerprint(snapshot_fingerprint(config, data_fingerprint))?;
-
-        let mut meta = r.next_section()?;
-        let series_len = meta.get_usize()?;
-        let num_series = meta.get_usize()?;
-        let node_count = meta.get_usize()?;
-        if series_len != source.series_len() || num_series != source.len() {
-            return Err(PersistError::Corrupt(
-                "snapshot metadata disagrees with the dataset".into(),
-            ));
-        }
-
-        let mut sec = r.next_section()?;
-        let mut nodes = Vec::with_capacity(node_count);
-        for _ in 0..node_count {
+        let shape = config.frame();
+        let frame = LeafTree::load::<Self>(path, source, config, backing, shape, |sec, slot| {
             let seg_count = sec.get_usize()?;
             let mut segments = Vec::with_capacity(seg_count);
             for _ in 0..seg_count {
                 let start = sec.get_usize()?;
                 let end = sec.get_usize()?;
-                if start >= end || end > series_len {
+                if start >= end || end > slot.series_len {
                     return Err(PersistError::Corrupt(format!(
                         "segment [{start}, {end}) outside the series domain"
                     )));
@@ -638,48 +575,20 @@ impl PersistentIndex for DsTree {
             } else {
                 None
             };
-            let leaf = Leaf::from_extent(sec.get_usize()?, sec.get_usize()?, num_series)?;
-            let size = sec.get_usize()?;
-            nodes.push(Node {
+            Ok(Node {
                 segments,
                 segment_ids: Vec::new(),
                 synopsis,
                 children,
                 rule,
-                leaf,
-                size,
-            });
-        }
-        if nodes
-            .iter()
-            .any(|n| n.children.iter().any(|&c| c == 0 || c >= node_count))
-        {
-            return Err(PersistError::Corrupt("node child id out of range".into()));
-        }
-
-        let mut sec = r.next_section()?;
-        let mapping = sec.get_usizes()?;
-
-        let mut sec = r.next_section()?;
-        let histogram = codec::get_histogram(&mut sec)?;
-
-        let collection = Collection::attach(
-            path,
-            source,
-            data_fingerprint,
-            Some(mapping),
-            config.storage,
-            backing,
-        )?;
-
+                leaf: slot.leaf(sec)?,
+                size: sec.get_usize()?,
+            })
+        })?;
         let mut tree = Self {
             config: *config,
-            series_len,
-            nodes,
+            frame,
             segments: Vec::new(),
-            words: WordColumn::rebuild(&collection, MEMBER_WORDS),
-            collection,
-            histogram,
         };
         tree.index_segments();
         Ok(tree)
@@ -696,11 +605,11 @@ impl HierarchicalIndex for DsTree {
     }
 
     fn is_leaf(&self, node: usize) -> bool {
-        self.nodes[node].is_leaf()
+        self.frame.is_leaf(node)
     }
 
     fn children(&self, node: usize) -> &[usize] {
-        &self.nodes[node].children
+        self.frame.children(node)
     }
 
     fn prepare(&self, query: &[f32]) -> PreparedQuery {
@@ -710,7 +619,7 @@ impl HierarchicalIndex for DsTree {
                 .iter()
                 .map(|&seg| segment_stats(query, seg))
                 .collect(),
-            paa: self.words.query_paa(query),
+            paa: self.frame.words.query_paa(query),
         }
     }
 
@@ -719,7 +628,7 @@ impl HierarchicalIndex for DsTree {
     }
 
     fn leaf_size(&self, node: usize) -> usize {
-        self.collection.leaf_len(&self.nodes[node].leaf)
+        self.frame.leaf_size(node)
     }
 
     fn refine_leaf(
@@ -733,16 +642,14 @@ impl HierarchicalIndex for DsTree {
     ) -> u64 {
         // EAPCA summarizes nodes, not series: each member is gated on its
         // kept word instead.
-        let leaf = &self.nodes[node].leaf;
-        stats.lower_bound_computations += self.collection.leaf_len(leaf) as u64;
-        self.collection.refine_leaf(
-            leaf,
+        self.frame.refine_leaf(
+            node,
             query,
             best_so_far,
             stats,
             // Strictly beyond the bound is what the early-abandoning kernel
             // refuses; a member at the bound is still compared.
-            |row, bound| self.words.bound_squared(&prepared.paa, row) <= bound * bound,
+            |row, bound| self.frame.words.bound_squared(&prepared.paa, row) <= bound * bound,
             accept,
         )
     }
@@ -766,11 +673,11 @@ impl AnnIndex for DsTree {
     }
 
     fn num_series(&self) -> usize {
-        self.collection.len()
+        self.frame.collection.len()
     }
 
     fn series_len(&self) -> usize {
-        self.series_len
+        self.frame.collection.series_len()
     }
 
     fn memory_footprint(&self) -> usize {
@@ -779,7 +686,7 @@ impl AnnIndex for DsTree {
         // series (16 bytes each, what the member gate reads). Raw series
         // live on (simulated) disk and are not counted, matching how the
         // paper reports DSTree's small footprint.
-        self.nodes
+        self.frame.nodes
             .iter()
             .map(|n| {
                 std::mem::size_of::<Node>()
@@ -789,21 +696,18 @@ impl AnnIndex for DsTree {
             })
             .sum::<usize>()
             + self.segments.len() * std::mem::size_of::<Segment>()
-            + self.collection.mapping_bytes()
-            + self.words.heap_bytes()
+            + self.frame.heap_bytes()
     }
 
     fn store_counters(&self) -> Option<hydra_core::StoreCounters> {
-        Some(self.collection.counters())
+        Some(self.frame.collection.counters())
     }
 
     fn search(&self, query: &[f32], params: &SearchParams) -> Result<SearchResult> {
-        self.collection.check_lengths(&[query])?;
-        let spec = SearchSpec::from_params(params, Some(&self.histogram));
-        Ok(knn_search(self, query, &spec))
+        self.frame.search(self, query, params)
     }
 
-    /// Batched search: the batch's workers ([`Collection::answer_batch`])
+    /// Batched search: the batch's workers ([`LeafTree::search_batch`])
     /// answer the queries, each exactly as [`Self::search`] would, in query
     /// order. Nothing is shared across queries.
     fn search_batch(
@@ -811,7 +715,7 @@ impl AnnIndex for DsTree {
         queries: &[&[f32]],
         params: &SearchParams,
     ) -> Vec<Result<SearchResult>> {
-        self.collection.answer_batch(queries, || (), |_, query| self.search(query, params))
+        self.frame.search_batch(self, queries, params)
     }
 
     /// Streaming ingest by continuing the build's insert sequence: each new
@@ -822,24 +726,15 @@ impl AnnIndex for DsTree {
     /// the full collection. The δ-ε histogram is re-sampled over the grown
     /// collection after the batch.
     fn insert_batch(&mut self, batch: &[&[f32]]) -> Result<()> {
-        self.collection.check_lengths(batch)?;
-        if batch.is_empty() {
+        if !self.frame.begin_ingest(batch)? {
             return Ok(());
         }
-        self.collection.activate_growth(leaves_mut(&mut self.nodes));
         for series in batch {
-            let id = self.collection.append(series)?;
+            let id = self.frame.collection.append(series)?;
             self.insert_series(id, series, &FetchSource::Store);
         }
         self.index_segments();
-        self.histogram = self.collection.pairwise_histogram(
-            self.config.histogram_samples,
-            256,
-            self.config.seed,
-        );
-        // A fresh build hands out a store with clean I/O counters; ingest
-        // restores the same post-build state.
-        self.collection.store().reset_io();
+        self.frame.end_ingest();
         Ok(())
     }
 }
@@ -849,6 +744,7 @@ mod tests {
     use super::*;
     use hydra_core::{euclidean, euclidean_early_abandon};
     use hydra_data::{exact_knn, random_walk};
+    use hydra_persist::WordColumn;
     use hydra_summarize::sax::sax_word;
 
     fn small_config() -> DsTreeConfig {
@@ -883,7 +779,7 @@ mod tests {
     #[test]
     fn tree_partitions_all_series_into_leaves() {
         let (data, tree) = build_small(500, 64);
-        let total: usize = (0..tree.nodes.len())
+        let total: usize = (0..tree.frame.nodes.len())
             .filter(|&i| tree.is_leaf(i))
             .map(|i| tree.leaf_size(i))
             .sum();
@@ -1034,7 +930,7 @@ mod tests {
             grown.insert_batch(&tail[..43]).unwrap();
             grown.insert_batch(&tail[43..]).unwrap();
             assert_eq!(grown.num_series(), fresh.num_series());
-            assert_eq!(grown.nodes.len(), fresh.nodes.len());
+            assert_eq!(grown.frame.nodes.len(), fresh.frame.nodes.len());
             for qi in [0usize, 50, 200, 299] {
                 let q = data.series(qi);
                 for params in [
@@ -1085,12 +981,12 @@ mod tests {
     /// the collection is in.
     fn members_by_row(tree: &DsTree) -> Vec<(usize, usize, usize)> {
         let mut out = Vec::new();
-        for node in (0..tree.nodes.len()).filter(|&n| tree.is_leaf(n)) {
-            let leaf = &tree.nodes[node].leaf;
+        for node in (0..tree.frame.nodes.len()).filter(|&n| tree.is_leaf(n)) {
+            let leaf = &tree.frame.nodes[node].leaf;
             let mut runs = Vec::new();
-            tree.collection.leaf_ranges(leaf, &mut runs);
+            tree.frame.collection.leaf_ranges(leaf, &mut runs);
             let mut rows = runs.iter().flat_map(|&(start, count)| start..start + count);
-            tree.collection
+            tree.frame.collection
                 .visit_leaf(leaf, &mut QueryStats::new(), &mut |id, _| {
                     out.push((node, rows.next().unwrap(), id));
                 });
@@ -1122,7 +1018,7 @@ mod tests {
                     .unwrap();
                 let query = vec![0.0f32; len];
                 let prepared = tree.prepare(&query);
-                let bound = tree.words.bound_squared(&prepared.paa, row).sqrt();
+                let bound = tree.frame.words.bound_squared(&prepared.paa, row).sqrt();
                 assert_eq!(bound.to_bits(), euclidean(&query, &series).to_bits());
 
                 // Around the tie the gate lets through exactly what the
@@ -1158,7 +1054,7 @@ mod tests {
     /// Node `node`'s bound with the query's statistics computed per node
     /// segment, as every bound was before the memo.
     fn per_node_min_dist(tree: &DsTree, query: &[f32], node: usize) -> f32 {
-        let node = &tree.nodes[node];
+        let node = &tree.frame.nodes[node];
         if node.size == 0 {
             return f32::INFINITY;
         }
@@ -1207,10 +1103,10 @@ mod tests {
             let regrown = DsTree::load(&path, &data, &config).unwrap();
             std::fs::remove_file(&path).ok();
 
-            assert_eq!(loaded.words, built.words);
-            assert_eq!(regrown.words, built.words);
+            assert_eq!(loaded.frame.words, built.frame.words);
+            assert_eq!(regrown.frame.words, built.frame.words);
             let ids = |tree: &DsTree| -> Vec<Vec<u32>> {
-                tree.nodes.iter().map(|n| n.segment_ids.clone()).collect()
+                tree.frame.nodes.iter().map(|n| n.segment_ids.clone()).collect()
             };
             for tree in [&loaded, &grown, &regrown] {
                 assert_eq!(tree.segments, built.segments);
@@ -1221,13 +1117,13 @@ mod tests {
             let words_by_id = |tree: &DsTree| {
                 let mut by_id = vec![Vec::new(); data.len()];
                 for (_, row, id) in members_by_row(tree) {
-                    by_id[id] = tree.words.row(row).to_vec();
+                    by_id[id] = tree.frame.words.row(row).to_vec();
                 }
                 by_id
             };
             let want = words_by_id(&built);
             assert_eq!(words_by_id(&grown), want);
-            let breakpoints = built.words.breakpoints();
+            let breakpoints = built.frame.words.breakpoints();
             for (id, word) in want.iter().enumerate() {
                 let full = sax_word(data.series(id), &MEMBER_WORDS, breakpoints);
                 assert_eq!(word.len(), MEMBER_WORDS.segments.min(len));
@@ -1244,7 +1140,7 @@ mod tests {
                 for q in queries.iter().chain([data.series(3)]) {
                     let prepared = tree.prepare(q);
                     assert_eq!(prepared.stats.len(), tree.segments.len());
-                    for node in 0..tree.nodes.len() {
+                    for node in 0..tree.frame.nodes.len() {
                         assert_eq!(
                             tree.min_dist(q, &prepared, node).to_bits(),
                             per_node_min_dist(tree, q, node).to_bits(),
@@ -1256,7 +1152,7 @@ mod tests {
 
             // The footprint counts the kept words, and differs only by the
             // inverse row mapping a grown collection holds.
-            assert!(built.memory_footprint() >= data.len() * built.words.word_len());
+            assert!(built.memory_footprint() >= data.len() * built.frame.words.word_len());
             assert_eq!(loaded.memory_footprint(), built.memory_footprint());
             assert_eq!(
                 grown.memory_footprint(),

@@ -25,8 +25,7 @@ use hydra_core::{
     AnnIndex, Capabilities, Dataset, Error, Representation, Result, SearchParams, SearchResult,
 };
 use hydra_persist::{
-    fingerprint_dataset, DataSource, Fingerprint, PersistError, PersistentIndex, Section,
-    SnapshotReader, SnapshotWriter, StoreBacking,
+    fingerprint_dataset, DataSource, Fingerprint, PersistError, PersistentIndex, Section, StoreBacking,
 };
 
 /// Which algorithm a [`Flann`] instance selected.
@@ -119,28 +118,21 @@ impl Flann {
     }
 }
 
-/// Everything that shapes a FLANN build — both algorithms' parameters plus
-/// the forced-algorithm choice — hashed together with the dataset content
-/// (see [`PersistentIndex`]). Auto-selection is deterministic in the
-/// dataset, so fingerprinting the full configuration pins down the built
-/// structure exactly.
-fn snapshot_fingerprint(config: &FlannConfig, data_fingerprint: u64) -> u64 {
-    let mut f = Fingerprint::new();
-    f.push_str(Flann::KIND);
-    KdForest::push_fingerprint(&config.kd, &mut f);
-    KMeansTree::push_fingerprint(&config.kmeans, &mut f);
-    f.push_u64(match config.force {
-        None => 0,
-        Some(FlannAlgorithm::RandomizedKdTrees) => 1,
-        Some(FlannAlgorithm::HierarchicalKMeans) => 2,
-    });
-    f.push_u64(data_fingerprint);
-    f.finish()
-}
-
 impl PersistentIndex for Flann {
     type Config = FlannConfig;
     const KIND: &'static str = "flann";
+
+    /// Both algorithms' parameters plus the forced choice: auto-selection
+    /// is deterministic in the dataset, so this pins the built structure.
+    fn hash_config(config: &FlannConfig, f: &mut Fingerprint) {
+        KdForest::push_fingerprint(&config.kd, f);
+        KMeansTree::push_fingerprint(&config.kmeans, f);
+        f.push_u64(match config.force {
+            None => 0,
+            Some(FlannAlgorithm::RandomizedKdTrees) => 1,
+            Some(FlannAlgorithm::HierarchicalKMeans) => 2,
+        });
+    }
 
     /// Snapshots which algorithm auto-selection picked followed by that
     /// algorithm's structure (kd-forest node arenas, or the hierarchical
@@ -151,10 +143,7 @@ impl PersistentIndex for Flann {
             Inner::Kd(i) => i.data(),
             Inner::KMeans(i) => i.data(),
         };
-        let mut w = SnapshotWriter::new(
-            Self::KIND,
-            snapshot_fingerprint(&self.config, fingerprint_dataset(data)),
-        );
+        let mut w = Self::snapshot_writer(&self.config, fingerprint_dataset(data));
         let mut algo = Section::new();
         algo.put_u8(match self.algorithm {
             FlannAlgorithm::RandomizedKdTrees => 0,
@@ -175,9 +164,7 @@ impl PersistentIndex for Flann {
         _backing: StoreBacking<'_>,
     ) -> hydra_persist::Result<Self> {
         let dataset = &*source.materialized()?;
-        let mut r = SnapshotReader::open(path)?;
-        r.expect_kind(Self::KIND)?;
-        r.expect_fingerprint(snapshot_fingerprint(config, fingerprint_dataset(dataset)))?;
+        let mut r = Self::open_snapshot(path, config, fingerprint_dataset(dataset))?;
 
         let mut algo = r.next_section()?;
         let algorithm = match algo.get_u8()? {

@@ -25,8 +25,7 @@ use hydra_core::{
     SearchMode, SearchParams, SearchResult, TopK,
 };
 use hydra_persist::{
-    fingerprint_dataset, DataSource, Fingerprint, PersistError, PersistentIndex, Section,
-    SnapshotReader, SnapshotWriter, StoreBacking,
+    fingerprint_dataset, DataSource, Fingerprint, PersistError, PersistentIndex, Section, StoreBacking,
 };
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
@@ -336,31 +335,22 @@ impl Hnsw {
     }
 }
 
-/// Everything that shapes an HNSW build, hashed together with the dataset
-/// content (see [`PersistentIndex`]).
-fn snapshot_fingerprint(config: &HnswConfig, data_fingerprint: u64) -> u64 {
-    let mut f = Fingerprint::new();
-    f.push_str(Hnsw::KIND);
-    f.push_usize(config.m);
-    f.push_usize(config.ef_construction);
-    f.push_u64(config.seed);
-    f.push_u64(data_fingerprint);
-    f.finish()
-}
-
 impl PersistentIndex for Hnsw {
     type Config = HnswConfig;
     const KIND: &'static str = "hnsw";
+
+    fn hash_config(config: &HnswConfig, f: &mut Fingerprint) {
+        f.push_usize(config.m);
+        f.push_usize(config.ef_construction);
+        f.push_u64(config.seed);
+    }
 
     /// Snapshots the layer assignment and the full adjacency of every
     /// layer — the product of the expensive incremental construction. The
     /// raw vectors (which HNSW keeps in memory) are re-attached from the
     /// dataset at load time.
     fn save(&self, path: &Path) -> hydra_persist::Result<()> {
-        let mut w = SnapshotWriter::new(
-            Self::KIND,
-            snapshot_fingerprint(&self.config, fingerprint_dataset(&self.data)),
-        );
+        let mut w = Self::snapshot_writer(&self.config, fingerprint_dataset(&self.data));
 
         let mut meta = Section::new();
         meta.put_usize(self.data.series_len());
@@ -392,9 +382,7 @@ impl PersistentIndex for Hnsw {
         _backing: StoreBacking<'_>,
     ) -> hydra_persist::Result<Self> {
         let dataset = &*source.materialized()?;
-        let mut r = SnapshotReader::open(path)?;
-        r.expect_kind(Self::KIND)?;
-        r.expect_fingerprint(snapshot_fingerprint(config, fingerprint_dataset(dataset)))?;
+        let mut r = Self::open_snapshot(path, config, fingerprint_dataset(dataset))?;
 
         let mut meta = r.next_section()?;
         let series_len = meta.get_usize()?;

@@ -28,8 +28,7 @@ use hydra_core::{
     SearchMode, SearchParams, SearchResult, TopK,
 };
 use hydra_persist::{
-    codec, fingerprint_dataset, DataSource, Fingerprint, PersistError, PersistentIndex, Section,
-    SnapshotReader, SnapshotWriter, StoreBacking,
+    codec, fingerprint_dataset, DataSource, Fingerprint, PersistError, PersistentIndex, Section, StoreBacking,
 };
 use hydra_summarize::quantization::{KMeans, OptimizedProductQuantizer, ProductQuantizer};
 use std::cmp::Reverse;
@@ -344,25 +343,19 @@ impl InvertedMultiIndex {
     }
 }
 
-/// Everything that shapes an IMI build, hashed together with the dataset
-/// content (see [`PersistentIndex`]).
-fn snapshot_fingerprint(config: &ImiConfig, data_fingerprint: u64) -> u64 {
-    let mut f = Fingerprint::new();
-    f.push_str(InvertedMultiIndex::KIND);
-    f.push_usize(config.coarse_k);
-    f.push_usize(config.pq_m);
-    f.push_usize(config.pq_k);
-    f.push_bool(config.use_opq);
-    f.push_usize(config.training_size);
-    f.push_usize(config.kmeans_iters);
-    f.push_u64(config.seed);
-    f.push_u64(data_fingerprint);
-    f.finish()
-}
-
 impl PersistentIndex for InvertedMultiIndex {
     type Config = ImiConfig;
     const KIND: &'static str = "imi";
+
+    fn hash_config(config: &ImiConfig, f: &mut Fingerprint) {
+        f.push_usize(config.coarse_k);
+        f.push_usize(config.pq_m);
+        f.push_usize(config.pq_k);
+        f.push_bool(config.use_opq);
+        f.push_usize(config.training_size);
+        f.push_usize(config.kmeans_iters);
+        f.push_u64(config.seed);
+    }
 
     /// Snapshots the two coarse codebooks, the fine (O)PQ quantizer — the
     /// expensive k-means/Procrustes training — and every inverted list with
@@ -372,10 +365,7 @@ impl PersistentIndex for InvertedMultiIndex {
     fn save(&self, path: &Path) -> hydra_persist::Result<()> {
         // IMI does not retain the raw vectors, so the dataset fingerprint is
         // captured once at build time and carried in the header.
-        let mut w = SnapshotWriter::new(
-            Self::KIND,
-            snapshot_fingerprint(&self.config, self.data_fingerprint),
-        );
+        let mut w = Self::snapshot_writer(&self.config, self.data_fingerprint);
 
         let mut meta = Section::new();
         meta.put_usize(self.series_len);
@@ -425,9 +415,7 @@ impl PersistentIndex for InvertedMultiIndex {
         _backing: StoreBacking<'_>,
     ) -> hydra_persist::Result<Self> {
         let data_fingerprint = source.fingerprint();
-        let mut r = SnapshotReader::open(path)?;
-        r.expect_kind(Self::KIND)?;
-        r.expect_fingerprint(snapshot_fingerprint(config, data_fingerprint))?;
+        let mut r = Self::open_snapshot(path, config, data_fingerprint)?;
 
         let mut meta = r.next_section()?;
         let series_len = meta.get_usize()?;

@@ -3,14 +3,13 @@
 use std::collections::HashMap;
 use std::path::Path;
 
-use hydra_core::search::SearchSpec;
 use hydra_core::{
-    knn_search, AnnIndex, Capabilities, Dataset, DistanceHistogram, Error, HierarchicalIndex,
-    QueryStats, Representation, Result, SearchParams, SearchResult,
+    AnnIndex, Capabilities, Dataset, DistanceHistogram, HierarchicalIndex, QueryStats,
+    Representation, Result, SearchParams, SearchResult,
 };
 use hydra_persist::{
-    codec, Collection, DataSource, Fingerprint, Leaf, PersistError, PersistentIndex, Section,
-    SnapshotReader, SnapshotWriter, StoreBacking, Ungated, WordColumn,
+    DataSource, Fingerprint, Leaf, LeafTree, LeafTreeConfig, PersistError, PersistentIndex,
+    StoreBacking, TreeNode, Ungated,
 };
 use hydra_storage::{SeriesStore, StorageConfig};
 use hydra_summarize::sax::{IsaxWord, SaxParams};
@@ -29,6 +28,19 @@ pub struct IsaxConfig {
     pub histogram_samples: usize,
     /// Seed for the histogram sampling.
     pub seed: u64,
+}
+
+impl IsaxConfig {
+    /// What the leaf-ordered frame reads of the configuration.
+    fn frame(&self) -> LeafTreeConfig {
+        LeafTreeConfig {
+            leaf_capacity: self.leaf_capacity,
+            storage: self.storage,
+            histogram_samples: self.histogram_samples,
+            seed: self.seed,
+            words: self.sax,
+        }
+    }
 }
 
 impl Default for IsaxConfig {
@@ -54,9 +66,20 @@ struct Node {
     leaf: Leaf,
 }
 
-impl Node {
-    fn is_leaf(&self) -> bool {
-        self.children.is_empty()
+impl TreeNode for Node {
+    /// Node 0 is the virtual root, whose children are the 1-bit root words.
+    const VIRTUAL_ROOT: bool = true;
+
+    fn children(&self) -> &[usize] {
+        &self.children
+    }
+
+    fn leaf(&self) -> &Leaf {
+        &self.leaf
+    }
+
+    fn leaf_mut(&mut self) -> &mut Leaf {
+        &mut self.leaf
     }
 }
 
@@ -85,8 +108,10 @@ impl Node {
 /// over its word, bit for bit.
 ///
 /// The full-cardinality word the insert path computes for every series is
-/// kept too, in the store-row-ordered [`WordColumn`] DSTree keeps the same
-/// way. A series is the envelope `[s, s]`, so
+/// kept too, in the store-row-ordered [`hydra_persist::WordColumn`] of the
+/// [`LeafTree`] frame — the one DSTree keeps the same way, which also holds
+/// the leaves, their raw series and the δ-ε histogram, writes the snapshot
+/// and runs the ingest protocol. A series is the envelope `[s, s]`, so
 /// [`HierarchicalIndex::refine_leaf`] bounds each member of a popped leaf
 /// from the same table and hands the store a *gate*: a member whose bound
 /// strictly exceeds the live best-so-far is skipped before its raw series
@@ -95,8 +120,8 @@ impl Node {
 /// read and compared do.
 ///
 /// Words and envelopes are derived data, never persisted: a snapshot load
-/// rebuilds the words ([`WordColumn::rebuild`]) and the envelopes from
-/// them.
+/// rebuilds the words ([`hydra_persist::WordColumn::rebuild`]) and the
+/// envelopes from them.
 ///
 /// **How this differs from the paper's iSAX2+.** There a leaf is bounded by
 /// its node word alone and every series of a visited leaf is read; the
@@ -113,24 +138,16 @@ impl Node {
 /// guarantee's edge, and faster.
 pub struct Isax2Plus {
     config: IsaxConfig,
-    series_len: usize,
-    nodes: Vec<Node>,
+    frame: LeafTree<Node>,
     /// Segments per word: `config.sax.segments`, clamped to the series
     /// length as the words are.
     word_len: usize,
     /// The envelope of node `n >= 1` at `(n - 1) * 2 * word_len ..`: the
     /// `word_len` lows, then the `word_len` highs.
     envelopes: Vec<u8>,
-    /// The full-cardinality word of every series, in store-row order
-    /// (arrival order while [`Isax2Plus::build`] is still inserting:
-    /// nothing is laid out yet).
-    words: WordColumn,
     /// Root children by the 1-bit prefixes of their word: build/ingest-time
     /// scratch, rebuilt from the root's children when stale.
     root_children: HashMap<Vec<u16>, usize>,
-    /// Leaf-ordered raw series (the simulated on-disk layout).
-    collection: Collection,
-    histogram: DistanceHistogram,
 }
 
 /// The 1-bit prefix of every segment: what decides the root child of a
@@ -148,15 +165,6 @@ fn widen(envelope: &mut [u8], symbols: &[u8]) {
     }
 }
 
-/// The leaves of the tree, in node order (the virtual root is never one).
-fn leaves_mut(nodes: &mut [Node]) -> impl Iterator<Item = &mut Leaf> {
-    nodes
-        .iter_mut()
-        .skip(1)
-        .filter(|n| n.is_leaf())
-        .map(|n| &mut n.leaf)
-}
-
 impl Isax2Plus {
     /// Builds an iSAX2+ index over `dataset`.
     ///
@@ -164,59 +172,35 @@ impl Isax2Plus {
     /// Returns an error if the dataset is empty or the configuration is
     /// invalid.
     pub fn build(dataset: &Dataset, config: IsaxConfig) -> Result<Self> {
-        if dataset.is_empty() {
-            return Err(Error::EmptyDataset);
-        }
-        if config.leaf_capacity == 0 {
-            return Err(Error::InvalidParameter("leaf capacity must be positive".into()));
-        }
-        config.sax.validate().map_err(Error::InvalidParameter)?;
-        let collection = Collection::leaf_order(dataset.series_len(), config.storage)?;
-        let histogram =
-            DistanceHistogram::from_dataset(dataset, config.histogram_samples, 256, config.seed);
-        let mut index = Self::without_nodes(config, dataset.series_len(), collection, histogram);
+        let mut index = Self::around(config, LeafTree::new(dataset, config.frame())?);
         index.push_node(IsaxWord {
             symbols: Vec::new(),
             bits: Vec::new(),
         });
         for id in 0..dataset.len() {
-            let word = index.words.push(dataset.series(id));
+            let word = index.frame.words.push(dataset.series(id));
             index.insert_series(id, word);
         }
-        index
-            .collection
-            .materialize(dataset, leaves_mut(&mut index.nodes))?;
-        index.words.materialize(&index.collection);
+        index.frame.lay_out(dataset)?;
         // The root fan-out map was build-time scratch.
         index.root_children = HashMap::new();
         Ok(index)
     }
 
-    /// An index with its query-independent geometry in place and no nodes
-    /// yet. The caller has validated `config.sax`.
-    fn without_nodes(
-        config: IsaxConfig,
-        series_len: usize,
-        collection: Collection,
-        histogram: DistanceHistogram,
-    ) -> Self {
-        let words = WordColumn::new(series_len, config.sax);
+    /// An index around `frame` with no envelopes yet.
+    fn around(config: IsaxConfig, frame: LeafTree<Node>) -> Self {
         Self {
             config,
-            series_len,
-            nodes: Vec::new(),
-            word_len: words.word_len(),
+            word_len: frame.words.word_len(),
             envelopes: Vec::new(),
-            words,
             root_children: HashMap::new(),
-            collection,
-            histogram,
+            frame,
         }
     }
 
     /// The kept word of the series with dataset id `id`.
     fn word_of(&self, id: usize) -> &[u8] {
-        self.words.of_id(&self.collection, id)
+        self.frame.words.of_id(&self.frame.collection, id)
     }
 
     /// Where `envelopes` keeps node `node >= 1`.
@@ -229,7 +213,7 @@ impl Isax2Plus {
         let envelope = self.envelope_range(node);
         widen(
             &mut self.envelopes[envelope],
-            self.words.of_id(&self.collection, id),
+            self.frame.words.of_id(&self.frame.collection, id),
         );
     }
 
@@ -244,11 +228,11 @@ impl Isax2Plus {
         // Find (or create) the root child whose 1-bit word covers this
         // series — at most one does, so a lookup by those bits finds the
         // child a scan of the root's children would.
-        if self.root_children.len() != self.nodes[0].children.len() {
-            self.root_children = self.nodes[0]
+        if self.root_children.len() != self.frame.nodes[0].children.len() {
+            self.root_children = self.frame.nodes[0]
                 .children
                 .iter()
-                .map(|&c| (root_key(&self.nodes[c].word, max_bits), c))
+                .map(|&c| (root_key(&self.frame.nodes[c].word, max_bits), c))
                 .collect();
         }
         let key = root_key(&word, max_bits);
@@ -260,7 +244,7 @@ impl Isax2Plus {
                     bits: vec![1; word.len()],
                 };
                 let child = self.push_node(child_word);
-                self.nodes[0].children.push(child);
+                self.frame.nodes[0].children.push(child);
                 self.root_children.insert(key, child);
                 child
             }
@@ -268,21 +252,21 @@ impl Isax2Plus {
 
         // Descend to a leaf.
         loop {
-            if self.nodes[current].is_leaf() {
+            if self.frame.is_leaf(current) {
                 break;
             }
-            let next = self.nodes[current]
+            let next = self.frame.nodes[current]
                 .children
                 .iter()
                 .copied()
-                .find(|&c| self.nodes[c].word.contains(&word, max_bits))
+                .find(|&c| self.frame.nodes[c].word.contains(&word, max_bits))
                 .expect("internal node children partition the region");
             current = next;
         }
 
-        self.nodes[current].leaf.members.push(id);
+        self.frame.nodes[current].leaf.members.push(id);
         self.cover(current, id);
-        if self.nodes[current].leaf.members.len() > self.config.leaf_capacity {
+        if self.frame.nodes[current].leaf.members.len() > self.config.leaf_capacity {
             self.split_leaf(current);
         }
     }
@@ -294,8 +278,8 @@ impl Isax2Plus {
     /// cardinality are skipped.
     fn split_leaf(&mut self, node_id: usize) {
         let max_bits = self.config.sax.max_bits;
-        let word = self.nodes[node_id].word.clone();
-        let members = std::mem::take(&mut self.nodes[node_id].leaf.members);
+        let word = self.frame.nodes[node_id].word.clone();
+        let members = std::mem::take(&mut self.frame.nodes[node_id].leaf.members);
 
         // Choose the most balanced split among promotable segments.
         let mut best: Option<(usize, usize)> = None; // (segment, imbalance)
@@ -317,7 +301,7 @@ impl Isax2Plus {
         let Some((seg, _)) = best else {
             // Every segment is at maximum cardinality: the node cannot be
             // refined further and keeps its oversized membership.
-            self.nodes[node_id].leaf.members = members;
+            self.frame.nodes[node_id].leaf.members = members;
             return;
         };
 
@@ -341,10 +325,10 @@ impl Isax2Plus {
             } else {
                 right_id
             };
-            self.nodes[target].leaf.members.push(id);
+            self.frame.nodes[target].leaf.members.push(id);
             self.cover(target, id);
         }
-        self.nodes[node_id].children = vec![left_id, right_id];
+        self.frame.nodes[node_id].children = vec![left_id, right_id];
         // No longer a leaf: bounded by its word from here on.
         let (envelope, region) = (self.envelope_range(node_id), self.region(&word));
         self.envelopes[envelope].copy_from_slice(&region);
@@ -352,7 +336,7 @@ impl Isax2Plus {
         // A pathological distribution can leave one child overflowing (all
         // members share the promoted bit); recurse on it.
         for child in [left_id, right_id] {
-            if self.nodes[child].leaf.members.len() > self.config.leaf_capacity {
+            if self.frame.nodes[child].leaf.members.len() > self.config.leaf_capacity {
                 self.split_leaf(child);
             }
         }
@@ -379,9 +363,9 @@ impl Isax2Plus {
     }
 
     fn push_node(&mut self, word: IsaxWord) -> usize {
-        let id = self.nodes.len();
+        let id = self.frame.nodes.len();
         self.push_empty_envelope(word.len());
-        self.nodes.push(Node {
+        self.frame.nodes.push(Node {
             word,
             children: Vec::new(),
             leaf: Leaf::default(),
@@ -395,53 +379,42 @@ impl Isax2Plus {
     fn bound_squared(&self, table: &[[f32; 2]], lows: &[u8], highs: &[u8]) -> f32 {
         let mut acc = 0.0f32;
         for ((row, &lo), &hi) in table
-            .chunks_exact(self.words.breakpoints().len() + 1)
+            .chunks_exact(self.frame.words.breakpoints().len() + 1)
             .zip(lows)
             .zip(highs)
         {
             acc += row[lo as usize][0] + row[hi as usize][1];
         }
-        self.series_len as f32 / self.word_len as f32 * acc
+        self.frame.collection.series_len() as f32 / self.word_len as f32 * acc
     }
 
     /// The squared lower bound on the distance from the query `table` was
     /// prepared for to the series in store row `row`, from its kept word.
     fn member_bound_squared(&self, table: &[[f32; 2]], row: usize) -> f32 {
-        let symbols = self.words.row(row);
+        let symbols = self.frame.words.row(row);
         self.bound_squared(table, symbols, symbols)
     }
 
     /// Number of leaves.
     pub fn num_leaves(&self) -> usize {
-        self.nodes
-            .iter()
-            .enumerate()
-            .filter(|(i, n)| *i != 0 && n.is_leaf())
-            .count()
+        self.frame.num_leaves()
     }
 
     /// Average leaf fill factor. The paper observes that iSAX2+ has more,
     /// emptier leaves than DSTree, which is what drives its higher random
     /// I/O count.
     pub fn avg_leaf_fill(&self) -> f64 {
-        let leaves: Vec<usize> = (0..self.nodes.len())
-            .filter(|&i| i != 0 && self.nodes[i].is_leaf())
-            .collect();
-        if leaves.is_empty() {
-            return 0.0;
-        }
-        let total: usize = leaves.iter().map(|&i| self.leaf_size(i)).sum();
-        total as f64 / (leaves.len() * self.config.leaf_capacity) as f64
+        self.frame.avg_leaf_fill()
     }
 
     /// The simulated storage layer holding the raw series.
     pub fn store(&self) -> &SeriesStore {
-        self.collection.store()
+        self.frame.collection.store()
     }
 
     /// The distance histogram used for δ-ε-approximate search.
     pub fn histogram(&self) -> &DistanceHistogram {
-        &self.histogram
+        &self.frame.histogram
     }
 
     /// The configuration the index was built with.
@@ -452,115 +425,54 @@ impl Isax2Plus {
     /// This tree with every member of a visited leaf read and compared — no
     /// gate: the reference its gated search is held to.
     pub fn ungated(&self) -> Ungated<'_, Self> {
-        self.collection.ungated(self, |node| &self.nodes[node].leaf)
+        self.frame.ungated(self)
     }
-}
-
-/// Everything that shapes an iSAX2+ build, hashed together with the dataset
-/// content: a snapshot only loads against the exact configuration and data
-/// it was built from. The storage configuration is deliberately **not**
-/// hashed — page size, pool capacity and backing shape only I/O economics,
-/// never the index structure or its answers, so a snapshot may be served
-/// with any pool (`--pool-pages`) and either backing.
-fn snapshot_fingerprint(config: &IsaxConfig, data_fingerprint: u64) -> u64 {
-    let mut f = Fingerprint::new();
-    f.push_str(Isax2Plus::KIND);
-    f.push_usize(config.sax.segments);
-    f.push_u64(config.sax.max_bits as u64);
-    f.push_usize(config.leaf_capacity);
-    f.push_usize(config.histogram_samples);
-    f.push_u64(config.seed);
-    f.push_u64(data_fingerprint);
-    f.finish()
 }
 
 impl PersistentIndex for Isax2Plus {
     type Config = IsaxConfig;
     const KIND: &'static str = "isax2+";
 
-    /// Snapshots the tree topology (iSAX words, children, leaf extents),
-    /// the leaf-order-to-dataset mapping and the δ-ε histogram. The raw
-    /// series are *not* stored: `load` re-attaches the leaf-ordered
-    /// [`SeriesStore`] from its `dataset` argument (resident or
-    /// file-backed). A tree grown by [`AnnIndex::insert_batch`] snapshots
-    /// byte-identically to a fresh build over the grown collection (see
-    /// [`Collection::snapshot_layout`]).
-    fn save(&self, path: &Path) -> hydra_persist::Result<()> {
-        let mut w = SnapshotWriter::new(
-            Self::KIND,
-            snapshot_fingerprint(&self.config, self.collection.fingerprint()),
-        );
-
-        let (extents, mapping) = self.collection.snapshot_layout(
-            (0..self.nodes.len()).map(|i| self.is_leaf(i).then_some(&self.nodes[i].leaf)),
-        );
-
-        let mut meta = Section::new();
-        meta.put_usize(self.series_len);
-        meta.put_usize(self.collection.len());
-        meta.put_usize(self.nodes.len());
-        w.push(meta);
-
-        let mut nodes = Section::new();
-        for (node, &(store_start, store_len)) in self.nodes.iter().zip(extents.iter()) {
-            nodes.put_u16s(&node.word.symbols);
-            nodes.put_u8s(&node.word.bits);
-            nodes.put_usizes(&node.children);
-            nodes.put_usize(store_start);
-            nodes.put_usize(store_len);
-        }
-        w.push(nodes);
-
-        let mut mapping_sec = Section::new();
-        mapping_sec.put_usizes(&mapping);
-        w.push(mapping_sec);
-
-        let mut hist = Section::new();
-        codec::put_histogram(&mut hist, &self.histogram);
-        w.push(hist);
-
-        w.write_to(path)
+    fn hash_config(config: &IsaxConfig, f: &mut Fingerprint) {
+        f.push_usize(config.sax.segments);
+        f.push_u64(config.sax.max_bits as u64);
+        f.push_usize(config.leaf_capacity);
+        f.push_usize(config.histogram_samples);
+        f.push_u64(config.seed);
     }
 
-    /// Loads without ever materializing a streamed dataset: shape and
-    /// fingerprint come from the source's header facts, and the raw series
-    /// re-attach straight from the validated snapshot file.
+    /// Snapshots the tree topology (iSAX words, children, leaf extents) in
+    /// the frame's layout ([`LeafTree::save`]). The raw series are *not*
+    /// stored: `load` re-attaches the leaf-ordered [`SeriesStore`] from its
+    /// `dataset` argument (resident or file-backed).
+    fn save(&self, path: &Path) -> hydra_persist::Result<()> {
+        self.frame.save::<Self>(path, &self.config, |node, sec, extent| {
+            sec.put_u16s(&node.word.symbols);
+            sec.put_u8s(&node.word.bits);
+            sec.put_usizes(&node.children);
+            extent.put(sec);
+        })
+    }
+
     fn load_from(
         path: &Path,
         source: DataSource<'_>,
         config: &IsaxConfig,
         backing: StoreBacking<'_>,
     ) -> hydra_persist::Result<Self> {
-        config
-            .sax
-            .validate()
-            .map_err(|e| PersistError::Corrupt(format!("cannot rebuild the iSAX2+ tree: {e}")))?;
         let max_bits = config.sax.max_bits;
-        let data_fingerprint = source.fingerprint();
-        let mut r = SnapshotReader::open(path)?;
-        r.expect_kind(Self::KIND)?;
-        r.expect_fingerprint(snapshot_fingerprint(config, data_fingerprint))?;
-
-        let mut meta = r.next_section()?;
-        let series_len = meta.get_usize()?;
-        let num_series = meta.get_usize()?;
-        let node_count = meta.get_usize()?;
-        if series_len != source.series_len() || num_series != source.len() {
-            return Err(PersistError::Corrupt(
-                "snapshot metadata disagrees with the dataset".into(),
-            ));
-        }
-
-        let mut sec = r.next_section()?;
-        let mut nodes = Vec::with_capacity(node_count);
-        let full_word_len = config.sax.segments.min(series_len);
-        for _ in 0..node_count {
+        let shape = config.frame();
+        let frame = LeafTree::load::<Self>(path, source, config, backing, shape, |sec, slot| {
             let symbols = sec.get_u16s()?;
             let bits = sec.get_u8s()?;
             // The virtual root has the empty word; every other word has
             // one in-range symbol per segment, which is what keeps its
             // cell ids inside the per-query table.
-            let word_len = if nodes.is_empty() { 0 } else { full_word_len };
+            let word_len = if slot.id == 0 {
+                0
+            } else {
+                config.sax.segments.min(slot.series_len)
+            };
             if symbols.len() != word_len
                 || bits.len() != word_len
                 || bits.iter().any(|b| !(1..=max_bits).contains(b))
@@ -570,53 +482,29 @@ impl PersistentIndex for Isax2Plus {
                     "iSAX word does not fit the SAX parameters".into(),
                 ));
             }
-            let children = sec.get_usizes()?;
-            nodes.push(Node {
+            Ok(Node {
                 word: IsaxWord { symbols, bits },
-                children,
-                leaf: Leaf::from_extent(sec.get_usize()?, sec.get_usize()?, num_series)?,
-            });
-        }
-        if nodes
-            .iter()
-            .any(|n| n.children.iter().any(|&c| c == 0 || c >= node_count))
-        {
-            return Err(PersistError::Corrupt("node child id out of range".into()));
-        }
+                children: sec.get_usizes()?,
+                leaf: slot.leaf(sec)?,
+            })
+        })?;
 
-        let mut sec = r.next_section()?;
-        let mapping = sec.get_usizes()?;
-
-        let mut sec = r.next_section()?;
-        let histogram = codec::get_histogram(&mut sec)?;
-
-        let collection = Collection::attach(
-            path,
-            source,
-            data_fingerprint,
-            Some(mapping),
-            config.storage,
-            backing,
-        )?;
-
-        let mut index = Self::without_nodes(*config, series_len, collection, histogram);
-        index.words = WordColumn::rebuild(&index.collection, config.sax);
+        let mut index = Self::around(*config, frame);
         let mut runs = Vec::new();
-        for (id, node) in nodes.iter().enumerate().skip(1) {
-            if !node.is_leaf() {
-                let region = index.region(&node.word);
+        for id in 1..index.frame.nodes.len() {
+            if !index.frame.is_leaf(id) {
+                let region = index.region(&index.frame.nodes[id].word);
                 index.envelopes.extend(region);
                 continue;
             }
             index.push_empty_envelope(index.word_len);
             runs.clear();
-            index.collection.leaf_ranges(&node.leaf, &mut runs);
+            index.frame.collection.leaf_ranges(&index.frame.nodes[id].leaf, &mut runs);
             let envelope = index.envelope_range(id);
             for row in runs.iter().flat_map(|&(start, count)| start..start + count) {
-                widen(&mut index.envelopes[envelope.clone()], index.words.row(row));
+                widen(&mut index.envelopes[envelope.clone()], index.frame.words.row(row));
             }
         }
-        index.nodes = nodes;
         Ok(index)
     }
 }
@@ -632,16 +520,16 @@ impl HierarchicalIndex for Isax2Plus {
     }
 
     fn is_leaf(&self, node: usize) -> bool {
-        node != 0 && self.nodes[node].is_leaf()
+        self.frame.is_leaf(node)
     }
 
     fn children(&self, node: usize) -> &[usize] {
-        &self.nodes[node].children
+        self.frame.children(node)
     }
 
     fn prepare(&self, query: &[f32]) -> Vec<[f32; 2]> {
-        let query_paa = self.words.query_paa(query);
-        let edges = self.words.breakpoints();
+        let query_paa = self.frame.words.query_paa(query);
+        let edges = self.frame.words.breakpoints();
         let mut table = Vec::with_capacity(query_paa.len() * (edges.len() + 1));
         for &q in &query_paa {
             // Symbol `s` spans `edges[s - 1] .. edges[s]`, open-ended at
@@ -672,7 +560,7 @@ impl HierarchicalIndex for Isax2Plus {
     }
 
     fn leaf_size(&self, node: usize) -> usize {
-        self.collection.leaf_len(&self.nodes[node].leaf)
+        self.frame.leaf_size(node)
     }
 
     fn refine_leaf(
@@ -684,10 +572,8 @@ impl HierarchicalIndex for Isax2Plus {
         stats: &mut QueryStats,
         accept: &mut dyn FnMut(usize, f32) -> f32,
     ) -> u64 {
-        let leaf = &self.nodes[node].leaf;
-        stats.lower_bound_computations += self.collection.leaf_len(leaf) as u64;
-        self.collection.refine_leaf(
-            leaf,
+        self.frame.refine_leaf(
+            node,
             query,
             best_so_far,
             stats,
@@ -717,15 +603,15 @@ impl AnnIndex for Isax2Plus {
     }
 
     fn num_series(&self) -> usize {
-        self.collection.len()
+        self.frame.collection.len()
     }
 
     fn series_len(&self) -> usize {
-        self.series_len
+        self.frame.collection.series_len()
     }
 
     fn memory_footprint(&self) -> usize {
-        self.nodes
+        self.frame.nodes
             .iter()
             .map(|n| {
                 std::mem::size_of::<Node>()
@@ -733,22 +619,19 @@ impl AnnIndex for Isax2Plus {
                     + n.children.len() * std::mem::size_of::<usize>()
             })
             .sum::<usize>()
-            + self.collection.mapping_bytes()
             + self.envelopes.len()
-            + self.words.heap_bytes()
+            + self.frame.heap_bytes()
     }
 
     fn store_counters(&self) -> Option<hydra_core::StoreCounters> {
-        Some(self.collection.counters())
+        Some(self.frame.collection.counters())
     }
 
     fn search(&self, query: &[f32], params: &SearchParams) -> Result<SearchResult> {
-        self.collection.check_lengths(&[query])?;
-        let spec = SearchSpec::from_params(params, Some(&self.histogram));
-        Ok(knn_search(self, query, &spec))
+        self.frame.search(self, query, params)
     }
 
-    /// Batched search: the batch's workers ([`Collection::answer_batch`])
+    /// Batched search: the batch's workers ([`LeafTree::search_batch`])
     /// answer the queries, each exactly as [`Self::search`] would, in query
     /// order. Nothing is shared across queries.
     fn search_batch(
@@ -756,7 +639,7 @@ impl AnnIndex for Isax2Plus {
         queries: &[&[f32]],
         params: &SearchParams,
     ) -> Vec<Result<SearchResult>> {
-        self.collection.answer_batch(queries, || (), |_, query| self.search(query, params))
+        self.frame.search_batch(self, queries, params)
     }
 
     /// Streaming ingest by continuing the build's insert sequence: each new
@@ -766,24 +649,15 @@ impl AnnIndex for Isax2Plus {
     /// to a fresh build over the full collection. The δ-ε histogram is
     /// re-sampled over the grown collection after the batch.
     fn insert_batch(&mut self, batch: &[&[f32]]) -> Result<()> {
-        self.collection.check_lengths(batch)?;
-        if batch.is_empty() {
+        if !self.frame.begin_ingest(batch)? {
             return Ok(());
         }
-        self.collection.activate_growth(leaves_mut(&mut self.nodes));
         for series in batch {
-            let id = self.collection.append(series)?;
-            let word = self.words.push(series);
+            let id = self.frame.collection.append(series)?;
+            let word = self.frame.words.push(series);
             self.insert_series(id, word);
         }
-        self.histogram = self.collection.pairwise_histogram(
-            self.config.histogram_samples,
-            256,
-            self.config.seed,
-        );
-        // A fresh build hands out a store with clean I/O counters; ingest
-        // restores the same post-build state.
-        self.collection.store().reset_io();
+        self.frame.end_ingest();
         Ok(())
     }
 }
@@ -791,7 +665,7 @@ impl AnnIndex for Isax2Plus {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use hydra_core::{euclidean, euclidean_early_abandon};
+    use hydra_core::{euclidean, euclidean_early_abandon, Error};
     use hydra_data::{exact_knn, noisy_queries, random_walk};
     use hydra_summarize::paa::paa;
     use hydra_summarize::sax::{mindist_paa_isax, normal_breakpoints, sax_word, MAX_CARD_BITS};
@@ -852,7 +726,7 @@ mod tests {
     #[test]
     fn all_series_land_in_exactly_one_leaf() {
         let (data, index) = build_small(600, 64);
-        let total: usize = (1..index.nodes.len())
+        let total: usize = (1..index.frame.nodes.len())
             .filter(|&i| index.is_leaf(i))
             .map(|i| index.leaf_size(i))
             .sum();
@@ -991,7 +865,7 @@ mod tests {
             grown.insert_batch(&tail[..43]).unwrap();
             grown.insert_batch(&tail[43..]).unwrap();
             assert_eq!(grown.num_series(), fresh.num_series());
-            assert_eq!(grown.nodes.len(), fresh.nodes.len());
+            assert_eq!(grown.frame.nodes.len(), fresh.frame.nodes.len());
             for qi in [0usize, 50, 200, 299] {
                 let q = data.series(qi);
                 for params in [
@@ -1059,7 +933,7 @@ mod tests {
             built.save(&path).unwrap();
             let loaded = Isax2Plus::load(&path, &data, &config).unwrap();
             std::fs::remove_file(&path).ok();
-            assert_eq!(grown.nodes.len(), built.nodes.len());
+            assert_eq!(grown.frame.nodes.len(), built.frame.nodes.len());
             assert_eq!(grown.envelopes, built.envelopes);
             assert_eq!(loaded.envelopes, built.envelopes);
 
@@ -1068,11 +942,11 @@ mod tests {
                 for q in queries.iter().chain([data.series(3)]) {
                     let prepared = index.prepare(q);
                     assert_eq!(index.min_dist(q, &prepared, 0), 0.0, "the virtual root");
-                    for node in 1..index.nodes.len() {
+                    for node in 1..index.frame.nodes.len() {
                         let want = mindist_paa_isax(
                             &paa(q, segments),
-                            &index.nodes[node].word,
-                            index.words.breakpoints(),
+                            &index.frame.nodes[node].word,
+                            index.frame.words.breakpoints(),
                             len,
                             max_bits,
                         );
@@ -1080,7 +954,7 @@ mod tests {
                         // mindist of the word, on every node; it is what
                         // bounds an internal node, and a leaf's envelope
                         // can only bound tighter.
-                        let region = index.region(&index.nodes[node].word);
+                        let region = index.region(&index.frame.nodes[node].word);
                         let (lows, highs) = region.split_at(index.word_len);
                         assert_eq!(
                             index.bound_squared(&prepared, lows, highs).sqrt().to_bits(),
@@ -1103,12 +977,13 @@ mod tests {
     /// the collection is in.
     fn members_by_row(index: &Isax2Plus) -> Vec<(usize, usize, usize)> {
         let mut out = Vec::new();
-        for node in (1..index.nodes.len()).filter(|&n| index.is_leaf(n)) {
-            let leaf = &index.nodes[node].leaf;
+        for node in (1..index.frame.nodes.len()).filter(|&n| index.is_leaf(n)) {
+            let leaf = &index.frame.nodes[node].leaf;
             let mut runs = Vec::new();
-            index.collection.leaf_ranges(leaf, &mut runs);
+            index.frame.collection.leaf_ranges(leaf, &mut runs);
             let mut rows = runs.iter().flat_map(|&(start, count)| start..start + count);
             index
+                .frame
                 .collection
                 .visit_leaf(leaf, &mut QueryStats::new(), &mut |id, _| {
                     out.push((node, rows.next().unwrap(), id));
@@ -1130,7 +1005,7 @@ mod tests {
                 let walks = random_walk(3, len, seed + 2);
                 for q in noisy.iter().chain(walks.iter()) {
                     let table = index.prepare(q);
-                    let mut closest_member = vec![f32::INFINITY; index.nodes.len()];
+                    let mut closest_member = vec![f32::INFINITY; index.frame.nodes.len()];
                     for &(node, row, id) in &members {
                         let bound = index.member_bound_squared(&table, row).sqrt();
                         let distance = euclidean(q, data.series(id));
@@ -1141,7 +1016,7 @@ mod tests {
                         );
                         closest_member[node] = closest_member[node].min(bound);
                     }
-                    for node in (1..index.nodes.len()).filter(|&n| index.is_leaf(n)) {
+                    for node in (1..index.frame.nodes.len()).filter(|&n| index.is_leaf(n)) {
                         assert!(index.min_dist(q, &table, node) <= closest_member[node]);
                     }
                 }
@@ -1228,8 +1103,8 @@ mod tests {
             let regrown = Isax2Plus::load(&path, &data, &config).unwrap();
             std::fs::remove_file(&path).ok();
 
-            assert_eq!(loaded.words, built.words);
-            assert_eq!(regrown.words, built.words);
+            assert_eq!(loaded.frame.words, built.frame.words);
+            assert_eq!(regrown.frame.words, built.frame.words);
             for index in [&loaded, &grown, &regrown] {
                 assert_eq!(index.envelopes, built.envelopes);
             }
@@ -1238,14 +1113,14 @@ mod tests {
             let words_by_id = |index: &Isax2Plus| {
                 let mut by_id = vec![Vec::new(); data.len()];
                 for (_, row, id) in members_by_row(index) {
-                    by_id[id] = index.words.row(row).to_vec();
+                    by_id[id] = index.frame.words.row(row).to_vec();
                 }
                 by_id
             };
             let want = words_by_id(&built);
             assert_eq!(words_by_id(&grown), want);
             for (id, word) in want.iter().enumerate() {
-                let full = sax_word(data.series(id), &config.sax, built.words.breakpoints());
+                let full = sax_word(data.series(id), &config.sax, built.frame.words.breakpoints());
                 assert!(word
                     .iter()
                     .zip(&full.symbols)
@@ -1257,7 +1132,7 @@ mod tests {
             // holds.
             assert!(
                 built.memory_footprint()
-                    >= (data.len() + 2 * (built.nodes.len() - 1)) * built.word_len
+                    >= (data.len() + 2 * (built.frame.nodes.len() - 1)) * built.word_len
             );
             assert_eq!(loaded.memory_footprint(), built.memory_footprint());
             assert_eq!(

@@ -8,8 +8,7 @@ use hydra_core::{
     SearchMode, SearchParams, SearchResult, TopK,
 };
 use hydra_persist::{
-    fingerprint_dataset, DataSource, Fingerprint, PersistError, PersistentIndex, Section,
-    SnapshotReader, SnapshotWriter, StoreBacking,
+    fingerprint_dataset, DataSource, Fingerprint, PersistError, PersistentIndex, Section, StoreBacking,
 };
 use hydra_summarize::GaussianProjection;
 
@@ -237,34 +236,25 @@ impl Qalsh {
     }
 }
 
-/// Everything that shapes a QALSH build, hashed together with the dataset
-/// content (see [`PersistentIndex`]).
-fn snapshot_fingerprint(config: &QalshConfig, data_fingerprint: u64) -> u64 {
-    let mut f = Fingerprint::new();
-    f.push_str(Qalsh::KIND);
-    f.push_usize(config.num_hashes);
-    f.push_f32(config.bucket_width);
-    f.push_usize(config.collision_threshold);
-    f.push_f32(config.approximation_ratio);
-    f.push_f64(config.max_refined_fraction);
-    f.push_u64(config.seed);
-    f.push_u64(data_fingerprint);
-    f.finish()
-}
-
 impl PersistentIndex for Qalsh {
     type Config = QalshConfig;
     const KIND: &'static str = "qalsh";
+
+    fn hash_config(config: &QalshConfig, f: &mut Fingerprint) {
+        f.push_usize(config.num_hashes);
+        f.push_f32(config.bucket_width);
+        f.push_usize(config.collision_threshold);
+        f.push_f32(config.approximation_ratio);
+        f.push_f64(config.max_refined_fraction);
+        f.push_u64(config.seed);
+    }
 
     /// Snapshots the sorted hash tables (the "B+-trees" of the original
     /// implementation, one per hash function). The projection matrix is
     /// deterministic in the seed and the raw vectors are re-attached from
     /// the dataset, so neither is stored.
     fn save(&self, path: &Path) -> hydra_persist::Result<()> {
-        let mut w = SnapshotWriter::new(
-            Self::KIND,
-            snapshot_fingerprint(&self.config, fingerprint_dataset(&self.data)),
-        );
+        let mut w = Self::snapshot_writer(&self.config, fingerprint_dataset(&self.data));
 
         let mut meta = Section::new();
         meta.put_usize(self.data.series_len());
@@ -292,9 +282,7 @@ impl PersistentIndex for Qalsh {
         _backing: StoreBacking<'_>,
     ) -> hydra_persist::Result<Self> {
         let dataset = &*source.materialized()?;
-        let mut r = SnapshotReader::open(path)?;
-        r.expect_kind(Self::KIND)?;
-        r.expect_fingerprint(snapshot_fingerprint(config, fingerprint_dataset(dataset)))?;
+        let mut r = Self::open_snapshot(path, config, fingerprint_dataset(dataset))?;
 
         let mut meta = r.next_section()?;
         let series_len = meta.get_usize()?;

@@ -7,8 +7,7 @@ use hydra_core::{
     SearchMode, SearchParams, SearchResult, TopK,
 };
 use hydra_persist::{
-    Collection, DataSource, Fingerprint, PersistError, PersistentIndex, Section, SnapshotReader,
-    SnapshotWriter, StoreBacking,
+    Collection, DataSource, Fingerprint, PersistError, PersistentIndex, Section, StoreBacking,
 };
 use hydra_storage::{SeriesStore, StorageConfig};
 use hydra_summarize::GaussianProjection;
@@ -193,24 +192,15 @@ impl Srs {
     }
 }
 
-/// Everything that shapes an SRS build, hashed together with the dataset
-/// content (see [`PersistentIndex`]). The storage configuration is
-/// deliberately **not** hashed — it shapes only I/O economics, never the
-/// projected table or its answers, so a snapshot may be served with any
-/// pool (`--pool-pages`) and either backing.
-fn snapshot_fingerprint(config: &SrsConfig, data_fingerprint: u64) -> u64 {
-    let mut f = Fingerprint::new();
-    f.push_str(Srs::KIND);
-    f.push_usize(config.projected_dims);
-    f.push_f64(config.max_examined_fraction);
-    f.push_u64(config.seed);
-    f.push_u64(data_fingerprint);
-    f.finish()
-}
-
 impl PersistentIndex for Srs {
     type Config = SrsConfig;
     const KIND: &'static str = "srs";
+
+    fn hash_config(config: &SrsConfig, f: &mut Fingerprint) {
+        f.push_usize(config.projected_dims);
+        f.push_f64(config.max_examined_fraction);
+        f.push_u64(config.seed);
+    }
 
     /// Snapshots the projected table — SRS's "tiny index", whose
     /// construction is the one full pass over the raw data the method ever
@@ -218,10 +208,7 @@ impl PersistentIndex for Srs {
     /// and is re-sampled at load time; the raw series store is re-created
     /// from the dataset.
     fn save(&self, path: &Path) -> hydra_persist::Result<()> {
-        let mut w = SnapshotWriter::new(
-            Self::KIND,
-            snapshot_fingerprint(&self.config, self.collection.fingerprint()),
-        );
+        let mut w = Self::snapshot_writer(&self.config, self.collection.fingerprint());
 
         let mut meta = Section::new();
         meta.put_usize(self.collection.series_len());
@@ -246,9 +233,7 @@ impl PersistentIndex for Srs {
         backing: StoreBacking<'_>,
     ) -> hydra_persist::Result<Self> {
         let data_fingerprint = source.fingerprint();
-        let mut r = SnapshotReader::open(path)?;
-        r.expect_kind(Self::KIND)?;
-        r.expect_fingerprint(snapshot_fingerprint(config, data_fingerprint))?;
+        let mut r = Self::open_snapshot(path, config, data_fingerprint)?;
 
         let mut meta = r.next_section()?;
         let series_len = meta.get_usize()?;

@@ -157,7 +157,7 @@ impl Leaf {
     ///
     /// # Errors
     /// [`PersistError::Corrupt`] if the extent exceeds the store.
-    pub fn from_extent(start: usize, len: usize, num_series: usize) -> Result<Self> {
+    pub(crate) fn from_extent(start: usize, len: usize, num_series: usize) -> Result<Self> {
         if start.checked_add(len).is_none_or(|end| end > num_series) {
             return Err(PersistError::Corrupt(
                 "leaf extent exceeds the series store".into(),
@@ -195,6 +195,9 @@ pub struct Collection {
     /// Whether series were appended after the build/load.
     grown: bool,
 }
+
+/// Bins of the δ-ε histogram of every index kept over a collection.
+pub const HISTOGRAM_BINS: usize = 256;
 
 /// The bug a leaf-order call on a dataset-order collection is.
 const NOT_LEAF_ORDERED: &str = "leaf access needs a leaf-ordered collection";
@@ -239,7 +242,7 @@ impl Collection {
     ///
     /// # Errors
     /// [`Error::DimensionMismatch`] if `dataset` has another series length.
-    pub fn materialize<'a>(
+    pub(crate) fn materialize<'a>(
         &mut self,
         dataset: &Dataset,
         leaves: impl Iterator<Item = &'a mut Leaf>,
@@ -351,7 +354,7 @@ impl Collection {
     /// membership of `leaves` from their extents (a loaded tree carries
     /// none — a freshly built one still does) and builds the store-row
     /// inverse mapping. Idempotent.
-    pub fn activate_growth<'a>(&mut self, leaves: impl Iterator<Item = &'a mut Leaf>) {
+    pub(crate) fn activate_growth<'a>(&mut self, leaves: impl Iterator<Item = &'a mut Leaf>) {
         if self.grown {
             return;
         }
@@ -409,7 +412,7 @@ impl Collection {
     /// canonical leaf order a fresh build would have materialized — node
     /// creation order is identical for the same insert sequence, so the
     /// snapshot bytes are identical too.
-    pub fn snapshot_layout<'a>(
+    pub(crate) fn snapshot_layout<'a>(
         &self,
         nodes: impl Iterator<Item = Option<&'a Leaf>>,
     ) -> (Vec<(usize, usize)>, Cow<'_, [usize]>) {
@@ -599,13 +602,24 @@ impl Collection {
     /// only on `(len, samples, seed)`, so after an ingest this is
     /// bit-identical to [`DistanceHistogram::from_dataset`] of a fresh
     /// build over the grown collection.
-    pub fn pairwise_histogram(&self, samples: usize, bins: usize, seed: u64) -> DistanceHistogram {
+    fn pairwise_histogram(&self, samples: usize, bins: usize, seed: u64) -> DistanceHistogram {
         let (mut a, mut b) = (Vec::new(), Vec::new());
         DistanceHistogram::from_pairwise(self.len(), samples, bins, seed, |i, j| {
             self.read_by_id(i, &mut a);
             self.read_by_id(j, &mut b);
             hydra_core::euclidean(&a, &b)
         })
+    }
+
+    /// Ends an ingest batch of an index answering δ-ε queries: returns its
+    /// [`HISTOGRAM_BINS`]-bin histogram re-sampled over the grown
+    /// collection ([`Collection::pairwise_histogram`]) and resets the
+    /// store's I/O counters — a fresh build hands out a store with clean
+    /// counters, and ingest restores the same post-build state.
+    pub fn finish_growth(&self, samples: usize, seed: u64) -> DistanceHistogram {
+        let histogram = self.pairwise_histogram(samples, HISTOGRAM_BINS, seed);
+        self.store.reset_io();
+        histogram
     }
 
     /// Runs `body` over every query of a batch and returns the results in

@@ -74,6 +74,7 @@ pub mod journal;
 pub mod registry;
 pub mod snapshot;
 pub mod stream;
+pub mod tree;
 pub mod words;
 
 use std::path::Path;
@@ -91,6 +92,7 @@ pub use snapshot::{
     FORMAT_VERSION, MAGIC,
 };
 pub use stream::{open_dataset_streaming, DataSource, DatasetHandle, STREAM_CHUNK_BYTES};
+pub use tree::{Extent, LeafTree, LeafTreeConfig, NodeSlot, TreeNode};
 pub use words::WordColumn;
 
 /// How a loaded index should re-attach its raw series — the out-of-core
@@ -134,7 +136,10 @@ pub enum StoreBacking<'a> {
 ///   dataset content; `load` recomputes it from its `config` and `dataset`
 ///   arguments and fails with [`PersistError::FingerprintMismatch`] if the
 ///   snapshot was built differently — a snapshot can never silently stand
-///   in for an index it is not.
+///   in for an index it is not. The fingerprint is written once, for every
+///   index: [`Self::KIND`], then [`Self::hash_config`], then the data
+///   fingerprint. An index saves through [`Self::snapshot_writer`] and
+///   loads through [`Self::open_snapshot`], which check both.
 /// * Snapshots store derived structure only. Raw series are re-attached
 ///   from the `dataset` argument at load time (disk-backed indexes rebuild
 ///   their [`hydra_storage::SeriesStore`] layout from it, in-memory ones
@@ -156,6 +161,36 @@ pub trait PersistentIndex: Sized {
     /// The kind tag written into (and required of) snapshot headers,
     /// e.g. `"isax2+"`.
     const KIND: &'static str;
+
+    /// Hashes everything of `config` that shapes a build into `f`, in a
+    /// fixed order. A storage configuration is deliberately **not**
+    /// hashed: page size, pool capacity, codec and backing shape only I/O
+    /// economics, never the index or its answers, so a snapshot may be
+    /// served with any pool (`--pool-pages`) and either backing.
+    fn hash_config(config: &Self::Config, f: &mut Fingerprint);
+
+    /// A writer for a snapshot of this kind, built under `config` over data
+    /// whose content fingerprint is `data_fingerprint`.
+    fn snapshot_writer(config: &Self::Config, data_fingerprint: u64) -> SnapshotWriter {
+        SnapshotWriter::new(Self::KIND, snapshot_fingerprint::<Self>(config, data_fingerprint))
+    }
+
+    /// Opens the snapshot at `path`, requiring this kind and the
+    /// fingerprint of `config` over data fingerprinted `data_fingerprint`.
+    ///
+    /// # Errors
+    /// [`SnapshotReader::open`]'s, [`PersistError::KindMismatch`] and
+    /// [`PersistError::FingerprintMismatch`].
+    fn open_snapshot(
+        path: &Path,
+        config: &Self::Config,
+        data_fingerprint: u64,
+    ) -> Result<SnapshotReader> {
+        let reader = SnapshotReader::open(path)?;
+        reader.expect_kind(Self::KIND)?;
+        reader.expect_fingerprint(snapshot_fingerprint::<Self>(config, data_fingerprint))?;
+        Ok(reader)
+    }
 
     /// Writes the index to `path`, creating parent directories as needed.
     ///
@@ -209,4 +244,13 @@ pub trait PersistentIndex: Sized {
     ) -> Result<Self> {
         Self::load_from(path, dataset.into(), config, backing)
     }
+}
+
+/// The fingerprint a snapshot of `I` records (see [`PersistentIndex`]).
+fn snapshot_fingerprint<I: PersistentIndex>(config: &I::Config, data_fingerprint: u64) -> u64 {
+    let mut f = Fingerprint::new();
+    f.push_str(I::KIND);
+    I::hash_config(config, &mut f);
+    f.push_u64(data_fingerprint);
+    f.finish()
 }

@@ -7,8 +7,7 @@ use hydra_core::{
     Representation, Result, SearchMode, SearchParams, SearchResult, TopK,
 };
 use hydra_persist::{
-    codec, Collection, DataSource, Fingerprint, PersistError, PersistentIndex, Section,
-    SnapshotReader, SnapshotWriter, StoreBacking,
+    codec, Collection, DataSource, Fingerprint, PersistError, PersistentIndex, Section, StoreBacking,
 };
 use hydra_storage::{SeriesStore, StorageConfig};
 use hydra_summarize::quantization::ScalarQuantizer;
@@ -89,9 +88,9 @@ impl VaPlusFile {
         })
     }
 
-    /// Re-derives everything a fresh build computes — DFT summaries, the
-    /// equi-depth quantizer, the whole approximation file and the δ-ε
-    /// histogram — from an unaccounted scan of the (grown) store. Eager
+    /// Re-derives what a fresh build computes of the summaries — the DFT
+    /// summaries, the equi-depth quantizer and the whole approximation file
+    /// — from an unaccounted scan of the (grown) store. Eager
     /// re-quantization is what makes streaming ingest *equivalent* to a
     /// fresh build: both paths train the quantizer over exactly the same
     /// summaries in the same order, so every derived byte matches.
@@ -104,11 +103,6 @@ impl VaPlusFile {
         let refs: Vec<&[f32]> = summaries.iter().map(|v| v.as_slice()).collect();
         self.quantizer = ScalarQuantizer::train(&refs, self.config.bits_per_dim);
         self.approximations = summaries.iter().map(|s| self.quantizer.encode(s)).collect();
-        self.histogram = self.collection.pairwise_histogram(
-            self.config.histogram_samples,
-            256,
-            self.config.seed,
-        );
     }
 
     /// The configuration the index was built with.
@@ -204,25 +198,16 @@ impl VaPlusFile {
     }
 }
 
-/// Everything that shapes a VA+file build, hashed together with the dataset
-/// content (see [`PersistentIndex`]). The storage configuration is
-/// deliberately **not** hashed — it shapes only I/O economics, never the
-/// quantizer or its answers, so a snapshot may be served with any pool
-/// (`--pool-pages`) and either backing.
-fn snapshot_fingerprint(config: &VaPlusFileConfig, data_fingerprint: u64) -> u64 {
-    let mut f = Fingerprint::new();
-    f.push_str(VaPlusFile::KIND);
-    f.push_usize(config.dft_coefficients);
-    f.push_u64(config.bits_per_dim as u64);
-    f.push_usize(config.histogram_samples);
-    f.push_u64(config.seed);
-    f.push_u64(data_fingerprint);
-    f.finish()
-}
-
 impl PersistentIndex for VaPlusFile {
     type Config = VaPlusFileConfig;
     const KIND: &'static str = "va+file";
+
+    fn hash_config(config: &VaPlusFileConfig, f: &mut Fingerprint) {
+        f.push_usize(config.dft_coefficients);
+        f.push_u64(config.bits_per_dim as u64);
+        f.push_usize(config.histogram_samples);
+        f.push_u64(config.seed);
+    }
 
     /// Snapshots the trained equi-depth quantizer, the whole approximation
     /// file and the δ-ε histogram. The DFT summarizer is stateless (it is
@@ -230,10 +215,7 @@ impl PersistentIndex for VaPlusFile {
     /// re-attached from the dataset at load time (resident, or file-backed
     /// straight onto the dataset snapshot), so neither is stored.
     fn save(&self, path: &Path) -> hydra_persist::Result<()> {
-        let mut w = SnapshotWriter::new(
-            Self::KIND,
-            snapshot_fingerprint(&self.config, self.collection.fingerprint()),
-        );
+        let mut w = Self::snapshot_writer(&self.config, self.collection.fingerprint());
 
         let mut meta = Section::new();
         meta.put_usize(self.collection.series_len());
@@ -269,9 +251,7 @@ impl PersistentIndex for VaPlusFile {
         backing: StoreBacking<'_>,
     ) -> hydra_persist::Result<Self> {
         let data_fingerprint = source.fingerprint();
-        let mut r = SnapshotReader::open(path)?;
-        r.expect_kind(Self::KIND)?;
-        r.expect_fingerprint(snapshot_fingerprint(config, data_fingerprint))?;
+        let mut r = Self::open_snapshot(path, config, data_fingerprint)?;
 
         let mut meta = r.next_section()?;
         let series_len = meta.get_usize()?;
@@ -381,9 +361,9 @@ impl AnnIndex for VaPlusFile {
             self.collection.append(series)?;
         }
         self.requantize_all();
-        // A fresh build hands out a store with clean I/O counters; ingest
-        // restores the same post-build state.
-        self.collection.store().reset_io();
+        self.histogram = self
+            .collection
+            .finish_growth(self.config.histogram_samples, self.config.seed);
         Ok(())
     }
 
