@@ -2,9 +2,10 @@
 
 use std::path::Path;
 
+use hydra_core::search::SearchSpec;
 use hydra_core::{
-    AnnIndex, Capabilities, Dataset, DistanceHistogram, HierarchicalIndex, QueryStats,
-    Representation, Result, SearchParams, SearchResult,
+    knn_search, AnnIndex, Capabilities, Dataset, DistanceHistogram, HierarchicalIndex,
+    QueryStats, Representation, Result, SearchParams, SearchResult,
 };
 use hydra_persist::{
     DataSource, Fingerprint, Leaf, LeafTree, LeafTreeConfig, PersistError, PersistentIndex,
@@ -150,14 +151,9 @@ impl TreeNode for Node {
 /// reads them by id: the same function over the same slice as computing
 /// them per node, so every bound is bit-identical.
 ///
-/// The leaves, their raw series, the kept words and the δ-ε histogram live
-/// in a [`LeafTree`] frame — the one iSAX2+ keeps the same way, which also
-/// writes the snapshot and runs the ingest protocol — so this type holds
-/// only the DSTree's own: the EAPCA nodes, their split rules and the
-/// segment memo.
-///
-/// Each series' SAX word (16 segments at cardinality 256, whatever the
-/// configuration) is kept in the frame's store-row-ordered
+/// Nodes, raw series, kept words and histogram live in a [`LeafTree`]
+/// frame, as iSAX2+'s do. Each series' SAX word (16 segments at cardinality
+/// 256, whatever the configuration) is kept in the frame's store-row-ordered
 /// [`hydra_persist::WordColumn`], and [`HierarchicalIndex::refine_leaf`]
 /// hands the store a *gate*: a member whose word bounds it strictly beyond
 /// the live best-so-far is skipped before its raw series is read. It is one
@@ -491,7 +487,7 @@ impl PersistentIndex for DsTree {
     /// ([`LeafTree::save`]); the raw series are re-attached from the
     /// dataset at load time (resident or file-backed).
     fn save(&self, path: &Path) -> hydra_persist::Result<()> {
-        self.frame.save::<Self>(path, &self.config, |node, sec, extent| {
+        self.frame.save::<Self>(path, &self.config, |node, sec, (start, len)| {
             sec.put_usize(node.segments.len());
             for seg in &node.segments {
                 sec.put_usize(seg.start);
@@ -516,7 +512,8 @@ impl PersistentIndex for DsTree {
                     sec.put_f32(rule.threshold);
                 }
             }
-            extent.put(sec);
+            sec.put_usize(start);
+            sec.put_usize(len);
             sec.put_usize(node.size);
         })
     }
@@ -696,7 +693,8 @@ impl AnnIndex for DsTree {
             })
             .sum::<usize>()
             + self.segments.len() * std::mem::size_of::<Segment>()
-            + self.frame.heap_bytes()
+            + self.frame.collection.mapping_bytes()
+            + self.frame.words.heap_bytes()
     }
 
     fn store_counters(&self) -> Option<hydra_core::StoreCounters> {
@@ -704,18 +702,23 @@ impl AnnIndex for DsTree {
     }
 
     fn search(&self, query: &[f32], params: &SearchParams) -> Result<SearchResult> {
-        self.frame.search(self, query, params)
+        self.frame.collection.check_lengths(&[query])?;
+        let spec = SearchSpec::from_params(params, Some(&self.frame.histogram));
+        Ok(knn_search(self, query, &spec))
     }
 
-    /// Batched search: the batch's workers ([`LeafTree::search_batch`])
+    /// Batched search: the batch's workers ([`Collection::answer_batch`])
     /// answer the queries, each exactly as [`Self::search`] would, in query
     /// order. Nothing is shared across queries.
+    ///
+    /// [`Collection::answer_batch`]: hydra_persist::Collection::answer_batch
     fn search_batch(
         &self,
         queries: &[&[f32]],
         params: &SearchParams,
     ) -> Vec<Result<SearchResult>> {
-        self.frame.search_batch(self, queries, params)
+        let answer = |_: &mut (), query: &[f32]| self.search(query, params);
+        self.frame.collection.answer_batch(queries, || (), answer)
     }
 
     /// Streaming ingest by continuing the build's insert sequence: each new

@@ -3,9 +3,10 @@
 use std::collections::HashMap;
 use std::path::Path;
 
+use hydra_core::search::SearchSpec;
 use hydra_core::{
-    AnnIndex, Capabilities, Dataset, DistanceHistogram, HierarchicalIndex, QueryStats,
-    Representation, Result, SearchParams, SearchResult,
+    knn_search, AnnIndex, Capabilities, Dataset, DistanceHistogram, HierarchicalIndex,
+    QueryStats, Representation, Result, SearchParams, SearchResult,
 };
 use hydra_persist::{
     DataSource, Fingerprint, Leaf, LeafTree, LeafTreeConfig, PersistError, PersistentIndex,
@@ -109,9 +110,8 @@ impl TreeNode for Node {
 ///
 /// The full-cardinality word the insert path computes for every series is
 /// kept too, in the store-row-ordered [`hydra_persist::WordColumn`] of the
-/// [`LeafTree`] frame — the one DSTree keeps the same way, which also holds
-/// the leaves, their raw series and the δ-ε histogram, writes the snapshot
-/// and runs the ingest protocol. A series is the envelope `[s, s]`, so
+/// [`LeafTree`] frame that holds the nodes, raw series and histogram, as
+/// DSTree's does. A series is the envelope `[s, s]`, so
 /// [`HierarchicalIndex::refine_leaf`] bounds each member of a popped leaf
 /// from the same table and hands the store a *gate*: a member whose bound
 /// strictly exceeds the live best-so-far is skipped before its raw series
@@ -446,11 +446,12 @@ impl PersistentIndex for Isax2Plus {
     /// stored: `load` re-attaches the leaf-ordered [`SeriesStore`] from its
     /// `dataset` argument (resident or file-backed).
     fn save(&self, path: &Path) -> hydra_persist::Result<()> {
-        self.frame.save::<Self>(path, &self.config, |node, sec, extent| {
+        self.frame.save::<Self>(path, &self.config, |node, sec, (start, len)| {
             sec.put_u16s(&node.word.symbols);
             sec.put_u8s(&node.word.bits);
             sec.put_usizes(&node.children);
-            extent.put(sec);
+            sec.put_usize(start);
+            sec.put_usize(len);
         })
     }
 
@@ -619,8 +620,9 @@ impl AnnIndex for Isax2Plus {
                     + n.children.len() * std::mem::size_of::<usize>()
             })
             .sum::<usize>()
+            + self.frame.collection.mapping_bytes()
             + self.envelopes.len()
-            + self.frame.heap_bytes()
+            + self.frame.words.heap_bytes()
     }
 
     fn store_counters(&self) -> Option<hydra_core::StoreCounters> {
@@ -628,18 +630,23 @@ impl AnnIndex for Isax2Plus {
     }
 
     fn search(&self, query: &[f32], params: &SearchParams) -> Result<SearchResult> {
-        self.frame.search(self, query, params)
+        self.frame.collection.check_lengths(&[query])?;
+        let spec = SearchSpec::from_params(params, Some(&self.frame.histogram));
+        Ok(knn_search(self, query, &spec))
     }
 
-    /// Batched search: the batch's workers ([`LeafTree::search_batch`])
+    /// Batched search: the batch's workers ([`Collection::answer_batch`])
     /// answer the queries, each exactly as [`Self::search`] would, in query
     /// order. Nothing is shared across queries.
+    ///
+    /// [`Collection::answer_batch`]: hydra_persist::Collection::answer_batch
     fn search_batch(
         &self,
         queries: &[&[f32]],
         params: &SearchParams,
     ) -> Vec<Result<SearchResult>> {
-        self.frame.search_batch(self, queries, params)
+        let answer = |_: &mut (), query: &[f32]| self.search(query, params);
+        self.frame.collection.answer_batch(queries, || (), answer)
     }
 
     /// Streaming ingest by continuing the build's insert sequence: each new

@@ -28,7 +28,7 @@
 use std::borrow::Cow;
 use std::path::Path;
 
-use hydra_core::{Dataset, DistanceHistogram, Error, HierarchicalIndex, QueryStats, StoreCounters};
+use hydra_core::{Dataset, DistanceHistogram, Error, QueryStats, StoreCounters};
 use hydra_storage::{FileSpan, PageCodec, SeriesStore, StorageConfig};
 
 use crate::dataset::{
@@ -558,22 +558,6 @@ impl Collection {
         &self.permutation().to_dataset
     }
 
-    /// `tree` with every member of a refined leaf read and compared — no
-    /// gate — through [`Collection::visit_leaf`], `leaf_of` naming the
-    /// [`Leaf`] of a leaf node: the reference a tree gating its members on
-    /// per-series summaries is held to.
-    pub fn ungated<'a, T: HierarchicalIndex>(
-        &'a self,
-        tree: &'a T,
-        leaf_of: impl Fn(usize) -> &'a Leaf + 'a,
-    ) -> Ungated<'a, T> {
-        Ungated {
-            tree,
-            collection: self,
-            leaf_of: Box::new(leaf_of),
-        }
-    }
-
     /// The content fingerprint ([`fingerprint_dataset`]) of the collection
     /// as currently held: the build/load-time cache while pristine, or an
     /// unaccounted dataset-order rescan of the store once grown.
@@ -724,65 +708,6 @@ fn answer_on_workers<R: Send, S>(
         answered.sort_unstable_by_key(|&(i, _)| i);
         answered.into_iter().map(|(_, result)| result).collect()
     })
-}
-
-/// A tree whose leaves are refined without its member gate (see
-/// [`Collection::ungated`]): every other call is the tree's own, so a
-/// search over it visits the same leaves in the same order and differs only
-/// in the series it reads.
-pub struct Ungated<'a, T> {
-    tree: &'a T,
-    collection: &'a Collection,
-    leaf_of: Box<dyn Fn(usize) -> &'a Leaf + 'a>,
-}
-
-impl<T: HierarchicalIndex> HierarchicalIndex for Ungated<'_, T> {
-    type Prepared = T::Prepared;
-
-    fn roots(&self) -> &[usize] {
-        self.tree.roots()
-    }
-
-    fn is_leaf(&self, node: usize) -> bool {
-        self.tree.is_leaf(node)
-    }
-
-    fn children(&self, node: usize) -> &[usize] {
-        self.tree.children(node)
-    }
-
-    fn prepare(&self, query: &[f32]) -> T::Prepared {
-        self.tree.prepare(query)
-    }
-
-    fn min_dist(&self, query: &[f32], prepared: &T::Prepared, node: usize) -> f32 {
-        self.tree.min_dist(query, prepared, node)
-    }
-
-    fn leaf_size(&self, node: usize) -> usize {
-        self.tree.leaf_size(node)
-    }
-
-    fn refine_leaf(
-        &self,
-        node: usize,
-        query: &[f32],
-        _prepared: &T::Prepared,
-        best_so_far: f32,
-        stats: &mut QueryStats,
-        accept: &mut dyn FnMut(usize, f32) -> f32,
-    ) -> u64 {
-        let mut bound = best_so_far;
-        let mut compared = 0;
-        self.collection
-            .visit_leaf((self.leaf_of)(node), stats, &mut |id, series| {
-                compared += 1;
-                if let Some(d) = hydra_core::euclidean_early_abandon(query, series, bound) {
-                    bound = accept(id, d);
-                }
-            });
-        compared
-    }
 }
 
 #[cfg(test)]

@@ -81,7 +81,7 @@ use std::path::Path;
 
 use hydra_core::Dataset;
 
-pub use backing::{Collection, Leaf, Ungated};
+pub use backing::{Collection, Leaf};
 pub use error::{PersistError, Result};
 pub use fingerprint::{fingerprint_dataset, Fingerprint, SeriesFingerprinter};
 pub use dataset::FlatSpan;
@@ -92,7 +92,7 @@ pub use snapshot::{
     FORMAT_VERSION, MAGIC,
 };
 pub use stream::{open_dataset_streaming, DataSource, DatasetHandle, STREAM_CHUNK_BYTES};
-pub use tree::{Extent, LeafTree, LeafTreeConfig, NodeSlot, TreeNode};
+pub use tree::{LeafTree, LeafTreeConfig, NodeSlot, TreeNode, Ungated};
 pub use words::WordColumn;
 
 /// How a loaded index should re-attach its raw series — the out-of-core

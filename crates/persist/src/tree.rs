@@ -1,35 +1,21 @@
 //! The leaf-ordered tree frame: what DSTree and iSAX2+ share.
 //!
-//! Both trees win on disk through one idea: each leaf's series sit
-//! contiguously in a [`Collection`] and are read in bound order, each member
-//! gated on its kept word ([`WordColumn`]). [`LeafTree`] owns that idea and
-//! its snapshot format, so a tree keeps only what is its own: its node type
-//! (behind the small [`TreeNode`] trait), its query preparation and node
-//! bounds, its routing and splitting, and the gate it hands
-//! [`LeafTree::refine_leaf`].
-//!
-//! The frame is the one writer of the leaf-ordered snapshot layout:
-//!
-//! | Section | Contents |
-//! |---|---|
-//! | meta | series length, series count, node count |
-//! | nodes | per node, in id order: the tree's own encoding, which places the leaf [`Extent`] the frame hands it |
-//! | mapping | the dataset id of every store row, in leaf order |
-//! | histogram | the δ-ε distance histogram |
-//!
-//! and of the growth protocol: [`LeafTree::begin_ingest`] before a batch's
-//! inserts, [`LeafTree::end_ingest`] after them.
+//! [`LeafTree`] holds a tree's nodes (behind the small [`TreeNode`] trait),
+//! its leaf-ordered [`Collection`], its kept [`WordColumn`] and its δ-ε
+//! histogram. It is the one writer of the leaf-ordered snapshot — sections
+//! meta (series length, series count, node count), nodes (each encoded by
+//! the tree, which places the leaf extent it is handed), mapping and
+//! histogram — and of the growth protocol around an ingest batch. A tree
+//! keeps its node type, query preparation, node bounds, routing, splitting
+//! and member gate.
 
 use std::path::Path;
 
-use hydra_core::search::{knn_search, SearchSpec};
-use hydra_core::{
-    Dataset, DistanceHistogram, Error, HierarchicalIndex, QueryStats, SearchParams, SearchResult,
-};
+use hydra_core::{Dataset, DistanceHistogram, Error, HierarchicalIndex, QueryStats};
 use hydra_storage::StorageConfig;
 use hydra_summarize::sax::SaxParams;
 
-use crate::backing::{Collection, Leaf, Ungated, HISTOGRAM_BINS};
+use crate::backing::{Collection, Leaf, HISTOGRAM_BINS};
 use crate::codec;
 use crate::error::{PersistError, Result};
 use crate::snapshot::{Section, SectionReader};
@@ -42,14 +28,11 @@ pub trait TreeNode {
     /// Whether node 0 is a virtual root: never a leaf, whatever its
     /// children.
     const VIRTUAL_ROOT: bool = false;
-
     /// The node's children, by id (empty for a leaf).
     fn children(&self) -> &[usize];
-
     /// The node's series; empty once it has split.
     fn leaf(&self) -> &Leaf;
-
-    /// The node's series, to fill while building and ingesting.
+    /// The node's series, filled while building and ingesting.
     fn leaf_mut(&mut self) -> &mut Leaf;
 }
 
@@ -68,35 +51,18 @@ pub struct LeafTreeConfig {
     pub words: SaxParams,
 }
 
-/// Where a leaf's series lie in the store, as a snapshot records it: what
-/// the frame hands a node's encoder ([`LeafTree::save`]).
-#[derive(Debug, Clone, Copy)]
-pub struct Extent {
-    start: usize,
-    len: usize,
-}
-
-impl Extent {
-    /// Writes the extent, where the node's layout places it;
-    /// [`NodeSlot::leaf`] reads it back.
-    pub fn put(self, sec: &mut Section) {
-        sec.put_usize(self.start);
-        sec.put_usize(self.len);
-    }
-}
-
 /// The node a tree's decoder is reading ([`LeafTree::load`]).
 #[derive(Debug, Clone, Copy)]
 pub struct NodeSlot {
     /// The node's id.
     pub id: usize,
-    /// The length of every series, from the snapshot's meta section.
+    /// The length of every series.
     pub series_len: usize,
     num_series: usize,
 }
 
 impl NodeSlot {
-    /// Reads the leaf [`Extent::put`] wrote.
+    /// Reads the leaf extent `(start, len)` the node's encoder was handed.
     ///
     /// # Errors
     /// [`PersistError::Corrupt`] if the extent exceeds the series store.
@@ -122,9 +88,8 @@ pub struct LeafTree<N> {
 }
 
 impl<N: TreeNode> LeafTree<N> {
-    /// An empty frame to build over `dataset`: nodes are pushed and
-    /// series inserted by the tree, then laid out by
-    /// [`LeafTree::lay_out`].
+    /// An empty frame to build over `dataset`; the tree pushes its nodes,
+    /// inserts every series, then calls [`LeafTree::lay_out`].
     ///
     /// # Errors
     /// [`Error::EmptyDataset`], or [`Error::InvalidParameter`] for a zero
@@ -137,23 +102,18 @@ impl<N: TreeNode> LeafTree<N> {
             return Err(Error::InvalidParameter("leaf capacity must be positive".into()));
         }
         config.words.validate().map_err(Error::InvalidParameter)?;
-        let series_len = dataset.series_len();
+        let (samples, seed) = (config.histogram_samples, config.seed);
         Ok(Self {
             nodes: Vec::new(),
-            collection: Collection::leaf_order(series_len, config.storage)?,
-            words: WordColumn::new(series_len, config.words),
-            histogram: DistanceHistogram::from_dataset(
-                dataset,
-                config.histogram_samples,
-                HISTOGRAM_BINS,
-                config.seed,
-            ),
+            collection: Collection::leaf_order(dataset.series_len(), config.storage)?,
+            words: WordColumn::new(dataset.series_len(), config.words),
+            histogram: DistanceHistogram::from_dataset(dataset, samples, HISTOGRAM_BINS, seed),
             config,
         })
     }
 
-    /// Ends a build: writes every leaf's members contiguously into the
-    /// store, in node order, and the kept words into store-row order.
+    /// Ends a build: every leaf's members written contiguously into the
+    /// store, in node order, and the kept words permuted to match.
     ///
     /// # Errors
     /// [`Error::DimensionMismatch`] if `dataset` has another series length.
@@ -181,9 +141,9 @@ impl<N: TreeNode> LeafTree<N> {
         self.collection.leaf_len(self.nodes[node].leaf())
     }
 
-    /// [`HierarchicalIndex::refine_leaf`] of leaf `node`: each member is
-    /// checked by `gate(row, bound)` — one lower-bound computation each —
-    /// before the store reads it (see [`Collection::refine_leaf`]).
+    /// [`HierarchicalIndex::refine_leaf`] of leaf `node`, each member
+    /// checked by `gate` — one lower-bound computation each — before it is
+    /// read (see [`Collection::refine_leaf`]).
     #[inline]
     pub fn refine_leaf(
         &self,
@@ -198,38 +158,6 @@ impl<N: TreeNode> LeafTree<N> {
         stats.lower_bound_computations += self.collection.leaf_len(leaf) as u64;
         self.collection
             .refine_leaf(leaf, query, best_so_far, stats, gate, accept)
-    }
-
-    /// `tree` — the index this frame is the leaves of — searched for
-    /// `query`.
-    ///
-    /// # Errors
-    /// [`Error::DimensionMismatch`] for a query of the wrong length.
-    pub fn search<T: HierarchicalIndex>(
-        &self,
-        tree: &T,
-        query: &[f32],
-        params: &SearchParams,
-    ) -> hydra_core::Result<SearchResult> {
-        self.collection.check_lengths(&[query])?;
-        let spec = SearchSpec::from_params(params, Some(&self.histogram));
-        Ok(knn_search(tree, query, &spec))
-    }
-
-    /// [`LeafTree::search`] of every query of a batch, answered by the
-    /// batch's workers ([`Collection::answer_batch`]) in query order.
-    /// Nothing is shared across queries.
-    pub fn search_batch<T: HierarchicalIndex + Sync>(
-        &self,
-        tree: &T,
-        queries: &[&[f32]],
-        params: &SearchParams,
-    ) -> Vec<hydra_core::Result<SearchResult>>
-    where
-        N: Sync,
-    {
-        self.collection
-            .answer_batch(queries, || (), |_, query| self.search(tree, query, params))
     }
 
     /// Number of leaves.
@@ -249,19 +177,17 @@ impl<N: TreeNode> LeafTree<N> {
 
     /// `tree` with every member of a visited leaf read and compared — no
     /// gate: the reference its gated search is held to.
-    pub fn ungated<'a, T: HierarchicalIndex>(&'a self, tree: &'a T) -> Ungated<'a, T> {
-        self.collection.ungated(tree, |node| self.nodes[node].leaf())
-    }
-
-    /// Heap bytes of the frame beside the nodes: the row mappings and the
-    /// kept words.
-    pub fn heap_bytes(&self) -> usize {
-        self.collection.mapping_bytes() + self.words.heap_bytes()
+    pub fn ungated<'a, T: HierarchicalIndex>(&'a self, tree: &'a T) -> Ungated<'a, T>
+    where
+        N: 'a,
+    {
+        let leaf_of = Box::new(move |node: usize| self.nodes[node].leaf());
+        Ungated { tree, collection: &self.collection, leaf_of }
     }
 
     /// Starts an ingest batch: rejects it whole if a series has the wrong
-    /// length, and switches the collection into growth mode. `false` for an
-    /// empty batch, which leaves the tree as it is.
+    /// length and switches the collection into growth mode. `false` for an
+    /// empty batch, which changes nothing.
     ///
     /// # Errors
     /// [`Error::DimensionMismatch`] naming the first offending length.
@@ -274,19 +200,15 @@ impl<N: TreeNode> LeafTree<N> {
         Ok(true)
     }
 
-    /// Ends an ingest batch: the δ-ε histogram re-sampled over the grown
-    /// collection, and the store's I/O counters clean, as a fresh build
-    /// hands them out.
+    /// Ends an ingest batch ([`Collection::finish_growth`]).
     pub fn end_ingest(&mut self) {
-        self.histogram = self
-            .collection
-            .finish_growth(self.config.histogram_samples, self.config.seed);
+        let (samples, seed) = (self.config.histogram_samples, self.config.seed);
+        self.histogram = self.collection.finish_growth(samples, seed);
     }
 
-    /// Writes the snapshot of the tree `I` (see the module docs), each node
-    /// encoded by `put_node` with its leaf extent. A grown tree snapshots
-    /// byte-identically to a fresh build over the grown collection (see
-    /// [`Collection::snapshot_layout`]).
+    /// Writes the snapshot of the tree `I`, each node encoded by `put_node`
+    /// with its leaf extent `(start, len)`. A grown tree snapshots
+    /// byte-identically to a fresh build over the grown collection.
     ///
     /// # Errors
     /// [`PersistError::Io`] if the file cannot be written.
@@ -294,49 +216,41 @@ impl<N: TreeNode> LeafTree<N> {
         &self,
         path: &Path,
         config: &I::Config,
-        mut put_node: impl FnMut(&N, &mut Section, Extent),
+        mut put_node: impl FnMut(&N, &mut Section, (usize, usize)),
     ) -> Result<()> {
         let mut w = I::snapshot_writer(config, self.collection.fingerprint());
         let (extents, mapping) = self.collection.snapshot_layout(
             (0..self.nodes.len()).map(|i| self.is_leaf(i).then(|| self.nodes[i].leaf())),
         );
-
         let mut meta = Section::new();
         meta.put_usize(self.collection.series_len());
         meta.put_usize(self.collection.len());
         meta.put_usize(self.nodes.len());
         w.push(meta);
-
         let mut nodes = Section::new();
-        for (node, &(start, len)) in self.nodes.iter().zip(&extents) {
-            put_node(node, &mut nodes, Extent { start, len });
+        for (node, &extent) in self.nodes.iter().zip(&extents) {
+            put_node(node, &mut nodes, extent);
         }
         w.push(nodes);
-
         let mut mapping_sec = Section::new();
         mapping_sec.put_usizes(&mapping);
         w.push(mapping_sec);
-
         let mut hist = Section::new();
         codec::put_histogram(&mut hist, &self.histogram);
         w.push(hist);
-
         w.write_to(path)
     }
 
-    /// Loads the snapshot of the tree `I` that [`LeafTree::save`] wrote,
-    /// each node decoded by `get_node`, and re-attaches the raw series of
-    /// `source` under `backing` without ever materializing a streamed
-    /// dataset: shape and fingerprint come from the source's header facts,
-    /// and the series straight from the validated snapshot file. The kept
-    /// words are rebuilt, never read.
+    /// Loads what [`LeafTree::save`] wrote, each node decoded by
+    /// `get_node`, re-attaching the raw series of `source` under `backing`
+    /// without ever materializing a streamed dataset; the kept words are
+    /// rebuilt, never read.
     ///
     /// # Errors
-    /// [`PersistError::Corrupt`] for invalid word parameters (checked
-    /// before the file is opened), a meta section disagreeing with
-    /// `source`, a child id out of range or whatever `get_node` rejects;
-    /// otherwise [`PersistentIndex::open_snapshot`]'s and
-    /// [`Collection::attach`]'s errors.
+    /// [`PersistError::Corrupt`] for invalid word parameters (before the
+    /// file is opened), a meta section disagreeing with `source`, a child
+    /// id out of range, or whatever `get_node` rejects; otherwise
+    /// [`PersistentIndex::open_snapshot`]'s and [`Collection::attach`]'s.
     pub fn load<I: PersistentIndex>(
         path: &Path,
         source: DataSource<'_>,
@@ -350,48 +264,28 @@ impl<N: TreeNode> LeafTree<N> {
         })?;
         let data_fingerprint = source.fingerprint();
         let mut r = I::open_snapshot(path, config, data_fingerprint)?;
-
         let mut meta = r.next_section()?;
-        let series_len = meta.get_usize()?;
-        let num_series = meta.get_usize()?;
+        let (series_len, num_series) = (meta.get_usize()?, meta.get_usize()?);
         let node_count = meta.get_usize()?;
         if series_len != source.series_len() || num_series != source.len() {
             return Err(PersistError::Corrupt(
                 "snapshot metadata disagrees with the dataset".into(),
             ));
         }
-
         let mut sec = r.next_section()?;
-        let mut nodes = Vec::with_capacity(node_count);
-        for id in 0..node_count {
-            let slot = NodeSlot {
-                id,
-                series_len,
-                num_series,
-            };
-            nodes.push(get_node(&mut sec, slot)?);
-        }
+        let nodes = (0..node_count)
+            .map(|id| get_node(&mut sec, NodeSlot { id, series_len, num_series }))
+            .collect::<Result<Vec<N>>>()?;
         if nodes
             .iter()
             .any(|n| n.children().iter().any(|&c| c == 0 || c >= node_count))
         {
             return Err(PersistError::Corrupt("node child id out of range".into()));
         }
-
-        let mut sec = r.next_section()?;
-        let mapping = sec.get_usizes()?;
-
-        let mut sec = r.next_section()?;
-        let histogram = codec::get_histogram(&mut sec)?;
-
-        let collection = Collection::attach(
-            path,
-            source,
-            data_fingerprint,
-            Some(mapping),
-            tree.storage,
-            backing,
-        )?;
+        let mapping = r.next_section()?.get_usizes()?;
+        let histogram = codec::get_histogram(&mut r.next_section()?)?;
+        let collection =
+            Collection::attach(path, source, data_fingerprint, Some(mapping), tree.storage, backing)?;
         Ok(Self {
             nodes,
             words: WordColumn::rebuild(&collection, tree.words),
@@ -409,4 +303,63 @@ fn leaves_mut<N: TreeNode>(nodes: &mut [N]) -> impl Iterator<Item = &mut Leaf> {
         .enumerate()
         .filter(|(id, node)| !(N::VIRTUAL_ROOT && *id == 0) && node.children().is_empty())
         .map(|(_, node)| node.leaf_mut())
+}
+
+/// A tree whose leaves are refined without its member gate, through
+/// [`Collection::visit_leaf`] ([`LeafTree::ungated`]): every other call is
+/// the tree's own, so a search over it visits the same leaves in the same
+/// order and differs only in the series it reads.
+pub struct Ungated<'a, T> {
+    tree: &'a T,
+    collection: &'a Collection,
+    leaf_of: Box<dyn Fn(usize) -> &'a Leaf + 'a>,
+}
+
+impl<T: HierarchicalIndex> HierarchicalIndex for Ungated<'_, T> {
+    type Prepared = T::Prepared;
+
+    fn roots(&self) -> &[usize] {
+        self.tree.roots()
+    }
+
+    fn is_leaf(&self, node: usize) -> bool {
+        self.tree.is_leaf(node)
+    }
+
+    fn children(&self, node: usize) -> &[usize] {
+        self.tree.children(node)
+    }
+
+    fn prepare(&self, query: &[f32]) -> T::Prepared {
+        self.tree.prepare(query)
+    }
+
+    fn min_dist(&self, query: &[f32], prepared: &T::Prepared, node: usize) -> f32 {
+        self.tree.min_dist(query, prepared, node)
+    }
+
+    fn leaf_size(&self, node: usize) -> usize {
+        self.tree.leaf_size(node)
+    }
+
+    fn refine_leaf(
+        &self,
+        node: usize,
+        query: &[f32],
+        _prepared: &T::Prepared,
+        best_so_far: f32,
+        stats: &mut QueryStats,
+        accept: &mut dyn FnMut(usize, f32) -> f32,
+    ) -> u64 {
+        let mut bound = best_so_far;
+        let mut compared = 0;
+        self.collection
+            .visit_leaf((self.leaf_of)(node), stats, &mut |id, series| {
+                compared += 1;
+                if let Some(d) = hydra_core::euclidean_early_abandon(query, series, bound) {
+                    bound = accept(id, d);
+                }
+            });
+        compared
+    }
 }
