@@ -1,11 +1,11 @@
-//! Where a store's raw values live: one resident vector, or the span of a
-//! backing file plus the resident tail streaming ingest appends to it.
+//! Where a store's raw values live: an optional span of a backing file,
+//! then resident values — the whole payload of a resident store, the tail
+//! streaming ingest appends to a file-backed one.
 //!
-//! This is the only module that matches on [`Backing`]. It knows nothing
-//! of pages being cached or accesses being charged — it answers "how many
-//! values", "append these", "copy this series out" and "read these records
-//! off the file", and [`crate::store`] writes the pool/accounting protocol
-//! once on top.
+//! [`Backing`] knows nothing of pages being cached or accesses being
+//! charged — it answers "how many values", "append these", "copy this
+//! series out" and "read these records", and [`crate::store`] writes the
+//! pool/accounting protocol once on top.
 
 use std::path::{Path, PathBuf};
 use std::sync::Arc;
@@ -25,11 +25,6 @@ pub(crate) struct FileBacked {
     /// from here instead of issuing a `pread`. `None` under
     /// [`FileIoMode::Pread`] or for an empty span.
     map: Option<MmapRegion>,
-    /// Series appended *after* the store was attached (streaming ingest).
-    /// The backing file stays immutable; the tail is the resident overflow
-    /// holding records `span.records..`, flat in append order. Page frames
-    /// that straddle the file/tail boundary are assembled from both.
-    tail: Vec<f32>,
 }
 
 /// The bytes of `values`, writable in place: a file read lands directly in
@@ -101,44 +96,12 @@ impl FileBacked {
             path: path.to_path_buf(),
             span,
             map,
-            tail: Vec::new(),
         })
     }
 
     /// The backing file's path, for diagnostics.
     pub(crate) fn path(&self) -> &Path {
         &self.path
-    }
-
-    /// Number of series in the immutable file span (the tail excluded).
-    pub(crate) fn span_records(&self) -> usize {
-        self.span.records
-    }
-
-    /// Reads records `first..first + count` into one freshly allocated
-    /// frame: file bytes for records inside the immutable span, resident
-    /// tail values for records appended after the store was attached (a
-    /// frame freely straddles the boundary).
-    ///
-    /// # Panics
-    /// Panics if the read fails: the span was validated when the store was
-    /// attached, so a failure here is a genuine I/O fault (or the file was
-    /// mutated behind the store's back), not a recoverable query error.
-    pub(crate) fn load_records(&self, first: usize, count: usize, series_len: usize) -> Arc<[f32]> {
-        let from_file = self.span.records.saturating_sub(first).min(count);
-        // The frame is allocated once, at its final address, and filled in
-        // place: the pool hands out this very allocation on every later hit.
-        let mut frame: Arc<[f32]> = std::iter::repeat_n(0.0, count * series_len).collect();
-        let values = Arc::get_mut(&mut frame).expect("a fresh frame has one owner");
-        let (file_values, tail_values) = values.split_at_mut(from_file * series_len);
-        if from_file > 0 {
-            self.read_f32s(file_values, first, series_len);
-        }
-        if from_file < count {
-            let lo = (first + from_file - self.span.records) * series_len;
-            tail_values.copy_from_slice(&self.tail[lo..lo + tail_values.len()]);
-        }
-        frame
     }
 
     /// Fills `out` with the span's f32 payload starting at record `first`
@@ -180,60 +143,84 @@ impl FileBacked {
     }
 }
 
+/// The raw values of a store: records `0..span.records` in the backing
+/// file, if there is one, and the rest resident, flat in record order. The
+/// file stays immutable; a file-backed store grows only its resident
+/// values, and a frame freely straddles the file/resident boundary.
 #[derive(Debug)]
-pub(crate) enum Backing {
-    /// Every value resident in one flat vector; paged I/O is simulated.
-    Resident(Vec<f32>),
-    /// Values live in a file; the buffer pool caches real page bytes.
-    File(FileBacked),
+pub(crate) struct Backing {
+    file: Option<FileBacked>,
+    values: Vec<f32>,
 }
 
 impl Backing {
+    /// A backing over `file`'s span (paged I/O is real) or none (simulated),
+    /// followed by the resident `values`.
+    pub(crate) fn new(file: Option<FileBacked>, values: Vec<f32>) -> Self {
+        Self { file, values }
+    }
+
+    /// Number of series in the file span (zero without a file).
+    pub(crate) fn span_records(&self) -> usize {
+        self.file.as_ref().map_or(0, |file| file.span.records)
+    }
+
     /// Number of series held.
     pub(crate) fn len(&self, series_len: usize) -> usize {
-        match self {
-            Backing::Resident(data) => data.len() / series_len,
-            Backing::File(fb) => fb.span.records + fb.tail.len() / series_len,
-        }
+        self.span_records() + self.values.len() / series_len
     }
 
-    /// Appends one series: a resident backing extends its flat vector, a
-    /// file backing keeps its file immutable and grows the resident tail.
+    /// Appends one series to the resident values.
     pub(crate) fn append(&mut self, series: &[f32]) {
-        match self {
-            Backing::Resident(data) => data.extend_from_slice(series),
-            Backing::File(fb) => fb.tail.extend_from_slice(series),
-        }
+        self.values.extend_from_slice(series);
     }
 
-    /// The flat resident payload, or the file backing that has none — the
-    /// one question the store asks before it serves a page, because a
-    /// resident page is a zero-copy borrow with nothing to load.
+    /// The flat payload when every value is resident, or the backing file
+    /// — the one question the store asks before it serves a page, because
+    /// a resident page is a zero-copy borrow with nothing to load.
     pub(crate) fn resident(&self) -> std::result::Result<&[f32], &FileBacked> {
-        match self {
-            Backing::Resident(data) => Ok(data),
-            Backing::File(fb) => Err(fb),
+        self.file.as_ref().map_or(Ok(&self.values), Err)
+    }
+
+    /// Reads records `first..first + count` into one freshly allocated
+    /// frame: file bytes for records inside the span, resident values for
+    /// the rest.
+    ///
+    /// # Panics
+    /// Panics if a file read fails: the span was validated when the store
+    /// was attached, so a failure here is a genuine I/O fault (or the file
+    /// was mutated behind the store's back), not a recoverable query error.
+    pub(crate) fn load_records(&self, first: usize, count: usize, series_len: usize) -> Arc<[f32]> {
+        let span = self.span_records();
+        let from_file = span.saturating_sub(first).min(count);
+        // The frame is allocated once, at its final address, and filled in
+        // place: the pool hands out this very allocation on every later hit.
+        let mut frame: Arc<[f32]> = std::iter::repeat_n(0.0, count * series_len).collect();
+        let values = Arc::get_mut(&mut frame).expect("a fresh frame has one owner");
+        let (file_values, resident_values) = values.split_at_mut(from_file * series_len);
+        if let Some(file) = self.file.as_ref().filter(|_| from_file > 0) {
+            file.read_f32s(file_values, first, series_len);
         }
+        if from_file < count {
+            let lo = (first + from_file - span) * series_len;
+            resident_values.copy_from_slice(&self.values[lo..lo + resident_values.len()]);
+        }
+        frame
     }
 
     /// Copies series `record` into `out` without any accounting.
     ///
     /// # Panics
-    /// Panics on a genuine disk fault (see [`FileBacked::load_records`]).
+    /// Panics on a genuine disk fault (see [`Backing::load_records`]).
     pub(crate) fn copy_series(&self, record: usize, series_len: usize, out: &mut Vec<f32>) {
         out.clear();
-        match self {
-            Backing::Resident(data) => {
-                out.extend_from_slice(&data[record * series_len..(record + 1) * series_len]);
-            }
-            Backing::File(fb) if record < fb.span.records => {
-                out.resize(series_len, 0.0);
-                fb.read_f32s(out, record, series_len);
-            }
-            Backing::File(fb) => {
-                let start = (record - fb.span.records) * series_len;
-                out.extend_from_slice(&fb.tail[start..start + series_len]);
-            }
+        let span = self.span_records();
+        if let Some(file) = self.file.as_ref().filter(|_| record < span) {
+            out.resize(series_len, 0.0);
+            file.read_f32s(out, record, series_len);
+        } else {
+            let lo = (record - span) * series_len;
+            out.extend_from_slice(&self.values[lo..lo + series_len]);
         }
     }
 }

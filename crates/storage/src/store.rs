@@ -322,14 +322,14 @@ impl SeriesStore {
 
     /// Creates an empty resident store for series of length `series_len`.
     pub fn new(series_len: usize, config: StorageConfig) -> Result<Self> {
-        Self::validated(series_len, config, Backing::Resident(Vec::new()))
+        Self::validated(series_len, config, Backing::new(None, Vec::new()))
     }
 
     /// Creates a resident store populated with the contents of a dataset,
     /// preserving record ids = dataset positions.
     pub fn from_dataset(dataset: &Dataset, config: StorageConfig) -> Result<Self> {
         let values = dataset.as_flat().to_vec();
-        Self::validated(dataset.series_len(), config, Backing::Resident(values))
+        Self::validated(dataset.series_len(), config, Backing::new(None, values))
     }
 
     /// Attaches a store to the series payload at `span` inside the file at
@@ -348,7 +348,7 @@ impl SeriesStore {
         config: StorageConfig,
     ) -> Result<Self> {
         let file = FileBacked::open(path, span, series_len, config.io)?;
-        Self::validated(series_len, config, Backing::File(file))
+        Self::validated(series_len, config, Backing::new(Some(file), Vec::new()))
     }
 
     /// Whether this store reads from a backing file (vs. resident RAM).
@@ -512,12 +512,12 @@ impl SeriesStore {
                 let start = records.start * self.series_len;
                 ReadRepr::Resident(&values[start..start + len])
             }
-            Err(file) => {
+            Err(_) => {
                 let first = page as usize * self.spp;
                 let cached = |pool: &mut BufferPool| cached_frame(pool, page, Frame::as_raw);
                 let frame = self.access(page, stats, cached, || {
                     let count = self.spp.min(self.len() - first);
-                    let frame = file.load_records(first, count, self.series_len);
+                    let frame = self.backing.load_records(first, count, self.series_len);
                     let bytes = std::mem::size_of_val(&*frame) as u64;
                     (Arc::clone(&frame), Some(Frame::Raw(frame)), bytes)
                 });
@@ -618,11 +618,11 @@ impl SeriesStore {
         };
         match self.backing.resident() {
             Ok(values) => visit_run(0, values),
-            Err(file) => {
+            Err(_) => {
                 let len = self.len();
                 for first in (0..len).step_by(self.spp) {
                     let count = self.spp.min(len - first);
-                    visit_run(first, &file.load_records(first, count, self.series_len));
+                    visit_run(first, &self.backing.load_records(first, count, self.series_len));
                 }
             }
         }
@@ -658,12 +658,12 @@ impl SeriesStore {
                 "the f32 codec has no coded tier to attach".into(),
             ));
         }
-        let Err(backing) = self.backing.resident() else {
+        if !self.is_file_backed() {
             return Err(Error::InvalidParameter(
                 "resident stores have no coded tier".into(),
             ));
-        };
-        let span_records = backing.span_records();
+        }
+        let span_records = self.backing.span_records();
         use std::os::unix::fs::FileExt;
         let file = std::fs::File::open(path)
             .map_err(|e| Error::Storage(format!("cannot open {}: {e}", path.display())))?;
@@ -1388,8 +1388,8 @@ mod tests {
             let check =
                 |store: &SeriesStore, page: u64, lo: usize, hi: usize, tail: &[Vec<f32>]| {
                     assert_eq!(store.page_records(page, store.len()), (lo, hi - lo));
-                    let file = store.backing.resident().expect_err("a file backing");
-                    let frame = file.load_records(lo, hi - lo, 4);
+                    assert!(store.is_file_backed());
+                    let frame = store.backing.load_records(lo, hi - lo, 4);
                     assert_eq!(
                         bits(&frame),
                         reference(lo, hi, tail),
