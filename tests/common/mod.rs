@@ -132,6 +132,12 @@ pub fn assert_same_answer(
     assert_eq!(got_stats, want_stats, "{context}: QueryStats drifted");
 }
 
+/// The head of `data`: its first `h` series as an owned dataset.
+pub fn head(data: &hydra::Dataset, h: usize) -> hydra::Dataset {
+    let flat = &data.as_flat()[..h * data.series_len()];
+    hydra::Dataset::from_flat(data.series_len(), flat.to_vec()).unwrap()
+}
+
 /// A fresh, empty temp directory owned by one test. The name carries the
 /// process id (parallel `cargo test` binaries must not collide) and the
 /// caller's tag (parallel tests within one binary must not either).

@@ -16,6 +16,7 @@ mod common;
 
 use std::sync::RwLock;
 
+use common::head;
 use hydra::persist::{journal_path, JournalWriter};
 use hydra::prelude::*;
 use hydra::{AnnIndex, Dataset, Neighbor, PersistError, SearchParams, StoreBacking};
@@ -33,12 +34,6 @@ fn grow(index: &mut dyn AnnIndex, data: &Dataset, from: usize, chunks: &[usize])
         at = hi;
         ci += 1;
     }
-}
-
-/// The head of `data`: its first `h` series as an owned dataset.
-fn head(data: &Dataset, h: usize) -> Dataset {
-    Dataset::from_flat(data.series_len(), data.as_flat()[..h * data.series_len()].to_vec())
-        .unwrap()
 }
 
 /// Every search setting `index` supports, in the shape the figure

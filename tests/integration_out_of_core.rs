@@ -19,6 +19,8 @@ use hydra::prelude::*;
 use hydra::StoreBacking;
 use hydra_serve::{boot_from_dir, boot_from_dir_with, BootOptions, ServeClient, Server, ServerConfig};
 
+use common::StatsMatch;
+
 /// Saves the out-of-core dataset's snapshot into `dir` and returns the
 /// dataset plus the snapshot path — the raw series (≈ 300 KiB) are ~5× a
 /// default 64 KiB page, the genuinely disk-resident regime.
@@ -458,21 +460,6 @@ fn backing_matrix_is_bit_identical_to_resident_across_pools_and_threads() {
 /// Worker counts every batch test runs at, whatever the host's core count.
 const BATCH_WORKERS: [usize; 3] = [1, 2, 4];
 
-/// A batched answer against the per-query `search` answer: neighbor ids
-/// and distance bits, and the logical counters — everything but the
-/// I/O-operation split, which depends on the shared pool's state.
-fn assert_same_answer(cell: &str, got: &hydra::SearchResult, want: &hydra::SearchResult) {
-    let bits = |r: &hydra::SearchResult| -> Vec<(usize, u32)> {
-        r.neighbors.iter().map(|n| (n.index, n.distance.to_bits())).collect()
-    };
-    assert_eq!(bits(got), bits(want), "{cell}: neighbors/distances drifted");
-    let logical = |r: &hydra::SearchResult| {
-        let s = &r.stats;
-        (s.bytes_read, s.distance_computations, s.lower_bound_computations, s.leaves_visited)
-    };
-    assert_eq!(logical(got), logical(want), "{cell}: logical counters drifted");
-}
-
 /// The batch contract of a disk index over a store larger than its pool,
 /// at every worker count: a batch whose middle query has the wrong length
 /// errs at that position only, and the other answers equal per-query
@@ -508,7 +495,9 @@ fn assert_batch_is_the_query_loop(
             match want {
                 Ok(want) => {
                     let got = got.as_ref().unwrap_or_else(|e| panic!("{cell}: {e}"));
-                    assert_same_answer(&cell, got, want);
+                    // Everything but the I/O-operation split, which depends
+                    // on the shared pool's state.
+                    common::assert_same_answer(&cell, got, want, StatsMatch::ExceptIoOperations);
                 }
                 Err(_) => assert!(q == 2 && got.is_err(), "{cell}: only query 2 may fail"),
             }

@@ -26,11 +26,7 @@ use hydra_serve::{
     boot_from_dir, Reloader, Request, ResponseBody, ServeClient, Server, ServerConfig,
 };
 
-fn head(data: &Dataset, h: usize) -> Dataset {
-    Dataset::from_flat(data.series_len(), data.as_flat()[..h * data.series_len()].to_vec())
-        .unwrap()
-}
-
+use common::head;
 /// The zoo's on-disk VA+file row, typed: what `standard_registry` loads.
 fn vafile_config(seed: u64) -> hydra::VaPlusFileConfig {
     hydra::VaPlusFileConfig {
