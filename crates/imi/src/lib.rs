@@ -11,7 +11,7 @@
 //! k-means codebook of `K` coarse centroids, so the cross product defines a
 //! grid of `K²` cells. Every vector is assigned to the cell given by its two
 //! nearest half-centroids and stored in that cell's inverted list as a
-//! compact product-quantization code (optionally after an OPQ rotation).
+//! compact product-quantization code, after an OPQ rotation.
 //!
 //! A query ranks cells with the *multi-sequence algorithm* (cells visited in
 //! increasing sum of half-distances), scans the inverted lists of the best
@@ -45,8 +45,6 @@ pub struct ImiConfig {
     pub pq_m: usize,
     /// Codebook size per PQ subspace.
     pub pq_k: usize,
-    /// Whether to learn an OPQ rotation before product quantization.
-    pub use_opq: bool,
     /// Maximum number of training vectors used to fit codebooks.
     pub training_size: usize,
     /// k-means iterations.
@@ -61,56 +59,10 @@ impl Default for ImiConfig {
             coarse_k: 32,
             pq_m: 8,
             pq_k: 64,
-            use_opq: true,
             training_size: 4_096,
             kmeans_iters: 12,
             seed: 0x1111,
         }
-    }
-}
-
-enum FineQuantizer {
-    Plain(ProductQuantizer),
-    Optimized(OptimizedProductQuantizer),
-}
-
-impl FineQuantizer {
-    fn encode(&self, v: &[f32]) -> Vec<u16> {
-        match self {
-            FineQuantizer::Plain(pq) => pq.encode(v),
-            FineQuantizer::Optimized(opq) => opq.encode(v),
-        }
-    }
-
-    fn distance_table(&self, query: &[f32]) -> Vec<Vec<f32>> {
-        match self {
-            FineQuantizer::Plain(pq) => pq.distance_table(query),
-            FineQuantizer::Optimized(opq) => opq.distance_table(query),
-        }
-    }
-
-    fn distance_tables(&self, queries: &[&[f32]]) -> Vec<Vec<Vec<f32>>> {
-        match self {
-            FineQuantizer::Plain(pq) => pq.distance_tables(queries),
-            FineQuantizer::Optimized(opq) => opq.distance_tables(queries),
-        }
-    }
-
-    fn memory_footprint(&self) -> usize {
-        match self {
-            FineQuantizer::Plain(pq) => pq.memory_footprint(),
-            FineQuantizer::Optimized(opq) => opq.memory_footprint(),
-        }
-    }
-
-    /// `(subspaces, codebook size)` — the shape every stored PQ code must
-    /// respect for ADC lookups to be in bounds.
-    fn code_shape(&self) -> (usize, usize) {
-        let pq = match self {
-            FineQuantizer::Plain(pq) => pq,
-            FineQuantizer::Optimized(opq) => opq.pq(),
-        };
-        (pq.num_subspaces(), pq.codebook_size())
     }
 }
 
@@ -120,7 +72,8 @@ pub struct InvertedMultiIndex {
     series_len: usize,
     half: usize,
     coarse: [KMeans; 2],
-    fine: FineQuantizer,
+    /// The fine quantizer: an OPQ rotation, then product quantization.
+    fine: OptimizedProductQuantizer,
     /// `lists[i * coarse_k + j]` holds `(id, code)` pairs of cell `(i, j)`.
     lists: Vec<Vec<(u32, Vec<u16>)>>,
     num_series: usize,
@@ -174,24 +127,14 @@ impl InvertedMultiIndex {
             ),
         ];
         let train_full: Vec<&[f32]> = (0..train_n).map(|i| dataset.series(i)).collect();
-        let fine = if config.use_opq {
-            FineQuantizer::Optimized(OptimizedProductQuantizer::train(
-                &train_full,
-                config.pq_m,
-                config.pq_k,
-                config.kmeans_iters,
-                3,
-                config.seed ^ 0x0B0,
-            ))
-        } else {
-            FineQuantizer::Plain(ProductQuantizer::train(
-                &train_full,
-                config.pq_m,
-                config.pq_k,
-                config.kmeans_iters,
-                config.seed ^ 0x0B0,
-            ))
-        };
+        let fine = OptimizedProductQuantizer::train(
+            &train_full,
+            config.pq_m,
+            config.pq_k,
+            config.kmeans_iters,
+            3,
+            config.seed ^ 0x0B0,
+        );
 
         let k1 = coarse[0].k();
         let k2 = coarse[1].k();
@@ -351,13 +294,12 @@ impl PersistentIndex for InvertedMultiIndex {
         f.push_usize(config.coarse_k);
         f.push_usize(config.pq_m);
         f.push_usize(config.pq_k);
-        f.push_bool(config.use_opq);
         f.push_usize(config.training_size);
         f.push_usize(config.kmeans_iters);
         f.push_u64(config.seed);
     }
 
-    /// Snapshots the two coarse codebooks, the fine (O)PQ quantizer — the
+    /// Snapshots the two coarse codebooks, the fine OPQ quantizer — the
     /// expensive k-means/Procrustes training — and every inverted list with
     /// its PQ codes. IMI never touches raw vectors at query time, so the
     /// snapshot alone fully determines query behaviour; the dataset is only
@@ -379,16 +321,7 @@ impl PersistentIndex for InvertedMultiIndex {
         w.push(coarse);
 
         let mut fine = Section::new();
-        match &self.fine {
-            FineQuantizer::Plain(pq) => {
-                fine.put_u8(0);
-                codec::put_product_quantizer(&mut fine, pq);
-            }
-            FineQuantizer::Optimized(opq) => {
-                fine.put_u8(1);
-                codec::put_opq(&mut fine, opq);
-            }
-        }
+        codec::put_opq(&mut fine, &self.fine);
         w.push(fine);
 
         let mut lists = Section::new();
@@ -438,15 +371,7 @@ impl PersistentIndex for InvertedMultiIndex {
         }
 
         let mut sec = r.next_section()?;
-        let fine = match sec.get_u8()? {
-            0 => FineQuantizer::Plain(codec::get_product_quantizer(&mut sec)?),
-            1 => FineQuantizer::Optimized(codec::get_opq(&mut sec)?),
-            tag => {
-                return Err(PersistError::Corrupt(format!(
-                    "invalid fine-quantizer tag {tag}"
-                )))
-            }
-        };
+        let fine = codec::get_opq(&mut sec)?;
 
         let mut sec = r.next_section()?;
         let cell_count = sec.get_usize()?;
@@ -455,7 +380,7 @@ impl PersistentIndex for InvertedMultiIndex {
                 "inverted-list grid does not match the coarse codebooks".into(),
             ));
         }
-        let (code_len, code_k) = fine.code_shape();
+        let (code_len, code_k) = (fine.pq().num_subspaces(), fine.pq().codebook_size());
         let mut lists = Vec::with_capacity(cell_count);
         for _ in 0..cell_count {
             let len = sec.get_usize()?;
@@ -596,13 +521,12 @@ mod tests {
         found.iter().filter(|n| ids.contains(&n.index)).count() as f64 / truth.len() as f64
     }
 
-    fn build(n: usize, dim: usize, use_opq: bool) -> (Dataset, InvertedMultiIndex) {
+    fn build(n: usize, dim: usize) -> (Dataset, InvertedMultiIndex) {
         let data = sift_like(n, dim, 3);
         let config = ImiConfig {
             coarse_k: 16,
             pq_m: 8,
             pq_k: 32,
-            use_opq,
             training_size: 800,
             kmeans_iters: 8,
             seed: 7,
@@ -627,7 +551,7 @@ mod tests {
 
     #[test]
     fn every_vector_lands_in_exactly_one_list() {
-        let (data, imi) = build(500, 16, false);
+        let (data, imi) = build(500, 16);
         let total: usize = imi.lists.iter().map(|l| l.len()).sum();
         assert_eq!(total, data.len());
         assert!(imi.non_empty_cells() > 1);
@@ -635,7 +559,7 @@ mod tests {
 
     #[test]
     fn recall_improves_with_nprobe() {
-        let (data, imi) = build(600, 16, false);
+        let (data, imi) = build(600, 16);
         let queries = sift_like(8, 16, 99);
         let mut r_small = 0.0;
         let mut r_large = 0.0;
@@ -661,7 +585,7 @@ mod tests {
 
     #[test]
     fn opq_variant_builds_and_answers() {
-        let (data, imi) = build(300, 16, true);
+        let (data, imi) = build(300, 16);
         let q = data.series(0);
         let res = imi.search(q, &SearchParams::ng(5, 16)).unwrap();
         assert_eq!(res.neighbors.len(), 5);
@@ -671,7 +595,7 @@ mod tests {
 
     #[test]
     fn batch_search_matches_per_query_search_with_fewer_table_passes() {
-        let (_, imi) = build(500, 16, true);
+        let (_, imi) = build(500, 16);
         let queries = sift_like(6, 16, 41);
         let refs: Vec<&[f32]> = queries.iter().collect();
         let params = SearchParams::ng(10, 16);
@@ -706,7 +630,7 @@ mod tests {
 
     #[test]
     fn batch_search_keeps_failures_per_query() {
-        let (_, imi) = build(200, 16, false);
+        let (_, imi) = build(200, 16);
         let good = sift_like(2, 16, 43);
         let bad = vec![0.0f32; 10];
         let refs: Vec<&[f32]> = vec![good.series(0), &bad, good.series(1)];
@@ -732,7 +656,7 @@ mod tests {
 
     #[test]
     fn guarantee_modes_are_rejected() {
-        let (_, imi) = build(100, 16, false);
+        let (_, imi) = build(100, 16);
         let q = vec![0.0f32; 16];
         assert!(imi.search(&q, &SearchParams::exact(1)).is_err());
         assert!(imi.search(&q, &SearchParams::epsilon(1, 0.5)).is_err());
@@ -741,7 +665,7 @@ mod tests {
 
     #[test]
     fn metadata_is_consistent() {
-        let (_, imi) = build(200, 16, false);
+        let (_, imi) = build(200, 16);
         assert_eq!(imi.name(), "IMI");
         assert!(imi.capabilities().disk_resident);
         assert!(!imi.capabilities().exact);
