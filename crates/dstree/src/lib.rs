@@ -21,6 +21,12 @@
 //! between a query and any series in the subtree, so the generic
 //! [`hydra_core::search`] driver (Algorithms 1 and 2 of the paper) provides
 //! exact and guarantee-carrying approximate search.
+//!
+//! The leaves, their leaf-ordered raw series, the kept member words, the
+//! snapshot format and the ingest protocol are the
+//! [`hydra_persist::LeafTree`] frame's, shared with iSAX2+; this crate keeps
+//! the EAPCA nodes, their routing, splitting and bounds, and the member
+//! gate.
 
 #![warn(missing_docs)]
 #![warn(rust_2018_idioms)]

@@ -20,6 +20,12 @@
 //! The SAX MINDIST function lower-bounds the true Euclidean distance, so the
 //! generic driver of [`hydra_core::search`] provides exact and
 //! guarantee-carrying approximate search over this tree.
+//!
+//! The leaves, their leaf-ordered raw series, the kept SAX words, the
+//! snapshot format and the ingest protocol are the
+//! [`hydra_persist::LeafTree`] frame's, shared with DSTree; this crate keeps
+//! the iSAX nodes and their virtual root, routing, splitting, the
+//! per-node symbol envelopes and the member gate.
 
 #![warn(missing_docs)]
 #![warn(rust_2018_idioms)]

@@ -139,8 +139,9 @@ fn attach_store(
 ///
 /// The index owns *which* series a leaf holds — it pushes dataset ids onto
 /// `members` while building and ingesting — and the collection owns *where*
-/// they live: the contiguous extent [`Collection::materialize`] (or a
-/// snapshot load) assigned, stale once the collection has grown.
+/// they live: the contiguous extent the build's layout
+/// ([`crate::LeafTree::lay_out`]) or a snapshot load assigned, stale once
+/// the collection has grown.
 #[derive(Debug, Default)]
 pub struct Leaf {
     /// Dataset ids of the leaf's series. Authoritative while building and
@@ -219,7 +220,7 @@ impl Collection {
     }
 
     /// An empty leaf-ordered collection, to be filled by
-    /// [`Collection::materialize`] once the tree knows its leaves.
+    /// [`crate::LeafTree::lay_out`] once the tree knows its leaves.
     ///
     /// # Errors
     /// Whatever [`SeriesStore::new`] rejects in `storage`.
@@ -379,7 +380,7 @@ impl Collection {
     ///
     /// # Panics
     /// Panics on a leaf-ordered collection that was not switched into
-    /// growth mode first ([`Collection::activate_growth`]).
+    /// growth mode first ([`crate::LeafTree::begin_ingest`]).
     pub fn append(&mut self, series: &[f32]) -> hydra_core::Result<usize> {
         assert!(
             self.grown || self.permutation.is_none(),
@@ -498,7 +499,7 @@ impl Collection {
     }
 
     /// Refines every series of `leaf` against `query` — the body of
-    /// [`HierarchicalIndex::refine_leaf`]. Mirrors
+    /// [`hydra_core::HierarchicalIndex::refine_leaf`]. Mirrors
     /// [`Collection::visit_leaf`]'s run structure through the store's
     /// `scan_refine`, threading the tightening bound from run to run, so on
     /// a coded store the leaf scan prunes on compressed pages (and only
@@ -545,8 +546,9 @@ impl Collection {
     /// the entry of a leaf member.
     ///
     /// # Panics
-    /// Panics before [`Collection::activate_growth`]: a pristine
-    /// collection keeps no inverse mapping.
+    /// Panics before the collection grows
+    /// ([`crate::LeafTree::begin_ingest`]): a pristine collection keeps no
+    /// inverse mapping.
     pub fn row_of(&self, id: usize) -> usize {
         self.permutation().to_store[id]
     }
@@ -597,7 +599,7 @@ impl Collection {
 
     /// Ends an ingest batch of an index answering δ-ε queries: returns its
     /// [`HISTOGRAM_BINS`]-bin histogram re-sampled over the grown
-    /// collection ([`Collection::pairwise_histogram`]) and resets the
+    /// collection (unaccounted by-id reads) and resets the
     /// store's I/O counters — a fresh build hands out a store with clean
     /// counters, and ingest restores the same post-build state.
     pub fn finish_growth(&self, samples: usize, seed: u64) -> DistanceHistogram {

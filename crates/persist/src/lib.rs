@@ -52,12 +52,18 @@
 //!
 //! ## Implementing persistence for an index
 //!
-//! Index crates implement [`PersistentIndex`] next to their private fields
-//! — a disk-resident one keeps its raw series in a [`Collection`], which
-//! owns their layout, growth and re-attachment at load time, and a tree
-//! gating leaf members keeps their SAX words in a [`WordColumn`] beside
-//! it — and
-//! serialize with [`snapshot::Section`] putters plus the shared
+//! Index crates implement [`PersistentIndex`] next to their private fields:
+//! one required [`PersistentIndex::hash_config`] names what of the
+//! configuration shapes a build, and the provided
+//! [`PersistentIndex::snapshot_writer`] and
+//! [`PersistentIndex::open_snapshot`] write and check the snapshot's
+//! identity (kind, then configuration, then data). A disk-resident index
+//! keeps its raw series in a [`Collection`], which owns their layout,
+//! growth and re-attachment at load time; a leaf-ordered tree is built on
+//! the [`LeafTree`] frame, which also holds the kept SAX words
+//! ([`WordColumn`]) and the δ-ε histogram, and writes and loads the whole
+//! snapshot, handing the tree only the encoding of its own nodes. Sections
+//! are serialized with [`snapshot::Section`] putters plus the shared
 //! [`codec`] helpers (histograms, k-means codebooks, product quantizers,
 //! rotation matrices), which guarantees one canonical layout for each
 //! shared structure across the zoo.

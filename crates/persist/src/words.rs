@@ -79,7 +79,7 @@ impl WordColumn {
     }
 
     /// Permutes the rows kept in arrival order (dataset id order) into the
-    /// store-row order [`Collection::materialize`] just laid out.
+    /// store-row order [`crate::LeafTree::lay_out`] just laid out.
     pub fn materialize(&mut self, collection: &Collection) {
         let arrival = std::mem::take(&mut self.symbols);
         let word_len = self.word_len;
