@@ -6,6 +6,7 @@ use hydra_core::{
     AnnIndex, Capabilities, Dataset, DistanceHistogram, Error, Neighbor, QueryStats,
     Representation, Result, SearchMode, SearchParams, SearchResult, TopK,
 };
+use hydra_persist::backing::HISTOGRAM_BINS;
 use hydra_persist::{
     codec, Collection, DataSource, Fingerprint, PersistError, PersistentIndex, Section, StoreBacking,
 };
@@ -82,7 +83,7 @@ impl VaPlusFile {
             histogram: DistanceHistogram::from_dataset(
                 dataset,
                 config.histogram_samples,
-                256,
+                HISTOGRAM_BINS,
                 config.seed,
             ),
         })
