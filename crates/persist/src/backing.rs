@@ -320,6 +320,7 @@ impl Collection {
     }
 
     /// Length of every series.
+    #[inline]
     pub fn series_len(&self) -> usize {
         self.store.series_len()
     }

@@ -397,6 +397,7 @@ impl SeriesStore {
     }
 
     /// Length of each stored series.
+    #[inline]
     pub fn series_len(&self) -> usize {
         self.series_len
     }
