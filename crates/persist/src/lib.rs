@@ -144,8 +144,9 @@ pub enum StoreBacking<'a> {
 ///   snapshot was built differently — a snapshot can never silently stand
 ///   in for an index it is not. The fingerprint is written once, for every
 ///   index: [`Self::KIND`], then [`Self::hash_config`], then the data
-///   fingerprint. An index saves through [`Self::snapshot_writer`] and
-///   loads through [`Self::open_snapshot`], which check both.
+///   fingerprint. An index saves through [`Self::snapshot_writer`], which
+///   writes kind and fingerprint, and loads through
+///   [`Self::open_snapshot`], which checks them.
 /// * Snapshots store derived structure only. Raw series are re-attached
 ///   from the `dataset` argument at load time (disk-backed indexes rebuild
 ///   their [`hydra_storage::SeriesStore`] layout from it, in-memory ones
