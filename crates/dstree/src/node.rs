@@ -283,7 +283,7 @@ impl DsTree {
     /// path shared by [`DsTree::build`] and streaming ingest, which is what
     /// makes the two produce identical trees for the same insert sequence.
     fn insert_series(&mut self, id: usize, series: &[f32], src: &FetchSource<'_>) {
-        self.frame.words.push(series);
+        self.frame.push_word(series);
         // Descend to the leaf, updating synopses along the way.
         let mut node_id = 0usize;
         loop {
@@ -616,7 +616,7 @@ impl HierarchicalIndex for DsTree {
                 .iter()
                 .map(|&seg| segment_stats(query, seg))
                 .collect(),
-            paa: self.frame.words.query_paa(query),
+            paa: self.frame.paa(query),
         }
     }
 

@@ -178,8 +178,8 @@ impl Isax2Plus {
             bits: Vec::new(),
         });
         for id in 0..dataset.len() {
-            let word = index.frame.words.push(dataset.series(id));
-            index.insert_series(id, word);
+            index.frame.push_word(dataset.series(id));
+            index.insert_series(id);
         }
         index.frame.lay_out(dataset)?;
         // The root fan-out map was build-time scratch.
@@ -217,13 +217,17 @@ impl Isax2Plus {
         );
     }
 
-    /// Routes one series (its dataset position and full-cardinality word,
+    /// Routes one series (by dataset position, its full-cardinality word
     /// already kept as the next row of `words`) to its leaf, splitting on
     /// overflow — the single insertion path shared by [`Isax2Plus::build`]
     /// and streaming ingest, which is what makes the two produce identical
     /// trees for the same insert sequence.
-    fn insert_series(&mut self, id: usize, word: IsaxWord) {
+    fn insert_series(&mut self, id: usize) {
         let max_bits = self.config.sax.max_bits;
+        let word = IsaxWord {
+            symbols: self.word_of(id).iter().map(|&s| s.into()).collect(),
+            bits: vec![max_bits; self.word_len],
+        };
 
         // Find (or create) the root child whose 1-bit word covers this
         // series — at most one does, so a lookup by those bits finds the
@@ -529,7 +533,7 @@ impl HierarchicalIndex for Isax2Plus {
     }
 
     fn prepare(&self, query: &[f32]) -> Vec<[f32; 2]> {
-        let query_paa = self.frame.words.query_paa(query);
+        let query_paa = self.frame.paa(query);
         let edges = self.frame.words.breakpoints();
         let mut table = Vec::with_capacity(query_paa.len() * (edges.len() + 1));
         for &q in &query_paa {
@@ -661,8 +665,8 @@ impl AnnIndex for Isax2Plus {
         }
         for series in batch {
             let id = self.frame.collection.append(series)?;
-            let word = self.frame.words.push(series);
-            self.insert_series(id, word);
+            self.frame.push_word(series);
+            self.insert_series(id);
         }
         self.frame.end_ingest();
         Ok(())

@@ -13,9 +13,7 @@
 
 use hydra_core::DistanceHistogram;
 use hydra_summarize::linalg::Matrix;
-use hydra_summarize::quantization::{
-    KMeans, OptimizedProductQuantizer, ProductQuantizer, ScalarQuantizer,
-};
+use hydra_summarize::quantization::{KMeans, OptimizedProductQuantizer, ProductQuantizer};
 
 use crate::error::{PersistError, Result};
 use crate::snapshot::{Section, SectionReader};
@@ -119,40 +117,6 @@ pub fn get_opq(s: &mut SectionReader<'_>) -> Result<OptimizedProductQuantizer> {
     Ok(OptimizedProductQuantizer::from_parts(rotation, pq))
 }
 
-/// Serializes a [`ScalarQuantizer`] (bits + per-dimension cell edges).
-pub fn put_scalar_quantizer(s: &mut Section, sq: &ScalarQuantizer) {
-    s.put_u8(sq.bits());
-    s.put_usize(sq.dims());
-    for edges in sq.edges() {
-        s.put_f32s(edges);
-    }
-}
-
-/// Deserializes a [`ScalarQuantizer`] written by [`put_scalar_quantizer`].
-pub fn get_scalar_quantizer(s: &mut SectionReader<'_>) -> Result<ScalarQuantizer> {
-    let bits = s.get_u8()?;
-    let dims = s.get_usize()?;
-    if bits == 0 || bits > 16 {
-        return Err(PersistError::Corrupt(format!(
-            "scalar quantizer bits out of range: {bits}"
-        )));
-    }
-    let cells = 1usize << bits;
-    let mut edges = Vec::with_capacity(dims);
-    for _ in 0..dims {
-        let e = s.get_f32s()?;
-        if e.len() != cells + 1 {
-            return Err(PersistError::Corrupt(format!(
-                "scalar quantizer expects {} edges per dimension, found {}",
-                cells + 1,
-                e.len()
-            )));
-        }
-        edges.push(e);
-    }
-    Ok(ScalarQuantizer::from_parts(bits, edges))
-}
-
 /// Serializes a row-major [`Matrix`].
 pub fn put_matrix(s: &mut Section, m: &Matrix) {
     s.put_usize(m.rows());
@@ -237,29 +201,6 @@ mod tests {
         for v in &data {
             assert_eq!(got.encode(v), opq.encode(v));
             assert_eq!(got.distance_table(v), opq.distance_table(v));
-        }
-    }
-
-    #[test]
-    fn scalar_quantizer_roundtrip_preserves_bounds() {
-        let data: Vec<Vec<f32>> = (0..50)
-            .map(|i| vec![(i % 11) as f32 - 5.0, (i % 3) as f32, i as f32 * 0.01])
-            .collect();
-        let refs: Vec<&[f32]> = data.iter().map(|v| v.as_slice()).collect();
-        let sq = ScalarQuantizer::train(&refs, 3);
-        let mut s = Section::new();
-        put_scalar_quantizer(&mut s, &sq);
-        let got = get_scalar_quantizer(&mut reader(&s)).unwrap();
-        assert_eq!(got.bits(), sq.bits());
-        assert_eq!(got.dims(), sq.dims());
-        let q = &data[0];
-        for v in &data {
-            let code = sq.encode(v);
-            assert_eq!(got.encode(v), code);
-            assert_eq!(
-                got.lower_bound(q, &code).to_bits(),
-                sq.lower_bound(q, &code).to_bits()
-            );
         }
     }
 

@@ -13,6 +13,7 @@ use std::path::Path;
 
 use hydra_core::{Dataset, DistanceHistogram, Error, HierarchicalIndex, QueryStats};
 use hydra_storage::StorageConfig;
+use hydra_summarize::paa::paa;
 use hydra_summarize::sax::SaxParams;
 
 use crate::backing::{Collection, Leaf, HISTOGRAM_BINS};
@@ -79,8 +80,8 @@ pub struct LeafTree<N> {
     pub nodes: Vec<N>,
     /// Leaf-ordered raw series (the simulated on-disk layout).
     pub collection: Collection,
-    /// The word of every series, in store-row order (arrival order while a
-    /// build is still inserting).
+    /// The SAX word of every series' PAA ([`LeafTree::paa`]), in store-row
+    /// order (arrival order while a build is still inserting).
     pub words: WordColumn,
     /// The δ-ε distance histogram.
     pub histogram: DistanceHistogram,
@@ -121,6 +122,18 @@ impl<N: TreeNode> LeafTree<N> {
         self.collection.materialize(dataset, leaves_mut(&mut self.nodes))?;
         self.words.materialize(&self.collection);
         Ok(())
+    }
+
+    /// The PAA of `series` at the kept words' segmentation: what a word
+    /// encodes, and the query side of [`WordColumn::bound_squared`].
+    pub fn paa(&self, series: &[f32]) -> Vec<f32> {
+        paa(series, self.config.words.segments)
+    }
+
+    /// Keeps the word of `series` as the next row of `words`.
+    pub fn push_word(&mut self, series: &[f32]) {
+        let values = self.paa(series);
+        self.words.push(&values);
     }
 
     /// Whether node `node` is a leaf.
@@ -288,7 +301,8 @@ impl<N: TreeNode> LeafTree<N> {
             Collection::attach(path, source, data_fingerprint, Some(mapping), tree.storage, backing)?;
         Ok(Self {
             nodes,
-            words: WordColumn::rebuild(&collection, tree.words),
+            words: WordColumn::new(series_len, tree.words)
+                .rebuild(&collection, |series| paa(series, tree.words.segments)),
             collection,
             histogram,
             config: tree,

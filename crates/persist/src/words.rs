@@ -1,88 +1,133 @@
-//! The kept SAX words of a leaf-ordered tree: one fixed-width row of
-//! full-cardinality symbols per store row of its [`Collection`].
+//! The per-row cells of an index that prunes on quantized summaries: one
+//! row of `u8` cells per series, one cell per dimension of its summary.
+//! [`WordColumn`] owns the cell edges, the value → cell encoding and the
+//! cell → bound computation; an index hands it summary values.
 //!
-//! A tree whose leaves live in a [`Collection`] can gate each member of a
-//! visited leaf on a summary of that one series before the store reads it
-//! (see [`Collection::refine_leaf`]). The summary both trees keep is the
-//! series' SAX word: `word_len` bytes, fixed at insert time — a word never
-//! changes when a leaf splits, so growth only appends. iSAX2+ also routes
-//! and splits on the words; DSTree only gates on them.
-//!
-//! [`WordColumn`] owns the rows' life cycle: kept in arrival order while a
-//! build inserts, permuted into store-row order once the collection is
-//! materialized, appended to on ingest, and rebuilt by one uncharged pass
-//! over the store on load — never persisted, so no snapshot byte depends
-//! on it.
+//! * **SAX words** ([`WordColumn::new`]): the N(0,1) breakpoints in every
+//!   dimension, over a series' PAA. Both leaf-ordered trees gate each
+//!   member of a visited leaf on its word before the store reads it (see
+//!   [`Collection::refine_leaf`]); iSAX2+ also routes and splits on them.
+//!   The rows are kept in arrival order while a build inserts, permuted
+//!   into store-row order once the collection is materialized, appended to
+//!   on ingest, and rebuilt by one uncharged pass on load — never persisted.
+//! * **Equi-depth cells** ([`WordColumn::trained`]): per dimension, edges
+//!   at the quantiles of the values trained on — the VA+file's
+//!   approximation file over DFT summaries, persisted ([`WordColumn::put`]).
 
-use hydra_summarize::paa::paa;
-use hydra_summarize::sax::{normal_breakpoints, sax_word, IsaxWord, SaxParams};
+use hydra_summarize::sax::{normal_breakpoints, value_to_symbol, SaxParams};
 
 use crate::backing::Collection;
+use crate::error::{PersistError, Result};
+use crate::snapshot::{Section, SectionReader};
 
-/// The full-cardinality SAX word of every series of a [`Collection`], one
-/// `word_len`-byte row per store row (see the module docs).
+/// One fixed-width row of `u8` cells per series, and the cell edges of
+/// every dimension (see the module docs).
 #[derive(Debug, Clone, PartialEq)]
 pub struct WordColumn {
-    params: SaxParams,
-    /// `-∞`, the breakpoints, then `+∞` up to the end: symbol `s` spans
-    /// `edges[s] .. edges[s + 1]`, and no `u8` symbol reads past the end.
-    edges: Box<[f32; 257]>,
-    /// Symbols of the alphabet: `2^max_bits`.
-    cardinality: usize,
-    /// Symbols per word: `params.segments`, clamped to the series length as
-    /// [`sax_word`] clamps it.
-    word_len: usize,
-    /// What one segment weighs in a member bound: the length of the
-    /// shortest PAA segment.
-    segment_len: f32,
-    /// `word_len` symbols per row.
+    /// Per dimension: its `cells() + 1` edges, then `+∞` up to the end.
+    /// Cell `c` spans `edges[d][c] .. edges[d][c + 1]`, and no `u8` cell
+    /// reads past the end.
+    edges: Box<[[f32; 257]]>,
+    /// Bits per cell, in `1..=8`: `2^bits` cells per dimension.
+    bits: u8,
+    /// What one dimension weighs in a bound: for a SAX word, the length of
+    /// the shortest PAA segment; `1` for trained cells.
+    weight: f32,
+    /// `edges.len()` cells per row.
     symbols: Vec<u8>,
 }
 
 impl WordColumn {
-    /// An empty column for series of `series_len` points. `params` must be
-    /// valid ([`SaxParams::validate`]).
+    /// An empty column of SAX words for series of `series_len` points: the
+    /// N(0,1) breakpoints in each of `params.segments` dimensions, clamped
+    /// to the series length as the PAA clamps it. `params` must be valid
+    /// ([`SaxParams::validate`]).
     pub fn new(series_len: usize, params: SaxParams) -> Self {
-        let breakpoints = normal_breakpoints(params.max_cardinality());
-        let mut edges = Box::new([f32::INFINITY; 257]);
-        edges[0] = f32::NEG_INFINITY;
-        edges[1..=breakpoints.len()].copy_from_slice(&breakpoints);
+        let mut dim = vec![f32::NEG_INFINITY];
+        dim.extend(normal_breakpoints(params.max_cardinality()));
+        dim.push(f32::INFINITY);
         let word_len = params.segments.min(series_len).max(1);
+        let weight = (series_len / word_len).max(1) as f32;
+        Self::from_edges(&dim.repeat(word_len), params.max_bits, weight, Vec::new())
+    }
+
+    /// A column of `dims`-value rows with `2^bits` equi-depth cells per
+    /// dimension, trained on `values` (the rows, back to back) and holding
+    /// the row of each. A dimension's edges are the `c / 2^bits` quantiles
+    /// of its values for `c` in `0..=2^bits`, from the minimum to the
+    /// maximum: VA+ adapts cell sizes to the data. Repeated edges stay as
+    /// they are; a value on one is encoded into a cell it bounds.
+    ///
+    /// # Panics
+    /// If `values` is empty or holds a partial row, or `bits` is outside
+    /// `1..=8`.
+    pub fn trained(values: &[f32], dims: usize, bits: u8) -> Self {
+        assert!((1..=8).contains(&bits), "{bits}-bit cells do not fit a u8");
+        assert!(dims > 0 && !values.is_empty() && values.len() % dims == 0);
+        let (n, cells) = (values.len() / dims, 1usize << bits);
+        let mut column = Vec::with_capacity(n);
+        let mut edges = Vec::with_capacity(dims * (cells + 1));
+        for d in 0..dims {
+            column.clear();
+            column.extend(values.iter().skip(d).step_by(dims));
+            column.sort_by(f32::total_cmp);
+            let quantile =
+                |c: usize| column[((c * (n - 1)) as f64 / cells as f64).round() as usize];
+            edges.extend((0..=cells).map(quantile));
+        }
+        let mut trained = Self::from_edges(&edges, bits, 1.0, Vec::with_capacity(values.len()));
+        for row in values.chunks_exact(dims) {
+            trained.push(row);
+        }
+        trained
+    }
+
+    /// A column whose dimension `d` has the `2^bits + 1` edges at
+    /// `edges[d * (2^bits + 1)..]`, holding the rows `symbols`.
+    fn from_edges(edges: &[f32], bits: u8, weight: f32, symbols: Vec<u8>) -> Self {
+        let cells = 1usize << bits;
+        let padded = edges.chunks_exact(cells + 1).map(|kept| {
+            let mut e = [f32::INFINITY; 257];
+            e[..=cells].copy_from_slice(kept);
+            e
+        });
+        let edges = padded.collect();
         Self {
-            params,
             edges,
-            cardinality: breakpoints.len() + 1,
-            word_len,
-            segment_len: (series_len / word_len).max(1) as f32,
-            symbols: Vec::new(),
+            bits,
+            weight,
+            symbols,
         }
     }
 
-    /// The column of a collection being loaded: one uncharged pass over its
-    /// store, in store-row order.
-    pub fn rebuild(collection: &Collection, params: SaxParams) -> Self {
-        let mut words = Self::new(collection.series_len(), params);
-        words.symbols.reserve(collection.len() * words.word_len);
+    /// Appends the row of every series of `collection`, in store-row order,
+    /// each summarized by the transform `f`: one uncharged pass over its
+    /// store, for a collection being loaded.
+    pub fn rebuild(mut self, collection: &Collection, f: impl Fn(&[f32]) -> Vec<f32>) -> Self {
+        self.symbols.reserve(collection.len() * self.word_len());
         collection.store().for_each_series(&mut |_, series| {
-            words.push(series);
+            self.push(&f(series));
         });
-        words
+        self
     }
 
-    /// Computes the full-cardinality word of `series`, keeps its symbols as
-    /// the next row and returns it: the arrival-order row while a build
-    /// inserts, the series' store row once the collection grows.
-    pub fn push(&mut self, series: &[f32]) -> IsaxWord {
-        let word = sax_word(series, &self.params, self.breakpoints());
-        self.symbols.extend(word.symbols.iter().map(|&s| s as u8));
-        word
+    /// Encodes `values`, one per dimension, and keeps their cells as the
+    /// next row: the arrival-order row while a build inserts, the series'
+    /// store row once the collection grows. A value goes to the cell SAX's
+    /// [`value_to_symbol`] picks among its dimension's inner edges.
+    pub fn push(&mut self, values: &[f32]) {
+        debug_assert_eq!(values.len(), self.word_len());
+        let cells = self.cells();
+        let row = values.iter().zip(self.edges.iter());
+        self.symbols
+            .extend(row.map(|(&v, e)| value_to_symbol(v, &e[1..cells]) as u8));
     }
 
     /// Permutes the rows kept in arrival order (dataset id order) into the
     /// store-row order [`crate::LeafTree::lay_out`] just laid out.
     pub fn materialize(&mut self, collection: &Collection) {
         let arrival = std::mem::take(&mut self.symbols);
-        let word_len = self.word_len;
+        let word_len = self.word_len();
         self.symbols = collection
             .dataset_ids()
             .iter()
@@ -91,13 +136,14 @@ impl WordColumn {
             .collect();
     }
 
-    /// The word of store row `row`.
+    /// The cells of store row `row`.
     #[inline]
     pub fn row(&self, row: usize) -> &[u8] {
-        &self.symbols[row * self.word_len..][..self.word_len]
+        let word_len = self.word_len();
+        &self.symbols[row * word_len..][..word_len]
     }
 
-    /// The word of the series with dataset id `id`: at its store row — or,
+    /// The cells of the series with dataset id `id`: at its store row — or,
     /// while a build is still inserting and the collection is empty, at its
     /// arrival position.
     #[inline]
@@ -109,55 +155,144 @@ impl WordColumn {
         }
     }
 
-    /// Symbols per word.
+    /// Cells per row: the dimensions.
     #[inline]
     pub fn word_len(&self) -> usize {
-        self.word_len
+        self.edges.len()
     }
 
-    /// The breakpoints the words were cut at (`2^max_bits - 1` of them).
+    /// Cells per dimension: `2^bits`.
+    #[inline]
+    pub fn cells(&self) -> usize {
+        1 << self.bits
+    }
+
+    /// The inner edges of the first dimension (`cells() - 1` of them): of a
+    /// SAX column, the breakpoints every dimension shares.
     #[inline]
     pub fn breakpoints(&self) -> &[f32] {
-        &self.edges[1..self.cardinality]
+        &self.edges[0][1..self.cells()]
     }
 
-    /// The PAA of `query` at the words' segmentation — what
-    /// [`WordColumn::bound_squared`] takes.
-    pub fn query_paa(&self, query: &[f32]) -> Vec<f32> {
-        paa(query, self.params.segments)
-    }
-
-    /// The squared lower bound on the distance from the query whose PAA is
-    /// `query_paa` to the series in store row `row`, from its word alone:
-    /// per segment, the squared gap from the query's PAA value to the
-    /// symbol's cell (zero inside it), weighted by the shortest segment's
-    /// length. No per-query table: the cell edges are read as they are.
-    /// The segments add into four sums side by side (segment `i` of the
-    /// whole fours into sum `i % 4`, any tail into the first).
+    /// The squared lower bound on the distance from the query whose
+    /// summary is `query` to the series in store row `row`, from its cells
+    /// alone: per dimension, the squared gap from the query's value to the
+    /// cell (zero inside it), times the column's one weight. No per-query
+    /// table: the cell edges are read as they are. The dimensions add into
+    /// four sums side by side (dimension `i` of the whole fours into sum
+    /// `i % 4`, any tail into the first).
     #[inline]
-    pub fn bound_squared(&self, query_paa: &[f32], row: usize) -> f32 {
-        let gap_squared = |q: f32, s: u8| {
-            let (lo, hi) = (self.edges[s as usize], self.edges[s as usize + 1]);
+    pub fn bound_squared(&self, query: &[f32], row: usize) -> f32 {
+        let gap_squared = |e: &[f32; 257], q: f32, s: u8| {
+            let (lo, hi) = (e[s as usize], e[s as usize + 1]);
             // At most one of the two is positive: `lo <= hi`.
             let gap = (lo - q).max(0.0) + (q - hi).max(0.0);
             gap * gap
         };
-        let word = self.row(row);
         let mut lanes = [0.0f32; 4];
-        let (qs, ss) = (query_paa.chunks_exact(4), word.chunks_exact(4));
-        for (&q, &s) in qs.remainder().iter().zip(ss.remainder()) {
-            lanes[0] += gap_squared(q, s);
+        let (qs, ss) = (query.chunks_exact(4), self.row(row).chunks_exact(4));
+        let es = self.edges.chunks_exact(4);
+        for ((&q, &s), e) in qs
+            .remainder()
+            .iter()
+            .zip(ss.remainder())
+            .zip(es.remainder())
+        {
+            lanes[0] += gap_squared(e, q, s);
         }
-        for (q, s) in qs.zip(ss) {
+        for ((q, s), e) in qs.zip(ss).zip(es) {
             for lane in 0..4 {
-                lanes[lane] += gap_squared(q[lane], s[lane]);
+                lanes[lane] += gap_squared(&e[lane], q[lane], s[lane]);
             }
         }
-        self.segment_len * ((lanes[0] + lanes[1]) + (lanes[2] + lanes[3]))
+        self.weight * ((lanes[0] + lanes[1]) + (lanes[2] + lanes[3]))
     }
 
-    /// Heap bytes held: the symbols and the cell edges.
+    /// Heap bytes held: the rows and the cell edges.
     pub fn heap_bytes(&self) -> usize {
-        self.symbols.len() + self.edges.len() * std::mem::size_of::<f32>()
+        self.symbols.len() + std::mem::size_of_val(&*self.edges)
+    }
+
+    /// Writes the bits per cell, each dimension's `cells() + 1` edges back
+    /// to back, and the rows: what [`WordColumn::get`] reads.
+    pub fn put(&self, s: &mut Section) {
+        s.put_u8(self.bits);
+        let kept = self.edges.iter().flat_map(|e| &e[..=self.cells()]);
+        s.put_f32s(&kept.copied().collect::<Vec<f32>>());
+        s.put_u8s(&self.symbols);
+    }
+
+    /// The trained column of `rows` rows of `dims` cells that
+    /// [`WordColumn::put`] wrote.
+    ///
+    /// # Errors
+    /// [`PersistError::Corrupt`] if the bits per cell are outside `1..=8`,
+    /// the edges or cells are not `dims` per row and per cell edge, or a
+    /// row holds a cell `>= cells()`; [`PersistError::Truncated`] if the
+    /// section ends early.
+    pub fn get(s: &mut SectionReader<'_>, rows: usize, dims: usize) -> Result<Self> {
+        let (bits, edges, symbols) = (s.get_u8()?, s.get_f32s()?, s.get_u8s()?);
+        let cells = 1usize << bits.min(8);
+        if !(1..=8).contains(&bits)
+            || edges.len() != dims * (cells + 1)
+            || symbols.len() != rows * dims
+            || symbols.iter().any(|&c| c as usize >= cells)
+        {
+            return Err(PersistError::Corrupt(format!(
+                "{bits}-bit cells of {dims} dimensions do not fit the stored edges and rows"
+            )));
+        }
+        Ok(Self::from_edges(&edges, bits, 1.0, symbols))
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use proptest::prelude::*;
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(64))]
+
+        #[test]
+        fn trained_cells_never_bound_beyond_the_summary_distance(
+            flat in proptest::collection::vec(-50.0f32..50.0, 16 * 20),
+            query in proptest::collection::vec(-60.0f32..60.0, 16),
+            bits in 1usize..9,
+            constant in 0usize..2,
+        ) {
+            // Dimension 1 is constant, at 0 or far from it, as the DC
+            // imaginary part of a real series is: all its edges repeat.
+            let (constant, mut flat) = ([0.0f32, 100.0][constant], flat);
+            flat.iter_mut().skip(1).step_by(16).for_each(|v| *v = constant);
+            let column = WordColumn::trained(&flat, 16, bits as u8);
+            prop_assert!(column.edges[1][..=1 << bits].iter().all(|&e| e == constant));
+            for (row, v) in flat.chunks_exact(16).enumerate() {
+                let bound = column.bound_squared(&query, row).sqrt();
+                let d = hydra_core::euclidean(&query, v);
+                prop_assert!(bound <= d + 1e-2, "bound {} > distance {}", bound, d);
+                prop_assert_eq!(column.bound_squared(v, row), 0.0);
+            }
+        }
+    }
+
+    #[test]
+    fn a_stored_bit_count_or_cell_out_of_range_is_corrupt() {
+        let column = WordColumn::trained(&[0.0, 1.0, 2.0, 3.0, 4.0, 5.0], 2, 2);
+        let mut s = Section::new();
+        column.put(&mut s);
+        let get = |bytes: &[u8]| WordColumn::get(&mut SectionReader::new(bytes), 3, 2);
+        assert_eq!(get(s.as_bytes()).unwrap(), column);
+        // The bit count opens the section; a row's cell closes it.
+        let last = s.as_bytes().len() - 1;
+        for (at, value) in [(0, 0), (0, 9), (last, 4)] {
+            let mut bytes = s.as_bytes().to_vec();
+            bytes[at] = value;
+            let got = get(&bytes);
+            assert!(
+                matches!(got, Err(PersistError::Corrupt(_))),
+                "byte {at} = {value}"
+            );
+        }
     }
 }

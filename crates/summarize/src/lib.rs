@@ -10,8 +10,8 @@
 //!   representation with variable per-segment cardinality.
 //! * [`dft`] — Discrete Fourier Transform summarization (the paper's
 //!   modified VA+file replaces KLT with DFT).
-//! * [`quantization`] — scalar quantization (VA+file cells), k-means, product
-//!   quantization and optimized product quantization (IMI).
+//! * [`quantization`] — k-means, product quantization and optimized product
+//!   quantization (IMI).
 //! * [`projection`] — Gaussian random projections (SRS, QALSH signatures),
 //!   backed by the Johnson–Lindenstrauss lemma.
 //! * [`linalg`] — the small dense-matrix kernel (Gram–Schmidt, Jacobi
@@ -38,5 +38,5 @@ pub use apca::{eapca_segments, Segment, SegmentStats};
 pub use dft::DftSummarizer;
 pub use paa::{paa, paa_lower_bound};
 pub use projection::GaussianProjection;
-pub use quantization::{KMeans, OptimizedProductQuantizer, ProductQuantizer, ScalarQuantizer};
+pub use quantization::{KMeans, OptimizedProductQuantizer, ProductQuantizer};
 pub use sax::{IsaxWord, SaxParams};

@@ -1,6 +1,6 @@
 //! Property-based tests of the summarization invariants every index relies
 //! on: all reduced-space distances must lower-bound the true Euclidean
-//! distance, and encode/decode round trips must stay inside their cells.
+//! distance.
 
 #![cfg(test)]
 
@@ -9,7 +9,6 @@ use proptest::prelude::*;
 use crate::apca::{eapca_segments, uniform_segments};
 use crate::dft::DftSummarizer;
 use crate::paa::{paa, paa_lower_bound};
-use crate::quantization::ScalarQuantizer;
 use crate::sax::{mindist_paa_isax, normal_breakpoints, sax_word, SaxParams};
 
 fn series_strategy(len: usize) -> impl Strategy<Value = Vec<f32>> {
@@ -75,17 +74,22 @@ proptest! {
     }
 
     #[test]
-    fn scalar_quantizer_bounds_bracket_distances_for_training_points(
-        flat in proptest::collection::vec(-50.0f32..50.0, 16 * 20),
+    fn dft_energy_is_parseval_with_every_coefficient_and_below_it_without(
+        x in proptest::collection::vec(-100.0f32..100.0, 8..65),
+        kept in 1usize..33,
     ) {
-        let rows: Vec<&[f32]> = flat.chunks(16).collect();
-        let sq = ScalarQuantizer::train(&rows, 3);
-        let query = rows[0];
-        for v in rows.iter().skip(1) {
-            let code = sq.encode(v);
-            let d = hydra_core::euclidean(query, v);
-            prop_assert!(sq.lower_bound(query, &code) <= d + 1e-2);
-        }
+        // The summary's energy under `lower_bound`'s weights: DC and
+        // Nyquist once, every other kept coefficient twice.
+        let energy = |coefficients: usize| {
+            let dft = DftSummarizer::new(x.len(), coefficients);
+            let zero = vec![0.0f32; dft.summary_len()];
+            dft.lower_bound(&dft.transform(&x), &zero).powi(2)
+        };
+        let norm2: f32 = x.iter().map(|v| v * v).sum();
+        let all = energy(x.len() / 2 + 1);
+        prop_assert!((all - norm2).abs() <= 1e-2 * norm2, "energy {all} vs ||x||^2 {norm2}");
+        let some = energy(kept);
+        prop_assert!(some <= norm2 * (1.0 + 1e-4), "kept {kept}: energy {some} > {norm2}");
     }
 
     #[test]

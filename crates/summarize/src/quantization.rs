@@ -1,8 +1,5 @@
 //! Quantization-based summarizations.
 //!
-//! * [`ScalarQuantizer`] — per-dimension adaptive (equi-depth) scalar
-//!   quantization, the cell grid of the VA+file. Provides lower and upper
-//!   bounding distances between a query and a cell.
 //! * [`KMeans`] — Lloyd's algorithm with k-means++ seeding; the building
 //!   block of product quantization and of FLANN's hierarchical k-means tree.
 //! * [`ProductQuantizer`] — splits vectors into `m` subspaces and quantizes
@@ -15,152 +12,6 @@
 use crate::linalg::{procrustes_rotation, Matrix};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
-
-// ---------------------------------------------------------------------------
-// Scalar quantization (VA+file cells)
-// ---------------------------------------------------------------------------
-
-/// Per-dimension adaptive scalar quantizer.
-///
-/// For every dimension the training values are split into `2^bits`
-/// equi-depth cells; a vector is encoded as one cell index per dimension.
-/// Distances between a query and a cell are bounded from below (distance to
-/// the nearest cell edge) and above (distance to the farthest cell edge),
-/// exactly as the VA-file / VA+file do.
-#[derive(Debug, Clone)]
-pub struct ScalarQuantizer {
-    bits: u8,
-    /// Per dimension: cell edges of length `2^bits + 1` (first = training
-    /// min, last = training max).
-    edges: Vec<Vec<f32>>,
-}
-
-impl ScalarQuantizer {
-    /// Trains a quantizer with `bits` bits per dimension from training
-    /// vectors.
-    ///
-    /// # Panics
-    /// Panics if `training` is empty or `bits == 0`.
-    pub fn train(training: &[&[f32]], bits: u8) -> Self {
-        assert!(!training.is_empty(), "training sample must not be empty");
-        assert!(bits > 0 && bits <= 16, "bits must be in 1..=16");
-        let dims = training[0].len();
-        let cells = 1usize << bits;
-        let mut edges = Vec::with_capacity(dims);
-        let mut column = Vec::with_capacity(training.len());
-        for d in 0..dims {
-            column.clear();
-            column.extend(training.iter().map(|v| v[d]));
-            column.sort_by(f32::total_cmp);
-            let mut e = Vec::with_capacity(cells + 1);
-            for c in 0..=cells {
-                // Equi-depth edges: the c-th edge is the (c/cells)-quantile of
-                // the training values (VA+ adapts cell sizes to the data).
-                let idx = ((c * (column.len() - 1)) as f64 / cells as f64).round() as usize;
-                e.push(column[idx.min(column.len() - 1)]);
-            }
-            // Guard against duplicate edges in constant dimensions.
-            for i in 1..e.len() {
-                if e[i] <= e[i - 1] {
-                    e[i] = e[i - 1] + f32::EPSILON;
-                }
-            }
-            edges.push(e);
-        }
-        Self { bits, edges }
-    }
-
-    /// Bits per dimension.
-    pub fn bits(&self) -> u8 {
-        self.bits
-    }
-
-    /// Number of dimensions.
-    pub fn dims(&self) -> usize {
-        self.edges.len()
-    }
-
-    /// Number of cells per dimension (`2^bits`).
-    pub fn cells(&self) -> usize {
-        1usize << self.bits
-    }
-
-    /// Encodes a vector into one cell index per dimension.
-    pub fn encode(&self, v: &[f32]) -> Vec<u16> {
-        assert_eq!(v.len(), self.dims(), "dimension mismatch");
-        v.iter()
-            .enumerate()
-            .map(|(d, &x)| self.encode_dim(d, x))
-            .collect()
-    }
-
-    fn encode_dim(&self, dim: usize, x: f32) -> u16 {
-        let e = &self.edges[dim];
-        // Find the cell whose interval [e[c], e[c+1]) contains x.
-        let cells = self.cells();
-        let pos = e.partition_point(|edge| *edge <= x);
-        (pos.saturating_sub(1)).min(cells - 1) as u16
-    }
-
-    /// Lower bound on the Euclidean distance between `query` and any vector
-    /// whose code is `code`.
-    pub fn lower_bound(&self, query: &[f32], code: &[u16]) -> f32 {
-        let mut acc = 0.0f32;
-        for d in 0..self.dims() {
-            let e = &self.edges[d];
-            let c = code[d] as usize;
-            let lo = e[c];
-            let hi = e[c + 1];
-            let q = query[d];
-            let diff = if q < lo {
-                lo - q
-            } else if q > hi {
-                q - hi
-            } else {
-                0.0
-            };
-            acc += diff * diff;
-        }
-        acc.sqrt()
-    }
-
-    /// Approximate reconstruction: the center of each cell.
-    pub fn decode(&self, code: &[u16]) -> Vec<f32> {
-        (0..self.dims())
-            .map(|d| {
-                let e = &self.edges[d];
-                let c = code[d] as usize;
-                (e[c] + e[c + 1]) / 2.0
-            })
-            .collect()
-    }
-
-    /// Bytes needed to store one code (packed at `bits` per dimension).
-    pub fn code_bytes(&self) -> usize {
-        (self.dims() * self.bits as usize).div_ceil(8)
-    }
-
-    /// Per-dimension cell edges (persistence accessor; pairs with
-    /// [`ScalarQuantizer::from_parts`]).
-    pub fn edges(&self) -> &[Vec<f32>] {
-        &self.edges
-    }
-
-    /// Reassembles a trained quantizer from its stored parts.
-    ///
-    /// # Panics
-    /// Panics if `bits` is outside `1..=16` or any dimension does not carry
-    /// exactly `2^bits + 1` edges.
-    pub fn from_parts(bits: u8, edges: Vec<Vec<f32>>) -> Self {
-        assert!(bits > 0 && bits <= 16, "bits must be in 1..=16");
-        let cells = 1usize << bits;
-        assert!(
-            edges.iter().all(|e| e.len() == cells + 1),
-            "each dimension must carry 2^bits + 1 edges"
-        );
-        Self { bits, edges }
-    }
-}
 
 // ---------------------------------------------------------------------------
 // k-means
@@ -636,36 +487,6 @@ mod tests {
 
     fn as_refs(v: &[Vec<f32>]) -> Vec<&[f32]> {
         v.iter().map(|x| x.as_slice()).collect()
-    }
-
-    #[test]
-    fn scalar_quantizer_bounds_bracket_true_distance() {
-        let train = training_set(200, 8, 1);
-        let refs = as_refs(&train);
-        let sq = ScalarQuantizer::train(&refs, 3);
-        assert_eq!(sq.cells(), 8);
-        assert_eq!(sq.dims(), 8);
-        assert_eq!(sq.bits(), 3);
-        let query = &train[0];
-        for v in train.iter().skip(1).take(50) {
-            let code = sq.encode(v);
-            let d = euclidean(query, v);
-            let lb = sq.lower_bound(query, &code);
-            assert!(lb <= d + 1e-4, "lb {lb} > d {d}");
-        }
-    }
-
-    #[test]
-    fn scalar_quantizer_decode_falls_in_cell() {
-        let train = training_set(100, 4, 3);
-        let refs = as_refs(&train);
-        let sq = ScalarQuantizer::train(&refs, 2);
-        let v = &train[10];
-        let code = sq.encode(v);
-        let rec = sq.decode(&code);
-        // The reconstruction must itself encode to the same cells.
-        assert_eq!(sq.encode(&rec), code);
-        assert!(sq.code_bytes() >= 1);
     }
 
     #[test]

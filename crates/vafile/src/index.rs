@@ -9,9 +9,9 @@ use hydra_core::{
 use hydra_persist::backing::HISTOGRAM_BINS;
 use hydra_persist::{
     codec, Collection, DataSource, Fingerprint, PersistError, PersistentIndex, Section, StoreBacking,
+    WordColumn,
 };
 use hydra_storage::{SeriesStore, StorageConfig};
-use hydra_summarize::quantization::ScalarQuantizer;
 use hydra_summarize::DftSummarizer;
 
 /// Configuration of a [`VaPlusFile`].
@@ -20,7 +20,7 @@ pub struct VaPlusFileConfig {
     /// Number of DFT coefficients kept (the paper uses 16 reduced
     /// dimensions, i.e. 8 complex coefficients).
     pub dft_coefficients: usize,
-    /// Bits per quantized dimension of the approximation file.
+    /// Bits per quantized dimension of the approximation file, in `1..=8`.
     pub bits_per_dim: u8,
     /// Simulated storage configuration for the raw series.
     pub storage: StorageConfig,
@@ -46,40 +46,49 @@ impl Default for VaPlusFileConfig {
 pub struct VaPlusFile {
     config: VaPlusFileConfig,
     dft: DftSummarizer,
-    quantizer: ScalarQuantizer,
-    /// Quantized approximation of every series (the approximation file),
-    /// kept in memory as in the paper's setup.
-    approximations: Vec<Vec<u16>>,
+    /// The approximation file, kept in memory as in the paper's setup: the
+    /// equi-depth cells of every series' DFT summary, in dataset order.
+    cells: WordColumn,
     /// Dataset-ordered raw series (the simulated on-disk layout).
     collection: Collection,
     histogram: DistanceHistogram,
+}
+
+/// The approximation file of `collection`, from an unaccounted scan of its
+/// store: equi-depth cells (the "+" of VA+) trained on exactly its DFT
+/// summaries. A build and an ingest batch both derive it so, which makes
+/// ingest *equivalent* to a fresh build: every derived byte matches.
+fn approximate(dft: &DftSummarizer, collection: &Collection, bits_per_dim: u8) -> WordColumn {
+    let mut summaries = Vec::with_capacity(collection.len() * dft.summary_len());
+    collection.store().for_each_series(&mut |_, series| {
+        summaries.extend(dft.transform(series));
+    });
+    WordColumn::trained(&summaries, dft.summary_len(), bits_per_dim)
 }
 
 impl VaPlusFile {
     /// Builds a VA+file over `dataset`.
     ///
     /// # Errors
-    /// Returns an error if the dataset is empty.
+    /// [`Error::EmptyDataset`], or [`Error::InvalidParameter`] if
+    /// `bits_per_dim` is outside `1..=8`.
     pub fn build(dataset: &Dataset, config: VaPlusFileConfig) -> Result<Self> {
         if dataset.is_empty() {
             return Err(Error::EmptyDataset);
         }
-        let series_len = dataset.series_len();
-        let dft = DftSummarizer::new(series_len, config.dft_coefficients);
-
-        // Transform everything, then train the per-dimension quantizer on
-        // the transformed data (the "+" of VA+: adaptive, equi-depth cells).
-        let summaries: Vec<Vec<f32>> = dataset.iter().map(|s| dft.transform(s)).collect();
-        let refs: Vec<&[f32]> = summaries.iter().map(|v| v.as_slice()).collect();
-        let quantizer = ScalarQuantizer::train(&refs, config.bits_per_dim);
-        let approximations: Vec<Vec<u16>> = summaries.iter().map(|s| quantizer.encode(s)).collect();
-
+        if !(1..=8).contains(&config.bits_per_dim) {
+            return Err(Error::InvalidParameter(format!(
+                "VA+file bits_per_dim must be in 1..=8, got {}",
+                config.bits_per_dim
+            )));
+        }
+        let dft = DftSummarizer::new(dataset.series_len(), config.dft_coefficients);
+        let collection = Collection::dataset_order(dataset, config.storage)?;
         Ok(Self {
             config,
+            cells: approximate(&dft, &collection, config.bits_per_dim),
             dft,
-            quantizer,
-            approximations,
-            collection: Collection::dataset_order(dataset, config.storage)?,
+            collection,
             histogram: DistanceHistogram::from_dataset(
                 dataset,
                 config.histogram_samples,
@@ -87,23 +96,6 @@ impl VaPlusFile {
                 config.seed,
             ),
         })
-    }
-
-    /// Re-derives what a fresh build computes of the summaries — the DFT
-    /// summaries, the equi-depth quantizer and the whole approximation file
-    /// — from an unaccounted scan of the (grown) store. Eager
-    /// re-quantization is what makes streaming ingest *equivalent* to a
-    /// fresh build: both paths train the quantizer over exactly the same
-    /// summaries in the same order, so every derived byte matches.
-    fn requantize_all(&mut self) {
-        let dft = &self.dft;
-        let mut summaries: Vec<Vec<f32>> = Vec::with_capacity(self.collection.len());
-        self.collection.store().for_each_series(&mut |_, series| {
-            summaries.push(dft.transform(series));
-        });
-        let refs: Vec<&[f32]> = summaries.iter().map(|v| v.as_slice()).collect();
-        self.quantizer = ScalarQuantizer::train(&refs, self.config.bits_per_dim);
-        self.approximations = summaries.iter().map(|s| self.quantizer.encode(s)).collect();
     }
 
     /// The configuration the index was built with.
@@ -123,7 +115,7 @@ impl VaPlusFile {
 
     /// Number of quantization cells per reduced dimension.
     pub fn cells_per_dim(&self) -> usize {
-        self.quantizer.cells()
+        self.cells.cells()
     }
 
     /// Skip-sequential search shared by every mode.
@@ -157,12 +149,10 @@ impl VaPlusFile {
 
         // Phase 1: sequential scan of the in-memory approximation file.
         let query_summary = self.dft.transform(query);
+        let n = self.collection.len();
         candidates.clear();
-        candidates.reserve(self.collection.len());
-        for (id, code) in self.approximations.iter().enumerate() {
-            stats.lower_bound_computations += 1;
-            candidates.push((self.quantizer.lower_bound(&query_summary, code), id));
-        }
+        candidates.extend((0..n).map(|id| (self.cells.bound_squared(&query_summary, id).sqrt(), id)));
+        stats.lower_bound_computations += n as u64;
         // No upper-bound pre-prune (the classic VA-file phase-1 filter): a
         // cell's upper bound covers only the kept DFT coefficients, not the
         // energy the truncation drops, so it is no upper bound on the true
@@ -204,14 +194,18 @@ impl PersistentIndex for VaPlusFile {
     const KIND: &'static str = "va+file";
 
     fn hash_config(config: &VaPlusFileConfig, f: &mut Fingerprint) {
+        // The snapshot layout: 2 = `u8` cells. A snapshot of `u16` cells
+        // fails to load as built differently.
+        f.push_u64(2);
         f.push_usize(config.dft_coefficients);
         f.push_u64(config.bits_per_dim as u64);
         f.push_usize(config.histogram_samples);
         f.push_u64(config.seed);
     }
 
-    /// Snapshots the trained equi-depth quantizer, the whole approximation
-    /// file and the δ-ε histogram. The DFT summarizer is stateless (it is
+    /// Snapshots the approximation file — the trained equi-depth cell
+    /// edges and one `u8` cell per dimension and series — and the δ-ε
+    /// histogram. The DFT summarizer is stateless (it is
     /// fully determined by the configuration) and the raw series store is
     /// re-attached from the dataset at load time (resident, or file-backed
     /// straight onto the dataset snapshot), so neither is stored.
@@ -223,17 +217,9 @@ impl PersistentIndex for VaPlusFile {
         meta.put_usize(self.collection.len());
         w.push(meta);
 
-        let mut quant = Section::new();
-        codec::put_scalar_quantizer(&mut quant, &self.quantizer);
-        w.push(quant);
-
-        // The approximation file, flattened (every code has quantizer.dims()
-        // entries).
-        let mut approx = Section::new();
-        approx.put_usize(self.quantizer.dims());
-        let flat: Vec<u16> = self.approximations.iter().flatten().copied().collect();
-        approx.put_u16s(&flat);
-        w.push(approx);
+        let mut cells = Section::new();
+        self.cells.put(&mut cells);
+        w.push(cells);
 
         let mut hist = Section::new();
         codec::put_histogram(&mut hist, &self.histogram);
@@ -263,41 +249,18 @@ impl PersistentIndex for VaPlusFile {
             ));
         }
 
-        let mut sec = r.next_section()?;
-        let quantizer = codec::get_scalar_quantizer(&mut sec)?;
-
-        let mut sec = r.next_section()?;
-        let dims = sec.get_usize()?;
-        let flat = sec.get_u16s()?;
-        if dims != quantizer.dims() || flat.len() != num_series * dims {
-            return Err(PersistError::Corrupt(
-                "approximation file does not match the quantizer shape".into(),
-            ));
-        }
-        if flat.iter().any(|&c| c as usize >= quantizer.cells()) {
-            return Err(PersistError::Corrupt(
-                "approximation cell index exceeds the quantizer grid".into(),
-            ));
-        }
-        let approximations: Vec<Vec<u16>> = flat.chunks(dims).map(|c| c.to_vec()).collect();
+        let dft = DftSummarizer::new(series_len, config.dft_coefficients);
+        let cells = WordColumn::get(&mut r.next_section()?, num_series, dft.summary_len())?;
 
         let mut sec = r.next_section()?;
         let histogram = codec::get_histogram(&mut sec)?;
-
-        let dft = DftSummarizer::new(series_len, config.dft_coefficients);
-        if dft.summary_len() != dims {
-            return Err(PersistError::Corrupt(
-                "DFT summary length disagrees with the stored quantizer".into(),
-            ));
-        }
         let collection =
             Collection::attach(path, source, data_fingerprint, None, config.storage, backing)?;
 
         Ok(Self {
             config: *config,
             dft,
-            quantizer,
-            approximations,
+            cells,
             collection,
             histogram,
         })
@@ -330,12 +293,8 @@ impl AnnIndex for VaPlusFile {
     }
 
     fn memory_footprint(&self) -> usize {
-        // The approximation file plus the quantizer edges.
-        self.approximations
-            .iter()
-            .map(|a| a.len() * std::mem::size_of::<u16>())
-            .sum::<usize>()
-            + self.quantizer.dims() * (self.quantizer.cells() + 1) * std::mem::size_of::<f32>()
+        // The approximation file plus the cell edges.
+        self.cells.heap_bytes()
     }
 
     fn store_counters(&self) -> Option<hydra_core::StoreCounters> {
@@ -349,8 +308,8 @@ impl AnnIndex for VaPlusFile {
     }
 
     /// Streaming ingest by append-and-requantize: the batch is appended to
-    /// the raw-series store (which keeps dataset order), then the quantizer,
-    /// approximation file and histogram are re-derived over the grown
+    /// the raw-series store (which keeps dataset order), then the cell
+    /// edges, approximation file and histogram are re-derived over the grown
     /// collection exactly as a fresh build would derive them — so answers
     /// are bit-identical to building over the full collection at once.
     fn insert_batch(&mut self, batch: &[&[f32]]) -> Result<()> {
@@ -361,7 +320,7 @@ impl AnnIndex for VaPlusFile {
         for series in batch {
             self.collection.append(series)?;
         }
-        self.requantize_all();
+        self.cells = approximate(&self.dft, &self.collection, self.config.bits_per_dim);
         self.histogram = self
             .collection
             .finish_growth(self.config.histogram_samples, self.config.seed);
@@ -617,14 +576,28 @@ mod tests {
 
     #[test]
     fn capabilities_and_metadata() {
-        let (_, va) = build_small(100, 32);
+        let (_, va) = build_small(2_000, 32);
         assert_eq!(va.name(), "VA+file");
         assert!(va.capabilities().disk_resident);
         assert!(va.capabilities().delta_epsilon_approximate);
-        assert_eq!(va.num_series(), 100);
+        assert_eq!(va.num_series(), 2_000);
         assert_eq!(va.series_len(), 32);
-        assert!(va.memory_footprint() > 0);
         assert_eq!(va.cells_per_dim(), 16);
+        // One byte a cell and 257 edges a dimension: less than two bytes a
+        // cell and 17 edges a dimension, when each row was a `Vec<u16>`.
+        let (n, dims) = (2_000, va.dft.summary_len());
+        assert_eq!(va.memory_footprint(), n * dims + dims * 257 * 4);
+        assert!(va.memory_footprint() < n * dims * 2 + dims * 17 * 4);
         assert!(va.search(&[0.0; 4], &SearchParams::exact(1)).is_err());
+    }
+
+    #[test]
+    fn bits_per_dim_outside_one_to_eight_is_rejected_at_build() {
+        let data = random_walk(50, 32, 1);
+        for bits_per_dim in [0u8, 9, 16] {
+            let config = VaPlusFileConfig { bits_per_dim, ..VaPlusFileConfig::default() };
+            let built = VaPlusFile::build(&data, config);
+            assert!(matches!(built, Err(Error::InvalidParameter(_))), "{bits_per_dim}");
+        }
     }
 }
