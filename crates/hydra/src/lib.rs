@@ -303,11 +303,12 @@ mod tests {
         // Recorded at the commit before the table existed (PR 19), from the
         // hand-written configurations it replaced: a row whose configuration
         // drifts by one value stops loading every snapshot saved before it.
-        // IMI's moved once on purpose, when `ImiConfig::use_opq` was removed.
+        // IMI's moved once on purpose, when `ImiConfig::use_opq` was removed,
+        // and VA+file's when its snapshot layout entered the fingerprint.
         let recorded: [(&str, u64); 8] = [
             ("dstree", 0x340ae1425a471209),
             ("isax2+", 0x77c987e1b3bf1bf4),
-            ("va+file", 0x07e472c7aaed5e64),
+            ("va+file", 0xe583645d1c234a92),
             ("srs", 0x5da5a9aca92f5b55),
             ("imi", 0x52f7d9d3d3a59af1),
             ("hnsw", 0x834be295b95e3794),
