@@ -383,7 +383,7 @@ impl Isax2Plus {
     fn bound_squared(&self, table: &[[f32; 2]], lows: &[u8], highs: &[u8]) -> f32 {
         let mut acc = 0.0f32;
         for ((row, &lo), &hi) in table
-            .chunks_exact(self.frame.words.breakpoints().len() + 1)
+            .chunks_exact(self.frame.words.cells())
             .zip(lows)
             .zip(highs)
         {

@@ -28,8 +28,8 @@ pub struct WordColumn {
     /// Cell `c` spans `edges[d][c] .. edges[d][c + 1]`, and no `u8` cell
     /// reads past the end.
     edges: Box<[[f32; 257]]>,
-    /// Bits per cell, in `1..=8`: `2^bits` cells per dimension.
-    bits: u8,
+    /// Cells per dimension: `2^bits` for `bits` in `1..=8`.
+    cells: usize,
     /// What one dimension weighs in a bound: for a SAX word, the length of
     /// the shortest PAA segment; `1` for trained cells.
     weight: f32,
@@ -85,7 +85,7 @@ impl WordColumn {
     /// A column whose dimension `d` has the `2^bits + 1` edges at
     /// `edges[d * (2^bits + 1)..]`, holding the rows `symbols`.
     fn from_edges(edges: &[f32], bits: u8, weight: f32, symbols: Vec<u8>) -> Self {
-        let cells = 1usize << bits;
+        let cells = 1 << bits;
         let padded = edges.chunks_exact(cells + 1).map(|kept| {
             let mut e = [f32::INFINITY; 257];
             e[..=cells].copy_from_slice(kept);
@@ -94,7 +94,7 @@ impl WordColumn {
         let edges = padded.collect();
         Self {
             edges,
-            bits,
+            cells,
             weight,
             symbols,
         }
@@ -161,10 +161,10 @@ impl WordColumn {
         self.edges.len()
     }
 
-    /// Cells per dimension: `2^bits`.
+    /// Cells per dimension.
     #[inline]
     pub fn cells(&self) -> usize {
-        1 << self.bits
+        self.cells
     }
 
     /// The inner edges of the first dimension (`cells() - 1` of them): of a
@@ -216,7 +216,7 @@ impl WordColumn {
     /// Writes the bits per cell, each dimension's `cells() + 1` edges back
     /// to back, and the rows: what [`WordColumn::get`] reads.
     pub fn put(&self, s: &mut Section) {
-        s.put_u8(self.bits);
+        s.put_u8(self.cells.trailing_zeros() as u8);
         let kept = self.edges.iter().flat_map(|e| &e[..=self.cells()]);
         s.put_f32s(&kept.copied().collect::<Vec<f32>>());
         s.put_u8s(&self.symbols);
