@@ -227,15 +227,15 @@ impl WordColumn {
     ///
     /// # Errors
     /// [`PersistError::Corrupt`] if the bits per cell are outside `1..=8`,
-    /// the edges or cells are not `dims` per row and per cell edge, or a
-    /// row holds a cell `>= cells()`; [`PersistError::Truncated`] if the
+    /// there are not `dims × (cells() + 1)` edges and `rows × dims` cells,
+    /// or a cell is `>= cells()`; [`PersistError::Truncated`] if the
     /// section ends early.
     pub fn get(s: &mut SectionReader<'_>, rows: usize, dims: usize) -> Result<Self> {
         let (bits, edges, symbols) = (s.get_u8()?, s.get_f32s()?, s.get_u8s()?);
         let cells = 1usize << bits.min(8);
         if !(1..=8).contains(&bits)
             || edges.len() != dims * (cells + 1)
-            || symbols.len() != rows * dims
+            || rows.checked_mul(dims) != Some(symbols.len())
             || symbols.iter().any(|&c| c as usize >= cells)
         {
             return Err(PersistError::Corrupt(format!(
