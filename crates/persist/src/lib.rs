@@ -59,14 +59,16 @@
 //! [`PersistentIndex::open_snapshot`] write and check the snapshot's
 //! identity (kind, then configuration, then data). A disk-resident index
 //! keeps its raw series in a [`Collection`], which owns their layout,
-//! growth and re-attachment at load time; a leaf-ordered tree is built on
-//! the [`LeafTree`] frame, which also holds the kept SAX words
-//! ([`WordColumn`]) and the δ-ε histogram, and writes and loads the whole
-//! snapshot, handing the tree only the encoding of its own nodes. Sections
-//! are serialized with [`snapshot::Section`] putters plus the shared
-//! [`codec`] helpers (histograms, k-means codebooks, product quantizers,
-//! rotation matrices), which guarantees one canonical layout for each
-//! shared structure across the zoo.
+//! growth and re-attachment at load time. [`WordColumn`] is the one owner
+//! of per-row `u8` cells, their edges and their lower bound: the trees' SAX
+//! words and VA+file's approximation file. A leaf-ordered tree is built on
+//! the [`LeafTree`] frame, which also holds its words and the δ-ε
+//! histogram, and writes and loads the whole snapshot, handing the tree
+//! only the encoding of its own nodes. Sections are serialized with
+//! [`snapshot::Section`] putters plus the shared [`codec`] helpers
+//! (histograms, k-means codebooks, product quantizers, rotation matrices),
+//! which guarantees one canonical layout for each shared structure across
+//! the zoo.
 
 #![warn(missing_docs)]
 #![warn(rust_2018_idioms)]

@@ -8,10 +8,12 @@
 //! ## How it works
 //!
 //! Every series is transformed with the (orthonormal, truncated) DFT and
-//! each transformed dimension is quantized with an adaptive (equi-depth)
-//! scalar quantizer. The resulting *approximation file* is small enough to
-//! scan sequentially for every query. Search is skip-sequential: the scan
-//! computes a lower bound per candidate from its cells' edges; only
+//! each transformed dimension is quantized into adaptive (equi-depth) cells
+//! of at most 8 bits. The resulting *approximation file*, one `u8` cell per
+//! dimension and series in a [`hydra_persist::WordColumn`] (the per-row
+//! cells the trees gate on), is small enough to scan for every query.
+//! Search is skip-sequential: the scan computes a lower bound per
+//! candidate from its cells' edges (the column's shared bound); only
 //! candidates whose lower bound beats the current best-so-far
 //! are refined by reading the raw series from the (simulated) disk — a
 //! random I/O per refined candidate. There is no upper-bound filter, as
