@@ -15,6 +15,10 @@
 
 use crate::distance::euclidean;
 use crate::series::Dataset;
+use crate::workers::{answer_on_workers, batch_workers};
+
+/// Pairs per work item of [`DistanceHistogram::from_pairwise`]'s fan-out.
+const SAMPLE_CHUNK: usize = 1_024;
 
 /// Histogram approximation of the overall pairwise distance distribution
 /// `F(·)` of a dataset.
@@ -72,31 +76,38 @@ impl DistanceHistogram {
     /// Builds a histogram by sampling pairwise distances between series of a
     /// dataset.
     ///
-    /// `sample_pairs` pairwise distances are drawn with a cheap
-    /// multiplicative-congruential scheme seeded by `seed`, matching the
-    /// paper's protocol of estimating `F` on a sample (they used a 100K
-    /// series sample).
+    /// `sample_pairs` pairs are drawn with an xorshift64* generator seeded
+    /// by `seed`, matching the paper's protocol of estimating `F` on a
+    /// sample (they used a 100K series sample). Their distances are
+    /// computed on the batch fan-out ([`crate::workers`]); see
+    /// [`DistanceHistogram::from_pairwise`].
     pub fn from_dataset(dataset: &Dataset, sample_pairs: usize, num_bins: usize, seed: u64) -> Self {
-        Self::from_pairwise(dataset.len(), sample_pairs, num_bins, seed, |i, j| {
+        Self::from_pairwise(dataset.len(), sample_pairs, num_bins, seed, || (), |_, i, j| {
             euclidean(dataset.series(i), dataset.series(j))
         })
     }
 
     /// [`DistanceHistogram::from_dataset`] for collections that are not a
     /// [`Dataset`]: the caller supplies the pairwise distance as a closure
-    /// over series positions `0..n`.
+    /// over series positions `0..n`, with a per-worker `scratch` (read
+    /// buffers, say).
     ///
-    /// The sampling sequence depends only on `(n, sample_pairs, seed)`, so a
-    /// histogram rebuilt through this entry point over the same collection —
-    /// e.g. by a streaming-ingest path reading a grown series store instead
-    /// of the original dataset — is bit-identical to the one `from_dataset`
-    /// built.
-    pub fn from_pairwise(
+    /// Every pair is drawn first; the distances are then computed in chunks
+    /// of 1,024 pairs on up to one worker per chunk
+    /// ([`crate::workers::answer_on_workers`]) and concatenated in chunk
+    /// order. The sampling sequence depends only on `(n, sample_pairs,
+    /// seed)` and every sample lands at its drawn position, so a histogram
+    /// rebuilt through this entry point over the same collection — e.g. by
+    /// a streaming-ingest path reading a grown series store instead of the
+    /// original dataset — is bit-identical to the one `from_dataset` built,
+    /// at any worker count.
+    pub fn from_pairwise<S>(
         n: usize,
         sample_pairs: usize,
         num_bins: usize,
         seed: u64,
-        mut dist: impl FnMut(usize, usize) -> f32,
+        scratch: impl Fn() -> S + Sync,
+        dist: impl Fn(&mut S, usize, usize) -> f32 + Sync,
     ) -> Self {
         if n < 2 {
             return Self::from_samples(&[1.0], num_bins, n);
@@ -110,15 +121,20 @@ impl DistanceHistogram {
             state = state.wrapping_mul(0x2545F4914F6CDD1D);
             state
         };
-        let mut samples = Vec::with_capacity(sample_pairs);
+        let mut pairs = Vec::with_capacity(sample_pairs);
         for _ in 0..sample_pairs {
             let i = (next() % n as u64) as usize;
             let mut j = (next() % n as u64) as usize;
             if i == j {
                 j = (j + 1) % n;
             }
-            samples.push(dist(i, j));
+            pairs.push((i, j));
         }
+        let chunks: Vec<&[(usize, usize)]> = pairs.chunks(SAMPLE_CHUNK).collect();
+        let samples = answer_on_workers(&chunks, batch_workers(), scratch, |s, chunk| {
+            chunk.iter().map(|&(i, j)| dist(s, i, j)).collect::<Vec<f32>>()
+        })
+        .concat();
         Self::from_samples(&samples, num_bins, n)
     }
 
@@ -289,13 +305,68 @@ mod tests {
             d.push(&s).unwrap();
         }
         let a = DistanceHistogram::from_dataset(&d, 300, 24, 11);
-        let b = DistanceHistogram::from_pairwise(d.len(), 300, 24, 11, |i, j| {
-            euclidean(d.series(i), d.series(j))
+        let b = DistanceHistogram::from_pairwise(d.len(), 300, 24, 11, Vec::new, |buf, i, j| {
+            buf.clear();
+            buf.extend_from_slice(d.series(j));
+            euclidean(d.series(i), buf)
         });
-        assert_eq!(a.bin_edges(), b.bin_edges());
-        assert_eq!(a.cumulative_counts(), b.cumulative_counts());
-        assert_eq!(a.sample_count(), b.sample_count());
-        assert_eq!(a.dataset_size(), b.dataset_size());
+        assert_same(&a, &b, "from_pairwise");
+    }
+
+    fn assert_same(a: &DistanceHistogram, b: &DistanceHistogram, what: &str) {
+        assert_eq!(a.bin_edges(), b.bin_edges(), "{what}");
+        assert_eq!(a.cumulative_counts(), b.cumulative_counts(), "{what}");
+        assert_eq!(a.sample_count(), b.sample_count(), "{what}");
+        assert_eq!(a.dataset_size(), b.dataset_size(), "{what}");
+    }
+
+    /// The one-pair-at-a-time sampler the chunked fan-out replaced: each
+    /// pair is drawn and measured before the next is drawn.
+    fn sequential_reference(d: &Dataset, sample_pairs: usize, bins: usize, seed: u64) -> DistanceHistogram {
+        let n = d.len();
+        if n < 2 {
+            return DistanceHistogram::from_samples(&[1.0], bins, n);
+        }
+        let mut state = seed.wrapping_mul(2862933555777941757).wrapping_add(3037000493);
+        let mut next = || {
+            state ^= state >> 12;
+            state ^= state << 25;
+            state ^= state >> 27;
+            state = state.wrapping_mul(0x2545F4914F6CDD1D);
+            state
+        };
+        let mut samples = Vec::new();
+        for _ in 0..sample_pairs {
+            let i = (next() % n as u64) as usize;
+            let mut j = (next() % n as u64) as usize;
+            if i == j {
+                j = (j + 1) % n;
+            }
+            samples.push(euclidean(d.series(i), d.series(j)));
+        }
+        DistanceHistogram::from_samples(&samples, bins, n)
+    }
+
+    #[test]
+    fn the_histogram_is_bit_identical_at_any_worker_count() {
+        let mut d = Dataset::new(8).unwrap();
+        for i in 0..97 {
+            let s: Vec<f32> = (0..8).map(|j| ((i * 11 + j * 3) % 23) as f32 * 0.37).collect();
+            d.push(&s).unwrap();
+        }
+        let tiny = |n: usize| Dataset::from_flat(8, vec![0.5; 8 * n]).unwrap();
+        for data in [tiny(0), tiny(1), d] {
+            for samples in [0, 1, 1_023, 1_024, 1_025, 20_000] {
+                let want = sequential_reference(&data, samples, 64, 5);
+                for workers in [1, 2, 4, 16] {
+                    let what = format!("n={} samples={samples} workers={workers}", data.len());
+                    let got = crate::workers::with_batch_workers(workers, || {
+                        DistanceHistogram::from_dataset(&data, samples, 64, 5)
+                    });
+                    assert_same(&got, &want, &what);
+                }
+            }
+        }
     }
 
     #[test]

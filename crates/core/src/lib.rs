@@ -24,6 +24,7 @@
 //!   condition.
 //! * [`stats`] — implementation-independent query cost counters
 //!   (distance computations, leaves visited, bytes accessed, random I/Os).
+//! * [`workers`] — the batch fan-out every parallel batch path runs on.
 
 #![warn(missing_docs)]
 #![warn(rust_2018_idioms)]
@@ -39,6 +40,7 @@ mod proptests;
 pub mod search;
 pub mod series;
 pub mod stats;
+pub mod workers;
 
 pub use distance::{
     euclidean, euclidean_early_abandon, euclidean_early_abandon_f16, euclidean_early_abandon_u8,

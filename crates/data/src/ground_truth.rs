@@ -7,6 +7,7 @@
 
 use std::path::{Path, PathBuf};
 
+use hydra_core::workers::{answer_on_workers, batch_workers};
 use hydra_core::{Dataset, Neighbor, TopK};
 use hydra_persist::{
     fingerprint_dataset, Fingerprint, PersistError, Section, SnapshotReader, SnapshotWriter,
@@ -48,49 +49,16 @@ pub fn exact_knn(dataset: &Dataset, query: &[f32], k: usize) -> Vec<Neighbor> {
     top.into_sorted()
 }
 
-/// Exact k-NN answers for a batch of queries, computed with one scan thread
-/// per available core (safe scoped threads).
+/// Exact k-NN answers for a batch of queries, scanned on the batch fan-out
+/// ([`hydra_core::workers::answer_on_workers`]) by one worker per core.
 ///
 /// This is the shared brute-force scan behind [`ground_truth`] and behind
 /// any `AnnIndex::search_batch` implementation that answers a batch by
 /// parallel linear scan. Results are in query order and identical to calling
-/// [`exact_knn`] per query, whatever the thread count.
+/// [`exact_knn`] per query, whatever the worker count; a panicking scan
+/// unwinds out of the call with its own payload.
 pub fn exact_knn_batch(dataset: &Dataset, queries: &[&[f32]], k: usize) -> Vec<Vec<Neighbor>> {
-    let num_threads = std::thread::available_parallelism()
-        .map(|n| n.get())
-        .unwrap_or(1)
-        .min(queries.len().max(1));
-    let mut answers: Vec<Vec<Neighbor>> = vec![Vec::new(); queries.len()];
-
-    if num_threads <= 1 || queries.len() < 4 {
-        for (q, query) in queries.iter().enumerate() {
-            answers[q] = exact_knn(dataset, query, k);
-        }
-        return answers;
-    }
-
-    let chunk = queries.len().div_ceil(num_threads);
-    std::thread::scope(|scope| {
-        let mut handles = Vec::new();
-        for (t, chunk_queries) in queries.chunks(chunk).enumerate() {
-            let handle = scope.spawn(move || {
-                let mut local = Vec::with_capacity(chunk_queries.len());
-                for query in chunk_queries {
-                    local.push(exact_knn(dataset, query, k));
-                }
-                (t, local)
-            });
-            handles.push(handle);
-        }
-        for handle in handles {
-            let (t, local) = handle.join().expect("brute-force scan worker panicked");
-            for (i, ans) in local.into_iter().enumerate() {
-                answers[t * chunk + i] = ans;
-            }
-        }
-    });
-
-    answers
+    answer_on_workers(queries, batch_workers(), || (), |_, query| exact_knn(dataset, query, k))
 }
 
 /// Exact k-NN ground truth for every query of a workload (the parallel
@@ -223,6 +191,7 @@ fn read_ground_truth(
 mod tests {
     use super::*;
     use crate::generators::random_walk;
+    use hydra_core::workers::with_batch_workers;
     use crate::queries::noisy_queries;
 
     #[test]
@@ -260,17 +229,35 @@ mod tests {
         let d = random_walk(200, 16, 6);
         let w = noisy_queries(&d, 9, &[0.2], 7);
         let refs: Vec<&[f32]> = w.iter().collect();
-        let batch = exact_knn_batch(&d, &refs, 4);
-        assert_eq!(batch.len(), 9);
-        for (q, ans) in refs.iter().zip(batch.iter()) {
-            let seq = exact_knn(&d, q, 4);
-            assert_eq!(ans.len(), seq.len());
-            for (a, b) in ans.iter().zip(seq.iter()) {
-                assert_eq!(a.index, b.index);
-                assert_eq!(a.distance.to_bits(), b.distance.to_bits());
+        for workers in [1, 2, 4] {
+            let batch = with_batch_workers(workers, || exact_knn_batch(&d, &refs, 4));
+            assert_eq!(batch.len(), 9);
+            for (q, ans) in refs.iter().zip(batch.iter()) {
+                let seq = exact_knn(&d, q, 4);
+                assert_eq!(ans.len(), seq.len());
+                for (a, b) in ans.iter().zip(seq.iter()) {
+                    assert_eq!(a.index, b.index, "{workers} workers");
+                    assert_eq!(a.distance.to_bits(), b.distance.to_bits(), "{workers} workers");
+                }
             }
+            assert!(with_batch_workers(workers, || exact_knn_batch(&d, &[], 4)).is_empty());
         }
-        assert!(exact_knn_batch(&d, &[], 4).is_empty());
+    }
+
+    #[test]
+    fn a_panicking_scan_unwinds_out_of_the_batch_with_its_payload() {
+        let d = random_walk(50, 16, 8);
+        let short = [0.0f32; 3];
+        let mut refs: Vec<&[f32]> = (0..5).map(|i| d.series(i)).collect();
+        refs.push(&short);
+        for workers in [1, 2, 4] {
+            let unwound = std::panic::catch_unwind(|| {
+                with_batch_workers(workers, || exact_knn_batch(&d, &refs, 3))
+            });
+            let payload = unwound.expect_err("a wrong-length query panics the scan");
+            let message = payload.downcast_ref::<String>().expect("a formatted assertion");
+            assert!(message.contains("slice lengths differ"), "{workers} workers: {message}");
+        }
     }
 
     #[test]

@@ -28,6 +28,7 @@
 use std::borrow::Cow;
 use std::path::Path;
 
+use hydra_core::workers::{answer_on_workers, batch_workers};
 use hydra_core::{Dataset, DistanceHistogram, Error, QueryStats, StoreCounters};
 use hydra_storage::{FileSpan, PageCodec, SeriesStore, StorageConfig};
 
@@ -585,16 +586,17 @@ impl Collection {
     }
 
     /// The δ-ε distance histogram of the collection as currently held,
-    /// sampled over unaccounted by-id reads. The sampling sequence depends
+    /// sampled over unaccounted by-id reads on every core (each worker
+    /// reads into its own pair of buffers). The sampling sequence depends
     /// only on `(len, samples, seed)`, so after an ingest this is
     /// bit-identical to [`DistanceHistogram::from_dataset`] of a fresh
     /// build over the grown collection.
     fn pairwise_histogram(&self, samples: usize, bins: usize, seed: u64) -> DistanceHistogram {
-        let (mut a, mut b) = (Vec::new(), Vec::new());
-        DistanceHistogram::from_pairwise(self.len(), samples, bins, seed, |i, j| {
-            self.read_by_id(i, &mut a);
-            self.read_by_id(j, &mut b);
-            hydra_core::euclidean(&a, &b)
+        let buffers = || (Vec::new(), Vec::new());
+        DistanceHistogram::from_pairwise(self.len(), samples, bins, seed, buffers, |(a, b), i, j| {
+            self.read_by_id(i, a);
+            self.read_by_id(j, b);
+            hydra_core::euclidean(a, b)
         })
     }
 
@@ -612,10 +614,11 @@ impl Collection {
     /// Runs `body` over every query of a batch and returns the results in
     /// query order.
     ///
-    /// On a file-backed store the queries are answered by
-    /// `min(available_parallelism, batch)` workers — the calling thread
-    /// and scoped threads — each taking the next query from a shared
-    /// cursor, so one worker's page transfers overlap another's compute.
+    /// On a file-backed store the queries are answered on the batch
+    /// fan-out ([`hydra_core::workers::answer_on_workers`]) by
+    /// `min(cores, batch)` workers — the calling thread and scoped
+    /// threads — each taking the next query from a shared cursor, so one
+    /// worker's page transfers overlap another's compute.
     /// A resident store has no transfers to overlap: there a batch runs on
     /// the calling thread alone, as does a batch of one query or one on a
     /// one-core host. (Fanned out on a resident store, the benchmark's
@@ -642,81 +645,15 @@ impl Collection {
         body: impl Fn(&mut S, &[f32]) -> R + Sync,
     ) -> Vec<R> {
         let workers = if self.store.is_file_backed() { batch_workers() } else { 1 };
-        answer_on_workers(queries, workers, scratch, body)
+        answer_on_workers(queries, workers, scratch, |s, query| body(s, query))
     }
-}
-
-thread_local! {
-    /// The worker count [`with_batch_workers`] imposes on batches started
-    /// from this thread (`None`: the host's parallelism).
-    static BATCH_WORKERS: std::cell::Cell<Option<usize>> = const { std::cell::Cell::new(None) };
-}
-
-/// Runs `f` with every file-backed batch it starts on this thread answered
-/// by `workers` workers (at most one per query) instead of the host's
-/// parallelism — a test seam, so that the parallel batch path is exercised
-/// at 1, 2 and 4 workers on any machine. Nested calls restore the outer
-/// count on every exit path.
-#[doc(hidden)]
-pub fn with_batch_workers<T>(workers: usize, f: impl FnOnce() -> T) -> T {
-    struct Restore(Option<usize>);
-    impl Drop for Restore {
-        fn drop(&mut self) {
-            BATCH_WORKERS.with(|w| w.set(self.0));
-        }
-    }
-    let _restore = Restore(BATCH_WORKERS.with(|w| w.replace(Some(workers.max(1)))));
-    f()
-}
-
-/// The workers a file-backed batch may use: one per available core, or
-/// what [`with_batch_workers`] imposes.
-fn batch_workers() -> usize {
-    BATCH_WORKERS
-        .with(std::cell::Cell::get)
-        .unwrap_or_else(|| std::thread::available_parallelism().map_or(1, |n| n.get()))
-}
-
-/// Answers `queries` in order on up to `workers` workers, at most one per
-/// query (see [`Collection::answer_batch`]): the calling thread plus
-/// scoped threads, each drawing the next query index from an atomic
-/// cursor. With one worker nothing is spawned.
-fn answer_on_workers<R: Send, S>(
-    queries: &[&[f32]],
-    workers: usize,
-    scratch: impl Fn() -> S + Sync,
-    body: impl Fn(&mut S, &[f32]) -> R + Sync,
-) -> Vec<R> {
-    let workers = workers.min(queries.len());
-    let cursor = std::sync::atomic::AtomicUsize::new(0);
-    let work = || {
-        let mut scratch = scratch();
-        let mut answered = Vec::new();
-        loop {
-            // Relaxed: the cursor only hands out indices; the answers reach
-            // the caller through `join`.
-            let i = cursor.fetch_add(1, std::sync::atomic::Ordering::Relaxed);
-            let Some(query) = queries.get(i) else {
-                return answered;
-            };
-            answered.push((i, body(&mut scratch, query)));
-        }
-    };
-    std::thread::scope(|scope| {
-        let helpers: Vec<_> = (1..workers).map(|_| scope.spawn(work)).collect();
-        let mut answered = work();
-        for helper in helpers {
-            answered.extend(helper.join().unwrap_or_else(|panic| std::panic::resume_unwind(panic)));
-        }
-        answered.sort_unstable_by_key(|&(i, _)| i);
-        answered.into_iter().map(|(_, result)| result).collect()
-    })
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::dataset::save_dataset;
+    use hydra_core::workers::with_batch_workers;
     use hydra_storage::FileIoMode;
 
     fn temp_path(name: &str) -> std::path::PathBuf {
@@ -927,42 +864,32 @@ mod tests {
     }
 
     #[test]
-    fn a_batch_comes_back_in_query_order_with_one_scratch_per_worker() {
+    fn only_a_file_backed_batch_fans_out() {
         let queries: Vec<Vec<f32>> = (0..9).map(|i| vec![i as f32]).collect();
         let refs: Vec<&[f32]> = queries.iter().map(Vec::as_slice).collect();
-        for workers in [1usize, 2, 4, 16] {
-            let scratches = std::sync::atomic::AtomicUsize::new(0);
-            let got = answer_on_workers(
-                &refs,
-                workers,
-                || scratches.fetch_add(1, std::sync::atomic::Ordering::Relaxed),
-                |_, query| query[0] as usize,
-            );
-            assert_eq!(got, (0..9).collect::<Vec<_>>(), "{workers} workers");
-            assert_eq!(scratches.into_inner(), workers.min(9), "{workers} workers");
-
-            // A panicking body unwinds out of the batch with its own
-            // payload, whichever worker answered the query.
-            let unwound = std::panic::catch_unwind(|| {
-                answer_on_workers(&refs, workers, || (), |_, query| {
-                    if query[0] == 5.0 {
-                        panic!("query body");
-                    }
-                })
-            });
-            let payload = unwound.expect_err("the body's panic propagates");
-            assert_eq!(payload.downcast_ref::<&str>(), Some(&"query body"));
+        let d = sample();
+        let snapshot = temp_path("fan-out.snap");
+        let filed_backing = StoreBacking::FileBacked {
+            dataset_snapshot: None,
+        };
+        let resident = attach(&snapshot, &d, None, StorageConfig::in_memory(), StoreBacking::Resident);
+        let filed = attach(&snapshot, &d, None, StorageConfig::on_disk(), filed_backing);
+        for (collection, fans_out) in [(resident.unwrap(), false), (filed.unwrap(), true)] {
+            for workers in [1usize, 2, 4] {
+                let scratches = std::sync::atomic::AtomicUsize::new(0);
+                let got = with_batch_workers(workers, || {
+                    collection.answer_batch(
+                        &refs,
+                        || scratches.fetch_add(1, std::sync::atomic::Ordering::Relaxed),
+                        |_, query| query[0] as usize,
+                    )
+                });
+                assert_eq!(got, (0..9).collect::<Vec<_>>(), "{workers} workers");
+                let want = if fans_out { workers } else { 1 };
+                assert_eq!(scratches.into_inner(), want, "{workers} workers");
+            }
         }
-        let none: Vec<usize> = answer_on_workers(&[], 4, || (), |_, _| unreachable!());
-        assert!(none.is_empty());
-
-        // Only a file-backed batch fans out: a resident one stays on the
-        // calling thread whatever the worker count.
-        let resident = Collection::dataset_order(&sample(), StorageConfig::in_memory()).unwrap();
-        let caller = std::thread::current().id();
-        let thread = |_: &mut (), _: &[f32]| std::thread::current().id();
-        let threads = with_batch_workers(4, || resident.answer_batch(&refs, || (), thread));
-        assert!(threads.iter().all(|&t| t == caller));
+        std::fs::remove_file(sidecar_series_path(&snapshot)).ok();
     }
 
     #[test]
@@ -979,7 +906,25 @@ mod tests {
             .unwrap();
         leaf_ordered.activate_growth(std::iter::once(&mut leaf));
         let dataset_ordered = Collection::dataset_order(&head, StorageConfig::in_memory()).unwrap();
-        for mut collection in [leaf_ordered, dataset_ordered] {
+        // File-backed through pread: every sampled row is a positioned read
+        // of the sidecar, or of the resident tail once appended.
+        let storage = StorageConfig {
+            io: FileIoMode::Pread,
+            ..StorageConfig::on_disk().with_pool_pages(1)
+        };
+        let filed_backing = StoreBacking::FileBacked {
+            dataset_snapshot: None,
+        };
+        let (leaf_snap, order_snap) = (temp_path("grown-leaf.snap"), temp_path("grown-order.snap"));
+        let mapping: Vec<usize> = (0..4).rev().collect();
+        let mut filed_leaf_ordered =
+            attach(&leaf_snap, &head, Some(&mapping), storage, filed_backing).unwrap();
+        let mut extent = Leaf::from_extent(0, 4, 4).unwrap();
+        filed_leaf_ordered.activate_growth(std::iter::once(&mut extent));
+        let filed_dataset_ordered = attach(&order_snap, &head, None, storage, filed_backing).unwrap();
+        let fresh = DistanceHistogram::from_dataset(&full, 5_000, 16, 7);
+        for mut collection in [leaf_ordered, dataset_ordered, filed_leaf_ordered, filed_dataset_ordered] {
+            let filed = collection.store().is_file_backed();
             assert_eq!(collection.fingerprint(), fingerprint_dataset(&head));
             // Ids continue the dataset order.
             for (id, series) in full.iter().enumerate().skip(4) {
@@ -987,11 +932,16 @@ mod tests {
             }
             assert_eq!(collection.len(), full.len());
             assert_eq!(collection.fingerprint(), fingerprint_dataset(&full));
-            let sampled = collection.pairwise_histogram(500, 16, 7);
-            let fresh = DistanceHistogram::from_dataset(&full, 500, 16, 7);
-            assert_eq!(sampled.bin_edges(), fresh.bin_edges());
+            // Five chunks of pairs, spread over four workers.
+            let sampled = with_batch_workers(4, || collection.pairwise_histogram(5_000, 16, 7));
+            assert_eq!(sampled.bin_edges(), fresh.bin_edges(), "file-backed: {filed}");
             assert_eq!(sampled.cumulative_counts(), fresh.cumulative_counts());
+            assert_eq!(sampled.sample_count(), fresh.sample_count());
+            assert_eq!(sampled.dataset_size(), fresh.dataset_size());
             assert!(collection.check_lengths(&[&[0.0; 4], &[0.0; 3]]).is_err());
+        }
+        for snap in [leaf_snap, order_snap] {
+            std::fs::remove_file(sidecar_series_path(&snap)).ok();
         }
     }
 

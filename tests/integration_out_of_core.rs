@@ -14,7 +14,7 @@ mod common;
 use std::path::Path;
 use std::time::Duration;
 
-use hydra::persist::backing::with_batch_workers;
+use hydra::core::workers::with_batch_workers;
 use hydra::prelude::*;
 use hydra::StoreBacking;
 use hydra_serve::{boot_from_dir, boot_from_dir_with, BootOptions, ServeClient, Server, ServerConfig};
