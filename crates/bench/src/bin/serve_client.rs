@@ -40,6 +40,7 @@ use std::net::{SocketAddr, ToSocketAddrs};
 use std::time::{Duration, Instant};
 
 use hydra::eval::{average_precision, mean_relative_error, recall, AccuracySummary, LatencyPercentiles};
+use hydra::core::workers::answer_on_workers;
 use hydra::{Neighbor, SearchParams};
 use hydra_bench::{
     in_memory_datasets, on_disk_datasets, print_header, print_row, sweep_settings_for,
@@ -130,56 +131,41 @@ fn replay(
     let connections = connections.max(1).min(n.max(1));
     let chunk = n.div_ceil(connections).max(1);
     let started = Instant::now();
-    let mut merged: Vec<Option<(Vec<Neighbor>, f64)>> = vec![None; n];
-    std::thread::scope(|scope| {
-        let mut handles = Vec::new();
-        for (c, shard) in queries.chunks(chunk).enumerate() {
-            let handle = scope.spawn(move || {
-                let mut client = ServeClient::connect(addr)
-                    .unwrap_or_else(|e| fail(&format!("cannot connect to {addr}: {e}")));
-                let mut answers = Vec::with_capacity(shard.len());
-                for (i, query) in shard.iter().enumerate() {
-                    let request_id = (c * chunk + i + 1) as u64;
-                    let t0 = Instant::now();
-                    let response = client
-                        .call(&Request::Query {
-                            request_id,
-                            index: index_name.to_string(),
-                            params: *params,
-                            query: query.to_vec(),
-                        })
-                        .unwrap_or_else(|e| {
-                            fail(&format!("query {request_id} against {index_name}: {e}"))
-                        });
-                    let latency = t0.elapsed().as_secs_f64();
-                    match response.body {
-                        ResponseBody::Answer { neighbors } => answers.push((neighbors, latency)),
-                        ResponseBody::Error { code, message } => fail(&format!(
-                            "server answered query {request_id} against {index_name} with \
-                             {code:?}: {message}"
-                        )),
-                        other => fail(&format!(
-                            "unexpected response body {other:?} to query {request_id}"
-                        )),
-                    }
-                }
-                (c, answers)
-            });
-            handles.push(handle);
-        }
-        for handle in handles {
-            let (c, answers) = handle.join().expect("replay connection panicked");
-            for (i, answer) in answers.into_iter().enumerate() {
-                merged[c * chunk + i] = Some(answer);
+    let shards: Vec<(usize, &[&[f32]])> = queries.chunks(chunk).enumerate().collect();
+    let answered = answer_on_workers(&shards, shards.len(), || (), |_, &(c, shard)| {
+        let mut client = ServeClient::connect(addr)
+            .unwrap_or_else(|e| fail(&format!("cannot connect to {addr}: {e}")));
+        let mut answers = Vec::with_capacity(shard.len());
+        for (i, query) in shard.iter().enumerate() {
+            let request_id = (c * chunk + i + 1) as u64;
+            let t0 = Instant::now();
+            let response = client
+                .call(&Request::Query {
+                    request_id,
+                    index: index_name.to_string(),
+                    params: *params,
+                    query: query.to_vec(),
+                })
+                .unwrap_or_else(|e| {
+                    fail(&format!("query {request_id} against {index_name}: {e}"))
+                });
+            let latency = t0.elapsed().as_secs_f64();
+            match response.body {
+                ResponseBody::Answer { neighbors } => answers.push((neighbors, latency)),
+                ResponseBody::Error { code, message } => fail(&format!(
+                    "server answered query {request_id} against {index_name} with \
+                     {code:?}: {message}"
+                )),
+                other => fail(&format!(
+                    "unexpected response body {other:?} to query {request_id}"
+                )),
             }
         }
+        answers
     });
     let total_seconds = started.elapsed().as_secs_f64();
-    let answers = merged
-        .into_iter()
-        .enumerate()
-        .map(|(q, a)| a.unwrap_or_else(|| fail(&format!("query {q} was never answered"))))
-        .collect();
+    // Every connection answers its whole shard or exits through `fail`.
+    let answers = answered.into_iter().flatten().collect();
     (answers, total_seconds)
 }
 

@@ -10,8 +10,8 @@
 //!   Algorithm 1 (exact search) and Algorithm 2 (δ-ε-approximate search) are
 //!   implemented once, generically, over this trait in [`crate::search`].
 
-use crate::error::Result;
-use crate::query::{SearchParams, SearchResult};
+use crate::error::{Error, Result};
+use crate::query::{SearchMode, SearchParams, SearchResult};
 use crate::stats::{QueryStats, StoreCounters};
 
 /// How a method summarizes (represents) the data, mirroring the
@@ -77,14 +77,56 @@ pub struct Capabilities {
 
 impl Capabilities {
     /// Whether the given search mode is supported.
-    pub fn supports(&self, mode: &crate::query::SearchMode) -> bool {
-        use crate::query::SearchMode::*;
+    pub fn supports(&self, mode: &SearchMode) -> bool {
         match mode {
-            Exact => self.exact,
-            Ng { .. } => self.ng_approximate,
-            Epsilon { .. } => self.epsilon_approximate,
-            DeltaEpsilon { .. } => self.delta_epsilon_approximate,
+            SearchMode::Exact => self.exact,
+            SearchMode::Ng { .. } => self.ng_approximate,
+            SearchMode::Epsilon { .. } => self.epsilon_approximate,
+            SearchMode::DeltaEpsilon { .. } => self.delta_epsilon_approximate,
         }
+    }
+}
+
+/// The one door of every [`AnnIndex::search`]: decides whether an index
+/// with capabilities `caps` over series of `series_len` values accepts
+/// `query` under `params`. What a method answers is therefore decided by
+/// its [`Capabilities`] row alone.
+///
+/// # Errors
+/// In this order:
+/// * [`Error::DimensionMismatch`] if `query` does not have `series_len`
+///   values;
+/// * [`Error::UnsupportedMode`] if `caps` does not support the mode;
+/// * [`Error::InvalidParameter`] if `k == 0`, ε is negative or NaN, or δ
+///   lies outside `[0, 1]`.
+pub fn check_query(
+    caps: Capabilities,
+    series_len: usize,
+    query: &[f32],
+    params: &SearchParams,
+) -> Result<()> {
+    if query.len() != series_len {
+        return Err(Error::DimensionMismatch {
+            expected: series_len,
+            found: query.len(),
+        });
+    }
+    let mode = params.mode;
+    if !caps.supports(&mode) {
+        return Err(Error::UnsupportedMode(format!(
+            "{} search is not among this method's guarantees",
+            mode.label()
+        )));
+    }
+    let (epsilon, delta) = (mode.epsilon(), mode.delta());
+    if params.k == 0 {
+        Err(Error::InvalidParameter("k must be at least 1".into()))
+    } else if epsilon.is_nan() || epsilon < 0.0 {
+        Err(Error::InvalidParameter(format!("epsilon must be >= 0, got {epsilon}")))
+    } else if !(0.0..=1.0).contains(&delta) {
+        Err(Error::InvalidParameter(format!("delta must lie in [0, 1], got {delta}")))
+    } else {
+        Ok(())
     }
 }
 
@@ -110,10 +152,9 @@ pub trait AnnIndex: Send + Sync {
     /// Answers a k-NN query under the requested guarantee level.
     ///
     /// # Errors
-    /// Returns [`crate::Error::UnsupportedMode`] if the index cannot honour
-    /// the requested [`crate::SearchMode`], and
-    /// [`crate::Error::DimensionMismatch`] if `query` does not have
-    /// [`Self::series_len`] values.
+    /// Whatever [`check_query`] returns for this index's
+    /// [`Self::capabilities`] and [`Self::series_len`]: every
+    /// implementation passes the query through it first.
     fn search(&self, query: &[f32], params: &SearchParams) -> Result<SearchResult>;
 
     /// Answers a batch of k-NN queries under one parameter setting.
@@ -170,7 +211,7 @@ pub trait AnnIndex: Send + Sync {
     /// not have [`Self::series_len`] values (the index is left unchanged).
     fn insert_batch(&mut self, batch: &[&[f32]]) -> Result<()> {
         let _ = batch;
-        Err(crate::Error::UnsupportedMode(format!(
+        Err(Error::UnsupportedMode(format!(
             "{} does not support streaming ingest",
             self.name()
         )))
@@ -300,6 +341,41 @@ mod tests {
             epsilon: 1.0,
             delta: 0.5
         }));
+    }
+
+    #[test]
+    fn check_query_decides_length_then_row_then_knobs() {
+        let caps = Capabilities {
+            exact: true,
+            ng_approximate: true,
+            epsilon_approximate: false,
+            delta_epsilon_approximate: true,
+            disk_resident: false,
+            streaming_insert: false,
+            representation: Representation::Raw,
+        };
+        let check =
+            |len: usize, params: SearchParams| check_query(caps, 4, &vec![0.0; len], &params);
+        let invalid = |r: Result<()>| matches!(r, Err(Error::InvalidParameter(_)));
+        assert!(check(4, SearchParams::exact(1)).is_ok());
+        assert!(check(4, SearchParams::ng(1 << 36, 0)).is_ok(), "any k >= 1, nprobe 0 too");
+        for (epsilon, delta) in [(0.0, 0.0), (-0.0, 1.0), (f32::INFINITY, 0.5)] {
+            assert!(check(4, SearchParams::delta_epsilon(3, delta, epsilon)).is_ok());
+        }
+        assert!(matches!(
+            check(3, SearchParams::epsilon(0, f32::NAN)),
+            Err(Error::DimensionMismatch {
+                expected: 4,
+                found: 3
+            })
+        ));
+        let unsupported = check(4, SearchParams::epsilon(0, f32::NAN));
+        assert!(matches!(&unsupported, Err(Error::UnsupportedMode(m)) if m.starts_with("eps ")));
+        assert!(invalid(check(4, SearchParams::exact(0))));
+        let bad_knobs = [(f32::NAN, 0.5), (-1.0, 0.5), (1.0, -1.0), (1.0, 2.0), (1.0, f32::NAN)];
+        for (epsilon, delta) in bad_knobs {
+            assert!(invalid(check(4, SearchParams::delta_epsilon(3, delta, epsilon))));
+        }
     }
 
     #[test]

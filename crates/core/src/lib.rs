@@ -49,10 +49,10 @@ pub use distance::{
 pub use half::{f16_bits_from_f32, f32_from_f16_bits};
 pub use error::{Error, Result};
 pub use histogram::DistanceHistogram;
-pub use index::{AnnIndex, Capabilities, HierarchicalIndex, Representation};
+pub use index::{check_query, AnnIndex, Capabilities, HierarchicalIndex, Representation};
 pub use query::{
     merge_top_k, Answer, Neighbor, SearchKey, SearchMode, SearchParams, SearchResult, TopK,
 };
-pub use search::{knn_search, predict_first_leaf, KnnSearcher};
+pub use search::{knn_search, predict_first_leaf};
 pub use series::{znormalize, znormalized, Dataset};
 pub use stats::{QueryStats, StoreCounters};

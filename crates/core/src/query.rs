@@ -97,6 +97,14 @@ impl SearchMode {
         }
     }
 
+    /// The ng effort knob (0 for the guarantee modes, which carry none).
+    pub fn nprobe(&self) -> usize {
+        match self {
+            SearchMode::Ng { nprobe } => *nprobe,
+            _ => 0,
+        }
+    }
+
     /// Whether this mode carries any guarantee (everything except ng).
     pub fn has_guarantees(&self) -> bool {
         !matches!(self, SearchMode::Ng { .. })
@@ -220,6 +228,10 @@ impl SearchResult {
     }
 }
 
+/// The most neighbors [`TopK::new`] reserves room for before the first
+/// push.
+const TOP_K_RESERVE: usize = 4096;
+
 /// A bounded max-heap that maintains the `k` best (smallest-distance)
 /// neighbors seen so far. All indexes use this to build their answer sets.
 #[derive(Debug, Clone)]
@@ -231,13 +243,17 @@ pub struct TopK {
 impl TopK {
     /// Creates a container for the best `k` neighbors.
     ///
+    /// Room for at most 4096 neighbors is reserved up front and the heap
+    /// grows past it on demand, so a `k` far beyond the collection costs
+    /// only what is actually found.
+    ///
     /// # Panics
     /// Panics if `k == 0`.
     pub fn new(k: usize) -> Self {
         assert!(k > 0, "k must be positive");
         Self {
             k,
-            heap: std::collections::BinaryHeap::with_capacity(k + 1),
+            heap: std::collections::BinaryHeap::with_capacity(k.min(TOP_K_RESERVE) + 1),
         }
     }
 
@@ -340,6 +356,8 @@ mod tests {
     fn search_mode_accessors() {
         assert_eq!(SearchMode::Exact.epsilon(), 0.0);
         assert_eq!(SearchMode::Exact.delta(), 1.0);
+        assert_eq!(SearchMode::Exact.nprobe(), 0);
+        assert_eq!(SearchMode::Ng { nprobe: 5 }.nprobe(), 5);
         assert_eq!(SearchMode::Ng { nprobe: 5 }.label(), "ng");
         assert!(!SearchMode::Ng { nprobe: 5 }.has_guarantees());
         let m = SearchMode::DeltaEpsilon {
@@ -418,6 +436,19 @@ mod tests {
         let sorted = t.into_sorted();
         assert_eq!(sorted[0].index, 3);
         assert_eq!(sorted[1].index, 0);
+    }
+
+    #[test]
+    fn topk_with_a_k_beyond_memory_holds_what_it_is_given() {
+        // Reserving `k + 1` slots of this overflows the address space.
+        let mut t = TopK::new(usize::MAX / 2);
+        for (i, d) in [3.0, 1.0, 2.0].into_iter().enumerate() {
+            assert!(t.push(Neighbor::new(i, d)));
+        }
+        assert!(!t.is_full());
+        assert_eq!(t.kth_distance(), f32::INFINITY);
+        let ids: Vec<usize> = t.into_sorted().iter().map(|n| n.index).collect();
+        assert_eq!(ids, vec![1, 2, 0]);
     }
 
     #[test]

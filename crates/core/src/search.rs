@@ -67,7 +67,7 @@ impl SearchSpec {
             },
             SearchMode::Epsilon { epsilon } => Self {
                 k: params.k,
-                epsilon: epsilon.max(0.0),
+                epsilon,
                 r_delta: 0.0,
                 max_leaves: None,
             },
@@ -79,7 +79,7 @@ impl SearchSpec {
                 };
                 Self {
                     k: params.k,
-                    epsilon: epsilon.max(0.0),
+                    epsilon,
                     r_delta,
                     max_leaves: None,
                 }
@@ -111,101 +111,89 @@ impl Ord for QueueEntry {
     }
 }
 
-/// Reusable k-NN searcher over a [`HierarchicalIndex`].
+/// Runs Algorithm 2 (which subsumes Algorithm 1) over `index` and returns
+/// the neighbors found together with cost counters.
 ///
-/// Holding the searcher lets callers amortize the priority-queue allocation
-/// across queries of a workload.
-pub struct KnnSearcher<'a, I: HierarchicalIndex + ?Sized> {
-    index: &'a I,
-    queue: BinaryHeap<Reverse<QueueEntry>>,
-}
+/// # Panics
+/// Panics if `spec.k == 0` (see [`TopK::new`]); [`SearchSpec::from_params`]
+/// of a query that passed [`crate::check_query`] never asks for it.
+pub fn knn_search<I: HierarchicalIndex + ?Sized>(
+    index: &I,
+    query: &[f32],
+    spec: &SearchSpec,
+) -> SearchResult {
+    let mut stats = QueryStats::new();
+    let mut top = TopK::new(spec.k);
+    let mut queue = BinaryHeap::new();
 
-impl<'a, I: HierarchicalIndex + ?Sized> KnnSearcher<'a, I> {
-    /// Creates a searcher over `index`.
-    pub fn new(index: &'a I) -> Self {
-        Self {
-            index,
-            queue: BinaryHeap::new(),
-        }
+    // The query-only half of every lower bound below, computed once.
+    let prepared = index.prepare(query);
+
+    // Lines 2-5 / 4-7: seed the queue with the root node(s).
+    for &root in index.roots() {
+        let lb = index.min_dist(query, &prepared, root);
+        stats.lower_bound_computations += 1;
+        queue.push(Reverse(QueueEntry { lb, node: root }));
     }
 
-    /// Runs Algorithm 2 (which subsumes Algorithm 1) and returns the
-    /// neighbors found together with cost counters.
-    pub fn search(&mut self, query: &[f32], spec: &SearchSpec) -> SearchResult {
-        let mut stats = QueryStats::new();
-        let mut top = TopK::new(spec.k.max(1));
-        self.queue.clear();
+    let one_plus_eps = 1.0 + spec.epsilon;
+    let delta_threshold = one_plus_eps * spec.r_delta;
+    let mut leaves_visited = 0usize;
 
-        // The query-only half of every lower bound below, computed once.
-        let prepared = self.index.prepare(query);
-
-        // Lines 2-5 / 4-7: seed the queue with the root node(s).
-        for &root in self.index.roots() {
-            let lb = self.index.min_dist(query, &prepared, root);
-            stats.lower_bound_computations += 1;
-            self.queue.push(Reverse(QueueEntry { lb, node: root }));
+    // Lines 8-21: best-first traversal with ε-relaxed pruning.
+    while let Some(Reverse(entry)) = queue.pop() {
+        let bsf = top.kth_distance();
+        if entry.lb > bsf / one_plus_eps {
+            // All remaining entries have even larger lower bounds.
+            break;
         }
-
-        let one_plus_eps = 1.0 + spec.epsilon;
-        let delta_threshold = one_plus_eps * spec.r_delta;
-        let mut leaves_visited = 0usize;
-
-        // Lines 8-21: best-first traversal with ε-relaxed pruning.
-        while let Some(Reverse(entry)) = self.queue.pop() {
-            let bsf = top.kth_distance();
-            if entry.lb > bsf / one_plus_eps {
-                // All remaining entries have even larger lower bounds.
+        stats.nodes_visited += 1;
+        if index.is_leaf(entry.node) {
+            leaves_visited += 1;
+            stats.leaves_visited += 1;
+            let scanned = index.refine_leaf(
+                entry.node,
+                query,
+                &prepared,
+                top.kth_distance(),
+                &mut stats,
+                &mut |id, d| {
+                    top.push(Neighbor::new(id, d));
+                    top.kth_distance()
+                },
+            );
+            stats.series_scanned += scanned;
+            stats.distance_computations += scanned;
+            // Line 16 of Algorithm 2: probabilistic stop condition.
+            if spec.r_delta > 0.0 && top.is_full() && top.kth_distance() <= delta_threshold {
+                stats.delta_stop_triggered = true;
                 break;
             }
-            stats.nodes_visited += 1;
-            if self.index.is_leaf(entry.node) {
-                leaves_visited += 1;
-                stats.leaves_visited += 1;
-                let scanned = self.index.refine_leaf(
-                    entry.node,
-                    query,
-                    &prepared,
-                    top.kth_distance(),
-                    &mut stats,
-                    &mut |id, d| {
-                        top.push(Neighbor::new(id, d));
-                        top.kth_distance()
-                    },
-                );
-                stats.series_scanned += scanned;
-                stats.distance_computations += scanned;
-                // Line 16 of Algorithm 2: probabilistic stop condition.
-                if spec.r_delta > 0.0 && top.is_full() && top.kth_distance() <= delta_threshold {
-                    stats.delta_stop_triggered = true;
+            // ng-approximate leaf budget.
+            if let Some(max_leaves) = spec.max_leaves {
+                if leaves_visited >= max_leaves {
                     break;
                 }
-                // ng-approximate leaf budget.
-                if let Some(max_leaves) = spec.max_leaves {
-                    if leaves_visited >= max_leaves {
-                        break;
-                    }
-                }
-            } else {
-                // The surviving children enter the queue in one `extend`,
-                // which restores the heap once for the lot (O(n) for a wide
-                // fan-out) instead of sifting each one up. `QueueEntry`'s
-                // order is total and node ids are unique, so the pop
-                // sequence is the one n pushes would give.
-                let bsf = top.kth_distance();
-                let keep_all = !top.is_full();
-                let index = self.index;
-                let children = index.children(entry.node);
-                stats.lower_bound_computations += children.len() as u64;
-                self.queue.extend(children.iter().filter_map(|&child| {
-                    let lb = index.min_dist(query, &prepared, child);
-                    (lb < bsf / one_plus_eps || keep_all)
-                        .then_some(Reverse(QueueEntry { lb, node: child }))
-                }));
             }
+        } else {
+            // The surviving children enter the queue in one `extend`,
+            // which restores the heap once for the lot (O(n) for a wide
+            // fan-out) instead of sifting each one up. `QueueEntry`'s
+            // order is total and node ids are unique, so the pop
+            // sequence is the one n pushes would give.
+            let bsf = top.kth_distance();
+            let keep_all = !top.is_full();
+            let children = index.children(entry.node);
+            stats.lower_bound_computations += children.len() as u64;
+            queue.extend(children.iter().filter_map(|&child| {
+                let lb = index.min_dist(query, &prepared, child);
+                (lb < bsf / one_plus_eps || keep_all)
+                    .then_some(Reverse(QueueEntry { lb, node: child }))
+            }));
         }
-
-        SearchResult::new(top.into_sorted(), stats)
     }
+
+    SearchResult::new(top.into_sorted(), stats)
 }
 
 /// Predicts the leaf a best-first search would refine first: a greedy
@@ -236,16 +224,6 @@ pub fn predict_first_leaf<I: HierarchicalIndex + ?Sized>(
         node = closest(index.children(node))?;
     }
     Some(node)
-}
-
-/// Convenience wrapper: builds a throw-away [`KnnSearcher`] and runs one
-/// query.
-pub fn knn_search<I: HierarchicalIndex + ?Sized>(
-    index: &I,
-    query: &[f32],
-    spec: &SearchSpec,
-) -> SearchResult {
-    KnnSearcher::new(index).search(query, spec)
 }
 
 #[cfg(test)]

@@ -3,9 +3,12 @@
 //! fixes its worker count.
 //!
 //! A file-backed query batch (`hydra_persist::backing::Collection::answer_batch`),
-//! the brute-force ground-truth scan (`hydra_data::exact_knn_batch`) and the
+//! the brute-force ground-truth scan (`hydra_data::exact_knn_batch`), the
 //! δ-ε histogram's distance samples
-//! ([`crate::DistanceHistogram::from_pairwise`]) all run on it.
+//! ([`crate::DistanceHistogram::from_pairwise`]) all run on it, and so do,
+//! with one worker per shard or connection, the sharded fan-out
+//! (`hydra_shard::ShardedIndex`), the parallel workload runner
+//! (`hydra_eval::run_workload_parallel`) and `serve_client`'s replay.
 
 use std::cell::Cell;
 use std::sync::atomic::{AtomicUsize, Ordering};

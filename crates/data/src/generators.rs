@@ -61,26 +61,6 @@ impl DatasetKind {
     }
 }
 
-/// Convenience bundle describing a dataset to generate.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct GeneratorConfig {
-    /// Dataset family.
-    pub kind: DatasetKind,
-    /// Number of series.
-    pub num_series: usize,
-    /// Length of each series.
-    pub series_len: usize,
-    /// RNG seed.
-    pub seed: u64,
-}
-
-impl GeneratorConfig {
-    /// Generates the configured dataset.
-    pub fn generate(&self) -> Dataset {
-        self.kind.generate(self.num_series, self.series_len, self.seed)
-    }
-}
-
 /// Random-walk series: cumulative sums of N(0, 1) steps, z-normalized.
 ///
 /// This is exactly the paper's synthetic data model ("generated as
@@ -241,6 +221,7 @@ mod tests {
             assert_eq!(d.series_len(), 64);
             assert!(d.iter().all(|s| s.iter().all(|v| v.is_finite())));
         }
+        assert_eq!(DatasetKind::RandomWalk.name(), "rand");
     }
 
     #[test]
@@ -315,19 +296,5 @@ mod tests {
         let smooth = mri_like(30, 128, 5);
         let rough = seismic_like(30, 128, 5);
         assert!(roughness(&smooth) < roughness(&rough));
-    }
-
-    #[test]
-    fn generator_config_roundtrip() {
-        let cfg = GeneratorConfig {
-            kind: DatasetKind::RandomWalk,
-            num_series: 12,
-            series_len: 16,
-            seed: 1,
-        };
-        let d = cfg.generate();
-        assert_eq!(d.len(), 12);
-        assert_eq!(d.series_len(), 16);
-        assert_eq!(DatasetKind::RandomWalk.name(), "rand");
     }
 }

@@ -33,9 +33,7 @@ pub mod ground_truth;
 pub mod partition;
 pub mod queries;
 
-pub use generators::{
-    deep_like, mri_like, random_walk, seismic_like, sift_like, DatasetKind, GeneratorConfig,
-};
+pub use generators::{deep_like, mri_like, random_walk, seismic_like, sift_like, DatasetKind};
 pub use ground_truth::{
     exact_knn, exact_knn_batch, ground_truth, ground_truth_cache_file, ground_truth_cached,
     ground_truth_fingerprint, GroundTruth, GROUND_TRUTH_KIND,

@@ -11,10 +11,10 @@
 //!   extrapolation protocol for large workloads (drop the 5 best and 5 worst
 //!   queries, scale the mean of the rest). Two execution modes share one
 //!   report type: [`runner::run_workload`] (sequential, paper-faithful) and
-//!   [`runner::run_workload_parallel`] (sharded across scoped threads with
-//!   batched `search_batch` calls, for serving-mode throughput).
-//! * [`report`] — tiny CSV helpers and the Figure 9 decision-matrix
-//!   recommendation logic.
+//!   [`runner::run_workload_parallel`] (sharded across the workers of
+//!   `hydra_core::workers::answer_on_workers` with batched `search_batch`
+//!   calls, for serving-mode throughput).
+//! * [`report`] — the Figure 9 decision-matrix recommendation logic.
 
 #![warn(missing_docs)]
 #![warn(rust_2018_idioms)]
@@ -24,7 +24,7 @@ pub mod report;
 pub mod runner;
 
 pub use metrics::{average_precision, mean_relative_error, recall, AccuracySummary};
-pub use report::{recommend, CsvWriter, Recommendation, Scenario};
+pub use report::{recommend, Recommendation, Scenario};
 pub use runner::{
     percentile_seconds, run_workload, run_workload_parallel, LatencyPercentiles, WorkloadReport,
 };

@@ -1,72 +1,4 @@
-//! CSV reporting and the Figure 9 decision matrix.
-
-use std::fmt::Write as _;
-
-/// A minimal CSV writer used by the figure harnesses (keeps the workspace
-/// free of serialization dependencies).
-#[derive(Debug, Default)]
-pub struct CsvWriter {
-    buffer: String,
-    columns: usize,
-}
-
-impl CsvWriter {
-    /// Creates a writer with the given header row.
-    pub fn new(header: &[&str]) -> Self {
-        let mut w = Self {
-            buffer: String::new(),
-            columns: header.len(),
-        };
-        w.write_row_internal(header.iter().map(|s| s.to_string()));
-        w
-    }
-
-    /// Appends one row. Values are formatted with `Display`.
-    ///
-    /// # Panics
-    /// Panics if the number of values differs from the header width.
-    pub fn row<I, T>(&mut self, values: I)
-    where
-        I: IntoIterator<Item = T>,
-        T: std::fmt::Display,
-    {
-        let rendered: Vec<String> = values.into_iter().map(|v| v.to_string()).collect();
-        assert_eq!(
-            rendered.len(),
-            self.columns,
-            "row width must match the header"
-        );
-        self.write_row_internal(rendered.into_iter());
-    }
-
-    fn write_row_internal<I: Iterator<Item = String>>(&mut self, values: I) {
-        let mut first = true;
-        for v in values {
-            if !first {
-                self.buffer.push(',');
-            }
-            let needs_quotes = v.contains(',') || v.contains('"');
-            if needs_quotes {
-                let escaped = v.replace('"', "\"\"");
-                let _ = write!(self.buffer, "\"{escaped}\"");
-            } else {
-                self.buffer.push_str(&v);
-            }
-            first = false;
-        }
-        self.buffer.push('\n');
-    }
-
-    /// The accumulated CSV text.
-    pub fn as_str(&self) -> &str {
-        &self.buffer
-    }
-
-    /// Number of data rows written (excluding the header).
-    pub fn num_rows(&self) -> usize {
-        self.buffer.lines().count().saturating_sub(1)
-    }
-}
+//! The Figure 9 decision matrix.
 
 /// The scenario axes of the paper's recommendation matrix (Figure 9).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -130,24 +62,6 @@ pub fn recommend(scenario: Scenario) -> Recommendation {
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn csv_writer_produces_well_formed_output() {
-        let mut w = CsvWriter::new(&["figure", "method", "x", "y"]);
-        w.row(["fig3a", "DSTree", "0.5", "120"]);
-        w.row(["fig3a", "a,b", "0.9", "10"]);
-        let text = w.as_str();
-        assert!(text.starts_with("figure,method,x,y\n"));
-        assert!(text.contains("\"a,b\""));
-        assert_eq!(w.num_rows(), 2);
-    }
-
-    #[test]
-    #[should_panic(expected = "row width")]
-    fn csv_writer_rejects_ragged_rows() {
-        let mut w = CsvWriter::new(&["a", "b"]);
-        w.row(["only-one"]);
-    }
 
     #[test]
     fn recommendations_match_figure_9() {

@@ -11,8 +11,8 @@
 //!   All of the paper's figures are defined over this protocol.
 //! * [`run_workload_parallel`] — the serving-mode protocol: the workload is
 //!   sharded into contiguous batches, one per worker thread, and each shard
-//!   is answered through [`AnnIndex::search_batch`] inside a
-//!   [`std::thread::scope`]. Shards are merged back in workload order, so
+//!   is answered through [`AnnIndex::search_batch`] on a worker of
+//!   [`hydra_core::workers::answer_on_workers`]. Shards are merged back in workload order, so
 //!   accuracy and cost counters are **deterministic and identical** to the
 //!   sequential runner (the `search_batch` contract forbids batching from
 //!   changing answers or per-query stats); only the wall-clock fields
@@ -77,6 +77,7 @@
 
 use std::time::{Duration, Instant};
 
+use hydra_core::workers::answer_on_workers;
 use hydra_core::{AnnIndex, Neighbor, QueryStats, SearchParams};
 use hydra_data::{GroundTruth, QueryWorkload};
 use hydra_obs::{QueryTrace, Stage, StageIo};
@@ -325,45 +326,40 @@ pub fn run_workload_parallel(
     let mut per_query_seconds = vec![0.0f64; n];
     let mut per_query_stats = vec![QueryStats::new(); n];
     let started = Instant::now();
-    if n > 0 {
-        std::thread::scope(|scope| {
-            let mut handles = Vec::new();
-            for (t, shard) in queries.chunks(chunk).enumerate() {
-                let shard_range = (t * chunk, t * chunk + shard.len());
-                let handle = scope.spawn(move || {
-                    let t0 = Instant::now();
-                    let results = index.search_batch(shard, params);
-                    let amortized = t0.elapsed().as_secs_f64() / shard.len() as f64;
-                    let offset = t * chunk;
-                    let mut rows = Vec::with_capacity(shard.len());
-                    for (i, res) in results.into_iter().enumerate() {
-                        let result = res.unwrap_or_default();
-                        let truth = &ground_truth.answers[offset + i];
-                        rows.push((accuracy_of(&result.neighbors, truth), result.stats));
-                    }
-                    (t, amortized, rows)
-                });
-                handles.push((shard_range, handle));
-            }
-            for ((start, end), handle) in handles {
-                // A panicking worker must name its shard: a poisoned run
-                // over thousands of queries is undiagnosable from a bare
-                // "workload worker panicked".
-                let (t, amortized, rows) = handle.join().unwrap_or_else(|payload| {
-                    panic!(
-                        "workload shard {} (queries {start}..{end}) panicked: {}",
-                        start / chunk,
-                        panic_message(&payload)
-                    )
-                });
-                for (i, (accuracy, qstats)) in rows.into_iter().enumerate() {
-                    let g = t * chunk + i;
-                    per_query[g] = accuracy;
-                    per_query_seconds[g] = amortized;
-                    per_query_stats[g] = qstats;
-                }
-            }
-        });
+    let shards: Vec<(usize, &[&[f32]])> = queries.chunks(chunk).enumerate().collect();
+    let answered = answer_on_workers(&shards, shards.len(), || (), |_, &(t, shard)| {
+        let (start, end) = (t * chunk, t * chunk + shard.len());
+        let answer = || {
+            let t0 = Instant::now();
+            let results = index.search_batch(shard, params);
+            let amortized = t0.elapsed().as_secs_f64() / shard.len() as f64;
+            let rows: Vec<_> = results
+                .into_iter()
+                .zip(&ground_truth.answers[start..end])
+                .map(|(res, truth)| {
+                    let result = res.unwrap_or_default();
+                    (accuracy_of(&result.neighbors, truth), result.stats)
+                })
+                .collect();
+            (amortized, rows)
+        };
+        // A panicking shard must name itself: a poisoned run over
+        // thousands of queries is undiagnosable from a bare "workload
+        // worker panicked".
+        std::panic::catch_unwind(std::panic::AssertUnwindSafe(answer)).unwrap_or_else(|payload| {
+            panic!(
+                "workload shard {t} (queries {start}..{end}) panicked: {}",
+                panic_message(&*payload)
+            )
+        })
+    });
+    for (t, (amortized, rows)) in answered.into_iter().enumerate() {
+        for (i, (accuracy, qstats)) in rows.into_iter().enumerate() {
+            let g = t * chunk + i;
+            per_query[g] = accuracy;
+            per_query_seconds[g] = amortized;
+            per_query_stats[g] = qstats;
+        }
     }
     let fan_out_wall = started.elapsed();
     let total_seconds = fan_out_wall.as_secs_f64();

@@ -5,17 +5,15 @@
 //! are searched simultaneously with one shared priority queue of unexplored
 //! branches, and the search stops after `max_checks` point comparisons.
 
-use hydra_core::{
-    AnnIndex, Capabilities, Dataset, Error, Neighbor, QueryStats, Representation, Result,
-    SearchMode, SearchParams, SearchResult, TopK,
-};
+use hydra_core::{Dataset, Error, Neighbor, QueryStats, Result, SearchResult, TopK};
 use hydra_persist::{Fingerprint, PersistError, Section, SnapshotReader, SnapshotWriter};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use std::cmp::Reverse;
 use std::collections::BinaryHeap;
 
-/// Configuration of a [`KdForest`].
+/// Configuration of the randomized kd-forest [`crate::Flann`] selects for
+/// high-dimensional or small collections.
 #[derive(Debug, Clone, Copy)]
 pub struct KdForestConfig {
     /// Number of randomized trees.
@@ -53,20 +51,16 @@ enum KdNode {
     },
 }
 
-/// An ensemble of randomized kd-trees over an in-memory dataset.
-pub struct KdForest {
-    config: KdForestConfig,
-    data: Dataset,
+/// An ensemble of randomized kd-trees over the dataset its [`crate::Flann`]
+/// holds.
+pub(crate) struct KdForest {
     /// Per tree: an arena of nodes, root at index 0.
     trees: Vec<Vec<KdNode>>,
 }
 
 impl KdForest {
-    /// Builds the forest.
-    pub fn build(dataset: &Dataset, config: KdForestConfig) -> Result<Self> {
-        if dataset.is_empty() {
-            return Err(Error::EmptyDataset);
-        }
+    /// Builds the forest over a non-empty `dataset`.
+    pub(crate) fn build(dataset: &Dataset, config: KdForestConfig) -> Result<Self> {
         if config.num_trees == 0 || config.leaf_size == 0 {
             return Err(Error::InvalidParameter(
                 "kd-forest needs at least one tree and a positive leaf size".into(),
@@ -80,30 +74,19 @@ impl KdForest {
             build_node(dataset, ids, &config, &mut nodes, &mut rng);
             trees.push(nodes);
         }
-        Ok(Self {
-            config,
-            data: dataset.clone(),
-            trees,
-        })
+        Ok(Self { trees })
     }
 
-    /// Number of trees in the forest.
-    pub fn num_trees(&self) -> usize {
-        self.trees.len()
-    }
-
-    /// The configuration the forest was built with.
-    pub fn config(&self) -> &KdForestConfig {
-        &self.config
-    }
-
-    /// The in-memory dataset the forest was built over (persistence hook).
-    pub(crate) fn data(&self) -> &Dataset {
-        &self.data
+    /// Bytes of the node arenas (the raw vectors are [`crate::Flann`]'s).
+    pub(crate) fn memory_footprint(&self) -> usize {
+        self.trees
+            .iter()
+            .map(|t| t.len() * std::mem::size_of::<KdNode>())
+            .sum()
     }
 
     /// Hashes the build parameters into a snapshot fingerprint (persistence
-    /// hook shared with the [`crate::Flann`] wrapper).
+    /// hook of [`crate::Flann`]).
     pub(crate) fn push_fingerprint(config: &KdForestConfig, f: &mut Fingerprint) {
         f.push_usize(config.num_trees);
         f.push_usize(config.leaf_size);
@@ -113,10 +96,10 @@ impl KdForest {
 
     /// Appends the forest's structure (every tree's node arena) to a
     /// snapshot being written (persistence hook).
-    pub(crate) fn persist_sections(&self, w: &mut SnapshotWriter) {
+    pub(crate) fn persist_sections(&self, data: &Dataset, w: &mut SnapshotWriter) {
         let mut meta = Section::new();
-        meta.put_usize(self.data.series_len());
-        meta.put_usize(self.data.len());
+        meta.put_usize(data.series_len());
+        meta.put_usize(data.len());
         meta.put_usize(self.trees.len());
         w.push(meta);
 
@@ -152,7 +135,6 @@ impl KdForest {
     pub(crate) fn restore_sections(
         r: &mut SnapshotReader,
         dataset: &Dataset,
-        config: KdForestConfig,
     ) -> hydra_persist::Result<Self> {
         let mut meta = r.next_section()?;
         let series_len = meta.get_usize()?;
@@ -207,11 +189,95 @@ impl KdForest {
             trees.push(nodes);
         }
 
-        Ok(Self {
-            config,
-            data: dataset.clone(),
-            trees,
-        })
+        Ok(Self { trees })
+    }
+
+    /// Searches every tree at once through one shared branch queue and
+    /// stops after `max_checks` point comparisons.
+    pub(crate) fn search(
+        &self,
+        data: &Dataset,
+        query: &[f32],
+        k: usize,
+        max_checks: usize,
+    ) -> SearchResult {
+        let mut stats = QueryStats::new();
+        let mut top = TopK::new(k);
+        let mut checked = vec![false; data.len()];
+        let mut checks = 0usize;
+
+        // Shared branch queue across all trees: (lower bound, tree, node).
+        #[derive(PartialEq)]
+        struct Branch(f32, usize, usize);
+        impl Eq for Branch {}
+        impl PartialOrd for Branch {
+            fn partial_cmp(&self, other: &Self) -> Option<std::cmp::Ordering> {
+                Some(self.cmp(other))
+            }
+        }
+        impl Ord for Branch {
+            fn cmp(&self, other: &Self) -> std::cmp::Ordering {
+                self.0
+                    .total_cmp(&other.0)
+                    .then(self.1.cmp(&other.1))
+                    .then(self.2.cmp(&other.2))
+            }
+        }
+        let mut queue: BinaryHeap<Reverse<Branch>> = BinaryHeap::new();
+        for t in 0..self.trees.len() {
+            queue.push(Reverse(Branch(0.0, t, 0)));
+        }
+
+        while let Some(Reverse(Branch(lb, tree, mut node))) = queue.pop() {
+            if checks >= max_checks {
+                break;
+            }
+            if top.is_full() && lb > top.kth_distance() {
+                continue;
+            }
+            // Descend to a leaf, pushing the unexplored sibling branches.
+            loop {
+                match &self.trees[tree][node] {
+                    KdNode::Leaf { points } => {
+                        stats.leaves_visited += 1;
+                        for &id in points {
+                            let id = id as usize;
+                            if checked[id] || checks >= max_checks {
+                                continue;
+                            }
+                            checked[id] = true;
+                            checks += 1;
+                            stats.distance_computations += 1;
+                            stats.series_scanned += 1;
+                            if let Some(d) = hydra_core::euclidean_early_abandon(
+                                query,
+                                data.series(id),
+                                top.kth_distance(),
+                            ) {
+                                top.push(Neighbor::new(id, d));
+                            }
+                        }
+                        break;
+                    }
+                    KdNode::Split {
+                        dim,
+                        value,
+                        left,
+                        right,
+                    } => {
+                        let diff = query[*dim] - value;
+                        let (near, far) = if diff < 0.0 {
+                            (*left, *right)
+                        } else {
+                            (*right, *left)
+                        };
+                        queue.push(Reverse(Branch(lb.max(diff.abs()), tree, far)));
+                        node = near;
+                    }
+                }
+            }
+        }
+        SearchResult::new(top.into_sorted(), stats)
     }
 }
 
@@ -277,135 +343,11 @@ fn build_node(
     my_index
 }
 
-impl AnnIndex for KdForest {
-    fn name(&self) -> &'static str {
-        "FLANN-kd"
-    }
-
-    fn capabilities(&self) -> Capabilities {
-        Capabilities {
-            exact: false,
-            ng_approximate: true,
-            epsilon_approximate: false,
-            delta_epsilon_approximate: false,
-            disk_resident: false,
-            streaming_insert: false,
-            representation: Representation::Partitions,
-        }
-    }
-
-    fn num_series(&self) -> usize {
-        self.data.len()
-    }
-
-    fn series_len(&self) -> usize {
-        self.data.series_len()
-    }
-
-    fn memory_footprint(&self) -> usize {
-        self.trees
-            .iter()
-            .map(|t| t.len() * std::mem::size_of::<KdNode>())
-            .sum::<usize>()
-            + self.data.payload_bytes()
-    }
-
-    fn search(&self, query: &[f32], params: &SearchParams) -> Result<SearchResult> {
-        if query.len() != self.data.series_len() {
-            return Err(Error::DimensionMismatch {
-                expected: self.data.series_len(),
-                found: query.len(),
-            });
-        }
-        let SearchMode::Ng { nprobe } = params.mode else {
-            return Err(Error::UnsupportedMode(
-                "FLANN is ng-approximate only (no guarantees)".into(),
-            ));
-        };
-        let max_checks = nprobe.max(params.k).max(1);
-        let mut stats = QueryStats::new();
-        let mut top = TopK::new(params.k.max(1));
-        let mut checked = vec![false; self.data.len()];
-        let mut checks = 0usize;
-
-        // Shared branch queue across all trees: (lower bound, tree, node).
-        #[derive(PartialEq)]
-        struct Branch(f32, usize, usize);
-        impl Eq for Branch {}
-        impl PartialOrd for Branch {
-            fn partial_cmp(&self, other: &Self) -> Option<std::cmp::Ordering> {
-                Some(self.cmp(other))
-            }
-        }
-        impl Ord for Branch {
-            fn cmp(&self, other: &Self) -> std::cmp::Ordering {
-                self.0
-                    .total_cmp(&other.0)
-                    .then(self.1.cmp(&other.1))
-                    .then(self.2.cmp(&other.2))
-            }
-        }
-        let mut queue: BinaryHeap<Reverse<Branch>> = BinaryHeap::new();
-        for t in 0..self.trees.len() {
-            queue.push(Reverse(Branch(0.0, t, 0)));
-        }
-
-        while let Some(Reverse(Branch(lb, tree, mut node))) = queue.pop() {
-            if checks >= max_checks {
-                break;
-            }
-            if top.is_full() && lb > top.kth_distance() {
-                continue;
-            }
-            // Descend to a leaf, pushing the unexplored sibling branches.
-            loop {
-                match &self.trees[tree][node] {
-                    KdNode::Leaf { points } => {
-                        stats.leaves_visited += 1;
-                        for &id in points {
-                            let id = id as usize;
-                            if checked[id] || checks >= max_checks {
-                                continue;
-                            }
-                            checked[id] = true;
-                            checks += 1;
-                            stats.distance_computations += 1;
-                            stats.series_scanned += 1;
-                            if let Some(d) = hydra_core::euclidean_early_abandon(
-                                query,
-                                self.data.series(id),
-                                top.kth_distance(),
-                            ) {
-                                top.push(Neighbor::new(id, d));
-                            }
-                        }
-                        break;
-                    }
-                    KdNode::Split {
-                        dim,
-                        value,
-                        left,
-                        right,
-                    } => {
-                        let diff = query[*dim] - value;
-                        let (near, far) = if diff < 0.0 {
-                            (*left, *right)
-                        } else {
-                            (*right, *left)
-                        };
-                        queue.push(Reverse(Branch(lb.max(diff.abs()), tree, far)));
-                        node = near;
-                    }
-                }
-            }
-        }
-        Ok(SearchResult::new(top.into_sorted(), stats))
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::{Flann, FlannAlgorithm, FlannConfig};
+    use hydra_core::{AnnIndex, SearchParams};
     use hydra_data::{exact_knn, sift_like};
 
     #[test]
@@ -421,11 +363,11 @@ mod tests {
             },
         )
         .unwrap();
-        assert_eq!(forest.num_trees(), 4);
+        assert_eq!(forest.trees.len(), 4);
         let queries = sift_like(5, 20, 99);
         let mut hits = 0usize;
         for q in queries.iter() {
-            let res = forest.search(q, &SearchParams::ng(1, 300)).unwrap();
+            let res = forest.search(&data, q, 1, 300);
             let gt = exact_knn(&data, q, 1);
             if res.neighbors[0].index == gt[0].index {
                 hits += 1;
@@ -439,9 +381,9 @@ mod tests {
         let data = sift_like(500, 16, 13);
         let forest = KdForest::build(&data, KdForestConfig::default()).unwrap();
         let q = data.series(0);
-        let res = forest.search(q, &SearchParams::ng(5, 50)).unwrap();
+        let res = forest.search(&data, q, 5, 50);
         assert!(res.stats.series_scanned <= 50);
-        let bigger = forest.search(q, &SearchParams::ng(5, 200)).unwrap();
+        let bigger = forest.search(&data, q, 5, 200);
         assert!(bigger.stats.series_scanned <= 200);
         assert!(bigger.kth_distance() <= res.kth_distance() + 1e-6);
     }
@@ -449,18 +391,26 @@ mod tests {
     #[test]
     fn invalid_inputs_are_rejected() {
         let empty = Dataset::new(4).unwrap();
-        assert!(KdForest::build(&empty, KdForestConfig::default()).is_err());
+        assert!(Flann::build(&empty, FlannConfig::default()).is_err());
+        // Under 1000 series the selection rule picks the kd-forest.
         let data = sift_like(10, 8, 1);
-        assert!(KdForest::build(
-            &data,
-            KdForestConfig {
+        let no_trees = FlannConfig {
+            kd: KdForestConfig {
                 num_trees: 0,
                 ..KdForestConfig::default()
-            }
-        )
-        .is_err());
-        let forest = KdForest::build(&data, KdForestConfig::default()).unwrap();
-        assert!(forest.search(&[0.0; 8], &SearchParams::exact(1)).is_err());
-        assert!(forest.search(&[0.0; 2], &SearchParams::ng(1, 5)).is_err());
+            },
+            ..FlannConfig::default()
+        };
+        assert!(Flann::build(&data, no_trees).is_err());
+        let flann = Flann::build(&data, FlannConfig::default()).unwrap();
+        assert_eq!(flann.algorithm(), FlannAlgorithm::RandomizedKdTrees);
+        assert!(matches!(
+            flann.search(&[0.0; 8], &SearchParams::exact(1)),
+            Err(Error::UnsupportedMode(_))
+        ));
+        assert!(matches!(
+            flann.search(&[0.0; 2], &SearchParams::ng(1, 5)),
+            Err(Error::DimensionMismatch { .. })
+        ));
     }
 }

@@ -6,16 +6,14 @@
 //! priority queue ordered by centroid distance, stopping after `max_checks`
 //! point comparisons.
 
-use hydra_core::{
-    AnnIndex, Capabilities, Dataset, Error, Neighbor, QueryStats, Representation, Result,
-    SearchMode, SearchParams, SearchResult, TopK,
-};
+use hydra_core::{Dataset, Error, Neighbor, QueryStats, Result, SearchResult, TopK};
 use hydra_persist::{codec, Fingerprint, PersistError, Section, SnapshotReader, SnapshotWriter};
 use hydra_summarize::quantization::KMeans;
 use std::cmp::Reverse;
 use std::collections::BinaryHeap;
 
-/// Configuration of a [`KMeansTree`].
+/// Configuration of the hierarchical k-means tree [`crate::Flann`] selects
+/// for large collections of short series.
 #[derive(Debug, Clone, Copy)]
 pub struct KMeansTreeConfig {
     /// Branching factor of each internal node.
@@ -49,45 +47,43 @@ enum TreeNode {
     },
 }
 
-/// The hierarchical k-means tree.
-pub struct KMeansTree {
-    config: KMeansTreeConfig,
-    data: Dataset,
+/// The hierarchical k-means tree over the dataset its [`crate::Flann`]
+/// holds.
+pub(crate) struct KMeansTree {
     nodes: Vec<TreeNode>,
 }
 
 impl KMeansTree {
-    /// Builds the tree.
-    pub fn build(dataset: &Dataset, config: KMeansTreeConfig) -> Result<Self> {
-        if dataset.is_empty() {
-            return Err(Error::EmptyDataset);
-        }
+    /// Builds the tree over a non-empty `dataset`.
+    pub(crate) fn build(dataset: &Dataset, config: KMeansTreeConfig) -> Result<Self> {
         if config.branching < 2 || config.leaf_size == 0 {
             return Err(Error::InvalidParameter(
                 "k-means tree needs branching >= 2 and a positive leaf size".into(),
             ));
         }
-        let mut tree = Self {
-            config,
-            data: dataset.clone(),
-            nodes: Vec::new(),
-        };
+        let mut tree = Self { nodes: Vec::new() };
         let ids: Vec<u32> = (0..dataset.len() as u32).collect();
-        tree.build_node(ids, config.seed);
+        tree.build_node(dataset, &config, ids, config.seed);
         Ok(tree)
     }
 
-    fn build_node(&mut self, ids: Vec<u32>, seed: u64) -> usize {
+    fn build_node(
+        &mut self,
+        data: &Dataset,
+        config: &KMeansTreeConfig,
+        ids: Vec<u32>,
+        seed: u64,
+    ) -> usize {
         let my_index = self.nodes.len();
-        if ids.len() <= self.config.leaf_size.max(self.config.branching) {
+        if ids.len() <= config.leaf_size.max(config.branching) {
             self.nodes.push(TreeNode::Leaf { points: ids });
             return my_index;
         }
-        let refs: Vec<&[f32]> = ids.iter().map(|&i| self.data.series(i as usize)).collect();
-        let km = KMeans::fit(&refs, self.config.branching, self.config.kmeans_iters, seed);
+        let refs: Vec<&[f32]> = ids.iter().map(|&i| data.series(i as usize)).collect();
+        let km = KMeans::fit(&refs, config.branching, config.kmeans_iters, seed);
         let mut buckets: Vec<Vec<u32>> = vec![Vec::new(); km.k()];
         for &id in &ids {
-            let c = km.assign(self.data.series(id as usize));
+            let c = km.assign(data.series(id as usize));
             buckets[c].push(id);
         }
         // If clustering failed to separate the points, fall back to a leaf.
@@ -105,7 +101,7 @@ impl KMeansTree {
                 children.push(usize::MAX);
                 continue;
             }
-            let child = self.build_node(bucket, seed.wrapping_add(c as u64 + 1));
+            let child = self.build_node(data, config, bucket, seed.wrapping_add(c as u64 + 1));
             children.push(child);
         }
         if let TreeNode::Internal { children: ch, .. } = &mut self.nodes[my_index] {
@@ -114,13 +110,20 @@ impl KMeansTree {
         my_index
     }
 
-    /// The in-memory dataset the tree was built over (persistence hook).
-    pub(crate) fn data(&self) -> &Dataset {
-        &self.data
+    /// Bytes of the codebooks and leaf memberships (the raw vectors are
+    /// [`crate::Flann`]'s).
+    pub(crate) fn memory_footprint(&self) -> usize {
+        self.nodes
+            .iter()
+            .map(|n| match n {
+                TreeNode::Internal { centroids, .. } => centroids.memory_footprint(),
+                TreeNode::Leaf { points } => points.len() * std::mem::size_of::<u32>(),
+            })
+            .sum()
     }
 
     /// Hashes the build parameters into a snapshot fingerprint (persistence
-    /// hook shared with the [`crate::Flann`] wrapper).
+    /// hook of [`crate::Flann`]).
     pub(crate) fn push_fingerprint(config: &KMeansTreeConfig, f: &mut Fingerprint) {
         f.push_usize(config.branching);
         f.push_usize(config.leaf_size);
@@ -133,10 +136,10 @@ impl KMeansTree {
     ///
     /// Empty-cluster children are recorded with the same `usize::MAX`
     /// sentinel the in-memory arena uses (stored as `u64::MAX`).
-    pub(crate) fn persist_sections(&self, w: &mut SnapshotWriter) {
+    pub(crate) fn persist_sections(&self, data: &Dataset, w: &mut SnapshotWriter) {
         let mut meta = Section::new();
-        meta.put_usize(self.data.series_len());
-        meta.put_usize(self.data.len());
+        meta.put_usize(data.series_len());
+        meta.put_usize(data.len());
         meta.put_usize(self.nodes.len());
         w.push(meta);
 
@@ -165,7 +168,6 @@ impl KMeansTree {
     pub(crate) fn restore_sections(
         r: &mut SnapshotReader,
         dataset: &Dataset,
-        config: KMeansTreeConfig,
     ) -> hydra_persist::Result<Self> {
         let mut meta = r.next_section()?;
         let series_len = meta.get_usize()?;
@@ -219,66 +221,20 @@ impl KMeansTree {
             });
         }
 
-        Ok(Self {
-            config,
-            data: dataset.clone(),
-            nodes,
-        })
+        Ok(Self { nodes })
     }
-}
-
-impl AnnIndex for KMeansTree {
-    fn name(&self) -> &'static str {
-        "FLANN-kmeans"
-    }
-
-    fn capabilities(&self) -> Capabilities {
-        Capabilities {
-            exact: false,
-            ng_approximate: true,
-            epsilon_approximate: false,
-            delta_epsilon_approximate: false,
-            disk_resident: false,
-            streaming_insert: false,
-            representation: Representation::Partitions,
-        }
-    }
-
-    fn num_series(&self) -> usize {
-        self.data.len()
-    }
-
-    fn series_len(&self) -> usize {
-        self.data.series_len()
-    }
-
-    fn memory_footprint(&self) -> usize {
-        let centroid_bytes: usize = self
-            .nodes
-            .iter()
-            .map(|n| match n {
-                TreeNode::Internal { centroids, .. } => centroids.memory_footprint(),
-                TreeNode::Leaf { points } => points.len() * std::mem::size_of::<u32>(),
-            })
-            .sum();
-        centroid_bytes + self.data.payload_bytes()
-    }
-
-    fn search(&self, query: &[f32], params: &SearchParams) -> Result<SearchResult> {
-        if query.len() != self.data.series_len() {
-            return Err(Error::DimensionMismatch {
-                expected: self.data.series_len(),
-                found: query.len(),
-            });
-        }
-        let SearchMode::Ng { nprobe } = params.mode else {
-            return Err(Error::UnsupportedMode(
-                "FLANN is ng-approximate only (no guarantees)".into(),
-            ));
-        };
-        let max_checks = nprobe.max(params.k).max(1);
+    /// Descends to the closest centroid first, keeping unexplored siblings
+    /// in a queue ordered by centroid distance, and stops after
+    /// `max_checks` point comparisons.
+    pub(crate) fn search(
+        &self,
+        data: &Dataset,
+        query: &[f32],
+        k: usize,
+        max_checks: usize,
+    ) -> SearchResult {
         let mut stats = QueryStats::new();
-        let mut top = TopK::new(params.k.max(1));
+        let mut top = TopK::new(k);
         let mut checks = 0usize;
 
         #[derive(PartialEq)]
@@ -314,7 +270,7 @@ impl AnnIndex for KMeansTree {
                         stats.series_scanned += 1;
                         if let Some(d) = hydra_core::euclidean_early_abandon(
                             query,
-                            self.data.series(id),
+                            data.series(id),
                             top.kth_distance(),
                         ) {
                             top.push(Neighbor::new(id, d));
@@ -335,13 +291,15 @@ impl AnnIndex for KMeansTree {
                 }
             }
         }
-        Ok(SearchResult::new(top.into_sorted(), stats))
+        SearchResult::new(top.into_sorted(), stats)
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::{Flann, FlannAlgorithm, FlannConfig};
+    use hydra_core::{AnnIndex, SearchParams};
     use hydra_data::{exact_knn, sift_like};
 
     #[test]
@@ -360,7 +318,7 @@ mod tests {
         let queries = sift_like(5, 20, 98);
         let mut hits = 0usize;
         for q in queries.iter() {
-            let res = tree.search(q, &SearchParams::ng(1, 300)).unwrap();
+            let res = tree.search(&data, q, 1, 300);
             let gt = exact_knn(&data, q, 1);
             if res.neighbors[0].index == gt[0].index {
                 hits += 1;
@@ -374,8 +332,8 @@ mod tests {
         let data = sift_like(600, 16, 23);
         let tree = KMeansTree::build(&data, KMeansTreeConfig::default()).unwrap();
         let q = data.series(1);
-        let small = tree.search(q, &SearchParams::ng(5, 40)).unwrap();
-        let large = tree.search(q, &SearchParams::ng(5, 400)).unwrap();
+        let small = tree.search(&data, q, 5, 40);
+        let large = tree.search(&data, q, 5, 400);
         assert!(small.stats.series_scanned <= 40);
         assert!(large.stats.series_scanned <= 400);
         assert!(large.kth_distance() <= small.kth_distance() + 1e-6);
@@ -383,21 +341,26 @@ mod tests {
 
     #[test]
     fn invalid_inputs_are_rejected() {
-        let empty = Dataset::new(4).unwrap();
-        assert!(KMeansTree::build(&empty, KMeansTreeConfig::default()).is_err());
-        let data = sift_like(10, 8, 1);
-        assert!(KMeansTree::build(
-            &data,
-            KMeansTreeConfig {
+        // 1000 series of length <= 64: the selection rule picks the tree.
+        let data = sift_like(1000, 8, 1);
+        let unary = FlannConfig {
+            kmeans: KMeansTreeConfig {
                 branching: 1,
                 ..KMeansTreeConfig::default()
-            }
-        )
-        .is_err());
-        let tree = KMeansTree::build(&data, KMeansTreeConfig::default()).unwrap();
-        assert!(tree.search(&[0.0; 8], &SearchParams::epsilon(1, 1.0)).is_err());
-        assert!(tree.search(&[0.0; 2], &SearchParams::ng(1, 5)).is_err());
-        assert_eq!(tree.name(), "FLANN-kmeans");
-        assert!(tree.memory_footprint() > 0);
+            },
+            ..FlannConfig::default()
+        };
+        assert!(Flann::build(&data, unary).is_err());
+        let flann = Flann::build(&data, FlannConfig::default()).unwrap();
+        assert_eq!(flann.algorithm(), FlannAlgorithm::HierarchicalKMeans);
+        assert!(matches!(
+            flann.search(&[0.0; 8], &SearchParams::epsilon(1, 1.0)),
+            Err(Error::UnsupportedMode(_))
+        ));
+        assert!(matches!(
+            flann.search(&[0.0; 2], &SearchParams::ng(1, 5)),
+            Err(Error::DimensionMismatch { .. })
+        ));
+        assert!(flann.memory_footprint() > 0);
     }
 }

@@ -1,14 +1,17 @@
 //! # hydra-flann
 //!
-//! A FLANN-style ensemble (Muja & Lowe) for ng-approximate nearest-neighbor
-//! search: randomized kd-trees searched jointly with a shared priority
-//! queue, a hierarchical k-means tree, and an auto-selection wrapper that
-//! picks between them — mirroring the library the Lernaean Hydra paper
-//! evaluates as "Flann".
+//! A FLANN-style index (Muja & Lowe) for ng-approximate nearest-neighbor
+//! search, mirroring the library the Lernaean Hydra paper evaluates as
+//! "Flann": one [`Flann`] index that holds the dataset and, at build time,
+//! selects one of two algorithms for it — randomized kd-trees searched
+//! jointly with a shared priority queue, or a hierarchical k-means tree.
+//! Both algorithms are crate-private; [`Flann::search`](hydra_core::AnnIndex::search)
+//! passes every query through [`hydra_core::check_query`] and then
+//! dispatches to the selected one.
 //!
-//! Both algorithms are in-memory and provide no guarantees; the
-//! speed/accuracy knob is the number of leaf/point checks (`max_checks`),
-//! mapped onto the `nprobe` parameter of [`hydra_core::SearchMode::Ng`].
+//! The index is in-memory and provides no guarantees; the speed/accuracy
+//! knob is the number of point checks (`max_checks`), mapped onto the
+//! `nprobe` parameter of [`hydra_core::SearchMode::Ng`].
 
 #![warn(missing_docs)]
 #![warn(rust_2018_idioms)]
@@ -16,13 +19,17 @@
 mod kdforest;
 mod kmeans_tree;
 
-pub use kdforest::{KdForest, KdForestConfig};
-pub use kmeans_tree::{KMeansTree, KMeansTreeConfig};
+pub use kdforest::KdForestConfig;
+pub use kmeans_tree::KMeansTreeConfig;
+
+use kdforest::KdForest;
+use kmeans_tree::KMeansTree;
 
 use std::path::Path;
 
 use hydra_core::{
-    AnnIndex, Capabilities, Dataset, Error, Representation, Result, SearchParams, SearchResult,
+    check_query, AnnIndex, Capabilities, Dataset, Error, Representation, Result, SearchParams,
+    SearchResult,
 };
 use hydra_persist::{
     fingerprint_dataset, DataSource, Fingerprint, PersistError, PersistentIndex, Section, StoreBacking,
@@ -37,37 +44,27 @@ pub enum FlannAlgorithm {
     HierarchicalKMeans,
 }
 
-/// Configuration of the [`Flann`] auto-selection wrapper.
-#[derive(Debug, Clone, Copy)]
+/// Configuration of a [`Flann`] index: both algorithms' parameters, of
+/// which the build uses the selected one's.
+#[derive(Debug, Clone, Copy, Default)]
 pub struct FlannConfig {
     /// kd-forest configuration (used when the kd-tree algorithm is chosen).
     pub kd: KdForestConfig,
     /// k-means-tree configuration (used when that algorithm is chosen).
     pub kmeans: KMeansTreeConfig,
-    /// Force a specific algorithm instead of auto-selecting.
-    pub force: Option<FlannAlgorithm>,
 }
 
-impl Default for FlannConfig {
-    fn default() -> Self {
-        Self {
-            kd: KdForestConfig::default(),
-            kmeans: KMeansTreeConfig::default(),
-            force: None,
-        }
-    }
-}
-
-enum Inner {
+/// The algorithm a [`Flann`] index runs.
+enum Algorithm {
     Kd(KdForest),
     KMeans(KMeansTree),
 }
 
 /// The FLANN-style auto-selecting index.
 pub struct Flann {
-    inner: Inner,
-    algorithm: FlannAlgorithm,
-    /// The full configuration the wrapper was built with (both algorithms'
+    data: Dataset,
+    algorithm: Algorithm,
+    /// The full configuration the index was built with (both algorithms'
     /// parameters), kept for snapshot fingerprinting.
     config: FlannConfig,
 }
@@ -76,32 +73,20 @@ impl Flann {
     /// Builds a FLANN index, auto-selecting the algorithm.
     ///
     /// The (simplified) selection rule follows FLANN's empirical guidance:
-    /// strongly clustered data with moderate dimensionality favours the
-    /// hierarchical k-means tree, everything else the randomized kd-forest.
-    /// The heuristic compares the dataset's mean nearest-centroid distance
-    /// under a coarse k-means against the global spread.
+    /// a large collection (at least 1000 series) of moderate dimensionality
+    /// (at most 64 values) gets the hierarchical k-means tree, everything
+    /// else the randomized kd-forest.
     pub fn build(dataset: &Dataset, config: FlannConfig) -> Result<Self> {
         if dataset.is_empty() {
             return Err(Error::EmptyDataset);
         }
-        let algorithm = match config.force {
-            Some(a) => a,
-            None => {
-                if dataset.series_len() <= 64 && dataset.len() >= 1000 {
-                    FlannAlgorithm::HierarchicalKMeans
-                } else {
-                    FlannAlgorithm::RandomizedKdTrees
-                }
-            }
-        };
-        let inner = match algorithm {
-            FlannAlgorithm::RandomizedKdTrees => Inner::Kd(KdForest::build(dataset, config.kd)?),
-            FlannAlgorithm::HierarchicalKMeans => {
-                Inner::KMeans(KMeansTree::build(dataset, config.kmeans)?)
-            }
+        let algorithm = if dataset.series_len() <= 64 && dataset.len() >= 1000 {
+            Algorithm::KMeans(KMeansTree::build(dataset, config.kmeans)?)
+        } else {
+            Algorithm::Kd(KdForest::build(dataset, config.kd)?)
         };
         Ok(Self {
-            inner,
+            data: dataset.clone(),
             algorithm,
             config,
         })
@@ -109,10 +94,13 @@ impl Flann {
 
     /// Which algorithm was selected.
     pub fn algorithm(&self) -> FlannAlgorithm {
-        self.algorithm
+        match self.algorithm {
+            Algorithm::Kd(_) => FlannAlgorithm::RandomizedKdTrees,
+            Algorithm::KMeans(_) => FlannAlgorithm::HierarchicalKMeans,
+        }
     }
 
-    /// The configuration the wrapper was built with.
+    /// The configuration the index was built with.
     pub fn config(&self) -> &FlannConfig {
         &self.config
     }
@@ -122,16 +110,14 @@ impl PersistentIndex for Flann {
     type Config = FlannConfig;
     const KIND: &'static str = "flann";
 
-    /// Both algorithms' parameters plus the forced choice: auto-selection
-    /// is deterministic in the dataset, so this pins the built structure.
+    /// Both algorithms' parameters: auto-selection is deterministic in the
+    /// dataset, so this pins the built structure. The trailing 0 is what
+    /// the fingerprint always held for an auto-selected build, kept so
+    /// every snapshot saved before stays loadable.
     fn hash_config(config: &FlannConfig, f: &mut Fingerprint) {
         KdForest::push_fingerprint(&config.kd, f);
         KMeansTree::push_fingerprint(&config.kmeans, f);
-        f.push_u64(match config.force {
-            None => 0,
-            Some(FlannAlgorithm::RandomizedKdTrees) => 1,
-            Some(FlannAlgorithm::HierarchicalKMeans) => 2,
-        });
+        f.push_u64(0);
     }
 
     /// Snapshots which algorithm auto-selection picked followed by that
@@ -139,20 +125,16 @@ impl PersistentIndex for Flann {
     /// k-means tree with its per-node codebooks). The raw vectors are
     /// re-attached from the dataset at load time.
     fn save(&self, path: &Path) -> hydra_persist::Result<()> {
-        let data = match &self.inner {
-            Inner::Kd(i) => i.data(),
-            Inner::KMeans(i) => i.data(),
-        };
-        let mut w = Self::snapshot_writer(&self.config, fingerprint_dataset(data));
+        let mut w = Self::snapshot_writer(&self.config, fingerprint_dataset(&self.data));
         let mut algo = Section::new();
-        algo.put_u8(match self.algorithm {
+        algo.put_u8(match self.algorithm() {
             FlannAlgorithm::RandomizedKdTrees => 0,
             FlannAlgorithm::HierarchicalKMeans => 1,
         });
         w.push(algo);
-        match &self.inner {
-            Inner::Kd(i) => i.persist_sections(&mut w),
-            Inner::KMeans(i) => i.persist_sections(&mut w),
+        match &self.algorithm {
+            Algorithm::Kd(forest) => forest.persist_sections(&self.data, &mut w),
+            Algorithm::KMeans(tree) => tree.persist_sections(&self.data, &mut w),
         }
         w.write_to(path)
     }
@@ -168,24 +150,16 @@ impl PersistentIndex for Flann {
 
         let mut algo = r.next_section()?;
         let algorithm = match algo.get_u8()? {
-            0 => FlannAlgorithm::RandomizedKdTrees,
-            1 => FlannAlgorithm::HierarchicalKMeans,
+            0 => Algorithm::Kd(KdForest::restore_sections(&mut r, dataset)?),
+            1 => Algorithm::KMeans(KMeansTree::restore_sections(&mut r, dataset)?),
             tag => {
                 return Err(PersistError::Corrupt(format!(
                     "invalid FLANN algorithm tag {tag}"
                 )))
             }
         };
-        let inner = match algorithm {
-            FlannAlgorithm::RandomizedKdTrees => {
-                Inner::Kd(KdForest::restore_sections(&mut r, dataset, config.kd)?)
-            }
-            FlannAlgorithm::HierarchicalKMeans => {
-                Inner::KMeans(KMeansTree::restore_sections(&mut r, dataset, config.kmeans)?)
-            }
-        };
         Ok(Self {
-            inner,
+            data: dataset.clone(),
             algorithm,
             config: *config,
         })
@@ -210,31 +184,28 @@ impl AnnIndex for Flann {
     }
 
     fn num_series(&self) -> usize {
-        match &self.inner {
-            Inner::Kd(i) => i.num_series(),
-            Inner::KMeans(i) => i.num_series(),
-        }
+        self.data.len()
     }
 
     fn series_len(&self) -> usize {
-        match &self.inner {
-            Inner::Kd(i) => i.series_len(),
-            Inner::KMeans(i) => i.series_len(),
-        }
+        self.data.series_len()
     }
 
     fn memory_footprint(&self) -> usize {
-        match &self.inner {
-            Inner::Kd(i) => i.memory_footprint(),
-            Inner::KMeans(i) => i.memory_footprint(),
-        }
+        let structure = match &self.algorithm {
+            Algorithm::Kd(forest) => forest.memory_footprint(),
+            Algorithm::KMeans(tree) => tree.memory_footprint(),
+        };
+        structure + self.data.payload_bytes()
     }
 
     fn search(&self, query: &[f32], params: &SearchParams) -> Result<SearchResult> {
-        match &self.inner {
-            Inner::Kd(i) => i.search(query, params),
-            Inner::KMeans(i) => i.search(query, params),
-        }
+        check_query(self.capabilities(), self.series_len(), query, params)?;
+        let (k, max_checks) = (params.k, params.mode.nprobe().max(params.k));
+        Ok(match &self.algorithm {
+            Algorithm::Kd(forest) => forest.search(&self.data, query, k, max_checks),
+            Algorithm::KMeans(tree) => tree.search(&self.data, query, k, max_checks),
+        })
     }
 }
 
@@ -266,20 +237,17 @@ mod tests {
 
     #[test]
     fn both_forced_algorithms_reach_reasonable_recall() {
-        let data = sift_like(800, 24, 5);
-        let queries = sift_like(6, 24, 55);
-        for algo in [
-            FlannAlgorithm::RandomizedKdTrees,
-            FlannAlgorithm::HierarchicalKMeans,
+        // Each algorithm is forced through the input the selection rule
+        // picks it for: 800 series get the kd-forest, 1000 the k-means
+        // tree.
+        for (n, algo) in [
+            (800, FlannAlgorithm::RandomizedKdTrees),
+            (1000, FlannAlgorithm::HierarchicalKMeans),
         ] {
-            let flann = Flann::build(
-                &data,
-                FlannConfig {
-                    force: Some(algo),
-                    ..FlannConfig::default()
-                },
-            )
-            .unwrap();
+            let data = sift_like(n, 24, 5);
+            let queries = sift_like(6, 24, 55);
+            let flann = Flann::build(&data, FlannConfig::default()).unwrap();
+            assert_eq!(flann.algorithm(), algo);
             let mut total = 0.0;
             for q in queries.iter() {
                 let res = flann.search(q, &hydra_core::SearchParams::ng(10, 400)).unwrap();

@@ -21,8 +21,8 @@
 #![warn(rust_2018_idioms)]
 
 use hydra_core::{
-    AnnIndex, Capabilities, Dataset, Error, Neighbor, QueryStats, Representation, Result,
-    SearchMode, SearchParams, SearchResult, TopK,
+    check_query, AnnIndex, Capabilities, Dataset, Error, Neighbor, QueryStats, Representation,
+    Result, SearchParams, SearchResult, TopK,
 };
 use hydra_persist::{
     fingerprint_dataset, DataSource, Fingerprint, PersistError, PersistentIndex, Section, StoreBacking,
@@ -470,18 +470,8 @@ impl AnnIndex for Hnsw {
     }
 
     fn search(&self, query: &[f32], params: &SearchParams) -> Result<SearchResult> {
-        if query.len() != self.data.series_len() {
-            return Err(Error::DimensionMismatch {
-                expected: self.data.series_len(),
-                found: query.len(),
-            });
-        }
-        let SearchMode::Ng { nprobe } = params.mode else {
-            return Err(Error::UnsupportedMode(
-                "HNSW is ng-approximate only (no guarantees)".into(),
-            ));
-        };
-        let ef = nprobe.max(params.k).max(1);
+        check_query(self.capabilities(), self.series_len(), query, params)?;
+        let ef = params.mode.nprobe().max(params.k);
         let mut stats = QueryStats::new();
 
         // Greedy descent through the upper layers.
@@ -492,7 +482,7 @@ impl AnnIndex for Hnsw {
         }
         // Beam search on the bottom layer.
         let found = self.search_layer(query, entry, ef, 0, Some(&mut stats));
-        let mut top_k = TopK::new(params.k.max(1));
+        let mut top_k = TopK::new(params.k);
         for n in found {
             top_k.push(n);
         }

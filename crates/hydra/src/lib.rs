@@ -80,7 +80,7 @@ pub use hydra_core::{
 pub use hydra_data::{partition, PartitionScheme, ShardMap};
 pub use hydra_shard::ShardedIndex;
 pub use hydra_dstree::{DsTree, DsTreeConfig};
-pub use hydra_flann::{Flann, FlannAlgorithm, FlannConfig, KdForest, KdForestConfig, KMeansTree, KMeansTreeConfig};
+pub use hydra_flann::{Flann, FlannAlgorithm, FlannConfig, KdForestConfig, KMeansTreeConfig};
 pub use hydra_persist::{PersistError, PersistentIndex, StoreBacking};
 pub use hydra_hnsw::{Hnsw, HnswConfig};
 pub use hydra_imi::{ImiConfig, InvertedMultiIndex};

@@ -24,8 +24,8 @@
 #![warn(rust_2018_idioms)]
 
 use hydra_core::{
-    AnnIndex, Capabilities, Dataset, Error, Neighbor, QueryStats, Representation, Result,
-    SearchMode, SearchParams, SearchResult, TopK,
+    check_query, AnnIndex, Capabilities, Dataset, Error, Neighbor, QueryStats, Representation,
+    Result, SearchParams, SearchResult, TopK,
 };
 use hydra_persist::{
     codec, fingerprint_dataset, DataSource, Fingerprint, PersistError, PersistentIndex, Section, StoreBacking,
@@ -164,25 +164,6 @@ impl InvertedMultiIndex {
         self.adc_table_passes.load(Ordering::Relaxed)
     }
 
-    /// Shared precondition check of [`AnnIndex::search`] and
-    /// [`AnnIndex::search_batch`] (dimension first, then mode — one code
-    /// path so the two entry points cannot drift apart). Returns the
-    /// `nprobe` of the accepted ng mode.
-    fn validate(&self, query: &[f32], params: &SearchParams) -> Result<usize> {
-        if query.len() != self.series_len {
-            return Err(Error::DimensionMismatch {
-                expected: self.series_len,
-                found: query.len(),
-            });
-        }
-        let SearchMode::Ng { nprobe } = params.mode else {
-            return Err(Error::UnsupportedMode(
-                "IMI is ng-approximate only (no guarantees)".into(),
-            ));
-        };
-        Ok(nprobe.max(1))
-    }
-
     /// Number of non-empty cells.
     pub fn non_empty_cells(&self) -> usize {
         self.lists.iter().filter(|l| !l.is_empty()).count()
@@ -194,19 +175,19 @@ impl InvertedMultiIndex {
     }
 
     /// Multi-sequence traversal: visits cells in increasing
-    /// `d1[i] + d2[j]` order, scanning inverted lists until `nprobe`
-    /// non-empty lists have been read; candidates are ranked by ADC against
+    /// `d1[i] + d2[j]` order, scanning inverted lists until the query's
+    /// `nprobe` (at least one) non-empty lists have been read; candidates are ranked by ADC against
     /// the precomputed lookup `table`. `pushed` is a reusable scratch bitmap
     /// (cleared on entry), so batched callers allocate it once per batch.
     fn query_cells(
         &self,
         query: &[f32],
         table: &[Vec<f32>],
-        nprobe: usize,
-        k: usize,
+        params: &SearchParams,
         stats: &mut QueryStats,
         pushed: &mut Vec<bool>,
     ) -> Vec<Neighbor> {
+        let nprobe = params.mode.nprobe().max(1);
         let k1 = self.coarse[0].k();
         let k2 = self.coarse[1].k();
         // Sorted half-distances.
@@ -249,7 +230,7 @@ impl InvertedMultiIndex {
         heap.push(Reverse(Cell(d1[0].0 + d2[0].0, 0, 0)));
         pushed[0] = true;
 
-        let mut top = TopK::new(k.max(1));
+        let mut top = TopK::new(params.k);
         let mut visited_lists = 0usize;
         while let Some(Reverse(Cell(_, a, b))) = heap.pop() {
             if visited_lists >= nprobe {
@@ -455,12 +436,12 @@ impl AnnIndex for InvertedMultiIndex {
     }
 
     fn search(&self, query: &[f32], params: &SearchParams) -> Result<SearchResult> {
-        let nprobe = self.validate(query, params)?;
+        check_query(self.capabilities(), self.series_len, query, params)?;
         let table = self.fine.distance_table(query);
         self.adc_table_passes.fetch_add(1, Ordering::Relaxed);
         let mut stats = QueryStats::new();
         let mut pushed = Vec::new();
-        let neighbors = self.query_cells(query, &table, nprobe, params.k, &mut stats, &mut pushed);
+        let neighbors = self.query_cells(query, &table, params, &mut stats, &mut pushed);
         Ok(SearchResult::new(neighbors, stats))
     }
 
@@ -478,9 +459,9 @@ impl AnnIndex for InvertedMultiIndex {
         // Validate once; the same pass decides which queries get a table,
         // so the table iterator below cannot fall out of step with the
         // per-query results.
-        let checks: Vec<Result<usize>> = queries
+        let checks: Vec<Result<()>> = queries
             .iter()
-            .map(|q| self.validate(q, params))
+            .map(|q| check_query(self.capabilities(), self.series_len, q, params))
             .collect();
         let valid: Vec<&[f32]> = queries
             .iter()
@@ -500,11 +481,10 @@ impl AnnIndex for InvertedMultiIndex {
             .iter()
             .zip(checks)
             .map(|(query, check)| {
-                let nprobe = check?;
+                check?;
                 let table = tables.next().expect("one table per valid query");
                 let mut stats = QueryStats::new();
-                let neighbors =
-                    self.query_cells(query, &table, nprobe, params.k, &mut stats, &mut pushed);
+                let neighbors = self.query_cells(query, &table, params, &mut stats, &mut pushed);
                 Ok(SearchResult::new(neighbors, stats))
             })
             .collect()

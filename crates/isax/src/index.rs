@@ -5,7 +5,7 @@ use std::path::Path;
 
 use hydra_core::search::SearchSpec;
 use hydra_core::{
-    knn_search, AnnIndex, Capabilities, Dataset, DistanceHistogram, HierarchicalIndex,
+    check_query, knn_search, AnnIndex, Capabilities, Dataset, DistanceHistogram, HierarchicalIndex,
     QueryStats, Representation, Result, SearchParams, SearchResult,
 };
 use hydra_persist::{
@@ -634,7 +634,7 @@ impl AnnIndex for Isax2Plus {
     }
 
     fn search(&self, query: &[f32], params: &SearchParams) -> Result<SearchResult> {
-        self.frame.collection.check_lengths(&[query])?;
+        check_query(self.capabilities(), self.series_len(), query, params)?;
         let spec = SearchSpec::from_params(params, Some(&self.frame.histogram));
         Ok(knn_search(self, query, &spec))
     }

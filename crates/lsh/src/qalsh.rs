@@ -4,8 +4,8 @@
 use std::path::Path;
 
 use hydra_core::{
-    AnnIndex, Capabilities, Dataset, Error, Neighbor, QueryStats, Representation, Result,
-    SearchMode, SearchParams, SearchResult, TopK,
+    check_query, AnnIndex, Capabilities, Dataset, Error, Neighbor, QueryStats, Representation,
+    Result, SearchParams, SearchResult, TopK,
 };
 use hydra_persist::{
     fingerprint_dataset, DataSource, Fingerprint, PersistError, PersistentIndex, Section, StoreBacking,
@@ -100,27 +100,6 @@ impl Qalsh {
         &self.config
     }
 
-    /// Shared precondition check of [`AnnIndex::search`] and
-    /// [`AnnIndex::search_batch`] (dimension first, then mode — one code
-    /// path so the two entry points cannot drift apart).
-    fn validate(&self, query: &[f32], params: &SearchParams) -> Result<()> {
-        if query.len() != self.data.series_len() {
-            return Err(Error::DimensionMismatch {
-                expected: self.data.series_len(),
-                found: query.len(),
-            });
-        }
-        match params.mode {
-            SearchMode::Exact => Err(Error::UnsupportedMode(
-                "QALSH does not guarantee exact answers".into(),
-            )),
-            SearchMode::Epsilon { .. } => Err(Error::UnsupportedMode(
-                "QALSH guarantees are probabilistic (use delta-epsilon)".into(),
-            )),
-            _ => Ok(()),
-        }
-    }
-
     /// Query-aware search with virtual rehashing.
     ///
     /// `collisions` and `refined` are reusable per-point scratch buffers
@@ -133,12 +112,11 @@ impl Qalsh {
         refined: &mut Vec<bool>,
     ) -> SearchResult {
         let mut stats = QueryStats::new();
-        let k = params.k.max(1);
+        let k = params.k;
         let n = self.data.len();
         let max_refined =
             ((n as f64 * self.config.max_refined_fraction).ceil() as usize).max(k);
-        let epsilon = params.mode.epsilon().max(0.0);
-        let c = self.config.approximation_ratio.max(1.0 + epsilon).max(1.01);
+        let c = self.config.approximation_ratio.max(1.0 + params.mode.epsilon()).max(1.01);
 
         // Per-table query projections and cursors expanding outwards from
         // the query's position (query-aware: buckets are anchored on the
@@ -363,7 +341,7 @@ impl AnnIndex for Qalsh {
     }
 
     fn search(&self, query: &[f32], params: &SearchParams) -> Result<SearchResult> {
-        self.validate(query, params)?;
+        check_query(self.capabilities(), self.series_len(), query, params)?;
         let mut collisions = Vec::new();
         let mut refined = Vec::new();
         Ok(self.search_impl(query, params, &mut collisions, &mut refined))
@@ -383,7 +361,7 @@ impl AnnIndex for Qalsh {
         queries
             .iter()
             .map(|query| {
-                self.validate(query, params)?;
+                check_query(self.capabilities(), self.series_len(), query, params)?;
                 Ok(self.search_impl(query, params, &mut collisions, &mut refined))
             })
             .collect()

@@ -3,8 +3,8 @@
 use std::path::Path;
 
 use hydra_core::{
-    AnnIndex, Capabilities, Dataset, Error, Neighbor, QueryStats, Representation, Result,
-    SearchMode, SearchParams, SearchResult, TopK,
+    check_query, AnnIndex, Capabilities, Dataset, Error, Neighbor, QueryStats, Representation,
+    Result, SearchMode, SearchParams, SearchResult, TopK,
 };
 use hydra_persist::{
     Collection, DataSource, Fingerprint, PersistError, PersistentIndex, Section, StoreBacking,
@@ -95,19 +95,6 @@ impl Srs {
         self.collection.store()
     }
 
-    /// Shared precondition check of [`AnnIndex::search`] and
-    /// [`AnnIndex::search_batch`] (dimension first, then mode — one code
-    /// path so the two entry points cannot drift apart).
-    fn validate(&self, query: &[f32], params: &SearchParams) -> Result<()> {
-        self.collection.check_lengths(&[query])?;
-        if matches!(params.mode, SearchMode::Exact) {
-            return Err(Error::UnsupportedMode(
-                "SRS does not guarantee exact answers".into(),
-            ));
-        }
-        Ok(())
-    }
-
     /// Incremental search in the projected space with the SRS
     /// early-termination test.
     ///
@@ -127,23 +114,14 @@ impl Srs {
         order: &mut Vec<(f32, usize)>,
     ) -> SearchResult {
         let mut stats = QueryStats::new();
-        let k = params.k.max(1);
+        let k = params.k;
         let num_series = self.collection.len();
-        let (epsilon, delta, budget) = match params.mode {
-            SearchMode::Ng { nprobe } => (0.0f32, 1.0f32, nprobe.max(1)),
-            SearchMode::Epsilon { epsilon } => (
-                epsilon,
-                1.0,
-                (num_series as f64 * self.config.max_examined_fraction).ceil() as usize,
-            ),
-            SearchMode::DeltaEpsilon { epsilon, delta } => (
-                epsilon,
-                delta,
-                (num_series as f64 * self.config.max_examined_fraction).ceil() as usize,
-            ),
-            SearchMode::Exact => (0.0, 1.0, num_series),
+        let (epsilon, delta) = (params.mode.epsilon(), params.mode.delta());
+        let budget = match params.mode {
+            SearchMode::Ng { nprobe } => nprobe.max(1),
+            _ => (num_series as f64 * self.config.max_examined_fraction).ceil() as usize,
         };
-        let one_plus_eps = 1.0 + epsilon.max(0.0);
+        let one_plus_eps = 1.0 + epsilon;
         let m = self.config.projected_dims;
 
         // Rank all points by projected distance (the projected table is tiny
@@ -300,7 +278,7 @@ impl AnnIndex for Srs {
     }
 
     fn search(&self, query: &[f32], params: &SearchParams) -> Result<SearchResult> {
-        self.validate(query, params)?;
+        check_query(self.capabilities(), self.series_len(), query, params)?;
         let mut order = Vec::new();
         Ok(self.search_impl(query, params, &mut order))
     }
@@ -322,7 +300,7 @@ impl AnnIndex for Srs {
             queries,
             || Vec::with_capacity(self.collection.len()),
             |order, query| {
-                self.validate(query, params)?;
+                check_query(self.capabilities(), self.series_len(), query, params)?;
                 Ok(self.search_impl(query, params, order))
             },
         )

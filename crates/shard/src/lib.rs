@@ -10,9 +10,10 @@
 //!
 //! The adapter does three things, each with a hard contract:
 //!
-//! 1. **Fan-out**: `search`/`search_batch` run on all shards via scoped
-//!    threads (shard-parallel, like the multi-process router that mirrors
-//!    this adapter over TCP).
+//! 1. **Fan-out**: `search`/`search_batch` run on all shards at once,
+//!    one worker per shard of [`hydra_core::workers::answer_on_workers`]
+//!    (shard-parallel, like the multi-process router that mirrors this
+//!    adapter over TCP).
 //! 2. **Merge**: per-shard answers are translated to global ids through
 //!    the [`ShardMap`] and merged with [`hydra_core::merge_top_k`] —
 //!    deterministic (distance, global id) ordering, so shard count and
@@ -38,33 +39,12 @@
 #![warn(missing_docs)]
 #![warn(rust_2018_idioms)]
 
+use hydra_core::workers::answer_on_workers;
 use hydra_core::{
     merge_top_k, AnnIndex, Capabilities, Dataset, Error, Neighbor, QueryStats, Result,
     SearchParams, SearchResult,
 };
 use hydra_data::{partition, PartitionScheme, ShardMap};
-
-/// Runs `f(0) .. f(n - 1)` — one call inline, more concurrently on scoped
-/// threads — and returns the results in call order. A panicking call
-/// propagates to the caller (same policy as the workload runner's worker
-/// threads). The fan-out of [`ShardedIndex`] over its shards.
-fn fan_out<T: Send>(n: usize, f: impl Fn(usize) -> T + Sync) -> Vec<T> {
-    if n == 1 {
-        return vec![f(0)];
-    }
-    std::thread::scope(|scope| {
-        let handles: Vec<_> = (0..n)
-            .map(|i| {
-                let f = &f;
-                scope.spawn(move || f(i))
-            })
-            .collect();
-        handles
-            .into_iter()
-            .map(|h| h.join().unwrap_or_else(|p| std::panic::resume_unwind(p)))
-            .collect()
-    })
-}
 
 /// An [`AnnIndex`] that fans every query out to `S` per-shard inner
 /// indexes and merges their answers (see the crate docs).
@@ -166,6 +146,13 @@ impl ShardedIndex {
         &self.shards
     }
 
+    /// Runs `f` on every shard at once, one worker per shard, and returns
+    /// the results in shard order. A panicking call propagates to the
+    /// caller.
+    fn fan_out<T: Send>(&self, f: impl Fn(&dyn AnnIndex) -> T + Sync) -> Vec<T> {
+        answer_on_workers(&self.shards, self.shards.len(), || (), |_, shard| f(shard.as_ref()))
+    }
+
     /// Translates one shard's answer to global ids in place.
     fn globalize(&self, shard: usize, neighbors: &mut [Neighbor]) {
         for n in neighbors {
@@ -233,7 +220,7 @@ impl AnnIndex for ShardedIndex {
     }
 
     fn search(&self, query: &[f32], params: &SearchParams) -> Result<SearchResult> {
-        let per_shard = fan_out(self.shards.len(), |s| self.shards[s].search(query, params));
+        let per_shard = self.fan_out(|shard| shard.search(query, params));
         self.merge_query(params.k, per_shard)
     }
 
@@ -241,10 +228,8 @@ impl AnnIndex for ShardedIndex {
         // One search_batch call per shard, so the inner indexes keep their
         // per-batch amortizations (ADC tables, scratch buffers); then a
         // per-query merge across shards.
-        let mut per_shard: Vec<Vec<Option<Result<SearchResult>>>> =
-            fan_out(self.shards.len(), |s| {
-                self.shards[s].search_batch(queries, params)
-            })
+        let mut per_shard: Vec<Vec<Option<Result<SearchResult>>>> = self
+            .fan_out(|shard| shard.search_batch(queries, params))
             .into_iter()
             .map(|results| results.into_iter().map(Some).collect())
             .collect();
@@ -272,7 +257,6 @@ impl AnnIndex for ShardedIndex {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use hydra_core::SearchMode;
     use hydra_data::generators::random_walk;
     use hydra_dstree::{DsTree, DsTreeConfig};
 
@@ -307,15 +291,8 @@ mod tests {
             self.data.payload_bytes()
         }
         fn search(&self, query: &[f32], params: &SearchParams) -> Result<SearchResult> {
-            if query.len() != self.series_len() {
-                return Err(Error::DimensionMismatch {
-                    expected: self.series_len(),
-                    found: query.len(),
-                });
-            }
-            if !matches!(params.mode, SearchMode::Exact) {
-                return Err(Error::UnsupportedMode("scan is exact-only".into()));
-            }
+            hydra_core::check_query(self.capabilities(), self.series_len(), query, params)?;
+            assert!(!query[0].is_nan(), "poison query");
             let mut top = hydra_core::TopK::new(params.k);
             let mut stats = QueryStats::default();
             for (i, series) in self.data.iter().enumerate() {
@@ -333,6 +310,21 @@ mod tests {
             }) as Box<dyn AnnIndex>)
         })
         .unwrap()
+    }
+
+    #[test]
+    fn a_panicking_shard_unwinds_out_of_the_fan_out_with_its_payload() {
+        let sharded = sharded_scan(&random_walk(20, 4, 3), PartitionScheme::Contiguous, 2);
+        let poison = [f32::NAN; 4];
+        let batch: Vec<&[f32]> = vec![&poison];
+        let params = SearchParams::exact(1);
+        let search = || drop(sharded.search(&poison, &params));
+        let search_batch = || drop(sharded.search_batch(&batch, &params));
+        for run in [&search as &dyn Fn(), &search_batch] {
+            let unwound = std::panic::catch_unwind(std::panic::AssertUnwindSafe(run));
+            let payload = unwound.expect_err("the shard's panic propagates");
+            assert_eq!(payload.downcast_ref::<&str>(), Some(&"poison query"));
+        }
     }
 
     #[test]

@@ -3,7 +3,7 @@
 use std::path::Path;
 
 use hydra_core::{
-    AnnIndex, Capabilities, Dataset, DistanceHistogram, Error, Neighbor, QueryStats,
+    check_query, AnnIndex, Capabilities, Dataset, DistanceHistogram, Error, Neighbor, QueryStats,
     Representation, Result, SearchMode, SearchParams, SearchResult, TopK,
 };
 use hydra_persist::backing::HISTOGRAM_BINS;
@@ -136,9 +136,7 @@ impl VaPlusFile {
         candidates: &mut Vec<(f32, usize)>,
     ) -> SearchResult {
         let mut stats = QueryStats::new();
-        let k = params.k.max(1);
-        let epsilon = params.mode.epsilon().max(0.0);
-        let one_plus_eps = 1.0 + epsilon;
+        let one_plus_eps = 1.0 + params.mode.epsilon();
         let (nprobe, r_delta) = match params.mode {
             SearchMode::Ng { nprobe } => (Some(nprobe.max(1)), 0.0),
             SearchMode::DeltaEpsilon { delta, .. } if delta < 1.0 => {
@@ -160,7 +158,7 @@ impl VaPlusFile {
         candidates.sort_by(|a, b| a.0.total_cmp(&b.0));
 
         // Phase 2: refine in increasing lower-bound order.
-        let mut top = TopK::new(k);
+        let mut top = TopK::new(params.k);
         let delta_threshold = one_plus_eps * r_delta;
         let mut refined = 0usize;
         for &(lb, id) in candidates.iter() {
@@ -302,7 +300,7 @@ impl AnnIndex for VaPlusFile {
     }
 
     fn search(&self, query: &[f32], params: &SearchParams) -> Result<SearchResult> {
-        self.collection.check_lengths(&[query])?;
+        check_query(self.capabilities(), self.series_len(), query, params)?;
         let mut candidates = Vec::new();
         Ok(self.skip_sequential(query, params, &mut candidates))
     }
@@ -346,7 +344,7 @@ impl AnnIndex for VaPlusFile {
             queries,
             || Vec::with_capacity(self.collection.len()),
             |candidates, query| {
-                self.collection.check_lengths(&[query])?;
+                check_query(self.capabilities(), self.series_len(), query, params)?;
                 Ok(self.skip_sequential(query, params, candidates))
             },
         )

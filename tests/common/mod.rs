@@ -53,15 +53,7 @@ impl AnnIndex for Scan {
         self.data.payload_bytes()
     }
     fn search(&self, query: &[f32], params: &SearchParams) -> hydra::Result<SearchResult> {
-        if query.len() != self.data.series_len() {
-            return Err(hydra::Error::DimensionMismatch {
-                expected: self.data.series_len(),
-                found: query.len(),
-            });
-        }
-        if !matches!(params.mode, SearchMode::Exact) {
-            return Err(hydra::Error::UnsupportedMode("scan is exact-only".into()));
-        }
+        hydra::core::check_query(self.capabilities(), self.series_len(), query, params)?;
         let mut stats = QueryStats::new();
         stats.distance_computations = self.data.len() as u64;
         Ok(SearchResult::new(

@@ -3,7 +3,7 @@
 //! relationships, I/O accounting) hold end to end.
 
 use hydra::prelude::*;
-use hydra_eval::{run_workload, run_workload_parallel, CsvWriter};
+use hydra_eval::{run_workload, run_workload_parallel};
 
 #[test]
 fn throughput_accuracy_tradeoff_curves_are_monotone_for_ng_search() {
@@ -196,22 +196,4 @@ fn parallel_runner_matches_sequential_runner_across_the_index_zoo() {
     );
     assert_eq!(parallel.stats.bytes_read, sequential.stats.bytes_read);
     assert!((parallel.accuracy.avg_recall - 1.0).abs() < 1e-12, "exact stays exact in parallel");
-}
-
-#[test]
-fn csv_writer_round_trips_report_rows() {
-    let data = hydra::data::random_walk(400, 32, 61);
-    let workload = hydra::data::noisy_queries(&data, 5, &[0.1], 62);
-    let truth = hydra::data::ground_truth(&data, &workload, 5);
-    let dstree = DsTree::build(&data, DsTreeConfig::default()).unwrap();
-    let report = run_workload(&dstree, &workload, &truth, &SearchParams::exact(5));
-
-    let mut csv = CsvWriter::new(&["method", "map", "qpm"]);
-    csv.row([
-        report.method.clone(),
-        format!("{:.3}", report.accuracy.map),
-        format!("{:.1}", report.queries_per_minute),
-    ]);
-    assert_eq!(csv.num_rows(), 1);
-    assert!(csv.as_str().contains("DSTree"));
 }

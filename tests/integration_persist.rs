@@ -63,17 +63,17 @@ fn every_index_in_the_zoo_roundtrips_identically() {
     });
     assert_eq!(visited, 8);
 
-    // FLANN's row auto-tunes; pin both inner algorithms too.
-    for force in [
-        hydra::FlannAlgorithm::RandomizedKdTrees,
-        hydra::FlannAlgorithm::HierarchicalKMeans,
+    // FLANN's row auto-tunes; pin both of its algorithms too, each through
+    // the input the selection rule picks it for (the 500 series above
+    // select the kd-forest, 1000 short ones the k-means tree).
+    let cfg = FlannConfig::default();
+    for (data, algorithm) in [
+        (data, hydra::FlannAlgorithm::RandomizedKdTrees),
+        (hydra::data::random_walk(1000, 32, 4243), hydra::FlannAlgorithm::HierarchicalKMeans),
     ] {
-        let cfg = FlannConfig {
-            force: Some(force),
-            ..FlannConfig::default()
-        };
-        let path = dir.join(format!("flann-{force:?}.snap"));
+        let path = dir.join(format!("flann-{algorithm:?}.snap"));
         let built = Flann::build(&data, cfg).unwrap();
+        assert_eq!(built.algorithm(), algorithm);
         built.save(&path).unwrap();
         assert_indistinguishable(&built, &Flann::load(&path, &data, &cfg).unwrap(), &data);
     }
