@@ -22,7 +22,7 @@ const SAMPLE_CHUNK: usize = 1_024;
 
 /// Histogram approximation of the overall pairwise distance distribution
 /// `F(·)` of a dataset.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct DistanceHistogram {
     /// Upper edge of each bin (uniform width over `[0, max_distance]`).
     bin_edges: Vec<f32>,

@@ -54,9 +54,13 @@ impl SearchSpec {
     /// Translates user-facing [`SearchParams`] into a search spec.
     ///
     /// `histogram` provides the distance distribution needed to estimate
-    /// `r_δ`; it is only consulted for [`SearchMode::DeltaEpsilon`] with
-    /// δ < 1.
-    pub fn from_params(params: &SearchParams, histogram: Option<&DistanceHistogram>) -> Self {
+    /// `r_δ`; it is called only for [`SearchMode::DeltaEpsilon`] with
+    /// δ < 1, so an index whose histogram is derived on first use samples
+    /// it for those queries alone.
+    pub fn from_params<'h>(
+        params: &SearchParams,
+        histogram: impl FnOnce() -> Option<&'h DistanceHistogram>,
+    ) -> Self {
         match params.mode {
             SearchMode::Exact => Self::exact(params.k),
             SearchMode::Ng { nprobe } => Self {
@@ -73,7 +77,7 @@ impl SearchSpec {
             },
             SearchMode::DeltaEpsilon { epsilon, delta } => {
                 let r_delta = if delta < 1.0 {
-                    histogram.map(|h| h.r_delta(delta)).unwrap_or(0.0)
+                    histogram().map_or(0.0, |h| h.r_delta(delta))
                 } else {
                     0.0
                 };
@@ -579,34 +583,36 @@ mod tests {
 
     #[test]
     fn from_params_translation() {
+        // Only a δ-ε query with δ < 1 may consult the histogram.
+        let never = || -> Option<&'static DistanceHistogram> { panic!("consulted the histogram") };
         let p = SearchParams::exact(7);
-        let s = SearchSpec::from_params(&p, None);
+        let s = SearchSpec::from_params(&p, never);
         assert_eq!(s.k, 7);
         assert_eq!(s.epsilon, 0.0);
         assert_eq!(s.max_leaves, None);
 
         let p = SearchParams::ng(5, 3);
-        let s = SearchSpec::from_params(&p, None);
+        let s = SearchSpec::from_params(&p, never);
         assert_eq!(s.max_leaves, Some(3));
 
         let p = SearchParams::epsilon(5, 2.0);
-        let s = SearchSpec::from_params(&p, None);
+        let s = SearchSpec::from_params(&p, never);
         assert_eq!(s.epsilon, 2.0);
         assert_eq!(s.r_delta, 0.0);
 
         // delta < 1 without a histogram falls back to r_delta = 0.
         let p = SearchParams::delta_epsilon(5, 0.5, 1.0);
-        let s = SearchSpec::from_params(&p, None);
+        let s = SearchSpec::from_params(&p, || None);
         assert_eq!(s.r_delta, 0.0);
 
         // delta = 1 never consults the histogram.
         let h = DistanceHistogram::from_samples(&[1.0, 2.0, 3.0], 4, 100);
         let p = SearchParams::delta_epsilon(5, 1.0, 1.0);
-        let s = SearchSpec::from_params(&p, Some(&h));
+        let s = SearchSpec::from_params(&p, never);
         assert_eq!(s.r_delta, 0.0);
 
         let p = SearchParams::delta_epsilon(5, 0.5, 1.0);
-        let s = SearchSpec::from_params(&p, Some(&h));
+        let s = SearchSpec::from_params(&p, || Some(&h));
         assert!(s.r_delta > 0.0);
     }
 }

@@ -6,6 +6,8 @@
 //! so that sequential scans, summarization passes and index bulk-loading are
 //! cache friendly and allocation free.
 
+use std::sync::OnceLock;
+
 use crate::error::{Error, Result};
 
 /// A collection of fixed-length data series stored contiguously.
@@ -13,10 +15,23 @@ use crate::error::{Error, Result};
 /// Series values use single precision, matching the paper's experimental
 /// setup ("data series points are represented using single precision
 /// values").
-#[derive(Debug, Clone, Default, PartialEq)]
+///
+/// A dataset memoizes its content fingerprint
+/// ([`Dataset::fingerprint_memo`]): a build, a dataset snapshot and every
+/// load against the same value hash it once. [`Dataset::push`] and
+/// [`Dataset::znormalize_all`] clear the memo, a clone carries it, and
+/// equality ignores it.
+#[derive(Debug, Clone, Default)]
 pub struct Dataset {
     series_len: usize,
     values: Vec<f32>,
+    fingerprint: OnceLock<u64>,
+}
+
+impl PartialEq for Dataset {
+    fn eq(&self, other: &Self) -> bool {
+        self.series_len == other.series_len && self.values == other.values
+    }
 }
 
 impl Dataset {
@@ -33,6 +48,7 @@ impl Dataset {
         Ok(Self {
             series_len,
             values: Vec::new(),
+            fingerprint: OnceLock::new(),
         })
     }
 
@@ -60,7 +76,11 @@ impl Dataset {
                 found: values.len() % series_len,
             });
         }
-        Ok(Self { series_len, values })
+        Ok(Self {
+            series_len,
+            values,
+            fingerprint: OnceLock::new(),
+        })
     }
 
     /// Builds a dataset from a slice of equally-sized series.
@@ -85,6 +105,7 @@ impl Dataset {
             });
         }
         self.values.extend_from_slice(series);
+        self.fingerprint.take();
         Ok(())
     }
 
@@ -162,6 +183,18 @@ impl Dataset {
         for chunk in self.values.chunks_exact_mut(len) {
             znormalize(chunk);
         }
+        self.fingerprint.take();
+    }
+
+    /// The memo of the dataset's content fingerprint: `compute(self)` on
+    /// the first call since the dataset was made or last changed, the
+    /// value it returned on every later call, from any thread.
+    ///
+    /// The memo is `hydra_persist::fingerprint_dataset`'s alone, which is
+    /// where the hash itself lives; any other caller would have to pass
+    /// the same function to read a meaningful value.
+    pub fn fingerprint_memo(&self, compute: impl FnOnce(&Self) -> u64) -> u64 {
+        *self.fingerprint.get_or_init(|| compute(self))
     }
 }
 

@@ -1,6 +1,7 @@
 //! The batch fan-out: one helper that runs a body over a slice of items on
-//! the calling thread plus scoped helper threads, and the test seam that
-//! fixes its worker count.
+//! the calling thread plus scoped helper threads, two smaller shapes of the
+//! same idea ([`join`], [`fill_rows`]), and the test seam that fixes their
+//! worker count.
 //!
 //! A file-backed query batch (`hydra_persist::backing::Collection::answer_batch`),
 //! the brute-force ground-truth scan (`hydra_data::exact_knn_batch`), the
@@ -8,7 +9,10 @@
 //! ([`crate::DistanceHistogram::from_pairwise`]) all run on it, and so do,
 //! with one worker per shard or connection, the sharded fan-out
 //! (`hydra_shard::ShardedIndex`), the parallel workload runner
-//! (`hydra_eval::run_workload_parallel`) and `serve_client`'s replay.
+//! (`hydra_eval::run_workload_parallel`) and `serve_client`'s replay. A
+//! resident reload gathers its leaf-ordered store and rebuilds its word
+//! column on [`fill_rows`], and a tree build hashes its dataset beside its
+//! inserts on [`join`].
 
 use std::cell::Cell;
 use std::sync::atomic::{AtomicUsize, Ordering};
@@ -83,6 +87,54 @@ pub fn answer_on_workers<T: Sync, R: Send, S>(
     })
 }
 
+/// Runs `a` on the calling thread and `b` on a scoped helper thread, and
+/// returns both results; with one worker ([`batch_workers`]) it runs `a`,
+/// then `b`, and spawns nothing. A panic in either unwinds out of the call
+/// with its own payload once both have stopped.
+pub fn join<A, B: Send>(a: impl FnOnce() -> A, b: impl FnOnce() -> B + Send) -> (A, B) {
+    if batch_workers() == 1 {
+        let a = a();
+        return (a, b());
+    }
+    std::thread::scope(|scope| {
+        let helper = scope.spawn(b);
+        let a = a();
+        let b = helper.join().unwrap_or_else(|panic| std::panic::resume_unwind(panic));
+        (a, b)
+    })
+}
+
+/// Fills `out`, a whole number of `row_len`-element rows, on up to
+/// [`batch_workers`] workers, at most one per row: each worker takes one
+/// contiguous run of rows and calls `fill(first_row, rows)` on it once, so
+/// the runs' pages are first written — and faulted in — in parallel. The
+/// calling thread fills the first run; with one worker nothing is spawned.
+/// A panicking `fill` unwinds out of the call with its own payload once
+/// every worker has stopped.
+///
+/// # Panics
+/// If `row_len` is zero or does not divide `out.len()`.
+pub fn fill_rows<T: Send>(out: &mut [T], row_len: usize, fill: impl Fn(usize, &mut [T]) + Sync) {
+    assert!(row_len > 0 && out.len() % row_len == 0, "a partial row");
+    let rows = out.len() / row_len;
+    let per_worker = rows.div_ceil(batch_workers().min(rows).max(1)).max(1);
+    let mut runs = out.chunks_mut(per_worker * row_len);
+    let Some(first) = runs.next() else {
+        return;
+    };
+    std::thread::scope(|scope| {
+        let fill = &fill;
+        let helpers: Vec<_> = runs
+            .enumerate()
+            .map(|(i, run)| scope.spawn(move || fill((i + 1) * per_worker, run)))
+            .collect();
+        fill(0, first);
+        for helper in helpers {
+            helper.join().unwrap_or_else(|panic| std::panic::resume_unwind(panic));
+        }
+    });
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -116,6 +168,62 @@ mod tests {
         }
         let none: Vec<usize> = answer_on_workers::<&[f32], _, _>(&[], 4, || (), |_, _| unreachable!());
         assert!(none.is_empty());
+    }
+
+    #[test]
+    fn fill_rows_hands_each_worker_one_run_of_whole_rows_in_place() {
+        for workers in [1usize, 2, 4, 16] {
+            for rows in [0usize, 1, 3, 7, 64] {
+                let mut out = vec![0u32; rows * 3];
+                let runs = AtomicUsize::new(0);
+                with_batch_workers(workers, || {
+                    fill_rows(&mut out, 3, |first, run| {
+                        runs.fetch_add(1, Ordering::Relaxed);
+                        for (i, row) in run.chunks_exact_mut(3).enumerate() {
+                            row.fill((first + i) as u32);
+                        }
+                    })
+                });
+                let want: Vec<u32> = (0..rows as u32).flat_map(|r| [r; 3]).collect();
+                assert_eq!(out, want, "{workers} workers, {rows} rows");
+                assert!(runs.into_inner() <= workers.min(rows.max(1)));
+            }
+            let unwound = std::panic::catch_unwind(|| {
+                with_batch_workers(workers, || {
+                    fill_rows(&mut [0u8; 8], 1, |first, _| {
+                        if first > 0 || workers == 1 {
+                            panic!("row body");
+                        }
+                    })
+                })
+            });
+            let payload = unwound.expect_err("the body's panic propagates");
+            assert_eq!(payload.downcast_ref::<&str>(), Some(&"row body"));
+        }
+        assert!(std::panic::catch_unwind(|| fill_rows(&mut [0u8; 5], 2, |_, _| ())).is_err());
+    }
+
+    #[test]
+    fn join_returns_both_results_and_unwinds_either_panic() {
+        for workers in [1usize, 2] {
+            with_batch_workers(workers, || {
+                let caller = std::thread::current().id();
+                let (a, b) = join(|| std::thread::current().id(), || std::thread::current().id());
+                assert_eq!(a, caller);
+                assert_eq!(b == caller, workers == 1, "{workers} workers");
+                for helper_panics in [false, true] {
+                    let unwound = std::panic::catch_unwind(|| {
+                        join(
+                            || assert!(helper_panics, "caller"),
+                            || assert!(!helper_panics, "helper"),
+                        )
+                    });
+                    let payload = unwound.expect_err("the panic propagates");
+                    let want = if helper_panics { "helper" } else { "caller" };
+                    assert_eq!(payload.downcast_ref::<&str>(), Some(&want));
+                }
+            });
+        }
     }
 
     #[test]

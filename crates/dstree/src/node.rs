@@ -227,9 +227,11 @@ impl DsTree {
             frame,
             segments: Vec::new(),
         };
-        for id in 0..dataset.len() {
-            tree.insert(dataset, id);
-        }
+        hydra_persist::while_fingerprinting(dataset, || {
+            for id in 0..dataset.len() {
+                tree.insert(dataset, id);
+            }
+        });
         tree.frame.lay_out(dataset)?;
         tree.index_segments();
         Ok(tree)
@@ -417,9 +419,10 @@ impl DsTree {
         self.frame.collection.store()
     }
 
-    /// The distance histogram used for δ-ε-approximate search.
+    /// The distance histogram used for δ-ε-approximate search, sampled
+    /// first if an ingest batch reset it ([`LeafTree::histogram`]).
     pub fn histogram(&self) -> &DistanceHistogram {
-        &self.frame.histogram
+        self.frame.histogram()
     }
 
     /// The configuration the tree was built with.
@@ -703,7 +706,7 @@ impl AnnIndex for DsTree {
 
     fn search(&self, query: &[f32], params: &SearchParams) -> Result<SearchResult> {
         check_query(self.capabilities(), self.series_len(), query, params)?;
-        let spec = SearchSpec::from_params(params, Some(&self.frame.histogram));
+        let spec = SearchSpec::from_params(params, || Some(self.histogram()));
         Ok(knn_search(self, query, &spec))
     }
 
@@ -726,8 +729,8 @@ impl AnnIndex for DsTree {
     /// tree — updating every synopsis on its path — and split on overflow
     /// exactly as [`DsTree::build`] would have done, so the grown tree's
     /// topology, synopses and answers are identical to a fresh build over
-    /// the full collection. The δ-ε histogram is re-sampled over the grown
-    /// collection after the batch.
+    /// the full collection. The batch resets the δ-ε histogram; the next
+    /// δ-ε query or save samples it over the grown collection.
     fn insert_batch(&mut self, batch: &[&[f32]]) -> Result<()> {
         if !self.frame.begin_ingest(batch)? {
             return Ok(());
@@ -899,6 +902,78 @@ mod tests {
             DsTree::load(&path, &data, &other),
             Err(hydra_persist::PersistError::FingerprintMismatch { .. })
         ));
+        std::fs::remove_file(&path).ok();
+    }
+
+    #[test]
+    fn a_resident_load_is_the_build_at_every_worker_count() {
+        let (data, built) = build_small(300, 32);
+        let path = std::env::temp_dir().join(format!(
+            "hydra-dstree-parallel-load-{}.snap",
+            std::process::id()
+        ));
+        built.save(&path).unwrap();
+        let chunk: Vec<&[f32]> = (0..16).map(|i| data.series(i)).collect();
+        let mut grown_build = DsTree::build(&data, small_config()).unwrap();
+        grown_build.insert_batch(&chunk).unwrap();
+        let queries = [0usize, 77, 299].map(|qi| data.series(qi));
+        let modes = [
+            SearchParams::exact(5),
+            SearchParams::epsilon(5, 1.0),
+            SearchParams::ng(5, 2),
+            SearchParams::delta_epsilon(5, 0.9, 1.0),
+        ];
+        let answers = |tree: &DsTree| -> Vec<(Vec<(usize, u32)>, QueryStats)> {
+            let mut all = Vec::new();
+            for params in &modes {
+                for q in queries {
+                    let r = tree.search(q, params).unwrap();
+                    let ids = r.neighbors.iter().map(|n| (n.index, n.distance.to_bits()));
+                    all.push((ids.collect(), r.stats));
+                }
+            }
+            all
+        };
+        let want = answers(&DsTree::build(&data, small_config()).unwrap());
+        for workers in [1usize, 2, 4] {
+            let mut loaded = hydra_core::workers::with_batch_workers(workers, || {
+                DsTree::load(&path, &data, built.config()).unwrap()
+            });
+            let (store, built_store) = (loaded.store(), built.store());
+            let rows = store.as_flat().unwrap();
+            assert_eq!(rows, built_store.as_flat().unwrap(), "{workers} workers");
+            assert_eq!(store.resident_capacity(), built_store.resident_capacity());
+            assert_eq!(store.resident_capacity(), 512, "the append loop's doubling");
+            assert_eq!(loaded.frame.words, built.frame.words, "{workers} workers");
+            assert_eq!(answers(&loaded), want, "{workers} workers");
+            // The first batch after a reload fits the capacity it kept.
+            loaded.insert_batch(&chunk).unwrap();
+            assert_eq!(loaded.store().resident_capacity(), 512);
+            assert_eq!(loaded.frame.words, grown_build.frame.words);
+        }
+        std::fs::remove_file(&path).ok();
+    }
+
+    #[test]
+    fn a_dataset_changed_after_its_first_fingerprint_no_longer_loads_a_snapshot() {
+        let (data, tree) = build_small(120, 16);
+        let path = std::env::temp_dir().join(format!(
+            "hydra-dstree-changed-dataset-{}.snap",
+            std::process::id()
+        ));
+        tree.save(&path).unwrap();
+        assert!(DsTree::load(&path, &data, tree.config()).is_ok());
+        let mut pushed = data.clone();
+        pushed.push(data.series(0)).unwrap();
+        let mut normalized = data.clone();
+        normalized.znormalize_all();
+        assert_ne!(normalized, data, "random walks are not z-normalized");
+        for changed in [pushed, normalized] {
+            assert!(matches!(
+                DsTree::load(&path, &changed, tree.config()),
+                Err(hydra_persist::PersistError::FingerprintMismatch { .. })
+            ));
+        }
         std::fs::remove_file(&path).ok();
     }
 
@@ -1162,6 +1237,105 @@ mod tests {
                 built.memory_footprint() + data.len() * std::mem::size_of::<usize>()
             );
         }
+    }
+
+    /// Whether the δ-ε histogram is sampled: the probe the lazy contract
+    /// is read through.
+    fn sampled(tree: &DsTree) -> bool {
+        tree.frame.histogram.get().is_some()
+    }
+
+    #[test]
+    fn the_histogram_is_sampled_once_on_first_delta_epsilon_use_as_a_fresh_build_would() {
+        let data = random_walk(300, 32, 42);
+        let config = small_config();
+        let fresh = DsTree::build(&data, config).unwrap();
+        let head = Dataset::from_flat(32, data.as_flat()[..150 * 32].to_vec()).unwrap();
+        let tail: Vec<&[f32]> = (150..300).map(|i| data.series(i)).collect();
+        // Uneven chunks; `eager` samples after every batch, as ingest did
+        // before the histogram was derived on use.
+        let grow = |eager: bool| {
+            let mut tree = DsTree::build(&head, config).unwrap();
+            for chunk in [&tail[..1], &tail[1..38], &tail[38..]] {
+                tree.insert_batch(chunk).unwrap();
+                assert!(!sampled(&tree), "a batch resets the histogram");
+                if eager {
+                    tree.histogram();
+                }
+            }
+            tree
+        };
+        let delta_eps = SearchParams::delta_epsilon(5, 0.5, 0.5);
+        let queries = [0usize, 77, 200, 299].map(|qi| data.series(qi));
+
+        // Exact, ε, ng and δ = 1 never read it; a save does, and a grown
+        // tree never sampled snapshots byte-identically to a fresh build.
+        let unsampled = grow(false);
+        for params in [
+            SearchParams::exact(5),
+            SearchParams::epsilon(5, 1.0),
+            SearchParams::ng(5, 2),
+            SearchParams::delta_epsilon(5, 1.0, 1.0),
+        ] {
+            for q in queries {
+                unsampled.search(q, &params).unwrap();
+            }
+            unsampled.search_batch(&queries, &params);
+        }
+        assert!(!sampled(&unsampled));
+        let dir = std::env::temp_dir();
+        let fresh_path = dir.join(format!("hydra-dstree-lazy-fresh-{}.snap", std::process::id()));
+        let grown_path = dir.join(format!("hydra-dstree-lazy-grown-{}.snap", std::process::id()));
+        fresh.save(&fresh_path).unwrap();
+        unsampled.save(&grown_path).unwrap();
+        assert!(sampled(&unsampled));
+        assert_eq!(std::fs::read(&fresh_path).unwrap(), std::fs::read(&grown_path).unwrap());
+        std::fs::remove_file(&fresh_path).ok();
+        std::fs::remove_file(&grown_path).ok();
+
+        // The first δ-ε query samples it: answers and counters are the
+        // eagerly sampled tree's, answers and logical counters a fresh
+        // build's.
+        let (lazy, eager) = (grow(false), grow(true));
+        let bits = |r: &SearchResult| -> Vec<(usize, u32)> {
+            r.neighbors.iter().map(|n| (n.index, n.distance.to_bits())).collect()
+        };
+        let logical = |r: &SearchResult| {
+            let s = r.stats;
+            let counts = [s.distance_computations, s.lower_bound_computations];
+            (counts, s.leaves_visited, s.nodes_visited, s.series_scanned, s.delta_stop_triggered)
+        };
+        for q in queries {
+            let got = lazy.search(q, &delta_eps).unwrap();
+            assert!(sampled(&lazy));
+            let want = eager.search(q, &delta_eps).unwrap();
+            assert_eq!(got.stats, want.stats);
+            assert_eq!(bits(&got), bits(&want));
+            let reference = fresh.search(q, &delta_eps).unwrap();
+            assert_eq!(bits(&got), bits(&reference));
+            assert_eq!(logical(&got), logical(&reference));
+        }
+        assert_eq!(lazy.histogram(), fresh.histogram());
+        assert_eq!(lazy.store_counters(), eager.store_counters());
+
+        // Eight racing δ-ε queries on a freshly grown tree: one sample,
+        // eight identical answers.
+        let raced = grow(false);
+        let barrier = std::sync::Barrier::new(8);
+        let answers: Vec<(Vec<hydra_core::Neighbor>, usize)> = std::thread::scope(|scope| {
+            let racers: Vec<_> = (0..8)
+                .map(|_| {
+                    scope.spawn(|| {
+                        barrier.wait();
+                        let answer = raced.search(queries[1], &delta_eps).unwrap();
+                        (answer.neighbors, std::ptr::from_ref(raced.histogram()) as usize)
+                    })
+                })
+                .collect();
+            racers.into_iter().map(|r| r.join().unwrap()).collect()
+        });
+        let want = fresh.search(queries[1], &delta_eps).unwrap().neighbors;
+        assert!(answers.iter().all(|answer| *answer == (want.clone(), answers[0].1)));
     }
 
     #[test]

@@ -177,10 +177,12 @@ impl Isax2Plus {
             symbols: Vec::new(),
             bits: Vec::new(),
         });
-        for id in 0..dataset.len() {
-            index.frame.push_word(dataset.series(id));
-            index.insert_series(id);
-        }
+        hydra_persist::while_fingerprinting(dataset, || {
+            for id in 0..dataset.len() {
+                index.frame.push_word(dataset.series(id));
+                index.insert_series(id);
+            }
+        });
         index.frame.lay_out(dataset)?;
         // The root fan-out map was build-time scratch.
         index.root_children = HashMap::new();
@@ -416,9 +418,10 @@ impl Isax2Plus {
         self.frame.collection.store()
     }
 
-    /// The distance histogram used for δ-ε-approximate search.
+    /// The distance histogram used for δ-ε-approximate search, sampled
+    /// first if an ingest batch reset it ([`LeafTree::histogram`]).
     pub fn histogram(&self) -> &DistanceHistogram {
-        &self.frame.histogram
+        self.frame.histogram()
     }
 
     /// The configuration the index was built with.
@@ -635,7 +638,7 @@ impl AnnIndex for Isax2Plus {
 
     fn search(&self, query: &[f32], params: &SearchParams) -> Result<SearchResult> {
         check_query(self.capabilities(), self.series_len(), query, params)?;
-        let spec = SearchSpec::from_params(params, Some(&self.frame.histogram));
+        let spec = SearchSpec::from_params(params, || Some(self.histogram()));
         Ok(knn_search(self, query, &spec))
     }
 
@@ -657,8 +660,9 @@ impl AnnIndex for Isax2Plus {
     /// series is appended to the store (arrival order), routed to its leaf
     /// and split on overflow exactly as [`Isax2Plus::build`] would have done
     /// — so the grown tree's topology, membership and answers are identical
-    /// to a fresh build over the full collection. The δ-ε histogram is
-    /// re-sampled over the grown collection after the batch.
+    /// to a fresh build over the full collection. The batch resets the δ-ε
+    /// histogram; the next δ-ε query or save samples it over the grown
+    /// collection.
     fn insert_batch(&mut self, batch: &[&[f32]]) -> Result<()> {
         if !self.frame.begin_ingest(batch)? {
             return Ok(());
@@ -1151,6 +1155,105 @@ mod tests {
                 built.memory_footprint() + data.len() * std::mem::size_of::<usize>()
             );
         }
+    }
+
+    /// Whether the δ-ε histogram is sampled: the probe the lazy contract
+    /// is read through.
+    fn sampled(index: &Isax2Plus) -> bool {
+        index.frame.histogram.get().is_some()
+    }
+
+    #[test]
+    fn the_histogram_is_sampled_once_on_first_delta_epsilon_use_as_a_fresh_build_would() {
+        let data = random_walk(300, 32, 42);
+        let config = config_of(8, 8);
+        let fresh = Isax2Plus::build(&data, config).unwrap();
+        let head = Dataset::from_flat(32, data.as_flat()[..150 * 32].to_vec()).unwrap();
+        let tail: Vec<&[f32]> = (150..300).map(|i| data.series(i)).collect();
+        // Uneven chunks; `eager` samples after every batch, as ingest did
+        // before the histogram was derived on use.
+        let grow = |eager: bool| {
+            let mut index = Isax2Plus::build(&head, config).unwrap();
+            for chunk in [&tail[..1], &tail[1..38], &tail[38..]] {
+                index.insert_batch(chunk).unwrap();
+                assert!(!sampled(&index), "a batch resets the histogram");
+                if eager {
+                    index.histogram();
+                }
+            }
+            index
+        };
+        let delta_eps = SearchParams::delta_epsilon(5, 0.5, 0.5);
+        let queries = [0usize, 77, 200, 299].map(|qi| data.series(qi));
+
+        // Exact, ε, ng and δ = 1 never read it; a save does, and a grown
+        // index never sampled snapshots byte-identically to a fresh build.
+        let unsampled = grow(false);
+        for params in [
+            SearchParams::exact(5),
+            SearchParams::epsilon(5, 1.0),
+            SearchParams::ng(5, 2),
+            SearchParams::delta_epsilon(5, 1.0, 1.0),
+        ] {
+            for q in queries {
+                unsampled.search(q, &params).unwrap();
+            }
+            unsampled.search_batch(&queries, &params);
+        }
+        assert!(!sampled(&unsampled));
+        let dir = std::env::temp_dir();
+        let fresh_path = dir.join(format!("hydra-isax-lazy-fresh-{}.snap", std::process::id()));
+        let grown_path = dir.join(format!("hydra-isax-lazy-grown-{}.snap", std::process::id()));
+        fresh.save(&fresh_path).unwrap();
+        unsampled.save(&grown_path).unwrap();
+        assert!(sampled(&unsampled));
+        assert_eq!(std::fs::read(&fresh_path).unwrap(), std::fs::read(&grown_path).unwrap());
+        std::fs::remove_file(&fresh_path).ok();
+        std::fs::remove_file(&grown_path).ok();
+
+        // The first δ-ε query samples it: answers and counters are the
+        // eagerly sampled index's, answers and logical counters a fresh
+        // build's.
+        let (lazy, eager) = (grow(false), grow(true));
+        let bits = |r: &SearchResult| -> Vec<(usize, u32)> {
+            r.neighbors.iter().map(|n| (n.index, n.distance.to_bits())).collect()
+        };
+        let logical = |r: &SearchResult| {
+            let s = r.stats;
+            let counts = [s.distance_computations, s.lower_bound_computations];
+            (counts, s.leaves_visited, s.nodes_visited, s.series_scanned, s.delta_stop_triggered)
+        };
+        for q in queries {
+            let got = lazy.search(q, &delta_eps).unwrap();
+            assert!(sampled(&lazy));
+            let want = eager.search(q, &delta_eps).unwrap();
+            assert_eq!(got.stats, want.stats);
+            assert_eq!(bits(&got), bits(&want));
+            let reference = fresh.search(q, &delta_eps).unwrap();
+            assert_eq!(bits(&got), bits(&reference));
+            assert_eq!(logical(&got), logical(&reference));
+        }
+        assert_eq!(lazy.histogram(), fresh.histogram());
+        assert_eq!(lazy.store_counters(), eager.store_counters());
+
+        // Eight racing δ-ε queries on a freshly grown index: one sample,
+        // eight identical answers.
+        let raced = grow(false);
+        let barrier = std::sync::Barrier::new(8);
+        let answers: Vec<(Vec<hydra_core::Neighbor>, usize)> = std::thread::scope(|scope| {
+            let racers: Vec<_> = (0..8)
+                .map(|_| {
+                    scope.spawn(|| {
+                        barrier.wait();
+                        let answer = raced.search(queries[1], &delta_eps).unwrap();
+                        (answer.neighbors, std::ptr::from_ref(raced.histogram()) as usize)
+                    })
+                })
+                .collect();
+            racers.into_iter().map(|r| r.join().unwrap()).collect()
+        });
+        let want = fresh.search(queries[1], &delta_eps).unwrap().neighbors;
+        assert!(answers.iter().all(|answer| *answer == (want.clone(), answers[0].1)));
     }
 
     #[test]

@@ -27,8 +27,9 @@
 
 use std::borrow::Cow;
 use std::path::Path;
+use std::sync::OnceLock;
 
-use hydra_core::workers::{answer_on_workers, batch_workers};
+use hydra_core::workers::{answer_on_workers, batch_workers, fill_rows};
 use hydra_core::{Dataset, DistanceHistogram, Error, QueryStats, StoreCounters};
 use hydra_storage::{FileSpan, PageCodec, SeriesStore, StorageConfig};
 
@@ -82,10 +83,29 @@ fn attach_coded_tier(
     })
 }
 
+/// The series `order[0], order[1], …` of `dataset`, flat, in one copy
+/// (`order` already checked against it): the fan-out's workers each fill
+/// one run of rows of a fresh buffer ([`fill_rows`]), so its pages fault
+/// in in parallel. The buffer has the capacity an append loop would have
+/// doubled it to, a power of two of series, so the first ingest batch
+/// after a reload does not reallocate it either.
+fn gather(dataset: &Dataset, order: &[usize]) -> Vec<f32> {
+    let series_len = dataset.series_len();
+    let mut values = vec![0.0; series_len * order.len().next_power_of_two()];
+    values.truncate(series_len * order.len());
+    fill_rows(&mut values, series_len, |first, rows| {
+        for (row, &id) in rows.chunks_exact_mut(series_len).zip(&order[first..]) {
+            row.copy_from_slice(dataset.series(id));
+        }
+    });
+    values
+}
+
 /// Re-attaches the raw series under the requested backing, in dataset
 /// order (`order = None`) or permuted by `order[record] = dataset id`
-/// (`order` must cover the source): resident (re-appended from the source,
-/// one series at a time when it is streamed; the exact values are all
+/// (`order` must cover the source): resident (copied from an in-memory
+/// source, gathered in parallel when permuted; re-appended one series at a
+/// time from a streamed one; the exact values are all
 /// there, so `storage.codec` does not apply) or file-backed through the
 /// real page cache — onto the dataset snapshot itself for a dataset-order
 /// store whose snapshot path is known (no extra bytes on disk), onto a
@@ -104,7 +124,12 @@ fn attach_store(
             (None, DataSource::InMemory(dataset)) => {
                 SeriesStore::from_dataset(dataset, storage).map_err(rebuild)?
             }
-            _ => {
+            (Some(order), DataSource::InMemory(dataset)) => {
+                source.records_in(Some(order))?;
+                SeriesStore::from_values(dataset.series_len(), gather(dataset, order), storage)
+                    .map_err(rebuild)?
+            }
+            (_, DataSource::Streamed(_)) => {
                 let records = source.records_in(order)?;
                 let mut store =
                     SeriesStore::new(source.series_len(), storage).map_err(rebuild)?;
@@ -200,6 +225,46 @@ pub struct Collection {
 
 /// Bins of the δ-ε histogram of every index kept over a collection.
 pub const HISTOGRAM_BINS: usize = 256;
+
+/// The [`HISTOGRAM_BINS`]-bin δ-ε histogram of an index kept over a
+/// [`Collection`]: derived data, read only to set r_δ for a δ-ε query with
+/// δ < 1 and to write a snapshot. A build or a load fills it; an ingest
+/// batch resets it, so the write path only appends; the first reader after
+/// that samples it once ([`LazyHistogram::get_or_sample`]) — from the same
+/// pairs and seed over the same grown collection, so its bits are a fresh
+/// build's — and every concurrent reader waits for that one sample.
+#[derive(Debug, Default)]
+pub struct LazyHistogram(OnceLock<DistanceHistogram>);
+
+impl LazyHistogram {
+    /// A histogram already at hand: a build's, or a snapshot's.
+    pub fn new(histogram: DistanceHistogram) -> Self {
+        Self(OnceLock::from(histogram))
+    }
+
+    /// The histogram, if it was filled or sampled since the last reset.
+    pub fn get(&self) -> Option<&DistanceHistogram> {
+        self.0.get()
+    }
+
+    /// The histogram, sampled first from `samples` pairs drawn with `seed`
+    /// over `collection` (unaccounted by-id reads on every core) if an
+    /// ingest batch reset it.
+    pub fn get_or_sample(
+        &self,
+        collection: &Collection,
+        samples: usize,
+        seed: u64,
+    ) -> &DistanceHistogram {
+        self.0
+            .get_or_init(|| collection.pairwise_histogram(samples, HISTOGRAM_BINS, seed))
+    }
+
+    /// Forgets the histogram: the collection grew.
+    pub fn reset(&mut self) {
+        self.0.take();
+    }
+}
 
 /// The bug a leaf-order call on a dataset-order collection is.
 const NOT_LEAF_ORDERED: &str = "leaf access needs a leaf-ordered collection";
@@ -590,7 +655,8 @@ impl Collection {
     /// reads into its own pair of buffers). The sampling sequence depends
     /// only on `(len, samples, seed)`, so after an ingest this is
     /// bit-identical to [`DistanceHistogram::from_dataset`] of a fresh
-    /// build over the grown collection.
+    /// build over the grown collection. A leaf-ordered collection serves it
+    /// once grown ([`Collection::read_by_id`]).
     fn pairwise_histogram(&self, samples: usize, bins: usize, seed: u64) -> DistanceHistogram {
         let buffers = || (Vec::new(), Vec::new());
         DistanceHistogram::from_pairwise(self.len(), samples, bins, seed, buffers, |(a, b), i, j| {
@@ -598,17 +664,6 @@ impl Collection {
             self.read_by_id(j, b);
             hydra_core::euclidean(a, b)
         })
-    }
-
-    /// Ends an ingest batch of an index answering δ-ε queries: returns its
-    /// [`HISTOGRAM_BINS`]-bin histogram re-sampled over the grown
-    /// collection (unaccounted by-id reads) and resets the
-    /// store's I/O counters — a fresh build hands out a store with clean
-    /// counters, and ingest restores the same post-build state.
-    pub fn finish_growth(&self, samples: usize, seed: u64) -> DistanceHistogram {
-        let histogram = self.pairwise_histogram(samples, HISTOGRAM_BINS, seed);
-        self.store.reset_io();
-        histogram
     }
 
     /// Runs `body` over every query of a batch and returns the results in

@@ -98,13 +98,23 @@ impl Fingerprint {
 }
 
 /// Content fingerprint of a dataset: its shape followed by every value's bit
-/// pattern, in dataset order.
+/// pattern, in dataset order. Hashed once per dataset value, then read from
+/// its memo ([`Dataset::fingerprint_memo`]) until it changes.
 pub fn fingerprint_dataset(dataset: &Dataset) -> u64 {
-    let mut f = Fingerprint::new();
-    f.push_usize(dataset.series_len());
-    f.push_usize(dataset.len());
-    f.push_f32s(dataset.as_flat());
-    f.finish()
+    dataset.fingerprint_memo(|dataset| {
+        let mut f = Fingerprint::new();
+        f.push_usize(dataset.series_len());
+        f.push_usize(dataset.len());
+        f.push_f32s(dataset.as_flat());
+        f.finish()
+    })
+}
+
+/// Runs `work` — a tree build's inserts — while a helper thread fills
+/// `dataset`'s fingerprint memo ([`fingerprint_dataset`]), which the build's
+/// layout reads once the inserts are done.
+pub fn while_fingerprinting<R>(dataset: &Dataset, work: impl FnOnce() -> R) -> R {
+    hydra_core::workers::join(work, || fingerprint_dataset(dataset)).0
 }
 
 /// [`fingerprint_dataset`] computed one series at a time, for collections
@@ -205,6 +215,40 @@ mod tests {
             s.push_series(series);
         }
         assert_eq!(s.finish(), fingerprint_dataset(&data));
+    }
+
+    #[test]
+    fn the_dataset_memo_is_cleared_by_every_change_and_carried_by_a_clone() {
+        let streamed = |d: &Dataset| {
+            let mut s = SeriesFingerprinter::new(d.series_len(), d.len());
+            d.iter().for_each(|series| {
+                s.push_series(series);
+            });
+            s.finish()
+        };
+        let mut d = Dataset::from_series(2, &[[0.0f32, 1.0], [2.0, 3.0]]).unwrap();
+        let first = fingerprint_dataset(&d);
+        assert_eq!(first, streamed(&d));
+        let copy = d.clone();
+        assert_eq!(copy, d);
+        assert_eq!(fingerprint_dataset(&copy), first);
+
+        d.push(&[4.0, 5.0]).unwrap();
+        assert_eq!(fingerprint_dataset(&d), streamed(&d));
+        assert_ne!(fingerprint_dataset(&d), first);
+        assert_ne!(copy, d);
+        assert_eq!(fingerprint_dataset(&copy), first, "the clone keeps its own memo");
+
+        let before = fingerprint_dataset(&d);
+        d.znormalize_all();
+        assert_eq!(fingerprint_dataset(&d), streamed(&d));
+        assert_ne!(fingerprint_dataset(&d), before);
+
+        // Equality ignores the memo: a hashed and an unhashed copy of the
+        // same values are equal.
+        let unhashed = Dataset::from_flat(2, d.as_flat().to_vec()).unwrap();
+        assert_eq!(unhashed, d);
+        assert_eq!(fingerprint_dataset(&unhashed), fingerprint_dataset(&d));
     }
 
     #[test]

@@ -89,9 +89,11 @@ use std::path::Path;
 
 use hydra_core::Dataset;
 
-pub use backing::{Collection, Leaf};
+pub use backing::{Collection, LazyHistogram, Leaf};
 pub use error::{PersistError, Result};
-pub use fingerprint::{fingerprint_dataset, Fingerprint, SeriesFingerprinter};
+pub use fingerprint::{
+    fingerprint_dataset, while_fingerprinting, Fingerprint, SeriesFingerprinter,
+};
 pub use dataset::FlatSpan;
 pub use journal::{journal_path, remove_journal, JournalReader, JournalWriter};
 pub use registry::{BoxedLoader, LoaderRegistry};

@@ -2,12 +2,13 @@
 //!
 //! [`LeafTree`] holds a tree's nodes (behind the small [`TreeNode`] trait),
 //! its leaf-ordered [`Collection`], its kept [`WordColumn`] and its δ-ε
-//! histogram. It is the one writer of the leaf-ordered snapshot — sections
-//! meta (series length, series count, node count), nodes (each encoded by
-//! the tree, which places the leaf extent it is handed), mapping and
-//! histogram — and of the growth protocol around an ingest batch. A tree
-//! keeps its node type, query preparation, node bounds, routing, splitting
-//! and member gate.
+//! histogram (a [`LazyHistogram`]: an ingest batch resets it, and the first
+//! δ-ε query or save after it samples it). It is the one writer of the
+//! leaf-ordered snapshot — sections meta (series length, series count, node
+//! count), nodes (each encoded by the tree, which places the leaf extent it
+//! is handed), mapping and histogram — and of the growth protocol around an
+//! ingest batch. A tree keeps its node type, query preparation, node
+//! bounds, routing, splitting and member gate.
 
 use std::path::Path;
 
@@ -16,7 +17,7 @@ use hydra_storage::StorageConfig;
 use hydra_summarize::paa::paa;
 use hydra_summarize::sax::SaxParams;
 
-use crate::backing::{Collection, Leaf, HISTOGRAM_BINS};
+use crate::backing::{Collection, LazyHistogram, Leaf, HISTOGRAM_BINS};
 use crate::codec;
 use crate::error::{PersistError, Result};
 use crate::snapshot::{Section, SectionReader};
@@ -83,8 +84,9 @@ pub struct LeafTree<N> {
     /// The SAX word of every series' PAA ([`LeafTree::paa`]), in store-row
     /// order (arrival order while a build is still inserting).
     pub words: WordColumn,
-    /// The δ-ε distance histogram.
-    pub histogram: DistanceHistogram,
+    /// The δ-ε distance histogram, derived on first use after an ingest
+    /// batch ([`LeafTree::histogram`]).
+    pub histogram: LazyHistogram,
     config: LeafTreeConfig,
 }
 
@@ -108,7 +110,12 @@ impl<N: TreeNode> LeafTree<N> {
             nodes: Vec::new(),
             collection: Collection::leaf_order(dataset.series_len(), config.storage)?,
             words: WordColumn::new(dataset.series_len(), config.words),
-            histogram: DistanceHistogram::from_dataset(dataset, samples, HISTOGRAM_BINS, seed),
+            histogram: LazyHistogram::new(DistanceHistogram::from_dataset(
+                dataset,
+                samples,
+                HISTOGRAM_BINS,
+                seed,
+            )),
             config,
         })
     }
@@ -213,10 +220,20 @@ impl<N: TreeNode> LeafTree<N> {
         Ok(true)
     }
 
-    /// Ends an ingest batch ([`Collection::finish_growth`]).
+    /// Ends an ingest batch: the histogram is reset, to be sampled over
+    /// the grown collection by the next δ-ε query or save, and the store's
+    /// I/O counters are reset — a fresh build hands out a store with clean
+    /// counters, and ingest restores the same post-build state.
     pub fn end_ingest(&mut self) {
+        self.histogram.reset();
+        self.collection.store().reset_io();
+    }
+
+    /// The δ-ε distance histogram, sampled over the grown collection first
+    /// if an ingest batch reset it ([`LazyHistogram::get_or_sample`]).
+    pub fn histogram(&self) -> &DistanceHistogram {
         let (samples, seed) = (self.config.histogram_samples, self.config.seed);
-        self.histogram = self.collection.finish_growth(samples, seed);
+        self.histogram.get_or_sample(&self.collection, samples, seed)
     }
 
     /// Writes the snapshot of the tree `I`, each node encoded by `put_node`
@@ -249,7 +266,7 @@ impl<N: TreeNode> LeafTree<N> {
         mapping_sec.put_usizes(&mapping);
         w.push(mapping_sec);
         let mut hist = Section::new();
-        codec::put_histogram(&mut hist, &self.histogram);
+        codec::put_histogram(&mut hist, self.histogram());
         w.push(hist);
         w.write_to(path)
     }
@@ -304,7 +321,7 @@ impl<N: TreeNode> LeafTree<N> {
             words: WordColumn::new(series_len, tree.words)
                 .rebuild(&collection, |series| paa(series, tree.words.segments)),
             collection,
-            histogram,
+            histogram: LazyHistogram::new(histogram),
             config: tree,
         })
     }

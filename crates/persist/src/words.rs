@@ -14,11 +14,27 @@
 //!   at the quantiles of the values trained on — the VA+file's
 //!   approximation file over DFT summaries, persisted ([`WordColumn::put`]).
 
+use hydra_core::workers::fill_rows;
 use hydra_summarize::sax::{normal_breakpoints, value_to_symbol, SaxParams};
 
 use crate::backing::Collection;
 use crate::error::{PersistError, Result};
 use crate::snapshot::{Section, SectionReader};
+
+/// The cells of `values`, one per dimension of `edges` (`cells` per
+/// dimension): each value goes to the cell SAX's [`value_to_symbol`] picks
+/// among its dimension's inner edges.
+fn encode<'a>(
+    edges: &'a [[f32; 257]],
+    cells: usize,
+    values: &'a [f32],
+) -> impl Iterator<Item = u8> + 'a {
+    debug_assert_eq!(values.len(), edges.len());
+    values
+        .iter()
+        .zip(edges)
+        .map(move |(&v, e)| value_to_symbol(v, &e[1..cells]) as u8)
+}
 
 /// One fixed-width row of `u8` cells per series, and the cell edges of
 /// every dimension (see the module docs).
@@ -102,12 +118,34 @@ impl WordColumn {
 
     /// Appends the row of every series of `collection`, in store-row order,
     /// each summarized by the transform `f`: one uncharged pass over its
-    /// store, for a collection being loaded.
-    pub fn rebuild(mut self, collection: &Collection, f: impl Fn(&[f32]) -> Vec<f32>) -> Self {
-        self.symbols.reserve(collection.len() * self.word_len());
-        collection.store().for_each_series(&mut |_, series| {
-            self.push(&f(series));
+    /// store, for a collection being loaded. Over a resident store the rows
+    /// are encoded in runs on the fan-out ([`fill_rows`]), each straight
+    /// into its place.
+    pub fn rebuild(
+        mut self,
+        collection: &Collection,
+        f: impl Fn(&[f32]) -> Vec<f32> + Sync,
+    ) -> Self {
+        let store = collection.store();
+        let word_len = self.word_len();
+        let Ok(values) = store.as_flat() else {
+            self.symbols.reserve(collection.len() * word_len);
+            store.for_each_series(&mut |_, series| self.push(&f(series)));
+            return self;
+        };
+        let mut symbols = std::mem::take(&mut self.symbols);
+        let kept = symbols.len();
+        symbols.resize(kept + collection.len() * word_len, 0);
+        let series_len = store.series_len();
+        fill_rows(&mut symbols[kept..], word_len, |first, rows| {
+            let series = values[first * series_len..].chunks_exact(series_len);
+            for (row, series) in rows.chunks_exact_mut(word_len).zip(series) {
+                let values = f(series);
+                let cells = encode(&self.edges, self.cells, &values);
+                row.iter_mut().zip(cells).for_each(|(cell, s)| *cell = s);
+            }
         });
+        self.symbols = symbols;
         self
     }
 
@@ -116,11 +154,7 @@ impl WordColumn {
     /// store row once the collection grows. A value goes to the cell SAX's
     /// [`value_to_symbol`] picks among its dimension's inner edges.
     pub fn push(&mut self, values: &[f32]) {
-        debug_assert_eq!(values.len(), self.word_len());
-        let cells = self.cells();
-        let row = values.iter().zip(self.edges.iter());
-        self.symbols
-            .extend(row.map(|(&v, e)| value_to_symbol(v, &e[1..cells]) as u8));
+        self.symbols.extend(encode(&self.edges, self.cells, values));
     }
 
     /// Permutes the rows kept in arrival order (dataset id order) into the

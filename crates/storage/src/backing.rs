@@ -170,6 +170,11 @@ impl Backing {
         self.span_records() + self.values.len() / series_len
     }
 
+    /// Number of values the resident part holds room for.
+    pub(crate) fn capacity(&self) -> usize {
+        self.values.capacity()
+    }
+
     /// Appends one series to the resident values.
     pub(crate) fn append(&mut self, series: &[f32]) {
         self.values.extend_from_slice(series);

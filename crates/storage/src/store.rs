@@ -328,8 +328,29 @@ impl SeriesStore {
     /// Creates a resident store populated with the contents of a dataset,
     /// preserving record ids = dataset positions.
     pub fn from_dataset(dataset: &Dataset, config: StorageConfig) -> Result<Self> {
-        let values = dataset.as_flat().to_vec();
-        Self::validated(dataset.series_len(), config, Backing::new(None, values))
+        Self::from_values(dataset.series_len(), dataset.as_flat().to_vec(), config)
+    }
+
+    /// Creates a resident store holding `values`, flat in record order, and
+    /// keeping their spare capacity for appends.
+    ///
+    /// # Errors
+    /// [`Error::DimensionMismatch`] if `values` ends in a partial series;
+    /// otherwise what [`SeriesStore::new`] rejects.
+    pub fn from_values(series_len: usize, values: Vec<f32>, config: StorageConfig) -> Result<Self> {
+        if series_len > 0 && values.len() % series_len != 0 {
+            return Err(Error::DimensionMismatch {
+                expected: series_len,
+                found: values.len() % series_len,
+            });
+        }
+        Self::validated(series_len, config, Backing::new(None, values))
+    }
+
+    /// The series the store's resident values hold room for before they
+    /// reallocate: its capacity for appends, past [`SeriesStore::len`].
+    pub fn resident_capacity(&self) -> usize {
+        self.backing.span_records() + self.backing.capacity() / self.series_len
     }
 
     /// Attaches a store to the series payload at `span` inside the file at

@@ -8,8 +8,8 @@ use hydra_core::{
 };
 use hydra_persist::backing::HISTOGRAM_BINS;
 use hydra_persist::{
-    codec, Collection, DataSource, Fingerprint, PersistError, PersistentIndex, Section, StoreBacking,
-    WordColumn,
+    codec, Collection, DataSource, Fingerprint, LazyHistogram, PersistError, PersistentIndex,
+    Section, StoreBacking, WordColumn,
 };
 use hydra_storage::{SeriesStore, StorageConfig};
 use hydra_summarize::DftSummarizer;
@@ -51,7 +51,8 @@ pub struct VaPlusFile {
     cells: WordColumn,
     /// Dataset-ordered raw series (the simulated on-disk layout).
     collection: Collection,
-    histogram: DistanceHistogram,
+    /// The δ-ε histogram, derived on first use after an ingest batch.
+    histogram: LazyHistogram,
 }
 
 /// The approximation file of `collection`, from an unaccounted scan of its
@@ -89,12 +90,12 @@ impl VaPlusFile {
             cells: approximate(&dft, &collection, config.bits_per_dim),
             dft,
             collection,
-            histogram: DistanceHistogram::from_dataset(
+            histogram: LazyHistogram::new(DistanceHistogram::from_dataset(
                 dataset,
                 config.histogram_samples,
                 HISTOGRAM_BINS,
                 config.seed,
-            ),
+            )),
         })
     }
 
@@ -103,9 +104,12 @@ impl VaPlusFile {
         &self.config
     }
 
-    /// The distance histogram used for δ-ε-approximate search.
+    /// The distance histogram used for δ-ε-approximate search, sampled
+    /// over the grown collection first if an ingest batch reset it
+    /// ([`LazyHistogram::get_or_sample`]).
     pub fn histogram(&self) -> &DistanceHistogram {
-        &self.histogram
+        let (samples, seed) = (self.config.histogram_samples, self.config.seed);
+        self.histogram.get_or_sample(&self.collection, samples, seed)
     }
 
     /// The simulated storage layer holding the raw series.
@@ -140,7 +144,7 @@ impl VaPlusFile {
         let (nprobe, r_delta) = match params.mode {
             SearchMode::Ng { nprobe } => (Some(nprobe.max(1)), 0.0),
             SearchMode::DeltaEpsilon { delta, .. } if delta < 1.0 => {
-                (None, self.histogram.r_delta(delta))
+                (None, self.histogram().r_delta(delta))
             }
             _ => (None, 0.0),
         };
@@ -220,7 +224,7 @@ impl PersistentIndex for VaPlusFile {
         w.push(cells);
 
         let mut hist = Section::new();
-        codec::put_histogram(&mut hist, &self.histogram);
+        codec::put_histogram(&mut hist, self.histogram());
         w.push(hist);
 
         w.write_to(path)
@@ -260,7 +264,7 @@ impl PersistentIndex for VaPlusFile {
             dft,
             cells,
             collection,
-            histogram,
+            histogram: LazyHistogram::new(histogram),
         })
     }
 }
@@ -307,9 +311,11 @@ impl AnnIndex for VaPlusFile {
 
     /// Streaming ingest by append-and-requantize: the batch is appended to
     /// the raw-series store (which keeps dataset order), then the cell
-    /// edges, approximation file and histogram are re-derived over the grown
-    /// collection exactly as a fresh build would derive them — so answers
-    /// are bit-identical to building over the full collection at once.
+    /// edges and approximation file are re-derived over the grown
+    /// collection exactly as a fresh build would derive them, and the
+    /// histogram is reset for the next δ-ε query or save to sample the same
+    /// way — so answers are bit-identical to building over the full
+    /// collection at once.
     fn insert_batch(&mut self, batch: &[&[f32]]) -> Result<()> {
         self.collection.check_lengths(batch)?;
         if batch.is_empty() {
@@ -319,9 +325,8 @@ impl AnnIndex for VaPlusFile {
             self.collection.append(series)?;
         }
         self.cells = approximate(&self.dft, &self.collection, self.config.bits_per_dim);
-        self.histogram = self
-            .collection
-            .finish_growth(self.config.histogram_samples, self.config.seed);
+        self.histogram.reset();
+        self.collection.store().reset_io();
         Ok(())
     }
 
@@ -597,5 +602,109 @@ mod tests {
             let built = VaPlusFile::build(&data, config);
             assert!(matches!(built, Err(Error::InvalidParameter(_))), "{bits_per_dim}");
         }
+    }
+
+    /// Whether the δ-ε histogram is sampled: the probe the lazy contract
+    /// is read through.
+    fn sampled(va: &VaPlusFile) -> bool {
+        va.histogram.get().is_some()
+    }
+
+    #[test]
+    fn the_histogram_is_sampled_once_on_first_delta_epsilon_use_as_a_fresh_build_would() {
+        let data = random_walk(300, 32, 42);
+        let config = VaPlusFileConfig {
+            storage: StorageConfig::in_memory(),
+            histogram_samples: 2_000,
+            seed: 3,
+            ..VaPlusFileConfig::default()
+        };
+        let fresh = VaPlusFile::build(&data, config).unwrap();
+        let head = Dataset::from_flat(32, data.as_flat()[..150 * 32].to_vec()).unwrap();
+        let tail: Vec<&[f32]> = (150..300).map(|i| data.series(i)).collect();
+        // Uneven chunks; `eager` samples after every batch, as ingest did
+        // before the histogram was derived on use.
+        let grow = |eager: bool| {
+            let mut index = VaPlusFile::build(&head, config).unwrap();
+            for chunk in [&tail[..1], &tail[1..38], &tail[38..]] {
+                index.insert_batch(chunk).unwrap();
+                assert!(!sampled(&index), "a batch resets the histogram");
+                if eager {
+                    index.histogram();
+                }
+            }
+            index
+        };
+        let delta_eps = SearchParams::delta_epsilon(5, 0.5, 0.5);
+        let queries = [0usize, 77, 200, 299].map(|qi| data.series(qi));
+
+        // Exact, ε, ng and δ = 1 never read it; a save does, and a grown
+        // index never sampled snapshots byte-identically to a fresh build.
+        let unsampled = grow(false);
+        for params in [
+            SearchParams::exact(5),
+            SearchParams::epsilon(5, 1.0),
+            SearchParams::ng(5, 2),
+            SearchParams::delta_epsilon(5, 1.0, 1.0),
+        ] {
+            for q in queries {
+                unsampled.search(q, &params).unwrap();
+            }
+            unsampled.search_batch(&queries, &params);
+        }
+        assert!(!sampled(&unsampled));
+        let dir = std::env::temp_dir();
+        let fresh_path = dir.join(format!("hydra-vafile-lazy-fresh-{}.snap", std::process::id()));
+        let grown_path = dir.join(format!("hydra-vafile-lazy-grown-{}.snap", std::process::id()));
+        fresh.save(&fresh_path).unwrap();
+        unsampled.save(&grown_path).unwrap();
+        assert!(sampled(&unsampled));
+        assert_eq!(std::fs::read(&fresh_path).unwrap(), std::fs::read(&grown_path).unwrap());
+        std::fs::remove_file(&fresh_path).ok();
+        std::fs::remove_file(&grown_path).ok();
+
+        // The first δ-ε query samples it: answers and counters are the
+        // eagerly sampled index's, answers and logical counters a fresh
+        // build's.
+        let (lazy, eager) = (grow(false), grow(true));
+        let bits = |r: &SearchResult| -> Vec<(usize, u32)> {
+            r.neighbors.iter().map(|n| (n.index, n.distance.to_bits())).collect()
+        };
+        let logical = |r: &SearchResult| {
+            let s = r.stats;
+            let counts = [s.distance_computations, s.lower_bound_computations];
+            (counts, s.leaves_visited, s.nodes_visited, s.series_scanned, s.delta_stop_triggered)
+        };
+        for q in queries {
+            let got = lazy.search(q, &delta_eps).unwrap();
+            assert!(sampled(&lazy));
+            let want = eager.search(q, &delta_eps).unwrap();
+            assert_eq!(got.stats, want.stats);
+            assert_eq!(bits(&got), bits(&want));
+            let reference = fresh.search(q, &delta_eps).unwrap();
+            assert_eq!(bits(&got), bits(&reference));
+            assert_eq!(logical(&got), logical(&reference));
+        }
+        assert_eq!(lazy.histogram(), fresh.histogram());
+        assert_eq!(lazy.store_counters(), eager.store_counters());
+
+        // Eight racing δ-ε queries on a freshly grown index: one sample,
+        // eight identical answers.
+        let raced = grow(false);
+        let barrier = std::sync::Barrier::new(8);
+        let answers: Vec<(Vec<hydra_core::Neighbor>, usize)> = std::thread::scope(|scope| {
+            let racers: Vec<_> = (0..8)
+                .map(|_| {
+                    scope.spawn(|| {
+                        barrier.wait();
+                        let answer = raced.search(queries[1], &delta_eps).unwrap();
+                        (answer.neighbors, std::ptr::from_ref(raced.histogram()) as usize)
+                    })
+                })
+                .collect();
+            racers.into_iter().map(|r| r.join().unwrap()).collect()
+        });
+        let want = fresh.search(queries[1], &delta_eps).unwrap().neighbors;
+        assert!(answers.iter().all(|answer| *answer == (want.clone(), answers[0].1)));
     }
 }

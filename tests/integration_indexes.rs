@@ -269,7 +269,7 @@ fn assert_gated_answers_as_ungated<T: GatedTree>(
             SearchParams::delta_epsilon(5, 0.9, 1.0),
             SearchParams::ng(5, 3),
         ] {
-            let spec = SearchSpec::from_params(&params, Some(index.histogram()));
+            let spec = SearchSpec::from_params(&params, || Some(index.histogram()));
             let (mut gated_bytes, mut ungated_bytes) = (0, 0);
             for q in queries.iter() {
                 let gated = knn_search(index, q, &spec);
