@@ -305,7 +305,8 @@ impl Collection {
     /// Writes the members of every leaf contiguously into the store, in
     /// iteration order (the on-disk layout of the original implementations,
     /// where each leaf owns a contiguous region), and records each leaf's
-    /// extent.
+    /// extent. The store is gathered in one copy on the fan-out, as a
+    /// resident reload gathers it.
     ///
     /// # Errors
     /// [`Error::DimensionMismatch`] if `dataset` has another series length.
@@ -314,27 +315,32 @@ impl Collection {
         dataset: &Dataset,
         leaves: impl Iterator<Item = &'a mut Leaf>,
     ) -> hydra_core::Result<()> {
+        if dataset.series_len() != self.series_len() {
+            return Err(Error::DimensionMismatch {
+                expected: self.series_len(),
+                found: dataset.series_len(),
+            });
+        }
         let permutation = self.permutation.as_mut().expect(NOT_LEAF_ORDERED);
         let to_dataset = &mut permutation.to_dataset;
         to_dataset.reserve(dataset.len());
         for leaf in leaves {
-            leaf.start = self.store.len();
+            leaf.start = to_dataset.len();
             leaf.len = leaf.members.len();
-            for &id in &leaf.members {
-                self.store.append(dataset.series(id))?;
-                to_dataset.push(id);
-            }
+            to_dataset.extend_from_slice(&leaf.members);
         }
+        let values = gather(dataset, to_dataset);
+        self.store = SeriesStore::from_values(self.series_len(), values, self.store.config())?;
         self.fingerprint = fingerprint_dataset(dataset);
-        self.store.reset_io();
         Ok(())
     }
 
     /// Re-attaches the collection of a snapshot being loaded: in dataset
     /// order, or — given the snapshot's leaf-order `mapping`
-    /// (`mapping[record]` = dataset id) — permuted. `fingerprint` is the
-    /// source's content fingerprint, which every loader has already
-    /// computed to check the snapshot header.
+    /// (`mapping[record]` = dataset id) — permuted; resident over an
+    /// in-memory source, a permuted store is gathered in one copy on the
+    /// fan-out. `fingerprint` is the source's content fingerprint, which
+    /// every loader has already computed to check the snapshot header.
     ///
     /// # Errors
     /// [`PersistError::Corrupt`] if the mapping does not cover the source

@@ -64,7 +64,9 @@
 //! words and VA+file's approximation file. A leaf-ordered tree is built on
 //! the [`LeafTree`] frame, which also holds its words and the δ-ε
 //! histogram, and writes and loads the whole snapshot, handing the tree
-//! only the encoding of its own nodes. Sections are serialized with
+//! only the encoding of its own nodes. The trees and VA+file keep that
+//! histogram as derived data, a [`LazyHistogram`]: an ingest batch resets
+//! it, and its first reader after one samples it. Sections are serialized with
 //! [`snapshot::Section`] putters plus the shared [`codec`] helpers
 //! (histograms, k-means codebooks, product quantizers, rotation matrices),
 //! which guarantees one canonical layout for each shared structure across
