@@ -233,7 +233,7 @@ pub const HISTOGRAM_BINS: usize = 256;
 /// that samples it once ([`LazyHistogram::get_or_sample`]) — from the same
 /// pairs and seed over the same grown collection, so its bits are a fresh
 /// build's — and every concurrent reader waits for that one sample.
-#[derive(Debug, Default)]
+#[derive(Debug)]
 pub struct LazyHistogram(OnceLock<DistanceHistogram>);
 
 impl LazyHistogram {
