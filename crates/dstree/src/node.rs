@@ -1250,6 +1250,7 @@ mod tests {
         let data = random_walk(300, 32, 42);
         let config = small_config();
         let fresh = DsTree::build(&data, config).unwrap();
+        assert!(!sampled(&fresh), "a build leaves the histogram unsampled");
         let head = Dataset::from_flat(32, data.as_flat()[..150 * 32].to_vec()).unwrap();
         let tail: Vec<&[f32]> = (150..300).map(|i| data.series(i)).collect();
         // Uneven chunks; `eager` samples after every batch, as ingest did

@@ -228,16 +228,17 @@ pub const HISTOGRAM_BINS: usize = 256;
 
 /// The [`HISTOGRAM_BINS`]-bin δ-ε histogram of an index kept over a
 /// [`Collection`]: derived data, read only to set r_δ for a δ-ε query with
-/// δ < 1 and to write a snapshot. A build or a load fills it; an ingest
-/// batch resets it, so the write path only appends; the first reader after
-/// that samples it once ([`LazyHistogram::get_or_sample`]) — from the same
-/// pairs and seed over the same grown collection, so its bits are a fresh
-/// build's — and every concurrent reader waits for that one sample.
-#[derive(Debug)]
+/// δ < 1 and to write a snapshot. A build starts it empty, a load fills it
+/// from the snapshot, and an ingest batch resets it, so neither a build nor
+/// the write path samples; the first reader samples it once
+/// ([`LazyHistogram::get_or_sample`]) — from the same pairs and seed over
+/// the same collection, so a grown index gets a fresh build's bits — and
+/// every concurrent reader waits for that one sample.
+#[derive(Debug, Default)]
 pub struct LazyHistogram(OnceLock<DistanceHistogram>);
 
 impl LazyHistogram {
-    /// A histogram already at hand: a build's, or a snapshot's.
+    /// A histogram already at hand: a snapshot's.
     pub fn new(histogram: DistanceHistogram) -> Self {
         Self(OnceLock::from(histogram))
     }
@@ -264,6 +265,15 @@ impl LazyHistogram {
     pub fn reset(&mut self) {
         self.0.take();
     }
+}
+
+/// The store row of every dataset id, from the dataset id of every row.
+fn invert(to_dataset: &[usize]) -> Vec<usize> {
+    let mut to_store = vec![usize::MAX; to_dataset.len()];
+    for (row, &id) in to_dataset.iter().enumerate() {
+        to_store[id] = row;
+    }
+    to_store
 }
 
 /// The bug a leaf-order call on a dataset-order collection is.
@@ -438,11 +448,7 @@ impl Collection {
                 leaf.members = p.to_dataset[leaf.start..leaf.start + leaf.len].to_vec();
             }
         }
-        let mut inverse = vec![usize::MAX; p.to_dataset.len()];
-        for (row, &id) in p.to_dataset.iter().enumerate() {
-            inverse[id] = row;
-        }
-        p.to_store = inverse;
+        p.to_store = invert(&p.to_dataset);
         self.grown = true;
     }
 
@@ -659,15 +665,21 @@ impl Collection {
     /// The δ-ε distance histogram of the collection as currently held,
     /// sampled over unaccounted by-id reads on every core (each worker
     /// reads into its own pair of buffers). The sampling sequence depends
-    /// only on `(len, samples, seed)`, so after an ingest this is
-    /// bit-identical to [`DistanceHistogram::from_dataset`] of a fresh
-    /// build over the grown collection. A leaf-ordered collection serves it
-    /// once grown ([`Collection::read_by_id`]).
+    /// only on `(len, samples, seed)`, so this is bit-identical to
+    /// [`DistanceHistogram::from_dataset`] over the collection's series in
+    /// dataset order, built or grown. A pristine leaf-ordered collection
+    /// keeps no id-to-row mapping, so the sample inverts its permutation.
     fn pairwise_histogram(&self, samples: usize, bins: usize, seed: u64) -> DistanceHistogram {
+        let pristine = self.permutation.as_ref().filter(|p| p.to_store.is_empty());
+        let to_store = pristine.map(|p| invert(&p.to_dataset));
+        let read = |id: usize, out: &mut Vec<f32>| match &to_store {
+            Some(rows) => self.store.read_uncharged(rows[id], out),
+            None => self.read_by_id(id, out),
+        };
         let buffers = || (Vec::new(), Vec::new());
         DistanceHistogram::from_pairwise(self.len(), samples, bins, seed, buffers, |(a, b), i, j| {
-            self.read_by_id(i, a);
-            self.read_by_id(j, b);
+            read(i, a);
+            read(j, b);
             hydra_core::euclidean(a, b)
         })
     }

@@ -2,13 +2,13 @@
 //!
 //! [`LeafTree`] holds a tree's nodes (behind the small [`TreeNode`] trait),
 //! its leaf-ordered [`Collection`], its kept [`WordColumn`] and its δ-ε
-//! histogram (a [`LazyHistogram`]: an ingest batch resets it, and the first
-//! δ-ε query or save after it samples it). It is the one writer of the
-//! leaf-ordered snapshot — sections meta (series length, series count, node
-//! count), nodes (each encoded by the tree, which places the leaf extent it
-//! is handed), mapping and histogram — and of the growth protocol around an
-//! ingest batch. A tree keeps its node type, query preparation, node
-//! bounds, routing, splitting and member gate.
+//! histogram (a [`LazyHistogram`]: a build leaves it empty, an ingest batch
+//! resets it, and the first δ-ε query or save samples it). It is the one
+//! writer of the leaf-ordered snapshot — sections meta (series length,
+//! series count, node count), nodes (each encoded by the tree, which places
+//! the leaf extent it is handed), mapping and histogram — and of the growth
+//! protocol around an ingest batch. A tree keeps its node type, query
+//! preparation, node bounds, routing, splitting and member gate.
 
 use std::path::Path;
 
@@ -17,7 +17,7 @@ use hydra_storage::StorageConfig;
 use hydra_summarize::paa::paa;
 use hydra_summarize::sax::SaxParams;
 
-use crate::backing::{Collection, LazyHistogram, Leaf, HISTOGRAM_BINS};
+use crate::backing::{Collection, LazyHistogram, Leaf};
 use crate::codec;
 use crate::error::{PersistError, Result};
 use crate::snapshot::{Section, SectionReader};
@@ -84,8 +84,8 @@ pub struct LeafTree<N> {
     /// The SAX word of every series' PAA ([`LeafTree::paa`]), in store-row
     /// order (arrival order while a build is still inserting).
     pub words: WordColumn,
-    /// The δ-ε distance histogram, derived on first use after an ingest
-    /// batch ([`LeafTree::histogram`]).
+    /// The δ-ε distance histogram, derived on first use after a build or
+    /// an ingest batch ([`LeafTree::histogram`]).
     pub histogram: LazyHistogram,
     config: LeafTreeConfig,
 }
@@ -105,17 +105,11 @@ impl<N: TreeNode> LeafTree<N> {
             return Err(Error::InvalidParameter("leaf capacity must be positive".into()));
         }
         config.words.validate().map_err(Error::InvalidParameter)?;
-        let (samples, seed) = (config.histogram_samples, config.seed);
         Ok(Self {
             nodes: Vec::new(),
             collection: Collection::leaf_order(dataset.series_len(), config.storage)?,
             words: WordColumn::new(dataset.series_len(), config.words),
-            histogram: LazyHistogram::new(DistanceHistogram::from_dataset(
-                dataset,
-                samples,
-                HISTOGRAM_BINS,
-                seed,
-            )),
+            histogram: LazyHistogram::default(),
             config,
         })
     }
@@ -229,8 +223,9 @@ impl<N: TreeNode> LeafTree<N> {
         self.collection.store().reset_io();
     }
 
-    /// The δ-ε distance histogram, sampled over the grown collection first
-    /// if an ingest batch reset it ([`LazyHistogram::get_or_sample`]).
+    /// The δ-ε distance histogram, sampled over the collection first if a
+    /// build or an ingest batch left it empty
+    /// ([`LazyHistogram::get_or_sample`]).
     pub fn histogram(&self) -> &DistanceHistogram {
         let (samples, seed) = (self.config.histogram_samples, self.config.seed);
         self.histogram.get_or_sample(&self.collection, samples, seed)

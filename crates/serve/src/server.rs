@@ -774,7 +774,7 @@ mod tests {
         }
     }
 
-    fn echo_server(window_ms: u64) -> ServerHandle {
+    fn echo_server(slow_query: Option<Duration>) -> ServerHandle {
         Server::spawn(
             vec![ServedIndex {
                 name: "echo".into(),
@@ -784,7 +784,8 @@ mod tests {
             }],
             "127.0.0.1:0",
             ServerConfig {
-                batch_window: Duration::from_millis(window_ms),
+                batch_window: Duration::from_millis(1),
+                slow_query,
                 ..ServerConfig::default()
             },
         )
@@ -807,7 +808,7 @@ mod tests {
 
     #[test]
     fn serves_pipelined_queries_lists_and_shuts_down_cleanly() {
-        let handle = echo_server(1);
+        let handle = echo_server(None);
         let addr = handle.local_addr();
         let mut client = crate::client::ServeClient::connect(addr).unwrap();
         // List first.
@@ -892,7 +893,7 @@ mod tests {
 
     #[test]
     fn malformed_frames_get_a_protocol_error_and_a_hangup() {
-        let handle = echo_server(1);
+        let handle = echo_server(None);
         let addr = handle.local_addr();
         let mut stream = TcpStream::connect(addr).unwrap();
         stream.write_all(b"garbage everywhere").unwrap();
@@ -995,7 +996,7 @@ mod tests {
 
     #[test]
     fn reload_without_a_source_is_a_typed_error() {
-        let handle = echo_server(1);
+        let handle = echo_server(None);
         let mut client = crate::client::ServeClient::connect(handle.local_addr()).unwrap();
         let resp = client.call(&Request::Reload { request_id: 6 }).unwrap();
         assert!(matches!(
@@ -1014,7 +1015,7 @@ mod tests {
 
     #[test]
     fn handle_shutdown_stops_an_idle_server() {
-        let handle = echo_server(1);
+        let handle = echo_server(None);
         handle.shutdown();
         let stats = handle.join();
         assert_eq!(stats.queries, 0);
@@ -1022,7 +1023,7 @@ mod tests {
 
     #[test]
     fn shutdown_completes_despite_an_idle_connection() {
-        let handle = echo_server(1);
+        let handle = echo_server(None);
         let addr = handle.local_addr();
         // A connection that never sends a byte and never closes: its
         // reader sits blocked in read_request until shutdown closes the
@@ -1042,5 +1043,25 @@ mod tests {
             .expect("join must not hang on an idle connection");
         assert_eq!(stats.queries, 0);
         drop(idle);
+    }
+
+    #[test]
+    fn the_slow_query_log_counts_each_answer_at_or_over_its_threshold() {
+        // A zero threshold makes every answered query slow; none is by default.
+        for (slow_query, slow) in [(Some(Duration::ZERO), 3), (None, 0)] {
+            let handle = echo_server(slow_query);
+            let mut client = crate::client::ServeClient::connect(handle.local_addr()).unwrap();
+            for i in 1..=3 {
+                let query = vec![i as f32, 0.5];
+                let (index, params) = ("echo".into(), SearchParams::ng(1, 4));
+                let request = Request::Query { request_id: i, index, params, query };
+                let answer = client.call(&request).unwrap().body;
+                assert!(matches!(answer, ResponseBody::Answer { .. }), "{answer:?}");
+            }
+            let line = format!("hydra_slow_queries_total {slow}");
+            assert!(handle.metrics().render().lines().any(|l| l == line), "{line}");
+            client.shutdown().unwrap();
+            handle.join();
+        }
     }
 }

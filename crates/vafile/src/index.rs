@@ -6,7 +6,6 @@ use hydra_core::{
     check_query, AnnIndex, Capabilities, Dataset, DistanceHistogram, Error, Neighbor, QueryStats,
     Representation, Result, SearchMode, SearchParams, SearchResult, TopK,
 };
-use hydra_persist::backing::HISTOGRAM_BINS;
 use hydra_persist::{
     codec, Collection, DataSource, Fingerprint, LazyHistogram, PersistError, PersistentIndex,
     Section, StoreBacking, WordColumn,
@@ -51,7 +50,8 @@ pub struct VaPlusFile {
     cells: WordColumn,
     /// Dataset-ordered raw series (the simulated on-disk layout).
     collection: Collection,
-    /// The δ-ε histogram, derived on first use after an ingest batch.
+    /// The δ-ε histogram, derived on first use after a build or an ingest
+    /// batch.
     histogram: LazyHistogram,
 }
 
@@ -90,12 +90,7 @@ impl VaPlusFile {
             cells: approximate(&dft, &collection, config.bits_per_dim),
             dft,
             collection,
-            histogram: LazyHistogram::new(DistanceHistogram::from_dataset(
-                dataset,
-                config.histogram_samples,
-                HISTOGRAM_BINS,
-                config.seed,
-            )),
+            histogram: LazyHistogram::default(),
         })
     }
 
@@ -105,8 +100,8 @@ impl VaPlusFile {
     }
 
     /// The distance histogram used for δ-ε-approximate search, sampled
-    /// over the grown collection first if an ingest batch reset it
-    /// ([`LazyHistogram::get_or_sample`]).
+    /// over the collection first if a build or an ingest batch left it
+    /// empty ([`LazyHistogram::get_or_sample`]).
     pub fn histogram(&self) -> &DistanceHistogram {
         let (samples, seed) = (self.config.histogram_samples, self.config.seed);
         self.histogram.get_or_sample(&self.collection, samples, seed)
@@ -620,6 +615,7 @@ mod tests {
             ..VaPlusFileConfig::default()
         };
         let fresh = VaPlusFile::build(&data, config).unwrap();
+        assert!(!sampled(&fresh), "a build leaves the histogram unsampled");
         let head = Dataset::from_flat(32, data.as_flat()[..150 * 32].to_vec()).unwrap();
         let tail: Vec<&[f32]> = (150..300).map(|i| data.series(i)).collect();
         // Uneven chunks; `eager` samples after every batch, as ingest did

@@ -1,13 +1,17 @@
 //! Shared fixtures for the root integration tests: per-test temp
 //! directories, build-once-per-process snapshot zoos, the one answer
-//! comparator, and the pipelined TCP replay helper — so the serving, out-of-core, shard and router tests
-//! stop each rebuilding the same snapshot directories from scratch.
+//! comparator, the differential engine ([`engine`]) the equivalence
+//! suites run on, and the pipelined TCP replay helper.
 //!
 //! Each `tests/*.rs` file is its own test binary; `mod common;` compiles
 //! this module into each of them, which is why helpers unused by one
 //! binary are expected.
 
 #![allow(dead_code)]
+
+mod engine;
+#[allow(unused_imports)] // binaries that use no engine item
+pub use engine::*;
 
 use std::collections::BTreeMap;
 use std::net::SocketAddr;
@@ -98,19 +102,7 @@ pub fn assert_same_answer(
     want: &SearchResult,
     stats: StatsMatch,
 ) {
-    assert_eq!(
-        got.neighbors.len(),
-        want.neighbors.len(),
-        "{context}: answer set size drifted"
-    );
-    for (a, b) in got.neighbors.iter().zip(want.neighbors.iter()) {
-        assert_eq!(a.index, b.index, "{context}: neighbor drifted");
-        assert_eq!(
-            a.distance.to_bits(),
-            b.distance.to_bits(),
-            "{context}: distance bits drifted"
-        );
-    }
+    assert_same_neighbors(context, &got.neighbors, &want.neighbors);
     let (mut got_stats, mut want_stats) = (got.stats, want.stats);
     match stats {
         StatsMatch::Full => {}
@@ -122,6 +114,29 @@ pub fn assert_same_answer(
         StatsMatch::Ignored => return,
     }
     assert_eq!(got_stats, want_stats, "{context}: QueryStats drifted");
+}
+
+/// [`assert_same_answer`] for an answer that carries no counters, such as
+/// one read off the wire.
+pub fn assert_same_neighbors(context: &str, got: &[Neighbor], want: &[Neighbor]) {
+    assert_eq!(got.len(), want.len(), "{context}: answer set size drifted");
+    for (a, b) in got.iter().zip(want) {
+        assert_eq!(a.index, b.index, "{context}: neighbor drifted");
+        assert_eq!(a.distance.to_bits(), b.distance.to_bits(), "{context}: distance bits drifted");
+    }
+}
+
+/// The accuracy of `answers` against `truth`, as the workload runners
+/// report it.
+pub fn accuracy<'a>(
+    answers: impl IntoIterator<Item = &'a [Neighbor]>,
+    truth: &hydra::data::GroundTruth,
+) -> hydra::eval::AccuracySummary {
+    use hydra::eval::{average_precision, mean_relative_error, recall};
+    let rows: Vec<_> = answers.into_iter().zip(&truth.answers)
+        .map(|(a, t)| (recall(a, t), average_precision(a, t), mean_relative_error(a, t)))
+        .collect();
+    hydra::eval::AccuracySummary::from_queries(&rows)
 }
 
 /// The head of `data`: its first `h` series as an owned dataset.

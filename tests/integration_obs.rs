@@ -142,21 +142,8 @@ fn scraped_metrics_reconcile_exactly_and_answers_stay_byte_identical() {
             replayed += 1;
             let wire = ask(&mut client, replayed, &served.name, &params, query);
             let answer = served.index.search(query, &params).unwrap();
-            assert_eq!(
-                wire.len(),
-                answer.neighbors.len(),
-                "{} query {q}: answer set size drifted under instrumentation",
-                served.name
-            );
-            for (a, b) in wire.iter().zip(answer.neighbors.iter()) {
-                assert_eq!(a.index, b.index, "{} query {q}: neighbor drifted", served.name);
-                assert_eq!(
-                    a.distance.to_bits(),
-                    b.distance.to_bits(),
-                    "{} query {q}: distance drifted",
-                    served.name
-                );
-            }
+            let context = format!("{} query {q} under instrumentation", served.name);
+            common::assert_same_neighbors(&context, &wire, &answer.neighbors);
             offline_sums.merge(&answer.stats);
         }
     }
@@ -280,15 +267,7 @@ fn the_router_answers_stats_from_its_own_registry_and_reconciles_with_its_worker
     for (q, series) in workload.iter().enumerate() {
         let wire = ask(&mut client, (q + 1) as u64, "walk-scan", &params, series);
         let answer = offline.search(series, &params).unwrap();
-        assert_eq!(wire.len(), answer.neighbors.len());
-        for (a, b) in wire.iter().zip(answer.neighbors.iter()) {
-            assert_eq!(a.index, b.index, "routed query {q}: neighbor drifted");
-            assert_eq!(
-                a.distance.to_bits(),
-                b.distance.to_bits(),
-                "routed query {q}: distance drifted"
-            );
-        }
+        common::assert_same_neighbors(&format!("routed query {q}"), &wire, &answer.neighbors);
     }
 
     // The router's scrape is its *own* registry: router-level families
@@ -479,8 +458,11 @@ fn a_routers_join_equals_its_last_scrape_and_counts_every_failed_worker_call() {
         ),
         "a query over dead workers is one typed error"
     );
+    // The error reply leaves with the first refused link, before the
+    // second is tried; a `Stats` frame on the same connection waits for
+    // every link call of this connection's queries.
+    let scrape = parse_exposition(&client.stats().unwrap());
     drop(client);
-    let scrape = parse_exposition(&router.metrics().render());
     router.shutdown();
     let stats = router.join();
     assert_eq!(stats.queries, 4);

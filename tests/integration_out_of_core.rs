@@ -16,10 +16,11 @@ use std::time::Duration;
 
 use hydra::core::workers::with_batch_workers;
 use hydra::prelude::*;
+use hydra::FileIoMode::Pread;
 use hydra::StoreBacking;
 use hydra_serve::{boot_from_dir, boot_from_dir_with, BootOptions, ServeClient, Server, ServerConfig};
 
-use common::StatsMatch;
+use common::{assert_equivalent, Load, StatsMatch, Variant, Zoo};
 
 /// Saves the out-of-core dataset's snapshot into `dir` and returns the
 /// dataset plus the snapshot path — the raw series (≈ 300 KiB) are ~5× a
@@ -34,52 +35,14 @@ fn ooc_scenario(dir: &Path) -> (hydra::Dataset, std::path::PathBuf) {
 #[test]
 fn parallel_workloads_over_a_file_backed_store_are_deterministic() {
     let dir = common::temp_dir("ooc-parallel");
-    let (data, data_snapshot) = ooc_scenario(&dir);
-    let config = DsTreeConfig {
-        storage: StorageConfig::on_disk().with_pool_pages(1),
-        histogram_samples: 2_000,
-        seed: 3,
-        ..DsTreeConfig::default()
-    };
-    let built = DsTree::build(&data, config).unwrap();
-    let snapshot = dir.join("walk-dstree.snap");
-    built.save(&snapshot).unwrap();
-    let filed = DsTree::load_backed(
-        &snapshot,
-        &data,
-        &config,
-        StoreBacking::FileBacked {
-            dataset_snapshot: Some(&data_snapshot),
-        },
-    )
-    .unwrap();
-    assert!(filed.store().is_file_backed());
-
-    let workload = hydra::data::noisy_queries(&data, 12, &[0.0, 0.2], 99);
-    let truth = hydra::data::ground_truth(&data, &workload, 10);
-    for params in [SearchParams::exact(10), SearchParams::ng(10, 8)] {
-        let baseline = hydra::eval::run_workload(&built, &workload, &truth, &params);
-        for threads in [1usize, 2, 4] {
-            let report =
-                hydra::eval::run_workload_parallel(&filed, &workload, &truth, &params, threads);
-            assert_eq!(
-                report.accuracy, baseline.accuracy,
-                "file-backed accuracy drifted at {threads} threads ({params:?})"
-            );
-            // CPU-side work is pool-independent and must not move either;
-            // only the I/O-operation split may shift with interleaving
-            // (same caveat as the resident store under parallelism).
-            assert_eq!(
-                report.stats.distance_computations, baseline.stats.distance_computations,
-                "distance computations drifted at {threads} threads"
-            );
-            assert_eq!(report.stats.bytes_read, baseline.stats.bytes_read);
-        }
+    let zoo = Zoo::new(StorageConfig::on_disk(), 3);
+    for threads in [1, 2] {
+        let v = Variant { load: Load::file(1), threads, ..Variant::of("dstree") };
+        let filed = assert_equivalent(&zoo, &common::ooc_dataset(), &v, &dir);
+        // The thrashing pool really evicted (the dataset is ~5× its capacity).
+        let io = filed.store_counters().unwrap();
+        assert!(io.pool_evictions > 0 && io.pool_misses > 0, "{v}: no eviction traffic: {io:?}");
     }
-    // The thrashing pool really evicted (the dataset is ~5× its capacity).
-    let io = filed.store().io_snapshot();
-    assert!(io.pool_evictions > 0, "no eviction traffic: {io:?}");
-    assert!(io.pool_misses > 0);
     std::fs::remove_dir_all(&dir).ok();
 }
 
@@ -164,48 +127,22 @@ fn hydra_serve_over_a_file_backed_boot_answers_byte_identically() {
     .unwrap();
     let addr = handle.local_addr();
 
-    let k = 10;
     let workload = hydra::data::noisy_queries(data, 10, &[0.0, 0.2], 33);
-    let truth = hydra::data::ground_truth(data, &workload, k);
+    let truth = hydra::data::ground_truth(data, &workload, common::K);
     for served in &resident.indexes {
-        let caps = served.index.capabilities();
-        let mut settings = vec![SearchParams::ng(k, 16)];
-        if caps.exact {
-            settings.push(SearchParams::exact(k));
-        }
-        for params in &settings {
+        let whole = Variant::of(served.index.name());
+        for params in &common::settings(served.index.capabilities(), &whole) {
             let answers = common::replay(addr, &served.name, params, &workload, 3);
-            let mut per_query = Vec::with_capacity(workload.len());
             for (q, query) in workload.iter().enumerate() {
                 let offline = served.index.search(query, params).unwrap();
-                let wire = &answers[q];
-                assert_eq!(
-                    wire.len(),
-                    offline.neighbors.len(),
-                    "{} {params:?} query {q}: answer size drifted out-of-core",
-                    served.name
-                );
-                for (a, b) in wire.iter().zip(offline.neighbors.iter()) {
-                    assert_eq!(a.index, b.index, "{} query {q}: neighbor drifted", served.name);
-                    assert_eq!(
-                        a.distance.to_bits(),
-                        b.distance.to_bits(),
-                        "{} query {q}: distance drifted",
-                        served.name
-                    );
-                }
-                let answer_truth = &truth.answers[q];
-                per_query.push((
-                    hydra::eval::recall(wire, answer_truth),
-                    hydra::eval::average_precision(wire, answer_truth),
-                    hydra::eval::mean_relative_error(wire, answer_truth),
-                ));
+                let context = format!("{} {params:?} query {q} out-of-core", served.name);
+                common::assert_same_neighbors(&context, &answers[q], &offline.neighbors);
             }
-            let served_accuracy = hydra::eval::AccuracySummary::from_queries(&per_query);
             let offline_report =
                 hydra::eval::run_workload(served.index.as_ref(), &workload, &truth, params);
             assert_eq!(
-                served_accuracy, offline_report.accuracy,
+                common::accuracy(answers.iter().map(Vec::as_slice), &truth),
+                offline_report.accuracy,
                 "{} {params:?}: accuracy drifted between file-backed serving and offline",
                 served.name
             );
@@ -221,239 +158,57 @@ fn hydra_serve_over_a_file_backed_boot_answers_byte_identically() {
 
 #[test]
 fn page_codec_matrix_answers_bit_identically_and_cuts_read_traffic() {
-    let dir = common::temp_dir("ooc-codec-matrix");
-    let (data, data_snapshot) = ooc_scenario(&dir);
     // One scan-shaped refiner (DSTree: contiguous leaf runs through
     // `scan_refine`) and one candidate-shaped refiner (VA+file: per-record
     // `refine`) cover both coded read paths.
-    let dstree_base = DsTreeConfig {
-        storage: StorageConfig::on_disk(),
-        histogram_samples: 2_000,
-        seed: 3,
-        ..DsTreeConfig::default()
-    };
-    let vafile_base = VaPlusFileConfig {
-        storage: StorageConfig::on_disk(),
-        seed: 3,
-        ..VaPlusFileConfig::default()
-    };
-    let dstree_snap = dir.join("walk-dstree.snap");
-    DsTree::build(&data, dstree_base).unwrap().save(&dstree_snap).unwrap();
-    let vafile_snap = dir.join("walk-vafile.snap");
-    VaPlusFile::build(&data, vafile_base).unwrap().save(&vafile_snap).unwrap();
-
-    let workload = hydra::data::noisy_queries(&data, 8, &[0.0, 0.2], 17);
-    let truth = hydra::data::ground_truth(&data, &workload, 10);
-    let settings = [SearchParams::exact(10), SearchParams::ng(10, 8)];
-
-    // The resident-f32 twin is the answer oracle: every matrix cell must
-    // reproduce its neighbors *and* distance bits exactly.
-    let baseline_answers = |index: &dyn hydra::AnnIndex| -> Vec<Vec<(usize, u32)>> {
-        settings
-            .iter()
-            .flat_map(|params| {
-                workload.iter().map(move |q| {
-                    index
-                        .search(q, params)
-                        .unwrap()
-                        .neighbors
-                        .iter()
-                        .map(|n| (n.index, n.distance.to_bits()))
-                        .collect()
-                })
-            })
-            .collect()
-    };
-    let dstree_resident = DsTree::load_backed(
-        &dstree_snap,
-        &data,
-        &dstree_base,
-        StoreBacking::Resident,
-    )
-    .unwrap();
-    let vafile_resident =
-        VaPlusFile::load_backed(&vafile_snap, &data, &vafile_base, StoreBacking::Resident)
-            .unwrap();
-    let oracle_dstree = baseline_answers(&dstree_resident);
-    let oracle_vafile = baseline_answers(&vafile_resident);
-
-    // bytes_read per codec for the thrashing single-page pool, collected
-    // from the matrix sweep below (threads = 1 cell, file-backed).
-    let mut dstree_bytes = std::collections::HashMap::new();
-    for codec in [
-        hydra::PageCodec::F32,
-        hydra::PageCodec::U8,
-        hydra::PageCodec::F16,
-    ] {
-        for pool in [1usize, 4] {
-            let storage = StorageConfig::on_disk().with_pool_pages(pool).with_page_codec(codec);
-            let dstree_cfg = DsTreeConfig { storage, ..dstree_base };
-            let vafile_cfg = VaPlusFileConfig { storage, ..vafile_base };
-            let backing = StoreBacking::FileBacked {
-                dataset_snapshot: Some(&data_snapshot),
-            };
-            let dstree = DsTree::load_backed(&dstree_snap, &data, &dstree_cfg, backing).unwrap();
-            let vafile =
-                VaPlusFile::load_backed(&vafile_snap, &data, &vafile_cfg, backing).unwrap();
-            assert_eq!(
-                baseline_answers(&dstree),
-                oracle_dstree,
-                "dstree answers drifted ({codec:?}, pool {pool})"
-            );
-            assert_eq!(
-                baseline_answers(&vafile),
-                oracle_vafile,
-                "va+file answers drifted ({codec:?}, pool {pool})"
-            );
-            // Parallel serving over the coded tier: accuracy and CPU-side
-            // counters must match the sequential run exactly.
-            for params in &settings {
-                let seq = hydra::eval::run_workload(&dstree, &workload, &truth, params);
-                for threads in [1usize, 4] {
-                    let par = hydra::eval::run_workload_parallel(
-                        &dstree, &workload, &truth, params, threads,
-                    );
-                    assert_eq!(
-                        par.accuracy, seq.accuracy,
-                        "accuracy drifted ({codec:?}, pool {pool}, {threads} threads)"
-                    );
-                    assert_eq!(
-                        par.stats.distance_computations,
-                        seq.stats.distance_computations
-                    );
-                    assert_eq!(par.stats.bytes_read, seq.stats.bytes_read);
+    let (dir, zoo) = (common::temp_dir("ooc-codec-matrix"), Zoo::new(StorageConfig::on_disk(), 3));
+    let mut dstree_io = std::collections::HashMap::new();
+    for row in ["dstree", "va+file"] {
+        for codec in [hydra::PageCodec::F32, hydra::PageCodec::U8, hydra::PageCodec::F16] {
+            for pool in [1, 4] {
+                let v = Variant { load: Load::File { pool, io: Pread, codec }, ..Variant::of(row) };
+                let filed = assert_equivalent(&zoo, &common::ooc_dataset(), &v, &dir);
+                if (row, pool) == ("dstree", 1) {
+                    dstree_io.insert(codec.name(), filed.store_counters().unwrap());
                 }
-            }
-            if pool == 1 {
-                dstree_bytes.insert(codec.name(), dstree.store().io_snapshot());
             }
         }
     }
     // Equal pool, same access pattern, smaller pages: the coded tiers move
     // genuinely fewer bytes, u8 at least 3× fewer than raw f32 pages, and
     // the coded traffic is broken out in its own counter.
-    let raw = &dstree_bytes["f32"];
-    let u8s = &dstree_bytes["u8"];
-    let f16 = &dstree_bytes["f16"];
-    assert!(
-        u8s.bytes_read * 3 <= raw.bytes_read,
-        "u8 pages read {} bytes vs raw {}",
-        u8s.bytes_read,
-        raw.bytes_read
-    );
-    assert!(f16.bytes_read < raw.bytes_read);
-    assert!(u8s.bytes_read < f16.bytes_read);
+    let (raw, u8s, f16) = (&dstree_io["f32"], &dstree_io["u8"], &dstree_io["f16"]);
+    assert!(u8s.bytes_read * 3 <= raw.bytes_read, "u8 read {u8s:?}, raw {raw:?}");
+    assert!(u8s.bytes_read < f16.bytes_read && f16.bytes_read < raw.bytes_read);
     assert_eq!(raw.compressed_bytes_read, 0);
-    assert!(u8s.compressed_bytes_read > 0);
-    assert!(u8s.compressed_bytes_read <= u8s.bytes_read);
+    assert!(u8s.compressed_bytes_read > 0 && u8s.compressed_bytes_read <= u8s.bytes_read);
     std::fs::remove_dir_all(&dir).ok();
 }
 
 #[test]
 fn backing_matrix_is_bit_identical_to_resident_across_pools_and_threads() {
-    let dir = common::temp_dir("ooc-backing-matrix");
-    let (data, data_snapshot) = ooc_scenario(&dir);
-    let seed = 5;
-    let on_disk = hydra::StorageConfig::on_disk();
-    let workload = hydra::data::noisy_queries(&data, 8, &[0.0, 0.2], 21);
-    let truth = hydra::data::ground_truth(&data, &workload, 10);
-
-    // Pool axis: a thrashing single page, half the dataset's pages, and a
-    // pool the dataset fits in entirely.
-    let total_pages = (data.len() * data.series_len() * 4).div_ceil(on_disk.page_bytes);
-    let pools = [1usize, (total_pages / 2).max(1), total_pages * 4];
-
-    let on_disk_rows = |method: &hydra::Method| method.in_scenario(false, data.series_len());
-    let visited = common::for_each_method(&hydra::zoo(on_disk, seed), on_disk_rows, |method| {
-        let name = method.kind();
-        let snapshot = common::snapshot_path(&dir, "walk", name);
-        method.build(&data).unwrap().save(&snapshot).unwrap();
-        // One loader, generic over the serving knobs (pool, backing
-        // transfer mode) that must never leak into answers.
-        let load = |storage, backing| {
-            hydra::standard_registry(storage, seed)
-                .load_any_backed(&snapshot, &data, backing)
-                .unwrap()
-        };
-        let resident = load(on_disk, StoreBacking::Resident);
-        let caps = resident.capabilities();
-        let mut settings = vec![SearchParams::ng(10, 8)];
-        if caps.exact {
-            settings.push(SearchParams::exact(10));
+    let (dir, zoo) = (common::temp_dir("ooc-backing-matrix"), Zoo::new(StorageConfig::on_disk(), 5));
+    let data = common::ooc_dataset();
+    // The shared fixture is this zoo saved over this data: its snapshots are
+    // the builds the engine would make (IMI's dominates the debug suite).
+    let whole = dir.join("whole/shard-0");
+    std::fs::create_dir_all(&whole).unwrap();
+    for entry in std::fs::read_dir(common::on_disk_zoo().dir).unwrap() {
+        let path = entry.unwrap().path();
+        if path.extension().is_some_and(|e| e == "snap") {
+            std::fs::copy(&path, whole.join(path.file_name().unwrap())).unwrap();
         }
-        // The resident twin is the oracle: neighbors, distance bits and the
-        // logical bytes_read of every query, plus the workload-level
-        // accuracy/CPU report.
-        let oracle: Vec<Vec<(Vec<(usize, u32)>, u64)>> = settings
-            .iter()
-            .map(|params| {
-                workload
-                    .iter()
-                    .map(|q| {
-                        let r = resident.search(q, params).unwrap();
-                        (
-                            r.neighbors.iter().map(|n| (n.index, n.distance.to_bits())).collect(),
-                            r.stats.bytes_read,
-                        )
-                    })
-                    .collect()
-            })
-            .collect();
-        let oracle_reports: Vec<_> = settings
-            .iter()
-            .map(|params| hydra::eval::run_workload(resident.as_ref(), &workload, &truth, params))
-            .collect();
-
-        for io in [hydra::FileIoMode::Pread, hydra::FileIoMode::Mmap] {
-            for &pool in &pools {
-                let cell = format!("{name} ({} backing, pool {pool})", io.name());
-                let filed = load(
-                    on_disk.with_pool_pages(pool).with_io_mode(io),
-                    StoreBacking::FileBacked {
-                        dataset_snapshot: Some(&data_snapshot),
-                    },
-                );
-                for (s, params) in settings.iter().enumerate() {
-                    for (qi, q) in workload.iter().enumerate() {
-                        let r = filed.search(q, params).unwrap();
-                        let got: Vec<(usize, u32)> =
-                            r.neighbors.iter().map(|n| (n.index, n.distance.to_bits())).collect();
-                        assert_eq!(
-                            got, oracle[s][qi].0,
-                            "{cell} {params:?} query {qi}: neighbors/distances drifted"
-                        );
-                        assert_eq!(
-                            r.stats.bytes_read, oracle[s][qi].1,
-                            "{cell} {params:?} query {qi}: logical bytes_read drifted"
-                        );
-                    }
-                    for threads in [1usize, 4] {
-                        let par = hydra::eval::run_workload_parallel(
-                            filed.as_ref(),
-                            &workload,
-                            &truth,
-                            params,
-                            threads,
-                        );
-                        assert_eq!(
-                            par.accuracy, oracle_reports[s].accuracy,
-                            "{cell} {params:?}: accuracy drifted at {threads} threads"
-                        );
-                        assert_eq!(
-                            par.stats.distance_computations,
-                            oracle_reports[s].stats.distance_computations,
-                            "{cell} {params:?}: CPU work drifted at {threads} threads"
-                        );
-                        assert_eq!(
-                            par.stats.bytes_read, oracle_reports[s].stats.bytes_read,
-                            "{cell} {params:?}: bytes_read drifted at {threads} threads"
-                        );
-                    }
-                }
+    }
+    // A thrashing single page, half the dataset's pages, and all of them.
+    let pages = (data.len() * data.series_len() * 4).div_ceil(zoo.storage.page_bytes);
+    for (method, _) in zoo.rows(data.series_len(), 5, |caps| caps.disk_resident) {
+        for io in [Pread, hydra::FileIoMode::Mmap] {
+            for pool in [1, (pages / 2).max(1), pages * 4] {
+                let load = Load::File { pool, io, codec: hydra::PageCodec::F32 };
+                assert_equivalent(&zoo, &data, &Variant { load, ..Variant::of(method.kind()) }, &dir);
             }
         }
-    });
-    assert_eq!(visited, 5, "the whole on-disk scenario");
+    }
     std::fs::remove_dir_all(&dir).ok();
 }
 
@@ -574,5 +329,28 @@ fn out_of_core_boot_writes_reusable_sidecars_for_tree_indexes() {
     // A second boot reuses the verified sidecar byte-for-byte.
     boot_from_dir_with(&dir, &registry, options).unwrap();
     assert_eq!(std::fs::read(&sidecar).unwrap(), first);
+    std::fs::remove_dir_all(&dir).ok();
+}
+
+/// The draws' seed: the first whose sixteen draws hold a sharded × grown
+/// and a grown × file-backed u8 variant.
+const SEED: u64 = 7;
+
+/// Sixteen variants drawn from a fixed seed over every axis each row
+/// supports: the combinations no hand-written matrix reaches.
+#[test]
+fn composed_draws_hold_every_contract() {
+    let dir = common::temp_dir("ooc-draws");
+    // 256 × 32 series on 4 KiB pages span 8 of them: small pools evict.
+    let storage = StorageConfig { page_bytes: 4096, ..StorageConfig::on_disk() };
+    let (zoo, data) = (Zoo::new(storage.with_pool_pages(4), 5), hydra::data::random_walk(256, 32, 77));
+    let (rows, mut rng) = (zoo.rows(data.series_len(), 8, |_| true), SEED);
+    let draws: Vec<Variant> = (0..16).map(|_| common::draw(&mut rng, &rows, data.len())).collect();
+    for (i, v) in draws.iter().enumerate() {
+        assert_equivalent(&zoo, &data, v, &dir.join(format!("draw-{i}")));
+    }
+    let u8_file = |v: &Variant| matches!(v.load, Load::File { codec: hydra::PageCodec::U8, .. });
+    assert!(draws.iter().any(|v| v.shards.is_some() && v.grow.is_some()), "no sharded × grown draw");
+    assert!(draws.iter().any(|v| v.grow.is_some() && u8_file(v)), "no grown × file-backed u8 draw");
     std::fs::remove_dir_all(&dir).ok();
 }

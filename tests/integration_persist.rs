@@ -8,80 +8,35 @@
 
 mod common;
 
-use common::temp_dir;
+use common::{assert_equivalent, temp_dir, Load, Variant, Zoo};
 use hydra::prelude::*;
-use hydra::{AnnIndex, Dataset, PersistentIndex, StoreBacking};
-
-/// Interrogates two indexes that must be indistinguishable — a fresh build
-/// and its reload, or two loads of one snapshot: every query of a workload
-/// must produce identical neighbors, distances and cost counters, and the
-/// evaluation harness must report identical accuracy.
-fn assert_indistinguishable(want: &dyn AnnIndex, got: &dyn AnnIndex, data: &Dataset) {
-    let name = want.name();
-    let workload = hydra::data::noisy_queries(data, 10, &[0.0, 0.2], 1234);
-    let k = 10;
-    let truth = hydra::data::ground_truth(data, &workload, k);
-    let caps = want.capabilities();
-    let mut params = vec![SearchParams::ng(k, 16)];
-    if caps.exact {
-        params.push(SearchParams::exact(k));
-    }
-    if caps.delta_epsilon_approximate {
-        params.push(SearchParams::delta_epsilon(k, 0.9, 1.0));
-    }
-    for p in &params {
-        for query in workload.iter() {
-            let a = want.search(query, p).unwrap();
-            let b = got.search(query, p).unwrap();
-            // The shared accounting contract: identical across reloads and
-            // backings alike.
-            common::assert_same_answer(name, &b, &a, common::StatsMatch::Full);
-        }
-        // The evaluation harness sees identical accuracy too (both runs
-        // start from the same post-build / post-load storage state and
-        // replay the same access sequence).
-        let ra = hydra::eval::run_workload(want, &workload, &truth, p);
-        let rb = hydra::eval::run_workload(got, &workload, &truth, p);
-        assert_eq!(ra.accuracy, rb.accuracy, "{name}: workload accuracy drifted");
-    }
-}
 
 #[test]
 fn every_index_in_the_zoo_roundtrips_identically() {
-    let dir = temp_dir("zoo");
+    let (dir, zoo) = (temp_dir("zoo"), Zoo::new(StorageConfig::in_memory(), 1));
     let data = hydra::data::random_walk(500, 32, 4242);
-    let storage = StorageConfig::in_memory();
-    let registry = hydra::standard_registry(storage, 1);
-    let visited = common::for_each_method(&hydra::zoo(storage, 1), |_| true, |method| {
-        let path = common::snapshot_path(&dir, "zoo", method.kind());
-        let built = method.build(&data).unwrap();
-        built.save(&path).unwrap();
-        let loaded = registry
-            .load_any(&path, &data)
-            .unwrap_or_else(|e| panic!("{} snapshot failed to load: {e}", method.kind()));
-        assert_indistinguishable(built.as_ref(), loaded.as_ref(), &data);
-    });
-    assert_eq!(visited, 8);
-
-    // FLANN's row auto-tunes; pin both of its algorithms too, each through
-    // the input the selection rule picks it for (the 500 series above
-    // select the kd-forest, 1000 short ones the k-means tree).
-    let cfg = FlannConfig::default();
-    for (data, algorithm) in [
-        (data, hydra::FlannAlgorithm::RandomizedKdTrees),
-        (hydra::data::random_walk(1000, 32, 4243), hydra::FlannAlgorithm::HierarchicalKMeans),
-    ] {
-        let path = dir.join(format!("flann-{algorithm:?}.snap"));
-        let built = Flann::build(&data, cfg).unwrap();
-        assert_eq!(built.algorithm(), algorithm);
-        built.save(&path).unwrap();
-        assert_indistinguishable(&built, &Flann::load(&path, &data, &cfg).unwrap(), &data);
+    let reload = |row, data, dir| {
+        assert_equivalent(&zoo, data, &Variant { load: Load::Resident, ..Variant::of(row) }, dir);
+    };
+    for (method, _) in zoo.rows(data.series_len(), 8, |_| true) {
+        reload(method.kind(), &data, &dir);
     }
+    // FLANN's row auto-tunes; pin both of its algorithms, each through the
+    // input the selection rule picks it for: the 500 series above select
+    // the kd-forest, 1000 short ones the k-means tree.
+    let short = hydra::data::random_walk(1000, 32, 4243);
+    for (data, algorithm) in [
+        (&data, hydra::FlannAlgorithm::RandomizedKdTrees),
+        (&short, hydra::FlannAlgorithm::HierarchicalKMeans),
+    ] {
+        assert_eq!(Flann::build(data, FlannConfig::default()).unwrap().algorithm(), algorithm);
+    }
+    reload("flann", &short, &dir.join("short"));
     std::fs::remove_dir_all(&dir).ok();
 }
 
 /// Every disk-capable method of the zoo, loaded file-backed and proven
-/// byte-identical to the resident load of the same snapshot, at pool sizes
+/// identical to the resident load of the same snapshot, at pool sizes
 /// {1 page, ~dataset/2, effectively-infinite} — through the type-erased
 /// registry path a server boots with. Small pages force real multi-page
 /// traffic and eviction at the small pools.
@@ -89,34 +44,14 @@ fn every_index_in_the_zoo_roundtrips_identically() {
 fn disk_capable_zoo_loads_file_backed_identically_at_every_pool_size() {
     let dir = temp_dir("file-backed-zoo");
     let data = hydra::data::random_walk(500, 32, 515);
-    let data_snapshot = dir.join("walk.data.snap");
-    hydra::persist::dataset::save_dataset(&data, &data_snapshot).unwrap();
     // 500 series × 32 × 4 B = 64 000 B of raw data; 4 KiB pages → ~16 pages.
-    let pooled = |buffer_pool_pages| StorageConfig {
-        page_bytes: 4096,
-        buffer_pool_pages,
-        codec: hydra::PageCodec::F32,
-        io: hydra::FileIoMode::Pread,
-    };
-    let on_disk = |method: &hydra::Method| method.in_scenario(false, data.series_len());
-    let visited = common::for_each_method(&hydra::zoo(pooled(1), 1), on_disk, |method| {
-        let snapshot = common::snapshot_path(&dir, "walk", method.kind());
-        method.build(&data).unwrap().save(&snapshot).unwrap();
-        for pool in [1usize, 8, usize::MAX / 2] {
-            let registry = hydra::standard_registry(pooled(pool), 1);
-            let load = |backing| {
-                registry
-                    .load_any_backed(&snapshot, &data, backing)
-                    .unwrap_or_else(|e| panic!("{} at pool {pool}: {e}", method.kind()))
-            };
-            let resident = load(StoreBacking::Resident);
-            let filed = load(StoreBacking::FileBacked {
-                dataset_snapshot: Some(&data_snapshot),
-            });
-            assert_indistinguishable(resident.as_ref(), filed.as_ref(), &data);
+    let zoo = Zoo::new(StorageConfig { page_bytes: 4096, ..StorageConfig::on_disk() }, 1);
+    for (method, _) in zoo.rows(data.series_len(), 5, |caps| caps.disk_resident) {
+        for pool in [1, 8, usize::MAX / 2] {
+            let v = Variant { load: Load::file(pool), ..Variant::of(method.kind()) };
+            assert_equivalent(&zoo, &data, &v, &dir);
         }
-    });
-    assert_eq!(visited, 5);
+    }
     std::fs::remove_dir_all(&dir).ok();
 }
 

@@ -337,15 +337,7 @@ fn routed_answers_over_real_workers_are_bit_identical_to_unsharded() {
         let offline = unsharded.search(series, &SearchParams::exact(k)).unwrap();
         match query(&mut client, (q + 1) as u64, series, k) {
             ResponseBody::Answer { neighbors } => {
-                assert_eq!(neighbors.len(), offline.neighbors.len());
-                for (a, b) in neighbors.iter().zip(offline.neighbors.iter()) {
-                    assert_eq!(a.index, b.index, "query {q}: routed neighbor drifted");
-                    assert_eq!(
-                        a.distance.to_bits(),
-                        b.distance.to_bits(),
-                        "query {q}: routed distance drifted"
-                    );
-                }
+                common::assert_same_neighbors(&format!("routed query {q}"), &neighbors, &offline.neighbors);
             }
             other => panic!("query {q} failed: {other:?}"),
         }

@@ -17,7 +17,6 @@ mod common;
 
 use std::time::Duration;
 
-use hydra::prelude::*;
 use hydra_serve::{boot_from_dir, ServeClient, Server, ServerConfig, ServerHandle};
 
 #[test]
@@ -59,58 +58,25 @@ fn every_index_in_the_zoo_serves_byte_identical_answers() {
         });
     }
 
-    let k = 10;
     let workload = hydra::data::noisy_queries(data, 12, &[0.0, 0.2], 77);
-    let truth = hydra::data::ground_truth(data, &workload, k);
+    let truth = hydra::data::ground_truth(data, &workload, common::K);
 
     for served in &offline.indexes {
-        let caps = served.index.capabilities();
-        let mut settings = vec![SearchParams::ng(k, 16)];
-        if caps.exact {
-            settings.push(SearchParams::exact(k));
-        }
-        if caps.delta_epsilon_approximate {
-            settings.push(SearchParams::delta_epsilon(k, 0.9, 1.0));
-        }
-        for params in &settings {
+        let whole = common::Variant::of(served.index.name());
+        for params in &common::settings(served.index.capabilities(), &whole) {
             let answers = common::replay(addr, &served.name, params, &workload, 3);
             // Byte identity against the offline path, query by query.
-            let mut per_query = Vec::with_capacity(workload.len());
             for (q, query) in workload.iter().enumerate() {
                 let offline_answer = served.index.search(query, params).unwrap();
-                let wire = &answers[q];
-                assert_eq!(
-                    wire.len(),
-                    offline_answer.neighbors.len(),
-                    "{} {params:?} query {q}: answer set size drifted",
-                    served.name
-                );
-                for (a, b) in wire.iter().zip(offline_answer.neighbors.iter()) {
-                    assert_eq!(
-                        a.index, b.index,
-                        "{} {params:?} query {q}: neighbor drifted",
-                        served.name
-                    );
-                    assert_eq!(
-                        a.distance.to_bits(),
-                        b.distance.to_bits(),
-                        "{} {params:?} query {q}: distance drifted",
-                        served.name
-                    );
-                }
-                let answer_truth = &truth.answers[q];
-                per_query.push((
-                    hydra::eval::recall(wire, answer_truth),
-                    hydra::eval::average_precision(wire, answer_truth),
-                    hydra::eval::mean_relative_error(wire, answer_truth),
-                ));
+                let context = format!("{} {params:?} query {q}", served.name);
+                common::assert_same_neighbors(&context, &answers[q], &offline_answer.neighbors);
             }
             // And the workload-level accuracy equals the offline runner's.
-            let served_accuracy = hydra::eval::AccuracySummary::from_queries(&per_query);
             let offline_report =
                 hydra::eval::run_workload(served.index.as_ref(), &workload, &truth, params);
             assert_eq!(
-                served_accuracy, offline_report.accuracy,
+                common::accuracy(answers.iter().map(Vec::as_slice), &truth),
+                offline_report.accuracy,
                 "{} {params:?}: workload accuracy drifted between serving and offline",
                 served.name
             );
