@@ -246,12 +246,6 @@ pub fn euclidean_early_abandon_f16(query: &[f32], codes: &[u16], threshold: f32)
     .map(f32::sqrt)
 }
 
-/// Squared Euclidean norm of a slice.
-#[inline]
-pub fn squared_norm(a: &[f32]) -> f32 {
-    a.iter().map(|v| v * v).sum()
-}
-
 /// Dot product of two equally-sized slices.
 #[inline]
 pub fn dot(a: &[f32], b: &[f32]) -> f32 {
@@ -491,7 +485,6 @@ mod tests {
     #[test]
     fn dot_and_norm() {
         assert_eq!(dot(&[1.0, 2.0, 3.0], &[4.0, 5.0, 6.0]), 32.0);
-        assert_eq!(squared_norm(&[3.0, 4.0]), 25.0);
     }
 
     #[test]

@@ -105,11 +105,6 @@ impl SearchMode {
         }
     }
 
-    /// Whether this mode carries any guarantee (everything except ng).
-    pub fn has_guarantees(&self) -> bool {
-        !matches!(self, SearchMode::Ng { .. })
-    }
-
     /// A short label used in reports ("exact", "ng", "eps", "delta-eps").
     pub fn label(&self) -> &'static str {
         match self {
@@ -359,14 +354,12 @@ mod tests {
         assert_eq!(SearchMode::Exact.nprobe(), 0);
         assert_eq!(SearchMode::Ng { nprobe: 5 }.nprobe(), 5);
         assert_eq!(SearchMode::Ng { nprobe: 5 }.label(), "ng");
-        assert!(!SearchMode::Ng { nprobe: 5 }.has_guarantees());
         let m = SearchMode::DeltaEpsilon {
             epsilon: 2.0,
             delta: 0.9,
         };
         assert_eq!(m.epsilon(), 2.0);
         assert_eq!(m.delta(), 0.9);
-        assert!(m.has_guarantees());
         assert_eq!(SearchParams::epsilon(10, 1.0).mode.label(), "eps");
         assert_eq!(SearchParams::exact(1).k, 1);
         assert_eq!(SearchParams::ng(5, 2).k, 5);

@@ -373,91 +373,6 @@ mod tests {
     }
 
     #[test]
-    fn snapshots_load_at_any_pool_size_and_backing() {
-        // The serving knobs — pool capacity and store backing — are not
-        // part of the snapshot fingerprint: one snapshot saved under the
-        // defaults boots with any `--pool-pages` and either backing, and
-        // answers bit-identically.
-        let data = data::random_walk(250, 32, 8);
-        let dir = std::env::temp_dir().join(format!(
-            "hydra-facade-pooled-{}",
-            std::process::id()
-        ));
-        std::fs::remove_dir_all(&dir).ok();
-        std::fs::create_dir_all(&dir).unwrap();
-        let on_disk = StorageConfig::on_disk();
-        let index = build_row("dstree", on_disk, 5, &data);
-        let path = dir.join("walk-dstree.snap");
-        index.save(&path).unwrap();
-        let baseline = index.search(data.series(3), &SearchParams::exact(5)).unwrap();
-        for pool_pages in [Some(1), Some(4), None] {
-            let storage = pool_pages.map_or(on_disk, |pages| on_disk.with_pool_pages(pages));
-            let registry = standard_registry(storage, 5);
-            for backing in [
-                StoreBacking::Resident,
-                StoreBacking::FileBacked {
-                    dataset_snapshot: None,
-                },
-            ] {
-                let loaded = registry.load_any_backed(&path, &data, backing).unwrap();
-                let got = loaded.search(data.series(3), &SearchParams::exact(5)).unwrap();
-                assert_eq!(got.neighbors, baseline.neighbors,
-                    "pool {pool_pages:?} / {backing:?} drifted");
-            }
-        }
-        std::fs::remove_dir_all(&dir).ok();
-    }
-
-    #[test]
-    fn snapshots_load_under_any_page_codec_with_identical_answers() {
-        // The page codec is a serving knob like the pool: one snapshot
-        // saved under the defaults boots with any --page-codec, and the
-        // answers — neighbors AND distances — are bit-identical, because
-        // coded stores only prune on compressed pages and recompute every
-        // returned distance from exact f32 series.
-        let data = data::random_walk(250, 32, 9);
-        let dir = std::env::temp_dir().join(format!(
-            "hydra-facade-tiered-{}",
-            std::process::id()
-        ));
-        std::fs::remove_dir_all(&dir).ok();
-        std::fs::create_dir_all(&dir).unwrap();
-        let on_disk = StorageConfig::on_disk();
-        let index = build_row("dstree", on_disk, 9, &data);
-        let path = dir.join("walk-dstree.snap");
-        index.save(&path).unwrap();
-        let baseline = index.search(data.series(7), &SearchParams::exact(5)).unwrap();
-        for codec in [PageCodec::U8, PageCodec::F16] {
-            let registry =
-                standard_registry(on_disk.with_pool_pages(2).with_page_codec(codec), 9);
-            for backing in [
-                StoreBacking::Resident,
-                StoreBacking::FileBacked {
-                    dataset_snapshot: None,
-                },
-            ] {
-                let loaded = registry.load_any_backed(&path, &data, backing).unwrap();
-                let got = loaded.search(data.series(7), &SearchParams::exact(5)).unwrap();
-                assert_eq!(
-                    got.neighbors, baseline.neighbors,
-                    "codec {:?} / {backing:?} drifted",
-                    codec
-                );
-                // Only a file-backed store has a coded tier; a resident one
-                // holds the exact values and ignores the codec.
-                let file_backed = matches!(backing, StoreBacking::FileBacked { .. });
-                let counters = loaded.store_counters().unwrap();
-                assert_eq!(
-                    counters.compressed_bytes_read > 0,
-                    file_backed,
-                    "codec {codec:?} / {backing:?}: compressed pages are scanned file-backed only"
-                );
-            }
-        }
-        std::fs::remove_dir_all(&dir).ok();
-    }
-
-    #[test]
     fn build_all_methods_on_disk_excludes_memory_only_methods() {
         let data = data::random_walk(300, 32, 5);
         let methods = build_all_methods(&data, false, 1);

@@ -443,33 +443,6 @@ mod tests {
     }
 
     #[test]
-    fn batch_search_matches_per_query_search() {
-        let (_, q) = build(300, 32);
-        let queries = random_walk(5, 32, 23);
-        let refs: Vec<&[f32]> = queries.iter().collect();
-        let params = SearchParams::delta_epsilon(5, 0.9, 1.0);
-        let batched = q.search_batch(&refs, &params);
-        for (query, b) in refs.iter().zip(batched.iter()) {
-            let s = q.search(query, &params).unwrap();
-            let b = b.as_ref().unwrap();
-            assert_eq!(b.stats, s.stats, "scratch reuse must not change stats");
-            assert_eq!(b.neighbors.len(), s.neighbors.len());
-            for (x, y) in b.neighbors.iter().zip(s.neighbors.iter()) {
-                assert_eq!(x.index, y.index);
-                assert_eq!(x.distance.to_bits(), y.distance.to_bits());
-            }
-        }
-        let bad = vec![0.0f32; 2];
-        let mixed: Vec<&[f32]> = vec![refs[0], &bad];
-        let results = q.search_batch(&mixed, &SearchParams::ng(1, 4));
-        assert!(results[0].is_ok() && results[1].is_err());
-        assert!(q
-            .search_batch(&mixed, &SearchParams::exact(1))
-            .iter()
-            .all(|r| r.is_err()));
-    }
-
-    #[test]
     fn unsupported_modes_are_rejected() {
         let (_, q) = build(100, 32);
         let query = vec![0.0f32; 32];

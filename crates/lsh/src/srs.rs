@@ -398,33 +398,6 @@ mod tests {
     }
 
     #[test]
-    fn batch_search_matches_per_query_search() {
-        let (_, srs) = build(400, 32);
-        let queries = random_walk(5, 32, 19);
-        let refs: Vec<&[f32]> = queries.iter().collect();
-        let params = SearchParams::delta_epsilon(5, 0.9, 1.0);
-        let batched = srs.search_batch(&refs, &params);
-        for (q, b) in refs.iter().zip(batched.iter()) {
-            let s = srs.search(q, &params).unwrap();
-            let b = b.as_ref().unwrap();
-            assert_eq!(b.neighbors.len(), s.neighbors.len());
-            for (x, y) in b.neighbors.iter().zip(s.neighbors.iter()) {
-                assert_eq!(x.index, y.index);
-                assert_eq!(x.distance.to_bits(), y.distance.to_bits());
-            }
-            assert_eq!(b.stats.lower_bound_computations, s.stats.lower_bound_computations);
-            assert_eq!(b.stats.series_scanned, s.stats.series_scanned);
-        }
-        // Exact mode and bad dimensions fail per query.
-        let bad = vec![0.0f32; 2];
-        let mixed: Vec<&[f32]> = vec![refs[0], &bad];
-        let exact = srs.search_batch(&mixed, &SearchParams::exact(1));
-        assert!(exact.iter().all(|r| r.is_err()));
-        let ng = srs.search_batch(&mixed, &SearchParams::ng(1, 4));
-        assert!(ng[0].is_ok() && ng[1].is_err());
-    }
-
-    #[test]
     fn exact_mode_is_rejected_and_metadata_consistent() {
         let (_, srs) = build(100, 32);
         let q = vec![0.0f32; 32];

@@ -145,11 +145,6 @@ impl QueryTrace {
         Stage::ALL.iter().map(move |&s| (s, self.spans[s.index()]))
     }
 
-    /// Total nanoseconds across every stage.
-    pub fn total_nanos(&self) -> u64 {
-        self.spans.iter().map(|s| s.nanos).sum()
-    }
-
     /// True when nothing was ever recorded.
     pub fn is_empty(&self) -> bool {
         self == &QueryTrace::default()
@@ -190,7 +185,6 @@ mod tests {
         let s = t.span(Stage::ShardSearch);
         assert_eq!(s.calls, 2);
         assert_eq!(s.nanos, 800_000);
-        assert_eq!(t.total_nanos(), 810_000);
         assert!(!t.is_empty());
     }
 

@@ -56,12 +56,6 @@ impl Fingerprint {
         self.push_u64(v as u64)
     }
 
-    /// Hashes a bool (as one byte).
-    pub fn push_bool(&mut self, v: bool) -> &mut Self {
-        self.absorb(&[v as u8]);
-        self
-    }
-
     /// Hashes an `f32` by bit pattern.
     pub fn push_f32(&mut self, v: f32) -> &mut Self {
         self.absorb(&v.to_bits().to_le_bytes());
@@ -176,12 +170,12 @@ mod tests {
     #[test]
     fn fingerprints_are_deterministic_and_sensitive() {
         let mut a = Fingerprint::new();
-        a.push_u64(1).push_f32(2.0).push_str("x").push_bool(true);
+        a.push_u64(1).push_f32(2.0).push_str("x");
         let mut b = Fingerprint::new();
-        b.push_u64(1).push_f32(2.0).push_str("x").push_bool(true);
+        b.push_u64(1).push_f32(2.0).push_str("x");
         assert_eq!(a.finish(), b.finish());
         let mut c = Fingerprint::new();
-        c.push_u64(1).push_f32(2.0).push_str("x").push_bool(false);
+        c.push_u64(1).push_f32(2.0).push_str("y");
         assert_ne!(a.finish(), c.finish());
     }
 

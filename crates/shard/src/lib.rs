@@ -358,31 +358,6 @@ mod tests {
     }
 
     #[test]
-    fn search_batch_matches_per_query_search_and_keeps_error_positions() {
-        let data = random_walk(40, 8, 3);
-        let sharded = sharded_scan(&data, PartitionScheme::Contiguous, 3);
-        let good = data.series(0).to_vec();
-        let bad = vec![0.0f32; 5]; // wrong dimensionality
-        let queries: Vec<&[f32]> = vec![&good, &bad, &good];
-        let params = SearchParams::exact(4);
-        let results = sharded.search_batch(&queries, &params);
-        assert_eq!(results.len(), 3);
-        let single = sharded.search(&good, &params).unwrap();
-        for i in [0usize, 2] {
-            let r = results[i].as_ref().unwrap();
-            assert_eq!(r.neighbors, single.neighbors);
-            assert_eq!(r.stats, single.stats);
-        }
-        assert!(matches!(
-            results[1],
-            Err(Error::DimensionMismatch { expected: 8, found: 5 })
-        ));
-        // Unsupported mode fails every query, exactly like the inner index.
-        let ng = sharded.search(&good, &SearchParams::ng(4, 2));
-        assert!(matches!(ng, Err(Error::UnsupportedMode(_))));
-    }
-
-    #[test]
     fn sharded_dstree_delegates_metadata_and_sums_stats() {
         let data = random_walk(60, 16, 11);
         let config = DsTreeConfig::default();

@@ -32,11 +32,6 @@ impl DftSummarizer {
         }
     }
 
-    /// Number of complex coefficients kept.
-    pub fn num_coefficients(&self) -> usize {
-        self.coefficients
-    }
-
     /// Number of real values in a summary (`2 *` coefficients).
     pub fn summary_len(&self) -> usize {
         self.coefficients * 2
@@ -243,7 +238,6 @@ mod tests {
     #[test]
     fn coefficients_clamped_to_nyquist() {
         let d = DftSummarizer::new(16, 100);
-        assert_eq!(d.num_coefficients(), 9);
         assert_eq!(d.summary_len(), 18);
         assert_eq!(d.series_len(), 16);
     }

@@ -444,42 +444,6 @@ mod tests {
     }
 
     #[test]
-    fn batch_search_matches_per_query_search() {
-        let (_, va) = build_small(400, 64);
-        let queries = random_walk(5, 64, 17);
-        let refs: Vec<&[f32]> = queries.iter().collect();
-        for params in [
-            SearchParams::exact(5),
-            SearchParams::ng(5, 10),
-            SearchParams::delta_epsilon(5, 0.9, 1.0),
-        ] {
-            let batched = va.search_batch(&refs, &params);
-            assert_eq!(batched.len(), refs.len());
-            for (q, b) in refs.iter().zip(batched.iter()) {
-                let s = va.search(q, &params).unwrap();
-                let b = b.as_ref().unwrap();
-                assert_eq!(b.neighbors.len(), s.neighbors.len());
-                for (x, y) in b.neighbors.iter().zip(s.neighbors.iter()) {
-                    assert_eq!(x.index, y.index);
-                    assert_eq!(x.distance.to_bits(), y.distance.to_bits());
-                }
-                // CPU-side work is identical; only buffer-pool-dependent I/O
-                // classification may drift between separate passes.
-                assert_eq!(b.stats.distance_computations, s.stats.distance_computations);
-                assert_eq!(b.stats.lower_bound_computations, s.stats.lower_bound_computations);
-                assert_eq!(b.stats.series_scanned, s.stats.series_scanned);
-                assert_eq!(b.stats.bytes_read, s.stats.bytes_read);
-            }
-        }
-        // Malformed queries fail in place without poisoning the batch.
-        let bad = vec![0.0f32; 3];
-        let mixed: Vec<&[f32]> = vec![refs[0], &bad];
-        let results = va.search_batch(&mixed, &SearchParams::exact(3));
-        assert!(results[0].is_ok());
-        assert!(results[1].is_err());
-    }
-
-    #[test]
     fn snapshot_roundtrip_answers_identically_and_checks_fingerprint() {
         let (data, va) = build_small(300, 64);
         let path = std::env::temp_dir().join(format!(

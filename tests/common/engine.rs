@@ -1,14 +1,16 @@
 //! The differential engine of the equivalence suites. A [`Variant`] is one
-//! line over five axes: zoo row, shards × scheme, growth, load and reader
-//! threads. [`obtain`] makes it real as a deployment does, and
+//! line over six axes: zoo row, shards × scheme, growth, load, reader
+//! threads and batch. [`obtain`] makes it real as a deployment does, and
 //! [`assert_equivalent`] holds it to its reference under the one
-//! [`contract`] it implies. A failure prints the variant's line.
+//! [`contract`] it implies; [`assert_door`] holds every row to its Table 1
+//! row at every entry point. A failure prints the variant's line.
 
 use std::fmt;
 use std::path::Path;
 
-use hydra::{AnnIndex, Capabilities, Dataset, FileIoMode, PageCodec, PartitionScheme};
-use hydra::{QueryStats, SearchParams, SearchResult, ShardedIndex, StorageConfig, StoreBacking};
+use hydra::core::workers::with_batch_workers;
+use hydra::{AnnIndex, Capabilities, Dataset, Error, FileIoMode, PageCodec, PartitionScheme};
+use hydra::{QueryStats, SearchMode, SearchParams, SearchResult, ShardedIndex, StorageConfig, StoreBacking};
 
 use super::{assert_same_answer, head, snapshot_path, Scan, StatsMatch};
 
@@ -63,7 +65,7 @@ impl Load {
 }
 
 /// One engine configuration, e.g.
-/// `dstree S=2/strided grow=120+[7,3] load=file(pool=1,mmap,u8) threads=4`.
+/// `dstree S=2/strided grow=120+[7,3] load=file(pool=1,mmap,u8) threads=4 batch=5x2`.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct Variant {
     /// A zoo row's kind, or `scan` for the brute-force [`Scan`].
@@ -76,12 +78,15 @@ pub struct Variant {
     pub load: Load,
     /// Readers searching at once; the parallel runner also runs at this count.
     pub threads: usize,
+    /// Queries per `search_batch` call × batch workers; `None` asks each
+    /// query through `search`.
+    pub batch: Option<(usize, usize)>,
 }
 
 impl Variant {
     /// `row`, built whole, searched by one reader.
     pub fn of(row: &'static str) -> Self {
-        Self { row, shards: None, grow: None, load: Load::Built, threads: 1 }
+        Self { row, shards: None, grow: None, load: Load::Built, threads: 1, batch: None }
     }
 
     /// A fresh whole build, or for a plain file-backed load the resident
@@ -109,7 +114,11 @@ impl fmt::Display for Variant {
             }
             load => write!(f, " load={}", format!("{load:?}").to_lowercase())?,
         }
-        write!(f, " threads={}", self.threads)
+        write!(f, " threads={}", self.threads)?;
+        match self.batch {
+            Some((size, workers)) => write!(f, " batch={size}x{workers}"),
+            None => Ok(()),
+        }
     }
 }
 
@@ -197,9 +206,10 @@ pub fn settings(caps: Capabilities, v: &Variant) -> Vec<SearchParams> {
 /// The contract table: how much of its reference's [`QueryStats`] `v`
 /// reproduces besides the answer.
 pub fn contract(v: &Variant) -> StatsMatch {
+    let fanned_out = matches!(v.load, Load::File { .. }) && v.batch.is_some_and(|(_, w)| w > 1);
     if v.shards.is_some() || matches!(v.load, Load::File { codec, .. } if codec != PageCodec::F32) {
         StatsMatch::Ignored // shards restart pruning; a coded tier prunes on its codes
-    } else if v.grow.is_some() || v.threads > 1 {
+    } else if v.grow.is_some() || v.threads > 1 || fanned_out {
         StatsMatch::ExceptIoOperations // pool residency follows growth and interleaving
     } else {
         StatsMatch::Full // another load of the same snapshot
@@ -217,41 +227,55 @@ impl Drop for Replay {
 
 /// Obtains `v` and its reference from `dir` and holds the one to the other
 /// ([`assert_answers`]); returns `v`'s index for the caller's own checks.
+/// Under a `Full` contract a batch is the query loop, I/O included: `v`
+/// asked per query answers alike, and its store counters equal the batch's.
 pub fn assert_equivalent(zoo: &Zoo, data: &Dataset, v: &Variant, dir: &Path) -> Box<dyn AnnIndex> {
     let _replay = Replay(v.to_string());
     let served = Zoo { storage: zoo.storage(v.load), ..*zoo };
     let reference = obtain(&served, data, &v.reference(), dir);
     let subject = obtain(&served, data, v, dir);
-    assert_answers(&v.to_string(), subject.as_ref(), reference.as_ref(), data, v);
+    let looped = matches!(contract(v), StatsMatch::Full) && v.batch.is_some();
+    let twin = looped.then(|| obtain(&served, data, &Variant { batch: None, ..*v }, dir));
+    assert_answers(&v.to_string(), subject.as_ref(), reference.as_ref(), data, v, twin.as_deref());
     subject
 }
 
-/// For every setting: each query through `search`, from `v`'s readers at
-/// once, against `reference` under [`contract`]; then the parallel runner at
-/// 1, 4 and `v.threads` threads against that sequential run — accuracy,
-/// every CPU counter and `bytes_read`.
-pub fn assert_answers(label: &str, subject: &dyn AnnIndex, reference: &dyn AnnIndex, data: &Dataset, v: &Variant) {
+/// For every setting: each query as `v.batch` asks it ([`answer`]), from
+/// `v`'s readers at once, against `reference`'s `search` under [`contract`]
+/// (and `twin`'s `search` too, and its store counters against the
+/// subject's after them); then the parallel runner at 1, 4 and `v.threads`
+/// threads against that sequential run — accuracy, every CPU counter and
+/// `bytes_read`.
+pub fn assert_answers(label: &str, subject: &dyn AnnIndex, reference: &dyn AnnIndex, data: &Dataset, v: &Variant, twin: Option<&dyn AnnIndex>) {
     let shape = |index: &dyn AnnIndex| (index.num_series(), index.series_len());
     assert_eq!(shape(subject), shape(reference), "{label}: shape drifted");
-    let queries = hydra::data::noisy_queries(data, 6, &[0.0, 0.2], 17);
-    let truth = hydra::data::ground_truth(data, &queries, K);
+    let workload = hydra::data::noisy_queries(data, 6, &[0.0, 0.2], 17);
+    let (truth, queries) = (hydra::data::ground_truth(data, &workload, K), workload.iter().collect::<Vec<_>>());
     let settings = settings(reference.capabilities(), v);
     // Both sides see one access sequence until the runner moves only one.
     let mut sequential = Vec::new();
     for params in &settings {
-        let want: Vec<_> = queries.iter().map(|q| reference.search(q, params).unwrap()).collect();
-        let reader = || -> Vec<SearchResult> {
-            let got: Vec<_> = queries.iter().map(|q| subject.search(q, params).unwrap()).collect();
+        let want = answer(reference, &queries, params, None);
+        let hold = |got: &[SearchResult], how: &str| {
             for (q, (got, want)) in got.iter().zip(&want).enumerate() {
-                let context = format!("{label} {params:?} query {q}");
-                assert_same_answer(&context, got, want, contract(v));
+                assert_same_answer(&format!("{label}{how} {params:?} query {q}"), got, want, contract(v));
             }
+        };
+        if let Some(twin) = twin {
+            hold(&answer(twin, &queries, params, None), " per query");
+        }
+        let reader = || -> Vec<SearchResult> {
+            let got = answer(subject, &queries, params, v.batch);
+            hold(&got, "");
             got
         };
         sequential.push(std::thread::scope(|scope| {
             let readers: Vec<_> = (0..v.threads).map(|_| scope.spawn(reader)).collect();
             readers.into_iter().map(|r| r.join().unwrap()).last().unwrap()
         }));
+    }
+    if let Some(twin) = twin {
+        assert_eq!(subject.store_counters(), twin.store_counters(), "{label}: store counters drifted");
     }
     let cpu = |mut stats: QueryStats| {
         (stats.random_ios, stats.sequential_ios) = (0, 0);
@@ -262,7 +286,7 @@ pub fn assert_answers(label: &str, subject: &dyn AnnIndex, reference: &dyn AnnIn
         let mut stats = QueryStats::new();
         answers.iter().for_each(|answer| stats.merge(&answer.stats));
         for threads in std::collections::BTreeSet::from([1, 4, v.threads]) {
-            let par = hydra::eval::run_workload_parallel(subject, &queries, &truth, params, threads);
+            let par = hydra::eval::run_workload_parallel(subject, &workload, &truth, params, threads);
             let cell = format!("{label} {params:?} runner at {threads} threads");
             assert_eq!(par.accuracy, accuracy, "{cell}: accuracy drifted");
             assert_eq!(cpu(par.stats), cpu(stats), "{cell}: CPU counters or bytes_read drifted");
@@ -270,16 +294,109 @@ pub fn assert_answers(label: &str, subject: &dyn AnnIndex, reference: &dyn AnnIn
     }
 }
 
+/// Every query through `search`, or with a `batch` through `search_batch`
+/// in chunks on that many batch workers, a wrong-length query spliced in at
+/// position 1 of each chunk: it must fail there, with its lengths.
+fn answer(index: &dyn AnnIndex, queries: &[&[f32]], params: &SearchParams, batch: Option<(usize, usize)>) -> Vec<SearchResult> {
+    let Some((size, workers)) = batch else {
+        return queries.iter().map(|q| index.search(q, params).unwrap()).collect();
+    };
+    let bad = vec![0.0; index.series_len() + 1];
+    let mut answers = Vec::new();
+    for chunk in queries.chunks(size) {
+        let mut call = chunk.to_vec();
+        call.insert(1, &bad);
+        let mut got = with_batch_workers(workers, || index.search_batch(&call, params));
+        assert_eq!(got.len(), call.len(), "a batch answers every query");
+        assert_eq!(refusal(&got.remove(1)), mismatch(index.series_len(), bad.len()), "the spliced query");
+        answers.extend(got.into_iter().map(Result::unwrap));
+    }
+    answers
+}
+
+/// An outcome as the door states it: `None` for an answer, else the error's
+/// variant, with both lengths for a length mismatch.
+fn refusal(outcome: &hydra::Result<SearchResult>) -> Option<String> {
+    let error = format!("{:?}", outcome.as_ref().err()?);
+    Some(error.split('(').next().unwrap().to_string())
+}
+
+/// [`refusal`] of a query of `found` values where `expected` are due.
+fn mismatch(expected: usize, found: usize) -> Option<String> {
+    Some(format!("{:?}", Error::DimensionMismatch { expected, found }))
+}
+
+/// Table 1's four modes at a valid setting, each with the knob settings the
+/// door refuses under it besides `k = 0`.
+pub fn door_modes() -> [(SearchMode, Vec<(&'static str, SearchMode)>); 4] {
+    let de = |epsilon, delta| SearchMode::DeltaEpsilon { epsilon, delta };
+    [
+        (SearchMode::Exact, vec![]),
+        (SearchMode::Ng { nprobe: 8 }, vec![]),
+        (SearchMode::Epsilon { epsilon: 1.0 }, vec![("NaN ε", SearchMode::Epsilon { epsilon: f32::NAN })]),
+        (de(1.0, 0.9), vec![("NaN ε", de(f32::NAN, 0.9)), ("δ = -1", de(1.0, -1.0)), ("δ = 2", de(1.0, 2.0))]),
+    ]
+}
+
+/// The door axis: each of `count` rows of `zoo`, built whole and as a
+/// 2-shard strided [`obtain`], answers every input under each of Table 1's
+/// modes as its row says — length first, then the row, then the knobs —
+/// through `search` and at position 1 of a `search_batch` between two valid
+/// queries, which fail only for the parameters they share and else answer
+/// as `search` does. Returns the cases held.
+pub fn assert_door(zoo: &Zoo, data: &Dataset, count: usize, dir: &Path) -> usize {
+    let (len, good, mut cases) = (data.series_len(), data.series(7), 0);
+    let p = |mode| SearchParams { k: 5, mode };
+    for (method, caps) in zoo.rows(len, count, |_| true) {
+        let whole = Variant::of(method.kind());
+        for v in [whole, Variant { shards: Some((2, PartitionScheme::Strided)), ..whole }] {
+            let index = obtain(zoo, data, &v, dir);
+            for (mode, knobs) in door_modes() {
+                let row = (!caps.supports(&mode)).then(|| "UnsupportedMode".to_string());
+                let refused = row.clone().or(Some("InvalidParameter".into()));
+                let mut inputs = vec![("valid", p(mode), len, row.clone())];
+                inputs.push(("wrong length", p(mode), len + 1, mismatch(len, len + 1)));
+                inputs.push(("k = 0", SearchParams { k: 0, mode }, len, refused.clone()));
+                inputs.extend(knobs.into_iter().map(|(input, knob)| (input, p(knob), len, refused.clone())));
+                let single = index.search(good, &p(mode));
+                for (input, params, query_len, want) in inputs {
+                    let _replay = Replay(format!("{v} door {input} {params:?}"));
+                    let query = vec![0.5f32; query_len];
+                    let mut batch = index.search_batch(&[good, &query, good], &params);
+                    assert_eq!(batch.len(), 3, "a batch answers every query");
+                    assert_eq!(refusal(&index.search(&query, &params)), want, "through search");
+                    assert_eq!(refusal(&batch.remove(1)), want, "at position 1 of a batch");
+                    let others = if query_len == len { want } else { row.clone() };
+                    for other in &batch {
+                        assert_eq!(refusal(other), others, "a valid query of the batch");
+                        if let (Ok(got), Ok(single)) = (other, &single) {
+                            assert_same_answer(input, got, single, StatsMatch::ExceptIoOperations);
+                        }
+                    }
+                    cases += 1;
+                }
+            }
+        }
+    }
+    cases
+}
+
+/// The next `options`-way pick of the splitmix64 stream at `state`.
+fn splitmix(state: &mut u64, options: usize) -> usize {
+    *state = state.wrapping_add(0x9E37_79B9_7F4A_7C15);
+    let z = (*state ^ (*state >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
+    let z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
+    ((z ^ (z >> 31)) % options as u64) as usize
+}
+
 /// The next draw over `rows` for `n` series: every axis a row supports —
 /// growth where it ingests, file-backed loads where it is disk-capable,
-/// shards where it is exact (the one class sharding guarantees).
-pub fn draw(rng: &mut u64, rows: &[(hydra::Method, Capabilities)], n: usize) -> Variant {
-    let mut pick = |options: usize| {
-        *rng = rng.wrapping_add(0x9E37_79B9_7F4A_7C15); // splitmix64
-        let z = (*rng ^ (*rng >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
-        let z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
-        ((z ^ (z >> 31)) % options as u64) as usize
-    };
+/// shards where it is exact (the one class sharding guarantees) — from the
+/// stream `rng[0]`, and a batch from a stream of its own, `rng[1]`, so that
+/// the batch moved none of the other picks.
+pub fn draw(rng: &mut [u64; 2], rows: &[(hydra::Method, Capabilities)], n: usize) -> Variant {
+    let [axes, batches] = rng;
+    let mut pick = |options: usize| splitmix(axes, options);
     let (row, caps) = &rows[pick(rows.len())];
     let schemes = [PartitionScheme::Contiguous, PartitionScheme::Strided];
     let cycles: [&'static [usize]; 3] = [&[1], &[7, 3], &[64]];
@@ -295,5 +412,7 @@ pub fn draw(rng: &mut u64, rows: &[(hydra::Method, Capabilities)], n: usize) -> 
             codec: [PageCodec::F32, PageCodec::U8, PageCodec::F16][pick(3)],
         },
     };
-    Variant { row: row.kind(), shards, grow, load, threads: [1, 2, 4][pick(3)] }
+    let threads = [1, 2, 4][pick(3)];
+    let batch = Some(([1, 5, 64][splitmix(batches, 3)], [1, 2, 4][splitmix(batches, 3)]));
+    Variant { row: row.kind(), shards, grow, load, threads, batch }
 }

@@ -14,13 +14,12 @@ mod common;
 use std::path::Path;
 use std::time::Duration;
 
-use hydra::core::workers::with_batch_workers;
 use hydra::prelude::*;
 use hydra::FileIoMode::Pread;
 use hydra::StoreBacking;
 use hydra_serve::{boot_from_dir, boot_from_dir_with, BootOptions, ServeClient, Server, ServerConfig};
 
-use common::{assert_equivalent, Load, StatsMatch, Variant, Zoo};
+use common::{assert_equivalent, Load, Variant, Zoo};
 
 /// Saves the out-of-core dataset's snapshot into `dir` and returns the
 /// dataset plus the snapshot path — the raw series (≈ 300 KiB) are ~5× a
@@ -182,6 +181,7 @@ fn page_codec_matrix_answers_bit_identically_and_cuts_read_traffic() {
     assert!(u8s.bytes_read < f16.bytes_read && f16.bytes_read < raw.bytes_read);
     assert_eq!(raw.compressed_bytes_read, 0);
     assert!(u8s.compressed_bytes_read > 0 && u8s.compressed_bytes_read <= u8s.bytes_read);
+    assert!(f16.compressed_bytes_read > 0 && f16.compressed_bytes_read <= f16.bytes_read);
     std::fs::remove_dir_all(&dir).ok();
 }
 
@@ -208,100 +208,14 @@ fn backing_matrix_is_bit_identical_to_resident_across_pools_and_threads() {
                 assert_equivalent(&zoo, &data, &Variant { load, ..Variant::of(method.kind()) }, &dir);
             }
         }
-    }
-    std::fs::remove_dir_all(&dir).ok();
-}
-
-/// Worker counts every batch test runs at, whatever the host's core count.
-const BATCH_WORKERS: [usize; 3] = [1, 2, 4];
-
-/// The batch contract of a disk index over a store larger than its pool,
-/// at every worker count: a batch whose middle query has the wrong length
-/// errs at that position only, and the other answers equal per-query
-/// `search`. On one worker the batch *is* the per-query loop, I/O
-/// included: the store's counters after it equal the loop's on every
-/// field.
-fn assert_batch_is_the_query_loop(
-    name: &str,
-    index: &dyn hydra::AnnIndex,
-    store: &hydra::storage::SeriesStore,
-    data: &hydra::Dataset,
-    params: &SearchParams,
-) {
-    assert!(store.is_file_backed(), "{name}: only a file-backed batch fans out");
-    // A far-away query defeats pruning (every leaf looks equally
-    // promising), so its search genuinely sweeps the collection.
-    let far = vec![100.0f32; data.series_len()];
-    let bad = vec![0.0f32; data.series_len() - 1];
-    let batch: Vec<&[f32]> = vec![data.series(3), &far, &bad, data.series(3), &far];
-
-    store.reset_io();
-    let individual: Vec<_> = batch.iter().map(|q| index.search(q, params)).collect();
-    let loop_io = store.io_snapshot();
-    assert!(loop_io.pool_evictions > 0, "{name}: the pool must thrash");
-
-    for workers in BATCH_WORKERS {
-        store.reset_io();
-        let results = with_batch_workers(workers, || index.search_batch(&batch, params));
-        let batch_io = store.io_snapshot();
-        assert_eq!(results.len(), batch.len());
-        for (q, (got, want)) in results.iter().zip(&individual).enumerate() {
-            let cell = format!("{name} query {q} at {workers} workers");
-            match want {
-                Ok(want) => {
-                    let got = got.as_ref().unwrap_or_else(|e| panic!("{cell}: {e}"));
-                    // Everything but the I/O-operation split, which depends
-                    // on the shared pool's state.
-                    common::assert_same_answer(&cell, got, want, StatsMatch::ExceptIoOperations);
-                }
-                Err(_) => assert!(q == 2 && got.is_err(), "{cell}: only query 2 may fail"),
-            }
-        }
-        assert!(results[2].is_err(), "{name}: the malformed query fails in place");
-        if workers == 1 {
-            assert_eq!(batch_io, loop_io, "{name}: a one-worker batch moved the store counters");
+        // Batches through the thrashing pool at every worker count: on one
+        // worker the batch is the query loop, store counters included.
+        for workers in [1, 2, 4] {
+            let v = Variant { load: Load::file(1), batch: Some((5, workers)), ..Variant::of(method.kind()) };
+            let io = assert_equivalent(&zoo, &data, &v, &dir).store_counters(); // IMI keeps none
+            assert!(io.is_none_or(|io| io.pool_evictions > 0), "{v}: the pool must thrash");
         }
     }
-}
-
-#[test]
-fn batch_search_on_one_worker_is_the_query_loop_io_included() {
-    let dir = common::temp_dir("ooc-batch");
-    let (data, data_snapshot) = ooc_scenario(&dir);
-    // A 2-page pool against ~5 pages of raw series: an exact search sweeps
-    // more pages than the pool holds, so every batch runs under eviction.
-    let (storage, seed) = (StorageConfig::on_disk().with_pool_pages(2), 3);
-    let backing = StoreBacking::FileBacked {
-        dataset_snapshot: Some(&data_snapshot),
-    };
-    let params = SearchParams::exact(10);
-    // (Typed, for `store()`: the zoo's rows under this test's pool.)
-    let snapshot = dir.join("walk-dstree.snap");
-    let dstree_config = DsTreeConfig {
-        storage,
-        histogram_samples: 2_000,
-        seed,
-        ..DsTreeConfig::default()
-    };
-    DsTree::build(&data, dstree_config).unwrap().save(&snapshot).unwrap();
-    let dstree = DsTree::load_backed(&snapshot, &data, &dstree_config, backing).unwrap();
-    assert_batch_is_the_query_loop("dstree", &dstree, dstree.store(), &data, &params);
-    let snapshot = dir.join("walk-isax2.snap");
-    let isax_config = IsaxConfig { storage, seed, ..IsaxConfig::default() };
-    Isax2Plus::build(&data, isax_config).unwrap().save(&snapshot).unwrap();
-    let isax = Isax2Plus::load_backed(&snapshot, &data, &isax_config, backing).unwrap();
-    assert_batch_is_the_query_loop("isax2", &isax, isax.store(), &data, &params);
-    let snapshot = dir.join("walk-vafile.snap");
-    let vafile_config = VaPlusFileConfig { storage, seed, ..VaPlusFileConfig::default() };
-    VaPlusFile::build(&data, vafile_config).unwrap().save(&snapshot).unwrap();
-    let vafile = VaPlusFile::load_backed(&snapshot, &data, &vafile_config, backing).unwrap();
-    assert_batch_is_the_query_loop("vafile", &vafile, vafile.store(), &data, &params);
-    let snapshot = dir.join("walk-srs.snap");
-    let srs_config = SrsConfig { storage, seed, ..SrsConfig::default() };
-    Srs::build(&data, srs_config).unwrap().save(&snapshot).unwrap();
-    let srs = Srs::load_backed(&snapshot, &data, &srs_config, backing).unwrap();
-    let ng = SearchParams::ng(10, 16);
-    assert_batch_is_the_query_loop("srs", &srs, srs.store(), &data, &ng);
     std::fs::remove_dir_all(&dir).ok();
 }
 
@@ -332,9 +246,11 @@ fn out_of_core_boot_writes_reusable_sidecars_for_tree_indexes() {
     std::fs::remove_dir_all(&dir).ok();
 }
 
-/// The draws' seed: the first whose sixteen draws hold a sharded × grown
-/// and a grown × file-backed u8 variant.
-const SEED: u64 = 7;
+/// The draws' seeds: the axes' stream is the first whose sixteen draws hold
+/// a sharded × grown and a grown × file-backed u8 variant; the batches'
+/// stream is the first whose draws hold a file-backed batch on one worker
+/// and one on several.
+const SEEDS: [u64; 2] = [7, 1];
 
 /// Sixteen variants drawn from a fixed seed over every axis each row
 /// supports: the combinations no hand-written matrix reaches.
@@ -344,7 +260,7 @@ fn composed_draws_hold_every_contract() {
     // 256 × 32 series on 4 KiB pages span 8 of them: small pools evict.
     let storage = StorageConfig { page_bytes: 4096, ..StorageConfig::on_disk() };
     let (zoo, data) = (Zoo::new(storage.with_pool_pages(4), 5), hydra::data::random_walk(256, 32, 77));
-    let (rows, mut rng) = (zoo.rows(data.series_len(), 8, |_| true), SEED);
+    let (rows, mut rng) = (zoo.rows(data.series_len(), 8, |_| true), SEEDS);
     let draws: Vec<Variant> = (0..16).map(|_| common::draw(&mut rng, &rows, data.len())).collect();
     for (i, v) in draws.iter().enumerate() {
         assert_equivalent(&zoo, &data, v, &dir.join(format!("draw-{i}")));
@@ -352,5 +268,8 @@ fn composed_draws_hold_every_contract() {
     let u8_file = |v: &Variant| matches!(v.load, Load::File { codec: hydra::PageCodec::U8, .. });
     assert!(draws.iter().any(|v| v.shards.is_some() && v.grow.is_some()), "no sharded × grown draw");
     assert!(draws.iter().any(|v| v.grow.is_some() && u8_file(v)), "no grown × file-backed u8 draw");
+    let filed = draws.iter().filter(|v| matches!(v.load, Load::File { .. }));
+    let workers: Vec<usize> = filed.map(|v| v.batch.unwrap().1).collect();
+    assert!(workers.contains(&1) && workers.iter().any(|&w| w > 1), "file-backed batches at {workers:?} workers");
     std::fs::remove_dir_all(&dir).ok();
 }

@@ -15,8 +15,10 @@ use hydra::prelude::*;
 fn every_index_in_the_zoo_roundtrips_identically() {
     let (dir, zoo) = (temp_dir("zoo"), Zoo::new(StorageConfig::in_memory(), 1));
     let data = hydra::data::random_walk(500, 32, 4242);
+    // In batches, as a server's batcher asks them (and each query alone).
     let reload = |row, data, dir| {
-        assert_equivalent(&zoo, data, &Variant { load: Load::Resident, ..Variant::of(row) }, dir);
+        let v = Variant { load: Load::Resident, batch: Some((5, 1)), ..Variant::of(row) };
+        assert_equivalent(&zoo, data, &v, dir);
     };
     for (method, _) in zoo.rows(data.series_len(), 8, |_| true) {
         reload(method.kind(), &data, &dir);
@@ -51,6 +53,13 @@ fn disk_capable_zoo_loads_file_backed_identically_at_every_pool_size() {
             let v = Variant { load: Load::file(pool), ..Variant::of(method.kind()) };
             assert_equivalent(&zoo, &data, &v, &dir);
         }
+    }
+    // A resident load ignores the pool and the codec: it reads no coded page.
+    for codec in [hydra::PageCodec::U8, hydra::PageCodec::F16] {
+        let coded = Zoo { storage: zoo.storage.with_pool_pages(1).with_page_codec(codec), ..zoo };
+        let v = Variant { load: Load::Resident, ..Variant::of("dstree") };
+        let io = assert_equivalent(&coded, &data, &v, &dir).store_counters().unwrap();
+        assert_eq!(io.compressed_bytes_read, 0, "{v} under {codec:?} read coded pages");
     }
     std::fs::remove_dir_all(&dir).ok();
 }
