@@ -161,9 +161,9 @@ pub trait AnnIndex: Send + Sync {
     ///
     /// The default implementation simply calls [`Self::search`] once per
     /// query. Indexes override it when a batch lets them amortize per-query
-    /// setup — e.g. IMI builds the ADC lookup tables of every query in a
-    /// single pass over its codebooks, and the scan-based methods reuse
-    /// per-batch scratch buffers instead of reallocating them per query.
+    /// setup — IMI builds the ADC lookup tables of every query in a single
+    /// pass over its codebooks — or overlap its queries: the disk-backed
+    /// methods answer a file-backed batch on several workers.
     ///
     /// # Contract for implementors
     ///

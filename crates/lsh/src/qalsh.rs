@@ -101,16 +101,7 @@ impl Qalsh {
     }
 
     /// Query-aware search with virtual rehashing.
-    ///
-    /// `collisions` and `refined` are reusable per-point scratch buffers
-    /// (reset on entry); batched callers allocate them once per batch.
-    fn search_impl(
-        &self,
-        query: &[f32],
-        params: &SearchParams,
-        collisions: &mut Vec<u16>,
-        refined: &mut Vec<bool>,
-    ) -> SearchResult {
+    fn search_impl(&self, query: &[f32], params: &SearchParams) -> SearchResult {
         let mut stats = QueryStats::new();
         let k = params.k;
         let n = self.data.len();
@@ -133,10 +124,8 @@ impl Qalsh {
         let mut lo: Vec<isize> = starts.iter().map(|&s| s as isize - 1).collect();
         let mut hi: Vec<usize> = starts.clone();
 
-        collisions.clear();
-        collisions.resize(n, 0);
-        refined.clear();
-        refined.resize(n, false);
+        let mut collisions = vec![0u16; n];
+        let mut refined = vec![false; n];
         let mut top = TopK::new(k);
         let mut refined_count = 0usize;
 
@@ -342,29 +331,7 @@ impl AnnIndex for Qalsh {
 
     fn search(&self, query: &[f32], params: &SearchParams) -> Result<SearchResult> {
         check_query(self.capabilities(), self.series_len(), query, params)?;
-        let mut collisions = Vec::new();
-        let mut refined = Vec::new();
-        Ok(self.search_impl(query, params, &mut collisions, &mut refined))
-    }
-
-    /// Batched search: the per-point collision-count and refinement bitmaps
-    /// are allocated once and reused across the batch. Answers, per-query
-    /// stats and errors are identical to [`Self::search`].
-    fn search_batch(
-        &self,
-        queries: &[&[f32]],
-        params: &SearchParams,
-    ) -> Vec<Result<SearchResult>> {
-        let n = self.data.len();
-        let mut collisions = Vec::with_capacity(n);
-        let mut refined = Vec::with_capacity(n);
-        queries
-            .iter()
-            .map(|query| {
-                check_query(self.capabilities(), self.series_len(), query, params)?;
-                Ok(self.search_impl(query, params, &mut collisions, &mut refined))
-            })
-            .collect()
+        Ok(self.search_impl(query, params))
     }
 }
 

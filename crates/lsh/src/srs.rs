@@ -103,16 +103,7 @@ impl Srs {
     /// once `χ²_m-CDF(proj_next² / (bsf/(1+ε))²)` exceeds δ, any unexamined
     /// point is closer than `bsf/(1+ε)` with probability below `1 − δ`, and
     /// the current answer is δ-ε-correct.
-    ///
-    /// `order` is a reusable scratch buffer for the ranked projected
-    /// distances (one entry per stored point, cleared on entry); batched
-    /// callers allocate it once per batch.
-    fn search_impl(
-        &self,
-        query: &[f32],
-        params: &SearchParams,
-        order: &mut Vec<(f32, usize)>,
-    ) -> SearchResult {
+    fn search_impl(&self, query: &[f32], params: &SearchParams) -> SearchResult {
         let mut stats = QueryStats::new();
         let k = params.k;
         let num_series = self.collection.len();
@@ -127,20 +118,15 @@ impl Srs {
         // Rank all points by projected distance (the projected table is tiny
         // and lives in memory — this is SRS's linear-size index).
         let qp = self.projection.project(query);
-        order.clear();
-        order.reserve(num_series);
-        order.extend((0..num_series).map(|id| {
-            stats.lower_bound_computations += 1;
-            (
-                hydra_core::squared_euclidean(&qp, self.projected_point(id)),
-                id,
-            )
-        }));
+        let mut order: Vec<(f32, usize)> = (0..num_series)
+            .map(|id| (hydra_core::squared_euclidean(&qp, self.projected_point(id)), id))
+            .collect();
+        stats.lower_bound_computations += num_series as u64;
         order.sort_by(|a, b| a.0.total_cmp(&b.0));
 
         let mut top = TopK::new(k);
         let mut examined = 0usize;
-        for &(proj_sq, id) in order.iter() {
+        for &(proj_sq, id) in &order {
             if examined >= budget.max(k) {
                 break;
             }
@@ -279,31 +265,19 @@ impl AnnIndex for Srs {
 
     fn search(&self, query: &[f32], params: &SearchParams) -> Result<SearchResult> {
         check_query(self.capabilities(), self.series_len(), query, params)?;
-        let mut order = Vec::new();
-        Ok(self.search_impl(query, params, &mut order))
+        Ok(self.search_impl(query, params))
     }
 
-    /// Batched search, answered on the batch's workers
-    /// ([`Collection::answer_batch`]): each worker allocates the
-    /// ranked-projection buffer (one entry per stored point) once and
-    /// reuses it for every query it answers. Answers, per-query CPU
-    /// counters and errors are identical to [`Self::search`]; on one worker
-    /// so is every store counter. With several workers, as for every
-    /// disk-backed method, the I/O-operation counters depend on how the
-    /// workers interleave on the shared buffer pool.
+    /// Batched search: the batch's workers ([`Collection::answer_batch`])
+    /// answer the queries, each exactly as [`Self::search`] would, in query
+    /// order.
     fn search_batch(
         &self,
         queries: &[&[f32]],
         params: &SearchParams,
     ) -> Vec<Result<SearchResult>> {
-        self.collection.answer_batch(
-            queries,
-            || Vec::with_capacity(self.collection.len()),
-            |order, query| {
-                check_query(self.capabilities(), self.series_len(), query, params)?;
-                Ok(self.search_impl(query, params, order))
-            },
-        )
+        let answer = |_: &mut (), query: &[f32]| self.search(query, params);
+        self.collection.answer_batch(queries, || (), answer)
     }
 
     /// Streaming ingest: each new series is projected with the (build-time,

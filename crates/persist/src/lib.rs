@@ -161,9 +161,8 @@ pub enum StoreBacking<'a> {
 /// * [`PersistentIndex::load_backed`] with [`StoreBacking::FileBacked`]
 ///   must answer **byte-identically** to the resident load of the same
 ///   snapshot — answers, accuracy, and [`hydra_core::QueryStats`] — at any
-///   buffer-pool size and thread count; only the store-level
-///   `bytes_read`/eviction totals may differ, because there they are
-///   measurements rather than a simulation.
+///   buffer-pool size and thread count; only the store-level totals may
+///   differ, and only where concurrent readers interleave on the pool.
 ///
 /// [`hydra_storage::SeriesStore`]: https://docs.rs/hydra-storage
 pub trait PersistentIndex: Sized {

@@ -74,11 +74,17 @@ impl Read for CountingReader {
     }
 }
 
+/// The socket write timeout of every accepted stream. A client that
+/// pipelines queries but stops reading responses eventually fills the
+/// kernel send buffer and parks its writer thread in `write_all`;
+/// shutdown only closes *read* halves (so queued responses, including the
+/// shutdown ack, still flush), so this timeout is what bounds how long
+/// such a stalled connection can delay the owner's `join`.
+const WRITE_TIMEOUT: Duration = Duration::from_secs(30);
+
 pub(crate) struct Listener {
     socket: TcpListener,
     addr: SocketAddr,
-    /// Applied to every accepted stream (`None`/zero: writes never time out).
-    write_timeout: Option<Duration>,
     shutdown: AtomicBool,
     /// Handles of every *live* connection, keyed by connection id, so
     /// shutdown can unblock readers that would otherwise sit in
@@ -102,7 +108,6 @@ impl Listener {
     /// rx_frames,tx_bytes,tx_frames}_total`.
     pub(crate) fn bind(
         addr: impl ToSocketAddrs,
-        write_timeout: Option<Duration>,
         registry: &MetricsRegistry,
         family: &str,
     ) -> std::io::Result<Arc<Self>> {
@@ -111,7 +116,6 @@ impl Listener {
         Ok(Arc::new(Self {
             addr: socket.local_addr()?,
             socket,
-            write_timeout,
             shutdown: AtomicBool::new(false),
             conns: Mutex::new(HashMap::new()),
             next_conn_id: AtomicU64::new(0),
@@ -238,9 +242,7 @@ impl Listener {
             // behind its predecessor's ACK, which a peer that has nothing
             // to send delays by tens of milliseconds.
             let _ = stream.set_nodelay(true);
-            if let Some(timeout) = self.write_timeout.filter(|t| !t.is_zero()) {
-                let _ = stream.set_write_timeout(Some(timeout));
-            }
+            let _ = stream.set_write_timeout(Some(WRITE_TIMEOUT));
             let conn_id = self.register(&stream);
             let (engine, handler) = (Arc::clone(self), new_handler());
             readers.push(std::thread::spawn(move || {

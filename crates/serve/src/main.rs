@@ -281,7 +281,6 @@ fn run_router(args: &Args) {
         worker_timeout: args.worker_timeout,
         boot_timeout: args.worker_connect_timeout,
         scheme: args.scheme,
-        ..RouterConfig::default()
     };
     let handle = Router::spawn(&workers, args.addr.as_str(), config)
         .unwrap_or_else(|e| fail(&format!("router boot failed: {e}")));
@@ -361,7 +360,6 @@ fn run_worker(args: &Args) {
         batch_window: args.batch_window,
         max_batch: args.max_batch,
         slow_query: args.slow_query,
-        ..ServerConfig::default()
     };
     let metrics = hydra_serve::MetricsRegistry::new();
     set_boot_gauges(&metrics, &report.loads);

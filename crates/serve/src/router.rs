@@ -52,8 +52,9 @@
 //! unaffected. After a failure the stream position of a worker connection
 //! is unknowable, so *every* call in flight on it fails with it, each
 //! exactly once. Failed workers are reconnected lazily with exponential
-//! backoff (so a flapping worker cannot turn every query into a connect
-//! storm), and a worker restart is picked up on the next attempt.
+//! backoff, 100 ms doubling to 5 s (so a flapping worker cannot turn every
+//! query into a connect storm), and a worker restart is picked up on the
+//! next attempt.
 
 use std::collections::BTreeMap;
 use std::convert::Infallible;
@@ -75,50 +76,48 @@ use crate::protocol::{
     read_response, ErrorCode, IndexInfo, ProtocolError, Request, Response, ResponseBody,
 };
 
-/// Tuning knobs of the router's worker links and client side.
+/// The router's settable knobs, each a `hydra-serve` flag. The rest are
+/// fixed: a reconnection attempt to a failed worker gives up after 5 s,
+/// the reconnection backoff starts at 100 ms and doubles per consecutive
+/// failure up to 5 s (reset by the first success), and a socket write
+/// toward a client times out after 30 s, as on a server.
 #[derive(Debug, Clone, Copy)]
 pub struct RouterConfig {
     /// Read timeout for one worker call: a worker that accepts a query but
     /// never answers fails the call after this long instead of hanging the
     /// client forever.
     pub worker_timeout: Duration,
-    /// Bound on one reconnection attempt to a failed worker.
-    pub connect_timeout: Duration,
     /// How long boot retries the initial connection to each worker —
     /// generous, because workers validate whole snapshot directories
     /// before they listen.
     pub boot_timeout: Duration,
-    /// First retry delay after a worker failure; doubles per consecutive
-    /// failure up to [`backoff_max`](Self::backoff_max), resets on the
-    /// first success.
-    pub backoff_initial: Duration,
-    /// Cap on the reconnection backoff.
-    pub backoff_max: Duration,
     /// How the shards were cut from the original dataset. Only affects the
     /// local→global id translation: contiguous shards are prefix-sum
     /// offsets, strided shards interleave. Must match the `--shards` run
     /// that produced the worker snapshot directories.
     pub scheme: PartitionScheme,
-    /// Socket write timeout toward clients (`None` = never time out), same
-    /// role as [`crate::server::ServerConfig::write_timeout`].
-    pub write_timeout: Option<Duration>,
 }
 
 impl Default for RouterConfig {
-    /// 30 s worker calls, 5 s reconnects, 120 s boot, 100 ms → 5 s
-    /// backoff, contiguous shards.
+    /// 30 s worker calls, 120 s boot, contiguous shards.
     fn default() -> Self {
         Self {
             worker_timeout: Duration::from_secs(30),
-            connect_timeout: Duration::from_secs(5),
             boot_timeout: Duration::from_secs(120),
-            backoff_initial: Duration::from_millis(100),
-            backoff_max: Duration::from_secs(5),
             scheme: PartitionScheme::Contiguous,
-            write_timeout: Some(Duration::from_secs(30)),
         }
     }
 }
+
+/// Bound on one reconnection attempt to a failed worker.
+const CONNECT_TIMEOUT: Duration = Duration::from_secs(5);
+
+/// First retry delay after a worker failure; doubles per consecutive
+/// failure up to [`BACKOFF_MAX`], resets on the first success.
+const BACKOFF_INITIAL: Duration = Duration::from_millis(100);
+
+/// Cap on the reconnection backoff.
+const BACKOFF_MAX: Duration = Duration::from_secs(5);
 
 /// Counters the router accumulates while running (readable after shutdown
 /// via [`RouterHandle::join`]).
@@ -214,8 +213,8 @@ struct WorkerMetrics {
     /// connections are not counted, so a nonzero value means the link
     /// failed at least once after boot.
     reconnects_total: Counter,
-    /// The link's *current* backoff delay in microseconds; resets to the
-    /// configured initial on the first success.
+    /// The link's *current* backoff delay in microseconds; resets to
+    /// [`BACKOFF_INITIAL`] on the first success.
     backoff_micros: Gauge,
     /// Per call, from its frame being written to its completion.
     call_micros: Histogram,
@@ -258,14 +257,14 @@ impl WorkerLink {
                 generation: 0,
                 pending: BTreeMap::new(),
                 next_id: 1,
-                backoff: config.backoff_initial,
+                backoff: BACKOFF_INITIAL,
                 next_attempt: Instant::now(),
                 readers: Vec::new(),
             }),
             room: Condvar::new(),
             metrics: WorkerMetrics::new(registry, addr),
         };
-        link.publish_backoff(config.backoff_initial);
+        link.publish_backoff(BACKOFF_INITIAL);
         link
     }
 
@@ -304,7 +303,7 @@ impl WorkerLink {
     /// current backoff allows, and twice as long after the next failure.
     fn back_off(&self, state: &mut LinkState) {
         state.next_attempt = Instant::now() + state.backoff;
-        state.backoff = (state.backoff * 2).min(self.config.backoff_max);
+        state.backoff = (state.backoff * 2).min(BACKOFF_MAX);
         self.publish_backoff(state.backoff);
     }
 
@@ -414,7 +413,7 @@ impl WorkerLink {
         } else if Instant::now() < state.next_attempt {
             Some("is backing off after a failure".to_string())
         } else {
-            match ServeClient::connect_within(self.addr, self.config.connect_timeout) {
+            match ServeClient::connect_within(self.addr, CONNECT_TIMEOUT) {
                 Ok(client) => {
                     self.install(&mut state, client);
                     self.metrics.reconnects_total.inc();
@@ -477,8 +476,8 @@ impl WorkerLink {
             };
             self.metrics.in_flight.set(state.pending.len() as i64);
             self.room.notify_all();
-            if state.backoff != self.config.backoff_initial {
-                state.backoff = self.config.backoff_initial;
+            if state.backoff != BACKOFF_INITIAL {
+                state.backoff = BACKOFF_INITIAL;
                 self.publish_backoff(state.backoff);
             }
             call
@@ -912,7 +911,7 @@ impl Router {
         let inner = Arc::new(Inner {
             workers: links.to_vec(),
             indexes,
-            listener: Listener::bind(addr, config.write_timeout, &registry, "hydra_router")?,
+            listener: Listener::bind(addr, &registry, "hydra_router")?,
             queries_total: registry.counter("hydra_router_queries_total", &[]),
             registry,
         });
@@ -988,17 +987,6 @@ mod tests {
         .unwrap()
     }
 
-    fn fast_config() -> RouterConfig {
-        RouterConfig {
-            worker_timeout: Duration::from_millis(500),
-            connect_timeout: Duration::from_millis(200),
-            boot_timeout: Duration::from_secs(5),
-            backoff_initial: Duration::from_millis(10),
-            backoff_max: Duration::from_millis(100),
-            ..RouterConfig::default()
-        }
-    }
-
     #[test]
     fn routes_and_merges_across_two_workers() {
         // Worker 0: ids 0..3 at distances 10,11,12. Worker 1: ids 0..2 at
@@ -1008,7 +996,7 @@ mod tests {
         let router = Router::spawn(
             &[w0.local_addr(), w1.local_addr()],
             "127.0.0.1:0",
-            fast_config(),
+            RouterConfig::default(),
         )
         .unwrap();
         let mut client = ServeClient::connect(router.local_addr()).unwrap();
@@ -1065,13 +1053,13 @@ mod tests {
 
     #[test]
     fn boot_rejects_disagreeing_workers_and_zero_workers() {
-        assert!(Router::spawn(&[], "127.0.0.1:0", fast_config()).is_err());
+        assert!(Router::spawn(&[], "127.0.0.1:0", RouterConfig::default()).is_err());
         let w0 = ramp_worker("ramp", 3, 0.0);
         let w1 = ramp_worker("other", 3, 0.0);
         let err = Router::spawn(
             &[w0.local_addr(), w1.local_addr()],
             "127.0.0.1:0",
-            fast_config(),
+            RouterConfig::default(),
         );
         assert!(err.is_err(), "mismatched index names must fail the boot");
         w0.shutdown();
@@ -1084,7 +1072,7 @@ mod tests {
     fn malformed_client_frames_hang_up_that_connection_only() {
         let w0 = ramp_worker("ramp", 2, 0.0);
         let router =
-            Router::spawn(&[w0.local_addr()], "127.0.0.1:0", fast_config()).unwrap();
+            Router::spawn(&[w0.local_addr()], "127.0.0.1:0", RouterConfig::default()).unwrap();
         let mut bad = TcpStream::connect(router.local_addr()).unwrap();
         bad.write_all(b"not a frame at all").unwrap();
         bad.flush().unwrap();

@@ -119,7 +119,10 @@ fn validate_zoo(indexes: &[ServedIndex]) -> Result<(), String> {
     Ok(())
 }
 
-/// Tuning knobs of the micro-batching loop.
+/// The server's settable knobs, each a `hydra-serve` flag. A socket write
+/// toward a client times out after a fixed 30 s: that is what bounds how
+/// long a client that stops reading its responses can delay
+/// [`ServerHandle::join`].
 #[derive(Debug, Clone, Copy)]
 pub struct ServerConfig {
     /// How long the batcher gathers requests after the first one of a tick
@@ -129,14 +132,6 @@ pub struct ServerConfig {
     /// Upper bound on requests gathered per tick; a full batch drains
     /// immediately without waiting out the window.
     pub max_batch: usize,
-    /// Socket write timeout per connection (`None` = never time out). A
-    /// client that pipelines queries but stops reading responses
-    /// eventually fills the kernel send buffer and parks its writer
-    /// thread in `write_all`; shutdown only closes *read* halves (so
-    /// queued responses, including the shutdown ack, still flush), so
-    /// this timeout is what bounds how long such a stalled connection can
-    /// delay `ServerHandle::join`.
-    pub write_timeout: Option<Duration>,
     /// Slow-query log threshold (`None` = off, the default). A query
     /// whose total served time — queue wait plus its amortized share of
     /// the batched search plus response encoding — reaches this bound
@@ -146,13 +141,12 @@ pub struct ServerConfig {
 }
 
 impl Default for ServerConfig {
-    /// 1 ms window, 64 requests, 30 s write timeout, no slow-query log —
-    /// latency-lean defaults for local serving.
+    /// 1 ms window, 64 requests, no slow-query log — latency-lean
+    /// defaults for local serving. (The write timeout is a fixed 30 s.)
     fn default() -> Self {
         Self {
             batch_window: Duration::from_millis(1),
             max_batch: 64,
-            write_timeout: Some(Duration::from_secs(30)),
             slow_query: None,
         }
     }
@@ -457,7 +451,7 @@ impl Server {
             epoch: RwLock::new(Arc::new(Epoch { id: 0, indexes })),
             reloader,
             config,
-            listener: Listener::bind(addr, config.write_timeout, &registry, "hydra")?,
+            listener: Listener::bind(addr, &registry, "hydra")?,
             metrics: Metrics::new(registry),
         });
         let (job_tx, job_rx) = mpsc::channel::<Job>();

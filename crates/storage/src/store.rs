@@ -138,11 +138,10 @@ impl Default for StorageConfig {
 
 /// Cumulative I/O counters of a store since creation (or the last reset):
 /// the core [`hydra_core::StoreCounters`] the observability layer scrapes through
-/// [`hydra_core::AnnIndex::store_counters`]. `bytes_read` is the one field
-/// the tiers legitimately differ in — the simulated `page_bytes` per miss
-/// on a resident store, the bytes actually transferred (whole frames,
-/// truncated at the tail; coded page records) on a file-backed one, where
-/// the counter became a *measurement*.
+/// [`hydra_core::AnnIndex::store_counters`]. A miss charges `bytes_read`
+/// the bytes of the page's records (whole frames, truncated at the tail;
+/// coded page records), which a file-backed store actually transfers and
+/// a resident one charges alike.
 pub use hydra_core::StoreCounters as IoSnapshot;
 
 #[derive(Debug)]
@@ -511,10 +510,10 @@ impl SeriesStore {
     /// Records `records` (all of one page) of the raw values of `page`,
     /// charged as one access. A resident page is a zero-copy borrow with
     /// nothing to load — the pool tracks its *id* only, enough to decide
-    /// whether the access would have cost an I/O — and its miss is charged
-    /// the simulated `page_bytes`; a file-backed page is the cached or
-    /// freshly read frame, its miss charged the bytes actually transferred
-    /// (whole frames, truncated at the tail).
+    /// whether the access would have cost an I/O; a file-backed page is the
+    /// cached or freshly read frame. Either miss is charged the page's
+    /// records, which is what the file-backed one transfers (whole frames,
+    /// truncated at the tail).
     fn raw_page(
         &self,
         page: u64,
@@ -524,12 +523,12 @@ impl SeriesStore {
         let len = records.len() * self.series_len;
         SeriesRead(match self.backing.resident() {
             Ok(values) => {
-                let page_bytes = self.config.page_bytes as u64;
+                let count = || self.page_records(page, self.len()).1 as u64;
                 self.access(
                     page,
                     stats,
                     |pool| pool.access(page).then_some(()),
-                    || ((), None, page_bytes),
+                    || ((), None, count() * self.series_bytes()),
                 );
                 let start = records.start * self.series_len;
                 ReadRepr::Resident(&values[start..start + len])
@@ -1239,11 +1238,7 @@ mod tests {
         }
         assert_eq!(rs, fs, "per-query stats must be identical across backings");
         let (ri, fi) = (resident.io_snapshot(), file.io_snapshot());
-        assert_eq!(ri.pool_hits, fi.pool_hits);
-        assert_eq!(ri.pool_misses, fi.pool_misses);
-        assert_eq!(ri.random_ios, fi.random_ios);
-        assert_eq!(ri.sequential_ios, fi.sequential_ios);
-        assert_eq!(ri.pool_evictions, fi.pool_evictions);
+        assert_eq!(ri, fi, "store counters must be identical across backings");
         assert!(fi.pool_evictions > 0, "the pattern must evict at capacity 2");
         std::fs::remove_file(&path).ok();
     }

@@ -124,16 +124,7 @@ impl VaPlusFile {
     /// lower-bound order, reading raw series from disk, until the lower
     /// bound exceeds `bsf / (1 + ε)` (or the candidate budget is exhausted
     /// in ng mode, or the δ stop condition fires).
-    ///
-    /// `candidates` is a reusable scratch buffer (cleared on entry) sized by
-    /// the phase-1 scan; batched callers allocate it once per batch instead
-    /// of once per query.
-    fn skip_sequential(
-        &self,
-        query: &[f32],
-        params: &SearchParams,
-        candidates: &mut Vec<(f32, usize)>,
-    ) -> SearchResult {
+    fn skip_sequential(&self, query: &[f32], params: &SearchParams) -> SearchResult {
         let mut stats = QueryStats::new();
         let one_plus_eps = 1.0 + params.mode.epsilon();
         let (nprobe, r_delta) = match params.mode {
@@ -147,8 +138,8 @@ impl VaPlusFile {
         // Phase 1: sequential scan of the in-memory approximation file.
         let query_summary = self.dft.transform(query);
         let n = self.collection.len();
-        candidates.clear();
-        candidates.extend((0..n).map(|id| (self.cells.bound_squared(&query_summary, id).sqrt(), id)));
+        let mut candidates: Vec<(f32, usize)> =
+            (0..n).map(|id| (self.cells.bound_squared(&query_summary, id).sqrt(), id)).collect();
         stats.lower_bound_computations += n as u64;
         // No upper-bound pre-prune (the classic VA-file phase-1 filter): a
         // cell's upper bound covers only the kept DFT coefficients, not the
@@ -160,7 +151,7 @@ impl VaPlusFile {
         let mut top = TopK::new(params.k);
         let delta_threshold = one_plus_eps * r_delta;
         let mut refined = 0usize;
-        for &(lb, id) in candidates.iter() {
+        for &(lb, id) in &candidates {
             let bsf = top.kth_distance();
             if lb > bsf / one_plus_eps {
                 break;
@@ -300,8 +291,7 @@ impl AnnIndex for VaPlusFile {
 
     fn search(&self, query: &[f32], params: &SearchParams) -> Result<SearchResult> {
         check_query(self.capabilities(), self.series_len(), query, params)?;
-        let mut candidates = Vec::new();
-        Ok(self.skip_sequential(query, params, &mut candidates))
+        Ok(self.skip_sequential(query, params))
     }
 
     /// Streaming ingest by append-and-requantize: the batch is appended to
@@ -325,29 +315,16 @@ impl AnnIndex for VaPlusFile {
         Ok(())
     }
 
-    /// Batched search, answered on the batch's workers
-    /// ([`Collection::answer_batch`]): each worker allocates the phase-1
-    /// candidate buffer (one `(lower bound, id)` entry per stored series)
-    /// once and reuses it for every query it answers, and each query's
-    /// phase 1 runs once. Answers, per-query CPU counters and `bytes_read`
-    /// are identical to [`Self::search`]; on one worker so is every store
-    /// counter. With several workers the I/O-*operation* counters
-    /// (`random_ios`/`sequential_ios`) can differ — a pool hit charges no
-    /// operation at all, and hits depend on how the workers interleave on
-    /// the shared, order-sensitive buffer pool.
+    /// Batched search: the batch's workers ([`Collection::answer_batch`])
+    /// answer the queries, each exactly as [`Self::search`] would, in query
+    /// order.
     fn search_batch(
         &self,
         queries: &[&[f32]],
         params: &SearchParams,
     ) -> Vec<Result<SearchResult>> {
-        self.collection.answer_batch(
-            queries,
-            || Vec::with_capacity(self.collection.len()),
-            |candidates, query| {
-                check_query(self.capabilities(), self.series_len(), query, params)?;
-                Ok(self.skip_sequential(query, params, candidates))
-            },
-        )
+        let answer = |_: &mut (), query: &[f32]| self.search(query, params);
+        self.collection.answer_batch(queries, || (), answer)
     }
 }
 

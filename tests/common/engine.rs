@@ -227,26 +227,22 @@ impl Drop for Replay {
 
 /// Obtains `v` and its reference from `dir` and holds the one to the other
 /// ([`assert_answers`]); returns `v`'s index for the caller's own checks.
-/// Under a `Full` contract a batch is the query loop, I/O included: `v`
-/// asked per query answers alike, and its store counters equal the batch's.
 pub fn assert_equivalent(zoo: &Zoo, data: &Dataset, v: &Variant, dir: &Path) -> Box<dyn AnnIndex> {
     let _replay = Replay(v.to_string());
     let served = Zoo { storage: zoo.storage(v.load), ..*zoo };
     let reference = obtain(&served, data, &v.reference(), dir);
     let subject = obtain(&served, data, v, dir);
-    let looped = matches!(contract(v), StatsMatch::Full) && v.batch.is_some();
-    let twin = looped.then(|| obtain(&served, data, &Variant { batch: None, ..*v }, dir));
-    assert_answers(&v.to_string(), subject.as_ref(), reference.as_ref(), data, v, twin.as_deref());
+    assert_answers(&v.to_string(), subject.as_ref(), reference.as_ref(), data, v);
     subject
 }
 
 /// For every setting: each query as `v.batch` asks it ([`answer`]), from
 /// `v`'s readers at once, against `reference`'s `search` under [`contract`]
-/// (and `twin`'s `search` too, and its store counters against the
-/// subject's after them); then the parallel runner at 1, 4 and `v.threads`
-/// threads against that sequential run — accuracy, every CPU counter and
-/// `bytes_read`.
-pub fn assert_answers(label: &str, subject: &dyn AnnIndex, reference: &dyn AnnIndex, data: &Dataset, v: &Variant, twin: Option<&dyn AnnIndex>) {
+/// — and under a `Full` one, the subject's store counters against the
+/// reference's after them, so a batch is the query loop, I/O included;
+/// then the parallel runner at 1, 4 and `v.threads` threads against that
+/// sequential run — accuracy, every CPU counter and `bytes_read`.
+pub fn assert_answers(label: &str, subject: &dyn AnnIndex, reference: &dyn AnnIndex, data: &Dataset, v: &Variant) {
     let shape = |index: &dyn AnnIndex| (index.num_series(), index.series_len());
     assert_eq!(shape(subject), shape(reference), "{label}: shape drifted");
     let workload = hydra::data::noisy_queries(data, 6, &[0.0, 0.2], 17);
@@ -261,9 +257,6 @@ pub fn assert_answers(label: &str, subject: &dyn AnnIndex, reference: &dyn AnnIn
                 assert_same_answer(&format!("{label}{how} {params:?} query {q}"), got, want, contract(v));
             }
         };
-        if let Some(twin) = twin {
-            hold(&answer(twin, &queries, params, None), " per query");
-        }
         let reader = || -> Vec<SearchResult> {
             let got = answer(subject, &queries, params, v.batch);
             hold(&got, "");
@@ -274,8 +267,8 @@ pub fn assert_answers(label: &str, subject: &dyn AnnIndex, reference: &dyn AnnIn
             readers.into_iter().map(|r| r.join().unwrap()).last().unwrap()
         }));
     }
-    if let Some(twin) = twin {
-        assert_eq!(subject.store_counters(), twin.store_counters(), "{label}: store counters drifted");
+    if matches!(contract(v), StatsMatch::Full) {
+        assert_eq!(subject.store_counters(), reference.store_counters(), "{label}: store counters drifted");
     }
     let cpu = |mut stats: QueryStats| {
         (stats.random_ios, stats.sequential_ios) = (0, 0);

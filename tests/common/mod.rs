@@ -1,7 +1,8 @@
 //! Shared fixtures for the root integration tests: per-test temp
 //! directories, build-once-per-process snapshot zoos, the one answer
 //! comparator, the differential engine ([`engine`]) the equivalence
-//! suites run on, and the pipelined TCP replay helper.
+//! suites run on, the serving suites' deployments ([`serving`]), and the
+//! pipelined TCP replay helper.
 //!
 //! Each `tests/*.rs` file is its own test binary; `mod common;` compiles
 //! this module into each of them, which is why helpers unused by one
@@ -12,6 +13,7 @@
 mod engine;
 #[allow(unused_imports)] // binaries that use no engine item
 pub use engine::*;
+pub mod serving;
 
 use std::collections::BTreeMap;
 use std::net::SocketAddr;

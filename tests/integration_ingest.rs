@@ -232,7 +232,7 @@ fn base_plus_journal_loads_back_to_the_grown_index_bit_for_bit() {
             ..Variant::of(method.kind())
         };
         let label = format!("{v} from its journal");
-        common::assert_answers(&label, replayed.as_ref(), fresh.as_ref(), &data, &v, None);
+        common::assert_answers(&label, replayed.as_ref(), fresh.as_ref(), &data, &v);
         // Compaction: a full save of the grown index deletes the journal's
         // reason to exist; the compacted base then loads with no journal.
         hydra::persist::remove_journal(&snap).unwrap();

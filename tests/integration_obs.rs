@@ -31,12 +31,12 @@ mod common;
 use std::collections::BTreeMap;
 use std::time::Duration;
 
+use common::serving::{ask, query, unavailable, Deployment, Shard, INDEX, WORKER_TIMEOUT};
 use common::Scan;
 use hydra::prelude::*;
 use hydra::QueryStats;
 use hydra_serve::{
-    boot_from_dir, Request, ResponseBody, Router, RouterConfig, ServeClient, ServedIndex,
-    Server, ServerConfig,
+    boot_from_dir, Request, ResponseBody, ServeClient, ServedIndex, Server, ServerConfig,
 };
 
 /// Parses a Prometheus text exposition into `sample key -> value`,
@@ -86,29 +86,6 @@ fn counter(samples: &BTreeMap<String, f64>, key: &str) -> u64 {
     v as u64
 }
 
-/// Sends one query through `client` and returns the answer's neighbors,
-/// panicking on any non-answer body.
-fn ask(
-    client: &mut ServeClient,
-    request_id: u64,
-    index: &str,
-    params: &SearchParams,
-    query: &[f32],
-) -> Vec<hydra::Neighbor> {
-    let response = client
-        .call(&Request::Query {
-            request_id,
-            index: index.to_string(),
-            params: *params,
-            query: query.to_vec(),
-        })
-        .unwrap();
-    match response.body {
-        ResponseBody::Answer { neighbors } => neighbors,
-        other => panic!("query {request_id} on {index:?} failed: {other:?}"),
-    }
-}
-
 #[test]
 fn scraped_metrics_reconcile_exactly_and_answers_stay_byte_identical() {
     let zoo = common::in_memory_zoo();
@@ -140,9 +117,13 @@ fn scraped_metrics_reconcile_exactly_and_answers_stay_byte_identical() {
     for served in &offline.indexes {
         for (q, query) in workload.iter().enumerate() {
             replayed += 1;
-            let wire = ask(&mut client, replayed, &served.name, &params, query);
+            let request = common::serving::query(replayed, &served.name, params, query);
             let answer = served.index.search(query, &params).unwrap();
             let context = format!("{} query {q} under instrumentation", served.name);
+            let body = client.call(&request).unwrap().body;
+            let ResponseBody::Answer { neighbors: wire } = body else {
+                panic!("{context}: no answer but {body:?}");
+            };
             common::assert_same_neighbors(&context, &wire, &answer.neighbors);
             offline_sums.merge(&answer.stats);
         }
@@ -150,13 +131,9 @@ fn scraped_metrics_reconcile_exactly_and_answers_stay_byte_identical() {
 
     // One query for an index that does not exist: it must still be
     // *counted* (as a query and as a typed error), not just answered.
+    let series = workload.iter().next().unwrap();
     let response = client
-        .call(&Request::Query {
-            request_id: replayed + 1,
-            index: "no-such-index".into(),
-            params,
-            query: workload.iter().next().unwrap().to_vec(),
-        })
+        .call(&query(replayed + 1, "no-such-index", params, series))
         .unwrap();
     assert!(
         matches!(
@@ -238,36 +215,15 @@ fn scraped_metrics_reconcile_exactly_and_answers_stay_byte_identical() {
 #[test]
 fn the_router_answers_stats_from_its_own_registry_and_reconciles_with_its_worker() {
     let data = hydra::data::random_walk(200, 16, 4242);
-    let offline = Scan { data: data.clone() };
-    let worker = Server::spawn(
-        vec![ServedIndex {
-            name: "walk-scan".into(),
-            index: Box::new(Scan { data: data.clone() }),
-        }],
-        "127.0.0.1:0",
-        ServerConfig::default(),
-    )
-    .unwrap();
-    let router = Router::spawn(
-        &[worker.local_addr()],
-        "127.0.0.1:0",
-        RouterConfig {
-            worker_timeout: Duration::from_millis(800),
-            connect_timeout: Duration::from_millis(400),
-            boot_timeout: Duration::from_secs(5),
-            ..RouterConfig::default()
-        },
-    )
-    .unwrap();
+    let d = Deployment::spawn(data, vec![Shard::Scan], WORKER_TIMEOUT);
+    let worker = &d.servers[0];
 
     let k = 4;
-    let params = SearchParams::exact(k);
-    let workload = hydra::data::noisy_queries(&data, 5, &[0.0, 0.2], 7);
-    let mut client = ServeClient::connect(router.local_addr()).unwrap();
+    let workload = hydra::data::noisy_queries(&d.data, 5, &[0.0, 0.2], 7);
+    let mut client = d.client();
     for (q, series) in workload.iter().enumerate() {
-        let wire = ask(&mut client, (q + 1) as u64, "walk-scan", &params, series);
-        let answer = offline.search(series, &params).unwrap();
-        common::assert_same_neighbors(&format!("routed query {q}"), &wire, &answer.neighbors);
+        let body = ask(&mut client, (q + 1) as u64, series, k);
+        d.assert_exact(&format!("routed query {q}"), body, series, k);
     }
 
     // The router's scrape is its *own* registry: router-level families
@@ -317,43 +273,16 @@ fn the_router_answers_stats_from_its_own_registry_and_reconciles_with_its_worker
     // agree with the scrape.
     client.shutdown().unwrap();
     drop(client);
-    let stats = router.join();
+    let stats = d.stop();
     assert_eq!(stats.queries, queries);
     assert_eq!(stats.worker_errors, 0);
-    worker.join();
-}
-
-/// Two `Scan` workers over a contiguous split of one random walk, and a
-/// router in front of them.
-fn two_worker_deployment() -> (Vec<hydra_serve::ServerHandle>, hydra_serve::RouterHandle) {
-    let data = hydra::data::random_walk(120, 16, 99);
-    let (_, shards) = hydra::partition(&data, hydra::PartitionScheme::Contiguous, 2).unwrap();
-    let workers: Vec<_> = shards
-        .into_iter()
-        .map(|data| {
-            let served = ServedIndex {
-                name: "walk-scan".into(),
-                index: Box::new(Scan { data }),
-            };
-            Server::spawn(vec![served], "127.0.0.1:0", ServerConfig::default()).unwrap()
-        })
-        .collect();
-    let addrs: Vec<_> = workers.iter().map(|w| w.local_addr()).collect();
-    let config = RouterConfig {
-        worker_timeout: Duration::from_millis(800),
-        connect_timeout: Duration::from_millis(400),
-        boot_timeout: Duration::from_secs(5),
-        ..RouterConfig::default()
-    };
-    let router = Router::spawn(&addrs, "127.0.0.1:0", config).unwrap();
-    (workers, router)
 }
 
 #[test]
 fn a_servers_join_equals_its_last_scrape() {
     let data = hydra::data::random_walk(60, 16, 5);
     let scan = move || ServedIndex {
-        name: "walk-scan".into(),
+        name: INDEX.into(),
         index: Box::new(Scan { data: data.clone() }) as Box<dyn AnnIndex>,
     };
     // Reloads succeed once, then fail: both outcomes are on the books.
@@ -375,25 +304,14 @@ fn a_servers_join_equals_its_last_scrape() {
         hydra_serve::MetricsRegistry::new(),
     )
     .unwrap();
-    let params = SearchParams::exact(3);
-    let query = vec![0.25f32; 16];
+    let series = vec![0.25f32; 16];
     for connection in 0..2u64 {
         let mut client = ServeClient::connect(handle.local_addr()).unwrap();
         for q in 1..=4 {
-            ask(
-                &mut client,
-                connection * 10 + q,
-                "walk-scan",
-                &params,
-                &query,
-            );
+            let body = ask(&mut client, connection * 10 + q, &series, 3);
+            assert!(matches!(body, ResponseBody::Answer { .. }), "{body:?}");
         }
-        let unknown = client.call(&Request::Query {
-            request_id: 99,
-            index: "no-such-index".into(),
-            params,
-            query: query.clone(),
-        });
+        let unknown = client.call(&query(99, "no-such-index", SearchParams::exact(3), &series));
         assert!(matches!(unknown.unwrap().body, ResponseBody::Error { .. }));
         if connection == 0 {
             assert_eq!(client.reload().unwrap(), 1);
@@ -428,34 +346,22 @@ fn a_servers_join_equals_its_last_scrape() {
 
 #[test]
 fn a_routers_join_equals_its_last_scrape_and_counts_every_failed_worker_call() {
-    let (workers, router) = two_worker_deployment();
-    let params = SearchParams::exact(3);
-    let query = vec![0.25f32; 16];
-    let mut client = ServeClient::connect(router.local_addr()).unwrap();
+    let data = hydra::data::random_walk(120, 16, 99);
+    let mut d = Deployment::spawn(data, vec![Shard::Scan, Shard::Scan], WORKER_TIMEOUT);
+    let series = vec![0.25f32; 16];
+    let mut client = d.client();
     for q in 1..=3 {
-        ask(&mut client, q, "walk-scan", &params, &query);
+        d.assert_exact(&format!("query {q}"), ask(&mut client, q, &series, 3), &series, 3);
     }
     // Both workers die; the next query fails on *two* links. It is one
     // failed request but two failed worker calls — and worker calls are
     // what `worker_errors` has always documented.
-    for worker in workers {
+    for worker in d.servers.drain(..) {
         worker.shutdown();
         worker.join();
     }
-    let dead = client.call(&Request::Query {
-        request_id: 4,
-        index: "walk-scan".into(),
-        params,
-        query,
-    });
     assert!(
-        matches!(
-            dead.unwrap().body,
-            ResponseBody::Error {
-                code: hydra_serve::ErrorCode::Unavailable,
-                ..
-            }
-        ),
+        unavailable(&ask(&mut client, 4, &series, 3)),
         "a query over dead workers is one typed error"
     );
     // The error reply leaves with the first refused link, before the
@@ -463,8 +369,7 @@ fn a_routers_join_equals_its_last_scrape_and_counts_every_failed_worker_call() {
     // every link call of this connection's queries.
     let scrape = parse_exposition(&client.stats().unwrap());
     drop(client);
-    router.shutdown();
-    let stats = router.join();
+    let stats = d.stop();
     assert_eq!(stats.queries, 4);
     assert_eq!(stats.worker_errors, 2, "one failed call per dead worker");
     assert_eq!(stats.connections, 1);
@@ -489,7 +394,9 @@ fn the_router_meters_its_own_wire() {
     use hydra_serve::protocol::read_frame;
     use std::io::Write;
 
-    let (workers, router) = two_worker_deployment();
+    let data = hydra::data::random_walk(120, 16, 99);
+    let d = Deployment::spawn(data, vec![Shard::Scan, Shard::Scan], WORKER_TIMEOUT);
+    let router = &d.router;
     let stream = std::net::TcpStream::connect(router.local_addr()).unwrap();
     stream
         .set_read_timeout(Some(Duration::from_secs(20)))
@@ -498,18 +405,8 @@ fn the_router_meters_its_own_wire() {
     let mut writer = stream;
     let requests = [
         Request::ListIndexes { request_id: 1 },
-        Request::Query {
-            request_id: 2,
-            index: "walk-scan".into(),
-            params: SearchParams::exact(5),
-            query: vec![0.5; 16],
-        },
-        Request::Query {
-            request_id: 3,
-            index: "no-such-index".into(),
-            params: SearchParams::exact(5),
-            query: vec![0.5; 16],
-        },
+        query(2, INDEX, SearchParams::exact(5), &[0.5; 16]),
+        query(3, "no-such-index", SearchParams::exact(5), &[0.5; 16]),
         Request::Stats { request_id: 4 },
     ];
     let (mut sent_bytes, mut received_bytes) = (0u64, 0u64);
@@ -560,10 +457,5 @@ fn the_router_meters_its_own_wire() {
         );
     }
     drop((reader, writer));
-    router.shutdown();
-    router.join();
-    for worker in workers {
-        worker.shutdown();
-        worker.join();
-    }
+    d.stop();
 }

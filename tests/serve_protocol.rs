@@ -415,188 +415,48 @@ fn corruption_matrix_pins_every_error_class() {
 // ---------------------------------------------------------------------------
 
 mod router_path {
-    use std::io::Write;
-    use std::net::{TcpListener, TcpStream};
-    use std::sync::atomic::{AtomicBool, Ordering};
     use std::sync::Arc;
-    use std::time::{Duration, Instant};
+    use std::time::Duration;
 
     use proptest::prelude::*;
 
-    use hydra::{Neighbor, SearchParams};
-    use hydra_serve::protocol::{read_request, MAX_FRAME_LEN, PROTOCOL_VERSION};
-    use hydra_serve::{
-        ErrorCode, IndexInfo, Request, Response, ResponseBody, Router, RouterConfig, ServeClient,
+    use hydra::Neighbor;
+    use hydra_serve::protocol::{MAX_FRAME_LEN, PROTOCOL_VERSION};
+    use hydra_serve::{Response, ResponseBody};
+
+    use crate::common::serving::{
+        ask, ask_until_answered, unavailable, Corruption, Deployment, Mode, Shard,
     };
 
-    const SHARD_LEN: u64 = 8;
+    const SHARD_LEN: usize = 8;
 
-    /// How the worker answers the **first** query of the run; every later
-    /// query gets the honest answer, so the harness can also prove the
-    /// router recovers. The closure receives the request id (some lies need
-    /// it) and the honest encoded frame, and returns the bytes to put on
-    /// the wire — `None` closes the connection instead.
-    type Corruption = dyn Fn(u64, Vec<u8>) -> Option<Vec<u8>> + Send + Sync;
-
-    fn honest_answer(request_id: u64) -> Response {
-        Response {
-            request_id,
-            body: ResponseBody::Answer {
-                neighbors: vec![Neighbor::new(0, 1.0), Neighbor::new(2, 2.0)],
-            },
-        }
-    }
-
-    /// A worker that serves a valid listing, corrupts its first query
-    /// response with `corrupt`, and answers honestly forever after. The
-    /// listener outlives every dropped connection, so the router's
-    /// reconnects land back here.
-    fn corrupting_worker(
-        corrupt: Arc<Corruption>,
-    ) -> (std::net::SocketAddr, Arc<AtomicBool>, std::thread::JoinHandle<()>) {
-        let listener = TcpListener::bind("127.0.0.1:0").unwrap();
-        listener.set_nonblocking(true).unwrap();
-        let addr = listener.local_addr().unwrap();
-        let stop = Arc::new(AtomicBool::new(false));
-        let fired = Arc::new(AtomicBool::new(false));
-        let thread = {
-            let stop = Arc::clone(&stop);
-            std::thread::spawn(move || {
-                while !stop.load(Ordering::SeqCst) {
-                    match listener.accept() {
-                        Ok((stream, _)) => serve(stream, &corrupt, &fired),
-                        Err(_) => std::thread::sleep(Duration::from_millis(2)),
-                    }
-                }
-            })
-        };
-        (addr, stop, thread)
-    }
-
-    fn serve(stream: TcpStream, corrupt: &Arc<Corruption>, fired: &AtomicBool) {
-        let Ok(mut write_half) = stream.try_clone() else {
-            return;
-        };
-        let mut reader = std::io::BufReader::new(stream);
-        loop {
-            let request = match read_request(&mut reader) {
-                Ok(Some(request)) => request,
-                _ => return,
-            };
-            let frame = match request {
-                Request::ListIndexes { request_id } => Some(
-                    Response {
-                        request_id,
-                        body: ResponseBody::Indexes {
-                            indexes: vec![IndexInfo {
-                                name: "fuzz-scan".into(),
-                                method: "scan".into(),
-                                num_series: SHARD_LEN,
-                                series_len: 4,
-                                exact: true,
-                                ng_approximate: false,
-                                epsilon_approximate: false,
-                                delta_epsilon_approximate: false,
-                                disk_resident: false,
-                                streaming_insert: false,
-                            }],
-                        },
-                    }
-                    .encode(),
-                ),
-                Request::Query { request_id, .. } => {
-                    let honest = honest_answer(request_id).encode();
-                    if fired.swap(true, Ordering::SeqCst) {
-                        Some(honest)
-                    } else {
-                        match corrupt(request_id, honest) {
-                            Some(bytes) => Some(bytes),
-                            None => return,
-                        }
-                    }
-                }
-                Request::Reload { request_id } => Some(
-                    Response {
-                        request_id,
-                        body: ResponseBody::Error {
-                            code: hydra_serve::ErrorCode::Unavailable,
-                            message: "fuzz worker has no reloader".into(),
-                        },
-                    }
-                    .encode(),
-                ),
-                Request::Stats { request_id } => Some(
-                    Response {
-                        request_id,
-                        body: ResponseBody::Stats {
-                            text: String::new(),
-                        },
-                    }
-                    .encode(),
-                ),
-                Request::Shutdown { request_id } => {
-                    let _ = write_half.write_all(
-                        &Response {
-                            request_id,
-                            body: ResponseBody::ShutdownAck,
-                        }
-                        .encode(),
-                    );
-                    return;
-                }
-            };
-            if let Some(frame) = frame {
-                if write_half
-                    .write_all(&frame)
-                    .and_then(|()| write_half.flush())
-                    .is_err()
-                {
-                    return;
-                }
-            }
-        }
-    }
-
-    /// Boots a one-worker router over the corrupting worker, fires the
+    /// Boots a one-worker router over a scripted worker that answers its
+    /// first query with `corrupt` and every later one honestly, fires the
     /// poisoned query, and asserts the full degradation contract: a typed
     /// response in bounded time (`strict` additionally pins it to
     /// `Unavailable` — relaxed for corruptions that may still decode to a
     /// valid frame), a live listing afterwards, and eventual recovery to
-    /// the honest answer through the reconnection backoff.
-    fn router_survives(corrupt: Arc<Corruption>, strict: bool) {
-        let (addr, stop, thread) = corrupting_worker(corrupt);
-        let config = RouterConfig {
-            worker_timeout: Duration::from_millis(300),
-            connect_timeout: Duration::from_millis(200),
-            boot_timeout: Duration::from_secs(5),
-            backoff_initial: Duration::from_millis(5),
-            backoff_max: Duration::from_millis(50),
-            ..RouterConfig::default()
-        };
-        let router = Router::spawn(&[addr], "127.0.0.1:0", config).unwrap();
-        let mut client = ServeClient::connect(router.local_addr()).unwrap();
+    /// the brute-force answer over the shard through the reconnection
+    /// backoff.
+    fn router_survives(
+        corrupt: impl Fn(Response) -> Option<Vec<u8>> + Send + Sync + 'static,
+        strict: bool,
+    ) {
+        let corrupt: Arc<Corruption> = Arc::new(corrupt);
+        let data = hydra::data::random_walk(SHARD_LEN, 4, 11);
+        // A cut frame fails only when the worker timeout strikes inside it.
+        let timeout = Duration::from_millis(100);
+        let d = Deployment::spawn(data, vec![Shard::Scripted(Mode::Corrupt(corrupt))], timeout);
+        let mut client = d.client();
         // A wedged router must fail the test, not hang it.
         client
             .set_read_timeout(Some(Duration::from_secs(20)))
             .unwrap();
-        let ask = |client: &mut ServeClient, request_id: u64| {
-            client
-                .call(&Request::Query {
-                    request_id,
-                    index: "fuzz-scan".into(),
-                    params: SearchParams::exact(2),
-                    query: vec![0.0; 4],
-                })
-                .expect("the router must answer every query frame")
-                .body
-        };
+        let query = vec![0.0; 4];
 
-        let poisoned = ask(&mut client, 1);
+        let poisoned = ask(&mut client, 1, &query, 2);
         match &poisoned {
-            ResponseBody::Error {
-                code: ErrorCode::Unavailable,
-                ..
-            } => {}
+            body if unavailable(body) => {}
             ResponseBody::Answer { .. } if !strict => {}
             other => panic!("poisoned query must degrade typed, got {other:?}"),
         }
@@ -605,55 +465,33 @@ mod router_path {
         assert_eq!(client.list_indexes().unwrap().len(), 1);
 
         // And it recovers to the honest merged answer through its backoff.
-        let deadline = Instant::now() + Duration::from_secs(10);
-        let mut request_id = 2;
-        loop {
-            match ask(&mut client, request_id) {
-                ResponseBody::Answer { neighbors } => {
-                    assert_eq!(neighbors.len(), 2);
-                    assert_eq!(neighbors[0].index, 0);
-                    assert_eq!(neighbors[1].index, 2);
-                    break;
-                }
-                ResponseBody::Error {
-                    code: ErrorCode::Unavailable,
-                    ..
-                } => {
-                    assert!(
-                        Instant::now() < deadline,
-                        "router did not recover from the corruption"
-                    );
-                    request_id += 1;
-                    std::thread::sleep(Duration::from_millis(5));
-                }
-                other => panic!("unexpected body during recovery: {other:?}"),
-            }
-        }
+        d.assert_exact("recovered", ask_until_answered(&mut client, 2, &query, 2), &query, 2);
 
         drop(client);
-        router.shutdown();
-        router.join();
-        stop.store(true, Ordering::SeqCst);
-        thread.join().unwrap();
+        d.stop();
     }
 
     #[test]
     fn connection_dropped_instead_of_an_answer() {
-        router_survives(Arc::new(|_, _| None), true);
+        router_survives(|_| None, true);
     }
 
     #[test]
     fn truncated_answer_frame() {
-        router_survives(Arc::new(|_, bytes: Vec<u8>| Some(bytes[..bytes.len() / 2].to_vec())), true);
+        router_survives(|honest| {
+            let bytes = honest.encode();
+            Some(bytes[..bytes.len() / 2].to_vec())
+        }, true);
     }
 
     #[test]
     fn answer_with_flipped_magic() {
         router_survives(
-            Arc::new(|_, mut bytes: Vec<u8>| {
+            |honest| {
+                let mut bytes = honest.encode();
                 bytes[0] ^= 0xFF;
                 Some(bytes)
-            }),
+            },
             true,
         );
     }
@@ -661,10 +499,11 @@ mod router_path {
     #[test]
     fn answer_from_a_future_protocol_version() {
         router_survives(
-            Arc::new(|_, mut bytes: Vec<u8>| {
+            |honest| {
+                let mut bytes = honest.encode();
                 bytes[4..6].copy_from_slice(&(PROTOCOL_VERSION + 1).to_le_bytes());
                 Some(bytes)
-            }),
+            },
             true,
         );
     }
@@ -672,10 +511,11 @@ mod router_path {
     #[test]
     fn answer_declaring_an_oversized_frame() {
         router_survives(
-            Arc::new(|_, mut bytes: Vec<u8>| {
+            |honest| {
+                let mut bytes = honest.encode();
                 bytes[6..10].copy_from_slice(&(MAX_FRAME_LEN + 1).to_le_bytes());
                 Some(bytes)
-            }),
+            },
             true,
         );
     }
@@ -683,7 +523,7 @@ mod router_path {
     #[test]
     fn answer_that_is_byte_soup() {
         router_survives(
-            Arc::new(|_, _| {
+            |_| {
                 let mut state = 0xDEAD_BEEFu64;
                 Some(
                     (0..40)
@@ -695,7 +535,7 @@ mod router_path {
                         })
                         .collect(),
                 )
-            }),
+            },
             true,
         );
     }
@@ -703,11 +543,7 @@ mod router_path {
     #[test]
     fn answer_echoing_the_wrong_request_id() {
         router_survives(
-            Arc::new(|request_id, _| Some(super::Response {
-                request_id: request_id + 1,
-                body: honest_answer(request_id).body,
-            }
-            .encode())),
+            |honest| Some(Response { request_id: honest.request_id + 1, ..honest }.encode()),
             true,
         );
     }
@@ -715,11 +551,7 @@ mod router_path {
     #[test]
     fn answer_with_the_wrong_body_kind() {
         router_survives(
-            Arc::new(|request_id, _| Some(super::Response {
-                request_id,
-                body: ResponseBody::ShutdownAck,
-            }
-            .encode())),
+            |honest| Some(Response { body: ResponseBody::ShutdownAck, ..honest }.encode()),
             true,
         );
     }
@@ -727,13 +559,10 @@ mod router_path {
     #[test]
     fn answer_with_an_out_of_range_series_id() {
         router_survives(
-            Arc::new(|request_id, _| Some(super::Response {
-                request_id,
-                body: ResponseBody::Answer {
-                    neighbors: vec![Neighbor::new(SHARD_LEN as usize + 7, 0.5)],
-                },
-            }
-            .encode())),
+            |honest| {
+                let neighbors = vec![Neighbor::new(SHARD_LEN + 7, 0.5)];
+                Some(Response { body: ResponseBody::Answer { neighbors }, ..honest }.encode())
+            },
             true,
         );
     }
@@ -748,7 +577,7 @@ mod router_path {
         /// typed answer or typed error, live listing, full recovery.
         #[test]
         fn random_response_mutilations_never_wedge_the_router(seed in 0usize..1_000_000) {
-            let corrupt = move |_, bytes: Vec<u8>| {
+            let corrupt = move |honest: Response| {
                 let mut state = seed as u64 ^ 0xA076_1D64_78BD_642F;
                 let mut next = || {
                     state = state
@@ -756,7 +585,7 @@ mod router_path {
                         .wrapping_add(1442695040888963407);
                     (state >> 33) as usize
                 };
-                let mut bytes = bytes;
+                let mut bytes = honest.encode();
                 let cut = 1 + next() % bytes.len();
                 bytes.truncate(cut);
                 for _ in 0..(next() % 4) {
@@ -765,7 +594,7 @@ mod router_path {
                 }
                 Some(bytes)
             };
-            router_survives(Arc::new(corrupt), false);
+            router_survives(corrupt, false);
         }
     }
 }
@@ -775,17 +604,15 @@ mod router_path {
 // ---------------------------------------------------------------------------
 
 mod both_roles {
-    use std::io::{Read, Write};
+    use std::io::{BufReader, Read, Write};
     use std::net::{Shutdown, SocketAddr, TcpStream};
     use std::time::Duration;
 
+    use hydra::SearchParams;
     use hydra_serve::protocol::{read_response, MAX_FRAME_LEN, PROTOCOL_VERSION};
-    use hydra_serve::{
-        ErrorCode, Request, ResponseBody, Router, RouterConfig, ServeClient, ServedIndex, Server,
-        ServerConfig,
-    };
+    use hydra_serve::{ErrorCode, Request, ResponseBody, ServeClient};
 
-    use crate::common::Scan;
+    use crate::common::serving::{ask, query, scan_server, Deployment, Shard, INDEX, WORKER_TIMEOUT};
 
     /// Offset of the payload in a frame: magic (4) + version (2) + length (4).
     const PAYLOAD: usize = 10;
@@ -836,19 +663,10 @@ mod both_roles {
 
     #[test]
     fn damaged_frames_get_the_same_bytes_back_from_a_server_and_a_router() {
-        let scan = || ServedIndex {
-            name: "walk-scan".into(),
-            index: Box::new(Scan {
-                data: hydra::data::random_walk(32, 8, 19),
-            }),
-        };
-        let spawn = || Server::spawn(vec![scan()], "127.0.0.1:0", ServerConfig::default()).unwrap();
-        let (server, worker) = (spawn(), spawn());
-        let config = RouterConfig {
-            boot_timeout: Duration::from_secs(5),
-            ..RouterConfig::default()
-        };
-        let router = Router::spawn(&[worker.local_addr()], "127.0.0.1:0", config).unwrap();
+        let data = hydra::data::random_walk(32, 8, 19);
+        let server = scan_server(&data);
+        let d = Deployment::spawn(data, vec![Shard::Scan], WORKER_TIMEOUT);
+        let router = &d.router;
 
         for (name, frame) in damaged_frames() {
             let from_server = exchange(server.local_addr(), &frame);
@@ -886,8 +704,52 @@ mod both_roles {
         for addr in [router.local_addr(), server.local_addr()] {
             ServeClient::connect(addr).unwrap().shutdown().unwrap();
         }
-        router.join();
-        worker.join();
+        d.stop();
         server.join();
+    }
+
+    /// A peer that trickles a valid query frame, one byte per 20 ms, holds
+    /// up only itself on either role: another connection's listing and
+    /// query are answered while the frame is cut inside its magic, at the
+    /// end of its header and one byte short, and the trickled query is
+    /// answered once its last byte arrives. (A peer that disconnects
+    /// mid-frame is the table's "cut mid-payload" row above.)
+    #[test]
+    fn a_slow_loris_peer_holds_up_no_other_connection_on_either_role() {
+        let data = hydra::data::random_walk(32, 4, 23);
+        let server = scan_server(&data);
+        let d = Deployment::spawn(data.clone(), vec![Shard::Scan], WORKER_TIMEOUT);
+        let series = data.series(5);
+        let frame = query(7, INDEX, SearchParams::exact(3), series).encode();
+        std::thread::scope(|scope| {
+            for addr in [server.local_addr(), d.router.local_addr()] {
+                let (d, frame) = (&d, &frame);
+                scope.spawn(move || {
+                    let loris = TcpStream::connect(addr).unwrap();
+                    loris.set_nodelay(true).unwrap();
+                    loris.set_read_timeout(Some(Duration::from_secs(20))).unwrap();
+                    let mut other = ServeClient::connect(addr).unwrap();
+                    for (i, byte) in frame.iter().enumerate() {
+                        if [2, PAYLOAD, frame.len() - 1].contains(&i) {
+                            let context = format!("{addr} with {i} bytes trickled");
+                            assert_eq!(other.list_indexes().unwrap().len(), 1, "{context}");
+                            let body = ask(&mut other, i as u64 + 1, series, 3);
+                            d.assert_exact(&context, body, series, 3);
+                        }
+                        (&loris).write_all(&[*byte]).unwrap();
+                        std::thread::sleep(Duration::from_millis(20));
+                    }
+                    let response = read_response(&mut BufReader::new(&loris))
+                        .unwrap()
+                        .expect("the trickled query was never answered");
+                    assert_eq!(response.request_id, 7);
+                    let context = format!("{addr}: the trickled query");
+                    d.assert_exact(&context, response.body, series, 3);
+                });
+            }
+        });
+        server.shutdown();
+        server.join();
+        d.stop();
     }
 }
