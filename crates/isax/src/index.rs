@@ -652,8 +652,7 @@ impl AnnIndex for Isax2Plus {
         queries: &[&[f32]],
         params: &SearchParams,
     ) -> Vec<Result<SearchResult>> {
-        let answer = |_: &mut (), query: &[f32]| self.search(query, params);
-        self.frame.collection.answer_batch(queries, || (), answer)
+        self.frame.collection.answer_batch(queries, |query| self.search(query, params))
     }
 
     /// Streaming ingest by continuing the build's insert sequence: each new

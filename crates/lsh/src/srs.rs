@@ -276,8 +276,7 @@ impl AnnIndex for Srs {
         queries: &[&[f32]],
         params: &SearchParams,
     ) -> Vec<Result<SearchResult>> {
-        let answer = |_: &mut (), query: &[f32]| self.search(query, params);
-        self.collection.answer_batch(queries, || (), answer)
+        self.collection.answer_batch(queries, |query| self.search(query, params))
     }
 
     /// Streaming ingest: each new series is projected with the (build-time,

@@ -699,10 +699,8 @@ impl Collection {
     /// 6.5 % of its throughput: the helpers contend with the serving
     /// threads for the same cores.)
     ///
-    /// Each worker calls `scratch` once and hands the value to `body` for
-    /// every query it answers (a buffer with one entry per stored series
-    /// is allocated per worker, not per query). A panicking `body` unwinds
-    /// out of the call with its own payload once every worker has stopped.
+    /// A panicking `body` unwinds out of the call with its own payload
+    /// once every worker has stopped.
     ///
     /// `body` sees every query, wrong-length ones included (it owns the
     /// error they produce), exactly as a per-query call would: answers and
@@ -711,14 +709,13 @@ impl Collection {
     /// batch schedules no I/O of its own — its queries do not share a
     /// working set — so with several workers only the interleaving of
     /// their accesses on the shared pool differs.
-    pub fn answer_batch<R: Send, S>(
+    pub fn answer_batch<R: Send>(
         &self,
         queries: &[&[f32]],
-        scratch: impl Fn() -> S + Sync,
-        body: impl Fn(&mut S, &[f32]) -> R + Sync,
+        body: impl Fn(&[f32]) -> R + Sync,
     ) -> Vec<R> {
         let workers = if self.store.is_file_backed() { batch_workers() } else { 1 };
-        answer_on_workers(queries, workers, scratch, |s, query| body(s, query))
+        answer_on_workers(queries, workers, || (), |(), query| body(query))
     }
 }
 
@@ -938,6 +935,9 @@ mod tests {
 
     #[test]
     fn only_a_file_backed_batch_fans_out() {
+        use std::collections::HashSet;
+        use std::sync::Mutex;
+        use std::time::{Duration, Instant};
         let queries: Vec<Vec<f32>> = (0..9).map(|i| vec![i as f32]).collect();
         let refs: Vec<&[f32]> = queries.iter().map(Vec::as_slice).collect();
         let d = sample();
@@ -949,17 +949,33 @@ mod tests {
         let filed = attach(&snapshot, &d, None, StorageConfig::on_disk(), filed_backing);
         for (collection, fans_out) in [(resident.unwrap(), false), (filed.unwrap(), true)] {
             for workers in [1usize, 2, 4] {
-                let scratches = std::sync::atomic::AtomicUsize::new(0);
+                // The workers are the distinct threads the body runs on. A
+                // thread's first answer waits until all `workers` threads
+                // have arrived, so that no worker finds the batch drained
+                // before it takes a query and goes unseen: for at most 1 s
+                // where they are expected, 100 ms where only the caller is.
+                let want = if fans_out { workers } else { 1 };
+                let patience = Duration::from_millis(if fans_out { 1_000 } else { 100 });
+                let threads = Mutex::new(HashSet::new());
                 let got = with_batch_workers(workers, || {
-                    collection.answer_batch(
-                        &refs,
-                        || scratches.fetch_add(1, std::sync::atomic::Ordering::Relaxed),
-                        |_, query| query[0] as usize,
-                    )
+                    collection.answer_batch(&refs, |query| {
+                        if threads.lock().unwrap().insert(std::thread::current().id()) {
+                            let deadline = Instant::now() + patience;
+                            while threads.lock().unwrap().len() < workers
+                                && Instant::now() < deadline
+                            {
+                                std::thread::yield_now();
+                            }
+                        }
+                        query[0] as usize
+                    })
                 });
                 assert_eq!(got, (0..9).collect::<Vec<_>>(), "{workers} workers");
-                let want = if fans_out { workers } else { 1 };
-                assert_eq!(scratches.into_inner(), want, "{workers} workers");
+                assert_eq!(
+                    threads.into_inner().unwrap().len(),
+                    want,
+                    "{workers} workers"
+                );
             }
         }
         std::fs::remove_file(sidecar_series_path(&snapshot)).ok();

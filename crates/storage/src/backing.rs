@@ -187,21 +187,39 @@ impl Backing {
         self.file.as_ref().map_or(Ok(&self.values), Err)
     }
 
-    /// Reads records `first..first + count` into one freshly allocated
-    /// frame: file bytes for records inside the span, resident values for
-    /// the rest.
+    /// Reads records `first..first + count` into one frame: file bytes for
+    /// records inside the span, resident values for the rest.
+    ///
+    /// The frame is `spare` — a frame the pool parked when it evicted it —
+    /// refilled in place when it has exactly the records' length and no
+    /// reader still holds it (`Arc::get_mut` succeeds); every value is
+    /// overwritten, so nothing of the evicted page survives. Otherwise (no
+    /// spare, the short last page, a frame still being read) a fresh frame
+    /// is allocated and the spare is dropped here, outside the pool's
+    /// lock.
     ///
     /// # Panics
     /// Panics if a file read fails: the span was validated when the store
     /// was attached, so a failure here is a genuine I/O fault (or the file
     /// was mutated behind the store's back), not a recoverable query error.
-    pub(crate) fn load_records(&self, first: usize, count: usize, series_len: usize) -> Arc<[f32]> {
+    pub(crate) fn load_records(
+        &self,
+        first: usize,
+        count: usize,
+        series_len: usize,
+        spare: Option<Arc<[f32]>>,
+    ) -> Arc<[f32]> {
         let span = self.span_records();
         let from_file = span.saturating_sub(first).min(count);
-        // The frame is allocated once, at its final address, and filled in
-        // place: the pool hands out this very allocation on every later hit.
-        let mut frame: Arc<[f32]> = std::iter::repeat_n(0.0, count * series_len).collect();
-        let values = Arc::get_mut(&mut frame).expect("a fresh frame has one owner");
+        let len = count * series_len;
+        // The frame is filled in place, at its final address: the pool
+        // hands out this very allocation on every later hit.
+        let mut frame = spare
+            .and_then(|mut spare| {
+                (spare.len() == len && Arc::get_mut(&mut spare).is_some()).then_some(spare)
+            })
+            .unwrap_or_else(|| std::iter::repeat_n(0.0, len).collect());
+        let values = Arc::get_mut(&mut frame).expect("the frame has one owner");
         let (file_values, resident_values) = values.split_at_mut(from_file * series_len);
         if let Some(file) = self.file.as_ref().filter(|_| from_file > 0) {
             file.read_f32s(file_values, first, series_len);

@@ -82,6 +82,20 @@ impl Slot {
 
 /// LRU set of pages with a fixed capacity, optionally caching page bytes.
 ///
+/// A raw frame that [`BufferPool::install`] evicts to make room is
+/// **parked**, not freed: the next file-backed miss takes it
+/// ([`BufferPool::take_parked`]) in the same lock that looked its page up,
+/// and refills it in place when it has the new page's length and no reader
+/// still holds it ([`crate::SeriesStore`] does this, through
+/// `Backing::load_records`). A steady-state miss therefore allocates and
+/// zero-fills nothing, and its eviction frees nothing under the store's
+/// lock. Every miss takes a parked frame if there is one before its own
+/// install can park another, so one thread never has more than one frame
+/// parked and W concurrent loaders never more than W: the pool's heap is
+/// its resident frames plus at most one parked frame per concurrent
+/// loader. [`BufferPool::remove`] and [`BufferPool::clear`] drop their
+/// frames.
+///
 /// Pages can additionally be **pinned** ([`BufferPool::pin`]), which only
 /// [`crate::SeriesStore::pin_working_set`] does — and that only for the
 /// benchmark probe that still calls it; no query path pins. Pinning never
@@ -113,6 +127,9 @@ pub struct BufferPool {
     evictions: u64,
     /// Total `f32` values held by cached frames (0 in id-only mode).
     resident_values: usize,
+    /// Raw frames this pool's own evictions freed, waiting for a miss to
+    /// refill them; not counted in `resident_values`.
+    parked: Vec<Arc<[f32]>>,
 }
 
 impl BufferPool {
@@ -128,6 +145,7 @@ impl BufferPool {
             pinned: 0,
             evictions: 0,
             resident_values: 0,
+            parked: Vec::new(),
         }
     }
 
@@ -159,6 +177,12 @@ impl BufferPool {
     #[cfg(test)]
     pub fn resident_values(&self) -> usize {
         self.resident_values
+    }
+
+    /// Number of parked frames.
+    #[cfg(test)]
+    pub fn parked(&self) -> usize {
+        self.parked.len()
     }
 
     /// The slot of `page`, if the slab ever grew to cover it.
@@ -199,15 +223,18 @@ impl BufferPool {
         self.tail = idx;
     }
 
-    /// Drops the resident page in slot `idx` (its pins stay).
-    fn vacate(&mut self, idx: usize) {
+    /// Takes the resident page in slot `idx` out of the pool (its pins
+    /// stay) and returns its cached frame, if it had one.
+    fn vacate(&mut self, idx: usize) -> Option<Frame> {
         self.unlink(idx);
         let slot = &mut self.slots[idx];
         slot.resident = false;
-        if let Some(frame) = slot.frame.take() {
+        let frame = slot.frame.take();
+        if let Some(frame) = &frame {
             self.resident_values -= frame.values();
         }
         self.len -= 1;
+        frame
     }
 
     /// Marks `page` as most recently used. Returns its slab index if it
@@ -225,9 +252,9 @@ impl BufferPool {
     }
 
     /// Makes a slot available, evicting the least recently used *unpinned*
-    /// page if the pool is full. Returns `false` when no slot could be
-    /// freed because every resident page is pinned — the caller then skips
-    /// caching (read-through).
+    /// page if the pool is full; the victim's raw frame is parked. Returns
+    /// `false` when no slot could be freed because every resident page is
+    /// pinned — the caller then skips caching (read-through).
     fn make_room(&mut self) -> bool {
         if self.len < self.capacity {
             return true;
@@ -239,7 +266,9 @@ impl BufferPool {
         if victim == NIL {
             return false;
         }
-        self.vacate(victim);
+        if let Some(Frame::Raw(frame)) = self.vacate(victim) {
+            self.parked.push(frame);
+        }
         self.evictions += 1;
         true
     }
@@ -280,14 +309,23 @@ impl BufferPool {
     }
 
     /// Caches the frame a [`BufferPool::fetch`] miss loaded from disk,
-    /// evicting the least recently used page if the pool is full. A
-    /// zero-capacity pool caches nothing. If `page` became resident while
-    /// the frame was being read (another reader missed it too and
-    /// installed first), the resident frame stays and `frame` is dropped.
+    /// evicting the least recently used page if the pool is full and
+    /// parking the victim's raw frame for the next miss to refill
+    /// ([`BufferPool::take_parked`]). A zero-capacity pool caches nothing.
+    /// If `page` became resident while the frame was being read (another
+    /// reader missed it too and installed first), the resident frame stays
+    /// and `frame` is dropped.
     pub fn install(&mut self, page: u64, frame: Frame) {
         if !self.contains(page) {
             self.insert_slot(page, Some(frame));
         }
+    }
+
+    /// Takes one raw frame an eviction parked, for a miss to refill in
+    /// place; `None` when nothing is parked (a cold pool, or every parked
+    /// frame already taken by other misses).
+    pub fn take_parked(&mut self) -> Option<Arc<[f32]>> {
+        self.parked.pop()
     }
 
     /// Whether `page` is currently resident (without touching recency).
@@ -342,20 +380,22 @@ impl BufferPool {
     /// eviction — this is an *invalidation* (the cached frame no longer
     /// reflects the store, e.g. because an append extended the page), not a
     /// capacity decision. The next access misses and reloads fresh bytes.
+    /// The frame is dropped, not parked.
     pub fn remove(&mut self, page: u64) {
         if self.contains(page) {
             self.vacate(page as usize);
         }
     }
 
-    /// Drops every resident page and zeroes the eviction counter (the paper
-    /// clears OS caches between the index-building and query-answering
-    /// steps). Pins are left in place: they belong to an in-flight working
-    /// set, not to the cache contents.
+    /// Drops every resident page and every parked frame, and zeroes the
+    /// eviction counter (the paper clears OS caches between the
+    /// index-building and query-answering steps). Pins are left in place:
+    /// they belong to an in-flight working set, not to the cache contents.
     pub fn clear(&mut self) {
         while self.head != NIL {
             self.vacate(self.head);
         }
+        self.parked.clear();
         self.evictions = 0;
     }
 }
@@ -486,6 +526,41 @@ mod tests {
             Some(&[1.0f32, 2.0][..])
         );
         assert_eq!((p.len(), p.evictions(), p.resident_values()), (1, 0, 2));
+    }
+
+    #[test]
+    fn only_an_install_eviction_parks_and_only_a_raw_frame() {
+        let mut p = BufferPool::new(1);
+        let first: Arc<[f32]> = Arc::from(vec![1.0f32, 2.0]);
+        p.install(0, Frame::Raw(Arc::clone(&first)));
+        assert_eq!(p.parked(), 0, "nothing evicted yet");
+        p.install(1, frame(&[3.0, 4.0]));
+        assert_eq!(p.parked(), 1);
+        assert_eq!(p.resident_values(), 2, "a parked frame is not resident");
+        let taken = p.take_parked().expect("the eviction parked its victim");
+        assert!(
+            Arc::ptr_eq(&taken, &first),
+            "the parked frame is the evicted allocation"
+        );
+        assert!(p.take_parked().is_none());
+        // An invalidation drops its frame.
+        p.remove(1);
+        assert_eq!(p.parked(), 0);
+        // A coded victim is dropped, not parked.
+        let coded = CodedPage::encode(&[1.0, 2.0], 2, crate::coded::PageCodec::U8);
+        p.install(2, Frame::Coded(Arc::new(coded)));
+        p.install(3, frame(&[5.0, 6.0]));
+        assert_eq!(p.parked(), 0);
+        // A read-through install evicts nothing and parks nothing.
+        p.pin(3);
+        p.install(4, frame(&[7.0, 8.0]));
+        assert_eq!((p.parked(), p.evictions()), (0, 2));
+        // Id-only accesses have no frame to park.
+        let mut ids = BufferPool::new(1);
+        for page in 0..4 {
+            ids.access(page);
+        }
+        assert_eq!((ids.parked(), ids.evictions()), (0, 3));
     }
 
     #[test]
@@ -982,9 +1057,11 @@ mod tests {
         p.install(5, frame(&[3.0]));
         p.install(9, frame(&[4.0, 5.0, 6.0])); // evicts 0
         assert_eq!(p.resident_values(), 4);
+        assert_eq!(p.parked(), 1, "nothing took the victim's frame");
         p.pin(9);
         p.clear();
         assert_eq!(p.resident_values(), 0);
+        assert_eq!(p.parked(), 0, "clear drops parked frames");
         assert!(p.is_empty());
         assert_eq!(p.evictions(), 0);
         assert!(p.is_pinned(9), "clear leaves pins in place");

@@ -470,12 +470,13 @@ impl SeriesStore {
     /// The one page access: every page any tier serves — for `read`,
     /// `read_range`, `refine`, `scan_refine` or the working-set prefetch —
     /// comes through here, so the protocol is written once. Takes the
-    /// state lock and probes the pool with `cached` (`Some` is a hit,
-    /// charged under the same lock); on a miss drops the lock and runs
-    /// `load` — which returns what the tier hands its caller, the frame to
-    /// cache (`None`: the page id alone, which the probe already claimed)
-    /// and the bytes the transfer moved — then takes the lock again to
-    /// charge the miss and install the frame.
+    /// state lock and probes the pool with `probe` (`Ok` is a hit, charged
+    /// under the same lock; `Err` carries what a miss takes from the pool
+    /// in that same lock — a raw miss's parked frame); on a miss drops the
+    /// lock and runs `load` on it — which returns what the tier hands its
+    /// caller, the frame to cache (`None`: the page id alone, which the
+    /// probe already claimed) and the bytes the transfer moved — then takes
+    /// the lock again to charge the miss and install the frame.
     ///
     /// The transfer runs unlocked, so one reader's `pread` or mmap copy
     /// never stalls another reader's hits or transfers. Two readers
@@ -483,21 +484,24 @@ impl SeriesStore {
     /// a miss (their bytes really moved); the first frame installed stays
     /// and the late one is dropped. On one thread the hit/miss sequence of
     /// a file-backed store stays identical to the resident simulation.
-    fn access<T>(
+    fn access<T, S>(
         &self,
         page: u64,
         stats: &mut QueryStats,
-        cached: impl FnOnce(&mut BufferPool) -> Option<T>,
-        load: impl FnOnce() -> (T, Option<Frame>, u64),
+        probe: impl FnOnce(&mut BufferPool) -> std::result::Result<T, S>,
+        load: impl FnOnce(S) -> (T, Option<Frame>, u64),
     ) -> T {
-        {
+        let taken = {
             let mut state = self.state.lock();
-            if let Some(entry) = cached(&mut state.pool) {
-                state.charge(page, None, false, stats);
-                return entry;
+            match probe(&mut state.pool) {
+                Ok(entry) => {
+                    state.charge(page, None, false, stats);
+                    return entry;
+                }
+                Err(taken) => taken,
             }
-        }
-        let (entry, frame, bytes) = load();
+        };
+        let (entry, frame, bytes) = load(taken);
         let compressed = matches!(frame, Some(Frame::Coded(_)));
         let mut state = self.state.lock();
         state.charge(page, Some(bytes), compressed, stats);
@@ -511,9 +515,10 @@ impl SeriesStore {
     /// charged as one access. A resident page is a zero-copy borrow with
     /// nothing to load — the pool tracks its *id* only, enough to decide
     /// whether the access would have cost an I/O; a file-backed page is the
-    /// cached or freshly read frame. Either miss is charged the page's
-    /// records, which is what the file-backed one transfers (whole frames,
-    /// truncated at the tail).
+    /// cached or freshly read frame, read into the frame the pool parked
+    /// when it last evicted one (see [`BufferPool`]). Either miss is
+    /// charged the page's records, which is what the file-backed one
+    /// transfers (whole frames, truncated at the tail).
     fn raw_page(
         &self,
         page: u64,
@@ -527,18 +532,22 @@ impl SeriesStore {
                 self.access(
                     page,
                     stats,
-                    |pool| pool.access(page).then_some(()),
-                    || ((), None, count() * self.series_bytes()),
+                    |pool| pool.access(page).then_some(()).ok_or(()),
+                    |()| ((), None, count() * self.series_bytes()),
                 );
                 let start = records.start * self.series_len;
                 ReadRepr::Resident(&values[start..start + len])
             }
             Err(_) => {
                 let first = page as usize * self.spp;
-                let cached = |pool: &mut BufferPool| cached_frame(pool, page, Frame::as_raw);
-                let frame = self.access(page, stats, cached, || {
+                let probe = |pool: &mut BufferPool| {
+                    cached_frame(pool, page, Frame::as_raw).ok_or_else(|| pool.take_parked())
+                };
+                let frame = self.access(page, stats, probe, |spare| {
                     let count = self.spp.min(self.len() - first);
-                    let frame = self.backing.load_records(first, count, self.series_len);
+                    let frame = self
+                        .backing
+                        .load_records(first, count, self.series_len, spare);
                     let bytes = std::mem::size_of_val(&*frame) as u64;
                     (Arc::clone(&frame), Some(Frame::Raw(frame)), bytes)
                 });
@@ -643,7 +652,10 @@ impl SeriesStore {
                 let len = self.len();
                 for first in (0..len).step_by(self.spp) {
                     let count = self.spp.min(len - first);
-                    visit_run(first, &self.backing.load_records(first, count, self.series_len));
+                    let frame = self
+                        .backing
+                        .load_records(first, count, self.series_len, None);
+                    visit_run(first, &frame);
                 }
             }
         }
@@ -742,8 +754,8 @@ impl SeriesStore {
     /// The coded page `page` of the sealed region, charged as one access:
     /// a miss `pread`s the coded record and is charged its real byte size.
     fn coded_page(&self, tier: &CodedFile, page: u64, stats: &mut QueryStats) -> Arc<CodedPage> {
-        let cached = |pool: &mut BufferPool| cached_frame(pool, page, Frame::as_coded);
-        self.access(page, stats, cached, || {
+        let probe = |pool: &mut BufferPool| cached_frame(pool, page, Frame::as_coded).ok_or(());
+        self.access(page, stats, probe, |()| {
             use std::os::unix::fs::FileExt;
             let (_, count) = self.page_records(page, tier.sealed);
             let codec = self.config.codec;
@@ -1037,6 +1049,7 @@ impl SeriesStore {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use std::time::{Duration, Instant};
 
     fn dataset(n: usize, len: usize) -> Dataset {
         let mut d = Dataset::new(len).unwrap();
@@ -1406,7 +1419,7 @@ mod tests {
                 |store: &SeriesStore, page: u64, lo: usize, hi: usize, tail: &[Vec<f32>]| {
                     assert_eq!(store.page_records(page, store.len()), (lo, hi - lo));
                     assert!(store.is_file_backed());
-                    let frame = store.backing.load_records(lo, hi - lo, 4);
+                    let frame = store.backing.load_records(lo, hi - lo, 4, None);
                     assert_eq!(
                         bits(&frame),
                         reference(lo, hi, tail),
@@ -1785,9 +1798,187 @@ mod tests {
     }
 
     // ------------------------------------------------------------------
-    // Compressed page tier
+    // Parked frames: a miss refills the frame its eviction freed
     // ------------------------------------------------------------------
 
+    /// A 4-series-per-page store over `d`, behind a pool of `pool` pages.
+    fn parking_store(
+        d: &Dataset,
+        pool: usize,
+        io: FileIoMode,
+        name: &str,
+    ) -> (SeriesStore, PathBuf) {
+        let config = StorageConfig {
+            page_bytes: 64, // 4 series of length 4 per page
+            buffer_pool_pages: pool,
+            codec: PageCodec::F32,
+            io,
+        };
+        file_store_of(d, 7, config, &format!("{name}-{}", io.name()))
+    }
+
+    /// The next draw of a xorshift32 stream.
+    fn xorshift(x: &mut u32) -> usize {
+        *x ^= *x << 13;
+        *x ^= *x >> 17;
+        *x ^= *x << 5;
+        *x as usize
+    }
+
+    #[test]
+    fn a_miss_refills_the_frame_its_eviction_parked() {
+        // 18 records: four full pages and a short last one of 2 records.
+        let d = varied_dataset(18, 4);
+        let want = |record: usize| bits(&d.as_flat()[record * 4..][..4]);
+        for io in [FileIoMode::Pread, FileIoMode::Mmap] {
+            let (store, path) = parking_store(&d, 1, io, "refill");
+            // The address of the frame that serves `record`'s page (its
+            // first record sits at the frame's start).
+            let frame_of = |record: usize| {
+                let read = store.read(record, &mut QueryStats::new());
+                assert_eq!(bits(&read), want(record), "{} record {record}", io.name());
+                read.as_ptr()
+            };
+            let parked = || store.state.lock().pool.parked();
+            let page0 = frame_of(0);
+            assert_eq!(parked(), 0, "a cold pool has nothing to park");
+            let page1 = frame_of(4); // evicts page 0 and parks its frame
+            assert_ne!(page1, page0, "nothing was parked when page 1 missed");
+            assert_eq!(parked(), 1);
+            // Page 2 takes page 0's frame, page 3 then page 1's: each miss
+            // is read into the allocation the previous eviction freed.
+            assert_eq!(frame_of(8), page0, "{}", io.name());
+            assert_eq!(frame_of(12), page1, "{}", io.name());
+            assert_eq!(parked(), 1, "one thread parks one frame");
+            // The short last page cannot use a full page's frame: a fresh
+            // one is read, the spare dropped.
+            let short = frame_of(16);
+            assert!(short != page0 && short != page1, "{}", io.name());
+            assert_eq!(parked(), 1, "page 3's frame is parked in turn");
+            // A frame still held by a reader is parked but never refilled.
+            let held = store.read(0, &mut QueryStats::new()); // evicts the short page
+            assert_eq!(parked(), 1);
+            let refilled = frame_of(4); // evicts page 0 while `held` reads it
+            assert_ne!(refilled, held.as_ptr());
+            assert_ne!(
+                frame_of(8),
+                held.as_ptr(),
+                "{}: a held frame was refilled",
+                io.name()
+            );
+            assert_eq!(
+                bits(&held),
+                want(0),
+                "{}: the held frame changed",
+                io.name()
+            );
+            store.reset_io();
+            assert_eq!(parked(), 0, "clear drops parked frames");
+            std::fs::remove_file(&path).ok();
+        }
+    }
+
+    #[test]
+    fn one_thread_never_parks_more_than_one_frame() {
+        let d = varied_dataset(37, 4);
+        for io in [FileIoMode::Pread, FileIoMode::Mmap] {
+            for pool in [1usize, 2, 4] {
+                let (store, path) = parking_store(&d, pool, io, &format!("one-{pool}"));
+                let mut stats = QueryStats::new();
+                let mut x = 0x2545_f491u32;
+                for step in 0..400 {
+                    let record = xorshift(&mut x) % d.len();
+                    if step % 7 == 0 {
+                        store.read_range(record, 9, &mut stats, &mut |_, _| {});
+                    } else {
+                        let read = store.read(record, &mut stats);
+                        assert_eq!(bits(&read), bits(&d.as_flat()[record * 4..][..4]));
+                    }
+                    let parked = store.state.lock().pool.parked();
+                    assert!(
+                        parked <= 1,
+                        "{} pool {pool} step {step}: {parked} parked",
+                        io.name()
+                    );
+                }
+                assert!(store.io_snapshot().pool_evictions > 0);
+                std::fs::remove_file(&path).ok();
+            }
+        }
+    }
+
+    #[test]
+    fn concurrent_readers_never_see_a_held_frame_refilled() {
+        // Four threads read records behind a 2-page pool, so nearly every
+        // read misses and refills a parked frame: three at random, checking
+        // every read, and a fourth that holds each of its reads while the
+        // others force misses, then re-checks it.
+        use std::sync::atomic::{AtomicBool, Ordering};
+        const READERS: usize = 3;
+        const ROUNDS: usize = 40;
+        /// Raised when the holder stops, on every exit path, so that the
+        /// readers stop too.
+        struct Done<'a>(&'a AtomicBool);
+        impl Drop for Done<'_> {
+            fn drop(&mut self) {
+                self.0.store(true, Ordering::Relaxed);
+            }
+        }
+        let d = varied_dataset(64, 4);
+        let want = |record: usize| bits(&d.as_flat()[record * 4..][..4]);
+        for io in [FileIoMode::Pread, FileIoMode::Mmap] {
+            let (store, path) = parking_store(&d, 2, io, "held");
+            let misses = || store.io_snapshot().pool_misses;
+            let done = AtomicBool::new(false);
+            let read_randomly = |mut x: u32| {
+                let (mut stats, mut torn) = (QueryStats::new(), 0);
+                while !done.load(Ordering::Relaxed) {
+                    let record = xorshift(&mut x) % d.len();
+                    torn += usize::from(bits(&store.read(record, &mut stats)) != want(record));
+                }
+                torn
+            };
+            let hold = || {
+                let _done = Done(&done);
+                let (mut stats, mut changed, mut evicted) = (QueryStats::new(), 0, 0);
+                for round in 0..ROUNDS {
+                    let record = round * 13 % d.len();
+                    let held = store.read(record, &mut stats);
+                    let before = misses();
+                    let deadline = Instant::now() + Duration::from_millis(200);
+                    while misses() < before + 8 && Instant::now() < deadline {
+                        std::thread::yield_now();
+                    }
+                    let resident = store.state.lock().pool.contains(store.page_of(record));
+                    evicted += usize::from(!resident);
+                    changed += usize::from(bits(&held) != want(record));
+                }
+                (changed, evicted)
+            };
+            let (torn, (changed, evicted)) = std::thread::scope(|scope| {
+                let readers: Vec<_> = (0..READERS as u32)
+                    .map(|i| scope.spawn(move || read_randomly(0x9e37_79b9 ^ (i + 1))))
+                    .collect();
+                let held = hold();
+                let torn: usize = readers.into_iter().map(|r| r.join().unwrap()).sum();
+                (torn, held)
+            });
+            assert_eq!(torn, 0, "{}: torn reads", io.name());
+            assert_eq!(changed, 0, "{}: a held frame was refilled", io.name());
+            assert!(
+                evicted > 0,
+                "{}: no held page was evicted while held",
+                io.name()
+            );
+            let parked = store.state.lock().pool.parked();
+            assert!(parked <= READERS + 1, "{}: {parked} parked", io.name());
+            std::fs::remove_file(&path).ok();
+        }
+    }
+
+    // ------------------------------------------------------------------
+    // Compressed page tier
+    // ------------------------------------------------------------------
 
     /// A dataset whose values genuinely stress u8 quantization (spread,
     /// sign changes, non-grid values) — unlike the linear ramp above,
