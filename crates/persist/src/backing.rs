@@ -9,7 +9,7 @@
 //! * **Dataset order** (VA+file, SRS): record `i` is series `i`.
 //!   File-backed, the dataset snapshot itself is the backing file when its
 //!   path is known ([`crate::dataset::dataset_flat_region`]); otherwise a
-//!   flat-file sidecar next to the index snapshot is used.
+//!   `.series` sidecar next to the index snapshot is used.
 //! * **Leaf order** (DSTree, iSAX2+): every [`Leaf`] owns one contiguous
 //!   extent of the store. File-backed, the leaf-ordered payload lives in a
 //!   verified `<snapshot>.series` sidecar
@@ -74,8 +74,8 @@ fn attach_coded_tier(
         return Ok(());
     }
     let sidecar = coded_sidecar_path(backing_file, storage.codec);
-    ensure_coded_series(&sidecar, source, order, &storage)?;
-    store.attach_coded_file(&sidecar).map_err(|e| {
+    let offset = ensure_coded_series(&sidecar, source, order, &storage)?;
+    store.attach_coded_file(&sidecar, offset).map_err(|e| {
         PersistError::Io(format!(
             "cannot attach coded tier {}: {e}",
             sidecar.display()
@@ -109,7 +109,7 @@ fn gather(dataset: &Dataset, order: &[usize]) -> Vec<f32> {
 /// there, so `storage.codec` does not apply) or file-backed through the
 /// real page cache — onto the dataset snapshot itself for a dataset-order
 /// store whose snapshot path is known (no extra bytes on disk), onto a
-/// verified flat-file sidecar next to `snapshot` otherwise. Neither ever
+/// verified `.series` sidecar next to `snapshot` otherwise. Neither ever
 /// materializes a streamed dataset.
 fn attach_store(
     snapshot: &Path,
@@ -133,7 +133,7 @@ fn attach_store(
                 let records = source.records_in(order)?;
                 let mut store =
                     SeriesStore::new(source.series_len(), storage).map_err(rebuild)?;
-                let fetch = source.series_fetch()?;
+                let mut fetch = source.series_fetch()?;
                 let mut series = Vec::new();
                 for record in 0..records {
                     fetch.get(order.map_or(record, |order| order[record]), &mut series)?;

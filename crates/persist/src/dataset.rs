@@ -1,66 +1,51 @@
-//! Snapshotting whole datasets — and the flat series layout that lets a
-//! file on disk *back* a [`hydra-storage`] store directly.
+//! Snapshotting whole datasets — and the store-ordered copies of their
+//! series that let a file on disk *back* a [`hydra-storage`] store directly.
 //!
 //! Generating the synthetic collections is cheap, but real deployments load
 //! series from expensive pipelines; persisting the [`Dataset`] itself makes
 //! a saved index fully self-sufficient: a server can boot from
 //! `dataset.snap` + `index.snap` without touching the original source.
 //!
-//! ## The flat series layout
+//! ## Files a store reads
 //!
 //! Out-of-core serving needs raw series it can `pread` at a computable
-//! offset. Two files provide that:
+//! offset. Every such file is a one-section container, written by one
+//! streaming writer and read by one streaming reader ([`crate::stream`]):
 //!
 //! * A **dataset snapshot** ([`save_dataset`]) stores its values as
-//!   contiguous little-endian `f32` bit patterns, so the snapshot *doubles
-//!   as the backing file* for any store that keeps series in dataset order
-//!   (VA+file, SRS) — [`dataset_flat_region`] returns the payload's byte
-//!   region. Every read of one — [`load_dataset`] included — is the single
-//!   streaming pass of [`crate::stream`].
-//! * A **flat series file** (`HYDRFLAT`, [`ensure_flat_series`]) holds
-//!   series in an arbitrary caller-chosen order — the leaf-ordered layout
-//!   of the tree indexes. It is a derived cache: written (atomically) from
-//!   the in-RAM dataset on first use, verified against a content
-//!   fingerprint on reuse, and silently rebuilt if damaged.
+//!   contiguous little-endian `f32` bit patterns after a 24-byte shape, so
+//!   the snapshot *doubles as the backing file* for any store that keeps
+//!   series in dataset order (VA+file, SRS) — [`dataset_flat_region`]
+//!   returns the payload's byte region (offset 73).
+//! * A **`.series` sidecar** ([`ensure_flat_series`]) is a dataset
+//!   snapshot of the store's series in store order — the leaf-ordered
+//!   layout of the tree indexes — whose header fingerprint is
+//!   [`flat_series_fingerprint`]. Its values start at offset 73 too.
+//! * A **coded sidecar** ([`ensure_coded_series`]) holds a file's series
+//!   as coded pages: its kind names the codec (`coded-u8`, `coded-f16`),
+//!   its header fingerprint is the source's content fingerprint, and its
+//!   section is the shape (series length, records, series per page)
+//!   followed by the page records, from offset 74 (u8) or 75 (f16).
 //!
-//! ```text
-//! flat series file layout (all little-endian)
-//! offset  size  field
-//! 0       8     magic  b"HYDRFLAT"
-//! 8       4     format version (u32, currently 1)
-//! 12      4     reserved (zero)
-//! 16      8     series length (u64)
-//! 24      8     record count (u64)
-//! 32      8     content fingerprint (u64, see [`flat_series_fingerprint`])
-//! 40      24    zero padding
-//! 64      ...   record count × series length f32 values (bit patterns)
-//! ```
+//! Both sidecars are derived caches: written (atomically) on first use,
+//! verified on reuse, and silently rebuilt when missing, damaged, stale or
+//! of another format.
 //!
 //! [`hydra-storage`]: https://docs.rs/hydra-storage
 
-use std::io::{Read, Write};
 use std::path::{Path, PathBuf};
 
 use hydra_core::Dataset;
-use hydra_storage::coded::{CodedHeader, CodedPage, PageCodec, CODED_HEADER_BYTES};
+use hydra_storage::coded::{coded_records_bytes, CodedPage, PageCodec};
 use hydra_storage::StorageConfig;
 
 use crate::error::{PersistError, Result};
 use crate::fingerprint::{fingerprint_dataset, Fingerprint};
-use crate::snapshot::{f32s_from_le, fnv1a64_continue, Section, SnapshotWriter, FNV_OFFSET_BASIS};
-use crate::stream::{open_dataset_streaming, scan_dataset, DataSource, STREAM_CHUNK_BYTES};
+use crate::snapshot::write_streamed;
+use crate::stream::{open_dataset_streaming, scan_dataset, ContainerScan, DataSource};
 
 /// Kind tag of dataset snapshots.
 pub const DATASET_KIND: &str = "dataset";
-
-/// Magic bytes identifying a flat series file.
-pub const FLAT_MAGIC: [u8; 8] = *b"HYDRFLAT";
-
-/// The single flat-series-file format version this build writes and reads.
-pub const FLAT_VERSION: u32 = 1;
-
-/// Byte offset of record 0 inside a flat series file.
-pub const FLAT_PAYLOAD_OFFSET: u64 = 64;
 
 /// Where the raw series of a file live: `payload_offset` bytes in, as
 /// `records` × `series_len` little-endian `f32` bit patterns. This is the
@@ -76,15 +61,15 @@ pub struct FlatSpan {
 }
 
 /// Writes `dataset` to `path` as a snapshot of kind [`DATASET_KIND`], with
-/// the dataset's content fingerprint in the header.
+/// the dataset's content fingerprint in the header. The values stream to
+/// the file a block at a time: nothing payload-sized is allocated.
 pub fn save_dataset(dataset: &Dataset, path: &Path) -> Result<()> {
-    let mut w = SnapshotWriter::new(DATASET_KIND, fingerprint_dataset(dataset));
-    let mut s = Section::new();
-    s.put_usize(dataset.series_len());
-    s.put_usize(dataset.len());
-    s.put_f32s(dataset.as_flat());
-    w.push(s);
-    w.write_to(path)
+    let (series_len, n) = (dataset.series_len(), dataset.len());
+    let shape = [series_len, n, series_len * n];
+    write_streamed(path, DATASET_KIND, fingerprint_dataset(dataset), shape, |section| {
+        section.put_f32s(dataset.as_flat())
+    })?;
+    Ok(())
 }
 
 /// Reads a dataset snapshot written by [`save_dataset`] — the streamed
@@ -123,7 +108,7 @@ pub fn dataset_flat_region<'a>(path: &Path, source: impl Into<DataSource<'a>>) -
     Ok(handle.flat_span())
 }
 
-/// The flat series file that caches an index snapshot's store-ordered raw
+/// The `.series` sidecar that caches an index snapshot's store-ordered raw
 /// series: `<snapshot>.series` next to the snapshot itself.
 pub fn sidecar_series_path(snapshot: &Path) -> PathBuf {
     let mut os = snapshot.as_os_str().to_os_string();
@@ -131,12 +116,13 @@ pub fn sidecar_series_path(snapshot: &Path) -> PathBuf {
     PathBuf::from(os)
 }
 
-/// Content fingerprint of a flat series file: shape, then every value's
-/// bit pattern in *file* order (`order[pos]` names the dataset series
-/// stored at record `pos`; `None` is dataset order). With `None` this
-/// equals [`fingerprint_dataset`] — free for a streamed source, whose
-/// handle already holds it; a streamed source with a permuted order costs
-/// one bounded-memory pass of per-series reads.
+/// Content fingerprint of a store's series in *store* order (`order[pos]`
+/// names the dataset series stored at record `pos`; `None` is dataset
+/// order): shape, then every value's bit pattern — [`fingerprint_dataset`]
+/// of the permuted dataset, and so the header fingerprint of its `.series`
+/// sidecar. With `None` it is free for a streamed source, whose handle
+/// already holds it; a streamed source with a permuted order costs one
+/// bounded-memory pass of per-series reads.
 ///
 /// # Errors
 /// [`PersistError::Io`] if a streamed source cannot be read.
@@ -148,7 +134,7 @@ pub fn flat_series_fingerprint<'a>(
     let Some(order) = order else {
         return Ok(source.fingerprint());
     };
-    let fetch = source.series_fetch()?;
+    let mut fetch = source.series_fetch()?;
     let mut f = Fingerprint::new();
     f.push_usize(source.series_len());
     f.push_usize(order.len());
@@ -160,119 +146,29 @@ pub fn flat_series_fingerprint<'a>(
     Ok(f.finish())
 }
 
-fn flat_header(series_len: usize, records: usize, fingerprint: u64) -> [u8; FLAT_PAYLOAD_OFFSET as usize] {
-    let mut header = [0u8; FLAT_PAYLOAD_OFFSET as usize];
-    header[0..8].copy_from_slice(&FLAT_MAGIC);
-    header[8..12].copy_from_slice(&FLAT_VERSION.to_le_bytes());
-    header[16..24].copy_from_slice(&(series_len as u64).to_le_bytes());
-    header[24..32].copy_from_slice(&(records as u64).to_le_bytes());
-    header[32..40].copy_from_slice(&fingerprint.to_le_bytes());
-    header
-}
-
-/// Opens the sidecar at `path` and reads its `N`-byte header; `None` when
-/// the file is absent or too short to hold one (the caller rewrites).
-fn open_sidecar<const N: usize>(path: &Path) -> Result<Option<(std::fs::File, [u8; N])>> {
-    let mut file = match std::fs::File::open(path) {
-        Ok(f) => f,
-        Err(e) if e.kind() == std::io::ErrorKind::NotFound => return Ok(None),
-        Err(e) => return Err(e.into()),
-    };
-    let mut header = [0u8; N];
-    Ok(file.read_exact(&mut header).is_ok().then_some((file, header)))
-}
-
-/// Feeds the rest of `file` to `visit` in chunks of at most
-/// [`STREAM_CHUNK_BYTES`], each — but for the last — a whole number of
-/// f32s. Bounded chunks: sidecar verification happens during lazy boot,
-/// whose whole promise is an O(pool)-memory start — never buffer the
-/// payload. Returns the bytes seen, or `None` on a read error (a damaged
-/// cache is rewritten, not reported).
-fn stream_payload(mut file: std::fs::File, mut visit: impl FnMut(&[u8])) -> Option<u64> {
-    let mut buf = vec![0u8; STREAM_CHUNK_BYTES];
-    let mut total = 0u64;
-    loop {
-        // Fill the chunk completely (short reads are legal mid-file), so
-        // only end-of-file ever splits a value.
-        let mut filled = 0;
-        while filled < buf.len() {
-            match file.read(&mut buf[filled..]) {
-                Ok(0) => break,
-                Ok(n) => filled += n,
-                Err(e) if e.kind() == std::io::ErrorKind::Interrupted => {}
-                Err(_) => return None,
-            }
-        }
-        if filled == 0 {
-            return Some(total);
-        }
-        visit(&buf[..filled]);
-        total += filled as u64;
+/// What reading a cached sidecar came to: `Some` to reuse it, `None` to
+/// rewrite it — absent, damaged, stale or of another format. Only an
+/// unreadable filesystem is an error.
+fn reusable<T>(path: &Path, read: impl FnOnce() -> Result<Option<T>>) -> Result<Option<T>> {
+    if !path.try_exists()? {
+        return Ok(None);
+    }
+    match read() {
+        Err(PersistError::Io(e)) => Err(PersistError::Io(e)),
+        Err(_) => Ok(None),
+        Ok(found) => Ok(found),
     }
 }
 
-/// Checks whether the flat series file at `path` exists and holds exactly
-/// the expected shape, header fingerprint and payload content. Any
-/// shortfall — absent file, stale header, damaged payload — reports
-/// `Ok(false)` (the caller rewrites); only an unreadable filesystem is an
-/// error.
-fn flat_series_is_valid(
-    path: &Path,
-    series_len: usize,
-    records: usize,
-    fingerprint: u64,
-) -> Result<bool> {
-    let Some((file, header)) = open_sidecar::<{ FLAT_PAYLOAD_OFFSET as usize }>(path)? else {
-        return Ok(false);
-    };
-    if header != flat_header(series_len, records, fingerprint) {
-        return Ok(false);
-    }
-    // Verify the payload really hashes to the header fingerprint, so a
-    // flipped bit in a cached sidecar is repaired instead of served.
-    let mut f = Fingerprint::new();
-    f.push_usize(series_len);
-    f.push_usize(records);
-    let seen = stream_payload(file, |chunk| {
-        for value in f32s_from_le(chunk) {
-            f.push_f32(value);
-        }
-    });
-    Ok(seen == Some((records * series_len * 4) as u64) && f.finish() == fingerprint)
-}
-
-/// Writes a sidecar through a temporary file and an atomic rename, so a
-/// concurrent boot never observes a half-written payload. `fill` writes
-/// the whole content.
-fn write_atomically(
-    path: &Path,
-    fill: impl FnOnce(&mut std::io::BufWriter<std::fs::File>) -> Result<()>,
-) -> Result<()> {
-    let tmp = {
-        let mut os = path.as_os_str().to_os_string();
-        os.push(format!(".tmp.{}", std::process::id()));
-        PathBuf::from(os)
-    };
-    if let Some(parent) = path.parent() {
-        if !parent.as_os_str().is_empty() {
-            std::fs::create_dir_all(parent)?;
-        }
-    }
-    let mut w = std::io::BufWriter::new(std::fs::File::create(&tmp)?);
-    fill(&mut w)?;
-    w.flush()?;
-    drop(w);
-    std::fs::rename(&tmp, path)?;
-    Ok(())
-}
-
-/// Ensures the flat series file at `path` holds the source's series in the
-/// given order (`order[pos]` = dataset position of record `pos`; `None` is
-/// dataset order), returning the payload span to back a store with.
+/// Ensures the `.series` sidecar at `path` holds the source's series in
+/// the given order (`order[pos]` = dataset position of record `pos`;
+/// `None` is dataset order), returning the payload span to back a store
+/// with.
 ///
-/// The file is a derived cache: if it already exists with the expected
-/// header and verified payload it is reused untouched; otherwise it is
-/// (re)written atomically. A streamed source is read one series at a time
+/// The sidecar is a dataset snapshot of the permuted series, and a derived
+/// cache: reused untouched when the dataset reader validates it and its
+/// fingerprint and shape are the expected ones, (re)written atomically
+/// otherwise. A streamed source is read one series at a time
 /// (bounded-memory `pread`s against its validated snapshot), so rebuilding
 /// a sidecar during lazy boot never materializes the dataset.
 ///
@@ -289,28 +185,30 @@ pub fn ensure_flat_series<'a>(
     let records = source.records_in(order)?;
     let series_len = source.series_len();
     let fingerprint = flat_series_fingerprint(source, order)?;
-    let span = FlatSpan {
-        payload_offset: FLAT_PAYLOAD_OFFSET,
-        records,
-        series_len,
-    };
-    if flat_series_is_valid(path, series_len, records, fingerprint)? {
+    let cached = reusable(path, || {
+        let handle = scan_dataset(path, None)?;
+        let fresh = handle.fingerprint() == fingerprint
+            && (handle.len(), handle.series_len()) == (records, series_len);
+        Ok(fresh.then(|| handle.flat_span()))
+    })?;
+    if let Some(span) = cached {
         return Ok(span);
     }
-    write_atomically(path, |w| {
-        w.write_all(&flat_header(series_len, records, fingerprint))?;
-        let fetch = source.series_fetch()?;
-        let mut series = Vec::new();
+    let mut fetch = source.series_fetch()?;
+    let mut series = Vec::new();
+    let shape = [series_len, records, series_len * records];
+    let payload_offset = write_streamed(path, DATASET_KIND, fingerprint, shape, |section| {
         for pos in 0..records {
-            let ds = order.map_or(pos, |o| o[pos]);
-            fetch.get(ds, &mut series)?;
-            for &v in &series {
-                w.write_all(&v.to_bits().to_le_bytes())?;
-            }
+            fetch.get(order.map_or(pos, |o| o[pos]), &mut series)?;
+            section.put_f32s(&series)?;
         }
         Ok(())
     })?;
-    Ok(span)
+    Ok(FlatSpan {
+        payload_offset,
+        records,
+        series_len,
+    })
 }
 
 /// The coded-page sidecar derived from the flat backing file at `backing`
@@ -323,55 +221,23 @@ pub fn coded_sidecar_path(backing: &Path, codec: PageCodec) -> PathBuf {
     PathBuf::from(os)
 }
 
-/// Checks whether the `HYDRCODE` sidecar at `path` was derived from
-/// exactly the expected source payload and page grouping, with an intact
-/// coded payload. Any shortfall reports `Ok(false)` (the caller rewrites).
-fn coded_series_is_valid(
-    path: &Path,
-    codec: PageCodec,
-    series_len: usize,
-    records: usize,
-    series_per_page: usize,
-    source_fingerprint: u64,
-) -> Result<bool> {
-    let Some((file, header)) = open_sidecar::<{ CODED_HEADER_BYTES as usize }>(path)? else {
-        return Ok(false);
-    };
-    let header = match CodedHeader::decode(&header) {
-        Ok(h) => h,
-        Err(_) => return Ok(false),
-    };
-    if header.codec != codec
-        || header.series_len != series_len as u64
-        || header.records != records as u64
-        || header.series_per_page != series_per_page as u64
-        || header.source_fingerprint != source_fingerprint
-    {
-        return Ok(false);
-    }
-    // Verify the coded payload really hashes to the header fingerprint, so
-    // a flipped bit in the cache is repaired instead of served.
-    let mut state = FNV_OFFSET_BASIS;
-    let seen = stream_payload(file, |chunk| state = fnv1a64_continue(state, chunk));
-    Ok(seen.is_some() && state == header.payload_fingerprint)
-}
-
-/// Ensures the `HYDRCODE` coded-page sidecar at `path` holds the source's
-/// series (in the given order, `None` = dataset order) quantized under
+/// Ensures the coded-page sidecar at `path` holds the source's series (in
+/// the given order, `None` = dataset order) quantized under
 /// `storage.codec` and grouped exactly as a [`hydra_storage::SeriesStore`]
-/// with `storage` groups its raw pages — the file a file-backed store
-/// attaches with `SeriesStore::attach_coded_file`.
+/// with `storage` groups its raw pages, and returns the byte offset of its
+/// first page record — what a file-backed store attaches with
+/// `SeriesStore::attach_coded_file`.
 ///
 /// Like [`ensure_flat_series`], the sidecar is a derived cache: reused when
-/// its header names the same source payload (by fingerprint) and its coded
-/// payload verifies, and atomically (re)written otherwise. The codec never
+/// its kind names the codec, its header fingerprint is the source's
+/// content fingerprint, its shape is the expected grouping and its section
+/// checksum verifies; atomically (re)written otherwise. The codec never
 /// enters *snapshot* fingerprints — it shapes only I/O economics, never
 /// answers — so the same snapshot serves any codec.
 ///
-/// A rewrite encodes in two bounded-memory passes — one to fingerprint the
-/// coded payload for the header, one to write it — reading the source a
-/// page's worth of series at a time, so even a coded-tier rebuild during
-/// lazy boot stays O(page) in memory.
+/// A rewrite encodes each page once, reading the source a page's worth of
+/// series at a time, so even a coded-tier rebuild during lazy boot stays
+/// O(page) in memory.
 ///
 /// # Errors
 /// [`PersistError::Corrupt`] on an f32 codec (there is nothing to encode)
@@ -382,7 +248,7 @@ pub fn ensure_coded_series<'a>(
     source: impl Into<DataSource<'a>>,
     order: Option<&[usize]>,
     storage: &StorageConfig,
-) -> Result<()> {
+) -> Result<u64> {
     let source = source.into();
     let codec = storage.codec;
     if codec == PageCodec::F32 {
@@ -394,58 +260,40 @@ pub fn ensure_coded_series<'a>(
     let series_len = source.series_len();
     let series_per_page = (storage.page_bytes as usize / (series_len * 4)).max(1);
     let source_fingerprint = flat_series_fingerprint(source, order)?;
-    if coded_series_is_valid(
-        path,
-        codec,
-        series_len,
-        records,
-        series_per_page,
-        source_fingerprint,
-    )? {
-        return Ok(());
+    let (kind, shape) = (format!("coded-{}", codec.name()), [series_len, records, series_per_page]);
+    let pages_bytes = coded_records_bytes(records, series_len, series_per_page, codec);
+    let cached = reusable(path, || {
+        let mut scan = ContainerScan::open(path, &kind)?;
+        let fresh = (scan.fingerprint, scan.shape, scan.rest) == (source_fingerprint, shape, pages_bytes);
+        if fresh {
+            scan.finish()?;
+        }
+        Ok(fresh.then_some(scan.payload_offset))
+    })?;
+    if let Some(payload_offset) = cached {
+        return Ok(payload_offset);
     }
 
-    let fetch = source.series_fetch()?;
+    let mut fetch = source.series_fetch()?;
     let mut series: Vec<f32> = Vec::new();
-    let mut scratch: Vec<f32> = Vec::with_capacity(series_per_page * series_len);
-    let mut encode_pages = |sink: &mut dyn FnMut(&[u8]) -> Result<()>| -> Result<()> {
+    let mut page: Vec<f32> = Vec::with_capacity(series_per_page * series_len);
+    write_streamed(path, &kind, source_fingerprint, shape, |section| {
         for page_first in (0..records).step_by(series_per_page) {
-            scratch.clear();
+            page.clear();
             for pos in page_first..(page_first + series_per_page).min(records) {
-                let ds = order.map_or(pos, |o| o[pos]);
-                fetch.get(ds, &mut series)?;
-                scratch.extend_from_slice(&series);
+                fetch.get(order.map_or(pos, |o| o[pos]), &mut series)?;
+                page.extend_from_slice(&series);
             }
-            sink(&CodedPage::encode(&scratch, series_len, codec).to_disk_bytes())?;
+            section.put(&CodedPage::encode(&page, series_len, codec).to_disk_bytes())?;
         }
         Ok(())
-    };
-    // Pass 1: the header records the coded payload's fingerprint, and the
-    // header is written first — fingerprint now, encode again when writing.
-    let mut state = FNV_OFFSET_BASIS;
-    encode_pages(&mut |page| {
-        state = fnv1a64_continue(state, page);
-        Ok(())
-    })?;
-    let header = CodedHeader {
-        codec,
-        series_len: series_len as u64,
-        records: records as u64,
-        series_per_page: series_per_page as u64,
-        source_fingerprint,
-        payload_fingerprint: state,
-    }
-    .encode();
-
-    write_atomically(path, |w| {
-        w.write_all(&header)?;
-        encode_pages(&mut |page| Ok(w.write_all(page)?))
     })
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::snapshot::{f32s_from_le, Section, SnapshotWriter};
 
     fn temp_path(name: &str) -> std::path::PathBuf {
         std::env::temp_dir().join(format!("hydra-dataset-{}-{name}", std::process::id()))
@@ -475,6 +323,29 @@ mod tests {
         let got = load_dataset(&path).unwrap();
         assert_eq!(got, d);
         std::fs::remove_file(&path).ok();
+    }
+
+    /// The streamed writer lays down exactly the bytes the in-memory
+    /// container writer does, so snapshots written before it load as ever.
+    #[test]
+    fn streamed_save_writes_the_in_memory_containers_bytes() {
+        let wave = (0..2_500).map(|i| (i as f32 * 0.37).sin() * 1e3);
+        for d in [
+            Dataset::from_flat(5, wave.collect()).unwrap(),
+            Dataset::from_series(3, &[[f32::NAN, -0.0, f32::INFINITY]]).unwrap(),
+            Dataset::new(4).unwrap(),
+        ] {
+            let mut reference = SnapshotWriter::new(DATASET_KIND, fingerprint_dataset(&d));
+            let mut s = Section::new();
+            s.put_usize(d.series_len());
+            s.put_usize(d.len());
+            s.put_f32s(d.as_flat());
+            reference.push(s);
+            let path = temp_path(&format!("streamed-{}.snap", d.len()));
+            save_dataset(&d, &path).unwrap();
+            assert_eq!(std::fs::read(&path).unwrap(), reference.to_bytes(), "{} series", d.len());
+            std::fs::remove_file(&path).ok();
+        }
     }
 
     #[test]
@@ -552,11 +423,15 @@ mod tests {
         std::fs::remove_file(&path).ok();
         let order = [2usize, 0, 1];
         let span = ensure_flat_series(&path, &d, Some(&order)).unwrap();
-        assert_eq!(span.payload_offset, FLAT_PAYLOAD_OFFSET);
+        assert_eq!(span.payload_offset, 73);
         assert_eq!(span.records, 3);
         for (pos, &ds) in order.iter().enumerate() {
             assert_eq!(read_record(&path, span, pos), d.series(ds), "record {pos}");
         }
+        // The sidecar is the dataset snapshot of the permuted series: its
+        // load checks the header's `flat_series_fingerprint` against them.
+        let permuted = Dataset::from_series(2, &[d.series(2), d.series(0), d.series(1)]).unwrap();
+        assert_eq!(load_dataset(&path).unwrap(), permuted);
         // Identity order equals the dataset fingerprint.
         assert_eq!(
             flat_series_fingerprint(&d, None).unwrap(),
@@ -600,6 +475,17 @@ mod tests {
         // A *different* expected order invalidates the cache.
         let span = ensure_flat_series(&path, &d, Some(&[1, 0])).unwrap();
         assert_eq!(read_record(&path, span, 0), d.series(1));
+
+        // A container of another kind in its place is rewritten too.
+        std::fs::write(&path, SnapshotWriter::new("dstree", 0).to_bytes()).unwrap();
+        ensure_flat_series(&path, &d, None).unwrap();
+        assert_eq!(std::fs::read(&path).unwrap(), pristine);
+
+        // Only an unreadable filesystem is an error.
+        let blocked = temp_path("not-a-dir").join("x.series");
+        std::fs::write(blocked.parent().unwrap(), b"a file").unwrap();
+        assert!(matches!(ensure_flat_series(&blocked, &d, None), Err(PersistError::Io(_))));
+        std::fs::remove_file(blocked.parent().unwrap()).ok();
         std::fs::remove_file(&path).ok();
     }
 
@@ -640,19 +526,25 @@ mod tests {
         };
         let path = temp_path("coded.series.u8");
         std::fs::remove_file(&path).ok();
-        ensure_coded_series(&path, &d, None, &storage).unwrap();
+        let offset = ensure_coded_series(&path, &d, None, &storage).unwrap();
         let pristine = std::fs::read(&path).unwrap();
 
-        // The header names the layout a store with this config expects.
-        let header = CodedHeader::decode(pristine[..64].try_into().unwrap()).unwrap();
-        assert_eq!(header.codec, PageCodec::U8);
-        assert_eq!(header.series_len, 4);
-        assert_eq!(header.records, 5);
-        assert_eq!(header.series_per_page, 2);
-        assert_eq!(header.source_fingerprint, flat_series_fingerprint(&d, None).unwrap());
+        // The container names the codec and the source, and its shape the
+        // layout a store with this config expects; the pages follow it.
+        let mut scan = ContainerScan::open(&path, "coded-u8").unwrap();
+        assert_eq!(scan.fingerprint, flat_series_fingerprint(&d, None).unwrap());
+        assert_eq!(scan.shape, [4, 5, 2]);
+        assert_eq!(offset, 74);
+        assert_eq!(scan.payload_offset, offset);
+        scan.finish().unwrap();
+        let page_bytes = |count| hydra_storage::coded::page_disk_bytes(count, 4, PageCodec::U8) as usize;
+        let first = &pristine[offset as usize..offset as usize + page_bytes(2)];
+        let values: Vec<f32> = d.as_flat()[..8].to_vec();
+        assert_eq!(first, CodedPage::encode(&values, 4, PageCodec::U8).to_disk_bytes());
+        assert_eq!(pristine.len(), offset as usize + 2 * page_bytes(2) + page_bytes(1));
 
         // Reuse does not rewrite.
-        ensure_coded_series(&path, &d, None, &storage).unwrap();
+        assert_eq!(ensure_coded_series(&path, &d, None, &storage).unwrap(), offset);
         assert_eq!(std::fs::read(&path).unwrap(), pristine);
 
         // A flipped payload byte is detected and the sidecar rebuilt.
@@ -662,6 +554,18 @@ mod tests {
         std::fs::write(&path, &damaged).unwrap();
         ensure_coded_series(&path, &d, None, &storage).unwrap();
         assert_eq!(std::fs::read(&path).unwrap(), pristine, "damage repaired");
+
+        // A sidecar written for another codec or another page size is
+        // rebuilt.
+        for other in [
+            StorageConfig { codec: PageCodec::F16, ..storage },
+            StorageConfig { page_bytes: 48, ..storage },
+        ] {
+            ensure_coded_series(&path, &d, None, &other).unwrap();
+            assert_ne!(std::fs::read(&path).unwrap(), pristine);
+            ensure_coded_series(&path, &d, None, &storage).unwrap();
+            assert_eq!(std::fs::read(&path).unwrap(), pristine);
+        }
 
         // A different series order is a different source fingerprint: the
         // cache is invalidated, not served.

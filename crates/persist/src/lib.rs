@@ -17,15 +17,15 @@
 //!
 //! ## One parser per format
 //!
-//! Five byte layouts reach the disk. Each is parsed in exactly one place,
-//! and every little-endian decode among them is a [`SectionReader`] getter:
+//! Three byte layouts reach the disk. Each is parsed in exactly one place,
+//! every little-endian decode among them is a [`SectionReader`] getter, and
+//! no other crate parses a file header: `hydra-storage` receives a path and
+//! the byte offset of its payload.
 //!
 //! | Format | Written by | Its one parser |
 //! |---|---|---|
-//! | `HYDRSNAP` container header | [`SnapshotWriter`] | `snapshot::read_header`, behind [`peek_kind`], [`peek_fingerprint`], [`SnapshotReader`] and the dataset reader |
-//! | dataset payload (`.data.snap`) | [`dataset::save_dataset`] | `stream::scan_dataset`, behind [`dataset::load_dataset`], [`open_dataset_streaming`] and [`dataset::dataset_flat_region`] |
-//! | `HYDRFLAT` series sidecar (`.series`) | [`dataset::ensure_flat_series`] | the same function's validity check (header compared whole, payload streamed) |
-//! | `HYDRCODE` coded sidecar (`.u8`, `.f16`) | [`dataset::ensure_coded_series`] | `hydra_storage::coded::CodedHeader::decode` |
+//! | `HYDRSNAP` container header | [`SnapshotWriter`] and the streamed one-section writer | `snapshot::read_header`, behind [`peek_kind`], [`peek_fingerprint`], [`SnapshotReader`] and the streamed reader |
+//! | one-section payload: a 24-byte shape, then values or page records — the dataset snapshot (`.data.snap`), the `.series` sidecar (a dataset snapshot in store order, values at offset 73) and the coded sidecar (`.u8`, `.f16`: kind `coded-u8`/`coded-f16`, pages at offset 74 and 75) | [`dataset::save_dataset`], [`dataset::ensure_flat_series`], [`dataset::ensure_coded_series`] | `stream::ContainerScan`, behind [`dataset::load_dataset`], [`open_dataset_streaming`], [`dataset::dataset_flat_region`] and both sidecar checks |
 //! | `HYDRJRNL` ingest journal | [`JournalWriter`] | [`JournalReader::open`] |
 //!
 //! ## What is (and is not) stored

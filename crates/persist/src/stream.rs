@@ -1,11 +1,14 @@
-//! The one reader of a dataset snapshot.
+//! The one streaming reader of a dataset snapshot and of the sidecars.
 //!
-//! A `.data.snap` is read by a single streaming pass (`scan_dataset`) that
-//! validates the *entire* container — magic, version, kind, section
-//! checksum, shape, and the end-to-end content fingerprint — in chunks of
-//! at most [`STREAM_CHUNK_BYTES`], and learns the byte offset of the values
-//! as a by-product of parsing. What differs between its callers is only
-//! where the values go:
+//! A `.data.snap`, a `.series` sidecar (a dataset snapshot of a store's
+//! series in store order) and a coded `.u8`/`.f16` sidecar are each one
+//! container section, read by a single streaming pass (`ContainerScan`)
+//! that validates the *entire* container — magic, version, kind, section
+//! checksum and shape — in chunks of at most [`STREAM_CHUNK_BYTES`], and
+//! learns the byte offset of the payload as a by-product of parsing. A
+//! dataset's pass (`scan_dataset`) also checks the end-to-end content
+//! fingerprint. What differs between its callers is only where the values
+//! go:
 //!
 //! * [`open_dataset_streaming`] keeps none of them and returns a
 //!   [`DatasetHandle`] holding the header facts (shape, fingerprint,
@@ -111,62 +114,119 @@ pub fn open_dataset_streaming(path: &Path) -> Result<DatasetHandle> {
     scan_dataset(path, None)
 }
 
-/// Feeds the next `len` bytes of `file` to `visit` in chunks of at most
-/// `buf.len()`, folding them into the FNV-1a `state`.
-fn stream_bytes(
-    file: &mut std::fs::File,
-    buf: &mut [u8],
-    mut state: u64,
-    mut len: u64,
-    mut visit: impl FnMut(&[u8]),
-) -> Result<u64> {
-    while len > 0 {
-        let take = (buf.len() as u64).min(len) as usize;
-        let chunk = &mut buf[..take];
-        read_exactly(file, chunk)?;
-        state = fnv1a64_continue(state, chunk);
-        visit(chunk);
-        len -= chunk.len() as u64;
-    }
-    Ok(state)
+/// One pass over a one-section container — the reader of everything the
+/// streamed writer of [`crate::snapshot`] writes: a dataset snapshot, a
+/// `.series` sidecar (itself a dataset snapshot) and a coded sidecar.
+/// [`ContainerScan::open`] validates the header and the kind and reads the
+/// section's three-`u64` shape; the rest is read in chunks of at most
+/// [`STREAM_CHUNK_BYTES`] and folded into the section checksum, which
+/// [`ContainerScan::finish`] checks along with the end of the file.
+pub(crate) struct ContainerScan {
+    file: std::fs::File,
+    buf: Vec<u8>,
+    /// The header's fingerprint.
+    pub(crate) fingerprint: u64,
+    /// The first three `u64`s of the section.
+    pub(crate) shape: [usize; 3],
+    /// The byte offset of the payload after the shape.
+    pub(crate) payload_offset: u64,
+    /// Payload bytes after the shape not read yet.
+    pub(crate) rest: u64,
+    checksum: u64,
+    state: u64,
 }
 
-/// The single reader of a dataset snapshot (see the module docs): one pass
-/// over the file at `path`, validating everything [`open_dataset_streaming`]
-/// documents, with the values appended to `values` when the caller wants
-/// them. The first 24 payload bytes of section 0 are the shape (series
-/// length, series count, value count); the values after them are folded
-/// simultaneously into the section checksum and the content fingerprint.
-pub(crate) fn scan_dataset(path: &Path, mut values: Option<&mut Vec<f32>>) -> Result<DatasetHandle> {
-    let mut file = std::fs::File::open(path)?;
-    let file_len = file.metadata()?.len();
-    let header = read_header(&mut file)?;
-    if header.kind != DATASET_KIND {
-        return Err(PersistError::KindMismatch {
-            expected: DATASET_KIND.to_string(),
-            found: header.kind,
-        });
-    }
-    if header.sections == 0 {
-        // A dataset snapshot always holds its one payload section.
-        return Err(PersistError::Truncated);
+impl ContainerScan {
+    /// Opens the container at `path`, which must be of `kind`, and reads up
+    /// to the end of the shape. Every length the file claims is bounded by
+    /// the file's size before anything is sized by it.
+    pub(crate) fn open(path: &Path, kind: &str) -> Result<Self> {
+        let mut file = std::fs::File::open(path)?;
+        let file_len = file.metadata()?.len();
+        let header = read_header(&mut file)?;
+        if header.kind != kind {
+            return Err(PersistError::KindMismatch {
+                expected: kind.to_string(),
+                found: header.kind,
+            });
+        }
+        match header.sections {
+            0 => return Err(PersistError::Truncated),
+            1 => {}
+            n => return Err(PersistError::Corrupt(format!("{n} sections, expected 1"))),
+        }
+        let (section_len, checksum) = read_section_head(&mut file)?;
+        let shape_bytes = read_array::<24>(&mut file)?;
+        let payload_offset = file.stream_position()?;
+        let rest = section_len.checked_sub(24).ok_or(PersistError::Truncated)?;
+        if rest > file_len.saturating_sub(payload_offset) {
+            return Err(PersistError::Truncated);
+        }
+        let mut fields = SectionReader::new(&shape_bytes);
+        let shape = [fields.get_usize()?, fields.get_usize()?, fields.get_usize()?];
+        Ok(Self {
+            file,
+            buf: vec![0u8; STREAM_CHUNK_BYTES],
+            fingerprint: header.fingerprint,
+            shape,
+            payload_offset,
+            rest,
+            checksum,
+            state: fnv1a64_continue(FNV_OFFSET_BASIS, &shape_bytes),
+        })
     }
 
-    let (section_len, checksum) = read_section_head(&mut file)?;
-    let shape = read_array::<24>(&mut file)?;
-    let payload_offset = file.stream_position()?;
-    let mut fields = SectionReader::new(&shape);
-    let (series_len, n, count) = (fields.get_usize()?, fields.get_usize()?, fields.get_usize()?);
+    /// Feeds the next `len` payload bytes to `visit`, in chunks of at most
+    /// [`STREAM_CHUNK_BYTES`].
+    ///
+    /// # Errors
+    /// [`PersistError::Truncated`] if the section holds fewer.
+    pub(crate) fn stream(&mut self, len: u64, mut visit: impl FnMut(&[u8])) -> Result<()> {
+        self.rest = self.rest.checked_sub(len).ok_or(PersistError::Truncated)?;
+        let mut left = len;
+        while left > 0 {
+            let chunk = &mut self.buf[..(STREAM_CHUNK_BYTES as u64).min(left) as usize];
+            read_exactly(&mut self.file, chunk)?;
+            self.state = fnv1a64_continue(self.state, chunk);
+            visit(chunk);
+            left -= chunk.len() as u64;
+        }
+        Ok(())
+    }
+
+    /// Reads the rest of the section, checks its checksum and refuses
+    /// trailing bytes.
+    pub(crate) fn finish(&mut self) -> Result<()> {
+        self.stream(self.rest, |_| {})?;
+        if self.state != self.checksum {
+            return Err(PersistError::ChecksumMismatch { section: 0 });
+        }
+        if self.file.read(&mut [0u8; 1])? != 0 {
+            return Err(PersistError::Corrupt(
+                "trailing bytes after the section".into(),
+            ));
+        }
+        Ok(())
+    }
+}
+
+/// The single reader of a dataset snapshot (see the module docs): one
+/// [`ContainerScan`] of the file at `path`, validating everything
+/// [`open_dataset_streaming`] documents, with the values appended to
+/// `values` when the caller wants them. The shape is (series length,
+/// series count, value count); the values after it are folded into the
+/// section checksum and the content fingerprint at once.
+pub(crate) fn scan_dataset(path: &Path, mut values: Option<&mut Vec<f32>>) -> Result<DatasetHandle> {
+    let mut scan = ContainerScan::open(path, DATASET_KIND)?;
+    let [series_len, n, count] = scan.shape;
     if series_len == 0 || n.checked_mul(series_len) != Some(count) {
         return Err(PersistError::Corrupt(format!(
             "dataset shape mismatch: {n} series of length {series_len} with {count} values"
         )));
     }
-    // The values must fit the section and the section the file: every
-    // length the file claims is bounded before anything is sized by it.
+    // The values must fit the section before anything is sized by them.
     let value_bytes = (count as u64).checked_mul(4).ok_or(PersistError::Truncated)?;
-    let after_shape = section_len.checked_sub(24).ok_or(PersistError::Truncated)?;
-    if value_bytes > after_shape || after_shape > file_len.saturating_sub(payload_offset) {
+    if value_bytes > scan.rest {
         return Err(PersistError::Truncated);
     }
     if let Some(values) = values.as_deref_mut() {
@@ -176,9 +236,7 @@ pub(crate) fn scan_dataset(path: &Path, mut values: Option<&mut Vec<f32>>) -> Re
     let mut content = Fingerprint::new();
     content.push_usize(series_len);
     content.push_usize(n);
-    let mut buf = vec![0u8; STREAM_CHUNK_BYTES];
-    let state = fnv1a64_continue(FNV_OFFSET_BASIS, &shape);
-    let state = stream_bytes(&mut file, &mut buf, state, value_bytes, |chunk| {
+    scan.stream(value_bytes, |chunk| {
         for value in f32s_from_le(chunk) {
             content.push_f32(value);
         }
@@ -186,37 +244,20 @@ pub(crate) fn scan_dataset(path: &Path, mut values: Option<&mut Vec<f32>>) -> Re
             values.extend(f32s_from_le(chunk));
         }
     })?;
-    let rest = after_shape - value_bytes;
-    if stream_bytes(&mut file, &mut buf, state, rest, |_| {})? != checksum {
-        return Err(PersistError::ChecksumMismatch { section: 0 });
-    }
-
-    // Remaining sections (a dataset snapshot has none, but the container
-    // allows them): checksum-validate each in the same bounded chunks.
-    for section in 1..header.sections {
-        let (len, checksum) = read_section_head(&mut file)?;
-        if stream_bytes(&mut file, &mut buf, FNV_OFFSET_BASIS, len, |_| {})? != checksum {
-            return Err(PersistError::ChecksumMismatch { section });
-        }
-    }
-    if file.read(&mut [0u8; 1])? != 0 {
-        return Err(PersistError::Corrupt(
-            "trailing bytes after the last section".into(),
-        ));
-    }
+    scan.finish()?;
 
     let computed = content.finish();
-    if computed != header.fingerprint {
+    if computed != scan.fingerprint {
         return Err(PersistError::FingerprintMismatch {
             expected: computed,
-            found: header.fingerprint,
+            found: scan.fingerprint,
         });
     }
     Ok(DatasetHandle {
         path: path.to_path_buf(),
-        fingerprint: header.fingerprint,
+        fingerprint: scan.fingerprint,
         span: FlatSpan {
-            payload_offset,
+            payload_offset: scan.payload_offset,
             records: n,
             series_len,
         },
@@ -315,6 +356,7 @@ impl<'a> DataSource<'a> {
             DataSource::Streamed(h) => Ok(SeriesFetch::File {
                 file: std::fs::File::open(h.path())?,
                 span: h.flat_span(),
+                buf: vec![0u8; h.series_len() * 4],
             }),
         }
     }
@@ -322,10 +364,10 @@ impl<'a> DataSource<'a> {
 
 /// Reads individual series from a [`DataSource`] — RAM slices for an
 /// in-memory dataset, positional reads against the validated snapshot for
-/// a streamed one.
+/// a streamed one, each into the one series-sized buffer the fetch owns.
 pub(crate) enum SeriesFetch<'a> {
     Mem(&'a Dataset),
-    File { file: std::fs::File, span: FlatSpan },
+    File { file: std::fs::File, span: FlatSpan, buf: Vec<u8> },
 }
 
 impl SeriesFetch<'_> {
@@ -335,19 +377,18 @@ impl SeriesFetch<'_> {
     /// Panics if `record` is out of bounds — callers validate order
     /// vectors with [`DataSource::records_in`] first, exactly as the
     /// dataset-based path panics on `Dataset::series`.
-    pub(crate) fn get(&self, record: usize, out: &mut Vec<f32>) -> Result<()> {
+    pub(crate) fn get(&mut self, record: usize, out: &mut Vec<f32>) -> Result<()> {
         out.clear();
         match self {
             SeriesFetch::Mem(d) => {
                 out.extend_from_slice(d.series(record));
             }
-            SeriesFetch::File { file, span } => {
+            SeriesFetch::File { file, span, buf } => {
                 use std::os::unix::fs::FileExt;
                 assert!(record < span.records, "record {record} out of bounds");
-                let mut buf = vec![0u8; span.series_len * 4];
                 let at = span.payload_offset + (record * buf.len()) as u64;
-                file.read_exact_at(&mut buf, at)?;
-                out.extend(f32s_from_le(&buf));
+                file.read_exact_at(buf, at)?;
+                out.extend(f32s_from_le(buf));
             }
         }
         Ok(())
@@ -386,7 +427,7 @@ mod tests {
         assert_eq!(h.flat_span(), dataset_flat_region(&path, &d).unwrap());
         // Per-series preads through the handle are bit-exact.
         let src = DataSource::Streamed(&h);
-        let fetch = src.series_fetch().unwrap();
+        let mut fetch = src.series_fetch().unwrap();
         let mut out = Vec::new();
         for r in [0usize, 7, 39] {
             fetch.get(r, &mut out).unwrap();

@@ -206,7 +206,7 @@ pub fn boot_from_dir_with(
     let mut skipped = Vec::new();
     for file in &files {
         let Some(stem) = file_name_str(file).and_then(|n| n.strip_suffix(SNAPSHOT_SUFFIX)) else {
-            // `.snap.series` flat files are this boot path's own out-of-core
+            // `.snap.series` sidecars are this boot path's own out-of-core
             // cache (written by an earlier file-backed boot), and
             // `.snap.journal` files are ingest journals replayed as part
             // of loading their base snapshot — neither is an operator

@@ -22,13 +22,14 @@
 //!             [--shard-scheme contiguous|strided]
 //! ```
 //!
-//! `--storage` and `--seed` select the `hydra::standard_registry`
-//! configuration the snapshots must fingerprint-match: use `on-disk`/`5`
-//! for `fig4_ondisk --save-index` directories (the defaults) and
-//! `in-memory`/`3` for `fig3_inmemory` ones. A mismatch fails at boot with
-//! the offending file named — the server never guesses. (The *storage*
-//! part of a configuration — page size, pool, backing — is not
-//! fingerprinted; it only shapes I/O economics.)
+//! `--seed` selects the `hydra::standard_registry` configuration the
+//! snapshots must fingerprint-match: use `5` for `fig4_ondisk --save-index`
+//! directories (the default) and `3` for `fig3_inmemory` ones. A mismatch
+//! fails at boot with the offending file named — the server never guesses.
+//! `--storage` is not checked against anything: no part of the storage
+//! configuration — page size, pool, codec, backing — is fingerprinted, and
+//! the flag only picks the default pool size (`on-disk`, the default, a
+//! 128-page pool; `in-memory`, one that holds everything).
 //!
 //! `--out-of-core` serves raw series from the snapshot files themselves
 //! through a real page cache instead of holding them resident, and

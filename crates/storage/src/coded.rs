@@ -35,21 +35,17 @@
 //!
 //! ## On-disk form
 //!
-//! File-backed stores read coded pages from a `HYDRCODE` sidecar file
-//! (written by `hydra-persist` next to the flat f32 series file): a
-//! 64-byte header ([`CodedHeader`]) followed by fixed-stride page records
+//! File-backed stores read coded pages from a sidecar file that
+//! `hydra-persist` writes, validates and hands over as a path and the byte
+//! offset of its first page record
+//! ([`crate::SeriesStore::attach_coded_file`]); this crate parses no file
+//! header. From that offset on, the file holds fixed-stride page records
 //! — `[min f32][scale f32][errs f32 × count][codes width × len × count]`,
 //! every page at stride [`page_disk_bytes`] of a full page so offsets are
-//! computable, the last page possibly holding fewer series.
+//! computable, the last page possibly holding fewer series
+//! ([`coded_records_bytes`] in all).
 
 use hydra_core::{f16_bits_from_f32, f32_from_f16_bits, Error, Result};
-
-/// Magic bytes of a coded sidecar file.
-pub const CODED_MAGIC: [u8; 8] = *b"HYDRCODE";
-/// Version of the coded sidecar layout.
-pub const CODED_VERSION: u32 = 1;
-/// Size of the [`CodedHeader`] on disk.
-pub const CODED_HEADER_BYTES: u64 = 64;
 
 /// How a [`crate::SeriesStore`] encodes its sealed pages.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
@@ -73,7 +69,8 @@ impl PageCodec {
         }
     }
 
-    /// Stable lowercase name, as accepted by `--page-codec`.
+    /// Stable lowercase name, as accepted by `--page-codec` and named by a
+    /// coded sidecar's file suffix and kind.
     pub fn name(self) -> &'static str {
         match self {
             PageCodec::F32 => "f32",
@@ -94,28 +91,6 @@ impl PageCodec {
             other => Err(Error::InvalidParameter(format!(
                 "unknown page codec '{other}' (expected u8, f16 or f32)"
             ))),
-        }
-    }
-
-    /// The header tag byte identifying this codec on disk.
-    pub fn tag(self) -> u8 {
-        match self {
-            PageCodec::F32 => 0,
-            PageCodec::U8 => 1,
-            PageCodec::F16 => 2,
-        }
-    }
-
-    /// Inverse of [`PageCodec::tag`].
-    ///
-    /// # Errors
-    /// [`Error::Storage`] for an unknown tag.
-    pub fn from_tag(tag: u8) -> Result<Self> {
-        match tag {
-            0 => Ok(PageCodec::F32),
-            1 => Ok(PageCodec::U8),
-            2 => Ok(PageCodec::F16),
-            other => Err(Error::Storage(format!("unknown page codec tag {other}"))),
         }
     }
 }
@@ -302,6 +277,15 @@ pub fn page_disk_bytes(count: usize, series_len: usize, codec: PageCodec) -> u64
     8 + (count * 4) as u64 + (count * series_len * codec.code_bytes()) as u64
 }
 
+/// On-disk size of the page records of `records` series grouped
+/// `series_per_page` to a page: the full pages at stride
+/// [`page_disk_bytes`], then the shorter last one.
+pub fn coded_records_bytes(records: usize, series_len: usize, series_per_page: usize, codec: PageCodec) -> u64 {
+    let (full, tail) = (records / series_per_page, records % series_per_page);
+    let last = if tail > 0 { page_disk_bytes(tail, series_len, codec) } else { 0 };
+    full as u64 * page_disk_bytes(series_per_page, series_len, codec) + last
+}
+
 /// Logical bytes one coded series charges to a query: the residual norm
 /// plus the packed codes.
 pub fn coded_series_bytes(series_len: usize, codec: PageCodec) -> u64 {
@@ -355,68 +339,6 @@ pub fn conservative_threshold(best_so_far: f32, err: f32) -> f32 {
     t + t * 1e-3 + 1e-3
 }
 
-/// Header of a `HYDRCODE` sidecar file.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct CodedHeader {
-    /// Codec of every page in the file.
-    pub codec: PageCodec,
-    /// Length of each series.
-    pub series_len: u64,
-    /// Number of encoded series.
-    pub records: u64,
-    /// Series per (full) page — pins the page grouping, which must match
-    /// the attaching store's [`crate::StorageConfig::page_bytes`].
-    pub series_per_page: u64,
-    /// Fingerprint of the *source* f32 payload the codes were derived
-    /// from, tying the cache to its raw file.
-    pub source_fingerprint: u64,
-    /// Fingerprint of the coded payload itself (everything after the
-    /// header), for integrity validation on reuse.
-    pub payload_fingerprint: u64,
-}
-
-impl CodedHeader {
-    /// Serializes the header into its fixed 64-byte form.
-    pub fn encode(&self) -> [u8; 64] {
-        let mut out = [0u8; 64];
-        out[0..8].copy_from_slice(&CODED_MAGIC);
-        out[8..12].copy_from_slice(&CODED_VERSION.to_le_bytes());
-        out[12] = self.codec.tag();
-        out[16..24].copy_from_slice(&self.series_len.to_le_bytes());
-        out[24..32].copy_from_slice(&self.records.to_le_bytes());
-        out[32..40].copy_from_slice(&self.series_per_page.to_le_bytes());
-        out[40..48].copy_from_slice(&self.source_fingerprint.to_le_bytes());
-        out[48..56].copy_from_slice(&self.payload_fingerprint.to_le_bytes());
-        out
-    }
-
-    /// Parses and validates a 64-byte header.
-    ///
-    /// # Errors
-    /// [`Error::Storage`] on a wrong magic, version, or codec tag.
-    pub fn decode(bytes: &[u8; 64]) -> Result<Self> {
-        if bytes[0..8] != CODED_MAGIC {
-            return Err(Error::Storage("not a HYDRCODE file".into()));
-        }
-        let version = u32::from_le_bytes(bytes[8..12].try_into().unwrap());
-        if version != CODED_VERSION {
-            return Err(Error::Storage(format!(
-                "unsupported HYDRCODE version {version}"
-            )));
-        }
-        let u64_at =
-            |off: usize| u64::from_le_bytes(bytes[off..off + 8].try_into().unwrap());
-        Ok(Self {
-            codec: PageCodec::from_tag(bytes[12])?,
-            series_len: u64_at(16),
-            records: u64_at(24),
-            series_per_page: u64_at(32),
-            source_fingerprint: u64_at(40),
-            payload_fingerprint: u64_at(48),
-        })
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -431,10 +353,8 @@ mod tests {
     fn codec_names_tags_and_parsing_round_trip() {
         for codec in [PageCodec::F32, PageCodec::U8, PageCodec::F16] {
             assert_eq!(PageCodec::parse(codec.name()).unwrap(), codec);
-            assert_eq!(PageCodec::from_tag(codec.tag()).unwrap(), codec);
         }
         assert!(PageCodec::parse("lz4").is_err());
-        assert!(PageCodec::from_tag(9).is_err());
         assert_eq!(PageCodec::default(), PageCodec::F32);
         assert_eq!(PageCodec::U8.code_bytes(), 1);
         assert_eq!(PageCodec::F16.code_bytes(), 2);
@@ -502,26 +422,6 @@ mod tests {
     }
 
     #[test]
-    fn header_round_trip_and_validation() {
-        let h = CodedHeader {
-            codec: PageCodec::U8,
-            series_len: 96,
-            records: 1000,
-            series_per_page: 170,
-            source_fingerprint: 0xDEAD_BEEF,
-            payload_fingerprint: 0xFEED_FACE,
-        };
-        let bytes = h.encode();
-        assert_eq!(CodedHeader::decode(&bytes).unwrap(), h);
-        let mut bad = bytes;
-        bad[0] = b'X';
-        assert!(CodedHeader::decode(&bad).is_err());
-        let mut wrong_version = bytes;
-        wrong_version[8] = 99;
-        assert!(CodedHeader::decode(&wrong_version).is_err());
-    }
-
-    #[test]
     fn conservative_threshold_never_narrows_the_bound() {
         assert_eq!(conservative_threshold(f32::INFINITY, 1.0), f32::INFINITY);
         let t = conservative_threshold(10.0, 0.5);
@@ -538,5 +438,11 @@ mod tests {
         assert_eq!(coded_series_bytes(256, PageCodec::U8), 260);
         assert_eq!(coded_series_bytes(256, PageCodec::F16), 516);
         assert_eq!(page_disk_bytes(16, 256, PageCodec::U8), 8 + 64 + 4096);
+        // 7 full pages of 4 and a last page of 2.
+        assert_eq!(
+            coded_records_bytes(30, 8, 4, PageCodec::U8),
+            7 * page_disk_bytes(4, 8, PageCodec::U8) + page_disk_bytes(2, 8, PageCodec::U8)
+        );
+        assert_eq!(coded_records_bytes(8, 8, 4, PageCodec::U8), 2 * page_disk_bytes(4, 8, PageCodec::U8));
     }
 }

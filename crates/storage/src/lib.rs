@@ -51,5 +51,5 @@ pub mod coded;
 mod mmap;
 pub mod store;
 
-pub use coded::{CodedHeader, CodedPage, PageCodec, CODED_HEADER_BYTES};
+pub use coded::{CodedPage, PageCodec};
 pub use store::{FileIoMode, FileSpan, IoSnapshot, SeriesRead, SeriesStore, StorageConfig};

@@ -11,8 +11,8 @@ use parking_lot::Mutex;
 use crate::backing::{Backing, FileBacked};
 use crate::buffer::{BufferPool, Frame};
 use crate::coded::{
-    coded_series_bytes, conservative_threshold, page_disk_bytes, CodedHeader, CodedPage,
-    PageCodec, PageCodes, CODED_HEADER_BYTES,
+    coded_records_bytes, coded_series_bytes, conservative_threshold, page_disk_bytes, CodedPage,
+    PageCodec, PageCodes,
 };
 
 /// How a file-backed store moves page bytes off disk. Like the pool
@@ -190,8 +190,8 @@ impl AccessState {
 /// Where a record's byte range lives inside a backing file: the series
 /// payload starts `offset` bytes into the file and holds `records`
 /// fixed-length series, contiguous and little-endian (IEEE-754 bit
-/// patterns) — the layout `hydra-persist`'s flat series files and dataset
-/// snapshots both expose.
+/// patterns) — the layout of `hydra-persist`'s dataset snapshots, and so
+/// of its `.series` sidecars.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct FileSpan {
     /// Byte offset of record 0 within the file.
@@ -201,15 +201,16 @@ pub struct FileSpan {
 }
 
 /// The compressed page tier of a file-backed store (codec ≠ f32): the
-/// `HYDRCODE` sidecar holding the encoded pages of the *sealed* region
-/// (records `0..sealed`). A pool miss is a genuine `pread` of the coded
-/// record, so the compressed byte counts are real transfers. Records at or
-/// beyond `sealed` — streaming-ingest tail growth — always go through the
-/// raw path.
+/// sidecar holding the encoded pages of the *sealed* region (records
+/// `0..sealed`) from byte `offset` on. A pool miss is a genuine `pread` of
+/// the coded record, so the compressed byte counts are real transfers.
+/// Records at or beyond `sealed` — streaming-ingest tail growth — always go
+/// through the raw path.
 #[derive(Debug)]
 struct CodedFile {
     file: std::fs::File,
     path: PathBuf,
+    offset: u64,
     sealed: usize,
 }
 
@@ -673,19 +674,19 @@ impl SeriesStore {
         self.coded.as_ref().map_or(0, |tier| tier.sealed)
     }
 
-    /// Attaches the `HYDRCODE` sidecar at `path` as the compressed page
-    /// tier of a **file-backed** store, sealing the span records. The
-    /// sidecar's header must agree with this store's codec, series length,
-    /// span size and page grouping (it was written for exactly this
-    /// layout; `hydra-persist` rebuilds it otherwise).
+    /// Attaches the coded sidecar at `path`, whose page records start at
+    /// byte `offset`, as the compressed page tier of a **file-backed**
+    /// store, sealing the span records. `hydra-persist` wrote and
+    /// validated the sidecar for exactly this store's codec, series
+    /// length, span size and page grouping; the store reads no header and
+    /// checks only that the file holds the page records.
     ///
     /// # Errors
     /// [`Error::InvalidParameter`] on a resident store (it holds the exact
     /// values already; a coded copy could only simulate byte counts) or
     /// under the f32 codec; [`Error::Storage`] if the sidecar cannot be
-    /// opened, has a foreign header, or is shorter than its page records
-    /// require.
-    pub fn attach_coded_file(&mut self, path: &Path) -> Result<()> {
+    /// opened or is shorter than `offset` plus its page records.
+    pub fn attach_coded_file(&mut self, path: &Path, offset: u64) -> Result<()> {
         if self.config.codec == PageCodec::F32 {
             return Err(Error::InvalidParameter(
                 "the f32 codec has no coded tier to attach".into(),
@@ -696,38 +697,11 @@ impl SeriesStore {
                 "resident stores have no coded tier".into(),
             ));
         }
-        let span_records = self.backing.span_records();
-        use std::os::unix::fs::FileExt;
+        let sealed = self.backing.span_records();
+        let pages = coded_records_bytes(sealed, self.series_len, self.spp, self.config.codec);
+        let needed = offset.saturating_add(pages);
         let file = std::fs::File::open(path)
             .map_err(|e| Error::Storage(format!("cannot open {}: {e}", path.display())))?;
-        let mut header = [0u8; CODED_HEADER_BYTES as usize];
-        file.read_exact_at(&mut header, 0)
-            .map_err(|e| Error::Storage(format!("cannot read {}: {e}", path.display())))?;
-        let header = CodedHeader::decode(&header)?;
-        let spp = self.spp as u64;
-        if header.codec != self.config.codec
-            || header.series_len != self.series_len as u64
-            || header.records != span_records as u64
-            || header.series_per_page != spp
-        {
-            return Err(Error::Storage(format!(
-                "{} was coded for a different layout (codec {}, len {}, {} records, {} series/page)",
-                path.display(),
-                header.codec.name(),
-                header.series_len,
-                header.records,
-                header.series_per_page,
-            )));
-        }
-        let full_pages = (span_records as u64) / spp;
-        let tail_records = span_records as u64 - full_pages * spp;
-        let needed = CODED_HEADER_BYTES
-            + full_pages * page_disk_bytes(spp as usize, self.series_len, self.config.codec)
-            + if tail_records > 0 {
-                page_disk_bytes(tail_records as usize, self.series_len, self.config.codec)
-            } else {
-                0
-            };
         let actual = file
             .metadata()
             .map_err(|e| Error::Storage(format!("cannot stat {}: {e}", path.display())))?
@@ -741,7 +715,8 @@ impl SeriesStore {
         self.coded = Some(CodedFile {
             file,
             path: path.to_path_buf(),
-            sealed: span_records,
+            offset,
+            sealed,
         });
         Ok(())
     }
@@ -763,7 +738,7 @@ impl SeriesStore {
             let bytes = page_disk_bytes(count, self.series_len, codec);
             let mut buf = vec![0u8; bytes as usize];
             tier.file
-                .read_exact_at(&mut buf, CODED_HEADER_BYTES + page * stride)
+                .read_exact_at(&mut buf, tier.offset + page * stride)
                 .unwrap_or_else(|e| {
                     panic!(
                         "coded series store: reading page {page} of {} failed: {e}",
@@ -2029,32 +2004,23 @@ mod tests {
         (accepted, stats)
     }
 
-    /// Writes the `HYDRCODE` sidecar for `d` under `codec`, page-grouped
-    /// exactly as a store with `config` would group its raw pages.
+    /// Where [`write_coded_sidecar`]'s page records start: the bytes before
+    /// stand in for the header `hydra-persist` writes there.
+    const SIDECAR_OFFSET: u64 = 24;
+
+    /// Writes a coded sidecar for `d` under `codec`, page-grouped exactly
+    /// as a store with `config` would group its raw pages.
     fn write_coded_sidecar(d: &Dataset, config: &StorageConfig, path: &Path) {
         let len = d.series_len();
         let spp = (config.page_bytes as usize / (4 * len)).max(1);
-        let flat = d.as_flat();
-        let n = flat.len() / len;
-        let mut bytes = CodedHeader {
-            codec: config.codec,
-            series_len: len as u64,
-            records: n as u64,
-            series_per_page: spp as u64,
-            source_fingerprint: 0,
-            payload_fingerprint: 0,
-        }
-        .encode()
-        .to_vec();
-        for page in 0..n.div_ceil(spp) {
-            let lo = page * spp * len;
-            let hi = ((page + 1) * spp).min(n) * len;
-            bytes.extend_from_slice(&CodedPage::encode(&flat[lo..hi], len, config.codec).to_disk_bytes());
+        let mut bytes = vec![0xAB; SIDECAR_OFFSET as usize];
+        for page in d.as_flat().chunks(spp * len) {
+            bytes.extend_from_slice(&CodedPage::encode(page, len, config.codec).to_disk_bytes());
         }
         std::fs::write(path, &bytes).unwrap();
     }
 
-    /// A file-backed store over `d` with its `HYDRCODE` sidecar attached
+    /// A file-backed store over `d` with its coded sidecar attached
     /// (sealing every record), plus both paths for cleanup.
     fn coded_file_store(
         d: &Dataset,
@@ -2064,7 +2030,7 @@ mod tests {
         let (mut store, flat) = file_store_of(d, 0, config, name);
         let sidecar = flat.with_extension(config.codec.name());
         write_coded_sidecar(d, &config, &sidecar);
-        store.attach_coded_file(&sidecar).unwrap();
+        store.attach_coded_file(&sidecar, SIDECAR_OFFSET).unwrap();
         assert_eq!(store.sealed(), d.len());
         (store, [flat, sidecar])
     }
@@ -2413,36 +2379,37 @@ mod tests {
             bytes.extend_from_slice(&v.to_bits().to_le_bytes());
         }
         std::fs::write(&flat, &bytes).unwrap();
-        let mut store = SeriesStore::file_backed(
-            &flat,
-            FileSpan { offset: 0, records: 30 },
-            8,
-            config.clone(),
-        )
-        .unwrap();
+        let open = |codec| {
+            let config = config.clone().with_page_codec(codec);
+            SeriesStore::file_backed(&flat, FileSpan { offset: 0, records: 30 }, 8, config).unwrap()
+        };
+        let mut store = open(PageCodec::U8);
 
-        // Sidecar coded for a different codec.
+        // A sidecar of a narrower codec is too short for this store's pages.
         let sidecar = dir.join(format!("hydra-storage-badcoded-{}.f16", std::process::id()));
-        write_coded_sidecar(&d, &config.clone().with_page_codec(PageCodec::F16), &sidecar);
-        assert!(store.attach_coded_file(&sidecar).is_err());
+        write_coded_sidecar(&d, &config, &sidecar);
+        assert!(open(PageCodec::F16).attach_coded_file(&sidecar, SIDECAR_OFFSET).is_err());
 
-        // Truncated payload.
+        // Truncated payload, or an offset past where the pages start.
         let good = dir.join(format!("hydra-storage-badcoded-{}.u8", std::process::id()));
         write_coded_sidecar(&d, &config, &good);
         let full = std::fs::read(&good).unwrap();
+        assert!(store.attach_coded_file(&good, SIDECAR_OFFSET + 1).is_err());
         std::fs::write(&good, &full[..full.len() - 1]).unwrap();
-        assert!(store.attach_coded_file(&good).is_err());
+        assert!(store.attach_coded_file(&good, SIDECAR_OFFSET).is_err());
 
         // Restored, it attaches.
         std::fs::write(&good, &full).unwrap();
-        store.attach_coded_file(&good).unwrap();
+        store.attach_coded_file(&good, SIDECAR_OFFSET).unwrap();
         assert_eq!(store.sealed(), 30);
 
-        // Header byte-layout sanity: total size is header + page records.
-        assert_eq!(
-            full.len() as u64,
-            CODED_HEADER_BYTES + 7 * page_disk_bytes(4, 8, PageCodec::U8) + page_disk_bytes(2, 8, PageCodec::U8),
-        );
+        // A resident store and the f32 codec have no coded tier.
+        let mut resident = SeriesStore::from_dataset(&d, config.clone()).unwrap();
+        assert!(resident.attach_coded_file(&good, SIDECAR_OFFSET).is_err());
+        assert!(open(PageCodec::F32).attach_coded_file(&good, SIDECAR_OFFSET).is_err());
+
+        // Byte-layout sanity: the file is the offset plus the page records.
+        assert_eq!(full.len() as u64, SIDECAR_OFFSET + coded_records_bytes(30, 8, 4, PageCodec::U8));
         std::fs::remove_file(&flat).ok();
         std::fs::remove_file(&sidecar).ok();
         std::fs::remove_file(&good).ok();

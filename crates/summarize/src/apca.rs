@@ -1,15 +1,12 @@
-//! Adaptive Piecewise Constant Approximation (APCA) and its extended form
-//! EAPCA.
+//! The segment synopses of EAPCA, the extended Adaptive Piecewise Constant
+//! Approximation.
 //!
 //! APCA (Chakrabarti et al.) represents a series with `l` variable-length
 //! segments, each summarized by its mean. EAPCA (Wang et al., the DSTree
 //! paper) additionally stores the standard deviation of each segment, which
-//! gives the DSTree both a lower- and an upper-bounding distance.
-//!
-//! The adaptive segmentation implemented here follows the classic
-//! bottom-up merge strategy: start from single-point segments and repeatedly
-//! merge the adjacent pair whose merge increases the within-segment variance
-//! the least, until `l` segments remain.
+//! gives the DSTree both a lower- and an upper-bounding distance. The
+//! DSTree chooses its segments itself (uniform at the root, refined by
+//! splits), so this module computes only the per-segment statistics.
 
 /// A segment `[start, end)` of a series.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -76,58 +73,6 @@ pub fn uniform_segments(series_len: usize, count: usize) -> Vec<Segment> {
         .collect()
 }
 
-/// Adaptive (APCA-style) segmentation of `series` into at most
-/// `target_segments` variable-length segments, chosen to minimize the total
-/// within-segment squared error via bottom-up merging.
-pub fn adaptive_segments(series: &[f32], target_segments: usize) -> Vec<Segment> {
-    let n = series.len();
-    let target = target_segments.clamp(1, n.max(1));
-    if n == 0 {
-        return vec![];
-    }
-    // Start with one segment per point; merge greedily.
-    let mut segments: Vec<Segment> = (0..n)
-        .map(|i| Segment {
-            start: i,
-            end: i + 1,
-        })
-        .collect();
-    while segments.len() > target {
-        // Find the adjacent pair whose merge has the smallest SSE increase.
-        let mut best = 0usize;
-        let mut best_cost = f32::INFINITY;
-        for i in 0..segments.len() - 1 {
-            let merged = Segment {
-                start: segments[i].start,
-                end: segments[i + 1].end,
-            };
-            let cost = sse(series, merged) - sse(series, segments[i]) - sse(series, segments[i + 1]);
-            if cost < best_cost {
-                best_cost = cost;
-                best = i;
-            }
-        }
-        segments[best].end = segments[best + 1].end;
-        segments.remove(best + 1);
-    }
-    segments
-}
-
-/// APCA representation: adaptive segments plus their means.
-pub fn apca(series: &[f32], target_segments: usize) -> Vec<(Segment, f32)> {
-    adaptive_segments(series, target_segments)
-        .into_iter()
-        .map(|seg| (seg, segment_stats(series, seg).mean))
-        .collect()
-}
-
-fn sse(series: &[f32], seg: Segment) -> f32 {
-    let slice = &series[seg.start..seg.end];
-    let n = slice.len() as f32;
-    let mean = slice.iter().sum::<f32>() / n;
-    slice.iter().map(|v| (v - mean) * (v - mean)).sum()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -165,36 +110,5 @@ mod tests {
         assert_eq!(stats.len(), 3);
         assert!((stats[0].mean - 1.5).abs() < 1e-6);
         assert!((stats[2].mean - 9.5).abs() < 1e-6);
-    }
-
-    #[test]
-    fn adaptive_segmentation_finds_the_step() {
-        // A step function: the adaptive segmentation with 2 segments should
-        // split exactly at the step.
-        let mut s = vec![0.0f32; 10];
-        s.extend(vec![10.0f32; 6]);
-        let segs = adaptive_segments(&s, 2);
-        assert_eq!(segs.len(), 2);
-        assert_eq!(segs[0], Segment { start: 0, end: 10 });
-        assert_eq!(segs[1], Segment { start: 10, end: 16 });
-    }
-
-    #[test]
-    fn apca_means_follow_segments() {
-        let mut s = vec![1.0f32; 4];
-        s.extend(vec![5.0f32; 4]);
-        let rep = apca(&s, 2);
-        assert_eq!(rep.len(), 2);
-        assert!((rep[0].1 - 1.0).abs() < 1e-6);
-        assert!((rep[1].1 - 5.0).abs() < 1e-6);
-    }
-
-    #[test]
-    fn adaptive_segments_degenerate_inputs() {
-        assert!(adaptive_segments(&[], 4).is_empty());
-        let one = adaptive_segments(&[1.0], 4);
-        assert_eq!(one, vec![Segment { start: 0, end: 1 }]);
-        let clamped = adaptive_segments(&[1.0, 2.0, 3.0], 1);
-        assert_eq!(clamped, vec![Segment { start: 0, end: 3 }]);
     }
 }

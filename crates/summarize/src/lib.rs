@@ -4,8 +4,9 @@
 //! similarity search methods of the Lernaean Hydra study:
 //!
 //! * [`mod@paa`] — Piecewise Aggregate Approximation, the first step of SAX.
-//! * [`apca`] — Adaptive Piecewise Constant Approximation and its extended
-//!   variant EAPCA (mean + standard deviation per segment) used by DSTree.
+//! * [`apca`] — the segment synopses of EAPCA, the extended Adaptive
+//!   Piecewise Constant Approximation (mean + standard deviation per
+//!   segment) used by DSTree.
 //! * [`sax`] — Symbolic Aggregate approXimation and the indexable iSAX
 //!   representation with variable per-segment cardinality.
 //! * [`dft`] — Discrete Fourier Transform summarization (the paper's

@@ -246,6 +246,73 @@ fn out_of_core_boot_writes_reusable_sidecars_for_tree_indexes() {
     std::fs::remove_dir_all(&dir).ok();
 }
 
+/// A file-backed boot rebuilds every sidecar it cannot reuse — one in the
+/// 64-byte-header layout earlier builds wrote (magic `HYDR` + `FLAT` at a
+/// `.series` path, `HYDR` + `CODE` at a `.u8` path), or a coded sidecar
+/// written for another codec or page size — and then answers exactly as it
+/// did over the sidecars it wrote itself.
+#[test]
+fn stale_or_foreign_sidecars_are_rebuilt_and_answer_identically() {
+    let dir = common::temp_dir("ooc-stale-sidecars");
+    let (data, _) = ooc_scenario(&dir);
+    let zoo = hydra::zoo(StorageConfig::on_disk(), 5);
+    let saved = common::for_each_method(&zoo, |method| method.kind() == "dstree", |method| {
+        method.build(&data).unwrap().save(&common::snapshot_path(&dir, "walk", method.kind())).unwrap();
+    });
+    assert_eq!(saved, 1);
+    let u8_pages = StorageConfig::on_disk().with_pool_pages(2).with_page_codec(hydra::PageCodec::U8);
+    let boot = |storage: StorageConfig| {
+        let registry = hydra::standard_registry(storage, 5);
+        boot_from_dir_with(&dir, &registry, BootOptions { file_backed: true }).unwrap()
+    };
+    let queries = hydra::data::noisy_queries(&data, 4, &[0.1], 9);
+    let answers = |storage| {
+        let booted = boot(storage);
+        let index = &booted.indexes[0].index;
+        let params = [SearchParams::exact(common::K), SearchParams::epsilon(common::K, 1.0)];
+        let answer = |(q, p): (&[f32], &SearchParams)| index.search(q, p).unwrap().neighbors;
+        queries.iter().flat_map(|q| params.iter().map(move |p| (q, p))).map(answer).collect::<Vec<_>>()
+    };
+    let want = answers(u8_pages);
+    let series = dir.join("walk-dstree.snap.series");
+    let coded = dir.join("walk-dstree.snap.series.u8");
+    let [series_bytes, coded_bytes] = [&series, &coded].map(|path| std::fs::read(path).unwrap());
+    // The earlier layouts: an 8-byte magic, a version of 1 (and a codec tag
+    // of 1, u8, at byte 12), zeros to byte 64, then the same payload.
+    let earlier = |magic: &[u8; 4], tag: u8, payload: &[u8]| {
+        let mut bytes = [&b"HYDR"[..], magic].concat();
+        bytes.extend_from_slice(&[1, 0, 0, 0, tag]);
+        bytes.resize(64, 0);
+        [bytes, payload.to_vec()].concat()
+    };
+    let f16 = dir.join("walk-dstree.snap.series.f16");
+    answers(u8_pages.with_page_codec(hydra::PageCodec::F16));
+    let other_pages = StorageConfig { page_bytes: 32 * 1024, ..u8_pages };
+    let plants: [(&str, &dyn Fn()); 4] = [
+        ("an earlier .series layout", &|| {
+            std::fs::write(&series, earlier(b"FLAT", 0, &series_bytes[73..])).unwrap();
+        }),
+        ("an earlier .u8 layout", &|| {
+            std::fs::write(&coded, earlier(b"CODE", 1, &coded_bytes[74..])).unwrap();
+        }),
+        ("an f16 sidecar at the .u8 path", &|| {
+            std::fs::copy(&f16, &coded).unwrap();
+        }),
+        ("a u8 sidecar of 32 KiB pages", &|| drop(answers(other_pages))),
+    ];
+    for (stale, plant) in plants {
+        plant();
+        let planted = [&series, &coded].map(|path| std::fs::read(path).unwrap());
+        assert_ne!(planted, [series_bytes.clone(), coded_bytes.clone()], "{stale}");
+        for (got, want) in answers(u8_pages).iter().zip(&want) {
+            common::assert_same_neighbors(&format!("after {stale}"), got, want);
+        }
+        assert_eq!(std::fs::read(&series).unwrap(), series_bytes, "{stale}: .series rebuilt");
+        assert_eq!(std::fs::read(&coded).unwrap(), coded_bytes, "{stale}: .u8 rebuilt");
+    }
+    std::fs::remove_dir_all(&dir).ok();
+}
+
 /// The draws' seeds: the axes' stream is the first whose sixteen draws hold
 /// a sharded × grown and a grown × file-backed u8 variant; the batches'
 /// stream is the first whose draws hold a file-backed batch on one worker

@@ -150,3 +150,27 @@ fn load_dataset_peaks_at_one_payload_plus_the_stream_chunk() {
     );
     std::fs::remove_dir_all(&dir).ok();
 }
+
+/// Saving streams the values to the file a block at a time: the payload is
+/// never copied into a section buffer or a file image first.
+#[test]
+fn save_dataset_streams_within_two_stream_chunks() {
+    use hydra::persist::dataset::{load_dataset, save_dataset};
+    use hydra::persist::STREAM_CHUNK_BYTES;
+    let _meter = METER.lock().unwrap_or_else(|e| e.into_inner());
+    let dir = common::temp_dir("save-dataset-peak");
+    let data = hydra::data::random_walk(2_000, 512, 780);
+    let snapshot = dir.join("walk.data.snap");
+
+    hydra_obs::reset_heap_peak();
+    let live = hydra_obs::heap_live_bytes();
+    save_dataset(&data, &snapshot).unwrap();
+    let delta = hydra_obs::heap_peak_bytes() - live;
+    assert_eq!(load_dataset(&snapshot).unwrap(), data);
+    assert!(
+        delta <= 2 * STREAM_CHUNK_BYTES,
+        "saving a {}-byte payload peaked at {delta} heap bytes",
+        data.len() * data.series_len() * 4
+    );
+    std::fs::remove_dir_all(&dir).ok();
+}
