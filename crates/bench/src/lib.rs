@@ -21,6 +21,7 @@
 use std::path::{Path, PathBuf};
 use std::time::Instant;
 
+use hydra::persist::layout;
 use hydra::prelude::*;
 use hydra::{AnnIndex, Dataset};
 use hydra_serve::cli::{fail, non_empty, parse, positive, Flag, StorageFlags};
@@ -126,28 +127,6 @@ pub struct BuiltMethod {
     pub loaded: bool,
 }
 
-/// The snapshot file one method of one dataset maps to: lowercase
-/// alphanumerics (and dashes) of the dataset name and the index kind tag,
-/// e.g. `rand256-isax2.snap`.
-pub fn snapshot_file(dir: &Path, dataset: &str, kind: &str) -> PathBuf {
-    dir.join(format!("{}-{}.snap", sanitize(dataset), sanitize(kind)))
-}
-
-/// The snapshot file a dataset itself maps to (`rand256.data.snap`) —
-/// written alongside the index snapshots by `--save-index` so a
-/// `hydra-serve` process can boot the directory without regenerating any
-/// data.
-pub fn dataset_snapshot_file(dir: &Path, dataset: &str) -> PathBuf {
-    dir.join(format!("{}.data.snap", sanitize(dataset)))
-}
-
-fn sanitize(s: &str) -> String {
-    s.chars()
-        .filter(|c| c.is_ascii_alphanumeric() || *c == '-')
-        .collect::<String>()
-        .to_ascii_lowercase()
-}
-
 /// Obtains one index: loads it from `flags.load_index` (hard error if the
 /// snapshot is missing, damaged, or fingerprint-mismatched — a serving run
 /// must never silently fall back to a rebuild), or builds it and, with
@@ -164,8 +143,8 @@ fn obtain(
 ) -> BuiltMethod {
     let kind = method.kind();
     if let Some(dir) = &flags.load_index {
-        let path = snapshot_file(dir, dataset_name, kind);
-        let data_snap = dataset_snapshot_file(dir, dataset_name);
+        let path = layout::index_snapshot(dir, dataset_name, kind);
+        let data_snap = layout::dataset_snapshot(dir, dataset_name);
         let backing = if flags.storage.out_of_core {
             hydra::StoreBacking::FileBacked {
                 // Directories saved by `--save-index` always hold the
@@ -200,7 +179,7 @@ fn obtain(
     };
     let build_seconds = t.elapsed().as_secs_f64();
     if let Some(dir) = &flags.save_index {
-        let path = snapshot_file(dir, dataset_name, kind);
+        let path = layout::index_snapshot(dir, dataset_name, kind);
         index.save(&path).unwrap_or_else(|e| {
             fail(&format!(
                 "cannot save {kind} snapshot to {}: {e}",
@@ -279,7 +258,7 @@ pub fn build_or_load_methods(
         return build_or_load_methods_sharded(dataset_name, data, in_memory, seed, flags);
     }
     if let Some(dir) = &flags.save_index {
-        let path = dataset_snapshot_file(dir, dataset_name);
+        let path = layout::dataset_snapshot(dir, dataset_name);
         hydra::persist::dataset::save_dataset(data, &path).unwrap_or_else(|e| {
             let path = path.display();
             fail(&format!(
@@ -316,13 +295,12 @@ fn build_or_load_methods_sharded(
                 let (n, shards) = (data.len(), flags.shards);
                 fail(&format!("cannot split {dataset_name} ({n} series) into {shards} shards: {e}"))
             });
-    let shard_dir = |dir: &PathBuf, s: usize| dir.join(format!("shard-{s}"));
     let mut per_shard: Vec<Vec<BuiltMethod>> = Vec::with_capacity(flags.shards);
     for (s, shard) in shard_data.iter().enumerate() {
         let sub = BenchFlags {
             shards: 1,
-            save_index: flags.save_index.as_ref().map(|d| shard_dir(d, s)),
-            load_index: flags.load_index.as_ref().map(|d| shard_dir(d, s)),
+            save_index: flags.save_index.as_ref().map(|d| layout::shard_dir(d, s)),
+            load_index: flags.load_index.as_ref().map(|d| layout::shard_dir(d, s)),
             ..flags.clone()
         };
         if let Some(dir) = &sub.save_index {
@@ -974,9 +952,9 @@ mod tests {
         // Each shard directory is a complete bootable snapshot directory:
         // a dataset snapshot plus every method of the scenario.
         for s in 0..2 {
-            let shard = dir.join(format!("shard-{s}"));
-            assert!(dataset_snapshot_file(&shard, d.name).exists());
-            assert!(snapshot_file(&shard, d.name, "dstree").exists());
+            let shard = layout::shard_dir(&dir, s);
+            assert!(layout::dataset_snapshot(&shard, d.name).exists());
+            assert!(layout::index_snapshot(&shard, d.name, "dstree").exists());
         }
         // Loading the sharded zoo back reports loaded methods with answers
         // identical to the freshly built sharded zoo.
@@ -1152,16 +1130,6 @@ mod tests {
         }
         std::fs::remove_dir_all(&full_dir).ok();
         std::fs::remove_dir_all(&split_dir).ok();
-    }
-
-    #[test]
-    fn snapshot_file_names_are_filesystem_safe_and_distinct() {
-        let dir = Path::new("/snaps");
-        let isax = snapshot_file(dir, "rand256", "isax2+");
-        assert_eq!(isax, Path::new("/snaps/rand256-isax2.snap"));
-        let va = snapshot_file(dir, "sift-like", "va+file");
-        assert_eq!(va, Path::new("/snaps/sift-like-vafile.snap"));
-        assert_ne!(isax, snapshot_file(dir, "rand256", "dstree"));
     }
 
     #[test]

@@ -5,12 +5,13 @@
 //! scan — the only method guaranteed correct independently of any index
 //! implementation, which is why the harness uses it as the yardstick.
 
-use std::path::{Path, PathBuf};
+use std::path::Path;
 
 use hydra_core::workers::{answer_on_workers, batch_workers};
 use hydra_core::{Dataset, Neighbor, TopK};
 use hydra_persist::{
-    fingerprint_dataset, Fingerprint, PersistError, Section, SnapshotReader, SnapshotWriter,
+    fingerprint_dataset, layout, Fingerprint, PersistError, Section, SnapshotReader,
+    SnapshotWriter,
 };
 
 use crate::queries::QueryWorkload;
@@ -86,19 +87,6 @@ pub fn ground_truth_fingerprint(dataset: &Dataset, workload: &QueryWorkload, k: 
     f.finish()
 }
 
-/// The cache file a given computation maps to inside `cache_dir`.
-pub fn ground_truth_cache_file(
-    cache_dir: &Path,
-    dataset: &Dataset,
-    workload: &QueryWorkload,
-    k: usize,
-) -> PathBuf {
-    cache_dir.join(format!(
-        "gt-{:016x}.snap",
-        ground_truth_fingerprint(dataset, workload, k)
-    ))
-}
-
 /// [`ground_truth`] with an on-disk cache: answers are served from
 /// `cache_dir` when a snapshot keyed by the dataset/query/`k` fingerprint
 /// exists, and computed-then-cached otherwise.
@@ -116,8 +104,8 @@ pub fn ground_truth_cached(
     k: usize,
     cache_dir: &Path,
 ) -> (GroundTruth, bool) {
-    let path = ground_truth_cache_file(cache_dir, dataset, workload, k);
     let fingerprint = ground_truth_fingerprint(dataset, workload, k);
+    let path = layout::ground_truth_cache(cache_dir, fingerprint);
     if let Ok(truth) = read_ground_truth(&path, fingerprint, dataset.len(), workload.len(), k) {
         return (truth, true);
     }
@@ -312,12 +300,11 @@ mod tests {
         let d2 = random_walk(120, 16, 22);
         let w = noisy_queries(&d, 4, &[0.1], 23);
         let w2 = noisy_queries(&d, 4, &[0.2], 24);
-        let dir = std::path::Path::new("/tmp");
-        let base = ground_truth_cache_file(dir, &d, &w, 5);
-        assert_ne!(base, ground_truth_cache_file(dir, &d2, &w, 5));
-        assert_ne!(base, ground_truth_cache_file(dir, &d, &w2, 5));
-        assert_ne!(base, ground_truth_cache_file(dir, &d, &w, 6));
-        assert_eq!(base, ground_truth_cache_file(dir, &d, &w, 5));
+        let base = ground_truth_fingerprint(&d, &w, 5);
+        assert_ne!(base, ground_truth_fingerprint(&d2, &w, 5));
+        assert_ne!(base, ground_truth_fingerprint(&d, &w2, 5));
+        assert_ne!(base, ground_truth_fingerprint(&d, &w, 6));
+        assert_eq!(base, ground_truth_fingerprint(&d, &w, 5));
     }
 
     #[test]
@@ -328,7 +315,7 @@ mod tests {
         let (_, hit) = ground_truth_cached(&d, &w, 4, &dir);
         assert!(!hit);
         // Damage the cached file: flip a payload byte.
-        let path = ground_truth_cache_file(&dir, &d, &w, 4);
+        let path = layout::ground_truth_cache(&dir, ground_truth_fingerprint(&d, &w, 4));
         let mut bytes = std::fs::read(&path).unwrap();
         let last = bytes.len() - 1;
         bytes[last] ^= 0xFF;

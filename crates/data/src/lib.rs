@@ -35,8 +35,8 @@ pub mod queries;
 
 pub use generators::{deep_like, mri_like, random_walk, seismic_like, sift_like, DatasetKind};
 pub use ground_truth::{
-    exact_knn, exact_knn_batch, ground_truth, ground_truth_cache_file, ground_truth_cached,
-    ground_truth_fingerprint, GroundTruth, GROUND_TRUTH_KIND,
+    exact_knn, exact_knn_batch, ground_truth, ground_truth_cached, ground_truth_fingerprint,
+    GroundTruth, GROUND_TRUTH_KIND,
 };
 pub use partition::{partition, PartitionScheme, ShardMap};
 pub use queries::{noisy_queries, sample_queries, QueryWorkload};

@@ -11,58 +11,35 @@ use std::time::Duration;
 
 /// The pipeline stages a query can pass through, in execution order.
 ///
-/// Single-process serving uses enqueue → batch-group → per-shard search
-/// → write; the router adds fan-out and merge; offline eval runners use
-/// the search (and fan-out, when threaded) stages only. Stages a query
-/// never entered simply stay at zero.
+/// Single-process serving records enqueue → per-shard search → write;
+/// offline eval runners record the search stage, plus fan-out when
+/// threaded. The router records no stages (its per-worker call time is
+/// `hydra_router_worker_call_micros`). Stages a query never entered
+/// simply stay at zero.
 #[derive(Clone, Copy, Debug, PartialEq, Eq, Hash)]
 pub enum Stage {
-    /// Waiting in the batcher queue (or router inbox) before any work.
+    /// Waiting in the batcher queue before any work.
     Enqueue,
-    /// Grouping the drained batch by (index, parameter key).
-    BatchGroup,
     /// Dispatching to workers/threads and waiting for the slowest.
     FanOut,
     /// The actual per-shard (or single-index) similarity search.
     ShardSearch,
-    /// Merging per-shard top-k answers into the global top-k.
-    Merge,
     /// Encoding and writing the response frame.
     Write,
 }
 
 impl Stage {
     /// Every stage, in pipeline order (the order trace consumers print).
-    pub const ALL: [Stage; 6] = [
-        Stage::Enqueue,
-        Stage::BatchGroup,
-        Stage::FanOut,
-        Stage::ShardSearch,
-        Stage::Merge,
-        Stage::Write,
-    ];
+    pub const ALL: [Stage; 4] = [Stage::Enqueue, Stage::FanOut, Stage::ShardSearch, Stage::Write];
 
     /// Stable lowercase name used in metric labels, CSV rows, and the
     /// slow-query log.
     pub fn name(self) -> &'static str {
         match self {
             Stage::Enqueue => "enqueue",
-            Stage::BatchGroup => "batch_group",
             Stage::FanOut => "fan_out",
             Stage::ShardSearch => "shard_search",
-            Stage::Merge => "merge",
             Stage::Write => "write",
-        }
-    }
-
-    fn index(self) -> usize {
-        match self {
-            Stage::Enqueue => 0,
-            Stage::BatchGroup => 1,
-            Stage::FanOut => 2,
-            Stage::ShardSearch => 3,
-            Stage::Merge => 4,
-            Stage::Write => 5,
         }
     }
 }
@@ -103,7 +80,7 @@ pub struct StageSpan {
 /// One query's (or one workload's) per-stage breakdown.
 #[derive(Clone, Debug, Default, PartialEq, Eq)]
 pub struct QueryTrace {
-    spans: [StageSpan; 6],
+    spans: [StageSpan; 4],
 }
 
 impl QueryTrace {
@@ -114,7 +91,7 @@ impl QueryTrace {
 
     /// Records one completed pass through `stage`.
     pub fn record(&mut self, stage: Stage, elapsed: Duration) {
-        let span = &mut self.spans[stage.index()];
+        let span = &mut self.spans[stage as usize];
         span.calls += 1;
         span.nanos += elapsed.as_nanos().min(u128::from(u64::MAX)) as u64;
     }
@@ -122,13 +99,13 @@ impl QueryTrace {
     /// Attributes I/O to `stage` (does not bump `calls` — pair with
     /// [`QueryTrace::record`] for the timing half).
     pub fn record_io(&mut self, stage: Stage, io: StageIo) {
-        self.spans[stage.index()].io.merge(&io);
+        self.spans[stage as usize].io.merge(&io);
     }
 
     /// Adds another trace into this one, stage by stage.
     pub fn merge(&mut self, other: &QueryTrace) {
         for stage in Stage::ALL {
-            let i = stage.index();
+            let i = stage as usize;
             self.spans[i].calls += other.spans[i].calls;
             self.spans[i].nanos += other.spans[i].nanos;
             self.spans[i].io.merge(&other.spans[i].io);
@@ -137,12 +114,12 @@ impl QueryTrace {
 
     /// The span for one stage.
     pub fn span(&self, stage: Stage) -> StageSpan {
-        self.spans[stage.index()]
+        self.spans[stage as usize]
     }
 
     /// All `(stage, span)` pairs in pipeline order.
     pub fn spans(&self) -> impl Iterator<Item = (Stage, StageSpan)> + '_ {
-        Stage::ALL.iter().map(move |&s| (s, self.spans[s.index()]))
+        Stage::ALL.iter().map(move |&s| (s, self.spans[s as usize]))
     }
 
     /// True when nothing was ever recorded.
@@ -196,13 +173,13 @@ mod tests {
         let mut b = QueryTrace::new();
         b.record(Stage::ShardSearch, Duration::from_nanos(50));
         b.record_io(Stage::ShardSearch, StageIo { bytes_read: 1024, random_ios: 0, sequential_ios: 3 });
-        b.record(Stage::Merge, Duration::from_nanos(7));
+        b.record(Stage::Write, Duration::from_nanos(7));
         a.merge(&b);
         let s = a.span(Stage::ShardSearch);
         assert_eq!(s.calls, 2);
         assert_eq!(s.nanos, 150);
         assert_eq!(s.io, StageIo { bytes_read: 5120, random_ios: 2, sequential_ios: 4 });
-        assert_eq!(a.span(Stage::Merge).calls, 1);
+        assert_eq!(a.span(Stage::Write).calls, 1);
     }
 
     #[test]

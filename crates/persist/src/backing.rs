@@ -33,12 +33,10 @@ use hydra_core::workers::{answer_on_workers, batch_workers, fill_rows};
 use hydra_core::{Dataset, DistanceHistogram, Error, QueryStats, StoreCounters};
 use hydra_storage::{FileSpan, PageCodec, SeriesStore, StorageConfig};
 
-use crate::dataset::{
-    coded_sidecar_path, dataset_flat_region, ensure_coded_series, ensure_flat_series,
-    sidecar_series_path, FlatSpan,
-};
+use crate::dataset::{dataset_flat_region, ensure_coded_series, ensure_flat_series, FlatSpan};
 use crate::error::{PersistError, Result};
 use crate::fingerprint::{fingerprint_dataset, SeriesFingerprinter};
+use crate::layout::{coded_sidecar_path, sidecar_series_path};
 use crate::stream::DataSource;
 use crate::StoreBacking;
 
@@ -768,7 +766,7 @@ mod tests {
     fn permuted_store_serves_identical_series_under_both_backings() {
         let d = sample();
         let snapshot = temp_path("perm.snap");
-        std::fs::remove_file(crate::dataset::sidecar_series_path(&snapshot)).ok();
+        std::fs::remove_file(sidecar_series_path(&snapshot)).ok();
         let mapping: Vec<usize> = (0..10).rev().collect();
         let storage = StorageConfig {
             page_bytes: 32,
@@ -801,7 +799,7 @@ mod tests {
                 ));
             }
         }
-        std::fs::remove_file(crate::dataset::sidecar_series_path(&snapshot)).ok();
+        std::fs::remove_file(sidecar_series_path(&snapshot)).ok();
     }
 
     #[test]
@@ -852,7 +850,7 @@ mod tests {
             Err(PersistError::FingerprintMismatch { .. })
         ));
         std::fs::remove_file(&data_snap).ok();
-        std::fs::remove_file(crate::dataset::sidecar_series_path(&snapshot)).ok();
+        std::fs::remove_file(sidecar_series_path(&snapshot)).ok();
     }
 
     #[test]

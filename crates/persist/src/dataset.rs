@@ -33,7 +33,7 @@
 //!
 //! [`hydra-storage`]: https://docs.rs/hydra-storage
 
-use std::path::{Path, PathBuf};
+use std::path::Path;
 
 use hydra_core::Dataset;
 use hydra_storage::coded::{coded_records_bytes, CodedPage, PageCodec};
@@ -106,14 +106,6 @@ pub fn dataset_flat_region<'a>(path: &Path, source: impl Into<DataSource<'a>>) -
         });
     }
     Ok(handle.flat_span())
-}
-
-/// The `.series` sidecar that caches an index snapshot's store-ordered raw
-/// series: `<snapshot>.series` next to the snapshot itself.
-pub fn sidecar_series_path(snapshot: &Path) -> PathBuf {
-    let mut os = snapshot.as_os_str().to_os_string();
-    os.push(".series");
-    PathBuf::from(os)
 }
 
 /// Content fingerprint of a store's series in *store* order (`order[pos]`
@@ -209,16 +201,6 @@ pub fn ensure_flat_series<'a>(
         records,
         series_len,
     })
-}
-
-/// The coded-page sidecar derived from the flat backing file at `backing`
-/// for a non-f32 codec: `<backing>.<codec>` (e.g. `index.snap.series.u8`).
-/// Each codec gets its own sidecar, so switching serving codecs never
-/// invalidates another codec's cache.
-pub fn coded_sidecar_path(backing: &Path, codec: PageCodec) -> PathBuf {
-    let mut os = backing.as_os_str().to_os_string();
-    os.push(format!(".{}", codec.name()));
-    PathBuf::from(os)
 }
 
 /// Ensures the coded-page sidecar at `path` holds the source's series (in
@@ -487,22 +469,6 @@ mod tests {
         assert!(matches!(ensure_flat_series(&blocked, &d, None), Err(PersistError::Io(_))));
         std::fs::remove_file(blocked.parent().unwrap()).ok();
         std::fs::remove_file(&path).ok();
-    }
-
-    #[test]
-    fn sidecar_path_appends_series_suffix() {
-        assert_eq!(
-            sidecar_series_path(Path::new("/snaps/rand256-isax2.snap")),
-            Path::new("/snaps/rand256-isax2.snap.series")
-        );
-        assert_eq!(
-            coded_sidecar_path(Path::new("/snaps/x.snap.series"), PageCodec::U8),
-            Path::new("/snaps/x.snap.series.u8")
-        );
-        assert_eq!(
-            coded_sidecar_path(Path::new("/snaps/x.snap.series"), PageCodec::F16),
-            Path::new("/snaps/x.snap.series.f16")
-        );
     }
 
     #[test]

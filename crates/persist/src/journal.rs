@@ -45,9 +45,10 @@
 //! never a panic.
 
 use std::io::Write;
-use std::path::{Path, PathBuf};
+use std::path::Path;
 
 use crate::error::{PersistError, Result};
+use crate::layout::journal_path;
 use crate::snapshot::{f32s_from_le, fnv1a64, SectionReader};
 
 /// Magic bytes identifying a Hydra ingest journal.
@@ -55,14 +56,6 @@ pub const JOURNAL_MAGIC: [u8; 8] = *b"HYDRJRNL";
 
 /// The single journal-format version this build writes and reads.
 pub const JOURNAL_VERSION: u32 = 1;
-
-/// The journal that belongs to the base snapshot at `snapshot`:
-/// `<snapshot>.journal` beside it (`x.snap` → `x.snap.journal`).
-pub fn journal_path(snapshot: &Path) -> PathBuf {
-    let mut name = snapshot.as_os_str().to_os_string();
-    name.push(".journal");
-    PathBuf::from(name)
-}
 
 /// Deletes the journal beside `snapshot`, if any — the compaction step
 /// after a full save has folded the increments into a new base.
@@ -107,7 +100,8 @@ impl JournalWriter {
     }
 
     /// Appends one batch as a single record, flushed before returning —
-    /// once this returns `Ok`, the record survives the process.
+    /// once this returns `Ok`, the record survives the process, though not
+    /// a power loss: it is in the page cache, never fsynced.
     ///
     /// # Errors
     /// [`PersistError::Corrupt`] on an empty batch or a series of the
@@ -273,17 +267,10 @@ impl JournalReader {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use std::path::PathBuf;
 
     fn temp_path(name: &str) -> PathBuf {
         std::env::temp_dir().join(format!("hydra-journal-{}-{name}", std::process::id()))
-    }
-
-    #[test]
-    fn journal_path_sits_beside_the_snapshot() {
-        assert_eq!(
-            journal_path(Path::new("/snaps/walk-isax2.snap")),
-            Path::new("/snaps/walk-isax2.snap.journal")
-        );
     }
 
     #[test]

@@ -28,6 +28,9 @@
 //! | one-section payload: a 24-byte shape, then values or page records — the dataset snapshot (`.data.snap`), the `.series` sidecar (a dataset snapshot in store order, values at offset 73) and the coded sidecar (`.u8`, `.f16`: kind `coded-u8`/`coded-f16`, pages at offset 74 and 75) | [`dataset::save_dataset`], [`dataset::ensure_flat_series`], [`dataset::ensure_coded_series`] | `stream::ContainerScan`, behind [`dataset::load_dataset`], [`open_dataset_streaming`], [`dataset::dataset_flat_region`] and both sidecar checks |
 //! | `HYDRJRNL` ingest journal | [`JournalWriter`] | [`JournalReader::open`] |
 //!
+//! Every one of these files is named by [`layout`], which also reads a
+//! name back into what it is: `hydra-serve`'s boot scan matches on that.
+//!
 //! ## What is (and is not) stored
 //!
 //! A snapshot stores the *derived* structure an index spent its build time
@@ -81,6 +84,7 @@ pub mod dataset;
 pub mod error;
 pub mod fingerprint;
 pub mod journal;
+pub mod layout;
 pub mod registry;
 pub mod snapshot;
 pub mod stream;
@@ -97,7 +101,8 @@ pub use fingerprint::{
     fingerprint_dataset, while_fingerprinting, Fingerprint, SeriesFingerprinter,
 };
 pub use dataset::FlatSpan;
-pub use journal::{journal_path, remove_journal, JournalReader, JournalWriter};
+pub use journal::{remove_journal, JournalReader, JournalWriter};
+pub use layout::journal_path;
 pub use registry::{BoxedLoader, LoaderRegistry};
 pub use snapshot::{
     peek_fingerprint, peek_kind, Section, SectionReader, SnapshotReader, SnapshotWriter,

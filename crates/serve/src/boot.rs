@@ -1,14 +1,9 @@
 //! Booting a serving set from a snapshot directory.
 //!
-//! The directory layout is exactly what the figure harness's
-//! `--save-index DIR` produces:
-//!
-//! ```text
-//! DIR/<dataset>.data.snap        one dataset snapshot per collection
-//! DIR/<dataset>-<kind>.snap      one index snapshot per (dataset, method)
-//! DIR/<...>.snap.journal         ingest journals (replayed into their base)
-//! DIR/gt-<fingerprint>.snap      ground-truth caches (ignored here)
-//! ```
+//! The directory is what the figure harness's `--save-index DIR`
+//! produces, as [`hydra::persist::layout`] names it: boot loads what
+//! `layout::classify` calls a dataset or an index, ignores what it calls
+//! known, and lists the rest in [`BootReport::skipped`].
 //!
 //! Every index snapshot is restored through a
 //! [`LoaderRegistry`], re-attaching the raw series of its
@@ -23,25 +18,21 @@
 use std::path::{Path, PathBuf};
 use std::time::Duration;
 
+use hydra::persist::layout::{classify, dataset_for_index, journal_path, Entry};
 use hydra::persist::{
-    dataset::load_dataset, journal_path, open_dataset_streaming, DataSource, DatasetHandle,
-    LoaderRegistry, PersistError, StoreBacking,
+    dataset::load_dataset, open_dataset_streaming, DataSource, DatasetHandle, LoaderRegistry,
+    PersistError, StoreBacking,
 };
 use hydra::Dataset;
 
 use crate::server::ServedIndex;
-
-/// Suffix of dataset snapshots inside a serving directory.
-const DATASET_SUFFIX: &str = ".data.snap";
-/// Suffix of every snapshot file.
-const SNAPSHOT_SUFFIX: &str = ".snap";
 
 /// Why a serving directory could not be booted.
 #[derive(Debug)]
 pub enum BootError {
     /// The directory could not be scanned.
     Io(String),
-    /// The directory holds no `*.data.snap` dataset — there is nothing to
+    /// The directory holds no dataset snapshot — there is nothing to
     /// re-attach index snapshots to.
     NoDatasets(PathBuf),
     /// A dataset directory entry held no loadable index at all.
@@ -62,7 +53,7 @@ impl std::fmt::Display for BootError {
             BootError::Io(msg) => write!(f, "cannot scan snapshot directory: {msg}"),
             BootError::NoDatasets(dir) => write!(
                 f,
-                "no *{DATASET_SUFFIX} dataset snapshot in {} — did the saving run use --save-index?",
+                "no dataset snapshot in {} — did the saving run use --save-index?",
                 dir.display()
             ),
             BootError::NoIndexes(dir) => {
@@ -91,8 +82,8 @@ pub struct BootReport {
     pub indexes: Vec<ServedIndex>,
     /// The datasets found, as `(name, series count, series length)`.
     pub datasets: Vec<(String, usize, usize)>,
-    /// Snapshot files skipped because they belong to no dataset (ground
-    /// truth caches, unrelated files) — surfaced so an operator can spot a
+    /// Files no writer of the layout makes, and index snapshots of no
+    /// dataset in the directory — surfaced so an operator can spot a
     /// typo'd dataset name in a listing.
     pub skipped: Vec<PathBuf>,
     /// How each index loaded, in [`indexes`](Self::indexes) order — the
@@ -112,26 +103,6 @@ pub struct IndexLoad {
     /// Whether a `.snap.journal` sat beside the snapshot and was replayed
     /// into the loaded index.
     pub journaled: bool,
-}
-
-/// The dataset an index name belongs to: the **longest** name in
-/// `dataset_names` that prefixes `index_name` up to a `-` separator —
-/// so `sift-like-vafile` belongs to `sift-like`, never to a dataset
-/// named `sift`. One rule, shared by the boot scan and by clients
-/// (e.g. `serve_client`) mapping served index names back onto scenario
-/// datasets, so the two can never drift apart.
-pub fn dataset_for_index<'a, I>(index_name: &str, dataset_names: I) -> Option<&'a str>
-where
-    I: IntoIterator<Item = &'a str>,
-{
-    dataset_names
-        .into_iter()
-        .filter(|name| {
-            index_name
-                .strip_prefix(*name)
-                .is_some_and(|rest| rest.starts_with('-'))
-        })
-        .max_by_key(|name| name.len())
 }
 
 /// How [`boot_from_dir_with`] should re-attach each index's raw series.
@@ -168,10 +139,11 @@ pub fn boot_from_dir_with(
     registry: &LoaderRegistry,
     options: BootOptions,
 ) -> Result<BootReport, BootError> {
-    let mut files: Vec<PathBuf> = std::fs::read_dir(dir)
+    let mut files: Vec<(String, PathBuf)> = std::fs::read_dir(dir)
         .map_err(|e| BootError::Io(format!("{}: {e}", dir.display())))?
-        .filter_map(|entry| entry.ok().map(|e| e.path()))
-        .filter(|p| p.is_file())
+        .filter_map(|entry| entry.ok())
+        .map(|e| (e.file_name().to_string_lossy().into_owned(), e.path()))
+        .filter(|(_, path)| path.is_file())
         .collect();
     files.sort();
 
@@ -181,8 +153,8 @@ pub fn boot_from_dir_with(
     // never materialized — so boot-time peak memory stays O(pool) no
     // matter how large the collection is.
     let mut datasets: Vec<(String, BootData, PathBuf)> = Vec::new();
-    for file in &files {
-        let Some(name) = file_name_str(file).and_then(|n| n.strip_suffix(DATASET_SUFFIX)) else {
+    for (name, file) in &files {
+        let Entry::Dataset(name) = classify(name) else {
             continue;
         };
         let data = if options.file_backed {
@@ -204,27 +176,15 @@ pub fn boot_from_dir_with(
     // longest-`<dataset>-`-prefix rule ([`dataset_for_index`]).
     let mut indexes = Vec::new();
     let mut skipped = Vec::new();
-    for file in &files {
-        let Some(stem) = file_name_str(file).and_then(|n| n.strip_suffix(SNAPSHOT_SUFFIX)) else {
-            // `.snap.series` sidecars are this boot path's own out-of-core
-            // cache (written by an earlier file-backed boot), and
-            // `.snap.journal` files are ingest journals replayed as part
-            // of loading their base snapshot — neither is an operator
-            // file worth flagging in the skip listing.
-            if file_name_str(file)
-                .is_some_and(|n| n.ends_with(".snap.series") || n.ends_with(".snap.journal"))
-            {
-                continue;
+    for (name, file) in &files {
+        let (stem, owner) = match classify(name) {
+            Entry::Dataset(_) | Entry::Known => continue,
+            Entry::Index(stem) => {
+                (stem, dataset_for_index(stem, datasets.iter().map(|(name, _, _)| name.as_str())))
             }
-            skipped.push(file.clone());
-            continue;
+            Entry::Foreign => (name.as_str(), None),
         };
-        if stem.ends_with(".data") {
-            continue; // a dataset, already loaded
-        }
-        let Some(owner) =
-            dataset_for_index(stem, datasets.iter().map(|(name, _, _)| name.as_str()))
-        else {
+        let Some(owner) = owner else {
             skipped.push(file.clone());
             continue;
         };
@@ -281,10 +241,6 @@ pub fn boot_from_dir_with(
     })
 }
 
-fn file_name_str(path: &Path) -> Option<&str> {
-    path.file_name().and_then(|n| n.to_str())
-}
-
 /// A dataset as pass 1 of the boot scan holds it: materialized for a
 /// resident boot, a validated header-facts handle for an out-of-core one
 /// — which is the whole point of the lazy boot path: with `--out-of-core`
@@ -308,6 +264,10 @@ impl BootData {
 mod tests {
     use super::*;
     use hydra::persist::dataset::save_dataset;
+    use hydra::persist::layout::{
+        coded_sidecar_path, dataset_snapshot, ground_truth_cache, index_snapshot,
+        sidecar_series_path,
+    };
     use hydra::prelude::*;
 
     fn temp_dir(name: &str) -> PathBuf {
@@ -338,9 +298,10 @@ mod tests {
         let fresh = &built[0];
         fresh.save(&dir.join("walk-isax2.snap")).unwrap();
         built[1].save(&dir.join("walk-hnsw.snap")).unwrap();
-        // A ground-truth cache and a stray file must be skipped, not fatal.
+        // A ground-truth cache is ignored and a stray file listed; neither
+        // is fatal.
         hydra::persist::SnapshotWriter::new("ground-truth", 1)
-            .write_to(&dir.join("gt-00ff.snap"))
+            .write_to(&ground_truth_cache(&dir, 0xff))
             .unwrap();
         std::fs::write(dir.join("notes.txt"), b"hello").unwrap();
 
@@ -349,7 +310,7 @@ mod tests {
         let names: Vec<&str> = report.indexes.iter().map(|s| s.name.as_str()).collect();
         assert_eq!(names, vec!["walk-hnsw", "walk-isax2"]);
         assert_eq!(report.datasets, vec![("walk".to_string(), 150, 32)]);
-        assert_eq!(report.skipped.len(), 2, "gt cache and notes.txt are skipped");
+        assert_eq!(report.skipped, vec![dir.join("notes.txt")], "the gt cache is not listed");
         // Load telemetry rides along, one entry per index, in index order.
         let load_names: Vec<&str> = report.loads.iter().map(|l| l.name.as_str()).collect();
         assert_eq!(load_names, names);
@@ -367,17 +328,44 @@ mod tests {
     }
 
     #[test]
-    fn dataset_matching_prefers_the_longest_prefix() {
-        let names = ["sift", "sift-like", "rand256"];
-        assert_eq!(
-            dataset_for_index("sift-like-vafile", names),
-            Some("sift-like")
-        );
-        assert_eq!(dataset_for_index("sift-hnsw", names), Some("sift"));
-        assert_eq!(dataset_for_index("rand256-imi", names), Some("rand256"));
-        assert_eq!(dataset_for_index("rand256", names), None); // no '-kind'
-        assert_eq!(dataset_for_index("deep-like-imi", names), None);
-        assert_eq!(dataset_for_index("sift-like", names), Some("sift")); // '-like' is the kind
+    fn an_out_of_core_boot_lists_only_files_no_writer_makes() {
+        let dir = temp_dir("ooc-listing");
+        let data = hydra::data::random_walk(300, 32, 4);
+        let data_snap = dataset_snapshot(&dir, "walk");
+        save_dataset(&data, &data_snap).unwrap();
+        // DSTree re-attaches a leaf-ordered `.series` sidecar, VA+file its
+        // dataset snapshot; each codec adds a coded sidecar of that file.
+        let kinds = ["dstree", "va+file"];
+        for (built, kind) in build_rows(&kinds, &data).iter().zip(kinds) {
+            built.save(&index_snapshot(&dir, "walk", kind)).unwrap();
+        }
+        let dstree = index_snapshot(&dir, "walk", "dstree");
+        let base = hydra::persist::peek_fingerprint(&dstree).unwrap();
+        hydra::persist::JournalWriter::create(&journal_path(&dstree), base, 32)
+            .and_then(|mut journal| journal.append_batch(&[data.series(7), data.series(8)]))
+            .unwrap();
+        hydra::persist::SnapshotWriter::new("ground-truth", 1)
+            .write_to(&ground_truth_cache(&dir, 0xabc))
+            .unwrap();
+        std::fs::write(dir.join("notes.txt"), b"hello").unwrap();
+        std::fs::write(dir.join("x.snap.tmp.1.0"), b"a crash-left temporary").unwrap();
+
+        for codec in [hydra::PageCodec::U8, hydra::PageCodec::F16] {
+            let storage = hydra::StorageConfig::on_disk().with_page_codec(codec);
+            let registry = hydra::standard_registry(storage, 2);
+            let options = BootOptions { file_backed: true };
+            let report = boot_from_dir_with(&dir, &registry, options).unwrap();
+            let names: Vec<&str> = report.indexes.iter().map(|s| s.name.as_str()).collect();
+            assert_eq!(names, ["walk-dstree", "walk-vafile"], "{codec:?}");
+            assert!(report.loads[0].journaled && !report.loads[1].journaled);
+            for backing in [sidecar_series_path(&dstree), data_snap.clone()] {
+                let sidecar = coded_sidecar_path(&backing, codec);
+                assert!(sidecar.exists(), "{codec:?}: the boot writes {}", sidecar.display());
+            }
+            let foreign = [dir.join("notes.txt"), dir.join("x.snap.tmp.1.0")];
+            assert_eq!(report.skipped, foreign, "{codec:?}");
+        }
+        std::fs::remove_dir_all(&dir).ok();
     }
 
     #[test]

@@ -59,9 +59,9 @@ pub mod router;
 pub mod server;
 
 pub use boot::{
-    boot_from_dir, boot_from_dir_with, dataset_for_index, BootError, BootOptions, BootReport,
-    IndexLoad,
+    boot_from_dir, boot_from_dir_with, BootError, BootOptions, BootReport, IndexLoad,
 };
+pub use hydra::persist::layout::dataset_for_index;
 pub use client::ServeClient;
 pub use hydra_obs::MetricsRegistry;
 pub use router::{Router, RouterConfig, RouterHandle, RouterStats};

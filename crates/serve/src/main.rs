@@ -355,7 +355,7 @@ fn run_worker(args: &Args) {
         );
     }
     for file in &report.skipped {
-        eprintln!("hydra-serve: skipping {} (not an index of any dataset)", file.display());
+        eprintln!("hydra-serve: skipping {} (not a file of any dataset here)", file.display());
     }
     let config = ServerConfig {
         batch_window: args.batch_window,

@@ -9,10 +9,11 @@ use std::fmt;
 use std::path::Path;
 
 use hydra::core::workers::with_batch_workers;
+use hydra::persist::layout;
 use hydra::{AnnIndex, Capabilities, Dataset, Error, FileIoMode, PageCodec, PartitionScheme};
 use hydra::{QueryStats, SearchMode, SearchParams, SearchResult, ShardedIndex, StorageConfig, StoreBacking};
 
-use super::{assert_same_answer, head, snapshot_path, Scan, StatsMatch};
+use super::{assert_same_answer, head, Scan, StatsMatch};
 
 /// The `k` of every engine query.
 pub const K: usize = 10;
@@ -142,10 +143,10 @@ pub fn obtain(zoo: &Zoo, data: &Dataset, v: &Variant, dir: &Path) -> Box<dyn Ann
             continue;
         };
         let h = v.grow.map_or(part.len(), |(h, _)| (h * part.len() / data.len()).max(1));
-        let (head, shard_dir) = (head(part, h), dir.join(&partition).join(format!("shard-{s}")));
+        let (head, shard_dir) = (head(part, h), layout::shard_dir(&dir.join(&partition), s));
         let prefix = if h == part.len() { "walk".to_string() } else { format!("head{h}") };
-        let data_snapshot = shard_dir.join(format!("{prefix}.data.snap"));
-        let snapshot = snapshot_path(&shard_dir, &prefix, v.row);
+        let data_snapshot = layout::dataset_snapshot(&shard_dir, &prefix);
+        let snapshot = layout::index_snapshot(&shard_dir, &prefix, v.row);
         let saved = snapshot.exists();
         let built = (v.load == Load::Built || !saved).then(|| method.build(&head).unwrap());
         if !saved {

@@ -21,6 +21,7 @@ use std::path::{Path, PathBuf};
 use std::sync::Mutex;
 
 use hydra::core::{euclidean, TopK};
+use hydra::persist::layout;
 use hydra::prelude::*;
 use hydra::{Capabilities, Neighbor, QueryStats, Representation, SearchResult};
 use hydra_serve::{Request, ResponseBody, ServeClient};
@@ -182,13 +183,6 @@ pub fn ooc_dataset() -> hydra::Dataset {
     data
 }
 
-/// Where a `fig* --save-index` directory keeps the `kind` snapshot of the
-/// dataset saved under `prefix`: `<prefix>-dstree.snap`,
-/// `<prefix>-isax2.snap`, `<prefix>-vafile.snap`, ...
-pub fn snapshot_path(dir: &Path, prefix: &str, kind: &str) -> PathBuf {
-    dir.join(format!("{prefix}-{}.snap", kind.replace('+', "")))
-}
-
 /// The one method-matrix driver of the integration suites: visits every
 /// row of `zoo` that `filter` keeps and returns how many it visited.
 /// Callers assert the count, so a filter that silently keeps nothing
@@ -208,7 +202,7 @@ pub fn for_each_method(
 
 /// Saves `data`'s snapshot plus every method of the scenario under
 /// `prefix` in `dir`, exactly as `fig* --save-index` lays a directory out:
-/// `<prefix>.data.snap` and one [`snapshot_path`] per row of the zoo that
+/// `<prefix>.data.snap` and one `<prefix>-<kind>.snap` per row of the zoo that
 /// is in the scenario. Returns how many methods it saved.
 pub fn save_zoo(
     dir: &Path,
@@ -222,14 +216,13 @@ pub fn save_zoo(
     } else {
         hydra::StorageConfig::on_disk()
     };
-    hydra::persist::dataset::save_dataset(data, &dir.join(format!("{prefix}.data.snap")))
-        .unwrap();
+    hydra::persist::dataset::save_dataset(data, &layout::dataset_snapshot(dir, prefix)).unwrap();
     for_each_method(
         &hydra::zoo(storage, seed),
         |method| method.in_scenario(in_memory, data.series_len()),
         |method| {
             let built = method.build(data).unwrap();
-            built.save(&snapshot_path(dir, prefix, method.kind())).unwrap();
+            built.save(&layout::index_snapshot(dir, prefix, method.kind())).unwrap();
         },
     )
 }

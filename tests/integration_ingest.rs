@@ -14,7 +14,7 @@ mod common;
 use std::sync::RwLock;
 
 use common::{assert_equivalent, grow, head, obtain, Load, Variant, Zoo};
-use hydra::persist::{journal_path, JournalWriter};
+use hydra::persist::{journal_path, layout, JournalWriter};
 use hydra::prelude::*;
 use hydra::{AnnIndex, Dataset, Neighbor, PersistError, SearchParams, StoreBacking};
 
@@ -208,7 +208,7 @@ fn base_plus_journal_loads_back_to_the_grown_index_bit_for_bit() {
 
     for (method, _) in zoo.rows(data.series_len(), 5, |caps| caps.streaming_insert) {
         let fresh = method.build(&data).unwrap();
-        let snap = common::snapshot_path(&dir, "walk", method.kind());
+        let snap = layout::index_snapshot(&dir, "walk", method.kind());
         method.build(&head_data).unwrap().save(&snap).unwrap();
         // Journal the tail in two ragged batches, as an ingesting server
         // would between full saves.

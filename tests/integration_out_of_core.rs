@@ -14,6 +14,7 @@ mod common;
 use std::path::Path;
 use std::time::Duration;
 
+use hydra::persist::layout;
 use hydra::prelude::*;
 use hydra::FileIoMode::Pread;
 use hydra::StoreBacking;
@@ -227,7 +228,7 @@ fn out_of_core_boot_writes_reusable_sidecars_for_tree_indexes() {
     let (data, _) = ooc_scenario(&dir);
     let zoo = hydra::zoo(hydra::StorageConfig::on_disk(), 5);
     let saved = common::for_each_method(&zoo, |method| method.kind() == "isax2+", |method| {
-        let snapshot = common::snapshot_path(&dir, "walk", method.kind());
+        let snapshot = layout::index_snapshot(&dir, "walk", method.kind());
         method.build(&data).unwrap().save(&snapshot).unwrap();
     });
     assert_eq!(saved, 1);
@@ -257,7 +258,7 @@ fn stale_or_foreign_sidecars_are_rebuilt_and_answer_identically() {
     let (data, _) = ooc_scenario(&dir);
     let zoo = hydra::zoo(StorageConfig::on_disk(), 5);
     let saved = common::for_each_method(&zoo, |method| method.kind() == "dstree", |method| {
-        method.build(&data).unwrap().save(&common::snapshot_path(&dir, "walk", method.kind())).unwrap();
+        method.build(&data).unwrap().save(&layout::index_snapshot(&dir, "walk", method.kind())).unwrap();
     });
     assert_eq!(saved, 1);
     let u8_pages = StorageConfig::on_disk().with_pool_pages(2).with_page_codec(hydra::PageCodec::U8);

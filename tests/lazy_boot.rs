@@ -15,6 +15,7 @@
 
 mod common;
 
+use hydra::persist::layout;
 use hydra_serve::{boot_from_dir, boot_from_dir_with, BootOptions};
 
 #[global_allocator]
@@ -42,7 +43,7 @@ fn streamed_boot_peak_heap_stays_below_the_dataset_payload() {
     let zoo = hydra::zoo(hydra::StorageConfig::on_disk(), seed);
     let tree_and_filter = |method: &hydra::Method| ["dstree", "va+file"].contains(&method.kind());
     let saved = common::for_each_method(&zoo, tree_and_filter, |method| {
-        let snapshot = common::snapshot_path(&dir, "walk", method.kind());
+        let snapshot = layout::index_snapshot(&dir, "walk", method.kind());
         method.build(&data).unwrap().save(&snapshot).unwrap();
     });
     assert_eq!(saved, 2);
@@ -89,9 +90,8 @@ fn streamed_boot_peak_heap_stays_below_the_dataset_payload() {
 /// snapshot itself — never through a buffer sized by anything else.
 #[test]
 fn sidecar_revalidation_allocates_a_small_multiple_of_the_stream_chunk() {
-    use hydra::persist::dataset::{
-        coded_sidecar_path, ensure_coded_series, ensure_flat_series, save_dataset,
-    };
+    use hydra::persist::dataset::{ensure_coded_series, ensure_flat_series, save_dataset};
+    use hydra::persist::layout::coded_sidecar_path;
     use hydra::persist::{open_dataset_streaming, DataSource, STREAM_CHUNK_BYTES};
     let _meter = METER.lock().unwrap_or_else(|e| e.into_inner());
     let dir = common::temp_dir("sidecar-revalidation");
