@@ -472,6 +472,23 @@ mod tests {
     }
 
     #[test]
+    fn sidecar_path_appends_series_suffix() {
+        use crate::layout::{coded_sidecar_path, sidecar_series_path};
+        assert_eq!(
+            sidecar_series_path(Path::new("/snaps/rand256-isax2.snap")),
+            Path::new("/snaps/rand256-isax2.snap.series")
+        );
+        assert_eq!(
+            coded_sidecar_path(Path::new("/snaps/x.snap.series"), PageCodec::U8),
+            Path::new("/snaps/x.snap.series.u8")
+        );
+        assert_eq!(
+            coded_sidecar_path(Path::new("/snaps/x.snap.series"), PageCodec::F16),
+            Path::new("/snaps/x.snap.series.f16")
+        );
+    }
+
+    #[test]
     fn coded_sidecar_cache_is_reused_verified_and_self_healing() {
         let d = Dataset::from_series(
             4,

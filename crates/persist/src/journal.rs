@@ -274,6 +274,14 @@ mod tests {
     }
 
     #[test]
+    fn journal_path_sits_beside_the_snapshot() {
+        assert_eq!(
+            journal_path(Path::new("/snaps/walk-isax2.snap")),
+            Path::new("/snaps/walk-isax2.snap.journal")
+        );
+    }
+
+    #[test]
     fn roundtrips_batches_bit_for_bit() {
         let path = temp_path("roundtrip.snap.journal");
         let mut w = JournalWriter::create(&path, 0xFEED, 3).unwrap();
