@@ -14,13 +14,12 @@
 //! fingerprints cover the dataset content and the build configuration, so
 //! the only consumer of a `fig2` snapshot directory is `fig2_indexing
 //! --load-index` itself (fig3/fig4 use their own datasets and seeds and
-//! keep their own directories). This binary has no query phase, so it
-//! takes no `--threads`.
+//! keep their own directories).
 
 use hydra_bench::{bench_flags, build_or_load_methods, print_header, print_row, scale};
 
 fn main() {
-    let flags = bench_flags(false);
+    let flags = bench_flags();
     print_header();
     let sizes = [1_000usize, 2_000, 4_000, 8_000];
     for &n in &sizes {

@@ -13,10 +13,9 @@
 //! δ-ε methods; SRS caps out at moderate MAP; with indexing time included,
 //! iSAX2+ wins small workloads and DSTree large ones.
 //!
-//! Pass `--threads N` to answer each workload with `N` worker threads and
-//! batched `search_batch` calls (serving mode). Accuracy and cost counters
-//! are unchanged; throughput scales. The default (1) is the paper's
-//! sequential protocol.
+//! Every workload runs under the paper's sequential protocol, one query at
+//! a time; parallel replay of the same workloads is `serve_client
+//! --connections N` against a `hydra-serve` booted from `--save-index`.
 //!
 //! Pass `--save-index DIR` to snapshot every index after its build, or
 //! `--load-index DIR` to restore every index from such snapshots and skip

@@ -7,13 +7,9 @@
 //! degrades badly on disk; iSAX2+ is competitive when indexing cost matters
 //! (small workloads).
 //!
-//! Pass `--threads N` to answer each workload with `N` worker threads and
-//! batched `search_batch` calls (serving mode). Accuracy, CPU counters and
-//! `bytes_read` are unchanged; throughput scales; the I/O-operation
-//! counters (`random_ios`/`sequential_ios`, count and split — pool hits
-//! charge no operation) can shift because the shared buffer pool sees a
-//! different access interleaving, as on a real disk. The default (1) is
-//! the paper's sequential protocol.
+//! Every workload runs under the paper's sequential protocol, one query at
+//! a time; parallel replay of the same workloads is `serve_client
+//! --connections N` against a `hydra-serve` booted from `--save-index`.
 //!
 //! Pass `--save-index DIR` to snapshot every index after its build, or
 //! `--load-index DIR` to restore every index from such snapshots and skip

@@ -11,9 +11,8 @@
 //! `figure,dataset,method,setting,x,y` where `x` is usually the accuracy
 //! (MAP) and `y` the efficiency measure of the corresponding figure of the
 //! paper (throughput, combined cost, % data accessed, random I/Os, ...).
-//! `crates/bench/README.md` records every binary, its flags (including
-//! `--threads` for the parallel serving mode) and the expected output
-//! shape.
+//! `crates/bench/README.md` records every binary, its flags and the
+//! expected output shape.
 
 #![warn(missing_docs)]
 #![warn(rust_2018_idioms)]
@@ -375,34 +374,14 @@ pub fn sweep_settings_for(
     settings
 }
 
-/// Runs one sweep point and returns `(map, report)`.
+/// Runs one sweep point under the paper's sequential protocol
+/// ([`hydra::eval::run_workload`]) and returns `(map, report)`.
 pub fn run_point(
     index: &dyn AnnIndex,
     dataset: &BenchDataset,
     params: &SearchParams,
 ) -> (f64, hydra::eval::WorkloadReport) {
-    run_point_threaded(index, dataset, params, 1)
-}
-
-/// Runs one sweep point with `threads` worker threads and returns
-/// `(map, report)`.
-///
-/// One thread uses the paper-faithful sequential protocol
-/// ([`hydra::eval::run_workload`]); more than one shards the workload over
-/// scoped threads with batched `search_batch` calls
-/// ([`hydra::eval::run_workload_parallel`]). Accuracy and cost counters are
-/// identical either way; only throughput changes.
-pub fn run_point_threaded(
-    index: &dyn AnnIndex,
-    dataset: &BenchDataset,
-    params: &SearchParams,
-    threads: usize,
-) -> (f64, hydra::eval::WorkloadReport) {
-    let report = if threads <= 1 {
-        hydra::eval::run_workload(index, &dataset.workload, &dataset.truth, params)
-    } else {
-        hydra::eval::run_workload_parallel(index, &dataset.workload, &dataset.truth, params, threads)
-    };
+    let report = hydra::eval::run_workload(index, &dataset.workload, &dataset.truth, params);
     (report.accuracy.map, report)
 }
 
@@ -410,23 +389,19 @@ pub fn run_point_threaded(
 /// (`fig2_indexing`, `fig3_inmemory`, `fig4_ondisk`).
 #[derive(Debug, Clone, PartialEq)]
 pub struct BenchFlags {
-    /// Worker threads for the query phase (`--threads N`; always 1 for
-    /// binaries without a query phase).
-    pub threads: usize,
     /// Directory to snapshot every built index into (`--save-index DIR`).
     pub save_index: Option<PathBuf>,
     /// Directory to restore every index from instead of building
     /// (`--load-index DIR`).
     pub load_index: Option<PathBuf>,
     /// The storage flags shared with `hydra-serve` (`--pool-pages N`,
-    /// `--out-of-core`, `--page-codec`, `--backing`), applied to the
-    /// disk-capable methods. `--out-of-core` makes loaded indexes attach
-    /// their stores file-backed instead of resident and requires
-    /// `--load-index` — a fresh build is always resident; the codec and
-    /// the I/O mode are pure serving knobs of such a store (accuracy,
-    /// distance and every per-query counter column stay bit-identical
-    /// while `bytes_read` drops ~4× under u8, ~2× under f16), so they in
-    /// turn require `--out-of-core`.
+    /// `--out-of-core`, `--page-codec`), applied to the disk-capable
+    /// methods. `--out-of-core` makes loaded indexes attach their stores
+    /// file-backed instead of resident and requires `--load-index` — a
+    /// fresh build is always resident; the codec is a pure serving knob of
+    /// such a store (accuracy, distance and every per-query counter column
+    /// stay bit-identical while `bytes_read` drops ~4× under u8, ~2× under
+    /// f16), so it in turn requires `--out-of-core`.
     pub storage: StorageFlags,
     /// Shard count (`--shards S`, default 1 = unsharded). With `S > 1`
     /// every method is built as a [`hydra::ShardedIndex`] over `S`
@@ -452,10 +427,9 @@ pub struct BenchFlags {
 }
 
 impl Default for BenchFlags {
-    /// No persistence, the paper's sequential single-thread protocol.
+    /// No persistence, unsharded, resident.
     fn default() -> Self {
         Self {
-            threads: 1,
             save_index: None,
             load_index: None,
             storage: StorageFlags::default(),
@@ -472,18 +446,8 @@ impl AsMut<StorageFlags> for BenchFlags {
     }
 }
 
-/// `--threads` on a binary that has a query phase to parallelize…
-const THREADS: Flag<BenchFlags> = Flag::new("--threads", Some("N"), |f, v| {
-    positive("--threads", v).map(|n| f.threads = n)
-});
-
-/// …and on one that has not.
-const NO_THREADS: Flag<BenchFlags> = Flag::new("--threads", Some("N"), |_, _| {
-    Err("this binary has no query phase and does not take --threads".into())
-});
-
-/// The other figure-binary flags; `--threads` and [`StorageFlags::flags`]
-/// join them in [`parse_bench_flags`].
+/// The figure-binary flags; [`StorageFlags::flags`] joins them in
+/// [`parse_bench_flags`].
 const BENCH_FLAGS: [Flag<BenchFlags>; 5] = [
     Flag::new("--save-index", Some("DIR"), |f, v| {
         non_empty(v, "--save-index expects a directory path")
@@ -515,20 +479,12 @@ const BENCH_FLAGS: [Flag<BenchFlags>; 5] = [
 /// Parses the figure-binary flags strictly: both `--flag VALUE` and
 /// `--flag=VALUE` spellings are accepted, and anything unusable — a bad
 /// value, a repeated flag, an unknown argument, `--save-index` together
-/// with `--load-index`, or `--threads` on a binary without a query phase
-/// (`threads_allowed = false`) — is an error, never a silent fallback: a
-/// mistyped invocation must not let sequential or rebuilt numbers
-/// masquerade as serving-mode ones.
-pub fn parse_bench_flags(
-    args: &[String],
-    threads_allowed: bool,
-) -> std::result::Result<BenchFlags, String> {
+/// with `--load-index` — is an error, never a silent fallback: a mistyped
+/// invocation must not let rebuilt numbers masquerade as loaded ones.
+pub fn parse_bench_flags(args: &[String]) -> std::result::Result<BenchFlags, String> {
     let mut flags = BenchFlags::default();
-    let table: Vec<Flag<BenchFlags>> = [if threads_allowed { THREADS } else { NO_THREADS }]
-        .into_iter()
-        .chain(BENCH_FLAGS)
-        .chain(StorageFlags::flags())
-        .collect();
+    let table: Vec<Flag<BenchFlags>> =
+        BENCH_FLAGS.into_iter().chain(StorageFlags::flags()).collect();
     parse(args, &table, &mut flags)?;
     if flags.save_index.is_some() && flags.load_index.is_some() {
         return Err(
@@ -556,9 +512,9 @@ pub fn parse_bench_flags(
 
 /// [`parse_bench_flags`] over the process arguments; exits with an error
 /// message on a malformed invocation.
-pub fn bench_flags(threads_allowed: bool) -> BenchFlags {
+pub fn bench_flags() -> BenchFlags {
     let args: Vec<String> = std::env::args().skip(1).collect();
-    parse_bench_flags(&args, threads_allowed).unwrap_or_else(|msg| fail(&msg))
+    parse_bench_flags(&args).unwrap_or_else(|msg| fail(&msg))
 }
 
 /// Writes the `--trace-out FILE` stage-breakdown CSV: one row per
@@ -653,7 +609,7 @@ pub fn efficiency_accuracy_figure(
     in_memory: bool,
     seed: u64,
 ) {
-    let flags = bench_flags(true);
+    let flags = bench_flags();
     let mut tracer = TraceWriter::from_flags(&flags);
     print_header();
     let k = 100;
@@ -663,7 +619,7 @@ pub fn efficiency_accuracy_figure(
             for guarantees in [false, true] {
                 let mode = if guarantees { "delta-eps" } else { "ng" };
                 for (setting, params) in sweep_settings(index, k, guarantees) {
-                    let (map, report) = run_point_threaded(index, &dataset, &params, flags.threads);
+                    let (map, report) = run_point(index, &dataset, &params);
                     if let Some(w) = tracer.as_mut() {
                         let label = format!("{figure}-{mode}");
                         w.record(&label, dataset.name, method, &setting, &report.trace)
@@ -744,155 +700,123 @@ mod tests {
     #[test]
     fn parse_bench_flags_accepts_both_spellings_and_rejects_garbage() {
         let args = |v: &[&str]| v.iter().map(|s| s.to_string()).collect::<Vec<_>>();
-        assert_eq!(parse_bench_flags(&args(&[]), true), Ok(BenchFlags::default()));
-        assert_eq!(parse_bench_flags(&args(&["--threads", "8"]), true).unwrap().threads, 8);
-        assert_eq!(parse_bench_flags(&args(&["--threads=8"]), true).unwrap().threads, 8);
-        assert!(parse_bench_flags(&args(&["--threads", "eight"]), true).is_err());
-        assert!(parse_bench_flags(&args(&["--threads", "-3"]), true).is_err());
-        // A typo must not silently run the sequential protocol while the
-        // operator believes it is serving.
-        assert!(parse_bench_flags(&args(&["-t", "8"]), true).is_err());
-        assert!(parse_bench_flags(&args(&["--threads", "2", "extra"]), true).is_err());
-        let f = parse_bench_flags(&args(&["--threads", "4", "--save-index", "/tmp/x"]), true)
-            .unwrap();
-        assert_eq!(f.threads, 4);
+        assert_eq!(parse_bench_flags(&args(&[])), Ok(BenchFlags::default()));
+        let f = parse_bench_flags(&args(&["--save-index", "/tmp/x"])).unwrap();
         assert_eq!(f.save_index.as_deref(), Some(Path::new("/tmp/x")));
         assert!(f.load_index.is_none());
-        let f = parse_bench_flags(&args(&["--load-index=/tmp/y"]), false).unwrap();
+        let f = parse_bench_flags(&args(&["--load-index=/tmp/y"])).unwrap();
         assert_eq!(f.load_index.as_deref(), Some(Path::new("/tmp/y")));
-        // Strictness: unknown flags, bad values, duplicates, conflicts, and
-        // --threads where there is no query phase are all hard errors.
-        assert!(parse_bench_flags(&args(&["--thread", "8"]), true).is_err());
-        assert!(parse_bench_flags(&args(&["--threads"]), true).is_err());
-        assert!(parse_bench_flags(&args(&["--threads=0"]), true).is_err());
-        assert!(parse_bench_flags(&args(&["--threads", "2"]), false).is_err());
-        assert!(parse_bench_flags(&args(&["--save-index"]), true).is_err());
-        assert!(parse_bench_flags(&args(&["--save-index="]), true).is_err());
-        assert!(
-            parse_bench_flags(&args(&["--save-index", "/a", "--save-index", "/b"]), true).is_err()
-        );
-        assert!(parse_bench_flags(
-            &args(&["--save-index", "/a", "--load-index", "/b"]),
-            true
-        )
-        .is_err());
-        assert!(parse_bench_flags(&args(&["--threads", "2", "--threads", "3"]), true).is_err());
-        assert!(parse_bench_flags(&args(&["extra"]), true).is_err());
+        // Strictness: unknown flags, bad values, duplicates and conflicts
+        // are all hard errors.
+        assert!(parse_bench_flags(&args(&["-s", "/tmp/x"])).is_err());
+        assert!(parse_bench_flags(&args(&["--save-index", "/tmp/x", "extra"])).is_err());
+        assert!(parse_bench_flags(&args(&["--save-index"])).is_err());
+        assert!(parse_bench_flags(&args(&["--save-index="])).is_err());
+        assert!(parse_bench_flags(&args(&["--save-index", "/a", "--save-index", "/b"])).is_err());
+        assert!(parse_bench_flags(&args(&["--save-index", "/a", "--load-index", "/b"])).is_err());
+        assert!(parse_bench_flags(&args(&["extra"])).is_err());
+        // Retired flags are unknown, and the "accepted: …" line omits them.
+        for retired in [
+            &["--load-index", "/s", "--out-of-core", "--backing", "mmap"][..],
+            &["--storage", "in-memory"],
+            &["--shard-role", "router", "--workers", "h:1", "--shard-scheme", "contiguous"],
+            &["--threads", "2"],
+        ] {
+            let err = parse_bench_flags(&args(retired)).unwrap_err();
+            let (head, accepted) = err.split_once("(accepted: ").expect("an unknown-flag error");
+            assert!(head.starts_with("unrecognized argument"), "{retired:?}: {err}");
+            for flag in ["--backing", "--storage", "--shard-scheme", "--threads"] {
+                assert!(!accepted.contains(flag), "{flag} is still accepted: {accepted}");
+            }
+        }
         // Out-of-core flags: --pool-pages and --out-of-core, both spellings,
         // strict about garbage, and --out-of-core demands snapshots to load.
-        let f = parse_bench_flags(
-            &args(&["--load-index", "/s", "--out-of-core", "--pool-pages", "2"]),
-            true,
-        )
-        .unwrap();
+        let f = parse_bench_flags(&args(&["--load-index", "/s", "--out-of-core", "--pool-pages", "2"]))
+            .unwrap();
         assert!(f.storage.out_of_core);
         assert_eq!(f.storage.pool_pages, Some(2));
         assert_eq!(
-            parse_bench_flags(&args(&["--pool-pages=0"]), true).unwrap().storage.pool_pages,
+            parse_bench_flags(&args(&["--pool-pages=0"])).unwrap().storage.pool_pages,
             Some(0),
             "a zero-page pool (pure cold-cache) is a legal measurement setup"
         );
-        assert!(parse_bench_flags(&args(&["--pool-pages", "few"]), true).is_err());
-        assert!(parse_bench_flags(&args(&["--pool-pages"]), true).is_err());
-        assert!(
-            parse_bench_flags(&args(&["--pool-pages=1", "--pool-pages=2"]), true).is_err()
-        );
-        assert!(parse_bench_flags(&args(&["--out-of-core"]), true).is_err());
-        assert!(parse_bench_flags(
-            &args(&["--save-index", "/s", "--out-of-core"]),
-            true
-        )
-        .is_err());
-        assert!(parse_bench_flags(
-            &args(&["--load-index", "/s", "--out-of-core", "--out-of-core"]),
-            true
-        )
-        .is_err());
-        assert!(parse_bench_flags(&args(&["--out-of-core=yes"]), true).is_err());
+        assert!(parse_bench_flags(&args(&["--pool-pages", "few"])).is_err());
+        assert!(parse_bench_flags(&args(&["--pool-pages"])).is_err());
+        assert!(parse_bench_flags(&args(&["--pool-pages=1", "--pool-pages=2"])).is_err());
+        assert!(parse_bench_flags(&args(&["--out-of-core"])).is_err());
+        assert!(parse_bench_flags(&args(&["--save-index", "/s", "--out-of-core"])).is_err());
+        assert!(parse_bench_flags(&args(&["--load-index", "/s", "--out-of-core", "--out-of-core"]))
+            .is_err());
+        assert!(parse_bench_flags(&args(&["--out-of-core=yes"])).is_err());
         // Sharding flag: both spellings, strict about garbage.
-        assert_eq!(parse_bench_flags(&args(&[]), true).unwrap().shards, 1);
-        assert_eq!(parse_bench_flags(&args(&["--shards", "4"]), true).unwrap().shards, 4);
-        assert_eq!(parse_bench_flags(&args(&["--shards=2"]), false).unwrap().shards, 2);
-        assert!(parse_bench_flags(&args(&["--shards", "0"]), true).is_err());
-        assert!(parse_bench_flags(&args(&["--shards", "two"]), true).is_err());
-        assert!(parse_bench_flags(&args(&["--shards"]), true).is_err());
-        assert!(parse_bench_flags(&args(&["--shards=2", "--shards=3"]), true).is_err());
+        assert_eq!(parse_bench_flags(&args(&[])).unwrap().shards, 1);
+        assert_eq!(parse_bench_flags(&args(&["--shards", "4"])).unwrap().shards, 4);
+        assert_eq!(parse_bench_flags(&args(&["--shards=2"])).unwrap().shards, 2);
+        assert!(parse_bench_flags(&args(&["--shards", "0"])).is_err());
+        assert!(parse_bench_flags(&args(&["--shards", "two"])).is_err());
+        assert!(parse_bench_flags(&args(&["--shards"])).is_err());
+        assert!(parse_bench_flags(&args(&["--shards=2", "--shards=3"])).is_err());
         // Ingest-split flag: both spellings, a strict open interval, and
         // mutual exclusion with --load-index (nothing to split there).
-        assert_eq!(parse_bench_flags(&args(&[]), true).unwrap().ingest_split, None);
+        assert_eq!(parse_bench_flags(&args(&[])).unwrap().ingest_split, None);
         assert_eq!(
-            parse_bench_flags(&args(&["--ingest-split", "0.5"]), true).unwrap().ingest_split,
+            parse_bench_flags(&args(&["--ingest-split", "0.5"])).unwrap().ingest_split,
             Some(0.5)
         );
         assert_eq!(
-            parse_bench_flags(&args(&["--ingest-split=0.25"]), false).unwrap().ingest_split,
+            parse_bench_flags(&args(&["--ingest-split=0.25"])).unwrap().ingest_split,
             Some(0.25)
         );
-        assert!(parse_bench_flags(&args(&["--ingest-split", "0"]), true).is_err());
-        assert!(parse_bench_flags(&args(&["--ingest-split", "1"]), true).is_err());
-        assert!(parse_bench_flags(&args(&["--ingest-split", "-0.5"]), true).is_err());
-        assert!(parse_bench_flags(&args(&["--ingest-split", "half"]), true).is_err());
-        assert!(parse_bench_flags(&args(&["--ingest-split"]), true).is_err());
-        assert!(
-            parse_bench_flags(&args(&["--ingest-split=0.5", "--ingest-split=0.6"]), true).is_err()
-        );
-        assert!(parse_bench_flags(
-            &args(&["--load-index", "/s", "--ingest-split", "0.5"]),
-            true
-        )
-        .is_err());
-        let f = parse_bench_flags(
-            &args(&["--save-index", "/s", "--ingest-split", "0.5"]),
-            true,
-        )
-        .unwrap();
+        assert!(parse_bench_flags(&args(&["--ingest-split", "0"])).is_err());
+        assert!(parse_bench_flags(&args(&["--ingest-split", "1"])).is_err());
+        assert!(parse_bench_flags(&args(&["--ingest-split", "-0.5"])).is_err());
+        assert!(parse_bench_flags(&args(&["--ingest-split", "half"])).is_err());
+        assert!(parse_bench_flags(&args(&["--ingest-split"])).is_err());
+        assert!(parse_bench_flags(&args(&["--ingest-split=0.5", "--ingest-split=0.6"])).is_err());
+        assert!(parse_bench_flags(&args(&["--load-index", "/s", "--ingest-split", "0.5"])).is_err());
+        let f = parse_bench_flags(&args(&["--save-index", "/s", "--ingest-split", "0.5"])).unwrap();
         assert_eq!(f.ingest_split, Some(0.5), "--ingest-split composes with --save-index");
-        // Page-codec and backing flags: the shared group's values and
-        // duplicate rejection, and both knobs demand the file-backed store
-        // they shape — with exactly `hydra-serve`'s error, because it is
-        // one rule (`--out-of-core` in turn demands `--load-index`).
-        let f = parse_bench_flags(
-            &args(&["--load-index", "/s", "--out-of-core", "--page-codec", "u8", "--backing=mmap"]),
-            true,
-        )
-        .unwrap();
+        // Page-codec flag: the shared group's values and duplicate
+        // rejection, and the knob demands the file-backed store it shapes
+        // — with exactly `hydra-serve`'s error, because it is one rule
+        // (`--out-of-core` in turn demands `--load-index`).
+        let f = parse_bench_flags(&args(&["--load-index", "/s", "--out-of-core", "--page-codec", "u8"]))
+            .unwrap();
         assert_eq!(f.storage.page_codec, hydra::PageCodec::U8);
-        assert_eq!(f.storage.backing_io, hydra::FileIoMode::Mmap);
-        let f = parse_bench_flags(&args(&["--page-codec", "f32", "--backing", "pread"]), true);
-        assert_eq!(f, Ok(BenchFlags::default()), "the defaults need no store file");
-        assert!(parse_bench_flags(&args(&["--page-codec", "u4"]), true).is_err());
-        assert!(parse_bench_flags(&args(&["--backing"]), true).is_err());
-        assert!(parse_bench_flags(
-            &args(&["--load-index=/s", "--out-of-core", "--backing=mmap", "--backing=mmap"]),
-            true
-        )
+        let f = parse_bench_flags(&args(&["--page-codec", "f32"]));
+        assert_eq!(f, Ok(BenchFlags::default()), "the default needs no store file");
+        assert!(parse_bench_flags(&args(&["--page-codec", "u4"])).is_err());
+        assert!(parse_bench_flags(&args(&["--page-codec"])).is_err());
+        assert!(parse_bench_flags(&args(&[
+            "--load-index=/s",
+            "--out-of-core",
+            "--page-codec=u8",
+            "--page-codec=u8"
+        ]))
         .is_err());
-        for (flag, value) in [("--page-codec", "u8"), ("--page-codec", "f16"), ("--backing", "mmap")] {
+        for value in ["u8", "f16"] {
             let lone = StorageFlags {
-                page_codec: hydra::PageCodec::parse(value).unwrap_or_default(),
-                backing_io: hydra::FileIoMode::parse(value).unwrap_or_default(),
+                page_codec: hydra::PageCodec::parse(value).unwrap(),
                 ..StorageFlags::default()
             };
             for prefix in [&[][..], &["--load-index", "/s"], &["--save-index", "/s"]] {
-                let argv: Vec<&str> = prefix.iter().copied().chain([flag, value]).collect();
+                let argv: Vec<&str> = prefix.iter().copied().chain(["--page-codec", value]).collect();
                 assert_eq!(
-                    parse_bench_flags(&args(&argv), true),
+                    parse_bench_flags(&args(&argv)),
                     Err(lone.validate().unwrap_err()),
                     "{argv:?} names a file-backed knob without --out-of-core"
                 );
             }
         }
         // Trace-out flag: both spellings, strict about garbage.
-        assert_eq!(parse_bench_flags(&args(&[]), true).unwrap().trace_out, None);
-        let f = parse_bench_flags(&args(&["--trace-out", "/tmp/t.csv"]), true).unwrap();
+        assert_eq!(parse_bench_flags(&args(&[])).unwrap().trace_out, None);
+        let f = parse_bench_flags(&args(&["--trace-out", "/tmp/t.csv"])).unwrap();
         assert_eq!(f.trace_out.as_deref(), Some(Path::new("/tmp/t.csv")));
-        let f = parse_bench_flags(&args(&["--trace-out=t.csv"]), false).unwrap();
+        let f = parse_bench_flags(&args(&["--trace-out=t.csv"])).unwrap();
         assert_eq!(f.trace_out.as_deref(), Some(Path::new("t.csv")));
-        assert!(parse_bench_flags(&args(&["--trace-out"]), true).is_err());
-        assert!(parse_bench_flags(&args(&["--trace-out="]), true).is_err());
-        assert!(
-            parse_bench_flags(&args(&["--trace-out=a", "--trace-out=b"]), true).is_err()
-        );
+        assert!(parse_bench_flags(&args(&["--trace-out"])).is_err());
+        assert!(parse_bench_flags(&args(&["--trace-out="])).is_err());
+        assert!(parse_bench_flags(&args(&["--trace-out=a", "--trace-out=b"])).is_err());
     }
 
     #[test]
@@ -904,8 +828,8 @@ mod tests {
         let d = make_dataset("rand256", 200, 32, 5, 91);
         let dstree = DsTree::build(&d.data, DsTreeConfig::default()).unwrap();
         let params = SearchParams::ng(5, 8);
-        let (_, seq) = run_point_threaded(&dstree, &d, &params, 1);
-        let (_, par) = run_point_threaded(&dstree, &d, &params, 3);
+        let (_, seq) = run_point(&dstree, &d, &params);
+        let par = hydra::eval::run_workload_parallel(&dstree, &d.workload, &d.truth, &params, 3);
         let mut w = TraceWriter::create(&path).unwrap();
         w.record("fig-test", d.name, dstree.name(), "nprobe=8", &seq.trace).unwrap();
         w.record("fig-test", d.name, dstree.name(), "nprobe=8", &par.trace).unwrap();
@@ -1040,7 +964,6 @@ mod tests {
                 out_of_core: true,
                 pool_pages: Some(1),
                 page_codec: codec,
-                ..StorageFlags::default()
             },
             ..BenchFlags::default()
         };
@@ -1162,19 +1085,5 @@ mod tests {
             assert_eq!(rep_b.accuracy, rep_l.accuracy);
         }
         std::fs::remove_dir_all(&dir).ok();
-    }
-
-    #[test]
-    fn threaded_run_point_matches_sequential_accuracy_and_stats() {
-        let d = make_dataset("rand256", 300, 32, 5, 21);
-        let dstree = DsTree::build(&d.data, DsTreeConfig::default()).unwrap();
-        let params = SearchParams::ng(5, 8);
-        let (map1, seq) = run_point_threaded(&dstree, &d, &params, 1);
-        let (map4, par) = run_point_threaded(&dstree, &d, &params, 4);
-        assert_eq!(map1, map4);
-        assert_eq!(seq.accuracy, par.accuracy);
-        assert_eq!(seq.stats.distance_computations, par.stats.distance_computations);
-        assert_eq!(seq.threads, 1);
-        assert_eq!(par.threads, 4);
     }
 }

@@ -32,20 +32,11 @@ pub enum PartitionScheme {
 }
 
 impl PartitionScheme {
-    /// A short label ("contiguous" / "strided") for CLIs and reports.
+    /// A short label ("contiguous" / "strided") for reports.
     pub fn label(&self) -> &'static str {
         match self {
             PartitionScheme::Contiguous => "contiguous",
             PartitionScheme::Strided => "strided",
-        }
-    }
-
-    /// Parses a label produced by [`PartitionScheme::label`].
-    pub fn parse(s: &str) -> Option<Self> {
-        match s {
-            "contiguous" => Some(PartitionScheme::Contiguous),
-            "strided" => Some(PartitionScheme::Strided),
-            _ => None,
         }
     }
 }
@@ -107,32 +98,6 @@ impl ShardMap {
         }
         let total = lens.iter().sum();
         Ok(Self::from_parts(PartitionScheme::Contiguous, lens.to_vec(), total))
-    }
-
-    /// Reconstructs the map of `scheme` from per-shard lengths, validating
-    /// for the strided scheme that the lengths match the canonical deal
-    /// (strided local→global translation is only defined for it).
-    ///
-    /// # Errors
-    /// [`Error::InvalidParameter`] if the lengths are unusable (empty
-    /// shard, or strided lengths that no canonical deal produces).
-    pub fn from_lens(scheme: PartitionScheme, lens: &[usize]) -> Result<Self> {
-        match scheme {
-            PartitionScheme::Contiguous => Self::contiguous_from_lens(lens),
-            PartitionScheme::Strided => {
-                let total: usize = lens.iter().sum();
-                let canonical = Self::new(PartitionScheme::Strided, lens.len(), total)?;
-                if canonical.lens != lens {
-                    return Err(Error::InvalidParameter(format!(
-                        "shard lengths {lens:?} do not match a strided deal of {total} series \
-                         over {} shards (expected {:?})",
-                        lens.len(),
-                        canonical.lens
-                    )));
-                }
-                Ok(canonical)
-            }
-        }
     }
 
     fn from_parts(scheme: PartitionScheme, lens: Vec<usize>, total: usize) -> Self {
@@ -292,19 +257,14 @@ mod tests {
     }
 
     #[test]
-    fn from_lens_round_trips_the_canonical_splits_and_rejects_impostors() {
-        for scheme in [PartitionScheme::Contiguous, PartitionScheme::Strided] {
-            let map = ShardMap::new(scheme, 4, 13).unwrap();
-            let lens: Vec<usize> = (0..4).map(|s| map.shard_len(s)).collect();
-            assert_eq!(ShardMap::from_lens(scheme, &lens).unwrap(), map);
-        }
-        // Arbitrary contiguous lengths are fine (a router trusts its
-        // workers' sizes)...
+    fn contiguous_from_lens_round_trips_the_canonical_split() {
+        let map = ShardMap::new(PartitionScheme::Contiguous, 4, 13).unwrap();
+        let lens: Vec<usize> = (0..4).map(|s| map.shard_len(s)).collect();
+        assert_eq!(ShardMap::contiguous_from_lens(&lens).unwrap(), map);
+        // Arbitrary lengths are fine (a router trusts its workers' sizes).
         let uneven = ShardMap::contiguous_from_lens(&[7, 1, 2]).unwrap();
         assert_eq!(uneven.to_global(1, 0), 7);
         assert_eq!(uneven.to_local(9), (2, 1));
-        // ...but strided lengths must match the canonical deal exactly.
-        assert!(ShardMap::from_lens(PartitionScheme::Strided, &[7, 1, 2]).is_err());
     }
 
     #[test]
@@ -326,13 +286,5 @@ mod tests {
             }
         }
         assert!(partition(&data, PartitionScheme::Contiguous, 24).is_err());
-    }
-
-    #[test]
-    fn scheme_labels_round_trip() {
-        for scheme in [PartitionScheme::Contiguous, PartitionScheme::Strided] {
-            assert_eq!(PartitionScheme::parse(scheme.label()), Some(scheme));
-        }
-        assert_eq!(PartitionScheme::parse("diagonal"), None);
     }
 }

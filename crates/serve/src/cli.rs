@@ -5,7 +5,7 @@
 //! unusable — a typo, a missing value, a duplicate flag — is an error,
 //! never a silent fallback. The "accepted: …" line of the unknown-flag
 //! error is generated from the rows, so a flag cannot be parsed but
-//! undocumented; the storage flags the binaries share are four rows
+//! undocumented; the storage flags the binaries share are three rows
 //! ([`StorageFlags::flags`]) spliced into the caller's table.
 
 /// One row of a flag table: how one flag of a command line lands in `T`.
@@ -134,9 +134,9 @@ pub fn non_empty(value: &str, expects: &str) -> Result<String, String> {
 }
 
 /// The storage flags the figure binaries and `hydra-serve` share —
-/// `--pool-pages N`, `--out-of-core`, `--page-codec u8|f16|f32`,
-/// `--backing pread|mmap` — parsed, de-duplicated and cross-checked here
-/// once, so the two command lines cannot drift.
+/// `--pool-pages N`, `--out-of-core`, `--page-codec u8|f16|f32` — parsed,
+/// de-duplicated and cross-checked here once, so the two command lines
+/// cannot drift.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub struct StorageFlags {
     /// Buffer-pool capacity override in pages (`--pool-pages N`); `None`
@@ -149,9 +149,6 @@ pub struct StorageFlags {
     /// `f32`): u8/f16 pages are ~4×/~2× smaller, pruning runs on the
     /// codes, and every returned distance is refined on exact f32 values.
     pub page_codec: hydra::PageCodec,
-    /// How a file-backed store transfers page bytes (`--backing`, default
-    /// `pread`).
-    pub backing_io: hydra::FileIoMode,
 }
 
 impl AsMut<StorageFlags> for StorageFlags {
@@ -161,9 +158,9 @@ impl AsMut<StorageFlags> for StorageFlags {
 }
 
 impl StorageFlags {
-    /// The group's four rows, for any command line that holds a
+    /// The group's three rows, for any command line that holds a
     /// [`StorageFlags`].
-    pub fn flags<T: AsMut<StorageFlags>>() -> [Flag<T>; 4] {
+    pub fn flags<T: AsMut<StorageFlags>>() -> [Flag<T>; 3] {
         [
             Flag::new("--pool-pages", Some("N"), |t: &mut T, v| {
                 let pages = v.parse().map_err(|_| {
@@ -181,29 +178,16 @@ impl StorageFlags {
                     .map_err(|_| format!("--page-codec expects u8, f16 or f32, got {v:?}"))?;
                 Ok(())
             }),
-            Flag::new("--backing", Some("pread|mmap"), |t: &mut T, v| {
-                t.as_mut().backing_io = hydra::FileIoMode::parse(v)
-                    .ok_or_else(|| format!("--backing expects pread or mmap, got {v:?}"))?;
-                Ok(())
-            }),
         ]
     }
 
-    /// The cross-flag rules: the codec and the I/O mode shape only how a
-    /// *file-backed* store moves its pages, so naming a non-default one
-    /// without `--out-of-core` would silently measure nothing.
+    /// The cross-flag rule: the codec shapes only how a *file-backed*
+    /// store moves its pages, so naming a non-default one without
+    /// `--out-of-core` would silently measure nothing.
     pub fn validate(&self) -> Result<(), String> {
-        if self.out_of_core {
-            return Ok(());
-        }
-        if self.page_codec != hydra::PageCodec::F32 {
+        if !self.out_of_core && self.page_codec != hydra::PageCodec::F32 {
             return Err("--page-codec u8/f16 requires --out-of-core (a resident store holds \
                         the exact f32 values and has no coded pages to scan)"
-                .into());
-        }
-        if self.backing_io != hydra::FileIoMode::Pread {
-            return Err("--backing mmap requires --out-of-core (a resident store does no file \
-                        I/O to transfer differently)"
                 .into());
         }
         Ok(())
@@ -220,7 +204,6 @@ impl StorageFlags {
         self.pool_pages
             .map_or(storage, |pages| storage.with_pool_pages(pages))
             .with_page_codec(self.page_codec)
-            .with_io_mode(self.backing_io)
     }
 }
 
@@ -346,35 +329,29 @@ mod tests {
     #[test]
     fn storage_flags_parse_once_each_and_require_out_of_core() {
         assert_eq!(storage_flags(&[]), Ok(StorageFlags::default()));
-        let f = storage_flags(&["--out-of-core", "--pool-pages=2", "--page-codec", "u8", "--backing=mmap"])
-            .unwrap();
+        let f = storage_flags(&["--out-of-core", "--pool-pages=2", "--page-codec", "u8"]).unwrap();
         assert_eq!(f.pool_pages, Some(2));
         assert_eq!(f.page_codec, hydra::PageCodec::U8);
-        assert_eq!(f.backing_io, hydra::FileIoMode::Mmap);
         let storage = f.storage(false);
         assert_eq!(storage, hydra::StorageConfig::on_disk()
             .with_pool_pages(2)
-            .with_page_codec(hydra::PageCodec::U8)
-            .with_io_mode(hydra::FileIoMode::Mmap));
+            .with_page_codec(hydra::PageCodec::U8));
         assert_eq!(storage_flags(&[]).unwrap().storage(true), hydra::StorageConfig::in_memory());
         // The defaults may be spelled out without --out-of-core.
-        assert!(storage_flags(&["--page-codec", "f32", "--backing", "pread", "--pool-pages", "0"]).is_ok());
+        assert!(storage_flags(&["--page-codec", "f32", "--pool-pages", "0"]).is_ok());
         // Values, duplicates, and a switch that takes no value.
         for bad in [
             &["--pool-pages", "lots"][..],
             &["--pool-pages"],
             &["--page-codec", "mp3"],
-            &["--backing", "dma"],
             &["--out-of-core", "--out-of-core"],
             &["--pool-pages=1", "--pool-pages=2"],
             &["--out-of-core=yes"],
             &["--page-codec=u8"],
             &["--page-codec=f16", "--pool-pages=4"],
-            &["--backing=mmap"],
         ] {
             assert!(storage_flags(bad).is_err(), "{bad:?}");
         }
         assert!(storage_flags(&["--page-codec=u8"]).unwrap_err().contains("requires --out-of-core"));
-        assert!(storage_flags(&["--backing=mmap"]).unwrap_err().contains("requires --out-of-core"));
     }
 }

@@ -7,10 +7,8 @@
 //! # standalone server, or one shard worker (the same thing: a worker is
 //! # just a server booted from one shard's snapshot directory)
 //! hydra-serve --snapshots DIR [--addr 127.0.0.1:7878]
-//!             [--shard-role worker]
-//!             [--storage on-disk|in-memory] [--seed N]
-//!             [--pool-pages N] [--out-of-core [--page-codec u8|f16|f32]
-//!                                               [--backing pread|mmap]]
+//!             [--shard-role worker] [--seed N]
+//!             [--pool-pages N] [--out-of-core [--page-codec u8|f16|f32]]
 //!             [--batch-window-ms N] [--max-batch N]
 //!             [--slow-query-ms N]
 //!
@@ -19,17 +17,15 @@
 //! hydra-serve --shard-role router --workers HOST:PORT,HOST:PORT,...
 //!             [--addr 127.0.0.1:7878]
 //!             [--worker-timeout-ms 30000] [--worker-connect-timeout-ms 120000]
-//!             [--shard-scheme contiguous|strided]
 //! ```
 //!
 //! `--seed` selects the `hydra::standard_registry` configuration the
 //! snapshots must fingerprint-match: use `5` for `fig4_ondisk --save-index`
 //! directories (the default) and `3` for `fig3_inmemory` ones. A mismatch
 //! fails at boot with the offending file named — the server never guesses.
-//! `--storage` is not checked against anything: no part of the storage
-//! configuration — page size, pool, codec, backing — is fingerprinted, and
-//! the flag only picks the default pool size (`on-disk`, the default, a
-//! 128-page pool; `in-memory`, one that holds everything).
+//! No part of the storage configuration — page size, pool, codec — is
+//! fingerprinted; the pool defaults to 128 pages and `--pool-pages`
+//! overrides it.
 //!
 //! `--out-of-core` serves raw series from the snapshot files themselves
 //! through a real page cache instead of holding them resident, and
@@ -49,8 +45,8 @@
 //!
 //! In router mode, `--workers` lists the shard workers *in shard order*
 //! (worker `w` must serve shard `w` of every index — the per-shard
-//! subdirectories a `fig* --save-index DIR --shards S` run writes), and
-//! `--shard-scheme` must name the scheme that run partitioned with.
+//! subdirectories a `fig* --save-index DIR --shards S` run writes, whose
+//! shards are contiguous ranges of each dataset).
 //! `--worker-timeout-ms` bounds every call to a worker; a worker that dies
 //! or stalls turns its in-flight queries into typed `Unavailable` error
 //! responses, never a hang, and is reconnected with exponential backoff.
@@ -67,7 +63,6 @@
 
 use std::time::Duration;
 
-use hydra::PartitionScheme;
 use hydra_serve::cli::{fail, non_empty, parse, positive, Flag, StorageFlags};
 use hydra_serve::{boot_from_dir_with, Router, RouterConfig, Server, ServerConfig};
 
@@ -93,7 +88,6 @@ struct Args {
     role: Role,
     snapshots: std::path::PathBuf,
     addr: String,
-    in_memory: bool,
     seed: u64,
     storage: StorageFlags,
     batch_window: Duration,
@@ -102,7 +96,6 @@ struct Args {
     workers: Vec<String>,
     worker_timeout: Duration,
     worker_connect_timeout: Duration,
-    scheme: PartitionScheme,
 }
 
 impl Default for Args {
@@ -111,7 +104,6 @@ impl Default for Args {
             role: Role::Worker,
             snapshots: std::path::PathBuf::new(),
             addr: "127.0.0.1:7878".into(),
-            in_memory: false,
             seed: 5,
             storage: StorageFlags::default(),
             batch_window: Duration::from_millis(1),
@@ -120,7 +112,6 @@ impl Default for Args {
             workers: Vec::new(),
             worker_timeout: Duration::from_secs(30),
             worker_connect_timeout: Duration::from_secs(120),
-            scheme: PartitionScheme::Contiguous,
         }
     }
 }
@@ -157,7 +148,7 @@ const FLAGS: [Flag<Args>; 2] = [
 ];
 
 /// The flags only a router takes: it alone routes to anyone.
-const ROUTER_FLAGS: [Flag<Args>; 4] = [
+const ROUTER_FLAGS: [Flag<Args>; 3] = [
     Flag::new("--workers", Some("HOST:PORT,..."), |a, v| {
         a.workers = v
             .split(',')
@@ -176,30 +167,13 @@ const ROUTER_FLAGS: [Flag<Args>; 4] = [
     Flag::new("--worker-connect-timeout-ms", Some("N"), |a, v| {
         millis("--worker-connect-timeout-ms", v).map(|timeout| a.worker_connect_timeout = timeout)
     }),
-    Flag::new("--shard-scheme", Some("contiguous|strided"), |a, v| {
-        a.scheme = PartitionScheme::parse(v)
-            .ok_or_else(|| format!("--shard-scheme expects contiguous or strided, got {v:?}"))?;
-        Ok(())
-    }),
 ];
 
 /// The flags only a worker takes (with [`StorageFlags::flags`]): it alone
 /// holds snapshots and batches.
-const WORKER_FLAGS: [Flag<Args>; 6] = [
+const WORKER_FLAGS: [Flag<Args>; 5] = [
     Flag::new("--snapshots", Some("DIR"), |a, v| {
         non_empty(v, "--snapshots expects a directory path").map(|dir| a.snapshots = dir.into())
-    }),
-    Flag::new("--storage", Some("on-disk|in-memory"), |a, v| {
-        a.in_memory = match v {
-            "in-memory" => true,
-            "on-disk" => false,
-            other => {
-                return Err(format!(
-                    "--storage expects in-memory or on-disk, got {other:?}"
-                ))
-            }
-        };
-        Ok(())
     }),
     Flag::new("--seed", Some("N"), |a, v| {
         a.seed = v
@@ -281,15 +255,13 @@ fn run_router(args: &Args) {
     let config = RouterConfig {
         worker_timeout: args.worker_timeout,
         boot_timeout: args.worker_connect_timeout,
-        scheme: args.scheme,
     };
     let handle = Router::spawn(&workers, args.addr.as_str(), config)
         .unwrap_or_else(|e| fail(&format!("router boot failed: {e}")));
     eprintln!(
-        "hydra-serve: routing on {} to {} workers ({:?} shards, {:?} worker timeout)",
+        "hydra-serve: routing on {} to {} workers ({:?} worker timeout)",
         handle.local_addr(),
         workers.len(),
-        args.scheme,
         args.worker_timeout
     );
     let stats = handle.join();
@@ -318,7 +290,7 @@ fn set_boot_gauges(metrics: &hydra_serve::MetricsRegistry, loads: &[hydra_serve:
 /// Runs the worker (= plain server) role: boot snapshots, serve.
 fn run_worker(args: &Args) {
     let flags = args.storage;
-    let registry = hydra::standard_registry(flags.storage(args.in_memory), args.seed);
+    let registry = hydra::standard_registry(flags.storage(false), args.seed);
     let options = hydra_serve::BootOptions {
         file_backed: flags.out_of_core,
     };
@@ -328,8 +300,7 @@ fn run_worker(args: &Args) {
     let boot_peak_heap = hydra_obs::heap_peak_bytes();
     if flags.out_of_core {
         eprintln!(
-            "hydra-serve: serving out-of-core (raw series file-backed via {}{})",
-            flags.backing_io.name(),
+            "hydra-serve: serving out-of-core (raw series file-backed{})",
             match flags.pool_pages {
                 Some(p) => format!(", pool {p} pages"),
                 None => String::new(),
@@ -422,19 +393,16 @@ mod tests {
         let a = parse_args(&args(&["--snapshots", "/snaps"])).unwrap();
         assert_eq!(a.snapshots, std::path::Path::new("/snaps"));
         assert_eq!(a.addr, "127.0.0.1:7878");
-        assert!(!a.in_memory);
         assert_eq!(a.seed, 5);
         assert_eq!(a.role, Role::Worker);
         let a = parse_args(&args(&[
             "--snapshots=/s",
             "--addr=0.0.0.0:9000",
-            "--storage=in-memory",
             "--seed=4",
             "--batch-window-ms=5",
             "--max-batch=128",
         ]))
         .unwrap();
-        assert!(a.in_memory);
         assert_eq!(a.seed, 4);
         assert_eq!(a.batch_window, Duration::from_millis(5));
         assert_eq!(a.max_batch, 128);
@@ -444,11 +412,22 @@ mod tests {
         assert!(parse_args(&args(&["--snapshots"])).is_err());
         assert!(parse_args(&args(&["--snapshots="])).is_err());
         assert!(parse_args(&args(&["--snapshots", "/a", "--snapshots", "/b"])).is_err());
-        assert!(parse_args(&args(&["--snapshots", "/a", "--storage", "floppy"])).is_err());
         assert!(parse_args(&args(&["--snapshots", "/a", "--seed", "many"])).is_err());
         assert!(parse_args(&args(&["--snapshots", "/a", "--max-batch", "0"])).is_err());
-        assert!(parse_args(&args(&["--snapshots", "/a", "--threads", "2"])).is_err());
         assert!(parse_args(&args(&["extra"])).is_err());
+        // Retired flags are unknown, and the "accepted: …" line omits them.
+        for retired in [
+            &["--snapshots", "/a", "--backing", "mmap"][..],
+            &["--snapshots", "/a", "--storage", "in-memory"],
+            &["--shard-role", "router", "--workers", "h:1", "--shard-scheme", "contiguous"],
+            &["--snapshots", "/a", "--threads", "2"],
+        ] {
+            let flag = retired[retired.len() - 2];
+            let err = parse_args(&args(retired)).unwrap_err();
+            let (head, accepted) = err.split_once("(accepted: ").expect("an unknown-flag error");
+            assert_eq!(head, format!("unrecognized argument {flag:?} "));
+            assert!(!accepted.contains(flag), "{flag} is still accepted: {accepted}");
+        }
         // Out-of-core serving flags.
         let a = parse_args(&args(&[
             "--snapshots=/s",
@@ -476,16 +455,15 @@ mod tests {
         assert_eq!(a.storage.page_codec, hydra::PageCodec::U8);
         let a = parse_args(&args(&["--snapshots", "/s", "--page-codec", "f32"])).unwrap();
         assert_eq!(a.storage.page_codec, hydra::PageCodec::F32);
-        for (flag, value) in [("--page-codec", "u8"), ("--page-codec", "f16"), ("--backing", "mmap")] {
+        for value in ["u8", "f16"] {
             let lone = StorageFlags {
-                page_codec: hydra::PageCodec::parse(value).unwrap_or_default(),
-                backing_io: hydra::FileIoMode::parse(value).unwrap_or_default(),
+                page_codec: hydra::PageCodec::parse(value).unwrap(),
                 ..StorageFlags::default()
             };
             assert_eq!(
-                parse_args(&args(&["--snapshots", "/s", flag, value])),
+                parse_args(&args(&["--snapshots", "/s", "--page-codec", value])),
                 Err(lone.validate().unwrap_err()),
-                "{flag} {value} without --out-of-core"
+                "--page-codec {value} without --out-of-core"
             );
         }
         assert!(parse_args(&args(&["--snapshots", "/s", "--page-codec", "mp3"])).is_err());
@@ -528,7 +506,6 @@ mod tests {
             "--workers=127.0.0.1:7971, 127.0.0.1:7972",
             "--worker-timeout-ms=250",
             "--worker-connect-timeout-ms=9000",
-            "--shard-scheme=strided",
             "--addr=127.0.0.1:7970",
         ]))
         .unwrap();
@@ -536,12 +513,10 @@ mod tests {
         assert_eq!(a.workers, vec!["127.0.0.1:7971", "127.0.0.1:7972"]);
         assert_eq!(a.worker_timeout, Duration::from_millis(250));
         assert_eq!(a.worker_connect_timeout, Duration::from_millis(9000));
-        assert_eq!(a.scheme, PartitionScheme::Strided);
         // Router defaults.
         let a = parse_args(&args(&["--shard-role", "router", "--workers", "h:1"])).unwrap();
         assert_eq!(a.worker_timeout, Duration::from_secs(30));
         assert_eq!(a.worker_connect_timeout, Duration::from_secs(120));
-        assert_eq!(a.scheme, PartitionScheme::Contiguous);
         // Bad values.
         assert!(parse_args(&args(&["--snapshots", "/s", "--shard-role", "boss"])).is_err());
         assert!(parse_args(&args(&["--shard-role", "router", "--workers", ","])).is_err());
@@ -549,12 +524,6 @@ mod tests {
             "--shard-role=router",
             "--workers=h:1",
             "--worker-timeout-ms=0"
-        ]))
-        .is_err());
-        assert!(parse_args(&args(&[
-            "--shard-role=router",
-            "--workers=h:1",
-            "--shard-scheme=diagonal"
         ]))
         .is_err());
         // Role/flag disagreements.

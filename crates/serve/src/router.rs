@@ -67,7 +67,7 @@ use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
 use hydra::core::Answer;
-use hydra::{merge_top_k, PartitionScheme, ShardMap};
+use hydra::{merge_top_k, ShardMap};
 use hydra_obs::{Counter, Gauge, Histogram, MetricsRegistry};
 
 use crate::client::ServeClient;
@@ -91,20 +91,14 @@ pub struct RouterConfig {
     /// generous, because workers validate whole snapshot directories
     /// before they listen.
     pub boot_timeout: Duration,
-    /// How the shards were cut from the original dataset. Only affects the
-    /// local→global id translation: contiguous shards are prefix-sum
-    /// offsets, strided shards interleave. Must match the `--shards` run
-    /// that produced the worker snapshot directories.
-    pub scheme: PartitionScheme,
 }
 
 impl Default for RouterConfig {
-    /// 30 s worker calls, 120 s boot, contiguous shards.
+    /// 30 s worker calls, 120 s boot.
     fn default() -> Self {
         Self {
             worker_timeout: Duration::from_secs(30),
             boot_timeout: Duration::from_secs(120),
-            scheme: PartitionScheme::Contiguous,
         }
     }
 }
@@ -805,16 +799,18 @@ pub struct Router;
 
 impl Router {
     /// Connects to `workers` (shard order — worker `w` must hold shard `w`
-    /// of every index), validates that every worker serves the same index
-    /// names with the same method and series length, and binds `addr` for
-    /// clients.
+    /// of every index, its shards contiguous ranges of the dataset, as
+    /// `fig* --save-index DIR --shards S` writes them), validates that
+    /// every worker serves the same index names with the same method and
+    /// series length, and binds `addr` for clients.
     ///
     /// # Errors
-    /// An [`std::io::Error`] if `workers` is empty, a worker cannot be
-    /// reached within [`RouterConfig::boot_timeout`], the workers'
-    /// listings disagree (serving a zoo where shard 1 of `rand256-dstree`
-    /// is missing would answer every query wrongly), the shard sizes are
-    /// not a valid split under [`RouterConfig::scheme`], or the listener
+    /// An [`std::io::Error`] if `workers` is empty or names one address
+    /// twice (that shard would be counted twice, its neighbors answered
+    /// under two global ids), a worker cannot be reached within
+    /// [`RouterConfig::boot_timeout`], the workers' listings disagree
+    /// (serving a zoo where shard 1 of `rand256-dstree` is missing would
+    /// answer every query wrongly), a shard is empty, or the listener
     /// cannot bind.
     pub fn spawn<A: ToSocketAddrs>(
         workers: &[SocketAddr],
@@ -823,6 +819,12 @@ impl Router {
     ) -> std::io::Result<RouterHandle> {
         if workers.is_empty() {
             return Err(invalid("refusing to route to zero workers".into()));
+        }
+        if let Some(w) = (1..workers.len()).find(|&w| workers[..w].contains(&workers[w])) {
+            return Err(invalid(format!(
+                "worker {w} repeats {}: every shard needs a worker of its own",
+                workers[w]
+            )));
         }
         let registry = MetricsRegistry::new();
         let links: Vec<Arc<WorkerLink>> = workers
@@ -896,11 +898,10 @@ impl Router {
                 }
                 lens.push(info.num_series as usize);
             }
-            let map = ShardMap::from_lens(config.scheme, &lens).map_err(|e| {
+            let map = ShardMap::contiguous_from_lens(&lens).map_err(|e| {
                 invalid(format!(
-                    "shard sizes {lens:?} of index {:?} are not a valid {} split: {e}",
-                    first.name,
-                    config.scheme.label()
+                    "shard sizes {lens:?} of index {:?} are not a split: {e}",
+                    first.name
                 ))
             })?;
             let mut info = first.clone();
@@ -1062,6 +1063,14 @@ mod tests {
             RouterConfig::default(),
         );
         assert!(err.is_err(), "mismatched index names must fail the boot");
+        // One worker named twice would serve its shard twice over.
+        let twice = Router::spawn(
+            &[w0.local_addr(), w0.local_addr()],
+            "127.0.0.1:0",
+            RouterConfig::default(),
+        );
+        let err = twice.err().expect("a repeated worker must fail the boot");
+        assert_eq!(err.kind(), std::io::ErrorKind::InvalidInput);
         w0.shutdown();
         w1.shutdown();
         w0.join();

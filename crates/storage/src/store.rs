@@ -41,20 +41,11 @@ pub enum FileIoMode {
 }
 
 impl FileIoMode {
-    /// The mode's CLI name (`--backing pread|mmap`).
+    /// The mode's name in reports (`pread`, `mmap`).
     pub fn name(self) -> &'static str {
         match self {
             FileIoMode::Pread => "pread",
             FileIoMode::Mmap => "mmap",
-        }
-    }
-
-    /// Parses a CLI name; `None` for anything but `pread`/`mmap`.
-    pub fn parse(s: &str) -> Option<Self> {
-        match s {
-            "pread" => Some(FileIoMode::Pread),
-            "mmap" => Some(FileIoMode::Mmap),
-            _ => None,
         }
     }
 }
@@ -122,9 +113,9 @@ impl StorageConfig {
         Self { codec, ..self }
     }
 
-    /// This configuration with the file I/O mode replaced — the
-    /// `--backing pread|mmap` serving knob. Answers and accounting are
-    /// identical under either mode (see [`FileIoMode`]).
+    /// This configuration with the file I/O mode replaced (a library
+    /// value; no binary sets it). Answers and accounting are identical
+    /// under either mode (see [`FileIoMode`]).
     pub fn with_io_mode(self, io: FileIoMode) -> Self {
         Self { io, ..self }
     }
