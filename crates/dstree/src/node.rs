@@ -8,8 +8,8 @@ use hydra_core::{
     QueryStats, Representation, Result, SearchParams, SearchResult,
 };
 use hydra_persist::{
-    DataSource, Fingerprint, Leaf, LeafTree, LeafTreeConfig, PersistError, PersistentIndex,
-    StoreBacking, TreeNode, Ungated,
+    DataSource, Fingerprint, GapTable, Leaf, LeafTree, LeafTreeConfig, PersistError,
+    PersistentIndex, StoreBacking, TreeNode, Ungated,
 };
 use hydra_storage::{SeriesStore, StorageConfig};
 use hydra_summarize::apca::{segment_stats, uniform_segments, Segment, SegmentStats};
@@ -159,10 +159,9 @@ impl TreeNode for Node {
 /// the live best-so-far is skipped before its raw series is read. It is one
 /// the early-abandoning kernel would have refused, so answers, distance
 /// bits and the leaves visited do not depend on the gate; only the series
-/// read and compared do. The bound reads the word against the symbol cell
-/// edges directly — no per-query table, which a one-leaf ng search could
-/// not pay for. Words and segment ids are derived data, never persisted: a
-/// load rebuilds both.
+/// read and compared do. The bound reads one value per segment from the
+/// query's [`GapTable`], filled once per query from its PAA. Words and
+/// segment ids are derived data, never persisted: a load rebuilds both.
 ///
 /// **How this differs from the paper's DSTree.** There every series of a
 /// visited leaf is read and compared: EAPCA summarizes nodes, not series.
@@ -170,12 +169,13 @@ impl TreeNode for Node {
 /// take (and this repository's iSAX2+ too). The answers are the paper's —
 /// in every mode, bit for bit — while fewer series are read: the pruning
 /// ratio of fig 5 and the DSTree timings of figs 3–4 are this variant's,
-/// not the original's. Checking a word costs about a fifth of reading and
+/// not the original's. Checking a word costs about a tenth of reading and
 /// comparing its series, so the gate pays on series whose words
 /// discriminate — z-normalized ones such as the random walks, where it
 /// rejects nine members in ten — and costs time where they do not: on the
 /// vector datasets of figs 3–4, whose values are not z-normalized, DSTree
-/// runs up to a quarter slower than it did without the gate.
+/// ran up to a quarter slower than without the gate when a check read the
+/// cell edges and cost about a fifth.
 pub struct DsTree {
     config: DsTreeConfig,
     frame: LeafTree<Node>,
@@ -190,8 +190,9 @@ pub struct PreparedQuery {
     /// The query's mean and standard deviation over every distinct segment
     /// of the tree, by segment id.
     stats: Vec<SegmentStats>,
-    /// The query's PAA at the kept words' segmentation.
-    paa: Vec<f32>,
+    /// The query's squared gap to every cell of the kept words, from its
+    /// PAA at their segmentation: what the member gate reads.
+    gaps: GapTable,
 }
 
 /// The shape of the kept words: 16 segments at cardinality 256 (the SAX
@@ -597,7 +598,7 @@ impl PersistentIndex for DsTree {
 
 impl HierarchicalIndex for DsTree {
     /// The query's statistics over every distinct segment, which every node
-    /// bound reads, and its PAA, which the member gate reads.
+    /// bound reads, and its gap table, which the member gate reads.
     type Prepared = PreparedQuery;
 
     fn roots(&self) -> &[usize] {
@@ -619,7 +620,7 @@ impl HierarchicalIndex for DsTree {
                 .iter()
                 .map(|&seg| segment_stats(query, seg))
                 .collect(),
-            paa: self.frame.paa(query),
+            gaps: self.frame.words.gaps(&self.frame.paa(query)),
         }
     }
 
@@ -649,7 +650,7 @@ impl HierarchicalIndex for DsTree {
             stats,
             // Strictly beyond the bound is what the early-abandoning kernel
             // refuses; a member at the bound is still compared.
-            |row, bound| self.frame.words.bound_squared(&prepared.paa, row) <= bound * bound,
+            |row, bound| self.frame.words.bound_squared(&prepared.gaps, row) <= bound * bound,
             accept,
         )
     }
@@ -1095,7 +1096,7 @@ mod tests {
                     .unwrap();
                 let query = vec![0.0f32; len];
                 let prepared = tree.prepare(&query);
-                let bound = tree.frame.words.bound_squared(&prepared.paa, row).sqrt();
+                let bound = tree.frame.words.bound_squared(&prepared.gaps, row).sqrt();
                 assert_eq!(bound.to_bits(), euclidean(&query, &series).to_bits());
 
                 // Around the tie the gate lets through exactly what the

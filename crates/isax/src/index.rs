@@ -1,5 +1,6 @@
 //! The iSAX2+ tree.
 
+use std::cmp::Ordering;
 use std::collections::HashMap;
 use std::path::Path;
 
@@ -9,11 +10,11 @@ use hydra_core::{
     QueryStats, Representation, Result, SearchParams, SearchResult,
 };
 use hydra_persist::{
-    DataSource, Fingerprint, Leaf, LeafTree, LeafTreeConfig, PersistError, PersistentIndex,
-    StoreBacking, TreeNode, Ungated,
+    DataSource, Fingerprint, GapTable, Leaf, LeafTree, LeafTreeConfig, PersistError,
+    PersistentIndex, StoreBacking, TreeNode, Ungated,
 };
 use hydra_storage::{SeriesStore, StorageConfig};
-use hydra_summarize::sax::{IsaxWord, SaxParams};
+use hydra_summarize::sax::{value_to_symbol, IsaxWord, SaxParams};
 
 /// Configuration of an [`Isax2Plus`] index.
 #[derive(Debug, Clone, Copy)]
@@ -99,25 +100,31 @@ impl TreeNode for Node {
 /// split. The envelopes of all nodes live in one flat `u8` array
 /// (`2 * word_len` per node, in node order, the virtual root having none).
 ///
-/// [`HierarchicalIndex::prepare`] fills a per-query table with, for every
-/// segment and every symbol `s`, the squared distance from the query's PAA
-/// to `s`'s cell when the PAA lies *below* the cell's lower breakpoint, and
-/// when it lies *above* its upper one (zero otherwise; at most one of the
-/// pair is not). [`HierarchicalIndex::min_dist`] is then `below[lo] +
-/// above[hi]` per segment, summed in segment order. On an internal node
-/// those are the additions of [`hydra_summarize::sax::mindist_paa_isax`]
-/// over its word, bit for bit.
+/// [`HierarchicalIndex::prepare`] makes two per-query tables
+/// ([`PreparedQuery`]). The first is the word column's [`GapTable`]: for
+/// every segment and every symbol `s`, the squared gap from the query's PAA
+/// to `s`'s cell (zero inside it). The second splits each gap into a
+/// `[below, above]` pair: the gap when the PAA lies *below* the cell's
+/// lower breakpoint, and when it lies *above* its upper one. At most one of
+/// the pair is not zero; which one follows from the PAA's own cell.
+/// [`HierarchicalIndex::min_dist`] is then `below[lo] + above[hi]` per
+/// segment, summed in segment order. On an internal node those are the
+/// additions of [`hydra_summarize::sax::mindist_paa_isax`] over its word,
+/// bit for bit.
 ///
 /// The full-cardinality word the insert path computes for every series is
 /// kept too, in the store-row-ordered [`hydra_persist::WordColumn`] of the
 /// [`LeafTree`] frame that holds the nodes, raw series and histogram, as
-/// DSTree's does. A series is the envelope `[s, s]`, so
-/// [`HierarchicalIndex::refine_leaf`] bounds each member of a popped leaf
-/// from the same table and hands the store a *gate*: a member whose bound
-/// strictly exceeds the live best-so-far is skipped before its raw series
-/// is read — it is one the early-abandoning kernel would have refused, so
-/// answers and distance bits do not depend on the gate; only the series
-/// read and compared do.
+/// DSTree's does. [`HierarchicalIndex::refine_leaf`] bounds each member of
+/// a popped leaf by its word's gaps, one read per segment, and hands the
+/// store a *gate*: a member whose bound strictly exceeds the live
+/// best-so-far is skipped before its raw series is read — it is one the
+/// early-abandoning kernel would have refused, so answers and distance bits
+/// do not depend on the gate; only the series read and compared do. A
+/// series is the envelope `[s, s]`, and `below[s] + above[s]` is its gap
+/// exactly, so the member gate sums the gaps in segment order too: a
+/// leaf's bound is then at most each member's, bit for bit. Every bound is
+/// scaled by the column's weight, the length of the shortest PAA segment.
 ///
 /// Words and envelopes are derived data, never persisted: a snapshot load
 /// rebuilds the words ([`hydra_persist::WordColumn::rebuild`]) and the
@@ -148,6 +155,19 @@ pub struct Isax2Plus {
     /// Root children by the 1-bit prefixes of their word: build/ingest-time
     /// scratch, rebuilt from the root's children when stale.
     root_children: HashMap<Vec<u16>, usize>,
+}
+
+/// What an iSAX2+ search computes of a query once
+/// ([`HierarchicalIndex::prepare`]; see [`Isax2Plus`]).
+#[derive(Debug, Clone)]
+pub struct PreparedQuery {
+    /// Per segment (row) and symbol, the squared gap from the query's PAA
+    /// to the symbol's cell as `[below, above]`: the PAA under the cell's
+    /// lower breakpoint, or over its upper one; zero otherwise. What node
+    /// and leaf envelopes read.
+    pairs: Vec<[f32; 2]>,
+    /// The same gaps, one per symbol: what the member gate reads.
+    gaps: GapTable,
 }
 
 /// The 1-bit prefix of every segment: what decides the root child of a
@@ -380,25 +400,27 @@ impl Isax2Plus {
     }
 
     /// The squared lower bound of an envelope (lows, then highs): its
-    /// per-segment `below[lo] + above[hi]` looked up in the query's `table`
-    /// and summed in segment order.
-    fn bound_squared(&self, table: &[[f32; 2]], lows: &[u8], highs: &[u8]) -> f32 {
+    /// per-segment `below[lo] + above[hi]` looked up in the query's pair
+    /// table and summed in segment order.
+    fn bound_squared(&self, prepared: &PreparedQuery, lows: &[u8], highs: &[u8]) -> f32 {
         let mut acc = 0.0f32;
-        for ((row, &lo), &hi) in table
+        for ((row, &lo), &hi) in prepared
+            .pairs
             .chunks_exact(self.frame.words.cells())
             .zip(lows)
             .zip(highs)
         {
             acc += row[lo as usize][0] + row[hi as usize][1];
         }
-        self.frame.collection.series_len() as f32 / self.word_len as f32 * acc
+        self.frame.words.weight() * acc
     }
 
-    /// The squared lower bound on the distance from the query `table` was
-    /// prepared for to the series in store row `row`, from its kept word.
-    fn member_bound_squared(&self, table: &[[f32; 2]], row: usize) -> f32 {
-        let symbols = self.frame.words.row(row);
-        self.bound_squared(table, symbols, symbols)
+    /// The squared lower bound on the distance from the query `prepared`
+    /// was made for to the series in store row `row`, from its kept word:
+    /// its gaps, summed in segment order as an envelope's are.
+    fn member_bound_squared(&self, prepared: &PreparedQuery, row: usize) -> f32 {
+        let gaps = prepared.gaps.dims().iter().zip(self.frame.words.row(row));
+        self.frame.words.weight() * gaps.fold(0.0f32, |acc, (g, &s)| acc + g[s as usize])
     }
 
     /// Number of leaves.
@@ -518,10 +540,8 @@ impl PersistentIndex for Isax2Plus {
 }
 
 impl HierarchicalIndex for Isax2Plus {
-    /// Per segment (row) and symbol, the squared distance from the query's
-    /// PAA to the symbol's cell as `[below, above]`: the PAA under the cell's
-    /// lower breakpoint, or over its upper one; zero otherwise.
-    type Prepared = Vec<[f32; 2]>;
+    /// The query's gap table and its `[below, above]` split.
+    type Prepared = PreparedQuery;
 
     fn roots(&self) -> &[usize] {
         &[0]
@@ -535,36 +555,32 @@ impl HierarchicalIndex for Isax2Plus {
         self.frame.children(node)
     }
 
-    fn prepare(&self, query: &[f32]) -> Vec<[f32; 2]> {
+    fn prepare(&self, query: &[f32]) -> PreparedQuery {
         let query_paa = self.frame.paa(query);
-        let edges = self.frame.words.breakpoints();
-        let mut table = Vec::with_capacity(query_paa.len() * (edges.len() + 1));
-        for &q in &query_paa {
-            // Symbol `s` spans `edges[s - 1] .. edges[s]`, open-ended at
-            // either end of the alphabet.
-            table.extend((0..=edges.len()).map(|s| {
-                let below = if s > 0 && q < edges[s - 1] {
-                    edges[s - 1] - q
-                } else {
-                    0.0
-                };
-                let above = if s < edges.len() && q > edges[s] {
-                    q - edges[s]
-                } else {
-                    0.0
-                };
-                [below * below, above * above]
-            }));
+        let (words, breakpoints) = (&self.frame.words, self.frame.words.breakpoints());
+        let gaps = words.gaps(&query_paa);
+        let mut pairs = Vec::with_capacity(query_paa.len() * words.cells());
+        for (&q, row) in query_paa.iter().zip(gaps.dims()) {
+            // The PAA lies in its own cell: below every cell above that one
+            // (the gap is `below`'s) and above every cell under it
+            // (`above`'s).
+            let own = value_to_symbol(q, breakpoints) as usize;
+            let split = |(s, &gap): (usize, &f32)| match s.cmp(&own) {
+                Ordering::Greater => [gap, 0.0],
+                Ordering::Less => [0.0, gap],
+                Ordering::Equal => [0.0, 0.0],
+            };
+            pairs.extend(row[..words.cells()].iter().enumerate().map(split));
         }
-        table
+        PreparedQuery { pairs, gaps }
     }
 
-    fn min_dist(&self, _query: &[f32], table: &Vec<[f32; 2]>, node: usize) -> f32 {
+    fn min_dist(&self, _query: &[f32], prepared: &PreparedQuery, node: usize) -> f32 {
         if node == 0 {
             return 0.0;
         }
         let (lows, highs) = self.envelopes[self.envelope_range(node)].split_at(self.word_len);
-        self.bound_squared(table, lows, highs).sqrt()
+        self.bound_squared(prepared, lows, highs).sqrt()
     }
 
     fn leaf_size(&self, node: usize) -> usize {
@@ -575,7 +591,7 @@ impl HierarchicalIndex for Isax2Plus {
         &self,
         node: usize,
         query: &[f32],
-        table: &Vec<[f32; 2]>,
+        prepared: &PreparedQuery,
         best_so_far: f32,
         stats: &mut QueryStats,
         accept: &mut dyn FnMut(usize, f32) -> f32,
@@ -587,7 +603,7 @@ impl HierarchicalIndex for Isax2Plus {
             stats,
             // Strictly beyond the bound is what the early-abandoning kernel
             // refuses; a member at the bound is still compared.
-            |row, bound| self.member_bound_squared(table, row) <= bound * bound,
+            |row, bound| self.member_bound_squared(prepared, row) <= bound * bound,
             accept,
         )
     }
@@ -684,9 +700,11 @@ mod tests {
     use hydra_summarize::paa::paa;
     use hydra_summarize::sax::{mindist_paa_isax, normal_breakpoints, sax_word, MAX_CARD_BITS};
 
-    /// (series length, segments, max_bits); the last series is shorter than
-    /// its word, so the word is clamped to the series.
-    const SHAPES: [(usize, usize, u8); 4] = [(64, 8, 8), (64, 16, 8), (64, 8, 3), (6, 8, 8)];
+    /// (series length, segments, max_bits); 24 points make segments of one
+    /// and two points, and the last series is shorter than its word, so the
+    /// word is clamped to the series.
+    const SHAPES: [(usize, usize, u8); 5] =
+        [(64, 8, 8), (64, 16, 8), (64, 8, 3), (24, 16, 8), (6, 8, 8)];
 
     fn config_of(segments: usize, max_bits: u8) -> IsaxConfig {
         IsaxConfig {
@@ -1091,6 +1109,32 @@ mod tests {
                 }
             }
         }
+    }
+
+    #[test]
+    fn exact_search_is_exact_when_segments_are_uneven() {
+        // 24 points in 16 segments: the even segments hold one point, the
+        // odd ones two. `near` sits on a breakpoint over every one-point
+        // segment and on zero elsewhere, so its word bounds it at exactly
+        // its distance when each segment weighs one point; weighing each
+        // 24 / 16 points would bound it beyond `far`, a constant series
+        // that is a little farther.
+        let (len, segments) = (24, 16);
+        let edge = normal_breakpoints(256)[160];
+        let mut near = vec![0.0f32; len];
+        near.iter_mut().step_by(3).for_each(|v| *v = edge);
+        let walks = random_walk(200, len, 5);
+        let shifted = walks.as_flat().iter().map(|v| v + 10.0).collect();
+        let mut data = Dataset::from_flat(len, shifted).unwrap();
+        data.push(&vec![0.64 * edge; len]).unwrap();
+        data.push(&near).unwrap();
+        let index = Isax2Plus::build(&data, config_of(segments, 8)).unwrap();
+        let query = vec![0.0f32; len];
+        let got = index.search(&query, &SearchParams::exact(1)).unwrap();
+        let want = exact_knn(&data, &query, 1);
+        assert_eq!(want[0].index, 201);
+        assert_eq!(got.neighbors[0].index, 201);
+        assert_eq!(got.neighbors[0].distance.to_bits(), want[0].distance.to_bits());
     }
 
     #[test]

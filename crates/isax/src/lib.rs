@@ -32,4 +32,4 @@
 
 mod index;
 
-pub use index::{Isax2Plus, IsaxConfig};
+pub use index::{Isax2Plus, IsaxConfig, PreparedQuery};

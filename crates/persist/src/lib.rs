@@ -63,8 +63,9 @@
 //! identity (kind, then configuration, then data). A disk-resident index
 //! keeps its raw series in a [`Collection`], which owns their layout,
 //! growth and re-attachment at load time. [`WordColumn`] is the one owner
-//! of per-row `u8` cells, their edges and their lower bound: the trees' SAX
-//! words and VA+file's approximation file. A leaf-ordered tree is built on
+//! of per-row `u8` cells, their edges and their lower bound, read from a
+//! per-query [`GapTable`]: the trees' SAX words and VA+file's approximation
+//! file. A leaf-ordered tree is built on
 //! the [`LeafTree`] frame, which also holds its words and the δ-ε
 //! histogram, and writes and loads the whole snapshot, handing the tree
 //! only the encoding of its own nodes. The trees and VA+file keep that
@@ -110,7 +111,7 @@ pub use snapshot::{
 };
 pub use stream::{open_dataset_streaming, DataSource, DatasetHandle, STREAM_CHUNK_BYTES};
 pub use tree::{LeafTree, LeafTreeConfig, NodeSlot, TreeNode, Ungated};
-pub use words::WordColumn;
+pub use words::{GapTable, WordColumn};
 
 /// How a loaded index should re-attach its raw series — the out-of-core
 /// switch of the whole persistence layer.

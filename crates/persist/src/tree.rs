@@ -126,7 +126,7 @@ impl<N: TreeNode> LeafTree<N> {
     }
 
     /// The PAA of `series` at the kept words' segmentation: what a word
-    /// encodes, and the query side of [`WordColumn::bound_squared`].
+    /// encodes, and what a query fills its [`WordColumn::gaps`] table from.
     pub fn paa(&self, series: &[f32]) -> Vec<f32> {
         paa(series, self.config.words.segments)
     }

@@ -3,6 +3,12 @@
 //! [`WordColumn`] owns the cell edges, the value → cell encoding and the
 //! cell → bound computation; an index hands it summary values.
 //!
+//! A search bounds many rows against one query, so it first turns the
+//! query's values into a [`GapTable`] ([`WordColumn::gaps`]): the squared
+//! gap from the query to every cell of every dimension. A row's bound is
+//! then one table read per dimension ([`WordColumn::bound_squared`]); no
+//! bound reads a cell edge.
+//!
 //! * **SAX words** ([`WordColumn::new`]): the N(0,1) breakpoints in every
 //!   dimension, over a series' PAA. Both leaf-ordered trees gate each
 //!   member of a visited leaf on its word before the store reads it (see
@@ -34,6 +40,21 @@ fn encode<'a>(
         .iter()
         .zip(edges)
         .map(move |(&v, e)| value_to_symbol(v, &e[1..cells]) as u8)
+}
+
+/// A query's squared gap to every cell of a [`WordColumn`], made once per
+/// query by [`WordColumn::gaps`] and read by every bound of that query.
+/// Row `d` holds dimension `d`'s `cells()` values, then zeros up to 256, so
+/// no `u8` cell reads past it: 16 KiB at 16 dimensions.
+#[derive(Debug, Clone, PartialEq)]
+pub struct GapTable(Box<[[f32; 256]]>);
+
+impl GapTable {
+    /// The squared gaps, one row per dimension, by cell.
+    #[inline]
+    pub fn dims(&self) -> &[[f32; 256]] {
+        &self.0
+    }
 }
 
 /// One fixed-width row of `u8` cells per series, and the cell edges of
@@ -208,35 +229,50 @@ impl WordColumn {
         &self.edges[0][1..self.cells()]
     }
 
-    /// The squared lower bound on the distance from the query whose
-    /// summary is `query` to the series in store row `row`, from its cells
-    /// alone: per dimension, the squared gap from the query's value to the
-    /// cell (zero inside it), times the column's one weight. No per-query
-    /// table: the cell edges are read as they are. The dimensions add into
-    /// four sums side by side (dimension `i` of the whole fours into sum
-    /// `i % 4`, any tail into the first).
+    /// What one dimension weighs in a bound: for a SAX word, the length of
+    /// the shortest PAA segment (`⌊n / segments⌋`); `1` for trained cells.
     #[inline]
-    pub fn bound_squared(&self, query: &[f32], row: usize) -> f32 {
-        let gap_squared = |e: &[f32; 257], q: f32, s: u8| {
-            let (lo, hi) = (e[s as usize], e[s as usize + 1]);
-            // At most one of the two is positive: `lo <= hi`.
-            let gap = (lo - q).max(0.0) + (q - hi).max(0.0);
-            gap * gap
-        };
-        let mut lanes = [0.0f32; 4];
-        let (qs, ss) = (query.chunks_exact(4), self.row(row).chunks_exact(4));
-        let es = self.edges.chunks_exact(4);
-        for ((&q, &s), e) in qs
-            .remainder()
-            .iter()
-            .zip(ss.remainder())
-            .zip(es.remainder())
-        {
-            lanes[0] += gap_squared(e, q, s);
+    pub fn weight(&self) -> f32 {
+        self.weight
+    }
+
+    /// The table of the query whose summary is `values` (one per
+    /// dimension): per dimension and cell, the squared gap from the value
+    /// to the cell, zero inside it.
+    pub fn gaps(&self, values: &[f32]) -> GapTable {
+        debug_assert_eq!(values.len(), self.word_len());
+        let mut table = vec![[0.0f32; 256]; self.word_len()].into_boxed_slice();
+        for ((row, e), &q) in table.iter_mut().zip(&self.edges).zip(values) {
+            let cells = row[..self.cells]
+                .iter_mut()
+                .zip(&e[..self.cells])
+                .zip(&e[1..]);
+            for ((gap_squared, &lo), &hi) in cells {
+                // At most one of the two is positive: `lo <= hi`.
+                let gap = (lo - q).max(0.0) + (q - hi).max(0.0);
+                *gap_squared = gap * gap;
+            }
         }
-        for ((q, s), e) in qs.zip(ss).zip(es) {
+        GapTable(table)
+    }
+
+    /// The squared lower bound on the distance from the query `gaps` was
+    /// made for to the series in store row `row`, from its cells alone: per
+    /// dimension, the query's squared gap to the row's cell, times the
+    /// column's one weight. The dimensions add into four sums side by side
+    /// (dimension `i` of the whole fours into sum `i % 4`, any tail into
+    /// the first).
+    #[inline]
+    pub fn bound_squared(&self, gaps: &GapTable, row: usize) -> f32 {
+        debug_assert_eq!(gaps.0.len(), self.word_len());
+        let mut lanes = [0.0f32; 4];
+        let (gs, ss) = (gaps.0.chunks_exact(4), self.row(row).chunks_exact(4));
+        for (g, &s) in gs.remainder().iter().zip(ss.remainder()) {
+            lanes[0] += g[s as usize];
+        }
+        for (g, s) in gs.zip(ss) {
             for lane in 0..4 {
-                lanes[lane] += gap_squared(&e[lane], q[lane], s[lane]);
+                lanes[lane] += g[lane][s[lane] as usize];
             }
         }
         self.weight * ((lanes[0] + lanes[1]) + (lanes[2] + lanes[3]))
@@ -301,11 +337,84 @@ mod tests {
             flat.iter_mut().skip(1).step_by(16).for_each(|v| *v = constant);
             let column = WordColumn::trained(&flat, 16, bits as u8);
             prop_assert!(column.edges[1][..=1 << bits].iter().all(|&e| e == constant));
+            let gaps = column.gaps(&query);
             for (row, v) in flat.chunks_exact(16).enumerate() {
-                let bound = column.bound_squared(&query, row).sqrt();
+                let bound = column.bound_squared(&gaps, row).sqrt();
                 let d = hydra_core::euclidean(&query, v);
                 prop_assert!(bound <= d + 1e-2, "bound {} > distance {}", bound, d);
-                prop_assert_eq!(column.bound_squared(v, row), 0.0);
+                prop_assert_eq!(column.bound_squared(&column.gaps(v), row), 0.0);
+            }
+        }
+    }
+
+    /// The bound of store row `row` read from the cell edges, one dimension
+    /// at a time: the squared gap from the query's value to the row's cell,
+    /// any tail dimensions into the first of four sums, then dimension `i`
+    /// of the whole fours into sum `i % 4`.
+    fn bound_from_edges(column: &WordColumn, query: &[f32], row: usize) -> f32 {
+        let gap_squared = |d: usize, cell: u8| {
+            let (lo, hi) = (
+                column.edges[d][cell as usize],
+                column.edges[d][cell as usize + 1],
+            );
+            let gap = (lo - query[d]).max(0.0) + (query[d] - hi).max(0.0);
+            gap * gap
+        };
+        let cells = column.row(row);
+        let whole = cells.len() / 4 * 4;
+        let mut lanes = [0.0f32; 4];
+        for (d, &cell) in cells.iter().enumerate().skip(whole) {
+            lanes[0] += gap_squared(d, cell);
+        }
+        for (d, &cell) in cells[..whole].iter().enumerate() {
+            lanes[d % 4] += gap_squared(d, cell);
+        }
+        column.weight * ((lanes[0] + lanes[1]) + (lanes[2] + lanes[3]))
+    }
+
+    #[test]
+    fn the_gap_table_bounds_every_row_as_the_cell_edges_do() {
+        let mut state = 0x9e37_79b9u32;
+        let mut next = move || {
+            state ^= state << 13;
+            state ^= state >> 17;
+            state ^= state << 5;
+            state
+        };
+        let mut uniform =
+            |lo: f32, hi: f32| lo + (hi - lo) * (next() >> 8) as f32 / (1 << 24) as f32;
+        // Every tail length, from a one-dimension word to 4 × 4 + 1.
+        for dims in 1..=17usize {
+            // Dimension 0 is constant in the trained column: all its edges
+            // repeat.
+            let mut flat: Vec<f32> = (0..dims * 40).map(|_| uniform(-3.0, 3.0)).collect();
+            flat.iter_mut().step_by(dims).for_each(|v| *v = 0.5);
+            let bits = 1 + (dims % 8) as u8;
+            let mut sax = WordColumn::new(2 * dims + 1, SaxParams::new(dims, 8));
+            assert_eq!(sax.word_len(), dims);
+            flat.chunks_exact(dims).for_each(|row| sax.push(row));
+            for column in [sax, WordColumn::trained(&flat, dims, bits)] {
+                for _ in 0..20 {
+                    // Per dimension: on one of its edges, an outermost one
+                    // included; beyond either outermost edge; or anywhere.
+                    let query: Vec<f32> = (0..dims)
+                        .map(|d| match uniform(0.0, 4.0) as usize {
+                            0 => column.edges[d][uniform(0.0, column.cells as f32 + 1.0) as usize],
+                            1 => column.edges[d][1] - 7.0,
+                            2 => column.edges[d][column.cells - 1] + 7.0,
+                            _ => uniform(-4.0, 4.0),
+                        })
+                        .collect();
+                    let gaps = column.gaps(&query);
+                    for row in 0..40 {
+                        assert_eq!(
+                            column.bound_squared(&gaps, row).to_bits(),
+                            bound_from_edges(&column, &query, row).to_bits(),
+                            "{dims} dimensions, {} cells, row {row}",
+                            column.cells
+                        );
+                    }
+                }
             }
         }
     }

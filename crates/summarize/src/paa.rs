@@ -2,8 +2,9 @@
 //!
 //! PAA divides a series of length `n` into `l` equal-length segments and
 //! represents each segment by the mean of its points (Keogh et al.). The
-//! PAA distance multiplied by `sqrt(n / l)` lower-bounds the Euclidean
-//! distance, which SAX inherits.
+//! PAA distance multiplied by `sqrt(⌊n / l⌋)`, the square root of the
+//! shortest segment's length, lower-bounds the Euclidean distance, which
+//! SAX inherits.
 
 /// Computes the PAA representation of `series` with `segments` segments.
 ///
@@ -34,11 +35,14 @@ pub fn paa(series: &[f32], segments: usize) -> Vec<f32> {
 /// Lower bound on the Euclidean distance between two series of length
 /// `series_len`, computed from their PAA representations.
 ///
-/// `LB = sqrt(n / l) * || paa(a) - paa(b) ||₂` (Keogh et al., 2001).
+/// `LB = sqrt(⌊n / l⌋) * || paa(a) - paa(b) ||₂` (Keogh et al., 2001). A
+/// segment of `m` points contributes at least `m` times its squared mean
+/// difference to the distance, so the scale is the shortest segment's
+/// length: with uneven segments, `n / l` would overshoot.
 pub fn paa_lower_bound(paa_a: &[f32], paa_b: &[f32], series_len: usize) -> f32 {
     debug_assert_eq!(paa_a.len(), paa_b.len());
     let l = paa_a.len().max(1);
-    let scale = series_len as f32 / l as f32;
+    let scale = (series_len / l) as f32;
     let sum: f32 = paa_a
         .iter()
         .zip(paa_b.iter())
@@ -108,6 +112,16 @@ mod tests {
                 assert!(lb <= d + 1e-4, "n={n} l={l}: lb={lb} > d={d}");
             }
         }
+    }
+
+    #[test]
+    fn lower_bound_scales_by_the_shortest_segment() {
+        // Segments of one and two points: the first carries the whole
+        // distance, at weight one.
+        let (a, b) = ([1.0f32, 0.0, 0.0], [0.0f32; 3]);
+        let lb = paa_lower_bound(&paa(&a, 2), &paa(&b, 2), 3);
+        assert!(lb <= euclidean(&a, &b), "lb={lb}");
+        assert_eq!(lb, 1.0);
     }
 
     #[test]

@@ -154,7 +154,8 @@ pub fn sax_word(series: &[f32], params: &SaxParams, breakpoints: &[f32]) -> Isax
 /// Lower bound (MINDIST) between the PAA representation of a query and an
 /// iSAX word, following Shieh & Keogh. `series_len` is the original series
 /// length; `breakpoints` must be the full-cardinality breakpoints used to
-/// build the word.
+/// build the word. Each segment weighs the shortest PAA segment's length,
+/// `⌊series_len / segments⌋`, as in [`crate::paa::paa_lower_bound`].
 pub fn mindist_paa_isax(
     query_paa: &[f32],
     word: &IsaxWord,
@@ -164,7 +165,7 @@ pub fn mindist_paa_isax(
 ) -> f32 {
     debug_assert_eq!(query_paa.len(), word.len());
     let l = word.len().max(1);
-    let scale = series_len as f32 / l as f32;
+    let scale = (series_len / l) as f32;
     let full_card = breakpoints.len() + 1;
     let mut acc = 0.0f32;
     for i in 0..word.len() {

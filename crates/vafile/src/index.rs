@@ -135,11 +135,12 @@ impl VaPlusFile {
             _ => (None, 0.0),
         };
 
-        // Phase 1: sequential scan of the in-memory approximation file.
-        let query_summary = self.dft.transform(query);
+        // Phase 1: sequential scan of the in-memory approximation file, one
+        // gap-table read per cell.
+        let gaps = self.cells.gaps(&self.dft.transform(query));
         let n = self.collection.len();
         let mut candidates: Vec<(f32, usize)> =
-            (0..n).map(|id| (self.cells.bound_squared(&query_summary, id).sqrt(), id)).collect();
+            (0..n).map(|id| (self.cells.bound_squared(&gaps, id).sqrt(), id)).collect();
         stats.lower_bound_computations += n as u64;
         // No upper-bound pre-prune (the classic VA-file phase-1 filter): a
         // cell's upper bound covers only the kept DFT coefficients, not the
