@@ -420,8 +420,8 @@ pub struct BenchFlags {
     pub ingest_split: Option<f64>,
     /// Stage-trace CSV file (`--trace-out FILE`): each sweep point appends
     /// one row per recorded [`hydra_obs::Stage`] of its workload's
-    /// [`hydra_obs::QueryTrace`] — where the time of a figure's queries
-    /// went (fan-out vs. per-shard search) and what I/O each stage did.
+    /// [`hydra_obs::QueryTrace`] — how long a figure's queries searched,
+    /// and what I/O that search did.
     /// `None` (the default) records nothing and costs nothing.
     pub trace_out: Option<PathBuf>,
 }
@@ -521,8 +521,8 @@ pub fn bench_flags() -> BenchFlags {
 /// recorded stage per sweep point, with the stage's call count,
 /// wall-clock seconds, and I/O counters — the workload-level view of the
 /// same [`hydra_obs::QueryTrace`] the server's slow-query log prints
-/// per query. Stages a run never enters (e.g. fan-out in a sequential
-/// run) produce no row.
+/// per query. Stages a run never enters (the figures' runs enter
+/// `shard_search` alone) produce no row.
 pub struct TraceWriter {
     out: std::io::BufWriter<std::fs::File>,
 }
@@ -827,26 +827,18 @@ mod tests {
         ));
         let d = make_dataset("rand256", 200, 32, 5, 91);
         let dstree = DsTree::build(&d.data, DsTreeConfig::default()).unwrap();
-        let params = SearchParams::ng(5, 8);
-        let (_, seq) = run_point(&dstree, &d, &params);
-        let par = hydra::eval::run_workload_parallel(&dstree, &d.workload, &d.truth, &params, 3);
+        let (_, seq) = run_point(&dstree, &d, &SearchParams::ng(5, 8));
         let mut w = TraceWriter::create(&path).unwrap();
         w.record("fig-test", d.name, dstree.name(), "nprobe=8", &seq.trace).unwrap();
-        w.record("fig-test", d.name, dstree.name(), "nprobe=8", &par.trace).unwrap();
         drop(w);
         let text = std::fs::read_to_string(&path).unwrap();
         let lines: Vec<&str> = text.lines().collect();
         assert_eq!(lines[0], TraceWriter::HEADER);
-        // Sequential run: shard_search only. Parallel run: + fan_out.
-        let stages: Vec<&str> = lines[1..]
-            .iter()
-            .map(|l| l.split(',').nth(4).unwrap())
-            .collect();
-        assert_eq!(stages, vec!["shard_search", "fan_out", "shard_search"]);
-        for line in &lines[1..] {
-            assert_eq!(line.split(',').count(), 10, "malformed row {line:?}");
-        }
-        // The sequential row's calls column is the workload size.
+        // One run, one recorded stage: shard_search.
+        assert_eq!(lines.len(), 2);
+        assert_eq!(lines[1].split(',').nth(4), Some("shard_search"));
+        assert_eq!(lines[1].split(',').count(), 10, "malformed row {:?}", lines[1]);
+        // Its calls column is the workload size.
         let calls: u64 = lines[1].split(',').nth(5).unwrap().parse().unwrap();
         assert_eq!(calls, seq.num_queries as u64);
         std::fs::remove_file(&path).ok();

@@ -8,8 +8,7 @@
 //! δ-ε histogram's distance samples
 //! ([`crate::DistanceHistogram::from_pairwise`]) all run on it, and so do,
 //! with one worker per shard or connection, the sharded fan-out
-//! (`hydra_shard::ShardedIndex`), the parallel workload runner
-//! (`hydra_eval::run_workload_parallel`) and `serve_client`'s replay. A
+//! (`hydra_shard::ShardedIndex`) and `serve_client`'s replay. A
 //! resident reload gathers its leaf-ordered store and rebuilds its word
 //! column on [`fill_rows`], and a tree build hashes its dataset beside its
 //! inserts on [`join`].

@@ -88,7 +88,8 @@ impl ShardMap {
     /// reconstructs the id map from the series counts its workers report.
     ///
     /// # Errors
-    /// [`Error::InvalidParameter`] if `lens` is empty or any shard is empty.
+    /// [`Error::InvalidParameter`] if `lens` is empty, any shard is empty,
+    /// or the lengths sum past `usize::MAX` (no id map could address them).
     pub fn contiguous_from_lens(lens: &[usize]) -> Result<Self> {
         if lens.is_empty() {
             return Err(Error::InvalidParameter("shard count must be positive".into()));
@@ -96,7 +97,10 @@ impl ShardMap {
         if let Some(s) = lens.iter().position(|&l| l == 0) {
             return Err(Error::InvalidParameter(format!("shard {s} is empty")));
         }
-        let total = lens.iter().sum();
+        let total = lens
+            .iter()
+            .try_fold(0usize, |acc, &l| acc.checked_add(l))
+            .ok_or_else(|| Error::InvalidParameter("shard lengths sum past usize::MAX".into()))?;
         Ok(Self::from_parts(PartitionScheme::Contiguous, lens.to_vec(), total))
     }
 
@@ -265,6 +269,14 @@ mod tests {
         let uneven = ShardMap::contiguous_from_lens(&[7, 1, 2]).unwrap();
         assert_eq!(uneven.to_global(1, 0), 7);
         assert_eq!(uneven.to_local(9), (2, 1));
+    }
+
+    #[test]
+    fn lengths_that_sum_past_usize_max_are_rejected() {
+        // Worker-reported counts: a sum that wraps would map shard 1's
+        // local 0 to global usize::MAX under a total of 0.
+        let err = ShardMap::contiguous_from_lens(&[usize::MAX, 1]).unwrap_err();
+        assert!(matches!(err, Error::InvalidParameter(_)), "{err:?}");
     }
 
     #[test]

@@ -9,11 +9,8 @@
 //!   measuring wall-clock time, implementation-independent cost counters and
 //!   accuracy against brute-force ground truth; implements the paper's
 //!   extrapolation protocol for large workloads (drop the 5 best and 5 worst
-//!   queries, scale the mean of the rest). Two execution modes share one
-//!   report type: [`runner::run_workload`] (sequential, paper-faithful) and
-//!   [`runner::run_workload_parallel`] (sharded across the workers of
-//!   `hydra_core::workers::answer_on_workers` with batched `search_batch`
-//!   calls, for serving-mode throughput).
+//!   queries, scale the mean of the rest). [`runner::run_workload`] answers
+//!   the queries one at a time, as the paper does.
 //! * [`report`] — the Figure 9 decision-matrix recommendation logic.
 
 #![warn(missing_docs)]
@@ -25,6 +22,4 @@ pub mod runner;
 
 pub use metrics::{average_precision, mean_relative_error, recall, AccuracySummary};
 pub use report::{recommend, Recommendation, Scenario};
-pub use runner::{
-    percentile_seconds, run_workload, run_workload_parallel, LatencyPercentiles, WorkloadReport,
-};
+pub use runner::{run_workload, LatencyPercentiles, WorkloadReport};

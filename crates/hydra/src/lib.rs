@@ -21,7 +21,7 @@
 //!   iterate instead of spelling the eight out again,
 //! * sharded scale-out ([`hydra_shard`]): [`partition()`] a dataset,
 //!   wrap per-shard indexes in a [`ShardedIndex`], and every consumer of
-//!   [`AnnIndex`] — the figure binaries, the workload runners, serving —
+//!   [`AnnIndex`] — the figure binaries, the workload runner, serving —
 //!   works over shards unchanged.
 //!
 //! ## Quick example
@@ -43,17 +43,6 @@
 //!     &SearchParams::delta_epsilon(10, 0.99, 1.0),
 //! );
 //! assert!(report.accuracy.map > 0.5);
-//!
-//! // 3. Same workload, serving mode: 4 worker threads, batched queries.
-//! //    Accuracy and cost counters are identical to the sequential run.
-//! let parallel = hydra::eval::run_workload_parallel(
-//!     &index,
-//!     &workload,
-//!     &truth,
-//!     &SearchParams::delta_epsilon(10, 0.99, 1.0),
-//!     4,
-//! );
-//! assert_eq!(parallel.accuracy, report.accuracy);
 //! ```
 //!
 //! Every index also accepts whole batches through

@@ -8,7 +8,7 @@
 //!   as Prometheus text exposition ([`MetricsRegistry::render`]).
 //! * [`QueryTrace`] — a per-query (or per-workload) breakdown of where
 //!   time and I/O went, as one merged [`StageSpan`] per pipeline
-//!   [`Stage`] (enqueue → fan-out → per-shard search → write).
+//!   [`Stage`] (enqueue → per-shard search → write).
 //!
 //! ## Design constraints
 //!

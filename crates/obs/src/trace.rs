@@ -12,16 +12,14 @@ use std::time::Duration;
 /// The pipeline stages a query can pass through, in execution order.
 ///
 /// Single-process serving records enqueue → per-shard search → write;
-/// offline eval runners record the search stage, plus fan-out when
-/// threaded. The router records no stages (its per-worker call time is
+/// the offline eval runner records the search stage alone. The router
+/// records no stages (its per-worker call time is
 /// `hydra_router_worker_call_micros`). Stages a query never entered
 /// simply stay at zero.
 #[derive(Clone, Copy, Debug, PartialEq, Eq, Hash)]
 pub enum Stage {
     /// Waiting in the batcher queue before any work.
     Enqueue,
-    /// Dispatching to workers/threads and waiting for the slowest.
-    FanOut,
     /// The actual per-shard (or single-index) similarity search.
     ShardSearch,
     /// Encoding and writing the response frame.
@@ -30,14 +28,13 @@ pub enum Stage {
 
 impl Stage {
     /// Every stage, in pipeline order (the order trace consumers print).
-    pub const ALL: [Stage; 4] = [Stage::Enqueue, Stage::FanOut, Stage::ShardSearch, Stage::Write];
+    pub const ALL: [Stage; 3] = [Stage::Enqueue, Stage::ShardSearch, Stage::Write];
 
     /// Stable lowercase name used in metric labels, CSV rows, and the
     /// slow-query log.
     pub fn name(self) -> &'static str {
         match self {
             Stage::Enqueue => "enqueue",
-            Stage::FanOut => "fan_out",
             Stage::ShardSearch => "shard_search",
             Stage::Write => "write",
         }
@@ -80,7 +77,7 @@ pub struct StageSpan {
 /// One query's (or one workload's) per-stage breakdown.
 #[derive(Clone, Debug, Default, PartialEq, Eq)]
 pub struct QueryTrace {
-    spans: [StageSpan; 4],
+    spans: [StageSpan; Stage::ALL.len()],
 }
 
 impl QueryTrace {

@@ -28,8 +28,7 @@
 //! frames on the wire), so a slow client never blocks the batcher. The
 //! single batcher thread makes batching *deterministic
 //! work amortization*: every tick turns all compatible pending queries
-//! into one [`AnnIndex::search_batch`] call — the same entry point the
-//! offline parallel runner uses — whose contract guarantees answers
+//! into one [`AnnIndex::search_batch`] call, whose contract guarantees answers
 //! identical to per-query [`AnnIndex::search`]. That contract is what the
 //! end-to-end test (`tests/integration_serve.rs`) pins: served answers are
 //! byte-identical to offline ones.
@@ -630,7 +629,7 @@ fn drain_tick(inner: &Arc<Inner>, batch: Vec<Job>) {
         let group_elapsed = t0.elapsed();
         m.stage_search_micros.observe_micros(group_elapsed);
         // One batched call measures one wall-clock; each query's share is
-        // the amortized mean, mirroring the offline parallel runner.
+        // the amortized mean.
         let amortized = group_elapsed / group.len() as u32;
         debug_assert_eq!(results.len(), group.len());
         // Pair results back by position, but never let a contract-breaking

@@ -11,7 +11,7 @@ use std::path::Path;
 use hydra::core::workers::with_batch_workers;
 use hydra::persist::layout;
 use hydra::{AnnIndex, Capabilities, Dataset, Error, FileIoMode, PageCodec, PartitionScheme};
-use hydra::{QueryStats, SearchMode, SearchParams, SearchResult, ShardedIndex, StorageConfig, StoreBacking};
+use hydra::{SearchMode, SearchParams, SearchResult, ShardedIndex, StorageConfig, StoreBacking};
 
 use super::{assert_same_answer, head, Scan, StatsMatch};
 
@@ -77,7 +77,7 @@ pub struct Variant {
     /// in batches whose sizes cycle through the list.
     pub grow: Option<(usize, &'static [usize])>,
     pub load: Load,
-    /// Readers searching at once; the parallel runner also runs at this count.
+    /// Readers searching at once.
     pub threads: usize,
     /// Queries per `search_batch` call × batch workers; `None` asks each
     /// query through `search`.
@@ -204,7 +204,7 @@ pub fn settings(caps: Capabilities, v: &Variant) -> Vec<SearchParams> {
     .collect()
 }
 
-/// The contract table: how much of its reference's [`QueryStats`] `v`
+/// The contract table: how much of its reference's `QueryStats` `v`
 /// reproduces besides the answer.
 pub fn contract(v: &Variant) -> StatsMatch {
     let fanned_out = matches!(v.load, Load::File { .. }) && v.batch.is_some_and(|(_, w)| w > 1);
@@ -240,51 +240,28 @@ pub fn assert_equivalent(zoo: &Zoo, data: &Dataset, v: &Variant, dir: &Path) -> 
 /// For every setting: each query as `v.batch` asks it ([`answer`]), from
 /// `v`'s readers at once, against `reference`'s `search` under [`contract`]
 /// — and under a `Full` one, the subject's store counters against the
-/// reference's after them, so a batch is the query loop, I/O included;
-/// then the parallel runner at 1, 4 and `v.threads` threads against that
-/// sequential run — accuracy, every CPU counter and `bytes_read`.
+/// reference's after them, so a batch is the query loop, I/O included.
 pub fn assert_answers(label: &str, subject: &dyn AnnIndex, reference: &dyn AnnIndex, data: &Dataset, v: &Variant) {
     let shape = |index: &dyn AnnIndex| (index.num_series(), index.series_len());
     assert_eq!(shape(subject), shape(reference), "{label}: shape drifted");
     let workload = hydra::data::noisy_queries(data, 6, &[0.0, 0.2], 17);
-    let (truth, queries) = (hydra::data::ground_truth(data, &workload, K), workload.iter().collect::<Vec<_>>());
-    let settings = settings(reference.capabilities(), v);
-    // Both sides see one access sequence until the runner moves only one.
-    let mut sequential = Vec::new();
-    for params in &settings {
+    let queries: Vec<_> = workload.iter().collect();
+    for params in &settings(reference.capabilities(), v) {
         let want = answer(reference, &queries, params, None);
-        let hold = |got: &[SearchResult], how: &str| {
+        let reader = || {
+            let got = answer(subject, &queries, params, v.batch);
             for (q, (got, want)) in got.iter().zip(&want).enumerate() {
-                assert_same_answer(&format!("{label}{how} {params:?} query {q}"), got, want, contract(v));
+                assert_same_answer(&format!("{label} {params:?} query {q}"), got, want, contract(v));
             }
         };
-        let reader = || -> Vec<SearchResult> {
-            let got = answer(subject, &queries, params, v.batch);
-            hold(&got, "");
-            got
-        };
-        sequential.push(std::thread::scope(|scope| {
-            let readers: Vec<_> = (0..v.threads).map(|_| scope.spawn(reader)).collect();
-            readers.into_iter().map(|r| r.join().unwrap()).last().unwrap()
-        }));
+        std::thread::scope(|scope| {
+            for _ in 0..v.threads {
+                scope.spawn(reader);
+            }
+        });
     }
     if matches!(contract(v), StatsMatch::Full) {
         assert_eq!(subject.store_counters(), reference.store_counters(), "{label}: store counters drifted");
-    }
-    let cpu = |mut stats: QueryStats| {
-        (stats.random_ios, stats.sequential_ios) = (0, 0);
-        stats
-    };
-    for (params, answers) in settings.iter().zip(sequential) {
-        let accuracy = super::accuracy(answers.iter().map(|a| &a.neighbors[..]), &truth);
-        let mut stats = QueryStats::new();
-        answers.iter().for_each(|answer| stats.merge(&answer.stats));
-        for threads in std::collections::BTreeSet::from([1, 4, v.threads]) {
-            let par = hydra::eval::run_workload_parallel(subject, &workload, &truth, params, threads);
-            let cell = format!("{label} {params:?} runner at {threads} threads");
-            assert_eq!(par.accuracy, accuracy, "{cell}: accuracy drifted");
-            assert_eq!(cpu(par.stats), cpu(stats), "{cell}: CPU counters or bytes_read drifted");
-        }
     }
 }
 

@@ -129,8 +129,8 @@ pub fn assert_same_neighbors(context: &str, got: &[Neighbor], want: &[Neighbor])
     }
 }
 
-/// The accuracy of `answers` against `truth`, as the workload runners
-/// report it.
+/// The accuracy of `answers` against `truth`, as the workload runner
+/// reports it.
 pub fn accuracy<'a>(
     answers: impl IntoIterator<Item = &'a [Neighbor]>,
     truth: &hydra::data::GroundTruth,

@@ -85,6 +85,13 @@ pub struct ScriptedWorker {
 
 impl ScriptedWorker {
     pub fn spawn(shard: Dataset, initial: Mode) -> Self {
+        let listed = shard.len() as u64;
+        Self::spawn_listing(shard, initial, listed)
+    }
+
+    /// A worker whose index listing reports `listed` series, whatever its
+    /// shard holds — counts a router must check before it trusts them.
+    pub fn spawn_listing(shard: Dataset, initial: Mode, listed: u64) -> Self {
         let listener = TcpListener::bind("127.0.0.1:0").unwrap();
         listener.set_nonblocking(true).unwrap();
         let addr = listener.local_addr().unwrap();
@@ -102,7 +109,7 @@ impl ScriptedWorker {
                             // Checked after the store: a drop either sees
                             // this connection or is seen here.
                             if !stop.load(Ordering::SeqCst) {
-                                serve_scripted(stream, &shard, &mode, &stop);
+                                serve_scripted(stream, &shard, listed, &mode, &stop);
                             }
                             // The last handle: dropping it is the hangup.
                             conn.lock().unwrap().take();
@@ -146,7 +153,7 @@ fn put(write_half: &Mutex<TcpStream>, frame: &[u8]) -> bool {
 
 /// One connection to the scripted worker: real protocol frames in,
 /// scripted behavior out. Returning drops the stream — the "crash".
-fn serve_scripted(stream: TcpStream, shard: &Dataset, mode: &Mutex<Mode>, stop: &AtomicBool) {
+fn serve_scripted(stream: TcpStream, shard: &Dataset, listed: u64, mode: &Mutex<Mode>, stop: &AtomicBool) {
     let write_half = match stream.try_clone() {
         Ok(s) => Arc::new(Mutex::new(s)),
         Err(_) => return,
@@ -163,7 +170,7 @@ fn serve_scripted(stream: TcpStream, shard: &Dataset, mode: &Mutex<Mode>, stop: 
                 let info = IndexInfo {
                     name: INDEX.into(),
                     method: "scan".into(),
-                    num_series: shard.len() as u64,
+                    num_series: listed,
                     series_len: shard.series_len() as u64,
                     exact: true,
                     ng_approximate: false,

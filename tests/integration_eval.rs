@@ -2,8 +2,11 @@
 //! figures rely on (accuracy/efficiency trade-off curves, measure
 //! relationships, I/O accounting) hold end to end.
 
+mod common;
+
+use common::{assert_equivalent, Variant, Zoo};
 use hydra::prelude::*;
-use hydra_eval::{run_workload, run_workload_parallel};
+use hydra_eval::run_workload;
 
 #[test]
 fn throughput_accuracy_tradeoff_curves_are_monotone_for_ng_search() {
@@ -110,90 +113,22 @@ fn effect_of_k_first_neighbor_dominates_cost() {
     assert!(work[0] <= work[1] && work[1] <= work[2]);
 }
 
+/// The rows without ε-search (IMI with its one shared ADC table pass,
+/// QALSH, HNSW and FLANN) and VA+file answer many-query `search_batch`
+/// calls, on one batch worker and on four, exactly as they answer each
+/// query through `search`: answers and every counter.
 #[test]
-fn parallel_runner_matches_sequential_runner_across_the_index_zoo() {
-    // The determinism contract of `search_batch` / `run_workload_parallel`,
-    // end to end: for every method whose cost counters are query-local
-    // (no shared buffer-pool state), accuracy AND summed stats at 1, 2 and
-    // 4 threads are identical to the sequential runner. Covers the batch
-    // overrides (IMI's shared ADC pass, QALSH's scratch reuse) and the
-    // default per-query fallback (HNSW, FLANN).
+fn batches_answer_as_the_query_loop_across_the_index_zoo() {
+    let (dir, zoo) = (common::temp_dir("batch-zoo"), Zoo::new(StorageConfig::in_memory(), 71));
     let data = hydra::data::sift_like(1_200, 32, 71);
-    let workload = hydra::data::noisy_queries(&data, 11, &[0.0, 0.1, 0.25], 72);
-    let truth = hydra::data::ground_truth(&data, &workload, 10);
-    let params = SearchParams::ng(10, 32);
-
-    let methods: Vec<Box<dyn AnnIndex>> = vec![
-        Box::new(
-            InvertedMultiIndex::build(
-                &data,
-                ImiConfig {
-                    coarse_k: 16,
-                    pq_k: 32,
-                    training_size: 600,
-                    ..ImiConfig::default()
-                },
-            )
-            .unwrap(),
-        ),
-        Box::new(
-            Qalsh::build(
-                &data,
-                QalshConfig {
-                    seed: 73,
-                    ..QalshConfig::default()
-                },
-            )
-            .unwrap(),
-        ),
-        Box::new(
-            Hnsw::build(
-                &data,
-                HnswConfig {
-                    m: 8,
-                    ef_construction: 64,
-                    seed: 74,
-                },
-            )
-            .unwrap(),
-        ),
-        Box::new(Flann::build(&data, FlannConfig::default()).unwrap()),
-    ];
-    for method in &methods {
-        let sequential = run_workload(method.as_ref(), &workload, &truth, &params);
-        for threads in [1usize, 2, 4] {
-            let parallel =
-                run_workload_parallel(method.as_ref(), &workload, &truth, &params, threads);
-            assert_eq!(
-                parallel.accuracy,
-                sequential.accuracy,
-                "{} accuracy diverged at {threads} threads",
-                method.name()
-            );
-            assert_eq!(
-                parallel.stats,
-                sequential.stats,
-                "{} summed stats diverged at {threads} threads",
-                method.name()
-            );
-            assert_eq!(parallel.num_queries, sequential.num_queries);
+    let rows = zoo.rows(data.series_len(), 5, |caps| {
+        !caps.epsilon_approximate || caps.representation == hydra::Representation::Dft
+    });
+    for (method, _) in rows {
+        for workers in [1, 4] {
+            let v = Variant { batch: Some((11, workers)), ..Variant::of(method.kind()) };
+            assert_equivalent(&zoo, &data, &v, &dir);
         }
     }
-
-    // Disk-backed methods keep answers and query-local counters identical;
-    // only the random/sequential I/O split may shift with interleaving.
-    let va = VaPlusFile::build(&data, VaPlusFileConfig::default()).unwrap();
-    let sequential = run_workload(&va, &workload, &truth, &SearchParams::exact(10));
-    let parallel = run_workload_parallel(&va, &workload, &truth, &SearchParams::exact(10), 4);
-    assert_eq!(parallel.accuracy, sequential.accuracy);
-    assert_eq!(
-        parallel.stats.distance_computations,
-        sequential.stats.distance_computations
-    );
-    assert_eq!(
-        parallel.stats.lower_bound_computations,
-        sequential.stats.lower_bound_computations
-    );
-    assert_eq!(parallel.stats.bytes_read, sequential.stats.bytes_read);
-    assert!((parallel.accuracy.avg_recall - 1.0).abs() < 1e-12, "exact stays exact in parallel");
+    std::fs::remove_dir_all(&dir).ok();
 }

@@ -28,12 +28,12 @@ use std::net::TcpStream;
 use std::time::{Duration, Instant};
 
 use common::serving::{
-    ask, ask_until_answered, query, send, unavailable, Deployment, Mode, Shard, INDEX,
-    WORKER_TIMEOUT,
+    ask, ask_until_answered, query, send, unavailable, Deployment, Mode, ScriptedWorker, Shard,
+    INDEX, WORKER_TIMEOUT,
 };
 use hydra::prelude::*;
 use hydra_serve::protocol::read_response;
-use hydra_serve::ResponseBody;
+use hydra_serve::{ResponseBody, Router, RouterConfig};
 
 /// Shard 0 a real worker, shard 1 scripted in `mode`, over `n` series of a
 /// random walk.
@@ -72,6 +72,16 @@ fn routed_answers_over_real_workers_are_bit_identical_to_unsharded() {
     for worker in d.servers {
         worker.join();
     }
+}
+
+#[test]
+fn a_router_refuses_worker_series_counts_that_sum_past_usize_max() {
+    let data = hydra::data::random_walk(8, 12, 555);
+    let workers = [u64::MAX, 1].map(|listed| ScriptedWorker::spawn_listing(data.clone(), Mode::Healthy, listed));
+    let addrs: Vec<_> = workers.iter().map(|w| w.addr).collect();
+    let err = Router::spawn(&addrs, "127.0.0.1:0", RouterConfig::default()).err().unwrap();
+    assert_eq!(err.kind(), std::io::ErrorKind::InvalidInput, "{err}");
+    assert!(err.to_string().contains("are not a split"), "{err}");
 }
 
 #[test]
