@@ -69,19 +69,17 @@ pub fn enumerate_candidates(
         return candidates;
     }
     for (s, seg) in segments.iter().enumerate() {
-        for kind in [SplitKind::Mean, SplitKind::Std] {
-            if let Some((score, threshold)) = score_split(series, *seg, kind) {
-                candidates.push(SplitCandidate {
-                    segments: segments.to_vec(),
-                    rule: SplitRule {
-                        segment: s,
-                        kind,
-                        threshold,
-                    },
-                    score,
-                    vertical: false,
-                });
-            }
+        for (kind, score, threshold) in score_splits(series, *seg) {
+            candidates.push(SplitCandidate {
+                segments: segments.to_vec(),
+                rule: SplitRule {
+                    segment: s,
+                    kind,
+                    threshold,
+                },
+                score,
+                vertical: false,
+            });
         }
         // Vertical candidate: refine this segment into two halves (only if
         // it is long enough and the segmentation budget allows it).
@@ -100,20 +98,18 @@ pub fn enumerate_candidates(
                 },
             );
             for (sub, offset) in [(refined[s], 0usize), (refined[s + 1], 1usize)] {
-                for kind in [SplitKind::Mean, SplitKind::Std] {
-                    if let Some((score, threshold)) = score_split(series, sub, kind) {
-                        candidates.push(SplitCandidate {
-                            segments: refined.clone(),
-                            rule: SplitRule {
-                                segment: s + offset,
-                                kind,
-                                threshold,
-                            },
-                            // Mild penalty: vertical splits grow the synopsis.
-                            score: score * 0.9,
-                            vertical: true,
-                        });
-                    }
+                for (kind, score, threshold) in score_splits(series, sub) {
+                    candidates.push(SplitCandidate {
+                        segments: refined.clone(),
+                        rule: SplitRule {
+                            segment: s + offset,
+                            kind,
+                            threshold,
+                        },
+                        // Mild penalty: vertical splits grow the synopsis.
+                        score: score * 0.9,
+                        vertical: true,
+                    });
                 }
             }
         }
@@ -121,20 +117,29 @@ pub fn enumerate_candidates(
     candidates
 }
 
-/// Scores a horizontal split of `seg` on `kind` and proposes a threshold
-/// (the median of the statistic, which balances the children). Returns
-/// `None` when the statistic is constant (splitting would be useless).
-fn score_split(series: &[&[f32]], seg: Segment, kind: SplitKind) -> Option<(f32, f32)> {
-    let mut values: Vec<f32> = series
+/// Scores horizontal splits of `seg` on the mean and on the standard
+/// deviation, in that order, from one pass of statistics over `series`:
+/// `(kind, score, threshold)` for each statistic that is not constant.
+fn score_splits(series: &[&[f32]], seg: Segment) -> impl Iterator<Item = (SplitKind, f32, f32)> {
+    let (means, stds): (Vec<f32>, Vec<f32>) = series
         .iter()
         .map(|s| {
             let st = segment_stats(s, seg);
-            match kind {
-                SplitKind::Mean => st.mean,
-                SplitKind::Std => st.std,
-            }
+            (st.mean, st.std)
         })
-        .collect();
+        .unzip();
+    [(SplitKind::Mean, means), (SplitKind::Std, stds)]
+        .into_iter()
+        .filter_map(move |(kind, values)| {
+            score_split(values, seg).map(|(score, threshold)| (kind, score, threshold))
+        })
+}
+
+/// Scores a horizontal split of `seg` on one statistic of every member,
+/// `values`, and proposes a threshold (the median of the statistic, which
+/// balances the children). Returns `None` when the statistic is constant
+/// (splitting would be useless).
+fn score_split(mut values: Vec<f32>, seg: Segment) -> Option<(f32, f32)> {
     values.sort_by(f32::total_cmp);
     let min = *values.first()?;
     let max = *values.last()?;

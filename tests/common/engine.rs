@@ -135,6 +135,12 @@ pub fn obtain(zoo: &Zoo, data: &Dataset, v: &Variant, dir: &Path) -> Box<dyn Ann
     let partition = v.shards.map_or("whole".into(), |_| format!("S{shards}-{}", scheme.label()));
     let storage = zoo.storage(v.load);
     let method = hydra::zoo(storage, zoo.seed).into_iter().find(|m| m.kind() == v.row);
+    // A misspelt row would otherwise hold a scan to a scan and test nothing.
+    assert!(
+        method.is_some() || v.row == "scan",
+        "{v}: row {:?} is neither \"scan\" nor a zoo kind",
+        v.row
+    );
     let mut indexes: Vec<Box<dyn AnnIndex>> = Vec::new();
     for (s, part) in parts.iter().enumerate() {
         let Some(method) = &method else {

@@ -30,6 +30,13 @@ fn sharded_scan_is_bit_identical_across_schemes_shard_counts_and_threads() {
 }
 
 #[test]
+#[should_panic(expected = "row \"dstre\" is neither \"scan\" nor a zoo kind")]
+fn a_row_that_is_neither_scan_nor_a_zoo_kind_is_refused() {
+    let (data, dir) = (hydra::data::random_walk(40, 24, 31), common::temp_dir("shard-misspelt"));
+    obtain(&Zoo::new(StorageConfig::in_memory(), 9), &data, &Variant::of("dstre"), &dir);
+}
+
+#[test]
 fn sharded_zoo_guaranteed_searches_are_bit_identical_to_unsharded() {
     let zoo = Zoo::new(StorageConfig::in_memory(), 9);
     let (data, dir) = (hydra::data::random_walk(400, 32, 2024), common::temp_dir("shard-zoo"));
